@@ -79,7 +79,6 @@ pub fn analyze_source(rel: &str, crate_name: &str, src: &str, cfg: RuleConfig) -
     }
     findings.extend(rules::no_nondet_std(&tokens, rel));
     if cfg.shard_module {
-        findings.extend(rules::shard_merge_order(&tokens, rel));
         findings.extend(rules::shard_rng_label(&tokens, rel));
         if !cfg.shard_seam {
             findings.extend(rules::shard_state_isolation(&tokens, rel));

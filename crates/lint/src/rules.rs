@@ -23,8 +23,6 @@ pub const NO_FRAME_DEEP_CLONE: &str = "no-frame-deep-clone";
 pub const HOT_PATH_VEC_NEW: &str = "hot-path-vec-new";
 /// Rule id: RNG label extraction / registry problems.
 pub const RNG_LABEL_REGISTRY: &str = "rng-label-registry";
-/// Rule id: unkeyed event scheduling inside the sharded engine.
-pub const SHARD_MERGE_ORDER: &str = "shard-merge-order";
 /// Rule id: non-indexed RNG stream derivation inside the sharded engine.
 pub const SHARD_RNG_LABEL: &str = "shard-rng-label";
 /// Rule id: shared-state write locks outside the coordinator seam.
@@ -40,7 +38,6 @@ pub const RULES: &[&str] = &[
     NO_FRAME_DEEP_CLONE,
     HOT_PATH_VEC_NEW,
     RNG_LABEL_REGISTRY,
-    SHARD_MERGE_ORDER,
     SHARD_RNG_LABEL,
     SHARD_STATE_ISOLATION,
 ];
@@ -367,31 +364,6 @@ fn dot_call<'t>(tokens: &'t [Token], i: usize, names: &[&str]) -> Option<&'t str
     }
 }
 
-/// `shard-merge-order` (sharded-engine files only): flags unkeyed
-/// `.schedule(…)` / `.schedule_in(…)` calls. The cross-shard merge totally
-/// orders events by `(time, key)`; an event scheduled without a
-/// content-derived key gets an insertion-order tiebreak, which differs with
-/// the shard count — exactly the nondeterminism the engine exists to rule
-/// out. Shard code must use `schedule_keyed`/`schedule_keyed_in`.
-pub fn shard_merge_order(tokens: &[Token], file: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if let Some(method) = dot_call(tokens, i, &["schedule", "schedule_in"]) {
-            out.push(Finding::new(
-                SHARD_MERGE_ORDER,
-                file,
-                tokens[i + 1].line,
-                format!(
-                    "`.{method}(…)` schedules without a content-derived key — inside the \
-                     sharded engine ties would break by insertion order, which varies with \
-                     the shard count; use `schedule_keyed`/`schedule_keyed_in`"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// `shard-rng-label` (sharded-engine files only): flags `.stream(…)` and
 /// `StreamRng::derive(…)`. A stream shared across entities is consumed in
 /// event-processing order, which interleaves differently per shard count;
@@ -464,7 +436,7 @@ const FRAME_TYPES: &[&str] = &["Frame", "DataFrame", "AckFrame", "Subframe", "Rx
 
 /// Identifiers bound to a frame type: the annotation/constructor shapes of
 /// [`typed_names`], plus single-ident variant patterns `Frame::Data(x)` /
-/// `Frame::Ack(x)` — the shape both engines use to name a received frame's
+/// `Frame::Ack(x)` — the shape the engine uses to name a received frame's
 /// payload in match arms and if-lets.
 fn frame_bound_names(tokens: &[Token]) -> BTreeSet<String> {
     let mut names = typed_names(tokens, FRAME_TYPES);
@@ -519,11 +491,11 @@ pub fn no_frame_deep_clone(tokens: &[Token], file: &str) -> Vec<Finding> {
 }
 
 /// Function names that run once per dispatched event: the `MacEntity` trait
-/// handlers (MACs also implement same-named inherent helpers) plus both
-/// engines' per-event handlers — everything reachable from one dispatch
-/// step. Setup fns (`build`, `new`) and result collection are deliberately
-/// absent: pre-sizing at construction time is the sanctioned place to
-/// allocate.
+/// handlers (MACs also implement same-named inherent helpers) plus the
+/// station stack's per-event handlers — everything reachable from one
+/// dispatch step. Setup fns (`build`, `new`) and result collection are
+/// deliberately absent: pre-sizing at construction time is the sanctioned
+/// place to allocate.
 const HOT_HANDLERS: &[&str] = &[
     // MacEntity trait surface.
     "on_enqueue",
@@ -532,13 +504,12 @@ const HOT_HANDLERS: &[&str] = &[
     "on_frame_rx",
     "on_tx_end",
     "on_timer",
-    // Engine per-event handlers (conservative and sharded).
+    // The station stack's per-event handlers (one body, both drivers).
     "dispatch",
     "apply_mac_actions",
     "start_transmission",
     "handle_delivery",
     "broadcast",
-    "apply_bit_errors",
 ];
 
 /// `hot-path-vec-new` (deterministic crates only): flags `Vec::new()` and
@@ -731,21 +702,6 @@ mod tests {
         let found = run(src, no_nondet_std);
         assert_eq!(found.len(), 1, "only the read outside from_env: {found:?}");
         assert!(found[0].message.contains("env::var"));
-    }
-
-    #[test]
-    fn shard_merge_order_flags_unkeyed_scheduling_only() {
-        let src = "
-            fn f(q: &mut KeyedEventQueue<Event>) {
-                q.schedule(t, ev);
-                q.schedule_in(d, ev);
-                q.schedule_keyed(t, key, ev);
-                q.schedule_keyed_in(d, key, ev);
-            }
-        ";
-        let found = run(src, shard_merge_order);
-        assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].message.contains("schedule_keyed"));
     }
 
     #[test]

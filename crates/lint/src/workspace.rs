@@ -117,9 +117,9 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const WALL_CLOCK_ALLOWED: &[&str] =
     &["crates/exec/", "crates/bench/", "crates/devtools/", "crates/experiments/src/bin/"];
 
-/// The sharded-engine module: files here answer to the three `shard-*`
-/// rules (keyed scheduling, per-entity RNG streams, no write locks outside
-/// the seam).
+/// The sharded driver's module: files here answer to the two `shard-*`
+/// rules (per-entity RNG streams, no write locks outside the seam). Keyed
+/// scheduling needs no rule: netsim's only queue has no unkeyed `schedule`.
 pub const SHARD_MODULE: &str = "crates/netsim/src/stack/shard/";
 
 /// The sharded engine's coordinator seam — the one file where write locks
@@ -170,7 +170,7 @@ mod tests {
         assert!(!c.wall_clock_allowed);
         let c = config_for("crates/devtools/criterion/src/lib.rs", "devtools/criterion");
         assert!(c.wall_clock_allowed);
-        // The sharded engine: workers get all three shard rules; the
+        // The sharded driver: workers get both shard rules; the
         // coordinator seam keeps them minus the write-lock isolation.
         let c = config_for("crates/netsim/src/stack/shard/worker.rs", "netsim");
         assert!(c.shard_module && !c.shard_seam);

@@ -9,7 +9,7 @@ use std::path::Path;
 
 use wmn_lint::rules::{
     HOT_PATH_VEC_NEW, NO_FRAME_DEEP_CLONE, NO_HASH_ITER, NO_WALL_CLOCK, RNG_LABEL_REGISTRY,
-    SHARD_MERGE_ORDER, SHARD_RNG_LABEL, SHARD_STATE_ISOLATION, WAIVER,
+    SHARD_RNG_LABEL, SHARD_STATE_ISOLATION, WAIVER,
 };
 use wmn_lint::workspace::RuleConfig;
 use wmn_lint::{analyze_source, FileAnalysis};
@@ -181,14 +181,6 @@ fn rng_labels_fixture_matches_markers_and_registers() {
 }
 
 #[test]
-fn shard_merge_order_fixture_matches_markers() {
-    let fa = check("shard_merge_order.rs", shard());
-    assert!(fa.findings.iter().all(|f| f.rule == SHARD_MERGE_ORDER));
-    assert_eq!(fa.waived.len(), 1);
-    assert!(fa.waived[0].waive_reason.as_deref().unwrap().contains("bootstrap"));
-}
-
-#[test]
 fn shard_rng_label_fixture_matches_markers_and_registers_families() {
     let fa = check("shard_rng_label.rs", shard());
     assert!(fa.findings.iter().all(|f| f.rule == SHARD_RNG_LABEL));
@@ -224,7 +216,7 @@ fn shard_state_isolation_fixture_matches_markers_and_seam_is_exempt() {
 
 #[test]
 fn shard_rules_are_off_outside_the_shard_module() {
-    for name in ["shard_merge_order.rs", "shard_rng_label.rs", "shard_state_isolation.rs"] {
+    for name in ["shard_rng_label.rs", "shard_state_isolation.rs"] {
         let src = fixture(name);
         let fa = analyze_source(name, "netsim", &src, det());
         // Only the now-unused waiver surfaces — the shard rules themselves
@@ -263,7 +255,6 @@ fn rng_label_registry_rule_name_is_reserved_for_sites_and_registry() {
     assert_eq!(NO_FRAME_DEEP_CLONE, "no-frame-deep-clone");
     assert_eq!(HOT_PATH_VEC_NEW, "hot-path-vec-new");
     assert_eq!(RNG_LABEL_REGISTRY, "rng-label-registry");
-    assert_eq!(SHARD_MERGE_ORDER, "shard-merge-order");
     assert_eq!(SHARD_RNG_LABEL, "shard-rng-label");
     assert_eq!(SHARD_STATE_ISOLATION, "shard-state-isolation");
 }

@@ -1,18 +1,19 @@
 //! Scenario composition and the layered simulation stack.
 //!
 //! This crate is the only place where the passive state machines of the
-//! lower crates meet the event queue. The simulation is organised as a
-//! [`stack`] of four layers with typed seams — [`stack::phy_io`] (medium,
-//! receivers, arrivals, mobility), [`stack::mac_engine`] (one MAC per
-//! station behind the [`wmn_mac::MacScheme`] factory trait),
-//! [`stack::net_layer`] (per-flow route tables) and [`stack::flow_layer`]
-//! (transport endpoints and workloads) — orchestrated by a thin runner
-//! that interprets every [`wmn_mac::MacAction`] /
-//! [`wmn_transport::TcpAction`] against simulated time. Both engines (the
-//! single loop and the sharded windowed loop) decode received frames
-//! through one shared BER seam, [`stack::decode`], whose clean-channel
-//! fast path hands every receiver the transmitter's own `Arc`-backed
-//! allocation — zero copies, zero allocations per clean decode.
+//! lower crates meet the event queue. The simulation is one engine body —
+//! the station stack in [`stack`], which owns the per-station and per-flow
+//! layers ([`stack::mac_engine`]: one MAC per station behind the
+//! [`wmn_mac::MacScheme`] factory trait; [`stack::flow_layer`]: transport
+//! endpoints and workloads; receivers and in-flight arrivals) together with
+//! the event queue, and interprets every [`wmn_mac::MacAction`] /
+//! [`wmn_transport::TcpAction`] against simulated time — driven by one of
+//! two thin loops that lend it the medium and the routing tables
+//! ([`stack::net_layer`]): the single loop, or the windowed shard workers
+//! of [`stack::shard`]. Received frames are decoded through one BER seam,
+//! [`stack::decode`], whose clean-channel fast path hands every receiver
+//! the transmitter's own `Arc`-backed allocation — zero copies, zero
+//! allocations per clean decode.
 //!
 //! A [`Scenario`] fully describes one run (placement, forwarding scheme,
 //! flows, duration, seed, and optionally a [`MotionPlan`] of per-node

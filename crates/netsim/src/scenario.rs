@@ -153,14 +153,14 @@ pub struct Scenario {
     /// no RNG, so `None` is byte-for-byte identical to the pre-refresh
     /// runner, and a refresh over an unmoved topology changes nothing.
     pub route_refresh: Option<SimDuration>,
-    /// Shard count for the conservative sharded event loop, or `None` for
-    /// the single-loop engine. `None` is byte-for-byte the legacy engine
-    /// (the CI baseline's bytes); any `Some(k)` selects the sharded engine,
-    /// whose results are bit-identical for **every** `k ≥ 1` (pinned by the
-    /// determinism suites) but use a different RNG stream layout than the
-    /// single-loop engine, so `Some(1)` and `None` are two distinct,
-    /// individually deterministic engines. Counts above the station count
-    /// are clamped.
+    /// Shard count for the conservative windowed driver, or `None` for the
+    /// single loop. Both drive the same engine body; `None` keeps the legacy
+    /// key and RNG-stream discipline (the CI baseline's bytes), any
+    /// `Some(k)` the per-entity one, whose results are bit-identical for
+    /// **every** `k ≥ 1` (pinned by the determinism suites) but use a
+    /// different RNG stream layout — so `Some(1)` and `None` are two
+    /// distinct, individually deterministic result families. Counts above
+    /// the station count are clamped.
     pub shards: Option<u32>,
 }
 

@@ -1,10 +1,8 @@
-//! The shared clean-decode / corruption seam of both engines.
+//! The clean-decode / corruption seam of the station stack.
 //!
-//! The single-loop runner (`PhyIo::apply_bit_errors`) and the shard
-//! workers (`ShardWorker::apply_bit_errors`) used to carry byte-for-byte
-//! copies of the same BER logic; this module is the one implementation both
-//! now delegate to, so the two engines cannot drift apart on what "decoded"
-//! means.
+//! One implementation of the BER model for every received frame, whichever
+//! driver runs the stack and whichever stream its discipline draws from —
+//! so the two result families cannot drift apart on what "decoded" means.
 //!
 //! # Zero-copy fast path
 //!
@@ -40,8 +38,8 @@ const MASK_WIDTH: usize = 128;
 /// the draws, so this refactor is invisible to the RNG streams.
 ///
 /// Public so the bench suite can pin the fast path's zero-allocation claim
-/// with the counting allocator; simulation code reaches it through the
-/// engines' `apply_bit_errors` wrappers.
+/// with the counting allocator; simulation code reaches it from the station
+/// stack's RxEnd handler.
 pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> Option<RxFrame> {
     if !ber.unit_survives(frame.header_bytes(), rng) {
         return None;

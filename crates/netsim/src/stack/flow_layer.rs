@@ -2,14 +2,14 @@
 //!
 //! One `FlowRt` per scenario flow owns the transport endpoints (TCP
 //! sender/receiver or the UDP sink), the datagram counters, and the web
-//! workload's think-time stream. The layer also seeds the event queue with
-//! every flow's arrival process (FTP/web starts, the precomputed VoIP
-//! departure schedule, the first CBR send) and condenses the endpoints into
-//! [`FlowResult`]s when the run ends.
+//! workload's think-time stream. The layer also lists every flow's arrival
+//! process (FTP/web starts, the precomputed VoIP departure schedule, the
+//! first CBR send) for the station stack to seed its queue with, and
+//! condenses the endpoints into [`FlowResult`]s when the run ends.
 
 use wmn_metrics::mos::{voip_mos, VoipQualityInputs, WIRELESS_BUDGET};
 use wmn_metrics::throughput_mbps;
-use wmn_sim::{EventQueue, FlowId, RngDirectory, SimDuration, StreamRng};
+use wmn_sim::{FlowId, RngDirectory, SimDuration, StreamRng};
 use wmn_transport::{TcpConfig, TcpReceiver, TcpSender, UdpSink};
 
 use crate::scenario::{FlowSpec, Scenario, Workload};
@@ -64,54 +64,38 @@ impl FlowLayer {
         FlowLayer { flows }
     }
 
-    /// Every flow's arrival process as plain data: the offset from `t = 0`
-    /// and the event to fire, flow-major in seeding order. The VoIP
-    /// departure schedules are precomputed here (streams `voip/<index>`),
-    /// so both engines share one source of truth for what gets seeded: the
-    /// single-loop engine schedules the whole list
-    /// ([`FlowLayer::initial_queue`]); each shard worker schedules the
-    /// entries of the flows it owns, minting its own flow-lane keys.
+    /// The arrival processes of the flows `owns` selects, as plain data:
+    /// the offset from `t = 0`, the flow, and the event to fire, flow-major
+    /// in seeding order. The VoIP departure schedules are precomputed here
+    /// (streams `voip/<index>`, each private to its flow, so skipping an
+    /// unowned flow perturbs no other draw). The station stack schedules
+    /// the list under its discipline's flow keys.
     pub(crate) fn seed_events(
         &self,
         scenario: &Scenario,
         dir: &RngDirectory,
-    ) -> Vec<(SimDuration, Event)> {
+        owns: impl Fn(FlowId) -> bool,
+    ) -> Vec<(SimDuration, FlowId, Event)> {
         let mut seeds = Vec::new();
-        for (i, flow) in self.flows.iter().enumerate() {
+        for (i, flow) in self.flows.iter().enumerate().filter(|(_, f)| owns(f.id)) {
             // Small deterministic stagger breaks pathological phase locks.
             let stagger = SimDuration::from_micros(17 * i as u64);
             match &flow.spec.workload {
                 Workload::Ftp | Workload::Web(_) => {
-                    seeds.push((stagger, Event::FlowStart { flow: flow.id }));
+                    seeds.push((stagger, flow.id, Event::FlowStart { flow: flow.id }));
                 }
                 Workload::Voip(model) => {
                     let mut rng = dir.stream(&format!("voip/{i}"));
                     for dep in model.departure_schedule(scenario.duration, &mut rng) {
-                        seeds.push((dep, Event::UdpSend { flow: flow.id }));
+                        seeds.push((dep, flow.id, Event::UdpSend { flow: flow.id }));
                     }
                 }
                 Workload::Cbr(_) => {
-                    seeds.push((stagger, Event::UdpSend { flow: flow.id }));
+                    seeds.push((stagger, flow.id, Event::UdpSend { flow: flow.id }));
                 }
             }
         }
         seeds
-    }
-
-    /// Creates the event queue and seeds it with every flow's arrival
-    /// process ([`FlowLayer::seed_events`]), sized to the full initial
-    /// event load in one allocation.
-    pub(crate) fn initial_queue(
-        &self,
-        scenario: &Scenario,
-        dir: &RngDirectory,
-    ) -> EventQueue<Event> {
-        let seeds = self.seed_events(scenario, dir);
-        let mut queue = EventQueue::with_capacity(seeds.len());
-        for (delay, event) in seeds {
-            queue.schedule_in(delay, event);
-        }
-        queue
     }
 
     /// One flow's runtime state.

@@ -4,9 +4,9 @@
 //! The engine is deliberately scheme-agnostic: it never names DCF, ExOR or
 //! RIPPLE. A scenario's [`Scheme`](crate::Scheme) enum (or any other
 //! [`MacScheme`] implementation) decides what gets built; the engine only
-//! owns the per-node entities and hands them to the runner for event
+//! owns the per-node entities and hands them to the station stack for event
 //! dispatch. Adding a MAC scheme therefore touches the crate that owns its
-//! state machine and the scenario enum — never this engine or the runner.
+//! state machine and the scenario enum — never this engine or the stack.
 
 use wmn_mac::{ActionSink, MacEntity, MacScheme, MacStats};
 use wmn_phy::PhyParams;
@@ -17,7 +17,7 @@ use wmn_sim::{NodeId, RngDirectory};
 ///
 /// Sink discipline: every handler invocation takes its own sink
 /// ([`take_sink`](MacEngine::take_sink)), fills it through the
-/// [`MacEntity`] call, is drained completely by the runner, and parks it
+/// [`MacEntity`] call, is drained completely by the stack, and parks it
 /// back ([`park_sink`](MacEngine::park_sink)). Re-entrant dispatch —
 /// applying a popped action triggers another handler (`StartTx` →
 /// `on_busy`, `Deliver` → `on_enqueue`) — simply takes the *next* sink

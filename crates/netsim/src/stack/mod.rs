@@ -1,33 +1,43 @@
-//! The layered node stack and its thin orchestrating `Runner`.
+//! The layered node stack: one engine body, two thin drivers.
 //!
-//! Where a single 950-line monolith used to own every piece of per-node and
-//! per-flow state, the stack is now four layers with typed seams, mirroring
-//! the protocol stack the paper describes:
+//! The stack mirrors the protocol stack the paper describes, as layers with
+//! typed seams:
 //!
-//! * [`phy_io`] — the shared medium, per-station receivers, the in-flight
-//!   arrival slab, bit errors, and station mobility;
+//! * [`phy_io`] — the in-flight arrival slab and the mobility step over the
+//!   shared medium;
 //! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
 //!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
-//!   [`Scheme`](crate::Scheme), so the runner never names a concrete MAC);
+//!   [`Scheme`](crate::Scheme), so the engine never names a concrete MAC);
 //! * [`net_layer`] — per-flow forward/reverse routing tables;
-//! * [`flow_layer`] — transport endpoints and workload generators per flow.
+//! * [`flow_layer`] — transport endpoints and workload generators per flow;
+//! * [`decode`] — the clean-decode / corruption seam.
 //!
-//! The `Runner` owns the event queue and the clock and interprets each
-//! layer's outputs against the others: MAC actions become transmissions,
-//! timers and deliveries; transport actions become enqueues and RTO timers;
-//! mobility ticks re-sample trajectories into the medium's incremental
-//! link-state refresh. Layer state is only ever touched through the layer's
-//! own interface, which is what makes per-layer change (a new MAC scheme, a
-//! new mobility model, per-node parallelism some day) local.
+//! `station` holds the per-station and per-flow state of those layers, the
+//! event queue and the clock, and the only definition of every event
+//! handler: MAC actions become transmissions, timers and deliveries;
+//! transport actions become enqueues and RTO timers. Two drivers pop its
+//! queue and lend it the read-mostly world (medium + routing tables):
+//!
+//! * the single loop in this module (`Runner`, `shards: None`), which owns
+//!   the medium and the routing tables outright and keeps the two global
+//!   passes — mobility ticks re-sampling trajectories into the medium's
+//!   incremental link-state refresh, and live route refreshes — as events
+//!   in the same queue;
+//! * the windowed shard workers ([`shard`], `shards: Some(k)`), which share
+//!   both behind read locks and leave the global passes to their
+//!   coordinator.
+//!
+//! The two differ only in the stack's discipline (see `station`), fixed at
+//! build time from [`Scenario::shards`].
 //!
 //! # Determinism
 //!
-//! The decomposition is behaviour-preserving by construction: every RNG
-//! stream keeps its label and consumption order, every event is scheduled
-//! in the same sequence, and a static [`MotionPlan`](wmn_topology::MotionPlan)
-//! schedules no mobility ticks at all — so static-mobility runs are
-//! byte-identical to the pre-stack runner (pinned by the golden snapshots,
-//! the sweep determinism suite, and the committed CI baseline).
+//! Every RNG stream keeps its label and consumption order and every event
+//! is scheduled in the same sequence under either driver, and a static
+//! [`MotionPlan`](wmn_topology::MotionPlan) schedules no mobility ticks at
+//! all — so the single-loop family is byte-identical to the committed CI
+//! baseline and the golden snapshots, and the sharded family is
+//! bit-identical at every shard count.
 
 pub mod decode;
 pub mod flow_layer;
@@ -35,21 +45,18 @@ pub mod mac_engine;
 pub mod net_layer;
 pub mod phy_io;
 pub mod shard;
+pub(crate) mod station;
 
-use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo};
-use wmn_mac::{ActionSink, FramePool, MacAction, RateClass, TimerToken};
-use wmn_phy::medium::BusyTransition;
-use wmn_phy::ArrivalOutcome;
+use wmn_mac::TimerToken;
+use wmn_phy::Medium;
 use wmn_routing::LinkGraph;
-use wmn_sim::{EventQueue, FlowId, NodeId, RngDirectory, SimDuration, SimTime};
-use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
+use wmn_sim::{FlowId, NodeId, RngDirectory, SimDuration};
 
-use crate::scenario::{Scenario, Workload};
-use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
-use flow_layer::FlowLayer;
-use mac_engine::MacEngine;
+use crate::scenario::Scenario;
+use crate::trace::{Trace, TraceKind};
 use net_layer::NetLayer;
-use phy_io::PhyIo;
+use phy_io::advance_medium_positions;
+use station::{Discipline, Origin, StationStack, World};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -122,7 +129,8 @@ pub struct RunResult {
     pub mac_stats: Vec<wmn_mac::MacStats>,
 }
 
-/// The simulation's event vocabulary, dispatched by the [`Runner`].
+/// The simulation's event vocabulary: everything but the last two variants
+/// is dispatched by the station stack under either driver.
 #[derive(Debug)]
 pub(crate) enum Event {
     TxEnd {
@@ -151,23 +159,24 @@ pub(crate) enum Event {
     WebStart {
         flow: FlowId,
     },
-    /// Re-sample every moving node's trajectory and refresh the medium.
-    /// Never scheduled for static motion plans.
+    /// Single loop only: re-sample every moving node's trajectory and
+    /// refresh the medium. Never scheduled for static motion plans.
     MobilityTick,
-    /// Recompute every flow's min-ETX route from the medium's current link
-    /// state. Never scheduled unless [`Scenario::route_refresh`] is set.
+    /// Single loop only: recompute every flow's min-ETX route from the
+    /// medium's current link state. Never scheduled unless
+    /// [`Scenario::route_refresh`] is set.
     RouteRefresh,
 }
 
 /// Executes a scenario to completion and returns per-flow results.
 ///
-/// # Engines
+/// # Drivers
 ///
-/// [`Scenario::shards`] selects the engine: `None` runs the single-loop
-/// runner below (the legacy schedule every committed baseline pins);
-/// `Some(k)` runs the conservative sharded engine ([`shard`]), whose
-/// results are bit-identical for every `k ≥ 1` but deliberately *not*
-/// byte-identical to the legacy engine (per-entity RNG streams — see the
+/// [`Scenario::shards`] selects the driver and with it the result family:
+/// `None` runs the single loop below (the schedule every committed baseline
+/// pins); `Some(k)` runs the conservative windowed shards ([`shard`]),
+/// whose results are bit-identical for every `k ≥ 1` but deliberately *not*
+/// byte-identical to the single loop's (per-entity RNG streams — see the
 /// [`shard`] module docs for the contract).
 ///
 /// # Thread safety
@@ -192,7 +201,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
     }
     let mut runner = Runner::build(scenario);
     runner.run_loop();
-    runner.results(scenario)
+    runner.results()
 }
 
 // Compile-time audit for the parallel executor: a scenario must be movable
@@ -208,82 +217,54 @@ const _: () = {
 /// Like [`run`], but also returns the full event [`Trace`] of the run.
 /// Tracing costs memory proportional to the number of transmissions; use
 /// short durations.
+///
+/// The trace is a record of the single-loop schedule: `run_traced` always
+/// drives the single loop and ignores [`Scenario::shards`], so its
+/// [`RunResult`] equals `run` of the same scenario with `shards: None` —
+/// and therefore differs from `run(scenario)` when `shards` is `Some(_)`.
 pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
     let mut runner = Runner::build(scenario);
-    runner.trace = Some(Trace::default());
+    runner.core.trace = Some(Trace::default());
     runner.run_loop();
-    let trace = runner.trace.take().expect("installed above");
-    (runner.results(scenario), trace)
+    let trace = runner.core.trace.take().expect("installed above");
+    (runner.results(), trace)
 }
 
-/// The thin orchestrator: owns the queue, the clock, and the four layers,
-/// and interprets each layer's actions against the others.
-struct Runner {
-    end: SimTime,
-    phy: PhyIo,
-    macs: MacEngine,
+/// The single-loop driver: owns the world the station stack runs against
+/// and the two global passes that mutate it.
+struct Runner<'a> {
+    scenario: &'a Scenario,
+    medium: Medium,
     net: NetLayer,
-    flows: FlowLayer,
-    queue: EventQueue<Event>,
-    /// Live routing period, if the scenario enables refresh.
-    route_refresh: Option<SimDuration>,
-    /// Recycler for transport packet bodies: once warm, minting a TCP
-    /// segment or UDP datagram body reuses a retired buffer instead of
-    /// allocating.
-    pool: FramePool,
-    trace: Option<Trace>,
+    core: StationStack,
 }
 
-impl Runner {
-    fn build(scenario: &Scenario) -> Runner {
+impl<'a> Runner<'a> {
+    /// Builds the single loop for `scenario`, whatever its `shards` says:
+    /// the legacy discipline, with the global passes scheduled after the
+    /// flow seeds so the insertion counter advances as it always has.
+    fn build(scenario: &'a Scenario) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
         let dir = RngDirectory::new(scenario.seed);
-        let macs =
-            MacEngine::build(&scenario.scheme, &scenario.params, scenario.positions.len(), &dir);
-        let net = NetLayer::build(scenario);
-        let flows = FlowLayer::build(scenario, &dir);
-        let mut queue = flows.initial_queue(scenario, &dir);
-        // Pre-size the per-station schedule burst: in steady state each
-        // station keeps a backoff timer, a TxEnd and in-flight deliveries
-        // pending at once, so the heap warms up here instead of growing
-        // inside the hot loop.
-        queue.reserve(scenario.positions.len() * 4);
-        let phy = PhyIo::build(scenario, &dir);
-        if phy.is_mobile() {
+        let discipline =
+            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
+        let mut core = StationStack::build(scenario, &dir, discipline);
+        if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
-            queue.schedule_in(phy.motion_tick(), Event::MobilityTick);
+            core.schedule_in(scenario.motion.tick, Origin::Driver, Event::MobilityTick);
         }
         if let Some(interval) = scenario.route_refresh {
             // First refresh one interval in: the build-time tables *are* the
             // min-ETX routes over the t = 0 placement.
-            queue.schedule_in(interval, Event::RouteRefresh);
+            core.schedule_in(interval, Origin::Driver, Event::RouteRefresh);
         }
         Runner {
-            end: SimTime::ZERO + scenario.duration,
-            phy,
-            macs,
-            net,
-            flows,
-            queue,
-            route_refresh: scenario.route_refresh,
-            pool: FramePool::default(),
-            trace: None,
-        }
-    }
-
-    /// The simulation clock. There is exactly one: the event queue's notion
-    /// of "now" (the instant of the most recently popped event), so handlers
-    /// and `schedule_in` can never drift apart.
-    fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    fn record(&mut self, node: NodeId, kind: TraceKind) {
-        let at = self.now();
-        if let Some(trace) = self.trace.as_mut() {
-            trace.events.push(TraceEvent { at, node, kind });
+            scenario,
+            medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
+            net: NetLayer::build(scenario),
+            core,
         }
     }
 
@@ -292,114 +273,32 @@ impl Runner {
         // loop is event-loop churn unless a nested scope (tx-path, queue)
         // claims it. No-op outside `wmn_alloc/count` builds.
         let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::EventLoop);
-        while let Some((t, event)) = self.queue.pop() {
-            if t > self.end {
+        while let Some((now, event)) = self.core.queue.pop() {
+            if now > self.core.end {
                 break;
             }
-            self.dispatch(event);
+            match event {
+                Event::MobilityTick => {
+                    let Scenario { motion, positions, .. } = self.scenario;
+                    advance_medium_positions(&mut self.medium, motion, positions, now);
+                    self.reschedule(motion.tick, Event::MobilityTick);
+                }
+                Event::RouteRefresh => {
+                    self.refresh_routes();
+                    let interval = self.scenario.route_refresh.expect("scheduled only when set");
+                    self.reschedule(interval, Event::RouteRefresh);
+                }
+                event => {
+                    self.core.dispatch(event, World { medium: &self.medium, net: &self.net });
+                }
+            }
         }
     }
 
-    fn dispatch(&mut self, event: Event) {
-        let now = self.now();
-        match event {
-            Event::TxEnd { node } => {
-                self.record(node, TraceKind::TxEnd);
-                let mut sink = self.macs.take_sink();
-                self.macs.node(node).on_tx_end(now, &mut sink);
-                self.apply_mac_actions(node, &mut sink);
-                self.macs.park_sink(sink);
-                if let Some(BusyTransition::BecameIdle) = self.phy.receiver(node).on_tx_end(now) {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_idle(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-            }
-            Event::RxStart { arrival } => {
-                let Some(a) = self.phy.arrival(arrival) else {
-                    return;
-                };
-                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
-                if let Some(BusyTransition::BecameBusy) =
-                    self.phy.receiver(node).on_arrival_start(arrival, decodable, power, now)
-                {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_busy(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-            }
-            Event::RxEnd { arrival } => {
-                let Some(state) = self.phy.take_arrival(arrival) else {
-                    return;
-                };
-                let node = state.node;
-                let (outcome, transition) = self.phy.receiver(node).on_arrival_end(arrival, now);
-                // Idle first so relay waits measure from the channel edge.
-                if let Some(BusyTransition::BecameIdle) = transition {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_idle(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-                if outcome == ArrivalOutcome::Clean && state.decodable {
-                    if let Some(frame) = self.phy.apply_bit_errors(&state.frame) {
-                        if self.trace.is_some() {
-                            let (kind, flow, frame_seq) = match &*frame {
-                                Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
-                                Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq),
-                            };
-                            self.record(
-                                node,
-                                TraceKind::Decoded {
-                                    kind,
-                                    from: frame.transmitter(),
-                                    flow,
-                                    frame_seq,
-                                },
-                            );
-                        }
-                        let mut sink = self.macs.take_sink();
-                        self.macs.node(node).on_frame_rx(frame, now, &mut sink);
-                        self.apply_mac_actions(node, &mut sink);
-                        self.macs.park_sink(sink);
-                    }
-                }
-            }
-            Event::MacTimer { node, token } => {
-                let mut sink = self.macs.take_sink();
-                self.macs.node(node).on_timer(token, now, &mut sink);
-                self.apply_mac_actions(node, &mut sink);
-                self.macs.park_sink(sink);
-            }
-            Event::TcpRto { flow, generation } => {
-                let actions = self
-                    .flows
-                    .flow_mut(flow)
-                    .tcp_tx
-                    .as_mut()
-                    .map(|tx| tx.on_rto(generation, now))
-                    .unwrap_or_default();
-                self.apply_tcp_sender_actions(flow, actions);
-            }
-            Event::FlowStart { flow } => self.start_flow(flow),
-            Event::UdpSend { flow } => self.udp_send(flow),
-            Event::WebStart { flow } => self.web_next_transfer(flow),
-            Event::MobilityTick => {
-                self.phy.advance_positions(now);
-                let tick = self.phy.motion_tick();
-                if now + tick <= self.end {
-                    self.queue.schedule_in(tick, Event::MobilityTick);
-                }
-            }
-            Event::RouteRefresh => {
-                self.refresh_routes();
-                let interval = self.route_refresh.expect("scheduled only when set");
-                if now + interval <= self.end {
-                    self.queue.schedule_in(interval, Event::RouteRefresh);
-                }
-            }
+    /// Re-arms a periodic global pass unless its next firing is past the end.
+    fn reschedule(&mut self, period: SimDuration, event: Event) {
+        if self.core.now() + period <= self.core.end {
+            self.core.schedule_in(period, Origin::Driver, event);
         }
     }
 
@@ -410,266 +309,32 @@ impl Runner {
     /// only fails on a corrupted medium — in which case the last-known-good
     /// routes stay in force, same as a transient partition.
     fn refresh_routes(&mut self) {
-        let Ok(graph) = LinkGraph::try_from_medium(self.phy.medium()) else {
+        let Ok(graph) = LinkGraph::try_from_medium(&self.medium) else {
             return;
         };
         let changed = self.net.refresh(&graph);
-        if self.trace.is_some() {
+        if self.core.trace.is_some() {
             for flow in changed {
                 let path = self.net.path(flow).to_vec();
                 let src = path[0];
-                self.record(src, TraceKind::RouteChange { flow, path });
+                self.core.record(src, TraceKind::RouteChange { flow, path });
             }
         }
     }
 
-    fn apply_mac_actions(&mut self, node: NodeId, sink: &mut ActionSink) {
-        while let Some(action) = sink.pop() {
-            match action {
-                MacAction::StartTx { frame, rate } => self.start_transmission(node, frame, rate),
-                MacAction::SetTimer { delay, token } => {
-                    self.queue.schedule_in(delay, Event::MacTimer { node, token });
-                }
-                MacAction::Deliver { packet } => self.handle_delivery(node, packet),
-                MacAction::Drop { packet, reason } => {
-                    // End-to-end recovery (TCP retransmission / VoIP loss
-                    // accounting) covers MAC drops; the trace just records
-                    // the loss for the packet-level pipeline.
-                    self.record(node, TraceKind::Drop { flow: packet.header.flow, reason });
-                }
-            }
-        }
-    }
-
-    fn start_transmission(&mut self, node: NodeId, frame: Frame, rate: RateClass) {
-        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::TxPath);
-        if self.trace.is_some() {
-            let (kind, flow, frame_seq, subframes) = match &frame {
-                Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq, d.subframes.len()),
-                Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq, 0),
-            };
-            let wire_bytes = frame.wire_bytes();
-            self.record(node, TraceKind::TxStart { kind, flow, frame_seq, subframes, wire_bytes });
-        }
-        let params = self.phy.params();
-        let rate = match rate {
-            RateClass::Data => params.data_rate,
-            RateClass::Basic => params.basic_rate,
-        };
-        let airtime = params.airtime(rate, frame.wire_bytes());
-        let now = self.now();
-        if let Some(BusyTransition::BecameBusy) = self.phy.receiver(node).on_tx_start(now) {
-            let mut sink = self.macs.take_sink();
-            self.macs.node(node).on_busy(now, &mut sink);
-            self.apply_mac_actions(node, &mut sink);
-            self.macs.park_sink(sink);
-        }
-        self.queue.schedule_in(airtime, Event::TxEnd { node });
-        self.phy.broadcast(node, frame, airtime, &mut self.queue);
-    }
-
-    fn handle_delivery(&mut self, node: NodeId, packet: Packet) {
-        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::Queue);
-        let flow_id = packet.header.flow;
-        let spec_src = self.flows.flow(flow_id).spec.src();
-        let spec_dst = self.flows.flow(flow_id).spec.dst();
-        let forward = packet.header.src == spec_src;
-
-        if packet.header.dst == node {
-            // Reached a transport endpoint.
-            if node == spec_dst && forward {
-                self.record(node, TraceKind::Delivered { flow: flow_id });
-                self.deliver_at_destination(flow_id, packet);
-            } else if node == spec_src && !forward {
-                self.deliver_at_source(flow_id, packet);
-            }
-            return;
-        }
-        // Intermediate hop (predetermined routing only): forward along.
-        if let Some(route) = self.net.route(flow_id, node, forward) {
-            if self.trace.is_some() {
-                if let RouteInfo::NextHop(next_hop) = &route {
-                    let next_hop = *next_hop;
-                    self.record(node, TraceKind::Forward { flow: flow_id, next_hop });
-                }
-            }
-            let now = self.now();
-            let mut sink = self.macs.take_sink();
-            self.macs.node(node).on_enqueue(packet, route, now, &mut sink);
-            self.apply_mac_actions(node, &mut sink);
-            self.macs.park_sink(sink);
-        }
-    }
-
-    fn deliver_at_destination(&mut self, flow_id: FlowId, packet: Packet) {
-        let now = self.now();
-        match packet.header.proto {
-            Proto::Tcp => {
-                let actions = {
-                    let flow = self.flows.flow_mut(flow_id);
-                    let Some(rx) = flow.tcp_rx.as_mut() else { return };
-                    match TcpSegment::decode(&packet.body) {
-                        Some(TcpSegment::Data { seq, ts, retx }) => rx.on_data(seq, ts, retx),
-                        _ => return,
-                    }
-                };
-                self.apply_tcp_receiver_actions(flow_id, actions);
-            }
-            Proto::Udp => {
-                let flow = self.flows.flow_mut(flow_id);
-                if let Some(dg) = UdpDatagram::decode(&packet.body) {
-                    flow.udp_sink.on_datagram(dg, packet.header.wire_bytes, now);
-                }
-            }
-        }
-    }
-
-    fn deliver_at_source(&mut self, flow_id: FlowId, packet: Packet) {
-        let now = self.now();
-        let actions = {
-            let flow = self.flows.flow_mut(flow_id);
-            let Some(tx) = flow.tcp_tx.as_mut() else { return };
-            match TcpSegment::decode(&packet.body) {
-                Some(TcpSegment::Ack { cum_ack, ts_echo }) => tx.on_ack(cum_ack, ts_echo, now),
-                _ => return,
-            }
-        };
-        self.apply_tcp_sender_actions(flow_id, actions);
-    }
-
-    fn apply_tcp_sender_actions(&mut self, flow_id: FlowId, actions: Vec<TcpAction>) {
-        for action in actions {
-            match action {
-                TcpAction::Send { segment, wire_bytes } => {
-                    self.enqueue_transport_packet(flow_id, segment, wire_bytes, true);
-                }
-                TcpAction::SetRtoTimer { delay, generation } => {
-                    self.queue.schedule_in(delay, Event::TcpRto { flow: flow_id, generation });
-                }
-                TcpAction::SendComplete => {
-                    // Web workload: think, then start the next transfer.
-                    let off = {
-                        let flow = self.flows.flow_mut(flow_id);
-                        match (&flow.spec.workload, flow.web_rng.as_mut()) {
-                            (Workload::Web(model), Some(rng)) => Some(model.draw_off_period(rng)),
-                            _ => None,
-                        }
-                    };
-                    if let Some(off) = off {
-                        self.queue.schedule_in(off, Event::WebStart { flow: flow_id });
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_tcp_receiver_actions(&mut self, flow_id: FlowId, actions: Vec<TcpAction>) {
-        for action in actions {
-            if let TcpAction::Send { segment, wire_bytes } = action {
-                self.enqueue_transport_packet(flow_id, segment, wire_bytes, false);
-            }
-        }
-    }
-
-    fn enqueue_transport_packet(
-        &mut self,
-        flow_id: FlowId,
-        segment: TcpSegment,
-        wire_bytes: u32,
-        forward: bool,
-    ) {
-        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::Queue);
-        let spec = &self.flows.flow(flow_id).spec;
-        let (src, dst) = if forward { (spec.src(), spec.dst()) } else { (spec.dst(), spec.src()) };
-        let Some(route) = self.net.route(flow_id, src, forward) else { return };
-        let packet = Packet::new(
-            NetHeader { flow: flow_id, src, dst, proto: Proto::Tcp, wire_bytes },
-            self.pool.mint_body_with(|out| segment.encode_into(out)),
-        );
-        let now = self.now();
-        let mut sink = self.macs.take_sink();
-        self.macs.node(src).on_enqueue(packet, route, now, &mut sink);
-        self.apply_mac_actions(src, &mut sink);
-        self.macs.park_sink(sink);
-    }
-
-    fn start_flow(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        match self.flows.flow(flow_id).spec.workload.clone() {
-            Workload::Ftp => {
-                let actions = self
-                    .flows
-                    .flow_mut(flow_id)
-                    .tcp_tx
-                    .as_mut()
-                    .map(|tx| tx.start_unlimited(now))
-                    .unwrap_or_default();
-                self.apply_tcp_sender_actions(flow_id, actions);
-            }
-            Workload::Web(_) => self.web_next_transfer(flow_id),
-            _ => {}
-        }
-    }
-
-    fn web_next_transfer(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        let actions = {
-            let flow = self.flows.flow_mut(flow_id);
-            let Workload::Web(model) = flow.spec.workload else { return };
-            let Some(rng) = flow.web_rng.as_mut() else { return };
-            let segments = model.draw_transfer_segments(rng);
-            flow.tcp_tx.as_mut().map(|tx| tx.request_send(segments, now)).unwrap_or_default()
-        };
-        self.apply_tcp_sender_actions(flow_id, actions);
-    }
-
-    fn udp_send(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        let (bytes, next) = match self.flows.flow(flow_id).spec.workload {
-            Workload::Voip(wmn_traffic::VoipModel { packet_bytes, .. }) => (packet_bytes, None),
-            Workload::Cbr(wmn_traffic::CbrModel { packet_bytes, interval }) => {
-                (packet_bytes, Some(interval))
-            }
-            _ => return,
-        };
-        let src = self.flows.flow(flow_id).spec.src();
-        let dst = self.flows.flow(flow_id).spec.dst();
-        // Route lookup precedes the counter bumps: a (hypothetical)
-        // source without a forward route sends nothing and counts nothing.
-        let Some(route) = self.net.route(flow_id, src, true) else { return };
-        let packet = {
-            let flow = self.flows.flow_mut(flow_id);
-            let dg = UdpDatagram { seq: flow.udp_seq, sent_at_ns: now.as_nanos() };
-            flow.udp_seq += 1;
-            flow.udp_sent += 1;
-            Packet::new(
-                NetHeader { flow: flow_id, src, dst, proto: Proto::Udp, wire_bytes: bytes },
-                self.pool.mint_body_with(|out| dg.encode_into(out)),
-            )
-        };
-        let mut sink = self.macs.take_sink();
-        self.macs.node(src).on_enqueue(packet, route, now, &mut sink);
-        self.apply_mac_actions(src, &mut sink);
-        self.macs.park_sink(sink);
-        if let Some(interval) = next {
-            if now + interval <= self.end {
-                self.queue.schedule_in(interval, Event::UdpSend { flow: flow_id });
-            }
-        }
-    }
-
-    fn results(&self, scenario: &Scenario) -> RunResult {
-        let flows = self.flows.results(scenario);
+    fn results(&self) -> RunResult {
+        let flows = self.core.flows.results(self.scenario);
         let total = flows.iter().map(|f| f.throughput_mbps).sum();
-        RunResult { flows, total_throughput_mbps: total, mac_stats: self.macs.stats() }
+        RunResult { flows, total_throughput_mbps: total, mac_stats: self.core.macs.stats() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{FlowSpec, Scheme};
+    use crate::scenario::{FlowSpec, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
+    use wmn_sim::SimTime;
     use wmn_topology::{MotionPlan, NodePath, Waypoint};
 
     fn line_positions(n: usize) -> Vec<Position> {
@@ -925,11 +590,11 @@ mod tests {
         s.duration = SimDuration::from_millis(200);
         let mut runner = Runner::build(&s);
         runner.run_loop();
-        let p = runner.phy.position(NodeId::new(1));
+        let p = runner.medium.position(NodeId::new(1));
         // 200 ms at 10 m/s from x = 5: the last tick at or before the end
         // leaves the node at x = 7 (t = 200 ms).
         assert!((p.x - 7.0).abs() < 1e-9, "got {p}");
-        assert_eq!(runner.phy.position(NodeId::new(0)), Position::new(0.0, 0.0));
+        assert_eq!(runner.medium.position(NodeId::new(0)), Position::new(0.0, 0.0));
     }
 
     #[test]
@@ -993,6 +658,20 @@ mod tests {
             live_r.flows[0].delivered_bytes,
             stale_r.flows[0].delivered_bytes
         );
+    }
+
+    #[test]
+    fn run_traced_records_the_single_loop_schedule_whatever_shards_says() {
+        // The "traced ≡ untraced" contract is stated against the single
+        // loop: a scenario asking for shards is traced as if it had not.
+        let mut sharded =
+            ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], line_positions(4));
+        sharded.shards = Some(2);
+        let single = Scenario { shards: None, ..sharded.clone() };
+        let (traced, trace) = run_traced(&sharded);
+        assert_eq!(traced, run(&single));
+        assert!(!trace.events.is_empty());
+        assert_ne!(traced, run(&sharded), "the two result families differ by design");
     }
 
     #[test]

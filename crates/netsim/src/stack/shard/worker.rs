@@ -1,62 +1,48 @@
-//! One shard's worker: the per-shard slice of the simulation world and the
-//! event-dispatch mirror it runs inside conservative windows.
+//! One shard's driver: a [`StationStack`] under the per-entity discipline,
+//! run inside the coordinator's conservative windows.
 //!
 //! # Replicate everything, own a subset
 //!
-//! Every worker builds the *full* per-entity state vectors — one MAC per
-//! station, one transport endpoint set per flow, one receiver per station —
-//! from the same [`RngDirectory`] derivations, then only ever touches the
-//! entries it owns: the stations its shard was assigned and the flows whose
-//! source station it owns (sender-side halves) or whose destination it owns
-//! (receiver-side halves). Building is derivation-only (no stream is
-//! advanced by construction), so replication costs memory but never
-//! perturbs a single random draw. The payoff is that no per-entity state is
+//! The worker's stack holds the full per-entity state vectors and only ever
+//! touches the stations its shard was assigned and the flows whose source
+//! station it owns (sender-side halves) or whose destination it owns
+//! (receiver-side halves) — see [`StationStack`]. No per-entity state is
 //! ever shared: the only cross-shard channels are the read-locked
 //! [`Medium`]/[`NetLayer`] snapshots (written exclusively by the
-//! coordinator, between windows) and the [`CrossShardArrival`] frames
-//! exchanged at window boundaries.
+//! coordinator, between windows; a worker takes both read guards once per
+//! round and lends them to every dispatch in it) and the
+//! [`CrossShardArrival`] frames exchanged at window boundaries.
 //!
 //! # Determinism
 //!
-//! Every event a worker schedules carries a content-derived [`EventKey`]
-//! minted from the origin entity's own counter, so the per-shard
-//! [`KeyedEventQueue`]s pop in the `(time, key)` order a single global
-//! keyed loop would use — the bit-identity contract between shard counts.
-//! Randomness is consumed from per-entity streams only: `shard/medium/<tx>`
-//! for a transmitter's shadowing draws, `shard/ber/<rx>` for a receiver's
-//! bit errors, and the per-entity `mac/<i>`, `web/<i>`, `voip/<i>` streams
-//! the layers already own. A stream's consumption order then depends only
-//! on its entity's own event order, which the keyed schedule fixes
-//! independently of the shard count.
+//! Every event the stack schedules carries a content-derived [`EventKey`]
+//! minted from the origin entity's own counter, so the per-shard queues pop
+//! in the `(time, key)` order a single global keyed loop would use — the
+//! bit-identity contract between shard counts. Randomness is consumed from
+//! per-entity streams only: `shard/medium/<tx>` for a transmitter's
+//! shadowing draws, `shard/ber/<rx>` for a receiver's bit errors (both
+//! derived here, in [`ShardWorker::build`]), and the per-entity `mac/<i>`,
+//! `web/<i>`, `voip/<i>` streams the layers already own. A stream's
+//! consumption order then depends only on its entity's own event order,
+//! which the keyed schedule fixes independently of the shard count.
 
 use std::sync::{Arc, RwLock};
 
-use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo, RxFrame};
-use wmn_mac::{ActionSink, FramePool, MacAction, MacStats, RateClass};
-use wmn_phy::medium::BusyTransition;
-use wmn_phy::{ArrivalOutcome, BerModel, Medium, PhyParams, Receiver, RxPlan};
-use wmn_sim::{EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimTime, StreamRng};
-use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
+use wmn_mac::frame::Frame;
+use wmn_mac::MacStats;
+use wmn_phy::Medium;
+use wmn_sim::{EventKey, FlowId, NodeId, RngDirectory, SimTime};
 
-use crate::scenario::{Scenario, Workload};
-use crate::stack::flow_layer::{FlowLayer, FlowRt};
-use crate::stack::mac_engine::MacEngine;
+use crate::scenario::Scenario;
+use crate::stack::flow_layer::FlowRt;
 use crate::stack::net_layer::NetLayer;
-use crate::stack::phy_io::{ArrivalSlab, ArrivalState};
-use crate::stack::Event;
+use crate::stack::station::{Discipline, StationStack, World};
 
-/// Key lane for events originated by a station (TxEnd, Rx*, MacTimer).
-const KIND_NODE: u32 = 0;
-/// Key lane for events originated by a flow (FlowStart, UdpSend, WebStart,
-/// TcpRto).
-const KIND_FLOW: u32 = 1;
-
-/// A frame crossing the shard boundary: one planned reception whose
-/// receiver lives on another shard. The transmitting worker computes the
-/// full reception plan (times, power, decodability) and mints both event
-/// keys from the transmitter's lane, so the receiving worker schedules the
-/// exact `(time, key)` pair a single-shard run would have used; only the
-/// slab id is local.
+/// One planned reception, complete enough to cross the shard boundary: the
+/// transmitting stack computes the full plan (times, power, decodability)
+/// and mints both event keys from the transmitter's lane, so whichever
+/// stack owns the receiver schedules the exact `(time, key)` pair a
+/// single-shard run would have used; only the slab id is local.
 pub(crate) struct CrossShardArrival {
     /// The receiving station (owned by the target shard).
     pub(crate) node: NodeId,
@@ -109,46 +95,18 @@ pub(crate) enum Command {
     Stop,
 }
 
-/// One shard's worker state (see the module docs for the ownership model).
+/// One shard's driver (see the module docs for the ownership model).
 pub(crate) struct ShardWorker {
     pub(super) shard: u32,
-    end: SimTime,
-    owner: Arc<Vec<u32>>,
-    flow_owner: Arc<Vec<u32>>,
     medium: Arc<RwLock<Medium>>,
     net: Arc<RwLock<NetLayer>>,
-    queue: KeyedEventQueue<Event>,
-    pub(super) macs: MacEngine,
-    pub(super) flows: FlowLayer,
-    receivers: Vec<Receiver>,
-    arrivals: ArrivalSlab,
-    plan_scratch: Vec<RxPlan>,
-    ber: BerModel,
-    params: PhyParams,
-    /// Per-transmitter shadowing streams (`shard/medium/<tx>`); only the
-    /// owned stations' streams are ever advanced.
-    medium_rngs: Vec<StreamRng>,
-    /// Per-receiver bit-error streams (`shard/ber/<rx>`), ditto.
-    ber_rngs: Vec<StreamRng>,
-    /// Per-station key counters (lane `KIND_NODE`).
-    node_seq: Vec<u64>,
-    /// Per-flow key counters (lane `KIND_FLOW`), advanced by the source
-    /// shard only.
-    flow_seq: Vec<u64>,
-    outbox: Vec<CrossShardArrival>,
-    emit_seq: u64,
-    /// Recycler for the transport packet bodies this shard's flows mint
-    /// (shard-local, so recycling order stays shard-count-invariant for
-    /// the buffers themselves and invisible to results either way).
-    pool: FramePool,
+    core: StationStack,
 }
 
 impl ShardWorker {
-    /// Builds one shard's worker from a validated scenario. Seeds the
-    /// per-shard queue with the arrival processes of the flows this shard
-    /// owns, pre-sized to exactly that share of the seeded events
-    /// (a shard owning none of them still gets one slot — see
-    /// [`KeyedEventQueue::with_capacity`]).
+    /// Builds one shard's worker from a validated scenario: the per-entity
+    /// discipline for `shard`, and a stack seeded with the arrival
+    /// processes of the flows this shard owns.
     pub(crate) fn build(
         scenario: &Scenario,
         shard: u32,
@@ -158,486 +116,69 @@ impl ShardWorker {
         net: Arc<RwLock<NetLayer>>,
     ) -> ShardWorker {
         let dir = RngDirectory::new(scenario.seed);
-        let n = scenario.positions.len();
-        let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, &dir);
-        let flows = FlowLayer::build(scenario, &dir);
-        let mut flow_seq = vec![0u64; scenario.flows.len()];
-        let seeds = flows.seed_events(scenario, &dir);
-        let owned_seed = |event: &Event| {
-            let flow = match event {
-                Event::FlowStart { flow } | Event::UdpSend { flow } => *flow,
-                _ => unreachable!("seed events are flow arrivals"),
-            };
-            (flow_owner[flow.index()] == shard).then_some(flow)
-        };
-        let owned_count = seeds.iter().filter(|(_, e)| owned_seed(e).is_some()).count();
-        let mut queue = KeyedEventQueue::with_capacity(owned_count);
-        for (delay, event) in seeds {
-            let Some(flow) = owned_seed(&event) else { continue };
-            let key = EventKey::new(KIND_FLOW, flow.index() as u32, flow_seq[flow.index()]);
-            flow_seq[flow.index()] += 1;
-            queue.schedule_keyed_in(delay, key, event);
-        }
-        // Pre-size the shard's share of the per-station schedule burst
-        // (backoff timer + TxEnd + in-flight deliveries per owned station).
-        queue.reserve(owner.iter().filter(|&&s| s == shard).count() * 4);
-        ShardWorker {
+        let n = scenario.positions.len() as u32;
+        let discipline = Discipline::PerEntity {
             shard,
-            end: SimTime::ZERO + scenario.duration,
             owner,
             flow_owner,
-            medium,
-            net,
-            queue,
-            macs,
-            flows,
-            receivers: (0..n).map(|_| Receiver::new()).collect(),
-            arrivals: ArrivalSlab::default(),
-            plan_scratch: Vec::new(),
-            ber: BerModel::new(scenario.params.ber),
-            params: scenario.params.clone(),
-            medium_rngs: (0..n).map(|i| dir.indexed_stream("shard/medium", i as u32)).collect(),
-            ber_rngs: (0..n).map(|i| dir.indexed_stream("shard/ber", i as u32)).collect(),
-            node_seq: vec![0; n],
-            flow_seq,
-            outbox: Vec::new(),
-            emit_seq: 0,
-            pool: FramePool::default(),
-        }
+            medium: (0..n).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
+            ber: (0..n).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
+            node_seq: vec![0; n as usize],
+            flow_seq: vec![0; scenario.flows.len()],
+        };
+        ShardWorker { shard, medium, net, core: StationStack::build(scenario, &dir, discipline) }
     }
 
     /// Earliest pending `(time, key)`, for the coordinator's first horizon.
     pub(crate) fn next_pending(&self) -> Option<(SimTime, EventKey)> {
-        self.queue.peek()
+        self.core.queue.peek()
     }
 
-    /// Parks a boundary-crossing reception in the local slab and schedules
-    /// its RxStart/RxEnd pair under the transmitter-minted keys.
+    /// Accepts a reception another shard planned for a station owned here.
     pub(crate) fn inject(&mut self, entry: CrossShardArrival) {
-        debug_assert_eq!(self.owner[entry.node.index()], self.shard, "routed to the wrong shard");
-        let id = self.arrivals.alloc(ArrivalState {
-            node: entry.node,
-            frame: entry.frame,
-            decodable: entry.decodable,
-            power_dbm: entry.power_dbm,
-        });
-        self.queue.schedule_keyed(entry.rx_start, entry.start_key, Event::RxStart { arrival: id });
-        self.queue.schedule_keyed(entry.rx_end, entry.end_key, Event::RxEnd { arrival: id });
+        self.core.inject(entry);
     }
 
     /// Processes every owned event strictly before `horizon`.
     pub(crate) fn run_window(&mut self, horizon: SimTime) {
-        while let Some((_, event)) = self.queue.pop_before(horizon) {
-            self.dispatch(event);
-        }
+        self.with_world(|core, world| {
+            while let Some((_, event)) = core.queue.pop_before(horizon) {
+                core.dispatch(event, world);
+            }
+        });
     }
 
     /// Zero-lookahead serial step: processes exactly one event (the
     /// coordinator guarantees it is the global `(time, key)` minimum).
     pub(crate) fn step(&mut self) {
-        if let Some((_, event)) = self.queue.pop() {
-            self.dispatch(event);
-        }
+        self.with_world(|core, world| {
+            if let Some((_, event)) = core.queue.pop() {
+                core.dispatch(event, world);
+            }
+        });
+    }
+
+    /// Runs one round of dispatching under one pair of read guards. The
+    /// coordinator only writes between rounds, with every worker parked.
+    fn with_world(&mut self, round: impl FnOnce(&mut StationStack, World<'_>)) {
+        let medium = self.medium.read().expect("medium lock poisoned");
+        let net = self.net.read().expect("net lock poisoned");
+        round(&mut self.core, World { medium: &medium, net: &net });
     }
 
     /// Drains the outbox and reports the next pending event.
     pub(crate) fn take_report(&mut self) -> WindowReport {
-        WindowReport { outbox: std::mem::take(&mut self.outbox), next: self.queue.peek() }
+        WindowReport { outbox: std::mem::take(&mut self.core.outbox), next: self.core.queue.peek() }
     }
 
     /// Per-station MAC statistics of this worker's full engine (only the
     /// owned stations' entries ever advanced past their initial state).
     pub(crate) fn mac_stats(&self) -> Vec<MacStats> {
-        self.macs.stats()
+        self.core.macs.stats()
     }
 
     /// One flow's runtime state, for the results merge.
     pub(crate) fn flow_rt(&self, id: FlowId) -> &FlowRt {
-        self.flows.flow(id)
-    }
-
-    fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Mints the next key on a station's lane.
-    fn node_key(&mut self, node: NodeId) -> EventKey {
-        let seq = &mut self.node_seq[node.index()];
-        let key = EventKey::new(KIND_NODE, node.index() as u32, *seq);
-        *seq += 1;
-        key
-    }
-
-    /// Mints the next key on a flow's lane (source shard only).
-    fn flow_key(&mut self, flow: FlowId) -> EventKey {
-        debug_assert_eq!(self.flow_owner[flow.index()], self.shard, "flow lane owned elsewhere");
-        let seq = &mut self.flow_seq[flow.index()];
-        let key = EventKey::new(KIND_FLOW, flow.index() as u32, *seq);
-        *seq += 1;
-        key
-    }
-
-    /// The event-dispatch mirror of the single-loop `Runner::dispatch`,
-    /// restricted to owned entities. Tracing is a legacy-engine feature;
-    /// sharded runs never record.
-    fn dispatch(&mut self, event: Event) {
-        let now = self.now();
-        match event {
-            Event::TxEnd { node } => {
-                let mut sink = self.macs.take_sink();
-                self.macs.node(node).on_tx_end(now, &mut sink);
-                self.apply_mac_actions(node, &mut sink);
-                self.macs.park_sink(sink);
-                if let Some(BusyTransition::BecameIdle) =
-                    self.receivers[node.index()].on_tx_end(now)
-                {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_idle(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-            }
-            Event::RxStart { arrival } => {
-                let Some(a) = self.arrivals.peek(arrival) else {
-                    return;
-                };
-                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
-                if let Some(BusyTransition::BecameBusy) =
-                    self.receivers[node.index()].on_arrival_start(arrival, decodable, power, now)
-                {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_busy(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-            }
-            Event::RxEnd { arrival } => {
-                let Some(state) = self.arrivals.take(arrival) else {
-                    return;
-                };
-                let node = state.node;
-                let (outcome, transition) =
-                    self.receivers[node.index()].on_arrival_end(arrival, now);
-                // Idle first so relay waits measure from the channel edge.
-                if let Some(BusyTransition::BecameIdle) = transition {
-                    let mut sink = self.macs.take_sink();
-                    self.macs.node(node).on_idle(now, &mut sink);
-                    self.apply_mac_actions(node, &mut sink);
-                    self.macs.park_sink(sink);
-                }
-                if outcome == ArrivalOutcome::Clean && state.decodable {
-                    if let Some(frame) = self.apply_bit_errors(node, &state.frame) {
-                        let mut sink = self.macs.take_sink();
-                        self.macs.node(node).on_frame_rx(frame, now, &mut sink);
-                        self.apply_mac_actions(node, &mut sink);
-                        self.macs.park_sink(sink);
-                    }
-                }
-            }
-            Event::MacTimer { node, token } => {
-                let mut sink = self.macs.take_sink();
-                self.macs.node(node).on_timer(token, now, &mut sink);
-                self.apply_mac_actions(node, &mut sink);
-                self.macs.park_sink(sink);
-            }
-            Event::TcpRto { flow, generation } => {
-                let actions = self
-                    .flows
-                    .flow_mut(flow)
-                    .tcp_tx
-                    .as_mut()
-                    .map(|tx| tx.on_rto(generation, now))
-                    .unwrap_or_default();
-                self.apply_tcp_sender_actions(flow, actions);
-            }
-            Event::FlowStart { flow } => self.start_flow(flow),
-            Event::UdpSend { flow } => self.udp_send(flow),
-            Event::WebStart { flow } => self.web_next_transfer(flow),
-            Event::MobilityTick | Event::RouteRefresh => {
-                unreachable!("global passes are coordinator barriers in a sharded run")
-            }
-        }
-    }
-
-    /// The per-receiver twin of `PhyIo::apply_bit_errors`: the same shared
-    /// [`decode_frame`](crate::stack::decode::decode_frame) seam (so the two
-    /// engines cannot drift apart on decode semantics), but consuming the
-    /// receiving station's own `shard/ber/<rx>` stream so the draw order is
-    /// independent of how other stations' receptions interleave.
-    fn apply_bit_errors(&mut self, rx: NodeId, frame: &Arc<Frame>) -> Option<RxFrame> {
-        crate::stack::decode::decode_frame(&self.ber, &mut self.ber_rngs[rx.index()], frame)
-    }
-
-    fn apply_mac_actions(&mut self, node: NodeId, sink: &mut ActionSink) {
-        while let Some(action) = sink.pop() {
-            match action {
-                MacAction::StartTx { frame, rate } => self.start_transmission(node, frame, rate),
-                MacAction::SetTimer { delay, token } => {
-                    let key = self.node_key(node);
-                    self.queue.schedule_keyed_in(delay, key, Event::MacTimer { node, token });
-                }
-                MacAction::Deliver { packet } => self.handle_delivery(node, packet),
-                MacAction::Drop { .. } => {
-                    // End-to-end recovery (TCP retransmission / VoIP loss
-                    // accounting) covers MAC drops; only the legacy traced
-                    // runner records them.
-                }
-            }
-        }
-    }
-
-    fn start_transmission(&mut self, node: NodeId, frame: Frame, rate: RateClass) {
-        let rate = match rate {
-            RateClass::Data => self.params.data_rate,
-            RateClass::Basic => self.params.basic_rate,
-        };
-        let airtime = self.params.airtime(rate, frame.wire_bytes());
-        let now = self.now();
-        if let Some(BusyTransition::BecameBusy) = self.receivers[node.index()].on_tx_start(now) {
-            let mut sink = self.macs.take_sink();
-            self.macs.node(node).on_busy(now, &mut sink);
-            self.apply_mac_actions(node, &mut sink);
-            self.macs.park_sink(sink);
-        }
-        let key = self.node_key(node);
-        self.queue.schedule_keyed_in(airtime, key, Event::TxEnd { node });
-        self.broadcast(node, frame, airtime);
-    }
-
-    /// Fans one transmission out: plans receptions under a read-locked
-    /// medium snapshot (consuming the transmitter's own shadowing stream,
-    /// station-index order), schedules same-shard arrivals locally, and
-    /// emits boundary-crossing ones to the outbox — keys minted here either
-    /// way, in plan order, so the schedule is identical at any shard count.
-    fn broadcast(&mut self, from: NodeId, frame: Frame, airtime: wmn_sim::SimDuration) {
-        let mut plans = std::mem::take(&mut self.plan_scratch);
-        {
-            let medium = self.medium.read().expect("medium lock poisoned");
-            medium.plan_transmission_into(from, &mut self.medium_rngs[from.index()], &mut plans);
-        }
-        let now = self.now();
-        let frame = Arc::new(frame);
-        for plan in &plans {
-            let start_key = self.node_key(from);
-            let end_key = self.node_key(from);
-            let (rx_start, rx_end) = (now + plan.delay, now + plan.delay + airtime);
-            if self.owner[plan.to.index()] == self.shard {
-                let id = self.arrivals.alloc(ArrivalState {
-                    node: plan.to,
-                    frame: Arc::clone(&frame),
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                });
-                self.queue.schedule_keyed(rx_start, start_key, Event::RxStart { arrival: id });
-                self.queue.schedule_keyed(rx_end, end_key, Event::RxEnd { arrival: id });
-            } else {
-                self.outbox.push(CrossShardArrival {
-                    node: plan.to,
-                    frame: Arc::clone(&frame),
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                    rx_start,
-                    rx_end,
-                    start_key,
-                    end_key,
-                    src_shard: self.shard,
-                    emit_seq: self.emit_seq,
-                });
-                self.emit_seq += 1;
-            }
-        }
-        self.plan_scratch = plans;
-    }
-
-    fn route(&self, flow: FlowId, node: NodeId, forward: bool) -> Option<RouteInfo> {
-        self.net.read().expect("net lock poisoned").route(flow, node, forward)
-    }
-
-    fn handle_delivery(&mut self, node: NodeId, packet: Packet) {
-        let flow_id = packet.header.flow;
-        let spec_src = self.flows.flow(flow_id).spec.src();
-        let spec_dst = self.flows.flow(flow_id).spec.dst();
-        let forward = packet.header.src == spec_src;
-
-        if packet.header.dst == node {
-            // Reached a transport endpoint.
-            if node == spec_dst && forward {
-                self.deliver_at_destination(flow_id, packet);
-            } else if node == spec_src && !forward {
-                self.deliver_at_source(flow_id, packet);
-            }
-            return;
-        }
-        // Intermediate hop (predetermined routing only): forward along.
-        if let Some(route) = self.route(flow_id, node, forward) {
-            let now = self.now();
-            let mut sink = self.macs.take_sink();
-            self.macs.node(node).on_enqueue(packet, route, now, &mut sink);
-            self.apply_mac_actions(node, &mut sink);
-            self.macs.park_sink(sink);
-        }
-    }
-
-    fn deliver_at_destination(&mut self, flow_id: FlowId, packet: Packet) {
-        let now = self.now();
-        match packet.header.proto {
-            Proto::Tcp => {
-                let actions = {
-                    let flow = self.flows.flow_mut(flow_id);
-                    let Some(rx) = flow.tcp_rx.as_mut() else { return };
-                    match TcpSegment::decode(&packet.body) {
-                        Some(TcpSegment::Data { seq, ts, retx }) => rx.on_data(seq, ts, retx),
-                        _ => return,
-                    }
-                };
-                self.apply_tcp_receiver_actions(flow_id, actions);
-            }
-            Proto::Udp => {
-                let flow = self.flows.flow_mut(flow_id);
-                if let Some(dg) = UdpDatagram::decode(&packet.body) {
-                    flow.udp_sink.on_datagram(dg, packet.header.wire_bytes, now);
-                }
-            }
-        }
-    }
-
-    fn deliver_at_source(&mut self, flow_id: FlowId, packet: Packet) {
-        let now = self.now();
-        let actions = {
-            let flow = self.flows.flow_mut(flow_id);
-            let Some(tx) = flow.tcp_tx.as_mut() else { return };
-            match TcpSegment::decode(&packet.body) {
-                Some(TcpSegment::Ack { cum_ack, ts_echo }) => tx.on_ack(cum_ack, ts_echo, now),
-                _ => return,
-            }
-        };
-        self.apply_tcp_sender_actions(flow_id, actions);
-    }
-
-    fn apply_tcp_sender_actions(&mut self, flow_id: FlowId, actions: Vec<TcpAction>) {
-        for action in actions {
-            match action {
-                TcpAction::Send { segment, wire_bytes } => {
-                    self.enqueue_transport_packet(flow_id, segment, wire_bytes, true);
-                }
-                TcpAction::SetRtoTimer { delay, generation } => {
-                    let key = self.flow_key(flow_id);
-                    self.queue.schedule_keyed_in(
-                        delay,
-                        key,
-                        Event::TcpRto { flow: flow_id, generation },
-                    );
-                }
-                TcpAction::SendComplete => {
-                    // Web workload: think, then start the next transfer.
-                    let off = {
-                        let flow = self.flows.flow_mut(flow_id);
-                        match (&flow.spec.workload, flow.web_rng.as_mut()) {
-                            (Workload::Web(model), Some(rng)) => Some(model.draw_off_period(rng)),
-                            _ => None,
-                        }
-                    };
-                    if let Some(off) = off {
-                        let key = self.flow_key(flow_id);
-                        self.queue.schedule_keyed_in(off, key, Event::WebStart { flow: flow_id });
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_tcp_receiver_actions(&mut self, flow_id: FlowId, actions: Vec<TcpAction>) {
-        for action in actions {
-            if let TcpAction::Send { segment, wire_bytes } = action {
-                self.enqueue_transport_packet(flow_id, segment, wire_bytes, false);
-            }
-        }
-    }
-
-    fn enqueue_transport_packet(
-        &mut self,
-        flow_id: FlowId,
-        segment: TcpSegment,
-        wire_bytes: u32,
-        forward: bool,
-    ) {
-        let spec = &self.flows.flow(flow_id).spec;
-        let (src, dst) = if forward { (spec.src(), spec.dst()) } else { (spec.dst(), spec.src()) };
-        let Some(route) = self.route(flow_id, src, forward) else { return };
-        let packet = Packet::new(
-            NetHeader { flow: flow_id, src, dst, proto: Proto::Tcp, wire_bytes },
-            self.pool.mint_body_with(|out| segment.encode_into(out)),
-        );
-        let now = self.now();
-        let mut sink = self.macs.take_sink();
-        self.macs.node(src).on_enqueue(packet, route, now, &mut sink);
-        self.apply_mac_actions(src, &mut sink);
-        self.macs.park_sink(sink);
-    }
-
-    fn start_flow(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        match self.flows.flow(flow_id).spec.workload.clone() {
-            Workload::Ftp => {
-                let actions = self
-                    .flows
-                    .flow_mut(flow_id)
-                    .tcp_tx
-                    .as_mut()
-                    .map(|tx| tx.start_unlimited(now))
-                    .unwrap_or_default();
-                self.apply_tcp_sender_actions(flow_id, actions);
-            }
-            Workload::Web(_) => self.web_next_transfer(flow_id),
-            _ => {}
-        }
-    }
-
-    fn web_next_transfer(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        let actions = {
-            let flow = self.flows.flow_mut(flow_id);
-            let Workload::Web(model) = flow.spec.workload else { return };
-            let Some(rng) = flow.web_rng.as_mut() else { return };
-            let segments = model.draw_transfer_segments(rng);
-            flow.tcp_tx.as_mut().map(|tx| tx.request_send(segments, now)).unwrap_or_default()
-        };
-        self.apply_tcp_sender_actions(flow_id, actions);
-    }
-
-    fn udp_send(&mut self, flow_id: FlowId) {
-        let now = self.now();
-        let (bytes, next) = match self.flows.flow(flow_id).spec.workload {
-            Workload::Voip(wmn_traffic::VoipModel { packet_bytes, .. }) => (packet_bytes, None),
-            Workload::Cbr(wmn_traffic::CbrModel { packet_bytes, interval }) => {
-                (packet_bytes, Some(interval))
-            }
-            _ => return,
-        };
-        let src = self.flows.flow(flow_id).spec.src();
-        let dst = self.flows.flow(flow_id).spec.dst();
-        // Route lookup precedes the counter bumps: a (hypothetical)
-        // source without a forward route sends nothing and counts nothing.
-        let Some(route) = self.route(flow_id, src, true) else { return };
-        let packet = {
-            let flow = self.flows.flow_mut(flow_id);
-            let dg = UdpDatagram { seq: flow.udp_seq, sent_at_ns: now.as_nanos() };
-            flow.udp_seq += 1;
-            flow.udp_sent += 1;
-            Packet::new(
-                NetHeader { flow: flow_id, src, dst, proto: Proto::Udp, wire_bytes: bytes },
-                self.pool.mint_body_with(|out| dg.encode_into(out)),
-            )
-        };
-        let mut sink = self.macs.take_sink();
-        self.macs.node(src).on_enqueue(packet, route, now, &mut sink);
-        self.apply_mac_actions(src, &mut sink);
-        self.macs.park_sink(sink);
-        if let Some(interval) = next {
-            if now + interval <= self.end {
-                let key = self.flow_key(flow_id);
-                self.queue.schedule_keyed_in(interval, key, Event::UdpSend { flow: flow_id });
-            }
-        }
+        self.core.flows.flow(id)
     }
 }

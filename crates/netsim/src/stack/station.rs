@@ -1,0 +1,692 @@
+//! The station-stack core: the one engine body both drivers run.
+//!
+//! A [`StationStack`] owns everything that is per-station or per-flow — the
+//! MAC state machines, the transport endpoints, one [`Receiver`] per
+//! station, the in-flight arrival slab, the bit-error model, the transport
+//! body pool, the optional [`Trace`] and the keyed future-event list — and
+//! holds the only definition of every event handler: MAC actions become
+//! transmissions, timers and deliveries; transport actions become enqueues
+//! and RTO timers. The read-mostly world (the [`Medium`] and the routing
+//! tables) is lent to each dispatch as a [`World`] by whoever drives the
+//! stack, so the single loop passes its own values and a shard worker its
+//! read guards.
+//!
+//! # Disciplines
+//!
+//! What differs between the two result families is data fixed at build
+//! time, a [`Discipline`]:
+//!
+//! * how an event's tie-break key is minted — one global counter on a
+//!   single lane (so `(time, key)` is exactly `(time, insertion order)`),
+//!   or one counter per originating station / flow (so the order is
+//!   invariant under resharding);
+//! * which stream a shadowing or bit-error draw comes from — the two global
+//!   streams `medium` / `ber`, or the transmitter's `shard/medium/<tx>` and
+//!   the receiver's `shard/ber/<rx>`;
+//! * which stations the stack owns — all of them, or one shard's strip,
+//!   with receptions planned for the others leaving through the `outbox`.
+
+use std::sync::Arc;
+
+use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo};
+use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass};
+use wmn_phy::medium::BusyTransition;
+use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver, RxPlan};
+use wmn_sim::{
+    EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime, StreamRng,
+};
+use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
+
+use crate::scenario::{Scenario, Workload};
+use crate::stack::decode::decode_frame;
+use crate::stack::flow_layer::FlowLayer;
+use crate::stack::mac_engine::MacEngine;
+use crate::stack::net_layer::NetLayer;
+use crate::stack::phy_io::{ArrivalSlab, ArrivalState};
+use crate::stack::shard::worker::CrossShardArrival;
+use crate::stack::Event;
+use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
+
+/// Key lane for events originated by a station (TxEnd, Rx*, MacTimer) —
+/// and the single lane of the legacy discipline.
+const KIND_NODE: u32 = 0;
+/// Key lane for events originated by a flow (FlowStart, UdpSend, WebStart,
+/// TcpRto).
+const KIND_FLOW: u32 = 1;
+
+/// The read-mostly world a dispatch runs against, lent by the driver.
+#[derive(Clone, Copy)]
+pub(crate) struct World<'a> {
+    /// The shared channel: link state and the reception planner.
+    pub(crate) medium: &'a Medium,
+    /// Per-flow routing decisions.
+    pub(crate) net: &'a NetLayer,
+}
+
+/// The entity an event is scheduled on behalf of — what its tie-break key
+/// is derived from.
+pub(crate) enum Origin {
+    /// A station: TxEnd, RxStart/RxEnd (the transmitter's), MacTimer.
+    Node(NodeId),
+    /// A flow: FlowStart, UdpSend, WebStart, TcpRto.
+    Flow(FlowId),
+    /// The driver's own in-queue passes (mobility tick, route refresh).
+    /// Legacy discipline only: a sharded run executes those as coordinator
+    /// barriers, never as queued events.
+    Driver,
+}
+
+/// How a stack mints event keys, draws channel randomness and decides
+/// ownership (see the module docs). Chosen once from
+/// [`Scenario::shards`]; never switched mid-run.
+pub(crate) enum Discipline {
+    /// `shards: None` — the schedule every committed baseline pins.
+    Legacy {
+        /// Events ever scheduled: the global insertion counter.
+        seq: u64,
+        /// The one shadowing stream (`medium`).
+        medium: StreamRng,
+        /// The one bit-error stream (`ber`).
+        ber: StreamRng,
+    },
+    /// `shards: Some(k)` — one shard's view, bit-identical for every `k`.
+    PerEntity {
+        /// This stack's shard.
+        shard: u32,
+        /// Owning shard of each station.
+        owner: Arc<Vec<u32>>,
+        /// Owning shard of each flow (its source station's).
+        flow_owner: Arc<Vec<u32>>,
+        /// Per-transmitter shadowing streams (`shard/medium/<tx>`); only
+        /// the owned stations' streams are ever advanced.
+        medium: Vec<StreamRng>,
+        /// Per-receiver bit-error streams (`shard/ber/<rx>`), ditto.
+        ber: Vec<StreamRng>,
+        /// Per-station key counters (lane `KIND_NODE`).
+        node_seq: Vec<u64>,
+        /// Per-flow key counters (lane `KIND_FLOW`), advanced by the source
+        /// shard only.
+        flow_seq: Vec<u64>,
+    },
+}
+
+impl Discipline {
+    /// Mints the next key for an event caused by `origin`.
+    fn key(&mut self, origin: Origin) -> EventKey {
+        let (kind, entity, seq) = match (self, origin) {
+            (Discipline::Legacy { seq, .. }, _) => (KIND_NODE, 0, seq),
+            (Discipline::PerEntity { node_seq, .. }, Origin::Node(node)) => {
+                (KIND_NODE, node.index(), &mut node_seq[node.index()])
+            }
+            (Discipline::PerEntity { shard, flow_owner, flow_seq, .. }, Origin::Flow(flow)) => {
+                debug_assert_eq!(flow_owner[flow.index()], *shard, "flow lane owned elsewhere");
+                (KIND_FLOW, flow.index(), &mut flow_seq[flow.index()])
+            }
+            (Discipline::PerEntity { .. }, Origin::Driver) => {
+                unreachable!("global passes are coordinator barriers in a sharded run")
+            }
+        };
+        let key = EventKey::new(kind, entity as u32, *seq);
+        *seq += 1;
+        key
+    }
+
+    /// The stream a transmission by `tx` draws its shadowing from.
+    fn medium_rng(&mut self, tx: NodeId) -> &mut StreamRng {
+        match self {
+            Discipline::Legacy { medium, .. } => medium,
+            Discipline::PerEntity { medium, .. } => &mut medium[tx.index()],
+        }
+    }
+
+    /// The stream a reception at `rx` draws its bit errors from.
+    fn ber_rng(&mut self, rx: NodeId) -> &mut StreamRng {
+        match self {
+            Discipline::Legacy { ber, .. } => ber,
+            Discipline::PerEntity { ber, .. } => &mut ber[rx.index()],
+        }
+    }
+
+    fn shard(&self) -> u32 {
+        match self {
+            Discipline::Legacy { .. } => 0,
+            Discipline::PerEntity { shard, .. } => *shard,
+        }
+    }
+
+    fn owns(&self, node: NodeId) -> bool {
+        match self {
+            Discipline::Legacy { .. } => true,
+            Discipline::PerEntity { shard, owner, .. } => owner[node.index()] == *shard,
+        }
+    }
+
+    fn owns_flow(&self, flow: FlowId) -> bool {
+        match self {
+            Discipline::Legacy { .. } => true,
+            Discipline::PerEntity { shard, flow_owner, .. } => flow_owner[flow.index()] == *shard,
+        }
+    }
+}
+
+/// The per-station / per-flow engine state and its event handlers (see the
+/// module docs).
+///
+/// Every stack builds the *full* per-entity state vectors — one MAC per
+/// station, one transport endpoint set per flow, one receiver per station —
+/// from the same [`RngDirectory`] derivations, and only ever touches the
+/// entries its discipline owns. Building is derivation-only (no stream is
+/// advanced by construction), so the replication a sharded run pays in
+/// memory never perturbs a single random draw.
+pub(crate) struct StationStack {
+    /// The future-event list; its clock is the stack's only clock.
+    pub(crate) queue: KeyedEventQueue<Event>,
+    pub(crate) macs: MacEngine,
+    pub(crate) flows: FlowLayer,
+    /// The packet-level timeline, when the driver installed one.
+    pub(crate) trace: Option<Trace>,
+    /// The last instant of the run; events at exactly `end` still process.
+    pub(crate) end: SimTime,
+    discipline: Discipline,
+    receivers: Vec<Receiver>,
+    arrivals: ArrivalSlab,
+    ber: BerModel,
+    /// Reusable buffer for `Medium::plan_transmission_into` — zero planner
+    /// allocations per transmission at steady state.
+    plan_scratch: Vec<RxPlan>,
+    /// Recycler for transport packet bodies: once warm, minting a TCP
+    /// segment or UDP datagram body reuses a retired buffer instead of
+    /// allocating.
+    pool: FramePool,
+    /// Receptions planned for stations this stack does not own, until the
+    /// driver drains them at the window boundary.
+    pub(crate) outbox: Vec<CrossShardArrival>,
+    emit_seq: u64,
+}
+
+impl StationStack {
+    /// Builds the stack from a validated scenario and seeds the queue with
+    /// the arrival processes of the flows it owns, sized to exactly that
+    /// load plus the owned stations' steady-state schedule burst (a backoff
+    /// timer, a TxEnd and in-flight deliveries each), so the heap warms up
+    /// here instead of growing inside the hot loop.
+    pub(crate) fn build(
+        scenario: &Scenario,
+        dir: &RngDirectory,
+        mut discipline: Discipline,
+    ) -> StationStack {
+        let n = scenario.positions.len();
+        let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, dir);
+        let flows = FlowLayer::build(scenario, dir);
+        let seeds = flows.seed_events(scenario, dir, |flow| discipline.owns_flow(flow));
+        let mut queue = KeyedEventQueue::with_capacity(seeds.len());
+        for (delay, flow, event) in seeds {
+            queue.schedule_keyed_in(delay, discipline.key(Origin::Flow(flow)), event);
+        }
+        let owned = (0..n).filter(|&i| discipline.owns(NodeId::new(i as u32))).count();
+        queue.reserve(owned * 4);
+        StationStack {
+            queue,
+            macs,
+            flows,
+            trace: None,
+            end: SimTime::ZERO + scenario.duration,
+            discipline,
+            receivers: (0..n).map(|_| Receiver::new()).collect(),
+            arrivals: ArrivalSlab::default(),
+            ber: BerModel::new(scenario.params.ber),
+            plan_scratch: Vec::new(),
+            pool: FramePool::default(),
+            outbox: Vec::new(),
+            emit_seq: 0,
+        }
+    }
+
+    /// The simulation clock. There is exactly one: the event queue's notion
+    /// of "now" (the instant of the most recently popped event), so handlers
+    /// and `schedule_in` can never drift apart.
+    pub(crate) fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// Schedules `event`, `delay` from now, under the next key of `origin`.
+    pub(crate) fn schedule_in(&mut self, delay: SimDuration, origin: Origin, event: Event) {
+        let key = self.discipline.key(origin);
+        self.queue.schedule_keyed_in(delay, key, event);
+    }
+
+    pub(crate) fn record(&mut self, node: NodeId, kind: TraceKind) {
+        let at = self.now();
+        if let Some(trace) = self.trace.as_mut() {
+            trace.events.push(TraceEvent { at, node, kind });
+        }
+    }
+
+    /// Parks a planned reception in the slab and schedules its
+    /// RxStart/RxEnd pair under the transmitter-minted keys — straight from
+    /// [`broadcast`](Self::broadcast) for a receiver this stack owns, at the
+    /// next window boundary for one planned on another shard. Only the slab
+    /// id is local.
+    pub(crate) fn inject(&mut self, entry: CrossShardArrival) {
+        debug_assert!(self.discipline.owns(entry.node), "routed to the wrong shard");
+        let id = self.arrivals.alloc(ArrivalState {
+            node: entry.node,
+            frame: entry.frame,
+            decodable: entry.decodable,
+            power_dbm: entry.power_dbm,
+        });
+        self.queue.schedule_keyed(entry.rx_start, entry.start_key, Event::RxStart { arrival: id });
+        self.queue.schedule_keyed(entry.rx_end, entry.end_key, Event::RxEnd { arrival: id });
+    }
+
+    /// One MAC handler invocation under the sink discipline: take a sink,
+    /// let `handler` fill it, interpret every action, park it back. A
+    /// re-entrant invocation (an applied action triggers another handler)
+    /// takes its own sink, so none is ever refilled mid-drain.
+    fn with_mac(
+        &mut self,
+        node: NodeId,
+        w: World<'_>,
+        handler: impl FnOnce(&mut dyn MacEntity, &mut ActionSink),
+    ) {
+        let mut sink = self.macs.take_sink();
+        handler(self.macs.node(node), &mut sink);
+        self.apply_mac_actions(node, &mut sink, w);
+        self.macs.park_sink(sink);
+    }
+
+    /// Processes one popped event against the lent world.
+    ///
+    /// Forced inline: this is the body of each driver's pop loop, and left
+    /// as a call per event it costs +8 % wall on the benchmark's
+    /// `paper_figs` workload.
+    #[inline(always)]
+    pub(crate) fn dispatch(&mut self, event: Event, w: World<'_>) {
+        let now = self.now();
+        match event {
+            Event::TxEnd { node } => {
+                self.record(node, TraceKind::TxEnd);
+                self.with_mac(node, w, |mac, sink| mac.on_tx_end(now, sink));
+                if let Some(BusyTransition::BecameIdle) =
+                    self.receivers[node.index()].on_tx_end(now)
+                {
+                    self.with_mac(node, w, |mac, sink| mac.on_idle(now, sink));
+                }
+            }
+            Event::RxStart { arrival } => {
+                let Some(a) = self.arrivals.peek(arrival) else {
+                    return;
+                };
+                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
+                if let Some(BusyTransition::BecameBusy) =
+                    self.receivers[node.index()].on_arrival_start(arrival, decodable, power, now)
+                {
+                    self.with_mac(node, w, |mac, sink| mac.on_busy(now, sink));
+                }
+            }
+            Event::RxEnd { arrival } => {
+                let Some(state) = self.arrivals.take(arrival) else {
+                    return;
+                };
+                let node = state.node;
+                let (outcome, transition) =
+                    self.receivers[node.index()].on_arrival_end(arrival, now);
+                // Idle first so relay waits measure from the channel edge.
+                if let Some(BusyTransition::BecameIdle) = transition {
+                    self.with_mac(node, w, |mac, sink| mac.on_idle(now, sink));
+                }
+                if outcome != ArrivalOutcome::Clean || !state.decodable {
+                    return;
+                }
+                // A frame that decodes with no subframe losses reaches the
+                // MAC as a shared handle to the broadcast allocation; only
+                // a corrupted one pays for a copy-on-write detach.
+                let rng = self.discipline.ber_rng(node);
+                let Some(frame) = decode_frame(&self.ber, rng, &state.frame) else {
+                    return;
+                };
+                if self.trace.is_some() {
+                    let (kind, flow, frame_seq) = match &*frame {
+                        Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
+                        Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq),
+                    };
+                    let from = frame.transmitter();
+                    self.record(node, TraceKind::Decoded { kind, from, flow, frame_seq });
+                }
+                self.with_mac(node, w, |mac, sink| mac.on_frame_rx(frame, now, sink));
+            }
+            Event::MacTimer { node, token } => {
+                self.with_mac(node, w, |mac, sink| mac.on_timer(token, now, sink));
+            }
+            Event::TcpRto { flow, generation } => {
+                let actions = self
+                    .flows
+                    .flow_mut(flow)
+                    .tcp_tx
+                    .as_mut()
+                    .map(|tx| tx.on_rto(generation, now))
+                    .unwrap_or_default();
+                self.apply_tcp_sender_actions(flow, actions, w);
+            }
+            Event::FlowStart { flow } => self.start_flow(flow, w),
+            Event::UdpSend { flow } => self.udp_send(flow, w),
+            Event::WebStart { flow } => self.web_next_transfer(flow, w),
+            Event::MobilityTick | Event::RouteRefresh => {
+                unreachable!("global passes mutate the world and belong to the driver")
+            }
+        }
+    }
+
+    fn apply_mac_actions(&mut self, node: NodeId, sink: &mut ActionSink, w: World<'_>) {
+        while let Some(action) = sink.pop() {
+            match action {
+                MacAction::StartTx { frame, rate } => self.start_transmission(node, frame, rate, w),
+                MacAction::SetTimer { delay, token } => {
+                    self.schedule_in(delay, Origin::Node(node), Event::MacTimer { node, token });
+                }
+                MacAction::Deliver { packet } => self.handle_delivery(node, packet, w),
+                MacAction::Drop { packet, reason } => {
+                    // End-to-end recovery (TCP retransmission / VoIP loss
+                    // accounting) covers MAC drops; the trace just records
+                    // the loss for the packet-level pipeline.
+                    self.record(node, TraceKind::Drop { flow: packet.header.flow, reason });
+                }
+            }
+        }
+    }
+
+    fn start_transmission(&mut self, node: NodeId, frame: Frame, rate: RateClass, w: World<'_>) {
+        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::TxPath);
+        if self.trace.is_some() {
+            let (kind, flow, frame_seq, subframes) = match &frame {
+                Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq, d.subframes.len()),
+                Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq, 0),
+            };
+            let wire_bytes = frame.wire_bytes();
+            self.record(node, TraceKind::TxStart { kind, flow, frame_seq, subframes, wire_bytes });
+        }
+        let params = w.medium.params();
+        let rate = match rate {
+            RateClass::Data => params.data_rate,
+            RateClass::Basic => params.basic_rate,
+        };
+        let airtime = params.airtime(rate, frame.wire_bytes());
+        let now = self.now();
+        if let Some(BusyTransition::BecameBusy) = self.receivers[node.index()].on_tx_start(now) {
+            self.with_mac(node, w, |mac, sink| mac.on_busy(now, sink));
+        }
+        self.schedule_in(airtime, Origin::Node(node), Event::TxEnd { node });
+        self.broadcast(node, frame, airtime, w.medium);
+    }
+
+    /// Fans one transmission out to every station that will perceive it:
+    /// plans receptions (one shadowing draw per pair, station-index order,
+    /// from the discipline's stream for this transmitter), mints each
+    /// RxStart/RxEnd key pair here, in plan order — so the schedule is
+    /// identical at any shard count — and hands the reception to its owner:
+    /// [`inject`](Self::inject) locally, the outbox otherwise. One frame
+    /// allocation is shared across every receiver.
+    fn broadcast(&mut self, from: NodeId, frame: Frame, airtime: SimDuration, medium: &Medium) {
+        let mut plans = std::mem::take(&mut self.plan_scratch);
+        medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
+        let now = self.now();
+        let frame = Arc::new(frame);
+        for plan in &plans {
+            let entry = CrossShardArrival {
+                node: plan.to,
+                frame: Arc::clone(&frame),
+                decodable: plan.decodable,
+                power_dbm: plan.power_dbm,
+                rx_start: now + plan.delay,
+                rx_end: now + plan.delay + airtime,
+                start_key: self.discipline.key(Origin::Node(from)),
+                end_key: self.discipline.key(Origin::Node(from)),
+                src_shard: self.discipline.shard(),
+                emit_seq: self.emit_seq,
+            };
+            if self.discipline.owns(plan.to) {
+                self.inject(entry);
+            } else {
+                self.emit_seq += 1;
+                self.outbox.push(entry);
+            }
+        }
+        self.plan_scratch = plans;
+    }
+
+    fn handle_delivery(&mut self, node: NodeId, packet: Packet, w: World<'_>) {
+        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::Queue);
+        let flow_id = packet.header.flow;
+        let spec_src = self.flows.flow(flow_id).spec.src();
+        let spec_dst = self.flows.flow(flow_id).spec.dst();
+        let forward = packet.header.src == spec_src;
+
+        if packet.header.dst == node {
+            // Reached a transport endpoint.
+            if node == spec_dst && forward {
+                self.record(node, TraceKind::Delivered { flow: flow_id });
+                self.deliver_at_destination(flow_id, packet, w);
+            } else if node == spec_src && !forward {
+                self.deliver_at_source(flow_id, packet, w);
+            }
+            return;
+        }
+        // Intermediate hop (predetermined routing only): forward along.
+        if let Some(route) = w.net.route(flow_id, node, forward) {
+            if self.trace.is_some() {
+                if let RouteInfo::NextHop(next_hop) = &route {
+                    let next_hop = *next_hop;
+                    self.record(node, TraceKind::Forward { flow: flow_id, next_hop });
+                }
+            }
+            let now = self.now();
+            self.with_mac(node, w, |mac, sink| mac.on_enqueue(packet, route, now, sink));
+        }
+    }
+
+    fn deliver_at_destination(&mut self, flow_id: FlowId, packet: Packet, w: World<'_>) {
+        let now = self.now();
+        match packet.header.proto {
+            Proto::Tcp => {
+                let actions = {
+                    let flow = self.flows.flow_mut(flow_id);
+                    let Some(rx) = flow.tcp_rx.as_mut() else { return };
+                    match TcpSegment::decode(&packet.body) {
+                        Some(TcpSegment::Data { seq, ts, retx }) => rx.on_data(seq, ts, retx),
+                        _ => return,
+                    }
+                };
+                self.apply_tcp_receiver_actions(flow_id, actions, w);
+            }
+            Proto::Udp => {
+                let flow = self.flows.flow_mut(flow_id);
+                if let Some(dg) = UdpDatagram::decode(&packet.body) {
+                    flow.udp_sink.on_datagram(dg, packet.header.wire_bytes, now);
+                }
+            }
+        }
+    }
+
+    fn deliver_at_source(&mut self, flow_id: FlowId, packet: Packet, w: World<'_>) {
+        let now = self.now();
+        let actions = {
+            let flow = self.flows.flow_mut(flow_id);
+            let Some(tx) = flow.tcp_tx.as_mut() else { return };
+            match TcpSegment::decode(&packet.body) {
+                Some(TcpSegment::Ack { cum_ack, ts_echo }) => tx.on_ack(cum_ack, ts_echo, now),
+                _ => return,
+            }
+        };
+        self.apply_tcp_sender_actions(flow_id, actions, w);
+    }
+
+    fn apply_tcp_sender_actions(&mut self, flow_id: FlowId, actions: Vec<TcpAction>, w: World<'_>) {
+        for action in actions {
+            match action {
+                TcpAction::Send { segment, wire_bytes } => {
+                    self.enqueue_transport_packet(flow_id, segment, wire_bytes, true, w);
+                }
+                TcpAction::SetRtoTimer { delay, generation } => {
+                    let event = Event::TcpRto { flow: flow_id, generation };
+                    self.schedule_in(delay, Origin::Flow(flow_id), event);
+                }
+                TcpAction::SendComplete => {
+                    // Web workload: think, then start the next transfer.
+                    let off = {
+                        let flow = self.flows.flow_mut(flow_id);
+                        match (&flow.spec.workload, flow.web_rng.as_mut()) {
+                            (Workload::Web(model), Some(rng)) => Some(model.draw_off_period(rng)),
+                            _ => None,
+                        }
+                    };
+                    if let Some(off) = off {
+                        let event = Event::WebStart { flow: flow_id };
+                        self.schedule_in(off, Origin::Flow(flow_id), event);
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply_tcp_receiver_actions(
+        &mut self,
+        flow_id: FlowId,
+        actions: Vec<TcpAction>,
+        w: World<'_>,
+    ) {
+        for action in actions {
+            if let TcpAction::Send { segment, wire_bytes } = action {
+                self.enqueue_transport_packet(flow_id, segment, wire_bytes, false, w);
+            }
+        }
+    }
+
+    fn enqueue_transport_packet(
+        &mut self,
+        flow_id: FlowId,
+        segment: TcpSegment,
+        wire_bytes: u32,
+        forward: bool,
+        w: World<'_>,
+    ) {
+        let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::Queue);
+        let spec = &self.flows.flow(flow_id).spec;
+        let (src, dst) = if forward { (spec.src(), spec.dst()) } else { (spec.dst(), spec.src()) };
+        let Some(route) = w.net.route(flow_id, src, forward) else { return };
+        let packet = Packet::new(
+            NetHeader { flow: flow_id, src, dst, proto: Proto::Tcp, wire_bytes },
+            self.pool.mint_body_with(|out| segment.encode_into(out)),
+        );
+        let now = self.now();
+        self.with_mac(src, w, |mac, sink| mac.on_enqueue(packet, route, now, sink));
+    }
+
+    fn start_flow(&mut self, flow_id: FlowId, w: World<'_>) {
+        let now = self.now();
+        match &self.flows.flow(flow_id).spec.workload {
+            Workload::Ftp => {
+                let actions = self
+                    .flows
+                    .flow_mut(flow_id)
+                    .tcp_tx
+                    .as_mut()
+                    .map(|tx| tx.start_unlimited(now))
+                    .unwrap_or_default();
+                self.apply_tcp_sender_actions(flow_id, actions, w);
+            }
+            Workload::Web(_) => self.web_next_transfer(flow_id, w),
+            _ => {}
+        }
+    }
+
+    fn web_next_transfer(&mut self, flow_id: FlowId, w: World<'_>) {
+        let now = self.now();
+        let actions = {
+            let flow = self.flows.flow_mut(flow_id);
+            let Workload::Web(model) = flow.spec.workload else { return };
+            let Some(rng) = flow.web_rng.as_mut() else { return };
+            let segments = model.draw_transfer_segments(rng);
+            flow.tcp_tx.as_mut().map(|tx| tx.request_send(segments, now)).unwrap_or_default()
+        };
+        self.apply_tcp_sender_actions(flow_id, actions, w);
+    }
+
+    fn udp_send(&mut self, flow_id: FlowId, w: World<'_>) {
+        let now = self.now();
+        let (bytes, next) = match self.flows.flow(flow_id).spec.workload {
+            Workload::Voip(wmn_traffic::VoipModel { packet_bytes, .. }) => (packet_bytes, None),
+            Workload::Cbr(wmn_traffic::CbrModel { packet_bytes, interval }) => {
+                (packet_bytes, Some(interval))
+            }
+            _ => return,
+        };
+        let src = self.flows.flow(flow_id).spec.src();
+        let dst = self.flows.flow(flow_id).spec.dst();
+        // Route lookup precedes the counter bumps: a (hypothetical)
+        // source without a forward route sends nothing and counts nothing.
+        let Some(route) = w.net.route(flow_id, src, true) else { return };
+        let packet = {
+            let flow = self.flows.flow_mut(flow_id);
+            let dg = UdpDatagram { seq: flow.udp_seq, sent_at_ns: now.as_nanos() };
+            flow.udp_seq += 1;
+            flow.udp_sent += 1;
+            Packet::new(
+                NetHeader { flow: flow_id, src, dst, proto: Proto::Udp, wire_bytes: bytes },
+                self.pool.mint_body_with(|out| dg.encode_into(out)),
+            )
+        };
+        self.with_mac(src, w, |mac, sink| mac.on_enqueue(packet, route, now, sink));
+        if let Some(interval) = next {
+            if now + interval <= self.end {
+                self.schedule_in(interval, Origin::Flow(flow_id), Event::UdpSend { flow: flow_id });
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn legacy_keys_are_one_lane_in_insertion_order() {
+        // Whatever the origin, the legacy discipline mints (lane 0, seq =
+        // insertion count): exactly `EventQueue`'s tie-break.
+        let dir = RngDirectory::new(7);
+        let mut legacy =
+            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
+        let origins = [
+            Origin::Flow(FlowId::new(1)),
+            Origin::Node(NodeId::new(3)),
+            Origin::Driver,
+            Origin::Node(NodeId::new(0)),
+        ];
+        for (n, origin) in origins.into_iter().enumerate() {
+            assert_eq!(legacy.key(origin), EventKey::new(0, 0, n as u64));
+        }
+    }
+
+    #[test]
+    fn per_entity_keys_count_per_origin() {
+        let dir = RngDirectory::new(7);
+        let mut per_entity = Discipline::PerEntity {
+            shard: 0,
+            owner: Arc::new(vec![0, 0, 1]),
+            flow_owner: Arc::new(vec![0, 0]),
+            medium: (0..3).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
+            ber: (0..3).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
+            node_seq: vec![0; 3],
+            flow_seq: vec![0; 2],
+        };
+        let node = |i| Origin::Node(NodeId::new(i));
+        let flow = |i| Origin::Flow(FlowId::new(i));
+        assert_eq!(per_entity.key(node(2)), EventKey::new(KIND_NODE, 2, 0));
+        assert_eq!(per_entity.key(flow(1)), EventKey::new(KIND_FLOW, 1, 0));
+        assert_eq!(per_entity.key(node(2)), EventKey::new(KIND_NODE, 2, 1));
+        assert_eq!(per_entity.key(node(0)), EventKey::new(KIND_NODE, 0, 0));
+        assert_eq!(per_entity.key(flow(1)), EventKey::new(KIND_FLOW, 1, 1));
+        // Ownership follows the tables; the third station lives elsewhere.
+        assert!(per_entity.owns(NodeId::new(1)) && !per_entity.owns(NodeId::new(2)));
+        assert!(per_entity.owns_flow(FlowId::new(0)));
+    }
+}

@@ -626,6 +626,46 @@ mod tests {
             }
         }
 
+        /// The equivalence netsim's single loop stands on: keyed on one lane
+        /// with `seq` = the insertion count, a `KeyedEventQueue` pops exactly
+        /// what an `EventQueue` pops, under any interleaving of absolute and
+        /// relative schedules, pops and windowed pops — equal-time bursts
+        /// included (delays are drawn from 0..4 ns).
+        #[test]
+        fn prop_single_lane_keys_reproduce_insertion_order(
+            ops in proptest::collection::vec((0u8..4, 0u64..4), 1..120),
+        ) {
+            let mut plain = EventQueue::new();
+            let mut keyed = KeyedEventQueue::with_capacity(0);
+            let mut n = 0u64;
+            for (op, d) in ops {
+                let delay = SimDuration::from_nanos(d);
+                match op {
+                    0 => {
+                        plain.schedule(plain.now() + delay, n);
+                        keyed.schedule_keyed(keyed.now() + delay, EventKey::new(0, 0, n), n);
+                        n += 1;
+                    }
+                    1 => {
+                        plain.schedule_in(delay, n);
+                        keyed.schedule_keyed_in(delay, EventKey::new(0, 0, n), n);
+                        n += 1;
+                    }
+                    2 => prop_assert_eq!(plain.pop(), keyed.pop()),
+                    _ => {
+                        let horizon = plain.now() + delay;
+                        prop_assert_eq!(plain.pop_before(horizon), keyed.pop_before(horizon));
+                    }
+                }
+                prop_assert_eq!(plain.now(), keyed.now());
+                prop_assert_eq!(plain.len(), keyed.len());
+            }
+            while !plain.is_empty() {
+                prop_assert_eq!(plain.pop(), keyed.pop());
+            }
+            prop_assert!(keyed.is_empty());
+        }
+
         /// Popping always yields a non-decreasing time sequence, regardless of
         /// the insertion order.
         #[test]
