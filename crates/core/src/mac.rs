@@ -1,14 +1,14 @@
 //! The RIPPLE MAC state machine.
 //!
 //! One `RippleMac` instance runs at every station and plays all three roles
-//! of Section III simultaneously, per frame:
+//! of Section III simultaneously, per frame. Source contention, aggregation
+//! and partial retransmission are unmodified 802.11/AFR — the shared
+//! [`wmn_mac::csma`] sender; what RIPPLE changes is forwarding:
 //!
-//! * **Source** — contends once (DIFS + backoff) per mTXOP, aggregates up to
-//!   16 queued packets into a frame addressed to an opportunistic priority
-//!   list, arms the end-to-end mTXOP timeout, and retransmits (with CW
-//!   doubling) only the subframes the destination's bitmap ACK did not
-//!   cover. The send queue `Sq` = the in-flight window plus the interface
-//!   queue.
+//! * **Source** — contends once per mTXOP, addresses the frame to an
+//!   opportunistic priority list and arms the *end-to-end* mTXOP timeout;
+//!   the destination's bitmap ACK may arrive as several relayed copies and
+//!   is applied once.
 //! * **Forwarder** — holds *no* queue. An overheard data frame from an
 //!   upstream station is relayed exactly once after `rank·T_slot + T_SIFS`
 //!   of continuous idle; an overheard ACK from a downstream station after
@@ -23,42 +23,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use wmn_mac::frame::{
-    AckFrame, AckList, DataFrame, Frame, LinkDst, NodeList, Packet, RouteInfo, RxFrame, Subframe,
+    AckFrame, AckList, DataFrame, Frame, LinkDst, Packet, RouteInfo, RxFrame, Subframe,
+    MAC_HEADER_BYTES, SUBFRAME_OVERHEAD_BYTES,
 };
 use wmn_mac::{
-    ActionSink, Backoff, DropReason, FramePool, IfQueue, MacAction, MacEntity, MacStats, RateClass,
-    ReorderBuffer, Slot, SlotPool, TimerToken,
+    ActionSink, AggRole, AggSender, Backoff, Csma, DataState, IfQueue, MacAction, MacEntity,
+    MacStats, ReorderBuffer, TimerToken,
 };
 use wmn_phy::PhyParams;
-use wmn_sim::{FlowId, NodeId, SimTime, StreamRng};
+use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
 use crate::config::RippleConfig;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum DataState {
-    Idle,
-    Transmitting,
-    WaitAck,
-}
-
-#[derive(Debug)]
-struct Inflight {
-    /// The (seq, packet) pairs awaiting acknowledgement, in a recycled
-    /// slot so starting a new frame never allocates at steady state.
-    subframes: Slot<(u32, Packet)>,
-    list: NodeList,
-    flow: FlowId,
-    retries: u8,
-    frame_seq: u64,
-}
-
-#[derive(Debug)]
-enum Role {
-    BackoffDone,
-    MtxopTimeout,
-    SendAck,
-    RelayFire { pending: u64 },
-}
 
 /// A relay waiting for its continuous idle window. Paused (timer disarmed)
 /// whenever the channel turns busy and re-armed with the *full* wait on the
@@ -73,7 +48,7 @@ struct PendingRelay {
     /// frame's end-to-end source (ACKs carry it in `to`).
     key: (FlowId, NodeId, u64, bool),
     frame: Frame,
-    wait: wmn_sim::SimDuration,
+    wait: SimDuration,
     token: Option<TimerToken>,
 }
 
@@ -81,60 +56,31 @@ struct PendingRelay {
 /// roles it implements.
 pub struct RippleMac {
     cfg: RippleConfig,
-    node: NodeId,
-    q: IfQueue,
-    inflight: Option<Inflight>,
-    data_state: DataState,
-    ack_tx_in_progress: bool,
-    relay_tx_in_progress: bool,
-    pending_ack: Option<AckFrame>,
-    armed_send_ack: Option<TimerToken>,
-    channel_busy: bool,
-    idle_since: SimTime,
-    backoff: Backoff,
-    armed_backoff: Option<TimerToken>,
-    countdown_anchor: SimTime,
-    armed_timeout: Option<TimerToken>,
+    /// The shared 802.11 sender; RIPPLE's own timers carry the
+    /// [`PendingRelay::id`] to fire.
+    tx: AggSender<u64>,
     /// Relays waiting for their idle window (armed or paused).
     pending_relays: Vec<PendingRelay>,
     next_pending: u64,
-    /// Live timer tokens and what they mean. A handful are outstanding at
-    /// any instant, so a linear-scan `Vec` beats a node-allocating map —
-    /// and its capacity is retained, keeping timer churn off the allocator.
-    timer_roles: Vec<(u64, Role)>,
-    next_token: u64,
     /// (flow, origin, frame_seq) data frames this node has already relayed.
     data_relayed: BTreeSet<(FlowId, NodeId, u64)>,
     /// (flow, source, frame_seq) ACK frames this node has already relayed.
     ack_relayed: BTreeSet<(FlowId, NodeId, u64)>,
-    /// Bitmap-ACK frame_seqs the source side has already applied.
-    handled_acks: BTreeSet<u64>,
-    seq_counters: BTreeMap<(FlowId, NodeId), u32>,
-    frame_seq_counter: u64,
+    /// `frame_seq` of the last bitmap ACK the source side applied. Frame
+    /// identities only grow and only the latest attempt's ACK is ever
+    /// applied, so one value recognises every later (relayed) copy.
+    last_applied_ack: u64,
     rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
-    /// Recycled buffers for [`Inflight::subframes`].
-    inflight_slots: SlotPool<(u32, Packet)>,
-    pool: FramePool,
-    rng: StreamRng,
-    stats: MacStats,
     /// Relays performed (diagnostic; counts both data and ACK relays).
     relays_performed: u64,
-}
-
-/// Removes and returns the role of a live token from the linear-scan timer
-/// table (`None` = cancelled or superseded). A free function over the field
-/// so call sites holding other `self` borrows can still use it.
-fn take_role_in(roles: &mut Vec<(u64, Role)>, token: TimerToken) -> Option<Role> {
-    let idx = roles.iter().position(|(t, _)| *t == token.0)?;
-    Some(roles.swap_remove(idx).1)
 }
 
 impl std::fmt::Debug for RippleMac {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RippleMac")
-            .field("node", &self.node)
-            .field("state", &self.data_state)
-            .field("queued", &self.q.len())
+            .field("node", &self.tx.node())
+            .field("state", &self.tx.csma.state())
+            .field("queued", &self.tx.csma.q.len())
             .finish()
     }
 }
@@ -142,44 +88,31 @@ impl std::fmt::Debug for RippleMac {
 impl RippleMac {
     /// Creates the MAC for `node` with its own backoff RNG stream.
     pub fn new(cfg: RippleConfig, node: NodeId, rng: StreamRng) -> Self {
-        let (cw_min, cw_max, ifq) = (cfg.cw_min, cfg.cw_max, cfg.ifq_capacity);
+        let csma = Csma::new(
+            cfg.difs,
+            cfg.slot,
+            Backoff::new(cfg.cw_min, cfg.cw_max),
+            cfg.retry_limit,
+            IfQueue::new(cfg.ifq_capacity),
+            rng,
+        );
+        let tx = AggSender::new(node, csma, cfg.max_aggregation, cfg.max_frame_payload_bytes);
         RippleMac {
             cfg,
-            node,
-            q: IfQueue::new(ifq),
-            inflight: None,
-            data_state: DataState::Idle,
-            ack_tx_in_progress: false,
-            relay_tx_in_progress: false,
-            pending_ack: None,
-            armed_send_ack: None,
-            channel_busy: false,
-            idle_since: SimTime::ZERO,
-            backoff: Backoff::new(cw_min, cw_max),
-            armed_backoff: None,
-            countdown_anchor: SimTime::ZERO,
-            armed_timeout: None,
+            tx,
             pending_relays: Vec::new(),
             next_pending: 0,
-            timer_roles: Vec::new(),
-            next_token: 0,
             data_relayed: BTreeSet::new(),
             ack_relayed: BTreeSet::new(),
-            handled_acks: BTreeSet::new(),
-            seq_counters: BTreeMap::new(),
-            frame_seq_counter: 0,
+            last_applied_ack: 0,
             rq: BTreeMap::new(),
-            inflight_slots: SlotPool::new(),
-            pool: FramePool::default(),
-            rng,
-            stats: MacStats::default(),
             relays_performed: 0,
         }
     }
 
     /// The station this MAC belongs to.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.tx.node()
     }
 
     /// Total data + ACK relays this station has performed as a forwarder.
@@ -187,72 +120,11 @@ impl RippleMac {
         self.relays_performed
     }
 
-    fn mint(&mut self, role: Role) -> TimerToken {
-        let token = TimerToken(self.next_token);
-        self.next_token += 1;
-        self.timer_roles.push((token.0, role));
-        token
-    }
-
-    fn next_seq(&mut self, flow: FlowId, src: NodeId) -> u32 {
-        let c = self.seq_counters.entry((flow, src)).or_insert(0);
-        let seq = *c;
-        *c += 1;
-        seq
-    }
-
-    fn radio_free(&self) -> bool {
-        self.data_state != DataState::Transmitting
-            && !self.ack_tx_in_progress
-            && !self.relay_tx_in_progress
-    }
-
-    fn has_work(&self) -> bool {
-        self.inflight.is_some() || !self.q.is_empty()
-    }
-
-    fn try_progress(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.data_state != DataState::Idle || !self.radio_free() || !self.has_work() {
-            return;
-        }
-        if self.channel_busy {
-            return;
-        }
-        let idle_for = now.saturating_since(self.idle_since);
-        if self.backoff.remaining().is_none() && idle_for >= self.cfg.difs {
-            self.transmit_data(out);
-            return;
-        }
-        self.arm_backoff(now, out);
-    }
-
-    fn arm_backoff(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.armed_backoff.is_some() || self.channel_busy {
-            return;
-        }
-        let remaining = self.backoff.ensure_drawn(&mut self.rng);
-        let boundary = self.idle_since + self.cfg.difs;
-        let start = if boundary > now { boundary } else { now };
-        self.countdown_anchor = start;
-        let fire_at = start + self.cfg.slot * u64::from(remaining);
-        let token = self.mint(Role::BackoffDone);
-        self.armed_backoff = Some(token);
-        out.push(MacAction::SetTimer { delay: fire_at.saturating_since(now), token });
-    }
-
-    fn disarm_backoff(&mut self, now: SimTime) {
-        if let Some(token) = self.armed_backoff.take() {
-            take_role_in(&mut self.timer_roles, token);
-            let idle = now.saturating_since(self.countdown_anchor);
-            self.backoff.consume_idle(idle, self.cfg.slot);
-        }
-    }
-
     /// Busy channel: pause every armed relay (the idle window broke).
     fn pause_relays(&mut self) {
         for pr in &mut self.pending_relays {
             if let Some(token) = pr.token.take() {
-                take_role_in(&mut self.timer_roles, token);
+                self.tx.csma.cancel(token);
             }
         }
     }
@@ -261,10 +133,8 @@ impl RippleMac {
     fn resume_relays(&mut self, out: &mut ActionSink) {
         for pr in &mut self.pending_relays {
             if pr.token.is_none() {
-                let token = TimerToken(self.next_token);
-                self.next_token += 1;
+                let token = self.tx.csma.mint(AggRole::Scheme(pr.id));
                 pr.token = Some(token);
-                self.timer_roles.push((token.0, Role::RelayFire { pending: pr.id }));
                 out.push(MacAction::SetTimer { delay: pr.wait, token });
             }
         }
@@ -274,14 +144,14 @@ impl RippleMac {
         &mut self,
         key: (FlowId, NodeId, u64, bool),
         frame: Frame,
-        wait: wmn_sim::SimDuration,
+        wait: SimDuration,
         out: &mut ActionSink,
     ) {
         let id = self.next_pending;
         self.next_pending += 1;
         let mut pr = PendingRelay { id, key, frame, wait, token: None };
-        if !self.channel_busy {
-            let token = self.mint(Role::RelayFire { pending: id });
+        if !self.tx.csma.channel_busy() {
+            let token = self.tx.csma.mint(AggRole::Scheme(id));
             pr.token = Some(token);
             out.push(MacAction::SetTimer { delay: wait, token });
         }
@@ -290,7 +160,7 @@ impl RippleMac {
         while self.pending_relays.len() > 32 {
             let dead = self.pending_relays.remove(0);
             if let Some(token) = dead.token {
-                take_role_in(&mut self.timer_roles, token);
+                self.tx.csma.cancel(token);
             }
         }
     }
@@ -299,92 +169,19 @@ impl RippleMac {
         if let Some(idx) = self.pending_relays.iter().position(|pr| pr.key == key) {
             let dead = self.pending_relays.remove(idx);
             if let Some(token) = dead.token {
-                take_role_in(&mut self.timer_roles, token);
+                self.tx.csma.cancel(token);
             }
         }
     }
 
-    /// Source side: build and transmit the next aggregated frame, topping up
-    /// a partial retransmission with fresh packets for the same list.
-    fn transmit_data(&mut self, out: &mut ActionSink) {
-        self.backoff.clear();
-        if self.inflight.is_none() {
-            let mut batch = self.q.pop_batch_matching_head(
-                self.cfg.max_aggregation,
-                self.cfg.max_frame_payload_bytes,
-            );
-            if batch.is_empty() {
-                return;
-            }
-            let RouteInfo::Opportunistic { list } = batch[0].route.clone() else {
-                panic!("RIPPLE requires opportunistic priority-list routes");
-            };
-            let flow = batch[0].packet.header.flow;
-            let mut subframes = self.inflight_slots.mint();
-            for qp in batch.drain(..) {
-                let seq = self.next_seq(qp.packet.header.flow, qp.packet.header.src);
-                subframes.push((seq, qp.packet));
-            }
-            drop(batch);
-            self.inflight = Some(Inflight { subframes, list, flow, retries: 0, frame_seq: 0 });
-        } else {
-            let route = {
-                let inflight = self.inflight.as_ref().expect("checked");
-                RouteInfo::Opportunistic { list: inflight.list.clone() }
-            };
-            let space =
-                self.cfg.max_aggregation - self.inflight.as_ref().expect("checked").subframes.len();
-            if space > 0 {
-                let spent: u32 = self
-                    .inflight
-                    .as_ref()
-                    .expect("checked")
-                    .subframes
-                    .iter()
-                    .map(|(_, p)| p.header.wire_bytes)
-                    .sum();
-                let byte_budget = self.cfg.max_frame_payload_bytes.saturating_sub(spent).max(1);
-                let mut extra = self.q.pop_matching(&route, space, byte_budget);
-                for qp in extra.drain(..) {
-                    let seq = self.next_seq(qp.packet.header.flow, qp.packet.header.src);
-                    self.inflight.as_mut().expect("checked").subframes.push((seq, qp.packet));
-                }
-            }
-        }
-        self.frame_seq_counter += 1;
-        let fs = self.frame_seq_counter;
-        // Pooled subframe vector + by-reference packet bodies: building a
-        // (re)transmission attempt allocates nothing at steady state.
-        let mut subframes = self.pool.mint_subframes();
-        let inflight = self.inflight.as_mut().expect("just set");
-        inflight.frame_seq = fs;
-        for (seq, p) in &inflight.subframes {
-            subframes.push(Subframe { seq: *seq, packet: p.clone(), corrupted: false });
-        }
-        let first = &inflight.subframes[0].1.header;
-        let frame = DataFrame {
-            transmitter: self.node,
-            link_dst: LinkDst::Opportunistic { list: inflight.list.clone() },
-            flow: inflight.flow,
-            src: first.src,
-            dst: first.dst,
-            frame_seq: fs,
-            subframes,
-            retry: inflight.retries,
-        };
-        self.data_state = DataState::Transmitting;
-        self.stats.data_frames_sent += 1;
-        out.push(MacAction::StartTx { frame: Frame::Data(frame), rate: RateClass::Data });
-    }
-
-    fn handle_data_frame(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
+    fn handle_data_frame(&mut self, d: &DataFrame, out: &mut ActionSink) {
         let LinkDst::Opportunistic { list } = &d.link_dst else {
             return; // unicast traffic belongs to other MACs
         };
-        let Some(my_rank) = list.iter().position(|&n| n == self.node) else {
+        let Some(my_rank) = list.iter().position(|&n| n == self.tx.node()) else {
             return;
         };
-        self.stats.data_frames_received += 1;
+        self.tx.csma.stats.data_frames_received += 1;
 
         if my_rank == 0 {
             // Destination: acknowledge and deliver in order via the Rq.
@@ -409,7 +206,7 @@ impl RippleMac {
         }
         // Build the relay copy out of this MAC's pool; the kept packets
         // share their bodies with the overheard frame by reference.
-        let mut clean = self.pool.mint_subframes();
+        let mut clean = self.tx.pool.mint_subframes();
         for s in d.subframes.iter().filter(|s| !s.corrupted) {
             clean.push(Subframe { seq: s.seq, packet: s.packet.clone(), corrupted: false });
         }
@@ -417,7 +214,7 @@ impl RippleMac {
             return;
         }
         let relay = DataFrame {
-            transmitter: self.node,
+            transmitter: self.tx.node(),
             link_dst: d.link_dst.clone(),
             flow: d.flow,
             src: d.src,
@@ -429,7 +226,6 @@ impl RippleMac {
         let wait = self.cfg.timing.data_relay_wait(my_rank);
         self.data_relayed.insert(key);
         self.schedule_relay((d.flow, d.src, d.frame_seq, false), Frame::Data(relay), wait, out);
-        let _ = now;
     }
 
     fn destination_receive(&mut self, d: &DataFrame, out: &mut ActionSink) {
@@ -454,26 +250,23 @@ impl RippleMac {
             // order as before, no intermediate accumulator.
             let (_, mut rel) = rq.accept(sf.seq, sf.packet.clone());
             for p in rel.drain(..) {
-                self.stats.delivered_up += 1;
+                self.tx.csma.stats.delivered_up += 1;
                 out.push(MacAction::Deliver { packet: p });
             }
         }
         let ack = AckFrame {
-            transmitter: self.node,
+            transmitter: self.tx.node(),
             to: d.src,
             flow: d.flow,
             frame_seq: d.frame_seq,
             acked_seqs,
             relay_list: list.clone(),
         };
-        self.pending_ack = Some(ack);
-        let token = self.mint(Role::SendAck);
-        self.armed_send_ack = Some(token);
-        out.push(MacAction::SetTimer { delay: self.cfg.timing.destination_ack_wait(), token });
+        self.tx.schedule_ack(ack, self.cfg.timing.destination_ack_wait(), out);
     }
 
     fn handle_ack_frame(&mut self, a: &AckFrame, now: SimTime, out: &mut ActionSink) {
-        if a.to == self.node {
+        if a.to == self.tx.node() {
             self.source_apply_ack(a, now, out);
             return;
         }
@@ -482,7 +275,7 @@ impl RippleMac {
         // proves the data frame reached the destination, so any data relay
         // we still hold for that frame is obsolete.
         self.drop_pending_relay((a.flow, a.to, a.frame_seq, false));
-        let Some(my_rank) = a.relay_list.iter().position(|&n| n == self.node) else {
+        let Some(my_rank) = a.relay_list.iter().position(|&n| n == self.tx.node()) else {
             return;
         };
         if my_rank == 0 {
@@ -504,7 +297,7 @@ impl RippleMac {
         }
         // Inline lists make this a plain memcpy, not a heap clone.
         let relay = AckFrame {
-            transmitter: self.node,
+            transmitter: self.tx.node(),
             to: a.to,
             flow: a.flow,
             frame_seq: a.frame_seq,
@@ -517,197 +310,89 @@ impl RippleMac {
     }
 
     fn source_apply_ack(&mut self, a: &AckFrame, now: SimTime, out: &mut ActionSink) {
-        let Some(inflight) = self.inflight.as_mut() else { return };
-        if a.frame_seq != inflight.frame_seq || !self.handled_acks.insert(a.frame_seq) {
+        let awaited = self.tx.inflight().is_some_and(|i| i.frame_seq == a.frame_seq);
+        if !awaited || self.last_applied_ack == a.frame_seq {
             return; // stale attempt or duplicate (relayed) ACK copy
         }
-        if self.data_state == DataState::Transmitting {
+        self.last_applied_ack = a.frame_seq;
+        if self.tx.csma.state() == DataState::Transmitting {
             return; // cannot happen with a half-duplex radio
         }
-        self.stats.acks_received += 1;
-        if let Some(token) = self.armed_timeout.take() {
-            take_role_in(&mut self.timer_roles, token);
-        }
-        let before = inflight.subframes.len();
-        inflight.subframes.retain(|(seq, p)| !a.acked_seqs.contains(&(p.header.flow, *seq)));
-        let progressed = inflight.subframes.len() < before;
-        self.data_state = DataState::Idle;
-        self.backoff.on_success();
-        if inflight.subframes.is_empty() {
-            self.inflight = None;
-        } else {
-            // Fragment-retransmission semantics: progress resets the retry
-            // budget; only a fruitless ACK consumes one.
-            if progressed {
-                inflight.retries = 0;
-            } else {
-                inflight.retries += 1;
-            }
-            if inflight.retries > self.cfg.retry_limit {
-                let mut dead = self.inflight.take().expect("present");
-                for (_, packet) in dead.subframes.drain(..) {
-                    self.stats.drops_retry_limit += 1;
-                    out.push(MacAction::Drop { packet, reason: DropReason::RetryLimit });
-                }
-            }
-        }
-        self.backoff.draw(&mut self.rng);
-        self.try_progress(now, out);
-    }
-
-    fn handle_mtxop_timeout(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.armed_timeout = None;
-        if self.data_state != DataState::WaitAck {
-            return;
-        }
-        self.stats.timeouts += 1;
-        self.data_state = DataState::Idle;
-        self.backoff.on_failure();
-        let drop_all = {
-            let inflight = self.inflight.as_mut().expect("timeout without inflight");
-            inflight.retries += 1;
-            inflight.retries > self.cfg.retry_limit
-        };
-        if drop_all {
-            let mut dead = self.inflight.take().expect("present");
-            for (_, packet) in dead.subframes.drain(..) {
-                self.stats.drops_retry_limit += 1;
-                out.push(MacAction::Drop { packet, reason: DropReason::RetryLimit });
-            }
-            self.backoff.on_success();
-        }
-        self.backoff.draw(&mut self.rng);
-        self.try_progress(now, out);
-    }
-
-    fn fire_send_ack(&mut self, out: &mut ActionSink) {
-        self.armed_send_ack = None;
-        let Some(ack) = self.pending_ack.take() else { return };
-        if !self.radio_free() {
-            return; // pathological; sender recovers end-to-end
-        }
-        self.ack_tx_in_progress = true;
-        self.stats.ack_frames_sent += 1;
-        out.push(MacAction::StartTx { frame: Frame::Ack(ack), rate: RateClass::Basic });
+        self.tx.apply_ack(a, now, out);
     }
 
     fn fire_relay(&mut self, pending: u64, out: &mut ActionSink) {
         let Some(idx) = self.pending_relays.iter().position(|pr| pr.id == pending) else {
             return; // cancelled in the meantime
         };
-        if self.channel_busy {
+        if self.tx.csma.channel_busy() {
             return; // a pause is in flight; resume_relays will re-arm
         }
-        if !self.radio_free() {
+        if !self.tx.csma.radio_free() {
             // Our own radio is mid-transmission (e.g. sending an ACK): the
             // relay re-arms on the next idle edge.
             self.pending_relays[idx].token = None;
             return;
         }
         let pr = self.pending_relays.remove(idx);
-        self.relay_tx_in_progress = true;
         self.relays_performed += 1;
-        let rate = match &pr.frame {
-            Frame::Data(_) => RateClass::Data,
-            Frame::Ack(_) => RateClass::Basic,
-        };
-        out.push(MacAction::StartTx { frame: pr.frame, rate });
+        self.tx.csma.start_relay_tx(pr.frame, out);
     }
 }
 
 impl MacEntity for RippleMac {
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink) {
-        if let Some(rejected) = self.q.push(packet, route) {
-            self.stats.drops_queue_full += 1;
-            out.push(MacAction::Drop { packet: rejected, reason: DropReason::QueueFull });
-            return;
+        assert!(matches!(route, RouteInfo::Opportunistic { .. }), "RIPPLE requires list routes");
+        if self.tx.csma.on_enqueue(packet, route, out) {
+            self.tx.try_progress(now, out);
         }
-        self.try_progress(now, out);
     }
 
     fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.channel_busy = true;
-        self.disarm_backoff(now);
+        self.tx.csma.on_busy(now);
         // A busy channel breaks every pending idle window; the relays pause
         // and restart their full wait on the next idle edge.
         self.pause_relays();
     }
 
     fn on_idle(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.channel_busy = false;
-        self.idle_since = now;
         self.resume_relays(out);
-        if self.data_state == DataState::Idle && self.radio_free() && self.has_work() {
-            self.arm_backoff(now, out);
-        }
+        self.tx.on_idle(now, out);
     }
 
     fn on_frame_rx(&mut self, frame: RxFrame, now: SimTime, out: &mut ActionSink) {
         match &*frame {
-            Frame::Data(d) => self.handle_data_frame(d, now, out),
+            Frame::Data(d) => self.handle_data_frame(d, out),
             Frame::Ack(a) => self.handle_ack_frame(a, now, out),
         }
     }
 
     fn on_tx_end(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.relay_tx_in_progress {
-            self.relay_tx_in_progress = false;
-        } else if self.ack_tx_in_progress {
-            self.ack_tx_in_progress = false;
-            self.try_progress(now, out);
-        } else if self.data_state == DataState::Transmitting {
-            self.data_state = DataState::WaitAck;
-            let (list_len, bytes) = {
-                let inflight = self.inflight.as_ref().expect("transmitting without inflight");
-                let bytes: u32 = inflight
-                    .subframes
-                    .iter()
-                    .map(|(_, p)| wmn_mac::frame::SUBFRAME_OVERHEAD_BYTES + p.header.wire_bytes)
-                    .sum::<u32>()
-                    + wmn_mac::frame::MAC_HEADER_BYTES;
-                (inflight.list.len(), bytes)
+        if self.tx.on_tx_end(now, out) {
+            // The mTXOP timeout spans the whole relay chain and back.
+            let inflight = self.tx.inflight().expect("transmitting without inflight");
+            let bytes = inflight
+                .subframes
+                .iter()
+                .map(|(_, p)| SUBFRAME_OVERHEAD_BYTES + p.header.wire_bytes)
+                .sum::<u32>()
+                + MAC_HEADER_BYTES;
+            let RouteInfo::Opportunistic { list } = &inflight.route else {
+                unreachable!("on_enqueue admits opportunistic routes only");
             };
-            let timeout = self.cfg.timing.mtxop_timeout(list_len, bytes);
-            let token = self.mint(Role::MtxopTimeout);
-            self.armed_timeout = Some(token);
-            out.push(MacAction::SetTimer { delay: timeout, token });
+            let timeout = self.cfg.timing.mtxop_timeout(list.len(), bytes);
+            self.tx.csma.arm_timeout(timeout, out);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
-        let Some(role) = take_role_in(&mut self.timer_roles, token) else {
-            return;
-        };
-        match role {
-            Role::BackoffDone => {
-                if self.armed_backoff == Some(token) {
-                    self.armed_backoff = None;
-                    if !self.channel_busy
-                        && self.radio_free()
-                        && self.data_state == DataState::Idle
-                        && self.has_work()
-                    {
-                        self.backoff.clear();
-                        self.transmit_data(out);
-                    }
-                }
-            }
-            Role::MtxopTimeout => {
-                if self.armed_timeout == Some(token) {
-                    self.handle_mtxop_timeout(now, out);
-                }
-            }
-            Role::SendAck => {
-                if self.armed_send_ack == Some(token) {
-                    self.fire_send_ack(out);
-                }
-            }
-            Role::RelayFire { pending } => self.fire_relay(pending, out),
+        if let Some(pending) = self.tx.on_timer(token, now, out) {
+            self.fire_relay(pending, out);
         }
     }
 
     fn stats(&self) -> MacStats {
-        self.stats
+        self.tx.csma.stats
     }
 }
 
@@ -740,10 +425,8 @@ impl wmn_mac::MacScheme for RippleScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_mac::frame::{NetHeader, Proto};
-    use wmn_mac::MacEntityExt;
-    use wmn_phy::PhyParams;
-    use wmn_sim::SimDuration;
+    use wmn_mac::frame::{NetHeader, NodeList, Proto};
+    use wmn_mac::{DropReason, MacEntityExt};
 
     fn cfg(agg: usize) -> RippleConfig {
         RippleConfig::from_phy(&PhyParams::paper_216(), agg)
@@ -1005,7 +688,7 @@ mod tests {
             relay_list: list(),
         };
         src.on_frame_rx_vec(Frame::Ack(ack.clone()).into(), t(400));
-        assert!(src.inflight.is_none(), "frame acknowledged end-to-end");
+        assert!(src.tx.inflight().is_none(), "frame acknowledged end-to-end");
         // A duplicate ACK copy (the destination's direct one) is harmless.
         let acts = src.on_frame_rx_vec(Frame::Ack(ack).into(), t(410));
         assert!(acts.is_empty());
@@ -1019,7 +702,7 @@ mod tests {
         src.on_enqueue_vec(packet(0, 0, 3), route(), t(101));
         src.on_enqueue_vec(packet(0, 0, 3), route(), t(102));
         src.on_tx_end_vec(t(160));
-        let fs = src.inflight.as_ref().unwrap().frame_seq;
+        let fs = src.tx.inflight().unwrap().frame_seq;
         let ack = AckFrame {
             transmitter: NodeId::new(3),
             to: NodeId::new(0),

@@ -491,11 +491,13 @@ pub fn no_frame_deep_clone(tokens: &[Token], file: &str) -> Vec<Finding> {
 }
 
 /// Function names that run once per dispatched event: the `MacEntity` trait
-/// handlers (MACs also implement same-named inherent helpers) plus the
-/// station stack's per-event handlers — everything reachable from one
-/// dispatch step. Setup fns (`build`, `new`) and result collection are
-/// deliberately absent: pre-sizing at construction time is the sanctioned
-/// place to allocate.
+/// handlers (the shared `wmn_mac::csma` core names its per-event entry
+/// points after the handlers they serve, so its inherent methods are
+/// covered too), that core's transmit/acknowledge steps, plus the station
+/// stack's per-event handlers — everything reachable from one dispatch
+/// step. Setup fns (`build`, `new`) and result collection are deliberately
+/// absent: pre-sizing at construction time is the sanctioned place to
+/// allocate.
 const HOT_HANDLERS: &[&str] = &[
     // MacEntity trait surface.
     "on_enqueue",
@@ -504,6 +506,10 @@ const HOT_HANDLERS: &[&str] = &[
     "on_frame_rx",
     "on_tx_end",
     "on_timer",
+    // The shared CSMA sender's steps behind those handlers.
+    "try_progress",
+    "transmit_data",
+    "apply_ack",
     // The station stack's per-event handlers (one body, both drivers).
     "dispatch",
     "apply_mac_actions",

@@ -1,34 +1,30 @@
 //! The IEEE 802.11 DCF MAC, which doubles as the paper's AFR baseline.
 //!
-//! With `max_aggregation = 1` this is the classic DCF used by the "D"
-//! (predetermined route) and "S" (direct/SPR) baselines: DIFS deference,
-//! binary-exponential backoff, per-hop unicast data + SIFS-spaced MAC ACK,
-//! retry with CW doubling.
-//!
-//! With `max_aggregation = 16` it becomes the AFR scheme of reference \[19\] ("A" in the
-//! figures): up to 16 packets aggregated per frame, each with its own CRC,
-//! bitmap ACKs, partial retransmission of only the corrupted subframes
-//! (topped up with fresh packets, zero waiting time), and a receiver-side
-//! reorder buffer so partial loss does not re-order the flow.
-//!
-//! The state machine is passive — see the crate docs for the driving
-//! contract.
+//! Contention, aggregation and partial retransmission are the shared
+//! [`crate::csma`] sender; `max_aggregation = 1` makes it the classic DCF
+//! of the "D" (predetermined route) and "S" (direct/SPR) baselines, 16 the
+//! AFR scheme of reference \[19\] ("A" in the figures). What this module
+//! adds is per-hop unicast: a station accepts only frames addressed to it,
+//! answers each with a SIFS-spaced bitmap ACK, delivers through a reorder
+//! buffer so partial loss does not re-order the flow, and expects its own
+//! ACK within one `ack_timeout`.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use wmn_phy::PhyParams;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
 use crate::backoff::Backoff;
+use crate::csma::{AggSender, Csma, DataState};
 use crate::frame::{
-    AckFrame, AckList, DataFrame, Frame, LinkDst, NodeList, Packet, RouteInfo, RxFrame, Subframe,
+    AckFrame, AckList, DataFrame, Frame, LinkDst, NodeList, Packet, RouteInfo, RxFrame,
     ACK_BITMAP_BYTES, ACK_BYTES,
 };
-use crate::pool::{FramePool, Slot, SlotPool};
 use crate::queue::IfQueue;
 use crate::reorder::{AcceptOutcome, ReorderBuffer};
 use crate::sink::ActionSink;
-use crate::{DropReason, MacAction, MacEntity, MacStats, RateClass, TimerToken};
+use crate::{MacAction, MacEntity, MacStats, TimerToken};
 
 /// Configuration of a [`DcfMac`], derived from the scenario's PHY parameters.
 #[derive(Clone, Debug)]
@@ -91,73 +87,21 @@ pub(crate) fn frame_payload_budget(params: &PhyParams) -> u32 {
     (params.data_rate.as_mbps() * 6_000.0 / 8.0) as u32
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum DataState {
-    /// No transmission in flight; the backoff countdown may be pending.
-    Idle,
-    /// Our data frame is on the air.
-    Transmitting,
-    /// Waiting for the MAC ACK of the frame we just sent.
-    WaitAck,
-}
-
-#[derive(Debug)]
-struct Inflight {
-    /// The (seq, packet) pairs awaiting acknowledgement, in a recycled
-    /// slot so starting a new frame never allocates at steady state.
-    subframes: Slot<(u32, Packet)>,
-    route: RouteInfo,
-    next_hop: NodeId,
-    flow: FlowId,
-    retries: u8,
-    frame_seq: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum TimerRole {
-    BackoffDone,
-    AckTimeout,
-    SendAck,
-}
-
 /// The DCF/AFR MAC state machine for one station.
 pub struct DcfMac {
     cfg: DcfConfig,
-    node: NodeId,
-    q: IfQueue,
-    inflight: Option<Inflight>,
-    data_state: DataState,
-    ack_tx_in_progress: bool,
-    pending_ack: Option<AckFrame>,
-    channel_busy: bool,
-    idle_since: SimTime,
-    backoff: Backoff,
-    armed_backoff: Option<TimerToken>,
-    countdown_anchor: SimTime,
-    armed_ack_timeout: Option<TimerToken>,
-    armed_send_ack: Option<TimerToken>,
-    /// Live timer tokens and what they mean. A handful are outstanding at
-    /// any instant, so a linear-scan `Vec` beats a node-allocating map —
-    /// and its capacity is retained, keeping timer churn off the allocator.
-    timer_roles: Vec<(u64, TimerRole)>,
-    next_token: u64,
-    seq_counters: BTreeMap<(FlowId, NodeId), u32>,
-    frame_seq_counter: u64,
+    /// The shared 802.11 sender; DCF adds no timers of its own.
+    tx: AggSender<Infallible>,
     rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
-    /// Recycled buffers for [`Inflight::subframes`].
-    inflight_slots: SlotPool<(u32, Packet)>,
-    pool: FramePool,
-    rng: StreamRng,
-    stats: MacStats,
 }
 
 impl std::fmt::Debug for DcfMac {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DcfMac")
-            .field("node", &self.node)
-            .field("state", &self.data_state)
-            .field("queued", &self.q.len())
-            .field("inflight", &self.inflight.is_some())
+            .field("node", &self.tx.node())
+            .field("state", &self.tx.csma.state())
+            .field("queued", &self.tx.csma.q.len())
+            .field("inflight", &self.tx.inflight().is_some())
             .finish()
     }
 }
@@ -165,199 +109,33 @@ impl std::fmt::Debug for DcfMac {
 impl DcfMac {
     /// Creates the MAC for `node` with its own backoff RNG stream.
     pub fn new(cfg: DcfConfig, node: NodeId, rng: StreamRng) -> Self {
-        let ifq_capacity = cfg.ifq_capacity;
-        let (cw_min, cw_max) = (cfg.cw_min, cfg.cw_max);
-        DcfMac {
-            cfg,
-            node,
-            q: IfQueue::new(ifq_capacity),
-            inflight: None,
-            data_state: DataState::Idle,
-            ack_tx_in_progress: false,
-            pending_ack: None,
-            channel_busy: false,
-            idle_since: SimTime::ZERO,
-            backoff: Backoff::new(cw_min, cw_max),
-            armed_backoff: None,
-            countdown_anchor: SimTime::ZERO,
-            armed_ack_timeout: None,
-            armed_send_ack: None,
-            timer_roles: Vec::new(),
-            next_token: 0,
-            seq_counters: BTreeMap::new(),
-            frame_seq_counter: 0,
-            rq: BTreeMap::new(),
-            inflight_slots: SlotPool::new(),
-            pool: FramePool::default(),
+        let csma = Csma::new(
+            cfg.difs,
+            cfg.slot,
+            Backoff::new(cfg.cw_min, cfg.cw_max),
+            cfg.retry_limit,
+            IfQueue::new(cfg.ifq_capacity),
             rng,
-            stats: MacStats::default(),
-        }
+        );
+        let tx = AggSender::new(node, csma, cfg.max_aggregation, cfg.max_frame_payload_bytes);
+        DcfMac { cfg, tx, rq: BTreeMap::new() }
     }
 
     /// The station this MAC belongs to.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.tx.node()
     }
 
     /// Packets currently waiting in the interface queue.
     pub fn queue_len(&self) -> usize {
-        self.q.len()
+        self.tx.csma.q.len()
     }
 
-    fn mint(&mut self, role: TimerRole) -> TimerToken {
-        let token = TimerToken(self.next_token);
-        self.next_token += 1;
-        self.timer_roles.push((token.0, role));
-        token
-    }
-
-    /// Removes and returns the role of a live token (`None` = cancelled or
-    /// superseded).
-    fn take_role(&mut self, token: TimerToken) -> Option<TimerRole> {
-        let idx = self.timer_roles.iter().position(|(t, _)| *t == token.0)?;
-        Some(self.timer_roles.swap_remove(idx).1)
-    }
-
-    fn next_seq(&mut self, flow: FlowId, src: NodeId) -> u32 {
-        let c = self.seq_counters.entry((flow, src)).or_insert(0);
-        let seq = *c;
-        *c += 1;
-        seq
-    }
-
-    fn radio_free(&self) -> bool {
-        self.data_state != DataState::Transmitting && !self.ack_tx_in_progress
-    }
-
-    fn has_work(&self) -> bool {
-        self.inflight.is_some() || !self.q.is_empty()
-    }
-
-    /// Attempts to move the data pipeline forward: transmit immediately if
-    /// the channel has been idle past DIFS with no pending backoff,
-    /// otherwise (re)arm the backoff countdown.
-    fn try_progress(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.data_state != DataState::Idle || !self.radio_free() || !self.has_work() {
-            return;
+    fn handle_data_frame(&mut self, d: &DataFrame, out: &mut ActionSink) {
+        if d.link_dst != LinkDst::Unicast(self.tx.node()) {
+            return; // overheard or opportunistic: plain DCF ignores it
         }
-        if self.channel_busy {
-            return; // on_idle will call us again
-        }
-        let idle_for = now.saturating_since(self.idle_since);
-        if self.backoff.remaining().is_none() && idle_for >= self.cfg.difs {
-            self.transmit_data(now, out);
-            return;
-        }
-        self.arm_backoff(now, out);
-    }
-
-    fn arm_backoff(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.armed_backoff.is_some() || self.channel_busy {
-            return;
-        }
-        let remaining = self.backoff.ensure_drawn(&mut self.rng);
-        let start = {
-            let boundary = self.idle_since + self.cfg.difs;
-            if boundary > now {
-                boundary
-            } else {
-                now
-            }
-        };
-        self.countdown_anchor = start;
-        let fire_at = start + self.cfg.slot * u64::from(remaining);
-        let token = self.mint(TimerRole::BackoffDone);
-        self.armed_backoff = Some(token);
-        out.push(MacAction::SetTimer { delay: fire_at.saturating_since(now), token });
-    }
-
-    fn disarm_backoff(&mut self, now: SimTime) {
-        if let Some(token) = self.armed_backoff.take() {
-            self.take_role(token);
-            let idle = now.saturating_since(self.countdown_anchor);
-            self.backoff.consume_idle(idle, self.cfg.slot);
-        }
-    }
-
-    fn transmit_data(&mut self, _now: SimTime, out: &mut ActionSink) {
-        self.backoff.clear();
-        if self.inflight.is_none() {
-            let mut batch = self.q.pop_batch_matching_head(
-                self.cfg.max_aggregation,
-                self.cfg.max_frame_payload_bytes,
-            );
-            if batch.is_empty() {
-                return;
-            }
-            let route = batch[0].route.clone();
-            let RouteInfo::NextHop(next_hop) = route else {
-                panic!("DCF requires predetermined next-hop routes");
-            };
-            let flow = batch[0].packet.header.flow;
-            let mut subframes = self.inflight_slots.mint();
-            for qp in batch.drain(..) {
-                let seq = self.next_seq(qp.packet.header.flow, qp.packet.header.src);
-                subframes.push((seq, qp.packet));
-            }
-            drop(batch);
-            self.frame_seq_counter += 1;
-            self.inflight = Some(Inflight {
-                subframes,
-                route: RouteInfo::NextHop(next_hop),
-                next_hop,
-                flow,
-                retries: 0,
-                frame_seq: self.frame_seq_counter,
-            });
-        } else {
-            // Partial retransmission: top up with fresh packets for the same
-            // link destination (AFR's zero-waiting aggregation).
-            let inflight = self.inflight.as_mut().expect("checked above");
-            let space = self.cfg.max_aggregation - inflight.subframes.len();
-            if space > 0 {
-                let route = inflight.route.clone();
-                let spent: u32 = inflight.subframes.iter().map(|(_, p)| p.header.wire_bytes).sum();
-                let byte_budget = self.cfg.max_frame_payload_bytes.saturating_sub(spent).max(1);
-                let mut extra = self.q.pop_matching(&route, space, byte_budget);
-                for qp in extra.drain(..) {
-                    let seq = self.next_seq(qp.packet.header.flow, qp.packet.header.src);
-                    self.inflight.as_mut().unwrap().subframes.push((seq, qp.packet));
-                }
-            }
-            self.frame_seq_counter += 1;
-            self.inflight.as_mut().unwrap().frame_seq = self.frame_seq_counter;
-        }
-
-        // The subframe vector comes from this MAC's pool and the packet
-        // clones share their bodies by reference, so building a
-        // (re)transmission attempt allocates nothing at steady state.
-        let mut subframes = self.pool.mint_subframes();
-        let inflight = self.inflight.as_ref().expect("just set");
-        for (seq, p) in &inflight.subframes {
-            subframes.push(Subframe { seq: *seq, packet: p.clone(), corrupted: false });
-        }
-        let first = &inflight.subframes[0].1.header;
-        let frame = DataFrame {
-            transmitter: self.node,
-            link_dst: LinkDst::Unicast(inflight.next_hop),
-            flow: inflight.flow,
-            src: first.src,
-            dst: first.dst,
-            frame_seq: inflight.frame_seq,
-            subframes,
-            retry: inflight.retries,
-        };
-        self.data_state = DataState::Transmitting;
-        self.stats.data_frames_sent += 1;
-        out.push(MacAction::StartTx { frame: Frame::Data(frame), rate: RateClass::Data });
-    }
-
-    fn handle_data_frame(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
-        match &d.link_dst {
-            LinkDst::Unicast(to) if *to == self.node => {}
-            _ => return, // overheard or opportunistic: plain DCF ignores it
-        }
-        self.stats.data_frames_received += 1;
+        self.tx.csma.stats.data_frames_received += 1;
         let acked_seqs: AckList = d
             .subframes
             .iter()
@@ -374,188 +152,64 @@ impl DcfMac {
             let (outcome, mut released) = rq.accept(sf.seq, sf.packet.clone());
             if outcome == AcceptOutcome::Accepted || outcome == AcceptOutcome::Duplicate {
                 for p in released.drain(..) {
-                    self.stats.delivered_up += 1;
+                    self.tx.csma.stats.delivered_up += 1;
                     out.push(MacAction::Deliver { packet: p });
                 }
             }
         }
         // Schedule the MAC ACK one SIFS after the frame ended (now).
         let ack = AckFrame {
-            transmitter: self.node,
+            transmitter: self.tx.node(),
             to: d.transmitter,
             flow: d.flow,
             frame_seq: d.frame_seq,
             acked_seqs,
             relay_list: NodeList::new(),
         };
-        self.pending_ack = Some(ack);
-        let token = self.mint(TimerRole::SendAck);
-        self.armed_send_ack = Some(token);
-        out.push(MacAction::SetTimer { delay: self.cfg.sifs, token });
-        let _ = now;
-    }
-
-    fn handle_ack_frame(&mut self, a: &AckFrame, now: SimTime, out: &mut ActionSink) {
-        if a.to != self.node || self.data_state != DataState::WaitAck {
-            return;
-        }
-        let Some(inflight) = self.inflight.as_mut() else { return };
-        if a.frame_seq != inflight.frame_seq {
-            return;
-        }
-        self.stats.acks_received += 1;
-        if let Some(token) = self.armed_ack_timeout.take() {
-            // Field access, not `take_role`: `inflight` still borrows self.
-            if let Some(idx) = self.timer_roles.iter().position(|(t, _)| *t == token.0) {
-                self.timer_roles.swap_remove(idx);
-            }
-        }
-        let before = inflight.subframes.len();
-        inflight.subframes.retain(|(seq, p)| !a.acked_seqs.contains(&(p.header.flow, *seq)));
-        let progressed = inflight.subframes.len() < before;
-        self.data_state = DataState::Idle;
-        // An ACK means the channel worked: reset the contention window. Any
-        // remaining subframes were lost to bit errors and will be
-        // retransmitted (partial retransmission).
-        self.backoff.on_success();
-        if self.inflight.as_ref().map(|i| i.subframes.is_empty()).unwrap_or(false) {
-            self.inflight = None;
-        } else if let Some(inflight) = self.inflight.as_mut() {
-            // Fragment-retransmission semantics: progress resets the retry
-            // budget (the channel works; only individual subframes were
-            // lost). Only a completely fruitless ACK consumes a retry.
-            if progressed {
-                inflight.retries = 0;
-            } else {
-                inflight.retries += 1;
-            }
-            if inflight.retries > self.cfg.retry_limit {
-                let mut dead = self.inflight.take().expect("present");
-                for (_, packet) in dead.subframes.drain(..) {
-                    self.stats.drops_retry_limit += 1;
-                    out.push(MacAction::Drop { packet, reason: DropReason::RetryLimit });
-                }
-            }
-        }
-        // Post-transmission backoff before the next frame.
-        self.backoff.draw(&mut self.rng);
-        self.try_progress(now, out);
-    }
-
-    fn handle_ack_timeout(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.armed_ack_timeout = None;
-        if self.data_state != DataState::WaitAck {
-            return;
-        }
-        self.stats.timeouts += 1;
-        self.data_state = DataState::Idle;
-        self.backoff.on_failure();
-        let drop_all = {
-            let inflight = self.inflight.as_mut().expect("timeout without inflight frame");
-            inflight.retries += 1;
-            inflight.retries > self.cfg.retry_limit
-        };
-        if drop_all {
-            let mut dead = self.inflight.take().expect("present");
-            for (_, packet) in dead.subframes.drain(..) {
-                self.stats.drops_retry_limit += 1;
-                out.push(MacAction::Drop { packet, reason: DropReason::RetryLimit });
-            }
-            self.backoff.on_success(); // window resets after abandoning a frame
-        }
-        self.backoff.draw(&mut self.rng);
-        self.try_progress(now, out);
-    }
-
-    fn handle_send_ack(&mut self, _now: SimTime, out: &mut ActionSink) {
-        self.armed_send_ack = None;
-        let Some(ack) = self.pending_ack.take() else { return };
-        if !self.radio_free() {
-            // Radio occupied at SIFS boundary (pathological); the ACK is lost
-            // and the sender will time out.
-            return;
-        }
-        self.ack_tx_in_progress = true;
-        self.stats.ack_frames_sent += 1;
-        out.push(MacAction::StartTx { frame: Frame::Ack(ack), rate: RateClass::Basic });
+        self.tx.schedule_ack(ack, self.cfg.sifs, out);
     }
 }
 
 impl MacEntity for DcfMac {
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink) {
-        if let Some(rejected) = self.q.push(packet, route) {
-            self.stats.drops_queue_full += 1;
-            out.push(MacAction::Drop { packet: rejected, reason: DropReason::QueueFull });
-            return;
+        assert!(matches!(route, RouteInfo::NextHop(_)), "DCF requires next-hop routes");
+        if self.tx.csma.on_enqueue(packet, route, out) {
+            self.tx.try_progress(now, out);
         }
-        self.try_progress(now, out);
     }
 
     fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.channel_busy = true;
-        self.disarm_backoff(now);
+        self.tx.csma.on_busy(now);
     }
 
     fn on_idle(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.channel_busy = false;
-        self.idle_since = now;
-        if self.data_state == DataState::Idle && self.radio_free() && self.has_work() {
-            self.arm_backoff(now, out);
-        }
+        self.tx.on_idle(now, out);
     }
 
     fn on_frame_rx(&mut self, frame: RxFrame, now: SimTime, out: &mut ActionSink) {
         match &*frame {
-            Frame::Data(d) => self.handle_data_frame(d, now, out),
-            Frame::Ack(a) => self.handle_ack_frame(a, now, out),
+            Frame::Data(d) => self.handle_data_frame(d, out),
+            // Only the addressed sender, while it waits, takes the ACK.
+            Frame::Ack(a) => {
+                if a.to == self.tx.node() && self.tx.csma.state() == DataState::WaitAck {
+                    self.tx.apply_ack(a, now, out);
+                }
+            }
         }
     }
 
     fn on_tx_end(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.ack_tx_in_progress {
-            self.ack_tx_in_progress = false;
-            self.try_progress(now, out);
-        } else if self.data_state == DataState::Transmitting {
-            self.data_state = DataState::WaitAck;
-            let token = self.mint(TimerRole::AckTimeout);
-            self.armed_ack_timeout = Some(token);
-            out.push(MacAction::SetTimer { delay: self.cfg.ack_timeout, token });
+        if self.tx.on_tx_end(now, out) {
+            self.tx.csma.arm_timeout(self.cfg.ack_timeout, out);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
-        let Some(role) = self.take_role(token) else {
-            return; // cancelled or superseded
-        };
-        match role {
-            TimerRole::BackoffDone => {
-                if self.armed_backoff == Some(token) {
-                    self.armed_backoff = None;
-                    if !self.channel_busy
-                        && self.radio_free()
-                        && self.data_state == DataState::Idle
-                        && self.has_work()
-                    {
-                        self.backoff.clear();
-                        self.transmit_data(now, out);
-                    }
-                }
-            }
-            TimerRole::AckTimeout => {
-                if self.armed_ack_timeout == Some(token) {
-                    self.handle_ack_timeout(now, out);
-                }
-            }
-            TimerRole::SendAck => {
-                if self.armed_send_ack == Some(token) {
-                    self.handle_send_ack(now, out);
-                }
-            }
-        }
+        let _: Option<Infallible> = self.tx.on_timer(token, now, out);
     }
 
     fn stats(&self) -> MacStats {
-        self.stats
+        self.tx.csma.stats
     }
 }
 
@@ -588,8 +242,8 @@ impl crate::MacScheme for DcfScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{NetHeader, Proto};
-    use crate::MacEntityExt;
+    use crate::frame::{NetHeader, Proto, Subframe};
+    use crate::{DropReason, MacEntityExt};
 
     fn cfg(max_agg: usize) -> DcfConfig {
         DcfConfig::from_phy(&PhyParams::paper_216(), max_agg)
@@ -670,10 +324,10 @@ mod tests {
         m.on_idle_vec(t(10));
         let actions = m.on_enqueue_vec(packet(0, 0, 3), RouteInfo::NextHop(NodeId::new(1)), t(11));
         let (_, token1) = find_timer(&actions).expect("armed");
-        let before = m.backoff.remaining().unwrap();
+        let before = m.tx.csma.backoff.remaining().unwrap();
         // Channel turns busy mid-countdown: timer token1 becomes stale.
         m.on_busy_vec(t(60));
-        let after = m.backoff.remaining().unwrap();
+        let after = m.tx.csma.backoff.remaining().unwrap();
         assert!(after <= before, "some slots may have been consumed");
         // Stale timer fire is ignored.
         let actions = m.on_timer_vec(token1, t(70));
@@ -725,7 +379,7 @@ mod tests {
             relay_list: NodeList::new(),
         };
         sender.on_frame_rx_vec(Frame::Ack(ack).into(), t(180));
-        assert!(sender.inflight.is_none(), "frame acknowledged");
+        assert!(sender.tx.inflight().is_none(), "frame acknowledged");
         assert_eq!(sender.stats().acks_received, 1);
     }
 
@@ -780,7 +434,7 @@ mod tests {
                 flow: FlowId::new(0),
                 src: NodeId::new(0),
                 dst: NodeId::new(1),
-                frame_seq: m.inflight.as_ref().unwrap().frame_seq,
+                frame_seq: m.tx.inflight().unwrap().frame_seq,
                 subframes: vec![].into(),
                 retry: 0,
             })
@@ -816,7 +470,7 @@ mod tests {
         }
         // The first enqueue transmitted a 1-subframe frame (queue was empty).
         m.on_tx_end_vec(t(150));
-        let fs = m.inflight.as_ref().unwrap().frame_seq;
+        let fs = m.tx.inflight().unwrap().frame_seq;
         let ack = AckFrame {
             transmitter: NodeId::new(1),
             to: NodeId::new(0),

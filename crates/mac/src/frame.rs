@@ -120,6 +120,14 @@ impl RouteInfo {
             RouteInfo::Opportunistic { list } => list.iter().position(|&n| n == node),
         }
     }
+
+    /// The link-layer addressing of a frame sent along this route.
+    pub fn link_dst(&self) -> LinkDst {
+        match self {
+            RouteInfo::NextHop(next_hop) => LinkDst::Unicast(*next_hop),
+            RouteInfo::Opportunistic { list } => LinkDst::Opportunistic { list: list.clone() },
+        }
+    }
 }
 
 /// One aggregated packet inside a data frame, with its channel fate.

@@ -1,5 +1,6 @@
-//! 802.11 MAC substrate: frame formats, the DCF/AFR state machines, queues,
-//! and the analytic signaling-overhead model from Section II of the paper.
+//! 802.11 MAC substrate: frame formats, the shared CSMA sender, the DCF/AFR
+//! state machines, queues, and the analytic signaling-overhead model from
+//! Section II of the paper.
 //!
 //! Every MAC in this workspace (plain DCF, AFR, preExOR, MCExOR and RIPPLE
 //! itself) is written as a *passive state machine*: the simulation runner
@@ -18,9 +19,13 @@
 //! * [`reorder`] — the receiving-side in-order delivery buffer (the paper's
 //!   `Rq`), shared by AFR receivers and RIPPLE destinations;
 //! * [`backoff`] — the 802.11 contention-window engine;
-//! * [`dcf`] — the DCF MAC; with `max_aggregation > 1` it becomes AFR
-//!   (802.11n-like aggregation with partial retransmission), the paper's
-//!   strongest conventional baseline;
+//! * [`csma`] — the sender every MAC is built on, held once: [`Csma`]
+//!   (contention, timers, retry budget — used by DCF/AFR, RIPPLE and
+//!   preExOR/MCExOR alike) and [`AggSender`] (aggregation with partial
+//!   retransmission and the ACK responder — used by DCF/AFR and RIPPLE);
+//! * [`dcf`] — the DCF MAC: per-hop unicast on top of [`AggSender`]; with
+//!   `max_aggregation > 1` it becomes AFR (802.11n-like aggregation), the
+//!   paper's strongest conventional baseline;
 //! * [`overhead`] — Section II's closed-form per-packet delivery-time model
 //!   (the Fig. 2 timeline), with the paper's worked 3-hop example as tests;
 //! * [`scheme`] — the [`MacScheme`] factory trait the simulation runner
@@ -28,6 +33,7 @@
 //!   `wmn_routing` for the ExOR variants, and in `ripple` for RIPPLE).
 
 pub mod backoff;
+pub mod csma;
 pub mod dcf;
 pub mod frame;
 pub mod overhead;
@@ -39,6 +45,7 @@ pub mod sink;
 pub mod smalllist;
 
 pub use backoff::Backoff;
+pub use csma::{AggRole, AggSender, Csma, DataState, Fired, Inflight, OwnTx};
 pub use dcf::{DcfConfig, DcfMac, DcfScheme};
 pub use frame::{
     AckFrame, AckList, DataFrame, Frame, LinkDst, NetHeader, NodeList, Packet, Proto, RouteInfo,

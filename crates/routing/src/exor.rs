@@ -17,22 +17,20 @@
 //! re-orders 26–28 % of TCP packets in the paper's measurement and
 //! motivates RIPPLE's mTXOP design.
 //!
-//! Retransmission is per-hop: the transmitter retries (CW doubling) until
-//! it hears any ACK for the frame or exhausts the retry limit.
+//! Contention and per-hop retransmission (until any ACK for the frame is
+//! heard or the retry limit is spent) are the shared [`wmn_mac::csma::Csma`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use wmn_mac::frame::{
-    AckFrame, DataFrame, Frame, LinkDst, NodeList, Packet, RouteInfo, RxFrame, Subframe,
+    AckFrame, DataFrame, Frame, LinkDst, NodeList, Packet, RouteInfo, RxFrame, Subframe, ACK_BYTES,
 };
 use wmn_mac::{
-    ActionSink, Backoff, DropReason, FramePool, IfQueue, MacAction, MacEntity, MacStats, RateClass,
-    TimerToken,
+    ActionSink, Backoff, Csma, DataState, Fired, FramePool, IfQueue, MacAction, MacEntity,
+    MacStats, OwnTx, TimerToken,
 };
 use wmn_phy::PhyParams;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
-
-use wmn_mac::frame::ACK_BYTES;
 
 /// Which acknowledgement discipline the MAC runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,27 +81,19 @@ impl ExorConfig {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum DataState {
-    Idle,
-    Transmitting,
-    WaitAck,
-}
-
-#[derive(Debug)]
-struct Inflight {
-    seq: u32,
-    packet: Packet,
-    list: NodeList,
-    retries: u8,
-    frame_seq: u64,
-}
-
+/// A sequenced packet and the priority list it travels with.
 #[derive(Debug)]
 struct QItem {
     seq: u32,
     packet: Packet,
     list: NodeList,
+}
+
+/// The single packet in flight and the identity of its latest attempt.
+#[derive(Debug)]
+struct Inflight {
+    item: QItem,
+    frame_seq: u64,
 }
 
 #[derive(Debug)]
@@ -120,18 +110,13 @@ struct Pending {
     fresh: bool,
 }
 
+/// ExOR's own timers; `key` indexes `pending`.
 #[derive(Debug)]
-enum Role {
-    BackoffDone,
-    AckTimeout,
-    /// Fire the ACK for a pending reception; `key` indexes `pending`.
-    SendAck {
-        key: (NodeId, u64),
-    },
+enum ExorRole {
+    /// Fire the ACK for a pending reception.
+    SendAck { key: (NodeId, u64) },
     /// preExOR end-of-window relay decision.
-    RelayDecision {
-        key: (NodeId, u64),
-    },
+    RelayDecision { key: (NodeId, u64) },
 }
 
 /// The preExOR / MCExOR MAC state machine for one station.
@@ -139,26 +124,12 @@ pub struct ExorMac {
     mode: ExorMode,
     cfg: ExorConfig,
     node: NodeId,
-    q: IfQueue,
-    relay_q: Vec<QItem>,
+    csma: Csma<ExorRole>,
+    relay_q: VecDeque<QItem>,
     inflight: Option<Inflight>,
-    data_state: DataState,
-    ack_tx_in_progress: bool,
-    channel_busy: bool,
-    idle_since: SimTime,
-    backoff: Backoff,
-    armed_backoff: Option<TimerToken>,
-    countdown_anchor: SimTime,
-    armed_ack_timeout: Option<TimerToken>,
-    timer_roles: BTreeMap<u64, Role>,
-    next_token: u64,
     pending: BTreeMap<(NodeId, u64), Pending>,
     seen: BTreeMap<(FlowId, NodeId), BTreeSet<u32>>,
-    seq_counters: BTreeMap<(FlowId, NodeId), u32>,
-    frame_seq_counter: u64,
     pool: FramePool,
-    rng: StreamRng,
-    stats: MacStats,
 }
 
 impl std::fmt::Debug for ExorMac {
@@ -166,7 +137,7 @@ impl std::fmt::Debug for ExorMac {
         f.debug_struct("ExorMac")
             .field("mode", &self.mode)
             .field("node", &self.node)
-            .field("state", &self.data_state)
+            .field("state", &self.csma.state())
             .finish()
     }
 }
@@ -174,31 +145,24 @@ impl std::fmt::Debug for ExorMac {
 impl ExorMac {
     /// Creates the MAC for `node` in the given acknowledgement mode.
     pub fn new(mode: ExorMode, cfg: ExorConfig, node: NodeId, rng: StreamRng) -> Self {
-        let (cw_min, cw_max, ifq) = (cfg.cw_min, cfg.cw_max, cfg.ifq_capacity);
+        let csma = Csma::new(
+            cfg.difs,
+            cfg.slot,
+            Backoff::new(cfg.cw_min, cfg.cw_max),
+            cfg.retry_limit,
+            IfQueue::new(cfg.ifq_capacity),
+            rng,
+        );
         ExorMac {
             mode,
             cfg,
             node,
-            q: IfQueue::new(ifq),
-            relay_q: Vec::new(),
+            csma,
+            relay_q: VecDeque::new(),
             inflight: None,
-            data_state: DataState::Idle,
-            ack_tx_in_progress: false,
-            channel_busy: false,
-            idle_since: SimTime::ZERO,
-            backoff: Backoff::new(cw_min, cw_max),
-            armed_backoff: None,
-            countdown_anchor: SimTime::ZERO,
-            armed_ack_timeout: None,
-            timer_roles: BTreeMap::new(),
-            next_token: 0,
             pending: BTreeMap::new(),
             seen: BTreeMap::new(),
-            seq_counters: BTreeMap::new(),
-            frame_seq_counter: 0,
             pool: FramePool::default(),
-            rng,
-            stats: MacStats::default(),
         }
     }
 
@@ -207,26 +171,9 @@ impl ExorMac {
         self.mode
     }
 
-    fn mint(&mut self, role: Role) -> TimerToken {
-        let token = TimerToken(self.next_token);
-        self.next_token += 1;
-        self.timer_roles.insert(token.0, role);
-        token
-    }
-
-    fn next_seq(&mut self, flow: FlowId, src: NodeId) -> u32 {
-        let c = self.seq_counters.entry((flow, src)).or_insert(0);
-        let seq = *c;
-        *c += 1;
-        seq
-    }
-
-    fn radio_free(&self) -> bool {
-        self.data_state != DataState::Transmitting && !self.ack_tx_in_progress
-    }
-
-    fn has_work(&self) -> bool {
-        self.inflight.is_some() || !self.q.is_empty() || !self.relay_q.is_empty()
+    /// Whether a packet is held outside the interface queue.
+    fn holding(&self) -> bool {
+        self.inflight.is_some() || !self.relay_q.is_empty()
     }
 
     /// The ACK wait of list rank `i` after the data frame ends.
@@ -240,98 +187,55 @@ impl ExorMac {
     /// Sender-side ACK window for a list of `m` members (timeout measured
     /// from the end of the data transmission).
     fn ack_window(&self, m: usize) -> SimDuration {
-        let last = match self.mode {
-            ExorMode::PreExor => self.ack_offset(m.saturating_sub(1)) + self.cfg.t_ack,
-            ExorMode::McExor => self.ack_offset(m.saturating_sub(1)) + self.cfg.t_ack,
-        };
-        last + self.cfg.timeout_margin
+        self.ack_offset(m.saturating_sub(1)) + self.cfg.t_ack + self.cfg.timeout_margin
     }
 
     fn try_progress(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.data_state != DataState::Idle || !self.radio_free() || !self.has_work() {
-            return;
-        }
-        if self.channel_busy {
-            return;
-        }
-        let idle_for = now.saturating_since(self.idle_since);
-        if self.backoff.remaining().is_none() && idle_for >= self.cfg.difs {
+        if self.csma.try_progress(now, self.holding(), out) {
             self.transmit_data(out);
-            return;
-        }
-        self.arm_backoff(now, out);
-    }
-
-    fn arm_backoff(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.armed_backoff.is_some() || self.channel_busy {
-            return;
-        }
-        let remaining = self.backoff.ensure_drawn(&mut self.rng);
-        let boundary = self.idle_since + self.cfg.difs;
-        let start = if boundary > now { boundary } else { now };
-        self.countdown_anchor = start;
-        let fire_at = start + self.cfg.slot * u64::from(remaining);
-        let token = self.mint(Role::BackoffDone);
-        self.armed_backoff = Some(token);
-        out.push(MacAction::SetTimer { delay: fire_at.saturating_since(now), token });
-    }
-
-    fn disarm_backoff(&mut self, now: SimTime) {
-        if let Some(token) = self.armed_backoff.take() {
-            self.timer_roles.remove(&token.0);
-            let idle = now.saturating_since(self.countdown_anchor);
-            self.backoff.consume_idle(idle, self.cfg.slot);
         }
     }
 
-    fn next_outgoing(&mut self) -> Option<(u32, Packet, NodeList)> {
+    fn next_outgoing(&mut self) -> Option<QItem> {
         // Relays first: they carry packets already mid-path.
-        if !self.relay_q.is_empty() {
-            let item = self.relay_q.remove(0);
-            return Some((item.seq, item.packet, item.list));
+        if let Some(item) = self.relay_q.pop_front() {
+            return Some(item);
         }
-        let qp = self.q.pop()?;
+        let qp = self.csma.q.pop()?;
         let RouteInfo::Opportunistic { list } = qp.route else {
             panic!("ExOR-family MACs require opportunistic routes");
         };
-        let seq = self.next_seq(qp.packet.header.flow, qp.packet.header.src);
-        Some((seq, qp.packet, list))
+        let seq = self.csma.next_seq(qp.packet.header.flow, qp.packet.header.src);
+        Some(QItem { seq, packet: qp.packet, list })
     }
 
     fn transmit_data(&mut self, out: &mut ActionSink) {
-        self.backoff.clear();
         if self.inflight.is_none() {
-            let Some((seq, packet, list)) = self.next_outgoing() else { return };
-            self.inflight = Some(Inflight { seq, packet, list, retries: 0, frame_seq: 0 });
+            let Some(item) = self.next_outgoing() else { return };
+            self.inflight = Some(Inflight { item, frame_seq: 0 });
         }
-        self.frame_seq_counter += 1;
-        let fs = self.frame_seq_counter;
+        let fs = self.csma.next_frame_seq();
         // Pooled subframe vector + by-reference packet body: each
         // (re)transmission attempt is allocation-free at steady state.
         let mut subframes = self.pool.mint_subframes();
         let inflight = self.inflight.as_mut().expect("just set");
         inflight.frame_seq = fs;
-        subframes.push(Subframe {
-            seq: inflight.seq,
-            packet: inflight.packet.clone(),
-            corrupted: false,
-        });
+        let QItem { seq, packet, list } = &inflight.item;
+        subframes.push(Subframe { seq: *seq, packet: packet.clone(), corrupted: false });
         let frame = DataFrame {
             transmitter: self.node,
-            link_dst: LinkDst::Opportunistic { list: inflight.list.clone() },
-            flow: inflight.packet.header.flow,
-            src: inflight.packet.header.src,
-            dst: inflight.packet.header.dst,
+            link_dst: LinkDst::Opportunistic { list: list.clone() },
+            flow: packet.header.flow,
+            src: packet.header.src,
+            dst: packet.header.dst,
             frame_seq: fs,
             subframes,
-            retry: inflight.retries,
+            retry: self.csma.retries(),
         };
-        self.data_state = DataState::Transmitting;
-        self.stats.data_frames_sent += 1;
-        out.push(MacAction::StartTx { frame: Frame::Data(frame), rate: RateClass::Data });
+        self.csma.start_data_tx(frame, out);
     }
 
-    fn handle_data_frame(&mut self, d: &DataFrame, _now: SimTime, out: &mut ActionSink) {
+    fn handle_data_frame(&mut self, d: &DataFrame, out: &mut ActionSink) {
         let LinkDst::Opportunistic { list } = &d.link_dst else {
             return; // unicast frames belong to other MACs
         };
@@ -342,7 +246,7 @@ impl ExorMac {
         if sf.corrupted {
             return; // payload CRC failed; nothing to acknowledge
         }
-        self.stats.data_frames_received += 1;
+        self.csma.stats.data_frames_received += 1;
         let key_flow = (sf.packet.header.flow, sf.packet.header.src);
         let fresh = self.seen.entry(key_flow).or_default().insert(sf.seq);
 
@@ -351,7 +255,7 @@ impl ExorMac {
             // buffer — preExOR/MCExOR deliver as received, which is the
             // behaviour the paper measures).
             if fresh {
-                self.stats.delivered_up += 1;
+                self.csma.stats.delivered_up += 1;
                 out.push(MacAction::Deliver { packet: sf.packet.clone() });
             }
         }
@@ -371,30 +275,23 @@ impl ExorMac {
                 fresh,
             },
         );
-        let token = self.mint(Role::SendAck { key });
+        let token = self.csma.mint(ExorRole::SendAck { key });
         out.push(MacAction::SetTimer { delay: self.ack_offset(my_rank), token });
         if self.mode == ExorMode::PreExor && my_rank > 0 {
-            let token = self.mint(Role::RelayDecision { key });
+            let token = self.csma.mint(ExorRole::RelayDecision { key });
             out.push(MacAction::SetTimer { delay: self.ack_window(list.len()), token });
         }
     }
 
     fn handle_ack_frame(&mut self, a: &AckFrame, now: SimTime, out: &mut ActionSink) {
-        // Sender side: does this acknowledge our inflight frame?
-        if a.to == self.node && self.data_state == DataState::WaitAck {
-            if let Some(inflight) = self.inflight.as_ref() {
-                if inflight.frame_seq == a.frame_seq {
-                    self.stats.acks_received += 1;
-                    if let Some(token) = self.armed_ack_timeout.take() {
-                        self.timer_roles.remove(&token.0);
-                    }
-                    self.inflight = None;
-                    self.data_state = DataState::Idle;
-                    self.backoff.on_success();
-                    self.backoff.draw(&mut self.rng);
-                    self.try_progress(now, out);
-                }
-            }
+        // Sender side: any ACK for our inflight frame completes the hop.
+        if a.to == self.node
+            && self.csma.state() == DataState::WaitAck
+            && self.inflight.as_ref().is_some_and(|i| i.frame_seq == a.frame_seq)
+        {
+            self.csma.attempt_acked(true);
+            self.inflight = None;
+            self.try_progress(now, out);
         }
         // Receiver side: a higher-priority member may have acknowledged a
         // frame we are still holding.
@@ -422,17 +319,13 @@ impl ExorMac {
             acked_seqs: [(p.flow, p.seq)].as_slice().into(),
             relay_list: NodeList::new(),
         };
-        if self.radio_free() {
-            self.ack_tx_in_progress = true;
-            self.stats.ack_frames_sent += 1;
-            out.push(MacAction::StartTx { frame: Frame::Ack(ack), rate: RateClass::Basic });
-        }
+        self.csma.send_ack(ack, out);
         // MCExOR: the acknowledging member is the relay; adopt immediately.
         if self.mode == ExorMode::McExor {
             let p = self.pending.remove(&key).expect("present");
             if p.my_rank > 0 && p.fresh {
                 let list = NodeList::from(&p.list[..p.my_rank]);
-                self.relay_q.push(QItem { seq: p.seq, packet: p.packet, list });
+                self.relay_q.push_back(QItem { seq: p.seq, packet: p.packet, list });
                 self.try_progress(now, out);
             }
         }
@@ -443,108 +336,65 @@ impl ExorMac {
         let Some(p) = self.pending.remove(&key) else { return };
         if p.my_rank > 0 && p.fresh && !p.heard_higher {
             let list = NodeList::from(&p.list[..p.my_rank]);
-            self.relay_q.push(QItem { seq: p.seq, packet: p.packet, list });
+            self.relay_q.push_back(QItem { seq: p.seq, packet: p.packet, list });
             self.try_progress(now, out);
         }
-    }
-
-    fn handle_ack_timeout(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.armed_ack_timeout = None;
-        if self.data_state != DataState::WaitAck {
-            return;
-        }
-        self.stats.timeouts += 1;
-        self.data_state = DataState::Idle;
-        self.backoff.on_failure();
-        let drop = {
-            let inflight = self.inflight.as_mut().expect("timeout without inflight");
-            inflight.retries += 1;
-            inflight.retries > self.cfg.retry_limit
-        };
-        if drop {
-            let dead = self.inflight.take().expect("present");
-            self.stats.drops_retry_limit += 1;
-            out.push(MacAction::Drop { packet: dead.packet, reason: DropReason::RetryLimit });
-            self.backoff.on_success();
-        }
-        self.backoff.draw(&mut self.rng);
-        self.try_progress(now, out);
     }
 }
 
 impl MacEntity for ExorMac {
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink) {
-        if let Some(rejected) = self.q.push(packet, route) {
-            self.stats.drops_queue_full += 1;
-            out.push(MacAction::Drop { packet: rejected, reason: DropReason::QueueFull });
-            return;
+        if self.csma.on_enqueue(packet, route, out) {
+            self.try_progress(now, out);
         }
-        self.try_progress(now, out);
     }
 
     fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.channel_busy = true;
-        self.disarm_backoff(now);
+        self.csma.on_busy(now);
     }
 
     fn on_idle(&mut self, now: SimTime, out: &mut ActionSink) {
-        self.channel_busy = false;
-        self.idle_since = now;
-        if self.data_state == DataState::Idle && self.radio_free() && self.has_work() {
-            self.arm_backoff(now, out);
-        }
+        self.csma.on_idle(now, self.holding(), out);
     }
 
     fn on_frame_rx(&mut self, frame: RxFrame, now: SimTime, out: &mut ActionSink) {
         match &*frame {
-            Frame::Data(d) => self.handle_data_frame(d, now, out),
+            Frame::Data(d) => self.handle_data_frame(d, out),
             Frame::Ack(a) => self.handle_ack_frame(a, now, out),
         }
     }
 
     fn on_tx_end(&mut self, now: SimTime, out: &mut ActionSink) {
-        if self.ack_tx_in_progress {
-            self.ack_tx_in_progress = false;
-            self.try_progress(now, out);
-        } else if self.data_state == DataState::Transmitting {
-            self.data_state = DataState::WaitAck;
-            let m = self.inflight.as_ref().map(|i| i.list.len()).unwrap_or(1);
-            let token = self.mint(Role::AckTimeout);
-            self.armed_ack_timeout = Some(token);
-            out.push(MacAction::SetTimer { delay: self.ack_window(m), token });
+        match self.csma.on_tx_end() {
+            Some(OwnTx::Ack) => self.try_progress(now, out),
+            Some(OwnTx::Data) => {
+                let m = self.inflight.as_ref().map(|i| i.item.list.len()).unwrap_or(1);
+                self.csma.arm_timeout(self.ack_window(m), out);
+            }
+            Some(OwnTx::Relay) | None => {}
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
-        let Some(role) = self.timer_roles.remove(&token.0) else {
-            return;
-        };
-        match role {
-            Role::BackoffDone => {
-                if self.armed_backoff == Some(token) {
-                    self.armed_backoff = None;
-                    if !self.channel_busy
-                        && self.radio_free()
-                        && self.data_state == DataState::Idle
-                        && self.has_work()
-                    {
-                        self.backoff.clear();
-                        self.transmit_data(out);
-                    }
+        match self.csma.on_timer(token, self.holding()) {
+            Some(Fired::Transmit) => self.transmit_data(out),
+            Some(Fired::TimedOut { exhausted }) => {
+                if exhausted {
+                    let dead = self.inflight.take().expect("timeout without inflight");
+                    self.csma.drop_packet(dead.item.packet, out);
                 }
+                self.try_progress(now, out);
             }
-            Role::AckTimeout => {
-                if self.armed_ack_timeout == Some(token) {
-                    self.handle_ack_timeout(now, out);
-                }
+            Some(Fired::Scheme(ExorRole::SendAck { key })) => self.fire_send_ack(key, now, out),
+            Some(Fired::Scheme(ExorRole::RelayDecision { key })) => {
+                self.fire_relay_decision(key, now, out)
             }
-            Role::SendAck { key } => self.fire_send_ack(key, now, out),
-            Role::RelayDecision { key } => self.fire_relay_decision(key, now, out),
+            None => {}
         }
     }
 
     fn stats(&self) -> MacStats {
-        self.stats
+        self.csma.stats
     }
 }
 

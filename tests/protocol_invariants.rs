@@ -2,9 +2,11 @@
 //! property-style sweeps over seeds and failure injection via hostile
 //! channel conditions.
 
+use wmn_mac::frame::{Frame, NetHeader, NodeList, Packet, Proto, RouteInfo};
+use wmn_mac::{Backoff, DropReason, MacAction, MacEntityExt, MacScheme, TimerToken};
 use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_sim::{NodeId, SimDuration};
+use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
 fn base(scheme: Scheme, ber: f64, seed: u64) -> Scenario {
     Scenario {
@@ -172,5 +174,115 @@ fn voip_accounting_invariants() {
         assert!(v.received <= v.sent, "seed {seed}: received {} > sent {}", v.received, v.sent);
         assert!((0.0..=1.0).contains(&v.loss_fraction));
         assert!((1.0..=4.5).contains(&v.mos));
+    }
+}
+
+/// Contention is identical across schemes — the property the paper's
+/// DCF/AFR/preExOR/MCExOR/RIPPLE comparison rests on. Every MAC, built from
+/// the same seed and driven through the same script (enqueue on a busy
+/// channel → idle edge → busy mid-countdown → idle again → transmit →
+/// timeout × `retry_limit + 1`), must emit the backoff timers of one
+/// reference 802.11 model: same freeze/resume arithmetic, the window
+/// doubling per timeout and resetting after the drop, the drop exactly at
+/// the limit.
+#[test]
+fn contention_is_identical_across_schemes() {
+    const SEED: u64 = 4;
+    let params = PhyParams::paper_216();
+    let (difs, slot) = (params.difs(), params.slot);
+    let list: NodeList = vec![NodeId::new(3), NodeId::new(2), NodeId::new(1)].into();
+    let next_hop = RouteInfo::NextHop(NodeId::new(1));
+    let opportunistic = RouteInfo::Opportunistic { list };
+    let packet = || {
+        let (flow, src, dst) = (FlowId::new(0), NodeId::new(0), NodeId::new(3));
+        Packet::new(NetHeader { flow, src, dst, proto: Proto::Udp, wire_bytes: 1000 }, vec![])
+    };
+    let only_timer = |actions: &[MacAction]| -> (SimDuration, TimerToken) {
+        match actions {
+            [MacAction::SetTimer { delay, token }] => (*delay, *token),
+            other => panic!("expected exactly one SetTimer, got {other:?}"),
+        }
+    };
+
+    // The reference: one contention window and the stream every MAC gets.
+    let mut model = Backoff::new(params.cw_min, params.cw_max);
+    let mut model_rng = StreamRng::derive(SEED, "mac/0");
+    let first_draw = model.draw(&mut model_rng);
+    let frozen = first_draw / 2; // whole slots that elapse before the busy edge
+    assert!(frozen >= 1, "pick a seed whose first countdown survives the busy edge");
+    let mut expected =
+        vec![difs + slot * u64::from(first_draw), difs + slot * u64::from(first_draw - frozen)];
+    let mut windows = Vec::new();
+    for attempt in 0..=params.retry_limit {
+        model.on_failure();
+        if attempt == params.retry_limit {
+            model.on_success();
+        }
+        windows.push(model.cw());
+        expected.push(slot * u64::from(model.draw(&mut model_rng)));
+    }
+    assert_eq!(windows, [31, 63, 127, 255, 511, 1023, 1023, 15], "doubling, cap, reset");
+
+    for (scheme, route) in [
+        (Scheme::Dcf { aggregation: 1 }, &next_hop),
+        (Scheme::Dcf { aggregation: 16 }, &next_hop),
+        (Scheme::Ripple { aggregation: 1 }, &opportunistic),
+        (Scheme::Ripple { aggregation: 16 }, &opportunistic),
+        (Scheme::PreExor, &opportunistic),
+        (Scheme::McExor, &opportunistic),
+    ] {
+        let label = scheme.label();
+        let mut mac = scheme.build_mac(&params, NodeId::new(0), StreamRng::derive(SEED, "mac/0"));
+        let mut backoffs = Vec::new();
+
+        // Enqueue on a busy channel: nothing may happen until the idle edge.
+        assert!(mac.on_busy_vec(SimTime::ZERO).is_empty());
+        assert!(mac.on_enqueue_vec(packet(), route.clone(), SimTime::from_micros(1)).is_empty());
+        let idle_at = SimTime::from_micros(100);
+        let (delay, stale) = only_timer(&mac.on_idle_vec(idle_at));
+        backoffs.push(delay);
+        // Busy half a slot after `frozen` whole slots of countdown.
+        let busy_at = idle_at + difs + slot * u64::from(frozen) + slot / 2;
+        assert!(mac.on_busy_vec(busy_at).is_empty());
+        assert!(mac.on_timer_vec(stale, idle_at + delay).is_empty(), "{label}: frozen timer");
+        let mut now = SimTime::from_micros(1000);
+        let (delay, mut token) = only_timer(&mac.on_idle_vec(now));
+        backoffs.push(delay);
+        now += delay;
+
+        let mut drops = 0;
+        for attempt in 0..=params.retry_limit {
+            match mac.on_timer_vec(token, now).as_slice() {
+                [MacAction::StartTx { frame: Frame::Data(d), .. }] => {
+                    assert_eq!((d.retry, d.subframes.len()), (attempt, 1), "{label}");
+                }
+                other => panic!("{label}: expected attempt {attempt} on the air, got {other:?}"),
+            }
+            now += SimDuration::from_micros(100);
+            let (timeout, timeout_token) = only_timer(&mac.on_tx_end_vec(now));
+            now += timeout;
+            let mut actions = mac.on_timer_vec(timeout_token, now);
+            if attempt == params.retry_limit {
+                assert!(
+                    matches!(actions[..], [MacAction::Drop { reason: DropReason::RetryLimit, .. }]),
+                    "{label}: drop exactly at the limit, got {actions:?}"
+                );
+                drops += 1;
+                // The post-drop backoff shows on the next packet.
+                actions = mac.on_enqueue_vec(packet(), route.clone(), now);
+            }
+            let (delay, next) = only_timer(&actions);
+            backoffs.push(delay);
+            token = next;
+            now += delay;
+        }
+        assert_eq!(backoffs, expected, "{label}: backoff timers differ from the 802.11 model");
+        let stats = mac.stats();
+        let attempts = u64::from(params.retry_limit) + 1;
+        assert_eq!(
+            (drops, stats.drops_retry_limit, stats.timeouts, stats.data_frames_sent),
+            (1, 1, attempts, attempts),
+            "{label}"
+        );
     }
 }
