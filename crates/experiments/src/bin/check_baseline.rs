@@ -26,7 +26,10 @@
 //! ```
 //!
 //! `--update` rewrites the baseline from the fresh documents for the same
-//! artefact set (or the default set when bootstrapping).
+//! artefact set (or the default set when bootstrapping). `--update --only
+//! <name>` refreshes just that entry and carries the others over verbatim;
+//! a name the baseline does not list yet is appended, which is how a new
+//! artefact (e.g. `sweep_ci-mobility-refresh`) joins the gate.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -49,7 +52,8 @@ fn usage() -> ! {
          (RIPPLE_REPRO_DIR overrides the fresh directory).\n\
          --only restricts the gate (or an --update refresh) to the named\n\
          baseline artefact(s), for jobs that regenerate only part of the\n\
-         repro set; other entries are left untouched.\n\
+         repro set; other entries are left untouched. With --update, a\n\
+         name the baseline does not list yet is appended to it.\n\
          --update rewrites the baseline from the fresh documents."
     );
     exit(2)
@@ -222,15 +226,17 @@ fn main() {
             .and_then(|doc| doc.get("artefacts").and_then(Value::as_arr).map(<[Value]>::to_vec))
             .unwrap_or_default();
         let entry_name = |e: &Value| e.get("artefact").and_then(Value::as_str).map(str::to_string);
-        let names: Vec<String> = if existing.is_empty() {
+        let mut names: Vec<String> = if existing.is_empty() {
             DEFAULT_ARTEFACTS.iter().map(|s| s.to_string()).collect()
         } else {
             existing.iter().filter_map(&entry_name).collect()
         };
+        // `--update --only <new>` is how an artefact joins the baseline: it
+        // is appended after the existing entries (a misspelt name has no
+        // fresh document, and `fresh_entry` refuses it).
         for name in &only {
             if !names.contains(name) {
-                eprintln!("error: --only {name:?} matches no baseline artefact");
-                exit(2);
+                names.push(name.clone());
             }
         }
         let entries: Vec<Value> = names
