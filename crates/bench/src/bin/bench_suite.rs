@@ -2,10 +2,11 @@
 //!
 //! Times the transmission planner (cached link-state matrix vs the
 //! pre-refactor naive computation, on a dense and a sparse grid), the
-//! mobility link-state refresh (incremental row/column update vs a full
-//! matrix rebuild — the incremental path must win, and the suite asserts
-//! it), a full live route-refresh pass (`LinkGraph` snapshot + per-flow
-//! min-ETX Dijkstra — the budget behind the `route_refresh` knob), event
+//! mobility link-state refresh (one moved node vs a full matrix rebuild —
+//! the incremental path must win, and the suite asserts it — and a whole
+//! mobility tick as one batch), a full live route-refresh pass (`LinkGraph`
+//! snapshot + per-flow min-ETX Dijkstra — the budget behind the
+//! `route_refresh` knob — with its allocation count), event
 //! queue churn under the simulator's interleaved access
 //! pattern, a fig-6(b)-class end-to-end run in both its static and
 //! moving-relay variants, and the 1024-station campus preset on the
@@ -180,9 +181,8 @@ fn planner_pair(side: usize, spacing: f64, reps: u64, benches: &mut Vec<Bench>) 
 }
 
 /// One node pacing across the campus-scale grid, applied either through
-/// `Medium::update_node_position` (the mobile runner's O(n) row/column
-/// refresh) or by rebuilding the whole n² matrix — the cost a mobility tick
-/// would pay without the incremental path. Both sides visit the identical
+/// `Medium::update_node_position` (n pair evaluations) or by rebuilding the
+/// whole matrix — the cost a move would pay without the incremental path. Both sides visit the identical
 /// position sequence; the refreshed matrix is pinned bit-identical to the
 /// rebuilt one by `wmn_phy`'s test suite.
 fn time_link_refresh(side: usize, spacing: f64, reps: u64, incremental: bool) -> f64 {
@@ -208,13 +208,41 @@ fn time_link_refresh(side: usize, spacing: f64, reps: u64, incremental: bool) ->
     start.elapsed().as_nanos() as f64 / reps as f64
 }
 
+/// One whole mobility tick on the grid: every node drifts a little, and the
+/// tick is handed to the medium as one `Medium::update_node_positions` batch
+/// — what `MobilityTick` pays when all stations move (n(n+1)/2 pair
+/// evaluations, against n² for n single-node updates). Returns ns per tick.
+fn time_link_refresh_tick(side: usize, spacing: f64, reps: u64) -> f64 {
+    let origin = grid_positions(side, spacing);
+    let mut medium = Medium::new(PhyParams::paper_216(), origin.clone());
+    let mut batch: Vec<(NodeId, Position)> = Vec::with_capacity(origin.len());
+    let start = Instant::now();
+    for i in 0..reps {
+        // Every node on its own small diagonal, wrapping every 128 ticks.
+        let step = (i % 128) as f64 * 0.1;
+        batch.clear();
+        batch.extend(origin.iter().enumerate().map(|(node, p)| {
+            let drift = step * (1.0 + (node % 7) as f64 * 0.125);
+            (NodeId::new(node as u32), Position::new(p.x + drift, p.y + drift * 0.5))
+        }));
+        medium.update_node_positions(&batch);
+        black_box(&medium);
+    }
+    start.elapsed().as_nanos() as f64 / reps as f64
+}
+
 /// One full live route-refresh pass, as the runner's `RouteRefresh` event
 /// pays it: snapshot the medium's current link state into a [`LinkGraph`]
 /// and rerun min-ETX Dijkstra for every flow endpoint pair. The mover keeps
 /// the link state changing between passes so the snapshot is never a cached
-/// no-op. Returns (ns/pass, paths found) — the latter pins the workload as
-/// "every flow actually routed".
-fn time_route_refresh(side: usize, spacing: f64, reps: u64, flows: usize) -> (f64, u64) {
+/// no-op. Returns (ns/pass, paths found, allocator stats of the passes) —
+/// the path count pins the workload as "every flow actually routed".
+fn time_route_refresh(
+    side: usize,
+    spacing: f64,
+    reps: u64,
+    flows: usize,
+) -> (f64, u64, wmn_alloc::AllocStats) {
     let mut medium = Medium::new(PhyParams::paper_216(), grid_positions(side, spacing));
     let n = side * side;
     // Corner-to-corner and edge-to-edge endpoint pairs, one per flow.
@@ -222,21 +250,24 @@ fn time_route_refresh(side: usize, spacing: f64, reps: u64, flows: usize) -> (f6
         .map(|f| (NodeId::new((f * side) as u32), NodeId::new((n - 1 - f) as u32)))
         .collect();
     let mover = NodeId::new((n / 2) as u32);
-    let mut paths_found = 0u64;
     let start = Instant::now();
-    for i in 0..reps {
-        // A diagonal walk that stays inside the deployment footprint.
-        let step = (i % 128) as f64;
-        medium.update_node_position(mover, Position::new(step * 0.5, step * 0.25));
-        let graph = LinkGraph::try_from_medium(&medium).expect("grid link state is finite");
-        for &(src, dst) in &endpoints {
-            if let Some(path) = graph.shortest_path(src, dst) {
-                paths_found += 1;
-                black_box(&path);
+    let (paths_found, stats) = wmn_alloc::measure(|| {
+        let mut paths_found = 0u64;
+        for i in 0..reps {
+            // A diagonal walk that stays inside the deployment footprint.
+            let step = (i % 128) as f64;
+            medium.update_node_position(mover, Position::new(step * 0.5, step * 0.25));
+            let graph = LinkGraph::try_from_medium(&medium).expect("grid link state is finite");
+            for &(src, dst) in &endpoints {
+                if let Some(path) = graph.shortest_path(src, dst) {
+                    paths_found += 1;
+                    black_box(&path);
+                }
             }
         }
-    }
-    (start.elapsed().as_nanos() as f64 / reps as f64, paths_found)
+        paths_found
+    });
+    (start.elapsed().as_nanos() as f64 / reps as f64, paths_found, stats)
 }
 
 /// The zero-copy decode fast path under the counting allocator: one pooled
@@ -386,11 +417,12 @@ fn run_suite(profile: &Profile) -> Value {
     //    transcendentals for them.
     let sparse_speedup = planner_pair(16, 40.0, profile.sparse_reps, &mut benches);
 
-    // 3. Link-state refresh for one moved node: the mobile runner's
-    //    incremental row/column path vs a full matrix rebuild. This is the
-    //    perf claim behind per-tick mobility on large placements, so the
-    //    suite *asserts* the incremental path wins (O(n) vs O(n²) — a
+    // 3. Link-state refresh: one moved node vs a full matrix rebuild. This
+    //    is the perf claim behind per-tick mobility on large placements, so
+    //    the suite *asserts* the incremental path wins (O(n) vs O(n²) — a
     //    regression here means the fast path broke, not a noisy host).
+    //    Beside the pair, a tick that moves all 256 nodes as one batch —
+    //    what the mobile runner actually calls.
     let incremental_ns = time_link_refresh(16, 40.0, profile.refresh_reps, true);
     let full_ns = time_link_refresh(16, 40.0, profile.refresh_reps, false);
     let refresh_speedup = full_ns / incremental_ns;
@@ -399,7 +431,8 @@ fn run_suite(profile: &Profile) -> Value {
         "incremental link refresh ({incremental_ns:.0} ns) must beat a full rebuild \
          ({full_ns:.0} ns)"
     );
-    for (kind, ns) in [("incremental", incremental_ns), ("full", full_ns)] {
+    let tick_ns = time_link_refresh_tick(16, 40.0, profile.refresh_reps);
+    for (kind, ns) in [("incremental", incremental_ns), ("tick", tick_ns), ("full", full_ns)] {
         benches.push(Bench {
             name: format!("link_refresh_{kind}_grid256"),
             reps: profile.refresh_reps,
@@ -415,7 +448,7 @@ fn run_suite(profile: &Profile) -> Value {
     //    campus grid is link-dead at this PHY: p(40 m) ≈ 6e-5 < 0.05). This
     //    is the budget behind choosing `route_refresh_ms`: the interval
     //    should dwarf this number.
-    let (route_refresh_ns, paths_found) =
+    let (route_refresh_ns, paths_found, route_refresh_alloc) =
         time_route_refresh(16, 5.0, profile.route_refresh_reps, 4);
     assert_eq!(
         paths_found,
@@ -426,7 +459,13 @@ fn run_suite(profile: &Profile) -> Value {
         name: "route_refresh_pass_grid256_flows4".into(),
         reps: profile.route_refresh_reps,
         ns_per_op: route_refresh_ns,
-        extras: vec![("paths_found", Value::Uint(paths_found))],
+        extras: vec![
+            ("paths_found", Value::Uint(paths_found)),
+            (
+                "allocs_per_op",
+                Value::from(route_refresh_alloc.allocs as f64 / profile.route_refresh_reps as f64),
+            ),
+        ],
     });
 
     // 5. Event-queue churn.

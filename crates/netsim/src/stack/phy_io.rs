@@ -5,7 +5,7 @@
 //!
 //! Mobility draws **no** randomness at run time: trajectories are pure
 //! functions of time ([`wmn_topology::motion`]), sampled on a fixed tick
-//! and pushed into the medium's incremental row/column link-state refresh.
+//! and pushed into the medium's batched link-state refresh.
 
 use std::sync::Arc;
 
@@ -111,34 +111,32 @@ impl ArrivalSlab {
 }
 
 /// One mobility step over any medium handle: re-sample every moving node's
-/// trajectory at `now` and push changed positions into the medium's
-/// incremental link-state refresh (O(n) per moved node, instead of an n²
-/// matrix rebuild). Shared by the single loop's `MobilityTick` event and the
-/// shard coordinator's mobility barrier, so the two drivers cannot drift
-/// apart on what a tick means.
+/// trajectory at `now` and hand the changed positions to the medium as one
+/// batch, so a tick that moves every node evaluates each station pair once
+/// (see [`Medium::update_node_positions`]). Shared by the single loop's
+/// `MobilityTick` event and the shard coordinator's mobility barrier, so the
+/// two drivers cannot drift apart on what a tick means.
 ///
 /// A node whose sampled position equals its current one — typically a
-/// waypoint walker parked at its final target — skips the refresh entirely:
+/// waypoint walker parked at its final target — is left out of the batch:
 /// recomputing link state from an identical position yields identical values
 /// (the computation is deterministic and draws no RNG), so the short-circuit
-/// cannot change results, only save the `2n − 1` entry updates per tick.
+/// cannot change results, only save the node's pair evaluations.
 pub(crate) fn advance_medium_positions(
     medium: &mut Medium,
     motion: &MotionPlan,
     origin: &[Position],
     now: SimTime,
 ) {
-    for (i, path) in motion.paths.iter().enumerate() {
-        if path.is_static() {
-            continue;
-        }
-        let node = NodeId::new(i as u32);
-        let pos = path.position_at(origin[i], now);
-        if pos == medium.position(node) {
-            continue;
-        }
-        medium.update_node_position(node, pos);
-    }
+    let moves: Vec<(NodeId, Position)> = motion
+        .paths
+        .iter()
+        .enumerate()
+        .filter(|(_, path)| !path.is_static())
+        .map(|(i, path)| (NodeId::new(i as u32), path.position_at(origin[i], now)))
+        .filter(|&(node, pos)| pos != medium.position(node))
+        .collect();
+    medium.update_node_positions(&moves);
 }
 
 #[cfg(test)]

@@ -79,11 +79,19 @@ struct LinkState {
 
 /// The shared wireless medium: node positions plus the propagation model.
 ///
-/// Positions never move mid-run, so construction materialises a flat n×n
-/// link-state matrix (distance, mean received power, propagation delay, and
-/// a threshold classification per directed pair). [`Medium::plan_transmission`]
-/// is then a row walk that adds one fresh shadowing draw per pair instead of
-/// re-deriving the geometry and path loss on every transmission.
+/// Construction materialises a flat n×n link-state matrix (distance, mean
+/// received power, propagation delay, and a threshold classification per
+/// directed pair). [`Medium::plan_transmission`] is then a row walk that adds
+/// one fresh shadowing draw per pair instead of re-deriving the geometry and
+/// path loss on every transmission.
+///
+/// Stations may move mid-run: [`Medium::update_node_positions`] takes one
+/// mobility tick's worth of moves and re-evaluates every unordered pair with
+/// a moved endpoint **once**, mirroring it into both directions — link state
+/// is a function of the pair's distance alone, so `[i·n+j]` and `[j·n+i]`
+/// always hold the same bits. Construction fills the matrix through the same
+/// code (every station "moved"), so after any sequence of moves the matrix
+/// is bit-identical to a fresh `Medium::new` over the current placement.
 ///
 /// # Example
 ///
@@ -105,9 +113,16 @@ pub struct Medium {
     params: PhyParams,
     positions: Vec<Position>,
     /// Flat row-major n×n matrix; entry `[from · n + to]` describes the
-    /// directed pair. The diagonal is filled (zero distance) but never read
-    /// by the planner.
+    /// directed pair (symmetric: see the type docs). The diagonal is filled
+    /// (zero distance) but never read by the planner.
     links: Vec<LinkState>,
+    /// The largest shadowing excursion any frame can draw, in dB:
+    /// `|σ| · max_shadowing_sigmas()`, computed once — it depends on the
+    /// parameters only, and `link_state` needs it for every pair.
+    max_excursion_db: f64,
+    /// Scratch for [`Medium::update_node_positions`]: which stations the
+    /// batch in progress moves. All `false` between calls.
+    moved: Vec<bool>,
 }
 
 /// The largest |z| the Box–Muller transform over a 53-bit uniform can emit
@@ -118,22 +133,21 @@ fn max_shadowing_sigmas() -> f64 {
     (-2.0 * (1.0 / (1u64 << 53) as f64).ln()).sqrt() * (1.0 + 1e-9) + 1e-9
 }
 
-/// Computes the link state of one directed pair. This is the **single**
-/// place the deterministic part of the propagation model is evaluated:
-/// construction and the incremental [`Medium::update_node_position`] refresh
-/// both call it, so a refreshed matrix is bit-identical to a rebuilt one.
-fn link_state(params: &PhyParams, from: Position, to: Position) -> LinkState {
-    let z_max = max_shadowing_sigmas();
-    let sigma = params.shadowing.sigma_db.abs();
-    let d = from.distance_to(to);
+/// Computes the link state of one station pair (either direction: every
+/// field is a function of the distance, and `hypot` is sign-symmetric).
+/// This is the **single** place the deterministic part of the propagation
+/// model is evaluated: construction and every position update go through
+/// [`Medium::refresh_pairs_of`], which calls it once per unordered pair.
+fn link_state(params: &PhyParams, max_excursion_db: f64, a: Position, b: Position) -> LinkState {
+    let d = a.distance_to(b);
     let mean = params.shadowing.mean_rx_dbm(params.tx_power_dbm, d);
     // AlwaysDecodable must clear *both* thresholds at the most
     // negative possible excursion: `PhyParams` fields are public,
     // so cs_thresh above rx_thresh is a legal (if odd)
     // configuration, and the naive path would still drop
     // sub-carrier-sense samples there.
-    let min_power = mean - sigma * z_max;
-    let class = if mean + sigma * z_max < params.cs_thresh_dbm {
+    let min_power = mean - max_excursion_db;
+    let class = if mean + max_excursion_db < params.cs_thresh_dbm {
         LinkClass::NeverSensed
     } else if min_power >= params.rx_thresh_dbm && min_power >= params.cs_thresh_dbm {
         LinkClass::AlwaysDecodable
@@ -145,42 +159,93 @@ fn link_state(params: &PhyParams, from: Position, to: Position) -> LinkState {
 
 impl Medium {
     /// Creates a medium over the given station placement, precomputing the
-    /// per-pair link-state matrix (O(n²) once, instead of per transmission).
+    /// per-pair link-state matrix (each of the n(n+1)/2 unordered pairs is
+    /// evaluated once, instead of per transmission).
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
         let n = positions.len();
-        let mut links = Vec::with_capacity(n * n);
-        for from in 0..n {
-            for to in 0..n {
-                links.push(link_state(&params, positions[from], positions[to]));
-            }
+        let unset = LinkState {
+            distance: 0.0,
+            mean_rx_dbm: 0.0,
+            delay: SimDuration::ZERO,
+            class: LinkClass::NeverSensed,
+        };
+        let max_excursion_db = params.shadowing.sigma_db.abs() * max_shadowing_sigmas();
+        let mut medium = Medium {
+            params,
+            positions,
+            links: vec![unset; n * n],
+            max_excursion_db,
+            // Construction is the batch in which every station moved.
+            moved: vec![true; n],
+        };
+        for node in 0..n {
+            medium.refresh_pairs_of(node);
         }
-        Medium { params, positions, links }
+        medium.moved.fill(false);
+        medium
     }
 
-    /// Moves one station and refreshes only the link-state entries the move
-    /// can affect: the node's row (it as transmitter) and its column (it as
-    /// receiver) — `2n − 1` entries instead of the full n² rebuild, which is
-    /// what makes per-tick mobility affordable on large placements.
-    ///
-    /// The refreshed entries are computed by the same code path as
-    /// construction, so after any sequence of updates the matrix is
-    /// bit-identical to `Medium::new` over the current placement (pinned by
-    /// this module's tests). No RNG is touched: link state is the
-    /// deterministic part of the model, and per-frame shadowing draws keep
-    /// their stream positions regardless of position changes.
+    /// Moves one station: the one-element case of
+    /// [`Medium::update_node_positions`] (`n` pair evaluations).
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn update_node_position(&mut self, node: NodeId, position: Position) {
+        self.update_node_positions(&[(node, position)]);
+    }
+
+    /// Applies one batch of station moves — typically everything a mobility
+    /// tick moved — and refreshes exactly the link-state entries the batch
+    /// can affect. All new positions are written first; then every unordered
+    /// pair with at least one moved endpoint is evaluated **once** and
+    /// mirrored into both directed entries. A tick that moves all n stations
+    /// therefore costs n(n+1)/2 evaluations, where n single-station updates
+    /// cost n² (and each touches pairs a later update overwrites).
+    ///
+    /// The entries are computed by the same code as construction, so after
+    /// any sequence of batches the matrix is bit-identical to `Medium::new`
+    /// over the current placement — which is also what the same moves
+    /// applied one at a time converge to (pinned by this module's tests). No
+    /// RNG is touched: link state is the deterministic part of the model,
+    /// and per-frame shadowing draws keep their stream positions regardless
+    /// of position changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id is out of range, or if a node is listed twice in
+    /// one batch (which of its two positions should win is the caller's
+    /// bug to resolve, not something to pick silently).
+    pub fn update_node_positions(&mut self, moves: &[(NodeId, Position)]) {
         let n = self.positions.len();
-        assert!(node.index() < n, "node id out of range");
-        self.positions[node.index()] = position;
+        for &(node, position) in moves {
+            assert!(node.index() < n, "node id out of range");
+            assert!(!self.moved[node.index()], "node {} listed twice in one batch", node.index());
+            self.moved[node.index()] = true;
+            self.positions[node.index()] = position;
+        }
+        for &(node, _) in moves {
+            self.refresh_pairs_of(node.index());
+        }
+        for &(node, _) in moves {
+            self.moved[node.index()] = false;
+        }
+    }
+
+    /// Re-evaluates every pair `{node, other}` from the current positions
+    /// and writes it into both directed entries. A pair of two moved
+    /// stations belongs to the lower id, so a batch evaluates it once.
+    fn refresh_pairs_of(&mut self, node: usize) {
+        let n = self.positions.len();
+        let position = self.positions[node];
         for other in 0..n {
-            self.links[node.index() * n + other] =
-                link_state(&self.params, position, self.positions[other]);
-            self.links[other * n + node.index()] =
-                link_state(&self.params, self.positions[other], position);
+            if self.moved[other] && other < node {
+                continue;
+            }
+            let state =
+                link_state(&self.params, self.max_excursion_db, position, self.positions[other]);
+            self.links[node * n + other] = state;
+            self.links[other * n + node] = state;
         }
     }
 
@@ -205,26 +270,31 @@ impl Medium {
 
     /// The *current* placement of every station, in node-id order.
     ///
-    /// Under mobility this reflects every [`Medium::update_node_position`]
-    /// applied so far — it is the live view routing-refresh passes rebuild
+    /// Under mobility this reflects every [`Medium::update_node_positions`]
+    /// batch applied so far — it is the live view routing-refresh passes rebuild
     /// their link graphs from.
     pub fn positions(&self) -> &[Position] {
         &self.positions
     }
 
     /// Clean-frame delivery probability over the directed pair, evaluated
-    /// from the *cached* link distance ([`PhyParams::link_delivery_probability`]).
+    /// from the *cached* mean received power.
     ///
-    /// Because the cached distance comes from the same `distance_to`
-    /// computation as scenario build, this is bit-identical to evaluating the
-    /// analytic model over the current placement directly — the property that
-    /// makes a route refresh over an unmoved topology a behavioural no-op.
+    /// The cached mean comes from the same `distance_to` and path-loss
+    /// evaluation as [`PhyParams::link_delivery_probability`] over the
+    /// current placement, and both end in [`Shadowing::probability_above`],
+    /// so the two are bit-identical — the property that makes a route
+    /// refresh over an unmoved topology a behavioural no-op.
+    ///
+    /// [`Shadowing::probability_above`]: crate::Shadowing::probability_above
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     pub fn link_delivery_probability(&self, from: NodeId, to: NodeId) -> f64 {
-        self.params.link_delivery_probability(self.link(from, to).distance)
+        self.params
+            .shadowing
+            .probability_above(self.link(from, to).mean_rx_dbm, self.params.rx_thresh_dbm)
     }
 
     /// Distance between two stations in metres (precomputed).
@@ -856,6 +926,23 @@ mod tests {
         }
     }
 
+    /// Asserts every directed entry holds the same bits as its mirror.
+    fn assert_links_symmetric(m: &Medium, context: &str) {
+        let n = m.node_count();
+        for i in 0..n {
+            for j in 0..n {
+                let (x, y) = (&m.links()[i * n + j], &m.links()[j * n + i]);
+                assert_eq!(x.distance.to_bits(), y.distance.to_bits(), "{context}: [{i}][{j}]");
+                assert_eq!(
+                    x.mean_rx_dbm.to_bits(),
+                    y.mean_rx_dbm.to_bits(),
+                    "{context}: [{i}][{j}]"
+                );
+                assert_eq!((x.delay, x.class), (y.delay, y.class), "{context}: [{i}][{j}]");
+            }
+        }
+    }
+
     #[test]
     fn incremental_refresh_matches_full_reconstruction() {
         use crate::params::PhyParams;
@@ -939,7 +1026,109 @@ mod tests {
         medium.update_node_position(NodeId::new(3), Position::new(1.0, 1.0));
     }
 
+    #[test]
+    fn batch_of_every_node_matches_rebuild_and_leaves_no_marks() {
+        use crate::params::PhyParams;
+        let params = PhyParams::paper_216();
+        let start: Vec<Position> = (0..9)
+            .map(|i| Position::new(f64::from(i % 3) * 40.0, f64::from(i / 3) * 25.0))
+            .collect();
+        let mut medium = Medium::new(params.clone(), start.clone());
+        // Two whole-placement ticks in a row: the second would skip pairs
+        // if the first left its scratch marks behind.
+        for tick in 1..=2 {
+            let moved: Vec<Position> = start
+                .iter()
+                .enumerate()
+                .map(|(i, p)| Position::new(p.x + 3.0 * f64::from(tick), p.y - i as f64))
+                .collect();
+            let batch: Vec<(NodeId, Position)> =
+                moved.iter().enumerate().map(|(i, &p)| (NodeId::new(i as u32), p)).collect();
+            medium.update_node_positions(&batch);
+            assert_eq!(medium.positions(), &moved[..]);
+            let rebuilt = Medium::new(params.clone(), moved);
+            assert_links_identical(&medium, &rebuilt, &format!("tick {tick}"));
+        }
+        medium.update_node_positions(&[]);
+        assert_links_symmetric(&medium, "after ticks");
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn batch_rejects_a_node_listed_twice() {
+        use crate::params::PhyParams;
+        let mut medium = Medium::new(
+            PhyParams::paper_216(),
+            vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(9.0, 0.0)],
+        );
+        let n1 = NodeId::new(1);
+        medium
+            .update_node_positions(&[(n1, Position::new(1.0, 1.0)), (n1, Position::new(2.0, 2.0))]);
+    }
+
+    #[test]
+    fn degenerate_sigma_keeps_the_hoisted_excursion_exact() {
+        use crate::params::PhyParams;
+        // σ < 0 is a legal (if odd) value of the public field: the excursion
+        // bound uses |σ|, so the classification must match σ > 0.
+        let positions =
+            vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(300.0, 0.0)];
+        let mut flipped = PhyParams::paper_216();
+        flipped.shadowing.sigma_db = -flipped.shadowing.sigma_db;
+        let a = Medium::new(PhyParams::paper_216(), positions.clone());
+        let b = Medium::new(flipped, positions.clone());
+        assert_links_identical(&a, &b, "sign of sigma");
+        // σ = 0: no excursion at all, every pair is decided at build time.
+        let mut fixed = PhyParams::paper_216();
+        fixed.shadowing.sigma_db = 0.0;
+        let c = Medium::new(fixed, positions);
+        assert_eq!(c.link_class(NodeId::new(0), NodeId::new(1)), LinkClass::AlwaysDecodable);
+        assert_eq!(c.link_class(NodeId::new(0), NodeId::new(2)), LinkClass::NeverSensed);
+    }
+
     proptest! {
+        /// One batch ≡ the same moves applied one at a time (in either
+        /// order) ≡ `Medium::new` over the final placement, on the raw bits
+        /// of both directions of every pair — for a random placement and a
+        /// random subset of movers, including none and all.
+        #[test]
+        fn prop_batched_move_matches_sequential_and_rebuild(
+            coords in proptest::collection::vec((0.0f64..500.0, 0.0f64..500.0), 2..14),
+            picks in proptest::collection::vec((any::<bool>(), 0.0f64..500.0, 0.0f64..500.0), 14..=14),
+        ) {
+            use crate::params::PhyParams;
+            let start: Vec<Position> = coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            let moves: Vec<(NodeId, Position)> = picks
+                .iter()
+                .take(start.len())
+                .enumerate()
+                .filter(|(_, &(moves, _, _))| moves)
+                .map(|(i, &(_, x, y))| (NodeId::new(i as u32), Position::new(x, y)))
+                .collect();
+            let mut end = start.clone();
+            for &(node, pos) in &moves {
+                end[node.index()] = pos;
+            }
+            let rebuilt = Medium::new(PhyParams::paper_216(), end);
+
+            let mut batched = Medium::new(PhyParams::paper_216(), start.clone());
+            batched.update_node_positions(&moves);
+            assert_links_identical(&batched, &rebuilt, "batched");
+            assert_links_symmetric(&batched, "batched");
+
+            let mut reversed = Medium::new(PhyParams::paper_216(), start.clone());
+            let backwards: Vec<_> = moves.iter().rev().copied().collect();
+            reversed.update_node_positions(&backwards);
+            assert_links_identical(&reversed, &rebuilt, "batched, reverse order");
+
+            let mut sequential = Medium::new(PhyParams::paper_216(), start);
+            for &(node, pos) in &moves {
+                sequential.update_node_position(node, pos);
+            }
+            assert_links_identical(&sequential, &rebuilt, "one by one");
+            prop_assert_eq!(batched.positions(), rebuilt.positions());
+        }
+
         /// After a random sequence of node moves, the incrementally
         /// refreshed matrix is bit-identical to a fresh construction over
         /// the final placement — the contract the mobility subsystem's

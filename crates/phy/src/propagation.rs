@@ -60,11 +60,27 @@ impl Shadowing {
         self.mean_rx_dbm(tx_dbm, metres) + self.sigma_db * rng.standard_normal()
     }
 
-    /// Analytic probability that a sample exceeds `threshold_dbm`:
-    /// Φ((mean − threshold)/σ).
+    /// A link's margin over `threshold_dbm` in units of σ, given its mean
+    /// received power: `(mean − threshold)/σ`. The probability that a frame
+    /// clears the threshold is Φ of this ([`Shadowing::probability_above`]);
+    /// callers that only need to know a link is hopeless can compare the
+    /// margin and skip the `erf`.
+    pub fn margin_sigmas(&self, mean_rx_dbm: f64, threshold_dbm: f64) -> f64 {
+        (mean_rx_dbm - threshold_dbm) / self.sigma_db
+    }
+
+    /// Analytic probability that a sample around `mean_rx_dbm` exceeds
+    /// `threshold_dbm`: Φ((mean − threshold)/σ). The one definition every
+    /// delivery probability in the workspace goes through, whether the mean
+    /// is computed from a distance or read from a cached link state.
+    pub fn probability_above(&self, mean_rx_dbm: f64, threshold_dbm: f64) -> f64 {
+        normal_cdf(self.margin_sigmas(mean_rx_dbm, threshold_dbm))
+    }
+
+    /// Analytic probability that a sample over a link of length `metres`
+    /// exceeds `threshold_dbm`.
     pub fn success_probability(&self, tx_dbm: f64, metres: f64, threshold_dbm: f64) -> f64 {
-        let margin = self.mean_rx_dbm(tx_dbm, metres) - threshold_dbm;
-        normal_cdf(margin / self.sigma_db)
+        self.probability_above(self.mean_rx_dbm(tx_dbm, metres), threshold_dbm)
     }
 }
 

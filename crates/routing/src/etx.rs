@@ -85,7 +85,20 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
     Ok(())
 }
 
-/// Pairwise link-quality graph with ETX arithmetic and Dijkstra.
+/// A margin this many σ under the receive threshold makes a link unusable
+/// without evaluating its delivery probability: Φ(−2) ≈ 0.0228, and the
+/// `erf` approximant is within 1.5e-7 of it, so the probability is below
+/// [`MIN_LINK_PROBABILITY`] whether or not the approximant is monotone
+/// (pinned by `skip_bound_is_below_the_usability_floor`).
+const HOPELESS_MARGIN_SIGMAS: f64 = -2.0;
+
+/// Link-quality graph with ETX arithmetic and Dijkstra.
+///
+/// Only *usable* links are stored — both directions at or above the 0.05
+/// delivery floor — as one CSR adjacency: each station's neighbours in
+/// ascending id with the link's ETX. ETX is symmetric (`1/(p_ab · p_ba)`),
+/// so every constructor evaluates the upper triangle of station pairs once
+/// and mirrors it. A station has no link to itself.
 ///
 /// # Example
 ///
@@ -104,9 +117,58 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinkGraph {
-    n: usize,
-    /// delivery[i][j]: probability a frame from i is decodable at j.
-    delivery: Vec<Vec<f64>>,
+    /// CSR row bounds: station `v`'s neighbours are
+    /// `edges[offsets[v]..offsets[v + 1]]`; `n + 1` entries.
+    offsets: Vec<usize>,
+    /// `(neighbour, link ETX)`, ascending by neighbour id within a row.
+    edges: Vec<(NodeId, f64)>,
+}
+
+/// ETX of a pair whose two directions share one delivery probability (any
+/// geometric link model: the probability is a function of the distance).
+/// `mean_rx_dbm` is the pair's mean received power.
+fn symmetric_etx(
+    params: &PhyParams,
+    mean_rx_dbm: f64,
+    a: usize,
+    b: usize,
+) -> Result<Option<f64>, EtxError> {
+    let shadowing = &params.shadowing;
+    // A NaN margin fails the comparison and takes the exact path below,
+    // which then reports it.
+    if shadowing.margin_sigmas(mean_rx_dbm, params.rx_thresh_dbm) < HOPELESS_MARGIN_SIGMAS {
+        return Ok(None);
+    }
+    let p = shadowing.probability_above(mean_rx_dbm, params.rx_thresh_dbm);
+    if !p.is_finite() {
+        return Err(EtxError::NonFinite {
+            from: NodeId::new(a as u32),
+            to: NodeId::new(b as u32),
+            value: p,
+        });
+    }
+    Ok(etx(p, p))
+}
+
+/// `1/(p_fwd · p_rev)`, or `None` if either direction is below the floor.
+fn etx(p_fwd: f64, p_rev: f64) -> Option<f64> {
+    (p_fwd >= MIN_LINK_PROBABILITY && p_rev >= MIN_LINK_PROBABILITY).then(|| 1.0 / (p_fwd * p_rev))
+}
+
+/// The least of `keys` (infinity if empty). Four independent running minima,
+/// so the reduction is not one serial dependency chain: Dijkstra's extraction
+/// scan is the dense part of a path query.
+fn min_key(keys: &[f64]) -> f64 {
+    let least = |a: f64, b: f64| if b < a { b } else { a };
+    let mut lanes = [f64::INFINITY; 4];
+    let chunks = keys.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &k) in lanes.iter_mut().zip(chunk) {
+            *lane = least(*lane, k);
+        }
+    }
+    lanes.iter().chain(tail).fold(f64::INFINITY, |a, &k| least(a, k))
 }
 
 impl LinkGraph {
@@ -133,27 +195,19 @@ impl LinkGraph {
         params: &PhyParams,
         positions: &[Position],
     ) -> Result<Self, EtxError> {
-        let n = positions.len();
-        let mut delivery = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let d = positions[i].distance_to(positions[j]);
-                    delivery[i][j] = params.link_delivery_probability(d);
-                }
-            }
-        }
-        validate(&delivery)?;
-        Ok(LinkGraph { n, delivery })
+        Self::from_upper_triangle(positions.len(), |a, b| {
+            let d = positions[a].distance_to(positions[b]);
+            symmetric_etx(params, params.shadowing.mean_rx_dbm(params.tx_power_dbm, d), a, b)
+        })
     }
 
     /// Builds the graph from a [`Medium`]'s *current* link state — the entry
     /// point of the live routing-refresh pass.
     ///
-    /// Delivery probabilities come from the medium's cached per-pair
-    /// distances, which the mobility subsystem keeps bit-identical to a full
-    /// rebuild over the current placement; over an unmoved placement this
-    /// graph is therefore bit-identical to
+    /// Delivery probabilities come from the medium's cached per-pair mean
+    /// received power, which the mobility subsystem keeps bit-identical to a
+    /// full rebuild over the current placement; over an unmoved placement
+    /// this graph is therefore bit-identical to
     /// [`LinkGraph::from_placement`] at scenario build.
     ///
     /// # Errors
@@ -162,22 +216,15 @@ impl LinkGraph {
     /// infinite (a refresh caller can then keep its last-known-good routes
     /// instead of panicking mid-run).
     pub fn try_from_medium(medium: &Medium) -> Result<Self, EtxError> {
-        let n = medium.node_count();
-        let mut delivery = vec![vec![0.0; n]; n];
-        for (i, row) in delivery.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                if i != j {
-                    *cell = medium
-                        .link_delivery_probability(NodeId::new(i as u32), NodeId::new(j as u32));
-                }
-            }
-        }
-        validate(&delivery)?;
-        Ok(LinkGraph { n, delivery })
+        Self::from_upper_triangle(medium.node_count(), |a, b| {
+            let mean = medium.mean_rx_dbm(NodeId::new(a as u32), NodeId::new(b as u32));
+            symmetric_etx(medium.params(), mean, a, b)
+        })
     }
 
     /// Builds a graph directly from a delivery-probability matrix (used by
-    /// tests and synthetic topologies).
+    /// tests and synthetic topologies); `delivery[i][j]` is the probability
+    /// a frame from `i` is decodable at `j`. The diagonal is ignored.
     ///
     /// # Errors
     ///
@@ -185,30 +232,67 @@ impl LinkGraph {
     /// [`EtxError::NonFinite`] if any entry is NaN or infinite.
     pub fn from_matrix(delivery: Vec<Vec<f64>>) -> Result<Self, EtxError> {
         validate(&delivery)?;
-        let n = delivery.len();
-        Ok(LinkGraph { n, delivery })
+        Self::from_upper_triangle(delivery.len(), |a, b| Ok(etx(delivery[a][b], delivery[b][a])))
+    }
+
+    /// The one constructor: asks `pair_etx(a, b)` for every `a < b` in
+    /// row-major order (so the first error is the first offending pair of a
+    /// row-major scan of the full matrix — a pair's two directions fail
+    /// together, and `(a, b)` precedes `(b, a)`), then lays the usable links
+    /// out as CSR, sized exactly.
+    fn from_upper_triangle(
+        n: usize,
+        mut pair_etx: impl FnMut(usize, usize) -> Result<Option<f64>, EtxError>,
+    ) -> Result<Self, EtxError> {
+        let mut upper: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        let mut offsets = vec![0usize; n + 1];
+        for a in 0..n {
+            for b in a + 1..n {
+                if let Some(w) = pair_etx(a, b)? {
+                    upper.push((NodeId::new(a as u32), NodeId::new(b as u32), w));
+                    offsets[a + 1] += 1;
+                    offsets[b + 1] += 1;
+                }
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Scatter in row-major order: station v first receives its
+        // neighbours below v (from their rows, ascending), then those above
+        // (from its own row, ascending) — each row ends up sorted by id.
+        let mut edges = vec![(NodeId::new(0), 0.0); 2 * upper.len()];
+        let mut next = offsets[..n].to_vec();
+        for (a, b, w) in upper {
+            edges[next[a.index()]] = (b, w);
+            next[a.index()] += 1;
+            edges[next[b.index()]] = (a, w);
+            next[b.index()] += 1;
+        }
+        Ok(LinkGraph { offsets, edges })
     }
 
     /// Number of stations.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
-    /// Forward delivery probability of the directed link `a → b`.
-    pub fn delivery_probability(&self, a: NodeId, b: NodeId) -> f64 {
-        self.delivery[a.index()][b.index()]
+    /// The stations `node` has a usable link to, ascending by id, each with
+    /// the link's ETX.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn neighbours(&self, node: NodeId) -> &[(NodeId, f64)] {
+        let v = node.index();
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// ETX of the link between `a` and `b`: `1/(p_ab · p_ba)`, or infinity
-    /// if either direction is below the usability floor.
+    /// if either direction is below the usability floor (or `a == b`).
     pub fn link_etx(&self, a: NodeId, b: NodeId) -> f64 {
-        let pf = self.delivery[a.index()][b.index()];
-        let pr = self.delivery[b.index()][a.index()];
-        if pf < MIN_LINK_PROBABILITY || pr < MIN_LINK_PROBABILITY {
-            f64::INFINITY
-        } else {
-            1.0 / (pf * pr)
-        }
+        let row = self.neighbours(a);
+        row.binary_search_by_key(&b, |&(v, _)| v).map_or(f64::INFINITY, |i| row[i].1)
     }
 
     /// Cumulative ETX of a path (sum of link ETX values).
@@ -223,51 +307,56 @@ impl LinkGraph {
 
     /// Minimum-ETX path from `src` to `dst` (inclusive of both), or `None`
     /// if no usable path exists.
+    ///
+    /// Ties are part of the contract (grid placements are full of equal-ETX
+    /// alternatives, and route tables must not depend on the data
+    /// structure): the next station settled is the unsettled one with the
+    /// least `(distance, id)`, and a station's neighbours are relaxed in
+    /// ascending id with a strict `<`, so the first-found of equal routes
+    /// wins. Pinned against the dense reference in this module's tests.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let n = self.n;
-        let (s, d) = (src.index(), dst.index());
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut visited = vec![false; n];
-        dist[s] = 0.0;
-        for _ in 0..n {
-            // Linear extraction: topologies here are tens of nodes.
-            // `total_cmp` keeps the extraction total even for values a
-            // malformed metric could produce — construction rejects
-            // non-finite inputs, but the comparator must not be the thing
-            // that panics if that invariant ever slips.
-            let u = (0..n)
-                .filter(|&u| !visited[u] && dist[u].is_finite())
-                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))?;
-            if u == d {
-                break;
-            }
-            visited[u] = true;
-            for v in 0..n {
-                if v == u || visited[v] {
-                    continue;
-                }
-                let w = self.link_etx(NodeId::new(u as u32), NodeId::new(v as u32));
-                if w.is_finite() && dist[u] + w < dist[v] {
-                    dist[v] = dist[u] + w;
-                    prev[v] = u;
-                }
-            }
-        }
-        if !dist[d].is_finite() {
-            return None;
-        }
-        let mut path = vec![d];
-        let mut cur = d;
-        while cur != s {
-            cur = prev[cur];
-            if cur == usize::MAX {
+        let n = self.node_count();
+        // `best[v]`: least distance found to v so far (final once settled).
+        // `key[v]`: the same while v is reached but unsettled, infinite
+        // otherwise — so extraction is a scan of one flat array. The scan
+        // stays linear on purpose: a binary heap was tried at the sizes run
+        // here (196-node meshes, tens of neighbours each) and lost to it.
+        let mut best = vec![f64::INFINITY; n];
+        let mut key = vec![f64::INFINITY; n];
+        // Read only along the found path, where every entry has been set.
+        let mut prev = vec![src; n];
+        best[src.index()] = 0.0;
+        key[src.index()] = 0.0;
+        loop {
+            // Least (distance, id): the minimum, then the first holder.
+            let dist = min_key(&key);
+            if dist == f64::INFINITY {
                 return None;
             }
+            let u = key.iter().position(|&k| k == dist).expect("the minimum is in the array");
+            if u == dst.index() {
+                break;
+            }
+            key[u] = f64::INFINITY;
+            let u = NodeId::new(u as u32);
+            // A settled neighbour needs no test of its own: its `best` is
+            // at most `dist`, and link ETX is never negative.
+            for &(v, w) in self.neighbours(u) {
+                if dist + w < best[v.index()] {
+                    best[v.index()] = dist + w;
+                    key[v.index()] = dist + w;
+                    prev[v.index()] = u;
+                }
+            }
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = prev[cur.index()];
             path.push(cur);
         }
         path.reverse();
-        Some(path.into_iter().map(|i| NodeId::new(i as u32)).collect())
+        Some(path)
     }
 
     /// Hop count of the minimum-ETX path, if one exists.
@@ -320,6 +409,182 @@ mod tests {
 
     fn graph(n: usize, spacing: f64) -> LinkGraph {
         LinkGraph::from_placement(&PhyParams::paper_216(), &line(n, spacing))
+    }
+
+    /// The dense-matrix graph this module used before the CSR adjacency,
+    /// kept verbatim as the oracle (the `plan_transmission_naive` pattern):
+    /// an n×n delivery matrix, `link_etx` evaluated per relaxation, and the
+    /// linear-scan Dijkstra whose tie-breaks the sparse one must reproduce.
+    struct DenseGraph {
+        delivery: Vec<Vec<f64>>,
+    }
+
+    impl DenseGraph {
+        fn from_placement(params: &PhyParams, positions: &[Position]) -> Self {
+            let n = positions.len();
+            let mut delivery = vec![vec![0.0; n]; n];
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        let d = positions[i].distance_to(positions[j]);
+                        delivery[i][j] = params.link_delivery_probability(d);
+                    }
+                }
+            }
+            DenseGraph { delivery }
+        }
+
+        fn link_etx(&self, a: usize, b: usize) -> f64 {
+            let pf = self.delivery[a][b];
+            let pr = self.delivery[b][a];
+            if pf < MIN_LINK_PROBABILITY || pr < MIN_LINK_PROBABILITY {
+                f64::INFINITY
+            } else {
+                1.0 / (pf * pr)
+            }
+        }
+
+        fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+            let n = self.delivery.len();
+            let (s, d) = (src.index(), dst.index());
+            let mut dist = vec![f64::INFINITY; n];
+            let mut prev = vec![usize::MAX; n];
+            let mut visited = vec![false; n];
+            dist[s] = 0.0;
+            for _ in 0..n {
+                let u = (0..n)
+                    .filter(|&u| !visited[u] && dist[u].is_finite())
+                    .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))?;
+                if u == d {
+                    break;
+                }
+                visited[u] = true;
+                for v in 0..n {
+                    if v == u || visited[v] {
+                        continue;
+                    }
+                    let w = self.link_etx(u, v);
+                    if w.is_finite() && dist[u] + w < dist[v] {
+                        dist[v] = dist[u] + w;
+                        prev[v] = u;
+                    }
+                }
+            }
+            if !dist[d].is_finite() {
+                return None;
+            }
+            let mut path = vec![d];
+            let mut cur = d;
+            while cur != s {
+                cur = prev[cur];
+                if cur == usize::MAX {
+                    return None;
+                }
+                path.push(cur);
+            }
+            path.reverse();
+            Some(path.into_iter().map(|i| NodeId::new(i as u32)).collect())
+        }
+    }
+
+    /// Every off-diagonal link ETX (raw bits) and every `(src, dst)` route,
+    /// `src == dst` and unreachable pairs included, against the oracle.
+    fn assert_matches_dense(g: &LinkGraph, dense: &DenseGraph, context: &str) {
+        let n = dense.delivery.len();
+        assert_eq!(g.node_count(), n, "{context}");
+        for a in 0..n {
+            let mut degree = 0;
+            for b in 0..n {
+                let (na, nb) = (NodeId::new(a as u32), NodeId::new(b as u32));
+                if a != b {
+                    let want = dense.link_etx(a, b);
+                    assert_eq!(g.link_etx(na, nb).to_bits(), want.to_bits(), "{context}: {a}->{b}");
+                    degree += usize::from(want.is_finite());
+                }
+                assert_eq!(
+                    g.shortest_path(na, nb),
+                    dense.shortest_path(na, nb),
+                    "{context}: route {a}->{b}"
+                );
+            }
+            let row = g.neighbours(NodeId::new(a as u32));
+            assert_eq!(row.len(), degree, "{context}: only usable links are stored");
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "{context}: row {a} ascending");
+        }
+    }
+
+    #[test]
+    fn skip_bound_is_below_the_usability_floor() {
+        // The margin test may only drop links the exact path would also
+        // call unusable. With margin to spare: Φ(−2) ≈ 0.0228 against a
+        // floor of 0.05 and an approximation error of 1.5e-7.
+        let at_bound = wmn_phy::math::normal_cdf(HOPELESS_MARGIN_SIGMAS);
+        assert!(at_bound < MIN_LINK_PROBABILITY / 2.0, "Φ at the skip bound is {at_bound}");
+        // Not relying on the approximant being monotone: sample the whole
+        // skipped range down to where it underflows to exactly 0.
+        let mut z = HOPELESS_MARGIN_SIGMAS;
+        while z > -45.0 {
+            let p = wmn_phy::math::normal_cdf(z);
+            assert!(p < MIN_LINK_PROBABILITY / 2.0, "Φ({z}) = {p}");
+            z -= 0.001;
+        }
+        assert_eq!(wmn_phy::math::normal_cdf(f64::NEG_INFINITY), 0.0);
+    }
+
+    #[test]
+    fn non_finite_probability_names_the_first_row_major_pair() {
+        use wmn_phy::Medium;
+        // σ = 0 makes the margin ±∞ (probability exactly 0 or 1) for every
+        // pair except one sitting exactly on the threshold, where 0/0 is
+        // NaN. Pair (1, 2) is the only one 7 m apart.
+        let positions = vec![
+            Position::new(0.0, 0.0),
+            Position::new(5.0, 0.0),
+            Position::new(5.0, 7.0),
+            Position::new(40.0, 0.0),
+        ];
+        let mut params = PhyParams::paper_216();
+        params.shadowing.sigma_db = 0.0;
+        params.rx_thresh_dbm = params.shadowing.mean_rx_dbm(params.tx_power_dbm, 7.0);
+        // What the dense build reported: the first non-finite entry of a
+        // row-major scan of the full matrix.
+        let dense = DenseGraph::from_placement(&params, &positions);
+        let Err(EtxError::NonFinite { from, to, value }) = validate(&dense.delivery) else {
+            panic!("the dense matrix must hold a NaN");
+        };
+        assert_eq!((from, to), (NodeId::new(1), NodeId::new(2)));
+        assert!(value.is_nan());
+        let medium = Medium::new(params.clone(), positions.clone());
+        for err in [
+            LinkGraph::try_from_medium(&medium).unwrap_err(),
+            LinkGraph::try_from_placement(&params, &positions).unwrap_err(),
+        ] {
+            match err {
+                EtxError::NonFinite { from, to, value } => {
+                    assert_eq!((from, to), (NodeId::new(1), NodeId::new(2)));
+                    assert!(value.is_nan());
+                }
+                other => panic!("expected NonFinite, got {other:?}"),
+            }
+        }
+        // A NaN σ poisons every pair: the first one is (0, 1), and the NaN
+        // margin must fall through the skip test rather than be skipped.
+        params.shadowing.sigma_db = f64::NAN;
+        let medium = Medium::new(params, positions);
+        let err = LinkGraph::try_from_medium(&medium).unwrap_err();
+        assert!(
+            matches!(err, EtxError::NonFinite { from, to, value }
+                if (from, to) == (NodeId::new(0), NodeId::new(1)) && value.is_nan()),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn matrix_diagonal_is_ignored() {
+        let g = LinkGraph::from_matrix(vec![vec![0.9, 0.8], vec![0.7, 0.9]]).unwrap();
+        assert!(g.link_etx(NodeId::new(0), NodeId::new(0)).is_infinite());
+        assert_eq!(g.neighbours(NodeId::new(0)), &[(NodeId::new(1), 1.0 / (0.8 * 0.7))]);
+        assert_eq!(g.shortest_path(NodeId::new(1), NodeId::new(1)), Some(vec![NodeId::new(1)]));
     }
 
     #[test]
@@ -383,8 +648,8 @@ mod tests {
             for j in 0..5u32 {
                 let (a, b) = (NodeId::new(i), NodeId::new(j));
                 assert_eq!(
-                    live.delivery_probability(a, b).to_bits(),
-                    built.delivery_probability(a, b).to_bits(),
+                    live.link_etx(a, b).to_bits(),
+                    built.link_etx(a, b).to_bits(),
                     "unmoved medium must reproduce the build-time graph exactly"
                 );
             }
@@ -400,10 +665,7 @@ mod tests {
         for i in 0..5u32 {
             for j in 0..5u32 {
                 let (a, b) = (NodeId::new(i), NodeId::new(j));
-                assert_eq!(
-                    live.delivery_probability(a, b).to_bits(),
-                    rebuilt.delivery_probability(a, b).to_bits()
-                );
+                assert_eq!(live.link_etx(a, b).to_bits(), rebuilt.link_etx(a, b).to_bits());
             }
         }
         assert_ne!(
@@ -445,6 +707,60 @@ mod tests {
     }
 
     proptest! {
+        /// Grid placements are full of equal-ETX alternatives: the sparse
+        /// graph must break every tie the way the dense one did.
+        #[test]
+        fn prop_sparse_matches_dense_on_grids(
+            cols in 1usize..7,
+            rows in 1usize..6,
+            spacing_dm in 30u32..120,
+        ) {
+            let spacing = f64::from(spacing_dm) / 10.0;
+            let positions: Vec<Position> = (0..cols * rows)
+                .map(|i| Position::new((i % cols) as f64 * spacing, (i / cols) as f64 * spacing))
+                .collect();
+            let params = PhyParams::paper_216();
+            let dense = DenseGraph::from_placement(&params, &positions);
+            let context = format!("grid {cols}x{rows} @ {spacing} m");
+            assert_matches_dense(&LinkGraph::from_placement(&params, &positions), &dense, &context);
+            let medium = wmn_phy::Medium::new(params, positions);
+            assert_matches_dense(&LinkGraph::try_from_medium(&medium).unwrap(), &dense, &context);
+        }
+
+        /// Random geometric placements, dense to partitioned, built from
+        /// the placement and from a medium that reached it by moving.
+        #[test]
+        fn prop_sparse_matches_dense_on_random_placements(
+            coords in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..20),
+            side in 5.0f64..90.0,
+        ) {
+            let positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x * side, y * side)).collect();
+            let params = PhyParams::paper_216();
+            let dense = DenseGraph::from_placement(&params, &positions);
+            assert_matches_dense(&LinkGraph::from_placement(&params, &positions), &dense, "placed");
+            let mut medium = wmn_phy::Medium::new(params, vec![Position::default(); positions.len()]);
+            let moves: Vec<_> =
+                positions.iter().enumerate().map(|(i, &p)| (NodeId::new(i as u32), p)).collect();
+            medium.update_node_positions(&moves);
+            assert_matches_dense(&LinkGraph::try_from_medium(&medium).unwrap(), &dense, "moved");
+        }
+
+        /// Asymmetric matrices with entries on both sides of the 0.05
+        /// floor (and exactly on it): a link needs both directions usable,
+        /// so this produces one-way-dead links and unreachable stations.
+        #[test]
+        fn prop_sparse_matches_dense_on_asymmetric_matrices(
+            n in 1usize..8,
+            levels in proptest::collection::vec(0usize..8, 49..=49),
+        ) {
+            const LEVELS: [f64; 8] = [0.0, 0.02, 0.049_999, 0.05, 0.050_001, 0.3, 0.3, 0.95];
+            let delivery: Vec<Vec<f64>> =
+                (0..n).map(|i| (0..n).map(|j| LEVELS[levels[i * 7 + j]]).collect()).collect();
+            let g = LinkGraph::from_matrix(delivery.clone()).expect("finite square matrix");
+            assert_matches_dense(&g, &DenseGraph { delivery }, "matrix");
+        }
+
         /// Dijkstra's result never costs more than the direct link or than
         /// any single-relay alternative (spot optimality check).
         #[test]

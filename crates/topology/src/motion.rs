@@ -11,9 +11,9 @@
 //!
 //! The plan deliberately knows nothing about the radio model: the
 //! simulation runner samples [`NodePath::position_at`] on a fixed tick and
-//! pushes the new placements into `wmn_phy::Medium::update_node_position`,
-//! which refreshes only the moved node's row and column of the link-state
-//! matrix.
+//! pushes the tick's new placements into
+//! `wmn_phy::Medium::update_node_positions`, which re-evaluates each station
+//! pair with a moved endpoint once.
 
 use wmn_phy::Position;
 use wmn_sim::{SimDuration, SimTime};
