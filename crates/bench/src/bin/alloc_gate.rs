@@ -1,0 +1,386 @@
+//! `alloc_gate` — the CI gate on allocation pressure.
+//!
+//! Runs six deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! prints every measured value beside its committed ceiling, and exits
+//! non-zero when one is breached:
+//!
+//! ```text
+//! alloc_gate [BUDGET_JSON]        # default: ci/alloc_budget.json
+//! ```
+//!
+//! The budget file is the key set: every budget entry must name a
+//! `(bench, metric)` the gate measures, and every measured pair must have a
+//! budget entry — a workload dropped, renamed or added without touching
+//! `ci/alloc_budget.json` fails the gate in either direction. Allocation
+//! counts are deterministic per workload, which is why they are gated at
+//! all; the three steady-state claims (clean decode, saturated interface
+//! queue, recycled event list) are additionally asserted to be *exactly*
+//! zero in place.
+//!
+//! Nothing here reads a clock: time is measured by `perfbench/` (see its
+//! README), and the `no-wall-clock` lint rule holds this crate to that.
+
+use std::hint::black_box;
+use std::process::ExitCode;
+use std::sync::Arc;
+
+use wmn_alloc::{AllocStats, Phase};
+use wmn_bench::{fig6_class_mobile_scenario, fig6_class_scenario, grid_positions};
+use wmn_exec::json::{parse, Value};
+use wmn_mac::frame::{DataFrame, Frame, LinkDst, NetHeader, Packet, Proto, RouteInfo, Subframe};
+use wmn_mac::{FramePool, IfQueue};
+use wmn_netsim::stack::decode::decode_frame;
+use wmn_netsim::{run, Scenario};
+use wmn_phy::{BerModel, Medium, PhyParams, Position};
+use wmn_routing::LinkGraph;
+use wmn_sim::{EventQueue, FlowId, NodeId, SimDuration, SimTime, StreamRng};
+
+#[global_allocator]
+static ALLOC: wmn_alloc::CountingAlloc = wmn_alloc::CountingAlloc;
+
+// Workload sizes. The committed ceilings — the `peak_bytes` ones above all,
+// since peaks grow with simulated duration — are numbers for exactly these.
+const DECODE_REPS: u64 = 100_000;
+const IFQ_CYCLES: u64 = 20_000;
+const QUEUE_OPS: u64 = 200_000;
+const ROUTE_REFRESH_PASSES: u64 = 50;
+const E2E_DURATION: SimDuration = SimDuration::from_millis(300);
+
+/// A `(bench, metric)` pair and its number: a value this process measured,
+/// or a committed ceiling from the budget file.
+#[derive(Clone, Copy)]
+struct Entry<'a> {
+    bench: &'a str,
+    metric: &'a str,
+    value: f64,
+}
+
+fn allocs_per_op(bench: &'static str, stats: AllocStats, ops: u64) -> Entry<'static> {
+    Entry { bench, metric: "allocs_per_op", value: stats.allocs as f64 / ops as f64 }
+}
+
+fn header(dst: u32, proto: Proto) -> NetHeader {
+    NetHeader {
+        flow: FlowId::new(0),
+        src: NodeId::new(0),
+        dst: NodeId::new(dst),
+        proto,
+        wire_bytes: 1000,
+    }
+}
+
+/// The zero-copy decode fast path: one pooled 16-subframe broadcast frame,
+/// decoded over a clean channel (BER 0 ⇒ every survival draw passes, so
+/// every decode takes the shared fast path — an `Arc` refcount bump).
+fn clean_decode() -> Entry<'static> {
+    let pool = FramePool::default();
+    let header = header(3, Proto::Tcp);
+    let mut subframes = pool.mint_subframes();
+    for seq in 0..16 {
+        subframes.push(Subframe {
+            seq,
+            packet: Packet::new(header, pool.mint_body(&[0u8; 18])),
+            corrupted: false,
+        });
+    }
+    let frame = Arc::new(Frame::Data(DataFrame {
+        transmitter: NodeId::new(0),
+        link_dst: LinkDst::Unicast(NodeId::new(1)),
+        flow: FlowId::new(0),
+        src: NodeId::new(0),
+        dst: NodeId::new(3),
+        frame_seq: 0,
+        subframes,
+        retry: 0,
+    }));
+    let ber = BerModel::new(0.0);
+    let mut rng = StreamRng::derive(7, "bench/decode");
+    let (decoded, stats) = wmn_alloc::measure(|| {
+        let mut decoded = 0u64;
+        for _ in 0..DECODE_REPS {
+            if let Some(rx) = decode_frame(&ber, &mut rng, &frame) {
+                decoded += 1;
+                black_box(&rx);
+            }
+        }
+        decoded
+    });
+    assert_eq!(decoded, DECODE_REPS, "BER 0 must decode every frame");
+    assert_eq!(stats.allocs, 0, "clean decode must be allocation-free");
+    allocs_per_op("clean_decode_16sub", stats, DECODE_REPS)
+}
+
+/// The saturated interface-queue cycle the aggregation path drives: a full
+/// `Sq` where every "transmission" pulls a route-matched batch into a
+/// pooled slot and the packets are re-enqueued (the refill a saturated
+/// sender performs). After the warm-up the deque, the batch slot and the
+/// packet bodies are all at steady-state capacity.
+fn saturated_queue() -> Entry<'static> {
+    let header = header(9, Proto::Udp);
+    let route = RouteInfo::NextHop(NodeId::new(1));
+    let mut q = IfQueue::new(50);
+    for _ in 0..50 {
+        assert!(q.push(Packet::new(header, vec![]), route.clone()).is_none());
+    }
+    let cycle = |q: &mut IfQueue| {
+        let mut batch = q.pop_batch_matching_head(16, u32::MAX);
+        for qp in batch.drain(..) {
+            assert!(q.push(qp.packet, qp.route).is_none(), "refill must fit");
+        }
+    };
+    // Warm-up: let the batch slot grow to its 16-packet capacity.
+    for _ in 0..4 {
+        cycle(&mut q);
+    }
+    let ((), stats) = wmn_alloc::measure(|| {
+        for _ in 0..IFQ_CYCLES {
+            cycle(&mut q);
+        }
+    });
+    assert_eq!(q.len(), 50, "every batch is fully re-enqueued");
+    assert_eq!(stats.allocs, 0, "saturated queue cycle must be allocation-free");
+    allocs_per_op("saturated_queue_enqueue", stats, IFQ_CYCLES)
+}
+
+/// The recycled-node claim on the future-event list, under the simulator's
+/// steady-state pattern: a bounded frontier, pre-sized, where every pop
+/// schedules a successor at or near "now" — pops hand their storage
+/// straight back to the pushes.
+fn event_churn_recycled() -> Entry<'static> {
+    let mut q = EventQueue::with_capacity(64);
+    for i in 0..64u64 {
+        q.schedule(SimTime::from_nanos(i / 4), i);
+    }
+    let mut sum = 0u64;
+    let ((), stats) = wmn_alloc::measure(|| {
+        for i in 64..QUEUE_OPS {
+            let (_, e) = q.pop().expect("frontier never empties");
+            sum = sum.wrapping_add(e);
+            q.schedule_in(SimDuration::from_nanos(i % 3), i);
+        }
+    });
+    black_box(sum);
+    assert_eq!(stats.allocs, 0, "recycled event churn must be allocation-free");
+    allocs_per_op("event_churn_recycled", stats, QUEUE_OPS)
+}
+
+/// Full live route-refresh passes, as the engine's `RouteRefresh` event
+/// pays them: snapshot the medium's current link state into a [`LinkGraph`]
+/// and rerun min-ETX Dijkstra per flow, on a 16×16 grid. 5 m spacing keeps
+/// every neighbour link above the ETX usability floor so all flows really
+/// route (at 40 m, p ≈ 6e-5 < 0.05 and nothing does). The mover keeps the
+/// link state changing between passes so no snapshot is a cached no-op.
+fn route_refresh_pass() -> Entry<'static> {
+    let side = 16;
+    let n = side * side;
+    let mut medium = Medium::new(PhyParams::paper_216(), grid_positions(side, 5.0));
+    // Corner-to-corner and edge-to-edge endpoint pairs, one per flow.
+    let endpoints: Vec<(NodeId, NodeId)> =
+        (0..4).map(|f| (NodeId::new((f * side) as u32), NodeId::new((n - 1 - f) as u32))).collect();
+    let mover = NodeId::new((n / 2) as u32);
+    let (paths_found, stats) = wmn_alloc::measure(|| {
+        let mut paths_found = 0u64;
+        for i in 0..ROUTE_REFRESH_PASSES {
+            // A diagonal walk that stays inside the deployment footprint.
+            let step = (i % 128) as f64;
+            medium.update_node_position(mover, Position::new(step * 0.5, step * 0.25));
+            let graph = LinkGraph::try_from_medium(&medium).expect("grid link state is finite");
+            for &(src, dst) in &endpoints {
+                if let Some(path) = graph.shortest_path(src, dst) {
+                    paths_found += 1;
+                    black_box(&path);
+                }
+            }
+        }
+        paths_found
+    });
+    assert_eq!(paths_found, ROUTE_REFRESH_PASSES * 4, "every flow must route on every pass");
+    allocs_per_op("route_refresh_pass_grid256_flows4", stats, ROUTE_REFRESH_PASSES)
+}
+
+/// One fig-6(b)-class end-to-end run: allocations per frame on the air
+/// (data + ACK) and the live-bytes peak. Returns the run's allocations split
+/// by the engine's phase scopes (scenario build and result collection stay
+/// unattributed), so that a breach names where the new traffic comes from.
+fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'static>>) -> String {
+    let before = wmn_alloc::phase_totals();
+    let (result, stats) = wmn_alloc::measure(|| run(scenario));
+    let after = wmn_alloc::phase_totals();
+    assert!(result.flows[0].delivered_bytes > 0, "{bench}: run made no progress");
+    let frames: u64 = result.mac_stats.iter().map(|s| s.data_frames_sent + s.ack_frames_sent).sum();
+    assert!(frames > 0, "{bench}: no frames transmitted");
+    out.push(Entry {
+        bench,
+        metric: "allocs_per_frame",
+        value: stats.allocs as f64 / frames as f64,
+    });
+    out.push(Entry { bench, metric: "peak_bytes", value: stats.peak_bytes_in_use as f64 });
+    let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
+        .iter()
+        .map(|&p| format!("{} {}", p.label(), after[p as usize].allocs - before[p as usize].allocs))
+        .collect();
+    format!("{bench}: {} allocs over {frames} frames — {}", stats.allocs, split.join(", "))
+}
+
+/// Every gated measurement, plus the end-to-end runs' phase splits.
+fn measure_all() -> (Vec<Entry<'static>>, [String; 2]) {
+    // Both end-to-end scenarios (RIPPLE-16 + 5 hidden CBR senders; static,
+    // and with the relays pacing on a 10 ms mobility tick) are built up
+    // front, so what is live at entry is the same for every measured region.
+    let fixed = fig6_class_scenario(5, E2E_DURATION);
+    let mobile = fig6_class_mobile_scenario(5, E2E_DURATION);
+    let mut out =
+        vec![route_refresh_pass(), saturated_queue(), event_churn_recycled(), clean_decode()];
+    let splits = [
+        end_to_end("fig6_class_end_to_end", &fixed, &mut out),
+        end_to_end("fig6_class_mobile_end_to_end", &mobile, &mut out),
+    ];
+    (out, splits)
+}
+
+fn parse_budget(doc: &Value) -> Result<Vec<Entry<'_>>, String> {
+    if doc.get("artefact").and_then(Value::as_str) != Some("alloc_budget") {
+        return Err("artefact must be \"alloc_budget\"".into());
+    }
+    let entries = doc.get("budgets").and_then(Value::as_arr).ok_or("budgets must be an array")?;
+    entries
+        .iter()
+        .map(|entry| {
+            let field = |key: &str| entry.get(key).and_then(Value::as_str);
+            let bench = field("bench").ok_or("every budget entry needs a bench name")?;
+            let metric = field("metric").ok_or(format!("budget for {bench:?}: no metric"))?;
+            let value = entry
+                .get("max")
+                .and_then(Value::as_f64)
+                .ok_or(format!("budget for {bench:?}: max must be numeric"))?;
+            Ok(Entry { bench, metric, value })
+        })
+        .collect()
+}
+
+fn find<'a>(entries: &'a [Entry], key: &Entry) -> Option<&'a Entry<'a>> {
+    entries.iter().find(|e| e.bench == key.bench && e.metric == key.metric)
+}
+
+/// The gate's verdict, one line per failure: a budget entry nothing
+/// measures, a measurement nothing budgets, or a value above its ceiling.
+fn check(measured: &[Entry], budgets: &[Entry]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for b in budgets.iter().filter(|b| find(measured, b).is_none()) {
+        failures.push(format!(
+            "{} {}: budgeted but not measured — drop the entry or restore the workload",
+            b.bench, b.metric
+        ));
+    }
+    for m in measured {
+        match find(budgets, m) {
+            None => failures.push(format!(
+                "{} {}: measured but has no budget entry — add a ceiling",
+                m.bench, m.metric
+            )),
+            Some(b) if m.value > b.value => failures.push(format!(
+                "{} {}: {} exceeds the committed ceiling {} — a steady-state path \
+                 started allocating again (raise the ceiling only if that is intended)",
+                m.bench, m.metric, m.value, b.value
+            )),
+            Some(_) => {}
+        }
+    }
+    failures
+}
+
+/// Measures, loads the budget, prints the table; returns the failure count.
+fn gate(path: &str) -> Result<usize, String> {
+    assert!(wmn_alloc::counting_enabled(), "wmn_bench must build wmn_alloc with `count`");
+    // Measured before the budget is read, so that the peaks (which include
+    // whatever the process already holds) do not depend on the file's size.
+    let (measured, splits) = measure_all();
+    let text = std::fs::read_to_string(path).map_err(|err| err.to_string())?;
+    let doc = parse(&text)?;
+    let budgets = parse_budget(&doc)?;
+
+    println!("{:<34} {:<17} {:>19} {:>9}", "bench", "metric", "measured", "max");
+    for m in &measured {
+        let max = find(&budgets, m).map_or("-".to_string(), |b| b.value.to_string());
+        println!("{:<34} {:<17} {:>19} {:>9}", m.bench, m.metric, m.value, max);
+    }
+    for split in &splits {
+        println!("{split}");
+    }
+    let failures = check(&measured, &budgets);
+    for failure in &failures {
+        eprintln!("FAIL {failure}");
+    }
+    Ok(failures.len())
+}
+
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    let path = args.next().unwrap_or_else(|| "ci/alloc_budget.json".into());
+    if args.next().is_some() {
+        eprintln!("usage: alloc_gate [BUDGET_JSON]");
+        return ExitCode::from(2);
+    }
+    match gate(&path) {
+        Ok(0) => {
+            println!("alloc_gate: every metric within {path}");
+            ExitCode::SUCCESS
+        }
+        Ok(n) => {
+            eprintln!("alloc_gate: {n} failure(s) against {path}");
+            ExitCode::FAILURE
+        }
+        Err(msg) => {
+            eprintln!("alloc_gate: {path}: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> Value {
+        parse(include_str!("../../../../ci/alloc_budget.json")).expect("valid JSON")
+    }
+
+    /// The committed ceilings themselves are a measurement set that passes.
+    #[test]
+    fn values_at_the_committed_ceilings_pass() {
+        let doc = committed();
+        let budgets = parse_budget(&doc).expect("committed budget is well-formed");
+        assert_eq!(budgets.len(), 8);
+        assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_value_above_its_ceiling_fails_naming_bench_and_metric() {
+        let doc = committed();
+        let budgets = parse_budget(&doc).unwrap();
+        let mut measured = budgets.clone();
+        measured[3].value += 0.5;
+        let failures = check(&measured, &budgets);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("fig6_class_end_to_end allocs_per_frame: 5.5 exceeds"));
+    }
+
+    #[test]
+    fn a_budget_entry_nothing_measures_fails() {
+        let doc = committed();
+        let budgets = parse_budget(&doc).unwrap();
+        let failures = check(&budgets[1..], &budgets);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("clean_decode_16sub allocs_per_op: budgeted but not"));
+    }
+
+    #[test]
+    fn a_measurement_without_a_budget_entry_fails() {
+        let doc = committed();
+        let measured = parse_budget(&doc).unwrap();
+        let failures = check(&measured, &measured[..7]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0]
+            .starts_with("route_refresh_pass_grid256_flows4 allocs_per_op: measured but has no"));
+    }
+}

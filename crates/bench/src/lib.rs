@@ -1,59 +1,22 @@
-//! Benchmark harness support: scaled-down experiment configurations for
-//! Criterion runs, the scenario builders the micro-benches share, and the
-//! measured workloads behind the `bench_suite` binary (the repo's tracked
-//! perf trajectory, written as `BENCH_*.json`).
-//!
-//! Each Criterion bench in `benches/figures.rs` regenerates (a reduced
-//! version of) one table or figure of the paper — the point is not the
-//! wall-clock number but a harness that exercises the exact workload,
-//! parameter sweep, baseline set and reporting path behind each artefact.
-//! Set `RIPPLE_REPRO=paper` and run the `wmn-experiments` binaries for the
-//! full-scale numbers.
+//! Scenario builders for the `alloc_gate` binary — the CI gate that holds the
+//! simulator's steady-state paths to the allocation ceilings committed in
+//! `ci/alloc_budget.json`. Time is not measured in this crate: `perfbench/`
+//! is the benchmark of record.
 
-use wmn_experiments::ExpConfig;
-use wmn_netsim::{
-    run, FlowSpec, MotionPlan, NodePath, RunResult, Scenario, Scheme, Waypoint, Workload,
-};
-use wmn_phy::{Medium, PhyParams, Position, RxPlan};
-use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
+use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
+use wmn_phy::{PhyParams, Position};
+use wmn_sim::{SimDuration, SimTime};
 use wmn_topology::collision;
 use wmn_traffic::CbrModel;
 
-/// The configuration benches run experiments with (150 ms, one seed).
-pub fn bench_config() -> ExpConfig {
-    ExpConfig::bench()
-}
-
-/// A canonical 3-hop FTP scenario used by the micro benches.
-pub fn three_hop_scenario(scheme: Scheme) -> Scenario {
-    Scenario {
-        name: "bench-3hop".into(),
-        params: PhyParams::paper_216(),
-        positions: (0..4).map(|i| Position::new(f64::from(i) * 5.0, 0.0)).collect(),
-        scheme,
-        flows: vec![FlowSpec { path: (0..4).map(NodeId::new).collect(), workload: Workload::Ftp }],
-        duration: SimDuration::from_millis(100),
-        seed: 7,
-        max_forwarders: 5,
-        motion: wmn_netsim::MotionPlan::default(),
-        route_refresh: None,
-        shards: None,
-    }
-}
-
-/// Runs the canonical scenario (used to keep bench bodies one-liners).
-pub fn run_three_hop(scheme: Scheme) -> RunResult {
-    run(&three_hop_scenario(scheme))
-}
-
 /// Station placement on a `side`×`side` grid with `spacing_m` metre pitch.
 ///
-/// The planner benchmarks use two instances: a dense 6×6 @ 5 m grid where
-/// every pair is within possible carrier sense (every draw is taken), and a
-/// campus-scale 16×16 @ 40 m grid (600 m side) where pairs beyond ~417 m —
-/// the distance at which even a maximal shadowing excursion stays below
-/// carrier sense — are classified never-sensed at build time (the cached
-/// planner's fast path).
+/// Two instances matter: dense grids at 5 m pitch, where every pair is
+/// within possible carrier sense and neighbour links are usable routes (the
+/// gate's route-refresh workload), and a campus-scale 16×16 @ 40 m grid
+/// (600 m side) where pairs beyond ~417 m — the distance at which even a
+/// maximal shadowing excursion stays below carrier sense — are classified
+/// never-sensed at build time.
 pub fn grid_positions(side: usize, spacing_m: f64) -> Vec<Position> {
     let mut positions = Vec::with_capacity(side * side);
     for row in 0..side {
@@ -64,39 +27,10 @@ pub fn grid_positions(side: usize, spacing_m: f64) -> Vec<Position> {
     positions
 }
 
-/// The pre-refactor `plan_transmission`: re-derives distance, mean path
-/// loss, and thresholds for every pair on every call, through the public
-/// propagation API. This is the baseline side of the cached-vs-naive
-/// benchmark; it is pinned bit-identical to the cached planner both here
-/// (unit test) and in `wmn_phy`'s property suite, so the two sides of the
-/// timing comparison provably do the same work.
-pub fn naive_plan_reference(medium: &Medium, from: NodeId, rng: &mut StreamRng) -> Vec<RxPlan> {
-    let p = medium.params();
-    let mut plans = Vec::new();
-    for idx in 0..medium.node_count() {
-        if idx == from.index() {
-            continue;
-        }
-        let to = NodeId::new(idx as u32);
-        let d = medium.position(from).distance_to(medium.position(to));
-        let power = p.shadowing.sample_rx_dbm(p.tx_power_dbm, d, rng);
-        if power < p.cs_thresh_dbm {
-            continue;
-        }
-        plans.push(RxPlan {
-            to,
-            delay: p.propagation_delay(d),
-            power_dbm: power,
-            decodable: power >= p.rx_thresh_dbm,
-        });
-    }
-    plans
-}
-
 /// A fig-6(b)-class end-to-end scenario: a 3-hop RIPPLE-16 FTP flow whose
 /// relays are exposed to `n_hidden` saturated hidden CBR senders — the
 /// heaviest per-transmission fan-out workload in the paper's experiment
-/// set, used as the suite's end-to-end timing probe.
+/// set, and the gate's end-to-end allocation probe.
 pub fn fig6_class_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
     let topo = collision::hidden_terminals(n_hidden);
     let mut flows = vec![FlowSpec { path: collision::hidden_main_path(), workload: Workload::Ftp }];
@@ -122,8 +56,7 @@ pub fn fig6_class_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
 /// The mobile variant of [`fig6_class_scenario`]: the main flow's two
 /// relays pace laterally (waypoint round trips, ±2.5 m every 250 ms for up
 /// to 2 s) while the hidden CBR senders stay put — so every mobility tick
-/// refreshes link rows *during* the heaviest fan-out workload in the suite.
-/// This is the end-to-end probe for the incremental link-state refresh.
+/// refreshes link rows *during* that workload.
 pub fn fig6_class_mobile_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
     let mut scenario = fig6_class_scenario(n_hidden, duration);
     scenario.name = format!("bench-fig6b-mobile-{n_hidden}");
@@ -142,29 +75,12 @@ pub fn fig6_class_mobile_scenario(n_hidden: usize, duration: SimDuration) -> Sce
     scenario
 }
 
-/// The thousand-station probe for the sharded engine: the `campus-1k`
-/// scengen preset (1024 stations in 32 dense clusters, mixed FTP/VoIP/CBR
-/// traffic) at the given duration and shard count. The suite runs it at
-/// `shards: Some(1)` and `Some(k)` and *asserts bit-equality* — the timing
-/// comparison is only meaningful because both sides provably compute the
-/// same result.
-pub fn campus_scale_scenario(duration: SimDuration, shards: u32) -> Scenario {
-    let mut scenario =
-        wmn_scengen::ScenarioSpec::campus_scale().materialise().expect("campus-1k preset is valid");
-    scenario.duration = duration;
-    scenario.shards = Some(shards);
-    scenario
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_scenario_is_runnable() {
-        let result = run_three_hop(Scheme::Ripple { aggregation: 16 });
-        assert!(result.flows[0].delivered_bytes > 0);
-    }
+    use wmn_netsim::run;
+    use wmn_phy::Medium;
+    use wmn_sim::NodeId;
 
     #[test]
     fn grid_positions_shape() {
@@ -172,27 +88,6 @@ mod tests {
         assert_eq!(g.len(), 16);
         assert!((g[0].distance_to(g[1]) - 5.0).abs() < 1e-12);
         assert!((g[0].distance_to(g[4]) - 5.0).abs() < 1e-12);
-    }
-
-    /// The benchmark's naive reference must stay bit-identical to the cached
-    /// planner — otherwise the timed comparison would not be apples to
-    /// apples. (The `wmn_phy` property suite pins the same equivalence
-    /// against the in-crate naive oracle.)
-    #[test]
-    fn naive_reference_matches_cached_planner() {
-        for (side, spacing) in [(6usize, 5.0f64), (16, 40.0)] {
-            let medium = Medium::new(PhyParams::paper_216(), grid_positions(side, spacing));
-            let mut rng_c = StreamRng::derive(11, "bench/pin");
-            let mut rng_n = StreamRng::derive(11, "bench/pin");
-            let n = (side * side) as u64;
-            for i in 0..200u64 {
-                let from = NodeId::new((i % n) as u32);
-                let cached = medium.plan_transmission(from, &mut rng_c);
-                let naive = naive_plan_reference(&medium, from, &mut rng_n);
-                assert_eq!(cached, naive, "grid {side}x{side} call {i}");
-            }
-            assert_eq!(rng_c.next_u64(), rng_n.next_u64(), "stream positions diverged");
-        }
     }
 
     #[test]
@@ -227,30 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn campus_scale_scenario_is_valid_and_shard_invariant_probe_shaped() {
-        let s = campus_scale_scenario(SimDuration::from_millis(2), 4);
-        assert_eq!(s.validate(), Ok(()));
-        assert_eq!(s.positions.len(), 1024);
-        assert_eq!(s.shards, Some(4));
-        // Both suite sides must describe the same run, differing only in
-        // shard count (the suite then asserts result bit-equality).
-        let one = campus_scale_scenario(SimDuration::from_millis(2), 1);
-        assert_eq!(one.shards, Some(1));
-        assert_eq!(one.positions, s.positions);
-        assert_eq!(one.seed, s.seed);
-        assert_eq!(one.duration, s.duration);
-        assert_eq!(one.flows.len(), s.flows.len());
-    }
-
-    #[test]
     fn fig6_class_mobile_scenario_moves_and_runs() {
         let s = fig6_class_mobile_scenario(3, SimDuration::from_millis(300));
         assert_eq!(s.validate(), Ok(()));
         assert!(!s.motion.is_static(), "the relays must actually move");
         let r = run(&s);
         assert!(r.flows[0].delivered_bytes > 0, "main flow survives the pacing relays");
-        // Determinism holds under mobility (the bench compares across
-        // commits, so a nondeterministic probe would be useless).
+        // Determinism holds under mobility (the gate compares against
+        // committed ceilings, so a nondeterministic probe would be useless).
         assert_eq!(r, run(&s));
     }
 }

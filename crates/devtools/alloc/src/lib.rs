@@ -1,4 +1,4 @@
-//! A counting global allocator for the bench suite.
+//! A counting global allocator for the allocation gate and `perfbench`.
 //!
 //! [`CountingAlloc`] wraps the system allocator and keeps four process-wide
 //! counters behind relaxed atomics: allocation calls, cumulative bytes
@@ -6,9 +6,10 @@
 //! The accounting itself never allocates, so installing it cannot perturb
 //! what it measures beyond a few atomic adds per call.
 //!
-//! Counting is compiled in only with the `count` feature (the bench suite
-//! enables it; everyone else gets a zero-overhead passthrough), so linking
-//! the crate costs nothing unless a binary explicitly opts into profiling.
+//! Counting is compiled in only with the `count` feature (`wmn_bench` and
+//! `perfbench` enable it; everyone else gets a zero-overhead passthrough),
+//! so linking the crate costs nothing unless a binary explicitly opts into
+//! profiling.
 //!
 //! # Usage
 //!
@@ -21,9 +22,9 @@
 //! ```
 //!
 //! The counters are process-wide: [`measure`] reports deltas, so it is only
-//! meaningful when nothing else allocates concurrently (the bench suite is
-//! single-threaded while measuring; the sharded-engine benches skip
-//! per-region accounting for exactly this reason).
+//! meaningful when nothing else allocates concurrently (`alloc_gate` is
+//! single-threaded while measuring, and measures no sharded run for exactly
+//! this reason).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "count")]
@@ -129,7 +130,7 @@ pub const fn counting_enabled() -> bool {
 ///
 /// Hot-loop code marks its regions with [`phase_scope`]; every allocation
 /// made on that thread while the guard lives is charged to the bucket, so
-/// the bench suite can itemise *where* residual steady-state allocations
+/// a report can itemise *where* residual steady-state allocations
 /// come from instead of reporting one opaque total. Anything outside a
 /// scope lands in [`Phase::Unattributed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,6 +247,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     // The test binary installs the counting allocator for itself; these
     // tests are meaningless (all-zero stats) without the feature.
@@ -253,8 +255,20 @@ mod tests {
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
 
+    /// The counters are process-wide and `cargo test` runs sibling tests on
+    /// parallel threads, so every test that reads them — or allocates while
+    /// another might be reading — holds this for its whole body.
+    static COUNTERS: Mutex<()> = Mutex::new(());
+
+    fn serialised() -> MutexGuard<'static, ()> {
+        // A sibling that failed while holding the lock poisons it; `()` has
+        // no state to be left inconsistent.
+        COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn measure_counts_a_boxed_alloc() {
+        let _serial = serialised();
         let (_, stats) = measure(|| std::hint::black_box(vec![0u8; 4096]));
         if counting_enabled() {
             assert!(stats.allocs >= 1, "a 4 KiB Vec must register");
@@ -267,6 +281,7 @@ mod tests {
 
     #[test]
     fn phase_scopes_attribute_and_nest() {
+        let _serial = serialised();
         let before = phase_totals();
         {
             let _queue = phase_scope(Phase::Queue);
@@ -299,15 +314,24 @@ mod tests {
 
     #[test]
     fn phase_labels_are_stable_report_keys() {
+        let _serial = serialised();
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["unattributed", "tx_path", "queue", "event_loop"]);
     }
 
     #[test]
     fn measure_of_pure_arithmetic_is_allocation_free() {
-        let (sum, stats) = measure(|| (0u64..100).map(std::hint::black_box).sum::<u64>());
-        assert_eq!(sum, 4950);
-        assert_eq!(stats.allocs, 0, "no heap traffic from register arithmetic");
-        assert_eq!(stats.bytes_allocated, 0);
+        let _serial = serialised();
+        // The lock cannot quiet libtest's own threads, which allocate while
+        // they spawn and reap sibling tests. Foreign traffic only ever adds
+        // to the counters, though, so a single clean window proves that
+        // `measure` and the closure contribute nothing — and if either did
+        // allocate, no window would be clean.
+        let clean = (0..1000).any(|_| {
+            let (sum, stats) = measure(|| (0u64..100).map(std::hint::black_box).sum::<u64>());
+            assert_eq!(sum, 4950);
+            stats.allocs == 0 && stats.bytes_allocated == 0
+        });
+        assert!(clean, "no heap traffic from register arithmetic");
     }
 }

@@ -8,11 +8,9 @@
 //!   behaviour change — or an intended one that must refresh the baseline);
 //! * the run count matches (a silently shrunk grid would otherwise look
 //!   "fast");
-//! * the timing accounting is sane: positive wall-clock, non-negative busy
-//!   time, and — when `RIPPLE_BASELINE_MAX_SLOWDOWN` is set to a factor
-//!   like `3.0` — busy-per-run no worse than baseline × factor. The factor
-//!   gate is opt-in because absolute times depend on the host; table drift
-//!   and run counts are enforced unconditionally.
+//! * the timing accounting is sane: positive wall-clock and non-negative
+//!   busy time, both finite. How long the runs took is not gated — absolute
+//!   times depend on the host, and `perfbench/` is where time is measured.
 //!
 //! ## Refreshing the baseline
 //!
@@ -39,9 +37,6 @@ use wmn_exec::json::{self, Value};
 /// Artefacts a bootstrap `--update` captures: the three golden-suite
 /// figures plus the CI sweep.
 const DEFAULT_ARTEFACTS: [&str; 4] = ["fig3", "fig6", "table3", "sweep_ci-quick"];
-
-/// Opt-in busy-per-run slowdown factor gate.
-const SLOWDOWN_ENV: &str = "RIPPLE_BASELINE_MAX_SLOWDOWN";
 
 fn usage() -> ! {
     eprintln!(
@@ -112,7 +107,7 @@ fn check_artefact(entry: &Value, dir: &Path, failures: &mut Vec<String>) {
     if base_runs.is_some() && runs != base_runs {
         failures.push(format!("{name}: ran {runs:?} runs, baseline expects {base_runs:?}"));
     }
-    // 3. Sane accounting, plus the opt-in slowdown factor.
+    // 3. Sane accounting.
     let Some(timing) = timing_of(&doc, dir, &name) else {
         failures.push(format!("{name}: no timing accounting found"));
         return;
@@ -121,31 +116,6 @@ fn check_artefact(entry: &Value, dir: &Path, failures: &mut Vec<String>) {
     let busy = timing.get("busy_ms").and_then(Value::as_f64).unwrap_or(-1.0);
     if !(wall > 0.0 && wall.is_finite() && busy >= 0.0 && busy.is_finite()) {
         failures.push(format!("{name}: implausible timing (wall_ms {wall}, busy_ms {busy})"));
-    }
-    if let Some(factor) = slowdown_factor() {
-        let base_busy = entry.get("busy_ms").and_then(Value::as_f64);
-        if let (Some(base_busy), Some(runs), Some(base_runs)) = (base_busy, runs, base_runs) {
-            let per_run = busy / runs as f64;
-            let base_per_run = base_busy / base_runs as f64;
-            if base_per_run > 0.0 && per_run > base_per_run * factor {
-                failures.push(format!(
-                    "{name}: busy {per_run:.2} ms/run exceeds baseline \
-                     {base_per_run:.2} ms/run × {factor} ({SLOWDOWN_ENV})"
-                ));
-            }
-        }
-    }
-}
-
-fn slowdown_factor() -> Option<f64> {
-    // lint:allow(no-nondeterministic-std): opt-in CI wall-time gate — gates the perf check, not any repro result
-    let raw = std::env::var(SLOWDOWN_ENV).ok()?;
-    match raw.trim().parse::<f64>() {
-        Ok(f) if f.is_finite() && f > 0.0 => Some(f),
-        _ => {
-            eprintln!("error: {SLOWDOWN_ENV} must be a positive factor, got {raw:?}");
-            exit(2)
-        }
     }
 }
 
@@ -161,11 +131,6 @@ fn fresh_entry(name: &str, dir: &Path) -> Value {
     let mut entry = Value::obj().with("artefact", name);
     if let Some(runs) = fresh_runs(&doc) {
         entry = entry.with("runs", runs);
-    }
-    if let Some(timing) = timing_of(&doc, dir, name) {
-        if let Some(busy) = timing.get("busy_ms").and_then(Value::as_f64) {
-            entry = entry.with("busy_ms", busy);
-        }
     }
     entry.with("tables", doc.get("tables").cloned().unwrap_or(Value::Arr(vec![])))
 }

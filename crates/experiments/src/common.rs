@@ -33,14 +33,9 @@ impl ExpConfig {
         ExpConfig { duration, seeds, jobs: exec.jobs(), shards: exec.shards() }
     }
 
-    /// Fast settings for CI / benches: 1 s, two seeds.
+    /// Fast settings for CI: 1 s, two seeds.
     pub fn quick() -> Self {
         ExpConfig::custom(SimDuration::from_secs_f64(1.0), vec![1, 2])
-    }
-
-    /// Tiny settings used by Criterion benches.
-    pub fn bench() -> Self {
-        ExpConfig::custom(SimDuration::from_millis(150), vec![1])
     }
 
     /// The paper's settings: 10 s, five seeds.
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn configs_resolve_a_positive_worker_count() {
-        for cfg in [ExpConfig::quick(), ExpConfig::bench(), ExpConfig::paper(), ExpConfig::mid()] {
+        for cfg in [ExpConfig::quick(), ExpConfig::paper(), ExpConfig::mid()] {
             assert!(cfg.jobs >= 1);
         }
     }

@@ -220,7 +220,7 @@ fn for_loop_over_tracked(
 
 /// `no-wall-clock`: flags `Instant::now` and any mention of `SystemTime`.
 /// Simulated time comes from the event clock; wall-clock reads belong only
-/// to the telemetry layer (exec, bench, experiment binaries, devtools).
+/// to the telemetry layer (exec, experiment binaries, devtools).
 pub fn no_wall_clock(tokens: &[Token], file: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
@@ -233,7 +233,7 @@ pub fn no_wall_clock(tokens: &[Token], file: &str) -> Vec<Finding> {
                 file,
                 t.line,
                 "`Instant::now()` reads the wall clock — simulated components must take time \
-                 from the event clock; telemetry belongs in wmn_exec/wmn_bench"
+                 from the event clock; telemetry belongs in wmn_exec"
                     .to_string(),
             ));
         }

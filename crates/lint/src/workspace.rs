@@ -115,7 +115,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// harness layer, which reports *about* runs rather than participating in
 /// them.
 pub const WALL_CLOCK_ALLOWED: &[&str] =
-    &["crates/exec/", "crates/bench/", "crates/devtools/", "crates/experiments/src/bin/"];
+    &["crates/exec/", "crates/devtools/", "crates/experiments/src/bin/"];
 
 /// The sharded driver's module: files here answer to the two `shard-*`
 /// rules (per-entity RNG streams, no write locks outside the seam). Keyed
@@ -168,8 +168,12 @@ mod tests {
         assert!(c.wall_clock_allowed);
         let c = config_for("crates/experiments/src/common.rs", "experiments");
         assert!(!c.wall_clock_allowed);
-        let c = config_for("crates/devtools/criterion/src/lib.rs", "devtools/criterion");
+        let c = config_for("crates/devtools/proptest/src/lib.rs", "devtools/proptest");
         assert!(c.wall_clock_allowed);
+        // The allocation gate counts; `perfbench/` (outside this workspace)
+        // owns time.
+        let c = config_for("crates/bench/src/bin/alloc_gate.rs", "bench");
+        assert!(!c.wall_clock_allowed);
         // The sharded driver: workers get both shard rules; the
         // coordinator seam keeps them minus the write-lock isolation.
         let c = config_for("crates/netsim/src/stack/shard/worker.rs", "netsim");

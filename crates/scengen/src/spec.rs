@@ -129,7 +129,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// The campus-at-scale preset: 32 clusters × 32 stations = 1,024 nodes
     /// in a 60 m square — the workload the sharded engine exists for, and
-    /// the placement `wmn_bench`'s shard entry runs at two shard counts.
+    /// the placement the shard-equivalence suite runs at two shard counts.
     /// Density is deliberately high (mean nearest neighbour under a metre)
     /// so the placement is radio-connected at the first attempt; `shards`
     /// is left `None` for the caller to choose an engine.
