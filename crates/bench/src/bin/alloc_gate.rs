@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs six deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs seven deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -25,7 +25,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use wmn_alloc::{AllocStats, Phase};
-use wmn_bench::{fig6_class_mobile_scenario, fig6_class_scenario, grid_positions};
+use wmn_bench::{
+    dense_neighbourhood_scenario, fig6_class_mobile_scenario, fig6_class_scenario, grid_positions,
+};
 use wmn_exec::json::{parse, Value};
 use wmn_mac::frame::{DataFrame, Frame, LinkDst, NetHeader, Packet, Proto, RouteInfo, Subframe};
 use wmn_mac::{FramePool, IfQueue};
@@ -45,6 +47,8 @@ const IFQ_CYCLES: u64 = 20_000;
 const QUEUE_OPS: u64 = 200_000;
 const ROUTE_REFRESH_PASSES: u64 = 50;
 const E2E_DURATION: SimDuration = SimDuration::from_millis(300);
+/// A dense-neighbourhood frame costs about twenty times a fig-6 one.
+const DENSE_DURATION: SimDuration = SimDuration::from_millis(100);
 
 /// A `(bench, metric)` pair and its number: a value this process measured,
 /// or a committed ceiling from the budget file.
@@ -198,8 +202,8 @@ fn route_refresh_pass() -> Entry<'static> {
     allocs_per_op("route_refresh_pass_grid256_flows4", stats, ROUTE_REFRESH_PASSES)
 }
 
-/// One fig-6(b)-class end-to-end run: allocations per frame on the air
-/// (data + ACK) and the live-bytes peak. Returns the run's allocations split
+/// One end-to-end run: allocations per frame on the air (data + ACK) and
+/// the live-bytes peak. Returns the run's allocations split
 /// by the engine's phase scopes (scenario build and result collection stay
 /// unattributed), so that a breach names where the new traffic comes from.
 fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'static>>) -> String {
@@ -223,17 +227,20 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
 }
 
 /// Every gated measurement, plus the end-to-end runs' phase splits.
-fn measure_all() -> (Vec<Entry<'static>>, [String; 2]) {
-    // Both end-to-end scenarios (RIPPLE-16 + 5 hidden CBR senders; static,
-    // and with the relays pacing on a 10 ms mobility tick) are built up
-    // front, so what is live at entry is the same for every measured region.
+fn measure_all() -> (Vec<Entry<'static>>, [String; 3]) {
+    // The end-to-end scenarios (RIPPLE-16 + 5 hidden CBR senders, static and
+    // with the relays pacing on a 10 ms mobility tick; and the 256-station
+    // dense neighbourhood) are built up front, so what is live at entry is
+    // the same for every measured region.
     let fixed = fig6_class_scenario(5, E2E_DURATION);
     let mobile = fig6_class_mobile_scenario(5, E2E_DURATION);
+    let dense = dense_neighbourhood_scenario(DENSE_DURATION);
     let mut out =
         vec![route_refresh_pass(), saturated_queue(), event_churn_recycled(), clean_decode()];
     let splits = [
         end_to_end("fig6_class_end_to_end", &fixed, &mut out),
         end_to_end("fig6_class_mobile_end_to_end", &mobile, &mut out),
+        end_to_end("dense_neighbourhood_end_to_end", &dense, &mut out),
     ];
     (out, splits)
 }
@@ -350,7 +357,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 8);
+        assert_eq!(budgets.len(), 10);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 
@@ -378,7 +385,7 @@ mod tests {
     fn a_measurement_without_a_budget_entry_fails() {
         let doc = committed();
         let measured = parse_budget(&doc).unwrap();
-        let failures = check(&measured, &measured[..7]);
+        let failures = check(&measured, &measured[..measured.len() - 1]);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0]
             .starts_with("route_refresh_pass_grid256_flows4 allocs_per_op: measured but has no"));

@@ -5,7 +5,7 @@
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_sim::{SimDuration, SimTime};
+use wmn_sim::{NodeId, SimDuration, SimTime};
 use wmn_topology::collision;
 use wmn_traffic::CbrModel;
 
@@ -75,12 +75,45 @@ pub fn fig6_class_mobile_scenario(n_hidden: usize, duration: SimDuration) -> Sce
     scenario
 }
 
+/// A campus-class neighbourhood, built by hand: a 16×16 grid at 2 m pitch
+/// (30 m side: a frame sent from an edge row is sensed by 90–130 of the
+/// other 255 stations and decodable at 30–50 of them), two RIPPLE-16 FTP
+/// flows crossing it along the top and bottom rows in 6 m hops. Where
+/// [`fig6_class_scenario`] has a dozen receivers per frame, this has a
+/// hundred — the regime the steady-state allocation work never gated.
+pub fn dense_neighbourhood_scenario(duration: SimDuration) -> Scenario {
+    let side = 16;
+    let row_path = |row: usize, reverse: bool| -> Vec<NodeId> {
+        let mut path: Vec<NodeId> =
+            (0..side).step_by(3).map(|col| NodeId::new((row * side + col) as u32)).collect();
+        if reverse {
+            path.reverse();
+        }
+        path
+    };
+    Scenario {
+        name: "bench-dense-16x16".into(),
+        params: PhyParams::paper_216(),
+        positions: grid_positions(side, 2.0),
+        scheme: Scheme::Ripple { aggregation: 16 },
+        flows: vec![
+            FlowSpec { path: row_path(0, false), workload: Workload::Ftp },
+            FlowSpec { path: row_path(side - 1, true), workload: Workload::Ftp },
+        ],
+        duration,
+        seed: 0,
+        max_forwarders: 5,
+        motion: MotionPlan::default(),
+        route_refresh: None,
+        shards: None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wmn_netsim::run;
     use wmn_phy::Medium;
-    use wmn_sim::NodeId;
 
     #[test]
     fn grid_positions_shape() {
@@ -119,6 +152,19 @@ mod tests {
         assert_eq!(s.validate(), Ok(()));
         let r = run(&s);
         assert!(r.flows[0].delivered_bytes > 0, "main flow must make progress");
+    }
+
+    #[test]
+    fn dense_neighbourhood_scenario_is_valid_dense_and_runs() {
+        let s = dense_neighbourhood_scenario(SimDuration::from_millis(20));
+        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.positions.len(), 256);
+        let medium = Medium::new(s.params.clone(), s.positions.clone());
+        let mut rng = wmn_sim::StreamRng::derive(1, "bench/dense");
+        let sensed = medium.plan_transmission(NodeId::new(0), &mut rng).len();
+        assert!(sensed > 64, "a corner frame reaches a campus-class neighbourhood, got {sensed}");
+        let r = run(&s);
+        assert!(r.flows.iter().all(|f| f.delivered_bytes > 0), "both flows must make progress");
     }
 
     #[test]

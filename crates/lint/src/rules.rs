@@ -512,10 +512,15 @@ const HOT_HANDLERS: &[&str] = &[
     "apply_ack",
     // The station stack's per-event handlers (one body, both drivers).
     "dispatch",
+    "with_mac",
     "apply_mac_actions",
     "start_transmission",
     "handle_delivery",
     "broadcast",
+    "inject",
+    // What a transmission and each of its receptions call below the stack.
+    "plan_transmission_into",
+    "decode_frame",
 ];
 
 /// `hot-path-vec-new` (deterministic crates only): flags `Vec::new()` and

@@ -54,12 +54,48 @@ impl Runner {
         self.seed(once, event);
     }
 
+    fn with_mac(&mut self, node: NodeId, handler: impl FnOnce(&mut dyn MacEntity, &mut ActionSink)) {
+        // The MAC↔engine seam runs once per handler call: sinks are lent
+        // from the engine, never built here.
+        let mut spare = Vec::new(); //~ hot-path-vec-new
+        spare.push(ActionSink::new());
+        handler(self.macs.node(node), &mut spare[0]);
+    }
+
+    fn inject(&mut self, entry: CrossShardArrival) {
+        // Once per planned reception: ~260 per frame on a dense campus.
+        let parked = vec![entry]; //~ hot-path-vec-new
+        self.arrivals.extend(parked);
+    }
+
     fn results(&self) -> Vec<u32> {
         // Cold path: result collection runs after the loop exits.
         let mut out = Vec::new();
         out.extend(self.counts.iter().copied());
         out
     }
+}
+
+impl Medium {
+    fn plan_transmission_into(&self, from: NodeId, rng: &mut StreamRng, plans: &mut Vec<RxPlan>) {
+        // The caller's scratch buffer is the point of this signature.
+        let mut sensed = Vec::new(); //~ hot-path-vec-new
+        self.walk_row(from, rng, &mut sensed);
+        plans.extend(sensed);
+    }
+
+    fn plan_transmission(&self, from: NodeId, rng: &mut StreamRng) -> Vec<RxPlan> {
+        // The allocating convenience wrapper is for tests and examples.
+        let mut plans = Vec::new();
+        self.plan_transmission_into(from, rng, &mut plans);
+        plans
+    }
+}
+
+pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> Option<RxFrame> {
+    // Per received frame: survival is drawn into a bitmask, not a list.
+    let lost = vec![false; frame.subframes()]; //~ hot-path-vec-new
+    ber.draw(rng, lost)
 }
 
 impl FixtureMac {

@@ -16,6 +16,7 @@
 //! so they monomorphise into the crate that uses them.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
@@ -332,13 +333,15 @@ impl<R> Csma<R> {
         self.start_tx(OwnTx::Relay, frame, out);
     }
 
+    /// Where every transmission of every scheme leaves the MAC: the frame
+    /// is wrapped, once, in the handle its broadcast will share.
     fn start_tx(&mut self, kind: OwnTx, frame: Frame, out: &mut ActionSink) {
         self.on_air = Some(kind);
         let rate = match &frame {
             Frame::Data(_) => RateClass::Data,
             Frame::Ack(_) => RateClass::Basic,
         };
-        out.push(MacAction::StartTx { frame, rate });
+        out.push(MacAction::StartTx { frame: Arc::new(frame), rate });
     }
 
     /// Our own transmission finished: frees the radio and says which it was.

@@ -59,6 +59,8 @@ pub use scheme::MacScheme;
 pub use sink::ActionSink;
 pub use smalllist::SmallList;
 
+use std::sync::Arc;
+
 use wmn_sim::{SimDuration, SimTime};
 
 /// Rate class for a transmission; the runner maps it to the scenario's
@@ -92,9 +94,15 @@ pub enum MacAction {
     /// Begin transmitting `frame` at the given rate class. The runner
     /// computes the airtime, informs the medium, and calls `on_tx_end` when
     /// the transmission completes.
+    ///
+    /// The frame travels as the shared handle the broadcast will fan out to
+    /// every receiver — minted once, where every scheme's transmission
+    /// funnels through ([`Csma`]'s `start_tx`) — so between the MAC and the
+    /// air a frame is never copied by value and this enum stays a few words
+    /// wide (see the size guard below).
     StartTx {
         /// Frame to put on the air.
-        frame: Frame,
+        frame: Arc<Frame>,
         /// Rate class it is modulated at.
         rate: RateClass,
     },
@@ -120,6 +128,12 @@ pub enum MacAction {
         reason: DropReason,
     },
 }
+
+// Every action crosses the MAC↔engine seam by value and sits in a sink's
+// inline slots: a variant that carries a fat payload inline (a whole `Frame`
+// is 248 bytes) taxes every handler call of every scheme, and no functional
+// test or allocation count notices. Fail the build instead.
+const _: () = assert!(std::mem::size_of::<MacAction>() <= 64);
 
 /// Statistics every MAC keeps; used by experiments and by test assertions.
 /// `PartialEq`/`Eq` support the executor's bit-identity determinism checks.

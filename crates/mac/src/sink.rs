@@ -16,7 +16,11 @@
 //! [`pop`](ActionSink::pop)s after the handler returned, and a fully
 //! drained sink resets itself for the next fill. Re-entrant dispatch
 //! (applying a popped action triggers another handler) uses a *different*
-//! sink from the engine's free list — never the one mid-drain.
+//! sink — the engine keeps one per nesting depth — never the one mid-drain.
+//!
+//! Sinks are lent, not passed around: the engine hands a handler `&mut` to
+//! a sink that stays where it lives, and a compile-time guard keeps the type
+//! small enough that even a stray by-value move stays cheap.
 
 use crate::MacAction;
 
@@ -57,6 +61,10 @@ pub struct ActionSink {
     /// Actions already popped from the current fill.
     popped: usize,
 }
+
+// Four inline actions plus bookkeeping. Growing past this means an action
+// variant got fat (see the guard on `MacAction`) or the inline count rose.
+const _: () = assert!(std::mem::size_of::<ActionSink>() <= 320);
 
 impl ActionSink {
     /// An empty sink (no heap allocation).

@@ -26,7 +26,10 @@ fn t(us: u64) -> SimTime {
 
 fn find_data(actions: &[MacAction]) -> Option<&wmn_mac::DataFrame> {
     actions.iter().find_map(|a| match a {
-        MacAction::StartTx { frame: Frame::Data(d), .. } => Some(d),
+        MacAction::StartTx { frame, .. } => match &**frame {
+            Frame::Data(d) => Some(d),
+            Frame::Ack(_) => None,
+        },
         _ => None,
     })
 }

@@ -8,25 +8,36 @@
 //! dispatch. Adding a MAC scheme therefore touches the crate that owns its
 //! state machine and the scenario enum — never this engine or the stack.
 
-use wmn_mac::{ActionSink, MacEntity, MacScheme, MacStats};
+use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats};
 use wmn_phy::PhyParams;
 use wmn_sim::{NodeId, RngDirectory};
 
 /// The MAC layer: per-station protocol state machines, plus the engine's
-/// free list of reusable [`ActionSink`]s.
+/// [`ActionSink`]s — one per nesting depth of handler invocations.
 ///
-/// Sink discipline: every handler invocation takes its own sink
-/// ([`take_sink`](MacEngine::take_sink)), fills it through the
-/// [`MacEntity`] call, is drained completely by the stack, and parks it
-/// back ([`park_sink`](MacEngine::park_sink)). Re-entrant dispatch —
-/// applying a popped action triggers another handler (`StartTx` →
-/// `on_busy`, `Deliver` → `on_enqueue`) — simply takes the *next* sink
-/// from the free list, so a sink is never refilled mid-drain. The list
-/// depth equals the deepest such nesting (two or three), after which the
-/// steady state recycles without allocating.
+/// Sink discipline: a handler invocation [`open`](MacEngine::open)s the sink
+/// of the current depth and fills it through the [`MacEntity`] call; the
+/// stack then takes its actions one at a time
+/// ([`next_action`](MacEngine::next_action)) and
+/// [`close`](MacEngine::close)s the invocation. Re-entrant dispatch —
+/// applying a taken action triggers another handler (`StartTx` → `on_busy`,
+/// `Deliver` → `on_enqueue`) — opens the sink one level deeper, so a sink is
+/// never refilled mid-drain and a nested handler never sees its parent's
+/// actions.
+///
+/// Sinks are **lent in place**: they live in `sinks` for the whole run and
+/// only `&mut` borrows and single [`MacAction`]s (a few words each) cross
+/// this seam. Nothing the size of a sink may move per call: there are
+/// millions of handler calls per simulated second, nearly all of which emit
+/// nothing, and handing each one a sink by value measured a fifth of a
+/// run's wall time. The list grows to the deepest nesting (two or three)
+/// during warm-up and then stays put.
 pub(crate) struct MacEngine {
     macs: Vec<Box<dyn MacEntity>>,
     sinks: Vec<ActionSink>,
+    /// Handler invocations currently open: `sinks[..depth]` are being
+    /// filled or drained, `sinks[depth..]` are empty and free.
+    depth: usize,
 }
 
 impl MacEngine {
@@ -44,24 +55,41 @@ impl MacEngine {
                 scheme.build_mac(params, NodeId::new(i as u32), dir.stream(&format!("mac/{i}")))
             })
             .collect();
-        MacEngine { macs, sinks: Vec::new() }
+        MacEngine::over(macs)
     }
 
-    /// The state machine of one station.
-    pub(crate) fn node(&mut self, node: NodeId) -> &mut dyn MacEntity {
-        self.macs[node.index()].as_mut()
+    /// The engine over ready-made state machines, in station order.
+    pub(crate) fn over(macs: Vec<Box<dyn MacEntity>>) -> Self {
+        MacEngine { macs, sinks: Vec::new(), depth: 0 }
     }
 
-    /// Pops a sink from the free list (or makes a cold empty one) for one
-    /// handler invocation.
-    pub(crate) fn take_sink(&mut self) -> ActionSink {
-        self.sinks.pop().unwrap_or_default()
+    /// Opens one handler invocation: lends the station's state machine and
+    /// the (empty) sink of the current nesting depth, both in place.
+    pub(crate) fn open(&mut self, node: NodeId) -> (&mut dyn MacEntity, &mut ActionSink) {
+        if self.depth == self.sinks.len() {
+            self.sinks.push(ActionSink::new());
+        }
+        let sink = &mut self.sinks[self.depth];
+        debug_assert!(sink.is_empty(), "a free sink holds no actions");
+        self.depth += 1;
+        (self.macs[node.index()].as_mut(), sink)
     }
 
-    /// Parks a drained sink for reuse.
-    pub(crate) fn park_sink(&mut self, sink: ActionSink) {
-        debug_assert!(sink.is_empty(), "sinks are drained before parking");
-        self.sinks.push(sink);
+    /// Takes the oldest undrained action of the innermost open invocation.
+    pub(crate) fn next_action(&mut self) -> Option<MacAction> {
+        self.sinks[self.depth - 1].pop()
+    }
+
+    /// Closes the innermost open invocation; its sink is free again.
+    pub(crate) fn close(&mut self) {
+        debug_assert!(self.sinks[self.depth - 1].is_empty(), "sinks are drained before closing");
+        self.depth -= 1;
+    }
+
+    /// Sinks ever created: the deepest nesting seen so far.
+    #[cfg(test)]
+    pub(crate) fn sink_count(&self) -> usize {
+        self.sinks.len()
     }
 
     /// Per-station running statistics, in node order.

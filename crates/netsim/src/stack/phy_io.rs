@@ -50,7 +50,9 @@ fn split_arrival_id(id: u64) -> (u32, u32) {
 
 /// The in-flight arrival slab, one per station stack: freed slots are
 /// recycled LIFO, so memory stays bounded by the peak number of concurrent
-/// arrivals instead of growing with the run length. Event ids pack the slot index with the slot's generation tag (see
+/// arrivals instead of growing with the run length.
+///
+/// Event ids pack the slot index with the slot's generation tag (see
 /// [`arrival_id`]): a stale id whose slot was recycled for a *different*
 /// arrival then fails the generation check instead of silently aliasing the
 /// new occupant. Slab ids are pure lookup handles — they never participate

@@ -279,20 +279,24 @@ impl StationStack {
         self.queue.schedule_keyed(entry.rx_end, entry.end_key, Event::RxEnd { arrival: id });
     }
 
-    /// One MAC handler invocation under the sink discipline: take a sink,
-    /// let `handler` fill it, interpret every action, park it back. A
-    /// re-entrant invocation (an applied action triggers another handler)
-    /// takes its own sink, so none is ever refilled mid-drain.
+    /// One MAC handler invocation under the sink discipline: open the sink
+    /// of this nesting depth, let `handler` fill it in place, interpret
+    /// every action, close. A re-entrant invocation (an applied action
+    /// triggers another handler) opens the next sink down, so none is ever
+    /// refilled mid-drain. Almost every invocation — a busy or idle edge at
+    /// a station with nothing to send — emits nothing and skips the drain.
     fn with_mac(
         &mut self,
         node: NodeId,
         w: World<'_>,
         handler: impl FnOnce(&mut dyn MacEntity, &mut ActionSink),
     ) {
-        let mut sink = self.macs.take_sink();
-        handler(self.macs.node(node), &mut sink);
-        self.apply_mac_actions(node, &mut sink, w);
-        self.macs.park_sink(sink);
+        let (mac, sink) = self.macs.open(node);
+        handler(mac, sink);
+        if !sink.is_empty() {
+            self.apply_mac_actions(node, w);
+        }
+        self.macs.close();
     }
 
     /// Processes one popped event against the lent world.
@@ -377,8 +381,9 @@ impl StationStack {
         }
     }
 
-    fn apply_mac_actions(&mut self, node: NodeId, sink: &mut ActionSink, w: World<'_>) {
-        while let Some(action) = sink.pop() {
+    /// Drains the innermost open sink: what `node`'s handler just emitted.
+    fn apply_mac_actions(&mut self, node: NodeId, w: World<'_>) {
+        while let Some(action) = self.macs.next_action() {
             match action {
                 MacAction::StartTx { frame, rate } => self.start_transmission(node, frame, rate, w),
                 MacAction::SetTimer { delay, token } => {
@@ -395,10 +400,16 @@ impl StationStack {
         }
     }
 
-    fn start_transmission(&mut self, node: NodeId, frame: Frame, rate: RateClass, w: World<'_>) {
+    fn start_transmission(
+        &mut self,
+        node: NodeId,
+        frame: Arc<Frame>,
+        rate: RateClass,
+        w: World<'_>,
+    ) {
         let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::TxPath);
         if self.trace.is_some() {
-            let (kind, flow, frame_seq, subframes) = match &frame {
+            let (kind, flow, frame_seq, subframes) = match &*frame {
                 Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq, d.subframes.len()),
                 Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq, 0),
             };
@@ -424,13 +435,18 @@ impl StationStack {
     /// from the discipline's stream for this transmitter), mints each
     /// RxStart/RxEnd key pair here, in plan order — so the schedule is
     /// identical at any shard count — and hands the reception to its owner:
-    /// [`inject`](Self::inject) locally, the outbox otherwise. One frame
-    /// allocation is shared across every receiver.
-    fn broadcast(&mut self, from: NodeId, frame: Frame, airtime: SimDuration, medium: &Medium) {
+    /// [`inject`](Self::inject) locally, the outbox otherwise. Every
+    /// receiver shares the one frame allocation the MAC minted.
+    fn broadcast(
+        &mut self,
+        from: NodeId,
+        frame: Arc<Frame>,
+        airtime: SimDuration,
+        medium: &Medium,
+    ) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
         let now = self.now();
-        let frame = Arc::new(frame);
         for plan in &plans {
             let entry = CrossShardArrival {
                 node: plan.to,
@@ -647,6 +663,154 @@ impl StationStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    use wmn_mac::frame::{AckFrame, RxFrame};
+    use wmn_mac::{MacStats, TimerToken};
+    use wmn_phy::{PhyParams, Position};
+
+    use crate::scenario::{FlowSpec, Scheme};
+
+    /// Token whose fire starts the scripted chain.
+    const GO: u64 = 100;
+    const TICK: SimDuration = SimDuration::from_millis(1);
+
+    /// A MAC that logs every handler entry — with whether the sink it was
+    /// lent arrived empty — and answers three of them from a fixed script.
+    struct ScriptMac {
+        node: NodeId,
+        log: Arc<Mutex<Vec<(&'static str, bool)>>>,
+    }
+
+    impl ScriptMac {
+        fn enter(&self, handler: &'static str, out: &ActionSink) {
+            self.log
+                .lock()
+                .expect("no test thread panics holding it")
+                .push((handler, out.is_empty()));
+        }
+    }
+
+    fn timer(token: u64) -> MacAction {
+        MacAction::SetTimer { delay: TICK, token: TimerToken(token) }
+    }
+
+    impl MacEntity for ScriptMac {
+        fn on_enqueue(&mut self, _: Packet, _: RouteInfo, _: SimTime, out: &mut ActionSink) {
+            self.enter("enqueue", out);
+            let frame = Frame::Ack(AckFrame {
+                transmitter: self.node,
+                to: NodeId::new(0),
+                flow: FlowId::new(0),
+                frame_seq: 0,
+                acked_seqs: Default::default(),
+                relay_list: Default::default(),
+            });
+            out.push(timer(20));
+            out.push(MacAction::StartTx { frame: Arc::new(frame), rate: RateClass::Basic });
+            out.push(timer(21));
+        }
+        fn on_busy(&mut self, _: SimTime, out: &mut ActionSink) {
+            self.enter("busy", out);
+            out.push(timer(30));
+        }
+        fn on_idle(&mut self, _: SimTime, out: &mut ActionSink) {
+            self.enter("idle", out);
+        }
+        fn on_frame_rx(&mut self, _: RxFrame, _: SimTime, out: &mut ActionSink) {
+            self.enter("frame_rx", out);
+        }
+        fn on_tx_end(&mut self, _: SimTime, out: &mut ActionSink) {
+            self.enter("tx_end", out);
+        }
+        fn on_timer(&mut self, token: TimerToken, _: SimTime, out: &mut ActionSink) {
+            self.enter("timer", out);
+            if token.0 == GO {
+                // A packet of flow 0 in transit at the relay: delivering it
+                // upwards re-enters the MAC through the forwarding path.
+                let header = NetHeader {
+                    flow: FlowId::new(0),
+                    src: NodeId::new(0),
+                    dst: NodeId::new(2),
+                    proto: Proto::Udp,
+                    wire_bytes: 100,
+                };
+                out.push(timer(10));
+                out.push(MacAction::Deliver { packet: Packet::new(header, vec![]) });
+                out.push(timer(11));
+            }
+        }
+        fn stats(&self) -> MacStats {
+            MacStats::default()
+        }
+    }
+
+    #[test]
+    fn reentrant_handlers_get_their_own_sink_and_actions_apply_in_order() {
+        // Relay 1 of a 0 → 1 → 2 route. One fired timer walks both
+        // re-entrant chains, three invocations deep:
+        //   on_timer   [T10, Deliver, T11]
+        //     Deliver → on_enqueue   [T20, StartTx, T21]
+        //       StartTx → on_busy   [T30]
+        let scenario = Scenario {
+            name: "seam".into(),
+            params: PhyParams::paper_216(),
+            positions: (0..3).map(|i| Position::new(f64::from(i) * 5.0, 0.0)).collect(),
+            scheme: Scheme::Dcf { aggregation: 1 },
+            flows: vec![FlowSpec {
+                path: (0..3).map(NodeId::new).collect(),
+                workload: Workload::Cbr(wmn_traffic::CbrModel::heavy()),
+            }],
+            duration: SimDuration::from_millis(100),
+            seed: 1,
+            max_forwarders: 5,
+            motion: wmn_topology::MotionPlan::default(),
+            route_refresh: None,
+            shards: None,
+        };
+        let dir = RngDirectory::new(scenario.seed);
+        let discipline =
+            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
+        let mut stack = StationStack::build(&scenario, &dir, discipline);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Arc::clone(&log) });
+        stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
+        let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
+        let net = NetLayer::build(&scenario);
+        let w = World { medium: &medium, net: &net };
+        let relay = NodeId::new(1);
+        let now = stack.now();
+
+        const ROUNDS: usize = 8;
+        for round in 0..ROUNDS {
+            stack.with_mac(relay, w, |mac, sink| mac.on_timer(TimerToken(GO), now, sink));
+            // The radio is released by hand (the queued TxEnd is never
+            // popped), so the next round's StartTx finds the channel idle and
+            // re-enters `on_busy` again.
+            stack.dispatch(Event::TxEnd { node: relay }, w);
+            assert_eq!(stack.macs.sink_count(), 3, "round {round}: one sink per nesting depth");
+        }
+
+        // Every handler was lent an empty sink — the nested ones while their
+        // parents still held undrained actions (T21, T11).
+        let log = log.lock().expect("no test thread panics holding it");
+        let round = ["timer", "enqueue", "busy", "tx_end", "idle"];
+        let expected: Vec<_> = (0..ROUNDS).flat_map(|_| round).map(|h| (h, true)).collect();
+        assert_eq!(*log, expected);
+
+        // Same delay, one key lane: the timers pop in the order their
+        // actions were applied — a child's actions between the parent's
+        // action that triggered it and the parent's next one.
+        let mut tokens = Vec::new();
+        while let Some((_, event)) = stack.queue.pop() {
+            if let Event::MacTimer { node, token } = event {
+                assert_eq!(node, relay);
+                tokens.push(token.0);
+            }
+        }
+        let expected: Vec<u64> = (0..ROUNDS).flat_map(|_| [10, 20, 30, 21, 11]).collect();
+        assert_eq!(tokens, expected);
+    }
 
     #[test]
     fn legacy_keys_are_one_lane_in_insertion_order() {

@@ -21,7 +21,7 @@
 //! `wmn-netsim`) owns one `Receiver` per node and drives both from the event
 //! queue.
 
-use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
+use wmn_sim::{max_standard_normal, NodeId, SimDuration, SimTime, StreamRng};
 
 /// NS-2's capture threshold (`CPThresh`): a reception in progress survives
 /// interference that is at least this many dB weaker.
@@ -45,26 +45,31 @@ pub struct RxPlan {
 
 /// Build-time classification of one directed station pair, derived from the
 /// pair's mean received power and the hard bound on a Box–Muller shadowing
-/// excursion (see [`wmn_sim::StreamRng::standard_normal`]).
+/// excursion ([`wmn_sim::max_standard_normal`]).
+///
+/// It describes what the planner *will* find, and the sharded loop's
+/// lookahead reads it ([`Medium::min_cross_group_delay`]); the planner itself
+/// no longer branches on it — its per-draw bound
+/// ([`wmn_sim::StreamRng::standard_normal_reaching`]) subsumes the
+/// `NeverSensed` shortcut, and every pair takes one path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LinkClass {
     /// Even the largest possible shadowing excursion leaves the pair below
-    /// carrier sense: the transmission is invisible there. The planner still
-    /// consumes the pair's shadowing draws so the stream stays bit-identical
-    /// to a full sample.
+    /// carrier sense: the transmission is invisible there, whatever is
+    /// drawn. At the paper's σ = 8 dB that takes ≈ 420 m — sparse grids
+    /// have such pairs, a 60 m campus has none.
     NeverSensed,
-    /// The pair's fate depends on the per-frame draw: sample, then compare
-    /// against the carrier-sense and receive thresholds.
+    /// The pair's fate depends on the per-frame draw.
     Sampled,
-    /// Even the most negative possible excursion stays at or above the
-    /// receive threshold: every frame is sensed and decodable (the sample is
-    /// still taken — its value feeds the capture comparison).
+    /// Even the most negative possible excursion stays at or above both the
+    /// carrier-sense and the receive threshold: every frame is sensed and
+    /// decodable (its drawn power still feeds the capture comparison).
     AlwaysDecodable,
 }
 
 /// Precomputed state of one directed station pair: everything about the
 /// deterministic part of the propagation model, so the per-transmission work
-/// reduces to one shadowing draw and a threshold compare.
+/// reduces to one (bounded) shadowing draw and a threshold compare.
 #[derive(Clone, Copy, Debug)]
 struct LinkState {
     /// Distance in metres.
@@ -117,20 +122,12 @@ pub struct Medium {
     /// (zero distance) but never read by the planner.
     links: Vec<LinkState>,
     /// The largest shadowing excursion any frame can draw, in dB:
-    /// `|σ| · max_shadowing_sigmas()`, computed once — it depends on the
+    /// `|σ| ·` [`max_standard_normal`], computed once — it depends on the
     /// parameters only, and `link_state` needs it for every pair.
     max_excursion_db: f64,
     /// Scratch for [`Medium::update_node_positions`]: which stations the
     /// batch in progress moves. All `false` between calls.
     moved: Vec<bool>,
-}
-
-/// The largest |z| the Box–Muller transform over a 53-bit uniform can emit
-/// (`u1 ≥ 2⁻⁵³` ⇒ `|z| ≤ sqrt(-2·ln 2⁻⁵³) ≈ 8.5716`), inflated by a small
-/// guard so floating-point rounding in either direction cannot make the
-/// build-time classification unsound.
-fn max_shadowing_sigmas() -> f64 {
-    (-2.0 * (1.0 / (1u64 << 53) as f64).ln()).sqrt() * (1.0 + 1e-9) + 1e-9
 }
 
 /// Computes the link state of one station pair (either direction: every
@@ -169,7 +166,7 @@ impl Medium {
             delay: SimDuration::ZERO,
             class: LinkClass::NeverSensed,
         };
-        let max_excursion_db = params.shadowing.sigma_db.abs() * max_shadowing_sigmas();
+        let max_excursion_db = params.shadowing.sigma_db.abs() * max_standard_normal();
         let mut medium = Medium {
             params,
             positions,
@@ -382,13 +379,18 @@ impl Medium {
     /// buffer (cleared first) so a simulation loop performs zero allocations
     /// per transmission once the buffer has grown to the neighbourhood size.
     ///
-    /// The RNG stream is consumed in the identical order to the original
-    /// per-call computation — one [shadowing draw's worth] per other station,
-    /// in station-index order — so results are bit-for-bit reproducible
-    /// across both implementations and any future ones held to the same
-    /// contract.
-    ///
-    /// [shadowing draw's worth]: wmn_sim::StreamRng::skip_standard_normal
+    /// One shadowing draw per other station, in station-index order, and one
+    /// path for every pair: the draw is
+    /// [`StreamRng::standard_normal_reaching`], which consumes the draw's two
+    /// raw words unconditionally and computes the variate only when the
+    /// words' buckets leave it possible that `mean + σ·z` reaches carrier
+    /// sense. A pair whose [`LinkClass`] is `NeverSensed` is that bound's
+    /// trivial case (even the largest radius falls short); on a dense
+    /// placement, where no pair is, most of the stations that will not sense
+    /// this frame are still dismissed without a logarithm, square root or
+    /// cosine. The stream is consumed exactly as by the per-call computation
+    /// this replaced (kept as the test oracle), so plans and every later
+    /// draw are bit-for-bit those of a planner that samples every pair.
     pub fn plan_transmission_into(
         &self,
         from: NodeId,
@@ -397,40 +399,28 @@ impl Medium {
     ) {
         plans.clear();
         let p = &self.params;
+        let sigma = p.shadowing.sigma_db;
         let n = self.positions.len();
         let row = &self.links[from.index() * n..(from.index() + 1) * n];
         for (idx, link) in row.iter().enumerate() {
             if idx == from.index() {
                 continue;
             }
-            match link.class {
-                LinkClass::NeverSensed => {
-                    // Invisible regardless of the draw: consume the pair's
-                    // stream share without the transcendental math.
-                    rng.skip_standard_normal();
-                }
-                LinkClass::Sampled => {
-                    let power = link.mean_rx_dbm + p.shadowing.sigma_db * rng.standard_normal();
-                    if power < p.cs_thresh_dbm {
-                        continue;
-                    }
-                    plans.push(RxPlan {
-                        to: NodeId::new(idx as u32),
-                        delay: link.delay,
-                        power_dbm: power,
-                        decodable: power >= p.rx_thresh_dbm,
-                    });
-                }
-                LinkClass::AlwaysDecodable => {
-                    let power = link.mean_rx_dbm + p.shadowing.sigma_db * rng.standard_normal();
-                    plans.push(RxPlan {
-                        to: NodeId::new(idx as u32),
-                        delay: link.delay,
-                        power_dbm: power,
-                        decodable: true,
-                    });
-                }
+            let Some(z) = rng.standard_normal_reaching(link.mean_rx_dbm, sigma, p.cs_thresh_dbm)
+            else {
+                continue;
+            };
+            // The expression the draw's bound was evaluated against.
+            let power = link.mean_rx_dbm + sigma * z;
+            if power < p.cs_thresh_dbm {
+                continue;
             }
+            plans.push(RxPlan {
+                to: NodeId::new(idx as u32),
+                delay: link.delay,
+                power_dbm: power,
+                decodable: power >= p.rx_thresh_dbm,
+            });
         }
     }
 
@@ -1151,38 +1141,73 @@ mod tests {
             assert_links_identical(&medium, &rebuilt, "prop rebuild");
         }
 
-        /// The cached planner is pinned bit-identical to the pre-refactor
-        /// naive computation: same plans (floats compared exactly) AND the
-        /// same RNG stream position afterwards, across random topologies,
-        /// seeds, and transmitters. This is the determinism contract every
-        /// future planner optimisation must keep.
+        /// The planner is pinned bit-identical to the pre-refactor naive
+        /// computation: same plans (floats compared exactly) AND the same
+        /// RNG stream position afterwards, across random topologies, seeds,
+        /// and transmitters — in the three regimes its per-draw bound meets:
+        /// a sparse placement (most pairs far below carrier sense), the
+        /// inverted-threshold parameters of
+        /// `inverted_thresholds_still_match_naive` on a placement shrunk to
+        /// straddle them, and a campus-dense one (256 stations in 60 m,
+        /// every pair `Sampled`, about a quarter sensing each frame). This
+        /// is the determinism contract every planner optimisation must keep.
         #[test]
         fn prop_cached_planner_matches_naive_bit_for_bit(
             seed in proptest::num::u64::ANY,
             coords in proptest::collection::vec((0.0f64..400.0, 0.0f64..400.0), 2..16),
-            from_pick in 0usize..16,
+            from_pick in 0usize..256,
         ) {
             use crate::params::PhyParams;
-            let positions: Vec<Position> =
-                coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
-            let from = NodeId::new((from_pick % positions.len()) as u32);
-            let medium = Medium::new(PhyParams::paper_216(), positions);
-            let mut rng_cached = StreamRng::derive(seed, "pin");
-            let mut rng_naive = StreamRng::derive(seed, "pin");
-            for _ in 0..8 {
-                let cached = medium.plan_transmission(from, &mut rng_cached);
-                let naive = medium.plan_transmission_naive(from, &mut rng_naive);
-                prop_assert_eq!(cached.len(), naive.len());
-                for (c, n) in cached.iter().zip(&naive) {
-                    prop_assert_eq!(c.to, n.to);
-                    prop_assert_eq!(c.delay, n.delay);
-                    prop_assert_eq!(c.power_dbm.to_bits(), n.power_dbm.to_bits());
-                    prop_assert_eq!(c.decodable, n.decodable);
+            let sparse = Medium::new(
+                PhyParams::paper_216(),
+                coords.iter().map(|&(x, y)| Position::new(x, y)).collect(),
+            );
+            let mut inverted = PhyParams::paper_216();
+            inverted.rx_thresh_dbm = -80.0;
+            inverted.cs_thresh_dbm = -70.0;
+            inverted.shadowing.sigma_db = 0.5;
+            let inverted = Medium::new(
+                inverted,
+                coords.iter().map(|&(x, y)| Position::new(x / 10.0, y / 10.0)).collect(),
+            );
+            let mut place = StreamRng::derive(seed, "dense-placement");
+            let dense = Medium::new(
+                PhyParams::paper_216(),
+                (0..256)
+                    .map(|_| Position::new(place.uniform() * 60.0, place.uniform() * 60.0))
+                    .collect(),
+            );
+            for medium in [&sparse, &inverted, &dense] {
+                let n = medium.node_count();
+                let from = NodeId::new((from_pick % n) as u32);
+                let mut rng_cached = StreamRng::derive(seed, "pin");
+                let mut rng_naive = StreamRng::derive(seed, "pin");
+                let mut sensed = 0;
+                for _ in 0..8 {
+                    let cached = medium.plan_transmission(from, &mut rng_cached);
+                    let naive = medium.plan_transmission_naive(from, &mut rng_naive);
+                    prop_assert_eq!(cached.len(), naive.len());
+                    for (c, n) in cached.iter().zip(&naive) {
+                        prop_assert_eq!(c.to, n.to);
+                        prop_assert_eq!(c.delay, n.delay);
+                        prop_assert_eq!(c.power_dbm.to_bits(), n.power_dbm.to_bits());
+                        prop_assert_eq!(c.decodable, n.decodable);
+                    }
+                    sensed += cached.len();
                 }
-            }
-            // Identical draw consumption: the next raw words agree.
-            for _ in 0..4 {
-                prop_assert_eq!(rng_cached.next_u64(), rng_naive.next_u64());
+                // Identical draw consumption: the next raw words agree.
+                for _ in 0..4 {
+                    prop_assert_eq!(rng_cached.next_u64(), rng_naive.next_u64());
+                }
+                if n == 256 {
+                    let others = (0..256).map(NodeId::new).filter(|&to| to != from);
+                    prop_assert!(others.clone().all(|to| medium.link_class(from, to) == LinkClass::Sampled));
+                    // Both outcomes of the bound are exercised: a corner
+                    // transmitter is sensed by under a tenth of the
+                    // stations, a central one by far more — never by none,
+                    // never by all.
+                    prop_assert!((8 * 8..8 * 192).contains(&sensed), "dense fan-out {}", sensed);
+                }
             }
         }
 

@@ -463,7 +463,7 @@ mod tests {
 
     fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
         actions.iter().find_map(|a| match a {
-            MacAction::StartTx { frame, .. } => Some(frame),
+            MacAction::StartTx { frame, .. } => Some(&**frame),
             _ => None,
         })
     }

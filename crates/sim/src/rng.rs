@@ -67,8 +67,7 @@ impl StreamRng {
 
     /// Uniform in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
-        // 53 high bits → the standard dyadic-rational construction.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_interval(self.next_u64())
     }
 
     /// Uniform integer in `[0, n]` (inclusive). Used for 802.11 backoff
@@ -115,30 +114,39 @@ impl StreamRng {
 
     /// Standard normal variate (Box–Muller), for log-normal shadowing draws.
     ///
-    /// Consumes exactly two raw words per call (see
-    /// [`StreamRng::skip_standard_normal`]), and — because `u1` is at least
-    /// 2⁻⁵³ — the variate is hard-bounded by
-    /// `±sqrt(-2·ln(2⁻⁵³)) ≈ ±8.5716`. Callers that can prove a sample
-    /// irrelevant from that bound may skip the transcendental math without
-    /// perturbing the stream.
+    /// Consumes exactly two raw words per call, and — because `u1` is at
+    /// least 2⁻⁵³ — the variate is hard-bounded by [`max_standard_normal`].
+    /// Callers that can prove a sample irrelevant from a bound on it may skip
+    /// the transcendental math, never the two words
+    /// ([`StreamRng::standard_normal_reaching`] is that pattern).
     pub fn standard_normal(&mut self) -> f64 {
-        // Box–Muller transform; one variate per call keeps the stream simple.
-        let u1: f64 = 1.0 - self.uniform(); // in (0,1], avoids ln(0)
-        let u2: f64 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        let w1 = self.next_u64();
+        let w2 = self.next_u64();
+        box_muller(w1, w2)
     }
 
-    /// Advances the stream past exactly the raw draws one
-    /// [`StreamRng::standard_normal`] call consumes, without the
-    /// transcendental math.
+    /// The [`standard_normal`](StreamRng::standard_normal) variate `z` this
+    /// call's two raw words produce — or `None`, without any transcendental
+    /// math, when `mean + sigma * z < limit` is already certain from the top
+    /// eight bits of each word.
     ///
-    /// Hot paths use this when the sample provably cannot matter (e.g. a
-    /// link whose maximum possible shadowing excursion still leaves it below
-    /// carrier sense) while staying bit-compatible with code that samples:
-    /// every later draw sees the identical stream position.
-    pub fn skip_standard_normal(&mut self) {
-        self.next_u64();
-        self.next_u64();
+    /// Either way the stream advances by the same two words, and `Some(z)`
+    /// is bit-equal to what `standard_normal` returns from the same
+    /// position. The proof bounds `z` by the largest Box–Muller radius in the
+    /// first word's bucket times the largest non-negative cosine in the
+    /// second word's, then evaluates `mean + sigma * bound` in exactly
+    /// the operation order a caller computes `mean + sigma * z` in: rounding
+    /// is monotone at every step, so `None` is exact for a caller that uses
+    /// that expression, not merely likely. A `sigma` that is zero or
+    /// negative, or a NaN anywhere, proves nothing and takes the full sample.
+    #[inline]
+    pub fn standard_normal_reaching(&mut self, mean: f64, sigma: f64, limit: f64) -> Option<f64> {
+        let w1 = self.next_u64();
+        let w2 = self.next_u64();
+        if NormalBounds::get().prove_below(w1, w2, mean, sigma, limit) {
+            return None;
+        }
+        Some(box_muller(w1, w2))
     }
 
     /// Bernoulli trial that succeeds with probability `p` (clamped to `[0, 1]`).
@@ -152,6 +160,89 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// Uniform in `[0, 1)` from the 53 high bits of a raw word — the standard
+/// dyadic-rational construction.
+fn unit_interval(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The Box–Muller transform of two raw words, one variate per pair.
+fn box_muller(w1: u64, w2: u64) -> f64 {
+    let u1 = 1.0 - unit_interval(w1); // in (0,1], avoids ln(0)
+    let u2 = unit_interval(w2);
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// A ceiling on the Box–Muller radius `sqrt(-2·ln u)` over every `u` in
+/// `[u1, 1]`: the radius at `u1` (it grows as `u` falls), inflated by a small
+/// guard so that libm rounding in either direction cannot make a bound built
+/// from it unsound.
+fn radius_ceiling(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (1.0 + 1e-9) + 1e-9
+}
+
+/// The largest `|z|` [`StreamRng::standard_normal`] can return: `u1` is a
+/// 53-bit uniform, so `u1 ≥ 2⁻⁵³` and `|z| ≤ sqrt(-2·ln 2⁻⁵³) ≈ 8.5716`
+/// (guarded as every radius ceiling is). The one definition of
+/// that property: `wmn_phy`'s build-time link classification and the last
+/// bucket of [`StreamRng::standard_normal_reaching`]'s radius table both
+/// read it from here.
+pub fn max_standard_normal() -> f64 {
+    radius_ceiling(1.0 / (1u64 << 53) as f64)
+}
+
+/// Raw-word shift that leaves the bucket index: the top eight bits.
+const BUCKET_SHIFT: u32 = 56;
+/// Buckets per table.
+const BUCKETS: usize = 1 << (64 - BUCKET_SHIFT);
+
+/// Per-bucket ceilings on the two Box–Muller factors, indexed by the top
+/// eight bits of the raw word each factor is computed from.
+///
+/// Process-wide and built once, from the same libm the sampler calls: the
+/// tables depend on nothing but the transform, and a copy per `Medium` would
+/// be paid on every world build.
+struct NormalBounds {
+    /// Ceiling of the radius `sqrt(-2·ln u1)` over the first word's bucket.
+    radius: [f64; BUCKETS],
+    /// Ceiling of `max(cos(τ·u2), 0)` over the second word's bucket.
+    cosine: [f64; BUCKETS],
+}
+
+impl NormalBounds {
+    fn get() -> &'static NormalBounds {
+        static TABLES: std::sync::OnceLock<NormalBounds> = std::sync::OnceLock::new();
+        TABLES.get_or_init(NormalBounds::build)
+    }
+
+    /// Whether `mean + sigma * box_muller(w1, w2) < limit` is certain from
+    /// the words' buckets alone (see
+    /// [`StreamRng::standard_normal_reaching`] for why `true` is exact).
+    #[inline]
+    fn prove_below(&self, w1: u64, w2: u64, mean: f64, sigma: f64, limit: f64) -> bool {
+        let z_max =
+            self.radius[(w1 >> BUCKET_SHIFT) as usize] * self.cosine[(w2 >> BUCKET_SHIFT) as usize];
+        sigma > 0.0 && mean + sigma * z_max < limit
+    }
+
+    fn build() -> NormalBounds {
+        let mut bounds = NormalBounds { radius: [0.0; BUCKETS], cosine: [0.0; BUCKETS] };
+        for k in 0..BUCKETS as u64 {
+            let first = k << BUCKET_SHIFT;
+            let last = first | (u64::MAX >> (64 - BUCKET_SHIFT));
+            // u1 = 1 − u falls as the word grows: the bucket's smallest u1,
+            // and so its largest radius, is at its last word.
+            bounds.radius[k as usize] = radius_ceiling(1.0 - unit_interval(last));
+            // The bucket edges fall on the cosine's turning points (angle 0,
+            // π at bucket 128), so it is monotone inside every bucket and its
+            // largest value sits at one of the two edges.
+            let cos = |word| (std::f64::consts::TAU * unit_interval(word)).cos();
+            bounds.cosine[k as usize] = (cos(first).max(cos(last)) + 1e-9).clamp(0.0, 1.0);
+        }
+        bounds
+    }
 }
 
 /// A factory handing out [`StreamRng`]s for a fixed master seed.
@@ -274,28 +365,89 @@ mod tests {
     }
 
     #[test]
-    fn skip_standard_normal_matches_consumption() {
-        // The skip must advance the stream exactly as far as a real sample:
-        // the shadowing fast path depends on this equivalence.
-        let mut sampled = StreamRng::derive(21, "skip");
-        let mut skipped = StreamRng::derive(21, "skip");
-        for _ in 0..64 {
-            let _ = sampled.standard_normal();
-            skipped.skip_standard_normal();
-            assert_eq!(sampled.next_u64(), skipped.next_u64());
-        }
-    }
-
-    #[test]
     fn standard_normal_is_hard_bounded() {
         // Box–Muller over a 53-bit uniform: |z| ≤ sqrt(-2·ln(2⁻⁵³)). The
-        // medium's build-time link classification relies on this bound.
-        let bound = (-2.0 * (1.0 / (1u64 << 53) as f64).ln()).sqrt();
-        assert!(bound < 8.572, "analytic bound {bound}");
+        // medium's build-time link classification relies on this bound, and
+        // it closes the radius table.
+        let bound = max_standard_normal();
+        assert!(bound > 8.5716 && bound < 8.572, "analytic bound {bound}");
+        assert_eq!(NormalBounds::get().radius[BUCKETS - 1].to_bits(), bound.to_bits());
         let mut rng = StreamRng::derive(23, "bound");
         for _ in 0..100_000 {
             assert!(rng.standard_normal().abs() <= bound);
         }
+        // The extreme word pair itself: smallest u1, cosine exactly one.
+        assert!(box_muller(u64::MAX, 0) <= bound);
+    }
+
+    /// The sigmas the bound is exercised with: the paper's 8 dB, two tighter
+    /// channels, and the three degenerate values that must prove nothing.
+    const SIGMAS: [f64; 6] = [8.0, 4.0, 0.5, 0.0, -8.0, f64::NAN];
+    /// Offsets of the mean from the limit, straddling it on both sides and
+    /// reaching past the largest possible excursion (8 dB × 8.57).
+    const MEAN_OFFSETS: [f64; 12] =
+        [-80.0, -68.5, -40.0, -16.0, -8.0, -4.0, -1.0, -0.25, 0.0, 0.25, 4.0, 40.0];
+    const LIMIT: f64 = -78.0;
+
+    #[test]
+    fn bound_is_sound_on_every_bucket_edge() {
+        // Both words at every bucket edge k·2⁴⁵ and its two neighbours (in
+        // 53-bit uniform units; the low 11 bits of a word reach nothing):
+        // wherever the tables change value, a proof must hold for the sample
+        // actually drawn.
+        let edges: Vec<u64> = (0..=BUCKETS as u64)
+            .flat_map(|k| [(k << 45).wrapping_sub(1), k << 45, (k << 45) + 1])
+            .filter(|&m| m < 1 << 53)
+            .map(|m| m << 11)
+            .collect();
+        let bounds = NormalBounds::get();
+        let mut proofs = 0u64;
+        for &w1 in &edges {
+            for &w2 in &edges {
+                let z = box_muller(w1, w2);
+                for sigma in SIGMAS {
+                    for offset in MEAN_OFFSETS {
+                        let mean = LIMIT + offset;
+                        if bounds.prove_below(w1, w2, mean, sigma, LIMIT) {
+                            assert!(sigma > 0.0, "sigma {sigma} must prove nothing");
+                            assert!(
+                                mean + sigma * z < LIMIT,
+                                "unsound: w1 {w1:#x} w2 {w2:#x} mean {mean} sigma {sigma} z {z}"
+                            );
+                            proofs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(proofs > 0, "the grid must exercise the proving branch");
+    }
+
+    #[test]
+    fn bounded_draw_matches_the_full_sample_on_a_twin_stream() {
+        // Over 1.8 million raw words: `None` only where the full sample is
+        // below the limit, `Some` bit-equal to it, and the two streams never
+        // part — the next raw word agrees after every draw.
+        let mut bounded = StreamRng::derive(29, "reach");
+        let mut full = StreamRng::derive(29, "reach");
+        let (mut skipped, mut sampled) = (0u64, 0u64);
+        for draw in 0..600_000usize {
+            let sigma = SIGMAS[draw % SIGMAS.len()];
+            let mean = LIMIT + MEAN_OFFSETS[(draw / SIGMAS.len()) % MEAN_OFFSETS.len()];
+            let z = full.standard_normal();
+            match bounded.standard_normal_reaching(mean, sigma, LIMIT) {
+                Some(got) => {
+                    assert_eq!(got.to_bits(), z.to_bits(), "draw {draw}");
+                    sampled += 1;
+                }
+                None => {
+                    assert!(mean + sigma * z < LIMIT, "draw {draw}: mean {mean} sigma {sigma}");
+                    skipped += 1;
+                }
+            }
+            assert_eq!(bounded.next_u64(), full.next_u64(), "streams parted at {draw}");
+        }
+        assert!(skipped > 100_000 && sampled > 100_000, "skipped {skipped} sampled {sampled}");
     }
 
     #[test]

@@ -252,12 +252,18 @@ fn contention_is_identical_across_schemes() {
 
         let mut drops = 0;
         for attempt in 0..=params.retry_limit {
-            match mac.on_timer_vec(token, now).as_slice() {
-                [MacAction::StartTx { frame: Frame::Data(d), .. }] => {
-                    assert_eq!((d.retry, d.subframes.len()), (attempt, 1), "{label}");
-                }
-                other => panic!("{label}: expected attempt {attempt} on the air, got {other:?}"),
-            }
+            let sent = mac.on_timer_vec(token, now);
+            let data = match sent.as_slice() {
+                [MacAction::StartTx { frame, .. }] => match &**frame {
+                    Frame::Data(d) => Some(d),
+                    Frame::Ack(_) => None,
+                },
+                _ => None,
+            };
+            let Some(d) = data else {
+                panic!("{label}: expected attempt {attempt} on the air, got {sent:?}")
+            };
+            assert_eq!((d.retry, d.subframes.len()), (attempt, 1), "{label}");
             now += SimDuration::from_micros(100);
             let (timeout, timeout_token) = only_timer(&mac.on_tx_end_vec(now));
             now += timeout;
