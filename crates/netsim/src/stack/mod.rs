@@ -56,7 +56,7 @@ use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
 use net_layer::NetLayer;
 use phy_io::advance_medium_positions;
-use station::{Discipline, Origin, StationStack, World};
+use station::{Discipline, Pass, StationStack, World};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,13 +159,10 @@ pub(crate) enum Event {
     WebStart {
         flow: FlowId,
     },
-    /// Single loop only: re-sample every moving node's trajectory and
-    /// refresh the medium. Never scheduled for static motion plans.
-    MobilityTick,
-    /// Single loop only: recompute every flow's min-ETX route from the
-    /// medium's current link state. Never scheduled unless
-    /// [`Scenario::route_refresh`] is set.
-    RouteRefresh,
+    /// One of the driver's global passes: a mobility tick (never scheduled
+    /// for static motion plans) or a route refresh (never scheduled unless
+    /// [`Scenario::route_refresh`] is set).
+    Pass(Pass),
 }
 
 /// Executes a scenario to completion and returns per-flow results.
@@ -199,7 +196,17 @@ pub fn run(scenario: &Scenario) -> RunResult {
     if let Some(shards) = scenario.shards {
         return shard::run_sharded(scenario, shards);
     }
-    let mut runner = Runner::build(scenario);
+    let mut runner = Runner::build(scenario, false);
+    runner.run_loop();
+    runner.results()
+}
+
+/// The per-entity discipline on the single loop: what `shards: Some(_)`
+/// becomes once the windowed engine is deleted. Exists for one commit, so
+/// the differential tests can hold it against [`shard::run_sharded`].
+#[doc(hidden)]
+pub fn run_per_entity_single_loop(scenario: &Scenario) -> RunResult {
+    let mut runner = Runner::build(scenario, true);
     runner.run_loop();
     runner.results()
 }
@@ -223,7 +230,7 @@ const _: () = {
 /// [`RunResult`] equals `run` of the same scenario with `shards: None` —
 /// and therefore differs from `run(scenario)` when `shards` is `Some(_)`.
 pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
-    let mut runner = Runner::build(scenario);
+    let mut runner = Runner::build(scenario, false);
     runner.core.trace = Some(Trace::default());
     runner.run_loop();
     let trace = runner.core.trace.take().expect("installed above");
@@ -240,25 +247,38 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Builds the single loop for `scenario`, whatever its `shards` says:
-    /// the legacy discipline, with the global passes scheduled after the
-    /// flow seeds so the insertion counter advances as it always has.
-    fn build(scenario: &'a Scenario) -> Runner<'a> {
+    /// Builds the loop for `scenario` under the chosen discipline, with the
+    /// global passes scheduled after the flow seeds so the legacy insertion
+    /// counter advances as it always has.
+    fn build(scenario: &'a Scenario, per_entity: bool) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
         let dir = RngDirectory::new(scenario.seed);
-        let discipline =
-            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
+        let n = scenario.positions.len();
+        let discipline = if per_entity {
+            Discipline::PerEntity {
+                shard: 0,
+                owner: std::sync::Arc::new(vec![0; n]),
+                flow_owner: std::sync::Arc::new(vec![0; scenario.flows.len()]),
+                medium: (0..n as u32).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
+                ber: (0..n as u32).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
+                node_seq: vec![0; n],
+                flow_seq: vec![0; scenario.flows.len()],
+                pass_seq: [0; 2],
+            }
+        } else {
+            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") }
+        };
         let mut core = StationStack::build(scenario, &dir, discipline);
         if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
-            core.schedule_in(scenario.motion.tick, Origin::Driver, Event::MobilityTick);
+            core.schedule_pass(scenario.motion.tick, Pass::Mobility);
         }
         if let Some(interval) = scenario.route_refresh {
             // First refresh one interval in: the build-time tables *are* the
             // min-ETX routes over the t = 0 placement.
-            core.schedule_in(interval, Origin::Driver, Event::RouteRefresh);
+            core.schedule_pass(interval, Pass::Refresh);
         }
         Runner {
             scenario,
@@ -278,15 +298,15 @@ impl<'a> Runner<'a> {
                 break;
             }
             match event {
-                Event::MobilityTick => {
+                Event::Pass(Pass::Mobility) => {
                     let Scenario { motion, positions, .. } = self.scenario;
                     advance_medium_positions(&mut self.medium, motion, positions, now);
-                    self.reschedule(motion.tick, Event::MobilityTick);
+                    self.reschedule(motion.tick, Pass::Mobility);
                 }
-                Event::RouteRefresh => {
+                Event::Pass(Pass::Refresh) => {
                     self.refresh_routes();
                     let interval = self.scenario.route_refresh.expect("scheduled only when set");
-                    self.reschedule(interval, Event::RouteRefresh);
+                    self.reschedule(interval, Pass::Refresh);
                 }
                 event => {
                     self.core.dispatch(event, World { medium: &self.medium, net: &self.net });
@@ -296,9 +316,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Re-arms a periodic global pass unless its next firing is past the end.
-    fn reschedule(&mut self, period: SimDuration, event: Event) {
+    fn reschedule(&mut self, period: SimDuration, pass: Pass) {
         if self.core.now() + period <= self.core.end {
-            self.core.schedule_in(period, Origin::Driver, event);
+            self.core.schedule_pass(period, pass);
         }
     }
 
@@ -588,7 +608,7 @@ mod tests {
             tick: SimDuration::from_millis(50),
         };
         s.duration = SimDuration::from_millis(200);
-        let mut runner = Runner::build(&s);
+        let mut runner = Runner::build(&s, false);
         runner.run_loop();
         let p = runner.medium.position(NodeId::new(1));
         // 200 ms at 10 m/s from x = 5: the last tick at or before the end

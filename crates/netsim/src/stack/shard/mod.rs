@@ -353,16 +353,19 @@ mod tests {
     /// Runs the scenario at every shard count in `counts` and asserts the
     /// results are bit-identical to the 1-shard run ([`RunResult`] derives
     /// `PartialEq` with exact `f64` comparison — that is the contract).
+    ///
+    /// The differential oracle of the engine's last commit: the reference is
+    /// the per-entity discipline on the *single loop*, and every windowed
+    /// run — at 1, 2 and 8 shards plus the test's own counts — must equal it.
     fn assert_shard_invariant(mut scenario: Scenario, counts: &[u32]) {
-        scenario.shards = Some(1);
-        let reference = run(&scenario);
+        let reference = crate::stack::run_per_entity_single_loop(&scenario);
         assert!(
             reference.flows.iter().any(|f| f.delivered_bytes > 0),
             "a degenerate run that delivers nothing proves nothing"
         );
-        for &k in counts {
+        for &k in [1, 2, 8].iter().chain(counts) {
             scenario.shards = Some(k);
-            assert_eq!(reference, run(&scenario), "{k} shards must be bit-identical to 1");
+            assert_eq!(reference, run(&scenario), "{k} shards must equal the single loop");
         }
     }
 

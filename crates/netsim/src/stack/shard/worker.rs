@@ -125,6 +125,7 @@ impl ShardWorker {
             ber: (0..n).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
             node_seq: vec![0; n as usize],
             flow_seq: vec![0; scenario.flows.len()],
+            pass_seq: [0; 2],
         };
         ShardWorker { shard, medium, net, core: StationStack::build(scenario, &dir, discipline) }
     }

@@ -47,12 +47,26 @@ use crate::stack::shard::worker::CrossShardArrival;
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
-/// Key lane for events originated by a station (TxEnd, Rx*, MacTimer) —
-/// and the single lane of the legacy discipline.
-const KIND_NODE: u32 = 0;
-/// Key lane for events originated by a flow (FlowStart, UdpSend, WebStart,
-/// TcpRto).
-const KIND_FLOW: u32 = 1;
+/// Per-entity key lane of the driver's two global passes. It sorts before
+/// the node and flow lanes, so every event at a pass's instant processes
+/// after the pass's effect.
+const LANE_PASS: u32 = 0;
+/// Per-entity key lane for events originated by a station (TxEnd, Rx*,
+/// MacTimer).
+const LANE_NODE: u32 = 1;
+/// Per-entity key lane for events originated by a flow (FlowStart, UdpSend,
+/// WebStart, TcpRto).
+const LANE_FLOW: u32 = 2;
+
+/// The driver's global passes, numbered in the order they run when they
+/// coincide: mobility first, then routing over the moved topology.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pass {
+    /// Re-sample trajectories into the medium's link state.
+    Mobility = 0,
+    /// Recompute every flow's min-ETX route.
+    Refresh = 1,
+}
 
 /// The read-mostly world a dispatch runs against, lent by the driver.
 #[derive(Clone, Copy)]
@@ -70,10 +84,8 @@ pub(crate) enum Origin {
     Node(NodeId),
     /// A flow: FlowStart, UdpSend, WebStart, TcpRto.
     Flow(FlowId),
-    /// The driver's own in-queue passes (mobility tick, route refresh).
-    /// Legacy discipline only: a sharded run executes those as coordinator
-    /// barriers, never as queued events.
-    Driver,
+    /// One of the driver's own in-queue passes.
+    Pass(Pass),
 }
 
 /// How a stack mints event keys, draws channel randomness and decides
@@ -102,31 +114,34 @@ pub(crate) enum Discipline {
         medium: Vec<StreamRng>,
         /// Per-receiver bit-error streams (`shard/ber/<rx>`), ditto.
         ber: Vec<StreamRng>,
-        /// Per-station key counters (lane `KIND_NODE`).
+        /// Per-station key counters (lane `LANE_NODE`).
         node_seq: Vec<u64>,
-        /// Per-flow key counters (lane `KIND_FLOW`), advanced by the source
+        /// Per-flow key counters (lane `LANE_FLOW`), advanced by the source
         /// shard only.
         flow_seq: Vec<u64>,
+        /// Per-pass key counters (lane `LANE_PASS`), single loop only: a
+        /// sharded run executes the passes as coordinator barriers.
+        pass_seq: [u64; 2],
     },
 }
 
 impl Discipline {
     /// Mints the next key for an event caused by `origin`.
     fn key(&mut self, origin: Origin) -> EventKey {
-        let (kind, entity, seq) = match (self, origin) {
-            (Discipline::Legacy { seq, .. }, _) => (KIND_NODE, 0, seq),
+        let (lane, entity, seq) = match (self, origin) {
+            (Discipline::Legacy { seq, .. }, _) => (0, 0, seq),
             (Discipline::PerEntity { node_seq, .. }, Origin::Node(node)) => {
-                (KIND_NODE, node.index(), &mut node_seq[node.index()])
+                (LANE_NODE, node.index(), &mut node_seq[node.index()])
             }
             (Discipline::PerEntity { shard, flow_owner, flow_seq, .. }, Origin::Flow(flow)) => {
                 debug_assert_eq!(flow_owner[flow.index()], *shard, "flow lane owned elsewhere");
-                (KIND_FLOW, flow.index(), &mut flow_seq[flow.index()])
+                (LANE_FLOW, flow.index(), &mut flow_seq[flow.index()])
             }
-            (Discipline::PerEntity { .. }, Origin::Driver) => {
-                unreachable!("global passes are coordinator barriers in a sharded run")
+            (Discipline::PerEntity { pass_seq, .. }, Origin::Pass(pass)) => {
+                (LANE_PASS, pass as usize, &mut pass_seq[pass as usize])
             }
         };
-        let key = EventKey::new(kind, entity as u32, *seq);
+        let key = EventKey::new(lane, entity as u32, *seq);
         *seq += 1;
         key
     }
@@ -250,9 +265,14 @@ impl StationStack {
     }
 
     /// Schedules `event`, `delay` from now, under the next key of `origin`.
-    pub(crate) fn schedule_in(&mut self, delay: SimDuration, origin: Origin, event: Event) {
+    fn schedule_in(&mut self, delay: SimDuration, origin: Origin, event: Event) {
         let key = self.discipline.key(origin);
         self.queue.schedule_keyed_in(delay, key, event);
+    }
+
+    /// Arms one of the driver's global passes, `delay` from now.
+    pub(crate) fn schedule_pass(&mut self, delay: SimDuration, pass: Pass) {
+        self.schedule_in(delay, Origin::Pass(pass), Event::Pass(pass));
     }
 
     pub(crate) fn record(&mut self, node: NodeId, kind: TraceKind) {
@@ -375,7 +395,7 @@ impl StationStack {
             Event::FlowStart { flow } => self.start_flow(flow, w),
             Event::UdpSend { flow } => self.udp_send(flow, w),
             Event::WebStart { flow } => self.web_next_transfer(flow, w),
-            Event::MobilityTick | Event::RouteRefresh => {
+            Event::Pass(_) => {
                 unreachable!("global passes mutate the world and belong to the driver")
             }
         }
@@ -822,7 +842,7 @@ mod tests {
         let origins = [
             Origin::Flow(FlowId::new(1)),
             Origin::Node(NodeId::new(3)),
-            Origin::Driver,
+            Origin::Pass(Pass::Refresh),
             Origin::Node(NodeId::new(0)),
         ];
         for (n, origin) in origins.into_iter().enumerate() {
@@ -841,14 +861,15 @@ mod tests {
             ber: (0..3).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
             node_seq: vec![0; 3],
             flow_seq: vec![0; 2],
+            pass_seq: [0; 2],
         };
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
-        assert_eq!(per_entity.key(node(2)), EventKey::new(KIND_NODE, 2, 0));
-        assert_eq!(per_entity.key(flow(1)), EventKey::new(KIND_FLOW, 1, 0));
-        assert_eq!(per_entity.key(node(2)), EventKey::new(KIND_NODE, 2, 1));
-        assert_eq!(per_entity.key(node(0)), EventKey::new(KIND_NODE, 0, 0));
-        assert_eq!(per_entity.key(flow(1)), EventKey::new(KIND_FLOW, 1, 1));
+        assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 0));
+        assert_eq!(per_entity.key(flow(1)), EventKey::new(LANE_FLOW, 1, 0));
+        assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 1));
+        assert_eq!(per_entity.key(node(0)), EventKey::new(LANE_NODE, 0, 0));
+        assert_eq!(per_entity.key(flow(1)), EventKey::new(LANE_FLOW, 1, 1));
         // Ownership follows the tables; the third station lives elsewhere.
         assert!(per_entity.owns(NodeId::new(1)) && !per_entity.owns(NodeId::new(2)));
         assert!(per_entity.owns_flow(FlowId::new(0)));
