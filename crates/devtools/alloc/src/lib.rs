@@ -23,8 +23,7 @@
 //!
 //! The counters are process-wide: [`measure`] reports deltas, so it is only
 //! meaningful when nothing else allocates concurrently (`alloc_gate` is
-//! single-threaded while measuring, and measures no sharded run for exactly
-//! this reason).
+//! single-threaded while measuring).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "count")]

@@ -19,16 +19,6 @@ use crate::telemetry;
 /// Environment variable selecting the worker count (a positive integer).
 pub const JOBS_ENV: &str = "RIPPLE_JOBS";
 
-/// Environment variable forcing the sharded engine at a fixed shard count
-/// (a positive integer) for every run of the plan. Unset respects each
-/// scenario's own [`Scenario::shards`](wmn_netsim::Scenario) knob.
-///
-/// The override exists for the CI shard-determinism job: the same sweep
-/// executed under `RIPPLE_SHARDS=1`, `=2`, and `=8` must produce
-/// byte-identical reports (the sharded engine's k-invariance contract),
-/// without maintaining per-shard-count spec files.
-pub const SHARDS_ENV: &str = "RIPPLE_SHARDS";
-
 /// The worker count used when [`JOBS_ENV`] is unset: the host's available
 /// parallelism, falling back to 1 if it cannot be determined.
 pub fn available_jobs() -> usize {
@@ -51,26 +41,6 @@ pub fn jobs_from_env() -> Result<usize, String> {
         Ok(raw) => match raw.trim().parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!("{JOBS_ENV} must be a positive integer worker count, got {raw:?}")),
-        },
-    }
-}
-
-/// Resolves the shard-count override from the environment.
-///
-/// Unset means no override (each scenario's own `shards` knob decides the
-/// engine); anything set must parse as a positive integer.
-///
-/// # Errors
-///
-/// Returns a descriptive message if [`SHARDS_ENV`] is set to anything that
-/// is not a positive integer.
-pub fn shards_from_env() -> Result<Option<u32>, String> {
-    // lint:allow(no-nondeterministic-std): the override only selects the engine — results are bit-identical for any shard count
-    match std::env::var(SHARDS_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().parse::<u32>() {
-            Ok(k) if k >= 1 => Ok(Some(k)),
-            _ => Err(format!("{SHARDS_ENV} must be a positive integer shard count, got {raw:?}")),
         },
     }
 }
@@ -126,8 +96,8 @@ pub struct ExecOutcome {
 #[derive(Clone, Copy, Debug)]
 pub struct Executor {
     jobs: usize,
-    /// Plan-level shard override: `Some(k)` forces every run onto the
-    /// sharded engine at `k` shards; `None` respects each scenario's knob.
+    /// Plan-level override of [`Scenario::shards`](wmn_netsim::Scenario):
+    /// `Some(_)` sets it on every run; `None` respects each scenario's own.
     shards: Option<u32>,
 }
 
@@ -138,30 +108,26 @@ impl Executor {
         Executor { jobs: jobs.max(1), shards: None }
     }
 
-    /// The same executor with a plan-level shard override ([`SHARDS_ENV`]'s
-    /// programmatic form). `None` clears the override.
+    /// The same executor with a plan-level override of every scenario's
+    /// `shards` field — that is, of its result family; the count inside
+    /// `Some` selects nothing (see [`wmn_netsim::run`]). `None` clears it.
     pub fn with_shards(self, shards: Option<u32>) -> Self {
         Executor { shards, ..self }
     }
 
     /// An executor with the environment-selected worker count
-    /// ([`jobs_from_env`]) and shard override ([`shards_from_env`]).
+    /// ([`jobs_from_env`]).
     ///
     /// # Panics
     ///
-    /// Panics with a clear message if [`JOBS_ENV`] or [`SHARDS_ENV`] is set
-    /// to an invalid value — a misconfigured run must not silently fall
-    /// back to some other parallelism or engine.
+    /// Panics with a clear message if [`JOBS_ENV`] is set to an invalid
+    /// value — a misconfigured run must not silently fall back to some
+    /// other parallelism.
     pub fn from_env() -> Self {
-        let jobs = match jobs_from_env() {
-            Ok(jobs) => jobs,
+        match jobs_from_env() {
+            Ok(jobs) => Executor::new(jobs),
             Err(msg) => panic!("{msg}"),
-        };
-        let shards = match shards_from_env() {
-            Ok(shards) => shards,
-            Err(msg) => panic!("{msg}"),
-        };
-        Executor::new(jobs).with_shards(shards)
+        }
     }
 
     /// The configured worker count.
@@ -169,19 +135,12 @@ impl Executor {
         self.jobs
     }
 
-    /// The configured shard override, if any.
-    pub fn shards(&self) -> Option<u32> {
-        self.shards
-    }
-
     /// Executes every run of `plan` and returns the results in plan order.
     ///
     /// Determinism contract: each run is a pure function of its scenario
     /// (seeded via [`wmn_sim::RngDirectory`]), runs share no state, and the
     /// result vector is indexed by plan position — so the output is
-    /// bit-identical for any worker count, including 1. With a shard
-    /// override set, every scenario additionally runs on the sharded engine
-    /// at that count, which is itself bit-identical for any count ≥ 1.
+    /// bit-identical for any worker count, including 1.
     pub fn execute(&self, plan: &RunPlan) -> ExecOutcome {
         let started = Instant::now();
         let specs = plan.specs();
@@ -298,33 +257,23 @@ mod tests {
         assert!(available_jobs() >= 1);
     }
 
+    /// The override equals setting `shards` on every scenario, at any
+    /// worker count.
     #[test]
     fn shard_override_forces_the_sharded_engine_and_stays_count_invariant() {
         let plan = RunPlan::grid(&scenarios(3), &[1, 2], SimDuration::from_millis(5));
-        // The override must be equivalent to setting `shards` on every
-        // scenario directly …
         let mut direct = scenarios(3);
         for s in &mut direct {
             s.shards = Some(1);
         }
         let direct_plan = RunPlan::grid(&direct, &[1, 2], SimDuration::from_millis(5));
-        let overridden = Executor::new(2).with_shards(Some(1)).execute(&plan);
-        assert_eq!(overridden.results, Executor::new(2).execute(&direct_plan).results);
-        // … and k-invariant, per the sharded engine's contract.
-        let two = Executor::new(2).with_shards(Some(2)).execute(&plan);
-        assert_eq!(overridden.results, two.results);
-        // The sharded engine consumes per-entity RNG streams, so the
-        // override genuinely switched engines (≠ legacy bytes).
-        let legacy = Executor::new(2).execute(&plan);
-        assert_ne!(legacy.results, overridden.results);
-    }
-
-    #[test]
-    fn with_shards_round_trips_and_clears() {
-        let exec = Executor::new(3).with_shards(Some(8));
-        assert_eq!(exec.shards(), Some(8));
-        assert_eq!(exec.jobs(), 3);
-        assert_eq!(exec.with_shards(None).shards(), None);
+        let reference = Executor::new(1).execute(&direct_plan).results;
+        for jobs in [1, 2, 8] {
+            let overridden = Executor::new(jobs).with_shards(Some(1)).execute(&plan);
+            assert_eq!(overridden.results, reference, "{jobs} workers");
+        }
+        // The override genuinely switched result families.
+        assert_ne!(Executor::new(2).execute(&plan).results, reference);
     }
 
     #[test]

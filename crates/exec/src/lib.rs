@@ -16,10 +16,6 @@
 //!
 //! The worker count comes from the `RIPPLE_JOBS` environment variable
 //! ([`jobs_from_env`]), defaulting to the host's available parallelism.
-//! `RIPPLE_SHARDS` ([`shards_from_env`]) additionally forces every run onto
-//! the sharded intra-scenario engine at a fixed shard count — the CI
-//! shard-determinism job uses it to byte-compare whole sweep reports at
-//! 1, 2, and 8 shards without editing the specs.
 //!
 //! ## Reports
 //!
@@ -67,9 +63,6 @@ pub mod report;
 pub mod telemetry;
 pub mod trace;
 
-pub use executor::{
-    available_jobs, jobs_from_env, shards_from_env, ExecOutcome, ExecStats, Executor, JOBS_ENV,
-    SHARDS_ENV,
-};
+pub use executor::{available_jobs, jobs_from_env, ExecOutcome, ExecStats, Executor, JOBS_ENV};
 pub use plan::{RunPlan, RunSpec};
 pub use trace::{trace_document, validate_trace, TRACE_SCHEMA};

@@ -159,9 +159,9 @@ pub fn validate_trace(doc: &Value) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_netsim::{run, run_traced, FlowSpec, MotionPlan, Scenario, Scheme, Workload};
+    use wmn_netsim::{run, run_traced, FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
-    use wmn_sim::{NodeId, SimDuration};
+    use wmn_sim::{FlowId, NodeId, SimDuration};
 
     fn scenario() -> Scenario {
         Scenario {
@@ -197,10 +197,41 @@ mod tests {
         assert_eq!(validate_trace(&parsed), Ok(trace.len()));
     }
 
+    /// The stale-route demo in the per-entity family: the line's relay 1
+    /// drifts away at 60 m/s past a spare at (5, 3), ticks every 10 ms,
+    /// refreshes every 50 ms — both global passes, at coinciding instants.
+    fn drifting_relay() -> Scenario {
+        let mut s = scenario();
+        s.positions.push(Position::new(5.0, 3.0));
+        s.flows[0].workload = Workload::Cbr(wmn_traffic::CbrModel {
+            packet_bytes: 1000,
+            interval: SimDuration::from_millis(2),
+        });
+        s.duration = SimDuration::from_millis(400);
+        s.motion = MotionPlan {
+            paths: (0..5)
+                .map(|i| match i {
+                    1 => NodePath::Drift { vx_mps: 0.0, vy_mps: 60.0 },
+                    _ => NodePath::Static,
+                })
+                .collect(),
+            tick: SimDuration::from_millis(10),
+        };
+        s.route_refresh = Some(SimDuration::from_millis(50));
+        s.shards = Some(1);
+        s
+    }
+
     #[test]
     fn tracing_is_a_pure_observer() {
         let (traced, _) = run_traced(&scenario());
         assert_eq!(traced, run(&scenario()), "recording a trace must not perturb the run");
+        let (traced, trace) = run_traced(&drifting_relay());
+        assert_eq!(traced, run(&drifting_relay()), "nor in the per-entity family");
+        assert!(
+            !trace.route_changes(FlowId::new(0)).is_empty(),
+            "the refresh pass records its re-routes in either family"
+        );
     }
 
     #[test]

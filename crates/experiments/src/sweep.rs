@@ -10,7 +10,6 @@
 
 use wmn_exec::json::Value;
 use wmn_exec::report::table_value;
-use wmn_exec::Executor;
 use wmn_metrics::Table;
 use wmn_scengen::SweepSpec;
 use wmn_sim::SimDuration;
@@ -47,9 +46,8 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> Result<SweepOutcome, String> 
         duration: SimDuration::from_millis(spec.duration_ms),
         seeds: spec.run_seeds.clone(),
         jobs,
-        // The RIPPLE_SHARDS override reaches sweeps through here: the CI
-        // shard-determinism job byte-compares the same sweep at 1/2/8.
-        shards: Executor::from_env().shards(),
+        // The spec's own `shards` already reached every expanded scenario.
+        shards: None,
     };
     let avgs = run_grid(&scenarios, &cfg);
     let mut table = Table::new(

@@ -78,12 +78,6 @@ pub fn analyze_source(rel: &str, crate_name: &str, src: &str, cfg: RuleConfig) -
         findings.extend(rules::no_wall_clock(&tokens, rel));
     }
     findings.extend(rules::no_nondet_std(&tokens, rel));
-    if cfg.shard_module {
-        findings.extend(rules::shard_rng_label(&tokens, rel));
-        if !cfg.shard_seam {
-            findings.extend(rules::shard_state_isolation(&tokens, rel));
-        }
-    }
     let (labels, label_findings) = extract_labels(&tokens, crate_name, rel);
     findings.extend(label_findings);
 

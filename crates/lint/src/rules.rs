@@ -23,10 +23,6 @@ pub const NO_FRAME_DEEP_CLONE: &str = "no-frame-deep-clone";
 pub const HOT_PATH_VEC_NEW: &str = "hot-path-vec-new";
 /// Rule id: RNG label extraction / registry problems.
 pub const RNG_LABEL_REGISTRY: &str = "rng-label-registry";
-/// Rule id: non-indexed RNG stream derivation inside the sharded engine.
-pub const SHARD_RNG_LABEL: &str = "shard-rng-label";
-/// Rule id: shared-state write locks outside the coordinator seam.
-pub const SHARD_STATE_ISOLATION: &str = "shard-state-isolation";
 /// Meta rule id: malformed, unknown-rule, or unused waivers.
 pub const WAIVER: &str = "waiver";
 
@@ -38,8 +34,6 @@ pub const RULES: &[&str] = &[
     NO_FRAME_DEEP_CLONE,
     HOT_PATH_VEC_NEW,
     RNG_LABEL_REGISTRY,
-    SHARD_RNG_LABEL,
-    SHARD_STATE_ISOLATION,
 ];
 
 /// One lint finding at a source location.
@@ -364,69 +358,6 @@ fn dot_call<'t>(tokens: &'t [Token], i: usize, names: &[&str]) -> Option<&'t str
     }
 }
 
-/// `shard-rng-label` (sharded-engine files only): flags `.stream(…)` and
-/// `StreamRng::derive(…)`. A stream shared across entities is consumed in
-/// event-processing order, which interleaves differently per shard count;
-/// shard code must derive one stream per entity via
-/// `RngDirectory::indexed_stream` so every draw sequence is owned by
-/// exactly one entity regardless of partitioning.
-pub fn shard_rng_label(tokens: &[Token], file: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if dot_call(tokens, i, &["stream"]).is_some() {
-            out.push(Finding::new(
-                SHARD_RNG_LABEL,
-                file,
-                tokens[i + 1].line,
-                "`.stream(…)` derives a shared RNG stream — its consumption order depends \
-                 on the shard count; shard code must use `indexed_stream` (one stream per \
-                 entity)"
-                    .to_string(),
-            ));
-        }
-        if tokens[i].is_ident("StreamRng")
-            && path_sep(tokens, i + 1)
-            && tokens.get(i + 3).is_some_and(|t| t.is_ident("derive"))
-            && tokens.get(i + 4).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(Finding::new(
-                SHARD_RNG_LABEL,
-                file,
-                tokens[i].line,
-                "`StreamRng::derive(…)` bypasses the per-entity stream discipline — shard \
-                 code must go through `RngDirectory::indexed_stream`"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// `shard-state-isolation` (sharded-engine files outside the coordinator
-/// seam): flags `.write(…)`. Workers replicate the shared `Medium` /
-/// `NetLayer` behind `RwLock`s and may only read them; every mutation
-/// (mobility tick, route refresh) happens on the coordinator at a window
-/// barrier, in the seam module (`stack/shard/mod.rs`). A write lock taken
-/// from worker code would race the other shards' reads mid-window.
-/// Mailbox/report `.lock()`s are deliberately not flagged.
-pub fn shard_state_isolation(tokens: &[Token], file: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if dot_call(tokens, i, &["write"]).is_some() {
-            out.push(Finding::new(
-                SHARD_STATE_ISOLATION,
-                file,
-                tokens[i + 1].line,
-                "`.write(…)` takes a write lock on replicated shared state — mutations \
-                 belong to the coordinator barrier in `stack/shard/mod.rs`; workers may \
-                 only `.read()` between barriers"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
 /// The frame types whose `.clone()` deep-copies payload state. `Packet` is
 /// deliberately absent: its clone is a header copy plus an `Arc` refcount
 /// bump on the pooled body — the sanctioned cheap fan-out — and `Arc<Frame>`
@@ -510,14 +441,13 @@ const HOT_HANDLERS: &[&str] = &[
     "try_progress",
     "transmit_data",
     "apply_ack",
-    // The station stack's per-event handlers (one body, both drivers).
+    // The station stack's per-event handlers.
     "dispatch",
     "with_mac",
     "apply_mac_actions",
     "start_transmission",
     "handle_delivery",
     "broadcast",
-    "inject",
     // What a transmission and each of its receptions call below the stack.
     "plan_transmission_into",
     "decode_frame",
@@ -713,33 +643,6 @@ mod tests {
         let found = run(src, no_nondet_std);
         assert_eq!(found.len(), 1, "only the read outside from_env: {found:?}");
         assert!(found[0].message.contains("env::var"));
-    }
-
-    #[test]
-    fn shard_rng_label_flags_shared_streams_and_raw_derives() {
-        let src = "
-            fn f(dir: &RngDirectory) {
-                let a = dir.stream(\"medium\");
-                let b = StreamRng::derive(seed, \"x/y\");
-                let c = dir.indexed_stream(\"shard/medium\", 3);
-            }
-        ";
-        let found = run(src, shard_rng_label);
-        assert_eq!(found.len(), 2, "indexed_stream is the sanctioned form: {found:?}");
-    }
-
-    #[test]
-    fn shard_state_isolation_flags_write_locks_not_mutex_locks() {
-        let src = "
-            fn f(m: &RwLock<Medium>, mailbox: &Mutex<Vec<u32>>) {
-                let r = m.read().unwrap();
-                let w = m.write().unwrap();
-                let q = mailbox.lock().unwrap();
-            }
-        ";
-        let found = run(src, shard_state_isolation);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("coordinator barrier"));
     }
 
     #[test]

@@ -117,16 +117,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const WALL_CLOCK_ALLOWED: &[&str] =
     &["crates/exec/", "crates/devtools/", "crates/experiments/src/bin/"];
 
-/// The sharded driver's module: files here answer to the two `shard-*`
-/// rules (per-entity RNG streams, no write locks outside the seam). Keyed
-/// scheduling needs no rule: netsim's only queue has no unkeyed `schedule`.
-pub const SHARD_MODULE: &str = "crates/netsim/src/stack/shard/";
-
-/// The sharded engine's coordinator seam — the one file where write locks
-/// on the replicated shared state are legitimate (mobility/route-refresh
-/// barriers run there, between windows, with every worker parked).
-pub const SHARD_SEAM: &str = "crates/netsim/src/stack/shard/mod.rs";
-
 /// Per-file rule switches derived from where the file lives.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuleConfig {
@@ -134,10 +124,6 @@ pub struct RuleConfig {
     pub deterministic: bool,
     /// Skip `no-wall-clock` (telemetry allowlist).
     pub wall_clock_allowed: bool,
-    /// Run the `shard-*` rules (sharded-engine module only).
-    pub shard_module: bool,
-    /// Skip `shard-state-isolation` (the coordinator seam).
-    pub shard_seam: bool,
 }
 
 /// Computes the rule switches for a file.
@@ -145,8 +131,6 @@ pub fn config_for(rel: &str, crate_name: &str) -> RuleConfig {
     RuleConfig {
         deterministic: DETERMINISTIC_CRATES.contains(&crate_name),
         wall_clock_allowed: WALL_CLOCK_ALLOWED.iter().any(|p| rel.starts_with(p)),
-        shard_module: rel.starts_with(SHARD_MODULE),
-        shard_seam: rel == SHARD_SEAM,
     }
 }
 
@@ -174,14 +158,6 @@ mod tests {
         // owns time.
         let c = config_for("crates/bench/src/bin/alloc_gate.rs", "bench");
         assert!(!c.wall_clock_allowed);
-        // The sharded driver: workers get both shard rules; the
-        // coordinator seam keeps them minus the write-lock isolation.
-        let c = config_for("crates/netsim/src/stack/shard/worker.rs", "netsim");
-        assert!(c.shard_module && !c.shard_seam);
-        let c = config_for("crates/netsim/src/stack/shard/mod.rs", "netsim");
-        assert!(c.shard_module && c.shard_seam);
-        let c = config_for("crates/netsim/src/stack/mod.rs", "netsim");
-        assert!(!c.shard_module && !c.shard_seam);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl Runner {
         handler(self.macs.node(node), &mut spare[0]);
     }
 
-    fn inject(&mut self, entry: CrossShardArrival) {
-        // Once per planned reception: ~260 per frame on a dense campus.
-        let parked = vec![entry]; //~ hot-path-vec-new
-        self.arrivals.extend(parked);
-    }
-
     fn results(&self) -> Vec<u32> {
         // Cold path: result collection runs after the loop exits.
         let mut out = Vec::new();

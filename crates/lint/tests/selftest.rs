@@ -8,8 +8,7 @@ use std::fs;
 use std::path::Path;
 
 use wmn_lint::rules::{
-    HOT_PATH_VEC_NEW, NO_FRAME_DEEP_CLONE, NO_HASH_ITER, NO_WALL_CLOCK, RNG_LABEL_REGISTRY,
-    SHARD_RNG_LABEL, SHARD_STATE_ISOLATION, WAIVER,
+    HOT_PATH_VEC_NEW, NO_FRAME_DEEP_CLONE, NO_HASH_ITER, NO_WALL_CLOCK, RNG_LABEL_REGISTRY, WAIVER,
 };
 use wmn_lint::workspace::RuleConfig;
 use wmn_lint::{analyze_source, FileAnalysis};
@@ -21,11 +20,6 @@ fn fixture(name: &str) -> String {
 
 fn det() -> RuleConfig {
     RuleConfig { deterministic: true, ..RuleConfig::default() }
-}
-
-/// The config of a sharded-engine worker file (`stack/shard/worker.rs`).
-fn shard() -> RuleConfig {
-    RuleConfig { deterministic: true, shard_module: true, ..RuleConfig::default() }
 }
 
 /// Parses the `//~ [waived] <rule>` markers out of a fixture.
@@ -181,52 +175,6 @@ fn rng_labels_fixture_matches_markers_and_registers() {
 }
 
 #[test]
-fn shard_rng_label_fixture_matches_markers_and_registers_families() {
-    let fa = check("shard_rng_label.rs", shard());
-    assert!(fa.findings.iter().all(|f| f.rule == SHARD_RNG_LABEL));
-    assert_eq!(fa.waived.len(), 1);
-    // The indexed_stream sites register their whole family as a dynamic
-    // template, claiming the `shard` prefix like any other label.
-    let mut keys: Vec<&str> = fa.labels.iter().map(|l| l.key.as_str()).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    assert!(keys.contains(&"dynamic:shard/medium/{index}"), "{keys:?}");
-    assert!(keys.contains(&"dynamic:shard/ber/{index}"), "{keys:?}");
-    assert!(fa.labels.iter().all(|l| l.prefix.as_deref() == Some("shard")));
-}
-
-#[test]
-fn shard_state_isolation_fixture_matches_markers_and_seam_is_exempt() {
-    let fa = check("shard_state_isolation.rs", shard());
-    assert!(fa.findings.iter().all(|f| f.rule == SHARD_STATE_ISOLATION));
-    assert_eq!(fa.waived.len(), 1);
-    // The coordinator seam config switches the rule off; the fixture's
-    // waiver then goes unused, which is the only finding left.
-    let src = fixture("shard_state_isolation.rs");
-    let seam = RuleConfig {
-        deterministic: true,
-        shard_module: true,
-        shard_seam: true,
-        ..RuleConfig::default()
-    };
-    let fa = analyze_source("shard_state_isolation.rs", "fixture", &src, seam);
-    assert!(fa.findings.iter().all(|f| f.rule == WAIVER), "{:?}", fa.findings);
-    assert!(fa.waived.is_empty());
-}
-
-#[test]
-fn shard_rules_are_off_outside_the_shard_module() {
-    for name in ["shard_rng_label.rs", "shard_state_isolation.rs"] {
-        let src = fixture(name);
-        let fa = analyze_source(name, "netsim", &src, det());
-        // Only the now-unused waiver surfaces — the shard rules themselves
-        // must not leak into ordinary deterministic code.
-        assert!(fa.findings.iter().all(|f| f.rule == WAIVER), "{name}: {:?}", fa.findings);
-        assert!(fa.waived.is_empty(), "{name}");
-    }
-}
-
-#[test]
 fn waiver_misuse_fixture_reports_each_failure_mode() {
     let src = fixture("waivers.rs");
     let fa = analyze_source("waivers.rs", "fixture", &src, det());
@@ -255,6 +203,4 @@ fn rng_label_registry_rule_name_is_reserved_for_sites_and_registry() {
     assert_eq!(NO_FRAME_DEEP_CLONE, "no-frame-deep-clone");
     assert_eq!(HOT_PATH_VEC_NEW, "hot-path-vec-new");
     assert_eq!(RNG_LABEL_REGISTRY, "rng-label-registry");
-    assert_eq!(SHARD_RNG_LABEL, "shard-rng-label");
-    assert_eq!(SHARD_STATE_ISOLATION, "shard-state-isolation");
 }

@@ -161,10 +161,10 @@ pub struct MacStats {
 ///
 /// The simulation runner (`wmn-netsim`) drives implementations through this
 /// trait; it is object-safe on purpose so the runner can store heterogeneous
-/// MACs behind one interface. `Send` is a supertrait because the sharded
-/// event loop moves per-station MACs onto shard worker threads — every MAC
-/// is plain owned state plus seeded RNG streams, so the bound costs
-/// implementations nothing.
+/// MACs behind one interface. `Send` is a supertrait although no MAC crosses
+/// a thread today (a run is built, driven and dropped on one executor
+/// worker): every MAC is plain owned state plus seeded RNG streams, so the
+/// bound costs implementations nothing.
 /// Every handler writes its actions into the engine-owned [`ActionSink`]
 /// passed as `out` instead of returning a fresh `Vec` — the engine drains
 /// the sink after the call and reuses it for the next event, so the

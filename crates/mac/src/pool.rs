@@ -19,10 +19,10 @@
 //!
 //! The pool is deliberately invisible to simulation results: which buffer a
 //! mint returns affects addresses only, never values, so pooling cannot
-//! perturb the bit-identical repro contract — including across shard
-//! counts, where frames (and thus their buffers) migrate between threads
-//! and are reclaimed by whoever drops them last (`FramePool` is
-//! `Send + Sync`; parking is a mutex push).
+//! perturb the bit-identical repro contract. A buffer is reclaimed by
+//! whoever drops its frame last; `FramePool` is `Send + Sync` (parking is a
+//! mutex push) although every frame of a run lives and dies on the one
+//! thread that runs it.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

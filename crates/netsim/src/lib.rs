@@ -7,10 +7,9 @@
 //! [`wmn_mac::MacScheme`] factory trait; [`stack::flow_layer`]: transport
 //! endpoints and workloads; receivers and in-flight arrivals) together with
 //! the event queue, and interprets every [`wmn_mac::MacAction`] /
-//! [`wmn_transport::TcpAction`] against simulated time — driven by one of
-//! two thin loops that lend it the medium and the routing tables
-//! ([`stack::net_layer`]): the single loop, or the windowed shard workers
-//! of [`stack::shard`]. Received frames are decoded through one BER seam,
+//! [`wmn_transport::TcpAction`] against simulated time — driven by one
+//! event loop that lends it the medium and the routing tables
+//! ([`stack::net_layer`]). Received frames are decoded through one BER seam,
 //! [`stack::decode`], whose clean-channel fast path hands every receiver
 //! the transmitter's own `Arc`-backed allocation — zero copies, zero
 //! allocations per clean decode.

@@ -153,14 +153,16 @@ pub struct Scenario {
     /// no RNG, so `None` is byte-for-byte identical to the pre-refresh
     /// runner, and a refresh over an unmoved topology changes nothing.
     pub route_refresh: Option<SimDuration>,
-    /// Shard count for the conservative windowed driver, or `None` for the
-    /// single loop. Both drive the same engine body; `None` keeps the legacy
-    /// key and RNG-stream discipline (the CI baseline's bytes), any
-    /// `Some(k)` the per-entity one, whose results are bit-identical for
-    /// **every** `k ≥ 1` (pinned by the determinism suites) but use a
-    /// different RNG stream layout — so `Some(1)` and `None` are two
-    /// distinct, individually deterministic result families. Counts above
-    /// the station count are clamped.
+    /// Result-family selector. `None` keeps the legacy key and RNG-stream
+    /// discipline (the figure baselines' bytes); `Some(_)` selects the
+    /// per-entity one — events keyed by what caused them, channel draws
+    /// from per-station streams — so `Some(1)` and `None` are two distinct,
+    /// individually deterministic result families on the same event loop.
+    ///
+    /// The count is vestigial: it once sized an intra-scenario thread
+    /// partition whose results were bit-identical for every count, so every
+    /// `Some(k)`, `k ≥ 1`, is the same run. The field keeps its shape
+    /// because the frozen benchmark constructs it by name.
     pub shards: Option<u32>,
 }
 
@@ -221,8 +223,8 @@ impl Scenario {
         }
         if self.shards == Some(0) {
             return Err(format!(
-                "scenario {:?}: shards must be positive — use None for the single-loop \
-                 engine, Some(1) for the sharded engine on one shard",
+                "scenario {:?}: shards must be positive — use None for the legacy result \
+                 family, Some(1) for the per-entity one",
                 self.name
             ));
         }

@@ -64,20 +64,18 @@ impl FlowLayer {
         FlowLayer { flows }
     }
 
-    /// The arrival processes of the flows `owns` selects, as plain data:
-    /// the offset from `t = 0`, the flow, and the event to fire, flow-major
-    /// in seeding order. The VoIP departure schedules are precomputed here
-    /// (streams `voip/<index>`, each private to its flow, so skipping an
-    /// unowned flow perturbs no other draw). The station stack schedules
-    /// the list under its discipline's flow keys.
+    /// Every flow's arrival process, as plain data: the offset from
+    /// `t = 0`, the flow, and the event to fire, flow-major in seeding
+    /// order. The VoIP departure schedules are precomputed here (streams
+    /// `voip/<index>`, each private to its flow). The station stack
+    /// schedules the list under its discipline's flow keys.
     pub(crate) fn seed_events(
         &self,
         scenario: &Scenario,
         dir: &RngDirectory,
-        owns: impl Fn(FlowId) -> bool,
     ) -> Vec<(SimDuration, FlowId, Event)> {
         let mut seeds = Vec::new();
-        for (i, flow) in self.flows.iter().enumerate().filter(|(_, f)| owns(f.id)) {
+        for (i, flow) in self.flows.iter().enumerate() {
             // Small deterministic stagger breaks pathological phase locks.
             let stagger = SimDuration::from_micros(17 * i as u64);
             match &flow.spec.workload {
@@ -111,47 +109,17 @@ impl FlowLayer {
     /// Condenses every flow's endpoints into its [`FlowResult`], in
     /// scenario order.
     pub(crate) fn results(&self, scenario: &Scenario) -> Vec<FlowResult> {
-        self.flows
-            .iter()
-            .map(|flow| {
-                flow_result(
-                    FlowEndpoints {
-                        spec: &flow.spec,
-                        id: flow.id,
-                        tcp_tx: flow.tcp_tx.as_ref(),
-                        tcp_rx: flow.tcp_rx.as_ref(),
-                        udp_sink: &flow.udp_sink,
-                        udp_sent: flow.udp_sent,
-                    },
-                    scenario.duration,
-                )
-            })
-            .collect()
+        self.flows.iter().map(|flow| flow_result(flow, scenario.duration)).collect()
     }
 }
 
-/// Borrowed views of the endpoint state one [`FlowResult`] is computed
-/// from. In a single-loop run every view borrows the same [`FlowRt`]; in a
-/// sharded run the sender-side halves (`tcp_tx`, `udp_sent`) come from the
-/// shard owning the flow's source and the receiver-side halves (`tcp_rx`,
-/// `udp_sink`) from the shard owning its destination — the result math is
-/// identical either way because [`flow_result`] is the single code path.
-pub(crate) struct FlowEndpoints<'a> {
-    pub(crate) spec: &'a FlowSpec,
-    pub(crate) id: FlowId,
-    pub(crate) tcp_tx: Option<&'a TcpSender>,
-    pub(crate) tcp_rx: Option<&'a TcpReceiver>,
-    pub(crate) udp_sink: &'a UdpSink,
-    pub(crate) udp_sent: u64,
-}
-
 /// Condenses one flow's endpoint state into its [`FlowResult`].
-pub(crate) fn flow_result(ep: FlowEndpoints<'_>, duration: SimDuration) -> FlowResult {
+fn flow_result(flow: &FlowRt, duration: SimDuration) -> FlowResult {
     let mss = u64::from(TcpConfig::default().mss_wire_bytes);
-    let (delivered_bytes, tcp, voip) = match &ep.spec.workload {
+    let (delivered_bytes, tcp, voip) = match &flow.spec.workload {
         Workload::Ftp | Workload::Web(_) => {
-            let rx = ep.tcp_rx.expect("tcp flow has receiver");
-            let tx = ep.tcp_tx.expect("tcp flow has sender");
+            let rx = flow.tcp_rx.as_ref().expect("tcp flow has receiver");
+            let tx = flow.tcp_tx.as_ref().expect("tcp flow has sender");
             let bytes = rx.delivered_segments() * mss;
             let tcp = TcpFlowResult {
                 segments_arrived: rx.stats().segments_arrived,
@@ -162,8 +130,8 @@ pub(crate) fn flow_result(ep: FlowEndpoints<'_>, duration: SimDuration) -> FlowR
             (bytes, Some(tcp), None)
         }
         Workload::Voip(_) => {
-            let sink = ep.udp_sink;
-            let sent = ep.udp_sent.max(1);
+            let sink = &flow.udp_sink;
+            let sent = flow.udp_sent.max(1);
             let late = sink.late_fraction(WIRELESS_BUDGET);
             let ontime = sink.received() as f64 * (1.0 - late);
             let loss = (1.0 - ontime / sent as f64).clamp(0.0, 1.0);
@@ -173,7 +141,7 @@ pub(crate) fn flow_result(ep: FlowEndpoints<'_>, duration: SimDuration) -> FlowR
                 loss_fraction: loss,
             });
             let v = VoipFlowResult {
-                sent: ep.udp_sent,
+                sent: flow.udp_sent,
                 received: sink.received(),
                 loss_fraction: loss,
                 mean_delay,
@@ -183,10 +151,10 @@ pub(crate) fn flow_result(ep: FlowEndpoints<'_>, duration: SimDuration) -> FlowR
             };
             (sink.bytes_received(), None, Some(v))
         }
-        Workload::Cbr(_) => (ep.udp_sink.bytes_received(), None, None),
+        Workload::Cbr(_) => (flow.udp_sink.bytes_received(), None, None),
     };
     FlowResult {
-        flow: ep.id,
+        flow: flow.id,
         delivered_bytes,
         throughput_mbps: throughput_mbps(delivered_bytes, duration),
         tcp,

@@ -1,10 +1,10 @@
-//! The layered node stack: one engine body, two thin drivers.
+//! The layered node stack: one engine body on one event loop.
 //!
 //! The stack mirrors the protocol stack the paper describes, as layers with
 //! typed seams:
 //!
 //! * [`phy_io`] — the in-flight arrival slab and the mobility step over the
-//!   shared medium;
+//!   medium;
 //! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
 //!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
 //!   [`Scheme`](crate::Scheme), so the engine never names a concrete MAC);
@@ -15,48 +15,43 @@
 //! `station` holds the per-station and per-flow state of those layers, the
 //! event queue and the clock, and the only definition of every event
 //! handler: MAC actions become transmissions, timers and deliveries;
-//! transport actions become enqueues and RTO timers. Two drivers pop its
-//! queue and lend it the read-mostly world (medium + routing tables):
+//! transport actions become enqueues and RTO timers. The loop in this module
+//! (`Runner`) pops its queue and lends it the read-mostly world it owns —
+//! the medium and the routing tables — and runs the two global passes that
+//! mutate that world, as events in the same queue: mobility ticks
+//! re-sampling trajectories into the medium's incremental link-state
+//! refresh, and live route refreshes.
 //!
-//! * the single loop in this module (`Runner`, `shards: None`), which owns
-//!   the medium and the routing tables outright and keeps the two global
-//!   passes — mobility ticks re-sampling trajectories into the medium's
-//!   incremental link-state refresh, and live route refreshes — as events
-//!   in the same queue;
-//! * the windowed shard workers ([`shard`], `shards: Some(k)`), which share
-//!   both behind read locks and leave the global passes to their
-//!   coordinator.
-//!
-//! The two differ only in the stack's discipline (see `station`), fixed at
-//! build time from [`Scenario::shards`].
+//! [`Scenario::shards`] selects nothing but the stack's discipline (see
+//! `station`), fixed at build time: how tie-break keys are minted and which
+//! RNG streams the channel draws come from.
 //!
 //! # Determinism
 //!
 //! Every RNG stream keeps its label and consumption order and every event
-//! is scheduled in the same sequence under either driver, and a static
+//! is scheduled in the same sequence, and a static
 //! [`MotionPlan`](wmn_topology::MotionPlan) schedules no mobility ticks at
-//! all — so the single-loop family is byte-identical to the committed CI
-//! baseline and the golden snapshots, and the sharded family is
-//! bit-identical at every shard count.
+//! all — so the `shards: None` family is byte-identical to the committed CI
+//! baseline and the golden snapshots, and the `shards: Some(_)` family to
+//! the baseline's `sweep_per-entity` artefact.
 
 pub mod decode;
 pub mod flow_layer;
 pub mod mac_engine;
 pub mod net_layer;
 pub mod phy_io;
-pub mod shard;
 pub(crate) mod station;
 
 use wmn_mac::TimerToken;
 use wmn_phy::Medium;
 use wmn_routing::LinkGraph;
-use wmn_sim::{FlowId, NodeId, RngDirectory, SimDuration};
+use wmn_sim::{FlowId, NodeId, SimDuration};
 
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
 use net_layer::NetLayer;
 use phy_io::advance_medium_positions;
-use station::{Discipline, Pass, StationStack, World};
+use station::{Pass, StationStack, World};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,8 +124,8 @@ pub struct RunResult {
     pub mac_stats: Vec<wmn_mac::MacStats>,
 }
 
-/// The simulation's event vocabulary: everything but the last two variants
-/// is dispatched by the station stack under either driver.
+/// The simulation's event vocabulary: everything but the last variant is
+/// dispatched by the station stack.
 #[derive(Debug)]
 pub(crate) enum Event {
     TxEnd {
@@ -159,7 +154,7 @@ pub(crate) enum Event {
     WebStart {
         flow: FlowId,
     },
-    /// One of the driver's global passes: a mobility tick (never scheduled
+    /// One of the loop's global passes: a mobility tick (never scheduled
     /// for static motion plans) or a route refresh (never scheduled unless
     /// [`Scenario::route_refresh`] is set).
     Pass(Pass),
@@ -167,25 +162,25 @@ pub(crate) enum Event {
 
 /// Executes a scenario to completion and returns per-flow results.
 ///
-/// # Drivers
+/// # Result families
 ///
-/// [`Scenario::shards`] selects the driver and with it the result family:
-/// `None` runs the single loop below (the schedule every committed baseline
-/// pins); `Some(k)` runs the conservative windowed shards ([`shard`]),
-/// whose results are bit-identical for every `k ≥ 1` but deliberately *not*
-/// byte-identical to the single loop's (per-entity RNG streams — see the
-/// [`shard`] module docs for the contract).
+/// [`Scenario::shards`] selects one of two result families on the same
+/// loop: `None` is the schedule every committed figure baseline pins (one
+/// global tie-break counter, the two global channel streams); `Some(_)` —
+/// any count — keys events by what caused them and draws channel
+/// randomness from per-station streams. The two are individually
+/// deterministic and deliberately not byte-comparable.
 ///
 /// # Thread safety
 ///
 /// `run` is a pure function of `scenario`: the entire simulation world — MAC state
 /// machines, receivers, medium, event queue, and every RNG stream — is built
-/// from the scenario's master seed via [`RngDirectory`] and dropped before
+/// from the scenario's master seed via [`wmn_sim::RngDirectory`] and dropped before
 /// returning. There are no globals, no interior mutability shared between
-/// runs, and no ambient randomness, so concurrent `run` calls on different
-/// scenarios (or different seeds of the same scenario) are independent.
-/// [`Scenario`] and [`RunResult`] are `Send` (enforced below at compile
-/// time), which is what lets `wmn_exec` move runs onto worker threads.
+/// runs, no threads and no ambient randomness, so concurrent `run` calls on
+/// different scenarios (or different seeds of the same scenario) are
+/// independent. [`Scenario`] and [`RunResult`] are `Send` (enforced below at
+/// compile time), which is what lets `wmn_exec` move runs onto worker threads.
 ///
 /// # Panics
 ///
@@ -193,20 +188,7 @@ pub(crate) enum Event {
 /// opportunistic schemes with single-node paths, …) — these are programming
 /// errors in experiment definitions, not runtime conditions.
 pub fn run(scenario: &Scenario) -> RunResult {
-    if let Some(shards) = scenario.shards {
-        return shard::run_sharded(scenario, shards);
-    }
-    let mut runner = Runner::build(scenario, false);
-    runner.run_loop();
-    runner.results()
-}
-
-/// The per-entity discipline on the single loop: what `shards: Some(_)`
-/// becomes once the windowed engine is deleted. Exists for one commit, so
-/// the differential tests can hold it against [`shard::run_sharded`].
-#[doc(hidden)]
-pub fn run_per_entity_single_loop(scenario: &Scenario) -> RunResult {
-    let mut runner = Runner::build(scenario, true);
+    let mut runner = Runner::build(scenario);
     runner.run_loop();
     runner.results()
 }
@@ -221,24 +203,19 @@ const _: () = {
     assert_send::<RunResult>();
 };
 
-/// Like [`run`], but also returns the full event [`Trace`] of the run.
-/// Tracing costs memory proportional to the number of transmissions; use
-/// short durations.
-///
-/// The trace is a record of the single-loop schedule: `run_traced` always
-/// drives the single loop and ignores [`Scenario::shards`], so its
-/// [`RunResult`] equals `run` of the same scenario with `shards: None` —
-/// and therefore differs from `run(scenario)` when `shards` is `Some(_)`.
+/// Like [`run`], but also returns the full event [`Trace`] of the run — a
+/// pure observer, so the [`RunResult`] equals `run`'s. Tracing costs memory
+/// proportional to the number of transmissions; use short durations.
 pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
-    let mut runner = Runner::build(scenario, false);
+    let mut runner = Runner::build(scenario);
     runner.core.trace = Some(Trace::default());
     runner.run_loop();
     let trace = runner.core.trace.take().expect("installed above");
     (runner.results(), trace)
 }
 
-/// The single-loop driver: owns the world the station stack runs against
-/// and the two global passes that mutate it.
+/// The event loop: owns the world the station stack runs against and the
+/// two global passes that mutate it.
 struct Runner<'a> {
     scenario: &'a Scenario,
     medium: Medium,
@@ -247,30 +224,14 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Builds the loop for `scenario` under the chosen discipline, with the
-    /// global passes scheduled after the flow seeds so the legacy insertion
-    /// counter advances as it always has.
-    fn build(scenario: &'a Scenario, per_entity: bool) -> Runner<'a> {
+    /// Builds the loop for `scenario`, with the global passes scheduled
+    /// after the flow seeds so the legacy insertion counter advances as it
+    /// always has.
+    fn build(scenario: &'a Scenario) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
-        let dir = RngDirectory::new(scenario.seed);
-        let n = scenario.positions.len();
-        let discipline = if per_entity {
-            Discipline::PerEntity {
-                shard: 0,
-                owner: std::sync::Arc::new(vec![0; n]),
-                flow_owner: std::sync::Arc::new(vec![0; scenario.flows.len()]),
-                medium: (0..n as u32).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
-                ber: (0..n as u32).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
-                node_seq: vec![0; n],
-                flow_seq: vec![0; scenario.flows.len()],
-                pass_seq: [0; 2],
-            }
-        } else {
-            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") }
-        };
-        let mut core = StationStack::build(scenario, &dir, discipline);
+        let mut core = StationStack::build(scenario);
         if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
             core.schedule_pass(scenario.motion.tick, Pass::Mobility);
@@ -608,7 +569,7 @@ mod tests {
             tick: SimDuration::from_millis(50),
         };
         s.duration = SimDuration::from_millis(200);
-        let mut runner = Runner::build(&s, false);
+        let mut runner = Runner::build(&s);
         runner.run_loop();
         let p = runner.medium.position(NodeId::new(1));
         // 200 ms at 10 m/s from x = 5: the last tick at or before the end
@@ -633,25 +594,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn route_refresh_rescues_a_drifting_relay() {
-        // A line 0-(5,0)-(10,0)-(15,0) with a spare relay at (5,3). The
-        // flow's relay (node 1) drifts away; the frozen table keeps talking
-        // to the departed node forever, while a live refresh re-routes
-        // through the spare and keeps the flow alive.
+    /// A line 0-(5,0)-(10,0)-(15,0) with a spare relay at (5,3), whose
+    /// relay (node 1) drifts away at 60 m/s; routes frozen.
+    fn drifting_relay() -> Scenario {
         let mut positions = line_positions(4);
         positions.push(Position::new(5.0, 3.0));
-        let mut stale = ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1, 2, 3], positions);
+        let mut s = ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1, 2, 3], positions);
         // CBR rather than FTP: each datagram looks the route up at send
         // time, so the rescue shows up as raw delivered bytes instead of
         // being masked by TCP's in-order wedge on a segment that died in a
         // stale-routed MAC queue.
-        stale.flows[0].workload = Workload::Cbr(wmn_traffic::CbrModel {
+        s.flows[0].workload = Workload::Cbr(wmn_traffic::CbrModel {
             packet_bytes: 1000,
             interval: SimDuration::from_millis(2),
         });
-        stale.duration = SimDuration::from_millis(400);
-        stale.motion = MotionPlan {
+        s.duration = SimDuration::from_millis(400);
+        s.motion = MotionPlan {
             paths: vec![
                 NodePath::Static,
                 NodePath::Drift { vx_mps: 0.0, vy_mps: 60.0 },
@@ -661,6 +619,15 @@ mod tests {
             ],
             tick: SimDuration::from_millis(10),
         };
+        s
+    }
+
+    #[test]
+    fn route_refresh_rescues_a_drifting_relay() {
+        // The frozen table keeps talking to the departed node forever,
+        // while a live refresh re-routes through the spare and keeps the
+        // flow alive.
+        let stale = drifting_relay();
         let mut live = stale.clone();
         live.route_refresh = Some(SimDuration::from_millis(50));
         let (live_r, trace) = run_traced(&live);
@@ -681,17 +648,36 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_records_the_single_loop_schedule_whatever_shards_says() {
-        // The "traced ≡ untraced" contract is stated against the single
-        // loop: a scenario asking for shards is traced as if it had not.
-        let mut sharded =
-            ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], line_positions(4));
-        sharded.shards = Some(2);
-        let single = Scenario { shards: None, ..sharded.clone() };
-        let (traced, trace) = run_traced(&sharded);
-        assert_eq!(traced, run(&single));
-        assert!(!trace.events.is_empty());
-        assert_ne!(traced, run(&sharded), "the two result families differ by design");
+    fn the_shard_count_selects_nothing() {
+        // `shards` picks a result family; the count inside `Some` is
+        // vestigial. Ticks (10 ms) and refreshes (50 ms) coincide here, so
+        // the pass lane is on the compared path.
+        let mut s = drifting_relay();
+        s.route_refresh = Some(SimDuration::from_millis(50));
+        let at = |shards| run(&Scenario { shards, ..s.clone() });
+        let one = at(Some(1));
+        assert!(one.flows[0].delivered_bytes > 0, "a run that delivers nothing proves nothing");
+        assert_eq!(one, at(Some(2)));
+        assert_eq!(one, at(Some(u32::MAX)));
+        assert_ne!(one, at(None), "the two result families differ by design");
+        // And no count can spawn or lock anything: the crate's sources have
+        // no thread, barrier or reader-writer lock left to name (spelled in
+        // halves here so this file passes its own scan).
+        let banned = [concat!("thread", "::"), concat!("Bar", "rier"), concat!("Rw", "Lock")];
+        let mut dirs = vec![std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src")];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).expect("crate sources are readable") {
+                let path = entry.expect("readable entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("sources are UTF-8");
+                for word in banned {
+                    assert!(!text.contains(word), "{} names {word}", path.display());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The channel-facing pieces of the node stack that are not tied to either
-//! driver: the in-flight `ArrivalSlab` every station stack parks planned
-//! receptions in, and the mobility step both drivers apply to their
-//! [`Medium`].
+//! The channel-facing pieces of the node stack: the in-flight `ArrivalSlab`
+//! the station stack parks planned receptions in, and the mobility step the
+//! loop applies to its [`Medium`].
 //!
 //! Mobility draws **no** randomness at run time: trajectories are pure
 //! functions of time ([`wmn_topology::motion`]), sampled on a fixed tick
@@ -48,7 +47,7 @@ fn split_arrival_id(id: u64) -> (u32, u32) {
     (id as u32, (id >> 32) as u32)
 }
 
-/// The in-flight arrival slab, one per station stack: freed slots are
+/// The in-flight arrival slab: freed slots are
 /// recycled LIFO, so memory stays bounded by the peak number of concurrent
 /// arrivals instead of growing with the run length.
 ///
@@ -56,8 +55,7 @@ fn split_arrival_id(id: u64) -> (u32, u32) {
 /// [`arrival_id`]): a stale id whose slot was recycled for a *different*
 /// arrival then fails the generation check instead of silently aliasing the
 /// new occupant. Slab ids are pure lookup handles — they never participate
-/// in event ordering, which is what lets each shard mint its own ids without
-/// perturbing the deterministic `(time, key)` schedule.
+/// in event ordering.
 #[derive(Default)]
 pub(crate) struct ArrivalSlab {
     arrivals: Vec<Slot>,
@@ -112,12 +110,10 @@ impl ArrivalSlab {
     }
 }
 
-/// One mobility step over any medium handle: re-sample every moving node's
-/// trajectory at `now` and hand the changed positions to the medium as one
-/// batch, so a tick that moves every node evaluates each station pair once
-/// (see [`Medium::update_node_positions`]). Shared by the single loop's
-/// `MobilityTick` event and the shard coordinator's mobility barrier, so the
-/// two drivers cannot drift apart on what a tick means.
+/// One mobility step: re-sample every moving node's trajectory at `now` and
+/// hand the changed positions to the medium as one batch, so a tick that
+/// moves every node evaluates each station pair once (see
+/// [`Medium::update_node_positions`]).
 ///
 /// A node whose sampled position equals its current one — typically a
 /// waypoint walker parked at its final target — is left out of the batch:

@@ -1,4 +1,4 @@
-//! The station-stack core: the one engine body both drivers run.
+//! The station-stack core: every event handler of the engine, once.
 //!
 //! A [`StationStack`] owns everything that is per-station or per-flow — the
 //! MAC state machines, the transport endpoints, one [`Receiver`] per
@@ -7,9 +7,8 @@
 //! holds the only definition of every event handler: MAC actions become
 //! transmissions, timers and deliveries; transport actions become enqueues
 //! and RTO timers. The read-mostly world (the [`Medium`] and the routing
-//! tables) is lent to each dispatch as a [`World`] by whoever drives the
-//! stack, so the single loop passes its own values and a shard worker its
-//! read guards.
+//! tables) is lent to each dispatch as a [`World`] by the loop that pops the
+//! queue, which also runs the two passes that mutate it.
 //!
 //! # Disciplines
 //!
@@ -18,13 +17,11 @@
 //!
 //! * how an event's tie-break key is minted — one global counter on a
 //!   single lane (so `(time, key)` is exactly `(time, insertion order)`),
-//!   or one counter per originating station / flow (so the order is
-//!   invariant under resharding);
+//!   or one counter per originating station / flow / pass (so the order is
+//!   a function of what caused each event, not of when it was scheduled);
 //! * which stream a shadowing or bit-error draw comes from — the two global
 //!   streams `medium` / `ber`, or the transmitter's `shard/medium/<tx>` and
-//!   the receiver's `shard/ber/<rx>`;
-//! * which stations the stack owns — all of them, or one shard's strip,
-//!   with receptions planned for the others leaving through the `outbox`.
+//!   the receiver's `shard/ber/<rx>`.
 
 use std::sync::Arc;
 
@@ -43,13 +40,12 @@ use crate::stack::flow_layer::FlowLayer;
 use crate::stack::mac_engine::MacEngine;
 use crate::stack::net_layer::NetLayer;
 use crate::stack::phy_io::{ArrivalSlab, ArrivalState};
-use crate::stack::shard::worker::CrossShardArrival;
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
-/// Per-entity key lane of the driver's two global passes. It sorts before
-/// the node and flow lanes, so every event at a pass's instant processes
-/// after the pass's effect.
+/// Per-entity key lane of the two global passes. It sorts before the node
+/// and flow lanes, so every event at a pass's instant processes after the
+/// pass's effect.
 const LANE_PASS: u32 = 0;
 /// Per-entity key lane for events originated by a station (TxEnd, Rx*,
 /// MacTimer).
@@ -58,7 +54,7 @@ const LANE_NODE: u32 = 1;
 /// WebStart, TcpRto).
 const LANE_FLOW: u32 = 2;
 
-/// The driver's global passes, numbered in the order they run when they
+/// The two global passes, numbered in the order they run when they
 /// coincide: mobility first, then routing over the moved topology.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Pass {
@@ -68,7 +64,7 @@ pub(crate) enum Pass {
     Refresh = 1,
 }
 
-/// The read-mostly world a dispatch runs against, lent by the driver.
+/// The read-mostly world a dispatch runs against, lent by the loop.
 #[derive(Clone, Copy)]
 pub(crate) struct World<'a> {
     /// The shared channel: link state and the reception planner.
@@ -79,20 +75,21 @@ pub(crate) struct World<'a> {
 
 /// The entity an event is scheduled on behalf of — what its tie-break key
 /// is derived from.
-pub(crate) enum Origin {
+enum Origin {
     /// A station: TxEnd, RxStart/RxEnd (the transmitter's), MacTimer.
     Node(NodeId),
     /// A flow: FlowStart, UdpSend, WebStart, TcpRto.
     Flow(FlowId),
-    /// One of the driver's own in-queue passes.
+    /// One of the loop's own in-queue passes.
     Pass(Pass),
 }
 
-/// How a stack mints event keys, draws channel randomness and decides
-/// ownership (see the module docs). Chosen once from
-/// [`Scenario::shards`]; never switched mid-run.
-pub(crate) enum Discipline {
-    /// `shards: None` — the schedule every committed baseline pins.
+/// How a stack mints event keys and draws channel randomness (see the
+/// module docs). Chosen once from [`Scenario::shards`]; never switched
+/// mid-run.
+enum Discipline {
+    /// `shards: None` — the schedule every committed baseline but the
+    /// per-entity sweep pins.
     Legacy {
         /// Events ever scheduled: the global insertion counter.
         seq: u64,
@@ -101,31 +98,41 @@ pub(crate) enum Discipline {
         /// The one bit-error stream (`ber`).
         ber: StreamRng,
     },
-    /// `shards: Some(k)` — one shard's view, bit-identical for every `k`.
+    /// `shards: Some(_)` — whatever the count.
     PerEntity {
-        /// This stack's shard.
-        shard: u32,
-        /// Owning shard of each station.
-        owner: Arc<Vec<u32>>,
-        /// Owning shard of each flow (its source station's).
-        flow_owner: Arc<Vec<u32>>,
-        /// Per-transmitter shadowing streams (`shard/medium/<tx>`); only
-        /// the owned stations' streams are ever advanced.
+        /// Per-transmitter shadowing streams (`shard/medium/<tx>`).
         medium: Vec<StreamRng>,
-        /// Per-receiver bit-error streams (`shard/ber/<rx>`), ditto.
+        /// Per-receiver bit-error streams (`shard/ber/<rx>`).
         ber: Vec<StreamRng>,
         /// Per-station key counters (lane `LANE_NODE`).
         node_seq: Vec<u64>,
-        /// Per-flow key counters (lane `LANE_FLOW`), advanced by the source
-        /// shard only.
+        /// Per-flow key counters (lane `LANE_FLOW`).
         flow_seq: Vec<u64>,
-        /// Per-pass key counters (lane `LANE_PASS`), single loop only: a
-        /// sharded run executes the passes as coordinator barriers.
+        /// Per-pass key counters (lane `LANE_PASS`).
         pass_seq: [u64; 2],
     },
 }
 
 impl Discipline {
+    /// The discipline `scenario` asks for, its streams derived from `dir`.
+    fn for_scenario(scenario: &Scenario, dir: &RngDirectory) -> Discipline {
+        if scenario.shards.is_none() {
+            return Discipline::Legacy {
+                seq: 0,
+                medium: dir.stream("medium"),
+                ber: dir.stream("ber"),
+            };
+        }
+        let n = scenario.positions.len();
+        Discipline::PerEntity {
+            medium: (0..n as u32).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
+            ber: (0..n as u32).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
+            node_seq: vec![0; n],
+            flow_seq: vec![0; scenario.flows.len()],
+            pass_seq: [0; 2],
+        }
+    }
+
     /// Mints the next key for an event caused by `origin`.
     fn key(&mut self, origin: Origin) -> EventKey {
         let (lane, entity, seq) = match (self, origin) {
@@ -133,8 +140,7 @@ impl Discipline {
             (Discipline::PerEntity { node_seq, .. }, Origin::Node(node)) => {
                 (LANE_NODE, node.index(), &mut node_seq[node.index()])
             }
-            (Discipline::PerEntity { shard, flow_owner, flow_seq, .. }, Origin::Flow(flow)) => {
-                debug_assert_eq!(flow_owner[flow.index()], *shard, "flow lane owned elsewhere");
+            (Discipline::PerEntity { flow_seq, .. }, Origin::Flow(flow)) => {
                 (LANE_FLOW, flow.index(), &mut flow_seq[flow.index()])
             }
             (Discipline::PerEntity { pass_seq, .. }, Origin::Pass(pass)) => {
@@ -161,44 +167,17 @@ impl Discipline {
             Discipline::PerEntity { ber, .. } => &mut ber[rx.index()],
         }
     }
-
-    fn shard(&self) -> u32 {
-        match self {
-            Discipline::Legacy { .. } => 0,
-            Discipline::PerEntity { shard, .. } => *shard,
-        }
-    }
-
-    fn owns(&self, node: NodeId) -> bool {
-        match self {
-            Discipline::Legacy { .. } => true,
-            Discipline::PerEntity { shard, owner, .. } => owner[node.index()] == *shard,
-        }
-    }
-
-    fn owns_flow(&self, flow: FlowId) -> bool {
-        match self {
-            Discipline::Legacy { .. } => true,
-            Discipline::PerEntity { shard, flow_owner, .. } => flow_owner[flow.index()] == *shard,
-        }
-    }
 }
 
 /// The per-station / per-flow engine state and its event handlers (see the
-/// module docs).
-///
-/// Every stack builds the *full* per-entity state vectors — one MAC per
-/// station, one transport endpoint set per flow, one receiver per station —
-/// from the same [`RngDirectory`] derivations, and only ever touches the
-/// entries its discipline owns. Building is derivation-only (no stream is
-/// advanced by construction), so the replication a sharded run pays in
-/// memory never perturbs a single random draw.
+/// module docs). Building is derivation-only: no RNG stream is advanced by
+/// construction.
 pub(crate) struct StationStack {
     /// The future-event list; its clock is the stack's only clock.
     pub(crate) queue: KeyedEventQueue<Event>,
     pub(crate) macs: MacEngine,
     pub(crate) flows: FlowLayer,
-    /// The packet-level timeline, when the driver installed one.
+    /// The packet-level timeline, when the caller asked for one.
     pub(crate) trace: Option<Trace>,
     /// The last instant of the run; events at exactly `end` still process.
     pub(crate) end: SimTime,
@@ -213,33 +192,27 @@ pub(crate) struct StationStack {
     /// segment or UDP datagram body reuses a retired buffer instead of
     /// allocating.
     pool: FramePool,
-    /// Receptions planned for stations this stack does not own, until the
-    /// driver drains them at the window boundary.
-    pub(crate) outbox: Vec<CrossShardArrival>,
-    emit_seq: u64,
 }
 
 impl StationStack {
-    /// Builds the stack from a validated scenario and seeds the queue with
-    /// the arrival processes of the flows it owns, sized to exactly that
-    /// load plus the owned stations' steady-state schedule burst (a backoff
+    /// Builds the stack from a validated scenario, every RNG stream derived
+    /// from its master seed, under the discipline it asks for, and seeds
+    /// the queue with every flow's arrival process, sized to exactly that
+    /// load plus the stations' steady-state schedule burst (a backoff
     /// timer, a TxEnd and in-flight deliveries each), so the heap warms up
     /// here instead of growing inside the hot loop.
-    pub(crate) fn build(
-        scenario: &Scenario,
-        dir: &RngDirectory,
-        mut discipline: Discipline,
-    ) -> StationStack {
+    pub(crate) fn build(scenario: &Scenario) -> StationStack {
+        let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
+        let mut discipline = Discipline::for_scenario(scenario, dir);
         let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, dir);
         let flows = FlowLayer::build(scenario, dir);
-        let seeds = flows.seed_events(scenario, dir, |flow| discipline.owns_flow(flow));
+        let seeds = flows.seed_events(scenario, dir);
         let mut queue = KeyedEventQueue::with_capacity(seeds.len());
         for (delay, flow, event) in seeds {
             queue.schedule_keyed_in(delay, discipline.key(Origin::Flow(flow)), event);
         }
-        let owned = (0..n).filter(|&i| discipline.owns(NodeId::new(i as u32))).count();
-        queue.reserve(owned * 4);
+        queue.reserve(n * 4);
         StationStack {
             queue,
             macs,
@@ -252,8 +225,6 @@ impl StationStack {
             ber: BerModel::new(scenario.params.ber),
             plan_scratch: Vec::new(),
             pool: FramePool::default(),
-            outbox: Vec::new(),
-            emit_seq: 0,
         }
     }
 
@@ -270,7 +241,7 @@ impl StationStack {
         self.queue.schedule_keyed_in(delay, key, event);
     }
 
-    /// Arms one of the driver's global passes, `delay` from now.
+    /// Arms one of the loop's global passes, `delay` from now.
     pub(crate) fn schedule_pass(&mut self, delay: SimDuration, pass: Pass) {
         self.schedule_in(delay, Origin::Pass(pass), Event::Pass(pass));
     }
@@ -280,23 +251,6 @@ impl StationStack {
         if let Some(trace) = self.trace.as_mut() {
             trace.events.push(TraceEvent { at, node, kind });
         }
-    }
-
-    /// Parks a planned reception in the slab and schedules its
-    /// RxStart/RxEnd pair under the transmitter-minted keys — straight from
-    /// [`broadcast`](Self::broadcast) for a receiver this stack owns, at the
-    /// next window boundary for one planned on another shard. Only the slab
-    /// id is local.
-    pub(crate) fn inject(&mut self, entry: CrossShardArrival) {
-        debug_assert!(self.discipline.owns(entry.node), "routed to the wrong shard");
-        let id = self.arrivals.alloc(ArrivalState {
-            node: entry.node,
-            frame: entry.frame,
-            decodable: entry.decodable,
-            power_dbm: entry.power_dbm,
-        });
-        self.queue.schedule_keyed(entry.rx_start, entry.start_key, Event::RxStart { arrival: id });
-        self.queue.schedule_keyed(entry.rx_end, entry.end_key, Event::RxEnd { arrival: id });
     }
 
     /// One MAC handler invocation under the sink discipline: open the sink
@@ -321,8 +275,8 @@ impl StationStack {
 
     /// Processes one popped event against the lent world.
     ///
-    /// Forced inline: this is the body of each driver's pop loop, and left
-    /// as a call per event it costs +8 % wall on the benchmark's
+    /// Forced inline: this is the body of the pop loop, and left as a call
+    /// per event it costs +8 % wall on the benchmark's
     /// `paper_figs` workload.
     #[inline(always)]
     pub(crate) fn dispatch(&mut self, event: Event, w: World<'_>) {
@@ -396,7 +350,7 @@ impl StationStack {
             Event::UdpSend { flow } => self.udp_send(flow, w),
             Event::WebStart { flow } => self.web_next_transfer(flow, w),
             Event::Pass(_) => {
-                unreachable!("global passes mutate the world and belong to the driver")
+                unreachable!("global passes mutate the world and belong to the loop")
             }
         }
     }
@@ -452,11 +406,10 @@ impl StationStack {
 
     /// Fans one transmission out to every station that will perceive it:
     /// plans receptions (one shadowing draw per pair, station-index order,
-    /// from the discipline's stream for this transmitter), mints each
-    /// RxStart/RxEnd key pair here, in plan order — so the schedule is
-    /// identical at any shard count — and hands the reception to its owner:
-    /// [`inject`](Self::inject) locally, the outbox otherwise. Every
-    /// receiver shares the one frame allocation the MAC minted.
+    /// from the discipline's stream for this transmitter), parks each in the
+    /// slab and schedules its RxStart/RxEnd pair under the transmitter's
+    /// keys, in plan order. Every receiver shares the one frame allocation
+    /// the MAC minted.
     fn broadcast(
         &mut self,
         from: NodeId,
@@ -466,26 +419,15 @@ impl StationStack {
     ) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
-        let now = self.now();
         for plan in &plans {
-            let entry = CrossShardArrival {
+            let arrival = self.arrivals.alloc(ArrivalState {
                 node: plan.to,
                 frame: Arc::clone(&frame),
                 decodable: plan.decodable,
                 power_dbm: plan.power_dbm,
-                rx_start: now + plan.delay,
-                rx_end: now + plan.delay + airtime,
-                start_key: self.discipline.key(Origin::Node(from)),
-                end_key: self.discipline.key(Origin::Node(from)),
-                src_shard: self.discipline.shard(),
-                emit_seq: self.emit_seq,
-            };
-            if self.discipline.owns(plan.to) {
-                self.inject(entry);
-            } else {
-                self.emit_seq += 1;
-                self.outbox.push(entry);
-            }
+            });
+            self.schedule_in(plan.delay, Origin::Node(from), Event::RxStart { arrival });
+            self.schedule_in(plan.delay + airtime, Origin::Node(from), Event::RxEnd { arrival });
         }
         self.plan_scratch = plans;
     }
@@ -765,14 +707,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reentrant_handlers_get_their_own_sink_and_actions_apply_in_order() {
-        // Relay 1 of a 0 → 1 → 2 route. One fired timer walks both
-        // re-entrant chains, three invocations deep:
-        //   on_timer   [T10, Deliver, T11]
-        //     Deliver → on_enqueue   [T20, StartTx, T21]
-        //       StartTx → on_busy   [T30]
-        let scenario = Scenario {
+    /// A three-station line with one CBR flow 0 → 1 → 2.
+    fn relay_scenario() -> Scenario {
+        Scenario {
             name: "seam".into(),
             params: PhyParams::paper_216(),
             positions: (0..3).map(|i| Position::new(f64::from(i) * 5.0, 0.0)).collect(),
@@ -787,11 +724,18 @@ mod tests {
             motion: wmn_topology::MotionPlan::default(),
             route_refresh: None,
             shards: None,
-        };
-        let dir = RngDirectory::new(scenario.seed);
-        let discipline =
-            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
-        let mut stack = StationStack::build(&scenario, &dir, discipline);
+        }
+    }
+
+    #[test]
+    fn reentrant_handlers_get_their_own_sink_and_actions_apply_in_order() {
+        // Relay 1 of a 0 → 1 → 2 route. One fired timer walks both
+        // re-entrant chains, three invocations deep:
+        //   on_timer   [T10, Deliver, T11]
+        //     Deliver → on_enqueue   [T20, StartTx, T21]
+        //       StartTx → on_busy   [T30]
+        let scenario = relay_scenario();
+        let mut stack = StationStack::build(&scenario);
         let log = Arc::new(Mutex::new(Vec::new()));
         let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Arc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
@@ -836,13 +780,11 @@ mod tests {
     fn legacy_keys_are_one_lane_in_insertion_order() {
         // Whatever the origin, the legacy discipline mints (lane 0, seq =
         // insertion count): exactly `EventQueue`'s tie-break.
-        let dir = RngDirectory::new(7);
-        let mut legacy =
-            Discipline::Legacy { seq: 0, medium: dir.stream("medium"), ber: dir.stream("ber") };
+        let mut legacy = Discipline::for_scenario(&relay_scenario(), &RngDirectory::new(7));
         let origins = [
             Origin::Flow(FlowId::new(1)),
             Origin::Node(NodeId::new(3)),
-            Origin::Pass(Pass::Refresh),
+            Origin::Pass(Pass::Mobility),
             Origin::Node(NodeId::new(0)),
         ];
         for (n, origin) in origins.into_iter().enumerate() {
@@ -852,26 +794,46 @@ mod tests {
 
     #[test]
     fn per_entity_keys_count_per_origin() {
-        let dir = RngDirectory::new(7);
-        let mut per_entity = Discipline::PerEntity {
-            shard: 0,
-            owner: Arc::new(vec![0, 0, 1]),
-            flow_owner: Arc::new(vec![0, 0]),
-            medium: (0..3).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
-            ber: (0..3).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
-            node_seq: vec![0; 3],
-            flow_seq: vec![0; 2],
-            pass_seq: [0; 2],
-        };
+        let scenario = Scenario { shards: Some(1), ..relay_scenario() };
+        let mut per_entity = Discipline::for_scenario(&scenario, &RngDirectory::new(scenario.seed));
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
         assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 0));
-        assert_eq!(per_entity.key(flow(1)), EventKey::new(LANE_FLOW, 1, 0));
+        assert_eq!(per_entity.key(flow(0)), EventKey::new(LANE_FLOW, 0, 0));
         assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 1));
         assert_eq!(per_entity.key(node(0)), EventKey::new(LANE_NODE, 0, 0));
-        assert_eq!(per_entity.key(flow(1)), EventKey::new(LANE_FLOW, 1, 1));
-        // Ownership follows the tables; the third station lives elsewhere.
-        assert!(per_entity.owns(NodeId::new(1)) && !per_entity.owns(NodeId::new(2)));
-        assert!(per_entity.owns_flow(FlowId::new(0)));
+        assert_eq!(per_entity.key(flow(0)), EventKey::new(LANE_FLOW, 0, 1));
+    }
+
+    #[test]
+    fn coinciding_passes_pop_mobility_then_refresh_then_the_events_of_the_instant() {
+        // The rule the result family is defined by: an event at a pass's
+        // instant sees the pass's effect, and routing is recomputed over the
+        // moved topology. Scheduled here in the reverse of that order.
+        let scenario = Scenario { shards: Some(1), ..relay_scenario() };
+        let mut stack = StationStack::build(&scenario);
+        let at = SimDuration::from_millis(50);
+        let flow = FlowId::new(0);
+        stack.schedule_in(at, Origin::Flow(flow), Event::UdpSend { flow });
+        for node in [NodeId::new(2), NodeId::new(0)] {
+            stack.schedule_in(at, Origin::Node(node), Event::TxEnd { node });
+        }
+        stack.schedule_pass(at, Pass::Refresh);
+        stack.schedule_pass(at, Pass::Mobility);
+
+        let mut popped = Vec::new();
+        while let Some((t, event)) = stack.queue.pop() {
+            if t == SimTime::ZERO + at {
+                popped.push(match event {
+                    Event::Pass(Pass::Mobility) => "mobility",
+                    Event::Pass(Pass::Refresh) => "refresh",
+                    Event::TxEnd { node } if node.index() == 0 => "node 0",
+                    Event::TxEnd { .. } => "node 2",
+                    Event::UdpSend { .. } => "flow 0",
+                    other => panic!("nothing else was scheduled at 50 ms: {other:?}"),
+                });
+            }
+        }
+        assert_eq!(popped, ["mobility", "refresh", "node 0", "node 2", "flow 0"]);
     }
 }

@@ -47,9 +47,8 @@ pub struct RxPlan {
 /// pair's mean received power and the hard bound on a Box–Muller shadowing
 /// excursion ([`wmn_sim::max_standard_normal`]).
 ///
-/// It describes what the planner *will* find, and the sharded loop's
-/// lookahead reads it ([`Medium::min_cross_group_delay`]); the planner itself
-/// no longer branches on it — its per-draw bound
+/// It describes what the planner *will* find ([`Medium::link_class`]); the
+/// planner itself does not branch on it — its per-draw bound
 /// ([`wmn_sim::StreamRng::standard_normal_reaching`]) subsumes the
 /// `NeverSensed` shortcut, and every pair takes one path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -325,41 +324,6 @@ impl Medium {
     fn link(&self, from: NodeId, to: NodeId) -> &LinkState {
         assert!(to.index() < self.positions.len(), "node id out of range");
         &self.links[from.index() * self.positions.len() + to.index()]
-    }
-
-    /// The minimum propagation delay over directed pairs whose endpoints
-    /// lie in *different* groups of `group_of` (one group id per station),
-    /// restricted to sensed pairs (link class other than
-    /// [`LinkClass::NeverSensed`]).
-    ///
-    /// This is the conservative lookahead bound of a sharded event loop: a
-    /// transmission inside one group cannot cause an event in another group
-    /// sooner than this delay after its emission, so every shard may freely
-    /// process events up to (but not at) `earliest pending + lookahead`.
-    /// `None` means no cross-group pair is sensed at all — the groups are
-    /// radio-isolated and any horizon is safe.
-    ///
-    /// Walks the cached link-state matrix (no trigonometry, no RNG); under
-    /// mobility the bound is only valid until the next position update, so
-    /// callers re-query after each mobility barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `group_of` has exactly one entry per station.
-    pub fn min_cross_group_delay(&self, group_of: &[u32]) -> Option<SimDuration> {
-        let n = self.positions.len();
-        assert_eq!(group_of.len(), n, "one group id per station");
-        let mut min: Option<SimDuration> = None;
-        for from in 0..n {
-            let row = &self.links[from * n..(from + 1) * n];
-            for (to, link) in row.iter().enumerate() {
-                if group_of[from] == group_of[to] || link.class == LinkClass::NeverSensed {
-                    continue;
-                }
-                min = Some(min.map_or(link.delay, |m| m.min(link.delay)));
-            }
-        }
-        min
     }
 
     /// Computes, for one transmission by `from`, the set of stations that
@@ -765,34 +729,6 @@ mod tests {
         }
         assert!(neighbour_seen > 190, "5 m neighbour almost always sensed");
         assert_eq!(far_seen, 0, "1 km station never sensed");
-    }
-
-    #[test]
-    fn min_cross_group_delay_tracks_the_closest_sensed_pair() {
-        use crate::params::PhyParams;
-        let params = PhyParams::paper_216();
-        // Groups: {0, 1} | {2} | {3}. Node 3 is radio-isolated at 1 km.
-        let medium = Medium::new(
-            params.clone(),
-            vec![
-                Position::new(0.0, 0.0),
-                Position::new(5.0, 0.0),
-                Position::new(35.0, 0.0),
-                Position::new(1000.0, 0.0),
-            ],
-        );
-        let groups = [0u32, 0, 1, 2];
-        // The closest cross-group sensed pair is 1↔2 at 30 m; the 5 m pair
-        // 0↔1 is intra-group and must not shrink the bound.
-        assert_eq!(
-            medium.min_cross_group_delay(&groups),
-            Some(params.propagation_delay(30.0)),
-            "lookahead must come from the closest *cross*-group sensed pair"
-        );
-        // One group: no cross pairs at all.
-        assert_eq!(medium.min_cross_group_delay(&[0, 0, 0, 0]), None);
-        // Only the isolated station across the cut: nothing is sensed.
-        assert_eq!(medium.min_cross_group_delay(&[0, 0, 0, 1]), None);
     }
 
     #[test]

@@ -119,20 +119,19 @@ pub struct ScenarioSpec {
     /// default — freezes routes at their build-time tables (the
     /// pre-refresh behaviour, byte for byte).
     pub route_refresh_ms: Option<u64>,
-    /// Shard count for the conservative parallel engine. `None` — the
-    /// default — runs the legacy single-loop engine (baseline bytes);
-    /// `Some(k)` runs the sharded engine, whose results are bit-identical
-    /// for every `k >= 1`.
+    /// Result-family selector ([`Scenario::shards`]). `None` — the
+    /// default — is the legacy family (the figure baselines' bytes);
+    /// `Some(k)` the per-entity one, the same run for every `k >= 1`.
     pub shards: Option<u32>,
 }
 
 impl ScenarioSpec {
     /// The campus-at-scale preset: 32 clusters × 32 stations = 1,024 nodes
-    /// in a 60 m square — the workload the sharded engine exists for, and
-    /// the placement the shard-equivalence suite runs at two shard counts.
-    /// Density is deliberately high (mean nearest neighbour under a metre)
-    /// so the placement is radio-connected at the first attempt; `shards`
-    /// is left `None` for the caller to choose an engine.
+    /// in a 60 m square — the dense-neighbourhood workload (~250 sensed
+    /// receivers per frame). Density is deliberately high (mean nearest
+    /// neighbour under a metre) so the placement is radio-connected at the
+    /// first attempt; `shards` is left `None` for the caller to choose a
+    /// result family.
     pub fn campus_scale() -> Self {
         ScenarioSpec {
             name: "campus-1k".into(),
@@ -216,8 +215,8 @@ impl ScenarioSpec {
         if let Some(ms) = self.route_refresh_ms {
             doc = doc.with("route_refresh_ms", ms);
         }
-        // And the shard knob: omitted when the legacy engine is in use, so
-        // pre-sharding spec files stay byte-identical.
+        // And the family selector: omitted for the legacy family, so spec
+        // files that predate it stay byte-identical.
         if let Some(shards) = self.shards {
             doc = doc.with("shards", u64::from(shards));
         }
@@ -409,7 +408,7 @@ mod tests {
         let legacy_text = spec().to_json().to_string();
         assert!(
             !legacy_text.contains("shards"),
-            "legacy-engine specs must serialise without the key (baseline byte-compat)"
+            "legacy-family specs must serialise without the key (baseline byte-compat)"
         );
         let sharded = ScenarioSpec { shards: Some(4), ..spec() };
         let text = sharded.to_json().to_string();
@@ -417,7 +416,7 @@ mod tests {
         assert_eq!(ScenarioSpec::parse(&text).unwrap(), sharded);
         assert_eq!(sharded.materialise().unwrap().shards, Some(4));
         assert_eq!(spec().materialise().unwrap().shards, None);
-        // Zero shards is meaningless (there is no zero-queue engine).
+        // Zero is rejected at the door, like `Scenario::validate` does.
         let zero = text.replace("\"shards\": 4", "\"shards\": 0");
         let msg = ScenarioSpec::parse(&zero).unwrap_err();
         assert!(msg.contains("positive"), "{msg}");

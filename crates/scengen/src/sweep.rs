@@ -50,10 +50,10 @@ pub struct SweepSpec {
     /// milliseconds. `None` — the default — keeps routes frozen, which
     /// reproduces the pre-refresh grid byte for byte.
     pub route_refresh_ms: Option<u64>,
-    /// Shard count shared by every cell. `None` — the default — runs each
-    /// cell on the legacy single-loop engine (baseline bytes); `Some(k)`
-    /// runs the conservative sharded engine, whose reports are
-    /// bit-identical for every `k >= 1`.
+    /// Result-family selector shared by every cell
+    /// ([`Scenario::shards`](wmn_netsim::Scenario)). `None` — the default —
+    /// is the legacy family (the figure baselines' bytes); `Some(k)` the
+    /// per-entity one, the same reports for every `k >= 1`.
     pub shards: Option<u32>,
 }
 
@@ -255,7 +255,7 @@ impl SweepSpec {
         if let Some(ms) = self.route_refresh_ms {
             doc = doc.with("route_refresh_ms", ms);
         }
-        // And for the shard knob (legacy engine stays implicit).
+        // And for the family selector (the legacy family stays implicit).
         if let Some(shards) = self.shards {
             doc = doc.with("shards", u64::from(shards));
         }
@@ -462,7 +462,7 @@ mod tests {
         let legacy_text = SweepSpec::ci_quick().to_json().to_string();
         assert!(
             !legacy_text.contains("shards"),
-            "legacy-engine sweeps must serialise without the key (baseline byte-compat)"
+            "legacy-family sweeps must serialise without the key (baseline byte-compat)"
         );
         let sharded = SweepSpec { shards: Some(2), ..SweepSpec::ci_quick() };
         let text = sharded.to_json().to_string();

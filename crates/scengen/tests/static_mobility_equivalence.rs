@@ -16,7 +16,9 @@ use wmn_netsim::{run, NodePath, Scheme, Waypoint};
 use wmn_scengen::{MobilitySpec, PairPolicy, PhyPreset, ScenarioSpec, TopologySpec, TrafficMix};
 use wmn_sim::{SimDuration, SimTime};
 
-fn spec(topo_pick: usize, scheme_pick: usize, seed: u64) -> ScenarioSpec {
+/// `per_entity` picks the result family (`shards: Some(1)` or `None`):
+/// every equivalence below must hold in both.
+fn spec(topo_pick: usize, scheme_pick: usize, seed: u64, per_entity: bool) -> ScenarioSpec {
     let topology = match topo_pick % 3 {
         0 => TopologySpec::Grid { cols: 3, rows: 2, spacing_m: 5.0 },
         1 => TopologySpec::RandomGeometric { nodes: 8, side_m: 22.0 },
@@ -40,20 +42,8 @@ fn spec(topo_pick: usize, scheme_pick: usize, seed: u64) -> ScenarioSpec {
         max_forwarders: 5,
         mobility: MobilitySpec::Static,
         route_refresh_ms: None,
-        shards: None,
+        shards: per_entity.then_some(1),
     }
-}
-
-/// The first shard count in `ks` whose result is not bit-identical to the
-/// same scenario at `shards: Some(1)`.
-fn first_shard_drift(base: &ScenarioSpec, ks: &[u32]) -> Option<u32> {
-    let at = |k: u32| {
-        let mut spec = base.clone();
-        spec.shards = Some(k);
-        run(&spec.materialise().expect("materialise"))
-    };
-    let reference = at(1);
-    ks.iter().copied().find(|&k| at(k) != reference)
 }
 
 proptest! {
@@ -77,8 +67,10 @@ proptest! {
         topo_pick in 0usize..3,
         scheme_pick in 0usize..4,
         seed in 1u64..64,
+        per_entity in any::<bool>(),
     ) {
-        let implicit = spec(topo_pick, scheme_pick, seed).materialise().expect("materialise");
+        let implicit =
+            spec(topo_pick, scheme_pick, seed, per_entity).materialise().expect("materialise");
         let baseline = run(&implicit);
 
         let mut explicit = implicit.clone();
@@ -119,9 +111,10 @@ proptest! {
         scheme_pick in 0usize..4,
         seed in 1u64..32,
         interval_ms in 1u64..80,
+        per_entity in any::<bool>(),
     ) {
-        let frozen = spec(topo_pick, scheme_pick, seed).materialise().expect("materialise");
-        let mut live_spec = spec(topo_pick, scheme_pick, seed);
+        let mut live_spec = spec(topo_pick, scheme_pick, seed, per_entity);
+        let frozen = live_spec.materialise().expect("materialise");
         live_spec.route_refresh_ms = Some(interval_ms);
         let live = live_spec.materialise().expect("materialise");
         prop_assert_eq!(
@@ -140,8 +133,9 @@ proptest! {
         topo_pick in 0usize..3,
         scheme_pick in 0usize..4,
         seed in 1u64..32,
+        per_entity in any::<bool>(),
     ) {
-        let mut mobile = spec(topo_pick, scheme_pick, seed);
+        let mut mobile = spec(topo_pick, scheme_pick, seed, per_entity);
         mobile.mobility = MobilitySpec::Drift { max_speed_mps: 3.0 };
         let scenario = mobile.materialise().expect("materialise");
         prop_assert!(!scenario.motion.is_static());
@@ -149,40 +143,4 @@ proptest! {
         let b = run(&scenario);
         prop_assert_eq!(a, b, "mobile runs must be deterministic per seed");
     }
-}
-
-proptest! {
-    // Heavier cases (three full runs each, some mobile); fewer of them.
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The sharded engine's contract over the generated-scenario space:
-    /// `shards: Some(k)` is bit-identical for every `k ≥ 1` — including on
-    /// mobile, live-routed scenarios, across topology families and schemes.
-    /// (`Some(k)` vs the legacy `None` engine is deliberately *not* byte-
-    /// comparable: the sharded engine consumes per-entity RNG streams.)
-    #[test]
-    fn prop_shard_counts_are_bit_identical(
-        topo_pick in 0usize..3,
-        scheme_pick in 0usize..4,
-        seed in 1u64..32,
-        mobile in any::<bool>(),
-    ) {
-        let mut base = spec(topo_pick, scheme_pick, seed);
-        if mobile {
-            base.mobility = MobilitySpec::Drift { max_speed_mps: 3.0 };
-            base.route_refresh_ms = Some(20);
-        }
-        prop_assert_eq!(first_shard_drift(&base, &[2, 8]), None, "drifted from 1 shard");
-    }
-}
-
-/// The same contract at the scale the sharded engine exists for — the
-/// 1024-station `campus-1k` preset, where every strip boundary cuts through
-/// hundreds of mutually sensing stations (the generated grid above tops out
-/// at 8 nodes).
-#[test]
-fn campus_scale_preset_is_bit_identical_at_4_shards_vs_1() {
-    let mut campus = ScenarioSpec::campus_scale();
-    campus.duration_ms = 2;
-    assert_eq!(first_shard_drift(&campus, &[4]), None, "campus-1k drifted from 1 shard");
 }

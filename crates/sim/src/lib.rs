@@ -7,8 +7,8 @@
 //!   specified in µs),
 //! * [`EventQueue`] — a deterministic future-event list with stable FIFO
 //!   ordering among simultaneous events, plus [`KeyedEventQueue`], the
-//!   shard-safe variant ordered by content-derived [`EventKey`]s instead of
-//!   insertion order (so pop order survives resharding),
+//!   variant ordered by content-derived [`EventKey`]s instead of insertion
+//!   order (the one the simulator runs on),
 //! * [`rng`] — named, independently-seeded random-number streams so that
 //!   changing how one component consumes randomness does not perturb others,
 //! * small shared identifier newtypes ([`NodeId`], [`FlowId`]).

@@ -134,18 +134,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Windowed pop: removes and returns the earliest event *strictly
-    /// before* `horizon`, or `None` if the earliest pending event is at or
-    /// past it (the queue itself is untouched in that case). This is the
-    /// conservative-window primitive: a shard may safely process every event
-    /// below its horizon because no peer can inject anything earlier.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at >= horizon {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Returns the time of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -179,13 +167,11 @@ impl<E> Default for EventQueue<E> {
 /// Canonical, content-derived identity of a scheduled event.
 ///
 /// The plain [`EventQueue`] breaks simultaneous-event ties by insertion
-/// order — correct for a single loop, but meaningless across loops: when a
-/// scenario is sharded, the interleaving of schedules (and therefore every
-/// insertion sequence number) depends on the shard count. A sharded run
-/// instead tags each event with a key derived from its *origin* — the kind
-/// and index of the entity that caused it, plus that origin's own event
-/// counter — which is invariant under resharding. Keys order
-/// lexicographically as `(kind, entity, seq)`.
+/// order, which makes the order of a tie depend on when each event happened
+/// to be scheduled. A key is instead derived from the event's *origin* —
+/// the kind and index of the entity that caused it, plus that origin's own
+/// event counter — so a tie resolves the same way however the schedules
+/// interleaved. Keys order lexicographically as `(kind, entity, seq)`.
 ///
 /// Contract: an origin must mint strictly increasing `seq` values, so every
 /// key in flight is unique and `(time, key)` is a total order.
@@ -206,14 +192,13 @@ impl EventKey {
 }
 
 /// A deterministic event queue ordered by `(time, EventKey)` instead of
-/// `(time, insertion order)` — the shard-safe variant of [`EventQueue`].
+/// `(time, insertion order)`.
 ///
 /// Two queues holding the same set of `(time, key, event)` entries pop them
-/// in the same order no matter how the entries were distributed or
-/// interleaved at insertion, which is exactly the property the window-merge
-/// seam of a sharded run needs: a cross-shard arrival injected at a window
-/// boundary sorts into the same place it would have occupied in a
-/// single-shard run.
+/// in the same order no matter how the entries were interleaved at
+/// insertion. Keyed on one lane with `seq` = the insertion count it pops
+/// exactly what an [`EventQueue`] pops, which is how the simulator runs both
+/// of its result families on this one queue.
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
@@ -249,12 +234,8 @@ impl<E> Ord for KeyedEntry<E> {
 }
 
 impl<E> KeyedEventQueue<E> {
-    /// Creates an empty queue with room for `capacity` pending events.
-    ///
-    /// The capacity is clamped to at least one slot: per-shard queues are
-    /// sized from the shard's share of the seeded events, and a shard that
-    /// owns none of them (all flows live elsewhere) would otherwise start at
-    /// zero capacity and pay its first growth reallocation mid-window.
+    /// Creates an empty queue with room for `capacity` pending events,
+    /// clamped to at least one slot.
     pub fn with_capacity(capacity: usize) -> Self {
         KeyedEventQueue { heap: BinaryHeap::with_capacity(capacity.max(1)), now: SimTime::ZERO }
     }
@@ -299,21 +280,6 @@ impl<E> KeyedEventQueue<E> {
             self.now = e.at;
             (e.at, e.event)
         })
-    }
-
-    /// Windowed pop: the earliest event strictly before `horizon`, or
-    /// `None` (queue untouched) if the earliest pending event is at or past
-    /// it. See [`EventQueue::pop_before`].
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at >= horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The `(time, key)` of the earliest pending event without removing it.
-    pub fn peek(&self) -> Option<(SimTime, EventKey)> {
-        self.heap.peek().map(|e| (e.at, e.key))
     }
 
     /// Number of pending events.
@@ -460,41 +426,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pop_before_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(5), "early");
-        q.schedule(SimTime::from_nanos(10), "boundary");
-        q.schedule(SimTime::from_nanos(15), "late");
-        let h = SimTime::from_nanos(10);
-        assert_eq!(q.pop_before(h).unwrap(), (SimTime::from_nanos(5), "early"));
-        // An event exactly at the horizon must stay: cross-shard arrivals
-        // land at or past it, and may still sort before this one.
-        assert_eq!(q.pop_before(h), None);
-        assert_eq!(q.len(), 2, "refused pops leave the queue untouched");
-        assert_eq!(q.pop_before(SimTime::from_nanos(16)).unwrap().1, "boundary");
-        assert_eq!(q.pop_before(SimTime::from_nanos(16)).unwrap().1, "late");
-        assert_eq!(q.pop_before(SimTime::from_nanos(16)), None);
-    }
-
-    /// The satellite regression for the window-merge seam: simultaneous
-    /// events at a window boundary must pop in key order, no matter how
-    /// their insertion interleaved — including a cross-"shard" injection
-    /// arriving after local events with the same timestamp were scheduled.
+    /// Simultaneous events must pop in key order, no matter how their
+    /// insertion interleaved — including an entry scheduled after others
+    /// with the same timestamp that sorts before them.
     #[test]
     fn window_boundary_simultaneous_pops_are_key_ordered() {
         let t = SimTime::from_micros(50);
-        // One queue schedules local-first, the other injection-first.
+        // One queue schedules the late-sorting entries first, the other last.
         let mut local_first = KeyedEventQueue::with_capacity(4);
         local_first.schedule_keyed(t, EventKey::new(0, 7, 3), "node7#3");
         local_first.schedule_keyed(t, EventKey::new(1, 0, 0), "flow0#0");
-        local_first.schedule_keyed(t, EventKey::new(0, 2, 9), "node2#9"); // the injection
+        local_first.schedule_keyed(t, EventKey::new(0, 2, 9), "node2#9");
         let mut inject_first = KeyedEventQueue::with_capacity(4);
         inject_first.schedule_keyed(t, EventKey::new(0, 2, 9), "node2#9");
         inject_first.schedule_keyed(t, EventKey::new(0, 7, 3), "node7#3");
         inject_first.schedule_keyed(t, EventKey::new(1, 0, 0), "flow0#0");
         for q in [&mut local_first, &mut inject_first] {
-            assert_eq!(q.pop_before(t + crate::SimDuration::from_nanos(1)).unwrap().1, "node2#9");
+            assert_eq!(q.pop().unwrap().1, "node2#9");
             assert_eq!(q.pop().unwrap().1, "node7#3");
             assert_eq!(q.pop().unwrap().1, "flow0#0");
             assert!(q.is_empty());
@@ -519,7 +467,7 @@ mod tests {
     /// hash dependence), or a contract slip would silently break run
     /// reproducibility instead of showing up as a diff. This pins the
     /// current order; if it ever changes, the heap implementation changed
-    /// underneath us and shard bit-identity needs re-auditing.
+    /// underneath us and the keyed schedule needs re-auditing.
     #[test]
     fn equal_time_same_key_pop_order_is_deterministic() {
         let t = SimTime::from_micros(1);
@@ -583,8 +531,6 @@ mod tests {
 
     #[test]
     fn keyed_queue_zero_capacity_is_clamped() {
-        // The shard-split audit: a shard owning no seeded events must still
-        // start with a usable (non-zero-capacity) queue.
         let mut q: KeyedEventQueue<()> = KeyedEventQueue::with_capacity(0);
         assert!(q.is_empty());
         q.schedule_keyed_in(SimDuration::from_nanos(3), EventKey::new(0, 0, 0), ());
@@ -595,8 +541,7 @@ mod tests {
 
     proptest! {
         /// Keyed pop order is a pure function of the entry *set*: any
-        /// permutation of the same `(time, key)` entries pops identically —
-        /// the K-invariance property the sharded engine is built on.
+        /// permutation of the same `(time, key)` entries pops identically.
         #[test]
         fn prop_keyed_pop_order_is_insertion_invariant(
             entries in proptest::collection::vec((0u64..50, 0u32..3, 0u32..4, 0u64..5), 1..40),
@@ -629,11 +574,11 @@ mod tests {
         /// The equivalence netsim's single loop stands on: keyed on one lane
         /// with `seq` = the insertion count, a `KeyedEventQueue` pops exactly
         /// what an `EventQueue` pops, under any interleaving of absolute and
-        /// relative schedules, pops and windowed pops — equal-time bursts
-        /// included (delays are drawn from 0..4 ns).
+        /// relative schedules and pops — equal-time bursts included (delays
+        /// are drawn from 0..4 ns).
         #[test]
         fn prop_single_lane_keys_reproduce_insertion_order(
-            ops in proptest::collection::vec((0u8..4, 0u64..4), 1..120),
+            ops in proptest::collection::vec((0u8..3, 0u64..4), 1..120),
         ) {
             let mut plain = EventQueue::new();
             let mut keyed = KeyedEventQueue::with_capacity(0);
@@ -651,11 +596,7 @@ mod tests {
                         keyed.schedule_keyed_in(delay, EventKey::new(0, 0, n), n);
                         n += 1;
                     }
-                    2 => prop_assert_eq!(plain.pop(), keyed.pop()),
-                    _ => {
-                        let horizon = plain.now() + delay;
-                        prop_assert_eq!(plain.pop_before(horizon), keyed.pop_before(horizon));
-                    }
+                    _ => prop_assert_eq!(plain.pop(), keyed.pop()),
                 }
                 prop_assert_eq!(plain.now(), keyed.now());
                 prop_assert_eq!(plain.len(), keyed.len());

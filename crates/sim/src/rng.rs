@@ -275,12 +275,9 @@ impl RngDirectory {
     /// per-entity stream families (`"shard/medium"` + transmitter index,
     /// `"shard/ber"` + receiver index, …).
     ///
-    /// Sharded engines must derive every per-entity stream through this
-    /// method with a literal prefix: the lint registry records the family as
-    /// `dynamic:<prefix>/{index}` from the call site, and the
-    /// `shard-rng-label` rule rejects unindexed derivations inside shard
-    /// code, where a shared stream would make consumption order depend on
-    /// the shard count.
+    /// Call it with a literal prefix: the lint registry records the family
+    /// as `dynamic:<prefix>/{index}` from the call site, so a renamed or new
+    /// family shows up in the `ci/rng_labels.json` diff.
     pub fn indexed_stream(&self, prefix: &str, index: u32) -> StreamRng {
         // lint:allow(rng-label-registry): forwarding shim — each caller's literal prefix is registered at its own call site
         StreamRng::derive(self.master_seed, &format!("{prefix}/{index}"))
@@ -305,9 +302,9 @@ mod tests {
     #[test]
     fn indexed_stream_matches_the_formatted_label() {
         // The indexed form is *defined* as the "{prefix}/{index}" label:
-        // shard code deriving `indexed_stream("shard/medium", 3)` and
-        // registry tooling reasoning about `dynamic:shard/medium/{index}`
-        // must agree on the stream.
+        // code deriving `indexed_stream("shard/medium", 3)` and registry
+        // tooling reasoning about `dynamic:shard/medium/{index}` must agree
+        // on the stream.
         let dir = RngDirectory::new(41);
         let mut a = dir.indexed_stream("shard/medium", 3);
         let mut b = dir.stream("shard/medium/3");
