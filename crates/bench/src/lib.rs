@@ -27,11 +27,12 @@ pub fn grid_positions(side: usize, spacing_m: f64) -> Vec<Position> {
     positions
 }
 
-/// A fig-6(b)-class end-to-end scenario: a 3-hop RIPPLE-16 FTP flow whose
-/// relays are exposed to `n_hidden` saturated hidden CBR senders — the
+/// A fig-6(b)-class end-to-end scenario: a 3-hop FTP flow under `scheme`
+/// whose relays are exposed to `n_hidden` saturated hidden CBR senders — the
 /// heaviest per-transmission fan-out workload in the paper's experiment
-/// set, and the gate's end-to-end allocation probe.
-pub fn fig6_class_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
+/// set, and the gate's end-to-end allocation probe (once per MAC
+/// configuration, so every MAC's data path is under a per-frame ceiling).
+pub fn fig6_class_scenario(n_hidden: usize, scheme: Scheme, duration: SimDuration) -> Scenario {
     let topo = collision::hidden_terminals(n_hidden);
     let mut flows = vec![FlowSpec { path: collision::hidden_main_path(), workload: Workload::Ftp }];
     for k in 0..n_hidden {
@@ -42,7 +43,7 @@ pub fn fig6_class_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
         name: format!("bench-fig6b-{n_hidden}"),
         params: PhyParams::paper_216(),
         positions: topo.positions,
-        scheme: Scheme::Ripple { aggregation: 16 },
+        scheme,
         flows,
         duration,
         seed: 0,
@@ -53,12 +54,12 @@ pub fn fig6_class_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
     }
 }
 
-/// The mobile variant of [`fig6_class_scenario`]: the main flow's two
-/// relays pace laterally (waypoint round trips, ±2.5 m every 250 ms for up
-/// to 2 s) while the hidden CBR senders stay put — so every mobility tick
-/// refreshes link rows *during* that workload.
+/// The mobile variant of [`fig6_class_scenario`] under RIPPLE-16: the main
+/// flow's two relays pace laterally (waypoint round trips, ±2.5 m every
+/// 250 ms for up to 2 s) while the hidden CBR senders stay put — so every
+/// mobility tick refreshes link rows *during* that workload.
 pub fn fig6_class_mobile_scenario(n_hidden: usize, duration: SimDuration) -> Scenario {
-    let mut scenario = fig6_class_scenario(n_hidden, duration);
+    let mut scenario = fig6_class_scenario(n_hidden, Scheme::Ripple { aggregation: 16 }, duration);
     scenario.name = format!("bench-fig6b-mobile-{n_hidden}");
     let mut paths = vec![NodePath::Static; scenario.positions.len()];
     for (node, side) in [(1usize, 1.0f64), (2, -1.0)] {
@@ -148,10 +149,12 @@ mod tests {
 
     #[test]
     fn fig6_class_scenario_is_valid_and_runs() {
-        let s = fig6_class_scenario(3, SimDuration::from_millis(50));
-        assert_eq!(s.validate(), Ok(()));
-        let r = run(&s);
-        assert!(r.flows[0].delivered_bytes > 0, "main flow must make progress");
+        for scheme in [Scheme::Ripple { aggregation: 16 }, Scheme::Dcf { aggregation: 1 }] {
+            let s = fig6_class_scenario(3, scheme, SimDuration::from_millis(50));
+            assert_eq!(s.validate(), Ok(()));
+            let r = run(&s);
+            assert!(r.flows[0].delivered_bytes > 0, "{scheme:?}: main flow must make progress");
+        }
     }
 
     #[test]

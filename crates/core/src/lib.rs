@@ -29,8 +29,8 @@
 //! is deliberate and cheap: a `wmn_mac::Packet` clone is a small header copy
 //! plus an `Arc` refcount bump on the pooled payload body, so a relayed
 //! subframe never duplicates its bytes. Cloning a whole *frame*, by
-//! contrast, is what the `no-frame-deep-clone` lint rule forbids outside
-//! the decode seam.
+//! contrast, does not compile: the frame types are not `Clone`, and only the
+//! decode seam copies one (`DataFrame::diverged_copy`).
 //!
 //! # Example
 //!

@@ -425,6 +425,7 @@ impl wmn_mac::MacScheme for RippleScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wmn_mac::frame::{NetHeader, NodeList, Proto};
     use wmn_mac::{DropReason, MacEntityExt};
 
@@ -462,11 +463,17 @@ mod tests {
         RouteInfo::Opportunistic { list: list() }
     }
 
-    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+    /// The first transmission among `actions`, as the broadcast handle every
+    /// receiver shares.
+    fn find_shared_tx(actions: &[MacAction]) -> Option<&Arc<Frame>> {
         actions.iter().find_map(|a| match a {
-            MacAction::StartTx { frame, .. } => Some(&**frame),
+            MacAction::StartTx { frame, .. } => Some(frame),
             _ => None,
         })
+    }
+
+    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+        find_shared_tx(actions).map(|frame| &**frame)
     }
 
     fn timers(actions: &[MacAction]) -> Vec<(SimDuration, TimerToken)> {
@@ -479,11 +486,17 @@ mod tests {
             .collect()
     }
 
-    fn source_frame(src: &mut RippleMac, now: SimTime) -> DataFrame {
+    fn source_frame(src: &mut RippleMac, now: SimTime) -> Arc<Frame> {
         let acts = src.on_enqueue_vec(packet(0, 0, 3), route(), now);
-        match find_tx(&acts) {
-            Some(Frame::Data(d)) => d.clone(),
-            _ => panic!("expected immediate data tx"),
+        let frame = find_shared_tx(&acts).expect("expected immediate tx");
+        assert!(matches!(**frame, Frame::Data(_)), "expected immediate data tx");
+        Arc::clone(frame)
+    }
+
+    fn data(frame: &Frame) -> &DataFrame {
+        match frame {
+            Frame::Data(d) => d,
+            Frame::Ack(_) => panic!("expected a data frame"),
         }
     }
 
@@ -491,10 +504,10 @@ mod tests {
     fn source_sends_opportunistic_frame() {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
-        assert_eq!(d.link_dst, LinkDst::Opportunistic { list: list() });
-        assert_eq!(d.subframes.len(), 1);
-        assert_eq!(d.src, NodeId::new(0));
-        assert_eq!(d.dst, NodeId::new(3));
+        assert_eq!(data(&d).link_dst, LinkDst::Opportunistic { list: list() });
+        assert_eq!(data(&d).subframes.len(), 1);
+        assert_eq!(data(&d).src, NodeId::new(0));
+        assert_eq!(data(&d).dst, NodeId::new(3));
     }
 
     #[test]
@@ -503,7 +516,7 @@ mod tests {
         let d = source_frame(&mut src, t(100));
         // Node 1 has rank 2: waits SIFS + 2 slots.
         let mut f1 = mac(1, 16);
-        let acts = f1.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let (delay, token) = timers(&acts)[0];
         assert_eq!(delay, SimDuration::from_micros(16 + 18));
         // Fire it: the relay goes out with us as transmitter.
@@ -511,7 +524,7 @@ mod tests {
         match find_tx(&acts) {
             Some(Frame::Data(r)) => {
                 assert_eq!(r.transmitter, NodeId::new(1));
-                assert_eq!(r.frame_seq, d.frame_seq, "relays keep the frame identity");
+                assert_eq!(r.frame_seq, data(&d).frame_seq, "relays keep the frame identity");
             }
             _ => panic!("expected relayed data frame"),
         }
@@ -523,7 +536,7 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut f1 = mac(1, 16);
-        let acts = f1.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         let (delay, token) = timers(&acts)[0];
         // Someone transmits during the wait: the idle window broke.
         f1.on_busy_vec(t(210));
@@ -545,7 +558,7 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut f1 = mac(1, 16);
-        let acts = f1.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let (delay, token) = timers(&acts)[0];
         // The destination's ACK arrives before our relay slot: the frame
         // already made it end-to-end, so the relay is pointless.
@@ -553,7 +566,7 @@ mod tests {
             transmitter: NodeId::new(3),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: list(),
         };
@@ -570,9 +583,9 @@ mod tests {
         // Node 1 (rank 2) holds a pending relay; then hears node 2 (rank 1)
         // relay the same frame: it progressed past us.
         let mut f1 = mac(1, 16);
-        let acts = f1.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let (delay, token) = timers(&acts)[0];
-        let downstream = DataFrame { transmitter: NodeId::new(2), ..d };
+        let downstream = DataFrame { transmitter: NodeId::new(2), ..data(&d).diverged_copy() };
         f1.on_frame_rx_vec(Frame::Data(downstream).into(), t(210));
         let acts = f1.on_timer_vec(token, t(200) + delay);
         assert!(find_tx(&acts).is_none(), "higher-priority relay cancels ours");
@@ -583,10 +596,10 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut f1 = mac(1, 16);
-        let acts = f1.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         assert_eq!(timers(&acts).len(), 1);
         // Hearing the same frame again (e.g. another copy) arms nothing.
-        let acts = f1.on_frame_rx_vec(Frame::Data(d).into(), t(400));
+        let acts = f1.on_frame_rx_vec(RxFrame::Shared(d), t(400));
         assert!(timers(&acts).is_empty(), "at most one relay per frame");
     }
 
@@ -596,7 +609,7 @@ mod tests {
         let d = source_frame(&mut src, t(100));
         // Node 1 (rank 2) hears the copy relayed by node 2 (rank 1):
         // the frame already progressed past it.
-        let relayed = DataFrame { transmitter: NodeId::new(2), ..d };
+        let relayed = DataFrame { transmitter: NodeId::new(2), ..data(&d).diverged_copy() };
         let mut f1 = mac(1, 16);
         let acts = f1.on_frame_rx_vec(Frame::Data(relayed).into(), t(300));
         assert!(timers(&acts).is_empty());
@@ -607,7 +620,7 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut dst = mac(3, 16);
-        let acts = dst.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = dst.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         assert!(acts.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
         let (delay, token) = timers(&acts)[0];
         assert_eq!(delay, SimDuration::from_micros(16));
@@ -627,9 +640,9 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut dst = mac(3, 16);
-        dst.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        dst.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         // Retransmission arrives with the same seq corrupted this time.
-        let mut retx = d;
+        let mut retx = data(&d).diverged_copy();
         retx.frame_seq += 1;
         retx.subframes[0].corrupted = true;
         let acts = dst.on_frame_rx_vec(Frame::Data(retx).into(), t(400));
@@ -651,26 +664,26 @@ mod tests {
     fn ack_relay_waits_one_slot_less_and_travels_upstream() {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
-        let ack = AckFrame {
-            transmitter: NodeId::new(3), // the destination
+        let ack_from = |transmitter: u32| AckFrame {
+            transmitter: NodeId::new(transmitter),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: list(),
         };
-        // Rank-1 forwarder (node 2) relays after SIFS exactly.
+        // Rank-1 forwarder (node 2) relays the destination's ACK after SIFS
+        // exactly.
         let mut f2 = mac(2, 16);
-        let acts = f2.on_frame_rx_vec(Frame::Ack(ack.clone()).into(), t(300));
+        let acts = f2.on_frame_rx_vec(Frame::Ack(ack_from(3)).into(), t(300));
         let (delay, token) = timers(&acts)[0];
         assert_eq!(delay, SimDuration::from_micros(16));
         let acts = f2.on_timer_vec(token, t(316));
         assert!(matches!(find_tx(&acts), Some(Frame::Ack(_))));
         // A forwarder never relays an ACK heard from upstream of itself:
         // node 2 (rank 1) ignores a copy transmitted by node 1 (rank 2).
-        let upstream_copy = AckFrame { transmitter: NodeId::new(1), ..ack };
         let mut f2b = mac(2, 16);
-        let acts = f2b.on_frame_rx_vec(Frame::Ack(upstream_copy).into(), t(300));
+        let acts = f2b.on_frame_rx_vec(Frame::Ack(ack_from(1)).into(), t(300));
         assert!(timers(&acts).is_empty());
     }
 
@@ -679,18 +692,18 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         src.on_tx_end_vec(t(160));
-        let ack = AckFrame {
+        let ack = Arc::new(Frame::Ack(AckFrame {
             transmitter: NodeId::new(2), // a relayed ACK copy works too
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: list(),
-        };
-        src.on_frame_rx_vec(Frame::Ack(ack.clone()).into(), t(400));
+        }));
+        src.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&ack)), t(400));
         assert!(src.tx.inflight().is_none(), "frame acknowledged end-to-end");
         // A duplicate ACK copy (the destination's direct one) is harmless.
-        let acts = src.on_frame_rx_vec(Frame::Ack(ack).into(), t(410));
+        let acts = src.on_frame_rx_vec(RxFrame::Shared(ack), t(410));
         assert!(acts.is_empty());
     }
 
@@ -771,12 +784,12 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         let mut outsider = mac(7, 16);
-        assert!(outsider.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200)).is_empty());
+        assert!(outsider.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200)).is_empty());
         let ack = AckFrame {
             transmitter: NodeId::new(3),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: list(),
         };
@@ -786,7 +799,7 @@ mod tests {
     #[test]
     fn relay_with_all_subframes_corrupted_is_skipped() {
         let mut src = mac(0, 16);
-        let mut d = source_frame(&mut src, t(100));
+        let mut d = data(&source_frame(&mut src, t(100))).diverged_copy();
         for sf in &mut d.subframes {
             sf.corrupted = true;
         }

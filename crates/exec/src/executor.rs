@@ -34,8 +34,10 @@ pub fn available_jobs() -> usize {
 ///
 /// Returns a descriptive message if [`JOBS_ENV`] is set to anything that is
 /// not a positive integer.
+// Worker count only changes the schedule — results are slot-ordered and
+// bit-identical for any value.
+#[allow(clippy::disallowed_methods)]
 pub fn jobs_from_env() -> Result<usize, String> {
-    // lint:allow(no-nondeterministic-std): worker count only changes the schedule — results are slot-ordered and bit-identical for any value
     match std::env::var(JOBS_ENV) {
         Err(_) => Ok(available_jobs()),
         Ok(raw) => match raw.trim().parse::<usize>() {
@@ -141,6 +143,8 @@ impl Executor {
     /// (seeded via [`wmn_sim::RngDirectory`]), runs share no state, and the
     /// result vector is indexed by plan position — so the output is
     /// bit-identical for any worker count, including 1.
+    // Telemetry: the clock reads time the runs (`ExecStats`), never feed them.
+    #[allow(clippy::disallowed_methods)]
     pub fn execute(&self, plan: &RunPlan) -> ExecOutcome {
         let started = Instant::now();
         let specs = plan.specs();

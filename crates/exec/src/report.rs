@@ -20,8 +20,9 @@ pub const REPRO_DIR_ENV: &str = "RIPPLE_REPRO_DIR";
 
 /// The directory repro JSON is written to: [`REPRO_DIR_ENV`] if set,
 /// otherwise `target/repro` under the current working directory.
+// Redirects where reports are written, never what they contain.
+#[allow(clippy::disallowed_methods)]
 pub fn repro_dir() -> PathBuf {
-    // lint:allow(no-nondeterministic-std): redirects where reports are written, never what they contain
     match std::env::var_os(REPRO_DIR_ENV) {
         Some(dir) => PathBuf::from(dir),
         None => PathBuf::from("target").join("repro"),
@@ -118,7 +119,10 @@ pub fn write_document(dir: &Path, name: &str, doc: &Value) -> std::io::Result<Pa
     Ok(path)
 }
 
+// Unique temp-dir names from the process id, and a probe of the override the
+// function under test reads.
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

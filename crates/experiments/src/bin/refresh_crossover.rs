@@ -10,6 +10,8 @@ use wmn_exec::report::{self, ArtifactTiming};
 use wmn_exec::{telemetry, trace_document};
 use wmn_experiments::{refresh, ExpConfig};
 
+// Telemetry: times the generator for the report, never feeds a run.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     let cfg = ExpConfig::from_env();
     let dir = report::repro_dir();

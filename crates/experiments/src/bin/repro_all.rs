@@ -1,6 +1,11 @@
-//! Runs every experiment, prints all tables, and writes one JSON report per
-//! artefact (tables + wall-clock/run accounting) under `target/repro/` — the
-//! full reproduction in one command.
+//! Runs the paper's experiments, prints their tables, and writes one JSON
+//! report per artefact (tables + wall-clock/run accounting) under
+//! `target/repro/` — the full reproduction in one command.
+//!
+//! ```text
+//! repro_all                 # every artefact of wmn_experiments::ROSTER
+//! repro_all fig3 table3     # only the named ones, in that order
+//! ```
 //!
 //! * `RIPPLE_REPRO` selects the setting: `quick` (default), `mid`, or
 //!   `paper` (the 10 s × 5 seed runs). Unknown values abort.
@@ -13,7 +18,6 @@ use std::time::Instant;
 
 use wmn_exec::report::{self, ArtifactTiming};
 use wmn_exec::telemetry;
-use wmn_experiments as exp;
 use wmn_experiments::ExpConfig;
 use wmn_metrics::Table;
 
@@ -21,15 +25,16 @@ use wmn_metrics::Table;
 /// appends a row to the wall-clock summary. Returns the artefact's executor
 /// counters so the caller can total them (each call drains the global
 /// telemetry, so the final summary must re-accumulate).
+// Telemetry: times the generator for the report, never feeds a run.
+#[allow(clippy::disallowed_methods)]
 fn emit(
-    name: &str,
-    generate: impl FnOnce() -> Vec<Table>,
+    (name, generate): wmn_experiments::Artefact,
     cfg: &ExpConfig,
     dir: &Path,
     summary: &mut Table,
 ) -> telemetry::Snapshot {
     let t0 = Instant::now();
-    let tables = generate();
+    let tables = generate(cfg);
     let wall = t0.elapsed();
     let exec = telemetry::take();
     for t in &tables {
@@ -59,7 +64,14 @@ fn emit(
     exec
 }
 
+// Telemetry: the whole-run wall clock of the summary row.
+#[allow(clippy::disallowed_methods)]
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let selected = wmn_experiments::select(&names).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    });
     let cfg = ExpConfig::from_env();
     let dir = report::repro_dir();
     println!("# RIPPLE reproduction — all tables\n");
@@ -78,43 +90,9 @@ fn main() {
     let started = Instant::now();
     let _ = telemetry::take(); // drop any counters from config resolution
     let mut total_exec = telemetry::Snapshot::default();
-
-    total_exec += emit(
-        "fig2",
-        || vec![exp::fig2::generate(), exp::fig2::worked_example()],
-        &cfg,
-        &dir,
-        &mut summary,
-    );
-    total_exec +=
-        emit("motivation", || vec![exp::motivation::generate(&cfg)], &cfg, &dir, &mut summary);
-    total_exec += emit("fig3", || exp::fig3::generate(1e-6, &cfg), &cfg, &dir, &mut summary);
-    total_exec += emit("fig4", || exp::fig3::generate(1e-5, &cfg), &cfg, &dir, &mut summary);
-    total_exec += emit(
-        "fig6",
-        || vec![exp::fig6::generate_regular(&cfg), exp::fig6::generate_hidden(&cfg)],
-        &cfg,
-        &dir,
-        &mut summary,
-    );
-    total_exec += emit("fig7", || exp::fig7::generate(&cfg), &cfg, &dir, &mut summary);
-    total_exec += emit("fig8", || vec![exp::fig8::generate(&cfg)], &cfg, &dir, &mut summary);
-    total_exec += emit("table3", || exp::table3::generate(&cfg), &cfg, &dir, &mut summary);
-    total_exec += emit("fig10", || exp::fig10::generate(&cfg), &cfg, &dir, &mut summary);
-    total_exec += emit("fig12", || exp::fig12::generate(&cfg), &cfg, &dir, &mut summary);
-    total_exec += emit(
-        "ablation",
-        || {
-            vec![
-                exp::ablation::max_forwarders(&cfg),
-                exp::ablation::aggregation_limit(&cfg),
-                exp::ablation::phy_rates(&cfg),
-            ]
-        },
-        &cfg,
-        &dir,
-        &mut summary,
-    );
+    for artefact in selected {
+        total_exec += emit(artefact, &cfg, &dir, &mut summary);
+    }
 
     let total = started.elapsed();
     summary.add_row(vec![

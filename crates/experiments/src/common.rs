@@ -74,6 +74,9 @@ impl ExpConfig {
     /// # Panics
     ///
     /// Panics with the [`Self::parse_repro`] message on an unknown value.
+    // The experiment harness's one config boundary: picks how long and how
+    // often to run, before any run starts.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         let value = std::env::var("RIPPLE_REPRO").ok();
         match Self::parse_repro(value.as_deref()) {

@@ -1,7 +1,6 @@
 //! Smoke coverage for the workspace's experiment surface: every table /
-//! figure generator behind the `fig*`, `table3`, `motivation`, `ablation`
-//! and `repro_all` binaries must at least construct its scenarios and
-//! produce a non-empty report without panicking.
+//! figure generator behind `repro_all`'s roster must at least construct its
+//! scenarios and produce a non-empty report without panicking.
 //!
 //! Runs use a deliberately microscopic configuration (10 simulated
 //! milliseconds, one seed) so tier-1 stays fast; the numbers are

@@ -1,54 +1,17 @@
-//! CLI for the workspace determinism linter.
+//! CLI for the RNG label registry check, run from the repo root.
 //!
 //! ```text
-//! cargo run -p wmn_lint                          # report findings, exit 0
-//! cargo run -p wmn_lint -- --check               # exit 1 on any finding
-//! cargo run -p wmn_lint -- --update-registry     # rewrite ci/rng_labels.json
-//! cargo run -p wmn_lint -- --report out.json     # also write the JSON report
-//! cargo run -p wmn_lint -- --root ../elsewhere   # lint another checkout
+//! cargo run -p wmn_lint                          # check: findings, waivers, staleness
+//! cargo run -p wmn_lint -- --update-registry     # rewrite ci/rng_labels.json first
 //! ```
 //!
-//! Exit codes: `0` clean (or informational run), `1` findings under
-//! `--check`, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` findings (a stale registry is one), `2` usage
+//! or I/O error. The same check runs inside `cargo test` (`tests/selftest.rs`).
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-use wmn_lint::report::report_text;
 use wmn_lint::{analyze_workspace, Analysis, REGISTRY_PATH};
-
-struct Cli {
-    root: PathBuf,
-    check: bool,
-    update_registry: bool,
-    report: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli =
-        Cli { root: PathBuf::from("."), check: false, update_registry: false, report: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => cli.check = true,
-            "--update-registry" => cli.update_registry = true,
-            "--root" => {
-                cli.root = PathBuf::from(args.next().ok_or("--root needs a directory argument")?);
-            }
-            "--report" => {
-                cli.report =
-                    Some(PathBuf::from(args.next().ok_or("--report needs a path argument")?));
-            }
-            "--help" | "-h" => {
-                return Err("usage: wmn_lint [--check] [--update-registry] \
-                            [--report PATH] [--root DIR]"
-                    .to_string());
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    Ok(cli)
-}
 
 fn print_summary(analysis: &Analysis) {
     for f in &analysis.findings {
@@ -76,25 +39,24 @@ fn print_summary(analysis: &Analysis) {
 }
 
 fn run() -> Result<u8, String> {
-    let cli = parse_args()?;
-    if cli.update_registry {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update_registry = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--update-registry" => true,
+        _ => return Err("usage: wmn_lint [--update-registry]".to_string()),
+    };
+    let root = Path::new(".");
+    if update_registry {
         // Two passes: write the regenerated registry first, then re-analyse
         // so the staleness finding reflects the tree being committed.
-        let pre = analyze_workspace(&cli.root).map_err(|e| format!("scan failed: {e}"))?;
-        let path = cli.root.join(REGISTRY_PATH);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-        }
+        let pre = analyze_workspace(root).map_err(|e| format!("scan failed: {e}"))?;
+        let path = root.join(REGISTRY_PATH);
         std::fs::write(&path, &pre.registry).map_err(|e| format!("cannot write registry: {e}"))?;
         println!("wmn_lint: wrote {}", path.display());
     }
-    let analysis = analyze_workspace(&cli.root).map_err(|e| format!("scan failed: {e}"))?;
-    if let Some(report) = &cli.report {
-        std::fs::write(report, report_text(&analysis))
-            .map_err(|e| format!("cannot write report {report:?}: {e}"))?;
-    }
+    let analysis = analyze_workspace(root).map_err(|e| format!("scan failed: {e}"))?;
     print_summary(&analysis);
-    Ok(if cli.check && !analysis.findings.is_empty() { 1 } else { 0 })
+    Ok(if analysis.findings.is_empty() { 0 } else { 1 })
 }
 
 fn main() -> ExitCode {

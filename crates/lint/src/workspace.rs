@@ -2,10 +2,10 @@
 //!
 //! The linter scans exactly the shipped source set: the root package's
 //! `src/` plus every `crates/**/src/` tree. `tests/`, `examples/`,
-//! `benches/`, and fixture directories are out of scope — the determinism
-//! contract binds what runs inside a simulation, and test code is free to
-//! probe nondeterminism on purpose. All directory walks are sorted so the
-//! report and the registry come out byte-identical on every filesystem.
+//! `benches/`, and fixture directories are out of scope — the registry
+//! records the streams a simulation draws from, and test code is free to
+//! derive throwaway or duplicate labels on purpose. All directory walks are
+//! sorted so the registry comes out byte-identical on every filesystem.
 
 use std::fs;
 use std::io;
@@ -92,73 +92,9 @@ fn walk_rs(dir: &Path, root: &Path, crate_name: &str, out: &mut Vec<SourceFile>)
     Ok(())
 }
 
-/// Crates bound by the full determinism contract (their directory names
-/// under `crates/`): everything that executes inside a simulated run.
-/// `exec`, `bench`, `experiments`, and the devtools shims sit outside the
-/// event loop and are exempt from `no-hash-iter` (they still answer to the
-/// other rules).
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "sim",
-    "phy",
-    "mac",
-    "routing",
-    "core",
-    "netsim",
-    "transport",
-    "traffic",
-    "topology",
-    "metrics",
-    "scengen",
-];
-
-/// Path prefixes where wall-clock reads are legitimate: the telemetry and
-/// harness layer, which reports *about* runs rather than participating in
-/// them.
-pub const WALL_CLOCK_ALLOWED: &[&str] =
-    &["crates/exec/", "crates/devtools/", "crates/experiments/src/bin/"];
-
-/// Per-file rule switches derived from where the file lives.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RuleConfig {
-    /// Run `no-hash-iter` (deterministic crates only).
-    pub deterministic: bool,
-    /// Skip `no-wall-clock` (telemetry allowlist).
-    pub wall_clock_allowed: bool,
-}
-
-/// Computes the rule switches for a file.
-pub fn config_for(rel: &str, crate_name: &str) -> RuleConfig {
-    RuleConfig {
-        deterministic: DETERMINISTIC_CRATES.contains(&crate_name),
-        wall_clock_allowed: WALL_CLOCK_ALLOWED.iter().any(|p| rel.starts_with(p)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_classifies_layers() {
-        let c = config_for("crates/mac/src/dcf.rs", "mac");
-        assert!(c.deterministic);
-        assert!(!c.wall_clock_allowed);
-        let c = config_for("crates/exec/src/executor.rs", "exec");
-        assert!(!c.deterministic);
-        assert!(c.wall_clock_allowed);
-        // Experiment *binaries* may time themselves; the shared library
-        // code in crates/experiments/src/*.rs may not.
-        let c = config_for("crates/experiments/src/bin/repro_all.rs", "experiments");
-        assert!(c.wall_clock_allowed);
-        let c = config_for("crates/experiments/src/common.rs", "experiments");
-        assert!(!c.wall_clock_allowed);
-        let c = config_for("crates/devtools/proptest/src/lib.rs", "devtools/proptest");
-        assert!(c.wall_clock_allowed);
-        // The allocation gate counts; `perfbench/` (outside this workspace)
-        // owns time.
-        let c = config_for("crates/bench/src/bin/alloc_gate.rs", "bench");
-        assert!(!c.wall_clock_allowed);
-    }
 
     #[test]
     fn collect_sources_is_sorted_and_scoped_to_src() {

@@ -1,29 +1,33 @@
-//! Property tests for the lexer: arbitrary concatenations of rule-trigger
+//! Property tests for the lexer: arbitrary concatenations of label-call
 //! fragments, wrapped in comments or string literals, must never produce a
-//! finding — the whole point of lexing (rather than regex-grepping) is that
-//! commented-out or quoted trigger text is invisible to the rules.
+//! finding or register a label — the whole point of lexing (rather than
+//! regex-grepping) is that commented-out or quoted call text is invisible to
+//! the registry.
 
 use proptest::prelude::*;
 use proptest::{collection, sample};
 
 use wmn_lint::analyze_source;
 use wmn_lint::lexer::{lex, TokKind};
-use wmn_lint::workspace::RuleConfig;
 
-/// Source fragments that, as live code in a deterministic crate, each
-/// produce at least one finding.
+/// The three label call shapes, each once with an opaque argument (as live
+/// code: a finding) and once with a literal (as live code: a registered
+/// label).
 const TRIGGERS: &[&str] = &[
-    "for v in self.table.values() { drop(v); }",
-    "let t = Instant::now();",
-    "std::thread::sleep(d);",
-    "let v = std::env::var(\"X\");",
-    "let s: SystemTime = now;",
-    "let h = RandomState::new();",
     "let r = StreamRng::derive(seed, label);",
+    "let r = dir.stream(label);",
+    "let r = dir.indexed_stream(prefix, 3);",
+    "let r = StreamRng::derive(seed, \"prop/derive\");",
+    "let r = dir.stream(\"prop/stream\");",
+    "let r = dir.indexed_stream(\"prop/indexed\", 3);",
 ];
 
-fn det() -> RuleConfig {
-    RuleConfig { deterministic: true, ..RuleConfig::default() }
+#[test]
+fn triggers_fire_as_live_code() {
+    for frag in TRIGGERS {
+        let fa = analyze_source("prop.rs", "prop", &format!("fn live() {{ {frag} }}\n"));
+        assert_eq!(fa.findings.len() + fa.labels.len(), 1, "{frag}: {fa:?}");
+    }
 }
 
 proptest! {
@@ -31,15 +35,9 @@ proptest! {
 
     #[test]
     fn commented_or_quoted_triggers_never_fire(
-        picks in collection::vec((0usize..7, 0usize..4), 1..12),
-        with_live_map in any::<bool>(),
+        picks in collection::vec((0usize..6, 0usize..4), 1..12),
     ) {
-        let mut src = String::from("struct S { table: HashMap<u64, u32> }\n");
-        if with_live_map {
-            // Live, rule-clean code interleaved with the disguised triggers:
-            // keyed access on a tracked map must stay silent.
-            src.push_str("fn live(m: &mut HashMap<u32, u32>) { m.insert(1, 2); }\n");
-        }
+        let mut src = String::new();
         for (t, mode) in picks {
             let frag = TRIGGERS[t];
             match mode {
@@ -52,7 +50,7 @@ proptest! {
                 _ => src.push_str(&format!("fn raw() {{ let _r = r#\"{frag}\"#; }}\n")),
             }
         }
-        let fa = analyze_source("prop.rs", "prop", &src, det());
+        let fa = analyze_source("prop.rs", "prop", &src);
         prop_assert!(fa.findings.is_empty(), "phantom findings in:\n{src}\n{:?}", fa.findings);
         prop_assert!(fa.waived.is_empty());
         prop_assert!(fa.labels.is_empty(), "labels from non-code: {:?}", fa.labels);
@@ -60,7 +58,7 @@ proptest! {
 
     #[test]
     fn lexing_fragments_jointly_equals_lexing_them_separately(
-        picks in sample::subsequence(vec![0usize, 1, 2, 3, 4, 5, 6], 1..7),
+        picks in sample::subsequence(vec![0usize, 1, 2, 3, 4, 5], 1..7),
     ) {
         // Each trigger is a self-contained single line; lexing the
         // concatenation must yield exactly the per-fragment token streams

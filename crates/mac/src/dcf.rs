@@ -244,6 +244,7 @@ mod tests {
     use super::*;
     use crate::frame::{NetHeader, Proto, Subframe};
     use crate::{DropReason, MacEntityExt};
+    use std::sync::Arc;
 
     fn cfg(max_agg: usize) -> DcfConfig {
         DcfConfig::from_phy(&PhyParams::paper_216(), max_agg)
@@ -270,11 +271,17 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+    /// The first transmission among `actions`, as the broadcast handle every
+    /// receiver shares.
+    fn find_shared_tx(actions: &[MacAction]) -> Option<&Arc<Frame>> {
         actions.iter().find_map(|a| match a {
-            MacAction::StartTx { frame, .. } => Some(&**frame),
+            MacAction::StartTx { frame, .. } => Some(frame),
             _ => None,
         })
+    }
+
+    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+        find_shared_tx(actions).map(|frame| &**frame)
     }
 
     fn find_timer(actions: &[MacAction]) -> Option<(SimDuration, TimerToken)> {
@@ -344,10 +351,10 @@ mod tests {
         let mut sender = mac(0, 1);
         let actions =
             sender.on_enqueue_vec(packet(0, 0, 1), RouteInfo::NextHop(NodeId::new(1)), t(100));
-        let frame = find_tx(&actions).unwrap().clone();
+        let frame = Arc::clone(find_shared_tx(&actions).unwrap());
 
         let mut receiver = mac(1, 1);
-        let actions = receiver.on_frame_rx_vec(frame.into(), t(200));
+        let actions = receiver.on_frame_rx_vec(RxFrame::Shared(frame), t(200));
         // Delivered upward…
         assert!(actions.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
         // …and an ACK scheduled at SIFS.
@@ -368,7 +375,7 @@ mod tests {
         let mut sender = mac(0, 1);
         let actions =
             sender.on_enqueue_vec(packet(0, 0, 1), RouteInfo::NextHop(NodeId::new(1)), t(100));
-        let Frame::Data(d) = find_tx(&actions).unwrap().clone() else { panic!() };
+        let Frame::Data(d) = find_tx(&actions).unwrap() else { panic!() };
         sender.on_tx_end_vec(t(160));
         let ack = AckFrame {
             transmitter: NodeId::new(1),
@@ -426,27 +433,17 @@ mod tests {
         }
         // First enqueue triggered an immediate tx with 1 subframe; the rest
         // queued. Complete the exchange and check the next frame carries 16.
-        let Frame::Data(first) = find_tx(&last).cloned().unwrap_or_else(|| {
-            // The first enqueue transmitted; reconstruct: inflight exists.
-            Frame::Data(DataFrame {
-                transmitter: NodeId::new(0),
-                link_dst: LinkDst::Unicast(NodeId::new(1)),
-                flow: FlowId::new(0),
-                src: NodeId::new(0),
-                dst: NodeId::new(1),
-                frame_seq: m.tx.inflight().unwrap().frame_seq,
-                subframes: vec![].into(),
-                retry: 0,
-            })
-        }) else {
-            panic!()
+        let first_seq = match find_tx(&last) {
+            Some(Frame::Data(first)) => first.frame_seq,
+            // The first enqueue transmitted: the in-flight record names it.
+            _ => m.tx.inflight().unwrap().frame_seq,
         };
         m.on_tx_end_vec(t(200));
         let ack = AckFrame {
             transmitter: NodeId::new(1),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: first.frame_seq,
+            frame_seq: first_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: NodeList::new(),
         };
@@ -578,22 +575,23 @@ mod tests {
     #[test]
     fn duplicate_data_is_acked_but_not_redelivered() {
         let mut rx = mac(1, 1);
-        let frame = Frame::Data(DataFrame {
-            transmitter: NodeId::new(0),
-            link_dst: LinkDst::Unicast(NodeId::new(1)),
-            flow: FlowId::new(0),
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            frame_seq: 1,
-            subframes: vec![Subframe { seq: 0, packet: packet(0, 0, 1), corrupted: false }].into(),
-            retry: 0,
-        });
-        let first = rx.on_frame_rx_vec(frame.clone().into(), t(100));
+        let attempt = |frame_seq| {
+            Frame::Data(DataFrame {
+                transmitter: NodeId::new(0),
+                link_dst: LinkDst::Unicast(NodeId::new(1)),
+                flow: FlowId::new(0),
+                src: NodeId::new(0),
+                dst: NodeId::new(1),
+                frame_seq,
+                subframes: vec![Subframe { seq: 0, packet: packet(0, 0, 1), corrupted: false }]
+                    .into(),
+                retry: 0,
+            })
+        };
+        let first = rx.on_frame_rx_vec(attempt(1).into(), t(100));
         assert!(first.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
         // Retransmission of the same subframe (sender missed the ACK).
-        let Frame::Data(mut d) = frame else { panic!() };
-        d.frame_seq = 2;
-        let second = rx.on_frame_rx_vec(Frame::Data(d).into(), t(400));
+        let second = rx.on_frame_rx_vec(attempt(2).into(), t(400));
         assert!(
             !second.iter().any(|a| matches!(a, MacAction::Deliver { .. })),
             "duplicate must not be delivered twice"

@@ -77,8 +77,8 @@ pub struct NetHeader {
 ///
 /// Cloning is cheap by construction: the header is `Copy` and the body is a
 /// shared [`Body`] (reference-count bump, no byte copy) — which is why the
-/// MAC retransmission paths may clone packets freely while the
-/// `no-frame-deep-clone` lint forbids cloning whole frames.
+/// MAC retransmission paths may clone packets freely while whole frames are
+/// not `Clone` at all (see [`Frame`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Packet {
     /// End-to-end header.
@@ -131,6 +131,10 @@ impl RouteInfo {
 }
 
 /// One aggregated packet inside a data frame, with its channel fate.
+///
+/// The one frame-level type that stays `Clone`: [`SubframeVec`]'s
+/// copy-on-write needs it, and the clone is no deeper than the [`Packet`]
+/// clone it contains.
 #[derive(Clone, Debug)]
 pub struct Subframe {
     /// Link-level sequence number, per (flow, end-to-end source). Under
@@ -157,10 +161,14 @@ pub enum LinkDst {
 
 /// A MAC data frame: header, addressing, and up to 16 subframes.
 ///
-/// `Clone` is shallow — the subframe storage is shared copy-on-write (see
-/// [`SubframeVec`]) — and outside the channel-corruption seam nothing should
-/// clone frames at all; the `no-frame-deep-clone` lint enforces that.
-#[derive(Clone, Debug)]
+/// Deliberately not `Clone` (see [`Frame`]); the channel-corruption seam
+/// copies through [`DataFrame::diverged_copy`].
+///
+/// ```compile_fail
+/// fn needs_clone<T: Clone>() {}
+/// needs_clone::<wmn_mac::frame::DataFrame>();
+/// ```
+#[derive(Debug)]
 pub struct DataFrame {
     /// Station whose radio emitted this copy (changes as relays forward it).
     pub transmitter: NodeId,
@@ -183,6 +191,28 @@ pub struct DataFrame {
 }
 
 impl DataFrame {
+    /// A receiver's private copy of a broadcast frame, for the one place
+    /// that needs one: the channel-corruption seam (`wmn_netsim`'s
+    /// `stack/decode.rs`), which flags this receiver's own subframe losses
+    /// without touching the allocation every other receiver shares. The copy
+    /// is shallow — the subframe storage is shared copy-on-write (see
+    /// [`SubframeVec`]) until the caller's first `iter_mut` detaches it.
+    ///
+    /// A named method rather than `Clone` so that every other copy of a
+    /// frame is a compile error, not a silent per-receiver allocation.
+    pub fn diverged_copy(&self) -> DataFrame {
+        DataFrame {
+            transmitter: self.transmitter,
+            link_dst: self.link_dst.clone(),
+            flow: self.flow,
+            src: self.src,
+            dst: self.dst,
+            frame_seq: self.frame_seq,
+            subframes: self.subframes.clone(),
+            retry: self.retry,
+        }
+    }
+
     /// Simulated wire size: MAC header + forwarder list + per-subframe
     /// overhead + payload bytes.
     pub fn wire_bytes(&self) -> u32 {
@@ -209,9 +239,14 @@ impl DataFrame {
 /// A MAC acknowledgement, possibly carrying an aggregation bitmap and — for
 /// RIPPLE's two-way opportunistic forwarding — a relay priority list.
 ///
-/// Both lists are inline [`SmallList`]s: cloning an ACK never allocates at
-/// in-protocol sizes.
-#[derive(Clone, Debug)]
+/// Both lists are inline [`SmallList`]s: building an ACK never allocates at
+/// in-protocol sizes. Not `Clone` (see [`Frame`]).
+///
+/// ```compile_fail
+/// fn needs_clone<T: Clone>() {}
+/// needs_clone::<wmn_mac::frame::AckFrame>();
+/// ```
+#[derive(Debug)]
 pub struct AckFrame {
     /// Station whose radio emitted this copy.
     pub transmitter: NodeId,
@@ -241,7 +276,25 @@ impl AckFrame {
 }
 
 /// Anything a radio can put on the air.
-#[derive(Clone, Debug)]
+///
+/// Frames are shared, never copied: a broadcast fans one `Arc<Frame>` out to
+/// every receiver, so none of `Frame`, [`DataFrame`], [`AckFrame`] and
+/// [`RxFrame`] implements `Clone` — a per-receiver frame copy does not
+/// compile. What a second holder clones instead is the handle, or the cheap
+/// pieces:
+///
+/// ```
+/// fn needs_clone<T: Clone>() {}
+/// needs_clone::<std::sync::Arc<wmn_mac::frame::Frame>>();
+/// needs_clone::<wmn_mac::frame::Packet>();
+/// needs_clone::<wmn_mac::frame::Subframe>();
+/// ```
+///
+/// ```compile_fail
+/// fn needs_clone<T: Clone>() {}
+/// needs_clone::<wmn_mac::frame::Frame>();
+/// ```
+#[derive(Debug)]
 pub enum Frame {
     /// A data frame.
     Data(DataFrame),
@@ -294,7 +347,15 @@ impl Frame {
 /// moving an `RxFrame` through the receive path never copies a whole
 /// `Frame` by value — the box is one more allocation on the corruption
 /// branch, which already allocates, and zero on the fast path.
-#[derive(Clone, Debug)]
+///
+/// Not `Clone` (see [`Frame`]): re-delivering one frame to several MACs means
+/// `RxFrame::Shared(Arc::clone(..))`, as the engine does.
+///
+/// ```compile_fail
+/// fn needs_clone<T: Clone>() {}
+/// needs_clone::<wmn_mac::frame::RxFrame>();
+/// ```
+#[derive(Debug)]
 pub enum RxFrame {
     /// The transmitter's copy, shared by every clean receiver.
     Shared(Arc<Frame>),
@@ -418,9 +479,8 @@ mod tests {
 
     #[test]
     fn rx_frame_derefs_to_either_representation() {
-        let frame = Frame::Data(frame_with(2, None));
-        let shared = RxFrame::from(Arc::new(frame.clone()));
-        let owned = RxFrame::from(frame);
+        let shared = RxFrame::from(Arc::new(Frame::Data(frame_with(2, None))));
+        let owned = RxFrame::from(Frame::Data(frame_with(2, None)));
         assert_eq!(shared.wire_bytes(), owned.wire_bytes());
         assert_eq!(shared.transmitter(), NodeId::new(0));
     }

@@ -198,8 +198,8 @@ pub trait MacEntity: Send {
 /// This is the *reference* surface — what the pre-sink interface returned —
 /// kept for tests and tooling that want to pattern-match an action slice.
 /// Engines must not use it: a fresh sink per call is exactly the allocation
-/// the sink rework removed (the `hot-path-vec-new` lint watches the hot
-/// paths).
+/// the sink rework removed (the allocation gate's per-frame ceilings watch
+/// the hot paths).
 pub trait MacEntityExt: MacEntity {
     /// [`MacEntity::on_enqueue`] through a fresh sink, actions collected.
     fn on_enqueue_vec(&mut self, packet: Packet, route: RouteInfo, now: SimTime) -> Vec<MacAction> {

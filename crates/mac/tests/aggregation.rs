@@ -54,7 +54,7 @@ fn drain_first_frame(mac: &mut DcfMac, n_queued: usize) -> wmn_mac::DataFrame {
         })
         .expect("backoff armed");
     let actions = mac.on_timer_vec(token, t(1000) + delay);
-    find_data(&actions).expect("frame transmitted").clone()
+    find_data(&actions).expect("frame transmitted").diverged_copy()
 }
 
 /// At 6 Mbps the 6 ms airtime budget limits a frame to ~4500 payload

@@ -13,8 +13,9 @@
 //! a healthy channel — is handed to the MAC as [`RxFrame::Shared`], a pure
 //! `Arc` refcount bump of the broadcast allocation: zero heap allocations
 //! per clean decode. Only a frame with at least one corrupted subframe pays
-//! for a copy, and that copy-on-write branch is the single waived
-//! `.clone()` seam the `no-frame-deep-clone` lint rule polices.
+//! for a copy, and the two branches below are the only callers of
+//! `DataFrame::diverged_copy` — frames are not `Clone`, so there is no other
+//! way to copy one.
 
 use std::sync::Arc;
 
@@ -63,11 +64,10 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
         return Some(RxFrame::Shared(Arc::clone(frame)));
     }
     // Copy-on-write branch: at least one subframe was corrupted, so this
-    // receiver needs its own flags. The DataFrame clone is shallow (the
-    // subframe storage is an `Arc`); the `iter_mut` below is what detaches
-    // a private copy to write the flags into.
-    // lint:allow(no-frame-deep-clone): the corruption seam — the one place a received frame is legitimately copied, to flag this receiver's own subframe losses without touching the shared broadcast allocation
-    let mut owned = d.clone();
+    // receiver needs its own flags. The copy is shallow (the subframe
+    // storage is an `Arc`); the `iter_mut` below is what detaches a private
+    // copy to write the flags into.
+    let mut owned = d.diverged_copy();
     for (i, sf) in owned.subframes.iter_mut().enumerate() {
         if mask & (1 << i) != 0 {
             sf.corrupted = true;
@@ -76,11 +76,10 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
     Some(Frame::Data(owned).into())
 }
 
-/// Fallback for frames wider than the bitmask: clone eagerly and mutate in
+/// Fallback for frames wider than the bitmask: copy eagerly and mutate in
 /// place, drawing in the exact same order as the masked path.
 fn decode_wide(ber: &BerModel, rng: &mut StreamRng, d: &wmn_mac::DataFrame) -> RxFrame {
-    // lint:allow(no-frame-deep-clone): corruption-seam fallback for frames wider than the 128-bit mask — same waiver as the masked branch above
-    let mut owned = d.clone();
+    let mut owned = d.diverged_copy();
     for sf in owned.subframes.iter_mut() {
         let bytes = SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes;
         if !ber.unit_survives(bytes, rng) {

@@ -426,6 +426,7 @@ impl wmn_mac::MacScheme for ExorScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wmn_mac::frame::{NetHeader, Proto};
     use wmn_mac::MacEntityExt;
 
@@ -461,11 +462,17 @@ mod tests {
         }
     }
 
-    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+    /// The first transmission among `actions`, as the broadcast handle every
+    /// receiver shares.
+    fn find_shared_tx(actions: &[MacAction]) -> Option<&Arc<Frame>> {
         actions.iter().find_map(|a| match a {
-            MacAction::StartTx { frame, .. } => Some(&**frame),
+            MacAction::StartTx { frame, .. } => Some(frame),
             _ => None,
         })
+    }
+
+    fn find_tx(actions: &[MacAction]) -> Option<&Frame> {
+        find_shared_tx(actions).map(|frame| &**frame)
     }
 
     fn timers(actions: &[MacAction]) -> Vec<(SimDuration, TimerToken)> {
@@ -478,11 +485,17 @@ mod tests {
             .collect()
     }
 
-    fn tx_data_frame(src_mac: &mut ExorMac, now: SimTime) -> DataFrame {
+    fn tx_data_frame(src_mac: &mut ExorMac, now: SimTime) -> Arc<Frame> {
         let actions = src_mac.on_enqueue_vec(packet(0, 0, 3), route_0_to_3(), now);
-        match find_tx(&actions) {
-            Some(Frame::Data(d)) => d.clone(),
-            _ => panic!("expected immediate data tx"),
+        let frame = find_shared_tx(&actions).expect("expected immediate tx");
+        assert!(matches!(**frame, Frame::Data(_)), "expected immediate data tx");
+        Arc::clone(frame)
+    }
+
+    fn data(frame: &Frame) -> &DataFrame {
+        match frame {
+            Frame::Data(d) => d,
+            Frame::Ack(_) => panic!("expected a data frame"),
         }
     }
 
@@ -491,12 +504,12 @@ mod tests {
         let mut m = mac(ExorMode::PreExor, 0);
         let d = tx_data_frame(&mut m, t(100));
         assert_eq!(
-            d.link_dst,
+            data(&d).link_dst,
             LinkDst::Opportunistic {
                 list: vec![NodeId::new(3), NodeId::new(2), NodeId::new(1)].into(),
             }
         );
-        assert_eq!(d.subframes.len(), 1, "no aggregation in preExOR/MCExOR");
+        assert_eq!(data(&d).subframes.len(), 1, "no aggregation in preExOR/MCExOR");
     }
 
     #[test]
@@ -506,12 +519,12 @@ mod tests {
         let c = cfg();
         // Destination (rank 0).
         let mut dest = mac(ExorMode::PreExor, 3);
-        let acts = dest.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = dest.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let (delay0, _) = timers(&acts)[0];
         assert_eq!(delay0, c.sifs);
         // Forwarder rank 2 (node 1).
         let mut fwd = mac(ExorMode::PreExor, 1);
-        let acts = fwd.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = fwd.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         let (delay2, _) = timers(&acts)[0];
         assert_eq!(delay2, c.sifs + (c.t_ack + c.sifs) * 2);
     }
@@ -522,7 +535,7 @@ mod tests {
         let d = tx_data_frame(&mut src, t(100));
         let c = cfg();
         let mut fwd = mac(ExorMode::McExor, 2); // rank 1
-        let acts = fwd.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = fwd.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         let (delay, _) = timers(&acts)[0];
         assert_eq!(delay, c.sifs * 2, "rank 1 waits 2 SIFS");
     }
@@ -532,7 +545,7 @@ mod tests {
         let mut src = mac(ExorMode::PreExor, 0);
         let d = tx_data_frame(&mut src, t(100));
         let mut dest = mac(ExorMode::PreExor, 3);
-        let acts = dest.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = dest.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         assert!(acts.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
     }
 
@@ -541,9 +554,9 @@ mod tests {
         let mut src = mac(ExorMode::PreExor, 0);
         let d1 = tx_data_frame(&mut src, t(100));
         let mut dest = mac(ExorMode::PreExor, 3);
-        dest.on_frame_rx_vec(Frame::Data(d1.clone()).into(), t(200));
+        dest.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d1)), t(200));
         // Source retransmits (missed ACK): same seq, new frame_seq.
-        let mut d2 = d1;
+        let mut d2 = data(&d1).diverged_copy();
         d2.frame_seq += 10;
         let acts = dest.on_frame_rx_vec(Frame::Data(d2).into(), t(400));
         assert!(
@@ -558,14 +571,14 @@ mod tests {
         let mut src = mac(ExorMode::McExor, 0);
         let d = tx_data_frame(&mut src, t(100));
         let mut fwd = mac(ExorMode::McExor, 1); // rank 2
-        let acts = fwd.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = fwd.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let (_, token) = timers(&acts)[0];
         // The destination's ACK is overheard before our slot.
         let higher_ack = AckFrame {
             transmitter: NodeId::new(3),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: NodeList::new(),
         };
@@ -580,7 +593,7 @@ mod tests {
         let mut src = mac(ExorMode::McExor, 0);
         let d = tx_data_frame(&mut src, t(100));
         let mut fwd = mac(ExorMode::McExor, 2); // rank 1: best receiver if dest missed
-        let acts = fwd.on_frame_rx_vec(Frame::Data(d).into(), t(200));
+        let acts = fwd.on_frame_rx_vec(RxFrame::Shared(d), t(200));
         let (delay, token) = timers(&acts)[0];
         let acts = fwd.on_timer_vec(token, t(200) + delay);
         match find_tx(&acts) {
@@ -597,7 +610,7 @@ mod tests {
         let d = tx_data_frame(&mut src, t(100));
         // Case 1: no higher-priority ACK heard → relay.
         let mut fwd = mac(ExorMode::PreExor, 2); // rank 1
-        let acts = fwd.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = fwd.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let relay_timer = timers(&acts).last().copied().unwrap();
         let acts = fwd.on_timer_vec(relay_timer.1, t(200) + relay_timer.0);
         // The idle channel lets the adopted relay transmit immediately.
@@ -614,13 +627,13 @@ mod tests {
         assert!(relayed, "forwarder must adopt and relay the packet");
         // Case 2: destination ACK heard → discard.
         let mut fwd2 = mac(ExorMode::PreExor, 2);
-        let acts = fwd2.on_frame_rx_vec(Frame::Data(d.clone()).into(), t(200));
+        let acts = fwd2.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
         let relay_timer = timers(&acts).last().copied().unwrap();
         let dest_ack = AckFrame {
             transmitter: NodeId::new(3),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: NodeList::new(),
         };
@@ -638,7 +651,7 @@ mod tests {
             transmitter: NodeId::new(1),
             to: NodeId::new(0),
             flow: FlowId::new(0),
-            frame_seq: d.frame_seq,
+            frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: NodeList::new(),
         };
@@ -660,8 +673,8 @@ mod tests {
         let acts = src.on_timer_vec(tok2, t(160) + delay + d2);
         match find_tx(&acts) {
             Some(Frame::Data(retry)) => {
-                assert_eq!(retry.subframes[0].seq, d.subframes[0].seq);
-                assert!(retry.frame_seq > d.frame_seq, "fresh frame_seq per attempt");
+                assert_eq!(retry.subframes[0].seq, data(&d).subframes[0].seq);
+                assert!(retry.frame_seq > data(&d).frame_seq, "fresh frame_seq per attempt");
             }
             _ => panic!("expected retransmission"),
         }

@@ -209,7 +209,7 @@ impl SweepSpec {
             ));
         }
         let specs = self.scenario_specs();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for spec in &specs {
             if !seen.insert(spec.name.as_str()) {
                 return Err(format!(
@@ -338,7 +338,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ci_quick_is_a_32_run_grid() {
@@ -352,7 +352,7 @@ mod tests {
         let sweep = SweepSpec::ci_quick();
         let specs = sweep.scenario_specs();
         assert_eq!(specs.len(), 16);
-        let names: HashSet<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let names: BTreeSet<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), specs.len(), "names must be unique");
         assert!(names.iter().all(|n| n.starts_with("ci-quick-")));
     }
@@ -432,7 +432,7 @@ mod tests {
                 );
             }
         }
-        let names: HashSet<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let names: BTreeSet<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), specs.len(), "names must stay unique across the axis");
         // The JSON round-trip covers the axis.
         assert_eq!(SweepSpec::parse(&sweep.to_json().to_string()).unwrap(), sweep);
