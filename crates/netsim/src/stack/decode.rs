@@ -28,6 +28,30 @@ use wmn_sim::StreamRng;
 /// fallback with the identical draw order.
 const MASK_WIDTH: usize = 128;
 
+/// [`BerModel::unit_survives`] for the units of one frame: the survival
+/// probability (an `exp`) is recomputed only when the unit size changes,
+/// and the subframes of an aggregated frame are almost always one size.
+/// Same probability bits, one draw per unit in the same order — the stream
+/// cannot tell.
+struct UnitDraw<'a> {
+    ber: &'a BerModel,
+    bytes: u32,
+    probability: f64,
+}
+
+impl<'a> UnitDraw<'a> {
+    fn new(ber: &'a BerModel, bytes: u32) -> Self {
+        UnitDraw { ber, bytes, probability: ber.unit_success_probability(bytes) }
+    }
+
+    fn survives(&mut self, bytes: u32, rng: &mut StreamRng) -> bool {
+        if bytes != self.bytes {
+            *self = UnitDraw::new(self.ber, bytes);
+        }
+        rng.chance(self.probability)
+    }
+}
+
 /// Applies the i.i.d. BER model to one received frame: the header must
 /// survive for anything to be decoded; each subframe's CRC fails
 /// independently. Returns `None` when the header is lost, a shared handle
@@ -42,7 +66,8 @@ const MASK_WIDTH: usize = 128;
 /// with the counting allocator; simulation code reaches it from the station
 /// stack's RxEnd handler.
 pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> Option<RxFrame> {
-    if !ber.unit_survives(frame.header_bytes(), rng) {
+    let mut unit = UnitDraw::new(ber, frame.header_bytes());
+    if !unit.survives(frame.header_bytes(), rng) {
         return None;
     }
     let d = match &**frame {
@@ -51,12 +76,12 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
         Frame::Data(d) => d,
     };
     if d.subframes.len() > MASK_WIDTH {
-        return Some(decode_wide(ber, rng, d));
+        return Some(decode_wide(unit, rng, d));
     }
     let mut mask: u128 = 0;
     for (i, sf) in d.subframes.iter().enumerate() {
         let bytes = SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes;
-        if !ber.unit_survives(bytes, rng) {
+        if !unit.survives(bytes, rng) {
             mask |= 1 << i;
         }
     }
@@ -78,11 +103,11 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
 
 /// Fallback for frames wider than the bitmask: copy eagerly and mutate in
 /// place, drawing in the exact same order as the masked path.
-fn decode_wide(ber: &BerModel, rng: &mut StreamRng, d: &wmn_mac::DataFrame) -> RxFrame {
+fn decode_wide(mut unit: UnitDraw<'_>, rng: &mut StreamRng, d: &wmn_mac::DataFrame) -> RxFrame {
     let mut owned = d.diverged_copy();
     for sf in owned.subframes.iter_mut() {
         let bytes = SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes;
-        if !ber.unit_survives(bytes, rng) {
+        if !unit.survives(bytes, rng) {
             sf.corrupted = true;
         }
     }

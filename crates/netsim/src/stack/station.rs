@@ -54,6 +54,10 @@ const LANE_NODE: u32 = 1;
 /// WebStart, TcpRto).
 const LANE_FLOW: u32 = 2;
 
+// Every sift moves whole heap entries: a fat `Event` variant is a build
+// error, not a slow queue.
+const _: () = assert!(KeyedEventQueue::<Event>::ENTRY_BYTES <= 48);
+
 /// The two global passes, numbered in the order they run when they
 /// coincide: mobility first, then routing over the moved topology.
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +117,22 @@ enum Discipline {
     },
 }
 
+/// A block of consecutive keys minted for one origin by
+/// [`Discipline::keys`].
+#[derive(Clone, Copy)]
+struct KeyBlock {
+    lane: u32,
+    entity: u32,
+    first: u64,
+}
+
+impl KeyBlock {
+    /// The block's `i`-th key, counting from zero.
+    fn nth(self, i: u64) -> EventKey {
+        EventKey::new(self.lane, self.entity, self.first + i)
+    }
+}
+
 impl Discipline {
     /// The discipline `scenario` asks for, its streams derived from `dir`.
     fn for_scenario(scenario: &Scenario, dir: &RngDirectory) -> Discipline {
@@ -135,6 +155,13 @@ impl Discipline {
 
     /// Mints the next key for an event caused by `origin`.
     fn key(&mut self, origin: Origin) -> EventKey {
+        self.keys(origin, 1).nth(0)
+    }
+
+    /// Mints the next `count` keys of `origin` at once; taken one by one
+    /// in [`KeyBlock::nth`] order they are the keys `count` calls of
+    /// [`Discipline::key`] would have returned.
+    fn keys(&mut self, origin: Origin, count: u64) -> KeyBlock {
         let (lane, entity, seq) = match (self, origin) {
             (Discipline::Legacy { seq, .. }, _) => (0, 0, seq),
             (Discipline::PerEntity { node_seq, .. }, Origin::Node(node)) => {
@@ -147,9 +174,9 @@ impl Discipline {
                 (LANE_PASS, pass as usize, &mut pass_seq[pass as usize])
             }
         };
-        let key = EventKey::new(lane, entity as u32, *seq);
-        *seq += 1;
-        key
+        let block = KeyBlock { lane, entity: entity as u32, first: *seq };
+        *seq += count;
+        block
     }
 
     /// The stream a transmission by `tx` draws its shadowing from.
@@ -169,6 +196,20 @@ impl Discipline {
     }
 }
 
+/// What [`StationStack::broadcast`] fills per transmission and keeps warm in
+/// between: zero planner, ordering or scheduling allocations at steady
+/// state.
+#[derive(Default)]
+struct BroadcastScratch {
+    /// Output of `Medium::plan_transmission_into`.
+    plans: Vec<RxPlan>,
+    /// Each plan's slab id, by plan index.
+    arrivals: Vec<u64>,
+    /// `(propagation delay, plan index)`, sorted: the order the receptions
+    /// start in (and, one airtime later, end in).
+    order: Vec<(SimDuration, u32)>,
+}
+
 /// The per-station / per-flow engine state and its event handlers (see the
 /// module docs). Building is derivation-only: no RNG stream is advanced by
 /// construction.
@@ -185,9 +226,8 @@ pub(crate) struct StationStack {
     receivers: Vec<Receiver>,
     arrivals: ArrivalSlab,
     ber: BerModel,
-    /// Reusable buffer for `Medium::plan_transmission_into` — zero planner
-    /// allocations per transmission at steady state.
-    plan_scratch: Vec<RxPlan>,
+    /// `broadcast`'s buffers, reused by every transmission.
+    scratch: BroadcastScratch,
     /// Recycler for transport packet bodies: once warm, minting a TCP
     /// segment or UDP datagram body reuses a retired buffer instead of
     /// allocating.
@@ -198,9 +238,16 @@ impl StationStack {
     /// Builds the stack from a validated scenario, every RNG stream derived
     /// from its master seed, under the discipline it asks for, and seeds
     /// the queue with every flow's arrival process, sized to exactly that
-    /// load plus the stations' steady-state schedule burst (a backoff
-    /// timer, a TxEnd and in-flight deliveries each), so the heap warms up
-    /// here instead of growing inside the hot loop.
+    /// load plus a few entries per station, so the heap warms up here
+    /// instead of growing inside the hot loop. What a station itself can
+    /// hold in the heap is a MAC timer and a TxEnd; receptions are not in
+    /// that count — a transmission in flight is two entries (the heads of
+    /// its RxStart and RxEnd runs) whatever its fan-out, so the
+    /// 1024-station campus peaks at 321 entries. The pre-size is kept at
+    /// four per station all the same: halving it bought nothing the
+    /// benchmark could measure, and what outgrows it either way is a TCP
+    /// flow's superseded RTO timers (thousands of heap entries on the
+    /// figure grids).
     pub(crate) fn build(scenario: &Scenario) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
@@ -223,7 +270,7 @@ impl StationStack {
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             arrivals: ArrivalSlab::default(),
             ber: BerModel::new(scenario.params.ber),
-            plan_scratch: Vec::new(),
+            scratch: BroadcastScratch::default(),
             pool: FramePool::default(),
         }
     }
@@ -407,9 +454,16 @@ impl StationStack {
     /// Fans one transmission out to every station that will perceive it:
     /// plans receptions (one shadowing draw per pair, station-index order,
     /// from the discipline's stream for this transmitter), parks each in the
-    /// slab and schedules its RxStart/RxEnd pair under the transmitter's
-    /// keys, in plan order. Every receiver shares the one frame allocation
-    /// the MAC minted.
+    /// slab and mints its RxStart/RxEnd key pair under the transmitter, all
+    /// in plan order. Every receiver shares the one frame allocation the MAC
+    /// minted.
+    ///
+    /// The 2·F events enter the queue as two runs, not 2·F heap entries (see
+    /// [`KeyedEventQueue::schedule_run_in`]): receptions sorted by
+    /// `(delay, plan index)` are in `(time, key)` order, because keys grow
+    /// with the plan index, and the RxEnds share that order because each is
+    /// its RxStart plus the one airtime. The sort works on a recycled
+    /// scratch of small integer tuples — no allocation at steady state.
     fn broadcast(
         &mut self,
         from: NodeId,
@@ -417,19 +471,31 @@ impl StationStack {
         airtime: SimDuration,
         medium: &Medium,
     ) {
-        let mut plans = std::mem::take(&mut self.plan_scratch);
-        medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
-        for plan in &plans {
-            let arrival = self.arrivals.alloc(ArrivalState {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let BroadcastScratch { plans, arrivals, order } = &mut scratch;
+        medium.plan_transmission_into(from, self.discipline.medium_rng(from), plans);
+        arrivals.clear();
+        arrivals.extend(plans.iter().map(|plan| {
+            self.arrivals.alloc(ArrivalState {
                 node: plan.to,
                 frame: Arc::clone(&frame),
                 decodable: plan.decodable,
                 power_dbm: plan.power_dbm,
-            });
-            self.schedule_in(plan.delay, Origin::Node(from), Event::RxStart { arrival });
-            self.schedule_in(plan.delay + airtime, Origin::Node(from), Event::RxEnd { arrival });
-        }
-        self.plan_scratch = plans;
+            })
+        }));
+        order.clear();
+        order.extend(plans.iter().zip(0u32..).map(|(plan, index)| (plan.delay, index)));
+        order.sort_unstable();
+        // Plan `i` owns keys 2i (RxStart) and 2i + 1 (RxEnd) of the block.
+        let keys = self.discipline.keys(Origin::Node(from), 2 * plans.len() as u64);
+        self.queue.schedule_run_in(order.iter().map(|&(delay, i)| {
+            (delay, keys.nth(2 * u64::from(i)), Event::RxStart { arrival: arrivals[i as usize] })
+        }));
+        self.queue.schedule_run_in(order.iter().map(|&(delay, i)| {
+            let arrival = arrivals[i as usize];
+            (delay + airtime, keys.nth(2 * u64::from(i) + 1), Event::RxEnd { arrival })
+        }));
+        self.scratch = scratch;
     }
 
     fn handle_delivery(&mut self, node: NodeId, packet: Packet, w: World<'_>) {
@@ -774,6 +840,149 @@ mod tests {
         }
         let expected: Vec<u64> = (0..ROUNDS).flat_map(|_| [10, 20, 30, 21, 11]).collect();
         assert_eq!(tokens, expected);
+    }
+
+    impl StationStack {
+        /// The per-event scheduling `broadcast` replaced — 2·F pushes, in
+        /// plan order — kept as its oracle.
+        fn broadcast_per_event(
+            &mut self,
+            from: NodeId,
+            frame: Arc<Frame>,
+            airtime: SimDuration,
+            medium: &Medium,
+        ) {
+            let mut plans = std::mem::take(&mut self.scratch.plans);
+            medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
+            for plan in &plans {
+                let arrival = self.arrivals.alloc(ArrivalState {
+                    node: plan.to,
+                    frame: Arc::clone(&frame),
+                    decodable: plan.decodable,
+                    power_dbm: plan.power_dbm,
+                });
+                self.schedule_in(plan.delay, Origin::Node(from), Event::RxStart { arrival });
+                let end = Event::RxEnd { arrival };
+                self.schedule_in(plan.delay + airtime, Origin::Node(from), end);
+            }
+            self.scratch.plans = plans;
+        }
+    }
+
+    /// Thirty-one stations within carrier-sense reach of each other, in an
+    /// index order that is not a distance order from anywhere: four
+    /// colocated at the origin (zero delay — every reception of a
+    /// transmission from there ties) and, around it, rings of exact radius
+    /// 5 m and 10 m (3-4-5 triangles: equal non-zero delays, ≈ 17 and 33 ns).
+    fn dense_scenario(shards: Option<u32>) -> Scenario {
+        let ring = [(5, 0), (3, 4), (0, 5), (-4, 3), (-5, 0), (-3, -4), (0, -5), (4, -3), (4, 3)];
+        let mut positions = Vec::new();
+        for (i, (x, y)) in ring.into_iter().enumerate() {
+            let (x, y) = (f64::from(x), f64::from(y));
+            positions.push(Position::new(2.0 * x, 2.0 * y));
+            positions.push(Position::new(x, y));
+            positions.push(Position::new(-2.0 * y, 2.0 * x));
+            if i % 3 == 0 {
+                positions.push(Position::new(0.0, 0.0));
+            }
+        }
+        positions.push(Position::new(0.0, 0.0));
+        Scenario { positions, shards, ..relay_scenario() }
+    }
+
+    /// What one pop of the reception test's queues is compared on.
+    type Popped = (SimTime, &'static str, u32, u64);
+
+    /// Three overlapping transmissions, two timers and whatever the flow
+    /// seeded, popped to exhaustion, and the key each transmitter would
+    /// mint next; `send` is the broadcast under test.
+    fn pop_sequence(
+        scenario: &Scenario,
+        send: fn(&mut StationStack, NodeId, Arc<Frame>, SimDuration, &Medium),
+    ) -> (Vec<Popped>, [EventKey; 2]) {
+        let mut stack = StationStack::build(scenario);
+        let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
+        let n = scenario.positions.len() as u32;
+        let frame = |from| {
+            Arc::new(Frame::Ack(AckFrame {
+                transmitter: from,
+                to: NodeId::new(0),
+                flow: FlowId::new(0),
+                frame_seq: 0,
+                acked_seqs: Default::default(),
+                relay_list: Default::default(),
+            }))
+        };
+        let airtime = SimDuration::from_micros(40);
+        let mut popped = Vec::new();
+        let mut pop = |stack: &mut StationStack, count: usize| {
+            for _ in 0..count {
+                let Some((at, event)) = stack.queue.pop() else { return };
+                popped.push(match event {
+                    Event::RxStart { arrival } => {
+                        let a = stack.arrivals.peek(arrival).expect("parked until its RxEnd");
+                        (at, "RxStart", a.node.index() as u32, arrival)
+                    }
+                    // Taken, so the next transmission recycles slab slots.
+                    Event::RxEnd { arrival } => {
+                        let a = stack.arrivals.take(arrival).expect("parked until its RxEnd");
+                        (at, "RxEnd", a.node.index() as u32, arrival)
+                    }
+                    Event::MacTimer { node, token } => {
+                        (at, "MacTimer", node.index() as u32, token.0)
+                    }
+                    _ => (at, "flow", 0, 0),
+                });
+            }
+        };
+        let timer = |stack: &mut StationStack, delay, node: u32| {
+            let node = NodeId::new(node);
+            let event = Event::MacTimer { node, token: TimerToken(u64::from(node.index() as u32)) };
+            stack.schedule_in(delay, Origin::Node(node), event);
+        };
+        let [inner, outer] = [5.0, 10.0].map(|m| scenario.params.propagation_delay(m));
+
+        // From the origin: its colocated twins tie at zero delay, each ring
+        // at its own; a timer ties with the inner ring.
+        let first = NodeId::new(n - 1);
+        send(&mut stack, first, frame(first), airtime, &medium);
+        timer(&mut stack, inner, n - 2);
+        // Past the zero-delay ties and into the inner ring's.
+        pop(&mut stack, 8);
+        let now = stack.now();
+        assert!(SimTime::ZERO < now && now < SimTime::ZERO + outer, "inside the window: {now:?}");
+        // A lower-indexed station on the inner ring transmits before the
+        // outer ring has heard the first frame, and a timer fires *now*.
+        let second = NodeId::new(1);
+        send(&mut stack, second, frame(second), airtime, &medium);
+        timer(&mut stack, SimDuration::ZERO, 0);
+        // Into the RxEnds, so the third transmission recycles slab slots.
+        pop(&mut stack, 80);
+        assert!(stack.now() > SimTime::ZERO + airtime);
+        send(&mut stack, first, frame(first), airtime, &medium);
+        pop(&mut stack, usize::MAX);
+        assert!(stack.queue.is_empty());
+        (popped, [first, second].map(|node| stack.discipline.key(Origin::Node(node))))
+    }
+
+    #[test]
+    fn broadcast_pops_what_per_event_scheduling_pops() {
+        for shards in [None, Some(1)] {
+            let scenario = dense_scenario(shards);
+            let (runs, next_keys) = pop_sequence(&scenario, StationStack::broadcast);
+            let oracle = pop_sequence(&scenario, StationStack::broadcast_per_event);
+            assert_eq!((&runs, next_keys), (&oracle.0, oracle.1), "shards: {shards:?}");
+            // The comparison is not vacuous: dozens of receptions each, and
+            // the ties the placement was built for.
+            let count = |kind| runs.iter().filter(|p| p.1 == kind).count();
+            assert_eq!(count("RxStart"), count("RxEnd"));
+            assert!(count("RxStart") >= 60, "{} receptions", count("RxStart"));
+            assert_eq!(count("MacTimer"), 2);
+            let inner = SimTime::ZERO + scenario.params.propagation_delay(5.0);
+            let tied = |at| runs.iter().filter(|p| p.0 == at).count();
+            let (colocated, ring) = (tied(SimTime::ZERO), tied(inner));
+            assert!(colocated >= 3 && ring >= 6, "{colocated} at 0 ns, {ring} at {inner:?}");
+        }
     }
 
     #[test]

@@ -94,16 +94,21 @@ proptest! {
 
 /// Builds a pooled `n`-subframe data frame like a transmitter would.
 fn pooled_frame(pool: &wmn_mac::FramePool, n: u32) -> std::sync::Arc<wmn_mac::Frame> {
+    pooled_frame_of(pool, &vec![1000; n as usize])
+}
+
+/// The same, its subframes carrying `sizes` wire bytes, in order.
+fn pooled_frame_of(pool: &wmn_mac::FramePool, sizes: &[u32]) -> std::sync::Arc<wmn_mac::Frame> {
     use wmn_mac::frame::{LinkDst, NetHeader, Packet, Proto, Subframe};
-    let header = NetHeader {
-        flow: wmn_sim::FlowId::new(0),
-        src: NodeId::new(0),
-        dst: NodeId::new(3),
-        proto: Proto::Tcp,
-        wire_bytes: 1000,
-    };
     let mut subframes = pool.mint_subframes();
-    for seq in 0..n {
+    for (seq, &wire_bytes) in (0u32..).zip(sizes) {
+        let header = NetHeader {
+            flow: wmn_sim::FlowId::new(0),
+            src: NodeId::new(0),
+            dst: NodeId::new(3),
+            proto: Proto::Tcp,
+            wire_bytes,
+        };
         subframes.push(Subframe {
             seq,
             packet: Packet::new(header, pool.mint_body(&[0u8; 18])),
@@ -165,5 +170,62 @@ proptest! {
                     "an Owned decode exists only to carry corrupted flags");
             }
         }
+    }
+}
+
+/// `decode_frame` recomputes a unit's survival probability only when the
+/// unit size changes. The oracle is the unmemoised loop — one
+/// `BerModel::unit_survives`, one `exp`, per unit — on a twin stream: same
+/// verdict per subframe, same stream position afterwards.
+#[test]
+fn memoised_decode_draws_what_the_unmemoised_loop_draws() {
+    use wmn_mac::frame::{Frame, RxFrame, SUBFRAME_OVERHEAD_BYTES};
+    use wmn_netsim::stack::decode::decode_frame;
+    use wmn_phy::BerModel;
+    use wmn_sim::StreamRng;
+
+    /// `None` = header lost, else the corrupted subframes' indices.
+    fn oracle(ber: &BerModel, rng: &mut StreamRng, frame: &Frame) -> Option<Vec<usize>> {
+        if !ber.unit_survives(frame.header_bytes(), rng) {
+            return None;
+        }
+        let Frame::Data(d) = frame else { return Some(Vec::new()) };
+        let sizes =
+            d.subframes.iter().map(|sf| SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes);
+        let lost: Vec<bool> = sizes.map(|bytes| !ber.unit_survives(bytes, rng)).collect();
+        Some((0..lost.len()).filter(|&i| lost[i]).collect())
+    }
+
+    fn corrupted(rx: &RxFrame) -> Vec<usize> {
+        let frame: &Frame = match rx {
+            RxFrame::Shared(frame) => frame,
+            RxFrame::Owned(frame) => frame,
+        };
+        let Frame::Data(d) = frame else { return Vec::new() };
+        (0..d.subframes.len()).filter(|&i| d.subframes[i].corrupted).collect()
+    }
+
+    // Repeats, alternations and a near-miss size; and a frame wider than
+    // the decoder's 128-bit mask, for its eager-copy fallback.
+    let mixed = [1000, 1000, 40, 40, 1000, 1536, 1536, 1536, 40, 1000, 999, 1000, 1000];
+    let wide: Vec<u32> = (0..137).map(|i| [1000, 1000, 40][i % 3]).collect();
+    let pool = wmn_mac::FramePool::default();
+    for (ber, sizes) in [(1e-6, &mixed[..]), (1e-5, &mixed[..]), (1e-6, &wide[..])] {
+        let (ber, frame) = (BerModel::new(ber), pooled_frame_of(&pool, sizes));
+        let mut rng = StreamRng::derive(11, "netsim-test/decode-memo");
+        let mut twin = StreamRng::derive(11, "netsim-test/decode-memo");
+        let (mut clean, mut corrupt) = (0, 0);
+        for round in 0..400 {
+            let got = decode_frame(&ber, &mut rng, &frame);
+            let want = oracle(&ber, &mut twin, &frame);
+            assert_eq!(got.as_ref().map(corrupted), want, "round {round}");
+            match want.as_deref() {
+                Some([]) => clean += 1,
+                Some(_) => corrupt += 1,
+                None => {}
+            }
+        }
+        assert_eq!(rng.next_u64(), twin.next_u64(), "the streams advanced alike");
+        assert!(clean > 0 && corrupt > 0, "{clean} clean and {corrupt} corrupt decodes");
     }
 }

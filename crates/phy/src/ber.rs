@@ -25,6 +25,9 @@ use wmn_sim::StreamRng;
 #[derive(Clone, Copy, Debug)]
 pub struct BerModel {
     ber: f64,
+    /// `ln(1 − ber)`, the per-bit log-survival: constant for the model, so
+    /// computed once here instead of once per decoded unit.
+    ln_bit_success: f64,
 }
 
 impl BerModel {
@@ -35,7 +38,7 @@ impl BerModel {
     /// Panics unless `0 ≤ ber < 1`.
     pub fn new(ber: f64) -> Self {
         assert!((0.0..1.0).contains(&ber), "invalid BER: {ber}");
-        BerModel { ber }
+        BerModel { ber, ln_bit_success: (1.0 - ber).ln() }
     }
 
     /// The configured bit error rate.
@@ -48,7 +51,7 @@ impl BerModel {
     pub fn unit_success_probability(&self, bytes: u32) -> f64 {
         let bits = f64::from(bytes) * 8.0;
         // ln-space for numerical robustness at large sizes.
-        (bits * (1.0 - self.ber).ln()).exp()
+        (bits * self.ln_bit_success).exp()
     }
 
     /// Randomly decides whether a `bytes`-long protected unit survives.
@@ -92,6 +95,24 @@ mod tests {
         let n = 40_000;
         let ok = (0..n).filter(|_| m.unit_survives(1000, &mut rng)).count() as f64 / n as f64;
         assert!((ok - m.unit_success_probability(1000)).abs() < 0.01);
+    }
+
+    /// Caching `ln(1 − BER)` at construction is the same expression
+    /// evaluated earlier: every probability keeps its bits, over the two
+    /// paper channels (Figs. 3 and 4) and every unit size a frame carries.
+    #[test]
+    fn cached_log_keeps_the_closed_form_bit_for_bit() {
+        for ber in [0.0, 1e-6, 1e-5, 1e-3] {
+            let m = BerModel::new(ber);
+            for bytes in (0..=64).chain(40..=1536) {
+                let closed_form = (f64::from(bytes) * 8.0 * (1.0 - ber).ln()).exp();
+                assert_eq!(
+                    m.unit_success_probability(bytes).to_bits(),
+                    closed_form.to_bits(),
+                    "BER {ber}, {bytes} B",
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,33 @@
 //! The future-event list.
 //!
-//! A thin wrapper over [`BinaryHeap`] that pops events in time order and —
-//! crucially for reproducibility — breaks ties among simultaneous events in
-//! insertion (FIFO) order, so a run is a pure function of the scenario seed.
+//! Two queues over [`BinaryHeap`]. [`EventQueue`] pops events in time order
+//! and — crucially for reproducibility — breaks ties among simultaneous
+//! events in insertion (FIFO) order, so a run is a pure function of the
+//! scenario seed. [`KeyedEventQueue`], the one the simulator runs on, breaks
+//! them by a content-derived [`EventKey`] instead.
+//!
+//! # Runs
+//!
+//! The simulator's unit of work is a broadcast: one transmission becomes a
+//! reception start and a reception end at every station in carrier-sense
+//! range, hundreds of events whose relative order is known the moment they
+//! are scheduled. [`KeyedEventQueue::schedule_run_in`] takes such a batch —
+//! a *run*, already in `(time, key)` order — keeps it in a recycled buffer
+//! beside the heap, and represents it in the heap by **one** entry carrying
+//! the `(time, key)` of the run's head. Popping that entry hands out the
+//! head, rewrites the entry to the next item's `(time, key)` and lets the
+//! heap re-sift it from the root — usually zero levels, because the next
+//! reception of the same frame is still the global minimum — and the entry
+//! leaves the heap when the run is spent. The pop sequence is therefore, by
+//! construction, the one scheduling every item on its own gives, for any
+//! interleaving with single events, other runs, or events scheduled at
+//! `now` in the middle of a run; what changes is that the heap holds the
+//! live timers and one entry per transmission in flight, not every pending
+//! reception.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -199,17 +221,59 @@ impl EventKey {
 /// insertion. Keyed on one lane with `seq` = the insertion count it pops
 /// exactly what an [`EventQueue`] pops, which is how the simulator runs both
 /// of its result families on this one queue.
+///
+/// Events enter one at a time ([`KeyedEventQueue::schedule_keyed`]) or as a
+/// *run* ([`KeyedEventQueue::schedule_run_in`]): a batch whose `(time, key)`
+/// order the caller already knows, held outside the heap and represented in
+/// it by a single entry (see the [module docs](self)). The two are
+/// indistinguishable from the popping side — same sequence, same clock,
+/// same [`len`](KeyedEventQueue::len) — so a run is purely a cheaper way to
+/// schedule events that are born sorted.
+///
+/// # Example
+///
+/// ```
+/// use wmn_sim::{EventKey, KeyedEventQueue, SimDuration, SimTime};
+///
+/// let ns = SimDuration::from_nanos;
+/// let mut q = KeyedEventQueue::with_capacity(4);
+/// q.schedule_run_in(
+///     [(ns(10), EventKey::new(0, 0, 0), "a"), (ns(30), EventKey::new(0, 0, 1), "c")],
+/// );
+/// q.schedule_keyed(SimTime::from_nanos(20), EventKey::new(0, 0, 2), "b");
+/// assert_eq!(q.len(), 3);
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+/// assert_eq!(order, ["a", "b", "c"]);
+/// ```
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
+    /// Run storage, indexed by [`Slot::Run`]: the items of a run not yet
+    /// popped, head at the front. The heap entry of a run mirrors its
+    /// head's `(at, key)`.
+    runs: Vec<VecDeque<(SimTime, EventKey, E)>>,
+    /// Indices of spent runs: their (empty, warm) buffers back the next
+    /// runs, so steady-state scheduling never meets the allocator.
+    free_runs: Vec<u32>,
+    /// Pending events: single entries plus every unpopped run item.
+    len: usize,
     now: SimTime,
+}
+
+/// What a heap entry stands for.
+#[derive(Debug)]
+enum Slot<E> {
+    /// One event, carried in the heap.
+    Single(E),
+    /// The head of the run stored at this index of `runs`.
+    Run(u32),
 }
 
 #[derive(Debug)]
 struct KeyedEntry<E> {
     at: SimTime,
     key: EventKey,
-    event: E,
+    slot: Slot<E>,
 }
 
 impl<E> PartialEq for KeyedEntry<E> {
@@ -234,15 +298,27 @@ impl<E> Ord for KeyedEntry<E> {
 }
 
 impl<E> KeyedEventQueue<E> {
-    /// Creates an empty queue with room for `capacity` pending events,
+    /// Bytes one heap entry occupies for this event type: what every sift
+    /// moves, so users with a hot event type pin it with a compile-time
+    /// assertion (netsim holds its `Event` to 48).
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<KeyedEntry<E>>();
+
+    /// Creates an empty queue with room for `capacity` heap entries,
     /// clamped to at least one slot.
     pub fn with_capacity(capacity: usize) -> Self {
-        KeyedEventQueue { heap: BinaryHeap::with_capacity(capacity.max(1)), now: SimTime::ZERO }
+        KeyedEventQueue {
+            heap: BinaryHeap::with_capacity(capacity.max(1)),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            len: 0,
+            now: SimTime::ZERO,
+        }
     }
 
     /// Schedules `event` at the absolute instant `at` under `key`.
     pub fn schedule_keyed(&mut self, at: SimTime, key: EventKey, event: E) {
-        self.heap.push(KeyedEntry { at, key, event });
+        self.len += 1;
+        self.heap.push(KeyedEntry { at, key, slot: Slot::Single(event) });
     }
 
     /// Schedules `event` under `key`, `delay` after [`KeyedEventQueue::now`].
@@ -257,13 +333,66 @@ impl<E> KeyedEventQueue<E> {
         self.schedule_keyed(self.now + delay, key, event);
     }
 
-    /// Reserves room for at least `additional` more pending events — the
-    /// per-station burst pre-sizing twin of [`EventQueue::reserve`].
+    /// Schedules a *run*: every `(delay, key, event)` of `items` fires
+    /// `delay` after [`KeyedEventQueue::now`] under `key`, exactly as if
+    /// each had been passed to [`KeyedEventQueue::schedule_keyed_in`] — but
+    /// the whole batch costs one heap entry (see the [module docs](self)).
+    /// An empty `items` schedules nothing.
+    ///
+    /// For any caller whose batch is born sorted; the simulator's is a
+    /// broadcast's reception starts (and, separately, its reception ends).
+    ///
+    /// # Panics
+    ///
+    /// `items` must already be in non-decreasing `(delay, key)` order. The
+    /// queue does not sort it: an out-of-order run is a caller bug that
+    /// would corrupt the pop order without failing any type check, so it is
+    /// rejected by a real `assert!` — in release builds too; the O(len)
+    /// scan is noise beside the heap work the run saves. (Equal `(delay,
+    /// key)` neighbours pass the scan; they break [`EventKey`]'s uniqueness
+    /// contract and pop in an unspecified order, as two single events would.)
+    ///
+    /// Debug builds also assert that no `now + delay` overflows the
+    /// [`SimTime`] range, like [`KeyedEventQueue::schedule_keyed_in`].
+    pub fn schedule_run_in(&mut self, items: impl IntoIterator<Item = (SimDuration, EventKey, E)>) {
+        let id = self.free_runs.pop().unwrap_or_else(|| {
+            self.runs.push(VecDeque::new());
+            (self.runs.len() - 1) as u32
+        });
+        let run = &mut self.runs[id as usize];
+        debug_assert!(run.is_empty(), "a free run buffer holds no items");
+        for (delay, key, event) in items {
+            debug_assert!(
+                self.now.as_nanos().checked_add(delay.as_nanos()).is_some(),
+                "schedule_run_in overflows SimTime: now + {delay:?} wraps past SimTime::MAX",
+            );
+            let at = self.now + delay;
+            if let Some(&(prev_at, prev_key, _)) = run.back() {
+                assert!(
+                    (prev_at, prev_key) <= (at, key),
+                    "schedule_run_in: run out of (time, key) order: \
+                     ({at:?}, {key:?}) follows ({prev_at:?}, {prev_key:?})",
+                );
+            }
+            run.push_back((at, key, event));
+        }
+        match run.front() {
+            Some(&(at, key, _)) => {
+                self.len += run.len();
+                self.heap.push(KeyedEntry { at, key, slot: Slot::Run(id) });
+            }
+            None => self.free_runs.push(id),
+        }
+    }
+
+    /// Reserves room for at least `additional` more heap entries — the
+    /// pre-sizing twin of [`EventQueue::reserve`]. A run of any length
+    /// takes one.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
     }
 
-    /// Current capacity of the backing heap, in events.
+    /// Current capacity of the backing heap, in entries.
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
     }
@@ -276,20 +405,43 @@ impl<E> KeyedEventQueue<E> {
     /// Removes and returns the earliest `(time, key)` event, advancing the
     /// clock to its instant.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.now = e.at;
-            (e.at, e.event)
-        })
+        let mut top = self.heap.peek_mut()?;
+        let at = top.at;
+        let event = match top.slot {
+            Slot::Run(id) => {
+                let run = &mut self.runs[id as usize];
+                let (_, _, event) = run.pop_front().expect("a run in the heap has a head");
+                match run.front() {
+                    // Dropping the mutated `top` re-sifts it from the root.
+                    Some(&(next_at, next_key, _)) => {
+                        top.at = next_at;
+                        top.key = next_key;
+                    }
+                    None => {
+                        PeekMut::pop(top);
+                        self.free_runs.push(id);
+                    }
+                }
+                event
+            }
+            Slot::Single(_) => match PeekMut::pop(top).slot {
+                Slot::Single(event) => event,
+                Slot::Run(_) => unreachable!("the entry just matched as a single event"),
+            },
+        };
+        self.len -= 1;
+        self.now = at;
+        Some((at, event))
     }
 
-    /// Number of pending events.
+    /// Number of pending events: a run counts every item it still holds.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 
@@ -539,7 +691,128 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_nanos(3));
     }
 
+    /// `len` counts events, not heap entries; the clock follows run items
+    /// like single events; a spent run's buffer is the next run's.
+    #[test]
+    fn run_counts_every_item_and_recycles_its_buffer() {
+        let ns = SimDuration::from_nanos;
+        let key = |seq| EventKey::new(0, 0, seq);
+        let mut q = KeyedEventQueue::with_capacity(1);
+        q.schedule_run_in(std::iter::empty::<(SimDuration, EventKey, u64)>());
+        assert!(q.is_empty(), "an empty run schedules nothing");
+        q.schedule_run_in((0..5).map(|i| (ns(10 * i), key(i), i)));
+        assert_eq!((q.len(), q.heap.len()), (5, 1));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(0), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
+        assert_eq!((q.len(), q.now()), (3, SimTime::from_nanos(10)));
+        // Delays count from the clock, mid-run: 15 ns lands between items.
+        q.schedule_run_in([(ns(5), key(5), 5)]);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [5, 2, 3, 4]);
+        assert!(q.is_empty() && q.heap.is_empty());
+        assert_eq!((q.runs.len(), q.free_runs.len()), (2, 2));
+        let warm: Vec<usize> = q.runs.iter().map(VecDeque::capacity).collect();
+        for round in 0..10 {
+            q.schedule_run_in((0..5).map(|i| (ns(i), key(100 * round + i), i)));
+            q.schedule_run_in([(ns(2), key(100 * round + 50), 9)]);
+            while q.pop().is_some() {}
+        }
+        assert_eq!(q.runs.iter().map(VecDeque::capacity).collect::<Vec<_>>(), warm);
+    }
+
+    /// The run API's misuse case. A real `assert!`, so this test holds
+    /// under `cargo test --release` as well.
+    #[test]
+    #[should_panic(expected = "out of (time, key) order")]
+    fn unsorted_run_is_rejected_in_release_too() {
+        let mut q = KeyedEventQueue::with_capacity(1);
+        let ns = SimDuration::from_nanos;
+        q.schedule_run_in([
+            (ns(2), EventKey::new(0, 0, 0), ()),
+            (ns(1), EventKey::new(0, 0, 1), ()),
+        ]);
+    }
+
+    /// Equal instants are ordered by key: the later-minted key may not lead.
+    #[test]
+    #[should_panic(expected = "out of (time, key) order")]
+    fn run_with_keys_out_of_order_at_one_instant_is_rejected() {
+        let mut q = KeyedEventQueue::with_capacity(1);
+        let ns = SimDuration::from_nanos;
+        q.schedule_run_in([
+            (ns(1), EventKey::new(0, 0, 1), ()),
+            (ns(1), EventKey::new(0, 0, 0), ()),
+        ]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflows SimTime")]
+    fn schedule_run_in_overflow_is_caught_in_debug() {
+        let mut q = KeyedEventQueue::with_capacity(1);
+        q.schedule_keyed(SimTime::MAX - SimDuration::from_nanos(1), EventKey::new(0, 0, 0), ());
+        q.pop();
+        q.schedule_run_in([(SimDuration::from_nanos(2), EventKey::new(0, 0, 1), ())]);
+    }
+
     proptest! {
+        /// A run is nothing but a cheaper way in: one random program —
+        /// single events, runs of length 0 / 1 / many, pops anywhere;
+        /// delays of 0–3 ns, so equal instants, equal instants with
+        /// adjacent keys and items at `now` are the common case — drives
+        /// two queues, one scheduling every run item on its own in minting
+        /// order, and the two agree on every pop, on the clock and on the
+        /// count after every step.
+        #[test]
+        fn prop_runs_pop_as_their_items_scheduled_one_by_one(
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec((0u64..4, 0u32..3), 0..9)),
+                1..60,
+            ),
+        ) {
+            let mut batched = KeyedEventQueue::with_capacity(0);
+            let mut itemwise = KeyedEventQueue::with_capacity(0);
+            let mut minted = 0u64;
+            for (op, mut items) in ops {
+                match op {
+                    0 | 1 => prop_assert_eq!(batched.pop(), itemwise.pop()),
+                    2 => {
+                        let (delay, lane) = items.first().copied().unwrap_or((0, 0));
+                        let key = EventKey::new(lane, 0, minted);
+                        batched.schedule_keyed_in(SimDuration::from_nanos(delay), key, minted);
+                        itemwise.schedule_keyed_in(SimDuration::from_nanos(delay), key, minted);
+                        minted += 1;
+                    }
+                    _ => {
+                        if op == 5 {
+                            items = items.repeat(5);
+                        }
+                        // Keys are minted in generation order (a broadcast's
+                        // plan order); the run is that batch sorted.
+                        let mut run = Vec::new();
+                        for (delay, lane) in items {
+                            let delay = SimDuration::from_nanos(delay);
+                            let key = EventKey::new(lane, 0, minted);
+                            itemwise.schedule_keyed_in(delay, key, minted);
+                            run.push((delay, key, minted));
+                            minted += 1;
+                        }
+                        run.sort_unstable();
+                        batched.schedule_run_in(run);
+                    }
+                }
+                prop_assert_eq!(batched.now(), itemwise.now());
+                prop_assert_eq!(batched.len(), itemwise.len());
+                prop_assert_eq!(batched.is_empty(), itemwise.is_empty());
+            }
+            while !itemwise.is_empty() {
+                prop_assert_eq!(batched.pop(), itemwise.pop());
+                prop_assert_eq!(batched.len(), itemwise.len());
+            }
+            prop_assert_eq!(batched.pop(), None);
+            prop_assert!(batched.is_empty() && batched.heap.is_empty());
+        }
+
         /// Keyed pop order is a pure function of the entry *set*: any
         /// permutation of the same `(time, key)` entries pops identically.
         #[test]
