@@ -436,7 +436,7 @@ mod tests {
         fig6.expect("its allocs_per_frame row comes first").value += 0.5;
         let failures = check(&measured, &budgets);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("fig6_class_end_to_end allocs_per_frame: 3 exceeds"));
+        assert!(failures[0].starts_with("fig6_class_end_to_end allocs_per_frame: 2.95 exceeds"));
     }
 
     #[test]

@@ -278,23 +278,30 @@ impl TcpSender {
         out.push(TcpAction::SetRtoTimer { delay, generation: self.timer_generation });
     }
 
-    /// Sends as much new data as the window allows.
+    /// [`TcpSender::pump_into`] for a caller with no actions of its own yet.
     fn pump(&mut self, now: SimTime) -> Vec<TcpAction> {
         let mut out = Vec::new();
+        self.pump_into(now, &mut out);
+        out
+    }
+
+    /// Sends as much new data as the window allows, appending to the
+    /// caller's actions: an ACK that advances and opens the window is one
+    /// vector, not one per stage.
+    fn pump_into(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         let window_edge = self.snd_una + self.effective_window();
         let limit = self.send_limit();
         let mut sent_any = false;
         while self.next_seq < window_edge && self.next_seq < limit {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.emit_data(seq, now, false, &mut out);
+            self.emit_data(seq, now, false, out);
             sent_any = true;
         }
         if sent_any {
-            self.arm_rto(&mut out);
+            self.arm_rto(out);
         }
-        self.maybe_report_complete(&mut out);
-        out
+        self.maybe_report_complete(out);
     }
 
     fn maybe_report_complete(&mut self, out: &mut Vec<TcpAction>) {
@@ -341,13 +348,13 @@ impl TcpSender {
             if self.snd_una < self.next_seq {
                 self.arm_rto(&mut out);
             }
-            out.extend(self.pump(now));
+            self.pump_into(now, &mut out);
             self.maybe_report_complete(&mut out);
         } else if cum_ack == self.snd_una && self.snd_una < self.next_seq {
             self.dupacks += 1;
             if self.in_recovery {
                 self.cwnd += 1.0; // window inflation per extra dupack
-                out.extend(self.pump(now));
+                self.pump_into(now, &mut out);
             } else if self.dupacks == self.cfg.dupack_threshold {
                 // Fast retransmit + fast recovery.
                 self.stats.fast_retransmits += 1;
@@ -614,6 +621,95 @@ mod tests {
             })
             .unwrap();
         assert_eq!(second_delay, first_delay * 2);
+    }
+
+    /// The counting allocator, so a test can hold an allocation count.
+    /// Its totals are process-wide and tests run on parallel threads: count
+    /// through a phase no other test of this crate enters (the phase in
+    /// force is per thread).
+    #[global_allocator]
+    static ALLOC: wmn_alloc::CountingAlloc = wmn_alloc::CountingAlloc;
+
+    fn allocs_in(f: impl FnOnce()) -> u64 {
+        let phase = wmn_alloc::Phase::TxPath;
+        let before = wmn_alloc::phase_totals()[phase as usize].allocs;
+        {
+            let _scope = wmn_alloc::phase_scope(phase);
+            f();
+        }
+        wmn_alloc::phase_totals()[phase as usize].allocs - before
+    }
+
+    #[test]
+    fn advancing_ack_arms_then_fills_the_window_in_one_vector() {
+        use TcpAction::{Send, SetRtoTimer};
+        let mut tx = TcpSender::new(TcpConfig::default());
+        tx.start_unlimited(t(0));
+        // Slow start, segments 0 and 1 in flight: the ACK of 0 re-arms for
+        // what is still out, then the opened window sends two and arms again
+        // — consecutive generations, both live at the same deadline.
+        let mut acts = Vec::new();
+        let allocs = allocs_in(|| acts = tx.on_ack(1, 0, t(10)));
+        assert_eq!(allocs, 1, "one action vector per advancing ACK");
+        match acts[..] {
+            [SetRtoTimer { delay: d1, generation: 2 }, Send { segment: s2, .. }, Send { segment: s3, .. }, SetRtoTimer { delay: d2, generation: 3 }] =>
+            {
+                assert_eq!(d1, d2);
+                assert_eq!(s2, TcpSegment::Data { seq: 2, ts: t(10).as_nanos(), retx: false });
+                assert_eq!(s3, TcpSegment::Data { seq: 3, ts: t(10).as_nanos(), retx: false });
+            }
+            _ => panic!("arm, two sends, arm — got {acts:?}"),
+        }
+        // Steady state, one new segment per ACK, every result dropped before
+        // the next: still exactly one allocation each.
+        let mut acked = 1;
+        let allocs = allocs_in(|| {
+            for ms in 11..111 {
+                acked += 1;
+                let acts = tx.on_ack(acked, 0, t(ms));
+                assert!(matches!(
+                    acts[..],
+                    [SetRtoTimer { .. }, Send { .. }, .., SetRtoTimer { .. }]
+                ));
+            }
+        });
+        assert_eq!(allocs, 100);
+    }
+
+    /// Actions as `R`etransmission / `D`ata sends by sequence, `T`imer by
+    /// generation and `C`omplete: the order the engine applies them in.
+    fn script(actions: &[TcpAction]) -> String {
+        let words: Vec<String> = actions
+            .iter()
+            .map(|a| match a {
+                TcpAction::Send { segment: TcpSegment::Data { seq, retx: true, .. }, .. } => {
+                    format!("R{seq}")
+                }
+                TcpAction::Send { segment: TcpSegment::Data { seq, .. }, .. } => format!("D{seq}"),
+                TcpAction::SetRtoTimer { generation, .. } => format!("T{generation}"),
+                TcpAction::SendComplete => "C".into(),
+                TcpAction::Send { .. } => "?".into(),
+            })
+            .collect();
+        words.join(" ")
+    }
+
+    #[test]
+    fn recovery_and_completion_keep_their_action_order() {
+        let mut tx = TcpSender::new(TcpConfig::default());
+        assert_eq!(script(&tx.request_send(9, t(0))), "D0 D1 T1");
+        assert_eq!(script(&tx.on_ack(2, 0, t(5))), "D2 D3 D4 D5 T2");
+        assert_eq!(script(&tx.on_ack(2, 0, t(6))), "");
+        assert_eq!(script(&tx.on_ack(2, 0, t(7))), "");
+        // Fast retransmit, then window inflation sends new data.
+        assert_eq!(script(&tx.on_ack(2, 0, t(8))), "R2 T3");
+        assert_eq!(script(&tx.on_ack(2, 0, t(9))), "D6 D7 T4");
+        // A partial ACK retransmits the next hole before it re-arms, and
+        // arms again behind what the window then lets out.
+        assert_eq!(script(&tx.on_ack(4, 0, t(10))), "R4 T5 D8 T6");
+        // The full ACK leaves recovery with nothing left to send or time.
+        assert_eq!(script(&tx.on_ack(9, 0, t(20))), "C");
+        assert_eq!(script(&tx.on_ack(9, 0, t(21))), "");
     }
 
     #[test]
