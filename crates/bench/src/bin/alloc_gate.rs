@@ -30,7 +30,6 @@
 
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use wmn_alloc::{AllocStats, Phase};
 use wmn_bench::{
@@ -95,7 +94,7 @@ fn clean_decode() -> Entry<'static> {
             corrupted: false,
         });
     }
-    let frame = Arc::new(Frame::Data(DataFrame {
+    let frame = Frame::Data(DataFrame {
         transmitter: NodeId::new(0),
         link_dst: LinkDst::Unicast(NodeId::new(1)),
         flow: FlowId::new(0),
@@ -104,7 +103,8 @@ fn clean_decode() -> Entry<'static> {
         frame_seq: 0,
         subframes,
         retry: 0,
-    }));
+    })
+    .into_shared();
     let ber = BerModel::new(0.0);
     let mut rng = StreamRng::derive(7, "bench/decode");
     let (decoded, stats) = wmn_alloc::measure(|| {

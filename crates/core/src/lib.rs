@@ -27,7 +27,7 @@
 //!
 //! The relay path rebuilds each forwarded frame from `Packet` clones, which
 //! is deliberate and cheap: a `wmn_mac::Packet` clone is a small header copy
-//! plus an `Arc` refcount bump on the pooled payload body, so a relayed
+//! plus a refcount bump on the pooled payload body, so a relayed
 //! subframe never duplicates its bytes. Cloning a whole *frame*, by
 //! contrast, does not compile: the frame types are not `Clone`, and only the
 //! decode seam copies one (`DataFrame::diverged_copy`).

@@ -692,14 +692,15 @@ mod tests {
         let mut src = mac(0, 16);
         let d = source_frame(&mut src, t(100));
         src.on_tx_end_vec(t(160));
-        let ack = Arc::new(Frame::Ack(AckFrame {
+        let ack = Frame::Ack(AckFrame {
             transmitter: NodeId::new(2), // a relayed ACK copy works too
             to: NodeId::new(0),
             flow: FlowId::new(0),
             frame_seq: data(&d).frame_seq,
             acked_seqs: vec![(FlowId::new(0), 0)].into(),
             relay_list: list(),
-        }));
+        })
+        .into_shared();
         src.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&ack)), t(400));
         assert!(src.tx.inflight().is_none(), "frame acknowledged end-to-end");
         // A duplicate ACK copy (the destination's direct one) is harmless.

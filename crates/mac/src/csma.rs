@@ -16,7 +16,6 @@
 //! so they monomorphise into the crate that uses them.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
@@ -341,7 +340,7 @@ impl<R> Csma<R> {
             Frame::Data(_) => RateClass::Data,
             Frame::Ack(_) => RateClass::Basic,
         };
-        out.push(MacAction::StartTx { frame: Arc::new(frame), rate });
+        out.push(MacAction::StartTx { frame: frame.into_shared(), rate });
     }
 
     /// Our own transmission finished: frees the radio and says which it was.

@@ -161,16 +161,32 @@ pub struct MacStats {
 ///
 /// The simulation runner (`wmn-netsim`) drives implementations through this
 /// trait; it is object-safe on purpose so the runner can store heterogeneous
-/// MACs behind one interface. `Send` is a supertrait although no MAC crosses
-/// a thread today (a run is built, driven and dropped on one executor
-/// worker): every MAC is plain owned state plus seeded RNG streams, so the
-/// bound costs implementations nothing.
+/// MACs behind one interface.
+///
+/// There is no `Send` bound, and a boxed MAC is not `Send`: it owns pool
+/// handles and queued frames whose counts are not atomic (see
+/// [`pool`](crate::pool#one-thread)). That is safe because a MAC is built
+/// by its run — on the executor worker that called `run`, from the
+/// scenario's [`MacScheme`], which is plain data and does travel — driven
+/// there and dropped there; nothing of it is in the `RunResult` that
+/// comes back.
+///
+/// ```
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::DcfScheme>();
+/// ```
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<Box<dyn wmn_mac::MacEntity>>();
+/// ```
+///
 /// Every handler writes its actions into the engine-owned [`ActionSink`]
 /// passed as `out` instead of returning a fresh `Vec` — the engine drains
 /// the sink after the call and reuses it for the next event, so the
 /// steady-state action path never allocates. Handlers append in the order
 /// the actions must be applied; they never read the sink back.
-pub trait MacEntity: Send {
+pub trait MacEntity {
     /// A packet arrives from the upper layer with its routing decision.
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink);
     /// The channel at this station turned busy.

@@ -20,14 +20,43 @@
 //! The pool is deliberately invisible to simulation results: which buffer a
 //! mint returns affects addresses only, never values, so pooling cannot
 //! perturb the bit-identical repro contract. A buffer is reclaimed by
-//! whoever drops its frame last; `FramePool` is `Send + Sync` (parking is a
-//! mutex push) although every frame of a run lives and dies on the one
-//! thread that runs it.
+//! whoever drops its frame last.
+//!
+//! # One thread
+//!
+//! Nothing here is `Send` or `Sync`, on purpose. A run is built, driven and
+//! dropped on the one executor worker that called `wmn_netsim::run`; what
+//! crosses threads is the `Scenario` going in and the `RunResult` coming
+//! out, and neither holds a frame, a pool or a MAC. So handles are [`Rc`],
+//! free lists are [`RefCell`]s and the generation is a [`Cell`]: a `Body`
+//! clone is two plain increments (its bytes, its home) and its last drop a
+//! plain push, where the thread-safe spelling paid two bus-locked
+//! instructions for the one and about six for the other. The
+//! `compile_fail` doctests on [`FramePool`], [`Body`] and [`SlotPool`]
+//! hold the contract: moving any of them to another thread does not
+//! compile, so a future thread cannot be "fixed" by quietly re-adding
+//! atomics here. What a second holder on the *same* thread does is clone
+//! the handle (and this block is the twin that keeps those doctests
+//! failing for the right reason — the names resolve):
+//!
+//! ```
+//! fn needs_clone<T: Clone>() {}
+//! needs_clone::<wmn_mac::FramePool>();
+//! needs_clone::<wmn_mac::Body>();
+//! needs_clone::<wmn_mac::SlotPool<u8>>();
+//! ```
+//!
+//! The price is that a double borrow is a runtime panic, not a compile
+//! error, and dropping pooled contents re-enters the pool (a subframe
+//! vector's packets park their bodies; a slot's packets likewise). The
+//! rule every function below keeps: **no `RefCell` borrow is held across a
+//! drop of pooled contents or across a caller's closure** — clear first,
+//! then borrow, and pop in a statement of its own.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::frame::Subframe;
 
@@ -35,21 +64,29 @@ use crate::frame::Subframe;
 #[derive(Default)]
 struct PoolInner {
     /// Parked payload buffers, each uniquely owned (strong count 1).
-    bodies: Mutex<Vec<Arc<Vec<u8>>>>,
+    bodies: RefCell<Vec<Rc<Vec<u8>>>>,
     /// Parked subframe vectors, each uniquely owned and empty.
-    subframes: Mutex<Vec<Arc<Vec<Subframe>>>>,
+    subframes: RefCell<Vec<Rc<Vec<Subframe>>>>,
     /// Monotonic mint counter; every minted buffer carries one value.
-    generation: AtomicU64,
+    generation: Cell<u64>,
 }
 
 /// A cloneable handle to a recyclable frame-buffer pool.
 ///
-/// Clones share the same free lists (`Arc` inside), so a MAC entity, the
+/// Clones share the same free lists (`Rc` inside), so a MAC entity, the
 /// runner, and every in-flight [`Body`] can all return buffers to the same
 /// home. Dropping the last handle frees whatever is parked.
+///
+/// A pool and everything minted from it stay on the thread that made them
+/// (see the [module docs](self#one-thread)):
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::FramePool>();
+/// ```
 #[derive(Clone, Default)]
 pub struct FramePool {
-    inner: Arc<PoolInner>,
+    inner: Rc<PoolInner>,
 }
 
 impl FramePool {
@@ -58,27 +95,21 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// Locks a free list, recovering from poisoning: the pool is an
-    /// allocation cache, so a panic on another thread cannot leave it in a
-    /// state worth propagating.
-    fn lock<T>(list: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
-        list.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Stamps and returns the next generation.
     fn next_generation(&self) -> u64 {
-        self.inner.generation.fetch_add(1, Ordering::Relaxed)
+        self.inner.generation.replace(self.inner.generation.get() + 1)
     }
 
     /// Mints a payload buffer and fills it via `fill`, reusing a parked
     /// buffer (and its capacity) when one is available. The buffer `fill`
     /// sees is always empty.
     pub fn mint_body_with(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Body {
-        let mut arc = Self::lock(&self.inner.bodies).pop().unwrap_or_default();
-        let buf = Arc::get_mut(&mut arc).expect("parked body buffers are uniquely owned");
+        // Popped in a statement of its own: `fill` may mint from this pool.
+        let mut rc = self.inner.bodies.borrow_mut().pop().unwrap_or_default();
+        let buf = Rc::get_mut(&mut rc).expect("parked body buffers are uniquely owned");
         buf.clear();
         fill(buf);
-        Body { buf: Some(arc), home: Some(self.clone()), generation: self.next_generation() }
+        Body { buf: Some(rc), home: Some(self.clone()), generation: self.next_generation() }
     }
 
     /// Mints a payload buffer holding a copy of `contents`.
@@ -89,38 +120,39 @@ impl FramePool {
     /// Mints an empty subframe vector, reusing a parked one (and its
     /// capacity) when available.
     pub fn mint_subframes(&self) -> SubframeVec {
-        let arc = Self::lock(&self.inner.subframes).pop().unwrap_or_default();
-        debug_assert!(arc.is_empty(), "parked subframe vectors are cleared before parking");
-        SubframeVec { buf: Some(arc), home: Some(self.clone()) }
+        let rc = self.inner.subframes.borrow_mut().pop().unwrap_or_default();
+        debug_assert!(rc.is_empty(), "parked subframe vectors are cleared before parking");
+        SubframeVec { buf: Some(rc), home: Some(self.clone()) }
     }
 
     /// The number of generations minted so far (test/diagnostic surface).
     pub fn generations_minted(&self) -> u64 {
-        self.inner.generation.load(Ordering::Relaxed)
+        self.inner.generation.get()
     }
 
     /// Buffers currently parked, `(bodies, subframe vectors)` — the pool's
     /// steady-state working set (test/diagnostic surface).
     pub fn parked(&self) -> (usize, usize) {
-        (Self::lock(&self.inner.bodies).len(), Self::lock(&self.inner.subframes).len())
+        (self.inner.bodies.borrow().len(), self.inner.subframes.borrow().len())
     }
 
     /// Parks a payload buffer if the caller held the last reference.
-    fn park_body(&self, mut arc: Arc<Vec<u8>>) {
-        if let Some(buf) = Arc::get_mut(&mut arc) {
+    fn park_body(&self, mut rc: Rc<Vec<u8>>) {
+        if let Some(buf) = Rc::get_mut(&mut rc) {
             buf.clear();
-            Self::lock(&self.inner.bodies).push(arc);
+            self.inner.bodies.borrow_mut().push(rc);
         }
         // Otherwise another Body clone is still alive; its final drop parks.
     }
 
     /// Parks a subframe vector if the caller held the last reference.
     /// Clearing here drops the contained packets, releasing their bodies
-    /// back to *their* pools before this vector is reused.
-    fn park_subframes(&self, mut arc: Arc<Vec<Subframe>>) {
-        if let Some(buf) = Arc::get_mut(&mut arc) {
+    /// back to *their* pools before this vector is reused — and before
+    /// `subframes` is borrowed: those drops re-enter this pool.
+    fn park_subframes(&self, mut rc: Rc<Vec<Subframe>>) {
+        if let Some(buf) = Rc::get_mut(&mut rc) {
             buf.clear();
-            Self::lock(&self.inner.subframes).push(arc);
+            self.inner.subframes.borrow_mut().push(rc);
         }
     }
 }
@@ -143,10 +175,17 @@ impl fmt::Debug for FramePool {
 /// retransmission paths to use freely. Bodies are immutable after minting;
 /// dropping the last handle of a pooled body clears it and parks the buffer
 /// in its home pool.
+///
+/// The count is not atomic — a body never leaves its run's thread:
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::Body>();
+/// ```
 pub struct Body {
     /// The shared bytes. `Some` until drop (the `Option` exists so `Drop`
-    /// can move the `Arc` out for parking).
-    buf: Option<Arc<Vec<u8>>>,
+    /// can move the `Rc` out for parking).
+    buf: Option<Rc<Vec<u8>>>,
     /// The pool to park in, if pool-minted.
     home: Option<FramePool>,
     /// Mint generation (0 for unpooled bodies).
@@ -179,7 +218,7 @@ impl Body {
 
 impl From<Vec<u8>> for Body {
     fn from(bytes: Vec<u8>) -> Self {
-        Body { buf: Some(Arc::new(bytes)), home: None, generation: 0 }
+        Body { buf: Some(Rc::new(bytes)), home: None, generation: 0 }
     }
 }
 
@@ -191,8 +230,8 @@ impl Clone for Body {
 
 impl Drop for Body {
     fn drop(&mut self) {
-        if let (Some(arc), Some(home)) = (self.buf.take(), self.home.take()) {
-            home.park_body(arc);
+        if let (Some(rc), Some(home)) = (self.buf.take(), self.home.take()) {
+            home.park_body(rc);
         }
     }
 }
@@ -224,12 +263,12 @@ impl fmt::Debug for Body {
 ///
 /// Cloning shares the storage (a `DataFrame` clone is shallow here); the
 /// first mutation of a *shared* vector — `DerefMut` goes through
-/// [`Arc::make_mut`] — copies it, which is exactly the copy-on-write the
+/// [`Rc::make_mut`] — copies it, which is exactly the copy-on-write the
 /// corruption seam relies on. An unshared vector mutates in place, so
 /// build-then-transmit never pays the copy.
 pub struct SubframeVec {
     /// The shared storage. `Some` until drop (see [`Body::buf`]).
-    buf: Option<Arc<Vec<Subframe>>>,
+    buf: Option<Rc<Vec<Subframe>>>,
     /// The pool to park in, if pool-minted.
     home: Option<FramePool>,
 }
@@ -252,7 +291,7 @@ impl SubframeVec {
 
     /// Mutable access with copy-on-write sharing semantics.
     fn vec_mut(&mut self) -> &mut Vec<Subframe> {
-        Arc::make_mut(self.buf.as_mut().expect("live SubframeVec has storage"))
+        Rc::make_mut(self.buf.as_mut().expect("live SubframeVec has storage"))
     }
 }
 
@@ -264,7 +303,7 @@ impl Default for SubframeVec {
 
 impl From<Vec<Subframe>> for SubframeVec {
     fn from(subframes: Vec<Subframe>) -> Self {
-        SubframeVec { buf: Some(Arc::new(subframes)), home: None }
+        SubframeVec { buf: Some(Rc::new(subframes)), home: None }
     }
 }
 
@@ -282,8 +321,8 @@ impl Clone for SubframeVec {
 
 impl Drop for SubframeVec {
     fn drop(&mut self) {
-        if let (Some(arc), Some(home)) = (self.buf.take(), self.home.take()) {
-            home.park_subframes(arc);
+        if let (Some(rc), Some(home)) = (self.buf.take(), self.home.take()) {
+            home.park_subframes(rc);
         }
     }
 }
@@ -329,9 +368,9 @@ impl fmt::Debug for SubframeVec {
 /// Shared free list + generation counter behind a [`SlotPool`] handle.
 struct SlotPoolInner<T> {
     /// Parked slot buffers, each cleared before parking.
-    slots: Mutex<Vec<Vec<T>>>,
+    slots: RefCell<Vec<Vec<T>>>,
     /// Monotonic mint counter; every minted slot carries one value.
-    generation: AtomicU64,
+    generation: Cell<u64>,
 }
 
 /// A recyclable pool of uniquely-owned scratch buffers ("slots") — the
@@ -347,18 +386,24 @@ struct SlotPoolInner<T> {
 /// entry ever leaks across reuse.
 ///
 /// Like its sibling, the pool is invisible to simulation results: which
-/// buffer a mint returns affects addresses only, never values.
+/// buffer a mint returns affects addresses only, never values. And like its
+/// sibling it stays on its run's thread, whatever `T` is:
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::SlotPool<u8>>();
+/// ```
 pub struct SlotPool<T> {
-    inner: Arc<SlotPoolInner<T>>,
+    inner: Rc<SlotPoolInner<T>>,
 }
 
 impl<T> SlotPool<T> {
     /// A fresh pool with an empty free list.
     pub fn new() -> Self {
         SlotPool {
-            inner: Arc::new(SlotPoolInner {
-                slots: Mutex::new(Vec::new()),
-                generation: AtomicU64::new(0),
+            inner: Rc::new(SlotPoolInner {
+                slots: RefCell::new(Vec::new()),
+                generation: Cell::new(0),
             }),
         }
     }
@@ -366,26 +411,27 @@ impl<T> SlotPool<T> {
     /// Mints an empty slot, reusing a parked buffer (and its capacity)
     /// when one is available.
     pub fn mint(&self) -> Slot<T> {
-        let buf = FramePool::lock(&self.inner.slots).pop().unwrap_or_default();
+        let buf = self.inner.slots.borrow_mut().pop().unwrap_or_default();
         debug_assert!(buf.is_empty(), "parked slots are cleared before parking");
-        let generation = self.inner.generation.fetch_add(1, Ordering::Relaxed);
+        let generation = self.inner.generation.replace(self.inner.generation.get() + 1);
         Slot { buf: Some(buf), home: Some(self.clone()), generation }
     }
 
     /// The number of generations minted so far (test/diagnostic surface).
     pub fn generations_minted(&self) -> u64 {
-        self.inner.generation.load(Ordering::Relaxed)
+        self.inner.generation.get()
     }
 
     /// Buffers currently parked (test/diagnostic surface).
     pub fn parked(&self) -> usize {
-        FramePool::lock(&self.inner.slots).len()
+        self.inner.slots.borrow().len()
     }
 
-    /// Parks a drained buffer for reuse.
+    /// Parks a drained buffer for reuse. Cleared before `slots` is borrowed:
+    /// dropping a `T` may park a slot of its own in this pool.
     fn park(&self, mut buf: Vec<T>) {
         buf.clear();
-        FramePool::lock(&self.inner.slots).push(buf);
+        self.inner.slots.borrow_mut().push(buf);
     }
 }
 
@@ -397,7 +443,7 @@ impl<T> Default for SlotPool<T> {
 
 impl<T> Clone for SlotPool<T> {
     fn clone(&self) -> Self {
-        SlotPool { inner: Arc::clone(&self.inner) }
+        SlotPool { inner: Rc::clone(&self.inner) }
     }
 }
 
@@ -631,6 +677,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A slot whose entries own further slots of the same pool: dropping
+    /// one re-enters [`SlotPool::park`] while it is clearing.
+    struct Nest {
+        _inner: Slot<Nest>,
+    }
+
+    #[test]
+    fn nested_last_drop_parks_everything_without_a_double_borrow() {
+        use crate::frame::{DataFrame, LinkDst};
+        let pool = FramePool::new();
+        let queue: SlotPool<Packet> = SlotPool::new();
+        let held: SlotPool<DataFrame> = SlotPool::new();
+
+        // A queue slot and a pooled subframe vector share four bodies of one
+        // pool; the vector holds a fifth of its own and rides in a data
+        // frame parked in a slot of the second pool.
+        let mut queued = queue.mint();
+        let mut subframes = pool.mint_subframes();
+        for seq in 0..4 {
+            let shared = packet(&pool, b"shared by queue and frame");
+            subframes.push(Subframe { seq, packet: shared.clone(), corrupted: seq % 2 == 1 });
+            queued.push(shared);
+        }
+        subframes.push(Subframe { seq: 4, packet: packet(&pool, b"own"), corrupted: true });
+        let mut frames = held.mint();
+        frames.push(DataFrame {
+            transmitter: NodeId::new(0),
+            link_dst: LinkDst::Unicast(NodeId::new(1)),
+            flow: FlowId::new(0),
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            frame_seq: 0,
+            subframes,
+            retry: 0,
+        });
+
+        // The queue goes first: its slot parks, every body is still alive
+        // in the frame.
+        drop(queued);
+        assert_eq!((queue.parked(), pool.parked()), (1, (0, 0)));
+        // Then the last holder, three parks deep: the slot clears its
+        // frame, whose subframe vector clears its packets, whose bodies
+        // park — each level re-entering a pool the level above is inside.
+        drop(frames);
+        assert_eq!((held.parked(), pool.parked()), (1, (5, 1)));
+
+        // The same shape on ONE free list: a slot of slots of one pool.
+        let nests: SlotPool<Nest> = SlotPool::new();
+        let mut outer = nests.mint();
+        for _ in 0..3 {
+            let mut inner = nests.mint();
+            inner.push(Nest { _inner: nests.mint() });
+            outer.push(Nest { _inner: inner });
+        }
+        drop(outer);
+        assert_eq!(nests.parked(), 7, "the outer slot, three inner, three innermost");
+
+        // Everything re-mints empty under a generation nobody has seen.
+        let first_fresh = pool.generations_minted();
+        let bodies: Vec<Body> = (0..5).map(|_| pool.mint_body_with(|_| {})).collect();
+        for (body, generation) in bodies.iter().zip(first_fresh..) {
+            assert!(body.is_empty(), "no stale bytes survive recycling");
+            assert_eq!(body.generation(), generation);
+        }
+        let recycled = pool.mint_subframes();
+        assert!(recycled.is_empty(), "no stale subframe or corrupted flag");
+        assert_eq!(pool.parked(), (0, 0), "all six parked buffers were reused");
+        assert!(queue.mint().is_empty() && held.mint().is_empty());
+        let first_fresh = nests.generations_minted();
+        let reminted: Vec<Slot<Nest>> = (0..7).map(|_| nests.mint()).collect();
+        for (nest, generation) in reminted.iter().zip(first_fresh..) {
+            assert!(nest.is_empty());
+            assert_eq!(nest.generation(), generation);
+        }
+        assert_eq!(nests.parked(), 0);
+    }
+
+    #[test]
+    fn a_fill_that_uses_its_own_pool_does_not_double_borrow() {
+        // `fill` runs with no free list borrowed, so it may mint from — and
+        // park into — the pool that is minting for it.
+        let pool = FramePool::new();
+        drop(pool.mint_body(b"parked"));
+        let outer = pool.mint_body_with(|buf| {
+            let inner = pool.mint_body(b"inner");
+            buf.extend_from_slice(&inner);
+        });
+        assert_eq!(&*outer, b"inner");
+        assert_eq!(pool.parked().0, 1, "the inner body parked while the outer was being filled");
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
     }
     // Copy-on-write branch: at least one subframe was corrupted, so this
     // receiver needs its own flags. The copy is shallow (the subframe
-    // storage is an `Arc`); the `iter_mut` below is what detaches a private
+    // storage is an `Rc`); the `iter_mut` below is what detaches a private
     // copy to write the flags into.
     let mut owned = d.diverged_copy();
     for (i, sf) in owned.subframes.iter_mut().enumerate() {

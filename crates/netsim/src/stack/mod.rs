@@ -193,13 +193,17 @@ pub fn run(scenario: &Scenario) -> RunResult {
     runner.results()
 }
 
-// Compile-time audit for the parallel executor: a scenario must be movable
-// to a worker thread and its result movable back. If a future change smuggles
-// an `Rc`/raw pointer into either type, this fails to compile instead of
-// failing at the `wmn_exec` call site.
+// Compile-time audit for the parallel executor: a scenario (and the scheme
+// it names, from which the worker builds every MAC) must be movable to a
+// worker thread and its result movable back. If a future change smuggles
+// an `Rc`/raw pointer into any of them, this fails to compile instead of
+// failing at the `wmn_exec` call site. Nothing *between* the two is `Send`
+// — pools, frames and MACs count without atomics (see `wmn_mac::pool`) —
+// and nothing between them leaves the worker.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Scenario>();
+    assert_send::<crate::scenario::Scheme>();
     assert_send::<RunResult>();
 };
 
@@ -304,6 +308,8 @@ impl<'a> Runner<'a> {
     }
 
     fn results(&self) -> RunResult {
+        let (pending, parked) = self.core.receptions_in_flight();
+        debug_assert_eq!(pending, parked, "air-slot releases pending vs. arrivals parked");
         let flows = self.core.flows.results(self.scenario);
         let total = flows.iter().map(|f| f.throughput_mbps).sum();
         RunResult { flows, total_throughput_mbps: total, mac_stats: self.core.macs.stats() }
@@ -677,6 +683,59 @@ mod tests {
                     assert!(!text.contains(word), "{} names {word}", path.display());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_lossy_run_releases_every_reception_exactly_once() {
+        // Every way a reception can end, in one run, under both
+        // disciplines: the Fig. 5(b) hidden-terminal layout (collisions at
+        // the chain's far end; arrivals from ~15 m and beyond are sensed
+        // but not decodable), a bit-error rate that costs a data frame its
+        // header about once in 150 receptions and a subframe its CRC once
+        // in seven, and a ninth station whose CBR source walks 5 km away
+        // between 80 and 100 ms and keeps retrying into a void nobody
+        // perceives.
+        use wmn_topology::collision;
+        let cbr = |path: &[u32]| FlowSpec {
+            path: path.iter().copied().map(NodeId::new).collect(),
+            workload: Workload::Cbr(wmn_traffic::CbrModel::heavy()),
+        };
+        let mut positions = collision::hidden_terminals(2).positions;
+        let walker = NodeId::new(positions.len() as u32);
+        positions.push(Position::new(5.0, 4.0));
+        let mut paths = vec![NodePath::Static; positions.len()];
+        paths[walker.index()] = NodePath::Waypoints(vec![
+            Waypoint { at: SimTime::from_millis(80), pos: Position::new(5.0, 4.0) },
+            Waypoint { at: SimTime::from_millis(100), pos: Position::new(5000.0, 4.0) },
+        ]);
+        let mut lossy =
+            ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], positions);
+        lossy.params.ber = 2e-5;
+        lossy.flows.extend([cbr(&[4, 5]), cbr(&[6, 7]), cbr(&[8, 1])]);
+        lossy.duration = SimDuration::from_millis(300);
+        lossy.motion = MotionPlan { paths, tick: SimDuration::from_millis(10) };
+
+        for shards in [None, Some(1)] {
+            let scenario = Scenario { shards, ..lossy.clone() };
+            let mut runner = Runner::build(&scenario);
+            runner.run_loop();
+            // What `results` checks in debug builds, checked here in any.
+            let (pending, parked) = runner.core.receptions_in_flight();
+            assert_eq!(pending, parked, "shards: {shards:?}");
+            let result = runner.results();
+
+            let stats = &result.mac_stats;
+            assert!(stats.iter().map(|s| s.timeouts).sum::<u64>() > 50, "losses: {stats:?}");
+            assert!(result.flows[0].delivered_bytes > 0, "and yet the chain delivers");
+            let mut rng = wmn_sim::StreamRng::derive(1, "test/plan");
+            let mut plans = Vec::new();
+            runner.medium.plan_transmission_into(NodeId::new(0), &mut rng, &mut plans);
+            assert!(plans.iter().any(|p| !p.decodable) && plans.iter().any(|p| p.decodable));
+            runner.medium.plan_transmission_into(walker, &mut rng, &mut plans);
+            assert!(plans.is_empty(), "nobody perceives the walker any more");
+            let gave_up = stats[walker.index()].drops_retry_limit;
+            assert!(gave_up > 0, "the walker kept transmitting out there: {gave_up} drops");
         }
     }
 

@@ -1,4 +1,5 @@
-//! The channel-facing pieces of the node stack: the in-flight `ArrivalSlab`
+//! The channel-facing pieces of the node stack: the `AirTable` holding each
+//! transmission's frame while it is on the air, the in-flight `ArrivalSlab`
 //! the station stack parks planned receptions in, and the mobility step the
 //! loop applies to its [`Medium`].
 //!
@@ -13,16 +14,95 @@ use wmn_phy::{Medium, Position};
 use wmn_sim::{NodeId, SimTime};
 use wmn_topology::MotionPlan;
 
+/// One transmission on the air.
+struct AirSlot {
+    /// The transmitted frame; `None` while the slot is free.
+    frame: Option<Arc<Frame>>,
+    /// Planned receptions that have not reached their RxEnd yet.
+    pending: u32,
+}
+
+/// Every transmission currently on the air, held **once**: a broadcast
+/// parks its frame handle here with the number of receptions planned for
+/// it, each [`ArrivalState`] carries the slot index instead of a handle of
+/// its own, and the frame is dropped at its last RxEnd. Fanning a frame out
+/// to F receivers is therefore one move and F plain decrements, where F
+/// clones of the handle were 2·F bus-locked updates of one cache line; the
+/// only clones left are the ones a successful decode hands its MAC.
+///
+/// Freed slots recycle LIFO, so the table stays as small as the peak number
+/// of overlapping transmissions. Slot indices are pure lookup handles —
+/// they never participate in event ordering.
+#[derive(Default)]
+pub(crate) struct AirTable {
+    slots: Vec<AirSlot>,
+    free: Vec<u32>,
+}
+
+impl AirTable {
+    /// An empty table that holds `transmissions` overlapping transmissions
+    /// without growing.
+    pub(crate) fn with_capacity(transmissions: usize) -> AirTable {
+        AirTable {
+            slots: Vec::with_capacity(transmissions),
+            free: Vec::with_capacity(transmissions),
+        }
+    }
+
+    /// Parks `frame` until `receptions` RxEnds have [released](Self::release)
+    /// it, and returns its slot. A transmission nobody will perceive has
+    /// nothing to wait for and must not be parked: its slot would never
+    /// free.
+    pub(crate) fn park(&mut self, frame: Arc<Frame>, receptions: u32) -> u32 {
+        assert!(receptions > 0, "a transmission without receptions is dropped, not parked");
+        let occupant = AirSlot { frame: Some(frame), pending: receptions };
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = occupant;
+                slot
+            }
+            None => {
+                self.slots.push(occupant);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The frame parked in `slot`, lent to the decode seam.
+    pub(crate) fn frame(&self, slot: u32) -> &Arc<Frame> {
+        self.slots[slot as usize].frame.as_ref().expect("a pending reception's slot is live")
+    }
+
+    /// One reception of `slot`'s transmission reached its RxEnd; the last
+    /// one drops the frame and frees the slot. Releasing a free slot is a
+    /// broken slab invariant and panics rather than underflow into the
+    /// slot's next occupant.
+    pub(crate) fn release(&mut self, slot: u32) {
+        let entry = &mut self.slots[slot as usize];
+        assert!(entry.pending > 0, "air slot {slot} released with no reception pending");
+        entry.pending -= 1;
+        if entry.pending == 0 {
+            entry.frame = None;
+            self.free.push(slot);
+        }
+    }
+
+    /// Receptions still pending, over every live slot.
+    pub(crate) fn pending(&self) -> u64 {
+        self.slots.iter().map(|slot| u64::from(slot.pending)).sum()
+    }
+}
+
 /// One in-flight arrival: a transmission en route to one receiver.
 pub(crate) struct ArrivalState {
     /// The receiving station.
     pub(crate) node: NodeId,
-    /// Shared handle to the transmitted frame: a broadcast to k receivers
-    /// costs one allocation, not k deep clones. Clean decodes ride the same
-    /// shared handle all the way into the MAC; a private copy is made only
-    /// when bit errors corrupt a subframe (see
+    /// Where the [`AirTable`] holds the transmitted frame: a broadcast to k
+    /// receivers costs one allocation and one handle, not k of either.
+    /// Clean decodes clone the table's handle into the MAC; a private copy
+    /// is made only when bit errors corrupt a subframe (see
     /// [`decode_frame`](super::decode::decode_frame)).
-    pub(crate) frame: Arc<Frame>,
+    pub(crate) air: u32,
     /// Whether the arrival is strong enough to decode.
     pub(crate) decodable: bool,
     /// Received power in dBm.
@@ -77,6 +157,11 @@ impl ArrivalSlab {
                 arrival_id((self.arrivals.len() - 1) as u32, 0)
             }
         }
+    }
+
+    /// Arrivals currently parked.
+    pub(crate) fn parked(&self) -> usize {
+        self.arrivals.len() - self.free.len()
     }
 
     /// Peeks at a parked arrival (for RxStart), if it is still in flight.
@@ -142,19 +227,71 @@ mod tests {
     use super::*;
 
     fn arrival(node: u32) -> ArrivalState {
-        ArrivalState {
-            node: NodeId::new(node),
-            frame: Arc::new(Frame::Ack(wmn_mac::frame::AckFrame {
-                transmitter: NodeId::new(0),
-                to: NodeId::new(node),
-                flow: wmn_sim::FlowId::new(0),
-                frame_seq: 0,
-                acked_seqs: Default::default(),
-                relay_list: Default::default(),
-            })),
-            decodable: true,
-            power_dbm: -50.0,
+        ArrivalState { node: NodeId::new(node), air: 0, decodable: true, power_dbm: -50.0 }
+    }
+
+    fn ack(seq: u64) -> Arc<Frame> {
+        Frame::Ack(wmn_mac::frame::AckFrame {
+            transmitter: NodeId::new(0),
+            to: NodeId::new(1),
+            flow: wmn_sim::FlowId::new(0),
+            frame_seq: seq,
+            acked_seqs: Default::default(),
+            relay_list: Default::default(),
+        })
+        .into_shared()
+    }
+
+    #[test]
+    fn air_slot_holds_one_handle_and_frees_at_the_last_release() {
+        const F: u32 = 5;
+        let mut air = AirTable::with_capacity(2);
+        let frame = ack(7);
+        let watch = Arc::downgrade(&frame);
+        let slot = air.park(frame, F);
+        for released in 0..F {
+            // One handle however many receptions are pending, lent (not
+            // cloned) to whoever decodes.
+            assert_eq!(watch.strong_count(), 1, "after {released} releases");
+            assert_eq!(air.pending(), u64::from(F - released));
+            assert!(matches!(&**air.frame(slot), Frame::Ack(a) if a.frame_seq == 7));
+            air.release(slot);
         }
+        assert_eq!(watch.strong_count(), 0, "the F-th release drops the frame");
+        assert_eq!(air.pending(), 0);
+        assert_eq!(air.free, [slot]);
+    }
+
+    #[test]
+    fn air_slots_recycle_lifo() {
+        let mut air = AirTable::default();
+        let slots = [air.park(ack(0), 1), air.park(ack(1), 2), air.park(ack(2), 1)];
+        assert_eq!(slots, [0, 1, 2]);
+        air.release(0);
+        air.release(2);
+        air.release(1);
+        assert_eq!(air.park(ack(3), 1), 2, "last freed, first reused");
+        assert!(matches!(&**air.frame(2), Frame::Ack(a) if a.frame_seq == 3));
+        assert_eq!(air.pending(), 2, "slot 1 still waits for its second RxEnd");
+        air.release(1);
+        assert_eq!(air.park(ack(4), 1), 1);
+        assert_eq!(air.park(ack(5), 1), 0);
+        assert_eq!(air.slots.len(), 3, "three overlapping transmissions, three slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "released with no reception pending")]
+    fn stale_air_release_panics_instead_of_underflowing() {
+        let mut air = AirTable::default();
+        let slot = air.park(ack(0), 1);
+        air.release(slot);
+        air.release(slot);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped, not parked")]
+    fn a_transmission_without_receptions_is_not_parked() {
+        AirTable::default().park(ack(0), 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::stack::decode::decode_frame;
 use crate::stack::flow_layer::{FlowLayer, RtoFire, RtoTimer};
 use crate::stack::mac_engine::MacEngine;
 use crate::stack::net_layer::NetLayer;
-use crate::stack::phy_io::{ArrivalSlab, ArrivalState};
+use crate::stack::phy_io::{AirTable, ArrivalSlab, ArrivalState};
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
@@ -225,6 +225,9 @@ pub(crate) struct StationStack {
     discipline: Discipline,
     receivers: Vec<Receiver>,
     arrivals: ArrivalSlab,
+    /// The frame of every transmission that still has a reception parked in
+    /// `arrivals`.
+    air: AirTable,
     ber: BerModel,
     /// `broadcast`'s buffers, reused by every transmission.
     scratch: BroadcastScratch,
@@ -251,7 +254,9 @@ impl StationStack {
     /// are the small ones: the 8–22-station figure grids peak at 249
     /// entries (two doublings in a run's first milliseconds; 3733 when
     /// every RTO re-arm was an entry), most of them MAC timers whose
-    /// back-off or attempt was cancelled before they fire.
+    /// back-off or attempt was cancelled before they fire. The air table
+    /// gets a slot per station for the same reason: a station has one
+    /// transmission on the air at a time.
     pub(crate) fn build(scenario: &Scenario) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
@@ -273,6 +278,7 @@ impl StationStack {
             discipline,
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             arrivals: ArrivalSlab::default(),
+            air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
             scratch: BroadcastScratch::default(),
             pool: FramePool::default(),
@@ -284,6 +290,14 @@ impl StationStack {
     /// and `schedule_in` can never drift apart.
     pub(crate) fn now(&self) -> SimTime {
         self.queue.now()
+    }
+
+    /// `(releases the air table still waits for, arrivals parked in the
+    /// slab)`. Between events the two are equal: every parked reception is
+    /// one pending release of its transmission's slot, and nothing else
+    /// holds a slot.
+    pub(crate) fn receptions_in_flight(&self) -> (u64, u64) {
+        (self.air.pending(), self.arrivals.parked() as u64)
     }
 
     /// Schedules `event`, `delay` from now, under the next key of `origin`.
@@ -372,25 +386,32 @@ impl StationStack {
                 if let Some(BusyTransition::BecameIdle) = transition {
                     self.with_mac(node, w, |mac, sink| mac.on_idle(now, sink));
                 }
-                if outcome != ArrivalOutcome::Clean || !state.decodable {
-                    return;
-                }
-                // A frame that decodes with no subframe losses reaches the
-                // MAC as a shared handle to the broadcast allocation; only
-                // a corrupted one pays for a copy-on-write detach.
-                let rng = self.discipline.ber_rng(node);
-                let Some(frame) = decode_frame(&self.ber, rng, &state.frame) else {
-                    return;
-                };
-                if self.trace.is_some() {
-                    let (kind, flow, frame_seq) = match &*frame {
-                        Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
-                        Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq),
+                // However the reception ends, it lets go of the frame after
+                // its MAC has seen it — and exactly once.
+                'reception: {
+                    if outcome != ArrivalOutcome::Clean || !state.decodable {
+                        break 'reception;
+                    }
+                    // A frame that decodes with no subframe losses reaches
+                    // the MAC as a shared handle to the broadcast
+                    // allocation; only a corrupted one pays for a
+                    // copy-on-write detach.
+                    let rng = self.discipline.ber_rng(node);
+                    let Some(frame) = decode_frame(&self.ber, rng, self.air.frame(state.air))
+                    else {
+                        break 'reception;
                     };
-                    let from = frame.transmitter();
-                    self.record(node, TraceKind::Decoded { kind, from, flow, frame_seq });
+                    if self.trace.is_some() {
+                        let (kind, flow, frame_seq) = match &*frame {
+                            Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
+                            Frame::Ack(a) => (FrameKind::Ack, a.flow, a.frame_seq),
+                        };
+                        let from = frame.transmitter();
+                        self.record(node, TraceKind::Decoded { kind, from, flow, frame_seq });
+                    }
+                    self.with_mac(node, w, |mac, sink| mac.on_frame_rx(frame, now, sink));
                 }
-                self.with_mac(node, w, |mac, sink| mac.on_frame_rx(frame, now, sink));
+                self.air.release(state.air);
             }
             Event::MacTimer { node, token } => {
                 self.with_mac(node, w, |mac, sink| mac.on_timer(token, now, sink));
@@ -473,7 +494,8 @@ impl StationStack {
     /// from the discipline's stream for this transmitter), parks each in the
     /// slab and mints its RxStart/RxEnd key pair under the transmitter, all
     /// in plan order. Every receiver shares the one frame allocation the MAC
-    /// minted.
+    /// minted, through the one handle the air table holds until the last of
+    /// them ends (a transmission nobody perceives parks nothing).
     ///
     /// The 2·F events enter the queue as two runs, not 2·F heap entries (see
     /// [`KeyedEventQueue::schedule_run_in`]): receptions sorted by
@@ -492,14 +514,17 @@ impl StationStack {
         let BroadcastScratch { plans, arrivals, order } = &mut scratch;
         medium.plan_transmission_into(from, self.discipline.medium_rng(from), plans);
         arrivals.clear();
-        arrivals.extend(plans.iter().map(|plan| {
-            self.arrivals.alloc(ArrivalState {
-                node: plan.to,
-                frame: Arc::clone(&frame),
-                decodable: plan.decodable,
-                power_dbm: plan.power_dbm,
-            })
-        }));
+        if !plans.is_empty() {
+            let air = self.air.park(frame, plans.len() as u32);
+            arrivals.extend(plans.iter().map(|plan| {
+                self.arrivals.alloc(ArrivalState {
+                    node: plan.to,
+                    air,
+                    decodable: plan.decodable,
+                    power_dbm: plan.power_dbm,
+                })
+            }));
+        }
         order.clear();
         order.extend(plans.iter().zip(0u32..).map(|(plan, index)| (plan.delay, index)));
         order.sort_unstable();
@@ -719,7 +744,8 @@ impl StationStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     use wmn_mac::frame::{AckFrame, RxFrame};
     use wmn_mac::{MacStats, TimerToken};
@@ -736,15 +762,12 @@ mod tests {
     /// lent arrived empty — and answers three of them from a fixed script.
     struct ScriptMac {
         node: NodeId,
-        log: Arc<Mutex<Vec<(&'static str, bool)>>>,
+        log: Rc<RefCell<Vec<(&'static str, bool)>>>,
     }
 
     impl ScriptMac {
         fn enter(&self, handler: &'static str, out: &ActionSink) {
-            self.log
-                .lock()
-                .expect("no test thread panics holding it")
-                .push((handler, out.is_empty()));
+            self.log.borrow_mut().push((handler, out.is_empty()));
         }
     }
 
@@ -764,7 +787,7 @@ mod tests {
                 relay_list: Default::default(),
             });
             out.push(timer(20));
-            out.push(MacAction::StartTx { frame: Arc::new(frame), rate: RateClass::Basic });
+            out.push(MacAction::StartTx { frame: frame.into_shared(), rate: RateClass::Basic });
             out.push(timer(21));
         }
         fn on_busy(&mut self, _: SimTime, out: &mut ActionSink) {
@@ -831,8 +854,8 @@ mod tests {
         //       StartTx → on_busy   [T30]
         let scenario = relay_scenario();
         let mut stack = StationStack::build(&scenario);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Arc::clone(&log) });
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Rc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let net = NetLayer::build(&scenario);
@@ -852,7 +875,7 @@ mod tests {
 
         // Every handler was lent an empty sink — the nested ones while their
         // parents still held undrained actions (T21, T11).
-        let log = log.lock().expect("no test thread panics holding it");
+        let log = log.borrow();
         let round = ["timer", "enqueue", "busy", "tx_end", "idle"];
         let expected: Vec<_> = (0..ROUNDS).flat_map(|_| round).map(|h| (h, true)).collect();
         assert_eq!(*log, expected);
@@ -883,10 +906,11 @@ mod tests {
         ) {
             let mut plans = std::mem::take(&mut self.scratch.plans);
             medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
+            let air = self.air.park(frame, plans.len() as u32);
             for plan in &plans {
                 let arrival = self.arrivals.alloc(ArrivalState {
                     node: plan.to,
-                    frame: Arc::clone(&frame),
+                    air,
                     decodable: plan.decodable,
                     power_dbm: plan.power_dbm,
                 });
@@ -933,14 +957,15 @@ mod tests {
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let n = scenario.positions.len() as u32;
         let frame = |from| {
-            Arc::new(Frame::Ack(AckFrame {
+            Frame::Ack(AckFrame {
                 transmitter: from,
                 to: NodeId::new(0),
                 flow: FlowId::new(0),
                 frame_seq: 0,
                 acked_seqs: Default::default(),
                 relay_list: Default::default(),
-            }))
+            })
+            .into_shared()
         };
         let airtime = SimDuration::from_micros(40);
         let mut popped = Vec::new();
@@ -955,6 +980,7 @@ mod tests {
                     // Taken, so the next transmission recycles slab slots.
                     Event::RxEnd { arrival } => {
                         let a = stack.arrivals.take(arrival).expect("parked until its RxEnd");
+                        stack.air.release(a.air);
                         (at, "RxEnd", a.node.index() as u32, arrival)
                     }
                     Event::MacTimer { node, token } => {

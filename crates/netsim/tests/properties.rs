@@ -115,7 +115,7 @@ fn pooled_frame_of(pool: &wmn_mac::FramePool, sizes: &[u32]) -> std::sync::Arc<w
             corrupted: false,
         });
     }
-    std::sync::Arc::new(wmn_mac::Frame::Data(wmn_mac::DataFrame {
+    wmn_mac::Frame::Data(wmn_mac::DataFrame {
         transmitter: NodeId::new(0),
         link_dst: LinkDst::Unicast(NodeId::new(1)),
         flow: wmn_sim::FlowId::new(0),
@@ -124,7 +124,8 @@ fn pooled_frame_of(pool: &wmn_mac::FramePool, sizes: &[u32]) -> std::sync::Arc<w
         frame_seq: 0,
         subframes,
         retry: 0,
-    }))
+    })
+    .into_shared()
 }
 
 proptest! {
