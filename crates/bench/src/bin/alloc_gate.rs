@@ -42,7 +42,9 @@ use wmn_netsim::stack::decode::decode_frame;
 use wmn_netsim::{run, Scenario, Scheme};
 use wmn_phy::{BerModel, Medium, PhyParams, Position};
 use wmn_routing::LinkGraph;
-use wmn_sim::{EventKey, FlowId, KeyedEventQueue, NodeId, SimDuration, SimTime, StreamRng};
+use wmn_sim::{
+    labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
+};
 
 #[global_allocator]
 static ALLOC: wmn_alloc::CountingAlloc = wmn_alloc::CountingAlloc;
@@ -106,7 +108,7 @@ fn clean_decode() -> Entry<'static> {
     })
     .into_shared();
     let ber = BerModel::new(0.0);
-    let mut rng = StreamRng::derive(7, "bench/decode");
+    let mut rng = RngDirectory::new(7).stream(labels::BENCH_DECODE);
     let (decoded, stats) = wmn_alloc::measure(|| {
         let mut decoded = 0u64;
         for _ in 0..DECODE_REPS {

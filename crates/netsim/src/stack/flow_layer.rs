@@ -13,7 +13,7 @@
 
 use wmn_metrics::mos::{voip_mos, VoipQualityInputs, WIRELESS_BUDGET};
 use wmn_metrics::throughput_mbps;
-use wmn_sim::{EventKey, FlowId, RngDirectory, SimDuration, SimTime, StreamRng};
+use wmn_sim::{labels, EventKey, FlowId, RngDirectory, SimDuration, SimTime, StreamRng};
 use wmn_transport::{TcpConfig, TcpReceiver, TcpSender, UdpSink};
 
 use crate::scenario::{FlowSpec, Scenario, Workload};
@@ -187,7 +187,7 @@ impl FlowLayer {
                 _ => (None, None),
             };
             let web_rng = match spec.workload {
-                Workload::Web(_) => Some(dir.stream(&format!("web/{i}"))),
+                Workload::Web(_) => Some(dir.indexed_stream(labels::WEB, i as u32)),
                 _ => None,
             };
             flows.push(FlowRt {
@@ -224,7 +224,7 @@ impl FlowLayer {
                     seeds.push((stagger, flow.id, Event::FlowStart { flow: flow.id }));
                 }
                 Workload::Voip(model) => {
-                    let mut rng = dir.stream(&format!("voip/{i}"));
+                    let mut rng = dir.indexed_stream(labels::VOIP, i as u32);
                     for dep in model.departure_schedule(scenario.duration, &mut rng) {
                         seeds.push((dep, flow.id, Event::UdpSend { flow: flow.id }));
                     }

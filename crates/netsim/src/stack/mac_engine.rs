@@ -10,7 +10,7 @@
 
 use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats};
 use wmn_phy::PhyParams;
-use wmn_sim::{NodeId, RngDirectory};
+use wmn_sim::{labels, NodeId, RngDirectory};
 
 /// The MAC layer: per-station protocol state machines, plus the engine's
 /// [`ActionSink`]s — one per nesting depth of handler invocations.
@@ -50,10 +50,8 @@ impl MacEngine {
         node_count: usize,
         dir: &RngDirectory,
     ) -> Self {
-        let macs = (0..node_count)
-            .map(|i| {
-                scheme.build_mac(params, NodeId::new(i as u32), dir.stream(&format!("mac/{i}")))
-            })
+        let macs = (0..node_count as u32)
+            .map(|i| scheme.build_mac(params, NodeId::new(i), dir.indexed_stream(labels::MAC, i)))
             .collect();
         MacEngine::over(macs)
     }

@@ -30,7 +30,8 @@ use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass};
 use wmn_phy::medium::BusyTransition;
 use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver, RxPlan};
 use wmn_sim::{
-    EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime, StreamRng,
+    labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
+    StreamRng,
 };
 use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
 
@@ -139,14 +140,14 @@ impl Discipline {
         if scenario.shards.is_none() {
             return Discipline::Legacy {
                 seq: 0,
-                medium: dir.stream("medium"),
-                ber: dir.stream("ber"),
+                medium: dir.stream(labels::MEDIUM),
+                ber: dir.stream(labels::BER),
             };
         }
         let n = scenario.positions.len();
         Discipline::PerEntity {
-            medium: (0..n as u32).map(|i| dir.indexed_stream("shard/medium", i)).collect(),
-            ber: (0..n as u32).map(|i| dir.indexed_stream("shard/ber", i)).collect(),
+            medium: (0..n as u32).map(|i| dir.indexed_stream(labels::SHARD_MEDIUM, i)).collect(),
+            ber: (0..n as u32).map(|i| dir.indexed_stream(labels::SHARD_BER, i)).collect(),
             node_seq: vec![0; n],
             flow_seq: vec![0; scenario.flows.len()],
             pass_seq: [0; 2],

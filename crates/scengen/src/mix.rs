@@ -11,7 +11,7 @@
 use wmn_netsim::{FlowSpec, Workload};
 use wmn_phy::PhyParams;
 use wmn_routing::LinkGraph;
-use wmn_sim::{NodeId, StreamRng};
+use wmn_sim::{labels, NodeId, RngDirectory, StreamRng};
 use wmn_topology::Topology;
 use wmn_traffic::{CbrModel, VoipModel, WebModel};
 
@@ -115,9 +115,10 @@ impl TrafficMix {
             return Err(format!("topology {:?} has {n} stations; flows need two", topo.name));
         }
         let graph = LinkGraph::from_placement(params, &topo.positions);
+        let dir = RngDirectory::new(seed);
         let mut flows = Vec::with_capacity(self.flow_count());
         for index in 0..self.flow_count() {
-            let mut rng = StreamRng::derive(seed, &format!("scengen/mix/flow{index}"));
+            let mut rng = dir.indexed_stream(labels::SCENGEN_MIX_FLOW, index as u32);
             let path = self.pick_path(&graph, n, &mut rng).map_err(|e| {
                 format!("flow {index} on {:?} ({} policy): {e}", topo.name, self.pairing.name())
             })?;

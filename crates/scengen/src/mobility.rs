@@ -4,14 +4,14 @@
 //! A spec is the *recipe* (which mobility family, at what speed); the plan
 //! is the fully-determined per-node trajectory set the simulator consumes.
 //! All randomness — drift headings, waypoint targets — is drawn **at
-//! expansion time** from [`StreamRng`] streams derived from
-//! `(seed, "scengen/mobility/…")` labels, so the same spec and seed always
-//! produce the same trajectories, and the simulation itself stays free of
+//! expansion time** from per-node streams (the seed and the
+//! `SCENGEN_MOBILITY_*` rows of [`wmn_sim::labels`]), so the same spec and
+//! seed always produce the same trajectories, and the simulation itself stays free of
 //! in-run mobility randomness (the determinism contract of
 //! [`wmn_topology::motion`]).
 
 use wmn_phy::Position;
-use wmn_sim::{SimDuration, SimTime, StreamRng};
+use wmn_sim::{labels, RngDirectory, SimDuration, SimTime};
 use wmn_topology::{MotionPlan, NodePath, Waypoint};
 
 use crate::json::Value;
@@ -107,13 +107,13 @@ impl MobilitySpec {
         if let Err(msg) = self.check() {
             panic!("invalid mobility spec: {msg}");
         }
+        let dir = RngDirectory::new(seed);
         match self {
             MobilitySpec::Static => MotionPlan::default(),
             MobilitySpec::Drift { max_speed_mps } => {
-                let paths = (0..positions.len())
+                let paths = (0..positions.len() as u32)
                     .map(|i| {
-                        let mut rng =
-                            StreamRng::derive(seed, &format!("scengen/mobility/drift/{i}"));
+                        let mut rng = dir.indexed_stream(labels::SCENGEN_MOBILITY_DRIFT, i);
                         let heading = rng.uniform() * std::f64::consts::TAU;
                         let speed = rng.uniform() * max_speed_mps;
                         NodePath::Drift {
@@ -128,7 +128,7 @@ impl MobilitySpec {
                 let (min, max) = bounding_box(positions);
                 let paths = (0..positions.len())
                     .map(|i| {
-                        let mut rng = StreamRng::derive(seed, &format!("scengen/mobility/wp/{i}"));
+                        let mut rng = dir.indexed_stream(labels::SCENGEN_MOBILITY_WP, i as u32);
                         let mut points = Vec::with_capacity(legs);
                         let mut from = positions[i];
                         let mut at_ns = 0u64;

@@ -167,11 +167,13 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns composition failures (unroutable endpoints, empty mix) and
-    /// anything [`Scenario::validate`] rejects, prefixed with the spec name.
+    /// Returns generation failures (no connected placement within the
+    /// attempt budget), composition failures (unroutable endpoints, empty
+    /// mix) and anything [`Scenario::validate`] rejects, prefixed with the
+    /// spec name.
     pub fn materialise(&self) -> Result<Scenario, String> {
         let err = |msg: String| format!("spec {:?}: {msg}", self.name);
-        let topo = self.topology.generate(self.seed);
+        let topo = self.topology.try_generate(self.seed).map_err(err)?;
         let params = self.phy.params(self.ber);
         let flows = self.mix.compose(&topo, &params, self.seed).map_err(err)?;
         let motion = self.mobility.expand(&topo.positions, self.seed);
@@ -450,6 +452,21 @@ mod tests {
         let s = ScenarioSpec { ber: Some(1e-5), ..spec() };
         let scenario = s.materialise().unwrap();
         assert_eq!(scenario.params.ber, 1e-5);
+    }
+
+    #[test]
+    fn an_unconnectable_topology_is_an_error_not_a_panic() {
+        // Ten stations in a 5 km square — {"kind":"random-geometric",
+        // "nodes":10,"side_m":5000} — parses, passes `check()`, and no attempt
+        // can connect it. `materialise` returns `Result`, so it must say so
+        // instead of panicking in the generator.
+        let topology = TopologySpec::RandomGeometric { nodes: 10, side_m: 5000.0 };
+        let text = ScenarioSpec { topology, ..spec() }.to_json().to_string();
+        let parsed = ScenarioSpec::parse(&text).expect("the spec itself is well-formed");
+        let msg = parsed.materialise().unwrap_err();
+        assert!(msg.starts_with("spec \"demo\":"), "{msg}");
+        assert!(msg.contains("RandomGeometric { nodes: 10, side_m: 5000.0 }"), "{msg}");
+        assert!(msg.contains("64 attempts"), "{msg}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Each [`TopologySpec`] is a small parameter record that deterministically
 //! expands into a [`wmn_topology::Topology`] for a given seed: all
-//! randomness comes from [`StreamRng`] streams derived from
-//! `(seed, "scengen/…")` labels, so the same spec and seed always place the
-//! same stations, on any host and in any worker.
+//! randomness comes from [`StreamRng`] streams derived from the seed and the
+//! `SCENGEN_*` rows of [`wmn_sim::labels`], so the same spec and seed always
+//! place the same stations, on any host and in any worker.
 //!
 //! The generated placements obey the NodeId contract of `wmn_topology`
 //! (dense ids, node `i` at `positions[i]`) by construction, and the two
@@ -15,7 +15,8 @@
 
 use wmn_phy::{PhyParams, Position};
 use wmn_routing::LinkGraph;
-use wmn_sim::{NodeId, StreamRng};
+use wmn_sim::labels::{self, Family};
+use wmn_sim::{NodeId, RngDirectory, StreamRng};
 use wmn_topology::Topology;
 
 use crate::json::Value;
@@ -23,7 +24,7 @@ use crate::json::Value;
 /// Attempts the stochastic generators make before giving up on producing a
 /// connected placement. Each attempt derives a fresh stream, so the loop is
 /// deterministic per `(spec, seed)`.
-const CONNECT_ATTEMPTS: usize = 64;
+const CONNECT_ATTEMPTS: u32 = 64;
 
 /// A procedural topology family plus its knobs.
 ///
@@ -151,47 +152,51 @@ impl TopologySpec {
     ///
     /// # Panics
     ///
-    /// Panics if the knobs are invalid ([`TopologySpec::check`]) or if a
-    /// stochastic family cannot reach a connected placement within its
-    /// attempt budget — both are spec bugs (density far below the
-    /// connectivity threshold), not runtime conditions.
+    /// Panics where [`TopologySpec::try_generate`] returns an error — for a
+    /// spec written in code both are bugs, not runtime conditions.
     pub fn generate(&self, seed: u64) -> Topology {
-        if let Err(msg) = self.check() {
-            panic!("invalid topology spec: {msg}");
-        }
+        self.try_generate(seed).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`TopologySpec::generate`] for a spec that came from outside the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the knobs are invalid ([`TopologySpec::check`]) or if a
+    /// stochastic family reaches no connected placement within its attempt
+    /// budget (density far below the connectivity threshold).
+    pub fn try_generate(&self, seed: u64) -> Result<Topology, String> {
+        self.check().map_err(|msg| format!("invalid topology spec: {msg}"))?;
         let name = format!("{}-s{seed}", self.slug());
-        match *self {
-            TopologySpec::Grid { cols, rows, spacing_m } => {
-                let positions = (0..rows)
-                    .flat_map(|r| {
-                        (0..cols)
-                            .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
-                    })
-                    .collect();
-                Topology::new(name, positions)
-            }
+        let dir = RngDirectory::new(seed);
+        let positions = match *self {
+            TopologySpec::Grid { cols, rows, spacing_m } => (0..rows)
+                .flat_map(|r| {
+                    (0..cols)
+                        .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
+                })
+                .collect(),
             TopologySpec::PerturbedLine { nodes, spacing_m, jitter_m } => {
-                let mut rng = StreamRng::derive(seed, "scengen/line");
-                let positions = (0..nodes)
+                let mut rng = dir.stream(labels::SCENGEN_LINE);
+                (0..nodes)
                     .map(|i| {
                         Position::new(
                             i as f64 * spacing_m + jitter_m * rng.standard_normal(),
                             jitter_m * rng.standard_normal(),
                         )
                     })
-                    .collect();
-                Topology::new(name, positions)
+                    .collect()
             }
             TopologySpec::RandomGeometric { nodes, side_m } => {
-                let positions = connected_placement(seed, "scengen/rgg", self, |rng| {
+                connected_placement(dir, labels::SCENGEN_RGG_ATTEMPT, self, |rng| {
                     (0..nodes)
                         .map(|_| Position::new(rng.uniform() * side_m, rng.uniform() * side_m))
                         .collect()
-                });
-                Topology::new(name, positions)
+                })?
             }
             TopologySpec::Campus { clusters, nodes_per_cluster, cluster_radius_m, side_m } => {
-                let positions = connected_placement(seed, "scengen/campus", self, |rng| {
+                connected_placement(dir, labels::SCENGEN_CAMPUS_ATTEMPT, self, |rng| {
                     let mut positions = Vec::with_capacity(clusters * nodes_per_cluster);
                     for _ in 0..clusters {
                         let cx = rng.uniform() * side_m;
@@ -204,10 +209,10 @@ impl TopologySpec {
                         }
                     }
                     positions
-                });
-                Topology::new(name, positions)
+                })?
             }
-        }
+        };
+        Ok(Topology::new(name, positions))
     }
 
     /// Serialises the spec as a JSON object (`kind` plus the family knobs).
@@ -272,25 +277,25 @@ impl TopologySpec {
 }
 
 /// Runs `place` with per-attempt RNG streams until the placement is
-/// radio-connected (see [`is_connected`]). Deterministic per `(seed, label)`.
+/// radio-connected (see [`is_connected`]). Deterministic per
+/// `(seed, attempts)`.
 fn connected_placement(
-    seed: u64,
-    label: &str,
+    dir: RngDirectory,
+    attempts: Family,
     spec: &TopologySpec,
     mut place: impl FnMut(&mut StreamRng) -> Vec<Position>,
-) -> Vec<Position> {
+) -> Result<Vec<Position>, String> {
     for attempt in 0..CONNECT_ATTEMPTS {
-        // lint:allow(rng-label-registry): label is one of this module's own registered `scengen/…` generator names
-        let mut rng = StreamRng::derive(seed, &format!("{label}/attempt{attempt}"));
-        let positions = place(&mut rng);
+        let positions = place(&mut dir.indexed_stream(attempts, attempt));
         if is_connected(&positions) {
-            return positions;
+            return Ok(positions);
         }
     }
-    panic!(
+    Err(format!(
         "topology spec {spec:?} produced no connected placement in {CONNECT_ATTEMPTS} attempts \
-         (seed {seed}) — raise the density (more nodes or a smaller area)"
-    );
+         (seed {}) — raise the density (more nodes or a smaller area)",
+        dir.master_seed()
+    ))
 }
 
 /// Whether every station can reach every other over usable links (finite

@@ -11,6 +11,7 @@
 //!   order (the one the simulator runs on),
 //! * [`rng`] — named, independently-seeded random-number streams so that
 //!   changing how one component consumes randomness does not perturb others,
+//!   and [`labels`], the one table of the names those streams may have,
 //! * small shared identifier newtypes ([`NodeId`], [`FlowId`]).
 //!
 //! Every protocol entity in the upper crates is written as a passive state
@@ -30,6 +31,9 @@
 //! ```
 
 pub mod ids;
+pub mod labels;
+#[cfg(clippy)]
+mod liveness;
 pub mod queue;
 pub mod rng;
 pub mod time;

@@ -4,7 +4,11 @@
 //! backoff, each traffic generator, …) draws from its own [`StreamRng`],
 //! derived deterministically from the master seed and a stream label. This
 //! keeps components statistically independent and means adding a new consumer
-//! of randomness does not perturb the draws seen by existing ones.
+//! of randomness does not perturb the draws seen by existing ones. The labels
+//! themselves are the rows of [`crate::labels`]; simulator code reaches a
+//! stream through [`RngDirectory`], which accepts nothing but those rows.
+
+use crate::labels::{Family, Label};
 
 /// A deterministic random stream derived from `(master_seed, label)`.
 ///
@@ -18,8 +22,8 @@
 ///
 /// ```
 /// use wmn_sim::StreamRng;
-/// let mut a = StreamRng::derive(42, "backoff/n0");
-/// let mut b = StreamRng::derive(42, "backoff/n0");
+/// let mut a = StreamRng::derive(42, "unit-test/backoff");
+/// let mut b = StreamRng::derive(42, "unit-test/backoff");
 /// assert_eq!(a.next_u64(), b.next_u64()); // same label => same stream
 /// ```
 #[derive(Debug)]
@@ -28,20 +32,23 @@ pub struct StreamRng {
 }
 
 impl StreamRng {
-    /// Derives a stream from the master seed and a stable label.
+    /// Derives a stream from the master seed and a free-form label.
+    ///
+    /// For unit tests and the `perfbench` probes, which want a throwaway
+    /// stream and call this by name. Simulator code does not: it goes through
+    /// [`RngDirectory`], whose labels are the typed rows of
+    /// [`crate::labels`], so that every stream a run draws from is in that
+    /// one table. Nothing enforces the split — the function stays `pub`
+    /// while the frozen probes name it (ROADMAP item 3(0) narrows it).
     pub fn derive(master_seed: u64, label: &str) -> Self {
-        // FNV-1a-style fold over the label (odd multiplier, not the exact
-        // FNV-64 prime — do not "correct" it: every derived stream, and so
-        // every seed-dependent result, would change), mixed with the master
-        // seed via splitmix64.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        Self::seeded(master_seed, fold(LABEL_BASIS, label.as_bytes()))
+    }
+
+    /// The stream for a master seed and a folded label.
+    fn seeded(master_seed: u64, label_hash: u64) -> Self {
         // Expand the mixed seed into four non-degenerate state words, as
         // xoshiro's authors recommend: successive splitmix64 outputs.
-        let mut s = splitmix64(master_seed ^ h);
+        let mut s = splitmix64(master_seed ^ label_hash);
         let mut state = [0u64; 4];
         for word in &mut state {
             s = splitmix64(s);
@@ -155,6 +162,21 @@ impl StreamRng {
     }
 }
 
+/// Where a label's fold starts.
+const LABEL_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the label hash `h`. FNV-1a-style (odd multiplier, not
+/// the exact FNV-64 prime — do not "correct" it: every derived stream, and
+/// so every seed-dependent result, would change). Folding a label in pieces
+/// equals folding it whole.
+fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -248,7 +270,8 @@ impl NormalBounds {
 /// A factory handing out [`StreamRng`]s for a fixed master seed.
 ///
 /// Scenario runners hold one directory and derive per-component streams from
-/// it, e.g. `dir.stream("phy/shadowing/n3")`.
+/// it, e.g. `dir.stream(labels::MEDIUM)` or
+/// `dir.indexed_stream(labels::MAC, 3)` (the stream labelled `"mac/3"`).
 #[derive(Debug, Clone, Copy)]
 pub struct RngDirectory {
     master_seed: u64,
@@ -266,21 +289,27 @@ impl RngDirectory {
     }
 
     /// Derives the stream with the given label.
-    pub fn stream(&self, label: &str) -> StreamRng {
-        // lint:allow(rng-label-registry): forwarding shim — each caller's literal label is registered at its own call site
-        StreamRng::derive(self.master_seed, label)
+    pub fn stream(&self, label: Label) -> StreamRng {
+        StreamRng::derive(self.master_seed, label.0)
     }
 
-    /// Derives the stream `"{prefix}/{index}"` — the canonical form for
-    /// per-entity stream families (`"shard/medium"` + transmitter index,
-    /// `"shard/ber"` + receiver index, …).
-    ///
-    /// Call it with a literal prefix: the lint registry records the family
-    /// as `dynamic:<prefix>/{index}` from the call site, so a renamed or new
-    /// family shows up in the `ci/rng_labels.json` diff.
-    pub fn indexed_stream(&self, prefix: &str, index: u32) -> StreamRng {
-        // lint:allow(rng-label-registry): forwarding shim — each caller's literal prefix is registered at its own call site
-        StreamRng::derive(self.master_seed, &format!("{prefix}/{index}"))
+    /// Derives stream `index` of a family: the stream labelled
+    /// `"{head}{index}"`, without building that string — the head's bytes
+    /// and then the index's decimal digits go straight into the fold.
+    pub fn indexed_stream(&self, family: Family, index: u32) -> StreamRng {
+        let mut digits = [0u8; 10]; // u32::MAX has ten
+        let mut first = digits.len();
+        let mut rest = index;
+        loop {
+            first -= 1;
+            digits[first] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let head = fold(LABEL_BASIS, family.0.as_bytes());
+        StreamRng::seeded(self.master_seed, fold(head, &digits[first..]))
     }
 }
 
@@ -292,34 +321,18 @@ mod tests {
     #[test]
     fn same_label_same_stream() {
         let dir = RngDirectory::new(7);
-        let mut a = dir.stream("x");
-        let mut b = dir.stream("x");
+        let mut a = dir.stream(Label("x"));
+        let mut b = dir.stream(Label("x"));
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn indexed_stream_matches_the_formatted_label() {
-        // The indexed form is *defined* as the "{prefix}/{index}" label:
-        // code deriving `indexed_stream("shard/medium", 3)` and registry
-        // tooling reasoning about `dynamic:shard/medium/{index}` must agree
-        // on the stream.
-        let dir = RngDirectory::new(41);
-        let mut a = dir.indexed_stream("shard/medium", 3);
-        let mut b = dir.stream("shard/medium/3");
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut other = dir.indexed_stream("shard/medium", 4);
-        assert_ne!(a.next_u64(), other.next_u64());
     }
 
     #[test]
     fn different_labels_diverge() {
         let dir = RngDirectory::new(7);
-        let mut a = dir.stream("x");
-        let mut b = dir.stream("y");
+        let mut a = dir.stream(Label("x"));
+        let mut b = dir.stream(Label("y"));
         let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2, "streams with different labels should diverge");
     }
@@ -458,6 +471,24 @@ mod tests {
     }
 
     proptest! {
+        /// The indexed form is *defined* as the `"{head}{index}"` label: the
+        /// digit fold agrees with the formatted string for every family of
+        /// the table, at the digit-count boundaries in particular.
+        #[test]
+        fn indexed_stream_matches_the_formatted_label(seed in any::<u64>(), index in any::<u32>()) {
+            for row in crate::labels::TABLE {
+                let crate::labels::Row::Family(family) = *row else { continue };
+                for i in [0, 9, 10, u32::MAX, index] {
+                    let label = format!("{}{i}", family.0);
+                    let mut folded = RngDirectory::new(seed).indexed_stream(family, i);
+                    let mut formatted = StreamRng::derive(seed, &label);
+                    for _ in 0..4 {
+                        prop_assert!(folded.next_u64() == formatted.next_u64(), "{label}");
+                    }
+                }
+            }
+        }
+
         /// Backoff draws always fall inside the contention window.
         #[test]
         fn prop_uniform_slots_in_range(n in 0u32..4096, seed in any::<u64>()) {

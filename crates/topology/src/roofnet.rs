@@ -10,7 +10,7 @@
 
 use wmn_phy::{PhyParams, Position};
 use wmn_routing::LinkGraph;
-use wmn_sim::{NodeId, StreamRng};
+use wmn_sim::{labels, NodeId, RngDirectory};
 
 use crate::Topology;
 
@@ -22,7 +22,7 @@ pub const GRID_SPACING: f64 = 5.5;
 /// Deterministic jittered-grid placement (the jitter stream is fixed, so
 /// every build sees the same "Roofnet").
 pub fn topology() -> Topology {
-    let mut rng = StreamRng::derive(0xF00F, "roofnet-jitter");
+    let mut rng = RngDirectory::new(0xF00F).stream(labels::ROOFNET_JITTER);
     let mut positions = Vec::with_capacity(GRID_SIDE * GRID_SIDE);
     for row in 0..GRID_SIDE {
         for col in 0..GRID_SIDE {

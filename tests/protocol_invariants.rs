@@ -6,7 +6,7 @@ use wmn_mac::frame::{Frame, NetHeader, NodeList, Packet, Proto, RouteInfo};
 use wmn_mac::{Backoff, DropReason, MacAction, MacEntityExt, MacScheme, TimerToken};
 use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
+use wmn_sim::{labels, FlowId, NodeId, RngDirectory, SimDuration, SimTime};
 
 fn base(scheme: Scheme, ber: f64, seed: u64) -> Scenario {
     Scenario {
@@ -206,7 +206,8 @@ fn contention_is_identical_across_schemes() {
 
     // The reference: one contention window and the stream every MAC gets.
     let mut model = Backoff::new(params.cw_min, params.cw_max);
-    let mut model_rng = StreamRng::derive(SEED, "mac/0");
+    let station_0 = || RngDirectory::new(SEED).indexed_stream(labels::MAC, 0);
+    let mut model_rng = station_0();
     let first_draw = model.draw(&mut model_rng);
     let frozen = first_draw / 2; // whole slots that elapse before the busy edge
     assert!(frozen >= 1, "pick a seed whose first countdown survives the busy edge");
@@ -232,7 +233,7 @@ fn contention_is_identical_across_schemes() {
         (Scheme::McExor, &opportunistic),
     ] {
         let label = scheme.label();
-        let mut mac = scheme.build_mac(&params, NodeId::new(0), StreamRng::derive(SEED, "mac/0"));
+        let mut mac = scheme.build_mac(&params, NodeId::new(0), station_0());
         let mut backoffs = Vec::new();
 
         // Enqueue on a busy channel: nothing may happen until the idle edge.
