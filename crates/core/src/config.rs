@@ -27,8 +27,6 @@ pub struct RippleConfig {
     pub max_aggregation: usize,
     /// Interface queue capacity.
     pub ifq_capacity: usize,
-    /// Receiver-side reorder buffer (`Rq`) capacity.
-    pub reorder_capacity: usize,
     /// Byte budget per aggregated frame (6 ms airtime cap at the data
     /// rate, as in 802.11n's bounded A-MPDU duration). Multi-hop TXOPs
     /// relay the frame once per hop, so bounding it matters even more here
@@ -56,7 +54,6 @@ impl RippleConfig {
             retry_limit: params.retry_limit,
             max_aggregation,
             ifq_capacity: params.ifq_capacity,
-            reorder_capacity: 64,
             max_frame_payload_bytes: (params.data_rate.as_mbps() * 6_000.0 / 8.0) as u32,
             timing: MtxopTiming::new(params.clone()),
         }

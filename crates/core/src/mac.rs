@@ -20,7 +20,7 @@
 //!   ones it already holds) and delivers packets strictly in order through
 //!   the receive queue `Rq`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wmn_mac::frame::{
     AckFrame, AckList, DataFrame, Frame, LinkDst, Packet, RouteInfo, RxFrame, Subframe,
@@ -28,7 +28,7 @@ use wmn_mac::frame::{
 };
 use wmn_mac::{
     ActionSink, AggRole, AggSender, Backoff, Csma, DataState, IfQueue, MacAction, MacEntity,
-    MacStats, ReorderBuffer, TimerToken,
+    MacStats, TimerToken,
 };
 use wmn_phy::PhyParams;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
@@ -70,7 +70,6 @@ pub struct RippleMac {
     /// identities only grow and only the latest attempt's ACK is ever
     /// applied, so one value recognises every later (relayed) copy.
     last_applied_ack: u64,
-    rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
     /// Relays performed (diagnostic; counts both data and ACK relays).
     relays_performed: u64,
 }
@@ -105,7 +104,6 @@ impl RippleMac {
             data_relayed: BTreeSet::new(),
             ack_relayed: BTreeSet::new(),
             last_applied_ack: 0,
-            rq: BTreeMap::new(),
             relays_performed: 0,
         }
     }
@@ -231,28 +229,17 @@ impl RippleMac {
     fn destination_receive(&mut self, d: &DataFrame, out: &mut ActionSink) {
         let LinkDst::Opportunistic { list } = &d.link_dst else { return };
         let mut acked_seqs = AckList::new();
-        let cap = self.cfg.reorder_capacity;
         for sf in &d.subframes {
-            // Rq per (flow, end-to-end source): frames may mix flows that
-            // share a route, so the key comes from the subframe.
-            let key = (sf.packet.header.flow, sf.packet.header.src);
-            let rq = self.rq.entry(key).or_insert_with(|| ReorderBuffer::new(cap));
             if sf.corrupted {
                 // Acknowledge subframes we already hold from earlier copies,
                 // so the source stops retransmitting them.
-                if rq.has(sf.seq) {
+                if self.tx.holds(sf) {
                     acked_seqs.push((sf.packet.header.flow, sf.seq));
                 }
                 continue;
             }
             acked_seqs.push((sf.packet.header.flow, sf.seq));
-            // The release run drains straight into Deliver actions — same
-            // order as before, no intermediate accumulator.
-            let (_, mut rel) = rq.accept(sf.seq, sf.packet.clone());
-            for p in rel.drain(..) {
-                self.tx.csma.stats.delivered_up += 1;
-                out.push(MacAction::Deliver { packet: p });
-            }
+            self.tx.deliver_in_order(sf, out);
         }
         let ack = AckFrame {
             transmitter: self.tx.node(),

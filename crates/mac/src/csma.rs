@@ -9,8 +9,9 @@
 //!   it is the same code.
 //! * [`AggSender`] — the aggregated source DCF/AFR and RIPPLE put on top:
 //!   the in-flight subframe window, head-matching batch and zero-wait
-//!   top-up, frame building from the stored route, bitmap-ACK application
-//!   and the pending-ACK responder.
+//!   top-up, frame building from the stored route, bitmap-ACK application,
+//!   the pending-ACK responder and in-order delivery through the receive
+//!   queues `Rq`.
 //!
 //! Both are owned by value and generic over the scheme's own timer payload,
 //! so they monomorphise into the crate that uses them.
@@ -23,8 +24,13 @@ use crate::backoff::Backoff;
 use crate::frame::{AckFrame, DataFrame, Frame, Packet, RouteInfo, Subframe};
 use crate::pool::{FramePool, Slot, SlotPool};
 use crate::queue::IfQueue;
+use crate::reorder::ReorderBuffer;
 use crate::sink::ActionSink;
 use crate::{DropReason, MacAction, MacStats, RateClass, TimerToken};
+
+/// Out-of-order packets a receive queue holds before it gives up on the
+/// oldest hole.
+const REORDER_CAPACITY: usize = 64;
 
 /// Where a station's data pipeline stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -384,7 +390,8 @@ pub enum AggRole<X> {
     Scheme(X),
 }
 
-/// The aggregated source (and ACK responder) shared by DCF/AFR and RIPPLE.
+/// The aggregated source (and ACK responder and in-order receiver) shared
+/// by DCF/AFR and RIPPLE.
 pub struct AggSender<X> {
     /// The contention core.
     pub csma: Csma<AggRole<X>>,
@@ -398,6 +405,9 @@ pub struct AggSender<X> {
     inflight_slots: SlotPool<(u32, Packet)>,
     /// The station's frame-buffer pool.
     pub pool: FramePool,
+    /// One receive queue per (flow, end-to-end source): frames may mix
+    /// flows that share a route, so the key comes from the subframe.
+    rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
 }
 
 impl<X> AggSender<X> {
@@ -417,6 +427,7 @@ impl<X> AggSender<X> {
             pending_ack: None,
             inflight_slots: SlotPool::new(),
             pool: FramePool::default(),
+            rq: BTreeMap::new(),
         }
     }
 
@@ -555,6 +566,27 @@ impl<X> AggSender<X> {
         let token = self.csma.mint(AggRole::SendAck);
         self.pending_ack = Some((token, ack));
         out.push(MacAction::SetTimer { delay, token });
+    }
+
+    /// Offers a subframe that survived the channel to its receive queue and
+    /// delivers the run that releases, in sequence order. The frame is
+    /// borrowed (it may be the shared broadcast copy), so the kept packet is
+    /// cloned — a header copy plus a body refcount bump.
+    pub fn deliver_in_order(&mut self, sf: &Subframe, out: &mut ActionSink) {
+        let key = (sf.packet.header.flow, sf.packet.header.src);
+        let rq = self.rq.entry(key).or_insert_with(|| ReorderBuffer::new(REORDER_CAPACITY));
+        let mut released = rq.accept(sf.seq, sf.packet.clone());
+        for packet in released.drain(..) {
+            self.csma.stats.delivered_up += 1;
+            out.push(MacAction::Deliver { packet });
+        }
+    }
+
+    /// Whether `sf`'s receive queue already holds its sequence number
+    /// (delivered or buffered).
+    pub fn holds(&self, sf: &Subframe) -> bool {
+        let key = (sf.packet.header.flow, sf.packet.header.src);
+        self.rq.get(&key).is_some_and(|rq| rq.has(sf.seq))
     }
 }
 

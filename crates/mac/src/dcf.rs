@@ -5,15 +5,14 @@
 //! of the "D" (predetermined route) and "S" (direct/SPR) baselines, 16 the
 //! AFR scheme of reference \[19\] ("A" in the figures). What this module
 //! adds is per-hop unicast: a station accepts only frames addressed to it,
-//! answers each with a SIFS-spaced bitmap ACK, delivers through a reorder
-//! buffer so partial loss does not re-order the flow, and expects its own
-//! ACK within one `ack_timeout`.
+//! answers each with a SIFS-spaced bitmap ACK, delivers through the
+//! sender's reorder buffers so partial loss does not re-order the flow, and
+//! expects its own ACK within one `ack_timeout`.
 
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 
 use wmn_phy::PhyParams;
-use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
+use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 
 use crate::backoff::Backoff;
 use crate::csma::{AggSender, Csma, DataState};
@@ -22,9 +21,8 @@ use crate::frame::{
     ACK_BITMAP_BYTES, ACK_BYTES,
 };
 use crate::queue::IfQueue;
-use crate::reorder::{AcceptOutcome, ReorderBuffer};
 use crate::sink::ActionSink;
-use crate::{MacAction, MacEntity, MacStats, TimerToken};
+use crate::{MacEntity, MacStats, TimerToken};
 
 /// Configuration of a [`DcfMac`], derived from the scenario's PHY parameters.
 #[derive(Clone, Debug)]
@@ -47,8 +45,6 @@ pub struct DcfConfig {
     pub ifq_capacity: usize,
     /// How long after a data transmission ends to wait for the MAC ACK.
     pub ack_timeout: SimDuration,
-    /// Receiver-side reorder buffer capacity per flow-direction.
-    pub reorder_capacity: usize,
     /// Byte budget per aggregated frame, derived from a 6 ms airtime cap at
     /// the data rate (802.11n bounds A-MPDU duration the same way). Keeps
     /// low-rate frames from monopolising the channel for tens of ms.
@@ -76,7 +72,6 @@ impl DcfConfig {
             ifq_capacity: params.ifq_capacity,
             // SIFS + ACK airtime + propagation/turnaround slack.
             ack_timeout: params.sifs + ack_air + SimDuration::from_micros(10),
-            reorder_capacity: 64,
             max_frame_payload_bytes: frame_payload_budget(params),
         }
     }
@@ -92,7 +87,6 @@ pub struct DcfMac {
     cfg: DcfConfig,
     /// The shared 802.11 sender; DCF adds no timers of its own.
     tx: AggSender<Infallible>,
-    rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
 }
 
 impl std::fmt::Debug for DcfMac {
@@ -118,7 +112,7 @@ impl DcfMac {
             rng,
         );
         let tx = AggSender::new(node, csma, cfg.max_aggregation, cfg.max_frame_payload_bytes);
-        DcfMac { cfg, tx, rq: BTreeMap::new() }
+        DcfMac { cfg, tx }
     }
 
     /// The station this MAC belongs to.
@@ -143,19 +137,8 @@ impl DcfMac {
             .map(|s| (s.packet.header.flow, s.seq))
             .collect();
         // Deliver clean, non-duplicate subframes in order through the Rq.
-        // The frame is borrowed (it may be the shared broadcast copy), so
-        // kept packets are cloned — a header copy plus a body refcount bump.
         for sf in d.subframes.iter().filter(|s| !s.corrupted) {
-            let key = (sf.packet.header.flow, sf.packet.header.src);
-            let cap = self.cfg.reorder_capacity;
-            let rq = self.rq.entry(key).or_insert_with(|| ReorderBuffer::new(cap));
-            let (outcome, mut released) = rq.accept(sf.seq, sf.packet.clone());
-            if outcome == AcceptOutcome::Accepted || outcome == AcceptOutcome::Duplicate {
-                for p in released.drain(..) {
-                    self.tx.csma.stats.delivered_up += 1;
-                    out.push(MacAction::Deliver { packet: p });
-                }
-            }
+            self.tx.deliver_in_order(sf, out);
         }
         // Schedule the MAC ACK one SIFS after the frame ended (now).
         let ack = AckFrame {
@@ -243,8 +226,9 @@ impl crate::MacScheme for DcfScheme {
 mod tests {
     use super::*;
     use crate::frame::{NetHeader, Proto, Subframe};
-    use crate::{DropReason, MacEntityExt};
+    use crate::{DropReason, MacAction, MacEntityExt};
     use std::sync::Arc;
+    use wmn_sim::FlowId;
 
     fn cfg(max_agg: usize) -> DcfConfig {
         DcfConfig::from_phy(&PhyParams::paper_216(), max_agg)

@@ -1,4 +1,4 @@
-//! Generation-tagged buffer pool for the zero-copy frame path.
+//! Recycling buffer pools for the zero-copy frame path.
 //!
 //! A frame's heap state — the encoded transport bytes behind each packet and
 //! the subframe vector of a data frame — is allocated **once**, when the
@@ -10,12 +10,9 @@
 //! traffic recycles a bounded working set instead of paying one
 //! malloc/free pair per packet per hop.
 //!
-//! Recycling is **generation-tagged**, mirroring the arrival slab: every
-//! mint stamps the buffer with a fresh generation from the pool's counter.
-//! The tag is how the property tests pin the invariant that matters — a
-//! recycled buffer starts life empty (no stale body bytes, no stale
-//! `corrupted` subframes), and two successive occupants of one buffer are
-//! distinguishable even though they share an address.
+//! The invariant recycling must keep — a recycled buffer starts life empty:
+//! no stale body bytes, no stale `corrupted` subframes — is what the
+//! property tests below pin, over arbitrary mint/clone/drop interleavings.
 //!
 //! The pool is deliberately invisible to simulation results: which buffer a
 //! mint returns affects addresses only, never values, so pooling cannot
@@ -27,17 +24,16 @@
 //! Nothing here is `Send` or `Sync`, on purpose. A run is built, driven and
 //! dropped on the one executor worker that called `wmn_netsim::run`; what
 //! crosses threads is the `Scenario` going in and the `RunResult` coming
-//! out, and neither holds a frame, a pool or a MAC. So handles are [`Rc`],
-//! free lists are [`RefCell`]s and the generation is a [`Cell`]: a `Body`
-//! clone is two plain increments (its bytes, its home) and its last drop a
-//! plain push, where the thread-safe spelling paid two bus-locked
-//! instructions for the one and about six for the other. The
-//! `compile_fail` doctests on [`FramePool`], [`Body`] and [`SlotPool`]
-//! hold the contract: moving any of them to another thread does not
-//! compile, so a future thread cannot be "fixed" by quietly re-adding
-//! atomics here. What a second holder on the *same* thread does is clone
-//! the handle (and this block is the twin that keeps those doctests
-//! failing for the right reason — the names resolve):
+//! out, and neither holds a frame, a pool or a MAC. So handles are [`Rc`]
+//! and free lists are [`RefCell`]s: a `Body` clone is two plain increments
+//! (its bytes, its home) and its last drop a plain push, where the
+//! thread-safe spelling paid two bus-locked instructions for the one and
+//! about six for the other. The `compile_fail` doctests on [`FramePool`],
+//! [`Body`] and [`SlotPool`] hold the contract: moving any of them to
+//! another thread does not compile, so a future thread cannot be "fixed" by
+//! quietly re-adding atomics here. What a second holder on the *same*
+//! thread does is clone the handle (and this block is the twin that keeps
+//! those doctests failing for the right reason — the names resolve):
 //!
 //! ```
 //! fn needs_clone<T: Clone>() {}
@@ -53,22 +49,20 @@
 //! drop of pooled contents or across a caller's closure** — clear first,
 //! then borrow, and pop in a statement of its own.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::frame::Subframe;
 
-/// Shared free lists + the generation counter behind a [`FramePool`] handle.
+/// Shared free lists behind a [`FramePool`] handle.
 #[derive(Default)]
 struct PoolInner {
     /// Parked payload buffers, each uniquely owned (strong count 1).
     bodies: RefCell<Vec<Rc<Vec<u8>>>>,
     /// Parked subframe vectors, each uniquely owned and empty.
     subframes: RefCell<Vec<Rc<Vec<Subframe>>>>,
-    /// Monotonic mint counter; every minted buffer carries one value.
-    generation: Cell<u64>,
 }
 
 /// A cloneable handle to a recyclable frame-buffer pool.
@@ -95,11 +89,6 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// Stamps and returns the next generation.
-    fn next_generation(&self) -> u64 {
-        self.inner.generation.replace(self.inner.generation.get() + 1)
-    }
-
     /// Mints a payload buffer and fills it via `fill`, reusing a parked
     /// buffer (and its capacity) when one is available. The buffer `fill`
     /// sees is always empty.
@@ -109,7 +98,7 @@ impl FramePool {
         let buf = Rc::get_mut(&mut rc).expect("parked body buffers are uniquely owned");
         buf.clear();
         fill(buf);
-        Body { buf: Some(rc), home: Some(self.clone()), generation: self.next_generation() }
+        Body { buf: Some(rc), home: Some(self.clone()) }
     }
 
     /// Mints a payload buffer holding a copy of `contents`.
@@ -123,11 +112,6 @@ impl FramePool {
         let rc = self.inner.subframes.borrow_mut().pop().unwrap_or_default();
         debug_assert!(rc.is_empty(), "parked subframe vectors are cleared before parking");
         SubframeVec { buf: Some(rc), home: Some(self.clone()) }
-    }
-
-    /// The number of generations minted so far (test/diagnostic surface).
-    pub fn generations_minted(&self) -> u64 {
-        self.inner.generation.get()
     }
 
     /// Buffers currently parked, `(bodies, subframe vectors)` — the pool's
@@ -163,7 +147,6 @@ impl fmt::Debug for FramePool {
         f.debug_struct("FramePool")
             .field("parked_bodies", &bodies)
             .field("parked_subframes", &subframes)
-            .field("generations_minted", &self.generations_minted())
             .finish()
     }
 }
@@ -188,8 +171,6 @@ pub struct Body {
     buf: Option<Rc<Vec<u8>>>,
     /// The pool to park in, if pool-minted.
     home: Option<FramePool>,
-    /// Mint generation (0 for unpooled bodies).
-    generation: u64,
 }
 
 impl Body {
@@ -203,13 +184,6 @@ impl Body {
         self.buf.as_deref().map_or(&[], |v| v.as_slice())
     }
 
-    /// The generation stamped at mint time (0 for unpooled bodies). Two
-    /// bodies minted from the same pool never share a generation, even when
-    /// they recycled the same buffer.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Whether this body came from a pool (and will be parked on last drop).
     pub fn is_pooled(&self) -> bool {
         self.home.is_some()
@@ -218,13 +192,13 @@ impl Body {
 
 impl From<Vec<u8>> for Body {
     fn from(bytes: Vec<u8>) -> Self {
-        Body { buf: Some(Rc::new(bytes)), home: None, generation: 0 }
+        Body { buf: Some(Rc::new(bytes)), home: None }
     }
 }
 
 impl Clone for Body {
     fn clone(&self) -> Self {
-        Body { buf: self.buf.clone(), home: self.home.clone(), generation: self.generation }
+        Body { buf: self.buf.clone(), home: self.home.clone() }
     }
 }
 
@@ -365,12 +339,10 @@ impl fmt::Debug for SubframeVec {
     }
 }
 
-/// Shared free list + generation counter behind a [`SlotPool`] handle.
+/// Shared free list behind a [`SlotPool`] handle.
 struct SlotPoolInner<T> {
     /// Parked slot buffers, each cleared before parking.
     slots: RefCell<Vec<Vec<T>>>,
-    /// Monotonic mint counter; every minted slot carries one value.
-    generation: Cell<u64>,
 }
 
 /// A recyclable pool of uniquely-owned scratch buffers ("slots") — the
@@ -381,9 +353,8 @@ struct SlotPoolInner<T> {
 /// buffers that one owner fills, drains, and drops: the batch a saturated
 /// interface queue hands to the aggregator, the contiguous run a reorder
 /// buffer releases. Minting pops a parked buffer (or allocates the first
-/// time), dropping a [`Slot`] clears it and parks it back, and every mint
-/// stamps a fresh generation so the property tests can pin that no stale
-/// entry ever leaks across reuse.
+/// time), and dropping a [`Slot`] clears it and parks it back, so no stale
+/// entry ever leaks across reuse (the property tests pin it).
 ///
 /// Like its sibling, the pool is invisible to simulation results: which
 /// buffer a mint returns affects addresses only, never values. And like its
@@ -400,12 +371,7 @@ pub struct SlotPool<T> {
 impl<T> SlotPool<T> {
     /// A fresh pool with an empty free list.
     pub fn new() -> Self {
-        SlotPool {
-            inner: Rc::new(SlotPoolInner {
-                slots: RefCell::new(Vec::new()),
-                generation: Cell::new(0),
-            }),
-        }
+        SlotPool { inner: Rc::new(SlotPoolInner { slots: RefCell::new(Vec::new()) }) }
     }
 
     /// Mints an empty slot, reusing a parked buffer (and its capacity)
@@ -413,13 +379,7 @@ impl<T> SlotPool<T> {
     pub fn mint(&self) -> Slot<T> {
         let buf = self.inner.slots.borrow_mut().pop().unwrap_or_default();
         debug_assert!(buf.is_empty(), "parked slots are cleared before parking");
-        let generation = self.inner.generation.replace(self.inner.generation.get() + 1);
-        Slot { buf: Some(buf), home: Some(self.clone()), generation }
-    }
-
-    /// The number of generations minted so far (test/diagnostic surface).
-    pub fn generations_minted(&self) -> u64 {
-        self.inner.generation.get()
+        Slot { buf: Some(buf), home: Some(self.clone()) }
     }
 
     /// Buffers currently parked (test/diagnostic surface).
@@ -449,10 +409,7 @@ impl<T> Clone for SlotPool<T> {
 
 impl<T> fmt::Debug for SlotPool<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlotPool")
-            .field("parked", &self.parked())
-            .field("generations_minted", &self.generations_minted())
-            .finish()
+        f.debug_struct("SlotPool").field("parked", &self.parked()).finish()
     }
 }
 
@@ -465,22 +422,13 @@ pub struct Slot<T> {
     buf: Option<Vec<T>>,
     /// The pool to park in, if pool-minted.
     home: Option<SlotPool<T>>,
-    /// Mint generation (0 for detached slots).
-    generation: u64,
 }
 
 impl<T> Slot<T> {
     /// An empty slot with no home pool (tests, unpooled callers): behaves
     /// like a plain `Vec` and is simply dropped.
     pub fn detached() -> Slot<T> {
-        Slot { buf: Some(Vec::new()), home: None, generation: 0 }
-    }
-
-    /// The generation stamped at mint time (0 for detached slots). Two
-    /// slots minted from the same pool never share a generation, even when
-    /// they recycled the same buffer.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        Slot { buf: Some(Vec::new()), home: None }
     }
 
     fn vec(&self) -> &Vec<T> {
@@ -550,13 +498,12 @@ mod tests {
 
     #[test]
     fn recycled_body_is_empty_with_a_fresh_generation() {
+        // A fresh generation: the buffer's next occupant, which sees nothing
+        // of the last one.
         let pool = FramePool::new();
-        let first = pool.mint_body(b"stale contents");
-        let first_gen = first.generation();
-        drop(first);
+        drop(pool.mint_body(b"stale contents"));
         assert_eq!(pool.parked().0, 1, "last drop parks the buffer");
         let second = pool.mint_body_with(|_| {});
-        assert_ne!(second.generation(), first_gen, "recycling mints a fresh generation");
         assert!(second.as_slice().is_empty(), "no stale bytes survive recycling");
         assert_eq!(pool.parked().0, 0, "the parked buffer was reused");
     }
@@ -600,10 +547,10 @@ mod tests {
     proptest::proptest! {
         /// Whatever the mint/clone/drop interleaving, recycling never leaks
         /// state between a buffer's successive occupants: every minted body
-        /// holds exactly its own contents under a never-before-seen
-        /// generation, and every minted subframe vector starts empty — no
-        /// stale bytes, no stale `corrupted` flags — even though the
-        /// underlying allocations are reused.
+        /// holds exactly its own contents, and every minted subframe vector
+        /// starts empty — no stale bytes, no stale `corrupted` flags — even
+        /// though a parked buffer is always reused before a new one is
+        /// allocated.
         #[test]
         fn prop_recycling_never_leaks_stale_state(
             ops in proptest::collection::vec(
@@ -614,19 +561,17 @@ mod tests {
             let pool = FramePool::new();
             let mut live_bodies: Vec<Body> = Vec::new();
             let mut live_vecs: Vec<SubframeVec> = Vec::new();
-            let mut seen_generations = std::collections::BTreeSet::new();
             for (op, slot, payload) in ops {
                 match op {
-                    // Mint a body: its contents and generation are its own.
+                    // Mint a body, reusing a parked buffer if there is one:
+                    // its contents are its own.
                     0 => {
+                        let parked = pool.parked().0;
                         let body = pool.mint_body(&payload);
+                        proptest::prop_assert_eq!(pool.parked().0, parked.saturating_sub(1));
                         proptest::prop_assert_eq!(
                             body.as_slice(), payload.as_slice(),
                             "a minted body holds exactly what it was filled with"
-                        );
-                        proptest::prop_assert!(
-                            seen_generations.insert(body.generation()),
-                            "generation tags are never reused"
                         );
                         live_bodies.push(body);
                     }
@@ -662,20 +607,17 @@ mod tests {
                 }
             }
             // Drain everything, then remint every parked buffer: each must
-            // come back empty and freshly tagged regardless of its history.
+            // come back empty regardless of its history.
             drop((live_bodies, live_vecs));
             let (parked_bodies, parked_vecs) = pool.parked();
-            for _ in 0..parked_bodies {
-                let b = pool.mint_body_with(|_| {});
-                proptest::prop_assert!(b.as_slice().is_empty(), "no stale bytes survive recycling");
-                proptest::prop_assert!(seen_generations.insert(b.generation()));
-            }
-            for _ in 0..parked_vecs {
-                proptest::prop_assert!(
-                    pool.mint_subframes().is_empty(),
-                    "no stale subframes (or corrupted flags) survive recycling"
-                );
-            }
+            let bodies: Vec<Body> = (0..parked_bodies).map(|_| pool.mint_body_with(|_| {})).collect();
+            proptest::prop_assert!(bodies.iter().all(|b| b.is_empty()), "no stale bytes survive recycling");
+            let vecs: Vec<SubframeVec> = (0..parked_vecs).map(|_| pool.mint_subframes()).collect();
+            proptest::prop_assert!(
+                vecs.iter().all(|v| v.is_empty()),
+                "no stale subframes (or corrupted flags) survive recycling"
+            );
+            proptest::prop_assert_eq!(pool.parked(), (0, 0), "every parked buffer was reused");
         }
     }
 
@@ -736,23 +678,15 @@ mod tests {
         drop(outer);
         assert_eq!(nests.parked(), 7, "the outer slot, three inner, three innermost");
 
-        // Everything re-mints empty under a generation nobody has seen.
-        let first_fresh = pool.generations_minted();
+        // Everything re-mints empty, out of the parked buffers.
         let bodies: Vec<Body> = (0..5).map(|_| pool.mint_body_with(|_| {})).collect();
-        for (body, generation) in bodies.iter().zip(first_fresh..) {
-            assert!(body.is_empty(), "no stale bytes survive recycling");
-            assert_eq!(body.generation(), generation);
-        }
+        assert!(bodies.iter().all(|body| body.is_empty()), "no stale bytes survive recycling");
         let recycled = pool.mint_subframes();
         assert!(recycled.is_empty(), "no stale subframe or corrupted flag");
         assert_eq!(pool.parked(), (0, 0), "all six parked buffers were reused");
         assert!(queue.mint().is_empty() && held.mint().is_empty());
-        let first_fresh = nests.generations_minted();
         let reminted: Vec<Slot<Nest>> = (0..7).map(|_| nests.mint()).collect();
-        for (nest, generation) in reminted.iter().zip(first_fresh..) {
-            assert!(nest.is_empty());
-            assert_eq!(nest.generation(), generation);
-        }
+        assert!(reminted.iter().all(|nest| nest.is_empty()));
         assert_eq!(nests.parked(), 0);
     }
 
@@ -789,15 +723,14 @@ mod tests {
     fn detached_slots_work_without_a_pool() {
         let mut slot: Slot<u8> = Slot::detached();
         slot.push(7);
-        assert_eq!(slot.generation(), 0);
         assert_eq!(slot.as_slice(), &[7]);
     }
 
     proptest::proptest! {
         /// Mirror of the `FramePool` pin above, for [`SlotPool`]: whatever
-        /// the mint/fill/drop interleaving, a reminted slot is always empty
-        /// and carries a never-before-seen generation — no stale entries
-        /// leak across reuse even though the buffers themselves recycle.
+        /// the mint/fill/drop interleaving, a reminted slot — a fresh
+        /// generation of a parked buffer, whose capacity it keeps — is
+        /// always empty: no stale entries leak across reuse.
         #[test]
         fn prop_slot_remint_is_empty_with_fresh_generation(
             ops in proptest::collection::vec(
@@ -807,15 +740,12 @@ mod tests {
         ) {
             let pool: SlotPool<u32> = SlotPool::new();
             let mut live: Vec<Slot<u32>> = Vec::new();
-            let mut seen_generations = std::collections::BTreeSet::new();
             for (mint, slot_idx, fill) in ops {
                 if mint || live.is_empty() {
+                    let parked = pool.parked();
                     let mut s = pool.mint();
                     proptest::prop_assert!(s.is_empty(), "a reminted slot starts life empty");
-                    proptest::prop_assert!(
-                        seen_generations.insert(s.generation()),
-                        "generation tags are never reused"
-                    );
+                    proptest::prop_assert_eq!(pool.parked(), parked.saturating_sub(1));
                     // Dirty the buffer — the stale state a later occupant
                     // must not see.
                     s.extend(std::iter::repeat_n(fill, slot_idx + 1));
@@ -824,20 +754,21 @@ mod tests {
                     live.swap_remove(slot_idx % live.len());
                 }
             }
-            // Drain everything, then remint every parked buffer.
+            // Drain everything, then remint every parked buffer: every one
+            // was dirtied, so each keeps a capacity.
             drop(live);
-            for _ in 0..pool.parked() {
-                let s = pool.mint();
+            let reminted: Vec<Slot<u32>> = (0..pool.parked()).map(|_| pool.mint()).collect();
+            for s in &reminted {
                 proptest::prop_assert!(s.is_empty(), "no stale entries survive recycling");
-                proptest::prop_assert!(seen_generations.insert(s.generation()));
+                proptest::prop_assert!(s.capacity() > 0, "a parked buffer was reused");
             }
+            proptest::prop_assert_eq!(pool.parked(), 0);
         }
     }
 
     #[test]
     fn unpooled_fallbacks_work_without_a_pool() {
         let body = Body::from(b"plain".to_vec());
-        assert_eq!(body.generation(), 0);
         assert!(!body.is_pooled());
         let header = NetHeader {
             flow: FlowId::new(0),

@@ -224,12 +224,14 @@ mod tests {
         }
         let first = q.pop_batch_matching_head(2, u32::MAX);
         assert_eq!(first.len(), 2);
-        let first_generation = first.generation();
+        let capacity = first.capacity();
         drop(first);
+        assert_eq!(q.batches.parked(), 1, "a drained batch parks its buffer");
         let second = q.pop_batch_matching_head(2, u32::MAX);
+        assert_eq!(q.batches.parked(), 0, "the next batch reuses it");
+        assert_eq!(second.capacity(), capacity);
         assert_eq!(second.len(), 2);
         assert_eq!(second[0].packet.header.flow, FlowId::new(2));
-        assert!(second.generation() > first_generation, "each batch is freshly minted");
     }
 
     #[test]

@@ -16,16 +16,6 @@ use std::collections::VecDeque;
 use crate::frame::Packet;
 use crate::pool::{Slot, SlotPool};
 
-/// What happened to one subframe offered to the buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AcceptOutcome {
-    /// New in-window packet; it (and possibly successors) will be released.
-    Accepted,
-    /// Already delivered or already buffered; acknowledge but do not
-    /// deliver again.
-    Duplicate,
-}
-
 /// In-order delivery buffer for one (flow, direction).
 ///
 /// # Example
@@ -41,9 +31,9 @@ pub enum AcceptOutcome {
 /// };
 /// let mut rq = ReorderBuffer::new(64);
 /// // Sequence 1 arrives before 0: held back…
-/// assert!(rq.accept(1, Packet::new(h, vec![])).1.is_empty());
+/// assert!(rq.accept(1, Packet::new(h, vec![])).is_empty());
 /// // …and released, in order, once 0 fills the gap.
-/// let (_, released) = rq.accept(0, Packet::new(h, vec![]));
+/// let released = rq.accept(0, Packet::new(h, vec![]));
 /// assert_eq!(released.len(), 2);
 /// ```
 /// Out-of-order arrivals live in a sequence-sorted `VecDeque` (a `BTreeMap`
@@ -82,13 +72,14 @@ impl ReorderBuffer {
         }
     }
 
-    /// Offers a received subframe. Returns the outcome plus the packets now
-    /// releasable to the upper layer, in sequence order, in a recycled
-    /// [`Slot`] (drain it and drop it; the buffer parks for the next run).
-    pub fn accept(&mut self, seq: u32, packet: Packet) -> (AcceptOutcome, Slot<Packet>) {
+    /// Offers a received subframe. Returns the packets now releasable to the
+    /// upper layer, in sequence order, in a recycled [`Slot`] (drain it and
+    /// drop it; the buffer parks for the next run). A duplicate — already
+    /// delivered or already buffered — releases nothing.
+    pub fn accept(&mut self, seq: u32, packet: Packet) -> Slot<Packet> {
         let mut released = self.releases.mint();
         if seq < self.next_expected {
-            return (AcceptOutcome::Duplicate, released);
+            return released;
         }
         if seq == self.next_expected {
             // In-order fast path: straight into the release run, no
@@ -98,7 +89,7 @@ impl ReorderBuffer {
         } else {
             let idx = self.pending.partition_point(|(s, _)| *s < seq);
             if self.pending.get(idx).is_some_and(|(s, _)| *s == seq) {
-                return (AcceptOutcome::Duplicate, released);
+                return released;
             }
             self.pending.insert(idx, (seq, packet));
         }
@@ -112,7 +103,7 @@ impl ReorderBuffer {
             self.next_expected = oldest;
             self.release_run(&mut released);
         }
-        (AcceptOutcome::Accepted, released)
+        released
     }
 
     /// Moves the contiguous run starting at `next_expected` out of
@@ -177,8 +168,7 @@ mod tests {
     fn in_order_stream_flows_through() {
         let mut rq = ReorderBuffer::new(8);
         for s in 0..5 {
-            let (out, rel) = rq.accept(s, pkt(s));
-            assert_eq!(out, AcceptOutcome::Accepted);
+            let rel = rq.accept(s, pkt(s));
             assert_eq!(rel.len(), 1);
             assert_eq!(seq_of(&rel[0]), s);
         }
@@ -189,10 +179,10 @@ mod tests {
     #[test]
     fn gap_holds_then_releases_in_order() {
         let mut rq = ReorderBuffer::new(8);
-        assert!(rq.accept(1, pkt(1)).1.is_empty());
-        assert!(rq.accept(2, pkt(2)).1.is_empty());
+        assert!(rq.accept(1, pkt(1)).is_empty());
+        assert!(rq.accept(2, pkt(2)).is_empty());
         assert_eq!(rq.buffered(), 2);
-        let (_, rel) = rq.accept(0, pkt(0));
+        let rel = rq.accept(0, pkt(0));
         assert_eq!(rel.iter().map(seq_of).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
@@ -200,13 +190,11 @@ mod tests {
     fn duplicates_are_flagged_not_delivered() {
         let mut rq = ReorderBuffer::new(8);
         rq.accept(0, pkt(0));
-        let (out, rel) = rq.accept(0, pkt(0));
-        assert_eq!(out, AcceptOutcome::Duplicate);
-        assert!(rel.is_empty());
+        assert!(rq.has(0) && rq.accept(0, pkt(0)).is_empty());
         // Duplicate of a still-buffered packet.
         rq.accept(2, pkt(2));
-        let (out, _) = rq.accept(2, pkt(2));
-        assert_eq!(out, AcceptOutcome::Duplicate);
+        assert!(rq.has(2) && rq.accept(2, pkt(2)).is_empty());
+        assert_eq!(rq.buffered(), 1, "held once");
     }
 
     #[test]
@@ -224,13 +212,15 @@ mod tests {
     #[test]
     fn release_buffers_recycle_across_accepts() {
         let mut rq = ReorderBuffer::new(8);
-        let first = rq.accept(0, pkt(0)).1;
+        let first = rq.accept(0, pkt(0));
         assert_eq!(first.len(), 1);
-        let first_generation = first.generation();
+        let capacity = first.capacity();
         drop(first);
-        let second = rq.accept(1, pkt(1)).1;
+        assert_eq!(rq.releases.parked(), 1, "a drained run parks its buffer");
+        let second = rq.accept(1, pkt(1));
+        assert_eq!(rq.releases.parked(), 0, "the next run reuses it");
+        assert_eq!(second.capacity(), capacity);
         assert_eq!(second.len(), 1);
-        assert!(second.generation() > first_generation, "each release run is freshly minted");
     }
 
     proptest! {
@@ -249,7 +239,7 @@ mod tests {
             let mut rq = ReorderBuffer::new(64);
             let mut released = Vec::new();
             for s in order {
-                let (_, rel) = rq.accept(s, pkt(s));
+                let rel = rq.accept(s, pkt(s));
                 released.extend(rel.iter().map(seq_of));
             }
             let mut sorted = released.clone();

@@ -5,7 +5,8 @@
 //! the station stack in [`stack`], which owns the per-station and per-flow
 //! layers ([`stack::mac_engine`]: one MAC per station behind the
 //! [`wmn_mac::MacScheme`] factory trait; [`stack::flow_layer`]: transport
-//! endpoints and workloads; receivers and in-flight arrivals) together with
+//! endpoints and workloads; receivers and [`stack::phy_io`]'s table of
+//! transmissions on the air) together with
 //! the event queue, and interprets every [`wmn_mac::MacAction`] /
 //! [`wmn_transport::TcpAction`] against simulated time — driven by one
 //! event loop that lends it the medium and the routing tables

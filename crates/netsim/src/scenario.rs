@@ -168,7 +168,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// Checks the scenario's structural invariants: a non-empty placement,
-    /// at least one flow, every flow path at least two nodes long with no
+    /// a scheme that aggregates at least one packet per frame, at least one
+    /// flow, every flow path at least two nodes long with no
     /// immediate self-loops, every referenced [`NodeId`] inside the
     /// placement (ids are dense indices into `positions` — see the type-level
     /// NodeId contract), and a well-formed motion plan
@@ -185,6 +186,12 @@ impl Scenario {
         let n = self.positions.len();
         if n == 0 {
             return Err(format!("scenario {:?}: empty placement", self.name));
+        }
+        if let Scheme::Dcf { aggregation: 0 } | Scheme::Ripple { aggregation: 0 } = self.scheme {
+            return Err(format!(
+                "scenario {:?}: aggregation must be at least 1 packet per frame, got {:?}",
+                self.name, self.scheme
+            ));
         }
         if self.flows.is_empty() {
             return Err(format!("scenario {:?}: no flows", self.name));
@@ -323,6 +330,13 @@ mod tests {
         bad_motion.motion.paths = vec![wmn_topology::NodePath::Static; 3];
         let msg = bad_motion.validate().unwrap_err();
         assert!(msg.contains("motion") && msg.contains("3 paths"), "{msg}");
+
+        for scheme in [Scheme::Dcf { aggregation: 0 }, Scheme::Ripple { aggregation: 0 }] {
+            let unaggregated = Scenario { scheme, ..valid_scenario() };
+            let msg = unaggregated.validate().unwrap_err();
+            assert!(msg.contains("aggregation must be at least 1"), "{msg}");
+            assert!(msg.contains(&format!("{:?}", unaggregated.name)), "{msg}");
+        }
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //!
 //! # Zero-copy fast path
 //!
-//! The draws are planned in two passes: first every subframe's survival is
-//! drawn into a corruption bitmask (consuming the RNG in exactly the order
-//! the old mutate-as-you-go loop did), and only *then* is anything copied.
-//! A frame whose mask comes back empty — the overwhelmingly common case on
-//! a healthy channel — is handed to the MAC as [`RxFrame::Shared`], a pure
-//! `Arc` refcount bump of the broadcast allocation: zero heap allocations
-//! per clean decode. Only a frame with at least one corrupted subframe pays
-//! for a copy, and the two branches below are the only callers of
+//! Survival is drawn subframe by subframe, in frame order, and nothing is
+//! copied until the first loss. A frame that loses nothing — the
+//! overwhelmingly common case on a healthy channel — is handed to the MAC
+//! as [`RxFrame::Shared`], a pure `Arc` refcount bump of the broadcast
+//! allocation: zero heap allocations per clean decode. At the first lost
+//! subframe the receiver detaches its own copy, and that loss and every
+//! later one are flagged in it; the detach is the only caller of
 //! `DataFrame::diverged_copy` — frames are not `Clone`, so there is no other
 //! way to copy one.
 
@@ -22,11 +21,6 @@ use std::sync::Arc;
 use wmn_mac::frame::{Frame, RxFrame, SUBFRAME_OVERHEAD_BYTES};
 use wmn_phy::BerModel;
 use wmn_sim::StreamRng;
-
-/// Subframe-count ceiling of the bitmask fast path. Frames wider than this
-/// (none exist today; aggregation is capped at 16) take an eager-clone
-/// fallback with the identical draw order.
-const MASK_WIDTH: usize = 128;
 
 /// [`BerModel::unit_survives`] for the units of one frame: the survival
 /// probability (an `exp`) is recomputed only when the unit size changes,
@@ -58,9 +52,8 @@ impl<'a> UnitDraw<'a> {
 /// when every subframe survived, and an owned corrupted-flagged copy
 /// otherwise.
 ///
-/// Draw order (header, then each subframe in frame order, one draw each) is
-/// identical on every branch — the clean/corrupt split is decided *after*
-/// the draws, so this refactor is invisible to the RNG streams.
+/// One draw for the header, then one per subframe in frame order, whatever
+/// the outcome and whatever the frame's width.
 ///
 /// Public so the bench suite can pin the fast path's zero-allocation claim
 /// with the counting allocator; simulation code reaches it from the station
@@ -70,46 +63,20 @@ pub fn decode_frame(ber: &BerModel, rng: &mut StreamRng, frame: &Arc<Frame>) -> 
     if !unit.survives(frame.header_bytes(), rng) {
         return None;
     }
-    let d = match &**frame {
+    let Frame::Data(d) = &**frame else {
         // An ACK has no subframes: header survival is the whole decode.
-        Frame::Ack(_) => return Some(RxFrame::Shared(Arc::clone(frame))),
-        Frame::Data(d) => d,
-    };
-    if d.subframes.len() > MASK_WIDTH {
-        return Some(decode_wide(unit, rng, d));
-    }
-    let mut mask: u128 = 0;
-    for (i, sf) in d.subframes.iter().enumerate() {
-        let bytes = SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes;
-        if !unit.survives(bytes, rng) {
-            mask |= 1 << i;
-        }
-    }
-    if mask == 0 {
         return Some(RxFrame::Shared(Arc::clone(frame)));
-    }
-    // Copy-on-write branch: at least one subframe was corrupted, so this
-    // receiver needs its own flags. The copy is shallow (the subframe
-    // storage is an `Rc`); the `iter_mut` below is what detaches a private
-    // copy to write the flags into.
-    let mut owned = d.diverged_copy();
-    for (i, sf) in owned.subframes.iter_mut().enumerate() {
-        if mask & (1 << i) != 0 {
-            sf.corrupted = true;
+    };
+    let mut diverged = None;
+    for (i, sf) in d.subframes.iter().enumerate() {
+        if !unit.survives(SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes, rng) {
+            // The first write to the copy's shared subframe storage detaches
+            // it (copy-on-write); later ones write in place.
+            diverged.get_or_insert_with(|| d.diverged_copy()).subframes[i].corrupted = true;
         }
     }
-    Some(Frame::Data(owned).into())
-}
-
-/// Fallback for frames wider than the bitmask: copy eagerly and mutate in
-/// place, drawing in the exact same order as the masked path.
-fn decode_wide(mut unit: UnitDraw<'_>, rng: &mut StreamRng, d: &wmn_mac::DataFrame) -> RxFrame {
-    let mut owned = d.diverged_copy();
-    for sf in owned.subframes.iter_mut() {
-        let bytes = SUBFRAME_OVERHEAD_BYTES + sf.packet.header.wire_bytes;
-        if !unit.survives(bytes, rng) {
-            sf.corrupted = true;
-        }
-    }
-    Frame::Data(owned).into()
+    Some(match diverged {
+        None => RxFrame::Shared(Arc::clone(frame)),
+        Some(owned) => Frame::Data(owned).into(),
+    })
 }

@@ -3,8 +3,8 @@
 //! The stack mirrors the protocol stack the paper describes, as layers with
 //! typed seams:
 //!
-//! * [`phy_io`] — the in-flight arrival slab and the mobility step over the
-//!   medium;
+//! * [`phy_io`] — the air table of transmissions in flight, with their
+//!   reception plans, and the mobility step over the medium;
 //! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
 //!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
 //!   [`Scheme`](crate::Scheme), so the engine never names a concrete MAC);
@@ -50,7 +50,7 @@ use wmn_sim::{FlowId, NodeId, SimDuration};
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
 use net_layer::NetLayer;
-use phy_io::advance_medium_positions;
+use phy_io::{advance_medium_positions, Reception};
 use station::{Pass, StationStack, World};
 
 /// TCP-specific per-flow results.
@@ -132,10 +132,10 @@ pub(crate) enum Event {
         node: NodeId,
     },
     RxStart {
-        arrival: u64,
+        reception: Reception,
     },
     RxEnd {
-        arrival: u64,
+        reception: Reception,
     },
     MacTimer {
         node: NodeId,
@@ -253,14 +253,17 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn run_loop(&mut self) {
+    /// Pops and processes every event up to the end of the run. Returns the
+    /// first event past the end, popped but not processed, if there is one.
+    fn run_loop(&mut self) -> Option<Event> {
         // Phase attribution for the counting allocator: everything in the
         // loop is event-loop churn unless a nested scope (tx-path, queue)
         // claims it. No-op outside `wmn_alloc/count` builds.
         let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::EventLoop);
-        while let Some((now, event)) = self.core.queue.pop() {
+        loop {
+            let (now, event) = self.core.queue.pop()?;
             if now > self.core.end {
-                break;
+                return Some(event);
             }
             match event {
                 Event::Pass(Pass::Mobility) => {
@@ -308,8 +311,6 @@ impl<'a> Runner<'a> {
     }
 
     fn results(&self) -> RunResult {
-        let (pending, parked) = self.core.receptions_in_flight();
-        debug_assert_eq!(pending, parked, "air-slot releases pending vs. arrivals parked");
         let flows = self.core.flows.results(self.scenario);
         let total = flows.iter().map(|f| f.throughput_mbps).sum();
         RunResult { flows, total_throughput_mbps: total, mac_stats: self.core.macs.stats() }
@@ -713,17 +714,27 @@ mod tests {
             ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], positions);
         lossy.params.ber = 2e-5;
         lossy.flows.extend([cbr(&[4, 5]), cbr(&[6, 7]), cbr(&[8, 1])]);
-        lossy.duration = SimDuration::from_millis(300);
+        // Off the 10 ms tick grid, so the run ends with frames on the air.
+        lossy.duration = SimDuration::from_micros(300_137);
         lossy.motion = MotionPlan { paths, tick: SimDuration::from_millis(10) };
 
         for shards in [None, Some(1)] {
             let scenario = Scenario { shards, ..lossy.clone() };
             let mut runner = Runner::build(&scenario);
-            runner.run_loop();
-            // What `results` checks in debug builds, checked here in any.
-            let (pending, parked) = runner.core.receptions_in_flight();
-            assert_eq!(pending, parked, "shards: {shards:?}");
+            let stopped_at = runner.run_loop();
             let result = runner.results();
+            // The receptions still on the air are exactly the RxEnds still
+            // queued: once each of those is released, nothing may be pending.
+            let queued = std::iter::from_fn(|| runner.core.queue.pop().map(|(_, event)| event));
+            let mut on_air = 0;
+            for event in stopped_at.into_iter().chain(queued) {
+                if let Event::RxEnd { reception } = event {
+                    runner.core.air.release(reception);
+                    on_air += 1;
+                }
+            }
+            assert_eq!(runner.core.air.pending(), 0, "shards: {shards:?}");
+            assert!(on_air > 0, "the run ended with receptions on the air");
 
             let stats = &result.mac_stats;
             assert!(stats.iter().map(|s| s.timeouts).sum::<u64>() > 50, "losses: {stats:?}");

@@ -1,7 +1,6 @@
 //! The channel-facing pieces of the node stack: the `AirTable` holding each
-//! transmission's frame while it is on the air, the in-flight `ArrivalSlab`
-//! the station stack parks planned receptions in, and the mobility step the
-//! loop applies to its [`Medium`].
+//! transmission, with its reception plan, while it is on the air, and the
+//! mobility step the loop applies to its [`Medium`].
 //!
 //! Mobility draws **no** randomness at run time: trajectories are pure
 //! functions of time ([`wmn_topology::motion`]), sampled on a fixed tick
@@ -10,33 +9,59 @@
 use std::sync::Arc;
 
 use wmn_mac::frame::Frame;
-use wmn_phy::{Medium, Position};
+use wmn_phy::{Medium, Position, RxPlan};
 use wmn_sim::{NodeId, SimTime};
 use wmn_topology::MotionPlan;
+
+/// One planned reception: plan `index` of the transmission in air-table
+/// `slot`. Valid from its transmission's park until its own RxEnd
+/// [releases](AirTable::release) it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Reception {
+    pub(crate) slot: u32,
+    pub(crate) index: u32,
+}
+
+impl Reception {
+    /// The id a [`Receiver`](wmn_phy::Receiver) tracks this arrival by.
+    /// Unique among receptions on the air: a slot is not reused while any
+    /// of its RxEnds is pending, and a plan names each receiver once.
+    pub(crate) fn id(self) -> u64 {
+        (u64::from(self.slot) << 32) | u64::from(self.index)
+    }
+}
 
 /// One transmission on the air.
 struct AirSlot {
     /// The transmitted frame; `None` while the slot is free.
     frame: Option<Arc<Frame>>,
+    /// The planner's receptions, in planner order; kept as a recycled
+    /// buffer while the slot is free.
+    plans: Vec<RxPlan>,
     /// Planned receptions that have not reached their RxEnd yet.
     pending: u32,
 }
 
 /// Every transmission currently on the air, held **once**: a broadcast
-/// parks its frame handle here with the number of receptions planned for
-/// it, each [`ArrivalState`] carries the slot index instead of a handle of
-/// its own, and the frame is dropped at its last RxEnd. Fanning a frame out
-/// to F receivers is therefore one move and F plain decrements, where F
-/// clones of the handle were 2·F bus-locked updates of one cache line; the
-/// only clones left are the ones a successful decode hands its MAC.
+/// parks its frame handle here with the receptions planned for it, each
+/// RxStart/RxEnd carries a [`Reception`] into this table instead of a state
+/// or handle of its own, and the frame is dropped at its last RxEnd.
+/// Fanning a frame out to F receivers is therefore one move and F plain
+/// decrements, where F clones of the handle were 2·F bus-locked updates of
+/// one cache line; the only clones left are the ones a successful decode
+/// hands its MAC.
 ///
 /// Freed slots recycle LIFO, so the table stays as small as the peak number
-/// of overlapping transmissions. Slot indices are pure lookup handles —
-/// they never participate in event ordering.
+/// of overlapping transmissions, and their plan buffers rotate through
+/// [`AirTable::lend`], so planning allocates nothing at steady state. Slot
+/// indices are pure lookup handles — they never participate in event
+/// ordering.
 #[derive(Default)]
 pub(crate) struct AirTable {
     slots: Vec<AirSlot>,
     free: Vec<u32>,
+    /// The plan buffer the next [`AirTable::lend`] hands out.
+    spare: Vec<RxPlan>,
 }
 
 impl AirTable {
@@ -46,38 +71,61 @@ impl AirTable {
         AirTable {
             slots: Vec::with_capacity(transmissions),
             free: Vec::with_capacity(transmissions),
+            spare: Vec::new(),
         }
     }
 
-    /// Parks `frame` until `receptions` RxEnds have [released](Self::release)
-    /// it, and returns its slot. A transmission nobody will perceive has
-    /// nothing to wait for and must not be parked: its slot would never
-    /// free.
-    pub(crate) fn park(&mut self, frame: Arc<Frame>, receptions: u32) -> u32 {
-        assert!(receptions > 0, "a transmission without receptions is dropped, not parked");
-        let occupant = AirSlot { frame: Some(frame), pending: receptions };
-        match self.free.pop() {
+    /// A recycled buffer for the planner to fill and [`park`](Self::park).
+    pub(crate) fn lend(&mut self) -> Vec<RxPlan> {
+        std::mem::take(&mut self.spare)
+    }
+
+    /// Parks `frame` with its reception plans until every one of them has
+    /// been [released](Self::release), and returns its slot. A transmission
+    /// nobody perceives has nothing to wait for: it is not parked (its
+    /// slot would never free), the frame drops here and the result is
+    /// `None`.
+    pub(crate) fn park(&mut self, frame: Arc<Frame>, plans: Vec<RxPlan>) -> Option<u32> {
+        if plans.is_empty() {
+            self.spare = plans;
+            return None;
+        }
+        let pending = plans.len() as u32;
+        let occupant = AirSlot { frame: Some(frame), plans, pending };
+        Some(match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = occupant;
+                let vacated = std::mem::replace(&mut self.slots[slot as usize], occupant);
+                self.spare = vacated.plans;
                 slot
             }
             None => {
                 self.slots.push(occupant);
                 (self.slots.len() - 1) as u32
             }
-        }
+        })
     }
 
-    /// The frame parked in `slot`, lent to the decode seam.
-    pub(crate) fn frame(&self, slot: u32) -> &Arc<Frame> {
-        self.slots[slot as usize].frame.as_ref().expect("a pending reception's slot is live")
+    /// The receptions planned for the transmission parked in `slot`.
+    pub(crate) fn plans(&self, slot: u32) -> &[RxPlan] {
+        &self.slots[slot as usize].plans
     }
 
-    /// One reception of `slot`'s transmission reached its RxEnd; the last
-    /// one drops the frame and frees the slot. Releasing a free slot is a
-    /// broken slab invariant and panics rather than underflow into the
-    /// slot's next occupant.
-    pub(crate) fn release(&mut self, slot: u32) {
+    /// What the planner decided for `reception`.
+    pub(crate) fn plan(&self, reception: Reception) -> &RxPlan {
+        &self.plans(reception.slot)[reception.index as usize]
+    }
+
+    /// The frame `reception` carries, lent to the decode seam.
+    pub(crate) fn frame(&self, reception: Reception) -> &Arc<Frame> {
+        let slot = &self.slots[reception.slot as usize];
+        slot.frame.as_ref().expect("a pending reception's slot is live")
+    }
+
+    /// `reception` reached its RxEnd; the last of its transmission's drops
+    /// the frame and frees the slot. Releasing a free slot would underflow
+    /// into the slot's next occupant, so it panics, in release builds too.
+    pub(crate) fn release(&mut self, reception: Reception) {
+        let slot = reception.slot;
         let entry = &mut self.slots[slot as usize];
         assert!(entry.pending > 0, "air slot {slot} released with no reception pending");
         entry.pending -= 1;
@@ -88,110 +136,9 @@ impl AirTable {
     }
 
     /// Receptions still pending, over every live slot.
+    #[cfg(test)]
     pub(crate) fn pending(&self) -> u64 {
         self.slots.iter().map(|slot| u64::from(slot.pending)).sum()
-    }
-}
-
-/// One in-flight arrival: a transmission en route to one receiver.
-pub(crate) struct ArrivalState {
-    /// The receiving station.
-    pub(crate) node: NodeId,
-    /// Where the [`AirTable`] holds the transmitted frame: a broadcast to k
-    /// receivers costs one allocation and one handle, not k of either.
-    /// Clean decodes clone the table's handle into the MAC; a private copy
-    /// is made only when bit errors corrupt a subframe (see
-    /// [`decode_frame`](super::decode::decode_frame)).
-    pub(crate) air: u32,
-    /// Whether the arrival is strong enough to decode.
-    pub(crate) decodable: bool,
-    /// Received power in dBm.
-    pub(crate) power_dbm: f64,
-}
-
-/// One slab slot: its current occupant (if any) plus a generation counter
-/// bumped every time the slot is freed, so recycled slots mint fresh ids.
-#[derive(Default)]
-struct Slot {
-    generation: u32,
-    state: Option<ArrivalState>,
-}
-
-/// Packs a slot index and its generation into one arrival event id.
-fn arrival_id(slot: u32, generation: u32) -> u64 {
-    (u64::from(generation) << 32) | u64::from(slot)
-}
-
-/// Splits an arrival event id back into `(slot, generation)`.
-fn split_arrival_id(id: u64) -> (u32, u32) {
-    (id as u32, (id >> 32) as u32)
-}
-
-/// The in-flight arrival slab: freed slots are
-/// recycled LIFO, so memory stays bounded by the peak number of concurrent
-/// arrivals instead of growing with the run length.
-///
-/// Event ids pack the slot index with the slot's generation tag (see
-/// [`arrival_id`]): a stale id whose slot was recycled for a *different*
-/// arrival then fails the generation check instead of silently aliasing the
-/// new occupant. Slab ids are pure lookup handles — they never participate
-/// in event ordering.
-#[derive(Default)]
-pub(crate) struct ArrivalSlab {
-    arrivals: Vec<Slot>,
-    free: Vec<u32>,
-}
-
-impl ArrivalSlab {
-    /// Places an in-flight arrival into the slab, recycling a freed slot if
-    /// one is available, and returns its generation-tagged event id.
-    pub(crate) fn alloc(&mut self, state: ArrivalState) -> u64 {
-        match self.free.pop() {
-            Some(slot) => {
-                let entry = &mut self.arrivals[slot as usize];
-                entry.state = Some(state);
-                arrival_id(slot, entry.generation)
-            }
-            None => {
-                self.arrivals.push(Slot { generation: 0, state: Some(state) });
-                arrival_id((self.arrivals.len() - 1) as u32, 0)
-            }
-        }
-    }
-
-    /// Arrivals currently parked.
-    pub(crate) fn parked(&self) -> usize {
-        self.arrivals.len() - self.free.len()
-    }
-
-    /// Peeks at a parked arrival (for RxStart), if it is still in flight.
-    /// An id whose slot has since been freed — even if recycled for another
-    /// arrival — fails the generation check and returns `None`.
-    pub(crate) fn peek(&self, id: u64) -> Option<&ArrivalState> {
-        let (slot, generation) = split_arrival_id(id);
-        let entry = self.arrivals.get(slot as usize)?;
-        if entry.generation != generation {
-            return None;
-        }
-        entry.state.as_ref()
-    }
-
-    /// Removes a parked arrival (at RxEnd), freeing its slot. Stale ids are
-    /// rejected by the generation check like in [`ArrivalSlab::peek`].
-    pub(crate) fn take(&mut self, id: u64) -> Option<ArrivalState> {
-        let (slot, generation) = split_arrival_id(id);
-        let entry = self.arrivals.get_mut(slot as usize)?;
-        if entry.generation != generation {
-            return None;
-        }
-        let state = entry.state.take()?;
-        // Freeing bumps the generation, invalidating every id minted for
-        // the old occupant the moment the slot is recyclable. Wrapping is
-        // fine: an id only collides after exactly 2^32 reuses of one slot
-        // while it is somehow still in flight.
-        entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(slot);
-        Some(state)
     }
 }
 
@@ -225,10 +172,7 @@ pub(crate) fn advance_medium_positions(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn arrival(node: u32) -> ArrivalState {
-        ArrivalState { node: NodeId::new(node), air: 0, decodable: true, power_dbm: -50.0 }
-    }
+    use wmn_sim::SimDuration;
 
     fn ack(seq: u64) -> Arc<Frame> {
         Frame::Ack(wmn_mac::frame::AckFrame {
@@ -242,20 +186,40 @@ mod tests {
         .into_shared()
     }
 
+    /// Parks `frame` with `receptions` plans to stations 10, 11, … in a
+    /// lent buffer, as a broadcast does.
+    fn park(air: &mut AirTable, frame: Arc<Frame>, receptions: u32) -> Option<u32> {
+        let mut plans = air.lend();
+        plans.clear();
+        plans.extend((0..receptions).map(|i| RxPlan {
+            to: NodeId::new(10 + i),
+            delay: SimDuration::from_nanos(u64::from(i)),
+            power_dbm: -50.0,
+            decodable: true,
+        }));
+        air.park(frame, plans)
+    }
+
+    fn reception(slot: u32) -> Reception {
+        Reception { slot, index: 0 }
+    }
+
     #[test]
     fn air_slot_holds_one_handle_and_frees_at_the_last_release() {
         const F: u32 = 5;
         let mut air = AirTable::with_capacity(2);
         let frame = ack(7);
         let watch = Arc::downgrade(&frame);
-        let slot = air.park(frame, F);
-        for released in 0..F {
+        let slot = park(&mut air, frame, F).expect("perceived");
+        for index in 0..F {
             // One handle however many receptions are pending, lent (not
             // cloned) to whoever decodes.
-            assert_eq!(watch.strong_count(), 1, "after {released} releases");
-            assert_eq!(air.pending(), u64::from(F - released));
-            assert!(matches!(&**air.frame(slot), Frame::Ack(a) if a.frame_seq == 7));
-            air.release(slot);
+            let reception = Reception { slot, index };
+            assert_eq!(watch.strong_count(), 1, "after {index} releases");
+            assert_eq!(air.pending(), u64::from(F - index));
+            assert!(matches!(&**air.frame(reception), Frame::Ack(a) if a.frame_seq == 7));
+            assert_eq!(air.plan(reception).to, NodeId::new(10 + index), "planner order");
+            air.release(reception);
         }
         assert_eq!(watch.strong_count(), 0, "the F-th release drops the frame");
         assert_eq!(air.pending(), 0);
@@ -265,17 +229,17 @@ mod tests {
     #[test]
     fn air_slots_recycle_lifo() {
         let mut air = AirTable::default();
-        let slots = [air.park(ack(0), 1), air.park(ack(1), 2), air.park(ack(2), 1)];
+        let slots = [1, 2, 1].map(|f| park(&mut air, ack(u64::from(f)), f).expect("perceived"));
         assert_eq!(slots, [0, 1, 2]);
-        air.release(0);
-        air.release(2);
-        air.release(1);
-        assert_eq!(air.park(ack(3), 1), 2, "last freed, first reused");
-        assert!(matches!(&**air.frame(2), Frame::Ack(a) if a.frame_seq == 3));
+        air.release(reception(0));
+        air.release(reception(2));
+        air.release(reception(1));
+        assert_eq!(park(&mut air, ack(3), 1), Some(2), "last freed, first reused");
+        assert!(matches!(&**air.frame(reception(2)), Frame::Ack(a) if a.frame_seq == 3));
         assert_eq!(air.pending(), 2, "slot 1 still waits for its second RxEnd");
-        air.release(1);
-        assert_eq!(air.park(ack(4), 1), 1);
-        assert_eq!(air.park(ack(5), 1), 0);
+        air.release(reception(1));
+        assert_eq!(park(&mut air, ack(4), 1), Some(1));
+        assert_eq!(park(&mut air, ack(5), 1), Some(0));
         assert_eq!(air.slots.len(), 3, "three overlapping transmissions, three slots");
     }
 
@@ -283,46 +247,19 @@ mod tests {
     #[should_panic(expected = "released with no reception pending")]
     fn stale_air_release_panics_instead_of_underflowing() {
         let mut air = AirTable::default();
-        let slot = air.park(ack(0), 1);
-        air.release(slot);
-        air.release(slot);
+        let slot = park(&mut air, ack(0), 1).expect("perceived");
+        air.release(reception(slot));
+        air.release(reception(slot));
     }
 
     #[test]
-    #[should_panic(expected = "dropped, not parked")]
     fn a_transmission_without_receptions_is_not_parked() {
-        AirTable::default().park(ack(0), 0);
-    }
-
-    #[test]
-    fn recycled_slot_rejects_stale_ids() {
-        let mut slab = ArrivalSlab::default();
-        // First occupant of slot 0.
-        let first = slab.alloc(arrival(1));
-        assert!(slab.peek(first).is_some());
-        assert!(slab.take(first).is_some());
-        // The slot is recycled LIFO for a different arrival…
-        let second = slab.alloc(arrival(0));
-        assert_ne!(first, second, "recycling must mint a fresh id");
-        assert_eq!(split_arrival_id(first).0, split_arrival_id(second).0, "same slot reused");
-        // …and the stale id must not alias the new occupant.
-        assert!(slab.peek(first).is_none(), "stale peek rejected");
-        assert!(slab.take(first).is_none(), "stale take rejected");
-        let current = slab.peek(second).expect("live id still resolves");
-        assert_eq!(current.node, NodeId::new(0));
-        assert!(slab.take(second).is_some());
-        // Double-take of a live id is also rejected.
-        assert!(slab.take(second).is_none());
-    }
-
-    #[test]
-    fn generation_wraps_without_panicking() {
-        let mut slab = ArrivalSlab::default();
-        let id = slab.alloc(arrival(1));
-        let (slot, _) = split_arrival_id(id);
-        slab.arrivals[slot as usize].generation = u32::MAX;
-        let id = arrival_id(slot, u32::MAX);
-        assert!(slab.take(id).is_some());
-        assert_eq!(slab.arrivals[slot as usize].generation, 0, "wrapping add");
+        let mut air = AirTable::default();
+        let frame = ack(0);
+        let watch = Arc::downgrade(&frame);
+        assert_eq!(park(&mut air, frame, 0), None);
+        assert_eq!(watch.strong_count(), 0, "the frame dropped at once");
+        assert!(air.slots.is_empty() && air.free.is_empty(), "nothing parked");
+        assert_eq!(park(&mut air, ack(1), 1), Some(0));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`StationStack`] owns everything that is per-station or per-flow — the
 //! MAC state machines, the transport endpoints, one [`Receiver`] per
-//! station, the in-flight arrival slab, the bit-error model, the transport
+//! station, the air table, the bit-error model, the transport
 //! body pool, the optional [`Trace`] and the keyed future-event list — and
 //! holds the only definition of every event handler: MAC actions become
 //! transmissions, timers and deliveries; transport actions become enqueues
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo};
 use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass};
 use wmn_phy::medium::BusyTransition;
-use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver, RxPlan};
+use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver};
 use wmn_sim::{
     labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
     StreamRng,
@@ -40,7 +40,7 @@ use crate::stack::decode::decode_frame;
 use crate::stack::flow_layer::{FlowLayer, RtoFire, RtoTimer};
 use crate::stack::mac_engine::MacEngine;
 use crate::stack::net_layer::NetLayer;
-use crate::stack::phy_io::{AirTable, ArrivalSlab, ArrivalState};
+use crate::stack::phy_io::{AirTable, Reception};
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
@@ -197,20 +197,6 @@ impl Discipline {
     }
 }
 
-/// What [`StationStack::broadcast`] fills per transmission and keeps warm in
-/// between: zero planner, ordering or scheduling allocations at steady
-/// state.
-#[derive(Default)]
-struct BroadcastScratch {
-    /// Output of `Medium::plan_transmission_into`.
-    plans: Vec<RxPlan>,
-    /// Each plan's slab id, by plan index.
-    arrivals: Vec<u64>,
-    /// `(propagation delay, plan index)`, sorted: the order the receptions
-    /// start in (and, one airtime later, end in).
-    order: Vec<(SimDuration, u32)>,
-}
-
 /// The per-station / per-flow engine state and its event handlers (see the
 /// module docs). Building is derivation-only: no RNG stream is advanced by
 /// construction.
@@ -225,13 +211,14 @@ pub(crate) struct StationStack {
     pub(crate) end: SimTime,
     discipline: Discipline,
     receivers: Vec<Receiver>,
-    arrivals: ArrivalSlab,
-    /// The frame of every transmission that still has a reception parked in
-    /// `arrivals`.
-    air: AirTable,
+    /// Every transmission with a reception still to end: its frame and its
+    /// reception plan.
+    pub(crate) air: AirTable,
     ber: BerModel,
-    /// `broadcast`'s buffers, reused by every transmission.
-    scratch: BroadcastScratch,
+    /// `broadcast`'s `(propagation delay, plan index)` sort buffer, reused
+    /// by every transmission: the order its receptions start in (and, one
+    /// airtime later, end in).
+    order: Vec<(SimDuration, u32)>,
     /// Recycler for transport packet bodies: once warm, minting a TCP
     /// segment or UDP datagram body reuses a retired buffer instead of
     /// allocating.
@@ -278,10 +265,9 @@ impl StationStack {
             end: SimTime::ZERO + scenario.duration,
             discipline,
             receivers: (0..n).map(|_| Receiver::new()).collect(),
-            arrivals: ArrivalSlab::default(),
             air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
-            scratch: BroadcastScratch::default(),
+            order: Vec::new(),
             pool: FramePool::default(),
         }
     }
@@ -291,14 +277,6 @@ impl StationStack {
     /// and `schedule_in` can never drift apart.
     pub(crate) fn now(&self) -> SimTime {
         self.queue.now()
-    }
-
-    /// `(releases the air table still waits for, arrivals parked in the
-    /// slab)`. Between events the two are equal: every parked reception is
-    /// one pending release of its transmission's slot, and nothing else
-    /// holds a slot.
-    pub(crate) fn receptions_in_flight(&self) -> (u64, u64) {
-        (self.air.pending(), self.arrivals.parked() as u64)
     }
 
     /// Schedules `event`, `delay` from now, under the next key of `origin`.
@@ -365,43 +343,34 @@ impl StationStack {
                     self.with_mac(node, w, |mac, sink| mac.on_idle(now, sink));
                 }
             }
-            Event::RxStart { arrival } => {
-                let Some(a) = self.arrivals.peek(arrival) else {
-                    return;
-                };
-                let (node, decodable, power) = (a.node, a.decodable, a.power_dbm);
-                if let Some(BusyTransition::BecameBusy) =
-                    self.receivers[node.index()].on_arrival_start(arrival, decodable, power, now)
+            Event::RxStart { reception } => {
+                let plan = self.air.plan(reception);
+                let (node, decodable, power) = (plan.to, plan.decodable, plan.power_dbm);
+                if let Some(BusyTransition::BecameBusy) = self.receivers[node.index()]
+                    .on_arrival_start(reception.id(), decodable, power, now)
                 {
                     self.with_mac(node, w, |mac, sink| mac.on_busy(now, sink));
                 }
             }
-            Event::RxEnd { arrival } => {
-                let Some(state) = self.arrivals.take(arrival) else {
-                    return;
-                };
-                let node = state.node;
+            Event::RxEnd { reception } => {
+                let node = self.air.plan(reception).to;
                 let (outcome, transition) =
-                    self.receivers[node.index()].on_arrival_end(arrival, now);
+                    self.receivers[node.index()].on_arrival_end(reception.id(), now);
                 // Idle first so relay waits measure from the channel edge.
                 if let Some(BusyTransition::BecameIdle) = transition {
                     self.with_mac(node, w, |mac, sink| mac.on_idle(now, sink));
                 }
-                // However the reception ends, it lets go of the frame after
-                // its MAC has seen it — and exactly once.
-                'reception: {
-                    if outcome != ArrivalOutcome::Clean || !state.decodable {
-                        break 'reception;
+                // A frame that decodes with no subframe losses reaches the
+                // MAC as a shared handle to the broadcast allocation; only a
+                // corrupted one pays for a copy-on-write detach.
+                let decoded = match outcome {
+                    ArrivalOutcome::Clean => {
+                        let rng = self.discipline.ber_rng(node);
+                        decode_frame(&self.ber, rng, self.air.frame(reception))
                     }
-                    // A frame that decodes with no subframe losses reaches
-                    // the MAC as a shared handle to the broadcast
-                    // allocation; only a corrupted one pays for a
-                    // copy-on-write detach.
-                    let rng = self.discipline.ber_rng(node);
-                    let Some(frame) = decode_frame(&self.ber, rng, self.air.frame(state.air))
-                    else {
-                        break 'reception;
-                    };
+                    ArrivalOutcome::Lost => None,
+                };
+                if let Some(frame) = decoded {
                     if self.trace.is_some() {
                         let (kind, flow, frame_seq) = match &*frame {
                             Frame::Data(d) => (FrameKind::Data, d.flow, d.frame_seq),
@@ -412,7 +381,9 @@ impl StationStack {
                     }
                     self.with_mac(node, w, |mac, sink| mac.on_frame_rx(frame, now, sink));
                 }
-                self.air.release(state.air);
+                // However the reception ends, it lets go of the frame after
+                // its MAC has seen it — and exactly once.
+                self.air.release(reception);
             }
             Event::MacTimer { node, token } => {
                 self.with_mac(node, w, |mac, sink| mac.on_timer(token, now, sink));
@@ -492,18 +463,20 @@ impl StationStack {
 
     /// Fans one transmission out to every station that will perceive it:
     /// plans receptions (one shadowing draw per pair, station-index order,
-    /// from the discipline's stream for this transmitter), parks each in the
-    /// slab and mints its RxStart/RxEnd key pair under the transmitter, all
-    /// in plan order. Every receiver shares the one frame allocation the MAC
+    /// from the discipline's stream for this transmitter) straight into a
+    /// buffer the air table lends, parks frame and plans there, and mints
+    /// each reception's RxStart/RxEnd key pair under the transmitter, in
+    /// plan order. Every receiver shares the one frame allocation the MAC
     /// minted, through the one handle the air table holds until the last of
-    /// them ends (a transmission nobody perceives parks nothing).
+    /// them ends (a transmission nobody perceives parks nothing and mints
+    /// no key).
     ///
     /// The 2·F events enter the queue as two runs, not 2·F heap entries (see
     /// [`KeyedEventQueue::schedule_run_in`]): receptions sorted by
     /// `(delay, plan index)` are in `(time, key)` order, because keys grow
     /// with the plan index, and the RxEnds share that order because each is
     /// its RxStart plus the one airtime. The sort works on a recycled
-    /// scratch of small integer tuples — no allocation at steady state.
+    /// buffer of small integer tuples — no allocation at steady state.
     fn broadcast(
         &mut self,
         from: NodeId,
@@ -511,34 +484,23 @@ impl StationStack {
         airtime: SimDuration,
         medium: &Medium,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let BroadcastScratch { plans, arrivals, order } = &mut scratch;
-        medium.plan_transmission_into(from, self.discipline.medium_rng(from), plans);
-        arrivals.clear();
-        if !plans.is_empty() {
-            let air = self.air.park(frame, plans.len() as u32);
-            arrivals.extend(plans.iter().map(|plan| {
-                self.arrivals.alloc(ArrivalState {
-                    node: plan.to,
-                    air,
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                })
-            }));
-        }
+        let mut plans = self.air.lend();
+        medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
+        let Some(slot) = self.air.park(frame, plans) else { return };
+        let order = &mut self.order;
         order.clear();
-        order.extend(plans.iter().zip(0u32..).map(|(plan, index)| (plan.delay, index)));
+        order.extend(self.air.plans(slot).iter().zip(0u32..).map(|(plan, i)| (plan.delay, i)));
         order.sort_unstable();
         // Plan `i` owns keys 2i (RxStart) and 2i + 1 (RxEnd) of the block.
-        let keys = self.discipline.keys(Origin::Node(from), 2 * plans.len() as u64);
-        self.queue.schedule_run_in(order.iter().map(|&(delay, i)| {
-            (delay, keys.nth(2 * u64::from(i)), Event::RxStart { arrival: arrivals[i as usize] })
+        let keys = self.discipline.keys(Origin::Node(from), 2 * order.len() as u64);
+        self.queue.schedule_run_in(order.iter().map(|&(delay, index)| {
+            let reception = Reception { slot, index };
+            (delay, keys.nth(2 * u64::from(index)), Event::RxStart { reception })
         }));
-        self.queue.schedule_run_in(order.iter().map(|&(delay, i)| {
-            let arrival = arrivals[i as usize];
-            (delay + airtime, keys.nth(2 * u64::from(i) + 1), Event::RxEnd { arrival })
+        self.queue.schedule_run_in(order.iter().map(|&(delay, index)| {
+            let reception = Reception { slot, index };
+            (delay + airtime, keys.nth(2 * u64::from(index) + 1), Event::RxEnd { reception })
         }));
-        self.scratch = scratch;
     }
 
     fn handle_delivery(&mut self, node: NodeId, packet: Packet, w: World<'_>) {
@@ -905,21 +867,16 @@ mod tests {
             airtime: SimDuration,
             medium: &Medium,
         ) {
-            let mut plans = std::mem::take(&mut self.scratch.plans);
+            let mut plans = self.air.lend();
             medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
-            let air = self.air.park(frame, plans.len() as u32);
-            for plan in &plans {
-                let arrival = self.arrivals.alloc(ArrivalState {
-                    node: plan.to,
-                    air,
-                    decodable: plan.decodable,
-                    power_dbm: plan.power_dbm,
-                });
-                self.schedule_in(plan.delay, Origin::Node(from), Event::RxStart { arrival });
-                let end = Event::RxEnd { arrival };
-                self.schedule_in(plan.delay + airtime, Origin::Node(from), end);
+            let Some(slot) = self.air.park(frame, plans) else { return };
+            for index in 0..self.air.plans(slot).len() as u32 {
+                let reception = Reception { slot, index };
+                let delay = self.air.plan(reception).delay;
+                self.schedule_in(delay, Origin::Node(from), Event::RxStart { reception });
+                let end = Event::RxEnd { reception };
+                self.schedule_in(delay + airtime, Origin::Node(from), end);
             }
-            self.scratch.plans = plans;
         }
     }
 
@@ -974,15 +931,15 @@ mod tests {
             for _ in 0..count {
                 let Some((at, event)) = stack.queue.pop() else { return };
                 popped.push(match event {
-                    Event::RxStart { arrival } => {
-                        let a = stack.arrivals.peek(arrival).expect("parked until its RxEnd");
-                        (at, "RxStart", a.node.index() as u32, arrival)
+                    Event::RxStart { reception } => {
+                        let node = stack.air.plan(reception).to;
+                        (at, "RxStart", node.index() as u32, reception.id())
                     }
-                    // Taken, so the next transmission recycles slab slots.
-                    Event::RxEnd { arrival } => {
-                        let a = stack.arrivals.take(arrival).expect("parked until its RxEnd");
-                        stack.air.release(a.air);
-                        (at, "RxEnd", a.node.index() as u32, arrival)
+                    // Released, so the third transmission recycles a slot.
+                    Event::RxEnd { reception } => {
+                        let node = stack.air.plan(reception).to;
+                        stack.air.release(reception);
+                        (at, "RxEnd", node.index() as u32, reception.id())
                     }
                     Event::MacTimer { node, token } => {
                         (at, "MacTimer", node.index() as u32, token.0)
@@ -1012,7 +969,7 @@ mod tests {
         let second = NodeId::new(1);
         send(&mut stack, second, frame(second), airtime, &medium);
         timer(&mut stack, SimDuration::ZERO, 0);
-        // Into the RxEnds, so the third transmission recycles slab slots.
+        // Into the RxEnds, so the third transmission recycles an air slot.
         pop(&mut stack, 80);
         assert!(stack.now() > SimTime::ZERO + airtime);
         send(&mut stack, first, frame(first), airtime, &medium);
@@ -1062,7 +1019,7 @@ mod tests {
     struct RtoRun {
         /// Every pop that did something — all but the `TcpRto`s that left
         /// their sender's timeout count alone — as `(time, kind, node /
-        /// flow / 0, token / generation / arrival)`.
+        /// flow / 0, token / generation / reception id)`.
         effective: Vec<Popped>,
         /// The key each flow would mint next.
         next_keys: Vec<EventKey>,
@@ -1127,8 +1084,8 @@ mod tests {
                     continue;
                 }
                 Event::TxEnd { node } => (at, "TxEnd", node.index() as u32, 0),
-                Event::RxStart { arrival } => (at, "RxStart", 0, arrival),
-                Event::RxEnd { arrival } => (at, "RxEnd", 0, arrival),
+                Event::RxStart { reception } => (at, "RxStart", 0, reception.id()),
+                Event::RxEnd { reception } => (at, "RxEnd", 0, reception.id()),
                 Event::MacTimer { node, token } => (at, "MacTimer", node.index() as u32, token.0),
                 Event::FlowStart { flow } => (at, "FlowStart", flow.index() as u32, 0),
                 Event::UdpSend { flow } => (at, "UdpSend", flow.index() as u32, 0),

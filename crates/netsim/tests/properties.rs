@@ -206,8 +206,9 @@ fn memoised_decode_draws_what_the_unmemoised_loop_draws() {
         (0..d.subframes.len()).filter(|&i| d.subframes[i].corrupted).collect()
     }
 
-    // Repeats, alternations and a near-miss size; and a frame wider than
-    // the decoder's 128-bit mask, for its eager-copy fallback.
+    // Repeats, alternations and a near-miss size; and a frame of 137
+    // subframes, wider than any 128-bit mask (`Scheme::Dcf { aggregation:
+    // 200 }` at 216 Mbps builds frames of up to 162).
     let mixed = [1000, 1000, 40, 40, 1000, 1536, 1536, 1536, 40, 1000, 999, 1000, 1000];
     let wide: Vec<u32> = (0..137).map(|i| [1000, 1000, 40][i % 3]).collect();
     let pool = wmn_mac::FramePool::default();
