@@ -181,14 +181,15 @@ fn event_churn_recycled() -> Entry<'static> {
 
 /// The recycled-buffer claim on the queue's run path, under a broadcast's
 /// pattern: two runs of 256 per transmission (the reception starts and, an
-/// airtime later, the ends), drained beside single-event churn — every
-/// sixteenth start arms a timer at "now". One warm-up transmission sizes the
-/// two run buffers and the heap; after it a spent run's buffer backs the
-/// next run and nothing meets the allocator.
+/// airtime later, the ends), drained beside the slot timers of four
+/// stations — every sixteenth start re-arms one a few nanoseconds ahead and
+/// every sixteenth after it disarms another, as busy edges and ACKs do. One
+/// warm-up transmission sizes the two run buffers and the heap; after it a
+/// spent run's buffer backs the next run and nothing meets the allocator.
 fn run_churn_recycled() -> Entry<'static> {
     const FAN_OUT: u64 = 256;
     const TIMER: u64 = u64::MAX;
-    let mut q = KeyedEventQueue::with_capacity(64);
+    let mut q = KeyedEventQueue::with_slots(64, 4);
     let mut minted = 0u64;
     let mut sum = 0u64;
     // Returns the events it popped.
@@ -199,11 +200,15 @@ fn run_churn_recycled() -> Entry<'static> {
             q.schedule_run_in((0..FAN_OUT).map(|i| (delay(i), EventKey::new(0, 0, minted + i), i)));
             minted += FAN_OUT;
         }
-        while let Some((_, e)) = q.pop() {
+        while let Some((at, e)) = q.pop() {
             sum = sum.wrapping_add(e);
+            let slot = (e / 16 % 4) as u32;
             if e % 16 == 0 {
-                q.schedule_keyed_in(SimDuration::ZERO, EventKey::new(0, 0, minted), TIMER);
+                let fire = at + SimDuration::from_nanos(e % 7);
+                q.arm(slot, fire, EventKey::new(0, 0, minted), TIMER);
                 minted += 1;
+            } else if e % 16 == 8 {
+                sum = sum.wrapping_add(q.disarm(slot).unwrap_or(0));
             }
         }
         minted - before

@@ -133,7 +133,7 @@ impl RippleMac {
             if pr.token.is_none() {
                 let token = self.tx.csma.mint(AggRole::Scheme(pr.id));
                 pr.token = Some(token);
-                out.push(MacAction::SetTimer { delay: pr.wait, token });
+                out.push(MacAction::SetTimer { delay: pr.wait, token, slot: None });
             }
         }
     }
@@ -151,7 +151,7 @@ impl RippleMac {
         if !self.tx.csma.channel_busy() {
             let token = self.tx.csma.mint(AggRole::Scheme(id));
             pr.token = Some(token);
-            out.push(MacAction::SetTimer { delay: wait, token });
+            out.push(MacAction::SetTimer { delay: wait, token, slot: None });
         }
         self.pending_relays.push(pr);
         // Bound the backlog: the oldest pending relays are stale mTXOPs.
@@ -335,8 +335,8 @@ impl MacEntity for RippleMac {
         }
     }
 
-    fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.tx.csma.on_busy(now);
+    fn on_busy(&mut self, now: SimTime, out: &mut ActionSink) {
+        self.tx.csma.on_busy(now, out);
         // A busy channel breaks every pending idle window; the relays pause
         // and restart their full wait on the next idle edge.
         self.pause_relays();
@@ -467,7 +467,7 @@ mod tests {
         actions
             .iter()
             .filter_map(|a| match a {
-                MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+                MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
                 _ => None,
             })
             .collect()

@@ -26,7 +26,7 @@ use crate::pool::{FramePool, Slot, SlotPool};
 use crate::queue::IfQueue;
 use crate::reorder::ReorderBuffer;
 use crate::sink::ActionSink;
-use crate::{DropReason, MacAction, MacStats, RateClass, TimerToken};
+use crate::{DropReason, MacAction, MacStats, RateClass, TimerSlot, TimerToken};
 
 /// Out-of-order packets a receive queue holds before it gives up on the
 /// oldest hole.
@@ -204,10 +204,11 @@ impl<R> Csma<R> {
     }
 
     /// The channel turned busy: freeze the countdown.
-    pub fn on_busy(&mut self, now: SimTime) {
+    pub fn on_busy(&mut self, now: SimTime, out: &mut ActionSink) {
         self.channel_busy = true;
         if let Some(token) = self.armed_backoff.take() {
             self.cancel(token);
+            out.push(MacAction::CancelTimer { slot: TimerSlot::Backoff });
             let idle = now.saturating_since(self.countdown_anchor);
             self.backoff.consume_idle(idle, self.slot);
         }
@@ -251,7 +252,8 @@ impl<R> Csma<R> {
         let fire_at = start + self.slot * u64::from(remaining);
         let token = self.mint_role(Role::BackoffDone);
         self.armed_backoff = Some(token);
-        out.push(MacAction::SetTimer { delay: fire_at.saturating_since(now), token });
+        let delay = fire_at.saturating_since(now);
+        out.push(MacAction::SetTimer { delay, token, slot: Some(TimerSlot::Backoff) });
     }
 
     /// A timer fired: resolves the token and does the core's part. `None` =
@@ -305,10 +307,11 @@ impl<R> Csma<R> {
     /// post-transmission backoff is drawn. An ACK that `progressed` (covered
     /// something outstanding) restores the retry budget, a fruitless one
     /// spends a retry; `true` = exhausted, the scheme drops what is left.
-    pub fn attempt_acked(&mut self, progressed: bool) -> bool {
+    pub fn attempt_acked(&mut self, progressed: bool, out: &mut ActionSink) -> bool {
         self.stats.acks_received += 1;
         if let Some(token) = self.armed_timeout.take() {
             self.cancel(token);
+            out.push(MacAction::CancelTimer { slot: TimerSlot::AckTimeout });
         }
         self.state = DataState::Idle;
         self.backoff.on_success();
@@ -359,11 +362,14 @@ impl<R> Csma<R> {
         ended
     }
 
-    /// Arms the acknowledgement window of the attempt that just ended.
+    /// Arms the acknowledgement window of the attempt that just ended,
+    /// superseding one still armed (its slot holds one fire).
     pub fn arm_timeout(&mut self, delay: SimDuration, out: &mut ActionSink) {
         let token = self.mint_role(Role::AttemptTimeout);
-        self.armed_timeout = Some(token);
-        out.push(MacAction::SetTimer { delay, token });
+        if let Some(superseded) = self.armed_timeout.replace(token) {
+            self.cancel(superseded);
+        }
+        out.push(MacAction::SetTimer { delay, token, slot: Some(TimerSlot::AckTimeout) });
     }
 }
 
@@ -552,7 +558,7 @@ impl<X> AggSender<X> {
         let before = inflight.subframes.len();
         inflight.subframes.retain(|(seq, p)| !a.acked_seqs.contains(&(p.header.flow, *seq)));
         let left = inflight.subframes.len();
-        let exhausted = self.csma.attempt_acked(left < before);
+        let exhausted = self.csma.attempt_acked(left < before, out);
         if left == 0 {
             self.inflight = None;
         } else if exhausted {
@@ -565,7 +571,7 @@ impl<X> AggSender<X> {
     pub fn schedule_ack(&mut self, ack: AckFrame, delay: SimDuration, out: &mut ActionSink) {
         let token = self.csma.mint(AggRole::SendAck);
         self.pending_ack = Some((token, ack));
-        out.push(MacAction::SetTimer { delay, token });
+        out.push(MacAction::SetTimer { delay, token, slot: None });
     }
 
     /// Offers a subframe that survived the channel to its receive queue and
@@ -627,12 +633,17 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// The single `SetTimer` a call produced.
+    /// The single `SetTimer` a call produced: a contention timer, in its slot.
     fn timer(out: &mut ActionSink) -> (u64, TimerToken) {
         match out.drain_to_vec().as_slice() {
-            [MacAction::SetTimer { delay, token }] => (delay.as_nanos(), *token),
-            other => panic!("expected exactly one SetTimer, got {other:?}"),
+            [MacAction::SetTimer { delay, token, slot: Some(_) }] => (delay.as_nanos(), *token),
+            other => panic!("expected exactly one slot SetTimer, got {other:?}"),
         }
+    }
+
+    /// Whether a call produced exactly the cancel of `slot`.
+    fn cancelled(out: &mut ActionSink, slot: TimerSlot) -> bool {
+        matches!(out.drain_to_vec()[..], [MacAction::CancelTimer { slot: s }] if s == slot)
     }
 
     /// Sends the queued packet and lets the transmission end: the pipeline
@@ -663,7 +674,8 @@ mod tests {
         enqueue(&mut c);
         assert!(c.try_progress(ns(DIFS_NS), false, &mut out));
         // One nanosecond short of DIFS: the countdown is armed instead.
-        c.on_busy(ns(DIFS_NS));
+        c.on_busy(ns(DIFS_NS), &mut out);
+        assert!(out.is_empty(), "no countdown to cancel");
         c.on_idle(ns(2 * DIFS_NS), false, &mut out);
         let (delay, _) = timer(&mut out);
         let drawn = u64::from(c.backoff.remaining().expect("drawn"));
@@ -710,10 +722,13 @@ mod tests {
         let (_, new) = timer(&mut out);
         assert!(c.on_timer(old, true).is_none(), "superseded");
         // A fruitless ACK spends a retry, a progressing one restores the budget.
-        assert!(!c.attempt_acked(false));
+        assert!(!c.attempt_acked(false, &mut out));
+        assert!(cancelled(&mut out, TimerSlot::AckTimeout));
         assert_eq!((c.retries(), c.state()), (1, DataState::Idle));
         assert!(c.on_timer(new, true).is_none(), "cancelled by the ACK");
-        assert!(!c.attempt_acked(true));
+        assert!(!c.attempt_acked(true, &mut out));
+        assert!(out.is_empty(), "nothing left to cancel");
+        assert!(c.timers.is_empty(), "the superseded token went with its slot");
         assert_eq!((c.retries(), c.stats.acks_received, c.stats.timeouts), (0, 2, 0));
     }
 
@@ -729,7 +744,7 @@ mod tests {
         ) {
             let mut c = core(seed);
             let mut out = ActionSink::new();
-            c.on_busy(ns(0));
+            c.on_busy(ns(0), &mut out);
             enqueue(&mut c);
             prop_assert!(!c.try_progress(ns(500), false, &mut out));
             let mut now = 1_000;
@@ -742,7 +757,8 @@ mod tests {
                 if idle >= delay {
                     break; // the countdown completes before this busy edge
                 }
-                c.on_busy(ns(now + idle));
+                c.on_busy(ns(now + idle), &mut out);
+                prop_assert!(cancelled(&mut out, TimerSlot::Backoff));
                 let left = u64::from(c.backoff.remaining().expect("frozen, not cleared"));
                 let whole_slots = idle.saturating_sub(DIFS_NS) / SLOT_NS;
                 prop_assert_eq!(remaining - left, whole_slots.min(remaining));

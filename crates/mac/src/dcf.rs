@@ -161,8 +161,8 @@ impl MacEntity for DcfMac {
         }
     }
 
-    fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.tx.csma.on_busy(now);
+    fn on_busy(&mut self, now: SimTime, out: &mut ActionSink) {
+        self.tx.csma.on_busy(now, out);
     }
 
     fn on_idle(&mut self, now: SimTime, out: &mut ActionSink) {
@@ -270,7 +270,7 @@ mod tests {
 
     fn find_timer(actions: &[MacAction]) -> Option<(SimDuration, TimerToken)> {
         actions.iter().find_map(|a| match a {
-            MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+            MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
             _ => None,
         })
     }

@@ -74,10 +74,21 @@ pub enum RateClass {
 }
 
 /// Opaque timer handle. MACs mint tokens from a private counter and ignore
-/// fires for tokens they no longer recognise, which is how timers are
-/// "cancelled" without talking to the event queue.
+/// fires for tokens they no longer recognise. A cancelled contention timer
+/// ([`TimerSlot`]) also leaves the event queue; a scheme's own timers (relay
+/// waits, ACK responses) are cancelled by forgetting their token alone.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerToken(pub u64);
+
+/// A station's two contention timers: each has at most one fire pending,
+/// so the engine keeps it in one re-armable queue slot per station.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TimerSlot {
+    /// The back-off countdown, frozen at every busy edge.
+    Backoff = 0,
+    /// The acknowledgement window of the attempt in flight.
+    AckTimeout = 1,
+}
 
 /// Why a packet was dropped by the MAC.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,6 +123,16 @@ pub enum MacAction {
         delay: SimDuration,
         /// Token handed back on fire.
         token: TimerToken,
+        /// The contention timer this arms, replacing its pending fire;
+        /// `None` for a scheme's own timers.
+        slot: Option<TimerSlot>,
+    },
+    /// Take back the pending fire of a contention timer the MAC cancelled.
+    /// [`Csma`] emits it before any action that could re-enter the MAC, so
+    /// it never takes back an arming made after the cancel.
+    CancelTimer {
+        /// The timer cancelled.
+        slot: TimerSlot,
     },
     /// Hand a packet to the upper layer at this node (the runner routes it
     /// to the transport if this node is the packet's destination, or back

@@ -39,7 +39,8 @@ const INLINE_ACTIONS: usize = 4;
 /// use wmn_sim::SimDuration;
 ///
 /// let mut sink = ActionSink::new();
-/// sink.push(MacAction::SetTimer { delay: SimDuration::from_micros(34), token: TimerToken(1) });
+/// let delay = SimDuration::from_micros(34);
+/// sink.push(MacAction::SetTimer { delay, token: TimerToken(1), slot: None });
 /// assert_eq!(sink.len(), 1);
 /// let action = sink.pop().expect("one action queued");
 /// assert!(matches!(action, MacAction::SetTimer { .. }));
@@ -142,7 +143,8 @@ mod tests {
     use wmn_sim::SimDuration;
 
     fn timer(id: u64) -> MacAction {
-        MacAction::SetTimer { delay: SimDuration::from_nanos(id), token: TimerToken(id) }
+        let delay = SimDuration::from_nanos(id);
+        MacAction::SetTimer { delay, token: TimerToken(id), slot: None }
     }
 
     fn token_of(action: &MacAction) -> u64 {

@@ -49,7 +49,7 @@ fn drain_first_frame(mac: &mut DcfMac, n_queued: usize) -> wmn_mac::DataFrame {
     let (delay, token) = actions
         .iter()
         .find_map(|a| match a {
-            MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+            MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
             _ => None,
         })
         .expect("backoff armed");
@@ -116,7 +116,7 @@ fn mixed_flow_ack_is_unambiguous() {
     let (delay, token) = actions
         .iter()
         .find_map(|a| match a {
-            MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+            MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
             _ => None,
         })
         .expect("post-ack backoff");
@@ -143,7 +143,7 @@ fn different_next_hops_never_share_a_frame() {
     let (delay, token) = actions
         .iter()
         .find_map(|a| match a {
-            MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+            MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
             _ => None,
         })
         .unwrap();

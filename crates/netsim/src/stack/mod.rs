@@ -687,26 +687,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_lossy_run_releases_every_reception_exactly_once() {
-        // Every way a reception can end, in one run, under both
-        // disciplines: the Fig. 5(b) hidden-terminal layout (collisions at
-        // the chain's far end; arrivals from ~15 m and beyond are sensed
-        // but not decodable), a bit-error rate that costs a data frame its
-        // header about once in 150 receptions and a subframe its CRC once
-        // in seven, and a ninth station whose CBR source walks 5 km away
-        // between 80 and 100 ms and keeps retrying into a void nobody
-        // perceives.
+    fn flow(path: &[u32], workload: Workload) -> FlowSpec {
+        FlowSpec { path: path.iter().copied().map(NodeId::new).collect(), workload }
+    }
+
+    /// Every way a reception can end, in one run: the Fig. 5(b)
+    /// hidden-terminal layout (collisions at the chain's far end; arrivals
+    /// from ~15 m and beyond are sensed but not decodable), a bit-error rate
+    /// that costs a data frame its header about once in 150 receptions and a
+    /// subframe its CRC once in seven, and a ninth station, the last, whose
+    /// CBR source walks 5 km away between 80 and 100 ms and keeps retrying
+    /// into a void nobody perceives.
+    fn lossy_scenario() -> Scenario {
         use wmn_topology::collision;
-        let cbr = |path: &[u32]| FlowSpec {
-            path: path.iter().copied().map(NodeId::new).collect(),
-            workload: Workload::Cbr(wmn_traffic::CbrModel::heavy()),
-        };
+        let cbr = |path| flow(path, Workload::Cbr(wmn_traffic::CbrModel::heavy()));
         let mut positions = collision::hidden_terminals(2).positions;
-        let walker = NodeId::new(positions.len() as u32);
         positions.push(Position::new(5.0, 4.0));
         let mut paths = vec![NodePath::Static; positions.len()];
-        paths[walker.index()] = NodePath::Waypoints(vec![
+        paths[positions.len() - 1] = NodePath::Waypoints(vec![
             Waypoint { at: SimTime::from_millis(80), pos: Position::new(5.0, 4.0) },
             Waypoint { at: SimTime::from_millis(100), pos: Position::new(5000.0, 4.0) },
         ]);
@@ -717,7 +715,67 @@ mod tests {
         // Off the 10 ms tick grid, so the run ends with frames on the air.
         lossy.duration = SimDuration::from_micros(300_137);
         lossy.motion = MotionPlan { paths, tick: SimDuration::from_millis(10) };
+        lossy
+    }
 
+    /// FTP 0 → 3, 3 → 0 and 1 → 2 on a four-station line whose far end is
+    /// out of everyone's reach from 300 to 700 ms: RTOs expire and back off,
+    /// and the first ACK after it resets the back-off under a doubled deadline.
+    fn blackout_scenario() -> Scenario {
+        let path = |nodes| flow(nodes, Workload::Ftp);
+        let (home, away) = (Position::new(15.0, 0.0), Position::new(1000.0, 0.0));
+        let at = |ms, pos| Waypoint { at: SimTime::from_millis(ms), pos };
+        let mut paths = vec![NodePath::Static; 4];
+        paths[3] =
+            NodePath::Waypoints(vec![at(290, home), at(300, away), at(690, away), at(700, home)]);
+        Scenario {
+            flows: vec![path(&[0, 1, 2, 3]), path(&[3, 2, 1, 0]), path(&[1, 2])],
+            duration: SimDuration::from_millis(1000),
+            motion: MotionPlan { paths, tick: SimDuration::from_millis(10) },
+            ..ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1], line_positions(4))
+        }
+    }
+
+    #[test]
+    fn slots_run_what_scheduling_every_arming_runs() {
+        // A disarmed or replaced timer's fire would have been ignored: every
+        // scheme and family runs the same with slots as with the `slotless`
+        // reference (every arming a plain event, every disarm ignored).
+        let traced = |scenario: &Scenario, slotless: bool| {
+            let mut runner = Runner::build(scenario);
+            runner.core.trace = Some(Trace::default());
+            runner.core.slotless = slotless;
+            runner.run_loop();
+            let trace = runner.core.trace.take().expect("installed above");
+            (runner.results(), trace, runner.core.mac_timer_pops)
+        };
+        let schemes = [
+            Scheme::Dcf { aggregation: 1 },
+            Scheme::Dcf { aggregation: 16 },
+            Scheme::Ripple { aggregation: 16 },
+            Scheme::PreExor,
+            Scheme::McExor,
+        ];
+        for (layout, base) in [("blackout", blackout_scenario()), ("lossy", lossy_scenario())] {
+            for (scheme, shards) in schemes.into_iter().flat_map(|s| [(s, None), (s, Some(1))]) {
+                let scenario = Scenario { scheme, shards, ..base.clone() };
+                let label = format!("{layout}, {}, shards {shards:?}", scheme.label());
+                let (result, trace, pops) = traced(&scenario, false);
+                let (oracle, oracle_trace, oracle_pops) = traced(&scenario, true);
+                assert!(result == oracle && trace == oracle_trace, "{label}: runs differ");
+                // Not vacuous: cancelled timers went missing, and RTOs fired.
+                assert!(pops < oracle_pops, "{label}: {pops} MacTimer pops, were {oracle_pops}");
+                let rtos: u64 = result.flows.iter().filter_map(|f| f.tcp).map(|t| t.timeouts).sum();
+                assert!(layout == "lossy" || rtos > 0, "{label}: no RTO expired");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lossy_run_releases_every_reception_exactly_once() {
+        // Every way a reception can end, under both disciplines.
+        let lossy = lossy_scenario();
+        let walker = NodeId::new(lossy.positions.len() as u32 - 1);
         for shards in [None, Some(1)] {
             let scenario = Scenario { shards, ..lossy.clone() };
             let mut runner = Runner::build(&scenario);

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use wmn_mac::frame::{Frame, NetHeader, Packet, Proto, RouteInfo};
-use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass};
+use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass, TimerSlot};
 use wmn_phy::medium::BusyTransition;
 use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver};
 use wmn_sim::{
@@ -37,7 +37,7 @@ use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
 
 use crate::scenario::{Scenario, Workload};
 use crate::stack::decode::decode_frame;
-use crate::stack::flow_layer::{FlowLayer, RtoFire, RtoTimer};
+use crate::stack::flow_layer::FlowLayer;
 use crate::stack::mac_engine::MacEngine;
 use crate::stack::net_layer::NetLayer;
 use crate::stack::phy_io::{AirTable, Reception};
@@ -223,6 +223,13 @@ pub(crate) struct StationStack {
     /// segment or UDP datagram body reuses a retired buffer instead of
     /// allocating.
     pool: FramePool,
+    /// Test reference: every slot arming scheduled as a plain event and
+    /// every disarm ignored — the schedule before timers had slots.
+    #[cfg(test)]
+    pub(super) slotless: bool,
+    /// `MacTimer` events dispatched, dead or alive.
+    #[cfg(test)]
+    pub(super) mac_timer_pops: u64,
 }
 
 impl StationStack {
@@ -230,21 +237,14 @@ impl StationStack {
     /// from its master seed, under the discipline it asks for, and seeds
     /// the queue with every flow's arrival process, sized to exactly that
     /// load plus a few entries per station, so the heap warms up here
-    /// instead of growing inside the hot loop. What a station itself can
-    /// hold in the heap is a MAC timer and a TxEnd; receptions are not in
-    /// that count — a transmission in flight is two entries (the heads of
-    /// its RxStart and RxEnd runs) whatever its fan-out — and a TCP flow
-    /// holds one RTO wake-up however often it re-arms (see
-    /// [`RtoWake`](crate::stack::flow_layer::RtoWake)), so the
-    /// 1024-station campus peaks at 126 entries against 4096 reserved. The
-    /// pre-size is kept at four per station all the same: halving it bought
-    /// nothing the benchmark could measure. The only runs that outgrow it
-    /// are the small ones: the 8–22-station figure grids peak at 249
-    /// entries (two doublings in a run's first milliseconds; 3733 when
-    /// every RTO re-arm was an entry), most of them MAC timers whose
-    /// back-off or attempt was cancelled before they fire. The air table
-    /// gets a slot per station for the same reason: a station has one
-    /// transmission on the air at a time.
+    /// instead of growing inside the hot loop. The timers cancelled far
+    /// more often than they fire get queue slots instead of heap entries: a
+    /// station's back-off and ACK timeout ([`TimerSlot`]) and a TCP flow's
+    /// RTO, each holding its one pending fire. The heap holds a station's
+    /// TxEnd, its scheme's own timers and, per transmission in flight, the
+    /// heads of its two reception runs; it is pre-sized at four entries per
+    /// station. The air table gets a slot per station for the same reason:
+    /// a station has one transmission on the air at a time.
     pub(crate) fn build(scenario: &Scenario) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
@@ -252,7 +252,8 @@ impl StationStack {
         let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, dir);
         let flows = FlowLayer::build(scenario, dir);
         let seeds = flows.seed_events(scenario, dir);
-        let mut queue = KeyedEventQueue::with_capacity(seeds.len());
+        let slots = 2 * n + scenario.flows.len();
+        let mut queue = KeyedEventQueue::with_slots(seeds.len(), slots as u32);
         for (delay, flow, event) in seeds {
             queue.schedule_keyed_in(delay, discipline.key(Origin::Flow(flow)), event);
         }
@@ -269,6 +270,10 @@ impl StationStack {
             ber: BerModel::new(scenario.params.ber),
             order: Vec::new(),
             pool: FramePool::default(),
+            #[cfg(test)]
+            slotless: false,
+            #[cfg(test)]
+            mac_timer_pops: 0,
         }
     }
 
@@ -285,12 +290,34 @@ impl StationStack {
         self.queue.schedule_keyed_in(delay, key, event);
     }
 
-    /// Puts `flow`'s RTO wake-up in the heap, under the key its arming
-    /// minted — the only place a `TcpRto` event is scheduled (see
-    /// [`RtoWake`](crate::stack::flow_layer::RtoWake) for when).
-    fn schedule_rto(&mut self, flow: FlowId, timer: RtoTimer) {
-        let event = Event::TcpRto { flow, generation: timer.generation };
-        self.queue.schedule_keyed(timer.at, timer.key, event);
+    /// [`Self::schedule_in`], into queue slot `slot`: the key is minted
+    /// whether or not the arming replaces one, as if every arming were.
+    fn arm(&mut self, slot: u32, delay: SimDuration, origin: Origin, event: Event) {
+        let key = self.discipline.key(origin);
+        #[cfg(test)]
+        if self.slotless {
+            return self.queue.schedule_keyed_in(delay, key, event);
+        }
+        self.queue.arm(slot, self.now() + delay, key, event);
+    }
+
+    /// Takes back a cancelled timer's fire, which would have been ignored.
+    fn disarm(&mut self, slot: u32) {
+        #[cfg(test)]
+        if self.slotless {
+            return;
+        }
+        self.queue.disarm(slot);
+    }
+
+    /// The queue slot of `node`'s contention timer `timer`, two per station.
+    fn mac_slot(node: NodeId, timer: TimerSlot) -> u32 {
+        2 * node.index() as u32 + timer as u32
+    }
+
+    /// The queue slot of `flow`'s retransmission timer, after the stations'.
+    fn rto_slot(&self, flow: FlowId) -> u32 {
+        (2 * self.receivers.len() + flow.index()) as u32
     }
 
     /// Arms one of the loop's global passes, `delay` from now.
@@ -386,22 +413,16 @@ impl StationStack {
                 self.air.release(reception);
             }
             Event::MacTimer { node, token } => {
+                #[cfg(test)]
+                {
+                    self.mac_timer_pops += 1;
+                }
                 self.with_mac(node, w, |mac, sink| mac.on_timer(token, now, sink));
             }
             Event::TcpRto { flow, generation } => {
-                let rt = self.flows.flow_mut(flow);
-                match rt.rto.fire(generation) {
-                    RtoFire::Orphan => {}
-                    RtoFire::Rearm(timer) => self.schedule_rto(flow, timer),
-                    RtoFire::Expired => {
-                        let actions = rt
-                            .tcp_tx
-                            .as_mut()
-                            .map(|tx| tx.on_rto(generation, now))
-                            .unwrap_or_default();
-                        self.apply_tcp_sender_actions(flow, actions, w);
-                    }
-                }
+                let tx = self.flows.flow_mut(flow).tcp_tx.as_mut();
+                let actions = tx.map(|tx| tx.on_rto(generation, now)).unwrap_or_default();
+                self.apply_tcp_sender_actions(flow, actions, w);
             }
             Event::FlowStart { flow } => self.start_flow(flow, w),
             Event::UdpSend { flow } => self.udp_send(flow, w),
@@ -417,9 +438,14 @@ impl StationStack {
         while let Some(action) = self.macs.next_action() {
             match action {
                 MacAction::StartTx { frame, rate } => self.start_transmission(node, frame, rate, w),
-                MacAction::SetTimer { delay, token } => {
-                    self.schedule_in(delay, Origin::Node(node), Event::MacTimer { node, token });
+                MacAction::SetTimer { delay, token, slot } => {
+                    let (origin, event) = (Origin::Node(node), Event::MacTimer { node, token });
+                    match slot {
+                        Some(slot) => self.arm(Self::mac_slot(node, slot), delay, origin, event),
+                        None => self.schedule_in(delay, origin, event),
+                    }
                 }
+                MacAction::CancelTimer { slot } => self.disarm(Self::mac_slot(node, slot)),
                 MacAction::Deliver { packet } => self.handle_delivery(node, packet, w),
                 MacAction::Drop { packet, reason } => {
                     // End-to-end recovery (TCP retransmission / VoIP loss
@@ -576,19 +602,9 @@ impl StationStack {
                     self.enqueue_transport_packet(flow_id, segment, wire_bytes, true, w);
                 }
                 TcpAction::SetRtoTimer { delay, generation } => {
-                    // Every arming mints its key, scheduled or not: the
-                    // flow's (and the legacy global) counter advances as if
-                    // each were.
-                    let key = self.discipline.key(Origin::Flow(flow_id));
-                    let now = self.now();
-                    debug_assert!(
-                        now.as_nanos().checked_add(delay.as_nanos()).is_some(),
-                        "RTO overflows SimTime: now + {delay:?} wraps past SimTime::MAX",
-                    );
-                    let timer = RtoTimer { at: now + delay, key, generation };
-                    if let Some(timer) = self.flows.flow_mut(flow_id).rto.arm(timer) {
-                        self.schedule_rto(flow_id, timer);
-                    }
+                    // Each arming replaces the last: only its generation can expire.
+                    let event = Event::TcpRto { flow: flow_id, generation };
+                    self.arm(self.rto_slot(flow_id), delay, Origin::Flow(flow_id), event);
                 }
                 TcpAction::SendComplete => {
                     // Web workload: think, then start the next transfer.
@@ -715,7 +731,6 @@ mod tests {
     use wmn_phy::{PhyParams, Position};
 
     use crate::scenario::{FlowSpec, Scheme};
-    use crate::stack::flow_layer::RtoWakeStats;
 
     /// Token whose fire starts the scripted chain.
     const GO: u64 = 100;
@@ -735,7 +750,7 @@ mod tests {
     }
 
     fn timer(token: u64) -> MacAction {
-        MacAction::SetTimer { delay: TICK, token: TimerToken(token) }
+        MacAction::SetTimer { delay: TICK, token: TimerToken(token), slot: None }
     }
 
     impl MacEntity for ScriptMac {
@@ -996,175 +1011,6 @@ mod tests {
             let (colocated, ring) = (tied(SimTime::ZERO), tied(inner));
             assert!(colocated >= 3 && ring >= 6, "{colocated} at 0 ns, {ring} at {inner:?}");
         }
-    }
-
-    /// Three FTP flows on a four-station line — the 3-hop 0 → 3, its
-    /// mirror 3 → 0 and the short 1 → 2 between the relays — whose far end
-    /// the RTO test walks out of range and back.
-    fn rto_scenario(shards: Option<u32>) -> Scenario {
-        let path = |nodes: &[u32]| FlowSpec {
-            path: nodes.iter().copied().map(NodeId::new).collect(),
-            workload: Workload::Ftp,
-        };
-        Scenario {
-            positions: (0..4).map(|i| Position::new(f64::from(i) * 5.0, 0.0)).collect(),
-            flows: vec![path(&[0, 1, 2, 3]), path(&[3, 2, 1, 0]), path(&[1, 2])],
-            duration: SimDuration::from_millis(1600),
-            shards,
-            ..relay_scenario()
-        }
-    }
-
-    /// What the RTO test's two runs are compared on.
-    struct RtoRun {
-        /// Every pop that did something — all but the `TcpRto`s that left
-        /// their sender's timeout count alone — as `(time, kind, node /
-        /// flow / 0, token / generation / reception id)`.
-        effective: Vec<Popped>,
-        /// The key each flow would mint next.
-        next_keys: Vec<EventKey>,
-        stats: Vec<RtoWakeStats>,
-        timeouts: u64,
-        /// Most `TcpRto` entries any one flow had in the heap when one of
-        /// them popped.
-        max_in_heap: u64,
-    }
-
-    /// Runs `scenario` to its end on a hand-rolled loop that also walks
-    /// station 3 to each of `moves` at its instant. `per_arm` runs the
-    /// oracle: every arming scheduled, the sender's generation check the
-    /// filter.
-    fn rto_run(scenario: &Scenario, per_arm: bool, moves: &[(SimTime, Position)]) -> RtoRun {
-        let mut stack = StationStack::build(scenario);
-        let mut medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
-        let net = NetLayer::build(scenario);
-        let tcp = |spec: &FlowSpec| matches!(spec.workload, Workload::Ftp);
-        let flows: Vec<FlowId> = (0u32..)
-            .zip(&scenario.flows)
-            .filter_map(|(i, spec)| tcp(spec).then_some(FlowId::new(i)))
-            .collect();
-        for &flow in &flows {
-            stack.flows.flow_mut(flow).rto.per_arm = per_arm;
-        }
-        let mut moves = moves.iter().peekable();
-        let timeouts = |stack: &StationStack, flow| {
-            stack.flows.flow(flow).tcp_tx.as_ref().expect("FTP").stats().timeouts
-        };
-        let mut run = RtoRun {
-            effective: Vec::new(),
-            next_keys: Vec::new(),
-            stats: Vec::new(),
-            timeouts: 0,
-            max_in_heap: 0,
-        };
-        let mut rto_pops = vec![0u64; scenario.flows.len()];
-        while let Some((at, event)) = stack.queue.pop() {
-            if at > stack.end {
-                break;
-            }
-            if let Some(&(_, position)) = moves.next_if(|&&(due, _)| due <= at) {
-                medium.update_node_position(NodeId::new(3), position);
-            }
-            let w = World { medium: &medium, net: &net };
-            let popped = match event {
-                Event::TcpRto { flow, generation } => {
-                    let rto = &stack.flows.flow(flow).rto;
-                    let in_heap = rto.stats.pushes - rto_pops[flow.index()];
-                    if !per_arm {
-                        // One tracked wake-up, and what it displaced.
-                        assert_eq!(in_heap, rto.believed_in_heap(), "{flow:?} at {at:?}");
-                    }
-                    run.max_in_heap = run.max_in_heap.max(in_heap);
-                    rto_pops[flow.index()] += 1;
-                    let before = timeouts(&stack, flow);
-                    stack.dispatch(event, w);
-                    if timeouts(&stack, flow) > before {
-                        run.effective.push((at, "TcpRto", flow.index() as u32, generation));
-                    }
-                    continue;
-                }
-                Event::TxEnd { node } => (at, "TxEnd", node.index() as u32, 0),
-                Event::RxStart { reception } => (at, "RxStart", 0, reception.id()),
-                Event::RxEnd { reception } => (at, "RxEnd", 0, reception.id()),
-                Event::MacTimer { node, token } => (at, "MacTimer", node.index() as u32, token.0),
-                Event::FlowStart { flow } => (at, "FlowStart", flow.index() as u32, 0),
-                Event::UdpSend { flow } => (at, "UdpSend", flow.index() as u32, 0),
-                _ => unreachable!("FTP and CBR flows on a static plan: {event:?}"),
-            };
-            run.effective.push(popped);
-            stack.dispatch(event, w);
-        }
-        for &flow in &flows {
-            run.stats.push(stack.flows.flow(flow).rto.stats);
-            run.timeouts += timeouts(&stack, flow);
-            run.next_keys.push(stack.discipline.key(Origin::Flow(flow)));
-        }
-        run
-    }
-
-    #[test]
-    fn lazy_rto_pops_what_per_arm_scheduling_pops() {
-        for shards in [None, Some(1)] {
-            let scenario = rto_scenario(shards);
-            // Out of everyone's reach from 300 to 900 ms: long enough for
-            // RTOs to expire and back off, back early enough for the first
-            // ACK to reset the back-off under a doubled deadline.
-            let blackout = [
-                (SimTime::from_millis(300), Position::new(1000.0, 0.0)),
-                (SimTime::from_millis(900), scenario.positions[3]),
-            ];
-            let lazy = rto_run(&scenario, false, &blackout);
-            let oracle = rto_run(&scenario, true, &blackout);
-            assert!(lazy.effective == oracle.effective, "shards: {shards:?}");
-            assert_eq!(lazy.next_keys, oracle.next_keys, "shards: {shards:?}");
-            // Not vacuous: the blackout forced timeouts (so the RTO backed
-            // off and the first ACK after it reset the back-off under the
-            // doubled deadline — an arming earlier than the tracked wake-up,
-            // like those made while the RTT estimate shrinks faster than
-            // the clock moves), and the same armings cost a fraction of the
-            // heap entries.
-            let sum = |run: &RtoRun, f: fn(&RtoWakeStats) -> u64| run.stats.iter().map(f).sum();
-            let (arms, pushes): (u64, u64) = (sum(&lazy, |s| s.arms), sum(&lazy, |s| s.pushes));
-            assert_eq!(arms, sum(&oracle, |s| s.arms));
-            assert_eq!(arms, sum(&oracle, |s| s.pushes));
-            assert_eq!(lazy.timeouts, oracle.timeouts);
-            assert!(lazy.timeouts >= 4, "{} timeouts", lazy.timeouts);
-            let expired = lazy.effective.iter().filter(|p| p.1 == "TcpRto").count() as u64;
-            assert_eq!(expired, lazy.timeouts);
-            assert!(lazy.max_in_heap >= 2, "no wake-up was ever displaced");
-            assert!(pushes * 20 < arms, "{pushes} heap entries for {arms} arms");
-            let (kept, oracle_kept) = (lazy.max_in_heap, oracle.max_in_heap);
-            assert!(kept * 20 < oracle_kept, "{kept} of one flow in the heap, was {oracle_kept}");
-        }
-    }
-
-    #[test]
-    fn a_saturated_flow_keeps_one_rto_wake_up_in_the_heap() {
-        // The fig-6(b) class: a 3-hop RIPPLE-16 FTP flow whose relays are
-        // exposed to two saturated hidden CBR senders. Every arming used to
-        // be a heap entry (3939 here; now 7); `rto_run` itself asserts, at
-        // every `TcpRto` pop, that the heap holds the one tracked wake-up
-        // plus what it displaced.
-        use wmn_topology::collision;
-        let cbr = |k| {
-            let (src, dst) = collision::hidden_flow_endpoints(k);
-            FlowSpec {
-                path: vec![src, dst],
-                workload: Workload::Cbr(wmn_traffic::CbrModel::heavy()),
-            }
-        };
-        let main = FlowSpec { path: collision::hidden_main_path(), workload: Workload::Ftp };
-        let scenario = Scenario {
-            positions: collision::hidden_terminals(2).positions,
-            scheme: Scheme::Ripple { aggregation: 16 },
-            flows: std::iter::once(main).chain((0..2).map(cbr)).collect(),
-            duration: SimDuration::from_millis(1000),
-            ..relay_scenario()
-        };
-        let run = rto_run(&scenario, false, &[]);
-        let RtoWakeStats { arms, pushes, .. } = run.stats[0];
-        assert!(arms > 2000, "{arms} arms: not saturated");
-        assert!(pushes * 50 < arms, "{pushes} heap entries for {arms} arms");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum FrameKind {
 }
 
 /// One timeline entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// When it happened.
     pub at: SimTime,
@@ -31,7 +31,7 @@ pub struct TraceEvent {
 }
 
 /// The event payload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TraceKind {
     /// The station's radio began transmitting.
     TxStart {
@@ -89,7 +89,7 @@ pub enum TraceKind {
 }
 
 /// A completed run's timeline with query helpers.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// All events in time order.
     pub events: Vec<TraceEvent>,

@@ -276,10 +276,11 @@ impl ExorMac {
             },
         );
         let token = self.csma.mint(ExorRole::SendAck { key });
-        out.push(MacAction::SetTimer { delay: self.ack_offset(my_rank), token });
+        out.push(MacAction::SetTimer { delay: self.ack_offset(my_rank), token, slot: None });
         if self.mode == ExorMode::PreExor && my_rank > 0 {
             let token = self.csma.mint(ExorRole::RelayDecision { key });
-            out.push(MacAction::SetTimer { delay: self.ack_window(list.len()), token });
+            let delay = self.ack_window(list.len());
+            out.push(MacAction::SetTimer { delay, token, slot: None });
         }
     }
 
@@ -289,7 +290,7 @@ impl ExorMac {
             && self.csma.state() == DataState::WaitAck
             && self.inflight.as_ref().is_some_and(|i| i.frame_seq == a.frame_seq)
         {
-            self.csma.attempt_acked(true);
+            self.csma.attempt_acked(true, out);
             self.inflight = None;
             self.try_progress(now, out);
         }
@@ -349,8 +350,8 @@ impl MacEntity for ExorMac {
         }
     }
 
-    fn on_busy(&mut self, now: SimTime, _out: &mut ActionSink) {
-        self.csma.on_busy(now);
+    fn on_busy(&mut self, now: SimTime, out: &mut ActionSink) {
+        self.csma.on_busy(now, out);
     }
 
     fn on_idle(&mut self, now: SimTime, out: &mut ActionSink) {
@@ -479,7 +480,7 @@ mod tests {
         actions
             .iter()
             .filter_map(|a| match a {
-                MacAction::SetTimer { delay, token } => Some((*delay, *token)),
+                MacAction::SetTimer { delay, token, .. } => Some((*delay, *token)),
                 _ => None,
             })
             .collect()

@@ -169,10 +169,18 @@ impl ScenarioSpec {
     ///
     /// Returns generation failures (no connected placement within the
     /// attempt budget), composition failures (unroutable endpoints, empty
-    /// mix) and anything [`Scenario::validate`] rejects, prefixed with the
-    /// spec name.
+    /// mix), a duration or refresh period past the nanosecond clock's range,
+    /// and anything [`Scenario::validate`] rejects, prefixed with the spec
+    /// name.
     pub fn materialise(&self) -> Result<Scenario, String> {
         let err = |msg: String| format!("spec {:?}: {msg}", self.name);
+        let millis = |field: &str, ms: u64| match ms.checked_mul(1_000_000) {
+            Some(ns) => Ok(SimDuration::from_nanos(ns)),
+            None => Err(err(format!("\"{field}\" of {ms} ms overflows the nanosecond clock"))),
+        };
+        let duration = millis("duration_ms", self.duration_ms)?;
+        let route_refresh =
+            self.route_refresh_ms.map(|ms| millis("route_refresh_ms", ms)).transpose()?;
         let topo = self.topology.try_generate(self.seed).map_err(err)?;
         let params = self.phy.params(self.ber);
         let flows = self.mix.compose(&topo, &params, self.seed).map_err(err)?;
@@ -183,11 +191,11 @@ impl ScenarioSpec {
             positions: topo.positions,
             scheme: self.scheme,
             flows,
-            duration: SimDuration::from_millis(self.duration_ms),
+            duration,
             seed: self.seed,
             max_forwarders: self.max_forwarders,
             motion,
-            route_refresh: self.route_refresh_ms.map(SimDuration::from_millis),
+            route_refresh,
             shards: self.shards,
         };
         scenario.validate().map_err(err)?;
@@ -467,6 +475,21 @@ mod tests {
         assert!(msg.starts_with("spec \"demo\":"), "{msg}");
         assert!(msg.contains("RandomGeometric { nodes: 10, side_m: 5000.0 }"), "{msg}");
         assert!(msg.contains("64 attempts"), "{msg}");
+    }
+
+    #[test]
+    fn a_period_past_the_clock_is_an_error_not_a_panic() {
+        // 18446744073710 ms is one past what u64 nanoseconds hold: it
+        // parses, and must not wrap (release) or panic (debug) on the way in.
+        let past = u64::MAX / 1_000_000 + 1;
+        for (field, spec) in [
+            ("duration_ms", ScenarioSpec { duration_ms: past, ..spec() }),
+            ("route_refresh_ms", ScenarioSpec { route_refresh_ms: Some(past), ..spec() }),
+        ] {
+            let parsed = ScenarioSpec::parse(&spec.to_json().to_string()).expect("well-formed");
+            let msg = parsed.materialise().unwrap_err();
+            assert!(msg.starts_with("spec \"demo\":") && msg.contains(field), "{msg}");
+        }
     }
 
     #[test]

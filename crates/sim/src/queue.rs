@@ -24,6 +24,18 @@
 //! `now` in the middle of a run; what changes is that the heap holds the
 //! live timers and one entry per transmission in flight, not every pending
 //! reception.
+//!
+//! # Slots
+//!
+//! A timer cancelled far more often than it fires — a back-off frozen at
+//! every busy edge, an ACK timeout every ACK ends, a TCP RTO every advancing
+//! ACK re-arms — holds at most one pending event, so it gets a numbered
+//! *slot*: [`KeyedEventQueue::arm`] places the slot's event in the usual
+//! `(time, key)` order, dropping what the slot held, and
+//! [`KeyedEventQueue::disarm`] takes it back instead of leaving it to be
+//! popped and ignored. Armed slots live in a small indexed heap beside the
+//! main one and `pop` takes whichever top sorts first, so the pop sequence
+//! is the one scheduling every arming and skipping the dead ones gives.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -228,7 +240,8 @@ impl EventKey {
 /// it by a single entry (see the [module docs](self)). The two are
 /// indistinguishable from the popping side — same sequence, same clock,
 /// same [`len`](KeyedEventQueue::len) — so a run is purely a cheaper way to
-/// schedule events that are born sorted.
+/// schedule events that are born sorted. A re-armable timer holds its one
+/// pending event in a slot (see "Slots" in the module docs).
 ///
 /// # Example
 ///
@@ -248,21 +261,92 @@ impl EventKey {
 #[derive(Debug)]
 pub struct KeyedEventQueue<E> {
     heap: BinaryHeap<KeyedEntry<E>>,
-    /// Run storage, indexed by [`Slot::Run`]: the items of a run not yet
+    /// Run storage, indexed by [`Payload::Run`]: the items of a run not yet
     /// popped, head at the front. The heap entry of a run mirrors its
     /// head's `(at, key)`.
     runs: Vec<VecDeque<(SimTime, EventKey, E)>>,
     /// Indices of spent runs: their (empty, warm) buffers back the next
     /// runs, so steady-state scheduling never meets the allocator.
     free_runs: Vec<u32>,
-    /// Pending events: single entries plus every unpopped run item.
+    /// The armed slots' events.
+    slots: Slots<E>,
+    /// Pending events: single entries, every unpopped run item and the
+    /// armed slots.
     len: usize,
     now: SimTime,
 }
 
+/// Marks an unarmed slot in [`Slots::by_slot`].
+const UNARMED: u32 = u32::MAX;
+/// [`Slots::first`] with no slot armed: after every `(time, key)`.
+const NEVER: (SimTime, EventKey) = (SimTime::MAX, EventKey { lane: u64::MAX, seq: u64::MAX });
+
+/// The armed slots: an indexed binary min-heap of `(time, key, slot)`, each
+/// slot's event held beside it so a sift moves 32 bytes, not an event.
+#[derive(Debug)]
+struct Slots<E> {
+    heap: Vec<(SimTime, EventKey, u32)>,
+    /// Per slot: where it sits in `heap` ([`UNARMED`] if nowhere), its event.
+    by_slot: Vec<(u32, Option<E>)>,
+    /// `heap[0]`'s `(time, key)`, or [`NEVER`]: what every `pop` compares,
+    /// kept out of the heap's allocation.
+    first: (SimTime, EventKey),
+}
+
+impl<E> Slots<E> {
+    fn set(&mut self, i: usize, entry: (SimTime, EventKey, u32)) {
+        self.heap[i] = entry;
+        self.by_slot[entry.2 as usize].0 = i as u32;
+        if i == 0 {
+            self.first = (entry.0, entry.1);
+        }
+    }
+
+    /// Fills the hole at `i` with `entry`, moving it up or down to its place.
+    fn place(&mut self, mut i: usize, entry: (SimTime, EventKey, u32)) {
+        while i > 0 && entry < self.heap[(i - 1) / 2] {
+            self.set(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let c = 2 * i + 1;
+            let c = c + usize::from(c + 1 < self.heap.len() && self.heap[c + 1] < self.heap[c]);
+            if c >= self.heap.len() || entry <= self.heap[c] {
+                return self.set(i, entry);
+            }
+            self.set(i, self.heap[c]);
+            i = c;
+        }
+    }
+
+    /// Arms `slot`, which must be empty.
+    fn push(&mut self, at: SimTime, key: EventKey, slot: u32, event: E) {
+        self.by_slot[slot as usize].1 = Some(event);
+        self.heap.push((at, key, slot));
+        self.place(self.heap.len() - 1, (at, key, slot));
+    }
+
+    /// Empties `slot`, handing back when it was due and its event.
+    fn take(&mut self, slot: u32) -> Option<(SimTime, E)> {
+        let (pos, event) = &mut self.by_slot[slot as usize];
+        let i = match std::mem::replace(pos, UNARMED) {
+            UNARMED => return None,
+            i => i as usize,
+        };
+        let (at, event) = (self.heap[i].0, event.take().expect("an armed slot holds its event"));
+        let last = self.heap.pop().expect("an armed slot is in the heap");
+        if i < self.heap.len() {
+            self.place(i, last);
+        } else if i == 0 {
+            self.first = NEVER;
+        }
+        Some((at, event))
+    }
+}
+
 /// What a heap entry stands for.
 #[derive(Debug)]
-enum Slot<E> {
+enum Payload<E> {
     /// One event, carried in the heap.
     Single(E),
     /// The head of the run stored at this index of `runs`.
@@ -273,7 +357,7 @@ enum Slot<E> {
 struct KeyedEntry<E> {
     at: SimTime,
     key: EventKey,
-    slot: Slot<E>,
+    payload: Payload<E>,
 }
 
 impl<E> PartialEq for KeyedEntry<E> {
@@ -304,21 +388,52 @@ impl<E> KeyedEventQueue<E> {
     pub const ENTRY_BYTES: usize = std::mem::size_of::<KeyedEntry<E>>();
 
     /// Creates an empty queue with room for `capacity` heap entries,
-    /// clamped to at least one slot.
+    /// clamped to at least one, and no slots.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_slots(capacity, 0)
+    }
+
+    /// Creates an empty queue like [`KeyedEventQueue::with_capacity`], with
+    /// `slots` re-armable timer slots numbered `0..slots`, all unarmed.
+    pub fn with_slots(capacity: usize, slots: u32) -> Self {
+        let slots = slots as usize;
         KeyedEventQueue {
             heap: BinaryHeap::with_capacity(capacity.max(1)),
             runs: Vec::new(),
             free_runs: Vec::new(),
+            slots: Slots {
+                heap: Vec::new(),
+                by_slot: std::iter::repeat_with(|| (UNARMED, None)).take(slots).collect(),
+                first: NEVER,
+            },
             len: 0,
             now: SimTime::ZERO,
         }
     }
 
+    /// Arms `slot`: `event` fires at `at` under `key`, ordered like a
+    /// scheduled event, and whatever the slot held is dropped unpopped.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is not below [`KeyedEventQueue::with_slots`]'s count.
+    pub fn arm(&mut self, slot: u32, at: SimTime, key: EventKey, event: E) {
+        self.disarm(slot);
+        self.slots.push(at, key, slot, event);
+        self.len += 1;
+    }
+
+    /// Empties `slot`, returning the event it held (`None` when unarmed).
+    pub fn disarm(&mut self, slot: u32) -> Option<E> {
+        let (_, event) = self.slots.take(slot)?;
+        self.len -= 1;
+        Some(event)
+    }
+
     /// Schedules `event` at the absolute instant `at` under `key`.
     pub fn schedule_keyed(&mut self, at: SimTime, key: EventKey, event: E) {
         self.len += 1;
-        self.heap.push(KeyedEntry { at, key, slot: Slot::Single(event) });
+        self.heap.push(KeyedEntry { at, key, payload: Payload::Single(event) });
     }
 
     /// Schedules `event` under `key`, `delay` after [`KeyedEventQueue::now`].
@@ -379,7 +494,7 @@ impl<E> KeyedEventQueue<E> {
         match run.front() {
             Some(&(at, key, _)) => {
                 self.len += run.len();
-                self.heap.push(KeyedEntry { at, key, slot: Slot::Run(id) });
+                self.heap.push(KeyedEntry { at, key, payload: Payload::Run(id) });
             }
             None => self.free_runs.push(id),
         }
@@ -405,10 +520,27 @@ impl<E> KeyedEventQueue<E> {
     /// Removes and returns the earliest `(time, key)` event, advancing the
     /// clock to its instant.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let armed_first = match self.heap.peek() {
+            Some(top) => self.slots.first < (top.at, top.key),
+            None => !self.slots.heap.is_empty(),
+        };
+        let (at, event) = if armed_first {
+            let slot = self.slots.heap[0].2;
+            self.slots.take(slot).expect("the top slot is armed")
+        } else {
+            self.pop_heap()?
+        };
+        self.len -= 1;
+        self.now = at;
+        Some((at, event))
+    }
+
+    /// Pops the main heap's earliest event: a single event or a run's head.
+    fn pop_heap(&mut self) -> Option<(SimTime, E)> {
         let mut top = self.heap.peek_mut()?;
         let at = top.at;
-        let event = match top.slot {
-            Slot::Run(id) => {
+        let event = match top.payload {
+            Payload::Run(id) => {
                 let run = &mut self.runs[id as usize];
                 let (_, _, event) = run.pop_front().expect("a run in the heap has a head");
                 match run.front() {
@@ -424,17 +556,16 @@ impl<E> KeyedEventQueue<E> {
                 }
                 event
             }
-            Slot::Single(_) => match PeekMut::pop(top).slot {
-                Slot::Single(event) => event,
-                Slot::Run(_) => unreachable!("the entry just matched as a single event"),
+            Payload::Single(_) => match PeekMut::pop(top).payload {
+                Payload::Single(event) => event,
+                Payload::Run(_) => unreachable!("the entry just matched as a single event"),
             },
         };
-        self.len -= 1;
-        self.now = at;
         Some((at, event))
     }
 
-    /// Number of pending events: a run counts every item it still holds.
+    /// Number of pending events: a run counts every item it still holds,
+    /// an armed slot one.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -755,7 +886,83 @@ mod tests {
         q.schedule_run_in([(SimDuration::from_nanos(2), EventKey::new(0, 0, 1), ())]);
     }
 
+    /// The slot oracle: every arming scheduled as an event of its own (the
+    /// event is its key), skipped when it pops unless it is still its
+    /// slot's latest arming.
+    #[derive(Default)]
+    struct SlotModel {
+        /// Every event scheduled or armed, with the slot it was armed in.
+        pending: std::collections::BTreeMap<(SimTime, EventKey), Option<u32>>,
+        /// Each armed slot's latest arming.
+        live: std::collections::BTreeMap<u32, EventKey>,
+        now: SimTime,
+    }
+
+    impl SlotModel {
+        fn is_live(&self, key: EventKey, slot: Option<u32>) -> bool {
+            slot.map_or(true, |slot| self.live.get(&slot) == Some(&key))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, EventKey)> {
+            while let Some(((at, key), slot)) = self.pending.pop_first() {
+                if self.is_live(key, slot) {
+                    slot.map(|slot| self.live.remove(&slot));
+                    self.now = at;
+                    return Some((at, key));
+                }
+            }
+            None
+        }
+
+        fn len(&self) -> usize {
+            self.pending.iter().filter(|&(&(_, key), &slot)| self.is_live(key, slot)).count()
+        }
+    }
+
     proptest! {
+        /// Slots are nothing but a cheaper way to cancel: one random
+        /// program of single events, runs, arms, disarms and pops over
+        /// three slots — delays of 0–3 ns, so ties are common — pops the
+        /// same `(time, key, event)` sequence, with the same clock and
+        /// count, as the model that schedules every arming and skips the
+        /// disarmed or replaced ones.
+        #[test]
+        fn prop_slots_pop_what_scheduling_every_arming_and_skipping_the_dead_pops(
+            ops in proptest::collection::vec((0u8..6, 0u64..4, 0u32..3, 0u32..2), 1..150),
+        ) {
+            let mut q = KeyedEventQueue::with_slots(0, 3);
+            let mut model = SlotModel::default();
+            for (minted, (op, delay, slot, lane)) in (0u64..).zip(ops) {
+                let key = |i| EventKey::new(lane, 0, 8 * minted + i);
+                let at = q.now() + SimDuration::from_nanos(delay);
+                match op {
+                    0 | 1 => prop_assert_eq!(q.pop(), model.pop()),
+                    2 => {
+                        q.schedule_keyed(at, key(0), key(0));
+                        model.pending.insert((at, key(0)), None);
+                    }
+                    3 => {
+                        let run: Vec<_> =
+                            (0..delay).map(|i| (SimDuration::from_nanos(i / 2), key(i), key(i))).collect();
+                        model.pending.extend(run.iter().map(|&(d, k, _)| ((q.now() + d, k), None)));
+                        q.schedule_run_in(run);
+                    }
+                    4 => {
+                        q.arm(slot, at, key(0), key(0));
+                        model.pending.insert((at, key(0)), Some(slot));
+                        model.live.insert(slot, key(0));
+                    }
+                    _ => prop_assert_eq!(q.disarm(slot), model.live.remove(&slot)),
+                }
+                prop_assert_eq!(q.now(), model.now);
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while let Some(popped) = model.pop() {
+                prop_assert_eq!(q.pop(), Some(popped));
+            }
+            prop_assert!(q.pop().is_none() && q.is_empty());
+        }
+
         /// A run is nothing but a cheaper way in: one random program —
         /// single events, runs of length 0 / 1 / many, pops anywhere;
         /// delays of 0–3 ns, so equal instants, equal instants with

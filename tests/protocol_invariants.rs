@@ -3,7 +3,7 @@
 //! channel conditions.
 
 use wmn_mac::frame::{Frame, NetHeader, NodeList, Packet, Proto, RouteInfo};
-use wmn_mac::{Backoff, DropReason, MacAction, MacEntityExt, MacScheme, TimerToken};
+use wmn_mac::{Backoff, DropReason, MacAction, MacEntityExt, MacScheme, TimerSlot, TimerToken};
 use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
 use wmn_sim::{labels, FlowId, NodeId, RngDirectory, SimDuration, SimTime};
@@ -182,9 +182,9 @@ fn voip_accounting_invariants() {
 /// the same seed and driven through the same script (enqueue on a busy
 /// channel → idle edge → busy mid-countdown → idle again → transmit →
 /// timeout × `retry_limit + 1`), must emit the backoff timers of one
-/// reference 802.11 model: same freeze/resume arithmetic, the window
-/// doubling per timeout and resetting after the drop, the drop exactly at
-/// the limit.
+/// reference 802.11 model, each in its slot, the frozen one cancelled there:
+/// same freeze/resume arithmetic, the window doubling per timeout and
+/// resetting after the drop, the drop exactly at the limit.
 #[test]
 fn contention_is_identical_across_schemes() {
     const SEED: u64 = 4;
@@ -199,8 +199,8 @@ fn contention_is_identical_across_schemes() {
     };
     let only_timer = |actions: &[MacAction]| -> (SimDuration, TimerToken) {
         match actions {
-            [MacAction::SetTimer { delay, token }] => (*delay, *token),
-            other => panic!("expected exactly one SetTimer, got {other:?}"),
+            [MacAction::SetTimer { delay, token, slot: Some(_) }] => (*delay, *token),
+            other => panic!("expected exactly one slot SetTimer, got {other:?}"),
         }
     };
 
@@ -244,7 +244,9 @@ fn contention_is_identical_across_schemes() {
         backoffs.push(delay);
         // Busy half a slot after `frozen` whole slots of countdown.
         let busy_at = idle_at + difs + slot * u64::from(frozen) + slot / 2;
-        assert!(mac.on_busy_vec(busy_at).is_empty());
+        let frozen = mac.on_busy_vec(busy_at);
+        let cancel = matches!(frozen[..], [MacAction::CancelTimer { slot: TimerSlot::Backoff }]);
+        assert!(cancel, "{label}: the busy edge emitted {frozen:?}");
         assert!(mac.on_timer_vec(stale, idle_at + delay).is_empty(), "{label}: frozen timer");
         let mut now = SimTime::from_micros(1000);
         let (delay, mut token) = only_timer(&mac.on_idle_vec(now));
