@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs twelve deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs thirteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -260,6 +260,21 @@ fn route_refresh_pass() -> Entry<'static> {
     allocs_per_op("route_refresh_pass_grid256_flows4", stats, ROUTE_REFRESH_PASSES)
 }
 
+/// The live bytes of a medium over 1024 stations (a 32×32 grid at 2 m
+/// pitch). Its per-pair arrays hold n² ≈ 10⁶ entries and dwarf everything
+/// else, so the peak is about 10⁶ × what one directed pair costs: 16 bytes,
+/// mean power and delay.
+fn medium_build() -> Entry<'static> {
+    let positions = grid_positions(32, 2.0);
+    let (medium, stats) = wmn_alloc::measure(|| Medium::new(PhyParams::paper_216(), positions));
+    assert_eq!(medium.node_count(), 1024);
+    Entry {
+        bench: "medium_build_1024",
+        metric: "peak_bytes",
+        value: stats.peak_bytes_in_use as f64,
+    }
+}
+
 /// One end-to-end run: allocations per frame on the air (data + ACK) and
 /// the live-bytes peak. Returns the run's allocations split
 /// by the engine's phase scopes (scenario build and result collection stay
@@ -307,6 +322,7 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     scenarios
         .push(("dense_neighbourhood_end_to_end", dense_neighbourhood_scenario(DENSE_DURATION)));
     let mut out = vec![
+        medium_build(),
         route_refresh_pass(),
         saturated_queue(),
         event_churn_recycled(),
@@ -430,7 +446,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 19);
+        assert_eq!(budgets.len(), 20);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

@@ -11,12 +11,10 @@ use wmn_traffic::CbrModel;
 
 /// Station placement on a `side`×`side` grid with `spacing_m` metre pitch.
 ///
-/// Two instances matter: dense grids at 5 m pitch, where every pair is
-/// within possible carrier sense and neighbour links are usable routes (the
-/// gate's route-refresh workload), and a campus-scale 16×16 @ 40 m grid
-/// (600 m side) where pairs beyond ~417 m — the distance at which even a
-/// maximal shadowing excursion stays below carrier sense — are classified
-/// never-sensed at build time.
+/// The gate places three: 16×16 at 5 m pitch, where neighbour links are
+/// usable routes (the route-refresh workload); 16×16 at 2 m, the dense
+/// neighbourhood; and 32×32 at 2 m, the 1024-station placement whose medium
+/// it sizes.
 pub fn grid_positions(side: usize, spacing_m: f64) -> Vec<Position> {
     let mut positions = Vec::with_capacity(side * side);
     for row in 0..side {
@@ -122,29 +120,6 @@ mod tests {
         assert_eq!(g.len(), 16);
         assert!((g[0].distance_to(g[1]) - 5.0).abs() < 1e-12);
         assert!((g[0].distance_to(g[4]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_grid_has_never_sensed_pairs_dense_has_none() {
-        use wmn_phy::LinkClass;
-        let dense = Medium::new(PhyParams::paper_216(), grid_positions(6, 5.0));
-        let sparse = Medium::new(PhyParams::paper_216(), grid_positions(16, 40.0));
-        let count_never = |m: &Medium| {
-            let n = m.node_count() as u32;
-            let mut never = 0usize;
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b
-                        && m.link_class(NodeId::new(a), NodeId::new(b)) == LinkClass::NeverSensed
-                    {
-                        never += 1;
-                    }
-                }
-            }
-            never
-        };
-        assert_eq!(count_never(&dense), 0, "6x6 @ 5 m: every pair draw-dependent");
-        assert!(count_never(&sparse) > 0, "16x16 @ 40 m: far corners never sense each other");
     }
 
     #[test]

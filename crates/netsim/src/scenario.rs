@@ -167,10 +167,10 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Checks the scenario's structural invariants: a non-empty placement,
-    /// a scheme that aggregates at least one packet per frame, at least one
-    /// flow, every flow path at least two nodes long with no
-    /// immediate self-loops, every referenced [`NodeId`] inside the
+    /// Checks the scenario's structural invariants: a non-empty placement
+    /// of finite coordinates, a scheme that aggregates at least one packet
+    /// per frame, at least one flow, every flow path at least two nodes long
+    /// with no immediate self-loops, every referenced [`NodeId`] inside the
     /// placement (ids are dense indices into `positions` — see the type-level
     /// NodeId contract), and a well-formed motion plan
     /// ([`MotionPlan::check`]).
@@ -186,6 +186,12 @@ impl Scenario {
         let n = self.positions.len();
         if n == 0 {
             return Err(format!("scenario {:?}: empty placement", self.name));
+        }
+        if let Some(i) = self.positions.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
+            return Err(format!(
+                "scenario {:?}: station {i} position {} is not finite",
+                self.name, self.positions[i]
+            ));
         }
         if let Scheme::Dcf { aggregation: 0 } | Scheme::Ripple { aggregation: 0 } = self.scheme {
             return Err(format!(
@@ -313,6 +319,21 @@ mod tests {
         let mut empty = valid_scenario();
         empty.positions.clear();
         assert!(empty.validate().unwrap_err().contains("empty placement"));
+
+        // A NaN station would get NaN mean power, which no threshold compare
+        // rejects: the planner would book it as a receiver of every frame.
+        for bad in [
+            Position::new(f64::NAN, 0.0),
+            Position::new(0.0, f64::NAN),
+            Position::new(f64::INFINITY, 0.0),
+            Position::new(0.0, f64::NEG_INFINITY),
+        ] {
+            let mut off_map = valid_scenario();
+            off_map.positions.push(bad);
+            let msg = off_map.validate().unwrap_err();
+            assert!(msg.contains("station 2") && msg.contains("not finite"), "{msg}");
+            assert!(msg.contains(&format!("{:?}", off_map.name)), "{msg}");
+        }
 
         let mut no_flows = valid_scenario();
         no_flows.flows.clear();

@@ -21,7 +21,7 @@
 //! `wmn-netsim`) owns one `Receiver` per node and drives both from the event
 //! queue.
 
-use wmn_sim::{max_standard_normal, NodeId, SimDuration, SimTime, StreamRng};
+use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 
 /// NS-2's capture threshold (`CPThresh`): a reception in progress survives
 /// interference that is at least this many dB weaker.
@@ -43,16 +43,18 @@ pub struct RxPlan {
     pub decodable: bool,
 }
 
-/// Build-time classification of one directed station pair, derived from the
+/// Test-side classification of one directed station pair, derived from the
 /// pair's mean received power and the hard bound on a Box–Muller shadowing
 /// excursion ([`wmn_sim::max_standard_normal`]).
 ///
-/// It describes what the planner *will* find ([`Medium::link_class`]); the
-/// planner itself does not branch on it — its per-draw bound
+/// The tests use it to say which regime a placement puts a pair in (and so
+/// which outcomes of the planner's per-draw bound a case exercises). Nothing
+/// stores it and the planner does not branch on it: its per-draw bound
 /// ([`wmn_sim::StreamRng::standard_normal_reaching`]) subsumes the
 /// `NeverSensed` shortcut, and every pair takes one path.
+#[cfg(test)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LinkClass {
+enum LinkClass {
     /// Even the largest possible shadowing excursion leaves the pair below
     /// carrier sense: the transmission is invisible there, whatever is
     /// drawn. At the paper's σ = 8 dB that takes ≈ 420 m — sparse grids
@@ -66,36 +68,45 @@ pub enum LinkClass {
     AlwaysDecodable,
 }
 
-/// Precomputed state of one directed station pair: everything about the
-/// deterministic part of the propagation model, so the per-transmission work
-/// reduces to one (bounded) shadowing draw and a threshold compare.
-#[derive(Clone, Copy, Debug)]
-struct LinkState {
-    /// Distance in metres.
-    distance: f64,
-    /// Mean received power in dBm (transmit power minus mean path loss).
-    mean_rx_dbm: f64,
-    /// Propagation delay over the link.
-    delay: SimDuration,
-    /// Threshold classification of the pair.
-    class: LinkClass,
+#[cfg(test)]
+impl LinkClass {
+    /// The class of a pair whose mean received power is `mean` dBm, against
+    /// the largest shadowing excursion any frame can draw.
+    fn of(params: &PhyParams, mean: f64) -> Self {
+        let max_excursion_db = params.shadowing.sigma_db.abs() * wmn_sim::max_standard_normal();
+        // AlwaysDecodable must clear *both* thresholds at the most negative
+        // possible excursion: `PhyParams` fields are public, so cs_thresh
+        // above rx_thresh is a legal (if odd) configuration, and the naive
+        // path would still drop sub-carrier-sense samples there.
+        let min_power = mean - max_excursion_db;
+        if mean + max_excursion_db < params.cs_thresh_dbm {
+            LinkClass::NeverSensed
+        } else if min_power >= params.rx_thresh_dbm && min_power >= params.cs_thresh_dbm {
+            LinkClass::AlwaysDecodable
+        } else {
+            LinkClass::Sampled
+        }
+    }
 }
 
 /// The shared wireless medium: node positions plus the propagation model.
 ///
-/// Construction materialises a flat n×n link-state matrix (distance, mean
-/// received power, propagation delay, and a threshold classification per
-/// directed pair). [`Medium::plan_transmission`] is then a row walk that adds
-/// one fresh shadowing draw per pair instead of re-deriving the geometry and
-/// path loss on every transmission.
+/// Construction materialises the deterministic part of the propagation
+/// model as two flat row-major n×n arrays — the mean received power and the
+/// propagation delay of every directed pair, 16 bytes per pair.
+/// [`Medium::plan_transmission`] is then a walk of the transmitter's
+/// mean-power row that adds one fresh shadowing draw per pair, reading the
+/// delay only for the stations that sense the frame, instead of re-deriving
+/// the geometry and path loss on every transmission.
 ///
 /// Stations may move mid-run: [`Medium::update_node_positions`] takes one
 /// mobility tick's worth of moves and re-evaluates every unordered pair with
-/// a moved endpoint **once**, mirroring it into both directions — link state
-/// is a function of the pair's distance alone, so `[i·n+j]` and `[j·n+i]`
-/// always hold the same bits. Construction fills the matrix through the same
-/// code (every station "moved"), so after any sequence of moves the matrix
-/// is bit-identical to a fresh `Medium::new` over the current placement.
+/// a moved endpoint **once**, mirroring it into both directions — both
+/// arrays are functions of the pair's distance alone, so `[i·n+j]` and
+/// `[j·n+i]` always hold the same bits. Construction fills the arrays
+/// through the same code (every station "moved"), so after any sequence of
+/// moves they are bit-identical to a fresh `Medium::new` over the current
+/// placement.
 ///
 /// # Example
 ///
@@ -116,61 +127,30 @@ struct LinkState {
 pub struct Medium {
     params: PhyParams,
     positions: Vec<Position>,
-    /// Flat row-major n×n matrix; entry `[from · n + to]` describes the
-    /// directed pair (symmetric: see the type docs). The diagonal is filled
-    /// (zero distance) but never read by the planner.
-    links: Vec<LinkState>,
-    /// The largest shadowing excursion any frame can draw, in dB:
-    /// `|σ| ·` [`max_standard_normal`], computed once — it depends on the
-    /// parameters only, and `link_state` needs it for every pair.
-    max_excursion_db: f64,
+    /// Mean received power in dBm (transmit power minus mean path loss),
+    /// flat row-major n×n: entry `[from · n + to]` is the directed pair
+    /// (symmetric: see the type docs). The diagonal is filled (zero
+    /// distance) but never read by the planner.
+    mean_rx_dbm: Vec<f64>,
+    /// Propagation delay of every directed pair, laid out as `mean_rx_dbm`.
+    delay: Vec<SimDuration>,
     /// Scratch for [`Medium::update_node_positions`]: which stations the
     /// batch in progress moves. All `false` between calls.
     moved: Vec<bool>,
 }
 
-/// Computes the link state of one station pair (either direction: every
-/// field is a function of the distance, and `hypot` is sign-symmetric).
-/// This is the **single** place the deterministic part of the propagation
-/// model is evaluated: construction and every position update go through
-/// [`Medium::refresh_pairs_of`], which calls it once per unordered pair.
-fn link_state(params: &PhyParams, max_excursion_db: f64, a: Position, b: Position) -> LinkState {
-    let d = a.distance_to(b);
-    let mean = params.shadowing.mean_rx_dbm(params.tx_power_dbm, d);
-    // AlwaysDecodable must clear *both* thresholds at the most
-    // negative possible excursion: `PhyParams` fields are public,
-    // so cs_thresh above rx_thresh is a legal (if odd)
-    // configuration, and the naive path would still drop
-    // sub-carrier-sense samples there.
-    let min_power = mean - max_excursion_db;
-    let class = if mean + max_excursion_db < params.cs_thresh_dbm {
-        LinkClass::NeverSensed
-    } else if min_power >= params.rx_thresh_dbm && min_power >= params.cs_thresh_dbm {
-        LinkClass::AlwaysDecodable
-    } else {
-        LinkClass::Sampled
-    };
-    LinkState { distance: d, mean_rx_dbm: mean, delay: params.propagation_delay(d), class }
-}
-
 impl Medium {
     /// Creates a medium over the given station placement, precomputing the
-    /// per-pair link-state matrix (each of the n(n+1)/2 unordered pairs is
-    /// evaluated once, instead of per transmission).
+    /// mean received power and propagation delay of every pair (each of the
+    /// n(n+1)/2 unordered pairs is evaluated once, instead of per
+    /// transmission).
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
         let n = positions.len();
-        let unset = LinkState {
-            distance: 0.0,
-            mean_rx_dbm: 0.0,
-            delay: SimDuration::ZERO,
-            class: LinkClass::NeverSensed,
-        };
-        let max_excursion_db = params.shadowing.sigma_db.abs() * max_standard_normal();
         let mut medium = Medium {
             params,
             positions,
-            links: vec![unset; n * n],
-            max_excursion_db,
+            mean_rx_dbm: vec![0.0; n * n],
+            delay: vec![SimDuration::ZERO; n * n],
             // Construction is the batch in which every station moved.
             moved: vec![true; n],
         };
@@ -231,17 +211,26 @@ impl Medium {
     /// Re-evaluates every pair `{node, other}` from the current positions
     /// and writes it into both directed entries. A pair of two moved
     /// stations belongs to the lower id, so a batch evaluates it once.
+    ///
+    /// This is the **single** place the deterministic part of the
+    /// propagation model is evaluated: construction and every position
+    /// update come here. Either direction gives the same bits, since both
+    /// values are functions of the distance and `hypot` is sign-symmetric.
     fn refresh_pairs_of(&mut self, node: usize) {
         let n = self.positions.len();
         let position = self.positions[node];
+        let p = &self.params;
         for other in 0..n {
             if self.moved[other] && other < node {
                 continue;
             }
-            let state =
-                link_state(&self.params, self.max_excursion_db, position, self.positions[other]);
-            self.links[node * n + other] = state;
-            self.links[other * n + node] = state;
+            let d = position.distance_to(self.positions[other]);
+            let mean = p.shadowing.mean_rx_dbm(p.tx_power_dbm, d);
+            let delay = p.propagation_delay(d);
+            for idx in [node * n + other, other * n + node] {
+                self.mean_rx_dbm[idx] = mean;
+                self.delay[idx] = delay;
+            }
         }
     }
 
@@ -290,16 +279,7 @@ impl Medium {
     pub fn link_delivery_probability(&self, from: NodeId, to: NodeId) -> f64 {
         self.params
             .shadowing
-            .probability_above(self.link(from, to).mean_rx_dbm, self.params.rx_thresh_dbm)
-    }
-
-    /// Distance between two stations in metres (precomputed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        self.link(a, b).distance
+            .probability_above(self.mean_rx_dbm(from, to), self.params.rx_thresh_dbm)
     }
 
     /// Mean received power (dBm) over the directed pair — the deterministic
@@ -309,21 +289,33 @@ impl Medium {
     ///
     /// Panics if either id is out of range.
     pub fn mean_rx_dbm(&self, from: NodeId, to: NodeId) -> f64 {
-        self.link(from, to).mean_rx_dbm
+        self.mean_rx_dbm[self.pair(from, to)]
     }
 
-    /// The build-time threshold classification of the directed pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn link_class(&self, from: NodeId, to: NodeId) -> LinkClass {
-        self.link(from, to).class
-    }
-
-    fn link(&self, from: NodeId, to: NodeId) -> &LinkState {
+    /// The flat index of the directed pair in both arrays.
+    fn pair(&self, from: NodeId, to: NodeId) -> usize {
         assert!(to.index() < self.positions.len(), "node id out of range");
-        &self.links[from.index() * self.positions.len() + to.index()]
+        from.index() * self.positions.len() + to.index()
+    }
+
+    /// The propagation delay the planner books for the directed pair.
+    #[cfg(test)]
+    fn delay(&self, from: NodeId, to: NodeId) -> SimDuration {
+        self.delay[self.pair(from, to)]
+    }
+
+    /// Distance between two stations in metres, from the current placement:
+    /// the same `distance_to` the arrays were evaluated from.
+    #[cfg(test)]
+    fn distance(&self, a: NodeId, b: NodeId) -> f64 {
+        self.positions[a.index()].distance_to(self.positions[b.index()])
+    }
+
+    /// The threshold classification of the directed pair, from its cached
+    /// mean.
+    #[cfg(test)]
+    fn link_class(&self, from: NodeId, to: NodeId) -> LinkClass {
+        LinkClass::of(&self.params, self.mean_rx_dbm(from, to))
     }
 
     /// Computes, for one transmission by `from`, the set of stations that
@@ -348,8 +340,8 @@ impl Medium {
     /// [`StreamRng::standard_normal_reaching`], which consumes the draw's two
     /// raw words unconditionally and computes the variate only when the
     /// words' buckets leave it possible that `mean + σ·z` reaches carrier
-    /// sense. A pair whose [`LinkClass`] is `NeverSensed` is that bound's
-    /// trivial case (even the largest radius falls short); on a dense
+    /// sense. A pair that not even the largest possible excursion lifts to
+    /// carrier sense is that bound's trivial case; on a dense
     /// placement, where no pair is, most of the stations that will not sense
     /// this frame are still dismissed without a logarithm, square root or
     /// cosine. The stream is consumed exactly as by the per-call computation
@@ -365,34 +357,27 @@ impl Medium {
         let p = &self.params;
         let sigma = p.shadowing.sigma_db;
         let n = self.positions.len();
-        let row = &self.links[from.index() * n..(from.index() + 1) * n];
-        for (idx, link) in row.iter().enumerate() {
+        let row = from.index() * n..(from.index() + 1) * n;
+        let delays = &self.delay[row.clone()];
+        for (idx, &mean) in self.mean_rx_dbm[row].iter().enumerate() {
             if idx == from.index() {
                 continue;
             }
-            let Some(z) = rng.standard_normal_reaching(link.mean_rx_dbm, sigma, p.cs_thresh_dbm)
-            else {
+            let Some(z) = rng.standard_normal_reaching(mean, sigma, p.cs_thresh_dbm) else {
                 continue;
             };
             // The expression the draw's bound was evaluated against.
-            let power = link.mean_rx_dbm + sigma * z;
+            let power = mean + sigma * z;
             if power < p.cs_thresh_dbm {
                 continue;
             }
             plans.push(RxPlan {
                 to: NodeId::new(idx as u32),
-                delay: link.delay,
+                delay: delays[idx],
                 power_dbm: power,
                 decodable: power >= p.rx_thresh_dbm,
             });
         }
-    }
-
-    /// The raw link-state matrix, for tests pinning the incremental refresh
-    /// bit-identical to full reconstruction.
-    #[cfg(test)]
-    fn links(&self) -> &[LinkState] {
-        &self.links
     }
 
     /// The pre-refactor per-call computation, kept as the oracle the cached
@@ -836,19 +821,39 @@ mod tests {
         }
     }
 
-    /// Asserts two media have bit-identical link-state matrices (floats
-    /// compared via `to_bits`, classification exactly).
+    /// One directed pair, bit for bit: `(distance bits, mean bits, delay,
+    /// class)`.
+    type LinkState = (u64, u64, SimDuration, LinkClass);
+
+    /// The per-pair computation of the layout that cached all four fields
+    /// per directed pair, kept as the oracle the two-array layout is pinned
+    /// against: every field re-derived from the two positions.
+    fn link_state(params: &PhyParams, a: Position, b: Position) -> LinkState {
+        let d = a.distance_to(b);
+        let mean = params.shadowing.mean_rx_dbm(params.tx_power_dbm, d);
+        (d.to_bits(), mean.to_bits(), params.propagation_delay(d), LinkClass::of(params, mean))
+    }
+
+    /// The directed pair `(from, to)` through the medium's accessors.
+    fn link(m: &Medium, from: usize, to: usize) -> LinkState {
+        let (a, b) = (NodeId::new(from as u32), NodeId::new(to as u32));
+        (
+            m.distance(a, b).to_bits(),
+            m.mean_rx_dbm(a, b).to_bits(),
+            m.delay(a, b),
+            m.link_class(a, b),
+        )
+    }
+
+    /// Asserts two media hold bit-identical link state for every directed
+    /// pair (floats compared via `to_bits`, classification exactly).
     fn assert_links_identical(a: &Medium, b: &Medium, context: &str) {
-        assert_eq!(a.links().len(), b.links().len(), "{context}: matrix sizes differ");
-        for (i, (x, y)) in a.links().iter().zip(b.links()).enumerate() {
-            assert_eq!(x.distance.to_bits(), y.distance.to_bits(), "{context}: distance [{i}]");
-            assert_eq!(
-                x.mean_rx_dbm.to_bits(),
-                y.mean_rx_dbm.to_bits(),
-                "{context}: mean_rx_dbm [{i}]"
-            );
-            assert_eq!(x.delay, y.delay, "{context}: delay [{i}]");
-            assert_eq!(x.class, y.class, "{context}: class [{i}]");
+        let n = a.node_count();
+        assert_eq!(n, b.node_count(), "{context}: station counts differ");
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(link(a, i, j), link(b, i, j), "{context}: [{i}][{j}]");
+            }
         }
     }
 
@@ -857,14 +862,7 @@ mod tests {
         let n = m.node_count();
         for i in 0..n {
             for j in 0..n {
-                let (x, y) = (&m.links()[i * n + j], &m.links()[j * n + i]);
-                assert_eq!(x.distance.to_bits(), y.distance.to_bits(), "{context}: [{i}][{j}]");
-                assert_eq!(
-                    x.mean_rx_dbm.to_bits(),
-                    y.mean_rx_dbm.to_bits(),
-                    "{context}: [{i}][{j}]"
-                );
-                assert_eq!((x.delay, x.class), (y.delay, y.class), "{context}: [{i}][{j}]");
+                assert_eq!(link(m, i, j), link(m, j, i), "{context}: [{i}][{j}]");
             }
         }
     }
@@ -1012,6 +1010,30 @@ mod tests {
         assert_eq!(c.link_class(NodeId::new(0), NodeId::new(2)), LinkClass::NeverSensed);
     }
 
+    #[test]
+    fn sparse_grid_has_never_sensed_pairs_dense_has_none() {
+        use crate::params::PhyParams;
+        // Pairs beyond ~417 m stay below carrier sense at any excursion
+        // σ = 8 dB can draw: a 16×16 grid at 40 m pitch (600 m side) has
+        // some, a 6×6 grid at 5 m pitch none.
+        let grid = |side: u32, spacing_m: f64| -> Vec<Position> {
+            (0..side * side)
+                .map(|i| {
+                    Position::new(f64::from(i % side) * spacing_m, f64::from(i / side) * spacing_m)
+                })
+                .collect()
+        };
+        let count_never = |m: &Medium| {
+            let n = m.node_count() as u32;
+            let pairs = (0..n).flat_map(|a| (0..n).map(move |b| (NodeId::new(a), NodeId::new(b))));
+            pairs.filter(|&(a, b)| a != b && m.link_class(a, b) == LinkClass::NeverSensed).count()
+        };
+        let dense = Medium::new(PhyParams::paper_216(), grid(6, 5.0));
+        let sparse = Medium::new(PhyParams::paper_216(), grid(16, 40.0));
+        assert_eq!(count_never(&dense), 0, "6x6 @ 5 m: every pair draw-dependent");
+        assert!(count_never(&sparse) > 0, "16x16 @ 40 m: far corners never sense each other");
+    }
+
     proptest! {
         /// One batch ≡ the same moves applied one at a time (in either
         /// order) ≡ `Medium::new` over the final placement, on the raw bits
@@ -1075,6 +1097,47 @@ mod tests {
             }
             let rebuilt = Medium::new(PhyParams::paper_216(), positions);
             assert_links_identical(&medium, &rebuilt, "prop rebuild");
+        }
+
+        /// The two arrays and the derived accessors report, for every
+        /// directed pair and after every batch of a random move sequence,
+        /// the bits the per-pair oracle computes from the current placement
+        /// — in both directions, at σ of either sign, tight and zero (so all
+        /// three classes occur).
+        #[test]
+        fn prop_two_arrays_match_the_per_pair_oracle(
+            coords in proptest::collection::vec((-50.0f64..550.0, -50.0f64..550.0), 1..12),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, -50.0f64..550.0, -50.0f64..550.0), 0..6),
+                1..4,
+            ),
+            sigma_pick in 0usize..4,
+        ) {
+            use crate::params::PhyParams;
+            let mut params = PhyParams::paper_216();
+            params.shadowing.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
+            let mut positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            let n = positions.len();
+            let mut medium = Medium::new(params.clone(), positions.clone());
+            for batch in &batches {
+                let mut moves: Vec<(NodeId, Position)> = Vec::new();
+                for &(pick, x, y) in batch {
+                    let node = NodeId::new((pick % n) as u32);
+                    if moves.iter().all(|&(m, _)| m != node) {
+                        positions[node.index()] = Position::new(x, y);
+                        moves.push((node, Position::new(x, y)));
+                    }
+                }
+                medium.update_node_positions(&moves);
+                for i in 0..n {
+                    for j in 0..n {
+                        let oracle = link_state(&params, positions[i], positions[j]);
+                        prop_assert_eq!(link(&medium, i, j), oracle, "[{}][{}]", i, j);
+                        prop_assert_eq!(link(&medium, j, i), oracle, "[{}][{}]", j, i);
+                    }
+                }
+            }
         }
 
         /// The planner is pinned bit-identical to the pre-refactor naive
