@@ -27,28 +27,29 @@ use wmn_mac::frame::{
     MAC_HEADER_BYTES, SUBFRAME_OVERHEAD_BYTES,
 };
 use wmn_mac::{
-    ActionSink, AggRole, AggSender, Backoff, Csma, DataState, IfQueue, MacAction, MacEntity,
-    MacStats, TimerToken,
+    ActionSink, AggSender, Backoff, Csma, DataState, IfQueue, MacAction, MacEntity, MacStats,
+    TimerToken,
 };
 use wmn_phy::PhyParams;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
 use crate::config::RippleConfig;
 
-/// A relay waiting for its continuous idle window. Paused (timer disarmed)
-/// whenever the channel turns busy and re-armed with the *full* wait on the
-/// next idle edge — the paper's rule is "relay only after detecting the
-/// channel idle for T", so a broken window restarts the wait. The relay is
-/// abandoned only when a copy from a higher-priority station (or, for data,
-/// the destination's ACK) is overheard.
+/// A relay waiting for its continuous idle window. Paused (its token
+/// dropped) whenever the channel turns busy and re-armed with a fresh token
+/// and the *full* wait on the next idle edge — the paper's rule is "relay
+/// only after detecting the channel idle for T", so a broken window restarts
+/// the wait. The relay is abandoned only when a copy from a higher-priority
+/// station (or, for data, the destination's ACK) is overheard.
 #[derive(Debug)]
 struct PendingRelay {
-    id: u64,
     /// (flow, anchor node, frame_seq, is_ack); the anchor is the data
     /// frame's end-to-end source (ACKs carry it in `to`).
     key: (FlowId, NodeId, u64, bool),
     frame: Frame,
     wait: SimDuration,
+    /// The armed wait's token; `None` while paused. A fire for any other
+    /// token (a paused or superseded wait) finds no relay.
     token: Option<TimerToken>,
 }
 
@@ -56,12 +57,10 @@ struct PendingRelay {
 /// roles it implements.
 pub struct RippleMac {
     cfg: RippleConfig,
-    /// The shared 802.11 sender; RIPPLE's own timers carry the
-    /// [`PendingRelay::id`] to fire.
-    tx: AggSender<u64>,
+    /// The shared 802.11 sender; it hands RIPPLE the relay waits' tokens.
+    tx: AggSender,
     /// Relays waiting for their idle window (armed or paused).
     pending_relays: Vec<PendingRelay>,
-    next_pending: u64,
     /// (flow, origin, frame_seq) data frames this node has already relayed.
     data_relayed: BTreeSet<(FlowId, NodeId, u64)>,
     /// (flow, source, frame_seq) ACK frames this node has already relayed.
@@ -100,7 +99,6 @@ impl RippleMac {
             cfg,
             tx,
             pending_relays: Vec::new(),
-            next_pending: 0,
             data_relayed: BTreeSet::new(),
             ack_relayed: BTreeSet::new(),
             last_applied_ack: 0,
@@ -121,9 +119,7 @@ impl RippleMac {
     /// Busy channel: pause every armed relay (the idle window broke).
     fn pause_relays(&mut self) {
         for pr in &mut self.pending_relays {
-            if let Some(token) = pr.token.take() {
-                self.tx.csma.cancel(token);
-            }
+            pr.token = None;
         }
     }
 
@@ -131,7 +127,7 @@ impl RippleMac {
     fn resume_relays(&mut self, out: &mut ActionSink) {
         for pr in &mut self.pending_relays {
             if pr.token.is_none() {
-                let token = self.tx.csma.mint(AggRole::Scheme(pr.id));
+                let token = self.tx.csma.mint();
                 pr.token = Some(token);
                 out.push(MacAction::SetTimer { delay: pr.wait, token, slot: None });
             }
@@ -145,30 +141,22 @@ impl RippleMac {
         wait: SimDuration,
         out: &mut ActionSink,
     ) {
-        let id = self.next_pending;
-        self.next_pending += 1;
-        let mut pr = PendingRelay { id, key, frame, wait, token: None };
+        let mut pr = PendingRelay { key, frame, wait, token: None };
         if !self.tx.csma.channel_busy() {
-            let token = self.tx.csma.mint(AggRole::Scheme(id));
+            let token = self.tx.csma.mint();
             pr.token = Some(token);
             out.push(MacAction::SetTimer { delay: wait, token, slot: None });
         }
         self.pending_relays.push(pr);
         // Bound the backlog: the oldest pending relays are stale mTXOPs.
-        while self.pending_relays.len() > 32 {
-            let dead = self.pending_relays.remove(0);
-            if let Some(token) = dead.token {
-                self.tx.csma.cancel(token);
-            }
+        if self.pending_relays.len() > 32 {
+            self.pending_relays.remove(0);
         }
     }
 
     fn drop_pending_relay(&mut self, key: (FlowId, NodeId, u64, bool)) {
         if let Some(idx) = self.pending_relays.iter().position(|pr| pr.key == key) {
-            let dead = self.pending_relays.remove(idx);
-            if let Some(token) = dead.token {
-                self.tx.csma.cancel(token);
-            }
+            self.pending_relays.remove(idx);
         }
     }
 
@@ -308,13 +296,10 @@ impl RippleMac {
         self.tx.apply_ack(a, now, out);
     }
 
-    fn fire_relay(&mut self, pending: u64, out: &mut ActionSink) {
-        let Some(idx) = self.pending_relays.iter().position(|pr| pr.id == pending) else {
-            return; // cancelled in the meantime
+    fn fire_relay(&mut self, token: TimerToken, out: &mut ActionSink) {
+        let Some(idx) = self.pending_relays.iter().position(|pr| pr.token == Some(token)) else {
+            return; // paused, re-armed or dropped in the meantime
         };
-        if self.tx.csma.channel_busy() {
-            return; // a pause is in flight; resume_relays will re-arm
-        }
         if !self.tx.csma.radio_free() {
             // Our own radio is mid-transmission (e.g. sending an ACK): the
             // relay re-arms on the next idle edge.
@@ -373,8 +358,8 @@ impl MacEntity for RippleMac {
     }
 
     fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
-        if let Some(pending) = self.tx.on_timer(token, now, out) {
-            self.fire_relay(pending, out);
+        if let Some(token) = self.tx.on_timer(token, now, out) {
+            self.fire_relay(token, out);
         }
     }
 
@@ -530,10 +515,12 @@ mod tests {
         let acts = f1.on_timer_vec(token, t(200) + delay);
         assert!(find_tx(&acts).is_none(), "paused relay must not fire");
         assert_eq!(f1.relays_performed(), 0);
-        // The next idle edge restarts the full wait…
+        // The next idle edge restarts the full wait under a fresh token; a
+        // late fire of the paused one finds no relay…
         let acts = f1.on_idle_vec(t(400));
         let (delay2, token2) = timers(&acts)[0];
         assert_eq!(delay2, delay, "the wait restarts in full");
+        assert!(find_tx(&f1.on_timer_vec(token, t(401))).is_none(), "paused token is dead");
         // …and the relay finally goes out.
         let acts = f1.on_timer_vec(token2, t(400) + delay2);
         assert!(matches!(find_tx(&acts), Some(Frame::Data(_))));

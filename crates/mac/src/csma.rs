@@ -2,9 +2,9 @@
 //!
 //! * [`Csma`] — unmodified 802.11 contention, shared by DCF/AFR, RIPPLE and
 //!   preExOR/MCExOR: busy/idle edges, DIFS and the freezable backoff
-//!   countdown, radio occupancy, the data-pipeline state, the timer-token
-//!   table, sequence minting, and what an acknowledged or timed-out attempt
-//!   does to the window, the retry budget and the next backoff. The paper's
+//!   countdown, radio occupancy, the data-pipeline state, token minting,
+//!   sequence minting, and what an acknowledged or timed-out attempt does
+//!   to the window, the retry budget and the next backoff. The paper's
 //!   cross-scheme comparison assumes this part is the same everywhere; here
 //!   it is the same code.
 //! * [`AggSender`] — the aggregated source DCF/AFR and RIPPLE put on top:
@@ -13,8 +13,10 @@
 //!   the pending-ACK responder and in-order delivery through the receive
 //!   queues `Rq`.
 //!
-//! Both are owned by value and generic over the scheme's own timer payload,
-//! so they monomorphise into the crate that uses them.
+//! Both are owned by value. Neither keeps a table of timers: a timer is live
+//! exactly while the state that armed it still holds its token (the core's
+//! back-off and ACK timeout, the sender's pending ACK, a scheme's relay or
+//! ACK slot), and a fire whose token no such state holds does nothing.
 
 use std::collections::BTreeMap;
 
@@ -54,16 +56,9 @@ pub enum OwnTx {
     Relay,
 }
 
-/// What a live timer token means.
-enum Role<R> {
-    BackoffDone,
-    AttemptTimeout,
-    Scheme(R),
-}
-
 /// What a fired timer asks of the scheme ([`Csma::on_timer`]).
-#[derive(Debug)]
-pub enum Fired<R> {
+#[derive(PartialEq, Eq, Debug)]
+pub enum Fired {
     /// The backoff countdown ran out: transmit now.
     Transmit,
     /// The acknowledgement window closed unanswered; the core has counted
@@ -74,12 +69,14 @@ pub enum Fired<R> {
         /// The frame in flight must be abandoned.
         exhausted: bool,
     },
-    /// A timer the scheme minted through [`Csma::mint`].
-    Scheme(R),
+    /// A token the core does not hold: one the scheme minted through
+    /// [`Csma::mint`], or a back-off or timeout the core cancelled or
+    /// superseded. The scheme acts only if it still holds the token.
+    Scheme(TimerToken),
 }
 
 /// The 802.11 contention and retransmission state of one station.
-pub struct Csma<R> {
+pub struct Csma {
     difs: SimDuration,
     slot: SimDuration,
     retry_limit: u8,
@@ -95,10 +92,6 @@ pub struct Csma<R> {
     armed_timeout: Option<TimerToken>,
     /// Attempts spent on the frame in flight; zero whenever none is.
     retries: u8,
-    /// Live timer tokens and what they mean. A handful are outstanding at
-    /// any instant, so a linear-scan `Vec` beats a node-allocating map —
-    /// and its capacity is retained, keeping timer churn off the allocator.
-    timers: Vec<(u64, Role<R>)>,
     next_token: u64,
     seq_counters: BTreeMap<(FlowId, NodeId), u32>,
     frame_seq_counter: u64,
@@ -107,7 +100,7 @@ pub struct Csma<R> {
     pub stats: MacStats,
 }
 
-impl<R> Csma<R> {
+impl Csma {
     /// Creates the core from the scheme's timing, window, limits and stream.
     pub fn new(
         difs: SimDuration,
@@ -131,7 +124,6 @@ impl<R> Csma<R> {
             countdown_anchor: SimTime::ZERO,
             armed_timeout: None,
             retries: 0,
-            timers: Vec::new(),
             next_token: 0,
             seq_counters: BTreeMap::new(),
             frame_seq_counter: 0,
@@ -160,27 +152,12 @@ impl<R> Csma<R> {
         self.on_air.is_none()
     }
 
-    /// Mints a token for one of the scheme's own timers.
-    pub fn mint(&mut self, role: R) -> TimerToken {
-        self.mint_role(Role::Scheme(role))
-    }
-
-    fn mint_role(&mut self, role: Role<R>) -> TimerToken {
+    /// Mints a fresh token, unique at this station. The core's own timers
+    /// and the scheme's draw from the same counter.
+    pub fn mint(&mut self) -> TimerToken {
         let token = TimerToken(self.next_token);
         self.next_token += 1;
-        self.timers.push((token.0, role));
         token
-    }
-
-    /// Removes and returns the role of a live token.
-    fn take(&mut self, token: TimerToken) -> Option<Role<R>> {
-        let idx = self.timers.iter().position(|(t, _)| *t == token.0)?;
-        Some(self.timers.swap_remove(idx).1)
-    }
-
-    /// Cancels a token: its fire will resolve to nothing.
-    pub fn cancel(&mut self, token: TimerToken) {
-        self.take(token);
     }
 
     /// The next link-level sequence number of `(flow, src)`.
@@ -204,10 +181,10 @@ impl<R> Csma<R> {
     }
 
     /// The channel turned busy: freeze the countdown.
+    #[inline]
     pub fn on_busy(&mut self, now: SimTime, out: &mut ActionSink) {
         self.channel_busy = true;
-        if let Some(token) = self.armed_backoff.take() {
-            self.cancel(token);
+        if self.armed_backoff.take().is_some() {
             out.push(MacAction::CancelTimer { slot: TimerSlot::Backoff });
             let idle = now.saturating_since(self.countdown_anchor);
             self.backoff.consume_idle(idle, self.slot);
@@ -250,42 +227,41 @@ impl<R> Csma<R> {
         let start = (self.idle_since + self.difs).max(now);
         self.countdown_anchor = start;
         let fire_at = start + self.slot * u64::from(remaining);
-        let token = self.mint_role(Role::BackoffDone);
+        let token = self.mint();
         self.armed_backoff = Some(token);
         let delay = fire_at.saturating_since(now);
         out.push(MacAction::SetTimer { delay, token, slot: Some(TimerSlot::Backoff) });
     }
 
-    /// A timer fired: resolves the token and does the core's part. `None` =
-    /// cancelled, superseded, or nothing left for the scheme to do.
-    pub fn on_timer(&mut self, token: TimerToken, holding: bool) -> Option<Fired<R>> {
-        match self.take(token)? {
-            Role::BackoffDone if self.armed_backoff == Some(token) => {
-                self.armed_backoff = None;
-                if self.channel_busy || !self.may_contend(holding) {
-                    return None;
-                }
-                self.backoff.clear();
-                Some(Fired::Transmit)
+    /// A timer fired: does the core's part if the token is its armed back-off
+    /// or timeout, and hands any other token back ([`Fired::Scheme`]). `None`
+    /// = the core's timer left nothing for the scheme to do.
+    #[inline]
+    pub fn on_timer(&mut self, token: TimerToken, holding: bool) -> Option<Fired> {
+        if self.armed_backoff == Some(token) {
+            self.armed_backoff = None;
+            if self.channel_busy || !self.may_contend(holding) {
+                return None;
             }
-            Role::AttemptTimeout if self.armed_timeout == Some(token) => {
-                self.armed_timeout = None;
-                if self.state != DataState::WaitAck {
-                    return None;
-                }
-                self.stats.timeouts += 1;
-                self.state = DataState::Idle;
-                self.backoff.on_failure();
-                self.retries += 1;
-                let exhausted = self.budget_exhausted();
-                if exhausted {
-                    self.backoff.on_success(); // window resets after abandoning a frame
-                }
-                self.backoff.draw(&mut self.rng);
-                Some(Fired::TimedOut { exhausted })
+            self.backoff.clear();
+            Some(Fired::Transmit)
+        } else if self.armed_timeout == Some(token) {
+            self.armed_timeout = None;
+            if self.state != DataState::WaitAck {
+                return None;
             }
-            Role::Scheme(role) => Some(Fired::Scheme(role)),
-            Role::BackoffDone | Role::AttemptTimeout => None,
+            self.stats.timeouts += 1;
+            self.state = DataState::Idle;
+            self.backoff.on_failure();
+            self.retries += 1;
+            let exhausted = self.budget_exhausted();
+            if exhausted {
+                self.backoff.on_success(); // window resets after abandoning a frame
+            }
+            self.backoff.draw(&mut self.rng);
+            Some(Fired::TimedOut { exhausted })
+        } else {
+            Some(Fired::Scheme(token))
         }
     }
 
@@ -309,8 +285,7 @@ impl<R> Csma<R> {
     /// spends a retry; `true` = exhausted, the scheme drops what is left.
     pub fn attempt_acked(&mut self, progressed: bool, out: &mut ActionSink) -> bool {
         self.stats.acks_received += 1;
-        if let Some(token) = self.armed_timeout.take() {
-            self.cancel(token);
+        if self.armed_timeout.take().is_some() {
             out.push(MacAction::CancelTimer { slot: TimerSlot::AckTimeout });
         }
         self.state = DataState::Idle;
@@ -365,10 +340,8 @@ impl<R> Csma<R> {
     /// Arms the acknowledgement window of the attempt that just ended,
     /// superseding one still armed (its slot holds one fire).
     pub fn arm_timeout(&mut self, delay: SimDuration, out: &mut ActionSink) {
-        let token = self.mint_role(Role::AttemptTimeout);
-        if let Some(superseded) = self.armed_timeout.replace(token) {
-            self.cancel(superseded);
-        }
+        let token = self.mint();
+        self.armed_timeout = Some(token);
         out.push(MacAction::SetTimer { delay, token, slot: Some(TimerSlot::AckTimeout) });
     }
 }
@@ -387,20 +360,11 @@ pub struct Inflight {
     pub frame_seq: u64,
 }
 
-/// Timer payloads of an [`AggSender`]: its ACK responder, or the scheme's.
-#[derive(Debug)]
-pub enum AggRole<X> {
-    /// Send the pending ACK.
-    SendAck,
-    /// One of the owning scheme's own timers.
-    Scheme(X),
-}
-
 /// The aggregated source (and ACK responder and in-order receiver) shared
 /// by DCF/AFR and RIPPLE.
-pub struct AggSender<X> {
+pub struct AggSender {
     /// The contention core.
-    pub csma: Csma<AggRole<X>>,
+    pub csma: Csma,
     node: NodeId,
     max_aggregation: usize,
     max_frame_payload_bytes: u32,
@@ -416,11 +380,11 @@ pub struct AggSender<X> {
     rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
 }
 
-impl<X> AggSender<X> {
+impl AggSender {
     /// Creates the sender for `node` with its per-frame packet and byte caps.
     pub fn new(
         node: NodeId,
-        csma: Csma<AggRole<X>>,
+        csma: Csma,
         max_aggregation: usize,
         max_frame_payload_bytes: u32,
     ) -> Self {
@@ -521,8 +485,15 @@ impl<X> AggSender<X> {
         ended == Some(OwnTx::Data)
     }
 
-    /// A timer fired. Returns the payload when it was one of the scheme's own.
-    pub fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) -> Option<X> {
+    /// A timer fired. Returns the token when neither the core nor the ACK
+    /// responder holds it: the scheme's own, or dead.
+    #[inline]
+    pub fn on_timer(
+        &mut self,
+        token: TimerToken,
+        now: SimTime,
+        out: &mut ActionSink,
+    ) -> Option<TimerToken> {
         match self.csma.on_timer(token, self.inflight.is_some())? {
             Fired::Transmit => self.transmit_data(out),
             Fired::TimedOut { exhausted } => {
@@ -531,13 +502,13 @@ impl<X> AggSender<X> {
                 }
                 self.try_progress(now, out);
             }
-            Fired::Scheme(AggRole::SendAck) => {
-                if self.pending_ack.as_ref().is_some_and(|(armed, _)| *armed == token) {
-                    let (_, ack) = self.pending_ack.take().expect("just checked");
-                    self.csma.send_ack(ack, out);
+            Fired::Scheme(token) => {
+                if !self.pending_ack.as_ref().is_some_and(|(armed, _)| *armed == token) {
+                    return Some(token);
                 }
+                let (_, ack) = self.pending_ack.take().expect("just checked");
+                self.csma.send_ack(ack, out);
             }
-            Fired::Scheme(AggRole::Scheme(x)) => return Some(x),
         }
         None
     }
@@ -569,7 +540,7 @@ impl<X> AggSender<X> {
 
     /// Schedules `ack` to go out after `delay`, superseding one still waiting.
     pub fn schedule_ack(&mut self, ack: AckFrame, delay: SimDuration, out: &mut ActionSink) {
-        let token = self.csma.mint(AggRole::SendAck);
+        let token = self.csma.mint();
         self.pending_ack = Some((token, ack));
         out.push(MacAction::SetTimer { delay, token, slot: None });
     }
@@ -601,13 +572,12 @@ mod tests {
     use super::*;
     use crate::frame::{LinkDst, NetHeader, Proto};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
     const DIFS_NS: u64 = 34_000;
     const SLOT_NS: u64 = 9_000;
     const RETRY_LIMIT: u8 = 7;
 
-    fn core(seed: u64) -> Csma<u8> {
+    fn core(seed: u64) -> Csma {
         Csma::new(
             SimDuration::from_nanos(DIFS_NS),
             SimDuration::from_nanos(SLOT_NS),
@@ -627,7 +597,7 @@ mod tests {
         Packet::new(NetHeader { flow, src, dst, proto: Proto::Udp, wire_bytes: 100 }, vec![])
     }
 
-    fn enqueue(c: &mut Csma<u8>) {
+    fn enqueue(c: &mut Csma) {
         let mut out = ActionSink::new();
         assert!(c.on_enqueue(packet(), RouteInfo::NextHop(NodeId::new(1)), &mut out));
         assert!(out.is_empty());
@@ -648,7 +618,7 @@ mod tests {
 
     /// Sends the queued packet and lets the transmission end: the pipeline
     /// now waits for an acknowledgement.
-    fn transmit(c: &mut Csma<u8>) {
+    fn transmit(c: &mut Csma) {
         let mut out = ActionSink::new();
         let frame = DataFrame {
             transmitter: NodeId::new(0),
@@ -704,7 +674,7 @@ mod tests {
             assert_eq!(c.backoff.cw(), cw);
             assert!(c.backoff.remaining().is_some(), "backoff redrawn");
             assert_eq!(c.state(), DataState::Idle);
-            assert!(c.on_timer(token, true).is_none(), "a token fires once");
+            assert_eq!(c.on_timer(token, true), Some(Fired::Scheme(token)), "fires once");
         }
         assert_eq!(c.retries(), 0, "budget restored for the next frame");
         assert_eq!(c.stats.timeouts, u64::from(RETRY_LIMIT) + 1);
@@ -720,15 +690,14 @@ mod tests {
         let (_, old) = timer(&mut out);
         c.arm_timeout(SimDuration::from_nanos(9), &mut out);
         let (_, new) = timer(&mut out);
-        assert!(c.on_timer(old, true).is_none(), "superseded");
+        assert_eq!(c.on_timer(old, true), Some(Fired::Scheme(old)), "superseded");
         // A fruitless ACK spends a retry, a progressing one restores the budget.
         assert!(!c.attempt_acked(false, &mut out));
         assert!(cancelled(&mut out, TimerSlot::AckTimeout));
         assert_eq!((c.retries(), c.state()), (1, DataState::Idle));
-        assert!(c.on_timer(new, true).is_none(), "cancelled by the ACK");
+        assert_eq!(c.on_timer(new, true), Some(Fired::Scheme(new)), "cancelled by the ACK");
         assert!(!c.attempt_acked(true, &mut out));
         assert!(out.is_empty(), "nothing left to cancel");
-        assert!(c.timers.is_empty(), "the superseded token went with its slot");
         assert_eq!((c.retries(), c.stats.acks_received, c.stats.timeouts), (0, 2, 0));
     }
 
@@ -765,7 +734,7 @@ mod tests {
                 consumed += remaining - left;
                 remaining = left;
                 prop_assert_eq!(consumed + remaining, drawn);
-                prop_assert!(c.on_timer(token, false).is_none(), "frozen timer fired");
+                prop_assert_eq!(c.on_timer(token, false), Some(Fired::Scheme(token)));
                 now += idle + busy;
                 c.on_idle(ns(now), false, &mut out);
                 (delay, token) = timer(&mut out);
@@ -773,38 +742,6 @@ mod tests {
             prop_assert_eq!(delay, DIFS_NS + SLOT_NS * remaining);
             prop_assert!(matches!(c.on_timer(token, false), Some(Fired::Transmit)));
             prop_assert!(c.backoff.remaining().is_none());
-        }
-
-        /// `take` after `mint` returns the role exactly once; a cancelled or
-        /// already-fired token resolves to nothing, whatever the interleaving.
-        #[test]
-        fn prop_tokens_resolve_to_their_role_exactly_once(
-            ops in proptest::collection::vec((0u8..3, 0usize..16), 0..64),
-        ) {
-            let mut c = core(0);
-            let mut minted: Vec<TimerToken> = Vec::new();
-            let mut live = BTreeSet::new();
-            for (op, pick) in ops {
-                if op == 0 || minted.is_empty() {
-                    let role = minted.len() as u8;
-                    minted.push(c.mint(role));
-                    live.insert(role);
-                    continue;
-                }
-                let role = (pick % minted.len()) as u8;
-                let token = minted[usize::from(role)];
-                if op == 1 {
-                    c.cancel(token);
-                    live.remove(&role);
-                } else {
-                    match c.on_timer(token, false) {
-                        Some(Fired::Scheme(r)) => prop_assert!(r == role && live.remove(&role)),
-                        None => prop_assert!(!live.contains(&role)),
-                        other => prop_assert!(false, "unexpected {:?}", other),
-                    }
-                }
-            }
-            prop_assert_eq!(c.timers.len(), live.len());
         }
     }
 }

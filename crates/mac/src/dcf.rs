@@ -9,8 +9,6 @@
 //! sender's reorder buffers so partial loss does not re-order the flow, and
 //! expects its own ACK within one `ack_timeout`.
 
-use std::convert::Infallible;
-
 use wmn_phy::PhyParams;
 use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 
@@ -86,7 +84,7 @@ pub(crate) fn frame_payload_budget(params: &PhyParams) -> u32 {
 pub struct DcfMac {
     cfg: DcfConfig,
     /// The shared 802.11 sender; DCF adds no timers of its own.
-    tx: AggSender<Infallible>,
+    tx: AggSender,
 }
 
 impl std::fmt::Debug for DcfMac {
@@ -188,7 +186,7 @@ impl MacEntity for DcfMac {
     }
 
     fn on_timer(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
-        let _: Option<Infallible> = self.tx.on_timer(token, now, out);
+        self.tx.on_timer(token, now, out);
     }
 
     fn stats(&self) -> MacStats {

@@ -45,7 +45,7 @@ pub mod sink;
 pub mod smalllist;
 
 pub use backoff::Backoff;
-pub use csma::{AggRole, AggSender, Csma, DataState, Fired, Inflight, OwnTx};
+pub use csma::{AggSender, Csma, DataState, Fired, Inflight, OwnTx};
 pub use dcf::{DcfConfig, DcfMac, DcfScheme};
 pub use frame::{
     AckFrame, AckList, DataFrame, Frame, LinkDst, NetHeader, NodeList, Packet, Proto, RouteInfo,
@@ -73,10 +73,11 @@ pub enum RateClass {
     Basic,
 }
 
-/// Opaque timer handle. MACs mint tokens from a private counter and ignore
-/// fires for tokens they no longer recognise. A cancelled contention timer
-/// ([`TimerSlot`]) also leaves the event queue; a scheme's own timers (relay
-/// waits, ACK responses) are cancelled by forgetting their token alone.
+/// Opaque timer handle, minted by [`Csma::mint`] from a per-station counter.
+/// A timer is live exactly while the state that armed it holds its token;
+/// a fire whose token no state holds does nothing. Cancelling is dropping
+/// the token: a contention timer ([`TimerSlot`]) also leaves the event queue,
+/// a scheme's own timers (relay waits, ACK responses) fire dead.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerToken(pub u64);
 
@@ -151,7 +152,7 @@ pub enum MacAction {
 }
 
 // Every action crosses the MAC↔engine seam by value and sits in a sink's
-// inline slots: a variant that carries a fat payload inline (a whole `Frame`
+// ring buffer: a variant that carries a fat payload inline (a whole `Frame`
 // is 248 bytes) taxes every handler call of every scheme, and no functional
 // test or allocation count notices. Fail the build instead.
 const _: () = assert!(std::mem::size_of::<MacAction>() <= 64);

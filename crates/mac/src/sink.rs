@@ -7,27 +7,18 @@
 //! the flow: the *engine* owns the buffer, hands it to the handler to fill,
 //! drains it in FIFO order, and reuses it for the next event. The buffer is
 //! drained, never dropped, so after warm-up the action path touches the
-//! allocator not at all; and like [`SmallList`](crate::SmallList) it keeps
-//! the first few actions inline, so even a cold sink does not allocate for
-//! the common one-to-three-action bursts.
+//! allocator not at all. The engine's sinks live for the whole run, so the
+//! storage is one [`VecDeque`] whose capacity is kept across fills.
 //!
 //! The fill/drain discipline is strict on purpose: a handler only ever
 //! [`push`](ActionSink::push)es, the engine only ever
-//! [`pop`](ActionSink::pop)s after the handler returned, and a fully
-//! drained sink resets itself for the next fill. Re-entrant dispatch
+//! [`pop`](ActionSink::pop)s after the handler returned. Re-entrant dispatch
 //! (applying a popped action triggers another handler) uses a *different*
 //! sink — the engine keeps one per nesting depth — never the one mid-drain.
-//!
-//! Sinks are lent, not passed around: the engine hands a handler `&mut` to
-//! a sink that stays where it lives, and a compile-time guard keeps the type
-//! small enough that even a stray by-value move stays cheap.
+
+use std::collections::VecDeque;
 
 use crate::MacAction;
-
-/// Actions kept inline before spilling to the heap. MAC handlers emit one
-/// to three actions for almost every event (a timer, a transmission, a
-/// handful of deliveries); bulk release runs (reorder-buffer drains) spill.
-const INLINE_ACTIONS: usize = 4;
 
 /// A reusable FIFO buffer of [`MacAction`]s: filled by a MAC handler,
 /// drained by the engine, then reused for the next event.
@@ -50,22 +41,9 @@ const INLINE_ACTIONS: usize = 4;
 /// ```
 #[derive(Debug, Default)]
 pub struct ActionSink {
-    /// Inline slots for the common small bursts; `inline[popped..pushed]`
-    /// (clamped to `INLINE_ACTIONS`) holds the live prefix.
-    inline: [Option<MacAction>; INLINE_ACTIONS],
-    /// Overflow beyond the inline slots. Cleared on every full drain but
-    /// never shrunk, so a sink that spilled once never spills-allocates
-    /// again at that burst size.
-    spill: Vec<Option<MacAction>>,
-    /// Actions pushed during the current fill.
-    pushed: usize,
-    /// Actions already popped from the current fill.
-    popped: usize,
+    /// Pushed at the back, popped from the front; never shrunk.
+    queue: VecDeque<MacAction>,
 }
-
-// Four inline actions plus bookkeeping. Growing past this means an action
-// variant got fat (see the guard on `MacAction`) or the inline count rose.
-const _: () = assert!(std::mem::size_of::<ActionSink>() <= 320);
 
 impl ActionSink {
     /// An empty sink (no heap allocation).
@@ -75,51 +53,28 @@ impl ActionSink {
 
     /// Appends an action. Handlers are push-only; the engine drains.
     pub fn push(&mut self, action: MacAction) {
-        if self.pushed < INLINE_ACTIONS {
-            self.inline[self.pushed] = Some(action);
-        } else {
-            self.spill.push(Some(action));
-        }
-        self.pushed += 1;
+        self.queue.push_back(action);
     }
 
     /// Removes and returns the oldest undrained action, or `None` when the
-    /// fill is exhausted — at which point the sink resets itself (keeping
-    /// its spill capacity) so the next handler starts on a clean buffer.
+    /// fill is exhausted.
     pub fn pop(&mut self) -> Option<MacAction> {
-        if self.popped == self.pushed {
-            self.clear();
-            return None;
-        }
-        let action = if self.popped < INLINE_ACTIONS {
-            self.inline[self.popped].take()
-        } else {
-            self.spill[self.popped - INLINE_ACTIONS].take()
-        };
-        self.popped += 1;
-        debug_assert!(action.is_some(), "push/pop counters out of sync");
-        action
+        self.queue.pop_front()
     }
 
     /// Actions pushed and not yet popped.
     pub fn len(&self) -> usize {
-        self.pushed - self.popped
+        self.queue.len()
     }
 
     /// Whether no actions are waiting to be drained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 
-    /// Discards any undrained actions and resets the sink for the next
-    /// fill, keeping the spill capacity.
+    /// Discards any undrained actions, keeping the capacity.
     pub fn clear(&mut self) {
-        for slot in &mut self.inline[..self.pushed.min(INLINE_ACTIONS)] {
-            *slot = None;
-        }
-        self.spill.clear();
-        self.pushed = 0;
-        self.popped = 0;
+        self.queue.clear();
     }
 
     /// Drains every remaining action into a fresh `Vec`, in FIFO order.
@@ -127,11 +82,7 @@ impl ActionSink {
     /// through (see [`MacEntityExt`](crate::MacEntityExt)); engines use
     /// [`pop`](ActionSink::pop) and never allocate.
     pub fn drain_to_vec(&mut self) -> Vec<MacAction> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(action) = self.pop() {
-            out.push(action);
-        }
-        out
+        self.queue.drain(..).collect()
     }
 }
 

@@ -96,6 +96,8 @@ struct Inflight {
     frame_seq: u64,
 }
 
+/// A data frame this list member decoded, kept until its ACK slot (and, for
+/// a preExOR forwarder, its window-end relay decision) has fired.
 #[derive(Debug)]
 struct Pending {
     seq: u32,
@@ -108,15 +110,10 @@ struct Pending {
     heard_higher: bool,
     /// First time this node sees this (flow, src, seq): eligible to relay.
     fresh: bool,
-}
-
-/// ExOR's own timers; `key` indexes `pending`.
-#[derive(Debug)]
-enum ExorRole {
-    /// Fire the ACK for a pending reception.
-    SendAck { key: (NodeId, u64) },
-    /// preExOR end-of-window relay decision.
-    RelayDecision { key: (NodeId, u64) },
+    /// The ACK slot's token, until it fires.
+    send_ack: Option<TimerToken>,
+    /// The preExOR forwarder's end-of-window relay decision.
+    relay_decision: Option<TimerToken>,
 }
 
 /// The preExOR / MCExOR MAC state machine for one station.
@@ -124,7 +121,7 @@ pub struct ExorMac {
     mode: ExorMode,
     cfg: ExorConfig,
     node: NodeId,
-    csma: Csma<ExorRole>,
+    csma: Csma,
     relay_q: VecDeque<QItem>,
     inflight: Option<Inflight>,
     pending: BTreeMap<(NodeId, u64), Pending>,
@@ -260,9 +257,11 @@ impl ExorMac {
             }
         }
 
-        let key = (d.transmitter, d.frame_seq);
+        let send_ack = self.csma.mint();
+        let relay_decision =
+            (self.mode == ExorMode::PreExor && my_rank > 0).then(|| self.csma.mint());
         self.pending.insert(
-            key,
+            (d.transmitter, d.frame_seq),
             Pending {
                 seq: sf.seq,
                 packet: sf.packet.clone(),
@@ -273,12 +272,13 @@ impl ExorMac {
                 frame_seq: d.frame_seq,
                 heard_higher: false,
                 fresh,
+                send_ack: Some(send_ack),
+                relay_decision,
             },
         );
-        let token = self.csma.mint(ExorRole::SendAck { key });
-        out.push(MacAction::SetTimer { delay: self.ack_offset(my_rank), token, slot: None });
-        if self.mode == ExorMode::PreExor && my_rank > 0 {
-            let token = self.csma.mint(ExorRole::RelayDecision { key });
+        let delay = self.ack_offset(my_rank);
+        out.push(MacAction::SetTimer { delay, token: send_ack, slot: None });
+        if let Some(token) = relay_decision {
             let delay = self.ack_window(list.len());
             out.push(MacAction::SetTimer { delay, token, slot: None });
         }
@@ -305,8 +305,24 @@ impl ExorMac {
         }
     }
 
+    /// A scheme timer fired: the ACK slot or relay decision of the `pending`
+    /// entry that holds the token, if one still does.
+    fn fire_pending(&mut self, token: TimerToken, now: SimTime, out: &mut ActionSink) {
+        let holder = self
+            .pending
+            .iter_mut()
+            .find(|(_, p)| p.send_ack == Some(token) || p.relay_decision == Some(token));
+        let Some((&key, p)) = holder else { return };
+        if p.send_ack == Some(token) {
+            p.send_ack = None;
+            self.fire_send_ack(key, now, out);
+        } else {
+            self.fire_relay_decision(key, now, out);
+        }
+    }
+
     fn fire_send_ack(&mut self, key: (NodeId, u64), now: SimTime, out: &mut ActionSink) {
-        let Some(p) = self.pending.get(&key) else { return };
+        let p = &self.pending[&key];
         let suppressed = self.mode == ExorMode::McExor && p.heard_higher;
         if suppressed {
             self.pending.remove(&key);
@@ -320,21 +336,24 @@ impl ExorMac {
             acked_seqs: [(p.flow, p.seq)].as_slice().into(),
             relay_list: NodeList::new(),
         };
+        // A preExOR forwarder keeps the entry for its window-end relay
+        // decision; every other entry has served its purpose.
+        let decides_later = p.relay_decision.is_some();
         self.csma.send_ack(ack, out);
-        // MCExOR: the acknowledging member is the relay; adopt immediately.
-        if self.mode == ExorMode::McExor {
-            let p = self.pending.remove(&key).expect("present");
-            if p.my_rank > 0 && p.fresh {
-                let list = NodeList::from(&p.list[..p.my_rank]);
-                self.relay_q.push_back(QItem { seq: p.seq, packet: p.packet, list });
-                self.try_progress(now, out);
-            }
+        if decides_later {
+            return;
         }
-        // preExOR keeps `pending` until the window-end relay decision.
+        let p = self.pending.remove(&key).expect("present");
+        // MCExOR: the acknowledging member is the relay; adopt immediately.
+        if self.mode == ExorMode::McExor && p.my_rank > 0 && p.fresh {
+            let list = NodeList::from(&p.list[..p.my_rank]);
+            self.relay_q.push_back(QItem { seq: p.seq, packet: p.packet, list });
+            self.try_progress(now, out);
+        }
     }
 
     fn fire_relay_decision(&mut self, key: (NodeId, u64), now: SimTime, out: &mut ActionSink) {
-        let Some(p) = self.pending.remove(&key) else { return };
+        let p = self.pending.remove(&key).expect("the entry holds the token");
         if p.my_rank > 0 && p.fresh && !p.heard_higher {
             let list = NodeList::from(&p.list[..p.my_rank]);
             self.relay_q.push_back(QItem { seq: p.seq, packet: p.packet, list });
@@ -386,10 +405,7 @@ impl MacEntity for ExorMac {
                 }
                 self.try_progress(now, out);
             }
-            Some(Fired::Scheme(ExorRole::SendAck { key })) => self.fire_send_ack(key, now, out),
-            Some(Fired::Scheme(ExorRole::RelayDecision { key })) => {
-                self.fire_relay_decision(key, now, out)
-            }
+            Some(Fired::Scheme(token)) => self.fire_pending(token, now, out),
             None => {}
         }
     }
@@ -612,7 +628,7 @@ mod tests {
         // Case 1: no higher-priority ACK heard → relay.
         let mut fwd = mac(ExorMode::PreExor, 2); // rank 1
         let acts = fwd.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
-        let relay_timer = timers(&acts).last().copied().unwrap();
+        let [(_, ack_slot), relay_timer] = timers(&acts)[..] else { panic!("two timers") };
         let acts = fwd.on_timer_vec(relay_timer.1, t(200) + relay_timer.0);
         // The idle channel lets the adopted relay transmit immediately.
         let relayed = match find_tx(&acts) {
@@ -626,6 +642,10 @@ mod tests {
             _ => !fwd.relay_q.is_empty(),
         };
         assert!(relayed, "forwarder must adopt and relay the packet");
+        // The decision retired the entry: an ACK slot firing late sends nothing.
+        fwd.on_tx_end_vec(t(300) + relay_timer.0);
+        assert!(fwd.on_timer_vec(ack_slot, t(301) + relay_timer.0).is_empty());
+        assert_eq!(fwd.stats().ack_frames_sent, 0);
         // Case 2: destination ACK heard → discard.
         let mut fwd2 = mac(ExorMode::PreExor, 2);
         let acts = fwd2.on_frame_rx_vec(RxFrame::Shared(Arc::clone(&d)), t(200));
@@ -641,6 +661,28 @@ mod tests {
         fwd2.on_frame_rx_vec(Frame::Ack(dest_ack).into(), t(220));
         fwd2.on_timer_vec(relay_timer.1, t(200) + relay_timer.0);
         assert!(fwd2.relay_q.is_empty(), "higher-priority ACK cancels the relay");
+    }
+
+    #[test]
+    fn preexor_destination_keeps_nothing_it_acknowledged() {
+        let mut src = mac(ExorMode::PreExor, 0);
+        let d = tx_data_frame(&mut src, t(100));
+        let mut dest = mac(ExorMode::PreExor, 3);
+        for k in 0..3u32 {
+            let mut frame = data(&d).diverged_copy();
+            frame.frame_seq += u64::from(k);
+            frame.subframes[0].seq = k;
+            let now = t(200 + 1000 * u64::from(k));
+            let acts = dest.on_frame_rx_vec(Frame::Data(frame).into(), now);
+            let [(delay, token)] = timers(&acts)[..] else {
+                panic!("the destination arms its ACK slot and no relay decision")
+            };
+            let acts = dest.on_timer_vec(token, now + delay);
+            assert!(matches!(find_tx(&acts), Some(Frame::Ack(_))));
+            dest.on_tx_end_vec(now + delay + cfg().t_ack);
+        }
+        assert_eq!(dest.stats().ack_frames_sent, 3);
+        assert!(dest.pending.is_empty(), "an acknowledged frame is not kept");
     }
 
     #[test]
