@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs thirteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs fourteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -261,15 +261,40 @@ fn route_refresh_pass() -> Entry<'static> {
 }
 
 /// The live bytes of a medium over 1024 stations (a 32×32 grid at 2 m
-/// pitch). Its per-pair arrays hold n² ≈ 10⁶ entries and dwarf everything
-/// else, so the peak is about 10⁶ × what one directed pair costs: 16 bytes,
-/// mean power and delay.
+/// pitch) that nothing has read yet. It builds a station's row of mean
+/// power and delay (16 bytes per station) only when something reads it, so
+/// the peak is O(n): an empty row slot and a scratch flag per station. A
+/// medium that evaluated every pair up front would hold n² × 16 B ≈ 16.8 MB.
 fn medium_build() -> Entry<'static> {
     let positions = grid_positions(32, 2.0);
     let (medium, stats) = wmn_alloc::measure(|| Medium::new(PhyParams::paper_216(), positions));
     assert_eq!(medium.node_count(), 1024);
     Entry {
         bench: "medium_build_1024",
+        metric: "peak_bytes",
+        value: stats.peak_bytes_in_use as f64,
+    }
+}
+
+/// The same medium plus one transmission from each of 16 stations spread
+/// over the grid: the peak is the 16 transmitters' rows (16 KiB each) and
+/// the plan buffer, so a medium that builds rows nobody reads breaches it.
+fn medium_plan() -> Entry<'static> {
+    let positions = grid_positions(32, 2.0);
+    let mut rng = RngDirectory::new(7).stream(labels::MEDIUM);
+    let (sensed, stats) = wmn_alloc::measure(|| {
+        let medium = Medium::new(PhyParams::paper_216(), positions);
+        let mut plans = Vec::new();
+        let mut sensed = 0;
+        for from in (0..16).map(|i| NodeId::new(i * 64 + 17)) {
+            medium.plan_transmission_into(from, &mut rng, &mut plans);
+            sensed += plans.len();
+        }
+        sensed
+    });
+    assert!(sensed > 0, "a 2 m grid senses every transmission somewhere");
+    Entry {
+        bench: "medium_plan_1024_k16",
         metric: "peak_bytes",
         value: stats.peak_bytes_in_use as f64,
     }
@@ -323,6 +348,7 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
         .push(("dense_neighbourhood_end_to_end", dense_neighbourhood_scenario(DENSE_DURATION)));
     let mut out = vec![
         medium_build(),
+        medium_plan(),
         route_refresh_pass(),
         saturated_queue(),
         event_churn_recycled(),
@@ -446,7 +472,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 20);
+        assert_eq!(budgets.len(), 21);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

@@ -172,7 +172,8 @@ impl Scenario {
     /// per frame, at least one flow, every flow path at least two nodes long
     /// with no immediate self-loops, every referenced [`NodeId`] inside the
     /// placement (ids are dense indices into `positions` — see the type-level
-    /// NodeId contract), and a well-formed motion plan
+    /// NodeId contract), a bit error rate in `[0, 1)` (what
+    /// [`wmn_phy::BerModel::new`] accepts), and a well-formed motion plan
     /// ([`MotionPlan::check`]).
     ///
     /// Hand-written experiment definitions rely on [`crate::run`]'s panics;
@@ -191,6 +192,12 @@ impl Scenario {
             return Err(format!(
                 "scenario {:?}: station {i} position {} is not finite",
                 self.name, self.positions[i]
+            ));
+        }
+        if !(0.0..1.0).contains(&self.params.ber) {
+            return Err(format!(
+                "scenario {:?}: ber must be in [0, 1), got {}",
+                self.name, self.params.ber
             ));
         }
         if let Scheme::Dcf { aggregation: 0 } | Scheme::Ripple { aggregation: 0 } = self.scheme {
@@ -351,6 +358,15 @@ mod tests {
         bad_motion.motion.paths = vec![wmn_topology::NodePath::Static; 3];
         let msg = bad_motion.validate().unwrap_err();
         assert!(msg.contains("motion") && msg.contains("3 paths"), "{msg}");
+
+        // `BerModel::new` panics on these once the run builds its stations.
+        for ber in [1.5, -0.1, 1.0, f64::NAN] {
+            let mut noisy = valid_scenario();
+            noisy.params.ber = ber;
+            let msg = noisy.validate().unwrap_err();
+            assert!(msg.contains("ber must be in [0, 1)"), "{msg}");
+            assert!(msg.contains(&format!("{:?}", noisy.name)), "{msg}");
+        }
 
         for scheme in [Scheme::Dcf { aggregation: 0 }, Scheme::Ripple { aggregation: 0 }] {
             let unaggregated = Scenario { scheme, ..valid_scenario() };

@@ -144,7 +144,7 @@ impl AirTable {
 
 /// One mobility step: re-sample every moving node's trajectory at `now` and
 /// hand the changed positions to the medium as one batch, so a tick that
-/// moves every node evaluates each station pair once (see
+/// moves every node evaluates each station pair at most once (see
 /// [`Medium::update_node_positions`]).
 ///
 /// A node whose sampled position equals its current one — typically a

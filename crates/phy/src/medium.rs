@@ -21,6 +21,8 @@
 //! `wmn-netsim`) owns one `Receiver` per node and drives both from the event
 //! queue.
 
+use std::cell::OnceCell;
+
 use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 
 /// NS-2's capture threshold (`CPThresh`): a reception in progress survives
@@ -91,22 +93,35 @@ impl LinkClass {
 
 /// The shared wireless medium: node positions plus the propagation model.
 ///
-/// Construction materialises the deterministic part of the propagation
-/// model as two flat row-major n×n arrays — the mean received power and the
-/// propagation delay of every directed pair, 16 bytes per pair.
+/// The deterministic part of the propagation model is cached per station,
+/// one **row** each: the mean received power and the propagation delay from
+/// that station to every station, 16 bytes per entry. A row is built the
+/// first time something reads it — the planner for a transmitter, or
+/// [`Medium::mean_rx_dbm`] / [`Medium::link_delivery_probability`] for a
+/// sender — so construction evaluates no pair, and a run pays only for the
+/// stations that transmit or that a route refresh reads.
 /// [`Medium::plan_transmission`] is then a walk of the transmitter's
 /// mean-power row that adds one fresh shadowing draw per pair, reading the
 /// delay only for the stations that sense the frame, instead of re-deriving
 /// the geometry and path loss on every transmission.
 ///
+/// Both values are functions of the pair's distance alone, and `hypot` is
+/// sign-symmetric, so entry `to` of row `from` and entry `from` of row `to`
+/// always hold the same bits. A new row therefore copies each entry whose
+/// mirror sits in an existing row and evaluates only the rest: a pass that
+/// reads every row evaluates each of the n(n+1)/2 unordered pairs once.
+///
 /// Stations may move mid-run: [`Medium::update_node_positions`] takes one
-/// mobility tick's worth of moves and re-evaluates every unordered pair with
-/// a moved endpoint **once**, mirroring it into both directions — both
-/// arrays are functions of the pair's distance alone, so `[i·n+j]` and
-/// `[j·n+i]` always hold the same bits. Construction fills the arrays
-/// through the same code (every station "moved"), so after any sequence of
-/// moves they are bit-identical to a fresh `Medium::new` over the current
-/// placement.
+/// mobility tick's worth of moves and re-evaluates, **once**, every
+/// unordered pair with a moved endpoint that an existing row holds, writing
+/// it into each existing row in place (rows are refreshed, not dropped, so
+/// a transmitter keeps its row across ticks). The same function evaluates
+/// the pair for a row build and for a refresh, so after any sequence of
+/// moves every row is bit-identical to the one a fresh `Medium::new` over
+/// the current placement would build.
+///
+/// The row cache sits behind `&self` (the planner takes `&self`), so
+/// `Medium` is `Send` but not `Sync`: one run's `Runner` owns it.
 ///
 /// # Example
 ///
@@ -127,42 +142,53 @@ impl LinkClass {
 pub struct Medium {
     params: PhyParams,
     positions: Vec<Position>,
-    /// Mean received power in dBm (transmit power minus mean path loss),
-    /// flat row-major n×n: entry `[from · n + to]` is the directed pair
-    /// (symmetric: see the type docs). The diagonal is filled (zero
-    /// distance) but never read by the planner.
-    mean_rx_dbm: Vec<f64>,
-    /// Propagation delay of every directed pair, laid out as `mean_rx_dbm`.
-    delay: Vec<SimDuration>,
+    /// Station `i`'s row, built on first read (see the type docs).
+    rows: Vec<OnceCell<Row>>,
     /// Scratch for [`Medium::update_node_positions`]: which stations the
     /// batch in progress moves. All `false` between calls.
     moved: Vec<bool>,
+    /// How many pairs `evaluate` has been asked for, so the tests can pin
+    /// the mirror rule's cost.
+    #[cfg(test)]
+    evaluations: std::cell::Cell<usize>,
+}
+
+/// One station's link state to every station, indexed by the receiver's id.
+/// The station's own entry is the zero-distance pair, never read by the
+/// planner.
+#[derive(Debug)]
+struct Row {
+    /// Mean received power in dBm (transmit power minus mean path loss).
+    mean_rx_dbm: Box<[f64]>,
+    /// Propagation delay.
+    delay: Box<[SimDuration]>,
+}
+
+impl Row {
+    fn set(&mut self, to: usize, (mean, delay): (f64, SimDuration)) {
+        self.mean_rx_dbm[to] = mean;
+        self.delay[to] = delay;
+    }
 }
 
 impl Medium {
-    /// Creates a medium over the given station placement, precomputing the
-    /// mean received power and propagation delay of every pair (each of the
-    /// n(n+1)/2 unordered pairs is evaluated once, instead of per
-    /// transmission).
+    /// Creates a medium over the given station placement. No pair is
+    /// evaluated here: each station's row is built the first time it is
+    /// read (see the type docs), so construction costs O(n).
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
         let n = positions.len();
-        let mut medium = Medium {
+        Medium {
             params,
             positions,
-            mean_rx_dbm: vec![0.0; n * n],
-            delay: vec![SimDuration::ZERO; n * n],
-            // Construction is the batch in which every station moved.
-            moved: vec![true; n],
-        };
-        for node in 0..n {
-            medium.refresh_pairs_of(node);
+            rows: (0..n).map(|_| OnceCell::new()).collect(),
+            moved: vec![false; n],
+            #[cfg(test)]
+            evaluations: std::cell::Cell::new(0),
         }
-        medium.moved.fill(false);
-        medium
     }
 
     /// Moves one station: the one-element case of
-    /// [`Medium::update_node_positions`] (`n` pair evaluations).
+    /// [`Medium::update_node_positions`] (at most `n` pair evaluations).
     ///
     /// # Panics
     ///
@@ -172,20 +198,23 @@ impl Medium {
     }
 
     /// Applies one batch of station moves — typically everything a mobility
-    /// tick moved — and refreshes exactly the link-state entries the batch
-    /// can affect. All new positions are written first; then every unordered
-    /// pair with at least one moved endpoint is evaluated **once** and
-    /// mirrored into both directed entries. A tick that moves all n stations
-    /// therefore costs n(n+1)/2 evaluations, where n single-station updates
-    /// cost n² (and each touches pairs a later update overwrites).
+    /// tick moved — and refreshes exactly the cached entries the batch can
+    /// affect. All new positions are written first; then every unordered
+    /// pair with at least one moved endpoint, and with at least one endpoint
+    /// whose row exists, is evaluated **once** and written into each of the
+    /// two rows that exists. A tick that moves all n stations with every row
+    /// built therefore costs n(n+1)/2 evaluations, where n single-station
+    /// updates cost n² (and each touches pairs a later update overwrites).
+    /// Rows are refreshed in place, never dropped; pairs no row holds cost
+    /// nothing until a row that holds them is built.
     ///
-    /// The entries are computed by the same code as construction, so after
-    /// any sequence of batches the matrix is bit-identical to `Medium::new`
-    /// over the current placement — which is also what the same moves
-    /// applied one at a time converge to (pinned by this module's tests). No
-    /// RNG is touched: link state is the deterministic part of the model,
-    /// and per-frame shadowing draws keep their stream positions regardless
-    /// of position changes.
+    /// The entries are computed by the same function as a row build, so
+    /// after any sequence of batches every row reads bit-identical to
+    /// `Medium::new` over the current placement — which is also what the
+    /// same moves applied one at a time converge to (pinned by this module's
+    /// tests). No RNG is touched: link state is the deterministic part of
+    /// the model, and per-frame shadowing draws keep their stream positions
+    /// regardless of position changes.
     ///
     /// # Panics
     ///
@@ -208,30 +237,80 @@ impl Medium {
         }
     }
 
-    /// Re-evaluates every pair `{node, other}` from the current positions
-    /// and writes it into both directed entries. A pair of two moved
-    /// stations belongs to the lower id, so a batch evaluates it once.
-    ///
-    /// This is the **single** place the deterministic part of the
-    /// propagation model is evaluated: construction and every position
-    /// update come here. Either direction gives the same bits, since both
-    /// values are functions of the distance and `hypot` is sign-symmetric.
+    /// Re-evaluates every pair `{node, other}` that an existing row holds
+    /// from the current positions and writes it into both rows, where they
+    /// exist. A pair of two moved stations belongs to the lower id, so a
+    /// batch evaluates it once.
     fn refresh_pairs_of(&mut self, node: usize) {
-        let n = self.positions.len();
         let position = self.positions[node];
-        let p = &self.params;
-        for other in 0..n {
+        let own_row = self.rows[node].get().is_some();
+        for other in 0..self.positions.len() {
             if self.moved[other] && other < node {
                 continue;
             }
-            let d = position.distance_to(self.positions[other]);
-            let mean = p.shadowing.mean_rx_dbm(p.tx_power_dbm, d);
-            let delay = p.propagation_delay(d);
-            for idx in [node * n + other, other * n + node] {
-                self.mean_rx_dbm[idx] = mean;
-                self.delay[idx] = delay;
+            if !own_row && self.rows[other].get().is_none() {
+                continue;
+            }
+            let pair = self.evaluate(position, self.positions[other]);
+            if let Some(row) = self.rows[other].get_mut() {
+                row.set(node, pair);
+            }
+            if let Some(row) = self.rows[node].get_mut() {
+                row.set(other, pair);
             }
         }
+    }
+
+    /// The deterministic part of the propagation model for the pair
+    /// `{a, b}`: mean received power and propagation delay. This is the
+    /// **single** place it is evaluated — row builds and move refreshes
+    /// both come here — and either argument order gives the same bits.
+    fn evaluate(&self, a: Position, b: Position) -> (f64, SimDuration) {
+        #[cfg(test)]
+        self.evaluations.set(self.evaluations.get() + 1);
+        let p = &self.params;
+        let d = a.distance_to(b);
+        (p.shadowing.mean_rx_dbm(p.tx_power_dbm, d), p.propagation_delay(d))
+    }
+
+    /// Station `node`'s row, built on first use.
+    fn row(&self, node: usize) -> &Row {
+        self.rows[node].get_or_init(|| self.build_row(node))
+    }
+
+    /// Builds station `node`'s row: each entry is copied from its mirror
+    /// where the other station's row exists, and evaluated otherwise. Out of
+    /// line, so the planner's per-pair loop compiles as if the row were
+    /// always there.
+    #[cold]
+    #[inline(never)]
+    fn build_row(&self, node: usize) -> Row {
+        let n = self.positions.len();
+        let position = self.positions[node];
+        let mut mean_rx_dbm = Vec::with_capacity(n);
+        let mut delay = Vec::with_capacity(n);
+        for (other, cell) in self.rows.iter().enumerate() {
+            let (mean, d) = match cell.get() {
+                Some(row) => (row.mean_rx_dbm[node], row.delay[node]),
+                None => self.evaluate(position, self.positions[other]),
+            };
+            mean_rx_dbm.push(mean);
+            delay.push(d);
+        }
+        Row { mean_rx_dbm: mean_rx_dbm.into_boxed_slice(), delay: delay.into_boxed_slice() }
+    }
+
+    /// How many rows have been built.
+    #[cfg(test)]
+    fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|row| row.get().is_some()).count()
+    }
+
+    /// Entry `to` of station `from`'s row as `(mean bits, delay)`, if that
+    /// row exists; builds nothing.
+    #[cfg(test)]
+    fn cached(&self, from: usize, to: usize) -> Option<(u64, SimDuration)> {
+        self.rows[from].get().map(|row| (row.mean_rx_dbm[to].to_bits(), row.delay[to]))
     }
 
     /// Number of stations.
@@ -263,7 +342,8 @@ impl Medium {
     }
 
     /// Clean-frame delivery probability over the directed pair, evaluated
-    /// from the *cached* mean received power.
+    /// from the *cached* mean received power ([`Medium::mean_rx_dbm`], so
+    /// it builds `from`'s row on first use).
     ///
     /// The cached mean comes from the same `distance_to` and path-loss
     /// evaluation as [`PhyParams::link_delivery_probability`] over the
@@ -283,29 +363,25 @@ impl Medium {
     }
 
     /// Mean received power (dBm) over the directed pair — the deterministic
-    /// part of the shadowing model, precomputed at construction.
+    /// part of the shadowing model, read from `from`'s row (built on this
+    /// first read if no transmission or earlier read has built it; see the
+    /// type docs).
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     pub fn mean_rx_dbm(&self, from: NodeId, to: NodeId) -> f64 {
-        self.mean_rx_dbm[self.pair(from, to)]
-    }
-
-    /// The flat index of the directed pair in both arrays.
-    fn pair(&self, from: NodeId, to: NodeId) -> usize {
-        assert!(to.index() < self.positions.len(), "node id out of range");
-        from.index() * self.positions.len() + to.index()
+        self.row(from.index()).mean_rx_dbm[to.index()]
     }
 
     /// The propagation delay the planner books for the directed pair.
     #[cfg(test)]
     fn delay(&self, from: NodeId, to: NodeId) -> SimDuration {
-        self.delay[self.pair(from, to)]
+        self.row(from.index()).delay[to.index()]
     }
 
     /// Distance between two stations in metres, from the current placement:
-    /// the same `distance_to` the arrays were evaluated from.
+    /// the same `distance_to` the rows were evaluated from.
     #[cfg(test)]
     fn distance(&self, a: NodeId, b: NodeId) -> f64 {
         self.positions[a.index()].distance_to(self.positions[b.index()])
@@ -356,10 +432,8 @@ impl Medium {
         plans.clear();
         let p = &self.params;
         let sigma = p.shadowing.sigma_db;
-        let n = self.positions.len();
-        let row = from.index() * n..(from.index() + 1) * n;
-        let delays = &self.delay[row.clone()];
-        for (idx, &mean) in self.mean_rx_dbm[row].iter().enumerate() {
+        let row = self.row(from.index());
+        for (idx, &mean) in row.mean_rx_dbm.iter().enumerate() {
             if idx == from.index() {
                 continue;
             }
@@ -373,7 +447,7 @@ impl Medium {
             }
             plans.push(RxPlan {
                 to: NodeId::new(idx as u32),
-                delay: delays[idx],
+                delay: row.delay[idx],
                 power_dbm: power,
                 decodable: power >= p.rx_thresh_dbm,
             });
@@ -1011,6 +1085,70 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_built_on_first_read_and_mirror_their_neighbours() {
+        use crate::params::PhyParams;
+        let n = 256;
+        let grid: Vec<Position> = (0..n)
+            .map(|i| Position::new(f64::from(i % 16) * 5.0, f64::from(i / 16) * 5.0))
+            .collect();
+        let medium = Medium::new(PhyParams::paper_216(), grid.clone());
+        assert_eq!(
+            (medium.rows_built(), medium.evaluations.get()),
+            (0, 0),
+            "new evaluates nothing"
+        );
+
+        // Plan from k = 16 distinct stations, each one twice: k rows, and
+        // the m-th new row evaluates only the n − m pairs no earlier row
+        // holds.
+        let n = n as usize;
+        let transmitters: Vec<u32> = (0..16).map(|i| i * 17 % 256).collect();
+        let mut rng = StreamRng::derive(3, "rows");
+        let mut plans = Vec::new();
+        for &from in transmitters.iter().chain(&transmitters) {
+            medium.plan_transmission_into(NodeId::new(from), &mut rng, &mut plans);
+        }
+        assert_eq!(medium.rows_built(), 16);
+        assert_eq!(medium.evaluations.get(), (0..16).map(|m| n - m).sum::<usize>());
+
+        // A pass that reads every row evaluates each unordered pair once.
+        for from in 0..n {
+            medium.mean_rx_dbm(NodeId::new(from as u32), NodeId::new(0));
+        }
+        assert_eq!(medium.rows_built(), n);
+        assert_eq!(medium.evaluations.get(), n * (n + 1) / 2);
+
+        // `LinkGraph::try_from_medium` reads each pair `a < b` from row `a`:
+        // every row but the last, whose entries are all mirrors when it is
+        // finally read.
+        let fresh = Medium::new(PhyParams::paper_216(), grid.clone());
+        for a in 0..n {
+            for b in a + 1..n {
+                fresh.mean_rx_dbm(NodeId::new(a as u32), NodeId::new(b as u32));
+            }
+        }
+        assert_eq!(fresh.rows_built(), n - 1);
+        assert_eq!(fresh.evaluations.get(), n * (n + 1) / 2 - 1);
+        fresh.mean_rx_dbm(NodeId::new(n as u32 - 1), NodeId::new(0));
+        assert_eq!(fresh.evaluations.get(), n * (n + 1) / 2);
+
+        // A batch moving every station evaluates each unordered pair once
+        // when every row exists, and nothing when none does.
+        let everyone: Vec<(NodeId, Position)> = grid
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (NodeId::new(i as u32), Position::new(p.x + 1.0, p.y)))
+            .collect();
+        let mut built = medium;
+        let before = built.evaluations.get();
+        built.update_node_positions(&everyone);
+        assert_eq!(built.evaluations.get() - before, n * (n + 1) / 2);
+        let mut unread = Medium::new(PhyParams::paper_216(), grid);
+        unread.update_node_positions(&everyone);
+        assert_eq!((unread.rows_built(), unread.evaluations.get()), (0, 0));
+    }
+
+    #[test]
     fn sparse_grid_has_never_sensed_pairs_dense_has_none() {
         use crate::params::PhyParams;
         // Pairs beyond ~417 m stay below carrier sense at any excursion
@@ -1136,6 +1274,79 @@ mod tests {
                         prop_assert_eq!(link(&medium, i, j), oracle, "[{}][{}]", i, j);
                         prop_assert_eq!(link(&medium, j, i), oracle, "[{}][{}]", j, i);
                     }
+                }
+            }
+        }
+
+        /// Rows that exist before a move batch are refreshed in place: a
+        /// random subset of rows is built (by planner calls from random
+        /// transmitters and by `mean_rx_dbm` reads) before each random
+        /// batch; after it, every entry of every existing row holds the
+        /// per-pair oracle's bits, and a planner call from a random
+        /// transmitter — whose row may be new, copied partly from refreshed
+        /// mirrors — matches the naive planner, RNG position included.
+        /// After the last batch every directed pair is checked.
+        #[test]
+        fn prop_rows_built_before_a_move_match_the_oracle_after_it(
+            coords in proptest::collection::vec((-50.0f64..550.0, -50.0f64..550.0), 1..12),
+            batches in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..12, 0usize..12, any::<bool>()), 0..5),
+                    proptest::collection::vec((0usize..12, -50.0f64..550.0, -50.0f64..550.0), 0..6),
+                    0usize..12,
+                ),
+                1..5,
+            ),
+            sigma_pick in 0usize..4,
+            seed in proptest::num::u64::ANY,
+        ) {
+            use crate::params::PhyParams;
+            let mut params = PhyParams::paper_216();
+            params.shadowing.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
+            let mut positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            let n = positions.len();
+            let node = |pick: usize| NodeId::new((pick % n) as u32);
+            let mut medium = Medium::new(params.clone(), positions.clone());
+            let mut rng = StreamRng::derive(seed, "rows-before-moves");
+            for (step, (reads, batch, planner)) in batches.iter().enumerate() {
+                for &(from, to, plan) in reads {
+                    if plan {
+                        medium.plan_transmission(node(from), &mut rng);
+                    } else {
+                        medium.mean_rx_dbm(node(from), node(to));
+                    }
+                }
+                let mut moves: Vec<(NodeId, Position)> = Vec::new();
+                for &(pick, x, y) in batch {
+                    if moves.iter().all(|&(m, _)| m != node(pick)) {
+                        positions[pick % n] = Position::new(x, y);
+                        moves.push((node(pick), Position::new(x, y)));
+                    }
+                }
+                medium.update_node_positions(&moves);
+                for i in 0..n {
+                    for j in 0..n {
+                        if let Some(entry) = medium.cached(i, j) {
+                            let (_, mean, delay, _) = link_state(&params, positions[i], positions[j]);
+                            prop_assert_eq!(entry, (mean, delay), "row {} entry {}", i, j);
+                        }
+                    }
+                }
+                let mut rng_cached = StreamRng::derive(seed ^ step as u64, "pin");
+                let mut rng_naive = StreamRng::derive(seed ^ step as u64, "pin");
+                let cached = medium.plan_transmission(node(*planner), &mut rng_cached);
+                let naive = medium.plan_transmission_naive(node(*planner), &mut rng_naive);
+                prop_assert_eq!(cached.len(), naive.len());
+                for (c, n) in cached.iter().zip(&naive) {
+                    prop_assert_eq!((c.to, c.delay, c.decodable), (n.to, n.delay, n.decodable));
+                    prop_assert_eq!(c.power_dbm.to_bits(), n.power_dbm.to_bits());
+                }
+                prop_assert_eq!(rng_cached.next_u64(), rng_naive.next_u64());
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    prop_assert_eq!(link(&medium, i, j), link_state(&params, positions[i], positions[j]));
                 }
             }
         }

@@ -463,6 +463,18 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_ber_is_an_error_not_a_panic() {
+        // `"ber": 1.5` parses, and used to pass every check up to the BER
+        // model's panic inside `run`.
+        let text = ScenarioSpec { ber: Some(1e-5), ..spec() }.to_json().to_string();
+        let text = text.replace("1e-5", "1.5").replace("0.00001", "1.5");
+        let parsed = ScenarioSpec::parse(&text).expect("the spec itself is well-formed");
+        assert_eq!(parsed.ber, Some(1.5));
+        let msg = parsed.materialise().unwrap_err();
+        assert!(msg.starts_with("spec \"demo\":") && msg.contains("ber"), "{msg}");
+    }
+
+    #[test]
     fn an_unconnectable_topology_is_an_error_not_a_panic() {
         // Ten stations in a 5 km square — {"kind":"random-geometric",
         // "nodes":10,"side_m":5000} — parses, passes `check()`, and no attempt

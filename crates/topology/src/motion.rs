@@ -13,7 +13,7 @@
 //! simulation runner samples [`NodePath::position_at`] on a fixed tick and
 //! pushes the tick's new placements into
 //! `wmn_phy::Medium::update_node_positions`, which re-evaluates each station
-//! pair with a moved endpoint once.
+//! pair with a moved endpoint, among those its cached rows hold, once.
 
 use wmn_phy::Position;
 use wmn_sim::{SimDuration, SimTime};
