@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs fourteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs fifteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -42,6 +42,7 @@ use wmn_netsim::stack::decode::decode_frame;
 use wmn_netsim::{run, Scenario, Scheme};
 use wmn_phy::{BerModel, Medium, PhyParams, Position};
 use wmn_routing::LinkGraph;
+use wmn_scengen::ScenarioSpec;
 use wmn_sim::{
     labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
 };
@@ -300,6 +301,18 @@ fn medium_plan() -> Entry<'static> {
     }
 }
 
+/// One `ScenarioSpec::campus_scale().materialise()`: the connected
+/// 1024-station placement and six flows routed over the link graph its
+/// connectivity check built. A materialise that builds a second graph (a
+/// few dozen allocations: the pair list grows by doubling) breaches the row.
+fn materialise_campus() -> Entry<'static> {
+    let spec = ScenarioSpec::campus_scale();
+    let (scenario, stats) =
+        wmn_alloc::measure(|| spec.materialise().expect("the campus preset materialises"));
+    assert_eq!(scenario.flows.len(), 6);
+    allocs_per_op("materialise_campus1024", stats, 1)
+}
+
 /// One end-to-end run: allocations per frame on the air (data + ACK) and
 /// the live-bytes peak. Returns the run's allocations split
 /// by the engine's phase scopes (scenario build and result collection stay
@@ -350,6 +363,7 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
         medium_build(),
         medium_plan(),
         route_refresh_pass(),
+        materialise_campus(),
         saturated_queue(),
         event_churn_recycled(),
         run_churn_recycled(),
@@ -472,7 +486,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 21);
+        assert_eq!(budgets.len(), 22);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

@@ -92,6 +92,40 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
 /// (pinned by `skip_bound_is_below_the_usability_floor`).
 const HOPELESS_MARGIN_SIGMAS: f64 = -2.0;
 
+/// Relative widening of [`hopeless_radius`], so that the rounding of a
+/// squared distance can never cut a pair the margin test would evaluate.
+const RADIUS_GUARD: f64 = 1e-6;
+
+/// The distance beyond which a pair's mean received power sits more than
+/// [`HOPELESS_MARGIN_SIGMAS`] σ under the receive threshold:
+/// [`wmn_phy::Shadowing::mean_rx_dbm`] solved for the metres, widened by
+/// [`RADIUS_GUARD`] (20.35 m for the paper's parameters). Infinite — no
+/// pair is cut — unless σ, β and the reference distance are positive and
+/// the radius is finite: a non-positive σ flips the sign of every margin,
+/// so far pairs can be the usable ones.
+fn hopeless_radius(params: &PhyParams) -> f64 {
+    let s = &params.shadowing;
+    if !(s.sigma_db > 0.0 && s.path_loss_exponent > 0.0 && s.reference_distance > 0.0) {
+        return f64::INFINITY;
+    }
+    let floor_dbm = params.rx_thresh_dbm + HOPELESS_MARGIN_SIGMAS * s.sigma_db;
+    let decades =
+        (params.tx_power_dbm - s.pl_at_reference_db - floor_dbm) / (10.0 * s.path_loss_exponent);
+    let radius = s.reference_distance * 10f64.powf(decades) * (1.0 + RADIUS_GUARD);
+    if radius.is_finite() {
+        radius
+    } else {
+        f64::INFINITY
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pairs [`LinkGraph::try_from_placement`] evaluated the link model for
+    /// on this thread (the squared-distance cut skips the rest).
+    static PLACEMENT_EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Link-quality graph with ETX arithmetic and Dijkstra.
 ///
 /// Only *usable* links are stored — both directions at or above the 0.05
@@ -187,6 +221,17 @@ impl LinkGraph {
     /// Fallible form of [`LinkGraph::from_placement`]: rejects non-finite
     /// delivery probabilities with a typed error naming the offending pair.
     ///
+    /// A pair farther apart than the radius at which the mean received power
+    /// sits 2 σ under the receive threshold (20.35 m for the paper's
+    /// parameters) is dropped on its squared distance, before any `hypot`,
+    /// `log10` or `erf`. That is exact: beyond the radius Φ(margin) ≤ 0.0228,
+    /// and the `erf` approximant's error (≤ 1.5e-7) keeps it far below the
+    /// 0.05 usability floor, so the full evaluation would drop the pair too
+    /// (the radius would have to move about 12 % inward to cut a usable
+    /// link). The cut is off when σ, β or the reference distance is not
+    /// positive, or the radius is not finite; a NaN coordinate fails the
+    /// comparison and is still reported for the same first pair.
+    ///
     /// # Errors
     ///
     /// [`EtxError::NonFinite`] if any pair's delivery probability is NaN or
@@ -195,8 +240,17 @@ impl LinkGraph {
         params: &PhyParams,
         positions: &[Position],
     ) -> Result<Self, EtxError> {
+        let radius = hopeless_radius(params);
+        let far_sq = radius * radius;
         Self::from_upper_triangle(positions.len(), |a, b| {
-            let d = positions[a].distance_to(positions[b]);
+            let (pa, pb) = (positions[a], positions[b]);
+            let (dx, dy) = (pa.x - pb.x, pa.y - pb.y);
+            if dx * dx + dy * dy > far_sq {
+                return Ok(None);
+            }
+            #[cfg(test)]
+            PLACEMENT_EVALUATIONS.with(|n| n.set(n.get() + 1));
+            let d = pa.distance_to(pb);
             symmetric_etx(params, params.shadowing.mean_rx_dbm(params.tx_power_dbm, d), a, b)
         })
     }
@@ -532,6 +586,37 @@ mod tests {
     }
 
     #[test]
+    fn placement_evaluates_only_the_pairs_inside_the_hopeless_radius() {
+        // A 32×32 grid at 2 m: no pair sits within the radius guard of the
+        // 20.35 m radius (the nearest lattice distances are 20.0 and 20.4 m).
+        let params = PhyParams::paper_216();
+        let radius = hopeless_radius(&params);
+        assert!((radius - 20.35).abs() < 0.01, "radius {radius}");
+        let positions: Vec<Position> = (0..1024)
+            .map(|i| Position::new((i % 32) as f64 * 2.0, (i / 32) as f64 * 2.0))
+            .collect();
+        // The pairs the margin test lets through to the `erf`, counted from
+        // the link model itself rather than from the radius.
+        let s = &params.shadowing;
+        let mut within = 0;
+        for a in 0..positions.len() {
+            for b in a + 1..positions.len() {
+                let mean =
+                    s.mean_rx_dbm(params.tx_power_dbm, positions[a].distance_to(positions[b]));
+                within += usize::from(
+                    s.margin_sigmas(mean, params.rx_thresh_dbm) >= HOPELESS_MARGIN_SIGMAS,
+                );
+            }
+        }
+        let before = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get);
+        let g = LinkGraph::from_placement(&params, &positions);
+        let evaluated = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get) - before;
+        assert_eq!(evaluated, within);
+        assert!(4 * evaluated < 1024 * 1023 / 2, "{evaluated} of 523 776 pairs evaluated");
+        assert!(g.neighbours(NodeId::new(0)).len() > 8, "the grid's short links are kept");
+    }
+
+    #[test]
     fn non_finite_probability_names_the_first_row_major_pair() {
         use wmn_phy::Medium;
         // σ = 0 makes the margin ±∞ (probability exactly 0 or 1) for every
@@ -744,6 +829,69 @@ mod tests {
                 positions.iter().enumerate().map(|(i, &p)| (NodeId::new(i as u32), p)).collect();
             medium.update_node_positions(&moves);
             assert_matches_dense(&LinkGraph::try_from_medium(&medium).unwrap(), &dense, "moved");
+        }
+
+        /// The squared-distance cut against the uncut dense oracle, with
+        /// about half the pairs on the edge of the hopeless radius: three
+        /// sites whose pairwise distances are r·(1 ± ε), ε from 1e-12 to
+        /// 0.2, each holding some of the stations (colocated), the rest
+        /// placed freely. The link model varies over σ ∈ {8, 0.5, 1e-9, 0,
+        /// −0.0, −8, NaN} (no cut unless σ > 0: with σ ≤ 0 far pairs are the
+        /// usable ones), β ∈ {2, 5} and two receive thresholds. Either both
+        /// builds succeed and agree bit for bit, routes included, or both
+        /// report the same first offending pair.
+        #[test]
+        fn prop_far_cut_matches_dense_on_the_radius_edge(
+            model in (0usize..7, 0usize..2, 0usize..2),
+            sides in proptest::collection::vec((0usize..5, 0usize..2), 3..=3),
+            stations in proptest::collection::vec((0usize..7, 0.0f64..1.0, 0.0f64..1.0), 2..12),
+        ) {
+            const SIGMAS: [f64; 7] = [8.0, 0.5, 1e-9, 0.0, -0.0, -8.0, f64::NAN];
+            const EPSILONS: [f64; 5] = [1e-12, 1e-7, 1e-3, 0.05, 0.2];
+            let (sigma, beta, thresh) = model;
+            let mut params = PhyParams::paper_216();
+            params.shadowing.sigma_db = SIGMAS[sigma];
+            params.shadowing.path_loss_exponent = [2.0, 5.0][beta];
+            params.rx_thresh_dbm = [-65.0, -80.0][thresh];
+            // The edge is placed at the radius of |σ| (σ = 8 for the
+            // degenerate models), where a cut applied by mistake would bite.
+            let mut edge_model = params.clone();
+            edge_model.shadowing.sigma_db = match SIGMAS[sigma] {
+                s if s > 0.0 => s,
+                _ => 8.0,
+            };
+            let r = hopeless_radius(&edge_model);
+            prop_assert!(r.is_finite());
+            let [a, b, c] = [0, 1, 2].map(|i| {
+                let (eps, sign) = sides[i];
+                r * (1.0 + [-1.0, 1.0][sign] * EPSILONS[eps])
+            });
+            // Sides a = |s1 s2|, b = |s0 s2|, c = |s0 s1|.
+            let x = (b * b + c * c - a * a) / (2.0 * c);
+            let sites = [
+                Position::new(0.0, 0.0),
+                Position::new(c, 0.0),
+                Position::new(x, (b * b - x * x).sqrt()),
+            ];
+            let positions: Vec<Position> = stations
+                .iter()
+                .map(|&(kind, u, v)| match kind {
+                    0..=5 => sites[kind / 2],
+                    _ => Position::new((2.5 * u - 0.75) * r, (2.5 * v - 0.75) * r),
+                })
+                .collect();
+            let context = format!(
+                "σ {} β {} thresh {}",
+                SIGMAS[sigma], params.shadowing.path_loss_exponent, params.rx_thresh_dbm
+            );
+            let dense = DenseGraph::from_placement(&params, &positions);
+            match (validate(&dense.delivery), LinkGraph::try_from_placement(&params, &positions)) {
+                (Ok(()), Ok(g)) => assert_matches_dense(&g, &dense, &context),
+                (Err(want), Err(got)) => {
+                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", context);
+                }
+                (want, got) => panic!("{context}: oracle {want:?}, cut build {got:?}"),
+            }
         }
 
         /// Asymmetric matrices with entries on both sides of the 0.05

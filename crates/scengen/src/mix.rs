@@ -96,6 +96,10 @@ impl TrafficMix {
     /// interior nodes double as the forwarder candidates for opportunistic
     /// schemes). Deterministic per `(self, topo, seed)`.
     ///
+    /// Builds the placement's [`LinkGraph`] under `params`;
+    /// [`crate::ScenarioSpec::materialise`] skips that build when the
+    /// topology generator already holds the same graph.
+    ///
     /// # Errors
     ///
     /// Fails if the mix is empty, the topology has too few stations for the
@@ -107,6 +111,17 @@ impl TrafficMix {
         params: &PhyParams,
         seed: u64,
     ) -> Result<Vec<FlowSpec>, String> {
+        self.compose_over(topo, &LinkGraph::from_placement(params, &topo.positions), seed)
+    }
+
+    /// [`TrafficMix::compose`] over a link graph of `topo`'s placement the
+    /// caller already holds.
+    pub(crate) fn compose_over(
+        &self,
+        topo: &Topology,
+        graph: &LinkGraph,
+        seed: u64,
+    ) -> Result<Vec<FlowSpec>, String> {
         if self.flow_count() == 0 {
             return Err("traffic mix has no flows".into());
         }
@@ -114,12 +129,11 @@ impl TrafficMix {
         if n < 2 {
             return Err(format!("topology {:?} has {n} stations; flows need two", topo.name));
         }
-        let graph = LinkGraph::from_placement(params, &topo.positions);
         let dir = RngDirectory::new(seed);
         let mut flows = Vec::with_capacity(self.flow_count());
         for index in 0..self.flow_count() {
             let mut rng = dir.indexed_stream(labels::SCENGEN_MIX_FLOW, index as u32);
-            let path = self.pick_path(&graph, n, &mut rng).map_err(|e| {
+            let path = self.pick_path(graph, n, &mut rng).map_err(|e| {
                 format!("flow {index} on {:?} ({} policy): {e}", topo.name, self.pairing.name())
             })?;
             flows.push(FlowSpec { path, workload: self.workload(index) });

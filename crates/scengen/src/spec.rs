@@ -10,12 +10,13 @@
 
 use wmn_netsim::{Scenario, Scheme};
 use wmn_phy::PhyParams;
+use wmn_routing::LinkGraph;
 use wmn_sim::SimDuration;
 
 use crate::json::Value;
 use crate::mix::TrafficMix;
 use crate::mobility::MobilitySpec;
-use crate::topo::TopologySpec;
+use crate::topo::{connectivity_params, TopologySpec};
 
 /// The PHY parameter preset a spec runs under (Table I of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,6 +166,15 @@ impl ScenarioSpec {
     /// the PHY preset. Deterministic — same spec, same scenario, bit for
     /// bit.
     ///
+    /// One [`LinkGraph`] is built per call. The random-geometric and campus
+    /// generators keep the graph their connectivity check built, and the
+    /// flows are routed over it whenever the scenario's link model (transmit
+    /// power, receive threshold and the four shadowing fields) is bit for bit
+    /// the one connectivity is judged under — every [`PhyPreset`], with or
+    /// without a `ber` override. Otherwise, and for the grid and the
+    /// perturbed line, the flows get a graph of their own, as
+    /// [`TrafficMix::compose`] builds it.
+    ///
     /// # Errors
     ///
     /// Returns generation failures (no connected placement within the
@@ -181,9 +191,13 @@ impl ScenarioSpec {
         let duration = millis("duration_ms", self.duration_ms)?;
         let route_refresh =
             self.route_refresh_ms.map(|ms| millis("route_refresh_ms", ms)).transpose()?;
-        let topo = self.topology.try_generate(self.seed).map_err(err)?;
+        let (topo, graph) = self.topology.generate_with_graph(self.seed).map_err(err)?;
         let params = self.phy.params(self.ber);
-        let flows = self.mix.compose(&topo, &params, self.seed).map_err(err)?;
+        let graph = match graph {
+            Some(graph) if same_link_model(&params, &connectivity_params()) => graph,
+            _ => LinkGraph::from_placement(&params, &topo.positions),
+        };
+        let flows = self.mix.compose_over(&topo, &graph, self.seed).map_err(err)?;
         let motion = self.mobility.expand(&topo.positions, self.seed);
         let scenario = Scenario {
             name: self.name.clone(),
@@ -287,6 +301,25 @@ impl ScenarioSpec {
     pub fn parse(text: &str) -> Result<Self, String> {
         ScenarioSpec::from_json(&crate::json::parse(text)?)
     }
+}
+
+/// Whether `a` and `b` give every placement the same [`LinkGraph`]: the
+/// fields it reads, compared by bit pattern (σ = 0.0 and −0.0 compare equal
+/// but give every margin the opposite sign).
+fn same_link_model(a: &PhyParams, b: &PhyParams) -> bool {
+    let bits = |p: &PhyParams| {
+        let s = &p.shadowing;
+        [
+            p.tx_power_dbm,
+            p.rx_thresh_dbm,
+            s.path_loss_exponent,
+            s.sigma_db,
+            s.reference_distance,
+            s.pl_at_reference_db,
+        ]
+        .map(f64::to_bits)
+    };
+    bits(a) == bits(b)
 }
 
 // Field-decoding helpers shared by every spec module (`context` names the
@@ -438,6 +471,71 @@ mod tests {
         assert_eq!(scenario.positions.len(), 1024);
         assert_eq!(scenario.flows.len(), 6);
         assert_eq!(scenario.validate(), Ok(()));
+    }
+
+    #[test]
+    fn materialise_routes_over_the_graph_compose_would_build() {
+        let rgg = ScenarioSpec {
+            topology: TopologySpec::RandomGeometric { nodes: 20, side_m: 25.0 },
+            ..spec()
+        };
+        let campus = ScenarioSpec::campus_scale();
+        let mut cases = Vec::new();
+        for phy in [PhyPreset::Mbps216, PhyPreset::Mbps6] {
+            for ber in [None, Some(1e-5)] {
+                cases.push(ScenarioSpec { phy, ber, ..rgg.clone() });
+                cases.push(ScenarioSpec { phy, ber, ..spec() });
+            }
+        }
+        // The thousand-station campus twice, to keep the debug build quick.
+        cases.push(campus.clone());
+        cases.push(ScenarioSpec { phy: PhyPreset::Mbps6, ber: Some(1e-5), ..campus });
+        for case in cases {
+            let scenario = case.materialise().unwrap();
+            let topo = case.topology.generate(case.seed);
+            let composed = case.mix.compose(&topo, &scenario.params, case.seed).unwrap();
+            assert_eq!(
+                format!("{:?}", scenario.flows),
+                format!("{composed:?}"),
+                "{:?} under {:?}, ber {:?}",
+                case.topology,
+                case.phy,
+                case.ber
+            );
+        }
+    }
+
+    #[test]
+    fn link_models_match_by_bits() {
+        let connectivity = connectivity_params();
+        for phy in [PhyPreset::Mbps216, PhyPreset::Mbps6] {
+            for ber in [None, Some(1e-5)] {
+                assert!(same_link_model(&phy.params(ber), &connectivity), "{phy:?} {ber:?}");
+            }
+        }
+        let mut other = PhyParams::paper_216();
+        other.rx_thresh_dbm = -70.0;
+        assert!(!same_link_model(&other, &connectivity));
+        let mut other = PhyParams::paper_216();
+        other.shadowing.path_loss_exponent = 4.0;
+        assert!(!same_link_model(&other, &connectivity));
+        // Equal by `==`, opposite margins: not the same model.
+        let (mut zero, mut negative_zero) = (PhyParams::paper_216(), PhyParams::paper_216());
+        zero.shadowing.sigma_db = 0.0;
+        negative_zero.shadowing.sigma_db = -0.0;
+        assert!(!same_link_model(&zero, &negative_zero));
+    }
+
+    #[test]
+    fn a_station_count_past_node_id_is_an_error_not_a_wrap() {
+        // 4294967297 × 4294967296 wrapped to 2^32 stations in a release
+        // build (and passed `check`), and panicked in a debug one.
+        let topology =
+            TopologySpec::Grid { cols: 4_294_967_297, rows: 4_294_967_296, spacing_m: 5.0 };
+        let text = ScenarioSpec { topology, ..spec() }.to_json().to_string();
+        assert!(text.contains("\"cols\": 4294967297"), "{text}");
+        let msg = ScenarioSpec::parse(&text).and_then(|s| s.materialise().map(drop)).unwrap_err();
+        assert!(msg.contains("cols × rows"), "{msg}");
     }
 
     #[test]

@@ -26,6 +26,9 @@ use crate::json::Value;
 /// deterministic per `(spec, seed)`.
 const CONNECT_ATTEMPTS: u32 = 64;
 
+/// The most stations a spec may ask for: every one needs a `NodeId(u32)`.
+const MAX_STATIONS: u64 = 1 << 32;
+
 /// A procedural topology family plus its knobs.
 ///
 /// The four families cover the structural regimes the paper's hand-placed
@@ -88,13 +91,15 @@ impl TopologySpec {
         }
     }
 
-    /// Station count the spec will generate.
+    /// Station count the spec will generate (saturating at `usize::MAX`
+    /// for a product of knobs that overflows, which [`TopologySpec::check`]
+    /// rejects).
     pub fn node_count(&self) -> usize {
         match *self {
             TopologySpec::RandomGeometric { nodes, .. } => nodes,
-            TopologySpec::Grid { cols, rows, .. } => cols * rows,
+            TopologySpec::Grid { cols, rows, .. } => cols.saturating_mul(rows),
             TopologySpec::Campus { clusters, nodes_per_cluster, .. } => {
-                clusters * nodes_per_cluster
+                clusters.saturating_mul(nodes_per_cluster)
             }
             TopologySpec::PerturbedLine { nodes, .. } => nodes,
         }
@@ -113,14 +118,30 @@ impl TopologySpec {
         }
     }
 
-    /// Basic sanity of the knobs (positive sizes, at least two stations).
+    /// Basic sanity of the knobs (positive sizes, at least two stations, no
+    /// more than `NodeId` can number).
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending knob.
     pub fn check(&self) -> Result<(), String> {
-        if self.node_count() < 2 {
+        let n = self.node_count();
+        if n < 2 {
             return Err(format!("{}: needs at least two stations", self.kind()));
+        }
+        if n as u64 > MAX_STATIONS {
+            let knobs = match *self {
+                TopologySpec::Grid { cols, rows, .. } => format!("cols × rows = {cols} × {rows}"),
+                TopologySpec::Campus { clusters, nodes_per_cluster, .. } => {
+                    format!("clusters × nodes_per_cluster = {clusters} × {nodes_per_cluster}")
+                }
+                TopologySpec::RandomGeometric { nodes, .. }
+                | TopologySpec::PerturbedLine { nodes, .. } => format!("nodes = {nodes}"),
+            };
+            return Err(format!(
+                "{}: {knobs} exceeds the {MAX_STATIONS} stations a NodeId can number",
+                self.kind()
+            ));
         }
         let positive = |value: f64, what: &str| {
             if value.is_finite() && value > 0.0 {
@@ -167,26 +188,41 @@ impl TopologySpec {
     /// stochastic family reaches no connected placement within its attempt
     /// budget (density far below the connectivity threshold).
     pub fn try_generate(&self, seed: u64) -> Result<Topology, String> {
+        self.generate_with_graph(seed).map(|(topo, _)| topo)
+    }
+
+    /// [`TopologySpec::try_generate`], plus the connectivity graph of the
+    /// placement it accepted (built over [`connectivity_params`]) for the
+    /// families that regenerate until connected; the grid and the perturbed
+    /// line build none.
+    pub(crate) fn generate_with_graph(
+        &self,
+        seed: u64,
+    ) -> Result<(Topology, Option<LinkGraph>), String> {
         self.check().map_err(|msg| format!("invalid topology spec: {msg}"))?;
         let name = format!("{}-s{seed}", self.slug());
         let dir = RngDirectory::new(seed);
-        let positions = match *self {
-            TopologySpec::Grid { cols, rows, spacing_m } => (0..rows)
-                .flat_map(|r| {
-                    (0..cols)
-                        .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
-                })
-                .collect(),
+        let (positions, graph) = match *self {
+            TopologySpec::Grid { cols, rows, spacing_m } => {
+                let positions = (0..rows)
+                    .flat_map(|r| {
+                        (0..cols)
+                            .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
+                    })
+                    .collect();
+                (positions, None)
+            }
             TopologySpec::PerturbedLine { nodes, spacing_m, jitter_m } => {
                 let mut rng = dir.stream(labels::SCENGEN_LINE);
-                (0..nodes)
+                let positions = (0..nodes)
                     .map(|i| {
                         Position::new(
                             i as f64 * spacing_m + jitter_m * rng.standard_normal(),
                             jitter_m * rng.standard_normal(),
                         )
                     })
-                    .collect()
+                    .collect();
+                (positions, None)
             }
             TopologySpec::RandomGeometric { nodes, side_m } => {
                 connected_placement(dir, labels::SCENGEN_RGG_ATTEMPT, self, |rng| {
@@ -197,7 +233,7 @@ impl TopologySpec {
             }
             TopologySpec::Campus { clusters, nodes_per_cluster, cluster_radius_m, side_m } => {
                 connected_placement(dir, labels::SCENGEN_CAMPUS_ATTEMPT, self, |rng| {
-                    let mut positions = Vec::with_capacity(clusters * nodes_per_cluster);
+                    let mut positions = Vec::with_capacity(self.node_count());
                     for _ in 0..clusters {
                         let cx = rng.uniform() * side_m;
                         let cy = rng.uniform() * side_m;
@@ -212,7 +248,7 @@ impl TopologySpec {
                 })?
             }
         };
-        Ok(Topology::new(name, positions))
+        Ok((Topology::new(name, positions), graph))
     }
 
     /// Serialises the spec as a JSON object (`kind` plus the family knobs).
@@ -277,18 +313,19 @@ impl TopologySpec {
 }
 
 /// Runs `place` with per-attempt RNG streams until the placement is
-/// radio-connected (see [`is_connected`]). Deterministic per
-/// `(seed, attempts)`.
+/// radio-connected (see [`is_connected`]), and returns it with the graph
+/// that said so. Deterministic per `(seed, attempts)`.
 fn connected_placement(
     dir: RngDirectory,
     attempts: Family,
     spec: &TopologySpec,
     mut place: impl FnMut(&mut StreamRng) -> Vec<Position>,
-) -> Result<Vec<Position>, String> {
+) -> Result<(Vec<Position>, Option<LinkGraph>), String> {
     for attempt in 0..CONNECT_ATTEMPTS {
         let positions = place(&mut dir.indexed_stream(attempts, attempt));
-        if is_connected(&positions) {
-            return Ok(positions);
+        let graph = LinkGraph::from_placement(&connectivity_params(), &positions);
+        if spans(&graph) {
+            return Ok((positions, Some(graph)));
         }
     }
     Err(format!(
@@ -298,16 +335,32 @@ fn connected_placement(
     ))
 }
 
+/// The link model connectivity is judged under: the Table I shadowing
+/// model of the 216 Mbps preset, whatever PHY rate a scenario later picks
+/// (connectivity is a property of the placement geometry).
+pub(crate) fn connectivity_params() -> PhyParams {
+    PhyParams::paper_216()
+}
+
 /// Whether every station can reach every other over usable links (finite
-/// ETX in both directions under the Table I shadowing model — connectivity
-/// is a property of the placement geometry, so the 216 Mbps preset's link
-/// model is used regardless of the PHY rate a scenario later picks).
+/// ETX in both directions under [`PhyParams::paper_216`]'s shadowing model —
+/// connectivity is a property of the placement geometry, so that preset's
+/// link model is used regardless of the PHY rate a scenario later picks).
+///
+/// Builds one [`LinkGraph`]. The generators keep the graph of the placement
+/// they accept, and [`crate::ScenarioSpec::materialise`] routes over it when
+/// the scenario's link model is that preset's.
 pub fn is_connected(positions: &[Position]) -> bool {
-    let n = positions.len();
+    spans(&LinkGraph::from_placement(&connectivity_params(), positions))
+}
+
+/// Whether `graph` has at least one station and every station reaches
+/// station 0.
+fn spans(graph: &LinkGraph) -> bool {
+    let n = graph.node_count();
     if n == 0 {
         return false;
     }
-    let graph = LinkGraph::from_placement(&PhyParams::paper_216(), positions);
     let mut seen = vec![false; n];
     let mut stack = vec![0usize];
     seen[0] = true;
@@ -382,6 +435,28 @@ mod tests {
             .check()
             .is_err());
         assert!(TopologySpec::Grid { cols: 3, rows: 2, spacing_m: 5.0 }.check().is_ok());
+    }
+
+    #[test]
+    fn check_rejects_a_station_count_no_node_id_can_number() {
+        // 2^33 × (2^31 + 1) overflows a u64 (it used to wrap to 2^33 in a
+        // release build and panic in a debug one).
+        let campus = TopologySpec::Campus {
+            clusters: 1 << 33,
+            nodes_per_cluster: (1 << 31) + 1,
+            cluster_radius_m: 3.0,
+            side_m: 60.0,
+        };
+        let msg = campus.check().unwrap_err();
+        assert!(msg.contains("clusters × nodes_per_cluster"), "{msg}");
+        // The boundary: 2^32 stations are numbered 0 ..= u32::MAX.
+        let grid = |cols, rows| TopologySpec::Grid { cols, rows, spacing_m: 5.0 };
+        assert_eq!(grid(1 << 16, 1 << 16).check(), Ok(()));
+        let msg = grid(1 << 16, (1 << 16) + 1).check().unwrap_err();
+        assert!(msg.starts_with("grid: cols × rows = 65536 × 65537 exceeds"), "{msg}");
+        let line =
+            TopologySpec::PerturbedLine { nodes: (1 << 32) + 1, spacing_m: 5.0, jitter_m: 0.0 };
+        assert!(line.check().unwrap_err().contains("nodes = 4294967297"));
     }
 
     #[test]
