@@ -228,8 +228,9 @@ fn run_churn_recycled() -> Entry<'static> {
 }
 
 /// Full live route-refresh passes, as the engine's `RouteRefresh` event
-/// pays them: snapshot the medium's current link state into a [`LinkGraph`]
-/// and rerun min-ETX Dijkstra per flow, on a 16×16 grid. 5 m spacing keeps
+/// pays them: build a [`LinkGraph`] from the link model and the medium's
+/// current positions (no medium row is built) and rerun min-ETX Dijkstra
+/// per flow, on a 16×16 grid. 5 m spacing keeps
 /// every neighbour link above the ETX usability floor so all flows really
 /// route (at 40 m, p ≈ 6e-5 < 0.05 and nothing does). The mover keeps the
 /// link state changing between passes so no snapshot is a cached no-op.
@@ -247,7 +248,8 @@ fn route_refresh_pass() -> Entry<'static> {
             // A diagonal walk that stays inside the deployment footprint.
             let step = (i % 128) as f64;
             medium.update_node_position(mover, Position::new(step * 0.5, step * 0.25));
-            let graph = LinkGraph::try_from_medium(&medium).expect("grid link state is finite");
+            let graph = LinkGraph::try_from_placement(&medium.params().link, medium.positions())
+                .expect("grid link state is finite");
             for &(src, dst) in &endpoints {
                 if let Some(path) = graph.shortest_path(src, dst) {
                     paths_found += 1;

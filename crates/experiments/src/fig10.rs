@@ -7,7 +7,7 @@
 
 use wmn_metrics::Table;
 use wmn_netsim::{FlowSpec, Scenario, Workload};
-use wmn_phy::PhyParams;
+use wmn_phy::{LinkModel, PhyParams};
 use wmn_routing::LinkGraph;
 use wmn_sim::NodeId;
 use wmn_topology::wigle;
@@ -22,7 +22,7 @@ fn path_label(path: &[NodeId]) -> String {
 /// The ETX paths of the eight Fig. 10 flows.
 pub fn flow_paths() -> Vec<Vec<NodeId>> {
     let topo = wigle::topology();
-    let graph = LinkGraph::from_placement(&PhyParams::paper_216(), &topo.positions);
+    let graph = LinkGraph::from_placement(&LinkModel::paper(), &topo.positions);
     wigle::flow_pairs()
         .into_iter()
         .map(|(s, d)| graph.shortest_path(s, d).expect("wigle pairs are connected"))

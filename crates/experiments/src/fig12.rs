@@ -9,7 +9,7 @@
 
 use wmn_metrics::Table;
 use wmn_netsim::{FlowSpec, Scenario, Workload};
-use wmn_phy::PhyParams;
+use wmn_phy::{LinkModel, PhyParams};
 use wmn_sim::NodeId;
 use wmn_topology::roofnet;
 use wmn_traffic::CbrModel;
@@ -18,7 +18,7 @@ use crate::common::{dar_schemes, next_named, run_grid, ExpConfig};
 
 /// The six test flows: (label, path).
 pub fn test_flows() -> Vec<(String, Vec<NodeId>)> {
-    let graph = roofnet::link_graph(&PhyParams::paper_216());
+    let graph = roofnet::link_graph(&LinkModel::paper());
     let mut out = Vec::new();
     for hops in [3usize, 4, 5] {
         for (i, (s, d)) in roofnet::pairs_with_hops(&graph, hops, 2).into_iter().enumerate() {

@@ -172,9 +172,10 @@ impl Scenario {
     /// per frame, at least one flow, every flow path at least two nodes long
     /// with no immediate self-loops, every referenced [`NodeId`] inside the
     /// placement (ids are dense indices into `positions` — see the type-level
-    /// NodeId contract), a bit error rate in `[0, 1)` (what
-    /// [`wmn_phy::BerModel::new`] accepts), and a well-formed motion plan
-    /// ([`MotionPlan::check`]).
+    /// NodeId contract), a usable link model ([`wmn_phy::LinkModel::check`]:
+    /// every field finite, a positive reference distance), a bit error rate
+    /// in `[0, 1)` (what [`wmn_phy::BerModel::new`] accepts), and a
+    /// well-formed motion plan ([`MotionPlan::check`]).
     ///
     /// Hand-written experiment definitions rely on [`crate::run`]'s panics;
     /// generated scenarios (`wmn_scengen`) call this first so a bad spec
@@ -194,6 +195,7 @@ impl Scenario {
                 self.name, self.positions[i]
             ));
         }
+        self.params.link.check().map_err(|msg| format!("scenario {:?}: link {msg}", self.name))?;
         if !(0.0..1.0).contains(&self.params.ber) {
             return Err(format!(
                 "scenario {:?}: ber must be in [0, 1), got {}",
@@ -255,6 +257,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_phy::LinkModel;
 
     #[test]
     fn scheme_labels_match_figures() {
@@ -374,6 +377,35 @@ mod tests {
             assert!(msg.contains("aggregation must be at least 1"), "{msg}");
             assert!(msg.contains(&format!("{:?}", unaggregated.name)), "{msg}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_an_unusable_link_model() {
+        // A NaN field gives some pair NaN mean power, which no threshold
+        // compare rejects (the planner booked a station 1 km away as a
+        // receiver of every frame); d0 = 0 clamped every distance to 0 m, and
+        // no frame was ever sensed. Each of these used to validate.
+        let paper = LinkModel::paper();
+        let nan = f64::NAN;
+        for (field, link) in [
+            ("tx_power_dbm", LinkModel { tx_power_dbm: nan, ..paper }),
+            ("rx_thresh_dbm", LinkModel { rx_thresh_dbm: nan, ..paper }),
+            ("cs_thresh_dbm", LinkModel { cs_thresh_dbm: nan, ..paper }),
+            ("path_loss_exponent", LinkModel { path_loss_exponent: nan, ..paper }),
+            ("sigma_db", LinkModel { sigma_db: nan, ..paper }),
+            ("reference_distance", LinkModel { reference_distance: nan, ..paper }),
+            ("pl_at_reference_db", LinkModel { pl_at_reference_db: f64::INFINITY, ..paper }),
+            ("reference_distance must be positive", LinkModel { reference_distance: 0.0, ..paper }),
+        ] {
+            let mut s = valid_scenario();
+            s.params.link = link;
+            let msg = s.validate().unwrap_err();
+            assert!(msg.contains(field) && msg.contains(&format!("{:?}", s.name)), "{msg}");
+        }
+        // A negative σ is odd but legal.
+        let mut flipped = valid_scenario();
+        flipped.params.link.sigma_db = -8.0;
+        assert_eq!(flipped.validate(), Ok(()));
     }
 
     #[test]

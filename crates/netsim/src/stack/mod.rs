@@ -290,14 +290,17 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// One live routing pass: rebuild the link graph from the medium's
-    /// current state and let the network layer re-derive its tables. The
-    /// pass consumes no RNG; the analytic delivery model cannot produce a
-    /// non-finite probability from finite positions, so graph construction
-    /// only fails on a corrupted medium — in which case the last-known-good
-    /// routes stay in force, same as a transient partition.
+    /// One live routing pass: rebuild the link graph from the link model and
+    /// the stations' current positions, and let the network layer re-derive
+    /// its tables. The pass reads no medium row (so it builds none) and
+    /// consumes no RNG. `Scenario::validate` admits only finite positions
+    /// and a finite link model, so graph construction fails only on a
+    /// degenerate model (σ = 0 with a pair exactly on the receive
+    /// threshold: 0/0); the last-known-good routes then stay in force, same
+    /// as a transient partition.
     fn refresh_routes(&mut self) {
-        let Ok(graph) = LinkGraph::try_from_medium(&self.medium) else {
+        let link = &self.medium.params().link;
+        let Ok(graph) = LinkGraph::try_from_placement(link, self.medium.positions()) else {
             return;
         };
         let changed = self.net.refresh(&graph);

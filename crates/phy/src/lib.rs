@@ -37,5 +37,5 @@ pub use ber::BerModel;
 pub use medium::{ArrivalOutcome, Medium, Receiver, RxPlan};
 pub use params::PhyParams;
 pub use position::Position;
-pub use propagation::Shadowing;
+pub use propagation::LinkModel;
 pub use rate::Rate;

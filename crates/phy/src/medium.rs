@@ -75,15 +75,16 @@ impl LinkClass {
     /// The class of a pair whose mean received power is `mean` dBm, against
     /// the largest shadowing excursion any frame can draw.
     fn of(params: &PhyParams, mean: f64) -> Self {
-        let max_excursion_db = params.shadowing.sigma_db.abs() * wmn_sim::max_standard_normal();
+        let link = &params.link;
+        let max_excursion_db = link.sigma_db.abs() * wmn_sim::max_standard_normal();
         // AlwaysDecodable must clear *both* thresholds at the most negative
-        // possible excursion: `PhyParams` fields are public, so cs_thresh
+        // possible excursion: `LinkModel` fields are public, so cs_thresh
         // above rx_thresh is a legal (if odd) configuration, and the naive
         // path would still drop sub-carrier-sense samples there.
         let min_power = mean - max_excursion_db;
-        if mean + max_excursion_db < params.cs_thresh_dbm {
+        if mean + max_excursion_db < link.cs_thresh_dbm {
             LinkClass::NeverSensed
-        } else if min_power >= params.rx_thresh_dbm && min_power >= params.cs_thresh_dbm {
+        } else if min_power >= link.rx_thresh_dbm && min_power >= link.cs_thresh_dbm {
             LinkClass::AlwaysDecodable
         } else {
             LinkClass::Sampled
@@ -95,12 +96,11 @@ impl LinkClass {
 ///
 /// The deterministic part of the propagation model is cached per station,
 /// one **row** each: the mean received power and the propagation delay from
-/// that station to every station, 16 bytes per entry. A row is built the
-/// first time something reads it — the planner for a transmitter, or
-/// [`Medium::mean_rx_dbm`] / [`Medium::link_delivery_probability`] for a
-/// sender — so construction evaluates no pair, and a run pays only for the
-/// stations that transmit or that a route refresh reads.
-/// [`Medium::plan_transmission`] is then a walk of the transmitter's
+/// that station to every station, 16 bytes per entry. Only the planner
+/// builds rows, the first time a station transmits, so construction
+/// evaluates no pair and a run pays only for the stations that transmit
+/// (route refresh builds its graph from [`Medium::positions`], not from
+/// rows). [`Medium::plan_transmission`] is then a walk of the transmitter's
 /// mean-power row that adds one fresh shadowing draw per pair, reading the
 /// delay only for the stations that sense the frame, instead of re-deriving
 /// the geometry and path loss on every transmission.
@@ -268,9 +268,8 @@ impl Medium {
     fn evaluate(&self, a: Position, b: Position) -> (f64, SimDuration) {
         #[cfg(test)]
         self.evaluations.set(self.evaluations.get() + 1);
-        let p = &self.params;
         let d = a.distance_to(b);
-        (p.shadowing.mean_rx_dbm(p.tx_power_dbm, d), p.propagation_delay(d))
+        (self.params.link.mean_rx_dbm(d), self.params.propagation_delay(d))
     }
 
     /// Station `node`'s row, built on first use.
@@ -341,36 +340,10 @@ impl Medium {
         &self.positions
     }
 
-    /// Clean-frame delivery probability over the directed pair, evaluated
-    /// from the *cached* mean received power ([`Medium::mean_rx_dbm`], so
-    /// it builds `from`'s row on first use).
-    ///
-    /// The cached mean comes from the same `distance_to` and path-loss
-    /// evaluation as [`PhyParams::link_delivery_probability`] over the
-    /// current placement, and both end in [`Shadowing::probability_above`],
-    /// so the two are bit-identical — the property that makes a route
-    /// refresh over an unmoved topology a behavioural no-op.
-    ///
-    /// [`Shadowing::probability_above`]: crate::Shadowing::probability_above
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn link_delivery_probability(&self, from: NodeId, to: NodeId) -> f64 {
-        self.params
-            .shadowing
-            .probability_above(self.mean_rx_dbm(from, to), self.params.rx_thresh_dbm)
-    }
-
-    /// Mean received power (dBm) over the directed pair — the deterministic
-    /// part of the shadowing model, read from `from`'s row (built on this
-    /// first read if no transmission or earlier read has built it; see the
-    /// type docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn mean_rx_dbm(&self, from: NodeId, to: NodeId) -> f64 {
+    /// Mean received power (dBm) over the directed pair, read from `from`'s
+    /// row (built on this read if no transmission or earlier read has).
+    #[cfg(test)]
+    fn mean_rx_dbm(&self, from: NodeId, to: NodeId) -> f64 {
         self.row(from.index()).mean_rx_dbm[to.index()]
     }
 
@@ -430,26 +403,26 @@ impl Medium {
         plans: &mut Vec<RxPlan>,
     ) {
         plans.clear();
-        let p = &self.params;
-        let sigma = p.shadowing.sigma_db;
+        let link = &self.params.link;
+        let sigma = link.sigma_db;
         let row = self.row(from.index());
         for (idx, &mean) in row.mean_rx_dbm.iter().enumerate() {
             if idx == from.index() {
                 continue;
             }
-            let Some(z) = rng.standard_normal_reaching(mean, sigma, p.cs_thresh_dbm) else {
+            let Some(z) = rng.standard_normal_reaching(mean, sigma, link.cs_thresh_dbm) else {
                 continue;
             };
             // The expression the draw's bound was evaluated against.
             let power = mean + sigma * z;
-            if power < p.cs_thresh_dbm {
+            if power < link.cs_thresh_dbm {
                 continue;
             }
             plans.push(RxPlan {
                 to: NodeId::new(idx as u32),
                 delay: row.delay[idx],
                 power_dbm: power,
-                decodable: power >= p.rx_thresh_dbm,
+                decodable: power >= link.rx_thresh_dbm,
             });
         }
     }
@@ -467,15 +440,15 @@ impl Medium {
             }
             let to = NodeId::new(idx as u32);
             let d = self.positions[from.index()].distance_to(self.positions[to.index()]);
-            let power = p.shadowing.sample_rx_dbm(p.tx_power_dbm, d, rng);
-            if power < p.cs_thresh_dbm {
+            let power = p.link.sample_rx_dbm(d, rng);
+            if power < p.link.cs_thresh_dbm {
                 continue;
             }
             plans.push(RxPlan {
                 to,
                 delay: p.propagation_delay(d),
                 power_dbm: power,
-                decodable: power >= p.rx_thresh_dbm,
+                decodable: power >= p.link.rx_thresh_dbm,
             });
         }
         plans
@@ -794,7 +767,7 @@ mod tests {
     fn medium_decodable_fraction_matches_analytic() {
         use crate::params::PhyParams;
         let params = PhyParams::paper_216();
-        let analytic = params.link_delivery_probability(10.0);
+        let analytic = params.link.delivery(10.0);
         let medium = Medium::new(params, vec![Position::new(0.0, 0.0), Position::new(10.0, 0.0)]);
         let mut rng = StreamRng::derive(9, "frac");
         let n = 20_000;
@@ -836,7 +809,7 @@ mod tests {
         // With a near-deterministic channel (σ = 0.5 dB) a 5 m link's worst
         // possible draw still clears the −65 dBm receive threshold.
         let mut params = PhyParams::paper_216();
-        params.shadowing.sigma_db = 0.5;
+        params.link.sigma_db = 0.5;
         let medium = Medium::new(params, vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0)]);
         assert_eq!(medium.link_class(NodeId::new(0), NodeId::new(1)), LinkClass::AlwaysDecodable);
         let mut rng = StreamRng::derive(4, "always");
@@ -859,9 +832,9 @@ mod tests {
         // worst-case draw clears rx (-80) but samples straddle cs (-70) —
         // exactly the regime where the unsound shortcut diverged.
         let mut params = PhyParams::paper_216();
-        params.rx_thresh_dbm = -80.0;
-        params.cs_thresh_dbm = -70.0;
-        params.shadowing.sigma_db = 0.5;
+        params.link.rx_thresh_dbm = -80.0;
+        params.link.cs_thresh_dbm = -70.0;
+        params.link.sigma_db = 0.5;
         let medium = Medium::new(params, vec![Position::new(0.0, 0.0), Position::new(13.5, 0.0)]);
         assert_eq!(
             medium.link_class(NodeId::new(0), NodeId::new(1)),
@@ -904,7 +877,7 @@ mod tests {
     /// against: every field re-derived from the two positions.
     fn link_state(params: &PhyParams, a: Position, b: Position) -> LinkState {
         let d = a.distance_to(b);
-        let mean = params.shadowing.mean_rx_dbm(params.tx_power_dbm, d);
+        let mean = params.link.mean_rx_dbm(d);
         (d.to_bits(), mean.to_bits(), params.propagation_delay(d), LinkClass::of(params, mean))
     }
 
@@ -992,31 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn link_delivery_probability_tracks_moves_bit_for_bit() {
-        use crate::params::PhyParams;
-        let params = PhyParams::paper_216();
-        let mut medium =
-            Medium::new(params.clone(), vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0)]);
-        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
-        let analytic =
-            |a: Position, b: Position| params.link_delivery_probability(a.distance_to(b));
-        assert_eq!(
-            medium.link_delivery_probability(n0, n1).to_bits(),
-            analytic(Position::new(0.0, 0.0), Position::new(5.0, 0.0)).to_bits(),
-            "cached distance must reproduce the analytic model exactly"
-        );
-        assert_eq!(medium.positions()[1], Position::new(5.0, 0.0));
-        let moved = Position::new(3.0, 4.0);
-        medium.update_node_position(n1, moved);
-        assert_eq!(medium.positions()[1], moved, "positions() is the live view");
-        assert_eq!(
-            medium.link_delivery_probability(n1, n0).to_bits(),
-            analytic(moved, Position::new(0.0, 0.0)).to_bits(),
-            "refresh keeps the bit-identity"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn update_rejects_out_of_range_ids() {
         use crate::params::PhyParams;
@@ -1072,13 +1020,13 @@ mod tests {
         let positions =
             vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(300.0, 0.0)];
         let mut flipped = PhyParams::paper_216();
-        flipped.shadowing.sigma_db = -flipped.shadowing.sigma_db;
+        flipped.link.sigma_db = -flipped.link.sigma_db;
         let a = Medium::new(PhyParams::paper_216(), positions.clone());
         let b = Medium::new(flipped, positions.clone());
         assert_links_identical(&a, &b, "sign of sigma");
         // σ = 0: no excursion at all, every pair is decided at build time.
         let mut fixed = PhyParams::paper_216();
-        fixed.shadowing.sigma_db = 0.0;
+        fixed.link.sigma_db = 0.0;
         let c = Medium::new(fixed, positions);
         assert_eq!(c.link_class(NodeId::new(0), NodeId::new(1)), LinkClass::AlwaysDecodable);
         assert_eq!(c.link_class(NodeId::new(0), NodeId::new(2)), LinkClass::NeverSensed);
@@ -1117,20 +1065,6 @@ mod tests {
         }
         assert_eq!(medium.rows_built(), n);
         assert_eq!(medium.evaluations.get(), n * (n + 1) / 2);
-
-        // `LinkGraph::try_from_medium` reads each pair `a < b` from row `a`:
-        // every row but the last, whose entries are all mirrors when it is
-        // finally read.
-        let fresh = Medium::new(PhyParams::paper_216(), grid.clone());
-        for a in 0..n {
-            for b in a + 1..n {
-                fresh.mean_rx_dbm(NodeId::new(a as u32), NodeId::new(b as u32));
-            }
-        }
-        assert_eq!(fresh.rows_built(), n - 1);
-        assert_eq!(fresh.evaluations.get(), n * (n + 1) / 2 - 1);
-        fresh.mean_rx_dbm(NodeId::new(n as u32 - 1), NodeId::new(0));
-        assert_eq!(fresh.evaluations.get(), n * (n + 1) / 2);
 
         // A batch moving every station evaluates each unordered pair once
         // when every row exists, and nothing when none does.
@@ -1253,7 +1187,7 @@ mod tests {
         ) {
             use crate::params::PhyParams;
             let mut params = PhyParams::paper_216();
-            params.shadowing.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
+            params.link.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
             let mut positions: Vec<Position> =
                 coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
             let n = positions.len();
@@ -1302,7 +1236,7 @@ mod tests {
         ) {
             use crate::params::PhyParams;
             let mut params = PhyParams::paper_216();
-            params.shadowing.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
+            params.link.sigma_db = [8.0, -8.0, 0.5, 0.0][sigma_pick];
             let mut positions: Vec<Position> =
                 coords.iter().map(|&(x, y)| Position::new(x, y)).collect();
             let n = positions.len();
@@ -1373,9 +1307,9 @@ mod tests {
                 coords.iter().map(|&(x, y)| Position::new(x, y)).collect(),
             );
             let mut inverted = PhyParams::paper_216();
-            inverted.rx_thresh_dbm = -80.0;
-            inverted.cs_thresh_dbm = -70.0;
-            inverted.shadowing.sigma_db = 0.5;
+            inverted.link.rx_thresh_dbm = -80.0;
+            inverted.link.cs_thresh_dbm = -70.0;
+            inverted.link.sigma_db = 0.5;
             let inverted = Medium::new(
                 inverted,
                 coords.iter().map(|&(x, y)| Position::new(x / 10.0, y / 10.0)).collect(),

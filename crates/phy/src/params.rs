@@ -16,8 +16,7 @@
 
 use wmn_sim::SimDuration;
 
-use crate::math::mw_to_dbm;
-use crate::propagation::Shadowing;
+use crate::propagation::LinkModel;
 use crate::rate::Rate;
 
 /// Speed of light, m/s, for propagation delay.
@@ -27,7 +26,10 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 ///
 /// Constructed from the paper presets ([`PhyParams::paper_216`],
 /// [`PhyParams::paper_6`]) and tweaked through the public fields; the struct
-/// is a plain parameter record in the C spirit, so fields are public.
+/// is a plain parameter record in the C spirit, so fields are public. The
+/// radio's reach — transmit power, thresholds and shadowing — is the one
+/// [`LinkModel`] in [`PhyParams::link`]; everything else here is timing,
+/// rates, queueing and bit errors.
 ///
 /// # Example
 ///
@@ -61,16 +63,9 @@ pub struct PhyParams {
     pub packet_size: u32,
     /// Independent, identically distributed bit error rate.
     pub ber: f64,
-    /// Transmit power in dBm (281 mW ≈ 24.49 dBm).
-    pub tx_power_dbm: f64,
-    /// Receive-sensitivity threshold in dBm: arrivals at or above this can be
-    /// decoded.
-    pub rx_thresh_dbm: f64,
-    /// Carrier-sense threshold in dBm: arrivals at or above this make the
-    /// channel busy.
-    pub cs_thresh_dbm: f64,
-    /// Log-normal shadowing propagation model parameters.
-    pub shadowing: Shadowing,
+    /// The link model: transmit power, receive and carrier-sense
+    /// thresholds, and log-normal shadowing.
+    pub link: LinkModel,
 }
 
 impl PhyParams {
@@ -99,14 +94,7 @@ impl PhyParams {
             ifq_capacity: 50,
             packet_size: 1000,
             ber: 1e-6,
-            tx_power_dbm: mw_to_dbm(281.0),
-            // Calibrated so that, with the paper's shadowing parameters
-            // (β = 5, σ = 8 dB), adjacent stations ~5 m apart deliver ≈96 %
-            // of frames, 10 m ≈ 47 %, 15 m ≈ 12 % — reproducing the regime
-            // the paper engineers where one-hop routing is inefficient.
-            rx_thresh_dbm: -65.0,
-            cs_thresh_dbm: -78.0,
-            shadowing: Shadowing::paper(),
+            link: LinkModel::paper(),
         }
     }
 
@@ -131,19 +119,6 @@ impl PhyParams {
     /// One-way propagation delay over `metres`.
     pub fn propagation_delay(&self, metres: f64) -> SimDuration {
         SimDuration::from_secs_f64(metres.max(0.0) / SPEED_OF_LIGHT)
-    }
-
-    /// Analytic probability that a frame transmitted over a link of length
-    /// `metres` arrives above the receive threshold (shadowing only; bit
-    /// errors are a separate process).
-    pub fn link_delivery_probability(&self, metres: f64) -> f64 {
-        self.shadowing.success_probability(self.tx_power_dbm, metres, self.rx_thresh_dbm)
-    }
-
-    /// Analytic probability that a transmission over `metres` is *sensed*
-    /// (raises carrier sense) at the receiver.
-    pub fn sense_probability(&self, metres: f64) -> f64 {
-        self.shadowing.success_probability(self.tx_power_dbm, metres, self.cs_thresh_dbm)
     }
 }
 
@@ -199,14 +174,14 @@ mod tests {
 
     #[test]
     fn calibrated_link_quality_bands() {
-        let p = PhyParams::paper_216();
-        let close = p.link_delivery_probability(5.0);
-        let mid = p.link_delivery_probability(10.0);
-        let far = p.link_delivery_probability(15.0);
+        let p = PhyParams::paper_216().link;
+        let close = p.delivery(5.0);
+        let mid = p.delivery(10.0);
+        let far = p.delivery(15.0);
         assert!(close > 0.93, "5 m link should be good, got {close}");
         assert!((0.3..0.7).contains(&mid), "10 m link should be marginal, got {mid}");
         assert!(far < 0.25, "15 m link should be poor, got {far}");
         // Carrier sense reaches further than decoding.
-        assert!(p.sense_probability(15.0) > p.link_delivery_probability(15.0));
+        assert!(p.sensing(15.0) > p.delivery(15.0));
     }
 }

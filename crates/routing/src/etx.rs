@@ -8,7 +8,7 @@
 //! on forwarding, so we compute delivery probabilities *analytically* from
 //! the shadowing model rather than with probe traffic.
 
-use wmn_phy::{Medium, PhyParams, Position};
+use wmn_phy::{LinkModel, Medium, Position};
 use wmn_sim::NodeId;
 
 /// Links with delivery probability below this are unusable for routing.
@@ -97,26 +97,11 @@ const HOPELESS_MARGIN_SIGMAS: f64 = -2.0;
 const RADIUS_GUARD: f64 = 1e-6;
 
 /// The distance beyond which a pair's mean received power sits more than
-/// [`HOPELESS_MARGIN_SIGMAS`] σ under the receive threshold:
-/// [`wmn_phy::Shadowing::mean_rx_dbm`] solved for the metres, widened by
-/// [`RADIUS_GUARD`] (20.35 m for the paper's parameters). Infinite — no
-/// pair is cut — unless σ, β and the reference distance are positive and
-/// the radius is finite: a non-positive σ flips the sign of every margin,
-/// so far pairs can be the usable ones.
-fn hopeless_radius(params: &PhyParams) -> f64 {
-    let s = &params.shadowing;
-    if !(s.sigma_db > 0.0 && s.path_loss_exponent > 0.0 && s.reference_distance > 0.0) {
-        return f64::INFINITY;
-    }
-    let floor_dbm = params.rx_thresh_dbm + HOPELESS_MARGIN_SIGMAS * s.sigma_db;
-    let decades =
-        (params.tx_power_dbm - s.pl_at_reference_db - floor_dbm) / (10.0 * s.path_loss_exponent);
-    let radius = s.reference_distance * 10f64.powf(decades) * (1.0 + RADIUS_GUARD);
-    if radius.is_finite() {
-        radius
-    } else {
-        f64::INFINITY
-    }
+/// [`HOPELESS_MARGIN_SIGMAS`] σ under the receive threshold, widened by
+/// [`RADIUS_GUARD`] (20.35 m for the paper's parameters; infinite — no pair
+/// is cut — where [`LinkModel::radius_at`] is).
+fn hopeless_radius(model: &LinkModel) -> f64 {
+    model.radius_at(model.rx_thresh_dbm, HOPELESS_MARGIN_SIGMAS) * (1.0 + RADIUS_GUARD)
 }
 
 #[cfg(test)]
@@ -128,22 +113,25 @@ thread_local! {
 
 /// Link-quality graph with ETX arithmetic and Dijkstra.
 ///
-/// Only *usable* links are stored — both directions at or above the 0.05
-/// delivery floor — as one CSR adjacency: each station's neighbours in
-/// ascending id with the link's ETX. ETX is symmetric (`1/(p_ab · p_ba)`),
-/// so every constructor evaluates the upper triangle of station pairs once
-/// and mirrors it. A station has no link to itself.
+/// A graph is a function of a [`LinkModel`] and a placement
+/// ([`LinkGraph::from_placement`]), or of an explicit delivery matrix
+/// ([`LinkGraph::from_matrix`]). Only *usable* links are stored — both
+/// directions at or above the 0.05 delivery floor — as one CSR adjacency:
+/// each station's neighbours in ascending id with the link's ETX. ETX is
+/// symmetric (`1/(p_ab · p_ba)`), so every constructor evaluates the upper
+/// triangle of station pairs once and mirrors it. A station has no link to
+/// itself.
 ///
 /// # Example
 ///
 /// ```
-/// use wmn_phy::{PhyParams, Position};
+/// use wmn_phy::{LinkModel, Position};
 /// use wmn_routing::LinkGraph;
 /// use wmn_sim::NodeId;
 ///
 /// // Three stations in a line, 5 m apart: the two-hop route wins on ETX.
 /// let g = LinkGraph::from_placement(
-///     &PhyParams::paper_216(),
+///     &LinkModel::paper(),
 ///     &[Position::new(0.0, 0.0), Position::new(5.0, 0.0), Position::new(10.0, 0.0)],
 /// );
 /// let path = g.shortest_path(NodeId::new(0), NodeId::new(2)).unwrap();
@@ -156,32 +144,6 @@ pub struct LinkGraph {
     offsets: Vec<usize>,
     /// `(neighbour, link ETX)`, ascending by neighbour id within a row.
     edges: Vec<(NodeId, f64)>,
-}
-
-/// ETX of a pair whose two directions share one delivery probability (any
-/// geometric link model: the probability is a function of the distance).
-/// `mean_rx_dbm` is the pair's mean received power.
-fn symmetric_etx(
-    params: &PhyParams,
-    mean_rx_dbm: f64,
-    a: usize,
-    b: usize,
-) -> Result<Option<f64>, EtxError> {
-    let shadowing = &params.shadowing;
-    // A NaN margin fails the comparison and takes the exact path below,
-    // which then reports it.
-    if shadowing.margin_sigmas(mean_rx_dbm, params.rx_thresh_dbm) < HOPELESS_MARGIN_SIGMAS {
-        return Ok(None);
-    }
-    let p = shadowing.probability_above(mean_rx_dbm, params.rx_thresh_dbm);
-    if !p.is_finite() {
-        return Err(EtxError::NonFinite {
-            from: NodeId::new(a as u32),
-            to: NodeId::new(b as u32),
-            value: p,
-        });
-    }
-    Ok(etx(p, p))
 }
 
 /// `1/(p_fwd · p_rev)`, or `None` if either direction is below the floor.
@@ -206,16 +168,16 @@ fn min_key(keys: &[f64]) -> f64 {
 }
 
 impl LinkGraph {
-    /// Builds the graph from the analytic shadowing-model delivery
-    /// probabilities for a station placement.
+    /// Builds the graph from `model`'s analytic delivery probabilities for
+    /// a station placement.
     ///
     /// # Panics
     ///
-    /// Panics with the [`EtxError`] message if the parameters yield a
-    /// non-finite delivery probability (a misconfigured `PhyParams` — a
+    /// Panics with the [`EtxError`] message if the model yields a
+    /// non-finite delivery probability (a misconfigured [`LinkModel`] — a
     /// programming error, not a runtime condition).
-    pub fn from_placement(params: &PhyParams, positions: &[Position]) -> Self {
-        Self::try_from_placement(params, positions).unwrap_or_else(|err| panic!("{err}"))
+    pub fn from_placement(model: &LinkModel, positions: &[Position]) -> Self {
+        Self::try_from_placement(model, positions).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Fallible form of [`LinkGraph::from_placement`]: rejects non-finite
@@ -232,15 +194,15 @@ impl LinkGraph {
     /// positive, or the radius is not finite; a NaN coordinate fails the
     /// comparison and is still reported for the same first pair.
     ///
+    /// A pair's two directions share one delivery probability (a function
+    /// of the distance), so its ETX is `1/p²`.
+    ///
     /// # Errors
     ///
     /// [`EtxError::NonFinite`] if any pair's delivery probability is NaN or
     /// infinite.
-    pub fn try_from_placement(
-        params: &PhyParams,
-        positions: &[Position],
-    ) -> Result<Self, EtxError> {
-        let radius = hopeless_radius(params);
+    pub fn try_from_placement(model: &LinkModel, positions: &[Position]) -> Result<Self, EtxError> {
+        let radius = hopeless_radius(model);
         let far_sq = radius * radius;
         Self::from_upper_triangle(positions.len(), |a, b| {
             let (pa, pb) = (positions[a], positions[b]);
@@ -250,30 +212,34 @@ impl LinkGraph {
             }
             #[cfg(test)]
             PLACEMENT_EVALUATIONS.with(|n| n.set(n.get() + 1));
-            let d = pa.distance_to(pb);
-            symmetric_etx(params, params.shadowing.mean_rx_dbm(params.tx_power_dbm, d), a, b)
+            let mean = model.mean_rx_dbm(pa.distance_to(pb));
+            // A NaN margin fails the comparison and takes the exact path
+            // below, which then reports it.
+            if model.margin_sigmas(mean, model.rx_thresh_dbm) < HOPELESS_MARGIN_SIGMAS {
+                return Ok(None);
+            }
+            let p = model.probability_above(mean, model.rx_thresh_dbm);
+            if !p.is_finite() {
+                return Err(EtxError::NonFinite {
+                    from: NodeId::new(a as u32),
+                    to: NodeId::new(b as u32),
+                    value: p,
+                });
+            }
+            Ok(etx(p, p))
         })
     }
 
-    /// Builds the graph from a [`Medium`]'s *current* link state — the entry
-    /// point of the live routing-refresh pass.
-    ///
-    /// Delivery probabilities come from the medium's cached per-pair mean
-    /// received power, which the mobility subsystem keeps bit-identical to a
-    /// full rebuild over the current placement; over an unmoved placement
-    /// this graph is therefore bit-identical to
-    /// [`LinkGraph::from_placement`] at scenario build.
+    /// [`LinkGraph::try_from_placement`] over the medium's link model and
+    /// *current* placement. Nothing in the workspace calls it: it stays, as
+    /// this one-line wrapper, for `perfbench`'s `routing.linkgraph_build`
+    /// probe.
     ///
     /// # Errors
     ///
-    /// [`EtxError::NonFinite`] if any pair's delivery probability is NaN or
-    /// infinite (a refresh caller can then keep its last-known-good routes
-    /// instead of panicking mid-run).
+    /// As [`LinkGraph::try_from_placement`].
     pub fn try_from_medium(medium: &Medium) -> Result<Self, EtxError> {
-        Self::from_upper_triangle(medium.node_count(), |a, b| {
-            let mean = medium.mean_rx_dbm(NodeId::new(a as u32), NodeId::new(b as u32));
-            symmetric_etx(medium.params(), mean, a, b)
-        })
+        Self::try_from_placement(&medium.params().link, medium.positions())
     }
 
     /// Builds a graph directly from a delivery-probability matrix (used by
@@ -462,7 +428,7 @@ mod tests {
     }
 
     fn graph(n: usize, spacing: f64) -> LinkGraph {
-        LinkGraph::from_placement(&PhyParams::paper_216(), &line(n, spacing))
+        LinkGraph::from_placement(&LinkModel::paper(), &line(n, spacing))
     }
 
     /// The dense-matrix graph this module used before the CSR adjacency,
@@ -474,14 +440,14 @@ mod tests {
     }
 
     impl DenseGraph {
-        fn from_placement(params: &PhyParams, positions: &[Position]) -> Self {
+        fn from_placement(model: &LinkModel, positions: &[Position]) -> Self {
             let n = positions.len();
             let mut delivery = vec![vec![0.0; n]; n];
             for i in 0..n {
                 for j in 0..n {
                     if i != j {
                         let d = positions[i].distance_to(positions[j]);
-                        delivery[i][j] = params.link_delivery_probability(d);
+                        delivery[i][j] = model.delivery(d);
                     }
                 }
             }
@@ -589,27 +555,25 @@ mod tests {
     fn placement_evaluates_only_the_pairs_inside_the_hopeless_radius() {
         // A 32×32 grid at 2 m: no pair sits within the radius guard of the
         // 20.35 m radius (the nearest lattice distances are 20.0 and 20.4 m).
-        let params = PhyParams::paper_216();
-        let radius = hopeless_radius(&params);
+        let model = LinkModel::paper();
+        let radius = hopeless_radius(&model);
         assert!((radius - 20.35).abs() < 0.01, "radius {radius}");
         let positions: Vec<Position> = (0..1024)
             .map(|i| Position::new((i % 32) as f64 * 2.0, (i / 32) as f64 * 2.0))
             .collect();
         // The pairs the margin test lets through to the `erf`, counted from
         // the link model itself rather than from the radius.
-        let s = &params.shadowing;
         let mut within = 0;
         for a in 0..positions.len() {
             for b in a + 1..positions.len() {
-                let mean =
-                    s.mean_rx_dbm(params.tx_power_dbm, positions[a].distance_to(positions[b]));
+                let mean = model.mean_rx_dbm(positions[a].distance_to(positions[b]));
                 within += usize::from(
-                    s.margin_sigmas(mean, params.rx_thresh_dbm) >= HOPELESS_MARGIN_SIGMAS,
+                    model.margin_sigmas(mean, model.rx_thresh_dbm) >= HOPELESS_MARGIN_SIGMAS,
                 );
             }
         }
         let before = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get);
-        let g = LinkGraph::from_placement(&params, &positions);
+        let g = LinkGraph::from_placement(&model, &positions);
         let evaluated = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get) - before;
         assert_eq!(evaluated, within);
         assert!(4 * evaluated < 1024 * 1023 / 2, "{evaluated} of 523 776 pairs evaluated");
@@ -618,7 +582,6 @@ mod tests {
 
     #[test]
     fn non_finite_probability_names_the_first_row_major_pair() {
-        use wmn_phy::Medium;
         // σ = 0 makes the margin ±∞ (probability exactly 0 or 1) for every
         // pair except one sitting exactly on the threshold, where 0/0 is
         // NaN. Pair (1, 2) is the only one 7 m apart.
@@ -628,35 +591,27 @@ mod tests {
             Position::new(5.0, 7.0),
             Position::new(40.0, 0.0),
         ];
-        let mut params = PhyParams::paper_216();
-        params.shadowing.sigma_db = 0.0;
-        params.rx_thresh_dbm = params.shadowing.mean_rx_dbm(params.tx_power_dbm, 7.0);
+        let mut model = LinkModel { sigma_db: 0.0, ..LinkModel::paper() };
+        model.rx_thresh_dbm = model.mean_rx_dbm(7.0);
         // What the dense build reported: the first non-finite entry of a
         // row-major scan of the full matrix.
-        let dense = DenseGraph::from_placement(&params, &positions);
+        let dense = DenseGraph::from_placement(&model, &positions);
         let Err(EtxError::NonFinite { from, to, value }) = validate(&dense.delivery) else {
             panic!("the dense matrix must hold a NaN");
         };
         assert_eq!((from, to), (NodeId::new(1), NodeId::new(2)));
         assert!(value.is_nan());
-        let medium = Medium::new(params.clone(), positions.clone());
-        for err in [
-            LinkGraph::try_from_medium(&medium).unwrap_err(),
-            LinkGraph::try_from_placement(&params, &positions).unwrap_err(),
-        ] {
-            match err {
-                EtxError::NonFinite { from, to, value } => {
-                    assert_eq!((from, to), (NodeId::new(1), NodeId::new(2)));
-                    assert!(value.is_nan());
-                }
-                other => panic!("expected NonFinite, got {other:?}"),
+        match LinkGraph::try_from_placement(&model, &positions).unwrap_err() {
+            EtxError::NonFinite { from, to, value } => {
+                assert_eq!((from, to), (NodeId::new(1), NodeId::new(2)));
+                assert!(value.is_nan());
             }
+            other => panic!("expected NonFinite, got {other:?}"),
         }
         // A NaN σ poisons every pair: the first one is (0, 1), and the NaN
         // margin must fall through the skip test rather than be skipped.
-        params.shadowing.sigma_db = f64::NAN;
-        let medium = Medium::new(params, positions);
-        let err = LinkGraph::try_from_medium(&medium).unwrap_err();
+        model.sigma_db = f64::NAN;
+        let err = LinkGraph::try_from_placement(&model, &positions).unwrap_err();
         assert!(
             matches!(err, EtxError::NonFinite { from, to, value }
                 if (from, to) == (NodeId::new(0), NodeId::new(1)) && value.is_nan()),
@@ -722,42 +677,16 @@ mod tests {
     }
 
     #[test]
-    fn graph_from_medium_matches_placement_bit_for_bit() {
-        use wmn_phy::Medium;
-        let params = PhyParams::paper_216();
-        let positions = line(5, 5.0);
-        let mut medium = Medium::new(params.clone(), positions.clone());
-        let built = LinkGraph::from_placement(&params, &positions);
-        let live = LinkGraph::try_from_medium(&medium).unwrap();
-        for i in 0..5u32 {
-            for j in 0..5u32 {
-                let (a, b) = (NodeId::new(i), NodeId::new(j));
-                assert_eq!(
-                    live.link_etx(a, b).to_bits(),
-                    built.link_etx(a, b).to_bits(),
-                    "unmoved medium must reproduce the build-time graph exactly"
-                );
-            }
-        }
-        // After a move the live graph tracks the new placement, again
-        // bit-identical to a from-scratch build.
-        let moved = Position::new(5.0, 30.0);
-        medium.update_node_position(NodeId::new(1), moved);
-        let mut positions = positions;
-        positions[1] = moved;
-        let rebuilt = LinkGraph::from_placement(&params, &positions);
-        let live = LinkGraph::try_from_medium(&medium).unwrap();
-        for i in 0..5u32 {
-            for j in 0..5u32 {
-                let (a, b) = (NodeId::new(i), NodeId::new(j));
-                assert_eq!(live.link_etx(a, b).to_bits(), rebuilt.link_etx(a, b).to_bits());
-            }
-        }
-        assert_ne!(
-            rebuilt.shortest_path(NodeId::new(0), NodeId::new(4)),
-            Some(vec![0, 1, 2, 3, 4].into_iter().map(NodeId::new).collect()),
-            "the moved relay must fall off the min-ETX path"
-        );
+    fn a_moved_relay_falls_off_the_min_etx_path() {
+        let mut positions = line(5, 5.0);
+        let hop_by_hop: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+        let route = |positions: &[Position]| {
+            LinkGraph::from_placement(&LinkModel::paper(), positions)
+                .shortest_path(NodeId::new(0), NodeId::new(4))
+        };
+        assert_eq!(route(&positions), Some(hop_by_hop.clone()));
+        positions[1] = Position::new(5.0, 30.0);
+        assert_ne!(route(&positions), Some(hop_by_hop), "the moved relay must fall off the path");
     }
 
     #[test]
@@ -804,16 +733,13 @@ mod tests {
             let positions: Vec<Position> = (0..cols * rows)
                 .map(|i| Position::new((i % cols) as f64 * spacing, (i / cols) as f64 * spacing))
                 .collect();
-            let params = PhyParams::paper_216();
-            let dense = DenseGraph::from_placement(&params, &positions);
+            let model = LinkModel::paper();
+            let dense = DenseGraph::from_placement(&model, &positions);
             let context = format!("grid {cols}x{rows} @ {spacing} m");
-            assert_matches_dense(&LinkGraph::from_placement(&params, &positions), &dense, &context);
-            let medium = wmn_phy::Medium::new(params, positions);
-            assert_matches_dense(&LinkGraph::try_from_medium(&medium).unwrap(), &dense, &context);
+            assert_matches_dense(&LinkGraph::from_placement(&model, &positions), &dense, &context);
         }
 
-        /// Random geometric placements, dense to partitioned, built from
-        /// the placement and from a medium that reached it by moving.
+        /// Random geometric placements, dense to partitioned.
         #[test]
         fn prop_sparse_matches_dense_on_random_placements(
             coords in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..20),
@@ -821,14 +747,9 @@ mod tests {
         ) {
             let positions: Vec<Position> =
                 coords.iter().map(|&(x, y)| Position::new(x * side, y * side)).collect();
-            let params = PhyParams::paper_216();
-            let dense = DenseGraph::from_placement(&params, &positions);
-            assert_matches_dense(&LinkGraph::from_placement(&params, &positions), &dense, "placed");
-            let mut medium = wmn_phy::Medium::new(params, vec![Position::default(); positions.len()]);
-            let moves: Vec<_> =
-                positions.iter().enumerate().map(|(i, &p)| (NodeId::new(i as u32), p)).collect();
-            medium.update_node_positions(&moves);
-            assert_matches_dense(&LinkGraph::try_from_medium(&medium).unwrap(), &dense, "moved");
+            let model = LinkModel::paper();
+            let dense = DenseGraph::from_placement(&model, &positions);
+            assert_matches_dense(&LinkGraph::from_placement(&model, &positions), &dense, "placed");
         }
 
         /// The squared-distance cut against the uncut dense oracle, with
@@ -849,16 +770,20 @@ mod tests {
             const SIGMAS: [f64; 7] = [8.0, 0.5, 1e-9, 0.0, -0.0, -8.0, f64::NAN];
             const EPSILONS: [f64; 5] = [1e-12, 1e-7, 1e-3, 0.05, 0.2];
             let (sigma, beta, thresh) = model;
-            let mut params = PhyParams::paper_216();
-            params.shadowing.sigma_db = SIGMAS[sigma];
-            params.shadowing.path_loss_exponent = [2.0, 5.0][beta];
-            params.rx_thresh_dbm = [-65.0, -80.0][thresh];
+            let model = LinkModel {
+                sigma_db: SIGMAS[sigma],
+                path_loss_exponent: [2.0, 5.0][beta],
+                rx_thresh_dbm: [-65.0, -80.0][thresh],
+                ..LinkModel::paper()
+            };
             // The edge is placed at the radius of |σ| (σ = 8 for the
             // degenerate models), where a cut applied by mistake would bite.
-            let mut edge_model = params.clone();
-            edge_model.shadowing.sigma_db = match SIGMAS[sigma] {
-                s if s > 0.0 => s,
-                _ => 8.0,
+            let edge_model = LinkModel {
+                sigma_db: match SIGMAS[sigma] {
+                    s if s > 0.0 => s,
+                    _ => 8.0,
+                },
+                ..model
             };
             let r = hopeless_radius(&edge_model);
             prop_assert!(r.is_finite());
@@ -882,10 +807,10 @@ mod tests {
                 .collect();
             let context = format!(
                 "σ {} β {} thresh {}",
-                SIGMAS[sigma], params.shadowing.path_loss_exponent, params.rx_thresh_dbm
+                SIGMAS[sigma], model.path_loss_exponent, model.rx_thresh_dbm
             );
-            let dense = DenseGraph::from_placement(&params, &positions);
-            match (validate(&dense.delivery), LinkGraph::try_from_placement(&params, &positions)) {
+            let dense = DenseGraph::from_placement(&model, &positions);
+            match (validate(&dense.delivery), LinkGraph::try_from_placement(&model, &positions)) {
                 (Ok(()), Ok(g)) => assert_matches_dense(&g, &dense, &context),
                 (Err(want), Err(got)) => {
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", context);

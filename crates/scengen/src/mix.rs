@@ -9,7 +9,7 @@
 //! seed, so composition is deterministic per `(mix, topology, seed)`.
 
 use wmn_netsim::{FlowSpec, Workload};
-use wmn_phy::PhyParams;
+use wmn_phy::LinkModel;
 use wmn_routing::LinkGraph;
 use wmn_sim::{labels, NodeId, RngDirectory, StreamRng};
 use wmn_topology::Topology;
@@ -96,7 +96,7 @@ impl TrafficMix {
     /// interior nodes double as the forwarder candidates for opportunistic
     /// schemes). Deterministic per `(self, topo, seed)`.
     ///
-    /// Builds the placement's [`LinkGraph`] under `params`;
+    /// Builds the placement's [`LinkGraph`] under `model`;
     /// [`crate::ScenarioSpec::materialise`] skips that build when the
     /// topology generator already holds the same graph.
     ///
@@ -108,10 +108,10 @@ impl TrafficMix {
     pub fn compose(
         &self,
         topo: &Topology,
-        params: &PhyParams,
+        model: &LinkModel,
         seed: u64,
     ) -> Result<Vec<FlowSpec>, String> {
-        self.compose_over(topo, &LinkGraph::from_placement(params, &topo.positions), seed)
+        self.compose_over(topo, &LinkGraph::from_placement(model, &topo.positions), seed)
     }
 
     /// [`TrafficMix::compose`] over a link graph of `topo`'s placement the
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn compose_honours_flow_counts_and_order() {
-        let flows = mix().compose(&grid(), &PhyParams::paper_216(), 3).unwrap();
+        let flows = mix().compose(&grid(), &LinkModel::paper(), 3).unwrap();
         assert_eq!(flows.len(), 5);
         assert!(matches!(flows[0].workload, Workload::Ftp));
         assert!(matches!(flows[1].workload, Workload::Ftp));
@@ -271,19 +271,19 @@ mod tests {
     #[test]
     fn compose_is_deterministic_per_seed() {
         let topo = grid();
-        let params = PhyParams::paper_216();
-        let a = mix().compose(&topo, &params, 9).unwrap();
-        let b = mix().compose(&topo, &params, 9).unwrap();
+        let model = LinkModel::paper();
+        let a = mix().compose(&topo, &model, 9).unwrap();
+        let b = mix().compose(&topo, &model, 9).unwrap();
         let paths = |fs: &[FlowSpec]| fs.iter().map(|f| f.path.clone()).collect::<Vec<_>>();
         assert_eq!(paths(&a), paths(&b));
-        let c = mix().compose(&topo, &params, 10).unwrap();
+        let c = mix().compose(&topo, &model, 10).unwrap();
         assert_ne!(paths(&a), paths(&c), "different seeds should draw different pairs");
     }
 
     #[test]
     fn gateway_policy_sinks_everything_at_node_zero() {
         let mix = TrafficMix { pairing: PairPolicy::Gateway, ..mix() };
-        let flows = mix.compose(&grid(), &PhyParams::paper_216(), 5).unwrap();
+        let flows = mix.compose(&grid(), &LinkModel::paper(), 5).unwrap();
         for f in &flows {
             assert_eq!(*f.path.last().unwrap(), NodeId::new(0));
             assert_ne!(f.path[0], NodeId::new(0));
@@ -295,7 +295,7 @@ mod tests {
         let line =
             TopologySpec::PerturbedLine { nodes: 6, spacing_m: 5.0, jitter_m: 0.2 }.generate(2);
         let mix = TrafficMix { ftp: 3, web: 0, voip: 0, cbr: 0, pairing: PairPolicy::FarPairs };
-        let flows = mix.compose(&line, &PhyParams::paper_216(), 1).unwrap();
+        let flows = mix.compose(&line, &LinkModel::paper(), 1).unwrap();
         assert!(
             flows.iter().any(|f| f.path.len() >= 4),
             "far-pairs on a 6-node line should find a 3+-hop route"
@@ -305,9 +305,9 @@ mod tests {
     #[test]
     fn empty_mix_and_tiny_topologies_are_rejected() {
         let empty = TrafficMix { ftp: 0, web: 0, voip: 0, cbr: 0, pairing: PairPolicy::Random };
-        assert!(empty.compose(&grid(), &PhyParams::paper_216(), 1).is_err());
+        assert!(empty.compose(&grid(), &LinkModel::paper(), 1).is_err());
         let lonely = Topology::new("one", vec![wmn_phy::Position::new(0.0, 0.0)]);
-        assert!(mix().compose(&lonely, &PhyParams::paper_216(), 1).is_err());
+        assert!(mix().compose(&lonely, &LinkModel::paper(), 1).is_err());
     }
 
     #[test]

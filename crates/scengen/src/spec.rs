@@ -9,14 +9,14 @@
 //! materialisation is deterministic, so a spec file pins a run exactly.
 
 use wmn_netsim::{Scenario, Scheme};
-use wmn_phy::PhyParams;
+use wmn_phy::{LinkModel, PhyParams};
 use wmn_routing::LinkGraph;
 use wmn_sim::SimDuration;
 
 use crate::json::Value;
 use crate::mix::TrafficMix;
 use crate::mobility::MobilitySpec;
-use crate::topo::{connectivity_params, TopologySpec};
+use crate::topo::TopologySpec;
 
 /// The PHY parameter preset a spec runs under (Table I of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,12 +168,11 @@ impl ScenarioSpec {
     ///
     /// One [`LinkGraph`] is built per call. The random-geometric and campus
     /// generators keep the graph their connectivity check built, and the
-    /// flows are routed over it whenever the scenario's link model (transmit
-    /// power, receive threshold and the four shadowing fields) is bit for bit
-    /// the one connectivity is judged under — every [`PhyPreset`], with or
-    /// without a `ber` override. Otherwise, and for the grid and the
-    /// perturbed line, the flows get a graph of their own, as
-    /// [`TrafficMix::compose`] builds it.
+    /// flows are routed over it whenever the scenario's link model is bit for
+    /// bit [`LinkModel::paper`], the one connectivity is judged under — every
+    /// [`PhyPreset`], with or without a `ber` override. Otherwise, and for
+    /// the grid and the perturbed line, the flows get a graph of their own,
+    /// as [`TrafficMix::compose`] builds it.
     ///
     /// # Errors
     ///
@@ -194,8 +193,8 @@ impl ScenarioSpec {
         let (topo, graph) = self.topology.generate_with_graph(self.seed).map_err(err)?;
         let params = self.phy.params(self.ber);
         let graph = match graph {
-            Some(graph) if same_link_model(&params, &connectivity_params()) => graph,
-            _ => LinkGraph::from_placement(&params, &topo.positions),
+            Some(graph) if params.link == LinkModel::paper() => graph,
+            _ => LinkGraph::from_placement(&params.link, &topo.positions),
         };
         let flows = self.mix.compose_over(&topo, &graph, self.seed).map_err(err)?;
         let motion = self.mobility.expand(&topo.positions, self.seed);
@@ -301,25 +300,6 @@ impl ScenarioSpec {
     pub fn parse(text: &str) -> Result<Self, String> {
         ScenarioSpec::from_json(&crate::json::parse(text)?)
     }
-}
-
-/// Whether `a` and `b` give every placement the same [`LinkGraph`]: the
-/// fields it reads, compared by bit pattern (σ = 0.0 and −0.0 compare equal
-/// but give every margin the opposite sign).
-fn same_link_model(a: &PhyParams, b: &PhyParams) -> bool {
-    let bits = |p: &PhyParams| {
-        let s = &p.shadowing;
-        [
-            p.tx_power_dbm,
-            p.rx_thresh_dbm,
-            s.path_loss_exponent,
-            s.sigma_db,
-            s.reference_distance,
-            s.pl_at_reference_db,
-        ]
-        .map(f64::to_bits)
-    };
-    bits(a) == bits(b)
 }
 
 // Field-decoding helpers shared by every spec module (`context` names the
@@ -493,7 +473,7 @@ mod tests {
         for case in cases {
             let scenario = case.materialise().unwrap();
             let topo = case.topology.generate(case.seed);
-            let composed = case.mix.compose(&topo, &scenario.params, case.seed).unwrap();
+            let composed = case.mix.compose(&topo, &scenario.params.link, case.seed).unwrap();
             assert_eq!(
                 format!("{:?}", scenario.flows),
                 format!("{composed:?}"),
@@ -503,27 +483,6 @@ mod tests {
                 case.ber
             );
         }
-    }
-
-    #[test]
-    fn link_models_match_by_bits() {
-        let connectivity = connectivity_params();
-        for phy in [PhyPreset::Mbps216, PhyPreset::Mbps6] {
-            for ber in [None, Some(1e-5)] {
-                assert!(same_link_model(&phy.params(ber), &connectivity), "{phy:?} {ber:?}");
-            }
-        }
-        let mut other = PhyParams::paper_216();
-        other.rx_thresh_dbm = -70.0;
-        assert!(!same_link_model(&other, &connectivity));
-        let mut other = PhyParams::paper_216();
-        other.shadowing.path_loss_exponent = 4.0;
-        assert!(!same_link_model(&other, &connectivity));
-        // Equal by `==`, opposite margins: not the same model.
-        let (mut zero, mut negative_zero) = (PhyParams::paper_216(), PhyParams::paper_216());
-        zero.shadowing.sigma_db = 0.0;
-        negative_zero.shadowing.sigma_db = -0.0;
-        assert!(!same_link_model(&zero, &negative_zero));
     }
 
     #[test]

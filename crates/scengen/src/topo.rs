@@ -13,7 +13,7 @@
 //! placement is radio-connected, so every emitted topology can actually
 //! route traffic.
 
-use wmn_phy::{PhyParams, Position};
+use wmn_phy::{LinkModel, Position};
 use wmn_routing::LinkGraph;
 use wmn_sim::labels::{self, Family};
 use wmn_sim::{NodeId, RngDirectory, StreamRng};
@@ -192,7 +192,7 @@ impl TopologySpec {
     }
 
     /// [`TopologySpec::try_generate`], plus the connectivity graph of the
-    /// placement it accepted (built over [`connectivity_params`]) for the
+    /// placement it accepted (built over [`LinkModel::paper`]) for the
     /// families that regenerate until connected; the grid and the perturbed
     /// line build none.
     pub(crate) fn generate_with_graph(
@@ -323,7 +323,7 @@ fn connected_placement(
 ) -> Result<(Vec<Position>, Option<LinkGraph>), String> {
     for attempt in 0..CONNECT_ATTEMPTS {
         let positions = place(&mut dir.indexed_stream(attempts, attempt));
-        let graph = LinkGraph::from_placement(&connectivity_params(), &positions);
+        let graph = LinkGraph::from_placement(&LinkModel::paper(), &positions);
         if spans(&graph) {
             return Ok((positions, Some(graph)));
         }
@@ -335,23 +335,16 @@ fn connected_placement(
     ))
 }
 
-/// The link model connectivity is judged under: the Table I shadowing
-/// model of the 216 Mbps preset, whatever PHY rate a scenario later picks
-/// (connectivity is a property of the placement geometry).
-pub(crate) fn connectivity_params() -> PhyParams {
-    PhyParams::paper_216()
-}
-
 /// Whether every station can reach every other over usable links (finite
-/// ETX in both directions under [`PhyParams::paper_216`]'s shadowing model —
-/// connectivity is a property of the placement geometry, so that preset's
-/// link model is used regardless of the PHY rate a scenario later picks).
+/// ETX in both directions under [`LinkModel::paper`] — connectivity is a
+/// property of the placement geometry, so the paper's link model is used
+/// whatever a scenario later sets).
 ///
 /// Builds one [`LinkGraph`]. The generators keep the graph of the placement
 /// they accept, and [`crate::ScenarioSpec::materialise`] routes over it when
-/// the scenario's link model is that preset's.
+/// the scenario's link model is the paper's.
 pub fn is_connected(positions: &[Position]) -> bool {
-    spans(&LinkGraph::from_placement(&connectivity_params(), positions))
+    spans(&LinkGraph::from_placement(&LinkModel::paper(), positions))
 }
 
 /// Whether `graph` has at least one station and every station reaches

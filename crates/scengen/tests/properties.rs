@@ -4,7 +4,7 @@
 //! bounds, and composed traffic always satisfies the NodeId contract.
 
 use proptest::prelude::*;
-use wmn_phy::PhyParams;
+use wmn_phy::LinkModel;
 use wmn_scengen::{is_connected, PairPolicy, TopologySpec, TrafficMix};
 use wmn_sim::NodeId;
 
@@ -102,10 +102,10 @@ proptest! {
     ) {
         let topo = TopologySpec::RandomGeometric { nodes, side_m: 7.0 * (nodes as f64).sqrt() }
             .generate(seed);
-        let params = PhyParams::paper_216();
+        let model = LinkModel::paper();
         for pairing in [PairPolicy::Random, PairPolicy::Gateway, PairPolicy::FarPairs] {
             let mix = TrafficMix { ftp, web: 1, voip, cbr: 1, pairing };
-            let flows = mix.compose(&topo, &params, seed).unwrap();
+            let flows = mix.compose(&topo, &model, seed).unwrap();
             prop_assert_eq!(flows.len(), mix.flow_count());
             for flow in &flows {
                 prop_assert!(flow.path.len() >= 2);

@@ -72,20 +72,18 @@ pub fn hidden_flow_endpoints(k: usize) -> (NodeId, NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_phy::PhyParams;
+    use wmn_phy::LinkModel;
 
     #[test]
     fn cell_is_fully_connected() {
         let t = single_cell(10);
-        let p = PhyParams::paper_216();
+        let p = LinkModel::paper();
         for a in 0..t.node_count() {
             for b in 0..t.node_count() {
                 if a == b {
                     continue;
                 }
-                let q = p.link_delivery_probability(
-                    t.distance(NodeId::new(a as u32), NodeId::new(b as u32)),
-                );
+                let q = p.delivery(t.distance(NodeId::new(a as u32), NodeId::new(b as u32)));
                 assert!(q > 0.85, "cell stations must all hear each other: {a}-{b} {q}");
             }
         }
@@ -94,20 +92,20 @@ mod tests {
     #[test]
     fn hidden_sources_are_hidden_from_flow1_source_but_interfere_downstream() {
         let t = hidden_terminals(9);
-        let p = PhyParams::paper_216();
+        let p = LinkModel::paper();
         for k in 0..9 {
             let (hs, hd) = hidden_flow_endpoints(k);
             // Rarely sensed by station 0…
-            let sense_at_source = p.sense_probability(t.distance(NodeId::new(0), hs));
+            let sense_at_source = p.sensing(t.distance(NodeId::new(0), hs));
             assert!(sense_at_source < 0.3, "hidden source {k} too audible: {sense_at_source}");
             // …but partially inside the destination's interference range.
-            let sense_at_dest = p.sense_probability(t.distance(NodeId::new(3), hs));
+            let sense_at_dest = p.sensing(t.distance(NodeId::new(3), hs));
             assert!(
                 (0.2..0.9).contains(&sense_at_dest),
                 "hidden source {k} should interfere at station 3 part-time: {sense_at_dest}"
             );
             // And each hidden pair is a good link.
-            let pair = p.link_delivery_probability(t.distance(hs, hd));
+            let pair = p.delivery(t.distance(hs, hd));
             assert!(pair > 0.9, "hidden pair {k} must be a clean link: {pair}");
         }
     }
@@ -115,10 +113,10 @@ mod tests {
     #[test]
     fn main_chain_is_strong() {
         let t = hidden_terminals(0);
-        let p = PhyParams::paper_216();
+        let p = LinkModel::paper();
         let chain = hidden_main_path();
         for w in chain.windows(2) {
-            let q = p.link_delivery_probability(t.distance(w[0], w[1]));
+            let q = p.delivery(t.distance(w[0], w[1]));
             assert!(q > 0.9);
         }
     }

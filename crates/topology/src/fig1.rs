@@ -92,7 +92,7 @@ pub fn flow_endpoints(flow: usize) -> (NodeId, NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_phy::PhyParams;
+    use wmn_phy::LinkModel;
 
     #[test]
     fn table2_routes_match_paper() {
@@ -118,10 +118,8 @@ mod tests {
     #[test]
     fn link_quality_calibration() {
         let t = topology();
-        let p = PhyParams::paper_216();
-        let quality = |a: u32, b: u32| {
-            p.link_delivery_probability(t.distance(NodeId::new(a), NodeId::new(b)))
-        };
+        let p = LinkModel::paper();
+        let quality = |a: u32, b: u32| p.delivery(t.distance(NodeId::new(a), NodeId::new(b)));
         // ROUTE0 hops are strong.
         for (a, b) in [(0, 1), (1, 2), (2, 3), (2, 4), (5, 6), (6, 1), (1, 7)] {
             assert!(quality(a, b) > 0.88, "link {a}-{b} should be strong: {}", quality(a, b));

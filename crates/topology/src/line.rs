@@ -46,22 +46,22 @@ pub fn cross_path(hops: usize) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_phy::PhyParams;
+    use wmn_phy::LinkModel;
 
     #[test]
     fn chain_links_strong_ends_disconnected() {
-        let p = PhyParams::paper_216();
+        let p = LinkModel::paper();
         for hops in 2..=7 {
             let t = line(hops, false);
             for w in main_path(hops).windows(2) {
-                assert!(p.link_delivery_probability(t.distance(w[0], w[1])) > 0.9);
+                assert!(p.delivery(t.distance(w[0], w[1])) > 0.9);
             }
         }
         // 6+ hops: source and destination cannot hear each other.
         let t = line(6, false);
-        let q = p.link_delivery_probability(t.distance(NodeId::new(0), NodeId::new(6)));
+        let q = p.delivery(t.distance(NodeId::new(0), NodeId::new(6)));
         assert!(q < 0.01, "30 m endpoints must be disconnected: {q}");
-        assert!(p.sense_probability(t.distance(NodeId::new(0), NodeId::new(6))) < 0.1);
+        assert!(p.sensing(t.distance(NodeId::new(0), NodeId::new(6))) < 0.1);
     }
 
     #[test]
@@ -72,10 +72,10 @@ mod tests {
             assert_eq!(cross.len(), 4, "3-hop cross flow");
             let mid = cross[1];
             assert!(mid.index() <= hops, "cross flow relays through a chain station");
-            let p = PhyParams::paper_216();
+            let p = LinkModel::paper();
             for w in cross.windows(2) {
                 assert!(
-                    p.link_delivery_probability(t.distance(w[0], w[1])) > 0.8,
+                    p.delivery(t.distance(w[0], w[1])) > 0.8,
                     "cross link {}-{} must be usable",
                     w[0],
                     w[1]

@@ -8,7 +8,7 @@
 //! the tests pin down that 3/4/5-hop pairs exist and that hidden pairs can
 //! be selected near each destination.
 
-use wmn_phy::{PhyParams, Position};
+use wmn_phy::{LinkModel, Position};
 use wmn_routing::LinkGraph;
 use wmn_sim::{labels, NodeId, RngDirectory};
 
@@ -37,9 +37,9 @@ pub fn topology() -> Topology {
     Topology::new("roofnet", positions)
 }
 
-/// The ETX link graph of the synthetic Roofnet under `params`.
-pub fn link_graph(params: &PhyParams) -> LinkGraph {
-    LinkGraph::from_placement(params, &topology().positions)
+/// The ETX link graph of the synthetic Roofnet under `model`.
+pub fn link_graph(model: &LinkModel) -> LinkGraph {
+    LinkGraph::from_placement(model, &topology().positions)
 }
 
 /// Finds up to `count` station pairs exactly `hops` ETX-hops apart,
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn pairs_exist_for_3_4_5_hops() {
-        let g = link_graph(&PhyParams::paper_216());
+        let g = link_graph(&LinkModel::paper());
         for hops in 3..=5 {
             let pairs = pairs_with_hops(&g, hops, 2);
             assert_eq!(pairs.len(), 2, "need two {hops}-hop test pairs (Fig. 12 labels)");
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn hidden_pairs_selectable_for_long_flows() {
         let t = topology();
-        let g = link_graph(&PhyParams::paper_216());
+        let g = link_graph(&LinkModel::paper());
         let mut found = 0;
         for (s, d) in pairs_with_hops(&g, 4, 2) {
             let path = g.shortest_path(s, d).unwrap();

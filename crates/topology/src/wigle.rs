@@ -49,12 +49,12 @@ pub fn flow_pairs() -> Vec<(NodeId, NodeId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_phy::PhyParams;
+    use wmn_phy::LinkModel;
     use wmn_routing::LinkGraph;
 
     fn graph() -> LinkGraph {
         let t = topology();
-        LinkGraph::from_placement(&PhyParams::paper_216(), &t.positions)
+        LinkGraph::from_placement(&LinkModel::paper(), &t.positions)
     }
 
     #[test]
@@ -76,21 +76,21 @@ mod tests {
     #[test]
     fn hidden_pair_is_a_clean_link() {
         let t = topology();
-        let p = PhyParams::paper_216();
-        let q = p.link_delivery_probability(t.distance(HIDDEN_SRC, HIDDEN_DST));
+        let p = LinkModel::paper();
+        let q = p.delivery(t.distance(HIDDEN_SRC, HIDDEN_DST));
         assert!(q > 0.9, "S-R must be a clean link: {q}");
     }
 
     #[test]
     fn hidden_source_is_hidden_from_far_stations_but_interferes_nearby() {
         let t = topology();
-        let p = PhyParams::paper_216();
+        let p = LinkModel::paper();
         // Station 0 rarely senses S…
-        let far = p.sense_probability(t.distance(NodeId::new(0), HIDDEN_SRC));
+        let far = p.sensing(t.distance(NodeId::new(0), HIDDEN_SRC));
         assert!(far < 0.25, "S should be (mostly) hidden from station 0: {far}");
         // …but stations 5/6 are inside its interference range.
         for near in [5u32, 6] {
-            let q = p.sense_probability(t.distance(NodeId::new(near), HIDDEN_SRC));
+            let q = p.sensing(t.distance(NodeId::new(near), HIDDEN_SRC));
             assert!(q > 0.5, "S must interfere at station {near}: {q}");
         }
     }

@@ -14,7 +14,7 @@ use wmn_topology::roofnet;
 fn main() {
     let topo = roofnet::topology();
     let params = PhyParams::paper_216();
-    let graph = roofnet::link_graph(&params);
+    let graph = roofnet::link_graph(&params.link);
 
     // The gateway is the mesh's corner station; pick three houses at
     // increasing depths.

@@ -2,7 +2,7 @@
 //! → transport → application, driven through the public `wmn-netsim` API.
 
 use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
-use wmn_phy::{PhyParams, Position};
+use wmn_phy::{LinkModel, PhyParams, Position};
 use wmn_routing::{forwarder_list, LinkGraph};
 use wmn_sim::{NodeId, SimDuration};
 use wmn_topology::{collision, fig1, line, roofnet, wigle};
@@ -137,7 +137,7 @@ fn seven_hop_chain_delivers_via_forwarders_only() {
 #[test]
 fn wigle_flows_route_and_run() {
     let topo = wigle::topology();
-    let graph = LinkGraph::from_placement(&PhyParams::paper_216(), &topo.positions);
+    let graph = LinkGraph::from_placement(&LinkModel::paper(), &topo.positions);
     let (src, dst) = wigle::flow_pairs()[0];
     let path = graph.shortest_path(src, dst).unwrap();
     let s = scenario(
@@ -152,7 +152,7 @@ fn wigle_flows_route_and_run() {
 #[test]
 fn roofnet_five_hop_flow_runs() {
     let topo = roofnet::topology();
-    let graph = roofnet::link_graph(&PhyParams::paper_216());
+    let graph = roofnet::link_graph(&LinkModel::paper());
     let (src, dst) = roofnet::pairs_with_hops(&graph, 5, 1)[0];
     let path = graph.shortest_path(src, dst).unwrap();
     let s = scenario(
