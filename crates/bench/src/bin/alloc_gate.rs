@@ -25,13 +25,19 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
+//! Two rows gate work rather than allocations, through the same file and the
+//! same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
+//! variates computed in full per planner pair on the 1024-station medium
+//! and per frame on the dense neighbourhood, so a planner or capture rule
+//! that stops deciding from the draw's bounds breaches both.
+//!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
-use wmn_alloc::{AllocStats, Phase};
+use wmn_alloc::{AllocStats, Phase, Work};
 use wmn_bench::{
     dense_neighbourhood_scenario, fig6_class_mobile_scenario, fig6_class_scenario, grid_positions,
 };
@@ -279,12 +285,21 @@ fn medium_build() -> Entry<'static> {
     }
 }
 
+/// This thread's work counters, `after` minus `before`, for one counter.
+fn work_delta(before: [u64; Work::COUNT], work: Work) -> u64 {
+    wmn_alloc::work_totals()[work as usize] - before[work as usize]
+}
+
 /// The same medium plus one transmission from each of 16 stations spread
 /// over the grid: the peak is the 16 transmitters' rows (16 KiB each) and
 /// the plan buffer, so a medium that builds rows nobody reads breaches it.
-fn medium_plan() -> Entry<'static> {
+/// The same calls read the planner's full variates per pair walked: a
+/// planner that computes the variate where the draw's bounds already
+/// decide breaches that row.
+fn medium_plan() -> [Entry<'static>; 2] {
     let positions = grid_positions(32, 2.0);
     let mut rng = RngDirectory::new(7).stream(labels::MEDIUM);
+    let work = wmn_alloc::work_totals();
     let (sensed, stats) = wmn_alloc::measure(|| {
         let medium = Medium::new(PhyParams::paper_216(), positions);
         let mut plans = Vec::new();
@@ -296,11 +311,17 @@ fn medium_plan() -> Entry<'static> {
         sensed
     });
     assert!(sensed > 0, "a 2 m grid senses every transmission somewhere");
-    Entry {
-        bench: "medium_plan_1024_k16",
-        metric: "peak_bytes",
-        value: stats.peak_bytes_in_use as f64,
-    }
+    let pairs = work_delta(work, Work::PlannerPairs);
+    assert_eq!(pairs, 16 * 1023, "one pair walked per other station per call");
+    let bench = "medium_plan_1024_k16";
+    [
+        Entry { bench, metric: "peak_bytes", value: stats.peak_bytes_in_use as f64 },
+        Entry {
+            bench,
+            metric: "variates_per_pair",
+            value: work_delta(work, Work::Variates) as f64 / pairs as f64,
+        },
+    ]
 }
 
 /// One `ScenarioSpec::campus_scale().materialise()`: the connected
@@ -316,11 +337,14 @@ fn materialise_campus() -> Entry<'static> {
 }
 
 /// One end-to-end run: allocations per frame on the air (data + ACK) and
-/// the live-bytes peak. Returns the run's allocations split
-/// by the engine's phase scopes (scenario build and result collection stay
-/// unattributed), so that a breach names where the new traffic comes from.
+/// the live-bytes peak, and for the dense neighbourhood the shadowing
+/// variates computed in full per frame (planner and capture rule). Returns
+/// the run's allocations split by the engine's phase scopes (scenario build
+/// and result collection stay unattributed), so that a breach names where
+/// the new traffic comes from.
 fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'static>>) -> String {
     let before = wmn_alloc::phase_totals();
+    let work = wmn_alloc::work_totals();
     let (result, stats) = wmn_alloc::measure(|| run(scenario));
     let after = wmn_alloc::phase_totals();
     assert!(result.flows[0].delivered_bytes > 0, "{bench}: run made no progress");
@@ -332,12 +356,23 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
         value: stats.allocs as f64 / frames as f64,
     });
     out.push(Entry { bench, metric: "peak_bytes", value: stats.peak_bytes_in_use as f64 });
+    if bench == DENSE {
+        let variates = work_delta(work, Work::Variates);
+        out.push(Entry {
+            bench,
+            metric: "variates_per_frame",
+            value: variates as f64 / frames as f64,
+        });
+    }
     let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
         .iter()
         .map(|&p| format!("{} {}", p.label(), after[p as usize].allocs - before[p as usize].allocs))
         .collect();
     format!("{bench}: {} allocs over {frames} frames — {}", stats.allocs, split.join(", "))
 }
+
+/// The end-to-end row that also gates full variates per frame.
+const DENSE: &str = "dense_neighbourhood_end_to_end";
 
 /// The MAC configurations the fig-6 class runs under: `RippleMac`, `DcfMac`
 /// plain and aggregated, `ExorMac` in both ACK modes.
@@ -359,18 +394,17 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
         .map(|(bench, scheme)| (bench, fig6_class_scenario(5, scheme, E2E_DURATION)))
         .into();
     scenarios.push(("fig6_class_mobile_end_to_end", fig6_class_mobile_scenario(5, E2E_DURATION)));
-    scenarios
-        .push(("dense_neighbourhood_end_to_end", dense_neighbourhood_scenario(DENSE_DURATION)));
-    let mut out = vec![
-        medium_build(),
-        medium_plan(),
+    scenarios.push((DENSE, dense_neighbourhood_scenario(DENSE_DURATION)));
+    let mut out = vec![medium_build()];
+    out.extend(medium_plan());
+    out.extend([
         route_refresh_pass(),
         materialise_campus(),
         saturated_queue(),
         event_churn_recycled(),
         run_churn_recycled(),
         clean_decode(),
-    ];
+    ]);
     let splits =
         scenarios.iter().map(|(bench, scenario)| end_to_end(bench, scenario, &mut out)).collect();
     (out, splits)
@@ -417,8 +451,9 @@ fn check(measured: &[Entry], budgets: &[Entry]) -> Vec<String> {
                 m.bench, m.metric
             )),
             Some(b) if m.value > b.value => failures.push(format!(
-                "{} {}: {} exceeds the committed ceiling {} — a steady-state path \
-                 started allocating again (raise the ceiling only if that is intended)",
+                "{} {}: {} exceeds the committed ceiling {} — a gated path started \
+                 allocating or computing more again (raise the ceiling only if that is \
+                 intended)",
                 m.bench, m.metric, m.value, b.value
             )),
             Some(_) => {}
@@ -488,7 +523,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 22);
+        assert_eq!(budgets.len(), 24);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

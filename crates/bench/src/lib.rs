@@ -3,6 +3,10 @@
 //! `ci/alloc_budget.json`. Time is not measured in this crate: `perfbench/`
 //! is the benchmark of record.
 
+pub mod layouts;
+
+pub use layouts::{blackout_scenario, lossy_scenario};
+
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
 use wmn_sim::{NodeId, SimDuration, SimTime};

@@ -6,16 +6,21 @@
 //! The cases are the six schemes over the fig-6(b)-class scenario with 0
 //! and 5 hidden senders, its mobile variant with a 50 ms route refresh, a
 //! drifting relay with a 50 ms route refresh (the layout whose routes do
-//! change mid-run), and the dense neighbourhood, each in both result
-//! families. A change that
+//! change mid-run), the dense neighbourhood, the lossy hidden-terminal
+//! layout, the RTO blackout, and the 4×16 campus that perfbench's smoke
+//! scale runs, each in both result families. A change that
 //! claims to be exact must leave the file as it is. On a mismatch the test
 //! names the cases that moved and prints the whole file as this build
 //! computes it, so an intended behaviour change updates it by copy-paste
 //! (and says so in its description).
 
-use wmn_bench::{dense_neighbourhood_scenario, fig6_class_mobile_scenario, fig6_class_scenario};
+use wmn_bench::{
+    blackout_scenario, dense_neighbourhood_scenario, fig6_class_mobile_scenario,
+    fig6_class_scenario, lossy_scenario,
+};
 use wmn_netsim::{run_traced, FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
+use wmn_scengen::{ScenarioSpec, TopologySpec};
 use wmn_sim::{NodeId, SimDuration};
 use wmn_traffic::CbrModel;
 
@@ -66,6 +71,22 @@ fn drifting_relay(scheme: Scheme) -> Scenario {
     }
 }
 
+/// `ScenarioSpec::campus_scale()` shrunk to perfbench's smoke size: four
+/// clusters of 16 stations in a 20 m square, 20 ms, routed for `scheme`.
+fn smoke_campus(scheme: Scheme) -> Scenario {
+    let mut spec = ScenarioSpec::campus_scale();
+    spec.topology = TopologySpec::Campus {
+        clusters: 4,
+        nodes_per_cluster: 16,
+        cluster_radius_m: 3.0,
+        side_m: 20.0,
+    };
+    spec.scheme = scheme;
+    let mut scenario = spec.materialise().expect("the smoke campus materialises");
+    scenario.duration = SimDuration::from_millis(20);
+    scenario
+}
+
 /// Every case, named `<layout>/<scheme>/<family>`.
 fn cases() -> Vec<(String, Scenario)> {
     let ms = SimDuration::from_millis;
@@ -83,6 +104,9 @@ fn cases() -> Vec<(String, Scenario)> {
             ("fig6-mobile-refresh50", mobile),
             ("drifting-relay-refresh50", drifting_relay(scheme)),
             ("dense-16x16", dense),
+            ("lossy", Scenario { scheme, ..lossy_scenario() }),
+            ("blackout", Scenario { scheme, ..blackout_scenario() }),
+            ("campus-4x16", smoke_campus(scheme)),
         ];
         for (layout, scenario) in layouts {
             for (family, shards) in [("legacy", None), ("per-entity", Some(1))] {
@@ -96,19 +120,26 @@ fn cases() -> Vec<(String, Scenario)> {
     cases
 }
 
-/// The corpus file as this build computes it.
+/// The corpus file as this build computes it. The cases run on two threads,
+/// one half each (the halves cost about the same: schemes are the outer
+/// loop), and the rows come back in case order.
 fn render() -> String {
-    let rows: Vec<String> = cases()
-        .iter()
-        .map(|(name, scenario)| {
-            let (result, trace) = run_traced(scenario);
-            format!(
-                "    {{ \"case\": \"{name}\", \"result\": {}, \"trace\": {} }}",
-                digest(&result),
-                digest(&trace)
-            )
-        })
-        .collect();
+    let row = |(name, scenario): &(String, Scenario)| {
+        let (result, trace) = run_traced(scenario);
+        format!(
+            "    {{ \"case\": \"{name}\", \"result\": {}, \"trace\": {} }}",
+            digest(&result),
+            digest(&trace)
+        )
+    };
+    let cases = cases();
+    let (first, second) = cases.split_at(cases.len() / 2);
+    let rows: Vec<String> = std::thread::scope(|scope| {
+        let other = scope.spawn(|| second.iter().map(row).collect::<Vec<_>>());
+        let mut rows: Vec<String> = first.iter().map(row).collect();
+        rows.extend(other.join().expect("a corpus case panicked"));
+        rows
+    });
     format!(
         "{{\n  \"artefact\": \"exact_corpus\",\n  \"comment\": \"FNV-1a 32 of the Debug \
          rendering of each case's RunResult and Trace; checked by crates/bench/tests/\

@@ -24,6 +24,13 @@
 //! The counters are process-wide: [`measure`] reports deltas, so it is only
 //! meaningful when nothing else allocates concurrently (`alloc_gate` is
 //! single-threaded while measuring).
+//!
+//! Beside the allocation counters sit [`Work`] counters: exact counts of
+//! the simulator's own units of work (planner pairs walked, shadowing
+//! variates computed), bumped with [`count_work`] on the thread that does
+//! the work and read back with [`work_totals`]. They are the same kind of
+//! gate input as an allocation count, and compile to nothing without the
+//! `count` feature.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "count")]
@@ -51,6 +58,9 @@ thread_local! {
     /// `Cell<u8>` so reading it from inside the allocator never allocates
     /// (no lazy TLS init, no destructor registration).
     static CURRENT_PHASE: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+    /// This thread's [`Work`] counts, const-initialised for the same reason.
+    static WORK: [std::cell::Cell<u64>; Work::COUNT] =
+        const { [std::cell::Cell::new(0), std::cell::Cell::new(0)] };
 }
 
 /// A [`System`]-backed allocator that counts calls and bytes when the
@@ -218,6 +228,64 @@ pub fn phase_totals() -> [PhaseStats; Phase::COUNT] {
     out
 }
 
+/// A unit of simulator work with an exact counter (see the crate docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Work {
+    /// Station pairs the medium's planner walked: one per other station per
+    /// planned transmission.
+    PlannerPairs = 0,
+    /// Shadowing variates computed in full (the Box–Muller logarithm, root
+    /// and cosine): by the planner where a draw's bounds straddle a
+    /// threshold, and by the capture rule where two arrivals' bounds
+    /// straddle its margin.
+    Variates = 1,
+}
+
+impl Work {
+    /// Number of work counters.
+    pub const COUNT: usize = 2;
+
+    /// Every counter, in [`work_totals`] order.
+    pub const ALL: [Work; Work::COUNT] = [Work::PlannerPairs, Work::Variates];
+
+    /// Stable snake_case key for reports.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Work::PlannerPairs => "planner_pairs",
+            Work::Variates => "variates",
+        }
+    }
+}
+
+/// Adds `n` to this thread's `work` counter. Compiled to nothing without
+/// the `count` feature.
+#[inline]
+pub fn count_work(work: Work, n: u64) {
+    #[cfg(feature = "count")]
+    WORK.with(|counts| {
+        let count = &counts[work as usize];
+        count.set(count.get() + n);
+    });
+    #[cfg(not(feature = "count"))]
+    let _ = (work, n);
+}
+
+/// This thread's cumulative work counts, indexed like [`Work::ALL`]; all
+/// zero without the `count` feature. Snapshot before and after a region
+/// and subtract.
+pub fn work_totals() -> [u64; Work::COUNT] {
+    #[allow(unused_mut)]
+    let mut out = [0; Work::COUNT];
+    #[cfg(feature = "count")]
+    WORK.with(|counts| {
+        for (slot, count) in out.iter_mut().zip(counts) {
+            *slot = count.get();
+        }
+    });
+    out
+}
+
 /// Runs `f` and reports the allocator activity it caused. Deltas are exact
 /// only while nothing else allocates concurrently — measure single-threaded
 /// regions.
@@ -316,6 +384,23 @@ mod tests {
         let _serial = serialised();
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["unattributed", "tx_path", "queue", "event_loop"]);
+    }
+
+    #[test]
+    fn work_counts_add_up_per_counter() {
+        let before = work_totals();
+        count_work(Work::PlannerPairs, 5);
+        count_work(Work::Variates, 2);
+        count_work(Work::PlannerPairs, 1);
+        let after = work_totals();
+        let delta = |w: Work| after[w as usize] - before[w as usize];
+        if counting_enabled() {
+            assert_eq!((delta(Work::PlannerPairs), delta(Work::Variates)), (6, 2));
+        } else {
+            assert_eq!(after, [0; Work::COUNT], "work counters stay zero without `count`");
+        }
+        let labels: Vec<&str> = Work::ALL.iter().map(|w| w.label()).collect();
+        assert_eq!(labels, ["planner_pairs", "variates"]);
     }
 
     #[test]

@@ -51,6 +51,14 @@ pub mod scenario;
 pub mod stack;
 pub mod trace;
 
+// The corpus layouts are `wmn_bench`'s; the unit tests build them from this
+// crate's own types, through the `wmn_netsim` paths the file names.
+#[cfg(test)]
+extern crate self as wmn_netsim;
+#[cfg(test)]
+#[path = "../../bench/src/layouts.rs"]
+mod layouts;
+
 pub use scenario::{FlowSpec, Scenario, Scheme, Workload};
 pub use stack::{run, run_traced, FlowResult, RunResult, TcpFlowResult, VoipFlowResult};
 pub use trace::{FrameKind, Trace, TraceEvent, TraceKind};

@@ -323,6 +323,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layouts::{blackout_scenario, lossy_scenario};
     use crate::scenario::{FlowSpec, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::SimTime;
@@ -687,55 +688,6 @@ mod tests {
                     assert!(!text.contains(word), "{} names {word}", path.display());
                 }
             }
-        }
-    }
-
-    fn flow(path: &[u32], workload: Workload) -> FlowSpec {
-        FlowSpec { path: path.iter().copied().map(NodeId::new).collect(), workload }
-    }
-
-    /// Every way a reception can end, in one run: the Fig. 5(b)
-    /// hidden-terminal layout (collisions at the chain's far end; arrivals
-    /// from ~15 m and beyond are sensed but not decodable), a bit-error rate
-    /// that costs a data frame its header about once in 150 receptions and a
-    /// subframe its CRC once in seven, and a ninth station, the last, whose
-    /// CBR source walks 5 km away between 80 and 100 ms and keeps retrying
-    /// into a void nobody perceives.
-    fn lossy_scenario() -> Scenario {
-        use wmn_topology::collision;
-        let cbr = |path| flow(path, Workload::Cbr(wmn_traffic::CbrModel::heavy()));
-        let mut positions = collision::hidden_terminals(2).positions;
-        positions.push(Position::new(5.0, 4.0));
-        let mut paths = vec![NodePath::Static; positions.len()];
-        paths[positions.len() - 1] = NodePath::Waypoints(vec![
-            Waypoint { at: SimTime::from_millis(80), pos: Position::new(5.0, 4.0) },
-            Waypoint { at: SimTime::from_millis(100), pos: Position::new(5000.0, 4.0) },
-        ]);
-        let mut lossy =
-            ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], positions);
-        lossy.params.ber = 2e-5;
-        lossy.flows.extend([cbr(&[4, 5]), cbr(&[6, 7]), cbr(&[8, 1])]);
-        // Off the 10 ms tick grid, so the run ends with frames on the air.
-        lossy.duration = SimDuration::from_micros(300_137);
-        lossy.motion = MotionPlan { paths, tick: SimDuration::from_millis(10) };
-        lossy
-    }
-
-    /// FTP 0 → 3, 3 → 0 and 1 → 2 on a four-station line whose far end is
-    /// out of everyone's reach from 300 to 700 ms: RTOs expire and back off,
-    /// and the first ACK after it resets the back-off under a doubled deadline.
-    fn blackout_scenario() -> Scenario {
-        let path = |nodes| flow(nodes, Workload::Ftp);
-        let (home, away) = (Position::new(15.0, 0.0), Position::new(1000.0, 0.0));
-        let at = |ms, pos| Waypoint { at: SimTime::from_millis(ms), pos };
-        let mut paths = vec![NodePath::Static; 4];
-        paths[3] =
-            NodePath::Waypoints(vec![at(290, home), at(300, away), at(690, away), at(700, home)]);
-        Scenario {
-            flows: vec![path(&[0, 1, 2, 3]), path(&[3, 2, 1, 0]), path(&[1, 2])],
-            duration: SimDuration::from_millis(1000),
-            motion: MotionPlan { paths, tick: SimDuration::from_millis(10) },
-            ..ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1], line_positions(4))
         }
     }
 

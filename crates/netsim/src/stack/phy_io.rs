@@ -194,7 +194,7 @@ mod tests {
         plans.extend((0..receptions).map(|i| RxPlan {
             to: NodeId::new(10 + i),
             delay: SimDuration::from_nanos(u64::from(i)),
-            power_dbm: -50.0,
+            power: wmn_phy::RxPower::known(-50.0),
             decodable: true,
         }));
         air.park(frame, plans)

@@ -34,7 +34,7 @@ pub mod propagation;
 pub mod rate;
 
 pub use ber::BerModel;
-pub use medium::{ArrivalOutcome, Medium, Receiver, RxPlan};
+pub use medium::{ArrivalOutcome, Medium, Receiver, RxPlan, RxPower};
 pub use params::PhyParams;
 pub use position::Position;
 pub use propagation::LinkModel;

@@ -20,10 +20,23 @@
 //! outcomes and channel busy/idle transitions. The simulation runner (crate
 //! `wmn-netsim`) owns one `Receiver` per node and drives both from the event
 //! queue.
+//!
+//! All three rules are threshold tests on a drawn power, so the drawn power
+//! is rarely computed. Each draw is kept as its two raw words
+//! ([`wmn_sim::NormalWords`]), whose top bytes give a two-sided bound on the
+//! variate from two table reads; an [`RxPower`] holds those words with the
+//! pair's mean and σ. Sensing, decoding and capture are decided from the
+//! bounds on the power, evaluated in the same expression order as the
+//! power, so a decision the bounds agree on is the exact power's (rounding
+//! is monotone). Only a bound that straddles a threshold pays for the
+//! logarithm, square root and cosine. Every decision, result and stream
+//! position is therefore bit-identical to a simulator that computes every
+//! power.
 
 use std::cell::OnceCell;
 
-use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
+use wmn_alloc::{count_work, Work};
+use wmn_sim::{NodeId, NormalWords, SimDuration, SimTime, StreamRng};
 
 /// NS-2's capture threshold (`CPThresh`): a reception in progress survives
 /// interference that is at least this many dB weaker.
@@ -32,6 +45,55 @@ pub const CAPTURE_THRESHOLD_DB: f64 = 10.0;
 use crate::params::PhyParams;
 use crate::position::Position;
 
+/// The received power of one arrival, in dBm: `mean + σ·z` for the pair's
+/// mean power, the link's σ and one shadowing draw, kept as the draw's raw
+/// words so that `z` is computed only if a comparison needs it.
+///
+/// [`RxPower::bounds`] is a sound `[floor, ceiling]` on the power from two
+/// table reads; [`RxPower::value`] is the power itself, bit-equal to
+/// `mean + σ * StreamRng::standard_normal()` from the same stream position.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct RxPower {
+    mean_dbm: f64,
+    sigma_db: f64,
+    words: NormalWords,
+}
+
+impl RxPower {
+    /// The power a draw of `words` gives a pair of mean `mean_dbm` under
+    /// shadowing `sigma_db`.
+    pub fn drawn(mean_dbm: f64, sigma_db: f64, words: NormalWords) -> Self {
+        RxPower { mean_dbm, sigma_db, words }
+    }
+
+    /// A power known exactly, with no draw behind it: its bounds are the
+    /// value itself, so no comparison ever computes a variate for it.
+    pub fn known(dbm: f64) -> Self {
+        RxPower::drawn(dbm, 0.0, NormalWords::default())
+    }
+
+    /// `(floor, ceiling)` with `floor ≤ value() ≤ ceiling`: the variate's
+    /// bounds put through the power's own expression, swapped for σ < 0.
+    /// Either end is NaN where the power could be, and NaN decides nothing.
+    #[inline]
+    pub fn bounds(self) -> (f64, f64) {
+        let (lo, hi) = self.words.bounds();
+        let (a, b) = (self.mean_dbm + self.sigma_db * lo, self.mean_dbm + self.sigma_db * hi);
+        if self.sigma_db >= 0.0 {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+
+    /// The exact power: the one place the medium computes a shadowing
+    /// variate in full (counted as [`Work::Variates`]).
+    pub fn value(self) -> f64 {
+        count_work(Work::Variates, 1);
+        self.mean_dbm + self.sigma_db * self.words.z()
+    }
+}
+
 /// How a single planned arrival will be perceived by one receiver.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RxPlan {
@@ -39,21 +101,26 @@ pub struct RxPlan {
     pub to: NodeId,
     /// Propagation delay from the transmitter.
     pub delay: SimDuration,
-    /// Received power in dBm (already includes the shadowing draw).
-    pub power_dbm: f64,
+    /// Received power (the shadowing draw included), exact on demand.
+    pub power: RxPower,
     /// Whether the arrival is strong enough to decode.
     pub decodable: bool,
 }
+
+/// A plan is an air-table entry per sensing station: it stays within six
+/// words.
+const _: () = assert!(std::mem::size_of::<RxPlan>() <= 48);
 
 /// Test-side classification of one directed station pair, derived from the
 /// pair's mean received power and the hard bound on a Box–Muller shadowing
 /// excursion ([`wmn_sim::max_standard_normal`]).
 ///
 /// The tests use it to say which regime a placement puts a pair in (and so
-/// which outcomes of the planner's per-draw bound a case exercises). Nothing
-/// stores it and the planner does not branch on it: its per-draw bound
-/// ([`wmn_sim::StreamRng::standard_normal_reaching`]) subsumes the
-/// `NeverSensed` shortcut, and every pair takes one path.
+/// which outcomes of the planner's per-draw bounds a case exercises).
+/// Nothing stores it and the planner does not branch on it: the two-sided
+/// bound on each draw ([`wmn_sim::NormalWords::bounds`]) decides the
+/// `NeverSensed` and `AlwaysDecodable` cases draw by draw, and every pair
+/// takes one path.
 #[cfg(test)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum LinkClass {
@@ -385,17 +452,16 @@ impl Medium {
     /// per transmission once the buffer has grown to the neighbourhood size.
     ///
     /// One shadowing draw per other station, in station-index order, and one
-    /// path for every pair: the draw is
-    /// [`StreamRng::standard_normal_reaching`], which consumes the draw's two
-    /// raw words unconditionally and computes the variate only when the
-    /// words' buckets leave it possible that `mean + σ·z` reaches carrier
-    /// sense. A pair that not even the largest possible excursion lifts to
-    /// carrier sense is that bound's trivial case; on a dense
-    /// placement, where no pair is, most of the stations that will not sense
-    /// this frame are still dismissed without a logarithm, square root or
-    /// cosine. The stream is consumed exactly as by the per-call computation
-    /// this replaced (kept as the test oracle), so plans and every later
-    /// draw are bit-for-bit those of a planner that samples every pair.
+    /// path for every pair: the draw's two raw words are always taken
+    /// ([`StreamRng::normal_words`]), and sensing (`≥ cs`) and decoding
+    /// (`≥ rx`) are decided from the power's two-sided bound
+    /// ([`RxPower::bounds`]). The variate is computed only when that bound
+    /// straddles a threshold the decision needs — on a campus, for well
+    /// under one pair in a hundred. The plan carries the power lazily, for
+    /// the capture rule to bound in turn. The stream is consumed exactly as
+    /// by the per-pair computation this replaced (kept as the test oracle),
+    /// so plans and every later draw are bit-for-bit those of a planner that
+    /// samples every pair in full.
     pub fn plan_transmission_into(
         &self,
         from: NodeId,
@@ -404,32 +470,40 @@ impl Medium {
     ) {
         plans.clear();
         let link = &self.params.link;
-        let sigma = link.sigma_db;
+        let (sigma, cs, rx) = (link.sigma_db, link.cs_thresh_dbm, link.rx_thresh_dbm);
         let row = self.row(from.index());
         for (idx, &mean) in row.mean_rx_dbm.iter().enumerate() {
             if idx == from.index() {
                 continue;
             }
-            let Some(z) = rng.standard_normal_reaching(mean, sigma, link.cs_thresh_dbm) else {
-                continue;
-            };
-            // The expression the draw's bound was evaluated against.
-            let power = mean + sigma * z;
-            if power < link.cs_thresh_dbm {
+            let power = RxPower::drawn(mean, sigma, rng.normal_words());
+            let (floor, ceiling) = power.bounds();
+            if ceiling < cs {
                 continue;
             }
+            let decodable = if floor >= cs && (floor >= rx || ceiling < rx) {
+                floor >= rx
+            } else {
+                let exact = power.value();
+                if exact < cs {
+                    continue;
+                }
+                exact >= rx
+            };
             plans.push(RxPlan {
                 to: NodeId::new(idx as u32),
                 delay: row.delay[idx],
-                power_dbm: power,
-                decodable: power >= link.rx_thresh_dbm,
+                power,
+                decodable,
             });
         }
+        count_work(Work::PlannerPairs, row.mean_rx_dbm.len().saturating_sub(1) as u64);
     }
 
     /// The pre-refactor per-call computation, kept as the oracle the cached
     /// planner is pinned against: re-derives distance, mean path loss, and
-    /// thresholds for every pair on every call.
+    /// thresholds for every pair on every call, and samples every power in
+    /// full.
     #[cfg(test)]
     fn plan_transmission_naive(&self, from: NodeId, rng: &mut StreamRng) -> Vec<RxPlan> {
         let p = &self.params;
@@ -447,7 +521,7 @@ impl Medium {
             plans.push(RxPlan {
                 to,
                 delay: p.propagation_delay(d),
-                power_dbm: power,
+                power: RxPower::known(power),
                 decodable: power >= p.link.rx_thresh_dbm,
             });
         }
@@ -481,7 +555,40 @@ struct ActiveArrival {
     id: u64,
     decodable: bool,
     corrupted: bool,
-    power_dbm: f64,
+    power: RxPower,
+}
+
+/// Whether a reception in progress at `held` fails to capture over a
+/// newcomer at `newcomer` (bounds `newcomer_bounds`): `held − newcomer <`
+/// [`CAPTURE_THRESHOLD_DB`]. Decided from the two powers' bounds when they
+/// agree (the difference is monotone in each power, and so is its
+/// rounding); otherwise from exact powers, the newcomer's computed at most
+/// once per arrival through `newcomer_exact`. The caller bounds the
+/// newcomer only if some reception in progress is still uncorrupted.
+fn too_close(
+    held: RxPower,
+    newcomer: RxPower,
+    newcomer_bounds: (f64, f64),
+    newcomer_exact: &mut Option<f64>,
+) -> bool {
+    let (held_floor, held_ceiling) = held.bounds();
+    let (new_floor, new_ceiling) = newcomer_bounds;
+    if held_ceiling - new_floor < CAPTURE_THRESHOLD_DB {
+        return true;
+    }
+    if held_floor - new_ceiling >= CAPTURE_THRESHOLD_DB {
+        return false;
+    }
+    too_close_exactly(held, newcomer, newcomer_exact)
+}
+
+/// [`too_close`] from the exact powers: out of line, so the receiver's
+/// edge handlers stay small for the bounds that decide almost every case.
+#[cold]
+#[inline(never)]
+fn too_close_exactly(held: RxPower, newcomer: RxPower, newcomer_exact: &mut Option<f64>) -> bool {
+    let newcomer = *newcomer_exact.get_or_insert_with(|| newcomer.value());
+    held.value() - newcomer < CAPTURE_THRESHOLD_DB
 }
 
 /// Per-station reception state machine: overlapping sensed arrivals, local
@@ -514,18 +621,31 @@ impl Receiver {
         self.idle_since
     }
 
+    /// Registers the start of a sensed arrival whose power is known exactly:
+    /// [`Receiver::on_planned_arrival_start`] with [`RxPower::known`].
+    pub fn on_arrival_start(
+        &mut self,
+        id: u64,
+        decodable: bool,
+        power_dbm: f64,
+        now: SimTime,
+    ) -> Option<BusyTransition> {
+        self.on_planned_arrival_start(id, decodable, RxPower::known(power_dbm), now)
+    }
+
     /// Registers the start of a sensed arrival.
     ///
     /// An arrival that begins while another reception is in progress is
     /// itself lost; the reception in progress survives only if it is at
     /// least [`CAPTURE_THRESHOLD_DB`] stronger than the newcomer (NS-2's
     /// capture rule). Starting while the station transmits corrupts the
-    /// arrival.
-    pub fn on_arrival_start(
+    /// arrival. The rule is decided from the powers' bounds, and an
+    /// arrival already corrupted is not compared at all.
+    pub fn on_planned_arrival_start(
         &mut self,
         id: u64,
         decodable: bool,
-        power_dbm: f64,
+        power: RxPower,
         _now: SimTime,
     ) -> Option<BusyTransition> {
         let was_busy = self.is_busy();
@@ -535,13 +655,15 @@ impl Receiver {
             // lost, and it corrupts any ongoing reception it is too close
             // to in power.
             corrupted = true;
-            for a in &mut self.arrivals {
-                if a.power_dbm - power_dbm < CAPTURE_THRESHOLD_DB {
+            let (mut bounds, mut exact) = (None, None);
+            for a in self.arrivals.iter_mut().filter(|a| !a.corrupted) {
+                let bounds = *bounds.get_or_insert_with(|| power.bounds());
+                if too_close(a.power, power, bounds, &mut exact) {
                     a.corrupted = true;
                 }
             }
         }
-        self.arrivals.push(ActiveArrival { id, decodable, corrupted, power_dbm });
+        self.arrivals.push(ActiveArrival { id, decodable, corrupted, power });
         if was_busy {
             None
         } else {
@@ -625,6 +747,13 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// Plans as `(to, delay, exact power bits, decodable)`: what the planner
+    /// decides and what a later `value()` reads, whichever way the power is
+    /// held.
+    fn plan_bits(plans: &[RxPlan]) -> Vec<(NodeId, SimDuration, u64, bool)> {
+        plans.iter().map(|p| (p.to, p.delay, p.power.value().to_bits(), p.decodable)).collect()
     }
 
     #[test]
@@ -846,7 +975,7 @@ mod tests {
         for _ in 0..500 {
             let cached = medium.plan_transmission(NodeId::new(0), &mut rng_c);
             let naive = medium.plan_transmission_naive(NodeId::new(0), &mut rng_n);
-            assert_eq!(cached, naive);
+            assert_eq!(plan_bits(&cached), plan_bits(&naive));
         }
         assert_eq!(rng_c.next_u64(), rng_n.next_u64());
     }
@@ -1271,11 +1400,7 @@ mod tests {
                 let mut rng_naive = StreamRng::derive(seed ^ step as u64, "pin");
                 let cached = medium.plan_transmission(node(*planner), &mut rng_cached);
                 let naive = medium.plan_transmission_naive(node(*planner), &mut rng_naive);
-                prop_assert_eq!(cached.len(), naive.len());
-                for (c, n) in cached.iter().zip(&naive) {
-                    prop_assert_eq!((c.to, c.delay, c.decodable), (n.to, n.delay, n.decodable));
-                    prop_assert_eq!(c.power_dbm.to_bits(), n.power_dbm.to_bits());
-                }
+                prop_assert_eq!(plan_bits(&cached), plan_bits(&naive));
                 prop_assert_eq!(rng_cached.next_u64(), rng_naive.next_u64());
             }
             for i in 0..n {
@@ -1330,13 +1455,7 @@ mod tests {
                 for _ in 0..8 {
                     let cached = medium.plan_transmission(from, &mut rng_cached);
                     let naive = medium.plan_transmission_naive(from, &mut rng_naive);
-                    prop_assert_eq!(cached.len(), naive.len());
-                    for (c, n) in cached.iter().zip(&naive) {
-                        prop_assert_eq!(c.to, n.to);
-                        prop_assert_eq!(c.delay, n.delay);
-                        prop_assert_eq!(c.power_dbm.to_bits(), n.power_dbm.to_bits());
-                        prop_assert_eq!(c.decodable, n.decodable);
-                    }
+                    prop_assert_eq!(plan_bits(&cached), plan_bits(&naive));
                     sensed += cached.len();
                 }
                 // Identical draw consumption: the next raw words agree.
@@ -1352,6 +1471,67 @@ mod tests {
                     // never by all.
                     prop_assert!((8 * 8..8 * 192).contains(&sensed), "dense fan-out {}", sensed);
                 }
+            }
+        }
+
+        /// The capture rule on lazy powers ≡ the rule on their exact values:
+        /// one receiver is fed `RxPower`s (drawn words, a mean and σ), the
+        /// other the exact power of each through `on_arrival_start`, over a
+        /// random interleaving of arrival and transmission edges (arrival
+        /// starts weighted up, so receptions overlap). Powers sit on two
+        /// 10 dB steps, each within ±½ dB of its step, so a weak reception
+        /// overlapped by a strong one differs from it by the capture margin
+        /// ± 1 dB and the bounds straddle it often; every arrival is
+        /// decodable, so a wrong capture decision changes an outcome.
+        /// Outcomes and transitions must be identical.
+        #[test]
+        fn prop_lazy_powers_capture_as_their_exact_values(
+            ops in proptest::collection::vec(
+                ((0u8..6, 0u8..2, -0.5f64..0.5), (0usize..3, any::<u64>())),
+                1..80,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let mut lazy = Receiver::new();
+            let mut exact = Receiver::new();
+            let mut words = StreamRng::derive(seed, "capture-words");
+            let mut active: Vec<u64> = Vec::new();
+            let mut next_id = 0u64;
+            let mut transmitting = false;
+            for (i, &((op, step, offset), (sigma_pick, pick))) in ops.iter().enumerate() {
+                let now = SimTime::from_micros(i as u64);
+                match op {
+                    0..=2 => {
+                        next_id += 1;
+                        let sigma = [8.0, 0.5, -8.0][sigma_pick];
+                        let draw = words.normal_words();
+                        let target = -60.0 - 10.0 * f64::from(step) + offset;
+                        let power = RxPower::drawn(target - sigma * draw.z(), sigma, draw);
+                        let value = power.value();
+                        prop_assert!((value - target).abs() < 1e-9);
+                        let a = lazy.on_planned_arrival_start(next_id, true, power, now);
+                        let b = exact.on_arrival_start(next_id, true, value, now);
+                        prop_assert_eq!(a, b, "start {}", next_id);
+                        active.push(next_id);
+                    }
+                    3 if !active.is_empty() => {
+                        let id = active.remove(pick as usize % active.len());
+                        prop_assert_eq!(lazy.on_arrival_end(id, now), exact.on_arrival_end(id, now));
+                    }
+                    4 if !transmitting => {
+                        transmitting = true;
+                        prop_assert_eq!(lazy.on_tx_start(now), exact.on_tx_start(now));
+                    }
+                    5 if transmitting => {
+                        transmitting = false;
+                        prop_assert_eq!(lazy.on_tx_end(now), exact.on_tx_end(now));
+                    }
+                    _ => {}
+                }
+            }
+            for id in active {
+                let end = SimTime::from_micros(ops.len() as u64);
+                prop_assert_eq!(lazy.on_arrival_end(id, end), exact.on_arrival_end(id, end));
             }
         }
 

@@ -40,5 +40,5 @@ pub mod time;
 
 pub use ids::{FlowId, NodeId};
 pub use queue::{EventKey, EventQueue, KeyedEventQueue};
-pub use rng::{max_standard_normal, RngDirectory, StreamRng};
+pub use rng::{max_standard_normal, NormalWords, RngDirectory, StreamRng};
 pub use time::{SimDuration, SimTime};

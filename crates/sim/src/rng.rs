@@ -119,41 +119,27 @@ impl StreamRng {
         scale / u.powf(1.0 / shape)
     }
 
-    /// Standard normal variate (Box–Muller), for log-normal shadowing draws.
+    /// Standard normal variate (Box–Muller), for log-normal shadowing draws:
+    /// the [`NormalWords::z`] of the next [`StreamRng::normal_words`].
     ///
     /// Consumes exactly two raw words per call, and — because `u1` is at
     /// least 2⁻⁵³ — the variate is hard-bounded by [`max_standard_normal`].
-    /// Callers that can prove a sample irrelevant from a bound on it may skip
-    /// the transcendental math, never the two words
-    /// ([`StreamRng::standard_normal_reaching`] is that pattern).
+    /// A caller that only compares a sample against thresholds can take the
+    /// words instead and decide most comparisons from
+    /// [`NormalWords::bounds`], paying for the transcendental math only
+    /// when the bounds straddle a threshold (the medium's planner does).
     pub fn standard_normal(&mut self) -> f64 {
-        let w1 = self.next_u64();
-        let w2 = self.next_u64();
-        box_muller(w1, w2)
+        self.normal_words().z()
     }
 
-    /// The [`standard_normal`](StreamRng::standard_normal) variate `z` this
-    /// call's two raw words produce — or `None`, without any transcendental
-    /// math, when `mean + sigma * z < limit` is already certain from the top
-    /// eight bits of each word.
-    ///
-    /// Either way the stream advances by the same two words, and `Some(z)`
-    /// is bit-equal to what `standard_normal` returns from the same
-    /// position. The proof bounds `z` by the largest Box–Muller radius in the
-    /// first word's bucket times the largest non-negative cosine in the
-    /// second word's, then evaluates `mean + sigma * bound` in exactly
-    /// the operation order a caller computes `mean + sigma * z` in: rounding
-    /// is monotone at every step, so `None` is exact for a caller that uses
-    /// that expression, not merely likely. A `sigma` that is zero or
-    /// negative, or a NaN anywhere, proves nothing and takes the full sample.
+    /// The two raw words one [`standard_normal`](StreamRng::standard_normal)
+    /// draw consumes, taken without any math: the stream advances exactly as
+    /// by that call, and [`NormalWords::z`] is bit-equal to what it returns.
     #[inline]
-    pub fn standard_normal_reaching(&mut self, mean: f64, sigma: f64, limit: f64) -> Option<f64> {
+    pub fn normal_words(&mut self) -> NormalWords {
         let w1 = self.next_u64();
         let w2 = self.next_u64();
-        if NormalBounds::get().prove_below(w1, w2, mean, sigma, limit) {
-            return None;
-        }
-        Some(box_muller(w1, w2))
+        NormalWords { w1, w2 }
     }
 
     /// Bernoulli trial that succeeds with probability `p` (clamped to `[0, 1]`).
@@ -197,6 +183,45 @@ fn box_muller(w1: u64, w2: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// One standard-normal draw before its math: the two raw words
+/// [`StreamRng::normal_words`] took, from which [`NormalWords::z`] computes
+/// the Box–Muller variate and [`NormalWords::bounds`] a sound interval on
+/// it from two table reads.
+///
+/// The bounds are exact for threshold decisions, not merely likely: for any
+/// `σ ≥ 0` and mean, `mean + σ·lo ≤ mean + σ·z ≤ mean + σ·hi` holds in f64
+/// arithmetic as written, because rounding is monotone at every step (for
+/// `σ < 0` the two ends swap). A comparison both ends agree on is therefore
+/// the comparison `z` would give; one they disagree on needs `z`. A NaN end
+/// agrees with nothing. The default is the draw of two zero words, whose
+/// variate is zero.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct NormalWords {
+    w1: u64,
+    w2: u64,
+}
+
+impl NormalWords {
+    /// The variate itself: bit-equal to the
+    /// [`StreamRng::standard_normal`] these words would have produced.
+    #[inline]
+    pub fn z(self) -> f64 {
+        box_muller(self.w1, self.w2)
+    }
+
+    /// `(lo, hi)` with `lo ≤ z() ≤ hi`, from the top eight bits of each
+    /// word: the Box–Muller radius and cosine are each bounded over the
+    /// word's bucket by a floor and a ceiling table, and the product's
+    /// extremes sit at the bounds' corners (the radius is never negative).
+    #[inline]
+    pub fn bounds(self) -> (f64, f64) {
+        let tables = NormalBounds::get();
+        let [r_lo, r_hi] = tables.radius[(self.w1 >> BUCKET_SHIFT) as usize];
+        let [c_lo, c_hi] = tables.cosine[(self.w2 >> BUCKET_SHIFT) as usize];
+        ((r_lo * c_lo).min(r_hi * c_lo), (r_lo * c_hi).max(r_hi * c_hi))
+    }
+}
+
 /// A ceiling on the Box–Muller radius `sqrt(-2·ln u)` over every `u` in
 /// `[u1, 1]`: the radius at `u1` (it grows as `u` falls), inflated by a small
 /// guard so that libm rounding in either direction cannot make a bound built
@@ -205,12 +230,18 @@ fn radius_ceiling(u1: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (1.0 + 1e-9) + 1e-9
 }
 
+/// A floor on the Box–Muller radius over every `u` in `(0, u1]`: the radius
+/// at `u1`, deflated by the ceiling's guard and never below zero.
+fn radius_floor(u1: f64) -> f64 {
+    ((-2.0 * u1.ln()).sqrt() * (1.0 - 1e-9) - 1e-9).max(0.0)
+}
+
 /// The largest `|z|` [`StreamRng::standard_normal`] can return: `u1` is a
 /// 53-bit uniform, so `u1 ≥ 2⁻⁵³` and `|z| ≤ sqrt(-2·ln 2⁻⁵³) ≈ 8.5716`
 /// (guarded as every radius ceiling is). The one definition of
-/// that property: `wmn_phy`'s build-time link classification and the last
-/// bucket of [`StreamRng::standard_normal_reaching`]'s radius table both
-/// read it from here.
+/// that property: `wmn_phy`'s test-side link classification and the last
+/// bucket's radius ceiling in [`NormalWords::bounds`] both read it from
+/// here.
 pub fn max_standard_normal() -> f64 {
     radius_ceiling(1.0 / (1u64 << 53) as f64)
 }
@@ -220,17 +251,18 @@ const BUCKET_SHIFT: u32 = 56;
 /// Buckets per table.
 const BUCKETS: usize = 1 << (64 - BUCKET_SHIFT);
 
-/// Per-bucket ceilings on the two Box–Muller factors, indexed by the top
-/// eight bits of the raw word each factor is computed from.
+/// Per-bucket `[floor, ceiling]` pairs on the two Box–Muller factors,
+/// indexed by the top eight bits of the raw word each factor is computed
+/// from.
 ///
 /// Process-wide and built once, from the same libm the sampler calls: the
 /// tables depend on nothing but the transform, and a copy per `Medium` would
 /// be paid on every world build.
 struct NormalBounds {
-    /// Ceiling of the radius `sqrt(-2·ln u1)` over the first word's bucket.
-    radius: [f64; BUCKETS],
-    /// Ceiling of `max(cos(τ·u2), 0)` over the second word's bucket.
-    cosine: [f64; BUCKETS],
+    /// Bounds on the radius `sqrt(-2·ln u1)` over the first word's bucket.
+    radius: [[f64; 2]; BUCKETS],
+    /// Bounds on `cos(τ·u2)` over the second word's bucket.
+    cosine: [[f64; 2]; BUCKETS],
 }
 
 impl NormalBounds {
@@ -239,29 +271,24 @@ impl NormalBounds {
         TABLES.get_or_init(NormalBounds::build)
     }
 
-    /// Whether `mean + sigma * box_muller(w1, w2) < limit` is certain from
-    /// the words' buckets alone (see
-    /// [`StreamRng::standard_normal_reaching`] for why `true` is exact).
-    #[inline]
-    fn prove_below(&self, w1: u64, w2: u64, mean: f64, sigma: f64, limit: f64) -> bool {
-        let z_max =
-            self.radius[(w1 >> BUCKET_SHIFT) as usize] * self.cosine[(w2 >> BUCKET_SHIFT) as usize];
-        sigma > 0.0 && mean + sigma * z_max < limit
-    }
-
     fn build() -> NormalBounds {
-        let mut bounds = NormalBounds { radius: [0.0; BUCKETS], cosine: [0.0; BUCKETS] };
+        let mut bounds = NormalBounds { radius: [[0.0; 2]; BUCKETS], cosine: [[0.0; 2]; BUCKETS] };
         for k in 0..BUCKETS as u64 {
             let first = k << BUCKET_SHIFT;
             let last = first | (u64::MAX >> (64 - BUCKET_SHIFT));
-            // u1 = 1 − u falls as the word grows: the bucket's smallest u1,
-            // and so its largest radius, is at its last word.
-            bounds.radius[k as usize] = radius_ceiling(1.0 - unit_interval(last));
+            // u1 = 1 − u falls as the word grows: the bucket's largest u1
+            // (smallest radius) is at its first word, its smallest u1
+            // (largest radius) at its last.
+            bounds.radius[k as usize] = [
+                radius_floor(1.0 - unit_interval(first)),
+                radius_ceiling(1.0 - unit_interval(last)),
+            ];
             // The bucket edges fall on the cosine's turning points (angle 0,
             // π at bucket 128), so it is monotone inside every bucket and its
-            // largest value sits at one of the two edges.
+            // extremes sit at the two edges.
             let cos = |word| (std::f64::consts::TAU * unit_interval(word)).cos();
-            bounds.cosine[k as usize] = (cos(first).max(cos(last)) + 1e-9).clamp(0.0, 1.0);
+            let (a, b) = (cos(first), cos(last));
+            bounds.cosine[k as usize] = [(a.min(b) - 1e-9).max(-1.0), (a.max(b) + 1e-9).min(1.0)];
         }
         bounds
     }
@@ -381,7 +408,7 @@ mod tests {
         // it closes the radius table.
         let bound = max_standard_normal();
         assert!(bound > 8.5716 && bound < 8.572, "analytic bound {bound}");
-        assert_eq!(NormalBounds::get().radius[BUCKETS - 1].to_bits(), bound.to_bits());
+        assert_eq!(NormalBounds::get().radius[BUCKETS - 1][1].to_bits(), bound.to_bits());
         let mut rng = StreamRng::derive(23, "bound");
         for _ in 0..100_000 {
             assert!(rng.standard_normal().abs() <= bound);
@@ -391,7 +418,8 @@ mod tests {
     }
 
     /// The sigmas the bound is exercised with: the paper's 8 dB, two tighter
-    /// channels, and the three degenerate values that must prove nothing.
+    /// channels, and three degenerate values (σ = 0 and σ < 0 decide from
+    /// the bounds as well; NaN decides nothing).
     const SIGMAS: [f64; 6] = [8.0, 4.0, 0.5, 0.0, -8.0, f64::NAN];
     /// Offsets of the mean from the limit, straddling it on both sides and
     /// reaching past the largest possible excursion (8 dB × 8.57).
@@ -399,65 +427,86 @@ mod tests {
         [-80.0, -68.5, -40.0, -16.0, -8.0, -4.0, -1.0, -0.25, 0.0, 0.25, 4.0, 40.0];
     const LIMIT: f64 = -78.0;
 
+    /// The planner's use of the bounds: whether `mean + sigma * z ≥ limit`,
+    /// if the two ends of the interval agree on it.
+    fn decided(words: NormalWords, mean: f64, sigma: f64, limit: f64) -> Option<bool> {
+        let (lo, hi) = words.bounds();
+        let (a, b) = (mean + sigma * lo, mean + sigma * hi);
+        let (floor, ceiling) = if sigma >= 0.0 { (a, b) } else { (b, a) };
+        if floor >= limit {
+            Some(true)
+        } else if ceiling < limit {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
     #[test]
     fn bound_is_sound_on_every_bucket_edge() {
         // Both words at every bucket edge k·2⁴⁵ and its two neighbours (in
-        // 53-bit uniform units; the low 11 bits of a word reach nothing):
-        // wherever the tables change value, a proof must hold for the sample
-        // actually drawn.
+        // 53-bit uniform units), with the low 11 bits — which reach nothing —
+        // both clear and set: wherever the tables change value, the drawn
+        // sample lies inside its bounds, and a decision taken from them is
+        // the sample's own.
         let edges: Vec<u64> = (0..=BUCKETS as u64)
             .flat_map(|k| [(k << 45).wrapping_sub(1), k << 45, (k << 45) + 1])
             .filter(|&m| m < 1 << 53)
-            .map(|m| m << 11)
+            .flat_map(|m| [m << 11, (m << 11) | 0x7ff])
             .collect();
-        let bounds = NormalBounds::get();
-        let mut proofs = 0u64;
+        let (mut decisions, mut open) = (0u64, 0u64);
         for &w1 in &edges {
             for &w2 in &edges {
-                let z = box_muller(w1, w2);
+                let words = NormalWords { w1, w2 };
+                let z = words.z();
+                let (lo, hi) = words.bounds();
+                assert!(lo <= z && z <= hi, "w1 {w1:#x} w2 {w2:#x}: {lo} <= {z} <= {hi}");
                 for sigma in SIGMAS {
                     for offset in MEAN_OFFSETS {
                         let mean = LIMIT + offset;
-                        if bounds.prove_below(w1, w2, mean, sigma, LIMIT) {
-                            assert!(sigma > 0.0, "sigma {sigma} must prove nothing");
-                            assert!(
-                                mean + sigma * z < LIMIT,
-                                "unsound: w1 {w1:#x} w2 {w2:#x} mean {mean} sigma {sigma} z {z}"
-                            );
-                            proofs += 1;
+                        match decided(words, mean, sigma, LIMIT) {
+                            Some(sensed) => {
+                                assert_eq!(
+                                    sensed,
+                                    mean + sigma * z >= LIMIT,
+                                    "w1 {w1:#x} w2 {w2:#x} mean {mean} sigma {sigma} z {z}"
+                                );
+                                decisions += 1;
+                            }
+                            None => open += 1,
                         }
                     }
                 }
             }
         }
-        assert!(proofs > 0, "the grid must exercise the proving branch");
+        assert!(decisions > 0 && open > 0, "both outcomes: {decisions} decided, {open} open");
     }
 
     #[test]
     fn bounded_draw_matches_the_full_sample_on_a_twin_stream() {
-        // Over 1.8 million raw words: `None` only where the full sample is
-        // below the limit, `Some` bit-equal to it, and the two streams never
-        // part — the next raw word agrees after every draw.
+        // Over 1.8 million raw words: every threshold decision the bounds
+        // take is the full sample's, `z()` is bit-equal to it, and the two
+        // streams never part — the next raw word agrees after every draw.
         let mut bounded = StreamRng::derive(29, "reach");
         let mut full = StreamRng::derive(29, "reach");
-        let (mut skipped, mut sampled) = (0u64, 0u64);
+        let (mut decisions, mut open) = (0u64, 0u64);
         for draw in 0..600_000usize {
             let sigma = SIGMAS[draw % SIGMAS.len()];
             let mean = LIMIT + MEAN_OFFSETS[(draw / SIGMAS.len()) % MEAN_OFFSETS.len()];
             let z = full.standard_normal();
-            match bounded.standard_normal_reaching(mean, sigma, LIMIT) {
-                Some(got) => {
-                    assert_eq!(got.to_bits(), z.to_bits(), "draw {draw}");
-                    sampled += 1;
+            let words = bounded.normal_words();
+            assert_eq!(words.z().to_bits(), z.to_bits(), "draw {draw}");
+            match decided(words, mean, sigma, LIMIT) {
+                Some(sensed) => {
+                    assert_eq!(sensed, mean + sigma * z >= LIMIT, "draw {draw}: {mean} {sigma}");
+                    decisions += 1;
                 }
-                None => {
-                    assert!(mean + sigma * z < LIMIT, "draw {draw}: mean {mean} sigma {sigma}");
-                    skipped += 1;
-                }
+                None => open += 1,
             }
             assert_eq!(bounded.next_u64(), full.next_u64(), "streams parted at {draw}");
         }
-        assert!(skipped > 100_000 && sampled > 100_000, "skipped {skipped} sampled {sampled}");
+        // NaN sigma decides nothing; every other column mostly decides.
+        assert!(decisions > 450_000 && open > 100_000, "decided {decisions}, open {open}");
     }
 
     #[test]
