@@ -188,13 +188,17 @@ impl std::error::Error for NonFiniteError {}
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(value)
 }
+
+/// How deep arrays and objects may nest: the parser recurses once per level,
+/// and a stack overflow is an abort no caller can catch.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -240,20 +244,23 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("arrays and objects nest deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -263,7 +270,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -276,7 +283,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Value)> = Vec::new();
         self.skip_ws();
@@ -297,7 +304,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -650,9 +657,18 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":1,}", "{\"a\":1 \"b\":2}", "tru", "1 2", "nan"] {
+        // Ten thousand `[` overflowed the stack (an uncatchable abort).
+        let deep = "[".repeat(10_000);
+        for bad in ["", "{", "[1,]", "{\"a\":1,}", "{\"a\":1 \"b\":2}", "tru", "1 2", "nan", &deep]
+        {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+        assert_eq!(
+            parse(&deep).unwrap_err(),
+            "JSON error at byte 128: arrays and objects nest deeper than 128 levels"
+        );
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok() && parse(&nested(MAX_DEPTH + 1)).is_err());
         let dup = parse("{\"a\": 1, \"a\": 2}").unwrap_err();
         assert!(dup.contains("duplicate"), "{dup}");
     }

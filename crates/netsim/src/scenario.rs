@@ -3,7 +3,7 @@
 use wmn_mac::{DcfScheme, MacEntity, MacScheme};
 use wmn_phy::{PhyParams, Position};
 use wmn_routing::{ExorMode, ExorScheme};
-use wmn_sim::{NodeId, SimDuration, StreamRng};
+use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 use wmn_topology::MotionPlan;
 use wmn_traffic::{CbrModel, VoipModel, WebModel};
 
@@ -167,88 +167,75 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Checks the scenario's structural invariants: a non-empty placement
-    /// of finite coordinates, a scheme that aggregates at least one packet
-    /// per frame, at least one flow, every flow path at least two nodes long
-    /// with no immediate self-loops, every referenced [`NodeId`] inside the
-    /// placement (ids are dense indices into `positions` — see the type-level
-    /// NodeId contract), a usable link model ([`wmn_phy::LinkModel::check`]:
-    /// every field finite, a positive reference distance), a bit error rate
-    /// in `[0, 1)` (what [`wmn_phy::BerModel::new`] accepts), and a
-    /// well-formed motion plan ([`MotionPlan::check`]).
-    ///
-    /// Hand-written experiment definitions rely on [`crate::run`]'s panics;
-    /// generated scenarios (`wmn_scengen`) call this first so a bad spec
-    /// fails with a message naming the scenario instead of dying mid-grid.
+    /// The one gate a run passes: [`crate::run`] runs every scenario this
+    /// accepts to its end, and panics exactly when this errs. The rules, each
+    /// stated once beside the code it protects: a non-empty placement of
+    /// finite coordinates; [`PhyParams::check`]; an aggregation of at least
+    /// one packet; a duration within [`SimDuration::LIMIT`]; at least one
+    /// flow, each path at least two nodes, with no node twice in a row and
+    /// every [`NodeId`] inside the placement (the NodeId contract above),
+    /// and each workload's `check` ([`WebModel::check`] and its siblings);
+    /// [`MotionPlan::check`] over the placement up to the run's end; and a
+    /// positive `route_refresh` and `shards`, when set. The span rules are
+    /// checked one extreme field at a time (`tests/properties.rs`); several
+    /// extreme fields together are not.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first violation found.
+    /// The first rule broken, naming the scenario and the field.
     pub fn validate(&self) -> Result<(), String> {
+        self.first_violation().map_err(|msg| format!("scenario {:?}: {msg}", self.name))
+    }
+
+    fn first_violation(&self) -> Result<(), String> {
         let n = self.positions.len();
         if n == 0 {
-            return Err(format!("scenario {:?}: empty placement", self.name));
+            return Err("empty placement".into());
         }
         if let Some(i) = self.positions.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
-            return Err(format!(
-                "scenario {:?}: station {i} position {} is not finite",
-                self.name, self.positions[i]
-            ));
+            return Err(format!("station {i} position {} is not finite", self.positions[i]));
         }
-        self.params.link.check().map_err(|msg| format!("scenario {:?}: link {msg}", self.name))?;
-        if !(0.0..1.0).contains(&self.params.ber) {
-            return Err(format!(
-                "scenario {:?}: ber must be in [0, 1), got {}",
-                self.name, self.params.ber
-            ));
-        }
+        self.params.check()?;
         if let Scheme::Dcf { aggregation: 0 } | Scheme::Ripple { aggregation: 0 } = self.scheme {
-            return Err(format!(
-                "scenario {:?}: aggregation must be at least 1 packet per frame, got {:?}",
-                self.name, self.scheme
-            ));
+            return Err(format!("aggregation must be at least 1, got {:?}", self.scheme));
+        }
+        if self.duration > SimDuration::LIMIT {
+            return Err(format!("duration {} exceeds {}", self.duration, SimDuration::LIMIT));
         }
         if self.flows.is_empty() {
-            return Err(format!("scenario {:?}: no flows", self.name));
+            return Err("no flows".into());
         }
         for (i, flow) in self.flows.iter().enumerate() {
             if flow.path.len() < 2 {
                 return Err(format!(
-                    "scenario {:?}, flow {i}: path needs at least two nodes, got {}",
-                    self.name,
+                    "flow {i}: path needs at least two nodes, got {}",
                     flow.path.len()
                 ));
             }
-            for node in &flow.path {
-                if node.index() >= n {
-                    return Err(format!(
-                        "scenario {:?}, flow {i}: {node} outside the {n}-station placement \
-                         (NodeIds must be dense indices into `positions`)",
-                        self.name
-                    ));
-                }
-            }
-            if flow.path.windows(2).any(|w| w[0] == w[1]) {
+            if let Some(node) = flow.path.iter().find(|node| node.index() >= n) {
                 return Err(format!(
-                    "scenario {:?}, flow {i}: path repeats a node back-to-back",
-                    self.name
+                    "flow {i}: {node} outside the {n}-station placement \
+                     (NodeIds must be dense indices into `positions`)"
                 ));
             }
+            if flow.path.windows(2).any(|w| w[0] == w[1]) {
+                return Err(format!("flow {i}: path repeats a node back-to-back"));
+            }
+            let workload = match &flow.workload {
+                Workload::Ftp => Ok(()),
+                Workload::Web(model) => model.check(),
+                Workload::Voip(model) => model.check(),
+                Workload::Cbr(model) => model.check(),
+            };
+            workload.map_err(|msg| format!("flow {i}: {msg}"))?;
         }
-        self.motion.check(n).map_err(|msg| format!("scenario {:?}, motion: {msg}", self.name))?;
+        let end = SimTime::ZERO + self.duration;
+        self.motion.check(&self.positions, end).map_err(|msg| format!("motion: {msg}"))?;
         if self.route_refresh == Some(SimDuration::ZERO) {
-            return Err(format!(
-                "scenario {:?}: route_refresh interval must be positive (a zero interval \
-                 would reschedule itself at the same instant forever)",
-                self.name
-            ));
+            return Err("route_refresh must be positive: zero repeats one instant forever".into());
         }
         if self.shards == Some(0) {
-            return Err(format!(
-                "scenario {:?}: shards must be positive — use None for the legacy result \
-                 family, Some(1) for the per-entity one",
-                self.name
-            ));
+            return Err("shards must be positive (None selects the legacy result family)".into());
         }
         Ok(())
     }
@@ -376,6 +363,45 @@ mod tests {
             let msg = unaggregated.validate().unwrap_err();
             assert!(msg.contains("aggregation must be at least 1"), "{msg}");
             assert!(msg.contains(&format!("{:?}", unaggregated.name)), "{msg}");
+        }
+
+        // Each of these used to validate, then panic (or, for the zero CBR
+        // interval, hang) inside `run`.
+        let with = |workload| {
+            let path = vec![NodeId::new(0), NodeId::new(1)];
+            Scenario { flows: vec![FlowSpec { path, workload }], ..valid_scenario() }
+        };
+        let phy = |edit: fn(&mut PhyParams)| {
+            let mut s = valid_scenario();
+            edit(&mut s.params);
+            s
+        };
+        let (web, voip) = (WebModel::paper(), VoipModel::paper());
+        let far = vec![Position::new(-1.7e308, 0.0), Position::new(1.7e308, 0.0)];
+        for (field, s) in [
+            ("ifq_capacity", phy(|p| p.ifq_capacity = 0)),
+            ("cw_min", phy(|p| (p.cw_min, p.cw_max) = (64, 15))),
+            ("slot", phy(|p| (p.slot, p.sifs) = (SimDuration::ZERO, SimDuration::ZERO))),
+            (
+                "mean_off_seconds",
+                with(Workload::Web(WebModel { mean_off_seconds: f64::NAN, ..web })),
+            ),
+            ("pareto_shape", with(Workload::Web(WebModel { pareto_shape: 0.5, ..web }))),
+            ("bitrate_bps", with(Workload::Voip(VoipModel { bitrate_bps: 0.0, ..voip }))),
+            (
+                "mean_on_seconds",
+                with(Workload::Voip(VoipModel { mean_on_seconds: f64::NAN, ..voip })),
+            ),
+            ("packet_bytes", with(Workload::Voip(VoipModel { packet_bytes: u32::MAX, ..voip }))),
+            (
+                "packet_bytes",
+                with(Workload::Cbr(CbrModel::new(u32::MAX, SimDuration::from_micros(300)))),
+            ),
+            ("interval", with(Workload::Cbr(CbrModel::new(1000, SimDuration::ZERO)))),
+            ("positions", Scenario { positions: far, ..valid_scenario() }),
+        ] {
+            let msg = s.validate().unwrap_err();
+            assert!(msg.starts_with("scenario \"v\": ") && msg.contains(field), "{field}: {msg}");
         }
     }
 

@@ -184,9 +184,9 @@ pub(crate) enum Event {
 ///
 /// # Panics
 ///
-/// Panics on malformed scenarios (empty paths, node ids out of range,
-/// opportunistic schemes with single-node paths, …) — these are programming
-/// errors in experiment definitions, not runtime conditions.
+/// Exactly when [`Scenario::validate`] errs, with its message: a scenario
+/// it accepts runs to its end. Input from outside the program reaches `run`
+/// through `wmn_scengen`'s `materialise`, which validates first.
 pub fn run(scenario: &Scenario) -> RunResult {
     let mut runner = Runner::build(scenario);
     runner.run_loop();
@@ -210,6 +210,10 @@ const _: () = {
 /// Like [`run`], but also returns the full event [`Trace`] of the run — a
 /// pure observer, so the [`RunResult`] equals `run`'s. Tracing costs memory
 /// proportional to the number of transmissions; use short durations.
+///
+/// # Panics
+///
+/// Exactly when [`Scenario::validate`] errs, as [`run`] does.
 pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
     let mut runner = Runner::build(scenario);
     runner.core.trace = Some(Trace::default());

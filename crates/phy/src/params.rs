@@ -120,6 +120,34 @@ impl PhyParams {
     pub fn propagation_delay(&self, metres: f64) -> SimDuration {
         SimDuration::from_secs_f64(metres.max(0.0) / SPEED_OF_LIGHT)
     }
+
+    /// Errs, naming the field, unless a run can use these parameters: each
+    /// rule mirrors an `assert!` ([`LinkModel::check`], [`crate::BerModel::new`],
+    /// the interface queue, the back-off, which divides by `slot` and doubles
+    /// its window in `u32`) or keeps a span within [`SimDuration::LIMIT`].
+    pub fn check(&self) -> Result<(), String> {
+        self.link.check().map_err(|msg| format!("link {msg}"))?;
+        let fits = |ns: f64| ns <= SimDuration::LIMIT.as_nanos() as f64;
+        let carries = |rate: Rate| fits(f64::from(u32::MAX) * 8e3 / rate.as_mbps());
+        let backoff = self.slot > SimDuration::ZERO
+            && fits(self.slot.as_nanos() as f64 * (f64::from(self.cw_max) + 1.0));
+        let (sifs, header) = (self.sifs.as_nanos() as f64, self.phy_header.as_nanos() as f64);
+        let rules: [(&str, &dyn std::fmt::Display, bool); 9] = [
+            ("ber must be in [0, 1)", &self.ber, (0.0..1.0).contains(&self.ber)),
+            ("ifq_capacity must be positive", &self.ifq_capacity, self.ifq_capacity > 0),
+            ("cw_min must not exceed cw_max", &self.cw_min, self.cw_min <= self.cw_max),
+            ("cw_max must be below 2^31", &self.cw_max, self.cw_max < 1 << 31),
+            ("slot must be positive, slot · (cw_max + 1) within the limit", &self.slot, backoff),
+            ("sifs must be within SimDuration::LIMIT", &self.sifs, fits(sifs)),
+            ("phy_header must be within SimDuration::LIMIT", &self.phy_header, fits(header)),
+            ("data_rate must be at least ≈ 1 kbps", &self.data_rate, carries(self.data_rate)),
+            ("basic_rate must be at least ≈ 1 kbps", &self.basic_rate, carries(self.basic_rate)),
+        ];
+        match rules.into_iter().find(|&(_, _, holds)| !holds) {
+            Some((rule, value, _)) => Err(format!("{rule}, got {value}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -81,9 +81,9 @@ pub struct TrafficMix {
 }
 
 impl TrafficMix {
-    /// Total flows the mix will lay down.
+    /// Total flows the mix will lay down (saturating at `usize::MAX`).
     pub fn flow_count(&self) -> usize {
-        self.ftp + self.web + self.voip + self.cbr
+        self.ftp.saturating_add(self.web).saturating_add(self.voip).saturating_add(self.cbr)
     }
 
     /// An id-friendly slug, e.g. `f2w1v1c0-random`.
@@ -122,8 +122,11 @@ impl TrafficMix {
         graph: &LinkGraph,
         seed: u64,
     ) -> Result<Vec<FlowSpec>, String> {
-        if self.flow_count() == 0 {
-            return Err("traffic mix has no flows".into());
+        if !(1..=u32::MAX as usize).contains(&self.flow_count()) {
+            return Err(format!(
+                "traffic mix needs 1 to 2^32 - 1 flows, got {}",
+                self.flow_count()
+            ));
         }
         let n = topo.node_count();
         if n < 2 {
@@ -223,20 +226,16 @@ impl TrafficMix {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing/invalid field, or rejecting an
-    /// empty mix.
+    /// Returns a message naming the missing/invalid field. The counts are
+    /// judged where they are used ([`TrafficMix::compose`]).
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let mix = TrafficMix {
+        Ok(TrafficMix {
             ftp: crate::spec::req_usize(value, "ftp", "mix")?,
             web: crate::spec::req_usize(value, "web", "mix")?,
             voip: crate::spec::req_usize(value, "voip", "mix")?,
             cbr: crate::spec::req_usize(value, "cbr", "mix")?,
             pairing: PairPolicy::from_name(crate::spec::req_str(value, "pairing", "mix")?)?,
-        };
-        if mix.flow_count() == 0 {
-            return Err("traffic mix has no flows".into());
-        }
-        Ok(mix)
+        })
     }
 }
 
@@ -250,7 +249,7 @@ mod tests {
     }
 
     fn grid() -> Topology {
-        TopologySpec::Grid { cols: 4, rows: 3, spacing_m: 5.0 }.generate(1)
+        TopologySpec::Grid { cols: 4, rows: 3, spacing_m: 5.0 }.try_generate(1).unwrap()
     }
 
     #[test]
@@ -292,8 +291,9 @@ mod tests {
 
     #[test]
     fn far_pairs_prefers_multi_hop_routes() {
-        let line =
-            TopologySpec::PerturbedLine { nodes: 6, spacing_m: 5.0, jitter_m: 0.2 }.generate(2);
+        let line = TopologySpec::PerturbedLine { nodes: 6, spacing_m: 5.0, jitter_m: 0.2 }
+            .try_generate(2)
+            .unwrap();
         let mix = TrafficMix { ftp: 3, web: 0, voip: 0, cbr: 0, pairing: PairPolicy::FarPairs };
         let flows = mix.compose(&line, &LinkModel::paper(), 1).unwrap();
         assert!(

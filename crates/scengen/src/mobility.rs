@@ -67,8 +67,8 @@ impl MobilitySpec {
         }
     }
 
-    /// Basic sanity of the knobs (positive, finite speeds; at least one
-    /// waypoint leg).
+    /// Basic sanity of the knobs (positive, finite speeds; between one and
+    /// 4 096 waypoint legs, a memory bound like the station count's).
     ///
     /// # Errors
     ///
@@ -86,8 +86,8 @@ impl MobilitySpec {
             MobilitySpec::Drift { max_speed_mps } => positive(max_speed_mps, "max_speed_mps"),
             MobilitySpec::Waypoint { speed_mps, legs } => {
                 positive(speed_mps, "speed_mps")?;
-                if legs == 0 {
-                    return Err("waypoint: legs must be at least 1".into());
+                if !(1..=4096).contains(&legs) {
+                    return Err(format!("waypoint: legs must be in 1..=4096, got {legs}"));
                 }
                 Ok(())
             }
@@ -99,14 +99,9 @@ impl MobilitySpec {
     /// to the empty (default) plan, so it composes into scenarios
     /// byte-identically to not specifying mobility at all.
     ///
-    /// # Panics
-    ///
-    /// Panics on invalid knobs ([`MobilitySpec::check`]) — a spec bug, not
-    /// a runtime condition.
+    /// Precondition: [`MobilitySpec::check`] accepts the knobs. A waypoint
+    /// schedule past the clock saturates, which [`MotionPlan::check`] rejects.
     pub fn expand(self, positions: &[Position], seed: u64) -> MotionPlan {
-        if let Err(msg) = self.check() {
-            panic!("invalid mobility spec: {msg}");
-        }
         let dir = RngDirectory::new(seed);
         match self {
             MobilitySpec::Static => MotionPlan::default(),
@@ -125,7 +120,7 @@ impl MobilitySpec {
                 MotionPlan { paths, tick: EXPANDED_TICK }
             }
             MobilitySpec::Waypoint { speed_mps, legs } => {
-                let (min, max) = bounding_box(positions);
+                let (min, max) = wmn_topology::motion::bounding_box(positions.iter().copied());
                 let paths = (0..positions.len())
                     .map(|i| {
                         let mut rng = dir.indexed_stream(labels::SCENGEN_MOBILITY_WP, i as u32);
@@ -143,7 +138,7 @@ impl MobilitySpec {
                             // strictly increasing.
                             let travel_ns =
                                 ((from.distance_to(target) / speed_mps) * 1e9).ceil() as u64;
-                            at_ns += travel_ns.max(1);
+                            at_ns = at_ns.saturating_add(travel_ns.max(1));
                             points.push(Waypoint { at: SimTime::from_nanos(at_ns), pos: target });
                             from = target;
                         }
@@ -174,7 +169,7 @@ impl MobilitySpec {
     /// Returns a message naming the missing/invalid field.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let kind = crate::spec::req_str(value, "kind", "mobility")?;
-        let spec = match kind {
+        Ok(match kind {
             "static" => MobilitySpec::Static,
             "drift" => {
                 MobilitySpec::Drift { max_speed_mps: req_f64(value, "max_speed_mps", "mobility")? }
@@ -189,23 +184,8 @@ impl MobilitySpec {
                      got {other:?}"
                 ))
             }
-        };
-        spec.check()?;
-        Ok(spec)
+        })
     }
-}
-
-/// The axis-aligned bounding box of a placement (degenerate boxes — a
-/// single point, a perfect line — are fine: the affected coordinate simply
-/// never varies).
-fn bounding_box(positions: &[Position]) -> (Position, Position) {
-    let mut min = Position::new(f64::INFINITY, f64::INFINITY);
-    let mut max = Position::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for p in positions {
-        min = Position::new(min.x.min(p.x), min.y.min(p.y));
-        max = Position::new(max.x.max(p.x), max.y.max(p.y));
-    }
-    (min, max)
 }
 
 #[cfg(test)]
@@ -257,7 +237,7 @@ mod tests {
             }
         }
         // Plans pass the simulator's structural validation.
-        assert_eq!(plan.check(positions.len()), Ok(()));
+        assert_eq!(plan.check(&positions, SimTime::from_millis(1000)), Ok(()));
     }
 
     #[test]

@@ -197,6 +197,7 @@ impl ScenarioSpec {
             _ => LinkGraph::from_placement(&params.link, &topo.positions),
         };
         let flows = self.mix.compose_over(&topo, &graph, self.seed).map_err(err)?;
+        self.mobility.check().map_err(err)?;
         let motion = self.mobility.expand(&topo.positions, self.seed);
         let scenario = Scenario {
             name: self.name.clone(),
@@ -472,7 +473,7 @@ mod tests {
         cases.push(ScenarioSpec { phy: PhyPreset::Mbps6, ber: Some(1e-5), ..campus });
         for case in cases {
             let scenario = case.materialise().unwrap();
-            let topo = case.topology.generate(case.seed);
+            let topo = case.topology.try_generate(case.seed).unwrap();
             let composed = case.mix.compose(&topo, &scenario.params.link, case.seed).unwrap();
             assert_eq!(
                 format!("{:?}", scenario.flows),

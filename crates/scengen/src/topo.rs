@@ -171,17 +171,6 @@ impl TopologySpec {
     /// Generates the placement for `seed`. Deterministic: the same spec and
     /// seed yield byte-identical positions.
     ///
-    /// # Panics
-    ///
-    /// Panics where [`TopologySpec::try_generate`] returns an error — for a
-    /// spec written in code both are bugs, not runtime conditions.
-    pub fn generate(&self, seed: u64) -> Topology {
-        self.try_generate(seed).unwrap_or_else(|msg| panic!("{msg}"))
-    }
-
-    /// [`TopologySpec::generate`] for a spec that came from outside the
-    /// program.
-    ///
     /// # Errors
     ///
     /// Fails if the knobs are invalid ([`TopologySpec::check`]) or if a
@@ -279,7 +268,7 @@ impl TopologySpec {
     /// Returns a message naming the missing/invalid field.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let kind = crate::spec::req_str(value, "kind", "topology")?;
-        let spec = match kind {
+        Ok(match kind {
             "random-geometric" => TopologySpec::RandomGeometric {
                 nodes: crate::spec::req_usize(value, "nodes", "topology")?,
                 side_m: crate::spec::req_f64(value, "side_m", "topology")?,
@@ -306,9 +295,7 @@ impl TopologySpec {
                      \"perturbed-line\", got {other:?}"
                 ))
             }
-        };
-        spec.check()?;
-        Ok(spec)
+        })
     }
 }
 
@@ -377,7 +364,7 @@ mod tests {
     #[test]
     fn grid_places_a_lattice() {
         let spec = TopologySpec::Grid { cols: 4, rows: 3, spacing_m: 5.0 };
-        let t = spec.generate(1);
+        let t = spec.try_generate(1).unwrap();
         assert_eq!(t.node_count(), 12);
         assert_eq!(t.name, "grid4x3-s1");
         // Node i sits at (col*5, row*5) — dense ids, row-major.
@@ -397,10 +384,10 @@ mod tests {
             },
             TopologySpec::PerturbedLine { nodes: 5, spacing_m: 5.0, jitter_m: 1.0 },
         ] {
-            let a = spec.generate(7);
-            let b = spec.generate(7);
+            let a = spec.try_generate(7).unwrap();
+            let b = spec.try_generate(7).unwrap();
             assert_eq!(a.positions, b.positions, "{spec:?} must be deterministic");
-            let c = spec.generate(8);
+            let c = spec.try_generate(8).unwrap();
             assert_ne!(a.positions, c.positions, "{spec:?} must vary with the seed");
         }
     }
@@ -415,8 +402,11 @@ mod tests {
             side_m: 30.0,
         };
         for seed in 0..8 {
-            assert!(is_connected(&rgg.generate(seed).positions), "rgg seed {seed}");
-            assert!(is_connected(&campus.generate(seed).positions), "campus seed {seed}");
+            assert!(is_connected(&rgg.try_generate(seed).unwrap().positions), "rgg seed {seed}");
+            assert!(
+                is_connected(&campus.try_generate(seed).unwrap().positions),
+                "campus seed {seed}"
+            );
         }
     }
 

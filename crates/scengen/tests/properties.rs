@@ -4,6 +4,7 @@
 //! bounds, and composed traffic always satisfies the NodeId contract.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use wmn_phy::LinkModel;
 use wmn_scengen::{is_connected, PairPolicy, TopologySpec, TrafficMix};
 use wmn_sim::NodeId;
@@ -31,7 +32,7 @@ proptest! {
             TopologySpec::PerturbedLine { nodes, spacing_m: 5.0, jitter_m: 0.5 },
         ];
         for spec in specs {
-            let topo = spec.generate(seed);
+            let topo = spec.try_generate(seed).unwrap();
             prop_assert_eq!(topo.node_count(), spec.node_count(), "{:?}", spec);
             // Dense NodeId contract: every id below node_count resolves.
             for i in 0..topo.node_count() {
@@ -45,10 +46,10 @@ proptest! {
     #[test]
     fn prop_generation_deterministic_per_seed(nodes in 4usize..16, seed in any::<u64>()) {
         let spec = TopologySpec::RandomGeometric { nodes, side_m: 6.0 + 2.0 * nodes as f64 };
-        let a = spec.generate(seed);
-        let b = spec.generate(seed);
+        let a = spec.try_generate(seed).unwrap();
+        let b = spec.try_generate(seed).unwrap();
         prop_assert_eq!(&a.positions, &b.positions);
-        let c = spec.generate(seed.wrapping_add(1));
+        let c = spec.try_generate(seed.wrapping_add(1)).unwrap();
         prop_assert_ne!(&a.positions, &c.positions);
     }
 
@@ -61,7 +62,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let side_m = 8.0 * (nodes as f64).sqrt();
-        let topo = TopologySpec::RandomGeometric { nodes, side_m }.generate(seed);
+        let topo = TopologySpec::RandomGeometric { nodes, side_m }.try_generate(seed).unwrap();
         prop_assert!(
             is_connected(&topo.positions),
             "rgg nodes={} side={:.1} seed={} must be connected",
@@ -75,7 +76,7 @@ proptest! {
     #[test]
     fn prop_grid_degree_bounds(cols in 2usize..7, rows in 2usize..6, seed in any::<u64>()) {
         let spacing_m = 5.0;
-        let topo = TopologySpec::Grid { cols, rows, spacing_m }.generate(seed);
+        let topo = TopologySpec::Grid { cols, rows, spacing_m }.try_generate(seed).unwrap();
         for a in 0..topo.node_count() {
             let degree = (0..topo.node_count())
                 .filter(|&b| b != a)
@@ -101,7 +102,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = TopologySpec::RandomGeometric { nodes, side_m: 7.0 * (nodes as f64).sqrt() }
-            .generate(seed);
+            .try_generate(seed).unwrap();
         let model = LinkModel::paper();
         for pairing in [PairPolicy::Random, PairPolicy::Gateway, PairPolicy::FarPairs] {
             let mix = TrafficMix { ftp, web: 1, voip, cbr: 1, pairing };
@@ -114,4 +115,143 @@ proptest! {
             }
         }
     }
+}
+
+#[path = "../../netsim/tests/support/watchdog.rs"]
+mod watchdog;
+
+/// Draws a spec's fields: each from its sound values, except the one field
+/// the case makes hostile (or none), which takes one of its extremes.
+struct Fields<'a> {
+    rng: &'a mut TestRng,
+    hostile: u64,
+    drawn: u64,
+}
+
+impl Fields<'_> {
+    fn pick<T: Copy>(&mut self, sound: &[T], extremes: &[T]) -> T {
+        self.drawn += 1;
+        let values = if self.drawn == self.hostile { extremes } else { sound };
+        values[self.rng.below(values.len() as u64) as usize]
+    }
+}
+
+/// A spec of at most 64 stations and 20 ms with one field, or none, set to
+/// an extreme value.
+fn random_spec(rng: &mut TestRng) -> wmn_scengen::ScenarioSpec {
+    use wmn_netsim::Scheme;
+    use wmn_scengen::{MobilitySpec, PhyPreset, ScenarioSpec};
+    const LENGTHS: [f64; 6] = [f64::NAN, -1.0, 0.0, 1e-300, 1e16, 1e308];
+    const COUNTS: [usize; 4] = [0, 1, 65, usize::MAX];
+    const SPEEDS: [f64; 3] = [0.5, 5.0, 30.0];
+    let kind = rng.below(4);
+    let mobility_kind = rng.below(3);
+    let hostile = rng.below(20);
+    let mut f = Fields { rng, hostile, drawn: 0 };
+    let topology = match kind {
+        0 => TopologySpec::RandomGeometric {
+            nodes: f.pick(&[4, 9, 16, 30], &COUNTS),
+            side_m: f.pick(&[10.0, 15.0], &LENGTHS),
+        },
+        1 => TopologySpec::Grid {
+            cols: f.pick(&[2, 3, 8], &COUNTS),
+            rows: f.pick(&[2, 3, 8], &COUNTS),
+            spacing_m: f.pick(&[3.0, 5.0], &LENGTHS),
+        },
+        2 => TopologySpec::Campus {
+            clusters: f.pick(&[2, 3, 4], &COUNTS),
+            nodes_per_cluster: f.pick(&[2, 4, 8], &COUNTS),
+            cluster_radius_m: f.pick(&[1.0, 3.0], &LENGTHS),
+            side_m: f.pick(&[8.0, 15.0], &LENGTHS),
+        },
+        _ => TopologySpec::PerturbedLine {
+            nodes: f.pick(&[3, 6, 12], &COUNTS),
+            spacing_m: f.pick(&[4.0, 6.0], &LENGTHS),
+            jitter_m: f.pick(&[0.0, 0.5, 2.0], &LENGTHS),
+        },
+    };
+    let mobility = match mobility_kind {
+        0 => MobilitySpec::Static,
+        1 => MobilitySpec::Drift { max_speed_mps: f.pick(&SPEEDS, &LENGTHS) },
+        _ => MobilitySpec::Waypoint {
+            speed_mps: f.pick(&SPEEDS, &LENGTHS),
+            legs: f.pick(&[1, 3], &[0, 4096, 4097, usize::MAX]),
+        },
+    };
+    let schemes = [
+        Scheme::Dcf { aggregation: 1 },
+        Scheme::Dcf { aggregation: 16 },
+        Scheme::PreExor,
+        Scheme::McExor,
+        Scheme::Ripple { aggregation: 1 },
+        Scheme::Ripple { aggregation: 16 },
+    ];
+    let pairings = [PairPolicy::Random, PairPolicy::Gateway, PairPolicy::FarPairs];
+    ScenarioSpec {
+        name: "random".into(),
+        topology,
+        mix: TrafficMix {
+            ftp: f.pick(&[0, 1, 2], &[usize::MAX]),
+            web: f.pick(&[0, 1, 2], &[usize::MAX]),
+            voip: f.pick(&[0, 1, 2], &[usize::MAX]),
+            cbr: f.pick(&[0, 1, 2], &[usize::MAX]),
+            pairing: f.pick(&pairings, &pairings),
+        },
+        scheme: f.pick(&schemes, &schemes),
+        phy: f.pick(&[PhyPreset::Mbps216, PhyPreset::Mbps6], &[PhyPreset::Mbps6]),
+        ber: f.pick(
+            &[None, Some(1e-6), Some(1e-5)],
+            &[Some(0.0), Some(0.5), Some(1.0), Some(-0.1), Some(1e-300), Some(f64::NAN)],
+        ),
+        // The last extreme is the first millisecond count past
+        // `SimDuration::LIMIT`.
+        duration_ms: f.pick(&[5, 20], &[0, 1, 36_028_797_019, u64::MAX]),
+        seed: f.rng.next_u64(),
+        max_forwarders: f.pick(&[1, 5], &[0, usize::MAX]),
+        mobility,
+        route_refresh_ms: f.pick(&[None, Some(7), Some(50)], &[Some(0), Some(u64::MAX)]),
+        shards: f.pick(&[None, Some(1)], &[Some(0), Some(u32::MAX)]),
+    }
+}
+
+/// A spec file of any field values either fails to parse or materialise,
+/// or runs to its end: `to_json` → `parse` → `materialise` → `run` never
+/// panics or hangs. A failing case is announced as its spec JSON, the form
+/// `ci/regressions/` keeps.
+#[test]
+fn prop_b_any_spec_file_errs_or_runs() {
+    watchdog::run_cases(std::time::Duration::from_secs(60), |announce| {
+        for case in 0..256 {
+            let text = random_spec(&mut TestRng::for_case("prop_b", case)).to_json().to_string();
+            announce(text.clone());
+            if let Ok(scenario) =
+                wmn_scengen::ScenarioSpec::parse(&text).and_then(|s| s.materialise())
+            {
+                wmn_netsim::run(&scenario);
+            }
+        }
+    });
+}
+
+/// Every committed regression — a spec file or a JSON document that once
+/// panicked, hung or aborted — now ends in an error.
+#[test]
+fn committed_regressions_end_in_an_error() {
+    watchdog::run_cases(std::time::Duration::from_secs(60), |announce| {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/regressions");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("ci/regressions exists")
+            .map(|entry| entry.expect("readable").path())
+            .collect();
+        files.sort();
+        assert!(files.len() >= 3, "{files:?}");
+        for path in files {
+            announce(path.display().to_string());
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let outcome = wmn_scengen::ScenarioSpec::parse(&text)
+                .and_then(|spec| spec.materialise())
+                .map(|scenario| wmn_netsim::run(&scenario));
+            assert!(outcome.is_err(), "{} ran to its end", path.display());
+        }
+    });
 }

@@ -91,6 +91,11 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
     /// The largest representable span; used as an "infinite" sentinel.
     pub const MAX: SimDuration = SimDuration(u64::MAX);
+    /// The longest span a valid scenario lets one quantity take: the run's
+    /// length, a timing constant, a back-off, an airtime, a random draw, a
+    /// propagation delay. 2⁵⁵ ns, about 417 days: an instant inside a run
+    /// plus 500 such spans still fits in `u64` nanoseconds.
+    pub const LIMIT: SimDuration = SimDuration(1 << 55);
 
     /// Creates a span from a nanosecond count.
     pub const fn from_nanos(ns: u64) -> Self {

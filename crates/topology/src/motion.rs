@@ -15,6 +15,7 @@
 //! `wmn_phy::Medium::update_node_positions`, which re-evaluates each station
 //! pair with a moved endpoint, among those its cached rows hold, once.
 
+use wmn_phy::params::SPEED_OF_LIGHT;
 use wmn_phy::Position;
 use wmn_sim::{SimDuration, SimTime};
 
@@ -162,14 +163,18 @@ impl MotionPlan {
         self.paths.get(node).unwrap_or(&STATIC)
     }
 
-    /// Structural sanity against a placement of `node_count` stations: no
-    /// paths for out-of-range nodes, every path well-formed, and a positive
-    /// tick whenever anything actually moves.
+    /// Structural sanity against the `t = 0` placement of a run ending at
+    /// `end`: no paths for out-of-range nodes, every path well-formed, a
+    /// positive tick whenever anything moves, and no distance a
+    /// [`SimDuration::LIMIT`] propagation delay cannot cover. Motion is
+    /// linear, so the box of the placement, the positions at `end` and the
+    /// waypoints holds every position the run samples.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation.
-    pub fn check(&self, node_count: usize) -> Result<(), String> {
+    pub fn check(&self, positions: &[Position], end: SimTime) -> Result<(), String> {
+        let node_count = positions.len();
         if self.paths.len() > node_count {
             return Err(format!(
                 "motion plan has {} paths for a {node_count}-station placement",
@@ -182,8 +187,29 @@ impl MotionPlan {
         if !self.is_static() && self.tick == SimDuration::ZERO {
             return Err("a moving plan needs a positive tick".into());
         }
+        let reached = positions.iter().enumerate().flat_map(|(i, &origin)| {
+            let points =
+                if let NodePath::Waypoints(points) = self.path(i) { &points[..] } else { &[] };
+            let last = self.path(i).position_at(origin, end);
+            [origin, last].into_iter().chain(points.iter().map(|wp| wp.pos))
+        });
+        let (min, max) = bounding_box(reached);
+        let span = (max.x - min.x).hypot(max.y - min.y);
+        let reach = SimDuration::LIMIT.as_secs_f64() * SPEED_OF_LIGHT;
+        if node_count > 0 && (span.is_nan() || span > reach) {
+            return Err(format!("positions and paths span {span:e} m, past {reach:e} m"));
+        }
         Ok(())
     }
+}
+
+/// The axis-aligned bounding box `(min, max)` of `points`.
+pub fn bounding_box(points: impl IntoIterator<Item = Position>) -> (Position, Position) {
+    let mut b = [f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY];
+    for p in points {
+        b = [b[0].min(p.x), b[1].min(p.y), b[2].max(p.x), b[3].max(p.y)];
+    }
+    (Position::new(b[0], b[1]), Position::new(b[2], b[3]))
 }
 
 #[cfg(test)]
@@ -192,6 +218,10 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_millis(s * 1000)
+    }
+
+    fn line(n: usize) -> Vec<Position> {
+        (0..n).map(|i| Position::new(i as f64 * 5.0, 0.0)).collect()
     }
 
     #[test]
@@ -252,8 +282,8 @@ mod tests {
     fn default_plan_is_static_and_checks_clean() {
         let plan = MotionPlan::default();
         assert!(plan.is_static());
-        assert_eq!(plan.check(0), Ok(()));
-        assert_eq!(plan.check(5), Ok(()));
+        assert_eq!(plan.check(&line(0), secs(10)), Ok(()));
+        assert_eq!(plan.check(&line(5), secs(10)), Ok(()));
         assert_eq!(*plan.path(3), NodePath::Static, "paths beyond the vector are static");
     }
 
@@ -263,13 +293,39 @@ mod tests {
             paths: vec![NodePath::Static, NodePath::Drift { vx_mps: 1.0, vy_mps: 0.0 }],
             ..MotionPlan::default()
         };
-        assert_eq!(plan.check(2), Ok(()));
-        assert!(plan.check(1).unwrap_err().contains("2 paths"), "more paths than stations");
+        assert_eq!(plan.check(&line(2), secs(10)), Ok(()));
+        assert!(
+            plan.check(&line(1), secs(10)).unwrap_err().contains("2 paths"),
+            "more paths than stations"
+        );
         plan.tick = SimDuration::ZERO;
-        assert!(plan.check(2).unwrap_err().contains("positive tick"));
+        assert!(plan.check(&line(2), secs(10)).unwrap_err().contains("positive tick"));
         // A fully static plan tolerates a zero tick (it is never consulted).
         plan.paths[1] = NodePath::Static;
-        assert_eq!(plan.check(2), Ok(()));
+        assert_eq!(plan.check(&line(2), secs(10)), Ok(()));
+    }
+
+    #[test]
+    fn plan_check_bounds_every_distance_the_run_computes() {
+        // Finite coordinates whose difference is not: the propagation delay
+        // between them was `from_secs_f64(inf)`.
+        let far = [Position::new(-1.7e308, 0.0), Position::new(1.7e308, 0.0)];
+        let msg = MotionPlan::default().check(&far, secs(1)).unwrap_err();
+        assert!(msg.contains("positions and paths span inf m"), "{msg}");
+        // A finite velocity that leaves the clock's reach by the run's end,
+        // but not before it.
+        let plan = MotionPlan {
+            paths: vec![NodePath::Drift { vx_mps: 1e308, vy_mps: 0.0 }],
+            ..MotionPlan::default()
+        };
+        assert!(plan.check(&line(2), SimTime::from_millis(2500)).is_err());
+        assert_eq!(plan.check(&line(2), SimTime::ZERO), Ok(()));
+        let across = NodePath::Waypoints(vec![
+            Waypoint { at: secs(1), pos: Position::new(-1.7e308, 0.0) },
+            Waypoint { at: secs(2), pos: Position::new(1.7e308, 0.0) },
+        ]);
+        let plan = MotionPlan { paths: vec![across], ..MotionPlan::default() };
+        assert!(plan.check(&line(1), secs(1)).unwrap_err().contains("span"));
     }
 
     #[test]

@@ -17,6 +17,26 @@
 
 use wmn_sim::{SimDuration, StreamRng};
 
+/// The first rule that does not hold, as `"{rule}, got {value}"`.
+fn first_broken(rules: &[(&str, &dyn std::fmt::Display, bool)]) -> Result<(), String> {
+    match rules.iter().find(|rule| !rule.2) {
+        Some((rule, value, _)) => Err(format!("{rule}, got {value}")),
+        None => Ok(()),
+    }
+}
+
+/// Whether 37 means, the longest exponential draw (its uniform has 53
+/// bits), fit in [`SimDuration::LIMIT`].
+fn mean_fits(seconds: f64) -> bool {
+    seconds > 0.0 && seconds * 37.0 <= SimDuration::LIMIT.as_secs_f64()
+}
+
+/// Whether a packet interval rounds to at least 1 ns (zero sends forever at
+/// one instant) and is at most [`SimDuration::LIMIT`].
+fn interval_fits(seconds: f64) -> bool {
+    seconds * 1e9 >= 0.5 && seconds <= SimDuration::LIMIT.as_secs_f64()
+}
+
 /// A long-lived TCP transfer: unlimited data from time zero.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FtpModel;
@@ -43,6 +63,19 @@ impl WebModel {
             mean_off_seconds: 1.0,
             mss_bytes: 1000,
         }
+    }
+
+    /// Errs, naming the field, unless the draws below can run: a positive,
+    /// finite mean size, a finite Pareto shape above 1 (the mean must exist),
+    /// and an OFF mean whose draws fit the clock.
+    pub fn check(&self) -> Result<(), String> {
+        let (mean, shape, off) =
+            (self.mean_transfer_bytes, self.pareto_shape, self.mean_off_seconds);
+        first_broken(&[
+            ("mean_transfer_bytes must be finite, > 0", &mean, mean > 0.0 && mean.is_finite()),
+            ("pareto_shape must be finite, > 1", &shape, shape > 1.0 && shape.is_finite()),
+            ("mean_off_seconds must fit", &off, mean_fits(off)),
+        ])
     }
 
     /// Draws the size of the next transfer, in whole segments (≥ 1).
@@ -82,6 +115,24 @@ impl VoipModel {
             mean_on_seconds: 1.5,
             mean_off_seconds: 1.5,
         }
+    }
+
+    /// Errs, naming the field, unless the departure schedule can run: a
+    /// packet of at most an IP datagram's 65 535 bytes (so a frame of up to
+    /// 60 000 keeps its wire size inside `u32`), a finite, positive bitrate
+    /// whose packet interval the clock can step by, and ON and OFF means it
+    /// can hold.
+    pub fn check(&self) -> Result<(), String> {
+        let (bytes, bps, on, off) =
+            (self.packet_bytes, self.bitrate_bps, self.mean_on_seconds, self.mean_off_seconds);
+        let interval = f64::from(bytes) * 8.0 / bps;
+        first_broken(&[
+            ("packet_bytes must be at most 65535", &bytes, bytes <= 65_535),
+            ("bitrate_bps must be finite, > 0", &bps, bps > 0.0 && bps.is_finite()),
+            ("packet_bytes / bitrate_bps must fit", &interval, interval_fits(interval)),
+            ("mean_on_seconds must fit", &on, mean_fits(on)),
+            ("mean_off_seconds must fit", &off, mean_fits(off)),
+        ])
     }
 
     /// Interval between packets during an ON period.
@@ -155,6 +206,16 @@ impl CbrModel {
     /// *gradual* throughput decline under interference.
     pub fn heavy() -> Self {
         CbrModel { packet_bytes: 1000, interval: SimDuration::from_micros(300) }
+    }
+
+    /// Errs, naming the field, unless a packet is at most 65 535 bytes (as
+    /// for VoIP) and the interval one the clock can step by.
+    pub fn check(&self) -> Result<(), String> {
+        let (bytes, interval) = (self.packet_bytes, self.interval);
+        first_broken(&[
+            ("packet_bytes must be at most 65535", &bytes, bytes <= 65_535),
+            ("interval must fit", &interval, interval_fits(interval.as_secs_f64())),
+        ])
     }
 
     /// Offered load in Mbps.
