@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs fifteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs sixteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -17,7 +17,7 @@
 //! queue, recycled event list, recycled run buffers) are additionally
 //! asserted to be *exactly* zero in place.
 //!
-//! The seven end-to-end rows are what holds "no allocation per frame in a
+//! The eight end-to-end rows are what holds "no allocation per frame in a
 //! MAC or engine handler": between them they run `RippleMac`, `DcfMac`
 //! (plain and aggregated) and `ExorMac` (both ACK modes), and every
 //! `allocs_per_frame` ceiling sits at most 10 % above what is measured, so
@@ -25,11 +25,13 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
-//! Two rows gate work rather than allocations, through the same file and the
-//! same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
+//! Three rows gate work rather than allocations, through the same file and
+//! the same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
 //! variates computed in full per planner pair on the 1024-station medium
 //! and per frame on the dense neighbourhood, so a planner or capture rule
-//! that stops deciding from the draw's bounds breaches both.
+//! that stops deciding from the draw's bounds breaches both; and the
+//! receptions planned per transmission on an untraced per-entity campus,
+//! so a planner that plans stations no flow's path names breaches that one.
 //!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
@@ -40,6 +42,7 @@ use std::process::ExitCode;
 use wmn_alloc::{AllocStats, Phase, Work};
 use wmn_bench::{
     dense_neighbourhood_scenario, fig6_class_mobile_scenario, fig6_class_scenario, grid_positions,
+    smoke_campus_scenario,
 };
 use wmn_exec::json::{parse, Value};
 use wmn_mac::frame::{DataFrame, Frame, LinkDst, NetHeader, Packet, Proto, RouteInfo, Subframe};
@@ -364,6 +367,17 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
             value: variates as f64 / frames as f64,
         });
     }
+    if bench == CAMPUS {
+        // Every transmission, relays included, walks one pair per other station.
+        let transmissions =
+            work_delta(work, Work::PlannerPairs) / (scenario.positions.len() as u64 - 1);
+        let receptions = work_delta(work, Work::Receptions);
+        out.push(Entry {
+            bench,
+            metric: "receptions_per_tx",
+            value: receptions as f64 / transmissions as f64,
+        });
+    }
     let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
         .iter()
         .map(|&p| format!("{} {}", p.label(), after[p as usize].allocs - before[p as usize].allocs))
@@ -373,6 +387,11 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
 
 /// The end-to-end row that also gates full variates per frame.
 const DENSE: &str = "dense_neighbourhood_end_to_end";
+
+/// The end-to-end row that also gates receptions planned per transmission:
+/// an untraced per-entity run plans them only at stations a flow's path
+/// names, a handful of the dozens that sense each frame.
+const CAMPUS: &str = "smoke_campus_per_entity_end_to_end";
 
 /// The MAC configurations the fig-6 class runs under: `RippleMac`, `DcfMac`
 /// plain and aggregated, `ExorMac` in both ACK modes.
@@ -388,13 +407,16 @@ const FIG6_MACS: [(&str, Scheme); 5] = [
 fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     // The end-to-end scenarios (an FTP flow + 5 hidden CBR senders under
     // each MAC; under RIPPLE-16 again with the relays pacing on a 10 ms
-    // mobility tick; the 256-station dense neighbourhood) are built up
-    // front, so what is live at entry is the same for every measured region.
+    // mobility tick; the 256-station dense neighbourhood; the 64-station
+    // campus in the per-entity family) are built up front, so what is live
+    // at entry is the same for every measured region.
     let mut scenarios: Vec<(&str, Scenario)> = FIG6_MACS
         .map(|(bench, scheme)| (bench, fig6_class_scenario(5, scheme, E2E_DURATION)))
         .into();
     scenarios.push(("fig6_class_mobile_end_to_end", fig6_class_mobile_scenario(5, E2E_DURATION)));
     scenarios.push((DENSE, dense_neighbourhood_scenario(DENSE_DURATION)));
+    let campus = smoke_campus_scenario(Scheme::Ripple { aggregation: 16 }, E2E_DURATION);
+    scenarios.push((CAMPUS, Scenario { shards: Some(1), ..campus }));
     let mut out = vec![medium_build()];
     out.extend(medium_plan());
     out.extend([
@@ -523,7 +545,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 24);
+        assert_eq!(budgets.len(), 27);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

@@ -9,6 +9,7 @@ pub use layouts::{blackout_scenario, lossy_scenario};
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
+use wmn_scengen::{ScenarioSpec, TopologySpec};
 use wmn_sim::{NodeId, SimDuration, SimTime};
 use wmn_topology::collision;
 use wmn_traffic::CbrModel;
@@ -110,6 +111,24 @@ pub fn dense_neighbourhood_scenario(duration: SimDuration) -> Scenario {
         route_refresh: None,
         shards: None,
     }
+}
+
+/// `ScenarioSpec::campus_scale()` shrunk to perfbench's smoke size: four
+/// clusters of 16 stations in a 20 m square, routed for `scheme`. Its six
+/// flows' paths name a fraction of the 64 stations, so an untraced run
+/// plans receptions at few of the stations that sense each frame.
+pub fn smoke_campus_scenario(scheme: Scheme, duration: SimDuration) -> Scenario {
+    let mut spec = ScenarioSpec::campus_scale();
+    spec.topology = TopologySpec::Campus {
+        clusters: 4,
+        nodes_per_cluster: 16,
+        cluster_radius_m: 3.0,
+        side_m: 20.0,
+    };
+    spec.scheme = scheme;
+    let mut scenario = spec.materialise().expect("the smoke campus materialises");
+    scenario.duration = duration;
+    scenario
 }
 
 #[cfg(test)]

@@ -12,15 +12,15 @@
 //! claims to be exact must leave the file as it is. On a mismatch the test
 //! names the cases that moved and prints the whole file as this build
 //! computes it, so an intended behaviour change updates it by copy-paste
-//! (and says so in its description).
+//! (and says so in its description). Each case also runs untraced, and its
+//! `RunResult` must have the row's `result` digest.
 
 use wmn_bench::{
     blackout_scenario, dense_neighbourhood_scenario, fig6_class_mobile_scenario,
-    fig6_class_scenario, lossy_scenario,
+    fig6_class_scenario, lossy_scenario, smoke_campus_scenario,
 };
-use wmn_netsim::{run_traced, FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Workload};
+use wmn_netsim::{run, run_traced, FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_scengen::{ScenarioSpec, TopologySpec};
 use wmn_sim::{NodeId, SimDuration};
 use wmn_traffic::CbrModel;
 
@@ -71,22 +71,6 @@ fn drifting_relay(scheme: Scheme) -> Scenario {
     }
 }
 
-/// `ScenarioSpec::campus_scale()` shrunk to perfbench's smoke size: four
-/// clusters of 16 stations in a 20 m square, 20 ms, routed for `scheme`.
-fn smoke_campus(scheme: Scheme) -> Scenario {
-    let mut spec = ScenarioSpec::campus_scale();
-    spec.topology = TopologySpec::Campus {
-        clusters: 4,
-        nodes_per_cluster: 16,
-        cluster_radius_m: 3.0,
-        side_m: 20.0,
-    };
-    spec.scheme = scheme;
-    let mut scenario = spec.materialise().expect("the smoke campus materialises");
-    scenario.duration = SimDuration::from_millis(20);
-    scenario
-}
-
 /// Every case, named `<layout>/<scheme>/<family>`.
 fn cases() -> Vec<(String, Scenario)> {
     let ms = SimDuration::from_millis;
@@ -106,7 +90,7 @@ fn cases() -> Vec<(String, Scenario)> {
             ("dense-16x16", dense),
             ("lossy", Scenario { scheme, ..lossy_scenario() }),
             ("blackout", Scenario { scheme, ..blackout_scenario() }),
-            ("campus-4x16", smoke_campus(scheme)),
+            ("campus-4x16", smoke_campus_scenario(scheme, ms(20))),
         ];
         for (layout, scenario) in layouts {
             for (family, shards) in [("legacy", None), ("per-entity", Some(1))] {
@@ -120,39 +104,60 @@ fn cases() -> Vec<(String, Scenario)> {
     cases
 }
 
-/// The corpus file as this build computes it. The cases run on two threads,
-/// one half each (the halves cost about the same: schemes are the outer
-/// loop), and the rows come back in case order.
-fn render() -> String {
-    let row = |(name, scenario): &(String, Scenario)| {
-        let (result, trace) = run_traced(scenario);
-        format!(
-            "    {{ \"case\": \"{name}\", \"result\": {}, \"trace\": {} }}",
-            digest(&result),
-            digest(&trace)
-        )
-    };
+/// One case's row of the corpus file, from its traced run, and the digest
+/// of the `RunResult` of its untraced run.
+fn row((name, scenario): &(String, Scenario)) -> (String, u32) {
+    let (result, trace) = run_traced(scenario);
+    let row = format!(
+        "    {{ \"case\": \"{name}\", \"result\": {}, \"trace\": {} }}",
+        digest(&result),
+        digest(&trace)
+    );
+    (row, digest(&run(scenario)))
+}
+
+/// The corpus file as this build computes it, and each case's untraced
+/// result digest. The cases run on two threads, one half each (the halves
+/// cost about the same: schemes are the outer loop), and the rows come
+/// back in case order.
+fn render() -> (String, Vec<(String, u32)>) {
     let cases = cases();
     let (first, second) = cases.split_at(cases.len() / 2);
-    let rows: Vec<String> = std::thread::scope(|scope| {
+    let (rows, untraced): (Vec<String>, Vec<u32>) = std::thread::scope(|scope| {
         let other = scope.spawn(|| second.iter().map(row).collect::<Vec<_>>());
-        let mut rows: Vec<String> = first.iter().map(row).collect();
+        let mut rows: Vec<(String, u32)> = first.iter().map(row).collect();
         rows.extend(other.join().expect("a corpus case panicked"));
-        rows
+        rows.into_iter().unzip()
     });
-    format!(
+    let untraced = cases.into_iter().map(|(name, _)| name).zip(untraced).collect();
+    let file = format!(
         "{{\n  \"artefact\": \"exact_corpus\",\n  \"comment\": \"FNV-1a 32 of the Debug \
          rendering of each case's RunResult and Trace; checked by crates/bench/tests/\
          exact_corpus.rs. An exact change leaves this file unchanged.\",\n  \"cases\": [\n{}\n  \
          ]\n}}\n",
         rows.join(",\n")
-    )
+    );
+    (file, untraced)
 }
 
+/// Every row matches the traced run, and every case's untraced `RunResult`
+/// has the row's `result` digest: the receptions an untraced run leaves
+/// out (`Scenario::observed_stations`) change nothing it reports.
 #[test]
 fn exact_corpus_is_unchanged() {
-    let actual = render();
+    let (actual, untraced) = render();
     if actual == CORPUS {
+        let untraced_moved: Vec<&str> = untraced
+            .iter()
+            .filter(|(name, result)| {
+                !CORPUS.contains(&format!("\"case\": \"{name}\", \"result\": {result},"))
+            })
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert!(
+            untraced_moved.is_empty(),
+            "untraced runs whose RunResult differs from the row's: {untraced_moved:?}"
+        );
         return;
     }
     let committed: Vec<&str> = CORPUS.lines().collect();

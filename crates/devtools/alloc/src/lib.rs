@@ -27,10 +27,10 @@
 //!
 //! Beside the allocation counters sit [`Work`] counters: exact counts of
 //! the simulator's own units of work (planner pairs walked, shadowing
-//! variates computed), bumped with [`count_work`] on the thread that does
-//! the work and read back with [`work_totals`]. They are the same kind of
-//! gate input as an allocation count, and compile to nothing without the
-//! `count` feature.
+//! variates computed, receptions planned), bumped with [`count_work`] on
+//! the thread that does the work and read back with [`work_totals`]. They
+//! are the same kind of gate input as an allocation count, and compile to
+//! nothing without the `count` feature.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 #[cfg(feature = "count")]
@@ -60,7 +60,7 @@ thread_local! {
     static CURRENT_PHASE: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
     /// This thread's [`Work`] counts, const-initialised for the same reason.
     static WORK: [std::cell::Cell<u64>; Work::COUNT] =
-        const { [std::cell::Cell::new(0), std::cell::Cell::new(0)] };
+        const { [std::cell::Cell::new(0), std::cell::Cell::new(0), std::cell::Cell::new(0)] };
 }
 
 /// A [`System`]-backed allocator that counts calls and bytes when the
@@ -240,20 +240,25 @@ pub enum Work {
     /// threshold, and by the capture rule where two arrivals' bounds
     /// straddle its margin.
     Variates = 1,
+    /// Receptions the planner planned: one per station a transmission
+    /// reaches that the run observes (see `Scenario::observed_stations` in
+    /// `wmn_netsim`).
+    Receptions = 2,
 }
 
 impl Work {
     /// Number of work counters.
-    pub const COUNT: usize = 2;
+    pub const COUNT: usize = 3;
 
     /// Every counter, in [`work_totals`] order.
-    pub const ALL: [Work; Work::COUNT] = [Work::PlannerPairs, Work::Variates];
+    pub const ALL: [Work; Work::COUNT] = [Work::PlannerPairs, Work::Variates, Work::Receptions];
 
     /// Stable snake_case key for reports.
     pub const fn label(self) -> &'static str {
         match self {
             Work::PlannerPairs => "planner_pairs",
             Work::Variates => "variates",
+            Work::Receptions => "receptions",
         }
     }
 }
@@ -392,15 +397,16 @@ mod tests {
         count_work(Work::PlannerPairs, 5);
         count_work(Work::Variates, 2);
         count_work(Work::PlannerPairs, 1);
+        count_work(Work::Receptions, 3);
         let after = work_totals();
         let delta = |w: Work| after[w as usize] - before[w as usize];
         if counting_enabled() {
-            assert_eq!((delta(Work::PlannerPairs), delta(Work::Variates)), (6, 2));
+            assert_eq!(Work::ALL.map(delta), [6, 2, 3]);
         } else {
             assert_eq!(after, [0; Work::COUNT], "work counters stay zero without `count`");
         }
         let labels: Vec<&str> = Work::ALL.iter().map(|w| w.label()).collect();
-        assert_eq!(labels, ["planner_pairs", "variates"]);
+        assert_eq!(labels, ["planner_pairs", "variates", "receptions"]);
     }
 
     #[test]

@@ -208,6 +208,16 @@ pub struct MacStats {
 /// the sink after the call and reuses it for the next event, so the
 /// steady-state action path never allocates. Handlers append in the order
 /// the actions must be applied; they never read the sink back.
+///
+/// # Inert bystanders
+///
+/// A frame that does not name the station — not addressed to it, and not
+/// listing it as a forwarder — must change no state and no [`MacStats`],
+/// and emit no action; a busy or idle edge at a station with nothing
+/// queued must emit no action and count nothing either. The runner relies
+/// on both: an untraced run with fixed routes plans no reception at a
+/// station that no flow's path names (`Scenario::observed_stations` in
+/// `wmn_netsim`).
 pub trait MacEntity {
     /// A packet arrives from the upper layer with its routing decision.
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink);

@@ -239,6 +239,29 @@ impl Scenario {
         }
         Ok(())
     }
+
+    /// The stations a run must plan receptions at, by index, or `None` for
+    /// all. A station no flow's path names never transmits or arms a timer,
+    /// and its MAC ignores every frame, since none names it (the contract on
+    /// [`MacEntity`]); leaving out its receptions changes no result while:
+    /// - the run is untraced: the trace records `Decoded` at every station;
+    /// - routes are fixed (`route_refresh: None`): a refresh can name a
+    ///   station while an arrival is already under way at it;
+    /// - a bystander's decode draws nothing another station reads: the
+    ///   per-entity family draws bit errors from one stream per receiver,
+    ///   and at BER 0 every draw passes, but the legacy family's one `ber`
+    ///   stream is shared, so a bystander's draws move every later decode.
+    pub fn observed_stations(&self, traced: bool) -> Option<Vec<bool>> {
+        let shared_ber = self.shards.is_none() && self.params.ber > 0.0;
+        if traced || self.route_refresh.is_some() || shared_ber {
+            return None;
+        }
+        let mut observed = vec![false; self.positions.len()];
+        for node in self.flows.iter().flat_map(|flow| &flow.path) {
+            observed[node.index()] = true;
+        }
+        Some(observed)
+    }
 }
 
 #[cfg(test)]

@@ -188,7 +188,7 @@ pub(crate) enum Event {
 /// it accepts runs to its end. Input from outside the program reaches `run`
 /// through `wmn_scengen`'s `materialise`, which validates first.
 pub fn run(scenario: &Scenario) -> RunResult {
-    let mut runner = Runner::build(scenario);
+    let mut runner = Runner::build(scenario, false);
     runner.run_loop();
     runner.results()
 }
@@ -208,17 +208,19 @@ const _: () = {
 };
 
 /// Like [`run`], but also returns the full event [`Trace`] of the run — a
-/// pure observer, so the [`RunResult`] equals `run`'s. Tracing costs memory
-/// proportional to the number of transmissions; use short durations.
+/// pure observer, so the [`RunResult`] equals `run`'s. A traced run plans
+/// receptions at every station, since the trace records each decode;
+/// [`run`] skips those nothing can observe ([`Scenario::observed_stations`]).
+/// Tracing costs memory proportional to the number of transmissions; use
+/// short durations.
 ///
 /// # Panics
 ///
 /// Exactly when [`Scenario::validate`] errs, as [`run`] does.
 pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
-    let mut runner = Runner::build(scenario);
-    runner.core.trace = Some(Trace::default());
+    let mut runner = Runner::build(scenario, true);
     runner.run_loop();
-    let trace = runner.core.trace.take().expect("installed above");
+    let trace = runner.core.trace.take().expect("built traced");
     (runner.results(), trace)
 }
 
@@ -232,14 +234,14 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Builds the loop for `scenario`, with the global passes scheduled
-    /// after the flow seeds so the legacy insertion counter advances as it
-    /// always has.
-    fn build(scenario: &'a Scenario) -> Runner<'a> {
+    /// Builds the loop for `scenario`, recording a trace if `traced`, with
+    /// the global passes scheduled after the flow seeds so the legacy
+    /// insertion counter advances as it always has.
+    fn build(scenario: &'a Scenario, traced: bool) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
-        let mut core = StationStack::build(scenario);
+        let mut core = StationStack::build(scenario, traced);
         if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
             core.schedule_pass(scenario.motion.tick, Pass::Mobility);
@@ -584,7 +586,7 @@ mod tests {
             tick: SimDuration::from_millis(50),
         };
         s.duration = SimDuration::from_millis(200);
-        let mut runner = Runner::build(&s);
+        let mut runner = Runner::build(&s, false);
         runner.run_loop();
         let p = runner.medium.position(NodeId::new(1));
         // 200 ms at 10 m/s from x = 5: the last tick at or before the end
@@ -701,11 +703,10 @@ mod tests {
         // scheme and family runs the same with slots as with the `slotless`
         // reference (every arming a plain event, every disarm ignored).
         let traced = |scenario: &Scenario, slotless: bool| {
-            let mut runner = Runner::build(scenario);
-            runner.core.trace = Some(Trace::default());
+            let mut runner = Runner::build(scenario, true);
             runner.core.slotless = slotless;
             runner.run_loop();
-            let trace = runner.core.trace.take().expect("installed above");
+            let trace = runner.core.trace.take().expect("built traced");
             (runner.results(), trace, runner.core.mac_timer_pops)
         };
         let schemes = [
@@ -737,7 +738,7 @@ mod tests {
         let walker = NodeId::new(lossy.positions.len() as u32 - 1);
         for shards in [None, Some(1)] {
             let scenario = Scenario { shards, ..lossy.clone() };
-            let mut runner = Runner::build(&scenario);
+            let mut runner = Runner::build(&scenario, false);
             let stopped_at = runner.run_loop();
             let result = runner.results();
             // The receptions still on the air are exactly the RxEnds still

@@ -272,6 +272,9 @@ pub(crate) struct StationStack {
     /// reception plan.
     pub(crate) air: AirTable,
     ber: BerModel,
+    /// The stations `broadcast` plans receptions at, or `None` for all
+    /// ([`Scenario::observed_stations`]).
+    observed: Option<Vec<bool>>,
     /// `broadcast`'s reception order, reused by every transmission.
     order: ReceptionOrder,
     /// Recycler for transport packet bodies: once warm, minting a TCP
@@ -299,8 +302,9 @@ impl StationStack {
     /// TxEnd, its scheme's own timers and, per transmission in flight, the
     /// heads of its two reception runs; it is pre-sized at four entries per
     /// station. The air table gets a slot per station for the same reason:
-    /// a station has one transmission on the air at a time.
-    pub(crate) fn build(scenario: &Scenario) -> StationStack {
+    /// a station has one transmission on the air at a time. A `traced`
+    /// stack records every event and plans every reception.
+    pub(crate) fn build(scenario: &Scenario, traced: bool) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
         let mut discipline = Discipline::for_scenario(scenario, dir);
@@ -317,12 +321,13 @@ impl StationStack {
             queue,
             macs,
             flows,
-            trace: None,
+            trace: traced.then(Trace::default),
             end: SimTime::ZERO + scenario.duration,
             discipline,
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
+            observed: scenario.observed_stations(traced),
             order: ReceptionOrder::default(),
             pool: FramePool::default(),
             #[cfg(test)]
@@ -542,15 +547,13 @@ impl StationStack {
         self.broadcast(node, frame, airtime, w.medium);
     }
 
-    /// Fans one transmission out to every station that will perceive it:
-    /// plans receptions (one shadowing draw per pair, station-index order,
-    /// from the discipline's stream for this transmitter) straight into a
-    /// buffer the air table lends, parks frame and plans there, and mints
-    /// each reception's RxStart/RxEnd key pair under the transmitter, in
-    /// plan order. Every receiver shares the one frame allocation the MAC
-    /// minted, through the one handle the air table holds until the last of
-    /// them ends (a transmission nobody perceives parks nothing and mints
-    /// no key).
+    /// Fans one transmission out to every observed station that will
+    /// perceive it: plans receptions ([`Self::plan`]), parks frame and plans
+    /// in the air table, and mints each reception's RxStart/RxEnd key pair
+    /// under the transmitter, in plan order. Every receiver shares the one
+    /// frame allocation the MAC minted, through the one handle the air
+    /// table holds until the last of them ends (a transmission nobody
+    /// perceives parks nothing and mints no key).
     ///
     /// The 2·F events enter the queue as two runs, not 2·F heap entries (see
     /// [`KeyedEventQueue::schedule_run_in`]): receptions ordered by
@@ -566,9 +569,7 @@ impl StationStack {
         airtime: SimDuration,
         medium: &Medium,
     ) {
-        let mut plans = self.air.lend();
-        medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
-        let Some(slot) = self.air.park(frame, plans) else { return };
+        let Some(slot) = self.plan(from, frame, medium) else { return };
         let order = self.order.of(self.air.plans(slot));
         // Plan `i` owns keys 2i (RxStart) and 2i + 1 (RxEnd) of the block.
         let keys = self.discipline.keys(Origin::Node(from), 2 * order.len() as u64);
@@ -580,6 +581,19 @@ impl StationStack {
             let reception = Reception { slot, index };
             (delay + airtime, keys.nth(2 * u64::from(index) + 1), Event::RxEnd { reception })
         }));
+    }
+
+    /// Plans `from`'s transmission at the observed stations (one shadowing
+    /// draw per pair, index order, from the discipline's stream for `from`)
+    /// into a buffer the air table lends and parks `frame` with the plans.
+    fn plan(&mut self, from: NodeId, frame: Arc<Frame>, medium: &Medium) -> Option<u32> {
+        let mut plans = self.air.lend();
+        let rng = self.discipline.medium_rng(from);
+        match &self.observed {
+            None => medium.plan_transmission_into(from, rng, &mut plans),
+            Some(observed) => medium.plan_receptions_into(from, rng, &mut plans, |to| observed[to]),
+        }
+        self.air.park(frame, plans)
     }
 
     fn handle_delivery(&mut self, node: NodeId, packet: Packet, w: World<'_>) {
@@ -884,7 +898,7 @@ mod tests {
         //     Deliver → on_enqueue   [T20, StartTx, T21]
         //       StartTx → on_busy   [T30]
         let scenario = relay_scenario();
-        let mut stack = StationStack::build(&scenario);
+        let mut stack = StationStack::build(&scenario, false);
         let log = Rc::new(RefCell::new(Vec::new()));
         let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Rc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
@@ -935,9 +949,7 @@ mod tests {
             airtime: SimDuration,
             medium: &Medium,
         ) {
-            let mut plans = self.air.lend();
-            medium.plan_transmission_into(from, self.discipline.medium_rng(from), &mut plans);
-            let Some(slot) = self.air.park(frame, plans) else { return };
+            let Some(slot) = self.plan(from, frame, medium) else { return };
             for index in 0..self.air.plans(slot).len() as u32 {
                 let reception = Reception { slot, index };
                 let delay = self.air.plan(reception).delay;
@@ -948,11 +960,16 @@ mod tests {
         }
     }
 
+    /// Outer-ring stations of [`dense_scenario`] that its flow's path
+    /// leaves out.
+    const BYSTANDERS: [u32; 3] = [0, 2, 4];
+
     /// Thirty-one stations within carrier-sense reach of each other, in an
     /// index order that is not a distance order from anywhere: four
     /// colocated at the origin (zero delay — every reception of a
     /// transmission from there ties) and, around it, rings of exact radius
     /// 5 m and 10 m (3-4-5 triangles: equal non-zero delays, ≈ 17 and 33 ns).
+    /// One CBR flow's path names every station but the [`BYSTANDERS`].
     fn dense_scenario(shards: Option<u32>) -> Scenario {
         let ring = [(5, 0), (3, 4), (0, 5), (-4, 3), (-5, 0), (-3, -4), (0, -5), (4, -3), (4, 3)];
         let mut positions = Vec::new();
@@ -966,7 +983,10 @@ mod tests {
             }
         }
         positions.push(Position::new(0.0, 0.0));
-        Scenario { positions, shards, ..relay_scenario() }
+        let stations = 0..positions.len() as u32;
+        let path = stations.filter(|i| !BYSTANDERS.contains(i)).map(NodeId::new).collect();
+        let workload = Workload::Cbr(wmn_traffic::CbrModel::heavy());
+        Scenario { positions, shards, flows: vec![FlowSpec { path, workload }], ..relay_scenario() }
     }
 
     /// What one pop of the reception test's queues is compared on.
@@ -974,12 +994,14 @@ mod tests {
 
     /// Three overlapping transmissions, two timers and whatever the flow
     /// seeded, popped to exhaustion, and the key each transmitter would
-    /// mint next; `send` is the broadcast under test.
+    /// mint next; `send` is the broadcast under test, on a stack built
+    /// `traced` or not.
     fn pop_sequence(
         scenario: &Scenario,
+        traced: bool,
         send: fn(&mut StationStack, NodeId, Arc<Frame>, SimDuration, &Medium),
     ) -> (Vec<Popped>, [EventKey; 2]) {
-        let mut stack = StationStack::build(scenario);
+        let mut stack = StationStack::build(scenario, traced);
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let n = scenario.positions.len() as u32;
         let frame = |from| {
@@ -1048,11 +1070,16 @@ mod tests {
 
     #[test]
     fn broadcast_pops_what_per_event_scheduling_pops() {
-        for shards in [None, Some(1)] {
+        for (shards, traced) in [(None, false), (Some(1), false), (None, true), (Some(1), true)] {
             let scenario = dense_scenario(shards);
-            let (runs, next_keys) = pop_sequence(&scenario, StationStack::broadcast);
-            let oracle = pop_sequence(&scenario, StationStack::broadcast_per_event);
+            let (runs, next_keys) = pop_sequence(&scenario, traced, StationStack::broadcast);
+            let oracle = pop_sequence(&scenario, traced, StationStack::broadcast_per_event);
             assert_eq!((&runs, next_keys), (&oracle.0, oracle.1), "shards: {shards:?}");
+            // Only an untraced per-entity stack leaves the bystanders out.
+            let masked = scenario.observed_stations(traced).is_some();
+            assert_eq!(masked, shards.is_some() && !traced);
+            let heard = |i: &u32| runs.iter().any(|p| p.1 == "RxStart" && p.2 == *i);
+            assert_eq!(BYSTANDERS.iter().any(heard), !masked, "shards {shards:?}, traced {traced}");
             // The comparison is not vacuous: dozens of receptions each, and
             // the ties the placement was built for.
             let count = |kind| runs.iter().filter(|p| p.1 == kind).count();
@@ -1162,7 +1189,7 @@ mod tests {
         // instant sees the pass's effect, and routing is recomputed over the
         // moved topology. Scheduled here in the reverse of that order.
         let scenario = Scenario { shards: Some(1), ..relay_scenario() };
-        let mut stack = StationStack::build(&scenario);
+        let mut stack = StationStack::build(&scenario, false);
         let at = SimDuration::from_millis(50);
         let flow = FlowId::new(0);
         stack.schedule_in(at, Origin::Flow(flow), Event::UdpSend { flow });

@@ -468,6 +468,21 @@ impl Medium {
         rng: &mut StreamRng,
         plans: &mut Vec<RxPlan>,
     ) {
+        self.plan_receptions_into(from, rng, plans, |_| true);
+    }
+
+    /// [`Medium::plan_transmission_into`], planning receptions only at the
+    /// stations whose index `keep` accepts. Every other station's draw is
+    /// still taken, in index order, so the stream and every kept plan are
+    /// bit-for-bit those of the full planner: the kept plans are exactly its
+    /// plans to kept stations.
+    pub fn plan_receptions_into(
+        &self,
+        from: NodeId,
+        rng: &mut StreamRng,
+        plans: &mut Vec<RxPlan>,
+        keep: impl Fn(usize) -> bool,
+    ) {
         plans.clear();
         let link = &self.params.link;
         let (sigma, cs, rx) = (link.sigma_db, link.cs_thresh_dbm, link.rx_thresh_dbm);
@@ -476,7 +491,11 @@ impl Medium {
             if idx == from.index() {
                 continue;
             }
-            let power = RxPower::drawn(mean, sigma, rng.normal_words());
+            let words = rng.normal_words();
+            if !keep(idx) {
+                continue;
+            }
+            let power = RxPower::drawn(mean, sigma, words);
             let (floor, ceiling) = power.bounds();
             if ceiling < cs {
                 continue;
@@ -498,6 +517,7 @@ impl Medium {
             });
         }
         count_work(Work::PlannerPairs, row.mean_rx_dbm.len().saturating_sub(1) as u64);
+        count_work(Work::Receptions, plans.len() as u64);
     }
 
     /// The pre-refactor per-call computation, kept as the oracle the cached
@@ -995,6 +1015,32 @@ mod tests {
             medium.plan_transmission_into(from, &mut rng_a, &mut scratch);
             assert_eq!(scratch, medium.plan_transmission(from, &mut rng_b), "round {round}");
         }
+    }
+
+    #[test]
+    fn kept_plans_are_the_full_planners_plans_to_kept_stations() {
+        use crate::params::PhyParams;
+        // A 4 m grid of 36: every transmission reaches most stations, some
+        // of them undecodable.
+        let positions =
+            (0..36).map(|i| Position::new(f64::from(i % 6) * 4.0, f64::from(i / 6) * 4.0));
+        let medium = Medium::new(PhyParams::paper_216(), positions.collect());
+        let keep = |to: usize| to % 3 != 1;
+        let (mut kept, mut full) = (Vec::new(), Vec::new());
+        let mut rng_kept = StreamRng::derive(9, "keep");
+        let mut rng_full = StreamRng::derive(9, "keep");
+        let mut dropped = 0;
+        for round in 0..60 {
+            let from = NodeId::new(round * 7 % 36);
+            medium.plan_receptions_into(from, &mut rng_kept, &mut kept, keep);
+            medium.plan_transmission_into(from, &mut rng_full, &mut full);
+            let before = full.len();
+            full.retain(|plan| keep(plan.to.index()));
+            dropped += before - full.len();
+            assert_eq!(plan_bits(&kept), plan_bits(&full), "round {round}");
+        }
+        assert!(dropped > 100, "the mask left out {dropped} receptions");
+        assert_eq!(rng_kept.next_u64(), rng_full.next_u64(), "every pair's words are drawn");
     }
 
     /// One directed pair, bit for bit: `(distance bits, mean bits, delay,

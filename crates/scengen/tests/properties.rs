@@ -137,8 +137,8 @@ impl Fields<'_> {
 }
 
 /// A spec of at most 64 stations and 20 ms with one field, or none, set to
-/// an extreme value.
-fn random_spec(rng: &mut TestRng) -> wmn_scengen::ScenarioSpec {
+/// an extreme value; with no field extreme unless `hostile`.
+fn random_spec(rng: &mut TestRng, hostile: bool) -> wmn_scengen::ScenarioSpec {
     use wmn_netsim::Scheme;
     use wmn_scengen::{MobilitySpec, PhyPreset, ScenarioSpec};
     const LENGTHS: [f64; 6] = [f64::NAN, -1.0, 0.0, 1e-300, 1e16, 1e308];
@@ -146,7 +146,8 @@ fn random_spec(rng: &mut TestRng) -> wmn_scengen::ScenarioSpec {
     const SPEEDS: [f64; 3] = [0.5, 5.0, 30.0];
     let kind = rng.below(4);
     let mobility_kind = rng.below(3);
-    let hostile = rng.below(20);
+    // Fields count from 1, so 0 picks none.
+    let hostile = if hostile { rng.below(20) } else { 0 };
     let mut f = Fields { rng, hostile, drawn: 0 };
     let topology = match kind {
         0 => TopologySpec::RandomGeometric {
@@ -222,7 +223,8 @@ fn random_spec(rng: &mut TestRng) -> wmn_scengen::ScenarioSpec {
 fn prop_b_any_spec_file_errs_or_runs() {
     watchdog::run_cases(std::time::Duration::from_secs(60), |announce| {
         for case in 0..256 {
-            let text = random_spec(&mut TestRng::for_case("prop_b", case)).to_json().to_string();
+            let text =
+                random_spec(&mut TestRng::for_case("prop_b", case), true).to_json().to_string();
             announce(text.clone());
             if let Ok(scenario) =
                 wmn_scengen::ScenarioSpec::parse(&text).and_then(|s| s.materialise())
@@ -254,4 +256,42 @@ fn committed_regressions_end_in_an_error() {
             assert!(outcome.is_err(), "{} ran to its end", path.display());
         }
     });
+}
+
+/// An untraced run reports what a traced one does, bit for bit: the
+/// receptions `run` leaves out (`Scenario::observed_stations`) change
+/// nothing. Sound random specs, each case pinned to one of twelve classes
+/// (result family × BER 0 or the drawn 1e-6 / 1e-5 × static, mobile, or
+/// mobile with route refresh); every class must come up with stations that no flow's path
+/// names, the bystanders whose receptions are left out.
+#[test]
+fn prop_untraced_runs_match_traced_runs() {
+    use wmn_scengen::MobilitySpec;
+    let mut covered = std::collections::BTreeSet::new();
+    for case in 0..96 {
+        let mut spec = random_spec(&mut TestRng::for_case("prop_untraced", case), false);
+        let class = (case % 2, case / 2 % 2, case / 4 % 3);
+        spec.shards = [None, Some(1)][class.0 as usize];
+        if class.1 == 0 {
+            spec.ber = Some(0.0);
+        }
+        if class.2 == 0 {
+            spec.mobility = MobilitySpec::Static;
+        } else if spec.mobility == MobilitySpec::Static {
+            spec.mobility = MobilitySpec::Drift { max_speed_mps: 30.0 };
+        }
+        spec.route_refresh_ms = (class.2 == 2).then_some(7);
+        let Ok(scenario) = spec.materialise() else { continue };
+        let untraced = format!("{:?}", wmn_netsim::run(&scenario));
+        let traced = format!("{:?}", wmn_netsim::run_traced(&scenario).0);
+        assert_eq!(untraced, traced, "case {case}: {}", spec.to_json());
+        let mut named = vec![false; scenario.positions.len()];
+        for node in scenario.flows.iter().flat_map(|flow| &flow.path) {
+            named[node.index()] = true;
+        }
+        if named.contains(&false) {
+            covered.insert(class);
+        }
+    }
+    assert_eq!(covered.len(), 12, "classes run with bystanders: {covered:?}");
 }

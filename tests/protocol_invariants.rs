@@ -2,8 +2,13 @@
 //! property-style sweeps over seeds and failure injection via hostile
 //! channel conditions.
 
-use wmn_mac::frame::{Frame, NetHeader, NodeList, Packet, Proto, RouteInfo};
-use wmn_mac::{Backoff, DropReason, MacAction, MacEntityExt, MacScheme, TimerSlot, TimerToken};
+use wmn_mac::frame::{
+    AckFrame, DataFrame, Frame, LinkDst, NetHeader, NodeList, Packet, Proto, RouteInfo, RxFrame,
+    Subframe,
+};
+use wmn_mac::{
+    Backoff, DropReason, MacAction, MacEntityExt, MacScheme, MacStats, TimerSlot, TimerToken,
+};
 use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
 use wmn_sim::{labels, FlowId, NodeId, RngDirectory, SimDuration, SimTime};
@@ -293,5 +298,89 @@ fn contention_is_identical_across_schemes() {
             (1, 1, attempts, attempts),
             "{label}"
         );
+    }
+}
+
+/// The inertness contract on `MacEntity`: a station that no flow's path
+/// names sees busy and idle edges and overhears data and ACK frames of a
+/// flow 0 → 1 → 2 → 3, none of which names it. Under every scheme it emits
+/// nothing and counts nothing, which is what lets an untraced run with
+/// fixed routes skip its receptions.
+#[test]
+fn bystanders_are_inert_under_every_scheme() {
+    let params = PhyParams::paper_216();
+    let bystander = NodeId::new(9);
+    let node = NodeId::new;
+    let flow = FlowId::new(0);
+    let list: NodeList = [3, 2, 1].map(node).into_iter().collect();
+    let data = |transmitter: u32, link_dst: LinkDst, width: u32| {
+        let header =
+            NetHeader { flow, src: node(0), dst: node(3), proto: Proto::Tcp, wire_bytes: 1000 };
+        let subframes = (0..width).map(|seq| Subframe {
+            seq,
+            packet: Packet::new(header, vec![0; 8]),
+            corrupted: seq == 1,
+        });
+        Frame::Data(DataFrame {
+            transmitter: node(transmitter),
+            link_dst,
+            flow,
+            src: node(0),
+            dst: node(3),
+            frame_seq: 7,
+            subframes: subframes.collect(),
+            retry: 0,
+        })
+    };
+    let ack = |transmitter: u32, relay_list: NodeList| {
+        Frame::Ack(AckFrame {
+            transmitter: node(transmitter),
+            to: node(0),
+            flow,
+            frame_seq: 7,
+            acked_seqs: [(flow, 0)].into_iter().collect(),
+            relay_list,
+        })
+    };
+    let overheard = || {
+        let opportunistic = || LinkDst::Opportunistic { list: list.clone() };
+        [
+            data(0, LinkDst::Unicast(node(1)), 1),
+            data(1, LinkDst::Unicast(node(2)), 16),
+            data(0, opportunistic(), 1),
+            data(2, opportunistic(), 16),
+            ack(1, NodeList::new()),
+            ack(3, list.clone()),
+            ack(2, list.clone()),
+        ]
+    };
+    for scheme in [
+        Scheme::Dcf { aggregation: 1 },
+        Scheme::Dcf { aggregation: 16 },
+        Scheme::Ripple { aggregation: 1 },
+        Scheme::Ripple { aggregation: 16 },
+        Scheme::McExor,
+        Scheme::PreExor,
+    ] {
+        let label = scheme.label();
+        let rng = RngDirectory::new(1).indexed_stream(labels::MAC, 9);
+        let mut mac = scheme.build_mac(&params, bystander, rng);
+        let mut now = SimTime::from_micros(10);
+        for (i, frame) in overheard().into_iter().enumerate() {
+            assert!(mac.on_busy_vec(now).is_empty(), "{label}: busy edge {i}");
+            now += SimDuration::from_micros(300);
+            assert!(mac.on_idle_vec(now).is_empty(), "{label}: idle edge {i}");
+            let actions = mac.on_frame_rx_vec(RxFrame::from(frame), now);
+            assert!(actions.is_empty(), "{label}: overheard frame {i} emitted {actions:?}");
+            assert_eq!(mac.stats(), MacStats::default(), "{label}: frame {i} was counted");
+            now += SimDuration::from_micros(50);
+        }
+        // The control: the same MAC takes a frame that names it.
+        let named = match scheme {
+            Scheme::Dcf { .. } => LinkDst::Unicast(bystander),
+            _ => LinkDst::Opportunistic { list: [bystander, node(1)].into_iter().collect() },
+        };
+        mac.on_frame_rx_vec(RxFrame::from(data(1, named, 1)), now);
+        assert_eq!(mac.stats().data_frames_received, 1, "{label}: a frame naming it");
     }
 }
