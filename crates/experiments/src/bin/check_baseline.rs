@@ -28,6 +28,15 @@
 //! <name>` refreshes just that entry and carries the others over verbatim;
 //! a name the baseline does not list yet is appended, which is how a new
 //! artefact (e.g. `sweep_ci-mobility-refresh`) joins the gate.
+//!
+//! ## The statistical judge
+//!
+//! `--statistical --write <file>` runs the seed ensemble of
+//! [`wmn_experiments::statistical`] and stores each cell's mean, standard
+//! error and count; `--statistical --against <file>` reruns it and exits 1
+//! if a cell moved (Welch's |t| > 4) or an ordering of
+//! `tests/paper_shapes.rs` fails on the ensemble means. It judges a change
+//! that moves every byte on purpose, which the table gate above cannot.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -49,7 +58,11 @@ fn usage() -> ! {
          baseline artefact(s), for jobs that regenerate only part of the\n\
          repro set; other entries are left untouched. With --update, a\n\
          name the baseline does not list yet is appended to it.\n\
-         --update rewrites the baseline from the fresh documents."
+         --update rewrites the baseline from the fresh documents.\n\
+         \n\
+         check_baseline --statistical (--write <file> | --against <file>)\n\
+         runs the seed ensemble and writes it as a reference, or judges it\n\
+         against one (Welch's |t| > 4 per cell, and the paper's orderings)."
     );
     exit(2)
 }
@@ -164,11 +177,50 @@ fn write_baseline(baseline_path: &Path, entries: Vec<Value>) {
     }
 }
 
+/// `--statistical`: run the ensemble, then write it to `write` or judge it
+/// against the reference at `against`.
+fn statistical(write: Option<PathBuf>, against: Option<PathBuf>) -> ! {
+    use wmn_experiments::statistical::{judge, Ensemble};
+    let reference = against.as_deref().map(load).transpose().unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        exit(1)
+    });
+    let ensemble = Ensemble::run(wmn_exec::Executor::from_env().jobs()).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        exit(1)
+    });
+    if let Some(path) = write {
+        let text = ensemble.to_json().to_json_string().unwrap_or_else(|err| {
+            eprintln!("error: refusing to write the reference: {err}");
+            exit(1)
+        });
+        if let Err(err) = std::fs::write(&path, format!("{text}\n")) {
+            eprintln!("error: could not write {}: {err}", path.display());
+            exit(1)
+        }
+        println!("statistical reference written: {}", path.display());
+    }
+    let Some(reference) = reference else { exit(0) };
+    let verdict = judge(&reference, &ensemble).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        exit(1)
+    });
+    for line in &verdict.failed {
+        eprintln!("FAIL {line}");
+    }
+    for (ordering, _) in verdict.orderings.iter().filter(|o| !o.1) {
+        eprintln!("FAIL ordering {ordering}");
+    }
+    println!("{}", verdict.summary());
+    exit(if verdict.passed() { 0 } else { 1 })
+}
+
 fn main() {
     let mut baseline_path = PathBuf::from("ci/baseline_repro.json");
     let mut fresh_dir: Option<PathBuf> = None;
     let mut only: Vec<String> = Vec::new();
     let mut update = false;
+    let (mut stat, mut write, mut against) = (false, None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -176,8 +228,17 @@ fn main() {
             "--fresh" => fresh_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--only" => only.push(args.next().unwrap_or_else(|| usage())),
             "--update" => update = true,
+            "--statistical" => stat = true,
+            "--write" => write = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
+            "--against" => against = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             _ => usage(),
         }
+    }
+    if stat != (write.is_some() || against.is_some()) {
+        usage();
+    }
+    if stat {
+        statistical(write, against);
     }
     let dir = fresh_dir.unwrap_or_else(wmn_exec::report::repro_dir);
 

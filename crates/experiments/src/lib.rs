@@ -45,6 +45,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod motivation;
 pub mod refresh;
+pub mod statistical;
 pub mod sweep;
 pub mod table3;
 
