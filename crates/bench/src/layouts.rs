@@ -51,7 +51,7 @@ pub fn lossy_scenario() -> Scenario {
     lossy.params.ber = 2e-5;
     lossy.flows.extend([cbr(&[4, 5]), cbr(&[6, 7]), cbr(&[8, 1])]);
     // Off the 10 ms tick grid, so the run ends with frames on the air.
-    lossy.duration = SimDuration::from_micros(300_137);
+    lossy.duration = SimDuration::from_micros(300_198);
     lossy.motion = MotionPlan { paths, tick: SimDuration::from_millis(10) };
     lossy
 }

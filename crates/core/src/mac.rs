@@ -160,7 +160,7 @@ impl RippleMac {
         }
     }
 
-    fn handle_data_frame(&mut self, d: &DataFrame, out: &mut ActionSink) {
+    fn handle_data_frame(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
         let LinkDst::Opportunistic { list } = &d.link_dst else {
             return; // unicast traffic belongs to other MACs
         };
@@ -171,7 +171,7 @@ impl RippleMac {
 
         if my_rank == 0 {
             // Destination: acknowledge and deliver in order via the Rq.
-            self.destination_receive(d, out);
+            self.destination_receive(d, now, out);
             return;
         }
 
@@ -214,7 +214,7 @@ impl RippleMac {
         self.schedule_relay((d.flow, d.src, d.frame_seq, false), Frame::Data(relay), wait, out);
     }
 
-    fn destination_receive(&mut self, d: &DataFrame, out: &mut ActionSink) {
+    fn destination_receive(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
         let LinkDst::Opportunistic { list } = &d.link_dst else { return };
         let mut acked_seqs = AckList::new();
         for sf in &d.subframes {
@@ -227,7 +227,7 @@ impl RippleMac {
                 continue;
             }
             acked_seqs.push((sf.packet.header.flow, sf.seq));
-            self.tx.deliver_in_order(sf, out);
+            self.tx.deliver_in_order(sf, now, out);
         }
         let ack = AckFrame {
             transmitter: self.tx.node(),
@@ -334,7 +334,7 @@ impl MacEntity for RippleMac {
 
     fn on_frame_rx(&mut self, frame: RxFrame, now: SimTime, out: &mut ActionSink) {
         match &*frame {
-            Frame::Data(d) => self.handle_data_frame(d, out),
+            Frame::Data(d) => self.handle_data_frame(d, now, out),
             Frame::Ack(a) => self.handle_ack_frame(a, now, out),
         }
     }

@@ -34,6 +34,15 @@ use crate::{DropReason, MacAction, MacStats, RateClass, TimerSlot, TimerToken};
 /// oldest hole.
 const REORDER_CAPACITY: usize = 64;
 
+/// How long a hole may hold packets back before the next arrival gives it
+/// up: the sender has exhausted its retries on it. About four times the
+/// longest a sender keeps retrying one frame under the paper's parameters
+/// (7 attempts, back-off windows up to 1023 slots of 9 µs), and the
+/// reorder-buffer timeout Linux's mac80211 uses (100 ms). Without it, a
+/// TCP flow whose source dropped a frame stalls for good: its window never
+/// fills the buffer, and every retransmission waits behind the hole.
+const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
 /// Where a station's data pipeline stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DataState {
@@ -376,8 +385,9 @@ pub struct AggSender {
     /// The station's frame-buffer pool.
     pub pool: FramePool,
     /// One receive queue per (flow, end-to-end source): frames may mix
-    /// flows that share a route, so the key comes from the subframe.
-    rq: BTreeMap<(FlowId, NodeId), ReorderBuffer>,
+    /// flows that share a route, so the key comes from the subframe. Beside
+    /// it, when its current hole started holding packets back.
+    rq: BTreeMap<(FlowId, NodeId), (ReorderBuffer, SimTime)>,
 }
 
 impl AggSender {
@@ -545,17 +555,31 @@ impl AggSender {
         out.push(MacAction::SetTimer { delay, token, slot: None });
     }
 
-    /// Offers a subframe that survived the channel to its receive queue and
-    /// delivers the run that releases, in sequence order. The frame is
-    /// borrowed (it may be the shared broadcast copy), so the kept packet is
-    /// cloned — a header copy plus a body refcount bump.
-    pub fn deliver_in_order(&mut self, sf: &Subframe, out: &mut ActionSink) {
+    /// Offers a subframe that survived the channel, at `now`, to its
+    /// receive queue and delivers the run that releases, in sequence order.
+    /// A hole that has held packets back for [`REORDER_TIMEOUT`] is given
+    /// up first. The frame is borrowed (it may be the shared broadcast
+    /// copy), so the kept packet is cloned — a header copy plus a body
+    /// refcount bump.
+    pub fn deliver_in_order(&mut self, sf: &Subframe, now: SimTime, out: &mut ActionSink) {
         let key = (sf.packet.header.flow, sf.packet.header.src);
-        let rq = self.rq.entry(key).or_insert_with(|| ReorderBuffer::new(REORDER_CAPACITY));
-        let mut released = rq.accept(sf.seq, sf.packet.clone());
-        for packet in released.drain(..) {
-            self.csma.stats.delivered_up += 1;
-            out.push(MacAction::Deliver { packet });
+        let (rq, held_since) =
+            self.rq.entry(key).or_insert_with(|| (ReorderBuffer::new(REORDER_CAPACITY), now));
+        let stats = &mut self.csma.stats;
+        let mut deliver = |mut released: Slot<Packet>| {
+            for packet in released.drain(..) {
+                stats.delivered_up += 1;
+                out.push(MacAction::Deliver { packet });
+            }
+        };
+        let (was_empty, hole) = (rq.buffered() == 0, rq.next_expected());
+        if !was_empty && now - *held_since >= REORDER_TIMEOUT {
+            deliver(rq.skip_hole());
+        }
+        deliver(rq.accept(sf.seq, sf.packet.clone()));
+        // A hole that opened or moved at this arrival starts its clock.
+        if was_empty || rq.next_expected() != hole {
+            *held_since = now;
         }
     }
 
@@ -563,7 +587,7 @@ impl AggSender {
     /// (delivered or buffered).
     pub fn holds(&self, sf: &Subframe) -> bool {
         let key = (sf.packet.header.flow, sf.packet.header.src);
-        self.rq.get(&key).is_some_and(|rq| rq.has(sf.seq))
+        self.rq.get(&key).is_some_and(|(rq, _)| rq.has(sf.seq))
     }
 }
 
@@ -634,6 +658,39 @@ mod tests {
         assert!(!c.radio_free());
         assert_eq!(c.on_tx_end(), Some(OwnTx::Data));
         assert_eq!(c.state(), DataState::WaitAck);
+    }
+
+    #[test]
+    fn a_hole_is_given_up_at_the_first_arrival_after_the_timeout() {
+        // Seq 0 never comes (its sender gave up on it).
+        let mut tx = AggSender::new(NodeId::new(1), core(3), 16, 65_535);
+        let header = NetHeader {
+            flow: FlowId::new(0),
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            proto: Proto::Tcp,
+            wire_bytes: 1000,
+        };
+        let mut out = ActionSink::new();
+        let mut arrive = |seq: u32, ms: u64| {
+            let packet = Packet::new(header, seq.to_le_bytes().to_vec());
+            let sf = Subframe { seq, packet, corrupted: false };
+            tx.deliver_in_order(&sf, SimTime::ZERO + SimDuration::from_millis(ms), &mut out);
+            let delivered = out.drain_to_vec().into_iter().map(|action| match action {
+                MacAction::Deliver { packet } => {
+                    u32::from_le_bytes(packet.body[..].try_into().unwrap())
+                }
+                other => panic!("only deliveries, got {other:?}"),
+            });
+            delivered.collect::<Vec<_>>()
+        };
+        assert_eq!(arrive(1, 10), [0u32; 0], "held behind the hole at 0 from 10 ms");
+        assert_eq!(arrive(2, 50), [0u32; 0]);
+        assert_eq!(arrive(3, 109), [0u32; 0], "99 ms: still held");
+        // 100 ms: the hole at 0 goes; 5 then waits behind a new one at 4.
+        assert_eq!(arrive(5, 110), [1, 2, 3]);
+        assert_eq!(arrive(6, 200), [0u32; 0], "the hole at 4 is 90 ms old");
+        assert_eq!(arrive(4, 205), [4, 5, 6], "and it fills in time");
     }
 
     #[test]

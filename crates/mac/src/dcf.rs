@@ -123,7 +123,7 @@ impl DcfMac {
         self.tx.csma.q.len()
     }
 
-    fn handle_data_frame(&mut self, d: &DataFrame, out: &mut ActionSink) {
+    fn handle_data_frame(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
         if d.link_dst != LinkDst::Unicast(self.tx.node()) {
             return; // overheard or opportunistic: plain DCF ignores it
         }
@@ -136,7 +136,7 @@ impl DcfMac {
             .collect();
         // Deliver clean, non-duplicate subframes in order through the Rq.
         for sf in d.subframes.iter().filter(|s| !s.corrupted) {
-            self.tx.deliver_in_order(sf, out);
+            self.tx.deliver_in_order(sf, now, out);
         }
         // Schedule the MAC ACK one SIFS after the frame ended (now).
         let ack = AckFrame {
@@ -169,7 +169,7 @@ impl MacEntity for DcfMac {
 
     fn on_frame_rx(&mut self, frame: RxFrame, now: SimTime, out: &mut ActionSink) {
         match &*frame {
-            Frame::Data(d) => self.handle_data_frame(d, out),
+            Frame::Data(d) => self.handle_data_frame(d, now, out),
             // Only the addressed sender, while it waits, takes the ACK.
             Frame::Ack(a) => {
                 if a.to == self.tx.node() && self.tx.csma.state() == DataState::WaitAck {

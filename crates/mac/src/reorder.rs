@@ -7,9 +7,12 @@
 //! exactly that: it deduplicates, buffers out-of-order arrivals, and
 //! releases packets to the upper layer strictly in sequence.
 //!
-//! A capacity bound protects against a permanently lost sequence (sender
-//! exhausted its retries): when the buffer is full, the window advances to
-//! the oldest buffered packet, accepting the hole.
+//! A sender that exhausts its retries leaves a hole that never fills. Two
+//! rules give it up, advancing the window to the oldest buffered packet:
+//! a capacity bound (the buffer is full), and the caller's age bound
+//! ([`ReorderBuffer::skip_hole`], which the MAC calls once a hole has held
+//! packets back too long — a window-limited sender such as TCP never
+//! fills the buffer).
 
 use std::collections::VecDeque;
 
@@ -98,12 +101,30 @@ impl ReorderBuffer {
         // Window-full recovery: the sender has given up on a hole; advance
         // to the oldest buffered packet so the flow is not stalled forever.
         while self.pending.len() > self.capacity {
-            let oldest = self.pending.front().expect("non-empty").0;
-            self.holes_skipped += u64::from(oldest - self.next_expected);
-            self.next_expected = oldest;
-            self.release_run(&mut released);
+            self.advance_to_oldest(&mut released);
         }
         released
+    }
+
+    /// Gives up the hole in front of the oldest buffered packet (its sender
+    /// has given up on it) and returns the run that releases, as
+    /// [`accept`](ReorderBuffer::accept) does. Releases nothing when no
+    /// packet is held back.
+    pub fn skip_hole(&mut self) -> Slot<Packet> {
+        let mut released = self.releases.mint();
+        if !self.pending.is_empty() {
+            self.advance_to_oldest(&mut released);
+        }
+        released
+    }
+
+    /// Advances the window to the oldest buffered packet and releases the
+    /// run from there.
+    fn advance_to_oldest(&mut self, released: &mut Slot<Packet>) {
+        let oldest = self.pending.front().expect("non-empty").0;
+        self.holes_skipped += u64::from(oldest - self.next_expected);
+        self.next_expected = oldest;
+        self.release_run(released);
     }
 
     /// Moves the contiguous run starting at `next_expected` out of
