@@ -25,13 +25,14 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
-//! Three rows gate work rather than allocations, through the same file and
+//! Four rows gate work rather than allocations, through the same file and
 //! the same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
 //! variates computed in full per planner pair on the 1024-station medium
 //! and per frame on the dense neighbourhood, so a planner or capture rule
-//! that stops deciding from the draw's bounds breaches both; and the
-//! receptions planned per transmission on an untraced per-entity campus,
-//! so a planner that plans stations no flow's path names breaches that one.
+//! that stops deciding from the draw's bounds breaches both; and the pairs
+//! drawn and receptions planned per transmission on an untraced campus, so
+//! a planner that draws or plans stations no flow's path names breaches
+//! those two.
 //!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
@@ -167,8 +168,8 @@ fn saturated_queue() -> Entry<'static> {
 }
 
 /// The recycled-node claim on the future-event list the simulator runs on
-/// (`KeyedEventQueue`, keyed on one lane by insertion count as the legacy
-/// discipline keys it), under the steady-state pattern: a bounded frontier,
+/// (`KeyedEventQueue`, keyed here on one lane by insertion count), under
+/// the steady-state pattern: a bounded frontier,
 /// pre-sized, where every pop schedules a successor at or near "now" — pops
 /// hand their storage straight back to the pushes.
 fn event_churn_recycled() -> Entry<'static> {
@@ -301,7 +302,7 @@ fn work_delta(before: [u64; Work::COUNT], work: Work) -> u64 {
 /// decide breaches that row.
 fn medium_plan() -> [Entry<'static>; 2] {
     let positions = grid_positions(32, 2.0);
-    let mut rng = RngDirectory::new(7).stream(labels::MEDIUM);
+    let mut rng = RngDirectory::new(7).stream(labels::CHANNEL);
     let work = wmn_alloc::work_totals();
     let (sensed, stats) = wmn_alloc::measure(|| {
         let medium = Medium::new(PhyParams::paper_216(), positions);
@@ -315,7 +316,7 @@ fn medium_plan() -> [Entry<'static>; 2] {
     });
     assert!(sensed > 0, "a 2 m grid senses every transmission somewhere");
     let pairs = work_delta(work, Work::PlannerPairs);
-    assert_eq!(pairs, 16 * 1023, "one pair walked per other station per call");
+    assert_eq!(pairs, 16 * 1023, "every other station is in reach on a 62 m grid");
     let bench = "medium_plan_1024_k16";
     [
         Entry { bench, metric: "peak_bytes", value: stats.peak_bytes_in_use as f64 },
@@ -339,8 +340,8 @@ fn materialise_campus() -> Entry<'static> {
     allocs_per_op("materialise_campus1024", stats, 1)
 }
 
-/// One end-to-end run: allocations per frame on the air (data + ACK) and
-/// the live-bytes peak, and for the dense neighbourhood the shadowing
+/// One end-to-end run: allocations per frame on the air (data, relay and
+/// ACK) and the live-bytes peak, and for the dense neighbourhood the shadowing
 /// variates computed in full per frame (planner and capture rule). Returns
 /// the run's allocations split by the engine's phase scopes (scenario build
 /// and result collection stay unattributed), so that a breach names where
@@ -351,7 +352,11 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
     let (result, stats) = wmn_alloc::measure(|| run(scenario));
     let after = wmn_alloc::phase_totals();
     assert!(result.flows[0].delivered_bytes > 0, "{bench}: run made no progress");
-    let frames: u64 = result.mac_stats.iter().map(|s| s.data_frames_sent + s.ack_frames_sent).sum();
+    let frames: u64 = result
+        .mac_stats
+        .iter()
+        .map(|s| s.data_frames_sent + s.relay_frames_sent + s.ack_frames_sent)
+        .sum();
     assert!(frames > 0, "{bench}: no frames transmitted");
     out.push(Entry {
         bench,
@@ -368,15 +373,18 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
         });
     }
     if bench == CAMPUS {
-        // Every transmission, relays included, walks one pair per other station.
-        let transmissions =
-            work_delta(work, Work::PlannerPairs) / (scenario.positions.len() as u64 - 1);
-        let receptions = work_delta(work, Work::Receptions);
+        // Every frame counted is one transmission, and each draws at most
+        // one pair per other observed station.
+        let observed = scenario.observed_stations(false).expect("untraced, fixed routes").len();
+        let pairs = work_delta(work, Work::PlannerPairs);
+        assert!(pairs <= frames * (observed as u64 - 1), "{bench}: {pairs} pairs drawn");
+        let per_tx = |w| work_delta(work, w) as f64 / frames as f64;
         out.push(Entry {
             bench,
-            metric: "receptions_per_tx",
-            value: receptions as f64 / transmissions as f64,
+            metric: "planner_pairs_per_tx",
+            value: per_tx(Work::PlannerPairs),
         });
+        out.push(Entry { bench, metric: "receptions_per_tx", value: per_tx(Work::Receptions) });
     }
     let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
         .iter()
@@ -388,10 +396,11 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
 /// The end-to-end row that also gates full variates per frame.
 const DENSE: &str = "dense_neighbourhood_end_to_end";
 
-/// The end-to-end row that also gates receptions planned per transmission:
-/// an untraced per-entity run plans them only at stations a flow's path
-/// names, a handful of the dozens that sense each frame.
-const CAMPUS: &str = "smoke_campus_per_entity_end_to_end";
+/// The end-to-end row that also gates pairs drawn and receptions planned
+/// per transmission: an untraced run with fixed routes draws and plans
+/// them only at stations a flow's path names, a handful of the dozens that
+/// sense each frame.
+const CAMPUS: &str = "smoke_campus_end_to_end";
 
 /// The MAC configurations the fig-6 class runs under: `RippleMac`, `DcfMac`
 /// plain and aggregated, `ExorMac` in both ACK modes.
@@ -408,15 +417,15 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     // The end-to-end scenarios (an FTP flow + 5 hidden CBR senders under
     // each MAC; under RIPPLE-16 again with the relays pacing on a 10 ms
     // mobility tick; the 256-station dense neighbourhood; the 64-station
-    // campus in the per-entity family) are built up front, so what is live
-    // at entry is the same for every measured region.
+    // campus) are built up front, so what is live at entry is the same for
+    // every measured region.
     let mut scenarios: Vec<(&str, Scenario)> = FIG6_MACS
         .map(|(bench, scheme)| (bench, fig6_class_scenario(5, scheme, E2E_DURATION)))
         .into();
     scenarios.push(("fig6_class_mobile_end_to_end", fig6_class_mobile_scenario(5, E2E_DURATION)));
     scenarios.push((DENSE, dense_neighbourhood_scenario(DENSE_DURATION)));
     let campus = smoke_campus_scenario(Scheme::Ripple { aggregation: 16 }, E2E_DURATION);
-    scenarios.push((CAMPUS, Scenario { shards: Some(1), ..campus }));
+    scenarios.push((CAMPUS, campus));
     let mut out = vec![medium_build()];
     out.extend(medium_plan());
     out.extend([
@@ -545,7 +554,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 27);
+        assert_eq!(budgets.len(), 28);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

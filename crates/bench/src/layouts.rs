@@ -37,7 +37,7 @@ fn ftp_scenario(scheme: Scheme, path: &[u32], positions: Vec<Position>) -> Scena
 /// that costs a data frame its header about once in 150 receptions and a
 /// subframe its CRC once in seven, and a ninth station, the last, whose
 /// CBR source walks 5 km away between 80 and 100 ms and keeps retrying
-/// into a void nobody perceives. RIPPLE-16, legacy family.
+/// into a void nobody perceives. RIPPLE-16.
 pub fn lossy_scenario() -> Scenario {
     let cbr = |path| flow(path, Workload::Cbr(CbrModel::heavy()));
     let mut positions = collision::hidden_terminals(2).positions;
@@ -56,10 +56,30 @@ pub fn lossy_scenario() -> Scenario {
     lossy
 }
 
+/// A 5 m line 0-1-2-3 with a spare relay at (5, 3), whose first relay
+/// drifts away at 60 m/s; routes frozen, DCF-1. A CBR flow rather than
+/// FTP: each datagram looks its route up at send time, so a refresh's
+/// rescue shows up as raw delivered bytes instead of being masked by TCP
+/// on a segment that died in a stale-routed MAC queue.
+pub fn drifting_relay_scenario() -> Scenario {
+    let mut positions: Vec<Position> =
+        (0..4).map(|i| Position::new(5.0 * f64::from(i), 0.0)).collect();
+    positions.push(Position::new(5.0, 3.0));
+    let mut paths = vec![NodePath::Static; positions.len()];
+    paths[1] = NodePath::Drift { vx_mps: 0.0, vy_mps: 60.0 };
+    let interval = SimDuration::from_millis(2);
+    Scenario {
+        flows: vec![flow(&[0, 1, 2, 3], Workload::Cbr(CbrModel { packet_bytes: 1000, interval }))],
+        duration: SimDuration::from_millis(400),
+        motion: MotionPlan { paths, tick: SimDuration::from_millis(10) },
+        ..ftp_scenario(Scheme::Dcf { aggregation: 1 }, &[0, 1], positions)
+    }
+}
+
 /// FTP 0 → 3, 3 → 0 and 1 → 2 on a four-station 5 m line whose far end is
 /// out of everyone's reach from 300 to 700 ms: RTOs expire and back off,
 /// and the first ACK after it resets the back-off under a doubled deadline.
-/// DCF-1, legacy family.
+/// DCF-1.
 pub fn blackout_scenario() -> Scenario {
     let path = |nodes| flow(nodes, Workload::Ftp);
     let (home, away) = (Position::new(15.0, 0.0), Position::new(1000.0, 0.0));

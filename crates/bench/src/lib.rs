@@ -1,11 +1,12 @@
 //! Scenario builders for the `alloc_gate` binary — the CI gate that holds the
 //! simulator's steady-state paths to the allocation ceilings committed in
-//! `ci/alloc_budget.json`. Time is not measured in this crate: `perfbench/`
-//! is the benchmark of record.
+//! `ci/alloc_budget.json` — and the exactness corpus ([`corpus`]). Time is
+//! not measured in this crate: `perfbench/` is the benchmark of record.
 
+pub mod corpus;
 pub mod layouts;
 
-pub use layouts::{blackout_scenario, lossy_scenario};
+pub use layouts::{blackout_scenario, drifting_relay_scenario, lossy_scenario};
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};

@@ -69,8 +69,6 @@ pub struct RippleMac {
     /// identities only grow and only the latest attempt's ACK is ever
     /// applied, so one value recognises every later (relayed) copy.
     last_applied_ack: u64,
-    /// Relays performed (diagnostic; counts both data and ACK relays).
-    relays_performed: u64,
 }
 
 impl std::fmt::Debug for RippleMac {
@@ -102,18 +100,12 @@ impl RippleMac {
             data_relayed: BTreeSet::new(),
             ack_relayed: BTreeSet::new(),
             last_applied_ack: 0,
-            relays_performed: 0,
         }
     }
 
     /// The station this MAC belongs to.
     pub fn node(&self) -> NodeId {
         self.tx.node()
-    }
-
-    /// Total data + ACK relays this station has performed as a forwarder.
-    pub fn relays_performed(&self) -> u64 {
-        self.relays_performed
     }
 
     /// Busy channel: pause every armed relay (the idle window broke).
@@ -307,7 +299,6 @@ impl RippleMac {
             return;
         }
         let pr = self.pending_relays.remove(idx);
-        self.relays_performed += 1;
         self.tx.csma.start_relay_tx(pr.frame, out);
     }
 }
@@ -500,7 +491,7 @@ mod tests {
             }
             _ => panic!("expected relayed data frame"),
         }
-        assert_eq!(f1.relays_performed(), 1);
+        assert_eq!(f1.stats().relay_frames_sent, 1);
     }
 
     #[test]
@@ -514,7 +505,7 @@ mod tests {
         f1.on_busy_vec(t(210));
         let acts = f1.on_timer_vec(token, t(200) + delay);
         assert!(find_tx(&acts).is_none(), "paused relay must not fire");
-        assert_eq!(f1.relays_performed(), 0);
+        assert_eq!(f1.stats().relay_frames_sent, 0);
         // The next idle edge restarts the full wait under a fresh token; a
         // late fire of the paused one finds no relay…
         let acts = f1.on_idle_vec(t(400));
@@ -524,7 +515,7 @@ mod tests {
         // …and the relay finally goes out.
         let acts = f1.on_timer_vec(token2, t(400) + delay2);
         assert!(matches!(find_tx(&acts), Some(Frame::Data(_))));
-        assert_eq!(f1.relays_performed(), 1);
+        assert_eq!(f1.stats().relay_frames_sent, 1);
     }
 
     #[test]
@@ -547,7 +538,7 @@ mod tests {
         f1.on_frame_rx_vec(Frame::Ack(ack).into(), t(205));
         let acts = f1.on_timer_vec(token, t(200) + delay);
         assert!(find_tx(&acts).is_none(), "ACK proves delivery; relay cancelled");
-        assert_eq!(f1.relays_performed(), 0);
+        assert_eq!(f1.stats().relay_frames_sent, 0);
     }
 
     #[test]

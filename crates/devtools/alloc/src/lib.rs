@@ -232,8 +232,9 @@ pub fn phase_totals() -> [PhaseStats; Phase::COUNT] {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Work {
-    /// Station pairs the medium's planner walked: one per other station per
-    /// planned transmission.
+    /// Station pairs the medium's planner drew a shadowing variate's words
+    /// for: at most one per observed station per transmission, none for a
+    /// pair out of carrier-sense reach.
     PlannerPairs = 0,
     /// Shadowing variates computed in full (the Box–Muller logarithm, root
     /// and cosine): by the planner where a draw's bounds straddle a

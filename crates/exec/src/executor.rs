@@ -98,23 +98,12 @@ pub struct ExecOutcome {
 #[derive(Clone, Copy, Debug)]
 pub struct Executor {
     jobs: usize,
-    /// Plan-level override of [`Scenario::shards`](wmn_netsim::Scenario):
-    /// `Some(_)` sets it on every run; `None` respects each scenario's own.
-    shards: Option<u32>,
 }
 
 impl Executor {
-    /// An executor with exactly `jobs` workers (clamped to at least 1) and
-    /// no shard override.
+    /// An executor with exactly `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1), shards: None }
-    }
-
-    /// The same executor with a plan-level override of every scenario's
-    /// `shards` field — that is, of its result family; the count inside
-    /// `Some` selects nothing (see [`wmn_netsim::run`]). `None` clears it.
-    pub fn with_shards(self, shards: Option<u32>) -> Self {
-        Executor { shards, ..self }
+        Executor { jobs: jobs.max(1) }
     }
 
     /// An executor with the environment-selected worker count
@@ -150,16 +139,6 @@ impl Executor {
         let specs = plan.specs();
         let n = specs.len();
         let jobs = self.jobs.min(n).max(1);
-        let run_one = |scenario: &wmn_netsim::Scenario| -> RunResult {
-            match self.shards {
-                None => run(scenario),
-                Some(k) => {
-                    let mut forced = scenario.clone();
-                    forced.shards = Some(k);
-                    run(&forced)
-                }
-            }
-        };
 
         let busy_ns = AtomicU64::new(0);
         let mut slots: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
@@ -167,7 +146,7 @@ impl Executor {
         if jobs == 1 {
             for (slot, spec) in slots.iter_mut().zip(specs) {
                 let t0 = Instant::now();
-                *slot = Some(run_one(&spec.scenario));
+                *slot = Some(run(&spec.scenario));
                 busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         } else {
@@ -183,7 +162,7 @@ impl Executor {
                                 break;
                             }
                             let t0 = Instant::now();
-                            let result = run_one(&specs[i].scenario);
+                            let result = run(&specs[i].scenario);
                             busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             local.push((i, result));
                         }
@@ -259,25 +238,6 @@ mod tests {
     fn jobs_clamp_to_at_least_one() {
         assert_eq!(Executor::new(0).jobs(), 1);
         assert!(available_jobs() >= 1);
-    }
-
-    /// The override equals setting `shards` on every scenario, at any
-    /// worker count.
-    #[test]
-    fn shard_override_forces_the_sharded_engine_and_stays_count_invariant() {
-        let plan = RunPlan::grid(&scenarios(3), &[1, 2], SimDuration::from_millis(5));
-        let mut direct = scenarios(3);
-        for s in &mut direct {
-            s.shards = Some(1);
-        }
-        let direct_plan = RunPlan::grid(&direct, &[1, 2], SimDuration::from_millis(5));
-        let reference = Executor::new(1).execute(&direct_plan).results;
-        for jobs in [1, 2, 8] {
-            let overridden = Executor::new(jobs).with_shards(Some(1)).execute(&plan);
-            assert_eq!(overridden.results, reference, "{jobs} workers");
-        }
-        // The override genuinely switched result families.
-        assert_ne!(Executor::new(2).execute(&plan).results, reference);
     }
 
     #[test]

@@ -197,7 +197,7 @@ mod tests {
         assert_eq!(validate_trace(&parsed), Ok(trace.len()));
     }
 
-    /// The stale-route demo in the per-entity family: the line's relay 1
+    /// The stale-route demo: the line's relay 1
     /// drifts away at 60 m/s past a spare at (5, 3), ticks every 10 ms,
     /// refreshes every 50 ms — both global passes, at coinciding instants.
     fn drifting_relay() -> Scenario {
@@ -218,7 +218,6 @@ mod tests {
             tick: SimDuration::from_millis(10),
         };
         s.route_refresh = Some(SimDuration::from_millis(50));
-        s.shards = Some(1);
         s
     }
 
@@ -227,10 +226,10 @@ mod tests {
         let (traced, _) = run_traced(&scenario());
         assert_eq!(traced, run(&scenario()), "recording a trace must not perturb the run");
         let (traced, trace) = run_traced(&drifting_relay());
-        assert_eq!(traced, run(&drifting_relay()), "nor in the per-entity family");
+        assert_eq!(traced, run(&drifting_relay()), "nor under mobility and refresh");
         assert!(
             !trace.route_changes(FlowId::new(0)).is_empty(),
-            "the refresh pass records its re-routes in either family"
+            "the refresh pass records its re-routes"
         );
     }
 

@@ -115,35 +115,4 @@ proptest! {
         let parallel = Executor::new(8).execute(&plan);
         prop_assert_eq!(&parallel.results, &baseline);
     }
-
-    /// The shard override composes with the worker pool: at any worker
-    /// count the overridden plan is bit-identical to a serial loop over the
-    /// same scenarios with `shards` set directly.
-    #[test]
-    fn prop_shard_override_is_invisible_at_any_count(
-        n_nodes in 3usize..5,
-        scheme_pick in 0usize..6,
-        workload_pick in 0usize..4,
-        ms in 5u64..20,
-        seed_base in any::<u32>(),
-    ) {
-        let scenario = scenario(n_nodes, scheme_pick, workload_pick, ms);
-        let duration = SimDuration::from_millis(ms);
-        let seeds: Vec<u64> =
-            (0..2).map(|i| u64::from(seed_base).wrapping_add(i * 7919)).collect();
-        let mut direct = scenario.clone();
-        direct.shards = Some(1);
-        let baseline = serial_baseline(&direct, &seeds, duration);
-        let plan = RunPlan::grid(std::slice::from_ref(&scenario), &seeds, duration);
-        for jobs in [1usize, 2, 8] {
-            let outcome = Executor::new(jobs).with_shards(Some(1)).execute(&plan);
-            prop_assert_eq!(
-                &outcome.results,
-                &baseline,
-                "{} workers with the override diverged from the serial loop ({})",
-                jobs,
-                scenario.name
-            );
-        }
-    }
 }

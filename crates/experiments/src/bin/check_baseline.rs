@@ -24,10 +24,13 @@
 //! ```
 //!
 //! `--update` rewrites the baseline from the fresh documents for the same
-//! artefact set (or the default set when bootstrapping). `--update --only
-//! <name>` refreshes just that entry and carries the others over verbatim;
-//! a name the baseline does not list yet is appended, which is how a new
-//! artefact (e.g. `sweep_ci-mobility-refresh`) joins the gate.
+//! artefact set (or the default set when bootstrapping), and rewrites the
+//! exactness corpus beside it (`exact_corpus.json`, rendered by
+//! [`wmn_bench::corpus`]), so one command re-baselines both. `--update
+//! --only <name>` refreshes just that entry, carries the others over
+//! verbatim and leaves the corpus alone; a name the baseline does not list
+//! yet is appended, which is how a new artefact (e.g.
+//! `sweep_ci-mobility-refresh`) joins the gate.
 //!
 //! ## The statistical judge
 //!
@@ -58,7 +61,8 @@ fn usage() -> ! {
          baseline artefact(s), for jobs that regenerate only part of the\n\
          repro set; other entries are left untouched. With --update, a\n\
          name the baseline does not list yet is appended to it.\n\
-         --update rewrites the baseline from the fresh documents.\n\
+         --update rewrites the baseline from the fresh documents, and (without\n\
+         --only) the exactness corpus exact_corpus.json beside it.\n\
          \n\
          check_baseline --statistical (--write <file> | --against <file>)\n\
          runs the seed ensemble and writes it as a reference, or judges it\n\
@@ -280,6 +284,16 @@ fn main() {
             })
             .collect();
         write_baseline(&baseline_path, entries);
+        if only.is_empty() {
+            let corpus = baseline_path.with_file_name("exact_corpus.json");
+            match std::fs::write(&corpus, wmn_bench::corpus::render().0) {
+                Ok(()) => println!("exactness corpus refreshed: {}", corpus.display()),
+                Err(err) => {
+                    eprintln!("error: could not write {}: {err}", corpus.display());
+                    exit(1)
+                }
+            }
+        }
         return;
     }
 

@@ -18,9 +18,8 @@ pub struct ExpConfig {
     /// environment selection (host parallelism when unset); results are
     /// bit-identical for any value.
     pub jobs: usize,
-    /// Override of every scenario's `shards` field for [`run_grid`] — of
-    /// its result family; the count inside `Some` selects nothing. `None`,
-    /// what every constructor here sets, respects each scenario's own.
+    /// Has no effect (every scenario runs the same whatever its `shards`);
+    /// it stays only because the frozen benchmark sets it by name.
     pub shards: Option<u32>,
 }
 
@@ -149,7 +148,7 @@ fn average(name: &str, flow_count: usize, samples: &[RunResult]) -> AvgResult {
 /// serial per-module seed loops for any worker count.
 pub fn run_grid(scenarios: &[Scenario], cfg: &ExpConfig) -> Vec<AvgResult> {
     let plan = RunPlan::grid(scenarios, &cfg.seeds, cfg.duration);
-    let outcome = Executor::new(cfg.jobs).with_shards(cfg.shards).execute(&plan);
+    let outcome = Executor::new(cfg.jobs).execute(&plan);
     let per_seed = cfg.seeds.len();
     scenarios
         .iter()

@@ -46,7 +46,6 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> Result<SweepOutcome, String> 
         duration: SimDuration::from_millis(spec.duration_ms),
         seeds: spec.run_seeds.clone(),
         jobs,
-        // The spec's own `shards` already reached every expanded scenario.
         shards: None,
     };
     let avgs = run_grid(&scenarios, &cfg);

@@ -60,32 +60,32 @@ const GOLDEN_FIG3_ROUTE0: &str = "\
 ### Fig. 3 (ROUTE0) — total TCP throughput (Mbps), BER 1e-6
 | scheme | flow 1 | flows 1+2 | flows 1+2+3 |
 |--------|--------|-----------|-------------|
-| S      | 0.07   | 0.73      | 1.77        |
-| D      | 7.97   | 7.87      | 8.03        |
-| R1     | 11.57  | 8.17      | 13.23       |
-| A      | 38.07  | 32.03     | 33.77       |
-| R16    | 56.80  | 56.37     | 57.57       |";
+| S      | 0.10   | 0.60      | 1.13        |
+| D      | 8.20   | 8.57      | 7.80        |
+| R1     | 11.63  | 8.07      | 13.47       |
+| A      | 37.70  | 34.83     | 28.53       |
+| R16    | 57.00  | 48.30     | 62.07       |";
 
 const GOLDEN_FIG6_REGULAR: &str = "\
 ### Fig. 6(a) — single cell, total TCP throughput (Mbps) vs #flows
 | scheme | 2 flows | 4 flows | 6 flows | 8 flows | 10 flows |
 |--------|---------|---------|---------|---------|----------|
-| DCF    | 27.37   | 30.10   | 32.07   | 31.93   | 31.53    |
-| AFR    | 126.07  | 120.70  | 120.83  | 114.57  | 113.30   |
-| RIPPLE | 127.73  | 121.47  | 124.60  | 117.70  | 114.77   |";
+| DCF    | 27.87   | 30.57   | 30.80   | 31.60   | 30.80    |
+| AFR    | 129.30  | 124.30  | 121.87  | 113.07  | 114.07   |
+| RIPPLE | 127.87  | 123.87  | 119.03  | 112.70  | 111.17   |";
 
 const GOLDEN_TABLE3_BER1E5: &str = "\
 ### Table III — VoIP MoS, 6 Mbps, BER 1e-5
 | scheme | flows 1..10 | flows 1..20 | flows 1..30 |
 |--------|-------------|-------------|-------------|
-| DCF    | 4.02        | 2.42        | 2.12        |
-| AFR    | 4.02        | 2.89        | 2.14        |
-| RIPPLE | 4.03        | 4.02        | 3.89        |";
+| DCF    | 4.02        | 2.46        | 2.05        |
+| AFR    | 4.02        | 2.44        | 2.02        |
+| RIPPLE | 4.03        | 4.02        | 3.33        |";
 
 const GOLDEN_TABLE3_BER1E6: &str = "\
 ### Table III — VoIP MoS, 6 Mbps, BER 1e-6
 | scheme | flows 1..10 | flows 1..20 | flows 1..30 |
 |--------|-------------|-------------|-------------|
-| DCF    | 4.02        | 2.45        | 2.17        |
-| AFR    | 4.02        | 3.15        | 2.14        |
-| RIPPLE | 4.03        | 4.02        | 3.40        |";
+| DCF    | 4.02        | 2.47        | 2.08        |
+| AFR    | 4.02        | 2.78        | 2.01        |
+| RIPPLE | 4.03        | 4.02        | 3.69        |";

@@ -322,6 +322,7 @@ impl Csma {
 
     /// Puts a forwarder's relay on the air, outside the data pipeline.
     pub fn start_relay_tx(&mut self, frame: Frame, out: &mut ActionSink) {
+        self.stats.relay_frames_sent += 1;
         self.start_tx(OwnTx::Relay, frame, out);
     }
 

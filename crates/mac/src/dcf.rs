@@ -118,11 +118,6 @@ impl DcfMac {
         self.tx.node()
     }
 
-    /// Packets currently waiting in the interface queue.
-    pub fn queue_len(&self) -> usize {
-        self.tx.csma.q.len()
-    }
-
     fn handle_data_frame(&mut self, d: &DataFrame, now: SimTime, out: &mut ActionSink) {
         if d.link_dst != LinkDst::Unicast(self.tx.node()) {
             return; // overheard or opportunistic: plain DCF ignores it

@@ -161,10 +161,15 @@ const _: () = assert!(std::mem::size_of::<MacAction>() <= 64);
 /// `PartialEq`/`Eq` support the executor's bit-identity determinism checks.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct MacStats {
-    /// Data frames put on the air (including retransmissions).
+    /// The station's own data frames put on the air (including
+    /// retransmissions); relayed copies count in `relay_frames_sent`.
     pub data_frames_sent: u64,
     /// MAC ACK frames put on the air.
     pub ack_frames_sent: u64,
+    /// Frames a forwarder relayed on another station's behalf (RIPPLE's
+    /// data and ACK relays). Data, relay and ACK frames together count
+    /// every transmission the station started.
+    pub relay_frames_sent: u64,
     /// Data frames received cleanly.
     pub data_frames_received: u64,
     /// MAC ACKs received for our outstanding transmissions.

@@ -153,16 +153,10 @@ pub struct Scenario {
     /// no RNG, so `None` is byte-for-byte identical to the pre-refresh
     /// runner, and a refresh over an unmoved topology changes nothing.
     pub route_refresh: Option<SimDuration>,
-    /// Result-family selector. `None` keeps the legacy key and RNG-stream
-    /// discipline (the figure baselines' bytes); `Some(_)` selects the
-    /// per-entity one — events keyed by what caused them, channel draws
-    /// from per-station streams — so `Some(1)` and `None` are two distinct,
-    /// individually deterministic result families on the same event loop.
-    ///
-    /// The count is vestigial: it once sized an intra-scenario thread
-    /// partition whose results were bit-identical for every count, so every
-    /// `Some(k)`, `k ≥ 1`, is the same run. The field keeps its shape
-    /// because the frozen benchmark constructs it by name.
+    /// Has no effect: every value runs the same simulation. It once sized an
+    /// intra-scenario thread partition, then selected one of two result
+    /// families; it stays only because the frozen benchmark sets it by
+    /// name.
     pub shards: Option<u32>,
 }
 
@@ -176,7 +170,7 @@ impl Scenario {
     /// every [`NodeId`] inside the placement (the NodeId contract above),
     /// and each workload's `check` ([`WebModel::check`] and its siblings);
     /// [`MotionPlan::check`] over the placement up to the run's end; and a
-    /// positive `route_refresh` and `shards`, when set. The span rules are
+    /// positive `route_refresh`, when set. The span rules are
     /// checked one extreme field at a time (`tests/properties.rs`); several
     /// extreme fields together are not.
     ///
@@ -234,32 +228,24 @@ impl Scenario {
         if self.route_refresh == Some(SimDuration::ZERO) {
             return Err("route_refresh must be positive: zero repeats one instant forever".into());
         }
-        if self.shards == Some(0) {
-            return Err("shards must be positive (None selects the legacy result family)".into());
-        }
         Ok(())
     }
 
-    /// The stations a run must plan receptions at, by index, or `None` for
+    /// The stations a run must plan receptions at, ascending, or `None` for
     /// all. A station no flow's path names never transmits or arms a timer,
     /// and its MAC ignores every frame, since none names it (the contract on
-    /// [`MacEntity`]); leaving out its receptions changes no result while:
+    /// [`MacEntity`]); its draws are keyed to it alone, so leaving out its
+    /// receptions changes no result while:
     /// - the run is untraced: the trace records `Decoded` at every station;
     /// - routes are fixed (`route_refresh: None`): a refresh can name a
-    ///   station while an arrival is already under way at it;
-    /// - a bystander's decode draws nothing another station reads: the
-    ///   per-entity family draws bit errors from one stream per receiver,
-    ///   and at BER 0 every draw passes, but the legacy family's one `ber`
-    ///   stream is shared, so a bystander's draws move every later decode.
-    pub fn observed_stations(&self, traced: bool) -> Option<Vec<bool>> {
-        let shared_ber = self.shards.is_none() && self.params.ber > 0.0;
-        if traced || self.route_refresh.is_some() || shared_ber {
+    ///   station while an arrival is already under way at it.
+    pub fn observed_stations(&self, traced: bool) -> Option<Vec<NodeId>> {
+        if traced || self.route_refresh.is_some() {
             return None;
         }
-        let mut observed = vec![false; self.positions.len()];
-        for node in self.flows.iter().flat_map(|flow| &flow.path) {
-            observed[node.index()] = true;
-        }
+        let mut observed: Vec<NodeId> = self.flows.iter().flat_map(|f| f.path.clone()).collect();
+        observed.sort_unstable();
+        observed.dedup();
         Some(observed)
     }
 }

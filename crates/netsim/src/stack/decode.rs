@@ -1,8 +1,8 @@
 //! The clean-decode / corruption seam of the station stack.
 //!
-//! One implementation of the BER model for every received frame, whichever
-//! driver runs the stack and whichever stream its discipline draws from —
-//! so the two result families cannot drift apart on what "decoded" means.
+//! One implementation of the BER model for every received frame, drawing
+//! from whatever stream the caller lends — the station stack lends each
+//! reception a stream keyed by (receiver, transmitter, frame counter).
 //!
 //! # Zero-copy fast path
 //!

@@ -68,7 +68,7 @@ impl FlowLayer {
     /// `t = 0`, the flow, and the event to fire, flow-major in seeding
     /// order. The VoIP departure schedules are precomputed here (streams
     /// `voip/<index>`, each private to its flow). The station stack
-    /// schedules the list under its discipline's flow keys.
+    /// schedules the list under each flow's own keys.
     pub(crate) fn seed_events(
         &self,
         scenario: &Scenario,

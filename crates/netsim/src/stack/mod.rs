@@ -22,18 +22,14 @@
 //! re-sampling trajectories into the medium's incremental link-state
 //! refresh, and live route refreshes.
 //!
-//! [`Scenario::shards`] selects nothing but the stack's discipline (see
-//! `station`), fixed at build time: how tie-break keys are minted and which
-//! RNG streams the channel draws come from.
-//!
 //! # Determinism
 //!
-//! Every RNG stream keeps its label and consumption order and every event
-//! is scheduled in the same sequence, and a static
-//! [`MotionPlan`](wmn_topology::MotionPlan) schedules no mobility ticks at
-//! all — so the `shards: None` family is byte-identical to the committed CI
-//! baseline and the golden snapshots, and the `shards: Some(_)` family to
-//! the baseline's `sweep_per-entity` artefact.
+//! A run is a function of its scenario alone. Tie-break keys count per
+//! originating station, flow or pass, and every channel draw is keyed by
+//! its transmission and receiver (see `station`), so a static
+//! [`MotionPlan`](wmn_topology::MotionPlan), which schedules no mobility
+//! ticks, and an untraced run, which plans only the stations it observes,
+//! change nothing they need not.
 
 pub mod decode;
 pub mod flow_layer;
@@ -162,15 +158,6 @@ pub(crate) enum Event {
 
 /// Executes a scenario to completion and returns per-flow results.
 ///
-/// # Result families
-///
-/// [`Scenario::shards`] selects one of two result families on the same
-/// loop: `None` is the schedule every committed figure baseline pins (one
-/// global tie-break counter, the two global channel streams); `Some(_)` —
-/// any count — keys events by what caused them and draws channel
-/// randomness from per-station streams. The two are individually
-/// deterministic and deliberately not byte-comparable.
-///
 /// # Thread safety
 ///
 /// `run` is a pure function of `scenario`: the entire simulation world — MAC state
@@ -235,8 +222,7 @@ struct Runner<'a> {
 
 impl<'a> Runner<'a> {
     /// Builds the loop for `scenario`, recording a trace if `traced`, with
-    /// the global passes scheduled after the flow seeds so the legacy
-    /// insertion counter advances as it always has.
+    /// the global passes scheduled on their own key lane.
     fn build(scenario: &'a Scenario, traced: bool) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
@@ -329,7 +315,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layouts::{blackout_scenario, lossy_scenario};
+    use crate::layouts::{blackout_scenario, drifting_relay_scenario, lossy_scenario};
     use crate::scenario::{FlowSpec, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::SimTime;
@@ -611,40 +597,12 @@ mod tests {
         }
     }
 
-    /// A line 0-(5,0)-(10,0)-(15,0) with a spare relay at (5,3), whose
-    /// relay (node 1) drifts away at 60 m/s; routes frozen.
-    fn drifting_relay() -> Scenario {
-        let mut positions = line_positions(4);
-        positions.push(Position::new(5.0, 3.0));
-        let mut s = ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1, 2, 3], positions);
-        // CBR rather than FTP: each datagram looks the route up at send
-        // time, so the rescue shows up as raw delivered bytes instead of
-        // being masked by TCP's in-order wedge on a segment that died in a
-        // stale-routed MAC queue.
-        s.flows[0].workload = Workload::Cbr(wmn_traffic::CbrModel {
-            packet_bytes: 1000,
-            interval: SimDuration::from_millis(2),
-        });
-        s.duration = SimDuration::from_millis(400);
-        s.motion = MotionPlan {
-            paths: vec![
-                NodePath::Static,
-                NodePath::Drift { vx_mps: 0.0, vy_mps: 60.0 },
-                NodePath::Static,
-                NodePath::Static,
-                NodePath::Static,
-            ],
-            tick: SimDuration::from_millis(10),
-        };
-        s
-    }
-
     #[test]
     fn route_refresh_rescues_a_drifting_relay() {
         // The frozen table keeps talking to the departed node forever,
         // while a live refresh re-routes through the spare and keeps the
         // flow alive.
-        let stale = drifting_relay();
+        let stale = drifting_relay_scenario();
         let mut live = stale.clone();
         live.route_refresh = Some(SimDuration::from_millis(50));
         let (live_r, trace) = run_traced(&live);
@@ -666,17 +624,16 @@ mod tests {
 
     #[test]
     fn the_shard_count_selects_nothing() {
-        // `shards` picks a result family; the count inside `Some` is
-        // vestigial. Ticks (10 ms) and refreshes (50 ms) coincide here, so
-        // the pass lane is on the compared path.
-        let mut s = drifting_relay();
+        // `shards` has no effect at any value. Ticks (10 ms) and refreshes
+        // (50 ms) coincide here, so the pass lane is on the compared path.
+        let mut s = drifting_relay_scenario();
         s.route_refresh = Some(SimDuration::from_millis(50));
         let at = |shards| run(&Scenario { shards, ..s.clone() });
-        let one = at(Some(1));
-        assert!(one.flows[0].delivered_bytes > 0, "a run that delivers nothing proves nothing");
-        assert_eq!(one, at(Some(2)));
-        assert_eq!(one, at(Some(u32::MAX)));
-        assert_ne!(one, at(None), "the two result families differ by design");
+        let none = at(None);
+        assert!(none.flows[0].delivered_bytes > 0, "a run that delivers nothing proves nothing");
+        for shards in [Some(0), Some(1), Some(2), Some(u32::MAX)] {
+            assert_eq!(none, at(shards), "shards {shards:?}");
+        }
         // And no count can spawn or lock anything: the crate's sources have
         // no thread, barrier or reader-writer lock left to name (spelled in
         // halves here so this file passes its own scan).
@@ -700,7 +657,7 @@ mod tests {
     #[test]
     fn slots_run_what_scheduling_every_arming_runs() {
         // A disarmed or replaced timer's fire would have been ignored: every
-        // scheme and family runs the same with slots as with the `slotless`
+        // scheme runs the same with slots as with the `slotless`
         // reference (every arming a plain event, every disarm ignored).
         let traced = |scenario: &Scenario, slotless: bool| {
             let mut runner = Runner::build(scenario, true);
@@ -717,9 +674,9 @@ mod tests {
             Scheme::McExor,
         ];
         for (layout, base) in [("blackout", blackout_scenario()), ("lossy", lossy_scenario())] {
-            for (scheme, shards) in schemes.into_iter().flat_map(|s| [(s, None), (s, Some(1))]) {
-                let scenario = Scenario { scheme, shards, ..base.clone() };
-                let label = format!("{layout}, {}, shards {shards:?}", scheme.label());
+            for scheme in schemes {
+                let scenario = Scenario { scheme, ..base.clone() };
+                let label = format!("{layout}, {}", scheme.label());
                 let (result, trace, pops) = traced(&scenario, false);
                 let (oracle, oracle_trace, oracle_pops) = traced(&scenario, true);
                 assert!(result == oracle && trace == oracle_trace, "{label}: runs differ");
@@ -733,39 +690,36 @@ mod tests {
 
     #[test]
     fn a_lossy_run_releases_every_reception_exactly_once() {
-        // Every way a reception can end, under both disciplines.
-        let lossy = lossy_scenario();
-        let walker = NodeId::new(lossy.positions.len() as u32 - 1);
-        for shards in [None, Some(1)] {
-            let scenario = Scenario { shards, ..lossy.clone() };
-            let mut runner = Runner::build(&scenario, false);
-            let stopped_at = runner.run_loop();
-            let result = runner.results();
-            // The receptions still on the air are exactly the RxEnds still
-            // queued: once each of those is released, nothing may be pending.
-            let queued = std::iter::from_fn(|| runner.core.queue.pop().map(|(_, event)| event));
-            let mut on_air = 0;
-            for event in stopped_at.into_iter().chain(queued) {
-                if let Event::RxEnd { reception } = event {
-                    runner.core.air.release(reception);
-                    on_air += 1;
-                }
+        // Every way a reception can end.
+        let scenario = lossy_scenario();
+        let walker = NodeId::new(scenario.positions.len() as u32 - 1);
+        let mut runner = Runner::build(&scenario, false);
+        let stopped_at = runner.run_loop();
+        let result = runner.results();
+        // The receptions still on the air are exactly the RxEnds still
+        // queued: once each of those is released, nothing may be pending.
+        let queued = std::iter::from_fn(|| runner.core.queue.pop().map(|(_, event)| event));
+        let mut on_air = 0;
+        for event in stopped_at.into_iter().chain(queued) {
+            if let Event::RxEnd { reception } = event {
+                runner.core.air.release(reception);
+                on_air += 1;
             }
-            assert_eq!(runner.core.air.pending(), 0, "shards: {shards:?}");
-            assert!(on_air > 0, "the run ended with receptions on the air");
-
-            let stats = &result.mac_stats;
-            assert!(stats.iter().map(|s| s.timeouts).sum::<u64>() > 50, "losses: {stats:?}");
-            assert!(result.flows[0].delivered_bytes > 0, "and yet the chain delivers");
-            let mut rng = wmn_sim::StreamRng::derive(1, "test/plan");
-            let mut plans = Vec::new();
-            runner.medium.plan_transmission_into(NodeId::new(0), &mut rng, &mut plans);
-            assert!(plans.iter().any(|p| !p.decodable) && plans.iter().any(|p| p.decodable));
-            runner.medium.plan_transmission_into(walker, &mut rng, &mut plans);
-            assert!(plans.is_empty(), "nobody perceives the walker any more");
-            let gave_up = stats[walker.index()].drops_retry_limit;
-            assert!(gave_up > 0, "the walker kept transmitting out there: {gave_up} drops");
         }
+        assert_eq!(runner.core.air.pending(), 0);
+        assert!(on_air > 0, "the run ended with receptions on the air");
+
+        let stats = &result.mac_stats;
+        assert!(stats.iter().map(|s| s.timeouts).sum::<u64>() > 50, "losses: {stats:?}");
+        assert!(result.flows[0].delivered_bytes > 0, "and yet the chain delivers");
+        let mut rng = wmn_sim::StreamRng::derive(1, "test/plan");
+        let mut plans = Vec::new();
+        runner.medium.plan_transmission_into(NodeId::new(0), &mut rng, &mut plans);
+        assert!(plans.iter().any(|p| !p.decodable) && plans.iter().any(|p| p.decodable));
+        runner.medium.plan_transmission_into(walker, &mut rng, &mut plans);
+        assert!(plans.is_empty(), "nobody perceives the walker any more");
+        let gave_up = stats[walker.index()].drops_retry_limit;
+        assert!(gave_up > 0, "the walker kept transmitting out there: {gave_up} drops");
     }
 
     #[test]

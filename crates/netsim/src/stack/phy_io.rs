@@ -40,6 +40,9 @@ struct AirSlot {
     plans: Vec<RxPlan>,
     /// Planned receptions that have not reached their RxEnd yet.
     pending: u32,
+    /// The transmitter and its frame counter: what the transmission's
+    /// bit-error draws are keyed by.
+    sent: (NodeId, u64),
 }
 
 /// Every transmission currently on the air, held **once**: a broadcast
@@ -80,18 +83,24 @@ impl AirTable {
         std::mem::take(&mut self.spare)
     }
 
-    /// Parks `frame` with its reception plans until every one of them has
-    /// been [released](Self::release), and returns its slot. A transmission
+    /// Parks `frame`, `sent` by (transmitter, frame counter), with its
+    /// reception plans until every one of them has been
+    /// [released](Self::release), and returns its slot. A transmission
     /// nobody perceives has nothing to wait for: it is not parked (its
     /// slot would never free), the frame drops here and the result is
     /// `None`.
-    pub(crate) fn park(&mut self, frame: Arc<Frame>, plans: Vec<RxPlan>) -> Option<u32> {
+    pub(crate) fn park(
+        &mut self,
+        frame: Arc<Frame>,
+        plans: Vec<RxPlan>,
+        sent: (NodeId, u64),
+    ) -> Option<u32> {
         if plans.is_empty() {
             self.spare = plans;
             return None;
         }
         let pending = plans.len() as u32;
-        let occupant = AirSlot { frame: Some(frame), plans, pending };
+        let occupant = AirSlot { frame: Some(frame), plans, pending, sent };
         Some(match self.free.pop() {
             Some(slot) => {
                 let vacated = std::mem::replace(&mut self.slots[slot as usize], occupant);
@@ -113,6 +122,11 @@ impl AirTable {
     /// What the planner decided for `reception`.
     pub(crate) fn plan(&self, reception: Reception) -> &RxPlan {
         &self.plans(reception.slot)[reception.index as usize]
+    }
+
+    /// Who sent `reception`'s transmission, and as which of its frames.
+    pub(crate) fn sent(&self, reception: Reception) -> (NodeId, u64) {
+        self.slots[reception.slot as usize].sent
     }
 
     /// The frame `reception` carries, lent to the decode seam.
@@ -197,7 +211,7 @@ mod tests {
             power: wmn_phy::RxPower::known(-50.0),
             decodable: true,
         }));
-        air.park(frame, plans)
+        air.park(frame, plans, (NodeId::new(0), 0))
     }
 
     fn reception(slot: u32) -> Reception {

@@ -10,18 +10,20 @@
 //! tables) is lent to each dispatch as a [`World`] by the loop that pops the
 //! queue, which also runs the two passes that mutate it.
 //!
-//! # Disciplines
+//! # Keys and channel draws
 //!
-//! What differs between the two result families is data fixed at build
-//! time, a [`Discipline`]:
+//! An event's tie-break key comes from one counter per originating station,
+//! flow or pass, so the order of simultaneous events is a function of what
+//! caused each of them, not of when it was scheduled; a transmission's
+//! receptions sort after every other event of their instant (`LANE_AIR`).
 //!
-//! * how an event's tie-break key is minted — one global counter on a
-//!   single lane (so `(time, key)` is exactly `(time, insertion order)`),
-//!   or one counter per originating station / flow / pass (so the order is
-//!   a function of what caused each event, not of when it was scheduled);
-//! * which stream a shadowing or bit-error draw comes from — the two global
-//!   streams `medium` / `ber`, or the transmitter's `shard/medium/<tx>` and
-//!   the receiver's `shard/ber/<rx>`.
+//! Each channel draw is keyed by its coordinates, from the two seeds of the
+//! `channel` stream: a pair's shadowing by (transmitter, the transmitter's
+//! frame counter, receiver), a reception's bit errors by (receiver,
+//! transmitter, frame counter). No draw depends on which others were taken,
+//! so a run that plans receptions only at the stations it observes
+//! ([`Scenario::observed_stations`]) draws, for those stations, exactly
+//! what a run that plans every station draws.
 
 use std::sync::Arc;
 
@@ -30,7 +32,7 @@ use wmn_mac::{ActionSink, FramePool, MacAction, MacEntity, RateClass, TimerSlot}
 use wmn_phy::medium::BusyTransition;
 use wmn_phy::{ArrivalOutcome, BerModel, Medium, Receiver, RxPlan};
 use wmn_sim::{
-    labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
+    labels, DrawKey, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
     StreamRng,
 };
 use wmn_transport::{TcpAction, TcpSegment, UdpDatagram};
@@ -44,16 +46,24 @@ use crate::stack::phy_io::{AirTable, Reception};
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
-/// Per-entity key lane of the two global passes. It sorts before the node
-/// and flow lanes, so every event at a pass's instant processes after the
-/// pass's effect.
+/// Key lane of the two global passes. It sorts before the other lanes, so
+/// every event at a pass's instant processes after the pass's effect.
 const LANE_PASS: u32 = 0;
-/// Per-entity key lane for events originated by a station (TxEnd, Rx*,
-/// MacTimer).
+/// Key lane for a station's own events (TxEnd, MacTimer).
 const LANE_NODE: u32 = 1;
-/// Per-entity key lane for events originated by a flow (FlowStart, UdpSend,
+/// Key lane for events originated by a flow (FlowStart, UdpSend,
 /// WebStart, TcpRto).
 const LANE_FLOW: u32 = 2;
+/// Key lane for a transmission's receptions (RxStart, RxEnd). It sorts
+/// last, so what a station's own timers decide at an instant is decided
+/// before it hears what arrives at that instant. Two stations that count
+/// down the same back-off slot from one idle edge tie exactly — the later
+/// one's expiry falls on the earlier one's arrival, one propagation delay
+/// apart at both ends — and both transmit, as 802.11 stations that draw
+/// the same slot do. In the transmitter's own lane the tie would go by
+/// station index and cancel about half of those collisions (DCF chains
+/// about 4 % faster than the model allows).
+const LANE_AIR: u32 = 3;
 
 // Every sift moves whole heap entries: a fat `Event` variant is a build
 // error, not a slow queue.
@@ -138,45 +148,18 @@ pub(crate) struct World<'a> {
 /// The entity an event is scheduled on behalf of — what its tie-break key
 /// is derived from.
 enum Origin {
-    /// A station: TxEnd, RxStart/RxEnd (the transmitter's), MacTimer.
+    /// A station: TxEnd, MacTimer.
     Node(NodeId),
+    /// A station's transmission: its RxStarts and RxEnds.
+    Air(NodeId),
     /// A flow: FlowStart, UdpSend, WebStart, TcpRto.
     Flow(FlowId),
     /// One of the loop's own in-queue passes.
     Pass(Pass),
 }
 
-/// How a stack mints event keys and draws channel randomness (see the
-/// module docs). Chosen once from [`Scenario::shards`]; never switched
-/// mid-run.
-enum Discipline {
-    /// `shards: None` — the schedule every committed baseline but the
-    /// per-entity sweep pins.
-    Legacy {
-        /// Events ever scheduled: the global insertion counter.
-        seq: u64,
-        /// The one shadowing stream (`medium`).
-        medium: StreamRng,
-        /// The one bit-error stream (`ber`).
-        ber: StreamRng,
-    },
-    /// `shards: Some(_)` — whatever the count.
-    PerEntity {
-        /// Per-transmitter shadowing streams (`shard/medium/<tx>`).
-        medium: Vec<StreamRng>,
-        /// Per-receiver bit-error streams (`shard/ber/<rx>`).
-        ber: Vec<StreamRng>,
-        /// Per-station key counters (lane `LANE_NODE`).
-        node_seq: Vec<u64>,
-        /// Per-flow key counters (lane `LANE_FLOW`).
-        flow_seq: Vec<u64>,
-        /// Per-pass key counters (lane `LANE_PASS`).
-        pass_seq: [u64; 2],
-    },
-}
-
 /// A block of consecutive keys minted for one origin by
-/// [`Discipline::keys`].
+/// [`StationStack::keys`].
 #[derive(Clone, Copy)]
 struct KeyBlock {
     lane: u32,
@@ -191,72 +174,9 @@ impl KeyBlock {
     }
 }
 
-impl Discipline {
-    /// The discipline `scenario` asks for, its streams derived from `dir`.
-    fn for_scenario(scenario: &Scenario, dir: &RngDirectory) -> Discipline {
-        if scenario.shards.is_none() {
-            return Discipline::Legacy {
-                seq: 0,
-                medium: dir.stream(labels::MEDIUM),
-                ber: dir.stream(labels::BER),
-            };
-        }
-        let n = scenario.positions.len();
-        Discipline::PerEntity {
-            medium: (0..n as u32).map(|i| dir.indexed_stream(labels::SHARD_MEDIUM, i)).collect(),
-            ber: (0..n as u32).map(|i| dir.indexed_stream(labels::SHARD_BER, i)).collect(),
-            node_seq: vec![0; n],
-            flow_seq: vec![0; scenario.flows.len()],
-            pass_seq: [0; 2],
-        }
-    }
-
-    /// Mints the next key for an event caused by `origin`.
-    fn key(&mut self, origin: Origin) -> EventKey {
-        self.keys(origin, 1).nth(0)
-    }
-
-    /// Mints the next `count` keys of `origin` at once; taken one by one
-    /// in [`KeyBlock::nth`] order they are the keys `count` calls of
-    /// [`Discipline::key`] would have returned.
-    fn keys(&mut self, origin: Origin, count: u64) -> KeyBlock {
-        let (lane, entity, seq) = match (self, origin) {
-            (Discipline::Legacy { seq, .. }, _) => (0, 0, seq),
-            (Discipline::PerEntity { node_seq, .. }, Origin::Node(node)) => {
-                (LANE_NODE, node.index(), &mut node_seq[node.index()])
-            }
-            (Discipline::PerEntity { flow_seq, .. }, Origin::Flow(flow)) => {
-                (LANE_FLOW, flow.index(), &mut flow_seq[flow.index()])
-            }
-            (Discipline::PerEntity { pass_seq, .. }, Origin::Pass(pass)) => {
-                (LANE_PASS, pass as usize, &mut pass_seq[pass as usize])
-            }
-        };
-        let block = KeyBlock { lane, entity: entity as u32, first: *seq };
-        *seq += count;
-        block
-    }
-
-    /// The stream a transmission by `tx` draws its shadowing from.
-    fn medium_rng(&mut self, tx: NodeId) -> &mut StreamRng {
-        match self {
-            Discipline::Legacy { medium, .. } => medium,
-            Discipline::PerEntity { medium, .. } => &mut medium[tx.index()],
-        }
-    }
-
-    /// The stream a reception at `rx` draws its bit errors from.
-    fn ber_rng(&mut self, rx: NodeId) -> &mut StreamRng {
-        match self {
-            Discipline::Legacy { ber, .. } => ber,
-            Discipline::PerEntity { ber, .. } => &mut ber[rx.index()],
-        }
-    }
-}
-
 /// The per-station / per-flow engine state and its event handlers (see the
-/// module docs). Building is derivation-only: no RNG stream is advanced by
-/// construction.
+/// module docs). Building only derives streams and keys: no stream a
+/// handler draws from is advanced by construction.
 pub(crate) struct StationStack {
     /// The future-event list; its clock is the stack's only clock.
     pub(crate) queue: KeyedEventQueue<Event>,
@@ -266,15 +186,26 @@ pub(crate) struct StationStack {
     pub(crate) trace: Option<Trace>,
     /// The last instant of the run; events at exactly `end` still process.
     pub(crate) end: SimTime,
-    discipline: Discipline,
+    /// Per-station key counters (lanes `LANE_NODE` and `LANE_AIR`).
+    node_seq: Vec<u64>,
+    /// Per-flow key counters (lane `LANE_FLOW`).
+    flow_seq: Vec<u64>,
+    /// Per-pass key counters (lane `LANE_PASS`).
+    pass_seq: [u64; 2],
+    /// The seed every shadowing draw's key starts from.
+    shadowing: DrawKey,
+    /// The seed every bit-error draw's key starts from.
+    bit_errors: DrawKey,
+    /// Transmissions each station has started: its frame counter.
+    sent: Vec<u64>,
     receivers: Vec<Receiver>,
     /// Every transmission with a reception still to end: its frame and its
     /// reception plan.
     pub(crate) air: AirTable,
     ber: BerModel,
-    /// The stations `broadcast` plans receptions at, or `None` for all
-    /// ([`Scenario::observed_stations`]).
-    observed: Option<Vec<bool>>,
+    /// The stations `broadcast` plans receptions at, ascending, or `None`
+    /// for all ([`Scenario::observed_stations`]).
+    observed: Option<Vec<NodeId>>,
     /// `broadcast`'s reception order, reused by every transmission.
     order: ReceptionOrder,
     /// Recycler for transport packet bodies: once warm, minting a TCP
@@ -291,8 +222,8 @@ pub(crate) struct StationStack {
 }
 
 impl StationStack {
-    /// Builds the stack from a validated scenario, every RNG stream derived
-    /// from its master seed, under the discipline it asks for, and seeds
+    /// Builds the stack from a validated scenario, every RNG stream and
+    /// draw key derived from its master seed, and seeds
     /// the queue with every flow's arrival process, sized to exactly that
     /// load plus a few entries per station, so the heap warms up here
     /// instead of growing inside the hot loop. The timers cancelled far
@@ -307,23 +238,23 @@ impl StationStack {
     pub(crate) fn build(scenario: &Scenario, traced: bool) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
-        let mut discipline = Discipline::for_scenario(scenario, dir);
+        let mut channel = dir.stream(labels::CHANNEL);
         let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, dir);
         let flows = FlowLayer::build(scenario, dir);
         let seeds = flows.seed_events(scenario, dir);
         let slots = 2 * n + scenario.flows.len();
-        let mut queue = KeyedEventQueue::with_slots(seeds.len(), slots as u32);
-        for (delay, flow, event) in seeds {
-            queue.schedule_keyed_in(delay, discipline.key(Origin::Flow(flow)), event);
-        }
-        queue.reserve(n * 4);
-        StationStack {
-            queue,
+        let mut stack = StationStack {
+            queue: KeyedEventQueue::with_slots(seeds.len(), slots as u32),
             macs,
             flows,
             trace: traced.then(Trace::default),
             end: SimTime::ZERO + scenario.duration,
-            discipline,
+            node_seq: vec![0; n],
+            flow_seq: vec![0; scenario.flows.len()],
+            pass_seq: [0; 2],
+            shadowing: DrawKey::new(channel.next_u64()),
+            bit_errors: DrawKey::new(channel.next_u64()),
+            sent: vec![0; n],
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
@@ -334,7 +265,12 @@ impl StationStack {
             slotless: false,
             #[cfg(test)]
             mac_timer_pops: 0,
+        };
+        for (delay, flow, event) in seeds {
+            stack.schedule_in(delay, Origin::Flow(flow), event);
         }
+        stack.queue.reserve(n * 4);
+        stack
     }
 
     /// The simulation clock. There is exactly one: the event queue's notion
@@ -344,16 +280,36 @@ impl StationStack {
         self.queue.now()
     }
 
+    /// Mints the next key for an event caused by `origin`.
+    fn key(&mut self, origin: Origin) -> EventKey {
+        self.keys(origin, 1).nth(0)
+    }
+
+    /// Mints the next `count` keys of `origin` at once; taken one by one
+    /// in [`KeyBlock::nth`] order they are the keys `count` calls of
+    /// [`StationStack::key`] would have returned.
+    fn keys(&mut self, origin: Origin, count: u64) -> KeyBlock {
+        let (lane, entity, seq) = match origin {
+            Origin::Node(node) => (LANE_NODE, node.index(), &mut self.node_seq[node.index()]),
+            Origin::Air(node) => (LANE_AIR, node.index(), &mut self.node_seq[node.index()]),
+            Origin::Flow(flow) => (LANE_FLOW, flow.index(), &mut self.flow_seq[flow.index()]),
+            Origin::Pass(pass) => (LANE_PASS, pass as usize, &mut self.pass_seq[pass as usize]),
+        };
+        let block = KeyBlock { lane, entity: entity as u32, first: *seq };
+        *seq += count;
+        block
+    }
+
     /// Schedules `event`, `delay` from now, under the next key of `origin`.
     fn schedule_in(&mut self, delay: SimDuration, origin: Origin, event: Event) {
-        let key = self.discipline.key(origin);
+        let key = self.key(origin);
         self.queue.schedule_keyed_in(delay, key, event);
     }
 
     /// [`Self::schedule_in`], into queue slot `slot`: the key is minted
     /// whether or not the arming replaces one, as if every arming were.
     fn arm(&mut self, slot: u32, delay: SimDuration, origin: Origin, event: Event) {
-        let key = self.discipline.key(origin);
+        let key = self.key(origin);
         #[cfg(test)]
         if self.slotless {
             return self.queue.schedule_keyed_in(delay, key, event);
@@ -452,8 +408,14 @@ impl StationStack {
                 // corrupted one pays for a copy-on-write detach.
                 let decoded = match outcome {
                     ArrivalOutcome::Clean => {
-                        let rng = self.discipline.ber_rng(node);
-                        decode_frame(&self.ber, rng, self.air.frame(reception))
+                        let (from, sent) = self.air.sent(reception);
+                        let key = self.bit_errors.then(node.index() as u64);
+                        let key = key.then(from.index() as u64).then(sent);
+                        decode_frame(
+                            &self.ber,
+                            &mut StreamRng::keyed(key),
+                            self.air.frame(reception),
+                        )
                     }
                     ArrivalOutcome::Lost => None,
                 };
@@ -550,7 +512,7 @@ impl StationStack {
     /// Fans one transmission out to every observed station that will
     /// perceive it: plans receptions ([`Self::plan`]), parks frame and plans
     /// in the air table, and mints each reception's RxStart/RxEnd key pair
-    /// under the transmitter, in plan order. Every receiver shares the one
+    /// in the transmitter's air lane, in plan order. Every receiver shares the one
     /// frame allocation the MAC minted, through the one handle the air
     /// table holds until the last of them ends (a transmission nobody
     /// perceives parks nothing and mints no key).
@@ -570,9 +532,9 @@ impl StationStack {
         medium: &Medium,
     ) {
         let Some(slot) = self.plan(from, frame, medium) else { return };
-        let order = self.order.of(self.air.plans(slot));
         // Plan `i` owns keys 2i (RxStart) and 2i + 1 (RxEnd) of the block.
-        let keys = self.discipline.keys(Origin::Node(from), 2 * order.len() as u64);
+        let keys = self.keys(Origin::Air(from), 2 * self.air.plans(slot).len() as u64);
+        let order = self.order.of(self.air.plans(slot));
         self.queue.schedule_run_in(order.iter().map(|&(delay, index)| {
             let reception = Reception { slot, index };
             (delay, keys.nth(2 * u64::from(index)), Event::RxStart { reception })
@@ -583,17 +545,17 @@ impl StationStack {
         }));
     }
 
-    /// Plans `from`'s transmission at the observed stations (one shadowing
-    /// draw per pair, index order, from the discipline's stream for `from`)
-    /// into a buffer the air table lends and parks `frame` with the plans.
+    /// Plans `from`'s next transmission at the observed stations (each
+    /// pair's shadowing keyed by `from`, its frame counter and the
+    /// receiver) into a buffer the air table lends, and parks `frame` with
+    /// the plans.
     fn plan(&mut self, from: NodeId, frame: Arc<Frame>, medium: &Medium) -> Option<u32> {
         let mut plans = self.air.lend();
-        let rng = self.discipline.medium_rng(from);
-        match &self.observed {
-            None => medium.plan_transmission_into(from, rng, &mut plans),
-            Some(observed) => medium.plan_receptions_into(from, rng, &mut plans, |to| observed[to]),
-        }
-        self.air.park(frame, plans)
+        let sent = self.sent[from.index()];
+        self.sent[from.index()] += 1;
+        let key = self.shadowing.then(from.index() as u64).then(sent);
+        medium.plan_receptions_into(from, key, &mut plans, self.observed.as_deref());
+        self.air.park(frame, plans, (from, sent))
     }
 
     fn handle_delivery(&mut self, node: NodeId, packet: Packet, w: World<'_>) {
@@ -953,9 +915,9 @@ mod tests {
             for index in 0..self.air.plans(slot).len() as u32 {
                 let reception = Reception { slot, index };
                 let delay = self.air.plan(reception).delay;
-                self.schedule_in(delay, Origin::Node(from), Event::RxStart { reception });
+                self.schedule_in(delay, Origin::Air(from), Event::RxStart { reception });
                 let end = Event::RxEnd { reception };
-                self.schedule_in(delay + airtime, Origin::Node(from), end);
+                self.schedule_in(delay + airtime, Origin::Air(from), end);
             }
         }
     }
@@ -970,7 +932,7 @@ mod tests {
     /// transmission from there ties) and, around it, rings of exact radius
     /// 5 m and 10 m (3-4-5 triangles: equal non-zero delays, ≈ 17 and 33 ns).
     /// One CBR flow's path names every station but the [`BYSTANDERS`].
-    fn dense_scenario(shards: Option<u32>) -> Scenario {
+    fn dense_scenario() -> Scenario {
         let ring = [(5, 0), (3, 4), (0, 5), (-4, 3), (-5, 0), (-3, -4), (0, -5), (4, -3), (4, 3)];
         let mut positions = Vec::new();
         for (i, (x, y)) in ring.into_iter().enumerate() {
@@ -986,7 +948,7 @@ mod tests {
         let stations = 0..positions.len() as u32;
         let path = stations.filter(|i| !BYSTANDERS.contains(i)).map(NodeId::new).collect();
         let workload = Workload::Cbr(wmn_traffic::CbrModel::heavy());
-        Scenario { positions, shards, flows: vec![FlowSpec { path, workload }], ..relay_scenario() }
+        Scenario { positions, flows: vec![FlowSpec { path, workload }], ..relay_scenario() }
     }
 
     /// What one pop of the reception test's queues is compared on.
@@ -1065,21 +1027,20 @@ mod tests {
         send(&mut stack, first, frame(first), airtime, &medium);
         pop(&mut stack, usize::MAX);
         assert!(stack.queue.is_empty());
-        (popped, [first, second].map(|node| stack.discipline.key(Origin::Node(node))))
+        (popped, [first, second].map(|node| stack.key(Origin::Node(node))))
     }
 
     #[test]
     fn broadcast_pops_what_per_event_scheduling_pops() {
-        for (shards, traced) in [(None, false), (Some(1), false), (None, true), (Some(1), true)] {
-            let scenario = dense_scenario(shards);
+        let scenario = dense_scenario();
+        for traced in [false, true] {
             let (runs, next_keys) = pop_sequence(&scenario, traced, StationStack::broadcast);
             let oracle = pop_sequence(&scenario, traced, StationStack::broadcast_per_event);
-            assert_eq!((&runs, next_keys), (&oracle.0, oracle.1), "shards: {shards:?}");
-            // Only an untraced per-entity stack leaves the bystanders out.
-            let masked = scenario.observed_stations(traced).is_some();
-            assert_eq!(masked, shards.is_some() && !traced);
+            assert_eq!((&runs, next_keys), (&oracle.0, oracle.1), "traced: {traced}");
+            // Only an untraced stack leaves the bystanders out.
+            assert_eq!(scenario.observed_stations(traced).is_some(), !traced);
             let heard = |i: &u32| runs.iter().any(|p| p.1 == "RxStart" && p.2 == *i);
-            assert_eq!(BYSTANDERS.iter().any(heard), !masked, "shards {shards:?}, traced {traced}");
+            assert_eq!(BYSTANDERS.iter().any(heard), traced, "traced {traced}");
             // The comparison is not vacuous: dozens of receptions each, and
             // the ties the placement was built for.
             let count = |kind| runs.iter().filter(|p| p.1 == kind).count();
@@ -1126,7 +1087,7 @@ mod tests {
         }
         // Every transmitter of the dense layout, zero-delay colocated ties
         // and equal-radius rings included, on the planner's own plans.
-        let scenario = dense_scenario(None);
+        let scenario = dense_scenario();
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let mut rng = StreamRng::derive(1, "test/order");
         let mut plans = Vec::new();
@@ -1155,41 +1116,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_keys_are_one_lane_in_insertion_order() {
-        // Whatever the origin, the legacy discipline mints (lane 0, seq =
-        // insertion count): exactly `EventQueue`'s tie-break.
-        let mut legacy = Discipline::for_scenario(&relay_scenario(), &RngDirectory::new(7));
-        let origins = [
-            Origin::Flow(FlowId::new(1)),
-            Origin::Node(NodeId::new(3)),
-            Origin::Pass(Pass::Mobility),
-            Origin::Node(NodeId::new(0)),
-        ];
-        for (n, origin) in origins.into_iter().enumerate() {
-            assert_eq!(legacy.key(origin), EventKey::new(0, 0, n as u64));
-        }
-    }
-
-    #[test]
     fn per_entity_keys_count_per_origin() {
-        let scenario = Scenario { shards: Some(1), ..relay_scenario() };
-        let mut per_entity = Discipline::for_scenario(&scenario, &RngDirectory::new(scenario.seed));
+        // The flow's start took key 0 of its lane at build time.
+        let mut stack = StationStack::build(&relay_scenario(), false);
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
-        assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 0));
-        assert_eq!(per_entity.key(flow(0)), EventKey::new(LANE_FLOW, 0, 0));
-        assert_eq!(per_entity.key(node(2)), EventKey::new(LANE_NODE, 2, 1));
-        assert_eq!(per_entity.key(node(0)), EventKey::new(LANE_NODE, 0, 0));
-        assert_eq!(per_entity.key(flow(0)), EventKey::new(LANE_FLOW, 0, 1));
+        assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 0));
+        assert_eq!(stack.key(flow(0)), EventKey::new(LANE_FLOW, 0, 1));
+        assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 1));
+        assert_eq!(stack.key(node(0)), EventKey::new(LANE_NODE, 0, 0));
+        assert_eq!(stack.key(flow(0)), EventKey::new(LANE_FLOW, 0, 2));
+        assert_eq!(stack.key(Origin::Pass(Pass::Refresh)), EventKey::new(LANE_PASS, 1, 0));
+        // A station's receptions share its counter, in a lane of their own.
+        assert_eq!(stack.key(Origin::Air(NodeId::new(2))), EventKey::new(LANE_AIR, 2, 2));
     }
 
     #[test]
     fn coinciding_passes_pop_mobility_then_refresh_then_the_events_of_the_instant() {
-        // The rule the result family is defined by: an event at a pass's
+        // The rule the key lanes are ordered by: an event at a pass's
         // instant sees the pass's effect, and routing is recomputed over the
         // moved topology. Scheduled here in the reverse of that order.
-        let scenario = Scenario { shards: Some(1), ..relay_scenario() };
-        let mut stack = StationStack::build(&scenario, false);
+        let mut stack = StationStack::build(&relay_scenario(), false);
         let at = SimDuration::from_millis(50);
         let flow = FlowId::new(0);
         stack.schedule_in(at, Origin::Flow(flow), Event::UdpSend { flow });

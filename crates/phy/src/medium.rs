@@ -29,14 +29,19 @@
 //! bounds on the power, evaluated in the same expression order as the
 //! power, so a decision the bounds agree on is the exact power's (rounding
 //! is monotone). Only a bound that straddles a threshold pays for the
-//! logarithm, square root and cosine. Every decision, result and stream
-//! position is therefore bit-identical to a simulator that computes every
-//! power.
+//! logarithm, square root and cosine. Every decision and result is
+//! therefore bit-identical to a simulator that computes every power.
+//!
+//! Each draw is keyed by its coordinates — the transmission's key and the
+//! receiver ([`wmn_sim::DrawKey`]) — so a pair's power depends on nothing but
+//! that pair's key. The planner can therefore leave a pair out without
+//! moving any other: a pair whose mean is out of reach of carrier sense,
+//! or a station the caller does not observe, is never drawn.
 
 use std::cell::OnceCell;
 
 use wmn_alloc::{count_work, Work};
-use wmn_sim::{NodeId, NormalWords, SimDuration, SimTime, StreamRng};
+use wmn_sim::{max_standard_normal, DrawKey, NodeId, NormalWords, SimDuration, SimTime, StreamRng};
 
 /// NS-2's capture threshold (`CPThresh`): a reception in progress survives
 /// interference that is at least this many dB weaker.
@@ -51,7 +56,7 @@ use crate::position::Position;
 ///
 /// [`RxPower::bounds`] is a sound `[floor, ceiling]` on the power from two
 /// table reads; [`RxPower::value`] is the power itself, bit-equal to
-/// `mean + σ * StreamRng::standard_normal()` from the same stream position.
+/// `mean + σ * words.z()`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RxPower {
     mean_dbm: f64,
@@ -214,6 +219,9 @@ pub struct Medium {
     /// Scratch for [`Medium::update_node_positions`]: which stations the
     /// batch in progress moves. All `false` between calls.
     moved: Vec<bool>,
+    /// `|σ| · max_standard_normal()`: no draw lifts a pair's power more
+    /// than this above its mean.
+    reach_db: f64,
     /// How many pairs `evaluate` has been asked for, so the tests can pin
     /// the mirror rule's cost.
     #[cfg(test)]
@@ -245,6 +253,7 @@ impl Medium {
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
         let n = positions.len();
         Medium {
+            reach_db: params.link.sigma_db.abs() * max_standard_normal(),
             params,
             positions,
             rows: (0..n).map(|_| OnceCell::new()).collect(),
@@ -448,85 +457,88 @@ impl Medium {
     }
 
     /// Like [`Medium::plan_transmission`], but writes into a caller-owned
-    /// buffer (cleared first) so a simulation loop performs zero allocations
-    /// per transmission once the buffer has grown to the neighbourhood size.
-    ///
-    /// One shadowing draw per other station, in station-index order, and one
-    /// path for every pair: the draw's two raw words are always taken
-    /// ([`StreamRng::normal_words`]), and sensing (`≥ cs`) and decoding
-    /// (`≥ rx`) are decided from the power's two-sided bound
-    /// ([`RxPower::bounds`]). The variate is computed only when that bound
-    /// straddles a threshold the decision needs — on a campus, for well
-    /// under one pair in a hundred. The plan carries the power lazily, for
-    /// the capture rule to bound in turn. The stream is consumed exactly as
-    /// by the per-pair computation this replaced (kept as the test oracle),
-    /// so plans and every later draw are bit-for-bit those of a planner that
-    /// samples every pair in full.
+    /// buffer (cleared first) so a loop performs zero allocations per
+    /// transmission once the buffer has grown to the neighbourhood size.
+    /// Takes one word from `rng` as the transmission's key and plans every
+    /// station ([`Medium::plan_receptions_into`]).
     pub fn plan_transmission_into(
         &self,
         from: NodeId,
         rng: &mut StreamRng,
         plans: &mut Vec<RxPlan>,
     ) {
-        self.plan_receptions_into(from, rng, plans, |_| true);
+        self.plan_receptions_into(from, DrawKey::new(rng.next_u64()), plans, None);
     }
 
-    /// [`Medium::plan_transmission_into`], planning receptions only at the
-    /// stations whose index `keep` accepts. Every other station's draw is
-    /// still taken, in index order, so the stream and every kept plan are
-    /// bit-for-bit those of the full planner: the kept plans are exactly its
-    /// plans to kept stations.
+    /// Plans the transmission `key` names, by `from`, at every station or
+    /// only at the `observed` ones (ascending, `from` allowed), into
+    /// `plans` (cleared first), in station order.
+    ///
+    /// Pair `to`'s draw is `NormalWords::keyed(key, to)`, so a station
+    /// left out moves no other station's plan: the plans at observed
+    /// stations are exactly the full planner's plans to them. A pair whose
+    /// mean power plus the largest excursion any draw can give stays below
+    /// carrier sense is never sensed, and is skipped before it is drawn.
+    /// Sensing (`≥ cs`) and decoding (`≥ rx`) are decided from the power's
+    /// two-sided bound ([`RxPower::bounds`]); the variate is computed only
+    /// when that bound straddles a threshold the decision needs — on a
+    /// campus, for well under one pair in a hundred. The plan carries the
+    /// power lazily, for the capture rule to bound in turn.
     pub fn plan_receptions_into(
         &self,
         from: NodeId,
-        rng: &mut StreamRng,
+        key: DrawKey,
         plans: &mut Vec<RxPlan>,
-        keep: impl Fn(usize) -> bool,
+        observed: Option<&[NodeId]>,
     ) {
         plans.clear();
         let link = &self.params.link;
         let (sigma, cs, rx) = (link.sigma_db, link.cs_thresh_dbm, link.rx_thresh_dbm);
-        let row = self.row(from.index());
-        for (idx, &mean) in row.mean_rx_dbm.iter().enumerate() {
-            if idx == from.index() {
-                continue;
+        let (row, reach) = (self.row(from.index()), self.reach_db);
+        let mut drawn = 0;
+        let mut plan = |to: usize| {
+            let mean = row.mean_rx_dbm[to];
+            if to == from.index() || mean + reach < cs {
+                return;
             }
-            let words = rng.normal_words();
-            if !keep(idx) {
-                continue;
-            }
-            let power = RxPower::drawn(mean, sigma, words);
+            drawn += 1;
+            let power = RxPower::drawn(mean, sigma, NormalWords::keyed(key, to as u64));
             let (floor, ceiling) = power.bounds();
             if ceiling < cs {
-                continue;
+                return;
             }
             let decodable = if floor >= cs && (floor >= rx || ceiling < rx) {
                 floor >= rx
             } else {
                 let exact = power.value();
                 if exact < cs {
-                    continue;
+                    return;
                 }
                 exact >= rx
             };
             plans.push(RxPlan {
-                to: NodeId::new(idx as u32),
-                delay: row.delay[idx],
+                to: NodeId::new(to as u32),
+                delay: row.delay[to],
                 power,
                 decodable,
             });
+        };
+        match observed {
+            None => (0..row.mean_rx_dbm.len()).for_each(&mut plan),
+            Some(stations) => stations.iter().for_each(|to| plan(to.index())),
         }
-        count_work(Work::PlannerPairs, row.mean_rx_dbm.len().saturating_sub(1) as u64);
+        count_work(Work::PlannerPairs, drawn);
         count_work(Work::Receptions, plans.len() as u64);
     }
 
     /// The pre-refactor per-call computation, kept as the oracle the cached
     /// planner is pinned against: re-derives distance, mean path loss, and
     /// thresholds for every pair on every call, and samples every power in
-    /// full.
+    /// full, from the same keys [`Medium::plan_transmission`] draws.
     #[cfg(test)]
     fn plan_transmission_naive(&self, from: NodeId, rng: &mut StreamRng) -> Vec<RxPlan> {
         let p = &self.params;
+        let key = DrawKey::new(rng.next_u64());
         let mut plans = Vec::new();
         for idx in 0..self.positions.len() {
             if idx == from.index() {
@@ -534,7 +546,8 @@ impl Medium {
             }
             let to = NodeId::new(idx as u32);
             let d = self.positions[from.index()].distance_to(self.positions[to.index()]);
-            let power = p.link.sample_rx_dbm(d, rng);
+            let z = NormalWords::keyed(key, idx as u64).z();
+            let power = p.link.mean_rx_dbm(d) + p.link.sigma_db * z;
             if power < p.link.cs_thresh_dbm {
                 continue;
             }
@@ -1017,30 +1030,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kept_plans_are_the_full_planners_plans_to_kept_stations() {
-        use crate::params::PhyParams;
-        // A 4 m grid of 36: every transmission reaches most stations, some
-        // of them undecodable.
-        let positions =
-            (0..36).map(|i| Position::new(f64::from(i % 6) * 4.0, f64::from(i / 6) * 4.0));
-        let medium = Medium::new(PhyParams::paper_216(), positions.collect());
-        let keep = |to: usize| to % 3 != 1;
-        let (mut kept, mut full) = (Vec::new(), Vec::new());
-        let mut rng_kept = StreamRng::derive(9, "keep");
-        let mut rng_full = StreamRng::derive(9, "keep");
-        let mut dropped = 0;
-        for round in 0..60 {
-            let from = NodeId::new(round * 7 % 36);
-            medium.plan_receptions_into(from, &mut rng_kept, &mut kept, keep);
-            medium.plan_transmission_into(from, &mut rng_full, &mut full);
-            let before = full.len();
-            full.retain(|plan| keep(plan.to.index()));
-            dropped += before - full.len();
-            assert_eq!(plan_bits(&kept), plan_bits(&full), "round {round}");
+    proptest! {
+        /// One transmission planned twice, at every station and under a
+        /// random keep mask: the plans at kept stations are bit for bit the
+        /// full planner's, and the masked planner draws no pair it does not
+        /// keep. A 4 m grid of 36 (most stations sense, some cannot decode)
+        /// plus four stations 500–1000 m out, beyond any draw's reach.
+        #[test]
+        fn kept_plans_are_the_full_planners_plans_to_kept_stations(
+            seed in any::<u64>(),
+            from in 0u32..40,
+            mask in proptest::collection::vec(any::<bool>(), 40..=40),
+        ) {
+            use crate::params::PhyParams;
+            let grid = (0..36).map(|i| Position::new(f64::from(i % 6) * 4.0, f64::from(i / 6) * 4.0));
+            let far = [500.0, 600.0, 800.0, 1000.0].map(|x| Position::new(x, 0.0));
+            let medium = Medium::new(PhyParams::paper_216(), grid.chain(far).collect());
+            let observed: Vec<NodeId> = (0..40).filter(|&i| mask[i as usize]).map(NodeId::new).collect();
+            let (key, from) = (DrawKey::new(seed), NodeId::new(from));
+            let (mut kept, mut full) = (Vec::new(), Vec::new());
+            let before = wmn_alloc::work_totals();
+            medium.plan_receptions_into(from, key, &mut kept, Some(&observed));
+            let drawn = wmn_alloc::work_totals()[Work::PlannerPairs as usize]
+                - before[Work::PlannerPairs as usize];
+            medium.plan_receptions_into(from, key, &mut full, None);
+            full.retain(|plan| mask[plan.to.index()]);
+            prop_assert_eq!(plan_bits(&kept), plan_bits(&full));
+            let near = observed.iter().filter(|to| **to != from && to.index() < 36).count();
+            prop_assert!(drawn <= near as u64, "{} pairs drawn, {} kept in reach", drawn, near);
         }
-        assert!(dropped > 100, "the mask left out {dropped} receptions");
-        assert_eq!(rng_kept.next_u64(), rng_full.next_u64(), "every pair's words are drawn");
     }
 
     /// One directed pair, bit for bit: `(distance bits, mean bits, delay,
@@ -1540,7 +1558,7 @@ mod tests {
         ) {
             let mut lazy = Receiver::new();
             let mut exact = Receiver::new();
-            let mut words = StreamRng::derive(seed, "capture-words");
+            let words = DrawKey::new(seed);
             let mut active: Vec<u64> = Vec::new();
             let mut next_id = 0u64;
             let mut transmitting = false;
@@ -1550,7 +1568,7 @@ mod tests {
                     0..=2 => {
                         next_id += 1;
                         let sigma = [8.0, 0.5, -8.0][sigma_pick];
-                        let draw = words.normal_words();
+                        let draw = NormalWords::keyed(words, next_id);
                         let target = -60.0 - 10.0 * f64::from(step) + offset;
                         let power = RxPower::drawn(target - sigma * draw.z(), sigma, draw);
                         let value = power.value();

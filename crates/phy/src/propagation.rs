@@ -13,8 +13,6 @@
 //! receiver**, which is exactly the property opportunistic routing exploits:
 //! losses at different forwarders are uncorrelated.
 
-use wmn_sim::StreamRng;
-
 use crate::math::{mw_to_dbm, normal_cdf};
 
 /// The link model: transmit power, the two reception thresholds and the
@@ -112,12 +110,6 @@ impl LinkModel {
             - 10.0 * self.path_loss_exponent * (d / self.reference_distance).log10()
     }
 
-    /// One random received-power sample (dBm): the mean plus a fresh
-    /// Gaussian shadowing term.
-    pub fn sample_rx_dbm(&self, metres: f64, rng: &mut StreamRng) -> f64 {
-        self.mean_rx_dbm(metres) + self.sigma_db * rng.standard_normal()
-    }
-
     /// A link's margin over `threshold_dbm` in units of σ, given its mean
     /// received power: `(mean − threshold)/σ`. The probability that a frame
     /// clears the threshold is Φ of this ([`LinkModel::probability_above`]);
@@ -180,6 +172,7 @@ mod tests {
     use super::*;
     use crate::PhyParams;
     use proptest::prelude::*;
+    use wmn_sim::StreamRng;
 
     #[test]
     fn mean_decays_50db_per_decade() {
@@ -210,9 +203,8 @@ mod tests {
         let mut rng = StreamRng::derive(3, "shadow");
         let d = 8.0;
         let n = 50_000;
-        let hits = (0..n).filter(|_| m.sample_rx_dbm(d, &mut rng) >= m.rx_thresh_dbm).count()
-            as f64
-            / n as f64;
+        let sample = |rng: &mut StreamRng| m.mean_rx_dbm(d) + m.sigma_db * rng.standard_normal();
+        let hits = (0..n).filter(|_| sample(&mut rng) >= m.rx_thresh_dbm).count() as f64 / n as f64;
         let analytic = m.delivery(d);
         assert!((hits - analytic).abs() < 0.01, "empirical {hits} vs analytic {analytic}");
     }

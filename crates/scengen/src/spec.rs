@@ -120,9 +120,8 @@ pub struct ScenarioSpec {
     /// default — freezes routes at their build-time tables (the
     /// pre-refresh behaviour, byte for byte).
     pub route_refresh_ms: Option<u64>,
-    /// Result-family selector ([`Scenario::shards`]). `None` — the
-    /// default — is the legacy family (the figure baselines' bytes);
-    /// `Some(k)` the per-entity one, the same run for every `k >= 1`.
+    /// Has no effect, is not serialised and does not reach the scenario;
+    /// it stays only because the frozen benchmark sets it by name.
     pub shards: Option<u32>,
 }
 
@@ -131,8 +130,7 @@ impl ScenarioSpec {
     /// in a 60 m square — the dense-neighbourhood workload (~250 sensed
     /// receivers per frame). Density is deliberately high (mean nearest
     /// neighbour under a metre) so the placement is radio-connected at the
-    /// first attempt; `shards` is left `None` for the caller to choose a
-    /// result family.
+    /// first attempt.
     pub fn campus_scale() -> Self {
         ScenarioSpec {
             name: "campus-1k".into(),
@@ -210,7 +208,7 @@ impl ScenarioSpec {
             max_forwarders: self.max_forwarders,
             motion,
             route_refresh,
-            shards: self.shards,
+            shards: None,
         };
         scenario.validate().map_err(err)?;
         Ok(scenario)
@@ -238,11 +236,6 @@ impl ScenarioSpec {
         // files stay byte-identical.
         if let Some(ms) = self.route_refresh_ms {
             doc = doc.with("route_refresh_ms", ms);
-        }
-        // And the family selector: omitted for the legacy family, so spec
-        // files that predate it stay byte-identical.
-        if let Some(shards) = self.shards {
-            doc = doc.with("shards", u64::from(shards));
         }
         doc.with("duration_ms", self.duration_ms)
             .with("seed", self.seed)
@@ -280,15 +273,7 @@ impl ScenarioSpec {
                     Some(v.as_u64().ok_or("scenario: \"route_refresh_ms\" must be an integer")?)
                 }
             },
-            shards: match value.get("shards") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .and_then(|k| u32::try_from(k).ok())
-                        .filter(|&k| k > 0)
-                        .ok_or("scenario: \"shards\" must be a positive integer")?,
-                ),
-            },
+            shards: None,
         })
     }
 
@@ -425,25 +410,6 @@ mod tests {
         let scenario = on.materialise().unwrap();
         assert_eq!(scenario.route_refresh, Some(SimDuration::from_millis(50)));
         assert_eq!(spec().materialise().unwrap().route_refresh, None);
-    }
-
-    #[test]
-    fn shards_round_trip_and_legacy_stays_implicit() {
-        let legacy_text = spec().to_json().to_string();
-        assert!(
-            !legacy_text.contains("shards"),
-            "legacy-family specs must serialise without the key (baseline byte-compat)"
-        );
-        let sharded = ScenarioSpec { shards: Some(4), ..spec() };
-        let text = sharded.to_json().to_string();
-        assert!(text.contains("\"shards\": 4"), "{text}");
-        assert_eq!(ScenarioSpec::parse(&text).unwrap(), sharded);
-        assert_eq!(sharded.materialise().unwrap().shards, Some(4));
-        assert_eq!(spec().materialise().unwrap().shards, None);
-        // Zero is rejected at the door, like `Scenario::validate` does.
-        let zero = text.replace("\"shards\": 4", "\"shards\": 0");
-        let msg = ScenarioSpec::parse(&zero).unwrap_err();
-        assert!(msg.contains("positive"), "{msg}");
     }
 
     #[test]

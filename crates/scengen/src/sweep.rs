@@ -50,10 +50,8 @@ pub struct SweepSpec {
     /// milliseconds. `None` — the default — keeps routes frozen, which
     /// reproduces the pre-refresh grid byte for byte.
     pub route_refresh_ms: Option<u64>,
-    /// Result-family selector shared by every cell
-    /// ([`Scenario::shards`](wmn_netsim::Scenario)). `None` — the default —
-    /// is the legacy family (the figure baselines' bytes); `Some(k)` the
-    /// per-entity one, the same reports for every `k >= 1`.
+    /// Has no effect, is not serialised and reaches no cell; it stays
+    /// only because the frozen benchmark sets it by name.
     pub shards: Option<u32>,
 }
 
@@ -126,7 +124,6 @@ impl SweepSpec {
         SweepSpec {
             name: "ci-mobility-refresh".into(),
             route_refresh_ms: Some(50),
-            shards: None,
             ..SweepSpec::ci_mobility()
         }
     }
@@ -179,7 +176,7 @@ impl SweepSpec {
                                 max_forwarders: self.max_forwarders,
                                 mobility,
                                 route_refresh_ms: self.route_refresh_ms,
-                                shards: self.shards,
+                                shards: None,
                             });
                         }
                     }
@@ -255,10 +252,6 @@ impl SweepSpec {
         if let Some(ms) = self.route_refresh_ms {
             doc = doc.with("route_refresh_ms", ms);
         }
-        // And for the family selector (the legacy family stays implicit).
-        if let Some(shards) = self.shards {
-            doc = doc.with("shards", u64::from(shards));
-        }
         doc.with("duration_ms", self.duration_ms).with("max_forwarders", self.max_forwarders)
     }
 
@@ -313,15 +306,7 @@ impl SweepSpec {
                     Some(v.as_u64().ok_or("sweep: \"route_refresh_ms\" must be an integer")?)
                 }
             },
-            shards: match value.get("shards") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .and_then(|k| u32::try_from(k).ok())
-                        .filter(|&k| k > 0)
-                        .ok_or("sweep: \"shards\" must be a positive integer")?,
-                ),
-            },
+            shards: None,
         })
     }
 
@@ -455,27 +440,6 @@ mod tests {
         assert_eq!(SweepSpec::parse(&text).unwrap(), sweep);
         // …and stays implicit for refresh-off sweeps (baseline byte-compat).
         assert!(!SweepSpec::ci_quick().to_json().to_string().contains("route_refresh"));
-    }
-
-    #[test]
-    fn shard_knob_round_trips_and_reaches_every_cell() {
-        let legacy_text = SweepSpec::ci_quick().to_json().to_string();
-        assert!(
-            !legacy_text.contains("shards"),
-            "legacy-family sweeps must serialise without the key (baseline byte-compat)"
-        );
-        let sharded = SweepSpec { shards: Some(2), ..SweepSpec::ci_quick() };
-        let text = sharded.to_json().to_string();
-        assert!(text.contains("\"shards\": 2"), "{text}");
-        assert_eq!(SweepSpec::parse(&text).unwrap(), sharded);
-        assert!(sharded.scenario_specs().iter().all(|s| s.shards == Some(2)));
-        assert!(
-            sharded.expand().unwrap().iter().all(|s| s.shards == Some(2)),
-            "the knob must reach every materialised cell"
-        );
-        let zero = text.replace("\"shards\": 2", "\"shards\": 0");
-        let msg = SweepSpec::parse(&zero).unwrap_err();
-        assert!(msg.contains("positive"), "{msg}");
     }
 
     #[test]

@@ -16,9 +16,7 @@ use wmn_netsim::{run, NodePath, Scheme, Waypoint};
 use wmn_scengen::{MobilitySpec, PairPolicy, PhyPreset, ScenarioSpec, TopologySpec, TrafficMix};
 use wmn_sim::{SimDuration, SimTime};
 
-/// `per_entity` picks the result family (`shards: Some(1)` or `None`):
-/// every equivalence below must hold in both.
-fn spec(topo_pick: usize, scheme_pick: usize, seed: u64, per_entity: bool) -> ScenarioSpec {
+fn spec(topo_pick: usize, scheme_pick: usize, seed: u64) -> ScenarioSpec {
     let topology = match topo_pick % 3 {
         0 => TopologySpec::Grid { cols: 3, rows: 2, spacing_m: 5.0 },
         1 => TopologySpec::RandomGeometric { nodes: 8, side_m: 22.0 },
@@ -42,7 +40,7 @@ fn spec(topo_pick: usize, scheme_pick: usize, seed: u64, per_entity: bool) -> Sc
         max_forwarders: 5,
         mobility: MobilitySpec::Static,
         route_refresh_ms: None,
-        shards: per_entity.then_some(1),
+        shards: None,
     }
 }
 
@@ -67,10 +65,9 @@ proptest! {
         topo_pick in 0usize..3,
         scheme_pick in 0usize..4,
         seed in 1u64..64,
-        per_entity in any::<bool>(),
     ) {
         let implicit =
-            spec(topo_pick, scheme_pick, seed, per_entity).materialise().expect("materialise");
+            spec(topo_pick, scheme_pick, seed).materialise().expect("materialise");
         let baseline = run(&implicit);
 
         let mut explicit = implicit.clone();
@@ -111,9 +108,8 @@ proptest! {
         scheme_pick in 0usize..4,
         seed in 1u64..32,
         interval_ms in 1u64..80,
-        per_entity in any::<bool>(),
     ) {
-        let mut live_spec = spec(topo_pick, scheme_pick, seed, per_entity);
+        let mut live_spec = spec(topo_pick, scheme_pick, seed);
         let frozen = live_spec.materialise().expect("materialise");
         live_spec.route_refresh_ms = Some(interval_ms);
         let live = live_spec.materialise().expect("materialise");
@@ -133,9 +129,8 @@ proptest! {
         topo_pick in 0usize..3,
         scheme_pick in 0usize..4,
         seed in 1u64..32,
-        per_entity in any::<bool>(),
     ) {
-        let mut mobile = spec(topo_pick, scheme_pick, seed, per_entity);
+        let mut mobile = spec(topo_pick, scheme_pick, seed);
         mobile.mobility = MobilitySpec::Drift { max_speed_mps: 3.0 };
         let scenario = mobile.materialise().expect("materialise");
         prop_assert!(!scenario.motion.is_static());

@@ -18,15 +18,15 @@
 //! ```
 //! use wmn_sim::{labels, RngDirectory};
 //! let dir = RngDirectory::new(1);
-//! let mut shadowing = dir.stream(labels::MEDIUM);
+//! let mut channel = dir.stream(labels::CHANNEL);
 //! let mut backoff = dir.indexed_stream(labels::MAC, 3); // the stream "mac/3"
-//! assert_ne!(shadowing.next_u64(), backoff.next_u64());
+//! assert_ne!(channel.next_u64(), backoff.next_u64());
 //! ```
 //!
 //! A raw string is not a label:
 //!
 //! ```compile_fail
-//! let _ = wmn_sim::RngDirectory::new(1).stream("medium");
+//! let _ = wmn_sim::RngDirectory::new(1).stream("channel");
 //! ```
 //!
 //! ```compile_fail
@@ -36,7 +36,7 @@
 //! and neither type can be built outside this crate:
 //!
 //! ```compile_fail
-//! let _ = wmn_sim::labels::Label("medium");
+//! let _ = wmn_sim::labels::Label("channel");
 //! ```
 //!
 //! ```compile_fail
@@ -79,18 +79,9 @@ macro_rules! table {
 }
 
 table! {
-    /// `wmn_netsim`, legacy result family: the shadowing draws of every
-    /// transmission (`Medium::plan_transmission_into`).
-    MEDIUM = Label("medium");
-    /// `wmn_netsim`, legacy result family: the bit-error draws of every
-    /// decode.
-    BER = Label("ber");
-    /// `wmn_netsim`, per-entity result family: shadowing draws, one stream
-    /// per transmitter.
-    SHARD_MEDIUM = Family("shard/medium/");
-    /// `wmn_netsim`, per-entity result family: bit-error draws, one stream
-    /// per receiver.
-    SHARD_BER = Family("shard/ber/");
+    /// `wmn_netsim`: the channel's two draw-key seeds, shadowing and bit
+    /// errors, each draw keyed by its transmission and receiver from there.
+    CHANNEL = Label("channel");
     /// `wmn_netsim`: a station's MAC (backoff slots), by node index.
     MAC = Family("mac/");
     /// `wmn_netsim`: a web flow's think times and transfer sizes, by flow
@@ -163,8 +154,8 @@ mod tests {
     fn the_collision_check_sees_each_kind_of_clash() {
         let with = |extra: Row| [TABLE, &[extra]].concat();
         assert_eq!(
-            collision(&with(Row::Label(MEDIUM))),
-            Some((Row::Label(MEDIUM), Row::Label(MEDIUM)))
+            collision(&with(Row::Label(CHANNEL))),
+            Some((Row::Label(CHANNEL), Row::Label(CHANNEL)))
         );
         assert_eq!(
             collision(&with(Row::Label(Label("mac/7")))),
@@ -175,11 +166,11 @@ mod tests {
             Some((Row::Family(MAC), Row::Family(Family("mac/1")))),
         );
         assert_eq!(
-            collision(&with(Row::Family(Family("medium")))),
-            Some((Row::Label(MEDIUM), Row::Family(Family("medium")))),
+            collision(&with(Row::Family(Family("channel")))),
+            Some((Row::Label(CHANNEL), Row::Family(Family("channel")))),
         );
-        // Sharing a prefix is not a clash: "shard/medium/3" is not "medium",
-        // and "scengen/mix/flow3" is in no other family.
+        // Sharing a prefix is not a clash: "scengen/mix/flow3" is in no
+        // other family.
         assert_eq!(collision(&with(Row::Label(Label("mac/x")))), None);
         assert_eq!(collision(&with(Row::Family(Family("mac")))), None);
     }

@@ -231,8 +231,7 @@ impl EventKey {
 /// Two queues holding the same set of `(time, key, event)` entries pop them
 /// in the same order no matter how the entries were interleaved at
 /// insertion. Keyed on one lane with `seq` = the insertion count it pops
-/// exactly what an [`EventQueue`] pops, which is how the simulator runs both
-/// of its result families on this one queue.
+/// exactly what an [`EventQueue`] pops.
 ///
 /// Events enter one at a time ([`KeyedEventQueue::schedule_keyed`]) or as a
 /// *run* ([`KeyedEventQueue::schedule_run_in`]): a batch whose `(time, key)`

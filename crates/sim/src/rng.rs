@@ -7,6 +7,12 @@
 //! of randomness does not perturb the draws seen by existing ones. The labels
 //! themselves are the rows of [`crate::labels`]; simulator code reaches a
 //! stream through [`RngDirectory`], which accepts nothing but those rows.
+//!
+//! Draws that must not depend on which other draws were taken — the
+//! channel's, one per (transmission, receiver) — are counter-based instead
+//! (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011):
+//! a [`DrawKey`] names a family of draws by their coordinates, and
+//! [`NormalWords::keyed`] / [`StreamRng::keyed`] turn it into words.
 
 use crate::labels::{Family, Label};
 
@@ -39,16 +45,25 @@ impl StreamRng {
     /// [`RngDirectory`], whose labels are the typed rows of
     /// [`crate::labels`], so that every stream a run draws from is in that
     /// one table. Nothing enforces the split — the function stays `pub`
-    /// while the frozen probes name it (ROADMAP item 3(0) narrows it).
+    /// while the frozen probes name it (ROADMAP item 5 narrows it).
     pub fn derive(master_seed: u64, label: &str) -> Self {
         Self::seeded(master_seed, fold(LABEL_BASIS, label.as_bytes()))
     }
 
     /// The stream for a master seed and a folded label.
     fn seeded(master_seed: u64, label_hash: u64) -> Self {
-        // Expand the mixed seed into four non-degenerate state words, as
-        // xoshiro's authors recommend: successive splitmix64 outputs.
-        let mut s = splitmix64(master_seed ^ label_hash);
+        Self::expanded(splitmix64(master_seed ^ label_hash))
+    }
+
+    /// The stream a draw key names: the bit-error draws of one reception
+    /// take one of these each, so no reception's draws move another's.
+    pub fn keyed(key: DrawKey) -> Self {
+        Self::expanded(key.0)
+    }
+
+    /// Expands one mixed word into four non-degenerate state words, as
+    /// xoshiro's authors recommend: successive splitmix64 outputs.
+    fn expanded(mut s: u64) -> Self {
         let mut state = [0u64; 4];
         for word in &mut state {
             s = splitmix64(s);
@@ -119,27 +134,12 @@ impl StreamRng {
         scale / u.powf(1.0 / shape)
     }
 
-    /// Standard normal variate (Box–Muller), for log-normal shadowing draws:
-    /// the [`NormalWords::z`] of the next [`StreamRng::normal_words`].
-    ///
-    /// Consumes exactly two raw words per call, and — because `u1` is at
-    /// least 2⁻⁵³ — the variate is hard-bounded by [`max_standard_normal`].
-    /// A caller that only compares a sample against thresholds can take the
-    /// words instead and decide most comparisons from
-    /// [`NormalWords::bounds`], paying for the transcendental math only
-    /// when the bounds straddle a threshold (the medium's planner does).
+    /// Standard normal variate (Box–Muller) from the next two raw words;
+    /// because `u1` is at least 2⁻⁵³, it is hard-bounded by
+    /// [`max_standard_normal`].
     pub fn standard_normal(&mut self) -> f64 {
-        self.normal_words().z()
-    }
-
-    /// The two raw words one [`standard_normal`](StreamRng::standard_normal)
-    /// draw consumes, taken without any math: the stream advances exactly as
-    /// by that call, and [`NormalWords::z`] is bit-equal to what it returns.
-    #[inline]
-    pub fn normal_words(&mut self) -> NormalWords {
-        let w1 = self.next_u64();
-        let w2 = self.next_u64();
-        NormalWords { w1, w2 }
+        let (w1, w2) = (self.next_u64(), self.next_u64());
+        box_muller(w1, w2)
     }
 
     /// Bernoulli trial that succeeds with probability `p` (clamped to `[0, 1]`).
@@ -163,8 +163,11 @@ fn fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// splitmix64's increment, the golden-ratio constant.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = x.wrapping_add(GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -183,8 +186,38 @@ fn box_muller(w1: u64, w2: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// One standard-normal draw before its math: the two raw words
-/// [`StreamRng::normal_words`] took, from which [`NormalWords::z`] computes
+/// The name of a family of counter-based draws: a seed with the family's
+/// coordinates folded in, one splitmix64 step per coordinate. Draws with
+/// different coordinates get unrelated words, and a draw's words depend on
+/// nothing but its own key and index — whichever other draws are taken,
+/// skipped or reordered.
+///
+/// ```
+/// use wmn_sim::{DrawKey, NormalWords};
+/// let transmission = DrawKey::new(7).then(3).then(0); // station 3, frame 0
+/// let at_five = NormalWords::keyed(transmission, 5);
+/// assert_eq!(at_five, NormalWords::keyed(DrawKey::new(7).then(3).then(0), 5));
+/// assert_ne!(at_five, NormalWords::keyed(transmission, 6));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DrawKey(u64);
+
+impl DrawKey {
+    /// The key of a family of draws, before any coordinate.
+    pub const fn new(seed: u64) -> Self {
+        DrawKey(seed)
+    }
+
+    /// This key with one more coordinate folded in.
+    #[inline]
+    #[must_use]
+    pub fn then(self, coordinate: u64) -> Self {
+        DrawKey(splitmix64(self.0 ^ coordinate))
+    }
+}
+
+/// One standard-normal draw before its math: two raw words
+/// ([`NormalWords::keyed`]), from which [`NormalWords::z`] computes
 /// the Box–Muller variate and [`NormalWords::bounds`] a sound interval on
 /// it from two table reads.
 ///
@@ -202,8 +235,18 @@ pub struct NormalWords {
 }
 
 impl NormalWords {
+    /// Draw `index` of the family `key` names: outputs `2·index` and
+    /// `2·index + 1` of a splitmix64 generator started at the key, each
+    /// computed straight from its counter (two mixes, no state).
+    #[inline]
+    pub fn keyed(key: DrawKey, index: u64) -> Self {
+        let at = key.0.wrapping_add(index.wrapping_mul(GAMMA.wrapping_mul(2)));
+        NormalWords { w1: splitmix64(at), w2: splitmix64(at.wrapping_add(GAMMA)) }
+    }
+
     /// The variate itself: bit-equal to the
-    /// [`StreamRng::standard_normal`] these words would have produced.
+    /// [`StreamRng::standard_normal`] of a stream whose next two words are
+    /// these.
     #[inline]
     pub fn z(self) -> f64 {
         box_muller(self.w1, self.w2)
@@ -297,7 +340,7 @@ impl NormalBounds {
 /// A factory handing out [`StreamRng`]s for a fixed master seed.
 ///
 /// Scenario runners hold one directory and derive per-component streams from
-/// it, e.g. `dir.stream(labels::MEDIUM)` or
+/// it, e.g. `dir.stream(labels::CHANNEL)` or
 /// `dir.indexed_stream(labels::MAC, 3)` (the stream labelled `"mac/3"`).
 #[derive(Debug, Clone, Copy)]
 pub struct RngDirectory {
@@ -494,7 +537,7 @@ mod tests {
             let sigma = SIGMAS[draw % SIGMAS.len()];
             let mean = LIMIT + MEAN_OFFSETS[(draw / SIGMAS.len()) % MEAN_OFFSETS.len()];
             let z = full.standard_normal();
-            let words = bounded.normal_words();
+            let words = NormalWords { w1: bounded.next_u64(), w2: bounded.next_u64() };
             assert_eq!(words.z().to_bits(), z.to_bits(), "draw {draw}");
             match decided(words, mean, sigma, LIMIT) {
                 Some(sensed) => {
@@ -507,6 +550,32 @@ mod tests {
         }
         // NaN sigma decides nothing; every other column mostly decides.
         assert!(decisions > 450_000 && open > 100_000, "decided {decisions}, open {open}");
+    }
+
+    #[test]
+    fn keyed_draws_are_normal_and_independent_of_their_neighbours() {
+        // One transmission key, 50 000 receivers: the keyed variates have
+        // the standard normal's moments, and consecutive receivers' words
+        // are uncorrelated.
+        let key = DrawKey::new(17).then(4).then(9);
+        let n = 50_000u64;
+        let zs: Vec<f64> = (0..n).map(|rx| NormalWords::keyed(key, rx).z()).collect();
+        let mean = zs.iter().sum::<f64>() / n as f64;
+        let var = zs.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.03, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.05, "var {var}");
+        let lag: f64 = zs.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / n as f64;
+        assert!(lag.abs() < 0.03, "lag-1 correlation {lag}");
+        // Every variate stays inside the hard bound the planner relies on.
+        assert!(zs.iter().all(|z| z.abs() <= max_standard_normal()));
+        // The coordinates' order matters, and so does each one.
+        let (a, b) = (DrawKey::new(1).then(2).then(3), DrawKey::new(1).then(3).then(2));
+        assert_ne!(NormalWords::keyed(a, 0), NormalWords::keyed(b, 0));
+        let mut streams = [a, b].map(StreamRng::keyed);
+        assert_ne!(streams[0].next_u64(), streams[1].next_u64());
+        let mut again = StreamRng::keyed(a);
+        let mut first = StreamRng::keyed(a);
+        assert_eq!(again.next_u64(), first.next_u64());
     }
 
     #[test]

@@ -9,8 +9,8 @@ use wmn_mac::frame::{
 use wmn_mac::{
     Backoff, DropReason, MacAction, MacEntityExt, MacScheme, MacStats, TimerSlot, TimerToken,
 };
-use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
-use wmn_phy::{PhyParams, Position};
+use wmn_netsim::{run, run_traced, FlowSpec, Scenario, Scheme, Workload};
+use wmn_phy::{Medium, PhyParams, Position};
 use wmn_sim::{labels, FlowId, NodeId, RngDirectory, SimDuration, SimTime};
 
 fn base(scheme: Scheme, ber: f64, seed: u64) -> Scenario {
@@ -301,11 +301,42 @@ fn contention_is_identical_across_schemes() {
     }
 }
 
+const SCHEMES: [Scheme; 6] = [
+    Scheme::Dcf { aggregation: 1 },
+    Scheme::Dcf { aggregation: 16 },
+    Scheme::Ripple { aggregation: 1 },
+    Scheme::Ripple { aggregation: 16 },
+    Scheme::McExor,
+    Scheme::PreExor,
+];
+
+/// A flow-less station appended 1 km away, as the last index, changes
+/// nothing a run reports, traced or not, under every scheme: each channel
+/// draw is keyed by its own transmission and receiver, so a station out of
+/// reach takes no draw from anyone, and it never transmits.
+#[test]
+fn a_far_flowless_station_changes_nothing() {
+    for scheme in SCHEMES {
+        let near = base(scheme, 1e-5, 3);
+        let mut far = near.clone();
+        far.positions.push(Position::new(1000.0, 0.0));
+        for traced in [false, true] {
+            let go = |s: &Scenario| if traced { run_traced(s).0 } else { run(s) };
+            let (expected, mut with_far) = (go(&near), go(&far));
+            let label = format!("{}, traced {traced}", scheme.label());
+            assert_eq!(with_far.mac_stats.pop(), Some(MacStats::default()), "{label}");
+            assert!(expected.flows.iter().all(|f| f.delivered_bytes > 0), "{label}: idle run");
+            assert_eq!(expected, with_far, "{label}");
+        }
+    }
+}
+
 /// The inertness contract on `MacEntity`: a station that no flow's path
 /// names sees busy and idle edges and overhears data and ACK frames of a
 /// flow 0 → 1 → 2 → 3, none of which names it. Under every scheme it emits
 /// nothing and counts nothing, which is what lets an untraced run with
-/// fixed routes skip its receptions.
+/// fixed routes skip its receptions — and the planner of such a run never
+/// draws a pair for it.
 #[test]
 fn bystanders_are_inert_under_every_scheme() {
     let params = PhyParams::paper_216();
@@ -354,14 +385,7 @@ fn bystanders_are_inert_under_every_scheme() {
             ack(2, list.clone()),
         ]
     };
-    for scheme in [
-        Scheme::Dcf { aggregation: 1 },
-        Scheme::Dcf { aggregation: 16 },
-        Scheme::Ripple { aggregation: 1 },
-        Scheme::Ripple { aggregation: 16 },
-        Scheme::McExor,
-        Scheme::PreExor,
-    ] {
+    for scheme in SCHEMES {
         let label = scheme.label();
         let rng = RngDirectory::new(1).indexed_stream(labels::MAC, 9);
         let mut mac = scheme.build_mac(&params, bystander, rng);
@@ -383,4 +407,23 @@ fn bystanders_are_inert_under_every_scheme() {
         mac.on_frame_rx_vec(RxFrame::from(data(1, named, 1)), now);
         assert_eq!(mac.stats().data_frames_received, 1, "{label}: a frame naming it");
     }
+    // Ten stations 2 m apart, all within reach of each other; the flow's
+    // path names 0–3. Each transmission of an untraced run draws pairs at
+    // the other three only, where the full planner draws nine.
+    let mut scenario = base(Scheme::Ripple { aggregation: 16 }, 0.0, 1);
+    scenario.positions = (0..10).map(|i| Position::new(f64::from(i) * 2.0, 0.0)).collect();
+    let observed = scenario.observed_stations(false).expect("untraced, fixed routes");
+    assert_eq!(observed, [0, 1, 2, 3].map(node), "the bystanders are left out");
+    let medium = Medium::new(params, scenario.positions);
+    let drawn = |observed: Option<&[NodeId]>| {
+        let before = wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize];
+        let mut plans = Vec::new();
+        for from in 0..4 {
+            let key = wmn_sim::DrawKey::new(from);
+            medium.plan_receptions_into(node(from as u32), key, &mut plans, observed);
+            assert!(plans.iter().all(|p| p.to.index() < 4 || observed.is_none()));
+        }
+        wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize] - before
+    };
+    assert_eq!((drawn(Some(&observed)), drawn(None)), (4 * 3, 4 * 9));
 }
