@@ -189,13 +189,14 @@ impl Executor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use wmn_netsim::{FlowSpec, Scenario, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::{NodeId, SimDuration};
 
-    fn scenarios(n: usize) -> Vec<Scenario> {
+    /// `n` two-station FTP scenarios of 5 ms.
+    pub(crate) fn scenarios(n: usize) -> Vec<Scenario> {
         (0..n)
             .map(|i| Scenario {
                 name: format!("exec-test-{i}"),

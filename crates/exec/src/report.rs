@@ -53,6 +53,16 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// The `timing` block of a report: wall-clock, summed busy time, runs and
+/// plans.
+pub fn timing_value(timing: &ArtifactTiming) -> Value {
+    Value::obj()
+        .with("wall_ms", ms(timing.wall))
+        .with("busy_ms", ms(timing.exec.busy))
+        .with("runs", timing.exec.runs)
+        .with("plans", timing.exec.plans)
+}
+
 /// Builds the JSON document for one artefact.
 pub fn artifact_document(
     name: &str,
@@ -70,14 +80,7 @@ pub fn artifact_document(
                 .with("seeds", seeds.to_vec())
                 .with("jobs", timing.jobs),
         )
-        .with(
-            "timing",
-            Value::obj()
-                .with("wall_ms", ms(timing.wall))
-                .with("busy_ms", ms(timing.exec.busy))
-                .with("runs", timing.exec.runs)
-                .with("plans", timing.exec.plans),
-        )
+        .with("timing", timing_value(timing))
         .with("tables", Value::Arr(tables.iter().map(table_value).collect()))
 }
 
@@ -156,6 +159,34 @@ mod tests {
         let path = write_artifact(&dir, "t", &[t], &timing(), 0.5, &[7]).expect("writable");
         let body = std::fs::read_to_string(&path).expect("file exists");
         assert!(body.contains("\"artefact\": \"t\""));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A report written for a real executed plan reads back with plausible
+    /// accounting: positive, finite wall-clock, non-negative, finite busy
+    /// time, and the plan's run count.
+    #[test]
+    fn a_written_report_reads_back_with_sane_timing() {
+        let dir = std::env::temp_dir().join(format!("wmn-exec-timing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = crate::RunPlan::grid(
+            &crate::executor::tests::scenarios(2),
+            &[1, 2],
+            wmn_sim::SimDuration::from_millis(5),
+        );
+        let stats = crate::Executor::new(2).execute(&plan).stats;
+        let exec = Snapshot { plans: 1, runs: stats.runs as u64, busy: stats.busy };
+        let timing = ArtifactTiming { wall: stats.wall, exec, jobs: stats.jobs };
+        let path =
+            write_document(&dir, "timed", &Value::obj().with("timing", timing_value(&timing)))
+                .expect("writable");
+        let text = std::fs::read_to_string(&path).expect("file exists");
+        let doc = crate::json::parse(&text).expect("a written report parses");
+        let field = |key| doc.get("timing").and_then(|t| t.get(key)).and_then(Value::as_f64);
+        let (wall, busy) = (field("wall_ms").expect("wall_ms"), field("busy_ms").expect("busy_ms"));
+        assert!(wall > 0.0 && wall.is_finite(), "wall_ms {wall}");
+        assert!(busy >= 0.0 && busy.is_finite(), "busy_ms {busy}");
+        assert_eq!(field("runs"), Some(4.0));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

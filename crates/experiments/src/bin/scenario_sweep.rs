@@ -5,7 +5,7 @@
 //!
 //! * `sweep_<name>.json` — spec echo + run count + result tables. Contains
 //!   no timing, so it is **byte-identical for any `RIPPLE_JOBS`** (pinned
-//!   by `tests/sweep_determinism.rs` and diffed by the CI baseline gate).
+//!   by `tests/sweep_determinism.rs`).
 //! * `sweep_<name>_timing.json` — wall/busy/runs/jobs accounting for
 //!   perf-trajectory tracking.
 //!
@@ -16,7 +16,6 @@
 //! scenario_sweep --builtin ci-mobility  # the mobility companion grid (12 runs)
 //! scenario_sweep --spec sweep.json      # a sweep spec from disk
 //! scenario_sweep --print-spec           # print the selected spec as JSON and exit
-//! scenario_sweep --out DIR              # write reports somewhere else
 //! ```
 
 use std::path::PathBuf;
@@ -24,19 +23,20 @@ use std::process::exit;
 use std::time::Instant;
 
 use wmn_exec::json::Value;
-use wmn_exec::{report, telemetry, Executor};
+use wmn_exec::report::{self, ArtifactTiming};
+use wmn_exec::{telemetry, Executor};
 use wmn_experiments::sweep::{artefact_name, run_sweep};
 use wmn_scengen::SweepSpec;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenario_sweep [--builtin <name>] [--spec <file.json>] [--out <dir>] \
-         [--print-spec]\n\
+        "usage: scenario_sweep [--builtin <name>] [--spec <file.json>] [--print-spec]\n\
          \n\
          Runs the built-in ci-quick sweep unless --builtin selects another\n\
          preset (ci-quick, ci-mobility, ci-mobility-refresh) or --spec\n\
          points at a SweepSpec JSON file (see `--print-spec` for the schema\n\
          by example).\n\
+         Reports go to RIPPLE_REPRO_DIR (default target/repro).\n\
          RIPPLE_JOBS caps the worker pool; results are identical for any value."
     );
     exit(2)
@@ -47,14 +47,12 @@ fn usage() -> ! {
 fn main() {
     let mut spec_path: Option<PathBuf> = None;
     let mut builtin: Option<String> = None;
-    let mut out_dir: Option<PathBuf> = None;
     let mut print_spec = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--spec" => spec_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--builtin" => builtin = Some(args.next().unwrap_or_else(|| usage())),
-            "--out" => out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--print-spec" => print_spec = true,
             _ => usage(),
         }
@@ -112,37 +110,18 @@ fn main() {
     let exec = telemetry::take();
     println!("{}", outcome.table);
 
-    let dir = out_dir.unwrap_or_else(report::repro_dir);
-    if let Err(err) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {err}", dir.display());
-        exit(1);
-    }
+    let dir = report::repro_dir();
     let stem = artefact_name(&spec);
-    let report_path = dir.join(format!("{stem}.json"));
-    let timing_path = dir.join(format!("{stem}_timing.json"));
-    let timing = Value::obj().with("sweep", spec.name.as_str()).with(
-        "timing",
-        Value::obj()
-            .with("wall_ms", wall.as_secs_f64() * 1e3)
-            .with("busy_ms", exec.busy.as_secs_f64() * 1e3)
-            .with("runs", exec.runs)
-            .with("plans", exec.plans)
-            .with("jobs", jobs),
-    );
-    for (path, doc) in [(&report_path, &outcome.document), (&timing_path, &timing)] {
-        // Checked emission: a non-finite table cell must fail the sweep, not
-        // serialise as `null` and corrupt the baseline diff undetected.
-        let text = match doc.to_json_string() {
-            Ok(text) => text,
+    let timing = ArtifactTiming { wall, exec, jobs };
+    let side_car = Value::obj()
+        .with("sweep", spec.name.as_str())
+        .with("jobs", jobs)
+        .with("timing", report::timing_value(&timing));
+    for (name, doc) in [(stem.clone(), &outcome.document), (format!("{stem}_timing"), &side_car)] {
+        match report::write_document(&dir, &name, doc) {
+            Ok(path) => eprintln!("wrote {}", path.display()),
             Err(err) => {
-                eprintln!("error: refusing to write {}: {err}", path.display());
-                exit(1)
-            }
-        };
-        match std::fs::write(path, format!("{text}\n")) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
+                eprintln!("error: could not write {name}.json: {err}");
                 exit(1)
             }
         }

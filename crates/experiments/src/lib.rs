@@ -31,10 +31,12 @@
 //!
 //! Beyond the paper's artefacts, [`sweep`] drives `wmn_scengen`'s generated
 //! scenario grids through the same engine (`scenario_sweep` binary), and
-//! `check_baseline` diffs fresh repro/sweep JSON against the committed
-//! `ci/baseline_repro.json` (the CI perf-regression gate).
+//! [`baseline`] regenerates the stored results of `ci/baseline_repro.json`
+//! in-process, for the tier-1 test `tests/baseline.rs` and for
+//! `check_baseline --update`.
 
 pub mod ablation;
+pub mod baseline;
 pub mod common;
 pub mod fig10;
 pub mod fig12;

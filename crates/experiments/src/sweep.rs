@@ -6,7 +6,7 @@
 //! The report document deliberately contains **no timing** — only the spec
 //! echo, the run count, and the seed-averaged result tables — so the same
 //! spec produces byte-identical JSON at any worker count (the property the
-//! determinism suite pins and the CI baseline gate diffs against).
+//! determinism suite pins).
 
 use wmn_exec::json::Value;
 use wmn_exec::report::table_value;

@@ -70,59 +70,20 @@ const LANE_AIR: u32 = 3;
 const _: () = assert!(KeyedEventQueue::<Event>::ENTRY_BYTES <= 48);
 
 /// The order a transmission's receptions start in (and, one airtime later,
-/// end in): its `(propagation delay, plan index)` pairs, ascending, in
-/// buffers every transmission reuses.
-///
-/// Plans come out of the planner in ascending index and a delay is a whole
-/// number of nanoseconds, so one stable counting pass over the frame's
-/// delay span yields exactly the order a comparison sort of the pairs
-/// does; on the 60 m campus the span is about 300 ns for about 250 plans.
-/// A span wider than [`ReceptionOrder::SPAN_PER_PLAN`] nanoseconds per
-/// plan falls back to the sort.
+/// end in): its `(propagation delay, plan index)` pairs, ascending, in a
+/// buffer every transmission reuses.
 #[derive(Default)]
 struct ReceptionOrder {
     order: Vec<(SimDuration, u32)>,
-    /// The counting pass's per-nanosecond counts, then start offsets.
-    starts: Vec<u32>,
 }
 
 impl ReceptionOrder {
-    /// The widest delay span, per plan, that the counting pass takes.
-    const SPAN_PER_PLAN: u64 = 4;
-
     /// The order of `plans`' receptions.
     fn of(&mut self, plans: &[RxPlan]) -> &[(SimDuration, u32)] {
-        let order = &mut self.order;
-        order.clear();
-        let Some(first) = plans.first() else { return order };
-        let (min, max) = plans
-            .iter()
-            .fold((first.delay, first.delay), |(lo, hi), p| (lo.min(p.delay), hi.max(p.delay)));
-        let span = (max - min).as_nanos();
-        if span > Self::SPAN_PER_PLAN * plans.len() as u64 {
-            order.extend(plans.iter().zip(0u32..).map(|(plan, i)| (plan.delay, i)));
-            order.sort_unstable();
-            return order;
-        }
-        // starts[b] counts the plans at offset b − 1, then (summed) those
-        // before offset b: the first place a plan at offset b goes.
-        let offset = |plan: &RxPlan| (plan.delay - min).as_nanos() as usize;
-        let starts = &mut self.starts;
-        starts.clear();
-        starts.resize(span as usize + 2, 0);
-        for plan in plans {
-            starts[offset(plan) + 1] += 1;
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        order.resize(plans.len(), (SimDuration::ZERO, 0));
-        for (plan, i) in plans.iter().zip(0u32..) {
-            let next = &mut starts[offset(plan)];
-            order[*next as usize] = (plan.delay, i);
-            *next += 1;
-        }
-        order
+        self.order.clear();
+        self.order.extend(plans.iter().zip(0u32..).map(|(plan, i)| (plan.delay, i)));
+        self.order.sort_unstable();
+        &self.order
     }
 }
 
@@ -521,9 +482,8 @@ impl StationStack {
     /// [`KeyedEventQueue::schedule_run_in`]): receptions ordered by
     /// `(delay, plan index)` are in `(time, key)` order, because keys grow
     /// with the plan index, and the RxEnds share that order because each is
-    /// its RxStart plus the one airtime. The order is a counting pass over
-    /// the delays ([`ReceptionOrder`]) in recycled buffers — no comparison
-    /// sort on a dense neighbourhood, no allocation at steady state.
+    /// its RxStart plus the one airtime. The order is sorted in a recycled
+    /// buffer ([`ReceptionOrder`]), so steady state allocates nothing.
     fn broadcast(
         &mut self,
         from: NodeId,
@@ -1051,67 +1011,6 @@ mod tests {
             let tied = |at| runs.iter().filter(|p| p.0 == at).count();
             let (colocated, ring) = (tied(SimTime::ZERO), tied(inner));
             assert!(colocated >= 3 && ring >= 6, "{colocated} at 0 ns, {ring} at {inner:?}");
-        }
-    }
-
-    /// The comparison sort of `(delay, plan index)` the counting pass
-    /// replaced, kept as its oracle.
-    fn sorted_order(plans: &[RxPlan]) -> Vec<(SimDuration, u32)> {
-        let mut order: Vec<_> = plans.iter().zip(0u32..).map(|(p, i)| (p.delay, i)).collect();
-        order.sort_unstable();
-        order
-    }
-
-    /// Plans to stations 0, 1, … at the given delays, in nanoseconds.
-    fn plans_at(delays: &[u64]) -> Vec<RxPlan> {
-        (0u32..)
-            .zip(delays)
-            .map(|(i, &ns)| RxPlan {
-                to: NodeId::new(i),
-                delay: SimDuration::from_nanos(ns),
-                power: wmn_phy::RxPower::known(-60.0),
-                decodable: true,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn counting_order_matches_the_sort() {
-        let mut order = ReceptionOrder::default();
-        // Empty, single, all equal, and a span too wide for counting (the
-        // sort fallback), on one reused pair of buffers.
-        let edges: [&[u64]; 5] = [&[], &[7], &[0; 9], &[0, 1_000_000, 5, 5, 3], &[40, 0, 40]];
-        for delays in edges {
-            let plans = plans_at(delays);
-            assert_eq!(order.of(&plans), sorted_order(&plans), "{delays:?}");
-        }
-        // Every transmitter of the dense layout, zero-delay colocated ties
-        // and equal-radius rings included, on the planner's own plans.
-        let scenario = dense_scenario();
-        let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
-        let mut rng = StreamRng::derive(1, "test/order");
-        let mut plans = Vec::new();
-        for from in 0..scenario.positions.len() as u32 {
-            medium.plan_transmission_into(NodeId::new(from), &mut rng, &mut plans);
-            assert_eq!(order.of(&plans), sorted_order(&plans), "from {from}");
-        }
-    }
-
-    proptest::proptest! {
-        /// Random delay sets, narrow (counting) or with one far outlier
-        /// (the sort fallback): the counting pass yields the sort's order.
-        #[test]
-        fn prop_counting_order_matches_the_sort(
-            delays in proptest::collection::vec(0u64..64, 0..48),
-            (wide, outlier) in (proptest::prelude::any::<bool>(), 1_000u64..1_000_000),
-        ) {
-            let mut delays = delays;
-            if wide {
-                delays.push(outlier);
-            }
-            let plans = plans_at(&delays);
-            let mut order = ReceptionOrder::default();
-            proptest::prop_assert_eq!(order.of(&plans), &sorted_order(&plans)[..]);
         }
     }
 

@@ -3,9 +3,8 @@
 //! [`wmn_netsim::RunResult`]s to a scenario with no mobility at all,
 //! across a seeded grid of generated scenarios.
 //!
-//! Together with the unchanged golden snapshots and the committed
-//! `ci/baseline_repro.json` (which pin today's static outputs to the
-//! pre-refactor runner's bytes), this is the proof that the layered stack
+//! Together with the committed `ci/baseline_repro.json` (which pins
+//! today's static outputs to the pre-refactor runner's bytes), this is the proof that the layered stack
 //! and mobility subsystem changed nothing for every run that existed
 //! before them: `RunResult`'s `PartialEq` compares all `f64` fields
 //! exactly, so equality here is bit-equality of every throughput, delay

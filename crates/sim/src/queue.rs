@@ -1,10 +1,11 @@
 //! The future-event list.
 //!
-//! Two queues over [`BinaryHeap`]. [`EventQueue`] pops events in time order
-//! and — crucially for reproducibility — breaks ties among simultaneous
-//! events in insertion (FIFO) order, so a run is a pure function of the
-//! scenario seed. [`KeyedEventQueue`], the one the simulator runs on, breaks
-//! them by a content-derived [`EventKey`] instead.
+//! One heap. [`KeyedEventQueue`], the queue the simulator runs on, pops
+//! events in time order and — crucially for reproducibility — breaks ties
+//! among simultaneous events by a content-derived [`EventKey`], so a run is
+//! a pure function of the scenario seed. [`EventQueue`] is its FIFO view:
+//! one key lane whose sequence is the insertion count, so ties pop in the
+//! order they were scheduled.
 //!
 //! # Runs
 //!
@@ -47,7 +48,8 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`] instants and
 /// popped in non-decreasing time order. Events scheduled for the same instant
-/// come out in the order they were scheduled.
+/// come out in the order they were scheduled: each is keyed on one lane by
+/// the number of events scheduled before it.
 ///
 /// # Example
 ///
@@ -64,38 +66,10 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, within a
-        // tick, the first-scheduled) entry is popped first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
+    queue: KeyedEventQueue<E>,
+    /// Events ever scheduled: the next event's key. It never rewinds, so
+    /// schedules and pops interleaved at one instant stay FIFO.
+    scheduled: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -105,90 +79,46 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with room for `capacity` pending events before
-    /// the backing heap reallocates. Simulation runners that know their
-    /// initial schedule size (pre-computed departure times, per-flow start
-    /// events) use this to avoid growth reallocations in the hot loop.
+    /// the backing heap reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0, now: SimTime::ZERO }
+        EventQueue { queue: KeyedEventQueue::with_capacity(capacity), scheduled: 0 }
+    }
+
+    fn next_key(&mut self) -> EventKey {
+        self.scheduled += 1;
+        EventKey::new(0, 0, self.scheduled - 1)
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let key = self.next_key();
+        self.queue.schedule_keyed(at, key, event);
     }
 
-    /// Schedules `event` to fire `delay` after [`EventQueue::now`] — the
-    /// instant of the most recently popped event. This is the natural form
-    /// for discrete-event handlers ("this timer expires 34 µs from now")
-    /// and saves every caller from adding `SimTime`s by hand.
-    ///
-    /// Debug builds assert that `now + delay` does not overflow the
-    /// [`SimTime`] range: a wrapped instant would silently schedule the
-    /// event in the *past* and corrupt the pop order.
+    /// Schedules `event` to fire `delay` after the instant of the most
+    /// recently popped event (time zero before the first pop) — the natural
+    /// form for discrete-event handlers ("this timer expires 34 µs from
+    /// now"). Debug builds assert that the instant does not overflow the
+    /// [`SimTime`] range, as [`KeyedEventQueue::schedule_keyed_in`] does.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        debug_assert!(
-            self.now.as_nanos().checked_add(delay.as_nanos()).is_some(),
-            "schedule_in overflows SimTime: now + {delay:?} wraps past SimTime::MAX",
-        );
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    ///
-    /// Runners call this once after seeding to pre-size the per-station
-    /// schedule burst (each station keeps a backoff timer, a `TxEnd` and a
-    /// handful of deliveries in flight at once), so heap growth happens
-    /// before the hot loop instead of inside it. After the warm-up the
-    /// backing storage is recycled across pops and pushes — the steady
-    /// state never returns event nodes to the allocator.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Current capacity of the backing heap, in events.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// The queue's clock: the instant of the most recently popped event
-    /// ([`SimTime::ZERO`] before the first pop). Offsets passed to
-    /// [`EventQueue::schedule_in`] are measured from here.
-    pub fn now(&self) -> SimTime {
-        self.now
+        let key = self.next_key();
+        self.queue.schedule_keyed_in(delay, key, event);
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
-    /// empty. Advances [`EventQueue::now`] to the popped event's instant.
+    /// empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.now = e.at;
-            (e.at, e.event)
-        })
-    }
-
-    /// Returns the time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.queue.pop()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Total events ever scheduled on this queue (the next tie-break
-    /// sequence number). Monotone over the queue's lifetime — it never
-    /// resets on pops — which is what keeps FIFO order stable when
-    /// schedules and pops interleave at one instant.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
+        self.queue.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -438,7 +368,8 @@ impl<E> KeyedEventQueue<E> {
     /// Schedules `event` under `key`, `delay` after [`KeyedEventQueue::now`].
     ///
     /// Debug builds assert that `now + delay` does not overflow the
-    /// [`SimTime`] range (see [`EventQueue::schedule_in`]).
+    /// [`SimTime`] range: a wrapped instant would silently schedule the
+    /// event in the *past* and corrupt the pop order.
     pub fn schedule_keyed_in(&mut self, delay: SimDuration, key: EventKey, event: E) {
         debug_assert!(
             self.now.as_nanos().checked_add(delay.as_nanos()).is_some(),
@@ -499,9 +430,9 @@ impl<E> KeyedEventQueue<E> {
         }
     }
 
-    /// Reserves room for at least `additional` more heap entries — the
-    /// pre-sizing twin of [`EventQueue::reserve`]. A run of any length
-    /// takes one.
+    /// Reserves room for at least `additional` more heap entries, so heap
+    /// growth happens before the hot loop instead of inside it. A run of
+    /// any length takes one.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
     }
@@ -602,23 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn schedule_in_measures_from_last_pop() {
         let mut q = EventQueue::with_capacity(8);
-        assert_eq!(q.now(), SimTime::ZERO);
         // Before any pop, delays are measured from time zero.
         q.schedule_in(crate::SimDuration::from_micros(10), "a");
         let (t, e) = q.pop().expect("scheduled");
         assert_eq!((t, e), (SimTime::from_micros(10), "a"));
-        assert_eq!(q.now(), SimTime::from_micros(10));
         // After a pop, from the popped instant.
         q.schedule_in(crate::SimDuration::from_micros(5), "b");
         assert_eq!(q.pop().expect("scheduled").0, SimTime::from_micros(15));
@@ -639,8 +559,9 @@ mod tests {
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::default();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
         assert!(q.is_empty());
+        q.schedule(SimTime::from_micros(7), ());
+        assert_eq!((q.len(), q.is_empty()), (1, false));
     }
 
     /// The adversarial case for the tie-break: schedules and pops
@@ -663,20 +584,16 @@ mod tests {
     }
 
     /// Draining the queue completely must not reset the tie-break: a second
-    /// wave at the same instant still pops in schedule order, and the
-    /// sequence counter only ever grows.
+    /// wave at the same instant still pops in schedule order.
     #[test]
     fn seq_survives_full_drain() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(9);
         q.schedule(t, 0);
         q.schedule(t, 1);
-        assert_eq!(q.scheduled_total(), 2);
         while q.pop().is_some() {}
-        assert_eq!(q.scheduled_total(), 2, "pops must not rewind the counter");
         q.schedule(t, 2);
         q.schedule(t, 3);
-        assert_eq!(q.scheduled_total(), 4);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![2, 3]);
     }
@@ -778,17 +695,14 @@ mod tests {
 
     #[test]
     fn reserve_pre_sizes_the_burst() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(2);
+        let mut q: KeyedEventQueue<u32> = KeyedEventQueue::with_capacity(2);
         q.reserve(100);
         let warm = q.capacity();
         assert!(warm >= 100);
         for i in 0..100 {
-            q.schedule(SimTime::from_nanos(u64::from(i)), i);
+            q.schedule_keyed(SimTime::from_nanos(u64::from(i)), EventKey::new(0, 0, i.into()), i);
         }
         assert_eq!(q.capacity(), warm, "no growth inside the reserved burst");
-        let mut kq: KeyedEventQueue<u32> = KeyedEventQueue::with_capacity(1);
-        kq.reserve(64);
-        assert!(kq.capacity() >= 64);
     }
 
     #[test]
@@ -1066,7 +980,7 @@ mod tests {
                 let delay = SimDuration::from_nanos(d);
                 match op {
                     0 => {
-                        plain.schedule(plain.now() + delay, n);
+                        plain.schedule(keyed.now() + delay, n);
                         keyed.schedule_keyed(keyed.now() + delay, EventKey::new(0, 0, n), n);
                         n += 1;
                     }
@@ -1077,7 +991,6 @@ mod tests {
                     }
                     _ => prop_assert_eq!(plain.pop(), keyed.pop()),
                 }
-                prop_assert_eq!(plain.now(), keyed.now());
                 prop_assert_eq!(plain.len(), keyed.len());
             }
             while !plain.is_empty() {
