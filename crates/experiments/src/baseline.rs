@@ -4,8 +4,9 @@
 //!
 //! [`regenerate`] reruns one entry in this process: a roster artefact
 //! through [`crate::select`], a sweep through [`run_sweep`] on the spec the
-//! entry itself stores. It has two callers: `tests/baseline.rs`, the tier-1
-//! gate, which fails naming every entry that [`moved`]; and
+//! entry itself stores. It has two callers: the tier-1 gate, `tests/golden.rs`
+//! (one test per paper artefact) and `tests/baseline.rs` (the sweeps),
+//! which fail naming every entry that [`moved`]; and
 //! `check_baseline --update`, which rewrites the file from the same
 //! regeneration. An entry joins the baseline by being added to the file by
 //! hand (`{"artefact": "fig8"}`, or a `sweep_<name>` with its `"spec"`) and
@@ -92,8 +93,8 @@ pub fn document(entries: Vec<Value>) -> Value {
     Value::obj()
         .with(
             "comment",
-            "Stored results: checked by crates/experiments/tests/baseline.rs, rewritten by \
-             check_baseline --update (crates/experiments/src/baseline.rs).",
+            "Stored results: checked by crates/experiments/tests/{golden,baseline}.rs, \
+             rewritten by check_baseline --update (crates/experiments/src/baseline.rs).",
         )
         .with("artefacts", Value::Arr(entries))
 }

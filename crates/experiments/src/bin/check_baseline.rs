@@ -6,8 +6,8 @@
 //! the stored ones (the simulation is deterministic per seed, so any drift
 //! is a real behaviour change — or an intended one that must refresh the
 //! baseline), and the run count must match (a silently shrunk grid would
-//! otherwise look "fast"). The tier-1 test `tests/baseline.rs` checks the
-//! same through the same function; this command runs it in a release
+//! otherwise look "fast"). The tier-1 tests `tests/golden.rs` and
+//! `tests/baseline.rs` check the same through the same function; this command runs it in a release
 //! build and can restrict it to named entries.
 //!
 //! ## Refreshing the baseline

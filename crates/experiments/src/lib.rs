@@ -32,7 +32,7 @@
 //! Beyond the paper's artefacts, [`sweep`] drives `wmn_scengen`'s generated
 //! scenario grids through the same engine (`scenario_sweep` binary), and
 //! [`baseline`] regenerates the stored results of `ci/baseline_repro.json`
-//! in-process, for the tier-1 test `tests/baseline.rs` and for
+//! in-process, for the tier-1 tests `tests/golden.rs` and `tests/baseline.rs` and for
 //! `check_baseline --update`.
 
 pub mod ablation;
