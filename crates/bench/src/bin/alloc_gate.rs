@@ -1,6 +1,6 @@
 //! `alloc_gate` — the CI gate on allocation pressure.
 //!
-//! Runs sixteen deterministic workloads under [`wmn_alloc::CountingAlloc`],
+//! Runs seventeen deterministic workloads under [`wmn_alloc::CountingAlloc`],
 //! prints every measured value beside its committed ceiling, and exits
 //! non-zero when one is breached:
 //!
@@ -17,7 +17,7 @@
 //! queue, recycled event list, recycled run buffers) are additionally
 //! asserted to be *exactly* zero in place.
 //!
-//! The eight end-to-end rows are what holds "no allocation per frame in a
+//! The nine end-to-end rows are what holds "no allocation per frame in a
 //! MAC or engine handler": between them they run `RippleMac`, `DcfMac`
 //! (plain and aggregated) and `ExorMac` (both ACK modes), and every
 //! `allocs_per_frame` ceiling sits at most 10 % above what is measured, so
@@ -25,14 +25,15 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
-//! Four rows gate work rather than allocations, through the same file and
+//! Six rows gate work rather than allocations, through the same file and
 //! the same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
 //! variates computed in full per planner pair on the 1024-station medium
 //! and per frame on the dense neighbourhood, so a planner or capture rule
 //! that stops deciding from the draw's bounds breaches both; and the pairs
-//! drawn and receptions planned per transmission on an untraced campus, so
-//! a planner that draws or plans stations no flow's path names breaches
-//! those two.
+//! drawn and receptions planned per transmission on an untraced campus with
+//! fixed routes and on an untraced drifting mesh whose routes refresh, so a
+//! planner that draws or plans stations no route of the run names breaches
+//! those four.
 //!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
@@ -42,8 +43,8 @@ use std::process::ExitCode;
 
 use wmn_alloc::{AllocStats, Phase, Work};
 use wmn_bench::{
-    dense_neighbourhood_scenario, fig6_class_mobile_scenario, fig6_class_scenario, grid_positions,
-    smoke_campus_scenario,
+    dense_neighbourhood_scenario, drifting_mesh_scenario, fig6_class_mobile_scenario,
+    fig6_class_scenario, grid_positions, smoke_campus_scenario,
 };
 use wmn_exec::json::{parse, Value};
 use wmn_mac::frame::{DataFrame, Frame, LinkDst, NetHeader, Packet, Proto, RouteInfo, Subframe};
@@ -237,10 +238,10 @@ fn run_churn_recycled() -> Entry<'static> {
     allocs_per_op("run_churn_recycled", stats, ops)
 }
 
-/// Full live route-refresh passes, as the engine's `RouteRefresh` event
-/// pays them: build a [`LinkGraph`] from the link model and the medium's
-/// current positions (no medium row is built) and rerun min-ETX Dijkstra
-/// per flow, on a 16×16 grid. 5 m spacing keeps
+/// Full route-refresh passes, as a run's route schedule pays them once per
+/// refresh instant that finds the stations moved: build a [`LinkGraph`]
+/// from the link model and the stations' positions (no medium row is
+/// built) and rerun min-ETX Dijkstra per flow, on a 16×16 grid. 5 m spacing keeps
 /// every neighbour link above the ETX usability floor so all flows really
 /// route (at 40 m, p ≈ 6e-5 < 0.05 and nothing does). The mover keeps the
 /// link state changing between passes so no snapshot is a cached no-op.
@@ -372,10 +373,10 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
             value: variates as f64 / frames as f64,
         });
     }
-    if bench == CAMPUS {
+    if bench == CAMPUS || bench == MESH {
         // Every frame counted is one transmission, and each draws at most
         // one pair per other observed station.
-        let observed = scenario.observed_stations(false).expect("untraced, fixed routes").len();
+        let observed = scenario.observed_stations(false).expect("untraced").len();
         let pairs = work_delta(work, Work::PlannerPairs);
         assert!(pairs <= frames * (observed as u64 - 1), "{bench}: {pairs} pairs drawn");
         let per_tx = |w| work_delta(work, w) as f64 / frames as f64;
@@ -396,11 +397,12 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
 /// The end-to-end row that also gates full variates per frame.
 const DENSE: &str = "dense_neighbourhood_end_to_end";
 
-/// The end-to-end row that also gates pairs drawn and receptions planned
-/// per transmission: an untraced run with fixed routes draws and plans
-/// them only at stations a flow's path names, a handful of the dozens that
-/// sense each frame.
+/// The end-to-end rows that also gate pairs drawn and receptions planned
+/// per transmission: an untraced run draws and plans them only at stations
+/// a flow's path names, at the start or after a route refresh, a handful
+/// of the dozens that sense each frame.
 const CAMPUS: &str = "smoke_campus_end_to_end";
+const MESH: &str = "drifting_mesh_end_to_end";
 
 /// The MAC configurations the fig-6 class runs under: `RippleMac`, `DcfMac`
 /// plain and aggregated, `ExorMac` in both ACK modes.
@@ -417,8 +419,8 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     // The end-to-end scenarios (an FTP flow + 5 hidden CBR senders under
     // each MAC; under RIPPLE-16 again with the relays pacing on a 10 ms
     // mobility tick; the 256-station dense neighbourhood; the 64-station
-    // campus) are built up front, so what is live at entry is the same for
-    // every measured region.
+    // campus; the 64-station drifting mesh) are built up front, so what is
+    // live at entry is the same for every measured region.
     let mut scenarios: Vec<(&str, Scenario)> = FIG6_MACS
         .map(|(bench, scheme)| (bench, fig6_class_scenario(5, scheme, E2E_DURATION)))
         .into();
@@ -426,6 +428,7 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     scenarios.push((DENSE, dense_neighbourhood_scenario(DENSE_DURATION)));
     let campus = smoke_campus_scenario(Scheme::Ripple { aggregation: 16 }, E2E_DURATION);
     scenarios.push((CAMPUS, campus));
+    scenarios.push((MESH, drifting_mesh_scenario(E2E_DURATION)));
     let mut out = vec![medium_build()];
     out.extend(medium_plan());
     out.extend([
@@ -554,7 +557,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 28);
+        assert_eq!(budgets.len(), 32);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

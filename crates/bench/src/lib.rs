@@ -10,7 +10,7 @@ pub use layouts::{blackout_scenario, drifting_relay_scenario, lossy_scenario};
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_scengen::{ScenarioSpec, TopologySpec};
+use wmn_scengen::{MobilitySpec, PairPolicy, PhyPreset, ScenarioSpec, TopologySpec, TrafficMix};
 use wmn_sim::{NodeId, SimDuration, SimTime};
 use wmn_topology::collision;
 use wmn_traffic::CbrModel;
@@ -132,11 +132,39 @@ pub fn smoke_campus_scenario(scheme: Scheme, duration: SimDuration) -> Scenario 
     scenario
 }
 
+/// perfbench's `mobile_refresh` mesh at its station density, smaller and
+/// drifting faster: 64 stations in a 24 m square, drifting at up to 10 m/s,
+/// with six far-paired RIPPLE-16 flows (two FTP, one web, two VoIP, one
+/// CBR) whose routes refresh every 50 ms. Over 300 ms its routes take in
+/// five stations no initial path names, and all of them together name
+/// fewer than half the stations, so an untraced run plans receptions at few
+/// of the stations that sense each frame.
+pub fn drifting_mesh_scenario(duration: SimDuration) -> Scenario {
+    let spec = ScenarioSpec {
+        name: "bench-drifting-mesh-64".into(),
+        topology: TopologySpec::RandomGeometric { nodes: 64, side_m: 24.0 },
+        mix: TrafficMix { ftp: 2, web: 1, voip: 2, cbr: 1, pairing: PairPolicy::FarPairs },
+        scheme: Scheme::Ripple { aggregation: 16 },
+        phy: PhyPreset::Mbps216,
+        ber: None,
+        duration_ms: 1,
+        seed: 1,
+        max_forwarders: 5,
+        mobility: MobilitySpec::Drift { max_speed_mps: 10.0 },
+        route_refresh_ms: Some(50),
+        shards: None,
+    };
+    let mut scenario = spec.materialise().expect("the drifting mesh materialises");
+    scenario.duration = duration;
+    scenario
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wmn_netsim::run;
     use wmn_phy::Medium;
+    use wmn_sim::FlowId;
 
     #[test]
     fn grid_positions_shape() {
@@ -167,6 +195,27 @@ mod tests {
         assert!(sensed > 64, "a corner frame reaches a campus-class neighbourhood, got {sensed}");
         let r = run(&s);
         assert!(r.flows.iter().all(|f| f.delivered_bytes > 0), "both flows must make progress");
+    }
+
+    #[test]
+    fn drifting_mesh_scenario_reroutes_past_its_initial_paths() {
+        let s = drifting_mesh_scenario(SimDuration::from_millis(300));
+        let (r, trace) = wmn_netsim::run_traced(&s);
+        assert!(r.flows.iter().all(|f| f.delivered_bytes > 0), "every flow makes progress");
+        let sorted = |mut nodes: Vec<NodeId>| {
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes
+        };
+        let initial = sorted(s.flows.iter().flat_map(|f| f.path.clone()).collect());
+        let mut named = initial.clone();
+        for flow in (0..s.flows.len()).map(|f| FlowId::new(f as u32)) {
+            named.extend(trace.route_changes(flow).into_iter().flat_map(|(_, path)| path));
+        }
+        let named = sorted(named);
+        assert!(named.len() > initial.len(), "no station joined: {initial:?}");
+        assert!(2 * named.len() < s.positions.len(), "{} of the stations named", named.len());
+        assert_eq!(s.observed_stations(false), Some(named));
     }
 
     #[test]

@@ -558,10 +558,10 @@ impl AggSender {
 
     /// Offers a subframe that survived the channel, at `now`, to its
     /// receive queue and delivers the run that releases, in sequence order.
-    /// A hole that has held packets back for [`REORDER_TIMEOUT`] is given
-    /// up first. The frame is borrowed (it may be the shared broadcast
-    /// copy), so the kept packet is cloned — a header copy plus a body
-    /// refcount bump.
+    /// A hole that has held packets back for 100 ms (`REORDER_TIMEOUT`) is
+    /// given up first. The frame is borrowed (it may be the shared
+    /// broadcast copy), so the kept packet is cloned — a header copy plus a
+    /// body refcount bump.
     pub fn deliver_in_order(&mut self, sf: &Subframe, now: SimTime, out: &mut ActionSink) {
         let key = (sf.packet.header.flow, sf.packet.header.src);
         let (rq, held_since) =

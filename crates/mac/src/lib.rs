@@ -220,9 +220,9 @@ pub struct MacStats {
 /// listing it as a forwarder — must change no state and no [`MacStats`],
 /// and emit no action; a busy or idle edge at a station with nothing
 /// queued must emit no action and count nothing either. The runner relies
-/// on both: an untraced run with fixed routes plans no reception at a
-/// station that no flow's path names (`Scenario::observed_stations` in
-/// `wmn_netsim`).
+/// on both: an untraced run plans no reception at a station that no
+/// flow's path names, at the start or after any of the run's route
+/// refreshes (`Scenario::observed_stations` in `wmn_netsim`).
 pub trait MacEntity {
     /// A packet arrives from the upper layer with its routing decision.
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink);

@@ -7,6 +7,8 @@ use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 use wmn_topology::MotionPlan;
 use wmn_traffic::{CbrModel, VoipModel, WebModel};
 
+use crate::stack::net_layer::RouteSchedule;
+
 /// Which forwarding scheme every station in the scenario runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scheme {
@@ -145,13 +147,14 @@ pub struct Scenario {
     /// default plan is empty — fully static — and is byte-for-byte
     /// equivalent to the pre-mobility simulator.
     pub motion: MotionPlan,
-    /// Interval between live route-refresh passes, or `None` for build-time
-    /// routes only. When set, the runner periodically recomputes every
-    /// flow's min-ETX path (and opportunistic forwarder list) from the
-    /// medium's *current* link state — the fix for a mobile relay leaving a
-    /// flow pinned to its stale forwarder list forever. The refresh consumes
-    /// no RNG, so `None` is byte-for-byte identical to the pre-refresh
-    /// runner, and a refresh over an unmoved topology changes nothing.
+    /// Interval between route-refresh passes, or `None` for the flows'
+    /// paths only. When set, every pass switches each flow to its min-ETX
+    /// path (and opportunistic forwarder list) over the stations' positions
+    /// at that instant — the fix for a mobile relay leaving a flow pinned
+    /// to its stale forwarder list forever. The routes are computed once,
+    /// when the run is built; they consume no RNG, so `None` is
+    /// byte-for-byte identical to the pre-refresh runner, and a refresh
+    /// over an unmoved topology changes nothing.
     pub route_refresh: Option<SimDuration>,
     /// Has no effect: every value runs the same simulation. It once sized an
     /// intra-scenario thread partition, then selected one of two result
@@ -232,21 +235,22 @@ impl Scenario {
     }
 
     /// The stations a run must plan receptions at, ascending, or `None` for
-    /// all. A station no flow's path names never transmits or arms a timer,
-    /// and its MAC ignores every frame, since none names it (the contract on
-    /// [`MacEntity`]); its draws are keyed to it alone, so leaving out its
-    /// receptions changes no result while:
-    /// - the run is untraced: the trace records `Decoded` at every station;
-    /// - routes are fixed (`route_refresh: None`): a refresh can name a
-    ///   station while an arrival is already under way at it.
+    /// all. An untraced run plans only the stations some flow's path names,
+    /// at the start or after a route refresh changes it: every route a run
+    /// takes is computed before its first event, from positions that are
+    /// pure functions of time. A station outside every such path never
+    /// transmits or arms a timer, and its MAC ignores every frame, since
+    /// none names it, not even one queued under a stale route (the contract
+    /// on [`MacEntity`]); its draws are keyed to it alone, so leaving out
+    /// its receptions changes no result. A traced run plans every station:
+    /// the trace records `Decoded` at each. `None` also answers a scenario
+    /// that [`Scenario::validate`] rejects: no run accepts it, and its
+    /// routes need not be computable.
     pub fn observed_stations(&self, traced: bool) -> Option<Vec<NodeId>> {
-        if traced || self.route_refresh.is_some() {
+        if traced || self.validate().is_err() {
             return None;
         }
-        let mut observed: Vec<NodeId> = self.flows.iter().flat_map(|f| f.path.clone()).collect();
-        observed.sort_unstable();
-        observed.dedup();
-        Some(observed)
+        Some(RouteSchedule::of(self).stations(self))
     }
 }
 
@@ -305,6 +309,8 @@ mod tests {
         s.route_refresh = Some(SimDuration::ZERO);
         let msg = s.validate().unwrap_err();
         assert!(msg.contains("route_refresh"), "{msg}");
+        // A schedule would repeat that one instant forever.
+        assert_eq!(s.observed_stations(false), None);
     }
 
     #[test]

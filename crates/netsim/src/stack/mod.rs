@@ -20,7 +20,8 @@
 //! the medium and the routing tables — and runs the two global passes that
 //! mutate that world, as events in the same queue: mobility ticks
 //! re-sampling trajectories into the medium's incremental link-state
-//! refresh, and live route refreshes.
+//! refresh, and route refreshes applying the run's route schedule, which
+//! `net_layer` computes once, at build.
 //!
 //! # Determinism
 //!
@@ -28,8 +29,8 @@
 //! originating station, flow or pass, and every channel draw is keyed by
 //! its transmission and receiver (see `station`), so a static
 //! [`MotionPlan`](wmn_topology::MotionPlan), which schedules no mobility
-//! ticks, and an untraced run, which plans only the stations it observes,
-//! change nothing they need not.
+//! ticks, and an untraced run, which plans only the stations some route of
+//! the run names, change nothing they need not.
 
 pub mod decode;
 pub mod flow_layer;
@@ -40,12 +41,11 @@ pub(crate) mod station;
 
 use wmn_mac::TimerToken;
 use wmn_phy::Medium;
-use wmn_routing::LinkGraph;
 use wmn_sim::{FlowId, NodeId, SimDuration};
 
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
-use net_layer::NetLayer;
+use net_layer::{NetLayer, RouteSchedule};
 use phy_io::{advance_medium_positions, Reception};
 use station::{Pass, StationStack, World};
 
@@ -218,16 +218,23 @@ struct Runner<'a> {
     medium: Medium,
     net: NetLayer,
     core: StationStack,
+    /// Test reference: every refresh pass also re-derives the routes from
+    /// the medium's live positions and asserts that the schedule's match.
+    #[cfg(test)]
+    route_oracle: bool,
 }
 
 impl<'a> Runner<'a> {
     /// Builds the loop for `scenario`, recording a trace if `traced`, with
-    /// the global passes scheduled on their own key lane.
+    /// the global passes scheduled on their own key lane and every route
+    /// the run will take computed up front.
     fn build(scenario: &'a Scenario, traced: bool) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
-        let mut core = StationStack::build(scenario, traced);
+        let schedule = RouteSchedule::of(scenario);
+        let observed = (!traced).then(|| schedule.stations(scenario));
+        let mut core = StationStack::build(scenario, traced, observed);
         if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
             core.schedule_pass(scenario.motion.tick, Pass::Mobility);
@@ -240,8 +247,10 @@ impl<'a> Runner<'a> {
         Runner {
             scenario,
             medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
-            net: NetLayer::build(scenario),
+            net: NetLayer::build(scenario, schedule),
             core,
+            #[cfg(test)]
+            route_oracle: false,
         }
     }
 
@@ -282,20 +291,24 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// One live routing pass: rebuild the link graph from the link model and
-    /// the stations' current positions, and let the network layer re-derive
-    /// its tables. The pass reads no medium row (so it builds none) and
-    /// consumes no RNG. `Scenario::validate` admits only finite positions
-    /// and a finite link model, so graph construction fails only on a
-    /// degenerate model (σ = 0 with a pair exactly on the receive
-    /// threshold: 0/0); the last-known-good routes then stay in force, same
-    /// as a transient partition.
+    /// One route-refresh pass: the network layer applies the route changes
+    /// the run's schedule holds for this instant, and a traced run records
+    /// each. The routes themselves were computed at build, from the same
+    /// positions this pass finds in the medium (`RouteSchedule::of`).
     fn refresh_routes(&mut self) {
-        let link = &self.medium.params().link;
-        let Ok(graph) = LinkGraph::try_from_placement(link, self.medium.positions()) else {
-            return;
-        };
-        let changed = self.net.refresh(&graph);
+        #[cfg(test)]
+        let live = self
+            .route_oracle
+            .then(|| self.net.reroute_live(&self.medium.params().link, self.medium.positions()));
+        let changed = self.net.refresh(self.core.now());
+        #[cfg(test)]
+        if let Some((live_changed, live_paths)) = live {
+            let at = self.core.now();
+            assert_eq!(changed, live_changed, "flows re-routed at {at:?}");
+            for (i, path) in live_paths.iter().enumerate() {
+                assert_eq!(self.net.path(FlowId::new(i as u32)), path, "flow {i} at {at:?}");
+            }
+        }
         if self.core.trace.is_some() {
             for flow in changed {
                 let path = self.net.path(flow).to_vec();
@@ -620,6 +633,64 @@ mod tests {
             live_r.flows[0].delivered_bytes,
             stale_r.flows[0].delivered_bytes
         );
+    }
+
+    /// A drifting random mesh as `wmn_scengen` generates it (36 stations in
+    /// an 18 m square, 10 m/s top speed, six far-paired flows), moved onto
+    /// a 10 ms tick and carrying VoIP: refresh passes read only positions,
+    /// so the oracle needs no more traffic than keeps the run short.
+    fn scengen_drift_mesh() -> Scenario {
+        use wmn_scengen::{MobilitySpec, PairPolicy, ScenarioSpec, TopologySpec, TrafficMix};
+        let mut spec = ScenarioSpec::campus_scale();
+        spec.topology = TopologySpec::RandomGeometric { nodes: 36, side_m: 18.0 };
+        spec.mix = TrafficMix { ftp: 2, web: 1, voip: 2, cbr: 1, pairing: PairPolicy::FarPairs };
+        spec.mobility = MobilitySpec::Drift { max_speed_mps: 10.0 };
+        spec.duration_ms = 400;
+        let mesh = spec.materialise().expect("the drift mesh materialises");
+        let voip = Workload::Voip(wmn_traffic::VoipModel::paper());
+        Scenario {
+            name: mesh.name,
+            params: mesh.params,
+            positions: mesh.positions,
+            scheme: Scheme::Ripple { aggregation: 16 },
+            flows: mesh
+                .flows
+                .into_iter()
+                .map(|flow| FlowSpec { path: flow.path, workload: voip.clone() })
+                .collect(),
+            duration: mesh.duration,
+            seed: mesh.seed,
+            max_forwarders: mesh.max_forwarders,
+            motion: MotionPlan { tick: SimDuration::from_millis(10), ..mesh.motion },
+            route_refresh: None,
+            shards: None,
+        }
+    }
+
+    #[test]
+    fn scheduled_routes_are_the_routes_of_the_live_positions() {
+        // The schedule oracle: every refresh pass also re-derives the routes
+        // from the medium's positions as the loop left them, and asserts
+        // that the ones computed at build match. Refreshes between ticks,
+        // across several, and on them.
+        for (layout, base) in [("relay", drifting_relay_scenario()), ("mesh", scengen_drift_mesh())]
+        {
+            assert_eq!(base.motion.tick, SimDuration::from_millis(10));
+            for interval_ms in [7, 15, 25, 50] {
+                let interval = SimDuration::from_millis(interval_ms);
+                let scenario = Scenario { route_refresh: Some(interval), ..base.clone() };
+                let mut runner = Runner::build(&scenario, true);
+                runner.route_oracle = true;
+                runner.run_loop();
+                let trace = runner.core.trace.take().expect("built traced");
+                let changes = trace
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e.kind, TraceKind::RouteChange { .. }))
+                    .count();
+                assert!(changes > 0, "{layout}, every {interval_ms} ms: no route changed");
+            }
+        }
     }
 
     #[test]

@@ -7,19 +7,27 @@
 //! decision at each direction's source (the forwarder list); per-hop
 //! schemes get one next-hop entry per interior window of the path.
 //!
-//! With [`Scenario::route_refresh`] set, `NetLayer::refresh` periodically
-//! recomputes each flow's min-ETX path from the medium's *current* link
-//! state and rebuilds the affected tables — the fix for a mobile relay
-//! leaving a flow pinned to its stale forwarder list forever. The pass
-//! consumes no RNG and keeps the last-known-good route when the live graph
-//! offers no path, so a refresh over an unmoved topology is a behavioural
-//! no-op (pinned by the crate's equivalence tests).
+//! With [`Scenario::route_refresh`] set, every refresh pass re-derives each
+//! flow's min-ETX path from where the stations stand — the fix for a mobile
+//! relay leaving a flow pinned to its stale forwarder list forever. A pass
+//! reads only positions, which are pure functions of time, and draws no
+//! RNG, so every route a run will take is known before its first event:
+//! `RouteSchedule::of` computes them once, when the run is built, and
+//! each pass applies the changes scheduled for its instant
+//! (`NetLayer::refresh`). A flow whose endpoints have no path keeps its
+//! last-known-good route, so a refresh over an unmoved topology is a
+//! behavioural no-op (pinned by the crate's equivalence tests).
+
+use std::iter::Peekable;
+use std::vec::IntoIter;
 
 use wmn_mac::frame::RouteInfo;
+use wmn_phy::{LinkModel, Position};
 use wmn_routing::{forwarder_list, LinkGraph};
-use wmn_sim::{FlowId, NodeId};
+use wmn_sim::{FlowId, NodeId, SimTime};
 
 use crate::scenario::Scenario;
+use crate::stack::phy_io::{last_tick, sample_moving};
 
 /// Per-node routing decisions of one flow direction, indexed by `NodeId`
 /// (ids are dense indices per [`Scenario::validate`]): `table[node]` is the
@@ -27,16 +35,109 @@ use crate::scenario::Scenario;
 type RouteTable = Vec<Option<RouteInfo>>;
 
 /// Both directions of one flow's routing decisions, plus the path they were
-/// derived from (kept so a refresh can detect an actual route change).
+/// derived from (what a traced run records when a refresh changes it).
 struct FlowRoutes {
     path: Vec<NodeId>,
     fwd: RouteTable,
     rev: RouteTable,
 }
 
+/// One route change: from the refresh pass at `at` on, `flow` takes `path`.
+struct Rerouted {
+    at: SimTime,
+    flow: FlowId,
+    path: Vec<NodeId>,
+}
+
+/// Every route change of a run, by instant, then flow: what its refresh
+/// passes will find.
+pub(crate) struct RouteSchedule {
+    changes: Vec<Rerouted>,
+}
+
+impl RouteSchedule {
+    /// The route changes of a validated `scenario`'s refresh passes, none
+    /// without [`Scenario::route_refresh`]. A pass at `t` routes over the
+    /// positions of the last mobility tick at or before it ([`last_tick`]):
+    /// the placement before the first. Routes are a function of those
+    /// positions and of the routes in force, so a pass that finds the
+    /// positions its predecessor routed over changes nothing and is skipped.
+    pub(crate) fn of(scenario: &Scenario) -> RouteSchedule {
+        let mut changes = Vec::new();
+        let Some(interval) = scenario.route_refresh else {
+            return RouteSchedule { changes };
+        };
+        let Scenario { motion, positions: origin, .. } = scenario;
+        let end = SimTime::ZERO + scenario.duration;
+        let mut paths: Vec<Vec<NodeId>> = scenario.flows.iter().map(|f| f.path.clone()).collect();
+        let mut positions = origin.clone();
+        // The tick whose positions the last computed pass routed over.
+        let mut routed_over: Option<Option<SimTime>> = None;
+        let mut at = SimTime::ZERO + interval;
+        while at <= end {
+            let tick = last_tick(motion, at);
+            if routed_over != Some(tick) {
+                if let Some(tick) = tick {
+                    for (node, position) in sample_moving(motion, origin, tick) {
+                        positions[node.index()] = position;
+                    }
+                }
+                for flow in reroute(&scenario.params.link, &positions, &mut paths) {
+                    changes.push(Rerouted { at, flow, path: paths[flow.index()].clone() });
+                }
+                routed_over = Some(tick);
+            }
+            at += interval;
+        }
+        RouteSchedule { changes }
+    }
+
+    /// Every station a path of `scenario`'s flows names, at the start or
+    /// after a change, ascending: the only stations a frame of the run can
+    /// name, queued stale-route frames included.
+    pub(crate) fn stations(&self, scenario: &Scenario) -> Vec<NodeId> {
+        let initial = scenario.flows.iter().map(|f| &f.path);
+        let later = self.changes.iter().map(|change| &change.path);
+        let mut stations: Vec<NodeId> = initial.chain(later).flatten().copied().collect();
+        stations.sort_unstable();
+        stations.dedup();
+        stations
+    }
+}
+
+/// One routing pass over stations at `positions`, the one place a route is
+/// computed: each flow's min-ETX path between the endpoints of `paths`.
+/// Rewrites the paths that changed and returns their flows, ascending.
+///
+/// A flow whose endpoints have no usable path keeps its last-known-good
+/// route — a transiently partitioned flow should recover when its relay
+/// comes back, not forget how to route entirely. So does every flow when
+/// the graph does not build: `Scenario::validate` admits only finite
+/// positions and a finite link model, so that takes a degenerate model
+/// (σ = 0 with a pair exactly on the receive threshold: 0/0).
+fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) -> Vec<FlowId> {
+    let Ok(graph) = LinkGraph::try_from_placement(link, positions) else {
+        return Vec::new();
+    };
+    let mut changed = Vec::new();
+    for (i, current) in paths.iter_mut().enumerate() {
+        let (src, dst) = (current[0], *current.last().expect("non-empty path"));
+        match graph.shortest_path(src, dst) {
+            Some(path) if path != *current => {
+                *current = path;
+                changed.push(FlowId::new(i as u32));
+            }
+            _ => {}
+        }
+    }
+    changed
+}
+
 /// The network layer: routing decisions for every flow of a run.
 pub(crate) struct NetLayer {
     flows: Vec<FlowRoutes>,
+    /// The route changes still to apply, next first.
+    schedule: Peekable<IntoIter<Rerouted>>,
     /// Placement size (dense `NodeId` namespace) the tables are sized to.
     n: usize,
     opportunistic: bool,
@@ -44,8 +145,9 @@ pub(crate) struct NetLayer {
 }
 
 impl NetLayer {
-    /// Builds the per-flow route tables from a validated scenario.
-    pub(crate) fn build(scenario: &Scenario) -> Self {
+    /// Builds the per-flow route tables from a validated scenario, with the
+    /// route changes its refresh passes will apply.
+    pub(crate) fn build(scenario: &Scenario, schedule: RouteSchedule) -> Self {
         let n = scenario.positions.len();
         let opportunistic = scenario.scheme.is_opportunistic();
         let flows = scenario
@@ -57,7 +159,13 @@ impl NetLayer {
                 FlowRoutes { path, fwd, rev }
             })
             .collect();
-        NetLayer { flows, n, opportunistic, max_forwarders: scenario.max_forwarders }
+        NetLayer {
+            flows,
+            schedule: schedule.changes.into_iter().peekable(),
+            n,
+            opportunistic,
+            max_forwarders: scenario.max_forwarders,
+        }
     }
 
     /// The routing decision of `flow` at `node`, in the given direction
@@ -74,31 +182,35 @@ impl NetLayer {
         &self.flows[flow.index()].path
     }
 
-    /// One live routing pass: recomputes every flow's min-ETX path over
-    /// `graph` (built from the medium's current link state) and rebuilds the
-    /// tables of each flow whose path actually changed. Returns the changed
-    /// flows, in flow order.
-    ///
-    /// A flow whose endpoints have no usable path in the live graph keeps
-    /// its last-known-good route — a transiently partitioned flow should
-    /// recover when its relay comes back, not forget how to route entirely.
-    pub(crate) fn refresh(&mut self, graph: &LinkGraph) -> Vec<FlowId> {
+    /// The refresh pass at `now`: rebuilds the tables of each flow whose
+    /// route the schedule changes at `now`, and returns those flows,
+    /// ascending.
+    pub(crate) fn refresh(&mut self, now: SimTime) -> Vec<FlowId> {
         let mut changed = Vec::new();
-        for (i, routes) in self.flows.iter_mut().enumerate() {
-            let (src, dst) = (routes.path[0], *routes.path.last().expect("non-empty path"));
-            let Some(path) = graph.shortest_path(src, dst) else {
-                continue;
-            };
-            if path == routes.path {
-                continue;
-            }
+        while let Some(Rerouted { flow, path, .. }) = self.schedule.next_if(|next| next.at == now) {
             let (fwd, rev) = build_routes(&path, self.n, self.opportunistic, self.max_forwarders);
-            routes.path = path;
-            routes.fwd = fwd;
-            routes.rev = rev;
-            changed.push(FlowId::new(i as u32));
+            self.flows[flow.index()] = FlowRoutes { path, fwd, rev };
+            changed.push(flow);
         }
+        debug_assert!(
+            self.schedule.peek().map_or(true, |next| next.at > now),
+            "a route change scheduled before {now:?} was not applied"
+        );
         changed
+    }
+
+    /// What a refresh pass over stations at `positions` changes, computed
+    /// live from the routes in force: the changed flows and every flow's
+    /// path after the pass. The schedule oracle's reference.
+    #[cfg(test)]
+    pub(crate) fn reroute_live(
+        &self,
+        link: &LinkModel,
+        positions: &[Position],
+    ) -> (Vec<FlowId>, Vec<Vec<NodeId>>) {
+        let mut paths: Vec<Vec<NodeId>> = self.flows.iter().map(|f| f.path.clone()).collect();
+        let changed = reroute(link, positions, &mut paths);
+        (changed, paths)
     }
 }
 

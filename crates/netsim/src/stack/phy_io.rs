@@ -172,15 +172,39 @@ pub(crate) fn advance_medium_positions(
     origin: &[Position],
     now: SimTime,
 ) {
-    let moves: Vec<(NodeId, Position)> = motion
+    let moves: Vec<(NodeId, Position)> = sample_moving(motion, origin, now)
+        .filter(|&(node, pos)| pos != medium.position(node))
+        .collect();
+    medium.update_node_positions(&moves);
+}
+
+/// Every moving node's position at `now`, from its `t = 0` placement in
+/// `origin`: what a mobility tick at `now` samples.
+pub(crate) fn sample_moving<'a>(
+    motion: &'a MotionPlan,
+    origin: &'a [Position],
+    now: SimTime,
+) -> impl Iterator<Item = (NodeId, Position)> + 'a {
+    motion
         .paths
         .iter()
         .enumerate()
         .filter(|(_, path)| !path.is_static())
-        .map(|(i, path)| (NodeId::new(i as u32), path.position_at(origin[i], now)))
-        .filter(|&(node, pos)| pos != medium.position(node))
-        .collect();
-    medium.update_node_positions(&moves);
+        .map(move |(i, path)| (NodeId::new(i as u32), path.position_at(origin[i], now)))
+}
+
+/// The last mobility tick at or before `at`, or `None` before the first and
+/// for a static plan, which ticks never. Ticks fall on the multiples of
+/// `motion.tick`, and a tick runs before any other pass of its instant, so
+/// the stations stand at `at` where that tick's [`sample_moving`] put them,
+/// or at their placement.
+pub(crate) fn last_tick(motion: &MotionPlan, at: SimTime) -> Option<SimTime> {
+    if motion.is_static() {
+        return None;
+    }
+    let tick = motion.tick.as_nanos();
+    let last = at.as_nanos() / tick * tick;
+    (last > 0).then(|| SimTime::from_nanos(last))
 }
 
 #[cfg(test)]

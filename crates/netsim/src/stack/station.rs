@@ -88,12 +88,13 @@ impl ReceptionOrder {
 }
 
 /// The two global passes, numbered in the order they run when they
-/// coincide: mobility first, then routing over the moved topology.
+/// coincide: mobility first, then routing over the moved topology (which
+/// is why a route schedule samples the last tick at or before a refresh).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Pass {
     /// Re-sample trajectories into the medium's link state.
     Mobility = 0,
-    /// Recompute every flow's min-ETX route.
+    /// Apply the route changes the run's schedule holds for the instant.
     Refresh = 1,
 }
 
@@ -195,8 +196,13 @@ impl StationStack {
     /// heads of its two reception runs; it is pre-sized at four entries per
     /// station. The air table gets a slot per station for the same reason:
     /// a station has one transmission on the air at a time. A `traced`
-    /// stack records every event and plans every reception.
-    pub(crate) fn build(scenario: &Scenario, traced: bool) -> StationStack {
+    /// stack records every event; receptions are planned at the `observed`
+    /// stations, or at all for `None`.
+    pub(crate) fn build(
+        scenario: &Scenario,
+        traced: bool,
+        observed: Option<Vec<NodeId>>,
+    ) -> StationStack {
         let dir = &RngDirectory::new(scenario.seed);
         let n = scenario.positions.len();
         let mut channel = dir.stream(labels::CHANNEL);
@@ -219,7 +225,7 @@ impl StationStack {
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
-            observed: scenario.observed_stations(traced),
+            observed,
             order: ReceptionOrder::default(),
             pool: FramePool::default(),
             #[cfg(test)]
@@ -720,6 +726,7 @@ mod tests {
     use wmn_phy::{PhyParams, Position};
 
     use crate::scenario::{FlowSpec, Scheme};
+    use crate::stack::net_layer::RouteSchedule;
 
     /// Token whose fire starts the scripted chain.
     const GO: u64 = 100;
@@ -820,12 +827,12 @@ mod tests {
         //     Deliver → on_enqueue   [T20, StartTx, T21]
         //       StartTx → on_busy   [T30]
         let scenario = relay_scenario();
-        let mut stack = StationStack::build(&scenario, false);
+        let mut stack = StationStack::build(&scenario, false, scenario.observed_stations(false));
         let log = Rc::new(RefCell::new(Vec::new()));
         let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Rc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
-        let net = NetLayer::build(&scenario);
+        let net = NetLayer::build(&scenario, RouteSchedule::of(&scenario));
         let w = World { medium: &medium, net: &net };
         let relay = NodeId::new(1);
         let now = stack.now();
@@ -923,7 +930,7 @@ mod tests {
         traced: bool,
         send: fn(&mut StationStack, NodeId, Arc<Frame>, SimDuration, &Medium),
     ) -> (Vec<Popped>, [EventKey; 2]) {
-        let mut stack = StationStack::build(scenario, traced);
+        let mut stack = StationStack::build(scenario, traced, scenario.observed_stations(traced));
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let n = scenario.positions.len() as u32;
         let frame = |from| {
@@ -1017,7 +1024,7 @@ mod tests {
     #[test]
     fn per_entity_keys_count_per_origin() {
         // The flow's start took key 0 of its lane at build time.
-        let mut stack = StationStack::build(&relay_scenario(), false);
+        let mut stack = StationStack::build(&relay_scenario(), false, None);
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
         assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 0));
@@ -1035,7 +1042,7 @@ mod tests {
         // The rule the key lanes are ordered by: an event at a pass's
         // instant sees the pass's effect, and routing is recomputed over the
         // moved topology. Scheduled here in the reverse of that order.
-        let mut stack = StationStack::build(&relay_scenario(), false);
+        let mut stack = StationStack::build(&relay_scenario(), false, None);
         let at = SimDuration::from_millis(50);
         let flow = FlowId::new(0);
         stack.schedule_in(at, Origin::Flow(flow), Event::UdpSend { flow });

@@ -263,11 +263,15 @@ fn committed_regressions_end_in_an_error() {
 /// nothing. Sound random specs, each case pinned to one of six classes
 /// (BER 0 or the drawn 1e-6 / 1e-5 × static, mobile, or mobile with route
 /// refresh); every class must come up with stations that no flow's path
-/// names, the bystanders whose receptions are left out.
+/// names, the bystanders whose receptions are left out. The refresh class
+/// drifts fast for three 50 ms mobility ticks, so that some of its cases
+/// re-route through a station no initial path names: one whose receptions
+/// a mask of the initial paths would leave out.
 #[test]
 fn prop_untraced_runs_match_traced_runs() {
     use wmn_scengen::MobilitySpec;
     let mut covered = std::collections::BTreeSet::new();
+    let mut rerouted_outside = 0;
     for case in 0..96 {
         let mut spec = random_spec(&mut TestRng::for_case("prop_untraced", case), false);
         let class = (case % 2, case / 2 % 3);
@@ -276,14 +280,17 @@ fn prop_untraced_runs_match_traced_runs() {
         }
         if class.1 == 0 {
             spec.mobility = MobilitySpec::Static;
+        } else if class.1 == 2 {
+            spec.mobility = MobilitySpec::Drift { max_speed_mps: 60.0 };
+            spec.duration_ms = 160;
         } else if spec.mobility == MobilitySpec::Static {
             spec.mobility = MobilitySpec::Drift { max_speed_mps: 30.0 };
         }
         spec.route_refresh_ms = (class.1 == 2).then_some(7);
         let Ok(scenario) = spec.materialise() else { continue };
         let untraced = format!("{:?}", wmn_netsim::run(&scenario));
-        let traced = format!("{:?}", wmn_netsim::run_traced(&scenario).0);
-        assert_eq!(untraced, traced, "case {case}: {}", spec.to_json());
+        let (result, trace) = wmn_netsim::run_traced(&scenario);
+        assert_eq!(untraced, format!("{result:?}"), "case {case}: {}", spec.to_json());
         let mut named = vec![false; scenario.positions.len()];
         for node in scenario.flows.iter().flat_map(|flow| &flow.path) {
             named[node.index()] = true;
@@ -291,6 +298,14 @@ fn prop_untraced_runs_match_traced_runs() {
         if named.contains(&false) {
             covered.insert(class);
         }
+        let rerouted = trace.events.iter().filter_map(|event| match &event.kind {
+            wmn_netsim::TraceKind::RouteChange { path, .. } => Some(path),
+            _ => None,
+        });
+        if rerouted.flatten().any(|node| !named[node.index()]) {
+            rerouted_outside += 1;
+        }
     }
     assert_eq!(covered.len(), 6, "classes run with bystanders: {covered:?}");
+    assert!(rerouted_outside >= 8, "{rerouted_outside} cases re-routed past the initial paths");
 }

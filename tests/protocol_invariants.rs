@@ -334,9 +334,8 @@ fn a_far_flowless_station_changes_nothing() {
 /// The inertness contract on `MacEntity`: a station that no flow's path
 /// names sees busy and idle edges and overhears data and ACK frames of a
 /// flow 0 → 1 → 2 → 3, none of which names it. Under every scheme it emits
-/// nothing and counts nothing, which is what lets an untraced run with
-/// fixed routes skip its receptions — and the planner of such a run never
-/// draws a pair for it.
+/// nothing and counts nothing, which is what lets an untraced run skip its
+/// receptions — and the planner of such a run never draws a pair for it.
 #[test]
 fn bystanders_are_inert_under_every_scheme() {
     let params = PhyParams::paper_216();
@@ -412,7 +411,7 @@ fn bystanders_are_inert_under_every_scheme() {
     // the other three only, where the full planner draws nine.
     let mut scenario = base(Scheme::Ripple { aggregation: 16 }, 0.0, 1);
     scenario.positions = (0..10).map(|i| Position::new(f64::from(i) * 2.0, 0.0)).collect();
-    let observed = scenario.observed_stations(false).expect("untraced, fixed routes");
+    let observed = scenario.observed_stations(false).expect("untraced");
     assert_eq!(observed, [0, 1, 2, 3].map(node), "the bystanders are left out");
     let medium = Medium::new(params, scenario.positions);
     let drawn = |observed: Option<&[NodeId]>| {
