@@ -1,14 +1,15 @@
-//! Two small hostile layouts, shared with `wmn_netsim`'s own unit tests
-//! (which compile this file into their crate by path: a scenario must be
-//! built from the `Scenario` type of the crate under test) and run by the
-//! exactness corpus. Only `wmn_*` paths appear here, so the file reads the
-//! same in both crates.
+//! Small hostile layouts, shared with `wmn_netsim`'s own unit tests (which
+//! compile this file into their crate by path: a scenario must be built
+//! from the `Scenario` type of the crate under test); the exactness corpus
+//! runs the first three, the allocation gate the drifting mesh. Only
+//! `wmn_*` paths appear here, so the file reads the same in both crates.
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_sim::{NodeId, SimDuration, SimTime};
+use wmn_routing::LinkGraph;
+use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 use wmn_topology::collision;
-use wmn_traffic::CbrModel;
+use wmn_traffic::{CbrModel, VoipModel, WebModel};
 
 fn flow(path: &[u32], workload: Workload) -> FlowSpec {
     FlowSpec { path: path.iter().copied().map(NodeId::new).collect(), workload }
@@ -93,5 +94,60 @@ pub fn blackout_scenario() -> Scenario {
         duration: SimDuration::from_millis(1000),
         motion: MotionPlan { paths, tick: SimDuration::from_millis(10) },
         ..ftp_scenario(Scheme::Dcf { aggregation: 1 }, &[0, 1], line)
+    }
+}
+
+/// perfbench's `mobile_refresh` mesh at its station density, smaller: 64
+/// stations placed uniformly in a 24 m square, each drifting at a constant
+/// velocity (heading uniform on the circle, speed uniform up to 10 m/s),
+/// and six RIPPLE-16 flows (two FTP, one web, two VoIP, one CBR), each on
+/// the min-ETX path of the longest of eight drawn station pairs. Positions
+/// are re-sampled every 50 ms and routes refreshed as often; seed 1.
+pub fn drifting_mesh_scenario(duration: SimDuration) -> Scenario {
+    const STATIONS: u32 = 64;
+    let mut rng = StreamRng::derive(1, "layouts/drifting-mesh");
+    let mut coordinate = |scale: f64| rng.uniform() * scale;
+    let positions: Vec<Position> =
+        (0..STATIONS).map(|_| Position::new(coordinate(24.0), coordinate(24.0))).collect();
+    let paths = (0..STATIONS)
+        .map(|_| {
+            let (heading, speed) = (coordinate(std::f64::consts::TAU), coordinate(10.0));
+            NodePath::Drift { vx_mps: speed * heading.cos(), vy_mps: speed * heading.sin() }
+        })
+        .collect();
+    let params = PhyParams::paper_216();
+    let graph = LinkGraph::try_from_placement(&params.link, &positions).expect("finite placement");
+    let mut station = || NodeId::new(rng.uniform_slots(STATIONS - 1));
+    let mut far_path = || {
+        let drawn = std::iter::repeat_with(|| (station(), station()))
+            .filter(|(src, dst)| src != dst)
+            .filter_map(|(src, dst)| graph.shortest_path(src, dst))
+            .take(8);
+        drawn.reduce(|best, path| if path.len() > best.len() { path } else { best })
+    };
+    let workloads = [
+        Workload::Ftp,
+        Workload::Ftp,
+        Workload::Web(WebModel::paper()),
+        Workload::Voip(VoipModel::paper()),
+        Workload::Voip(VoipModel::paper()),
+        Workload::Cbr(CbrModel::heavy()),
+    ];
+    let flows = workloads
+        .into_iter()
+        .map(|workload| FlowSpec { path: far_path().expect("a routable pair"), workload })
+        .collect();
+    Scenario {
+        name: "drifting-mesh-64".into(),
+        params,
+        positions,
+        scheme: Scheme::Ripple { aggregation: 16 },
+        flows,
+        duration,
+        seed: 1,
+        max_forwarders: 5,
+        motion: MotionPlan { paths, tick: SimDuration::from_millis(50) },
+        route_refresh: Some(SimDuration::from_millis(50)),
+        shards: None,
     }
 }

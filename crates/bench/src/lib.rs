@@ -6,11 +6,13 @@
 pub mod corpus;
 pub mod layouts;
 
-pub use layouts::{blackout_scenario, drifting_relay_scenario, lossy_scenario};
+pub use layouts::{
+    blackout_scenario, drifting_mesh_scenario, drifting_relay_scenario, lossy_scenario,
+};
 
 use wmn_netsim::{FlowSpec, MotionPlan, NodePath, Scenario, Scheme, Waypoint, Workload};
 use wmn_phy::{PhyParams, Position};
-use wmn_scengen::{MobilitySpec, PairPolicy, PhyPreset, ScenarioSpec, TopologySpec, TrafficMix};
+use wmn_scengen::{ScenarioSpec, TopologySpec};
 use wmn_sim::{NodeId, SimDuration, SimTime};
 use wmn_topology::collision;
 use wmn_traffic::CbrModel;
@@ -128,33 +130,6 @@ pub fn smoke_campus_scenario(scheme: Scheme, duration: SimDuration) -> Scenario 
     };
     spec.scheme = scheme;
     let mut scenario = spec.materialise().expect("the smoke campus materialises");
-    scenario.duration = duration;
-    scenario
-}
-
-/// perfbench's `mobile_refresh` mesh at its station density, smaller and
-/// drifting faster: 64 stations in a 24 m square, drifting at up to 10 m/s,
-/// with six far-paired RIPPLE-16 flows (two FTP, one web, two VoIP, one
-/// CBR) whose routes refresh every 50 ms. Over 300 ms its routes take in
-/// five stations no initial path names, and all of them together name
-/// fewer than half the stations, so an untraced run plans receptions at few
-/// of the stations that sense each frame.
-pub fn drifting_mesh_scenario(duration: SimDuration) -> Scenario {
-    let spec = ScenarioSpec {
-        name: "bench-drifting-mesh-64".into(),
-        topology: TopologySpec::RandomGeometric { nodes: 64, side_m: 24.0 },
-        mix: TrafficMix { ftp: 2, web: 1, voip: 2, cbr: 1, pairing: PairPolicy::FarPairs },
-        scheme: Scheme::Ripple { aggregation: 16 },
-        phy: PhyPreset::Mbps216,
-        ber: None,
-        duration_ms: 1,
-        seed: 1,
-        max_forwarders: 5,
-        mobility: MobilitySpec::Drift { max_speed_mps: 10.0 },
-        route_refresh_ms: Some(50),
-        shards: None,
-    };
-    let mut scenario = spec.materialise().expect("the drifting mesh materialises");
     scenario.duration = duration;
     scenario
 }

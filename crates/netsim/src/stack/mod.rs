@@ -41,13 +41,13 @@ pub(crate) mod station;
 
 use wmn_mac::TimerToken;
 use wmn_phy::Medium;
-use wmn_sim::{FlowId, NodeId, SimDuration};
+use wmn_sim::{FlowId, NodeId, SimDuration, SimTime};
 
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
 use net_layer::{NetLayer, RouteSchedule};
 use phy_io::{advance_medium_positions, Reception};
-use station::{Pass, StationStack, World};
+use station::{next_firing, Pass, StationStack, World};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -235,19 +235,20 @@ impl<'a> Runner<'a> {
         let schedule = RouteSchedule::of(scenario);
         let observed = (!traced).then(|| schedule.stations(scenario));
         let mut core = StationStack::build(scenario, traced, observed);
+        let net = NetLayer::build(scenario, schedule);
         if !scenario.motion.is_static() {
             // First re-sample one tick in: t = 0 is the placement itself.
             core.schedule_pass(scenario.motion.tick, Pass::Mobility);
         }
-        if let Some(interval) = scenario.route_refresh {
-            // First refresh one interval in: the build-time tables *are* the
-            // min-ETX routes over the t = 0 placement.
-            core.schedule_pass(interval, Pass::Refresh);
+        if let Some(at) = net.next_refresh() {
+            // The first refresh is one interval in: the build-time tables
+            // *are* the min-ETX routes over the t = 0 placement.
+            core.schedule_pass(at - SimTime::ZERO, Pass::Refresh);
         }
         Runner {
             scenario,
             medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
-            net: NetLayer::build(scenario, schedule),
+            net,
             core,
             #[cfg(test)]
             route_oracle: false,
@@ -270,12 +271,15 @@ impl<'a> Runner<'a> {
                 Event::Pass(Pass::Mobility) => {
                     let Scenario { motion, positions, .. } = self.scenario;
                     advance_medium_positions(&mut self.medium, motion, positions, now);
-                    self.reschedule(motion.tick, Pass::Mobility);
+                    if let Some(at) = next_firing(now, motion.tick, self.core.end) {
+                        self.core.schedule_pass(at - now, Pass::Mobility);
+                    }
                 }
                 Event::Pass(Pass::Refresh) => {
                     self.refresh_routes();
-                    let interval = self.scenario.route_refresh.expect("scheduled only when set");
-                    self.reschedule(interval, Pass::Refresh);
+                    if let Some(at) = self.net.next_refresh() {
+                        self.core.schedule_pass(at - now, Pass::Refresh);
+                    }
                 }
                 event => {
                     self.core.dispatch(event, World { medium: &self.medium, net: &self.net });
@@ -284,17 +288,11 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Re-arms a periodic global pass unless its next firing is past the end.
-    fn reschedule(&mut self, period: SimDuration, pass: Pass) {
-        if self.core.now() + period <= self.core.end {
-            self.core.schedule_pass(period, pass);
-        }
-    }
-
     /// One route-refresh pass: the network layer applies the route changes
     /// the run's schedule holds for this instant, and a traced run records
     /// each. The routes themselves were computed at build, from the same
-    /// positions this pass finds in the medium (`RouteSchedule::of`).
+    /// positions this pass finds in the medium (`RouteSchedule::of`), and
+    /// the loop arms each pass at the instant the schedule names.
     fn refresh_routes(&mut self) {
         #[cfg(test)]
         let live = self
@@ -328,7 +326,9 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layouts::{blackout_scenario, drifting_relay_scenario, lossy_scenario};
+    use crate::layouts::{
+        blackout_scenario, drifting_mesh_scenario, drifting_relay_scenario, lossy_scenario,
+    };
     use crate::scenario::{FlowSpec, Scheme, Workload};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::SimTime;
@@ -635,35 +635,20 @@ mod tests {
         );
     }
 
-    /// A drifting random mesh as `wmn_scengen` generates it (36 stations in
-    /// an 18 m square, 10 m/s top speed, six far-paired flows), moved onto
-    /// a 10 ms tick and carrying VoIP: refresh passes read only positions,
-    /// so the oracle needs no more traffic than keeps the run short.
-    fn scengen_drift_mesh() -> Scenario {
-        use wmn_scengen::{MobilitySpec, PairPolicy, ScenarioSpec, TopologySpec, TrafficMix};
-        let mut spec = ScenarioSpec::campus_scale();
-        spec.topology = TopologySpec::RandomGeometric { nodes: 36, side_m: 18.0 };
-        spec.mix = TrafficMix { ftp: 2, web: 1, voip: 2, cbr: 1, pairing: PairPolicy::FarPairs };
-        spec.mobility = MobilitySpec::Drift { max_speed_mps: 10.0 };
-        spec.duration_ms = 400;
-        let mesh = spec.materialise().expect("the drift mesh materialises");
+    /// The allocation gate's drifting mesh, moved onto a 10 ms tick and
+    /// carrying VoIP: refresh passes read only positions, so the oracle
+    /// needs no more traffic than keeps the run short.
+    fn voip_drift_mesh() -> Scenario {
+        let mesh = drifting_mesh_scenario(SimDuration::from_millis(400));
         let voip = Workload::Voip(wmn_traffic::VoipModel::paper());
         Scenario {
-            name: mesh.name,
-            params: mesh.params,
-            positions: mesh.positions,
-            scheme: Scheme::Ripple { aggregation: 16 },
             flows: mesh
                 .flows
-                .into_iter()
-                .map(|flow| FlowSpec { path: flow.path, workload: voip.clone() })
+                .iter()
+                .map(|f| FlowSpec { workload: voip.clone(), ..f.clone() })
                 .collect(),
-            duration: mesh.duration,
-            seed: mesh.seed,
-            max_forwarders: mesh.max_forwarders,
-            motion: MotionPlan { tick: SimDuration::from_millis(10), ..mesh.motion },
-            route_refresh: None,
-            shards: None,
+            motion: MotionPlan { tick: SimDuration::from_millis(10), ..mesh.motion.clone() },
+            ..mesh
         }
     }
 
@@ -673,8 +658,7 @@ mod tests {
         // from the medium's positions as the loop left them, and asserts
         // that the ones computed at build match. Refreshes between ticks,
         // across several, and on them.
-        for (layout, base) in [("relay", drifting_relay_scenario()), ("mesh", scengen_drift_mesh())]
-        {
+        for (layout, base) in [("relay", drifting_relay_scenario()), ("mesh", voip_drift_mesh())] {
             assert_eq!(base.motion.tick, SimDuration::from_millis(10));
             for interval_ms in [7, 15, 25, 50] {
                 let interval = SimDuration::from_millis(interval_ms);

@@ -12,14 +12,14 @@
 //! relay leaving a flow pinned to its stale forwarder list forever. A pass
 //! reads only positions, which are pure functions of time, and draws no
 //! RNG, so every route a run will take is known before its first event:
-//! `RouteSchedule::of` computes them once, when the run is built, and
-//! each pass applies the changes scheduled for its instant
-//! (`NetLayer::refresh`). A flow whose endpoints have no path keeps its
-//! last-known-good route, so a refresh over an unmoved topology is a
-//! behavioural no-op (pinned by the crate's equivalence tests).
+//! `RouteSchedule::of` computes them once, when the run is built, one entry
+//! per refresh instant, and the loop arms each refresh pass at the next
+//! entry's instant and applies its changes (`NetLayer::refresh`). A flow
+//! whose endpoints have no path keeps its last-known-good route, so a
+//! refresh over an unmoved topology is a behavioural no-op (pinned by the
+//! crate's equivalence tests).
 
-use std::iter::Peekable;
-use std::vec::IntoIter;
+use std::collections::VecDeque;
 
 use wmn_mac::frame::RouteInfo;
 use wmn_phy::{LinkModel, Position};
@@ -27,7 +27,8 @@ use wmn_routing::{forwarder_list, LinkGraph};
 use wmn_sim::{FlowId, NodeId, SimTime};
 
 use crate::scenario::Scenario;
-use crate::stack::phy_io::{last_tick, sample_moving};
+use crate::stack::phy_io::sample_moving;
+use crate::stack::station::next_firing;
 
 /// Per-node routing decisions of one flow direction, indexed by `NodeId`
 /// (ids are dense indices per [`Scenario::validate`]): `table[node]` is the
@@ -42,54 +43,55 @@ struct FlowRoutes {
     rev: RouteTable,
 }
 
-/// One route change: from the refresh pass at `at` on, `flow` takes `path`.
-struct Rerouted {
+/// One refresh pass of a run: its instant, and each flow it re-routes,
+/// ascending, with the flow's new path.
+struct RefreshPass {
     at: SimTime,
-    flow: FlowId,
-    path: Vec<NodeId>,
+    changes: Vec<(FlowId, Vec<NodeId>)>,
 }
 
-/// Every route change of a run, by instant, then flow: what its refresh
-/// passes will find.
+/// Every refresh pass of a run, in order: when each runs and what it finds.
 pub(crate) struct RouteSchedule {
-    changes: Vec<Rerouted>,
+    passes: Vec<RefreshPass>,
 }
 
 impl RouteSchedule {
-    /// The route changes of a validated `scenario`'s refresh passes, none
-    /// without [`Scenario::route_refresh`]. A pass at `t` routes over the
-    /// positions of the last mobility tick at or before it ([`last_tick`]):
-    /// the placement before the first. Routes are a function of those
-    /// positions and of the routes in force, so a pass that finds the
-    /// positions its predecessor routed over changes nothing and is skipped.
+    /// The refresh passes of a validated `scenario`, none without
+    /// [`Scenario::route_refresh`]. Passes and mobility ticks fire on the
+    /// instants [`next_firing`] gives, the rule the loop re-arms ticks by,
+    /// and a tick runs before a pass of its instant, so a pass routes over
+    /// the positions of the last tick at or before it: the placement before
+    /// the first.
     pub(crate) fn of(scenario: &Scenario) -> RouteSchedule {
-        let mut changes = Vec::new();
+        let mut passes = Vec::new();
         let Some(interval) = scenario.route_refresh else {
-            return RouteSchedule { changes };
+            return RouteSchedule { passes };
         };
         let Scenario { motion, positions: origin, .. } = scenario;
         let end = SimTime::ZERO + scenario.duration;
         let mut paths: Vec<Vec<NodeId>> = scenario.flows.iter().map(|f| f.path.clone()).collect();
         let mut positions = origin.clone();
-        // The tick whose positions the last computed pass routed over.
-        let mut routed_over: Option<Option<SimTime>> = None;
-        let mut at = SimTime::ZERO + interval;
-        while at <= end {
-            let tick = last_tick(motion, at);
-            if routed_over != Some(tick) {
-                if let Some(tick) = tick {
-                    for (node, position) in sample_moving(motion, origin, tick) {
-                        positions[node.index()] = position;
-                    }
-                }
-                for flow in reroute(&scenario.params.link, &positions, &mut paths) {
-                    changes.push(Rerouted { at, flow, path: paths[flow.index()].clone() });
-                }
-                routed_over = Some(tick);
+        let mut tick = (!motion.is_static()).then_some(SimTime::ZERO + motion.tick);
+        let mut next = next_firing(SimTime::ZERO, interval, end);
+        while let Some(at) = next {
+            let mut moved = None;
+            while let Some(t) = tick.filter(|&t| t <= at) {
+                moved = Some(t);
+                tick = next_firing(t, motion.tick, end);
             }
-            at += interval;
+            if let Some(t) = moved {
+                for (node, position) in sample_moving(motion, origin, t) {
+                    positions[node.index()] = position;
+                }
+            }
+            let changes = reroute(&scenario.params.link, &positions, &mut paths)
+                .into_iter()
+                .map(|flow| (flow, paths[flow.index()].clone()))
+                .collect();
+            passes.push(RefreshPass { at, changes });
+            next = next_firing(at, interval, end);
         }
-        RouteSchedule { changes }
+        RouteSchedule { passes }
     }
 
     /// Every station a path of `scenario`'s flows names, at the start or
@@ -97,7 +99,7 @@ impl RouteSchedule {
     /// name, queued stale-route frames included.
     pub(crate) fn stations(&self, scenario: &Scenario) -> Vec<NodeId> {
         let initial = scenario.flows.iter().map(|f| &f.path);
-        let later = self.changes.iter().map(|change| &change.path);
+        let later = self.passes.iter().flat_map(|pass| pass.changes.iter().map(|(_, path)| path));
         let mut stations: Vec<NodeId> = initial.chain(later).flatten().copied().collect();
         stations.sort_unstable();
         stations.dedup();
@@ -136,8 +138,8 @@ fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) 
 /// The network layer: routing decisions for every flow of a run.
 pub(crate) struct NetLayer {
     flows: Vec<FlowRoutes>,
-    /// The route changes still to apply, next first.
-    schedule: Peekable<IntoIter<Rerouted>>,
+    /// The refresh passes still to run, next first.
+    schedule: VecDeque<RefreshPass>,
     /// Placement size (dense `NodeId` namespace) the tables are sized to.
     n: usize,
     opportunistic: bool,
@@ -161,7 +163,7 @@ impl NetLayer {
             .collect();
         NetLayer {
             flows,
-            schedule: schedule.changes.into_iter().peekable(),
+            schedule: schedule.passes.into(),
             n,
             opportunistic,
             max_forwarders: scenario.max_forwarders,
@@ -182,21 +184,29 @@ impl NetLayer {
         &self.flows[flow.index()].path
     }
 
-    /// The refresh pass at `now`: rebuilds the tables of each flow whose
-    /// route the schedule changes at `now`, and returns those flows,
-    /// ascending.
+    /// The instant of the next refresh pass, `None` when none is left: where
+    /// the loop arms it.
+    pub(crate) fn next_refresh(&self) -> Option<SimTime> {
+        self.schedule.front().map(|pass| pass.at)
+    }
+
+    /// The refresh pass at `now`: rebuilds the tables of each flow it
+    /// re-routes, and returns those flows, ascending.
+    ///
+    /// # Panics
+    ///
+    /// If the next scheduled pass is not at `now`: the loop ran a pass the
+    /// schedule does not hold, and every later route would be applied late.
     pub(crate) fn refresh(&mut self, now: SimTime) -> Vec<FlowId> {
-        let mut changed = Vec::new();
-        while let Some(Rerouted { flow, path, .. }) = self.schedule.next_if(|next| next.at == now) {
-            let (fwd, rev) = build_routes(&path, self.n, self.opportunistic, self.max_forwarders);
-            self.flows[flow.index()] = FlowRoutes { path, fwd, rev };
-            changed.push(flow);
-        }
-        debug_assert!(
-            self.schedule.peek().map_or(true, |next| next.at > now),
-            "a route change scheduled before {now:?} was not applied"
-        );
-        changed
+        let pass = self.schedule.pop_front().expect("a refresh pass is scheduled");
+        assert_eq!(pass.at, now, "the refresh pass scheduled at {:?} ran at {now:?}", pass.at);
+        let Self { flows, n, opportunistic, max_forwarders, .. } = self;
+        let reroute = |(flow, path): (FlowId, Vec<NodeId>)| {
+            let (fwd, rev) = build_routes(&path, *n, *opportunistic, *max_forwarders);
+            flows[flow.index()] = FlowRoutes { path, fwd, rev };
+            flow
+        };
+        pass.changes.into_iter().map(reroute).collect()
     }
 
     /// What a refresh pass over stations at `positions` changes, computed

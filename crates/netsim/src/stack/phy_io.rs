@@ -193,20 +193,6 @@ pub(crate) fn sample_moving<'a>(
         .map(move |(i, path)| (NodeId::new(i as u32), path.position_at(origin[i], now)))
 }
 
-/// The last mobility tick at or before `at`, or `None` before the first and
-/// for a static plan, which ticks never. Ticks fall on the multiples of
-/// `motion.tick`, and a tick runs before any other pass of its instant, so
-/// the stations stand at `at` where that tick's [`sample_moving`] put them,
-/// or at their placement.
-pub(crate) fn last_tick(motion: &MotionPlan, at: SimTime) -> Option<SimTime> {
-    if motion.is_static() {
-        return None;
-    }
-    let tick = motion.tick.as_nanos();
-    let last = at.as_nanos() / tick * tick;
-    (last > 0).then(|| SimTime::from_nanos(last))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,13 +89,23 @@ impl ReceptionOrder {
 
 /// The two global passes, numbered in the order they run when they
 /// coincide: mobility first, then routing over the moved topology (which
-/// is why a route schedule samples the last tick at or before a refresh).
+/// is why a route schedule routes over the last tick at or before a
+/// refresh).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Pass {
     /// Re-sample trajectories into the medium's link state.
     Mobility = 0,
     /// Apply the route changes the run's schedule holds for the instant.
     Refresh = 1,
+}
+
+/// The instant after `now` at which a global pass repeating every `period`
+/// fires again, `None` past `end`, where the run stops: the one rule both
+/// passes' instants follow, when the loop re-arms a mobility tick and when
+/// a route schedule walks the ticks and refreshes of a run ahead of it.
+pub(crate) fn next_firing(now: SimTime, period: SimDuration, end: SimTime) -> Option<SimTime> {
+    let next = now + period;
+    (next <= end).then_some(next)
 }
 
 /// The read-mostly world a dispatch runs against, lent by the loop.

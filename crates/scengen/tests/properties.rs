@@ -264,9 +264,10 @@ fn committed_regressions_end_in_an_error() {
 /// (BER 0 or the drawn 1e-6 / 1e-5 × static, mobile, or mobile with route
 /// refresh); every class must come up with stations that no flow's path
 /// names, the bystanders whose receptions are left out. The refresh class
-/// drifts fast for three 50 ms mobility ticks, so that some of its cases
-/// re-route through a station no initial path names: one whose receptions
-/// a mask of the initial paths would leave out.
+/// keeps the drawn motion, drift or waypoints, at 60 m/s or more for three
+/// 50 ms mobility ticks, so that some of its cases re-route through a
+/// station no initial path names: one whose receptions a mask of the
+/// initial paths would leave out.
 #[test]
 fn prop_untraced_runs_match_traced_runs() {
     use wmn_scengen::MobilitySpec;
@@ -281,7 +282,15 @@ fn prop_untraced_runs_match_traced_runs() {
         if class.1 == 0 {
             spec.mobility = MobilitySpec::Static;
         } else if class.1 == 2 {
-            spec.mobility = MobilitySpec::Drift { max_speed_mps: 60.0 };
+            spec.mobility = match spec.mobility {
+                MobilitySpec::Static => MobilitySpec::Drift { max_speed_mps: 60.0 },
+                MobilitySpec::Drift { max_speed_mps } => {
+                    MobilitySpec::Drift { max_speed_mps: max_speed_mps.max(60.0) }
+                }
+                MobilitySpec::Waypoint { speed_mps, legs } => {
+                    MobilitySpec::Waypoint { speed_mps: speed_mps.max(60.0), legs }
+                }
+            };
             spec.duration_ms = 160;
         } else if spec.mobility == MobilitySpec::Static {
             spec.mobility = MobilitySpec::Drift { max_speed_mps: 30.0 };
