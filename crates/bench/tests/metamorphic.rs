@@ -6,6 +6,7 @@
 //! * Mirroring the plane (x → −x: placements, drift velocities,
 //!   waypoints) changes no `RunResult` and no `Trace`: every draw is keyed
 //!   by station indices and frame counters, and every distance is the same.
+//! * So does swapping the axes ((x, y) → (y, x)), for the same reasons.
 //!
 //! Each layout runs under one scheme (the schemes rotate across layouts),
 //! so the whole file stays cheap in a debug build.
@@ -34,20 +35,38 @@ fn a_run_to_t_is_the_run_to_2t_cut_at_t() {
     }
 }
 
+/// `scenario` with the linear map `map` applied to every placement, drift
+/// velocity and waypoint.
+fn mapped(scenario: &Scenario, map: impl Fn(Position) -> Position) -> Scenario {
+    let mut out = scenario.clone();
+    out.positions.iter_mut().for_each(|p| *p = map(*p));
+    for path in &mut out.motion.paths {
+        match path {
+            NodePath::Static => {}
+            NodePath::Drift { vx_mps, vy_mps } => {
+                let v = map(Position::new(*vx_mps, *vy_mps));
+                (*vx_mps, *vy_mps) = (v.x, v.y);
+            }
+            NodePath::Waypoints(points) => points.iter_mut().for_each(|w| w.pos = map(w.pos)),
+        }
+    }
+    out
+}
+
 #[test]
 fn mirroring_the_plane_changes_nothing() {
-    let flip = |p: Position| Position::new(-p.x, p.y);
     for (name, scenario) in subset() {
-        let mut mirrored = scenario.clone();
-        mirrored.positions.iter_mut().for_each(|p| *p = flip(*p));
-        for path in &mut mirrored.motion.paths {
-            match path {
-                NodePath::Static => {}
-                NodePath::Drift { vx_mps, .. } => *vx_mps = -*vx_mps,
-                NodePath::Waypoints(points) => points.iter_mut().for_each(|w| w.pos = flip(w.pos)),
-            }
-        }
+        let mirrored = mapped(&scenario, |p| Position::new(-p.x, p.y));
         assert!(mirrored.positions != scenario.positions, "{name}: nothing to mirror");
         assert!(run_traced(&scenario) == run_traced(&mirrored), "{name}: mirroring moved it");
+    }
+}
+
+#[test]
+fn swapping_the_axes_changes_nothing() {
+    for (name, scenario) in subset() {
+        let swapped = mapped(&scenario, |p| Position::new(p.y, p.x));
+        assert!(swapped.positions != scenario.positions, "{name}: nothing to swap");
+        assert!(run_traced(&scenario) == run_traced(&swapped), "{name}: swapping moved it");
     }
 }

@@ -1,5 +1,6 @@
 //! RIPPLE configuration.
 
+use wmn_mac::dcf::frame_payload_budget;
 use wmn_phy::PhyParams;
 use wmn_sim::SimDuration;
 
@@ -54,7 +55,7 @@ impl RippleConfig {
             retry_limit: params.retry_limit,
             max_aggregation,
             ifq_capacity: params.ifq_capacity,
-            max_frame_payload_bytes: (params.data_rate.as_mbps() * 6_000.0 / 8.0) as u32,
+            max_frame_payload_bytes: frame_payload_budget(params),
             timing: MtxopTiming::new(params.clone()),
         }
     }

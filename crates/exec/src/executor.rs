@@ -136,17 +136,17 @@ impl Executor {
     #[allow(clippy::disallowed_methods)]
     pub fn execute(&self, plan: &RunPlan) -> ExecOutcome {
         let started = Instant::now();
-        let specs = plan.specs();
-        let n = specs.len();
+        let scenarios = plan.scenarios();
+        let n = scenarios.len();
         let jobs = self.jobs.min(n).max(1);
 
         let busy_ns = AtomicU64::new(0);
         let mut slots: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
 
         if jobs == 1 {
-            for (slot, spec) in slots.iter_mut().zip(specs) {
+            for (slot, scenario) in slots.iter_mut().zip(scenarios) {
                 let t0 = Instant::now();
-                *slot = Some(run(&spec.scenario));
+                *slot = Some(run(scenario));
                 busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         } else {
@@ -162,7 +162,7 @@ impl Executor {
                                 break;
                             }
                             let t0 = Instant::now();
-                            let result = run(&specs[i].scenario);
+                            let result = run(&scenarios[i]);
                             busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             local.push((i, result));
                         }

@@ -64,5 +64,5 @@ pub mod telemetry;
 pub mod trace;
 
 pub use executor::{available_jobs, jobs_from_env, ExecOutcome, ExecStats, Executor, JOBS_ENV};
-pub use plan::{RunPlan, RunSpec};
+pub use plan::RunPlan;
 pub use trace::{trace_document, validate_trace, TRACE_SCHEMA};

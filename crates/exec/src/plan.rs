@@ -10,15 +10,9 @@
 use wmn_netsim::Scenario;
 use wmn_sim::SimDuration;
 
-/// One entry of a [`RunPlan`]: a fully-specified scenario (seed and duration
-/// already set) ready to hand to [`wmn_netsim::run`].
-#[derive(Clone, Debug)]
-pub struct RunSpec {
-    /// The scenario to execute, exactly as `wmn_netsim::run` will see it.
-    pub scenario: Scenario,
-}
-
-/// An ordered collection of independent runs.
+/// An ordered collection of independent runs: fully-specified scenarios
+/// (seed and duration already set), each exactly as [`wmn_netsim::run`]
+/// will see it.
 ///
 /// # Example
 ///
@@ -36,19 +30,19 @@ pub struct RunSpec {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RunPlan {
-    specs: Vec<RunSpec>,
+    scenarios: Vec<Scenario>,
 }
 
 impl RunPlan {
     /// Creates an empty plan.
     pub fn new() -> Self {
-        RunPlan { specs: Vec::new() }
+        RunPlan { scenarios: Vec::new() }
     }
 
     /// Appends one fully-specified scenario; returns its plan index.
     pub fn push(&mut self, scenario: Scenario) -> usize {
-        self.specs.push(RunSpec { scenario });
-        self.specs.len() - 1
+        self.scenarios.push(scenario);
+        self.scenarios.len() - 1
     }
 
     /// Builds the (scenario × seed) grid every figure/table experiment runs:
@@ -73,18 +67,18 @@ impl RunPlan {
     }
 
     /// The planned runs, in execution-result order.
-    pub fn specs(&self) -> &[RunSpec] {
-        &self.specs
+    pub fn scenarios(&self) -> &[Scenario] {
+        &self.scenarios
     }
 
     /// Number of planned runs.
     pub fn len(&self) -> usize {
-        self.specs.len()
+        self.scenarios.len()
     }
 
     /// Whether the plan holds no runs.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.scenarios.is_empty()
     }
 }
 
@@ -118,11 +112,11 @@ mod tests {
         let scenarios = [scenario("a"), scenario("b")];
         let plan = RunPlan::grid(&scenarios, &[7, 8, 9], SimDuration::from_millis(20));
         assert_eq!(plan.len(), 6);
-        let seeds: Vec<u64> = plan.specs().iter().map(|s| s.scenario.seed).collect();
+        let seeds: Vec<u64> = plan.scenarios().iter().map(|s| s.seed).collect();
         assert_eq!(seeds, vec![7, 8, 9, 7, 8, 9]);
-        assert_eq!(plan.specs()[0].scenario.name, "a");
-        assert_eq!(plan.specs()[3].scenario.name, "b");
-        assert!(plan.specs().iter().all(|s| s.scenario.duration == SimDuration::from_millis(20)));
+        assert_eq!(plan.scenarios()[0].name, "a");
+        assert_eq!(plan.scenarios()[3].name, "b");
+        assert!(plan.scenarios().iter().all(|s| s.duration == SimDuration::from_millis(20)));
     }
 
     #[test]

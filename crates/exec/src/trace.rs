@@ -199,7 +199,7 @@ mod tests {
 
     /// The stale-route demo: the line's relay 1
     /// drifts away at 60 m/s past a spare at (5, 3), ticks every 10 ms,
-    /// refreshes every 50 ms — both global passes, at coinciding instants.
+    /// refreshes every 50 ms — a tick and a refresh at coinciding instants.
     fn drifting_relay() -> Scenario {
         let mut s = scenario();
         s.positions.push(Position::new(5.0, 3.0));
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(traced, run(&drifting_relay()), "nor under mobility and refresh");
         assert!(
             !trace.route_changes(FlowId::new(0)).is_empty(),
-            "the refresh pass records its re-routes"
+            "the refreshes record their re-routes"
         );
     }
 

@@ -75,8 +75,9 @@ impl DcfConfig {
     }
 }
 
-/// Payload bytes that fit a 6 ms frame at the data rate.
-pub(crate) fn frame_payload_budget(params: &PhyParams) -> u32 {
+/// Payload bytes that fit a 6 ms frame at the data rate: every scheme's
+/// aggregation budget.
+pub fn frame_payload_budget(params: &PhyParams) -> u32 {
     (params.data_rate.as_mbps() * 6_000.0 / 8.0) as u32
 }
 

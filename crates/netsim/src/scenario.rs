@@ -147,10 +147,10 @@ pub struct Scenario {
     /// default plan is empty — fully static — and is byte-for-byte
     /// equivalent to the pre-mobility simulator.
     pub motion: MotionPlan,
-    /// Interval between route-refresh passes, or `None` for the flows'
-    /// paths only. When set, every pass switches each flow to its min-ETX
-    /// path (and opportunistic forwarder list) over the stations' positions
-    /// at that instant — the fix for a mobile relay leaving a flow pinned
+    /// Interval between route refreshes, or `None` for the flows' paths
+    /// only. When set, every refresh switches each flow to its min-ETX path
+    /// (and opportunistic forwarder list) over the stations' positions as
+    /// of the last mobility tick at or before it — the fix for a mobile relay leaving a flow pinned
     /// to its stale forwarder list forever. The routes are computed once,
     /// when the run is built; they consume no RNG, so `None` is
     /// byte-for-byte identical to the pre-refresh runner, and a refresh

@@ -8,7 +8,7 @@
 //! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
 //!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
 //!   [`Scheme`](crate::Scheme), so the engine never names a concrete MAC);
-//! * [`net_layer`] — per-flow forward/reverse routing tables;
+//! * [`net_layer`] — each flow's path and the routing decisions it gives;
 //! * [`flow_layer`] — transport endpoints and workload generators per flow;
 //! * [`decode`] — the clean-decode / corruption seam.
 //!
@@ -17,20 +17,22 @@
 //! handler: MAC actions become transmissions, timers and deliveries;
 //! transport actions become enqueues and RTO timers. The loop in this module
 //! (`Runner`) pops its queue and lends it the read-mostly world it owns —
-//! the medium and the routing tables — and runs the two global passes that
-//! mutate that world, as events in the same queue: mobility ticks
-//! re-sampling trajectories into the medium's incremental link-state
-//! refresh, and route refreshes applying the run's route schedule, which
-//! `net_layer` computes once, at build.
+//! the medium and the routes. Neither is an event: both are functions of
+//! the instant, so before it dispatches an event the loop brings them up to
+//! that event's instant — first every route refresh due by then, each over
+//! the stations as the last mobility tick before it left them, then the
+//! medium to the last tick before the event — and once more at the end of
+//! the run. Ticks no event sees are skipped. The routes come from the run's
+//! route schedule, which `net_layer` computes once, at build.
 //!
 //! # Determinism
 //!
 //! A run is a function of its scenario alone. Tie-break keys count per
-//! originating station, flow or pass, and every channel draw is keyed by
-//! its transmission and receiver (see `station`), so a static
-//! [`MotionPlan`](wmn_topology::MotionPlan), which schedules no mobility
-//! ticks, and an untraced run, which plans only the stations some route of
-//! the run names, change nothing they need not.
+//! originating station or flow, and every channel draw is keyed by its
+//! transmission and receiver (see `station`), so a static
+//! [`MotionPlan`](wmn_topology::MotionPlan), which never moves the medium,
+//! and an untraced run, which plans only the stations some route of the run
+//! names, change nothing they need not.
 
 pub mod decode;
 pub mod flow_layer;
@@ -46,8 +48,8 @@ use wmn_sim::{FlowId, NodeId, SimDuration, SimTime};
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceKind};
 use net_layer::{NetLayer, RouteSchedule};
-use phy_io::{advance_medium_positions, Reception};
-use station::{next_firing, Pass, StationStack, World};
+use phy_io::{advance_medium_positions, last_tick, tick_of, Reception};
+use station::{StationStack, World};
 
 /// TCP-specific per-flow results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,40 +122,18 @@ pub struct RunResult {
     pub mac_stats: Vec<wmn_mac::MacStats>,
 }
 
-/// The simulation's event vocabulary: everything but the last variant is
-/// dispatched by the station stack.
+/// The simulation's event vocabulary: what stations and flows schedule,
+/// each dispatched by the station stack.
 #[derive(Debug)]
 pub(crate) enum Event {
-    TxEnd {
-        node: NodeId,
-    },
-    RxStart {
-        reception: Reception,
-    },
-    RxEnd {
-        reception: Reception,
-    },
-    MacTimer {
-        node: NodeId,
-        token: TimerToken,
-    },
-    TcpRto {
-        flow: FlowId,
-        generation: u64,
-    },
-    FlowStart {
-        flow: FlowId,
-    },
-    UdpSend {
-        flow: FlowId,
-    },
-    WebStart {
-        flow: FlowId,
-    },
-    /// One of the loop's global passes: a mobility tick (never scheduled
-    /// for static motion plans) or a route refresh (never scheduled unless
-    /// [`Scenario::route_refresh`] is set).
-    Pass(Pass),
+    TxEnd { node: NodeId },
+    RxStart { reception: Reception },
+    RxEnd { reception: Reception },
+    MacTimer { node: NodeId, token: TimerToken },
+    TcpRto { flow: FlowId, generation: u64 },
+    FlowStart { flow: FlowId },
+    UdpSend { flow: FlowId },
+    WebStart { flow: FlowId },
 }
 
 /// Executes a scenario to completion and returns per-flow results.
@@ -211,97 +191,125 @@ pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
     (runner.results(), trace)
 }
 
-/// The event loop: owns the world the station stack runs against and the
-/// two global passes that mutate it.
+/// The event loop: owns the world the station stack runs against, and
+/// moves it forward in time.
 struct Runner<'a> {
     scenario: &'a Scenario,
     medium: Medium,
     net: NetLayer,
     core: StationStack,
-    /// Test reference: every refresh pass also re-derives the routes from
-    /// the medium's live positions and asserts that the schedule's match.
+    /// The scenario's mobility tick, `None` for a static plan.
+    tick: Option<SimDuration>,
+    /// The tick the medium's positions were sampled at; `SimTime::ZERO`
+    /// while it holds the placement.
+    ticked: SimTime,
+    /// The next instant a mobility tick or a route refresh falls due,
+    /// `SimTime::MAX` when none will.
+    due: SimTime,
+    /// Test reference: every refresh also re-derives the routes from the
+    /// medium's live positions and asserts that the schedule's match.
     #[cfg(test)]
     route_oracle: bool,
 }
 
 impl<'a> Runner<'a> {
     /// Builds the loop for `scenario`, recording a trace if `traced`, with
-    /// the global passes scheduled on their own key lane and every route
-    /// the run will take computed up front.
+    /// every route the run will take computed up front.
     fn build(scenario: &'a Scenario, traced: bool) -> Runner<'a> {
         if let Err(msg) = scenario.validate() {
             panic!("malformed scenario: {msg}");
         }
         let schedule = RouteSchedule::of(scenario);
         let observed = (!traced).then(|| schedule.stations(scenario));
-        let mut core = StationStack::build(scenario, traced, observed);
+        let core = StationStack::build(scenario, traced, observed);
         let net = NetLayer::build(scenario, schedule);
-        if !scenario.motion.is_static() {
-            // First re-sample one tick in: t = 0 is the placement itself.
-            core.schedule_pass(scenario.motion.tick, Pass::Mobility);
-        }
-        if let Some(at) = net.next_refresh() {
-            // The first refresh is one interval in: the build-time tables
-            // *are* the min-ETX routes over the t = 0 placement.
-            core.schedule_pass(at - SimTime::ZERO, Pass::Refresh);
-        }
-        Runner {
+        let mut runner = Runner {
             scenario,
             medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
             net,
             core,
+            tick: tick_of(&scenario.motion),
+            ticked: SimTime::ZERO,
+            due: SimTime::MAX,
             #[cfg(test)]
             route_oracle: false,
-        }
+        };
+        runner.due = runner.next_due();
+        runner
     }
 
-    /// Pops and processes every event up to the end of the run. Returns the
-    /// first event past the end, popped but not processed, if there is one.
+    /// Pops and processes every event up to the end of the run, and leaves
+    /// the world as it stands at the end. Returns the first event past the
+    /// end, popped but not processed, if there is one.
     fn run_loop(&mut self) -> Option<Event> {
         // Phase attribution for the counting allocator: everything in the
         // loop is event-loop churn unless a nested scope (tx-path, queue)
         // claims it. No-op outside `wmn_alloc/count` builds.
         let _phase = wmn_alloc::phase_scope(wmn_alloc::Phase::EventLoop);
-        loop {
-            let (now, event) = self.core.queue.pop()?;
-            if now > self.core.end {
-                return Some(event);
+        let end = self.core.end;
+        let past_end = loop {
+            let Some((now, event)) = self.core.queue.pop() else { break None };
+            if now > end {
+                break Some(event);
             }
-            match event {
-                Event::Pass(Pass::Mobility) => {
-                    let Scenario { motion, positions, .. } = self.scenario;
-                    advance_medium_positions(&mut self.medium, motion, positions, now);
-                    if let Some(at) = next_firing(now, motion.tick, self.core.end) {
-                        self.core.schedule_pass(at - now, Pass::Mobility);
-                    }
-                }
-                Event::Pass(Pass::Refresh) => {
-                    self.refresh_routes();
-                    if let Some(at) = self.net.next_refresh() {
-                        self.core.schedule_pass(at - now, Pass::Refresh);
-                    }
-                }
-                event => {
-                    self.core.dispatch(event, World { medium: &self.medium, net: &self.net });
-                }
+            if now >= self.due {
+                self.catch_up(now);
             }
+            self.core.dispatch(event, World { medium: &self.medium, net: &self.net });
+        };
+        if end >= self.due {
+            self.catch_up(end);
+        }
+        past_end
+    }
+
+    /// Brings the world up to `t`: applies every route refresh due by then,
+    /// each with the medium moved to the last mobility tick at or before
+    /// it, then moves the medium to the last tick at or before `t`. So a
+    /// tick runs before a refresh of its instant, and both before the
+    /// events of their instant.
+    fn catch_up(&mut self, t: SimTime) {
+        while let Some(at) = self.net.next_refresh().filter(|&at| at <= t) {
+            self.move_medium(last_tick(self.tick, at));
+            self.refresh_routes(at);
+        }
+        self.move_medium(last_tick(self.tick, t));
+        self.due = self.next_due();
+    }
+
+    /// The next instant a tick (after the one the medium is at) or a
+    /// refresh falls due. The first tick is one tick in, since t = 0 is the
+    /// placement itself, and the first refresh one interval in, since the
+    /// paths the scenario names *are* the min-ETX routes over it.
+    fn next_due(&self) -> SimTime {
+        let tick = self.tick.map_or(SimTime::MAX, |tick| self.ticked + tick);
+        self.net.next_refresh().map_or(tick, |at| at.min(tick))
+    }
+
+    /// Moves the medium to the positions of the mobility tick at `at`,
+    /// unless it holds them already. Skipping the ticks between is exact:
+    /// [`Medium::update_node_positions`] leaves every row as a medium built
+    /// over the new positions would hold it.
+    fn move_medium(&mut self, at: SimTime) {
+        if at > self.ticked {
+            let Scenario { motion, positions, .. } = self.scenario;
+            advance_medium_positions(&mut self.medium, motion, positions, at);
+            self.ticked = at;
         }
     }
 
-    /// One route-refresh pass: the network layer applies the route changes
-    /// the run's schedule holds for this instant, and a traced run records
-    /// each. The routes themselves were computed at build, from the same
-    /// positions this pass finds in the medium (`RouteSchedule::of`), and
-    /// the loop arms each pass at the instant the schedule names.
-    fn refresh_routes(&mut self) {
+    /// The route refresh at `at`: the network layer applies the route
+    /// changes the run's schedule holds for it, and a traced run records
+    /// each, at `at`. The routes themselves were computed at build, from
+    /// the same positions the medium holds now (`RouteSchedule::of`).
+    fn refresh_routes(&mut self, at: SimTime) {
         #[cfg(test)]
         let live = self
             .route_oracle
             .then(|| self.net.reroute_live(&self.medium.params().link, self.medium.positions()));
-        let changed = self.net.refresh(self.core.now());
+        let changed = self.net.refresh();
         #[cfg(test)]
         if let Some((live_changed, live_paths)) = live {
-            let at = self.core.now();
             assert_eq!(changed, live_changed, "flows re-routed at {at:?}");
             for (i, path) in live_paths.iter().enumerate() {
                 assert_eq!(self.net.path(FlowId::new(i as u32)), path, "flow {i} at {at:?}");
@@ -311,7 +319,7 @@ impl<'a> Runner<'a> {
             for flow in changed {
                 let path = self.net.path(flow).to_vec();
                 let src = path[0];
-                self.core.record(src, TraceKind::RouteChange { flow, path });
+                self.core.record_at(at, src, TraceKind::RouteChange { flow, path });
             }
         }
     }
@@ -330,6 +338,11 @@ mod tests {
         blackout_scenario, drifting_mesh_scenario, drifting_relay_scenario, lossy_scenario,
     };
     use crate::scenario::{FlowSpec, Scheme, Workload};
+    use crate::stack::mac_engine::MacEngine;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use wmn_mac::frame::{AckFrame, Frame, Packet, RouteInfo, RxFrame};
+    use wmn_mac::{ActionSink, MacAction, MacEntity, MacStats, RateClass};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::SimTime;
     use wmn_topology::{MotionPlan, NodePath, Waypoint};
@@ -594,10 +607,100 @@ mod tests {
         assert_eq!(runner.medium.position(NodeId::new(0)), Position::new(0.0, 0.0));
     }
 
+    /// A MAC that logs each enqueue's instant and route and answers it by
+    /// sending an ACK frame at once; every other handler does nothing.
+    struct EnqueueLog {
+        node: NodeId,
+        log: Rc<RefCell<Vec<(SimTime, RouteInfo)>>>,
+    }
+
+    impl MacEntity for EnqueueLog {
+        fn on_enqueue(&mut self, _: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink) {
+            self.log.borrow_mut().push((now, route));
+            let frame = Frame::Ack(AckFrame {
+                transmitter: self.node,
+                to: self.node,
+                flow: FlowId::new(0),
+                frame_seq: 0,
+                acked_seqs: Default::default(),
+                relay_list: Default::default(),
+            });
+            out.push(MacAction::StartTx { frame: frame.into_shared(), rate: RateClass::Basic });
+        }
+        fn on_busy(&mut self, _: SimTime, _: &mut ActionSink) {}
+        fn on_idle(&mut self, _: SimTime, _: &mut ActionSink) {}
+        fn on_frame_rx(&mut self, _: RxFrame, _: SimTime, _: &mut ActionSink) {}
+        fn on_tx_end(&mut self, _: SimTime, _: &mut ActionSink) {}
+        fn on_timer(&mut self, _: TimerToken, _: SimTime, _: &mut ActionSink) {}
+        fn stats(&self) -> MacStats {
+            MacStats::default()
+        }
+    }
+
+    #[test]
+    fn an_event_at_a_tick_and_a_refresh_sees_the_moved_medium_and_the_new_route() {
+        // The drifting relay's source sends every 2 ms from t = 0, so a send
+        // falls on every tick (10 ms) and every refresh (50 ms). Its first
+        // re-route is at an instant that holds both.
+        let base = Scenario {
+            route_refresh: Some(SimDuration::from_millis(50)),
+            ..drifting_relay_scenario()
+        };
+        let (_, trace) = run_traced(&base);
+        let changes = trace.route_changes(FlowId::new(0));
+        let (at, path) = changes.first().map(|(at, path)| (*at, path.to_vec())).expect("re-routed");
+        assert_eq!(at, last_tick(tick_of(&base.motion), at), "{at:?} is a tick");
+
+        // The run up to that instant, with the source's send there its last
+        // event: its transmission's receptions are queued past the end.
+        let scenario = Scenario { duration: at - SimTime::ZERO, ..base };
+        let mut runner = Runner::build(&scenario, true);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let stations = 0..scenario.positions.len() as u32;
+        let mac = |i| Box::new(EnqueueLog { node: NodeId::new(i), log: Rc::clone(&log) });
+        runner.core.macs =
+            MacEngine::over(stations.map(|i| mac(i) as Box<dyn MacEntity>).collect());
+        let first = runner.run_loop();
+
+        // The send at `at` took the new route, the one before it the old.
+        let log = log.borrow();
+        let [.., (before, old), (sent, new)] = &log[..] else { panic!("two sends: {log:?}") };
+        assert_eq!((*before, *sent), (at - SimDuration::from_millis(2), at));
+        assert_eq!(*new, RouteInfo::NextHop(path[1]));
+        assert_ne!(old, new);
+
+        // Its receptions were planned over the stations as they stand at
+        // `at`, not as the tick before left them.
+        let stand = |node: NodeId, t: SimTime| {
+            scenario.motion.path(node.index()).position_at(scenario.positions[node.index()], t)
+        };
+        let delay =
+            |to, t| scenario.params.propagation_delay(stand(path[0], t).distance_to(stand(to, t)));
+        let queued = std::iter::from_fn(|| runner.core.queue.pop().map(|(_, event)| event));
+        let mut heard = Vec::new();
+        for event in first.into_iter().chain(queued) {
+            if let Event::RxStart { reception } = event {
+                let plan = runner.core.air.plan(reception);
+                assert_eq!(plan.delay, delay(plan.to, at), "to {:?}", plan.to);
+                heard.push(plan.to);
+            }
+        }
+        let relay = NodeId::new(1);
+        assert!(heard.contains(&relay), "the drifting relay hears the source: {heard:?}");
+        let tick_before = at - scenario.motion.tick;
+        assert_ne!(delay(relay, at), delay(relay, tick_before), "the relay moved by a whole delay");
+
+        // And the re-route is recorded first among the instant's records.
+        let trace = runner.core.trace.take().expect("built traced");
+        let kinds: Vec<&TraceKind> =
+            trace.events.iter().filter(|e| e.at == at).map(|e| &e.kind).collect();
+        assert!(matches!(kinds[..], [TraceKind::RouteChange { .. }, _, ..]), "{kinds:?}");
+    }
+
     #[test]
     fn route_refresh_on_static_topology_is_bit_identical() {
         // Over an unmoved placement the live link graph equals the
-        // build-time one, so every refresh pass is a no-op: same results,
+        // build-time one, so every refresh is a no-op: same results,
         // no RouteChange events, for any interval.
         let base =
             ftp_scenario(Scheme::Ripple { aggregation: 16 }, vec![0, 1, 2, 3], line_positions(4));
@@ -636,7 +739,7 @@ mod tests {
     }
 
     /// The allocation gate's drifting mesh, moved onto a 10 ms tick and
-    /// carrying VoIP: refresh passes read only positions, so the oracle
+    /// carrying VoIP: refreshes read only positions, so the oracle
     /// needs no more traffic than keeps the run short.
     fn voip_drift_mesh() -> Scenario {
         let mesh = drifting_mesh_scenario(SimDuration::from_millis(400));
@@ -654,7 +757,7 @@ mod tests {
 
     #[test]
     fn scheduled_routes_are_the_routes_of_the_live_positions() {
-        // The schedule oracle: every refresh pass also re-derives the routes
+        // The schedule oracle: every refresh also re-derives the routes
         // from the medium's positions as the loop left them, and asserts
         // that the ones computed at build match. Refreshes between ticks,
         // across several, and on them.
@@ -680,7 +783,8 @@ mod tests {
     #[test]
     fn the_shard_count_selects_nothing() {
         // `shards` has no effect at any value. Ticks (10 ms) and refreshes
-        // (50 ms) coincide here, so the pass lane is on the compared path.
+        // (50 ms) coincide here, so catching up on both is on the compared
+        // path.
         let mut s = drifting_relay_scenario();
         s.route_refresh = Some(SimDuration::from_millis(50));
         let at = |shards| run(&Scenario { shards, ..s.clone() });

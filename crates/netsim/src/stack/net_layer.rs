@@ -1,21 +1,21 @@
 //! The network layer of the node stack: per-flow routing decisions.
 //!
 //! Routes start out predetermined per scenario (the paper's experiments fix
-//! each flow's path or forwarder list up front), so this layer is pure
-//! lookup tables: for every flow, a forward and a reverse table mapping each
-//! node to its routing decision. Opportunistic schemes collapse to a single
-//! decision at each direction's source (the forwarder list); per-hop
-//! schemes get one next-hop entry per interior window of the path.
+//! each flow's path or forwarder list up front), so this layer holds each
+//! flow's path and derives a decision from it on lookup. Opportunistic
+//! schemes decide only at each direction's source, with that direction's
+//! forwarder list, which is kept alongside the path; per-hop schemes
+//! forward each station to the path's next (or, in reverse, previous) one.
 //!
-//! With [`Scenario::route_refresh`] set, every refresh pass re-derives each
+//! With [`Scenario::route_refresh`] set, every refresh re-derives each
 //! flow's min-ETX path from where the stations stand — the fix for a mobile
-//! relay leaving a flow pinned to its stale forwarder list forever. A pass
-//! reads only positions, which are pure functions of time, and draws no
-//! RNG, so every route a run will take is known before its first event:
-//! `RouteSchedule::of` computes them once, when the run is built, one entry
-//! per refresh instant, and the loop arms each refresh pass at the next
-//! entry's instant and applies its changes (`NetLayer::refresh`). A flow
-//! whose endpoints have no path keeps its last-known-good route, so a
+//! relay leaving a flow pinned to its stale forwarder list forever. A
+//! refresh reads only positions, which are pure functions of time, and
+//! draws no RNG, so every route a run will take is known before its first
+//! event: `RouteSchedule::of` computes them once, when the run is built,
+//! one entry per refresh instant, and the loop applies each entry's changes
+//! (`NetLayer::refresh`) before the first event at or after its instant. A
+//! flow whose endpoints have no path keeps its last-known-good route, so a
 //! refresh over an unmoved topology is a behavioural no-op (pinned by the
 //! crate's equivalence tests).
 
@@ -27,71 +27,92 @@ use wmn_routing::{forwarder_list, LinkGraph};
 use wmn_sim::{FlowId, NodeId, SimTime};
 
 use crate::scenario::Scenario;
-use crate::stack::phy_io::sample_moving;
-use crate::stack::station::next_firing;
+use crate::stack::phy_io::{last_tick, sample_moving, tick_of};
 
-/// Per-node routing decisions of one flow direction, indexed by `NodeId`
-/// (ids are dense indices per [`Scenario::validate`]): `table[node]` is the
-/// decision at `node`, `None` where the flow never routes through.
-type RouteTable = Vec<Option<RouteInfo>>;
-
-/// Both directions of one flow's routing decisions, plus the path they were
-/// derived from (what a traced run records when a refresh changes it).
+/// One flow's routes: its current path (source → destination, inclusive;
+/// what a traced run records when a refresh changes it) and, under an
+/// opportunistic scheme, the decisions at its two directions' sources.
 struct FlowRoutes {
     path: Vec<NodeId>,
-    fwd: RouteTable,
-    rev: RouteTable,
+    /// The forward and the reverse forwarder list; `None` for a per-hop
+    /// scheme.
+    lists: Option<[RouteInfo; 2]>,
 }
 
-/// One refresh pass of a run: its instant, and each flow it re-routes,
+impl FlowRoutes {
+    fn new(path: Vec<NodeId>, opportunistic: bool, max_forwarders: usize) -> FlowRoutes {
+        let lists = opportunistic.then(|| {
+            let reversed: Vec<NodeId> = path.iter().rev().copied().collect();
+            [&path[..], &reversed[..]].map(|path| RouteInfo::Opportunistic {
+                list: forwarder_list(path, max_forwarders).into(),
+            })
+        });
+        FlowRoutes { path, lists }
+    }
+
+    /// The decision at `node` in the given direction. Should the path visit
+    /// `node` twice, a per-hop flow routes it by its last visit going
+    /// forward and its first going in reverse.
+    fn route(&self, node: NodeId, forward: bool) -> Option<RouteInfo> {
+        let path = &self.path[..];
+        let last = path.len() - 1;
+        if let Some([fwd, rev]) = &self.lists {
+            let (source, list) = if forward { (path[0], fwd) } else { (path[last], rev) };
+            return (node == source).then(|| list.clone());
+        }
+        let hop = if forward {
+            path[..last].iter().rposition(|&n| n == node).map(|i| path[i + 1])
+        } else {
+            path[1..].iter().position(|&n| n == node).map(|i| path[i])
+        };
+        hop.map(RouteInfo::NextHop)
+    }
+}
+
+/// One refresh of a run: its instant, and each flow it re-routes,
 /// ascending, with the flow's new path.
-struct RefreshPass {
+struct Refresh {
     at: SimTime,
     changes: Vec<(FlowId, Vec<NodeId>)>,
 }
 
-/// Every refresh pass of a run, in order: when each runs and what it finds.
+/// Every refresh of a run, in order: when each runs and what it finds.
 pub(crate) struct RouteSchedule {
-    passes: Vec<RefreshPass>,
+    refreshes: Vec<Refresh>,
 }
 
 impl RouteSchedule {
-    /// The refresh passes of a validated `scenario`, none without
-    /// [`Scenario::route_refresh`]. Passes and mobility ticks fire on the
-    /// instants [`next_firing`] gives, the rule the loop re-arms ticks by,
-    /// and a tick runs before a pass of its instant, so a pass routes over
-    /// the positions of the last tick at or before it: the placement before
-    /// the first.
+    /// The refreshes of a validated `scenario`, every
+    /// [`Scenario::route_refresh`] up to its end, none without one. Each
+    /// routes over the positions of the last mobility tick at or before it
+    /// ([`last_tick`]): the placement before the first.
     pub(crate) fn of(scenario: &Scenario) -> RouteSchedule {
-        let mut passes = Vec::new();
+        let mut refreshes = Vec::new();
         let Some(interval) = scenario.route_refresh else {
-            return RouteSchedule { passes };
+            return RouteSchedule { refreshes };
         };
         let Scenario { motion, positions: origin, .. } = scenario;
-        let end = SimTime::ZERO + scenario.duration;
+        let (tick, end) = (tick_of(motion), SimTime::ZERO + scenario.duration);
         let mut paths: Vec<Vec<NodeId>> = scenario.flows.iter().map(|f| f.path.clone()).collect();
         let mut positions = origin.clone();
-        let mut tick = (!motion.is_static()).then_some(SimTime::ZERO + motion.tick);
-        let mut next = next_firing(SimTime::ZERO, interval, end);
-        while let Some(at) = next {
-            let mut moved = None;
-            while let Some(t) = tick.filter(|&t| t <= at) {
-                moved = Some(t);
-                tick = next_firing(t, motion.tick, end);
-            }
-            if let Some(t) = moved {
+        let mut sampled = SimTime::ZERO;
+        let mut at = SimTime::ZERO + interval;
+        while at <= end {
+            let t = last_tick(tick, at);
+            if t > sampled {
                 for (node, position) in sample_moving(motion, origin, t) {
                     positions[node.index()] = position;
                 }
+                sampled = t;
             }
             let changes = reroute(&scenario.params.link, &positions, &mut paths)
                 .into_iter()
                 .map(|flow| (flow, paths[flow.index()].clone()))
                 .collect();
-            passes.push(RefreshPass { at, changes });
-            next = next_firing(at, interval, end);
+            refreshes.push(Refresh { at, changes });
+            at += interval;
         }
-        RouteSchedule { passes }
+        RouteSchedule { refreshes }
     }
 
     /// Every station a path of `scenario`'s flows names, at the start or
@@ -99,7 +120,8 @@ impl RouteSchedule {
     /// name, queued stale-route frames included.
     pub(crate) fn stations(&self, scenario: &Scenario) -> Vec<NodeId> {
         let initial = scenario.flows.iter().map(|f| &f.path);
-        let later = self.passes.iter().flat_map(|pass| pass.changes.iter().map(|(_, path)| path));
+        let later =
+            self.refreshes.iter().flat_map(|refresh| refresh.changes.iter().map(|(_, path)| path));
         let mut stations: Vec<NodeId> = initial.chain(later).flatten().copied().collect();
         stations.sort_unstable();
         stations.dedup();
@@ -107,7 +129,7 @@ impl RouteSchedule {
     }
 }
 
-/// One routing pass over stations at `positions`, the one place a route is
+/// One routing of the flows over stations at `positions`, the one place a route is
 /// computed: each flow's min-ETX path between the endpoints of `paths`.
 /// Rewrites the paths that changed and returns their flows, ascending.
 ///
@@ -138,45 +160,31 @@ fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) 
 /// The network layer: routing decisions for every flow of a run.
 pub(crate) struct NetLayer {
     flows: Vec<FlowRoutes>,
-    /// The refresh passes still to run, next first.
-    schedule: VecDeque<RefreshPass>,
-    /// Placement size (dense `NodeId` namespace) the tables are sized to.
-    n: usize,
+    /// The refreshes still to apply, next first.
+    schedule: VecDeque<Refresh>,
     opportunistic: bool,
     max_forwarders: usize,
 }
 
 impl NetLayer {
-    /// Builds the per-flow route tables from a validated scenario, with the
-    /// route changes its refresh passes will apply.
+    /// Builds every flow's routes from a validated scenario, with the route
+    /// changes its refreshes will apply.
     pub(crate) fn build(scenario: &Scenario, schedule: RouteSchedule) -> Self {
-        let n = scenario.positions.len();
         let opportunistic = scenario.scheme.is_opportunistic();
+        let max_forwarders = scenario.max_forwarders;
         let flows = scenario
             .flows
             .iter()
-            .map(|spec| {
-                let path = spec.path.clone();
-                let (fwd, rev) = build_routes(&path, n, opportunistic, scenario.max_forwarders);
-                FlowRoutes { path, fwd, rev }
-            })
+            .map(|spec| FlowRoutes::new(spec.path.clone(), opportunistic, max_forwarders))
             .collect();
-        NetLayer {
-            flows,
-            schedule: schedule.passes.into(),
-            n,
-            opportunistic,
-            max_forwarders: scenario.max_forwarders,
-        }
+        NetLayer { flows, schedule: schedule.refreshes.into(), opportunistic, max_forwarders }
     }
 
     /// The routing decision of `flow` at `node`, in the given direction
     /// (`forward` = towards the flow's destination). `None` where the flow
     /// never routes through `node`.
     pub(crate) fn route(&self, flow: FlowId, node: NodeId, forward: bool) -> Option<RouteInfo> {
-        let routes = &self.flows[flow.index()];
-        let table = if forward { &routes.fwd } else { &routes.rev };
-        table[node.index()].clone()
+        self.flows[flow.index()].route(node, forward)
     }
 
     /// The current path of `flow` (source → destination, inclusive).
@@ -184,34 +192,26 @@ impl NetLayer {
         &self.flows[flow.index()].path
     }
 
-    /// The instant of the next refresh pass, `None` when none is left: where
-    /// the loop arms it.
+    /// The instant of the next refresh, `None` when none is left.
     pub(crate) fn next_refresh(&self) -> Option<SimTime> {
-        self.schedule.front().map(|pass| pass.at)
+        self.schedule.front().map(|refresh| refresh.at)
     }
 
-    /// The refresh pass at `now`: rebuilds the tables of each flow it
-    /// re-routes, and returns those flows, ascending.
-    ///
-    /// # Panics
-    ///
-    /// If the next scheduled pass is not at `now`: the loop ran a pass the
-    /// schedule does not hold, and every later route would be applied late.
-    pub(crate) fn refresh(&mut self, now: SimTime) -> Vec<FlowId> {
-        let pass = self.schedule.pop_front().expect("a refresh pass is scheduled");
-        assert_eq!(pass.at, now, "the refresh pass scheduled at {:?} ran at {now:?}", pass.at);
-        let Self { flows, n, opportunistic, max_forwarders, .. } = self;
+    /// Applies the next refresh: re-routes each flow it changes, and
+    /// returns those flows, ascending.
+    pub(crate) fn refresh(&mut self) -> Vec<FlowId> {
+        let refresh = self.schedule.pop_front().expect("a refresh is scheduled");
+        let Self { flows, opportunistic, max_forwarders, .. } = self;
         let reroute = |(flow, path): (FlowId, Vec<NodeId>)| {
-            let (fwd, rev) = build_routes(&path, *n, *opportunistic, *max_forwarders);
-            flows[flow.index()] = FlowRoutes { path, fwd, rev };
+            flows[flow.index()] = FlowRoutes::new(path, *opportunistic, *max_forwarders);
             flow
         };
-        pass.changes.into_iter().map(reroute).collect()
+        refresh.changes.into_iter().map(reroute).collect()
     }
 
-    /// What a refresh pass over stations at `positions` changes, computed
-    /// live from the routes in force: the changed flows and every flow's
-    /// path after the pass. The schedule oracle's reference.
+    /// What a refresh over stations at `positions` changes, computed live
+    /// from the routes in force: the changed flows and every flow's path
+    /// after the refresh. The schedule oracle's reference.
     #[cfg(test)]
     pub(crate) fn reroute_live(
         &self,
@@ -224,34 +224,84 @@ impl NetLayer {
     }
 }
 
-/// Builds per-node routing decisions for both directions of a flow path, as
-/// dense `NodeId`-indexed tables pre-sized to the placement. The path is
-/// borrowed throughout; the only reversal is materialised for the
-/// opportunistic forwarder list, which genuinely needs a reversed slice.
-fn build_routes(
-    path: &[NodeId],
-    n: usize,
-    opportunistic: bool,
-    max_forwarders: usize,
-) -> (RouteTable, RouteTable) {
-    let mut fwd: RouteTable = vec![None; n];
-    let mut rev: RouteTable = vec![None; n];
-    if opportunistic {
-        let reversed: Vec<NodeId> = path.iter().rev().copied().collect();
-        fwd[path[0].index()] =
-            Some(RouteInfo::Opportunistic { list: forwarder_list(path, max_forwarders).into() });
-        rev[reversed[0].index()] = Some(RouteInfo::Opportunistic {
-            list: forwarder_list(&reversed, max_forwarders).into(),
-        });
-    } else {
-        for w in path.windows(2) {
-            fwd[w[0].index()] = Some(RouteInfo::NextHop(w[1]));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Stations the property's paths are drawn over: few enough that most
+    /// paths revisit one.
+    const STATIONS: u32 = 6;
+
+    /// Per-node routing decisions of one flow direction, indexed by
+    /// `NodeId`: `table[node]` is the decision at `node`.
+    type RouteTable = Vec<Option<RouteInfo>>;
+
+    /// The dense tables, sized to the placement, that `NetLayer` held per
+    /// flow before it derived decisions from the path: the reference
+    /// [`FlowRoutes::route`] reproduces, overwrite order included.
+    fn build_routes(
+        path: &[NodeId],
+        n: usize,
+        opportunistic: bool,
+        max_forwarders: usize,
+    ) -> (RouteTable, RouteTable) {
+        let mut fwd: RouteTable = vec![None; n];
+        let mut rev: RouteTable = vec![None; n];
+        if opportunistic {
+            let reversed: Vec<NodeId> = path.iter().rev().copied().collect();
+            fwd[path[0].index()] = Some(RouteInfo::Opportunistic {
+                list: forwarder_list(path, max_forwarders).into(),
+            });
+            rev[reversed[0].index()] = Some(RouteInfo::Opportunistic {
+                list: forwarder_list(&reversed, max_forwarders).into(),
+            });
+        } else {
+            for w in path.windows(2) {
+                fwd[w[0].index()] = Some(RouteInfo::NextHop(w[1]));
+            }
+            for w in path.windows(2).rev() {
+                rev[w[1].index()] = Some(RouteInfo::NextHop(w[0]));
+            }
         }
-        // Walk the forward windows back to front — the same overwrite order
-        // the reversed-path construction had, should a path revisit a node.
-        for w in path.windows(2).rev() {
-            rev[w[1].index()] = Some(RouteInfo::NextHop(w[0]));
+        (fwd, rev)
+    }
+
+    fn nodes(ids: &[u32]) -> Vec<NodeId> {
+        ids.iter().copied().map(NodeId::new).collect()
+    }
+
+    #[test]
+    fn a_revisited_station_routes_by_its_last_visit_forward_and_its_first_in_reverse() {
+        let routes = FlowRoutes::new(nodes(&[0, 1, 2, 1, 3]), false, 5);
+        let hop = |i| Some(RouteInfo::NextHop(NodeId::new(i)));
+        assert_eq!(routes.route(NodeId::new(1), true), hop(3));
+        assert_eq!(routes.route(NodeId::new(1), false), hop(0));
+        assert_eq!(routes.route(NodeId::new(2), false), hop(1));
+        assert_eq!(routes.route(NodeId::new(3), true), None, "the destination forwards nothing");
+        assert_eq!(routes.route(NodeId::new(0), false), None, "nor does the source in reverse");
+        assert_eq!(routes.route(NodeId::new(4), true), None, "off the path");
+    }
+
+    proptest! {
+        /// Every decision of every station, both directions, both kinds of
+        /// scheme, on paths that may revisit stations (and may even stay at
+        /// one for a hop): what the dense tables held.
+        #[test]
+        fn routes_are_what_the_dense_tables_held(
+            ids in proptest::collection::vec(0..STATIONS, 2..10),
+            opportunistic in any::<bool>(),
+            max_forwarders in 1usize..6,
+        ) {
+            let path = nodes(&ids);
+            let n = STATIONS as usize;
+            let (fwd, rev) = build_routes(&path, n, opportunistic, max_forwarders);
+            let routes = FlowRoutes::new(path, opportunistic, max_forwarders);
+            for (node, (fwd, rev)) in fwd.iter().zip(&rev).enumerate() {
+                let node = NodeId::new(node as u32);
+                prop_assert_eq!(&routes.route(node, true), fwd, "forward at {:?}", node);
+                prop_assert_eq!(&routes.route(node, false), rev, "reverse at {:?}", node);
+            }
         }
     }
-    (fwd, rev)
 }

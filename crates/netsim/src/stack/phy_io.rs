@@ -4,13 +4,13 @@
 //!
 //! Mobility draws **no** randomness at run time: trajectories are pure
 //! functions of time ([`wmn_topology::motion`]), sampled on a fixed tick
-//! and pushed into the medium's batched link-state refresh.
+//! (`last_tick`) and pushed into the medium's batched link-state refresh.
 
 use std::sync::Arc;
 
 use wmn_mac::frame::Frame;
 use wmn_phy::{Medium, Position, RxPlan};
-use wmn_sim::{NodeId, SimTime};
+use wmn_sim::{NodeId, SimDuration, SimTime};
 use wmn_topology::MotionPlan;
 
 /// One planned reception: plan `index` of the transmission in air-table
@@ -154,6 +154,21 @@ impl AirTable {
     pub(crate) fn pending(&self) -> u64 {
         self.slots.iter().map(|slot| u64::from(slot.pending)).sum()
     }
+}
+
+/// The tick of `motion`'s trajectory samples, `None` for a plan that never
+/// moves (which is sampled never, whatever its tick).
+pub(crate) fn tick_of(motion: &MotionPlan) -> Option<SimDuration> {
+    (!motion.is_static()).then_some(motion.tick)
+}
+
+/// The last mobility tick at or before `t` of a plan sampled every `tick`
+/// ([`tick_of`]): `tick × ⌊t / tick⌋`, and [`SimTime::ZERO`] — the
+/// placement itself — before the first tick or for a static plan. The one
+/// rule for where the stations stand at `t`, for the loop and for a route
+/// schedule alike.
+pub(crate) fn last_tick(tick: Option<SimDuration>, t: SimTime) -> SimTime {
+    tick.map_or(SimTime::ZERO, |tick| SimTime::ZERO + tick * (t - SimTime::ZERO).div_duration(tick))
 }
 
 /// One mobility step: re-sample every moving node's trajectory at `now` and

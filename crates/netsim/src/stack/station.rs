@@ -6,14 +6,15 @@
 //! body pool, the optional [`Trace`] and the keyed future-event list — and
 //! holds the only definition of every event handler: MAC actions become
 //! transmissions, timers and deliveries; transport actions become enqueues
-//! and RTO timers. The read-mostly world (the [`Medium`] and the routing
-//! tables) is lent to each dispatch as a [`World`] by the loop that pops the
-//! queue, which also runs the two passes that mutate it.
+//! and RTO timers. The queue holds only what stations and flows schedule.
+//! The read-mostly world (the [`Medium`] and the routes) is lent to each
+//! dispatch as a [`World`] by the loop that pops the queue, which brings
+//! that world up to each popped event's instant before lending it.
 //!
 //! # Keys and channel draws
 //!
-//! An event's tie-break key comes from one counter per originating station,
-//! flow or pass, so the order of simultaneous events is a function of what
+//! An event's tie-break key comes from one counter per originating station
+//! or flow, so the order of simultaneous events is a function of what
 //! caused each of them, not of when it was scheduled; a transmission's
 //! receptions sort after every other event of their instant (`LANE_AIR`).
 //!
@@ -46,14 +47,11 @@ use crate::stack::phy_io::{AirTable, Reception};
 use crate::stack::Event;
 use crate::trace::{FrameKind, Trace, TraceEvent, TraceKind};
 
-/// Key lane of the two global passes. It sorts before the other lanes, so
-/// every event at a pass's instant processes after the pass's effect.
-const LANE_PASS: u32 = 0;
 /// Key lane for a station's own events (TxEnd, MacTimer).
-const LANE_NODE: u32 = 1;
+const LANE_NODE: u32 = 0;
 /// Key lane for events originated by a flow (FlowStart, UdpSend,
 /// WebStart, TcpRto).
-const LANE_FLOW: u32 = 2;
+const LANE_FLOW: u32 = 1;
 /// Key lane for a transmission's receptions (RxStart, RxEnd). It sorts
 /// last, so what a station's own timers decide at an instant is decided
 /// before it hears what arrives at that instant. Two stations that count
@@ -63,7 +61,7 @@ const LANE_FLOW: u32 = 2;
 /// the same slot do. In the transmitter's own lane the tie would go by
 /// station index and cancel about half of those collisions (DCF chains
 /// about 4 % faster than the model allows).
-const LANE_AIR: u32 = 3;
+const LANE_AIR: u32 = 2;
 
 // Every sift moves whole heap entries: a fat `Event` variant is a build
 // error, not a slow queue.
@@ -87,33 +85,12 @@ impl ReceptionOrder {
     }
 }
 
-/// The two global passes, numbered in the order they run when they
-/// coincide: mobility first, then routing over the moved topology (which
-/// is why a route schedule routes over the last tick at or before a
-/// refresh).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Pass {
-    /// Re-sample trajectories into the medium's link state.
-    Mobility = 0,
-    /// Apply the route changes the run's schedule holds for the instant.
-    Refresh = 1,
-}
-
-/// The instant after `now` at which a global pass repeating every `period`
-/// fires again, `None` past `end`, where the run stops: the one rule both
-/// passes' instants follow, when the loop re-arms a mobility tick and when
-/// a route schedule walks the ticks and refreshes of a run ahead of it.
-pub(crate) fn next_firing(now: SimTime, period: SimDuration, end: SimTime) -> Option<SimTime> {
-    let next = now + period;
-    (next <= end).then_some(next)
-}
-
 /// The read-mostly world a dispatch runs against, lent by the loop.
 #[derive(Clone, Copy)]
 pub(crate) struct World<'a> {
     /// The shared channel: link state and the reception planner.
     pub(crate) medium: &'a Medium,
-    /// Per-flow routing decisions.
+    /// Per-flow routes.
     pub(crate) net: &'a NetLayer,
 }
 
@@ -126,8 +103,6 @@ enum Origin {
     Air(NodeId),
     /// A flow: FlowStart, UdpSend, WebStart, TcpRto.
     Flow(FlowId),
-    /// One of the loop's own in-queue passes.
-    Pass(Pass),
 }
 
 /// A block of consecutive keys minted for one origin by
@@ -162,8 +137,6 @@ pub(crate) struct StationStack {
     node_seq: Vec<u64>,
     /// Per-flow key counters (lane `LANE_FLOW`).
     flow_seq: Vec<u64>,
-    /// Per-pass key counters (lane `LANE_PASS`).
-    pass_seq: [u64; 2],
     /// The seed every shadowing draw's key starts from.
     shadowing: DrawKey,
     /// The seed every bit-error draw's key starts from.
@@ -228,7 +201,6 @@ impl StationStack {
             end: SimTime::ZERO + scenario.duration,
             node_seq: vec![0; n],
             flow_seq: vec![0; scenario.flows.len()],
-            pass_seq: [0; 2],
             shadowing: DrawKey::new(channel.next_u64()),
             bit_errors: DrawKey::new(channel.next_u64()),
             sent: vec![0; n],
@@ -270,7 +242,6 @@ impl StationStack {
             Origin::Node(node) => (LANE_NODE, node.index(), &mut self.node_seq[node.index()]),
             Origin::Air(node) => (LANE_AIR, node.index(), &mut self.node_seq[node.index()]),
             Origin::Flow(flow) => (LANE_FLOW, flow.index(), &mut self.flow_seq[flow.index()]),
-            Origin::Pass(pass) => (LANE_PASS, pass as usize, &mut self.pass_seq[pass as usize]),
         };
         let block = KeyBlock { lane, entity: entity as u32, first: *seq };
         *seq += count;
@@ -313,13 +284,14 @@ impl StationStack {
         (2 * self.receivers.len() + flow.index()) as u32
     }
 
-    /// Arms one of the loop's global passes, `delay` from now.
-    pub(crate) fn schedule_pass(&mut self, delay: SimDuration, pass: Pass) {
-        self.schedule_in(delay, Origin::Pass(pass), Event::Pass(pass));
+    /// Records `kind` at `node`, now.
+    pub(crate) fn record(&mut self, node: NodeId, kind: TraceKind) {
+        self.record_at(self.now(), node, kind);
     }
 
-    pub(crate) fn record(&mut self, node: NodeId, kind: TraceKind) {
-        let at = self.now();
+    /// Records `kind` at `node` as of `at`: what the loop records for a
+    /// route refresh, which has no event of its own to set the clock.
+    pub(crate) fn record_at(&mut self, at: SimTime, node: NodeId, kind: TraceKind) {
         if let Some(trace) = self.trace.as_mut() {
             trace.events.push(TraceEvent { at, node, kind });
         }
@@ -426,9 +398,6 @@ impl StationStack {
             Event::FlowStart { flow } => self.start_flow(flow, w),
             Event::UdpSend { flow } => self.udp_send(flow, w),
             Event::WebStart { flow } => self.web_next_transfer(flow, w),
-            Event::Pass(_) => {
-                unreachable!("global passes mutate the world and belong to the loop")
-            }
         }
     }
 
@@ -1042,39 +1011,7 @@ mod tests {
         assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 1));
         assert_eq!(stack.key(node(0)), EventKey::new(LANE_NODE, 0, 0));
         assert_eq!(stack.key(flow(0)), EventKey::new(LANE_FLOW, 0, 2));
-        assert_eq!(stack.key(Origin::Pass(Pass::Refresh)), EventKey::new(LANE_PASS, 1, 0));
         // A station's receptions share its counter, in a lane of their own.
         assert_eq!(stack.key(Origin::Air(NodeId::new(2))), EventKey::new(LANE_AIR, 2, 2));
-    }
-
-    #[test]
-    fn coinciding_passes_pop_mobility_then_refresh_then_the_events_of_the_instant() {
-        // The rule the key lanes are ordered by: an event at a pass's
-        // instant sees the pass's effect, and routing is recomputed over the
-        // moved topology. Scheduled here in the reverse of that order.
-        let mut stack = StationStack::build(&relay_scenario(), false, None);
-        let at = SimDuration::from_millis(50);
-        let flow = FlowId::new(0);
-        stack.schedule_in(at, Origin::Flow(flow), Event::UdpSend { flow });
-        for node in [NodeId::new(2), NodeId::new(0)] {
-            stack.schedule_in(at, Origin::Node(node), Event::TxEnd { node });
-        }
-        stack.schedule_pass(at, Pass::Refresh);
-        stack.schedule_pass(at, Pass::Mobility);
-
-        let mut popped = Vec::new();
-        while let Some((t, event)) = stack.queue.pop() {
-            if t == SimTime::ZERO + at {
-                popped.push(match event {
-                    Event::Pass(Pass::Mobility) => "mobility",
-                    Event::Pass(Pass::Refresh) => "refresh",
-                    Event::TxEnd { node } if node.index() == 0 => "node 0",
-                    Event::TxEnd { .. } => "node 2",
-                    Event::UdpSend { .. } => "flow 0",
-                    other => panic!("nothing else was scheduled at 50 ms: {other:?}"),
-                });
-            }
-        }
-        assert_eq!(popped, ["mobility", "refresh", "node 0", "node 2", "flow 0"]);
     }
 }

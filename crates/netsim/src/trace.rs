@@ -78,8 +78,9 @@ pub enum TraceKind {
         /// The hop the packet was re-enqueued towards.
         next_hop: NodeId,
     },
-    /// A live route-refresh pass changed this flow's path. Recorded at the
-    /// flow's source; `path` is the new source → destination route.
+    /// A live route refresh changed this flow's path. Recorded at the
+    /// refresh instant, before the events of that instant, at the flow's
+    /// source; `path` is the new source → destination route.
     RouteChange {
         /// The re-routed flow.
         flow: FlowId,
