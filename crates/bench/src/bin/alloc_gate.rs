@@ -376,7 +376,8 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
     if bench == CAMPUS || bench == MESH {
         // Every frame counted is one transmission, and each draws at most
         // one pair per other observed station.
-        let observed = scenario.observed_stations(false).expect("untraced").len();
+        let prepared = scenario.prepare().expect("well-formed");
+        let observed = prepared.observed_stations(false).expect("untraced").len();
         let pairs = work_delta(work, Work::PlannerPairs);
         assert!(pairs <= frames * (observed as u64 - 1), "{bench}: {pairs} pairs drawn");
         let per_tx = |w| work_delta(work, w) as f64 / frames as f64;

@@ -11,7 +11,7 @@
 //! scale runs. `crates/bench/tests/exact_corpus.rs` checks the committed
 //! file against [`render`], and `check_baseline --update` rewrites it.
 
-use wmn_netsim::{run, run_traced, Scenario, Scheme};
+use wmn_netsim::{Scenario, Scheme};
 use wmn_sim::SimDuration;
 
 use crate::{
@@ -63,15 +63,16 @@ pub fn cases() -> Vec<(String, Scenario)> {
 }
 
 /// One case's row of the corpus file, from its traced run, and the digest
-/// of the `RunResult` of its untraced run.
+/// of the `RunResult` of its untraced run; both runs share one preparation.
 fn row((name, scenario): &(String, Scenario)) -> (String, u32) {
-    let (result, trace) = run_traced(scenario);
+    let prepared = scenario.prepare().expect("corpus cases are well-formed");
+    let (result, trace) = prepared.run_traced(scenario.seed);
     let row = format!(
         "    {{ \"case\": \"{name}\", \"result\": {}, \"trace\": {} }}",
         digest(&result),
         digest(&trace)
     );
-    (row, digest(&run(scenario)))
+    (row, digest(&prepared.run(scenario.seed)))
 }
 
 /// The corpus file as this build computes it, and each case's untraced

@@ -190,7 +190,7 @@ mod tests {
         let named = sorted(named);
         assert!(named.len() > initial.len(), "no station joined: {initial:?}");
         assert!(2 * named.len() < s.positions.len(), "{} of the stations named", named.len());
-        assert_eq!(s.observed_stations(false), Some(named));
+        assert_eq!(s.prepare().expect("well-formed").observed_stations(false), Some(&named[..]));
     }
 
     #[test]

@@ -14,7 +14,7 @@ const CORPUS: &str = include_str!("../../../ci/exact_corpus.json");
 
 /// Every row matches the traced run, and every case's untraced `RunResult`
 /// has the row's `result` digest: the receptions an untraced run leaves
-/// out (`Scenario::observed_stations`) change nothing it reports.
+/// out (`Prepared::observed_stations`) change nothing it reports.
 #[test]
 fn exact_corpus_is_unchanged() {
     let (actual, untraced) = wmn_bench::corpus::render();

@@ -242,7 +242,7 @@ pub enum Work {
     /// straddle its margin.
     Variates = 1,
     /// Receptions the planner planned: one per station a transmission
-    /// reaches that the run observes (see `Scenario::observed_stations` in
+    /// reaches that the run observes (see `Prepared::observed_stations` in
     /// `wmn_netsim`).
     Receptions = 2,
 }

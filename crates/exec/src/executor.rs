@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use wmn_netsim::{run, RunResult};
+use wmn_netsim::RunResult;
 
 use crate::plan::RunPlan;
 use crate::telemetry;
@@ -128,25 +128,26 @@ impl Executor {
 
     /// Executes every run of `plan` and returns the results in plan order.
     ///
-    /// Determinism contract: each run is a pure function of its scenario
-    /// (seeded via [`wmn_sim::RngDirectory`]), runs share no state, and the
-    /// result vector is indexed by plan position — so the output is
+    /// Determinism contract: each run is a pure function of its prepared
+    /// scenario and seed (seeded via [`wmn_sim::RngDirectory`]), runs share
+    /// nothing they write (a [`wmn_netsim::Prepared`] is only read), and
+    /// the result vector is indexed by plan position — so the output is
     /// bit-identical for any worker count, including 1.
     // Telemetry: the clock reads time the runs (`ExecStats`), never feed them.
     #[allow(clippy::disallowed_methods)]
     pub fn execute(&self, plan: &RunPlan) -> ExecOutcome {
         let started = Instant::now();
-        let scenarios = plan.scenarios();
-        let n = scenarios.len();
+        let runs = plan.runs();
+        let n = runs.len();
         let jobs = self.jobs.min(n).max(1);
 
         let busy_ns = AtomicU64::new(0);
         let mut slots: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
 
         if jobs == 1 {
-            for (slot, scenario) in slots.iter_mut().zip(scenarios) {
+            for (slot, (prepared, seed)) in slots.iter_mut().zip(runs) {
                 let t0 = Instant::now();
-                *slot = Some(run(scenario));
+                *slot = Some(prepared.run(*seed));
                 busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         } else {
@@ -162,7 +163,8 @@ impl Executor {
                                 break;
                             }
                             let t0 = Instant::now();
-                            let result = run(&scenarios[i]);
+                            let (prepared, seed) = &runs[i];
+                            let result = prepared.run(*seed);
                             busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             local.push((i, result));
                         }
@@ -219,7 +221,7 @@ pub(crate) mod tests {
 
     #[test]
     fn parallel_results_match_serial_in_plan_order() {
-        let plan = RunPlan::grid(&scenarios(5), &[1, 2], SimDuration::from_millis(5));
+        let plan = RunPlan::grid(&scenarios(5), &[1, 2], SimDuration::from_millis(5)).unwrap();
         let serial = Executor::new(1).execute(&plan);
         let parallel = Executor::new(4).execute(&plan);
         assert_eq!(serial.results.len(), 10);
@@ -243,7 +245,7 @@ pub(crate) mod tests {
 
     #[test]
     fn speedup_of_serial_run_is_about_one() {
-        let plan = RunPlan::grid(&scenarios(2), &[1], SimDuration::from_millis(5));
+        let plan = RunPlan::grid(&scenarios(2), &[1], SimDuration::from_millis(5)).unwrap();
         let outcome = Executor::new(1).execute(&plan);
         // busy ≈ wall when one worker does everything (scheduling overhead
         // only ever pushes the ratio below 1).

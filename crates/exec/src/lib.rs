@@ -10,9 +10,11 @@
 //! * the [`Executor`] hands plan indices to workers through an atomic
 //!   counter and stores each [`wmn_netsim::RunResult`] in the slot of its
 //!   plan index, so scheduling order never leaks into the output;
-//! * each run derives all randomness from its own scenario seed via
-//!   [`wmn_sim::RngDirectory`] — runs share no mutable state (`Scenario`
-//!   and `RunResult` are `Send`, enforced at compile time in `wmn_netsim`).
+//! * each run derives all randomness from its own seed via
+//!   [`wmn_sim::RngDirectory`] — runs share no mutable state: the runs of
+//!   one scenario read one [`wmn_netsim::Prepared`], its routes computed
+//!   once for all of them (`Prepared` is `Send + Sync` and `RunResult` is
+//!   `Send`, enforced at compile time in `wmn_netsim`).
 //!
 //! The worker count comes from the `RIPPLE_JOBS` environment variable
 //! ([`jobs_from_env`]), defaulting to the host's available parallelism.
@@ -51,7 +53,8 @@
 //!     std::slice::from_ref(&scenario),
 //!     &[1, 2, 3],
 //!     SimDuration::from_millis(5),
-//! );
+//! )
+//! .expect("a well-formed scenario");
 //! let outcome = Executor::new(2).execute(&plan);
 //! assert_eq!(outcome.results.len(), 3); // plan order: seeds 1, 2, 3
 //! ```

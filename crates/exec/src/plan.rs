@@ -7,12 +7,15 @@
 //! makes downstream seed-averaging bit-identical to a serial loop over the
 //! same entries.
 
-use wmn_netsim::Scenario;
+use std::sync::Arc;
+
+use wmn_netsim::{Prepared, Scenario, ScenarioError};
 use wmn_sim::SimDuration;
 
-/// An ordered collection of independent runs: fully-specified scenarios
-/// (seed and duration already set), each exactly as [`wmn_netsim::run`]
-/// will see it.
+/// An ordered collection of independent runs: each a prepared scenario
+/// (duration already set) and the seed to run it at, exactly as
+/// [`Prepared::run`] will see them. The runs of one scenario share its
+/// [`Prepared`], and with it the routes computed for them all.
 ///
 /// # Example
 ///
@@ -25,60 +28,68 @@ use wmn_sim::SimDuration;
 ///     std::slice::from_ref(&scenario()),
 ///     &[1, 2, 3],
 ///     wmn_sim::SimDuration::from_secs_f64(1.0),
-/// );
+/// )
+/// .expect("a well-formed scenario");
 /// assert_eq!(plan.len(), 3);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RunPlan {
-    scenarios: Vec<Scenario>,
+    runs: Vec<(Arc<Prepared<'static>>, u64)>,
 }
 
 impl RunPlan {
     /// Creates an empty plan.
     pub fn new() -> Self {
-        RunPlan { scenarios: Vec::new() }
+        RunPlan { runs: Vec::new() }
     }
 
-    /// Appends one fully-specified scenario; returns its plan index.
-    pub fn push(&mut self, scenario: Scenario) -> usize {
-        self.scenarios.push(scenario);
-        self.scenarios.len() - 1
+    /// Appends one run of `prepared` at `seed`; returns its plan index.
+    pub fn push(&mut self, prepared: Arc<Prepared<'static>>, seed: u64) -> usize {
+        self.runs.push((prepared, seed));
+        self.runs.len() - 1
     }
 
     /// Builds the (scenario × seed) grid every figure/table experiment runs:
-    /// for each scenario, in order, one entry per seed (in seed order) with
-    /// the scenario's `seed` and `duration` overridden.
+    /// for each scenario, in order, its duration overridden, prepared once,
+    /// and one entry per seed (in seed order) sharing that preparation.
     ///
     /// The resulting plan order — scenario-major, seed-minor — is the
     /// contract [`crate::Executor::execute`] preserves, so averaging
     /// consecutive `seeds.len()`-sized chunks reproduces a serial
     /// run-per-seed loop exactly.
-    pub fn grid(scenarios: &[Scenario], seeds: &[u64], duration: SimDuration) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The first rule the first malformed scenario breaks.
+    pub fn grid(
+        scenarios: &[Scenario],
+        seeds: &[u64],
+        duration: SimDuration,
+    ) -> Result<Self, ScenarioError> {
         let mut plan = RunPlan::new();
         for scenario in scenarios {
+            let prepared = Arc::new(Scenario { duration, ..scenario.clone() }.into_prepared()?);
             for &seed in seeds {
-                let mut s = scenario.clone();
-                s.seed = seed;
-                s.duration = duration;
-                plan.push(s);
+                plan.push(Arc::clone(&prepared), seed);
             }
         }
-        plan
+        Ok(plan)
     }
 
-    /// The planned runs, in execution-result order.
-    pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
+    /// The planned runs, in execution-result order: each prepared scenario
+    /// with its seed.
+    pub fn runs(&self) -> &[(Arc<Prepared<'static>>, u64)] {
+        &self.runs
     }
 
     /// Number of planned runs.
     pub fn len(&self) -> usize {
-        self.scenarios.len()
+        self.runs.len()
     }
 
     /// Whether the plan holds no runs.
     pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
+        self.runs.is_empty()
     }
 }
 
@@ -110,21 +121,31 @@ mod tests {
     #[test]
     fn grid_is_scenario_major_seed_minor() {
         let scenarios = [scenario("a"), scenario("b")];
-        let plan = RunPlan::grid(&scenarios, &[7, 8, 9], SimDuration::from_millis(20));
+        let plan = RunPlan::grid(&scenarios, &[7, 8, 9], SimDuration::from_millis(20)).unwrap();
         assert_eq!(plan.len(), 6);
-        let seeds: Vec<u64> = plan.scenarios().iter().map(|s| s.seed).collect();
+        let seeds: Vec<u64> = plan.runs().iter().map(|&(_, seed)| seed).collect();
         assert_eq!(seeds, vec![7, 8, 9, 7, 8, 9]);
-        assert_eq!(plan.scenarios()[0].name, "a");
-        assert_eq!(plan.scenarios()[3].name, "b");
-        assert!(plan.scenarios().iter().all(|s| s.duration == SimDuration::from_millis(20)));
+        assert_eq!(plan.runs()[0].0.scenario().name, "a");
+        assert_eq!(plan.runs()[3].0.scenario().name, "b");
+        let duration = |(prepared, _): &(Arc<Prepared>, u64)| prepared.scenario().duration;
+        assert!(plan.runs().iter().all(|run| duration(run) == SimDuration::from_millis(20)));
+    }
+
+    #[test]
+    fn grid_reports_a_malformed_scenario() {
+        let mut bad = scenario("bad");
+        bad.flows.clear();
+        let grid = RunPlan::grid(&[scenario("a"), bad], &[1], SimDuration::from_millis(20));
+        assert_eq!(grid.err(), Some(ScenarioError::NoFlows));
     }
 
     #[test]
     fn push_returns_index() {
         let mut plan = RunPlan::new();
         assert!(plan.is_empty());
-        assert_eq!(plan.push(scenario("x")), 0);
-        assert_eq!(plan.push(scenario("y")), 1);
+        let prepared = |name| Arc::new(scenario(name).into_prepared().unwrap());
+        assert_eq!(plan.push(prepared("x"), 1), 0);
+        assert_eq!(plan.push(prepared("y"), 1), 1);
         assert_eq!(plan.len(), 2);
     }
 }

@@ -173,7 +173,8 @@ mod tests {
             &crate::executor::tests::scenarios(2),
             &[1, 2],
             wmn_sim::SimDuration::from_millis(5),
-        );
+        )
+        .expect("well-formed scenarios");
         let stats = crate::Executor::new(2).execute(&plan).stats;
         let exec = Snapshot { plans: 1, runs: stats.runs as u64, busy: stats.busy };
         let timing = ArtifactTiming { wall: stats.wall, exec, jobs: stats.jobs };

@@ -5,13 +5,18 @@
 //! Scenarios vary over topology size, scheme (incl. the opportunistic
 //! ExOR variants), workload, seed set, and duration, so any hidden shared
 //! state, scheduling leak, or result-reordering in the engine shows up as a
-//! failed equality on some case.
+//! failed equality on some case. One more case shares one prepared,
+//! refreshed scenario between its seeds' runs.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use wmn_exec::{Executor, RunPlan};
-use wmn_netsim::{run, FlowSpec, RunResult, Scenario, Scheme, Workload};
+use wmn_netsim::{
+    run, run_traced, FlowSpec, MotionPlan, NodePath, RunResult, Scenario, Scheme, Workload,
+};
 use wmn_phy::{PhyParams, Position};
-use wmn_sim::{NodeId, SimDuration};
+use wmn_sim::{FlowId, NodeId, SimDuration};
 
 /// Builds the sampled scenario: an `n`-node line with one end-to-end flow.
 fn scenario(n_nodes: usize, scheme_pick: usize, workload_pick: usize, ms: u64) -> Scenario {
@@ -79,7 +84,7 @@ proptest! {
         let seeds: Vec<u64> =
             (0..3).map(|i| u64::from(seed_base).wrapping_add(i * 7919)).collect();
         let baseline = serial_baseline(&scenario, &seeds, duration);
-        let plan = RunPlan::grid(std::slice::from_ref(&scenario), &seeds, duration);
+        let plan = RunPlan::grid(std::slice::from_ref(&scenario), &seeds, duration).unwrap();
         for jobs in [1usize, 2, 8] {
             let outcome = Executor::new(jobs).execute(&plan);
             prop_assert_eq!(
@@ -109,10 +114,42 @@ proptest! {
             .collect();
         let mut plan = RunPlan::new();
         for sc in &scenarios {
-            plan.push(sc.clone());
+            plan.push(Arc::new(sc.clone().into_prepared().unwrap()), sc.seed);
         }
         let baseline: Vec<RunResult> = scenarios.iter().map(run).collect();
         let parallel = Executor::new(8).execute(&plan);
         prop_assert_eq!(&parallel.results, &baseline);
+    }
+}
+
+/// The runs of one scenario share one [`wmn_netsim::Prepared`], its route
+/// schedule computed once: a four-station DCF line carrying CBR, whose
+/// first relay drifts off the line while routes refresh every 50 ms. Every
+/// seed's run, on any worker count, is the run of the scenario at that
+/// seed, traced or not.
+#[test]
+fn a_shared_preparation_runs_every_seed_as_its_own_scenario() {
+    let mut base = scenario(4, 0, 3, 300);
+    let drift = NodePath::Drift { vx_mps: 0.0, vy_mps: 40.0 };
+    base.motion =
+        MotionPlan { paths: vec![NodePath::Static, drift], tick: SimDuration::from_millis(10) };
+    base.route_refresh = Some(SimDuration::from_millis(50));
+    let seeds = [3, 17, 29];
+    let plan = RunPlan::grid(std::slice::from_ref(&base), &seeds, base.duration).unwrap();
+    let shared = &plan.runs()[0].0;
+    assert!(plan.runs().iter().all(|(prepared, _)| Arc::ptr_eq(prepared, shared)));
+
+    let at = |seed| Scenario { seed, ..base.clone() };
+    let serial: Vec<RunResult> = seeds.iter().map(|&seed| run(&at(seed))).collect();
+    for jobs in [1, 2, 8] {
+        assert_eq!(Executor::new(jobs).execute(&plan).results, serial, "{jobs} workers");
+    }
+    for (&seed, untraced) in seeds.iter().zip(&serial) {
+        let traced = shared.run_traced(seed);
+        assert!(traced == run_traced(&at(seed)), "seed {seed}: the traced runs differ");
+        let (result, trace) = traced;
+        assert_eq!(&result, untraced, "seed {seed}: traced and untraced runs differ");
+        // Not vacuous: the drift re-routes the flow.
+        assert!(!trace.route_changes(FlowId::new(0)).is_empty(), "seed {seed}: no re-route");
     }
 }

@@ -3,7 +3,7 @@
 
 use wmn_exec::{Executor, RunPlan};
 use wmn_metrics::mean;
-use wmn_netsim::{RunResult, Scenario, Scheme};
+use wmn_netsim::{RunResult, Scenario, ScenarioError, Scheme};
 use wmn_sim::SimDuration;
 
 /// How long, how many times, and how wide to run each configuration.
@@ -146,11 +146,26 @@ fn average(name: &str, flow_count: usize, samples: &[RunResult]) -> AvgResult {
 /// through: the per-run seed/duration overrides, the run ordering, and the
 /// averaging all live here, so the numbers are identical to the historical
 /// serial per-module seed loops for any worker count.
+///
+/// # Panics
+///
+/// If a scenario breaks a rule of [`Scenario::validate`]: the figure grids
+/// are built in code. A sweep's cells, which come from outside the
+/// program, are reported instead (`run_sweep`).
 pub fn run_grid(scenarios: &[Scenario], cfg: &ExpConfig) -> Vec<AvgResult> {
-    let plan = RunPlan::grid(scenarios, &cfg.seeds, cfg.duration);
+    try_run_grid(scenarios, cfg).unwrap_or_else(|e| panic!("malformed grid scenario: {e}"))
+}
+
+/// [`run_grid`], reporting a malformed scenario instead of running any:
+/// the first rule the first malformed scenario breaks, at `cfg.duration`.
+pub(crate) fn try_run_grid(
+    scenarios: &[Scenario],
+    cfg: &ExpConfig,
+) -> Result<Vec<AvgResult>, ScenarioError> {
+    let plan = RunPlan::grid(scenarios, &cfg.seeds, cfg.duration)?;
     let outcome = Executor::new(cfg.jobs).execute(&plan);
     let per_seed = cfg.seeds.len();
-    scenarios
+    Ok(scenarios
         .iter()
         .enumerate()
         .map(|(i, scenario)| {
@@ -160,7 +175,7 @@ pub fn run_grid(scenarios: &[Scenario], cfg: &ExpConfig) -> Vec<AvgResult> {
                 &outcome.results[i * per_seed..(i + 1) * per_seed],
             )
         })
-        .collect()
+        .collect())
 }
 
 /// Pops the next grid result and asserts it came from the scenario named

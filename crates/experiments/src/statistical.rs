@@ -18,6 +18,8 @@
 //! (motivation, Fig. 4, Fig. 7, Fig. 10 and the four-station chain) feed
 //! the orderings only.
 
+use std::sync::Arc;
+
 use wmn_exec::json::Value;
 use wmn_exec::{Executor, RunPlan};
 use wmn_metrics::Table;
@@ -276,11 +278,15 @@ fn chain_table(seed: u64, jobs: usize) -> Table {
         ("RIPPLE-16", Scheme::Ripple { aggregation: 16 }),
     ];
     let mut plan = RunPlan::new();
+    let mut push = |scenario: Scenario| {
+        let prepared = scenario.into_prepared().expect("the chain is well-formed");
+        plan.push(Arc::new(prepared), seed);
+    };
     for (_, scheme) in ftp {
-        plan.push(chain(scheme, Workload::Ftp, 400));
+        push(chain(scheme, Workload::Ftp, 400));
     }
     let voip = Workload::Voip(wmn_traffic::VoipModel::paper());
-    plan.push(chain(Scheme::Ripple { aggregation: 16 }, voip, 600));
+    push(chain(Scheme::Ripple { aggregation: 16 }, voip, 600));
     let results: Vec<RunResult> = Executor::new(jobs).execute(&plan).results;
     let mut table = Table::new("chain", vec!["row", "value"]);
     for ((label, _), result) in ftp.iter().zip(&results) {

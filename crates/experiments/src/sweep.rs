@@ -14,7 +14,7 @@ use wmn_metrics::Table;
 use wmn_scengen::SweepSpec;
 use wmn_sim::SimDuration;
 
-use crate::common::{run_grid, ExpConfig};
+use crate::common::{try_run_grid, ExpConfig};
 
 /// One executed sweep: the rendered table plus the deterministic report
 /// document.
@@ -39,7 +39,10 @@ pub fn artefact_name(spec: &SweepSpec) -> String {
 ///
 /// # Errors
 ///
-/// Propagates expansion failures (empty axes, unroutable cells) verbatim.
+/// Propagates expansion failures (empty axes, unroutable cells) verbatim,
+/// and reports a cell that breaks a rule of
+/// [`Scenario::validate`](wmn_netsim::Scenario::validate) at the sweep's
+/// duration ([`wmn_netsim::ScenarioError`]) instead of running any.
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> Result<SweepOutcome, String> {
     let scenarios = spec.expand()?;
     let cfg = ExpConfig {
@@ -48,7 +51,7 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> Result<SweepOutcome, String> 
         jobs,
         shards: None,
     };
-    let avgs = run_grid(&scenarios, &cfg);
+    let avgs = try_run_grid(&scenarios, &cfg).map_err(|e| format!("sweep {:?}: {e}", spec.name))?;
     let mut table = Table::new(
         format!(
             "Sweep {} — seed-averaged throughput over {} runs ({} scenarios × {} seeds)",

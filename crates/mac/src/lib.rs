@@ -222,7 +222,7 @@ pub struct MacStats {
 /// queued must emit no action and count nothing either. The runner relies
 /// on both: an untraced run plans no reception at a station that no
 /// flow's path names, at the start or after any of the run's route
-/// refreshes (`Scenario::observed_stations` in `wmn_netsim`).
+/// refreshes (`Prepared::observed_stations` in `wmn_netsim`).
 pub trait MacEntity {
     /// A packet arrives from the upper layer with its routing decision.
     fn on_enqueue(&mut self, packet: Packet, route: RouteInfo, now: SimTime, out: &mut ActionSink);

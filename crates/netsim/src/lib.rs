@@ -17,13 +17,16 @@
 //!
 //! A [`Scenario`] fully describes one run (placement, forwarding scheme,
 //! flows, duration, seed, and optionally a [`MotionPlan`] of per-node
-//! trajectories); [`run`] executes it and returns per-flow
-//! [`FlowResult`]s. Runs are deterministic per seed, mobile or not.
+//! trajectories). [`Scenario::prepare`] checks it, yielding a
+//! [`ScenarioError`] for a malformed one, and computes what every run of it
+//! shares: a [`Prepared`] scenario, whose [`Prepared::run`] executes it at
+//! a seed and returns per-flow [`FlowResult`]s. Runs are deterministic per
+//! seed, mobile or not. [`run`] is the run at the scenario's own seed.
 //!
 //! # Example
 //!
 //! ```
-//! use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
+//! use wmn_netsim::{FlowSpec, Scenario, ScenarioError, Scheme, Workload};
 //! use wmn_phy::{PhyParams, Position};
 //! use wmn_sim::{NodeId, SimDuration};
 //!
@@ -43,8 +46,14 @@
 //!     route_refresh: None,
 //!     shards: None,
 //! };
-//! let result = run(&scenario);
-//! assert!(result.flows[0].delivered_bytes > 0);
+//! let prepared = scenario.prepare().expect("a well-formed scenario");
+//! for seed in [1, 2, 3] {
+//!     assert!(prepared.run(seed).flows[0].delivered_bytes > 0);
+//! }
+//! assert_eq!(prepared.run(1), wmn_netsim::run(&scenario));
+//!
+//! let silent = Scenario { flows: Vec::new(), ..scenario };
+//! assert_eq!(silent.prepare().err(), Some(ScenarioError::NoFlows));
 //! ```
 
 pub mod scenario;
@@ -59,7 +68,7 @@ extern crate self as wmn_netsim;
 #[path = "../../bench/src/layouts.rs"]
 mod layouts;
 
-pub use scenario::{FlowSpec, Scenario, Scheme, Workload};
+pub use scenario::{FlowSpec, Prepared, Scenario, ScenarioError, Scheme, Workload};
 pub use stack::{run, run_traced, FlowResult, RunResult, TcpFlowResult, VoipFlowResult};
 pub use trace::{FrameKind, Trace, TraceEvent, TraceKind};
 pub use wmn_mac::DropReason;

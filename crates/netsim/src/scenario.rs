@@ -1,5 +1,7 @@
 //! Scenario description types.
 
+use std::borrow::Cow;
+
 use wmn_mac::{DcfScheme, MacEntity, MacScheme};
 use wmn_phy::{PhyParams, Position};
 use wmn_routing::{ExorMode, ExorScheme};
@@ -123,8 +125,8 @@ impl FlowSpec {
 ///
 /// `positions` is the single id namespace of a run: [`wmn_sim::NodeId`]s are
 /// **dense indices into it** (node `i` sits at `positions[i]`), and every id
-/// a flow path mentions must be below `positions.len()`. [`Scenario::validate`]
-/// checks the whole structure; [`crate::run`] asserts it.
+/// a flow path mentions must be below `positions.len()`. A run starts from
+/// [`Scenario::prepare`], which checks the whole structure first.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Name used in results and logs.
@@ -163,75 +165,213 @@ pub struct Scenario {
     pub shards: Option<u32>,
 }
 
+/// The first rule a [`Scenario`] breaks, as [`Scenario::validate`] finds
+/// it: one variant per rule, carrying what the rule names. A rule another
+/// type states ([`PhyParams::check`], the workload models' `check`,
+/// [`MotionPlan::check`]) carries that check's message.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ScenarioError {
+    /// The placement has no station.
+    EmptyPlacement,
+    /// A station's coordinates are not finite.
+    NonFinitePosition {
+        /// The station's index.
+        station: usize,
+        /// Where it is said to stand.
+        position: Position,
+    },
+    /// [`PhyParams::check`] rejects the parameters.
+    Phy(String),
+    /// An aggregating scheme sends no packet per frame.
+    ZeroAggregation(Scheme),
+    /// The duration is past [`SimDuration::LIMIT`].
+    DurationPastLimit(SimDuration),
+    /// The scenario has no flow.
+    NoFlows,
+    /// A flow's path has fewer than two nodes.
+    ShortPath {
+        /// The flow's index.
+        flow: usize,
+        /// The path's length.
+        len: usize,
+    },
+    /// A flow's path names a station outside the placement (the NodeId
+    /// contract on [`Scenario`]).
+    OutsidePlacement {
+        /// The flow's index.
+        flow: usize,
+        /// The first such station.
+        node: NodeId,
+        /// The placement's size.
+        stations: usize,
+    },
+    /// A flow's path names one station twice in a row.
+    RepeatedHop {
+        /// The flow's index.
+        flow: usize,
+    },
+    /// A flow's workload model rejects its parameters.
+    Workload {
+        /// The flow's index.
+        flow: usize,
+        /// The model's `check` message.
+        reason: String,
+    },
+    /// [`MotionPlan::check`] rejects the plan over the placement.
+    Motion(String),
+    /// `route_refresh` is zero.
+    ZeroRefresh,
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::EmptyPlacement => write!(f, "empty placement"),
+            ScenarioError::NonFinitePosition { station, position } => {
+                write!(f, "station {station} position {position} is not finite")
+            }
+            ScenarioError::Phy(msg) => write!(f, "{msg}"),
+            ScenarioError::ZeroAggregation(scheme) => {
+                write!(f, "aggregation must be at least 1, got {scheme:?}")
+            }
+            ScenarioError::DurationPastLimit(duration) => {
+                write!(f, "duration {duration} exceeds {}", SimDuration::LIMIT)
+            }
+            ScenarioError::NoFlows => write!(f, "no flows"),
+            ScenarioError::ShortPath { flow, len } => {
+                write!(f, "flow {flow}: path needs at least two nodes, got {len}")
+            }
+            ScenarioError::OutsidePlacement { flow, node, stations } => write!(
+                f,
+                "flow {flow}: {node} outside the {stations}-station placement \
+                 (NodeIds must be dense indices into `positions`)"
+            ),
+            ScenarioError::RepeatedHop { flow } => {
+                write!(f, "flow {flow}: path repeats a node back-to-back")
+            }
+            ScenarioError::Workload { flow, reason } => write!(f, "flow {flow}: {reason}"),
+            ScenarioError::Motion(msg) => write!(f, "motion: {msg}"),
+            ScenarioError::ZeroRefresh => {
+                write!(f, "route_refresh must be positive: zero repeats one instant forever")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
 impl Scenario {
-    /// The one gate a run passes: [`crate::run`] runs every scenario this
-    /// accepts to its end, and panics exactly when this errs. The rules, each
-    /// stated once beside the code it protects: a non-empty placement of
-    /// finite coordinates; [`PhyParams::check`]; an aggregation of at least
-    /// one packet; a duration within [`SimDuration::LIMIT`]; at least one
-    /// flow, each path at least two nodes, with no node twice in a row and
-    /// every [`NodeId`] inside the placement (the NodeId contract above),
-    /// and each workload's `check` ([`WebModel::check`] and its siblings);
+    /// The rules a scenario must keep to run, checked without allocating
+    /// when it keeps them: a non-empty placement of finite coordinates;
+    /// [`PhyParams::check`]; an aggregation of at least one packet; a
+    /// duration within [`SimDuration::LIMIT`]; at least one flow, each path
+    /// at least two nodes, with no node twice in a row and every [`NodeId`]
+    /// inside the placement (the NodeId contract above), and each
+    /// workload's `check` ([`WebModel::check`] and its siblings);
     /// [`MotionPlan::check`] over the placement up to the run's end; and a
-    /// positive `route_refresh`, when set. The span rules are
-    /// checked one extreme field at a time (`tests/properties.rs`); several
-    /// extreme fields together are not.
+    /// positive `route_refresh`, when set. The span rules are checked one
+    /// extreme field at a time (`tests/properties.rs`); several extreme
+    /// fields together are not.
     ///
     /// # Errors
     ///
-    /// The first rule broken, naming the scenario and the field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.first_violation().map_err(|msg| format!("scenario {:?}: {msg}", self.name))
-    }
-
-    fn first_violation(&self) -> Result<(), String> {
+    /// The first rule broken.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
         let n = self.positions.len();
         if n == 0 {
-            return Err("empty placement".into());
+            return Err(ScenarioError::EmptyPlacement);
         }
         if let Some(i) = self.positions.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
-            return Err(format!("station {i} position {} is not finite", self.positions[i]));
+            return Err(ScenarioError::NonFinitePosition {
+                station: i,
+                position: self.positions[i],
+            });
         }
-        self.params.check()?;
+        self.params.check().map_err(ScenarioError::Phy)?;
         if let Scheme::Dcf { aggregation: 0 } | Scheme::Ripple { aggregation: 0 } = self.scheme {
-            return Err(format!("aggregation must be at least 1, got {:?}", self.scheme));
+            return Err(ScenarioError::ZeroAggregation(self.scheme));
         }
         if self.duration > SimDuration::LIMIT {
-            return Err(format!("duration {} exceeds {}", self.duration, SimDuration::LIMIT));
+            return Err(ScenarioError::DurationPastLimit(self.duration));
         }
         if self.flows.is_empty() {
-            return Err("no flows".into());
+            return Err(ScenarioError::NoFlows);
         }
-        for (i, flow) in self.flows.iter().enumerate() {
-            if flow.path.len() < 2 {
-                return Err(format!(
-                    "flow {i}: path needs at least two nodes, got {}",
-                    flow.path.len()
-                ));
+        for (flow, spec) in self.flows.iter().enumerate() {
+            if spec.path.len() < 2 {
+                return Err(ScenarioError::ShortPath { flow, len: spec.path.len() });
             }
-            if let Some(node) = flow.path.iter().find(|node| node.index() >= n) {
-                return Err(format!(
-                    "flow {i}: {node} outside the {n}-station placement \
-                     (NodeIds must be dense indices into `positions`)"
-                ));
+            if let Some(&node) = spec.path.iter().find(|node| node.index() >= n) {
+                return Err(ScenarioError::OutsidePlacement { flow, node, stations: n });
             }
-            if flow.path.windows(2).any(|w| w[0] == w[1]) {
-                return Err(format!("flow {i}: path repeats a node back-to-back"));
+            if spec.path.windows(2).any(|w| w[0] == w[1]) {
+                return Err(ScenarioError::RepeatedHop { flow });
             }
-            let workload = match &flow.workload {
+            let workload = match &spec.workload {
                 Workload::Ftp => Ok(()),
                 Workload::Web(model) => model.check(),
                 Workload::Voip(model) => model.check(),
                 Workload::Cbr(model) => model.check(),
             };
-            workload.map_err(|msg| format!("flow {i}: {msg}"))?;
+            workload.map_err(|reason| ScenarioError::Workload { flow, reason })?;
         }
         let end = SimTime::ZERO + self.duration;
-        self.motion.check(&self.positions, end).map_err(|msg| format!("motion: {msg}"))?;
+        self.motion.check(&self.positions, end).map_err(ScenarioError::Motion)?;
         if self.route_refresh == Some(SimDuration::ZERO) {
-            return Err("route_refresh must be positive: zero repeats one instant forever".into());
+            return Err(ScenarioError::ZeroRefresh);
         }
         Ok(())
+    }
+
+    /// Checks the scenario ([`Scenario::validate`]) and computes, once for
+    /// every seed it will run at, what its runs share: every route they
+    /// take and the stations they observe. Borrows the scenario; see
+    /// [`Scenario::into_prepared`] for one that owns it.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the scenario breaks.
+    pub fn prepare(&self) -> Result<Prepared<'_>, ScenarioError> {
+        Prepared::new(Cow::Borrowed(self))
+    }
+
+    /// [`Scenario::prepare`], keeping the scenario: a [`Prepared`] that can
+    /// be shared across threads through an [`Arc`](std::sync::Arc).
+    ///
+    /// # Errors
+    ///
+    /// The first rule the scenario breaks.
+    pub fn into_prepared(self) -> Result<Prepared<'static>, ScenarioError> {
+        Prepared::new(Cow::Owned(self))
+    }
+}
+
+/// A scenario that keeps every rule of [`Scenario::validate`], with what
+/// all its runs share computed once: its route schedule, every route a run
+/// takes, each a function of the placement, the motion and the duration
+/// alone; and the stations an untraced run observes. Only the seed is left
+/// to choose: [`Prepared::run`] and [`Prepared::run_traced`] take it, run
+/// the scenario to its end, and cannot fail. The scenario's own `seed`
+/// field is not read.
+#[derive(Debug)]
+pub struct Prepared<'s> {
+    scenario: Cow<'s, Scenario>,
+    pub(crate) schedule: RouteSchedule,
+    /// Every station a route of the run names, ascending.
+    observed: Vec<NodeId>,
+}
+
+impl<'s> Prepared<'s> {
+    fn new(scenario: Cow<'s, Scenario>) -> Result<Prepared<'s>, ScenarioError> {
+        scenario.validate()?;
+        let schedule = RouteSchedule::of(&scenario);
+        let observed = schedule.stations(&scenario);
+        Ok(Prepared { scenario, schedule, observed })
+    }
+
+    /// The checked scenario.
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
     }
 
     /// The stations a run must plan receptions at, ascending, or `None` for
@@ -243,20 +383,16 @@ impl Scenario {
     /// none names it, not even one queued under a stale route (the contract
     /// on [`MacEntity`]); its draws are keyed to it alone, so leaving out
     /// its receptions changes no result. A traced run plans every station:
-    /// the trace records `Decoded` at each. `None` also answers a scenario
-    /// that [`Scenario::validate`] rejects: no run accepts it, and its
-    /// routes need not be computable.
-    pub fn observed_stations(&self, traced: bool) -> Option<Vec<NodeId>> {
-        if traced || self.validate().is_err() {
-            return None;
-        }
-        Some(RouteSchedule::of(self).stations(self))
+    /// the trace records `Decoded` at each.
+    pub fn observed_stations(&self, traced: bool) -> Option<&[NodeId]> {
+        (!traced).then_some(&self.observed[..])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::discriminant;
     use wmn_phy::LinkModel;
 
     #[test]
@@ -295,22 +431,36 @@ mod tests {
         }
     }
 
+    /// The message a rule stated by another type carries.
+    fn carried(err: &ScenarioError) -> &str {
+        match err {
+            ScenarioError::Phy(msg)
+            | ScenarioError::Motion(msg)
+            | ScenarioError::Workload { reason: msg, .. } => msg,
+            other => panic!("no carried message: {other:?}"),
+        }
+    }
+
     #[test]
     fn validate_accepts_well_formed_scenarios() {
         assert_eq!(valid_scenario().validate(), Ok(()));
         let mut refreshed = valid_scenario();
         refreshed.route_refresh = Some(SimDuration::from_millis(50));
         assert_eq!(refreshed.validate(), Ok(()));
+        let prepared = refreshed.prepare().expect("accepted");
+        assert_eq!(prepared.observed_stations(false), Some(&[NodeId::new(0), NodeId::new(1)][..]));
+        assert_eq!(prepared.observed_stations(true), None);
     }
 
     #[test]
     fn validate_rejects_zero_refresh_interval() {
         let mut s = valid_scenario();
         s.route_refresh = Some(SimDuration::ZERO);
-        let msg = s.validate().unwrap_err();
-        assert!(msg.contains("route_refresh"), "{msg}");
-        // A schedule would repeat that one instant forever.
-        assert_eq!(s.observed_stations(false), None);
+        assert_eq!(s.validate(), Err(ScenarioError::ZeroRefresh));
+        // A schedule would repeat that one instant forever: nothing is
+        // prepared.
+        assert_eq!(s.prepare().err(), Some(ScenarioError::ZeroRefresh));
+        assert_eq!(s.into_prepared().err(), Some(ScenarioError::ZeroRefresh));
     }
 
     #[test]
@@ -321,16 +471,21 @@ mod tests {
         // with the offending flow and id.
         let mut s = valid_scenario();
         s.flows[0].path = vec![NodeId::new(0), NodeId::new(7)];
-        let msg = s.validate().unwrap_err();
-        assert!(msg.contains("n7") && msg.contains("flow 0"), "{msg}");
-        assert!(msg.contains("dense indices"), "{msg}");
+        let err = s.validate().unwrap_err();
+        let (flow, node, stations) = (0, NodeId::new(7), 2);
+        assert_eq!(err, ScenarioError::OutsidePlacement { flow, node, stations });
+        assert_eq!(
+            err.to_string(),
+            "flow 0: n7 outside the 2-station placement \
+             (NodeIds must be dense indices into `positions`)"
+        );
     }
 
     #[test]
     fn validate_rejects_structural_defects() {
         let mut empty = valid_scenario();
         empty.positions.clear();
-        assert!(empty.validate().unwrap_err().contains("empty placement"));
+        assert_eq!(empty.validate(), Err(ScenarioError::EmptyPlacement));
 
         // A NaN station would get NaN mean power, which no threshold compare
         // rejects: the planner would book it as a receiver of every frame.
@@ -342,43 +497,50 @@ mod tests {
         ] {
             let mut off_map = valid_scenario();
             off_map.positions.push(bad);
-            let msg = off_map.validate().unwrap_err();
-            assert!(msg.contains("station 2") && msg.contains("not finite"), "{msg}");
-            assert!(msg.contains(&format!("{:?}", off_map.name)), "{msg}");
+            let err = off_map.validate().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::NonFinitePosition { station: 2, position }
+                    if position.x.to_bits() == bad.x.to_bits()
+                        && position.y.to_bits() == bad.y.to_bits()),
+                "{err:?}"
+            );
         }
 
         let mut no_flows = valid_scenario();
         no_flows.flows.clear();
-        assert!(no_flows.validate().unwrap_err().contains("no flows"));
+        assert_eq!(no_flows.validate(), Err(ScenarioError::NoFlows));
 
         let mut short = valid_scenario();
         short.flows[0].path.truncate(1);
-        assert!(short.validate().unwrap_err().contains("at least two nodes"));
+        assert_eq!(short.validate(), Err(ScenarioError::ShortPath { flow: 0, len: 1 }));
 
         let mut looped = valid_scenario();
         looped.flows[0].path = vec![NodeId::new(0), NodeId::new(0)];
-        assert!(looped.validate().unwrap_err().contains("back-to-back"));
+        assert_eq!(looped.validate(), Err(ScenarioError::RepeatedHop { flow: 0 }));
 
         let mut bad_motion = valid_scenario();
         bad_motion.motion.paths = vec![wmn_topology::NodePath::Static; 3];
-        let msg = bad_motion.validate().unwrap_err();
-        assert!(msg.contains("motion") && msg.contains("3 paths"), "{msg}");
+        let err = bad_motion.validate().unwrap_err();
+        assert!(matches!(&err, ScenarioError::Motion(msg) if msg.contains("3 paths")), "{err:?}");
 
         // `BerModel::new` panics on these once the run builds its stations.
         for ber in [1.5, -0.1, 1.0, f64::NAN] {
             let mut noisy = valid_scenario();
             noisy.params.ber = ber;
-            let msg = noisy.validate().unwrap_err();
-            assert!(msg.contains("ber must be in [0, 1)"), "{msg}");
-            assert!(msg.contains(&format!("{:?}", noisy.name)), "{msg}");
+            let err = noisy.validate().unwrap_err();
+            let ok =
+                matches!(&err, ScenarioError::Phy(msg) if msg.contains("ber must be in [0, 1)"));
+            assert!(ok, "{err:?}");
         }
 
         for scheme in [Scheme::Dcf { aggregation: 0 }, Scheme::Ripple { aggregation: 0 }] {
             let unaggregated = Scenario { scheme, ..valid_scenario() };
-            let msg = unaggregated.validate().unwrap_err();
-            assert!(msg.contains("aggregation must be at least 1"), "{msg}");
-            assert!(msg.contains(&format!("{:?}", unaggregated.name)), "{msg}");
+            assert_eq!(unaggregated.validate(), Err(ScenarioError::ZeroAggregation(scheme)));
         }
+
+        let mut long = valid_scenario();
+        long.duration = SimDuration::MAX;
+        assert_eq!(long.validate(), Err(ScenarioError::DurationPastLimit(SimDuration::MAX)));
 
         // Each of these used to validate, then panic (or, for the zero CBR
         // interval, hang) inside `run`.
@@ -393,31 +555,49 @@ mod tests {
         };
         let (web, voip) = (WebModel::paper(), VoipModel::paper());
         let far = vec![Position::new(-1.7e308, 0.0), Position::new(1.7e308, 0.0)];
-        for (field, s) in [
-            ("ifq_capacity", phy(|p| p.ifq_capacity = 0)),
-            ("cw_min", phy(|p| (p.cw_min, p.cw_max) = (64, 15))),
-            ("slot", phy(|p| (p.slot, p.sifs) = (SimDuration::ZERO, SimDuration::ZERO))),
+        let phy_rule = ScenarioError::Phy(String::new());
+        let workload = ScenarioError::Workload { flow: 0, reason: String::new() };
+        let motion = ScenarioError::Motion(String::new());
+        for (field, s, rule) in [
+            ("ifq_capacity", phy(|p| p.ifq_capacity = 0), &phy_rule),
+            ("cw_min", phy(|p| (p.cw_min, p.cw_max) = (64, 15)), &phy_rule),
+            ("slot", phy(|p| (p.slot, p.sifs) = (SimDuration::ZERO, SimDuration::ZERO)), &phy_rule),
             (
                 "mean_off_seconds",
                 with(Workload::Web(WebModel { mean_off_seconds: f64::NAN, ..web })),
+                &workload,
             ),
-            ("pareto_shape", with(Workload::Web(WebModel { pareto_shape: 0.5, ..web }))),
-            ("bitrate_bps", with(Workload::Voip(VoipModel { bitrate_bps: 0.0, ..voip }))),
+            ("pareto_shape", with(Workload::Web(WebModel { pareto_shape: 0.5, ..web })), &workload),
+            (
+                "bitrate_bps",
+                with(Workload::Voip(VoipModel { bitrate_bps: 0.0, ..voip })),
+                &workload,
+            ),
             (
                 "mean_on_seconds",
                 with(Workload::Voip(VoipModel { mean_on_seconds: f64::NAN, ..voip })),
+                &workload,
             ),
-            ("packet_bytes", with(Workload::Voip(VoipModel { packet_bytes: u32::MAX, ..voip }))),
+            (
+                "packet_bytes",
+                with(Workload::Voip(VoipModel { packet_bytes: u32::MAX, ..voip })),
+                &workload,
+            ),
             (
                 "packet_bytes",
                 with(Workload::Cbr(CbrModel::new(u32::MAX, SimDuration::from_micros(300)))),
+                &workload,
             ),
-            ("interval", with(Workload::Cbr(CbrModel::new(1000, SimDuration::ZERO)))),
-            ("positions", Scenario { positions: far, ..valid_scenario() }),
+            ("interval", with(Workload::Cbr(CbrModel::new(1000, SimDuration::ZERO))), &workload),
+            ("positions", Scenario { positions: far, ..valid_scenario() }, &motion),
         ] {
-            let msg = s.validate().unwrap_err();
-            assert!(msg.starts_with("scenario \"v\": ") && msg.contains(field), "{field}: {msg}");
+            let err = s.validate().unwrap_err();
+            assert_eq!(discriminant(&err), discriminant(rule), "{field}: {err:?}");
+            assert!(carried(&err).contains(field), "{field}: {err:?}");
         }
+        // The carried message reads as the rule that broke.
+        let err = with(Workload::Cbr(CbrModel::new(1000, SimDuration::ZERO))).validate();
+        assert!(err.unwrap_err().to_string().starts_with("flow 0: "));
     }
 
     #[test]
@@ -440,8 +620,8 @@ mod tests {
         ] {
             let mut s = valid_scenario();
             s.params.link = link;
-            let msg = s.validate().unwrap_err();
-            assert!(msg.contains(field) && msg.contains(&format!("{:?}", s.name)), "{msg}");
+            let err = s.validate().unwrap_err();
+            assert!(matches!(&err, ScenarioError::Phy(msg) if msg.contains(field)), "{err:?}");
         }
         // A negative σ is odd but legal.
         let mut flipped = valid_scenario();

@@ -45,9 +45,9 @@ use wmn_mac::TimerToken;
 use wmn_phy::Medium;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime};
 
-use crate::scenario::Scenario;
+use crate::scenario::{Prepared, Scenario};
 use crate::trace::{Trace, TraceKind};
-use net_layer::{NetLayer, RouteSchedule};
+use net_layer::NetLayer;
 use phy_io::{advance_medium_positions, last_tick, tick_of, Reception};
 use station::{StationStack, World};
 
@@ -136,7 +136,8 @@ pub(crate) enum Event {
     WebStart { flow: FlowId },
 }
 
-/// Executes a scenario to completion and returns per-flow results.
+/// Executes a scenario to completion and returns per-flow results: the
+/// run of [`Prepared::run`] at the scenario's own seed.
 ///
 /// # Thread safety
 ///
@@ -146,58 +147,81 @@ pub(crate) enum Event {
 /// returning. There are no globals, no interior mutability shared between
 /// runs, no threads and no ambient randomness, so concurrent `run` calls on
 /// different scenarios (or different seeds of the same scenario) are
-/// independent. [`Scenario`] and [`RunResult`] are `Send` (enforced below at
-/// compile time), which is what lets `wmn_exec` move runs onto worker threads.
+/// independent. [`Scenario`] and [`RunResult`] are `Send` and [`Prepared`]
+/// is `Send + Sync` (enforced below at compile time), which is what lets
+/// `wmn_exec` share a prepared scenario between worker threads.
 ///
 /// # Panics
 ///
-/// Exactly when [`Scenario::validate`] errs, with its message: a scenario
-/// it accepts runs to its end. Input from outside the program reaches `run`
-/// through `wmn_scengen`'s `materialise`, which validates first.
+/// When [`Scenario::prepare`] errs, with its error. Input from outside the
+/// program reaches a run through `wmn_scengen`'s `materialise`, which
+/// validates first, or through `prepare`, which reports the error.
 pub fn run(scenario: &Scenario) -> RunResult {
-    let mut runner = Runner::build(scenario, false);
-    runner.run_loop();
-    runner.results()
+    prepared(scenario).run(scenario.seed)
+}
+
+/// Like [`run`], but also returns the full event [`Trace`] of the run: the
+/// run of [`Prepared::run_traced`] at the scenario's own seed.
+///
+/// # Panics
+///
+/// When [`Scenario::prepare`] errs, as [`run`] does.
+pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
+    prepared(scenario).run_traced(scenario.seed)
+}
+
+/// `scenario`, prepared for [`run`] and [`run_traced`], which panic on a
+/// scenario that breaks a rule.
+fn prepared(scenario: &Scenario) -> Prepared<'_> {
+    scenario.prepare().unwrap_or_else(|e| panic!("malformed scenario {:?}: {e}", scenario.name))
+}
+
+impl Prepared<'_> {
+    /// Runs the scenario at `seed` to its end and returns per-flow results.
+    pub fn run(&self, seed: u64) -> RunResult {
+        let mut runner = Runner::build(self, seed, false);
+        runner.run_loop();
+        runner.results()
+    }
+
+    /// Like [`Prepared::run`], but also returns the full event [`Trace`] of
+    /// the run — a pure observer, so the [`RunResult`] equals `run`'s. A
+    /// traced run plans receptions at every station, since the trace
+    /// records each decode; [`Prepared::run`] skips those nothing can
+    /// observe ([`Prepared::observed_stations`]). Tracing costs memory
+    /// proportional to the number of transmissions; use short durations.
+    pub fn run_traced(&self, seed: u64) -> (RunResult, Trace) {
+        let mut runner = Runner::build(self, seed, true);
+        runner.run_loop();
+        let trace = runner.core.trace.take().expect("built traced");
+        (runner.results(), trace)
+    }
 }
 
 // Compile-time audit for the parallel executor: a scenario (and the scheme
 // it names, from which the worker builds every MAC) must be movable to a
-// worker thread and its result movable back. If a future change smuggles
-// an `Rc`/raw pointer into any of them, this fails to compile instead of
-// failing at the `wmn_exec` call site. Nothing *between* the two is `Send`
-// — pools, frames and MACs count without atomics (see `wmn_mac::pool`) —
-// and nothing between them leaves the worker.
+// worker thread, a prepared one shareable between them, and each result
+// movable back. If a future change smuggles an `Rc`/raw pointer into any of
+// them, this fails to compile instead of failing at the `wmn_exec` call
+// site. Nothing *between* them is `Send` — pools, frames and MACs count
+// without atomics (see `wmn_mac::pool`) — and nothing between them leaves
+// the worker.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_shared<T: Send + Sync>() {}
     assert_send::<Scenario>();
     assert_send::<crate::scenario::Scheme>();
+    assert_shared::<Prepared<'static>>();
     assert_send::<RunResult>();
 };
 
-/// Like [`run`], but also returns the full event [`Trace`] of the run — a
-/// pure observer, so the [`RunResult`] equals `run`'s. A traced run plans
-/// receptions at every station, since the trace records each decode;
-/// [`run`] skips those nothing can observe ([`Scenario::observed_stations`]).
-/// Tracing costs memory proportional to the number of transmissions; use
-/// short durations.
-///
-/// # Panics
-///
-/// Exactly when [`Scenario::validate`] errs, as [`run`] does.
-pub fn run_traced(scenario: &Scenario) -> (RunResult, Trace) {
-    let mut runner = Runner::build(scenario, true);
-    runner.run_loop();
-    let trace = runner.core.trace.take().expect("built traced");
-    (runner.results(), trace)
-}
-
 /// The event loop: owns the world the station stack runs against, and
 /// moves it forward in time.
-struct Runner<'a> {
-    scenario: &'a Scenario,
+struct Runner<'p> {
+    scenario: &'p Scenario,
     medium: Medium,
-    net: NetLayer,
-    core: StationStack,
+    net: NetLayer<'p>,
+    core: StationStack<'p>,
     /// The scenario's mobility tick, `None` for a static plan.
     tick: Option<SimDuration>,
     /// The tick the medium's positions were sampled at; `SimTime::ZERO`
@@ -212,17 +236,14 @@ struct Runner<'a> {
     route_oracle: bool,
 }
 
-impl<'a> Runner<'a> {
-    /// Builds the loop for `scenario`, recording a trace if `traced`, with
-    /// every route the run will take computed up front.
-    fn build(scenario: &'a Scenario, traced: bool) -> Runner<'a> {
-        if let Err(msg) = scenario.validate() {
-            panic!("malformed scenario: {msg}");
-        }
-        let schedule = RouteSchedule::of(scenario);
-        let observed = (!traced).then(|| schedule.stations(scenario));
-        let core = StationStack::build(scenario, traced, observed);
-        let net = NetLayer::build(scenario, schedule);
+impl<'p> Runner<'p> {
+    /// Builds the loop for one run of `prepared` at `seed`, recording a
+    /// trace if `traced`; every route the run takes is `prepared`'s.
+    fn build(prepared: &'p Prepared<'_>, seed: u64, traced: bool) -> Runner<'p> {
+        let scenario = prepared.scenario();
+        let observed = prepared.observed_stations(traced);
+        let core = StationStack::build(scenario, seed, traced, observed);
+        let net = NetLayer::build(scenario, &prepared.schedule);
         let mut runner = Runner {
             scenario,
             medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
@@ -310,16 +331,16 @@ impl<'a> Runner<'a> {
         let changed = self.net.refresh();
         #[cfg(test)]
         if let Some((live_changed, live_paths)) = live {
-            assert_eq!(changed, live_changed, "flows re-routed at {at:?}");
+            let flows: Vec<FlowId> = changed.iter().map(|&(flow, _)| flow).collect();
+            assert_eq!(flows, live_changed, "flows re-routed at {at:?}");
             for (i, path) in live_paths.iter().enumerate() {
                 assert_eq!(self.net.path(FlowId::new(i as u32)), path, "flow {i} at {at:?}");
             }
         }
         if self.core.trace.is_some() {
-            for flow in changed {
-                let path = self.net.path(flow).to_vec();
-                let src = path[0];
-                self.core.record_at(at, src, TraceKind::RouteChange { flow, path });
+            for (flow, path) in changed {
+                let kind = TraceKind::RouteChange { flow: *flow, path: path.clone() };
+                self.core.record_at(at, path[0], kind);
             }
         }
     }
@@ -337,7 +358,7 @@ mod tests {
     use crate::layouts::{
         blackout_scenario, drifting_mesh_scenario, drifting_relay_scenario, lossy_scenario,
     };
-    use crate::scenario::{FlowSpec, Scheme, Workload};
+    use crate::scenario::{FlowSpec, ScenarioError, Scheme, Workload};
     use crate::stack::mac_engine::MacEngine;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -598,7 +619,8 @@ mod tests {
             tick: SimDuration::from_millis(50),
         };
         s.duration = SimDuration::from_millis(200);
-        let mut runner = Runner::build(&s, false);
+        let prepared = s.prepare().expect("well-formed");
+        let mut runner = Runner::build(&prepared, s.seed, false);
         runner.run_loop();
         let p = runner.medium.position(NodeId::new(1));
         // 200 ms at 10 m/s from x = 5: the last tick at or before the end
@@ -654,7 +676,8 @@ mod tests {
         // The run up to that instant, with the source's send there its last
         // event: its transmission's receptions are queued past the end.
         let scenario = Scenario { duration: at - SimTime::ZERO, ..base };
-        let mut runner = Runner::build(&scenario, true);
+        let prepared = scenario.prepare().expect("well-formed");
+        let mut runner = Runner::build(&prepared, scenario.seed, true);
         let log = Rc::new(RefCell::new(Vec::new()));
         let stations = 0..scenario.positions.len() as u32;
         let mac = |i| Box::new(EnqueueLog { node: NodeId::new(i), log: Rc::clone(&log) });
@@ -766,7 +789,8 @@ mod tests {
             for interval_ms in [7, 15, 25, 50] {
                 let interval = SimDuration::from_millis(interval_ms);
                 let scenario = Scenario { route_refresh: Some(interval), ..base.clone() };
-                let mut runner = Runner::build(&scenario, true);
+                let prepared = scenario.prepare().expect("well-formed");
+                let mut runner = Runner::build(&prepared, scenario.seed, true);
                 runner.route_oracle = true;
                 runner.run_loop();
                 let trace = runner.core.trace.take().expect("built traced");
@@ -819,7 +843,8 @@ mod tests {
         // scheme runs the same with slots as with the `slotless`
         // reference (every arming a plain event, every disarm ignored).
         let traced = |scenario: &Scenario, slotless: bool| {
-            let mut runner = Runner::build(scenario, true);
+            let prepared = scenario.prepare().expect("well-formed");
+            let mut runner = Runner::build(&prepared, scenario.seed, true);
             runner.core.slotless = slotless;
             runner.run_loop();
             let trace = runner.core.trace.take().expect("built traced");
@@ -852,7 +877,8 @@ mod tests {
         // Every way a reception can end.
         let scenario = lossy_scenario();
         let walker = NodeId::new(scenario.positions.len() as u32 - 1);
-        let mut runner = Runner::build(&scenario, false);
+        let prepared = scenario.prepare().expect("well-formed");
+        let mut runner = Runner::build(&prepared, scenario.seed, false);
         let stopped_at = runner.run_loop();
         let result = runner.results();
         // The receptions still on the air are exactly the RxEnds still
@@ -882,13 +908,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "malformed scenario")]
     fn malformed_motion_plans_are_rejected() {
         let mut s = ftp_scenario(Scheme::Dcf { aggregation: 1 }, vec![0, 1], line_positions(2));
         s.motion = MotionPlan {
             paths: vec![NodePath::Static; 3], // 3 paths, 2 stations
             ..MotionPlan::default()
         };
-        let _ = run(&s);
+        let err = s.prepare().expect_err("3 paths for 2 stations");
+        assert!(matches!(&err, ScenarioError::Motion(msg) if msg.contains("3 paths")), "{err}");
     }
 }

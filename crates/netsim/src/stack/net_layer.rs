@@ -12,14 +12,13 @@
 //! relay leaving a flow pinned to its stale forwarder list forever. A
 //! refresh reads only positions, which are pure functions of time, and
 //! draws no RNG, so every route a run will take is known before its first
-//! event: `RouteSchedule::of` computes them once, when the run is built,
-//! one entry per refresh instant, and the loop applies each entry's changes
+//! event: `RouteSchedule::of` computes them once per scenario, when it is
+//! prepared ([`crate::scenario::Prepared`]), one entry per refresh instant,
+//! and every run of it reads them: the loop applies each entry's changes
 //! (`NetLayer::refresh`) before the first event at or after its instant. A
 //! flow whose endpoints have no path keeps its last-known-good route, so a
 //! refresh over an unmoved topology is a behavioural no-op (pinned by the
 //! crate's equivalence tests).
-
-use std::collections::VecDeque;
 
 use wmn_mac::frame::RouteInfo;
 use wmn_phy::{LinkModel, Position};
@@ -30,20 +29,21 @@ use crate::scenario::Scenario;
 use crate::stack::phy_io::{last_tick, sample_moving, tick_of};
 
 /// One flow's routes: its current path (source → destination, inclusive;
-/// what a traced run records when a refresh changes it) and, under an
-/// opportunistic scheme, the decisions at its two directions' sources.
-struct FlowRoutes {
-    path: Vec<NodeId>,
+/// what a traced run records when a refresh changes it), borrowed from the
+/// scenario or its route schedule, and, under an opportunistic scheme, the
+/// decisions at its two directions' sources.
+struct FlowRoutes<'p> {
+    path: &'p [NodeId],
     /// The forward and the reverse forwarder list; `None` for a per-hop
     /// scheme.
     lists: Option<[RouteInfo; 2]>,
 }
 
-impl FlowRoutes {
-    fn new(path: Vec<NodeId>, opportunistic: bool, max_forwarders: usize) -> FlowRoutes {
+impl<'p> FlowRoutes<'p> {
+    fn new(path: &'p [NodeId], opportunistic: bool, max_forwarders: usize) -> FlowRoutes<'p> {
         let lists = opportunistic.then(|| {
             let reversed: Vec<NodeId> = path.iter().rev().copied().collect();
-            [&path[..], &reversed[..]].map(|path| RouteInfo::Opportunistic {
+            [path, &reversed[..]].map(|path| RouteInfo::Opportunistic {
                 list: forwarder_list(path, max_forwarders).into(),
             })
         });
@@ -54,7 +54,7 @@ impl FlowRoutes {
     /// `node` twice, a per-hop flow routes it by its last visit going
     /// forward and its first going in reverse.
     fn route(&self, node: NodeId, forward: bool) -> Option<RouteInfo> {
-        let path = &self.path[..];
+        let path = self.path;
         let last = path.len() - 1;
         if let Some([fwd, rev]) = &self.lists {
             let (source, list) = if forward { (path[0], fwd) } else { (path[last], rev) };
@@ -71,12 +71,14 @@ impl FlowRoutes {
 
 /// One refresh of a run: its instant, and each flow it re-routes,
 /// ascending, with the flow's new path.
+#[derive(Debug)]
 struct Refresh {
     at: SimTime,
     changes: Vec<(FlowId, Vec<NodeId>)>,
 }
 
 /// Every refresh of a run, in order: when each runs and what it finds.
+#[derive(Debug)]
 pub(crate) struct RouteSchedule {
     refreshes: Vec<Refresh>,
 }
@@ -158,26 +160,27 @@ fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) 
 }
 
 /// The network layer: routing decisions for every flow of a run.
-pub(crate) struct NetLayer {
-    flows: Vec<FlowRoutes>,
-    /// The refreshes still to apply, next first.
-    schedule: VecDeque<Refresh>,
+pub(crate) struct NetLayer<'p> {
+    flows: Vec<FlowRoutes<'p>>,
+    /// The cursor into the shared schedule: the refreshes still to apply,
+    /// next first.
+    pending: &'p [Refresh],
     opportunistic: bool,
     max_forwarders: usize,
 }
 
-impl NetLayer {
+impl<'p> NetLayer<'p> {
     /// Builds every flow's routes from a validated scenario, with the route
-    /// changes its refreshes will apply.
-    pub(crate) fn build(scenario: &Scenario, schedule: RouteSchedule) -> Self {
+    /// changes its refreshes will apply, read from `schedule`.
+    pub(crate) fn build(scenario: &'p Scenario, schedule: &'p RouteSchedule) -> Self {
         let opportunistic = scenario.scheme.is_opportunistic();
         let max_forwarders = scenario.max_forwarders;
         let flows = scenario
             .flows
             .iter()
-            .map(|spec| FlowRoutes::new(spec.path.clone(), opportunistic, max_forwarders))
+            .map(|spec| FlowRoutes::new(&spec.path, opportunistic, max_forwarders))
             .collect();
-        NetLayer { flows, schedule: schedule.refreshes.into(), opportunistic, max_forwarders }
+        NetLayer { flows, pending: &schedule.refreshes, opportunistic, max_forwarders }
     }
 
     /// The routing decision of `flow` at `node`, in the given direction
@@ -188,25 +191,26 @@ impl NetLayer {
     }
 
     /// The current path of `flow` (source → destination, inclusive).
-    pub(crate) fn path(&self, flow: FlowId) -> &[NodeId] {
-        &self.flows[flow.index()].path
+    #[cfg(test)]
+    pub(crate) fn path(&self, flow: FlowId) -> &'p [NodeId] {
+        self.flows[flow.index()].path
     }
 
     /// The instant of the next refresh, `None` when none is left.
     pub(crate) fn next_refresh(&self) -> Option<SimTime> {
-        self.schedule.front().map(|refresh| refresh.at)
+        self.pending.first().map(|refresh| refresh.at)
     }
 
     /// Applies the next refresh: re-routes each flow it changes, and
-    /// returns those flows, ascending.
-    pub(crate) fn refresh(&mut self) -> Vec<FlowId> {
-        let refresh = self.schedule.pop_front().expect("a refresh is scheduled");
-        let Self { flows, opportunistic, max_forwarders, .. } = self;
-        let reroute = |(flow, path): (FlowId, Vec<NodeId>)| {
-            flows[flow.index()] = FlowRoutes::new(path, *opportunistic, *max_forwarders);
-            flow
-        };
-        refresh.changes.into_iter().map(reroute).collect()
+    /// returns those flows, ascending, each with its new path.
+    pub(crate) fn refresh(&mut self) -> &'p [(FlowId, Vec<NodeId>)] {
+        let (refresh, rest) = self.pending.split_first().expect("a refresh is scheduled");
+        self.pending = rest;
+        for (flow, path) in &refresh.changes {
+            self.flows[flow.index()] =
+                FlowRoutes::new(path, self.opportunistic, self.max_forwarders);
+        }
+        &refresh.changes
     }
 
     /// What a refresh over stations at `positions` changes, computed live
@@ -218,7 +222,7 @@ impl NetLayer {
         link: &LinkModel,
         positions: &[Position],
     ) -> (Vec<FlowId>, Vec<Vec<NodeId>>) {
-        let mut paths: Vec<Vec<NodeId>> = self.flows.iter().map(|f| f.path.clone()).collect();
+        let mut paths: Vec<Vec<NodeId>> = self.flows.iter().map(|f| f.path.to_vec()).collect();
         let changed = reroute(link, positions, &mut paths);
         (changed, paths)
     }
@@ -273,7 +277,8 @@ mod tests {
 
     #[test]
     fn a_revisited_station_routes_by_its_last_visit_forward_and_its_first_in_reverse() {
-        let routes = FlowRoutes::new(nodes(&[0, 1, 2, 1, 3]), false, 5);
+        let path = nodes(&[0, 1, 2, 1, 3]);
+        let routes = FlowRoutes::new(&path, false, 5);
         let hop = |i| Some(RouteInfo::NextHop(NodeId::new(i)));
         assert_eq!(routes.route(NodeId::new(1), true), hop(3));
         assert_eq!(routes.route(NodeId::new(1), false), hop(0));
@@ -296,7 +301,7 @@ mod tests {
             let path = nodes(&ids);
             let n = STATIONS as usize;
             let (fwd, rev) = build_routes(&path, n, opportunistic, max_forwarders);
-            let routes = FlowRoutes::new(path, opportunistic, max_forwarders);
+            let routes = FlowRoutes::new(&path, opportunistic, max_forwarders);
             for (node, (fwd, rev)) in fwd.iter().zip(&rev).enumerate() {
                 let node = NodeId::new(node as u32);
                 prop_assert_eq!(&routes.route(node, true), fwd, "forward at {:?}", node);

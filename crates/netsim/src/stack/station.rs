@@ -23,8 +23,9 @@
 //! frame counter, receiver), a reception's bit errors by (receiver,
 //! transmitter, frame counter). No draw depends on which others were taken,
 //! so a run that plans receptions only at the stations it observes
-//! ([`Scenario::observed_stations`]) draws, for those stations, exactly
-//! what a run that plans every station draws.
+//! ([`Prepared::observed_stations`](crate::Prepared::observed_stations))
+//! draws, for those stations, exactly what a run that plans every station
+//! draws.
 
 use std::sync::Arc;
 
@@ -91,7 +92,7 @@ pub(crate) struct World<'a> {
     /// The shared channel: link state and the reception planner.
     pub(crate) medium: &'a Medium,
     /// Per-flow routes.
-    pub(crate) net: &'a NetLayer,
+    pub(crate) net: &'a NetLayer<'a>,
 }
 
 /// The entity an event is scheduled on behalf of — what its tie-break key
@@ -124,7 +125,7 @@ impl KeyBlock {
 /// The per-station / per-flow engine state and its event handlers (see the
 /// module docs). Building only derives streams and keys: no stream a
 /// handler draws from is advanced by construction.
-pub(crate) struct StationStack {
+pub(crate) struct StationStack<'p> {
     /// The future-event list; its clock is the stack's only clock.
     pub(crate) queue: KeyedEventQueue<Event>,
     pub(crate) macs: MacEngine,
@@ -149,8 +150,9 @@ pub(crate) struct StationStack {
     pub(crate) air: AirTable,
     ber: BerModel,
     /// The stations `broadcast` plans receptions at, ascending, or `None`
-    /// for all ([`Scenario::observed_stations`]).
-    observed: Option<Vec<NodeId>>,
+    /// for all, borrowed from the run's
+    /// [`Prepared`](crate::Prepared::observed_stations).
+    observed: Option<&'p [NodeId]>,
     /// `broadcast`'s reception order, reused by every transmission.
     order: ReceptionOrder,
     /// Recycler for transport packet bodies: once warm, minting a TCP
@@ -166,9 +168,9 @@ pub(crate) struct StationStack {
     pub(super) mac_timer_pops: u64,
 }
 
-impl StationStack {
-    /// Builds the stack from a validated scenario, every RNG stream and
-    /// draw key derived from its master seed, and seeds
+impl<'p> StationStack<'p> {
+    /// Builds the stack for one run of a validated scenario, every RNG
+    /// stream and draw key derived from `seed`, and seeds
     /// the queue with every flow's arrival process, sized to exactly that
     /// load plus a few entries per station, so the heap warms up here
     /// instead of growing inside the hot loop. The timers cancelled far
@@ -183,10 +185,11 @@ impl StationStack {
     /// stations, or at all for `None`.
     pub(crate) fn build(
         scenario: &Scenario,
+        seed: u64,
         traced: bool,
-        observed: Option<Vec<NodeId>>,
-    ) -> StationStack {
-        let dir = &RngDirectory::new(scenario.seed);
+        observed: Option<&'p [NodeId]>,
+    ) -> StationStack<'p> {
+        let dir = &RngDirectory::new(seed);
         let n = scenario.positions.len();
         let mut channel = dir.stream(labels::CHANNEL);
         let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, dir);
@@ -499,7 +502,7 @@ impl StationStack {
         let sent = self.sent[from.index()];
         self.sent[from.index()] += 1;
         let key = self.shadowing.then(from.index() as u64).then(sent);
-        medium.plan_receptions_into(from, key, &mut plans, self.observed.as_deref());
+        medium.plan_receptions_into(from, key, &mut plans, self.observed);
         self.air.park(frame, plans, (from, sent))
     }
 
@@ -705,7 +708,6 @@ mod tests {
     use wmn_phy::{PhyParams, Position};
 
     use crate::scenario::{FlowSpec, Scheme};
-    use crate::stack::net_layer::RouteSchedule;
 
     /// Token whose fire starts the scripted chain.
     const GO: u64 = 100;
@@ -806,12 +808,14 @@ mod tests {
         //     Deliver → on_enqueue   [T20, StartTx, T21]
         //       StartTx → on_busy   [T30]
         let scenario = relay_scenario();
-        let mut stack = StationStack::build(&scenario, false, scenario.observed_stations(false));
+        let prepared = scenario.prepare().expect("well-formed");
+        let mut stack =
+            StationStack::build(&scenario, scenario.seed, false, prepared.observed_stations(false));
         let log = Rc::new(RefCell::new(Vec::new()));
         let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Rc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
-        let net = NetLayer::build(&scenario, RouteSchedule::of(&scenario));
+        let net = NetLayer::build(&scenario, &prepared.schedule);
         let w = World { medium: &medium, net: &net };
         let relay = NodeId::new(1);
         let now = stack.now();
@@ -847,7 +851,7 @@ mod tests {
         assert_eq!(tokens, expected);
     }
 
-    impl StationStack {
+    impl StationStack<'_> {
         /// The per-event scheduling `broadcast` replaced — 2·F pushes, in
         /// plan order — kept as its oracle.
         fn broadcast_per_event(
@@ -909,7 +913,9 @@ mod tests {
         traced: bool,
         send: fn(&mut StationStack, NodeId, Arc<Frame>, SimDuration, &Medium),
     ) -> (Vec<Popped>, [EventKey; 2]) {
-        let mut stack = StationStack::build(scenario, traced, scenario.observed_stations(traced));
+        let prepared = scenario.prepare().expect("well-formed");
+        let observed = prepared.observed_stations(traced);
+        let mut stack = StationStack::build(scenario, scenario.seed, traced, observed);
         let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
         let n = scenario.positions.len() as u32;
         let frame = |from| {
@@ -980,11 +986,15 @@ mod tests {
     fn broadcast_pops_what_per_event_scheduling_pops() {
         let scenario = dense_scenario();
         for traced in [false, true] {
-            let (runs, next_keys) = pop_sequence(&scenario, traced, StationStack::broadcast);
-            let oracle = pop_sequence(&scenario, traced, StationStack::broadcast_per_event);
+            let (runs, next_keys) =
+                pop_sequence(&scenario, traced, |s, from, f, air, m| s.broadcast(from, f, air, m));
+            let oracle = pop_sequence(&scenario, traced, |s, from, f, air, m| {
+                s.broadcast_per_event(from, f, air, m)
+            });
             assert_eq!((&runs, next_keys), (&oracle.0, oracle.1), "traced: {traced}");
             // Only an untraced stack leaves the bystanders out.
-            assert_eq!(scenario.observed_stations(traced).is_some(), !traced);
+            let prepared = scenario.prepare().expect("well-formed");
+            assert_eq!(prepared.observed_stations(traced).is_some(), !traced);
             let heard = |i: &u32| runs.iter().any(|p| p.1 == "RxStart" && p.2 == *i);
             assert_eq!(BYSTANDERS.iter().any(heard), traced, "traced {traced}");
             // The comparison is not vacuous: dozens of receptions each, and
@@ -1003,7 +1013,7 @@ mod tests {
     #[test]
     fn per_entity_keys_count_per_origin() {
         // The flow's start took key 0 of its lane at build time.
-        let mut stack = StationStack::build(&relay_scenario(), false, None);
+        let mut stack = StationStack::build(&relay_scenario(), 1, false, None);
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
         assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 0));

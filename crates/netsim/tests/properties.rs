@@ -2,7 +2,7 @@
 //! random schemes, random seeds — conservation and sanity must always hold.
 
 use proptest::prelude::*;
-use wmn_netsim::{run, FlowSpec, Scenario, Scheme, Workload};
+use wmn_netsim::{run, FlowSpec, Scenario, ScenarioError, Scheme, Workload};
 use wmn_phy::{PhyParams, Position};
 use wmn_sim::{NodeId, SimDuration};
 
@@ -252,13 +252,18 @@ fn sound_scenario(case: usize) -> Scenario {
     }
 }
 
-type Mutation = (String, Box<dyn Fn(&mut Scenario) + Send>);
+/// Whether an error is one the mutated field's rule may raise.
+type Rule = fn(&ScenarioError) -> bool;
+
+type Mutation = (String, Box<dyn Fn(&mut Scenario) + Send>, Rule);
 
 /// One mutation per (field, hostile value): NaN, ±∞, ±0, 1e-300, ±1e308,
 /// 0, 1 and the type's maximum, zero, 1 ns, [`SimDuration::LIMIT`] and
 /// `SimDuration::MAX` spans, colocated and far-flung stations, and paths
-/// that repeat or revisit nodes.
+/// that repeat or revisit nodes; each with the variants its field's rule
+/// may reject it with, or none where every value must run.
 fn hostile_mutations() -> Vec<Mutation> {
+    use wmn_netsim::ScenarioError as E;
     use wmn_netsim::{NodePath, Waypoint};
     use wmn_phy::Rate;
     use wmn_sim::SimTime;
@@ -309,95 +314,109 @@ fn hostile_mutations() -> Vec<Mutation> {
 
     let mut out: Vec<Mutation> = Vec::new();
     macro_rules! rows {
+        ($field:literal in $values:expr => $rule:pat, |$s:ident, $v:ident| $edit:expr) => {
+            for $v in $values {
+                out.push((
+                    format!("{} = {:?}", $field, $v),
+                    Box::new(move |$s: &mut Scenario| $edit),
+                    |e| matches!(e, $rule),
+                ));
+            }
+        };
         ($field:literal in $values:expr, |$s:ident, $v:ident| $edit:expr) => {
             for $v in $values {
                 out.push((
                     format!("{} = {:?}", $field, $v),
                     Box::new(move |$s: &mut Scenario| $edit),
+                    |_| false,
                 ));
             }
         };
     }
-    rows!("link.tx_power_dbm" in REALS, |s, v| s.params.link.tx_power_dbm = v);
-    rows!("link.rx_thresh_dbm" in REALS, |s, v| s.params.link.rx_thresh_dbm = v);
-    rows!("link.cs_thresh_dbm" in REALS, |s, v| s.params.link.cs_thresh_dbm = v);
-    rows!("link.path_loss_exponent" in REALS, |s, v| s.params.link.path_loss_exponent = v);
-    rows!("link.sigma_db" in REALS, |s, v| s.params.link.sigma_db = v);
-    rows!("link.reference_distance" in REALS, |s, v| s.params.link.reference_distance = v);
-    rows!("link.pl_at_reference_db" in REALS, |s, v| s.params.link.pl_at_reference_db = v);
-    rows!("ber" in REALS, |s, v| s.params.ber = v);
-    rows!("data_rate (Mbps)" in [1e-300, 1e-3, 1e308], |s, v| s.params.data_rate = Rate::mbps(v));
-    rows!("basic_rate (Mbps)" in [1e-300, 1e-3, 1e308], |s, v| s.params.basic_rate = Rate::mbps(v));
-    rows!("sifs" in SPANS, |s, v| s.params.sifs = v);
-    rows!("slot" in SPANS, |s, v| s.params.slot = v);
-    rows!("phy_header" in SPANS, |s, v| s.params.phy_header = v);
-    rows!("slot = sifs" in SPANS, |s, v| (s.params.slot, s.params.sifs) = (v, v));
-    rows!("cw_min" in U32S, |s, v| s.params.cw_min = v);
-    rows!("cw_max" in U32S, |s, v| s.params.cw_max = v);
-    rows!("retry_limit" in [0u8, u8::MAX], |s, v| s.params.retry_limit = v);
-    rows!("ifq_capacity" in USIZES, |s, v| s.params.ifq_capacity = v);
-    rows!("packet_size" in U32S, |s, v| s.params.packet_size = v);
-    rows!("positions[1].x" in REALS, |s, v| s.positions[1].x = v);
-    rows!("positions[2].y" in REALS, |s, v| s.positions[2].y = v);
-    rows!("positions[0, 2].x = ∓" in [1.7e308, 1e16], |s, v| (s.positions[0].x, s.positions[2].x) = (-v, v));
+    rows!("link.tx_power_dbm" in REALS => E::Phy(_), |s, v| s.params.link.tx_power_dbm = v);
+    rows!("link.rx_thresh_dbm" in REALS => E::Phy(_), |s, v| s.params.link.rx_thresh_dbm = v);
+    rows!("link.cs_thresh_dbm" in REALS => E::Phy(_), |s, v| s.params.link.cs_thresh_dbm = v);
+    rows!("link.path_loss_exponent" in REALS => E::Phy(_), |s, v| s.params.link.path_loss_exponent = v);
+    rows!("link.sigma_db" in REALS => E::Phy(_), |s, v| s.params.link.sigma_db = v);
+    rows!("link.reference_distance" in REALS => E::Phy(_), |s, v| s.params.link.reference_distance = v);
+    rows!("link.pl_at_reference_db" in REALS => E::Phy(_), |s, v| s.params.link.pl_at_reference_db = v);
+    rows!("ber" in REALS => E::Phy(_), |s, v| s.params.ber = v);
+    rows!("data_rate (Mbps)" in [1e-300, 1e-3, 1e308] => E::Phy(_), |s, v| s.params.data_rate = Rate::mbps(v));
+    rows!("basic_rate (Mbps)" in [1e-300, 1e-3, 1e308] => E::Phy(_), |s, v| s.params.basic_rate = Rate::mbps(v));
+    rows!("sifs" in SPANS => E::Phy(_), |s, v| s.params.sifs = v);
+    rows!("slot" in SPANS => E::Phy(_), |s, v| s.params.slot = v);
+    rows!("phy_header" in SPANS => E::Phy(_), |s, v| s.params.phy_header = v);
+    rows!("slot = sifs" in SPANS => E::Phy(_), |s, v| (s.params.slot, s.params.sifs) = (v, v));
+    rows!("cw_min" in U32S => E::Phy(_), |s, v| s.params.cw_min = v);
+    rows!("cw_max" in U32S => E::Phy(_), |s, v| s.params.cw_max = v);
+    rows!("retry_limit" in [0u8, u8::MAX] => E::Phy(_), |s, v| s.params.retry_limit = v);
+    rows!("ifq_capacity" in USIZES => E::Phy(_), |s, v| s.params.ifq_capacity = v);
+    rows!("packet_size" in U32S => E::Phy(_), |s, v| s.params.packet_size = v);
+    rows!("positions[1].x" in REALS => E::NonFinitePosition { .. } | E::Motion(_), |s, v| s.positions[1].x = v);
+    rows!("positions[2].y" in REALS => E::NonFinitePosition { .. } | E::Motion(_), |s, v| s.positions[2].y = v);
+    rows!("positions[0, 2].x = ∓" in [1.7e308, 1e16] => E::Motion(_), |s, v| (s.positions[0].x, s.positions[2].x) = (-v, v));
     rows!("every position" in [0.0, 1e-300], |s, v| s.positions.iter_mut().for_each(|p| *p = Position::new(v, v)));
-    rows!("Dcf.aggregation" in USIZES, |s, v| s.scheme = Scheme::Dcf { aggregation: v });
-    rows!("Ripple.aggregation" in USIZES, |s, v| s.scheme = Scheme::Ripple { aggregation: v });
-    rows!("flows[0].path" in [vec![0, 1, 0], vec![0, 1, 2, 1, 2], vec![0, 2, 1, 0], vec![2, 1, 0], vec![0, 0, 1], vec![1]], |s, v| {
+    rows!("Dcf.aggregation" in USIZES => E::ZeroAggregation(_), |s, v| s.scheme = Scheme::Dcf { aggregation: v });
+    rows!("Ripple.aggregation" in USIZES => E::ZeroAggregation(_), |s, v| s.scheme = Scheme::Ripple { aggregation: v });
+    rows!("flows[0].path" in [vec![0, 1, 0], vec![0, 1, 2, 1, 2], vec![0, 2, 1, 0], vec![2, 1, 0], vec![0, 0, 1], vec![1]] => E::ShortPath { flow: 0, .. } | E::RepeatedHop { flow: 0 }, |s, v| {
         s.flows[0].path = v.iter().map(|&i| NodeId::new(i)).collect()
     });
-    rows!("flows" in [2, 0], |s, v| s.flows = vec![s.flows[0].clone(); v]);
-    rows!("duration" in [SimDuration::ZERO, SimDuration::from_nanos(1), SimDuration::MAX], |s, v| s.duration = v);
+    rows!("flows" in [2, 0] => E::NoFlows, |s, v| s.flows = vec![s.flows[0].clone(); v]);
+    rows!("duration" in [SimDuration::ZERO, SimDuration::from_nanos(1), SimDuration::MAX] => E::DurationPastLimit(_), |s, v| s.duration = v);
     rows!("max_forwarders" in USIZES, |s, v| s.max_forwarders = v);
     rows!("seed" in [0, u64::MAX], |s, v| s.seed = v);
     rows!("shards" in [Some(0), Some(1), Some(u32::MAX)], |s, v| s.shards = v);
-    rows!("route_refresh" in SPANS, |s, v| {
+    rows!("route_refresh" in SPANS => E::ZeroRefresh, |s, v| {
         s.route_refresh = Some(v);
         periodic(s, v)
     });
-    rows!("web.mean_transfer_bytes" in REALS, |s, v| web(s).mean_transfer_bytes = v);
-    rows!("web.pareto_shape" in REALS, |s, v| web(s).pareto_shape = v);
-    rows!("web.pareto_shape" in [0.5, 1.0, 1.0 + f64::EPSILON], |s, v| web(s).pareto_shape = v);
-    rows!("web.mean_off_seconds" in REALS, |s, v| web(s).mean_off_seconds = v);
-    rows!("web.mss_bytes" in U32S, |s, v| web(s).mss_bytes = v);
-    rows!("voip.bitrate_bps" in REALS, |s, v| voip(s).bitrate_bps = v);
-    rows!("voip.packet_bytes" in U32S, |s, v| voip(s).packet_bytes = v);
-    rows!("voip.mean_on_seconds" in REALS, |s, v| voip(s).mean_on_seconds = v);
-    rows!("voip.mean_off_seconds" in REALS, |s, v| voip(s).mean_off_seconds = v);
-    rows!("cbr.packet_bytes" in U32S, |s, v| cbr(s).packet_bytes = v);
-    rows!("cbr.interval" in SPANS, |s, v| {
+    rows!("web.mean_transfer_bytes" in REALS => E::Workload { flow: 0, .. }, |s, v| web(s).mean_transfer_bytes = v);
+    rows!("web.pareto_shape" in REALS => E::Workload { flow: 0, .. }, |s, v| web(s).pareto_shape = v);
+    rows!("web.pareto_shape" in [0.5, 1.0, 1.0 + f64::EPSILON] => E::Workload { flow: 0, .. }, |s, v| web(s).pareto_shape = v);
+    rows!("web.mean_off_seconds" in REALS => E::Workload { flow: 0, .. }, |s, v| web(s).mean_off_seconds = v);
+    rows!("web.mss_bytes" in U32S => E::Workload { flow: 0, .. }, |s, v| web(s).mss_bytes = v);
+    rows!("voip.bitrate_bps" in REALS => E::Workload { flow: 0, .. }, |s, v| voip(s).bitrate_bps = v);
+    rows!("voip.packet_bytes" in U32S => E::Workload { flow: 0, .. }, |s, v| voip(s).packet_bytes = v);
+    rows!("voip.mean_on_seconds" in REALS => E::Workload { flow: 0, .. }, |s, v| voip(s).mean_on_seconds = v);
+    rows!("voip.mean_off_seconds" in REALS => E::Workload { flow: 0, .. }, |s, v| voip(s).mean_off_seconds = v);
+    rows!("cbr.packet_bytes" in U32S => E::Workload { flow: 0, .. }, |s, v| cbr(s).packet_bytes = v);
+    rows!("cbr.interval" in SPANS => E::Workload { flow: 0, .. }, |s, v| {
         cbr(s).interval = v;
         periodic(s, v)
     });
-    rows!("drift.vx_mps" in REALS, |s, v| s.motion.paths = vec![NodePath::Drift { vx_mps: v, vy_mps: 1.0 }]);
-    rows!("motion.tick" in SPANS, |s, v| {
+    rows!("drift.vx_mps" in REALS => E::Motion(_), |s, v| s.motion.paths = vec![NodePath::Drift { vx_mps: v, vy_mps: 1.0 }]);
+    rows!("motion.tick" in SPANS => E::Motion(_), |s, v| {
         drift(s);
         s.motion.tick = v;
         periodic(s, v)
     });
-    rows!("motion.paths" in [4, 3], |s, v| s.motion.paths = vec![NodePath::Static; v]);
-    rows!("waypoint.x" in REALS, |s, v| s.motion.paths = vec![NodePath::Static, waypoints(&[(1000, v)])]);
+    rows!("motion.paths" in [4, 3] => E::Motion(_), |s, v| s.motion.paths = vec![NodePath::Static; v]);
+    rows!("waypoint.x" in REALS => E::Motion(_), |s, v| s.motion.paths = vec![NodePath::Static, waypoints(&[(1000, v)])]);
     rows!("waypoints" in [
         vec![(0, 3.0)],
         vec![(1000, 3.0), (1000, 4.0)],
         vec![(1000, -1.7e308), (2000, 1.7e308)],
         vec![(1, 3.0), (u64::MAX, 4.0)],
-    ], |s, v| s.motion.paths = vec![waypoints(&v)]);
+    ] => E::Motion(_), |s, v| s.motion.paths = vec![waypoints(&v)]);
     out
 }
 
-/// Whatever one field of a sound scenario is set to, the scenario either
-/// fails `validate` or runs to its end: no panic inside `run`, no hang.
+/// Whatever one field of a sound scenario is set to, the scenario is
+/// either rejected by that field's rule or prepared and run to its end: no
+/// panic inside the run, no hang.
 #[test]
 fn prop_a_hostile_field_is_rejected_or_runs() {
     watchdog::run_cases(std::time::Duration::from_secs(60), |announce| {
-        for (case, (label, mutate)) in hostile_mutations().into_iter().enumerate() {
+        for (case, (label, mutate, rule)) in hostile_mutations().into_iter().enumerate() {
             let mut scenario = sound_scenario(case);
             mutate(&mut scenario);
             announce(format!("{label} under {}", scenario.scheme.label()));
-            if scenario.validate().is_ok() {
-                let result = run(&scenario);
-                assert_eq!(result.flows.len(), scenario.flows.len(), "{label}");
+            match scenario.prepare() {
+                Ok(prepared) => {
+                    let result = prepared.run(scenario.seed);
+                    assert_eq!(result.flows.len(), scenario.flows.len(), "{label}");
+                }
+                Err(err) => assert!(rule(&err), "{label}: rejected by another rule: {err:?}"),
             }
         }
     });

@@ -210,7 +210,7 @@ impl ScenarioSpec {
             route_refresh,
             shards: None,
         };
-        scenario.validate().map_err(err)?;
+        scenario.validate().map_err(|e| err(e.to_string()))?;
         Ok(scenario)
     }
 

@@ -252,14 +252,17 @@ fn committed_regressions_end_in_an_error() {
             let text = std::fs::read_to_string(&path).expect("readable");
             let outcome = wmn_scengen::ScenarioSpec::parse(&text)
                 .and_then(|spec| spec.materialise())
-                .map(|scenario| wmn_netsim::run(&scenario));
+                .and_then(|scenario| {
+                    let prepared = scenario.prepare().map_err(|e| e.to_string())?;
+                    Ok(prepared.run(scenario.seed))
+                });
             assert!(outcome.is_err(), "{} ran to its end", path.display());
         }
     });
 }
 
 /// An untraced run reports what a traced one does, bit for bit: the
-/// receptions `run` leaves out (`Scenario::observed_stations`) change
+/// receptions `run` leaves out (`Prepared::observed_stations`) change
 /// nothing. Sound random specs, each case pinned to one of six classes
 /// (BER 0 or the drawn 1e-6 / 1e-5 × static, mobile, or mobile with route
 /// refresh); every class must come up with stations that no flow's path

@@ -95,7 +95,7 @@ impl Topology {
 /// The ids are taken verbatim: they must obey the target topology's NodeId
 /// contract (dense indices below its node count) — this helper cannot check
 /// that because it does not know the topology. Pair it with
-/// [`Topology::contains`] or `wmn_netsim::Scenario::validate` when the ids
+/// [`Topology::contains`] or `wmn_netsim::Scenario::prepare` when the ids
 /// are not literals.
 pub fn path(ids: &[u32]) -> Vec<NodeId> {
     ids.iter().map(|&i| NodeId::new(i)).collect()

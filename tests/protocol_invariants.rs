@@ -411,9 +411,10 @@ fn bystanders_are_inert_under_every_scheme() {
     // the other three only, where the full planner draws nine.
     let mut scenario = base(Scheme::Ripple { aggregation: 16 }, 0.0, 1);
     scenario.positions = (0..10).map(|i| Position::new(f64::from(i) * 2.0, 0.0)).collect();
-    let observed = scenario.observed_stations(false).expect("untraced");
+    let prepared = scenario.prepare().expect("well-formed");
+    let observed = prepared.observed_stations(false).expect("untraced");
     assert_eq!(observed, [0, 1, 2, 3].map(node), "the bystanders are left out");
-    let medium = Medium::new(params, scenario.positions);
+    let medium = Medium::new(params, scenario.positions.clone());
     let drawn = |observed: Option<&[NodeId]>| {
         let before = wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize];
         let mut plans = Vec::new();
@@ -424,5 +425,5 @@ fn bystanders_are_inert_under_every_scheme() {
         }
         wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize] - before
     };
-    assert_eq!((drawn(Some(&observed)), drawn(None)), (4 * 3, 4 * 9));
+    assert_eq!((drawn(Some(observed)), drawn(None)), (4 * 3, 4 * 9));
 }
