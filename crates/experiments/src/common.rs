@@ -200,12 +200,6 @@ pub fn next_named(avgs: &mut impl Iterator<Item = AvgResult>, expected: &str) ->
     avg
 }
 
-/// Runs one scenario once per seed and averages the results (a one-scenario
-/// [`run_grid`]).
-pub fn run_averaged(scenario: &Scenario, cfg: &ExpConfig) -> AvgResult {
-    run_grid(std::slice::from_ref(scenario), cfg).pop().expect("one scenario in, one average out")
-}
-
 /// The five schemes of Figs. 3/4 in paper order: S (direct DCF), D
 /// (route DCF), R1 (RIPPLE no aggregation), A (AFR), R16 (RIPPLE).
 /// `direct` tells the caller to collapse each flow's path to source →
@@ -260,7 +254,7 @@ mod tests {
     fn averaging_covers_all_seeds() {
         let scenario = two_node_scenario("avg");
         let cfg = ExpConfig::custom(SimDuration::from_millis(100), vec![1, 2, 3]);
-        let avg = run_averaged(&scenario, &cfg);
+        let avg = run_grid(std::slice::from_ref(&scenario), &cfg).pop().unwrap();
         assert_eq!(avg.flows.len(), 1);
         assert!(avg.flows[0].throughput_mbps > 1.0);
         assert!(avg.total_throughput_mbps > 1.0);

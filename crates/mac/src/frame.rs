@@ -313,7 +313,7 @@ impl Frame {
     /// build the day it is paid.
     #[expect(
         clippy::arc_with_non_send_sync,
-        reason = "perfbench pins RxFrame::Shared(Arc<Frame>); becomes Rc at ROADMAP item 5"
+        reason = "perfbench builds RxFrame::Shared(Arc<Frame>) by name, so the handle stays Arc"
     )]
     pub fn into_shared(self) -> Arc<Frame> {
         Arc::new(self)

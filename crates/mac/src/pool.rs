@@ -8,16 +8,30 @@
 //! decode never touches the allocator at all. When the last handle drops,
 //! the buffer is cleared and parked back in its home pool, so steady-state
 //! traffic recycles a bounded working set instead of paying one
-//! malloc/free pair per packet per hop.
+//! malloc/free pair per packet per hop. The MAC's queue, reorder and
+//! in-flight batches recycle the same way, through a [`SlotPool`].
+//!
+//! # One pooled vector
+//!
+//! Every recycled buffer is a [`PooledVec`]: a reference-counted `Vec<T>`
+//! plus the [`Home`] it parks in. [`Body`], [`SubframeVec`] and [`Slot`]
+//! are its names for packet bytes, a data frame's subframes and a MAC
+//! batch; [`SlotPool`] is the one-list [`Pool`], and [`FramePool`] is a
+//! home for both bytes and subframes behind one `Rc`. So there is one
+//! `Drop` (only the last handle parks, and it clears the buffer first), one
+//! copy-on-write path (`DerefMut` goes through [`Rc::make_mut`]: mutating a
+//! shared buffer copies it, an unshared one mutates in place) and one
+//! free-list rule.
 //!
 //! The invariant recycling must keep — a recycled buffer starts life empty:
 //! no stale body bytes, no stale `corrupted` subframes — is what the
-//! property tests below pin, over arbitrary mint/clone/drop interleavings.
+//! property tests below pin, over arbitrary mint/clone/mutate/drop
+//! interleavings.
 //!
 //! The pool is deliberately invisible to simulation results: which buffer a
 //! mint returns affects addresses only, never values, so pooling cannot
 //! perturb the bit-identical repro contract. A buffer is reclaimed by
-//! whoever drops its frame last.
+//! whoever drops its last handle.
 //!
 //! # One thread
 //!
@@ -45,9 +59,9 @@
 //! The price is that a double borrow is a runtime panic, not a compile
 //! error, and dropping pooled contents re-enters the pool (a subframe
 //! vector's packets park their bodies; a slot's packets likewise). The
-//! rule every function below keeps: **no `RefCell` borrow is held across a
-//! drop of pooled contents or across a caller's closure** — clear first,
-//! then borrow, and pop in a statement of its own.
+//! rule the one `Drop` and the one mint keep: **no `RefCell` borrow is held
+//! across a drop of pooled contents or across a caller's closure** — clear
+//! first, then borrow, and pop in a statement of its own.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -56,16 +70,225 @@ use std::rc::Rc;
 
 use crate::frame::Subframe;
 
-/// Shared free lists behind a [`FramePool`] handle.
+/// Where a [`PooledVec`] parks its buffer on its last drop: a cloneable
+/// handle to a free list of buffers, each uniquely owned (strong count 1)
+/// and empty.
+pub trait Home<T>: Clone {
+    /// The free list.
+    fn free_list(&self) -> &RefCell<Vec<Rc<Vec<T>>>>;
+}
+
+/// A reference-counted, possibly pool-recycled vector.
+///
+/// Cloning shares the buffer (a reference-count bump, never a copy). The
+/// first mutation through a *shared* handle copies the buffer — the
+/// copy-on-write the corruption seam relies on, and the copy parks in the
+/// same home — while an unshared handle mutates in place, so
+/// build-then-transmit never pays the copy. Dropping the last handle of a
+/// pooled buffer clears it and parks it in its [`Home`]. Derefs to the
+/// `Vec`, so filling (`push`) and draining (`drain(..)`) read like plain
+/// vector code.
+pub struct PooledVec<T, H: Home<T> = Pool<T>> {
+    /// The shared buffer. `Some` until drop (the `Option` exists so `Drop`
+    /// can move the `Rc` out for parking).
+    buf: Option<Rc<Vec<T>>>,
+    /// The pool to park in, if pool-minted.
+    home: Option<H>,
+}
+
+/// A packet body: pooled bytes, immutable after minting in practice, whose
+/// clones make `Packet::clone` cheap enough for the MAC retransmission paths
+/// to use freely.
+///
+/// The count is not atomic — a body never leaves its run's thread:
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::Body>();
+/// ```
+pub type Body = PooledVec<u8, FramePool>;
+
+/// A data frame's subframe storage. A `DataFrame`'s diverged copy shares
+/// it until the copy's first `iter_mut`.
+pub type SubframeVec = PooledVec<Subframe, FramePool>;
+
+/// A MAC batch — a queue batch, a reorder release, a frame in flight —
+/// minted from a [`SlotPool`] and filled, drained and dropped by one owner.
+pub type Slot<T> = PooledVec<T>;
+
+/// The pool a [`Slot`] is minted from. Like every pool here it stays on
+/// its run's thread, whatever `T` is:
+///
+/// ```compile_fail
+/// fn needs_send<T: Send>() {}
+/// needs_send::<wmn_mac::SlotPool<u8>>();
+/// ```
+pub type SlotPool<T> = Pool<T>;
+
+impl<T, H: Home<T>> PooledVec<T, H> {
+    /// An empty vector with no home (tests, unpooled callers): behaves
+    /// like a plain `Vec` and is simply dropped.
+    pub fn new() -> Self {
+        PooledVec::from(Vec::new())
+    }
+
+    /// Mints an empty vector from `home`, reusing a parked buffer (and its
+    /// capacity) when one is available.
+    fn mint(home: &H) -> Self {
+        // Popped in a statement of its own: nothing may park while it is borrowed.
+        let buf = home.free_list().borrow_mut().pop().unwrap_or_default();
+        debug_assert!(buf.is_empty(), "parked buffers are cleared before parking");
+        PooledVec { buf: Some(buf), home: Some(home.clone()) }
+    }
+
+    /// Whether this vector came from a pool (and parks on its last drop).
+    pub fn is_pooled(&self) -> bool {
+        self.home.is_some()
+    }
+}
+
+impl<T, H: Home<T>> Drop for PooledVec<T, H> {
+    fn drop(&mut self) {
+        if let (Some(mut buf), Some(home)) = (self.buf.take(), self.home.take()) {
+            // Only the last handle parks. Cleared before the free list is
+            // borrowed: dropping the elements may park into this same list.
+            if let Some(vec) = Rc::get_mut(&mut buf) {
+                vec.clear();
+                home.free_list().borrow_mut().push(buf);
+            }
+        }
+    }
+}
+
+impl<T, H: Home<T>> Deref for PooledVec<T, H> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        self.buf.as_deref().expect("a live handle has its buffer")
+    }
+}
+
+impl<T: Clone, H: Home<T>> DerefMut for PooledVec<T, H> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        Rc::make_mut(self.buf.as_mut().expect("a live handle has its buffer"))
+    }
+}
+
+impl<T, H: Home<T>> Clone for PooledVec<T, H> {
+    fn clone(&self) -> Self {
+        PooledVec { buf: self.buf.clone(), home: self.home.clone() }
+    }
+}
+
+impl<T, H: Home<T>> Default for PooledVec<T, H> {
+    fn default() -> Self {
+        PooledVec::new()
+    }
+}
+
+impl<T, H: Home<T>> From<Vec<T>> for PooledVec<T, H> {
+    fn from(vec: Vec<T>) -> Self {
+        PooledVec { buf: Some(Rc::new(vec)), home: None }
+    }
+}
+
+impl<T, H: Home<T>> FromIterator<T> for PooledVec<T, H> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        PooledVec::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl<'a, T, H: Home<T>> IntoIterator for &'a PooledVec<T, H> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a, T: Clone, H: Home<T>> IntoIterator for &'a mut PooledVec<T, H> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl<T: PartialEq, H: Home<T>> PartialEq for PooledVec<T, H> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, H: Home<T>> Eq for PooledVec<T, H> {}
+
+impl<T: fmt::Debug, H: Home<T>> fmt::Debug for PooledVec<T, H> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// A cloneable handle to one free list: the home of [`Slot`]s.
+///
+/// Clones share the list (`Rc` inside), and minting pops a parked buffer
+/// (or allocates the first time).
+pub struct Pool<T> {
+    free: Rc<RefCell<Vec<Rc<Vec<T>>>>>,
+}
+
+impl<T> Pool<T> {
+    /// A fresh pool with an empty free list.
+    pub fn new() -> Self {
+        Pool { free: Rc::default() }
+    }
+
+    /// Mints an empty slot, reusing a parked buffer (and its capacity)
+    /// when one is available.
+    pub fn mint(&self) -> Slot<T> {
+        PooledVec::mint(self)
+    }
+
+    /// Buffers currently parked (test/diagnostic surface).
+    pub fn parked(&self) -> usize {
+        self.free.borrow().len()
+    }
+}
+
+impl<T> Home<T> for Pool<T> {
+    fn free_list(&self) -> &RefCell<Vec<Rc<Vec<T>>>> {
+        &self.free
+    }
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool::new()
+    }
+}
+
+impl<T> Clone for Pool<T> {
+    fn clone(&self) -> Self {
+        Pool { free: Rc::clone(&self.free) }
+    }
+}
+
+impl<T> fmt::Debug for Pool<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pool").field("parked", &self.parked()).finish()
+    }
+}
+
+/// The free lists behind a [`FramePool`] handle.
 #[derive(Default)]
-struct PoolInner {
-    /// Parked payload buffers, each uniquely owned (strong count 1).
+struct FrameLists {
     bodies: RefCell<Vec<Rc<Vec<u8>>>>,
-    /// Parked subframe vectors, each uniquely owned and empty.
     subframes: RefCell<Vec<Rc<Vec<Subframe>>>>,
 }
 
-/// A cloneable handle to a recyclable frame-buffer pool.
+/// A cloneable handle to a station's frame-buffer pool: the home of its
+/// [`Body`]s and [`SubframeVec`]s.
 ///
 /// Clones share the same free lists (`Rc` inside), so a MAC entity, the
 /// runner, and every in-flight [`Body`] can all return buffers to the same
@@ -80,7 +303,7 @@ struct PoolInner {
 /// ```
 #[derive(Clone, Default)]
 pub struct FramePool {
-    inner: Rc<PoolInner>,
+    lists: Rc<FrameLists>,
 }
 
 impl FramePool {
@@ -91,14 +314,11 @@ impl FramePool {
 
     /// Mints a payload buffer and fills it via `fill`, reusing a parked
     /// buffer (and its capacity) when one is available. The buffer `fill`
-    /// sees is always empty.
+    /// sees is always empty, and no free list is borrowed while it runs.
     pub fn mint_body_with(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Body {
-        // Popped in a statement of its own: `fill` may mint from this pool.
-        let mut rc = self.inner.bodies.borrow_mut().pop().unwrap_or_default();
-        let buf = Rc::get_mut(&mut rc).expect("parked body buffers are uniquely owned");
-        buf.clear();
-        fill(buf);
-        Body { buf: Some(rc), home: Some(self.clone()) }
+        let mut body = Body::mint(self);
+        fill(&mut body);
+        body
     }
 
     /// Mints a payload buffer holding a copy of `contents`.
@@ -109,35 +329,25 @@ impl FramePool {
     /// Mints an empty subframe vector, reusing a parked one (and its
     /// capacity) when available.
     pub fn mint_subframes(&self) -> SubframeVec {
-        let rc = self.inner.subframes.borrow_mut().pop().unwrap_or_default();
-        debug_assert!(rc.is_empty(), "parked subframe vectors are cleared before parking");
-        SubframeVec { buf: Some(rc), home: Some(self.clone()) }
+        SubframeVec::mint(self)
     }
 
     /// Buffers currently parked, `(bodies, subframe vectors)` — the pool's
     /// steady-state working set (test/diagnostic surface).
     pub fn parked(&self) -> (usize, usize) {
-        (self.inner.bodies.borrow().len(), self.inner.subframes.borrow().len())
+        (self.lists.bodies.borrow().len(), self.lists.subframes.borrow().len())
     }
+}
 
-    /// Parks a payload buffer if the caller held the last reference.
-    fn park_body(&self, mut rc: Rc<Vec<u8>>) {
-        if let Some(buf) = Rc::get_mut(&mut rc) {
-            buf.clear();
-            self.inner.bodies.borrow_mut().push(rc);
-        }
-        // Otherwise another Body clone is still alive; its final drop parks.
+impl Home<u8> for FramePool {
+    fn free_list(&self) -> &RefCell<Vec<Rc<Vec<u8>>>> {
+        &self.lists.bodies
     }
+}
 
-    /// Parks a subframe vector if the caller held the last reference.
-    /// Clearing here drops the contained packets, releasing their bodies
-    /// back to *their* pools before this vector is reused — and before
-    /// `subframes` is borrowed: those drops re-enter this pool.
-    fn park_subframes(&self, mut rc: Rc<Vec<Subframe>>) {
-        if let Some(buf) = Rc::get_mut(&mut rc) {
-            buf.clear();
-            self.inner.subframes.borrow_mut().push(rc);
-        }
+impl Home<Subframe> for FramePool {
+    fn free_list(&self) -> &RefCell<Vec<Rc<Vec<Subframe>>>> {
+        &self.lists.subframes
     }
 }
 
@@ -148,332 +358,6 @@ impl fmt::Debug for FramePool {
             .field("parked_bodies", &bodies)
             .field("parked_subframes", &subframes)
             .finish()
-    }
-}
-
-/// A packet body: reference-counted, possibly pool-recycled bytes.
-///
-/// Cloning a `Body` is a reference-count bump — the bytes are shared, never
-/// copied — which is what makes `Packet::clone` cheap enough for the MAC
-/// retransmission paths to use freely. Bodies are immutable after minting;
-/// dropping the last handle of a pooled body clears it and parks the buffer
-/// in its home pool.
-///
-/// The count is not atomic — a body never leaves its run's thread:
-///
-/// ```compile_fail
-/// fn needs_send<T: Send>() {}
-/// needs_send::<wmn_mac::Body>();
-/// ```
-pub struct Body {
-    /// The shared bytes. `Some` until drop (the `Option` exists so `Drop`
-    /// can move the `Rc` out for parking).
-    buf: Option<Rc<Vec<u8>>>,
-    /// The pool to park in, if pool-minted.
-    home: Option<FramePool>,
-}
-
-impl Body {
-    /// An empty, unpooled body.
-    pub fn empty() -> Body {
-        Body::from(Vec::new())
-    }
-
-    /// The bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        self.buf.as_deref().map_or(&[], |v| v.as_slice())
-    }
-
-    /// Whether this body came from a pool (and will be parked on last drop).
-    pub fn is_pooled(&self) -> bool {
-        self.home.is_some()
-    }
-}
-
-impl From<Vec<u8>> for Body {
-    fn from(bytes: Vec<u8>) -> Self {
-        Body { buf: Some(Rc::new(bytes)), home: None }
-    }
-}
-
-impl Clone for Body {
-    fn clone(&self) -> Self {
-        Body { buf: self.buf.clone(), home: self.home.clone() }
-    }
-}
-
-impl Drop for Body {
-    fn drop(&mut self) {
-        if let (Some(rc), Some(home)) = (self.buf.take(), self.home.take()) {
-            home.park_body(rc);
-        }
-    }
-}
-
-impl Deref for Body {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Body {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Body {}
-
-impl fmt::Debug for Body {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Body({} bytes)", self.as_slice().len())
-    }
-}
-
-/// A data frame's subframe storage: reference-counted, possibly
-/// pool-recycled.
-///
-/// Cloning shares the storage (a `DataFrame` clone is shallow here); the
-/// first mutation of a *shared* vector — `DerefMut` goes through
-/// [`Rc::make_mut`] — copies it, which is exactly the copy-on-write the
-/// corruption seam relies on. An unshared vector mutates in place, so
-/// build-then-transmit never pays the copy.
-pub struct SubframeVec {
-    /// The shared storage. `Some` until drop (see [`Body::buf`]).
-    buf: Option<Rc<Vec<Subframe>>>,
-    /// The pool to park in, if pool-minted.
-    home: Option<FramePool>,
-}
-
-impl SubframeVec {
-    /// An empty, unpooled vector.
-    pub fn new() -> SubframeVec {
-        SubframeVec::from(Vec::new())
-    }
-
-    /// Appends a subframe (copy-on-write when the storage is shared).
-    pub fn push(&mut self, subframe: Subframe) {
-        self.vec_mut().push(subframe);
-    }
-
-    /// The subframes as a slice.
-    pub fn as_slice(&self) -> &[Subframe] {
-        self.buf.as_deref().map_or(&[], |v| v.as_slice())
-    }
-
-    /// Mutable access with copy-on-write sharing semantics.
-    fn vec_mut(&mut self) -> &mut Vec<Subframe> {
-        Rc::make_mut(self.buf.as_mut().expect("live SubframeVec has storage"))
-    }
-}
-
-impl Default for SubframeVec {
-    fn default() -> Self {
-        SubframeVec::new()
-    }
-}
-
-impl From<Vec<Subframe>> for SubframeVec {
-    fn from(subframes: Vec<Subframe>) -> Self {
-        SubframeVec { buf: Some(Rc::new(subframes)), home: None }
-    }
-}
-
-impl FromIterator<Subframe> for SubframeVec {
-    fn from_iter<I: IntoIterator<Item = Subframe>>(iter: I) -> Self {
-        SubframeVec::from(iter.into_iter().collect::<Vec<_>>())
-    }
-}
-
-impl Clone for SubframeVec {
-    fn clone(&self) -> Self {
-        SubframeVec { buf: self.buf.clone(), home: self.home.clone() }
-    }
-}
-
-impl Drop for SubframeVec {
-    fn drop(&mut self) {
-        if let (Some(rc), Some(home)) = (self.buf.take(), self.home.take()) {
-            home.park_subframes(rc);
-        }
-    }
-}
-
-impl Deref for SubframeVec {
-    type Target = [Subframe];
-
-    fn deref(&self) -> &[Subframe] {
-        self.as_slice()
-    }
-}
-
-impl DerefMut for SubframeVec {
-    fn deref_mut(&mut self) -> &mut [Subframe] {
-        self.vec_mut().as_mut_slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a SubframeVec {
-    type Item = &'a Subframe;
-    type IntoIter = std::slice::Iter<'a, Subframe>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a mut SubframeVec {
-    type Item = &'a mut Subframe;
-    type IntoIter = std::slice::IterMut<'a, Subframe>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        (**self).iter_mut()
-    }
-}
-
-impl fmt::Debug for SubframeVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-/// Shared free list behind a [`SlotPool`] handle.
-struct SlotPoolInner<T> {
-    /// Parked slot buffers, each cleared before parking.
-    slots: RefCell<Vec<Vec<T>>>,
-}
-
-/// A recyclable pool of uniquely-owned scratch buffers ("slots") — the
-/// [`FramePool`] sibling for the MAC's queue and reorder entries.
-///
-/// Where [`FramePool`] recycles *shared* frame state (reference-counted
-/// bodies and subframe vectors), a `SlotPool` recycles plain `Vec<T>`
-/// buffers that one owner fills, drains, and drops: the batch a saturated
-/// interface queue hands to the aggregator, the contiguous run a reorder
-/// buffer releases. Minting pops a parked buffer (or allocates the first
-/// time), and dropping a [`Slot`] clears it and parks it back, so no stale
-/// entry ever leaks across reuse (the property tests pin it).
-///
-/// Like its sibling, the pool is invisible to simulation results: which
-/// buffer a mint returns affects addresses only, never values. And like its
-/// sibling it stays on its run's thread, whatever `T` is:
-///
-/// ```compile_fail
-/// fn needs_send<T: Send>() {}
-/// needs_send::<wmn_mac::SlotPool<u8>>();
-/// ```
-pub struct SlotPool<T> {
-    inner: Rc<SlotPoolInner<T>>,
-}
-
-impl<T> SlotPool<T> {
-    /// A fresh pool with an empty free list.
-    pub fn new() -> Self {
-        SlotPool { inner: Rc::new(SlotPoolInner { slots: RefCell::new(Vec::new()) }) }
-    }
-
-    /// Mints an empty slot, reusing a parked buffer (and its capacity)
-    /// when one is available.
-    pub fn mint(&self) -> Slot<T> {
-        let buf = self.inner.slots.borrow_mut().pop().unwrap_or_default();
-        debug_assert!(buf.is_empty(), "parked slots are cleared before parking");
-        Slot { buf: Some(buf), home: Some(self.clone()) }
-    }
-
-    /// Buffers currently parked (test/diagnostic surface).
-    pub fn parked(&self) -> usize {
-        self.inner.slots.borrow().len()
-    }
-
-    /// Parks a drained buffer for reuse. Cleared before `slots` is borrowed:
-    /// dropping a `T` may park a slot of its own in this pool.
-    fn park(&self, mut buf: Vec<T>) {
-        buf.clear();
-        self.inner.slots.borrow_mut().push(buf);
-    }
-}
-
-impl<T> Default for SlotPool<T> {
-    fn default() -> Self {
-        SlotPool::new()
-    }
-}
-
-impl<T> Clone for SlotPool<T> {
-    fn clone(&self) -> Self {
-        SlotPool { inner: Rc::clone(&self.inner) }
-    }
-}
-
-impl<T> fmt::Debug for SlotPool<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlotPool").field("parked", &self.parked()).finish()
-    }
-}
-
-/// A pool-minted scratch buffer: a `Vec<T>` that clears itself and parks
-/// back in its home [`SlotPool`] on drop. Derefs to the `Vec`, so filling
-/// (`push`) and draining (`drain(..)`) read like plain vector code.
-pub struct Slot<T> {
-    /// The buffer. `Some` until drop (the `Option` exists so `Drop` can
-    /// move it out for parking).
-    buf: Option<Vec<T>>,
-    /// The pool to park in, if pool-minted.
-    home: Option<SlotPool<T>>,
-}
-
-impl<T> Slot<T> {
-    /// An empty slot with no home pool (tests, unpooled callers): behaves
-    /// like a plain `Vec` and is simply dropped.
-    pub fn detached() -> Slot<T> {
-        Slot { buf: Some(Vec::new()), home: None }
-    }
-
-    fn vec(&self) -> &Vec<T> {
-        self.buf.as_ref().expect("live slot has storage")
-    }
-
-    fn vec_mut(&mut self) -> &mut Vec<T> {
-        self.buf.as_mut().expect("live slot has storage")
-    }
-}
-
-impl<T> Drop for Slot<T> {
-    fn drop(&mut self) {
-        if let (Some(buf), Some(home)) = (self.buf.take(), self.home.take()) {
-            home.park(buf);
-        }
-    }
-}
-
-impl<T> Deref for Slot<T> {
-    type Target = Vec<T>;
-
-    fn deref(&self) -> &Vec<T> {
-        self.vec()
-    }
-}
-
-impl<T> DerefMut for Slot<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        self.vec_mut()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Slot<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.vec().iter()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Slot<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.vec().iter()).finish()
     }
 }
 
@@ -497,14 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn recycled_body_is_empty_with_a_fresh_generation() {
-        // A fresh generation: the buffer's next occupant, which sees nothing
-        // of the last one.
+    fn a_recycled_body_starts_empty() {
         let pool = FramePool::new();
         drop(pool.mint_body(b"stale contents"));
         assert_eq!(pool.parked().0, 1, "last drop parks the buffer");
         let second = pool.mint_body_with(|_| {});
-        assert!(second.as_slice().is_empty(), "no stale bytes survive recycling");
+        assert!(second.is_empty(), "no stale bytes survive recycling");
         assert_eq!(pool.parked().0, 0, "the parked buffer was reused");
     }
 
@@ -622,7 +504,8 @@ mod tests {
     }
 
     /// A slot whose entries own further slots of the same pool: dropping
-    /// one re-enters [`SlotPool::park`] while it is clearing.
+    /// one re-enters the one `Drop` while it is clearing.
+    #[derive(Clone)]
     struct Nest {
         _inner: Slot<Nest>,
     }
@@ -632,7 +515,7 @@ mod tests {
         use crate::frame::{DataFrame, LinkDst};
         let pool = FramePool::new();
         let queue: SlotPool<Packet> = SlotPool::new();
-        let held: SlotPool<DataFrame> = SlotPool::new();
+        let held: SlotPool<Rc<DataFrame>> = SlotPool::new();
 
         // A queue slot and a pooled subframe vector share four bodies of one
         // pool; the vector holds a fifth of its own and rides in a data
@@ -646,7 +529,7 @@ mod tests {
         }
         subframes.push(Subframe { seq: 4, packet: packet(&pool, b"own"), corrupted: true });
         let mut frames = held.mint();
-        frames.push(DataFrame {
+        frames.push(Rc::new(DataFrame {
             transmitter: NodeId::new(0),
             link_dst: LinkDst::Unicast(NodeId::new(1)),
             flow: FlowId::new(0),
@@ -655,7 +538,7 @@ mod tests {
             frame_seq: 0,
             subframes,
             retry: 0,
-        });
+        }));
 
         // The queue goes first: its slot parks, every body is still alive
         // in the frame.
@@ -721,47 +604,83 @@ mod tests {
 
     #[test]
     fn detached_slots_work_without_a_pool() {
-        let mut slot: Slot<u8> = Slot::detached();
+        let mut slot: Slot<u8> = Slot::new();
         slot.push(7);
         assert_eq!(slot.as_slice(), &[7]);
+        assert!(!slot.is_pooled());
     }
 
     proptest::proptest! {
-        /// Mirror of the `FramePool` pin above, for [`SlotPool`]: whatever
-        /// the mint/fill/drop interleaving, a reminted slot — a fresh
-        /// generation of a parked buffer, whose capacity it keeps — is
-        /// always empty: no stale entries leak across reuse.
+        /// The one `Drop` and the one copy-on-write path, over any
+        /// interleaving of mint, fill, clone, mutate-through-a-shared-handle
+        /// and drop on a `Pool<u32>`, against a model that tracks which
+        /// handles share a buffer:
+        ///
+        /// * a mutation through one handle never shows through another;
+        /// * once every handle has dropped, the pool holds every buffer ever
+        ///   created — each mint that found the list empty, each
+        ///   copy-on-write copy — exactly once;
+        /// * every parked buffer is empty.
         #[test]
-        fn prop_slot_remint_is_empty_with_fresh_generation(
-            ops in proptest::collection::vec(
-                (proptest::prelude::any::<bool>(), 0usize..8, 0u32..1000),
-                1..64,
-            ),
+        fn prop_every_buffer_parks_once_and_empty(
+            ops in proptest::collection::vec((0u8..5, 0usize..8, 0u32..1000), 1..64),
         ) {
-            let pool: SlotPool<u32> = SlotPool::new();
-            let mut live: Vec<Slot<u32>> = Vec::new();
-            for (mint, slot_idx, fill) in ops {
-                if mint || live.is_empty() {
-                    let parked = pool.parked();
-                    let mut s = pool.mint();
-                    proptest::prop_assert!(s.is_empty(), "a reminted slot starts life empty");
-                    proptest::prop_assert_eq!(pool.parked(), parked.saturating_sub(1));
-                    // Dirty the buffer — the stale state a later occupant
-                    // must not see.
-                    s.extend(std::iter::repeat_n(fill, slot_idx + 1));
-                    live.push(s);
-                } else {
-                    live.swap_remove(slot_idx % live.len());
+            let pool: Pool<u32> = Pool::new();
+            // Each live handle, the id of the buffer it holds, and what that
+            // buffer should contain.
+            let mut live: Vec<(Slot<u32>, usize, Vec<u32>)> = Vec::new();
+            let (mut created, mut next_id) = (0, 0);
+            for (op, pick, value) in ops {
+                let k = pick % live.len().max(1);
+                match op {
+                    0 => {
+                        let parked = pool.parked();
+                        let slot = pool.mint();
+                        proptest::prop_assert!(slot.is_empty(), "a reminted slot starts life empty");
+                        proptest::prop_assert_eq!(pool.parked(), parked.saturating_sub(1));
+                        if parked == 0 {
+                            created += 1;
+                        }
+                        next_id += 1;
+                        live.push((slot, next_id, Vec::new()));
+                    }
+                    // Fill (push) or overwrite the head through handle `k`:
+                    // when its buffer is shared, the handle detaches a copy.
+                    1 | 2 if !live.is_empty() => {
+                        let id = live[k].1;
+                        if live.iter().filter(|(_, other, _)| *other == id).count() > 1 {
+                            created += 1;
+                            next_id += 1;
+                            live[k].1 = next_id;
+                        }
+                        let (slot, _, model) = &mut live[k];
+                        if op == 1 || model.is_empty() {
+                            slot.push(value);
+                            model.push(value);
+                        } else {
+                            slot[0] = value;
+                            model[0] = value;
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let (slot, id, model) = &live[k];
+                        let shared = (slot.clone(), *id, model.clone());
+                        live.push(shared);
+                    }
+                    4 if !live.is_empty() => {
+                        live.swap_remove(k);
+                    }
+                    _ => {}
+                }
+                for (slot, _, model) in &live {
+                    proptest::prop_assert_eq!(slot.as_slice(), model.as_slice(),
+                        "a mutation through one handle never shows through another");
                 }
             }
-            // Drain everything, then remint every parked buffer: every one
-            // was dirtied, so each keeps a capacity.
             drop(live);
-            let reminted: Vec<Slot<u32>> = (0..pool.parked()).map(|_| pool.mint()).collect();
-            for s in &reminted {
-                proptest::prop_assert!(s.is_empty(), "no stale entries survive recycling");
-                proptest::prop_assert!(s.capacity() > 0, "a parked buffer was reused");
-            }
+            proptest::prop_assert_eq!(pool.parked(), created, "every buffer parks, once");
+            let reminted: Vec<Slot<u32>> = (0..created).map(|_| pool.mint()).collect();
+            proptest::prop_assert!(reminted.iter().all(|s| s.is_empty()), "no stale entries survive");
             proptest::prop_assert_eq!(pool.parked(), 0);
         }
     }
@@ -778,7 +697,7 @@ mod tests {
             wire_bytes: 40,
         };
         let mut sfs = SubframeVec::new();
-        sfs.push(Subframe { seq: 1, packet: Packet::new(header, Body::empty()), corrupted: false });
+        sfs.push(Subframe { seq: 1, packet: Packet::new(header, Body::new()), corrupted: false });
         assert_eq!(sfs.len(), 1);
     }
 }

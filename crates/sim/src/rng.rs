@@ -45,7 +45,7 @@ impl StreamRng {
     /// [`RngDirectory`], whose labels are the typed rows of
     /// [`crate::labels`], so that every stream a run draws from is in that
     /// one table. Nothing enforces the split — the function stays `pub`
-    /// while the frozen probes name it (ROADMAP item 5 narrows it).
+    /// because the perfbench probes call it by name.
     pub fn derive(master_seed: u64, label: &str) -> Self {
         Self::seeded(master_seed, fold(LABEL_BASIS, label.as_bytes()))
     }
