@@ -25,15 +25,19 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
-//! Six rows gate work rather than allocations, through the same file and
+//! Eight rows gate work rather than allocations, through the same file and
 //! the same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
 //! variates computed in full per planner pair on the 1024-station medium
 //! and per frame on the dense neighbourhood, so a planner or capture rule
-//! that stops deciding from the draw's bounds breaches both; and the pairs
+//! that stops deciding from the draw's bounds breaches both; the pairs
 //! drawn and receptions planned per transmission on an untraced campus with
 //! fixed routes and on an untraced drifting mesh whose routes refresh, so a
 //! planner that draws or plans stations no route of the run names breaches
-//! those four.
+//! those four; and the link-model pairs evaluated per frame on the drifting
+//! mesh and per route-refresh pass on a 256-station grid, so a medium whose
+//! rows hold or move stations the run does not observe, or a routing graph
+//! build that evaluates pairs its distance cut could skip, breaches those
+//! two.
 //!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
@@ -245,7 +249,10 @@ fn run_churn_recycled() -> Entry<'static> {
 /// every neighbour link above the ETX usability floor so all flows really
 /// route (at 40 m, p ≈ 6e-5 < 0.05 and nothing does). The mover keeps the
 /// link state changing between passes so no snapshot is a cached no-op.
-fn route_refresh_pass() -> Entry<'static> {
+/// Reads allocations and link-model evaluations per pass: only the pairs
+/// inside the graph's distance cut are evaluated (the 20 m pairs of the
+/// grid lie outside it).
+fn route_refresh_pass() -> [Entry<'static>; 2] {
     let side = 16;
     let n = side * side;
     let mut medium = Medium::new(PhyParams::paper_216(), grid_positions(side, 5.0));
@@ -253,6 +260,7 @@ fn route_refresh_pass() -> Entry<'static> {
     let endpoints: Vec<(NodeId, NodeId)> =
         (0..4).map(|f| (NodeId::new((f * side) as u32), NodeId::new((n - 1 - f) as u32))).collect();
     let mover = NodeId::new((n / 2) as u32);
+    let work = wmn_alloc::work_totals();
     let (paths_found, stats) = wmn_alloc::measure(|| {
         let mut paths_found = 0u64;
         for i in 0..ROUTE_REFRESH_PASSES {
@@ -271,7 +279,16 @@ fn route_refresh_pass() -> Entry<'static> {
         paths_found
     });
     assert_eq!(paths_found, ROUTE_REFRESH_PASSES * 4, "every flow must route on every pass");
-    allocs_per_op("route_refresh_pass_grid256_flows4", stats, ROUTE_REFRESH_PASSES)
+    let evaluations = work_delta(work, Work::LinkEvaluations) as f64;
+    let bench = "route_refresh_pass_grid256_flows4";
+    [
+        Entry {
+            bench,
+            metric: "link_evaluations_per_op",
+            value: evaluations / ROUTE_REFRESH_PASSES as f64,
+        },
+        allocs_per_op(bench, stats, ROUTE_REFRESH_PASSES),
+    ]
 }
 
 /// The live bytes of a medium over 1024 stations (a 32×32 grid at 2 m
@@ -342,8 +359,9 @@ fn materialise_campus() -> Entry<'static> {
 }
 
 /// One end-to-end run: allocations per frame on the air (data, relay and
-/// ACK) and the live-bytes peak, and for the dense neighbourhood the shadowing
-/// variates computed in full per frame (planner and capture rule). Returns
+/// ACK) and the live-bytes peak, for the dense neighbourhood the shadowing
+/// variates computed in full per frame (planner and capture rule), and for
+/// the drifting mesh the link-model pairs evaluated per frame. Returns
 /// the run's allocations split by the engine's phase scopes (scenario build
 /// and result collection stay unattributed), so that a breach names where
 /// the new traffic comes from.
@@ -352,6 +370,10 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
     let work = wmn_alloc::work_totals();
     let (result, stats) = wmn_alloc::measure(|| run(scenario));
     let after = wmn_alloc::phase_totals();
+    // The run's own work, read before anything below prepares the scenario
+    // again.
+    let done = wmn_alloc::work_totals();
+    let did = |w: Work| done[w as usize] - work[w as usize];
     assert!(result.flows[0].delivered_bytes > 0, "{bench}: run made no progress");
     let frames: u64 = result
         .mac_stats
@@ -359,6 +381,7 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
         .map(|s| s.data_frames_sent + s.relay_frames_sent + s.ack_frames_sent)
         .sum();
     assert!(frames > 0, "{bench}: no frames transmitted");
+    let per_frame = |w: Work| did(w) as f64 / frames as f64;
     out.push(Entry {
         bench,
         metric: "allocs_per_frame",
@@ -366,27 +389,27 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
     });
     out.push(Entry { bench, metric: "peak_bytes", value: stats.peak_bytes_in_use as f64 });
     if bench == DENSE {
-        let variates = work_delta(work, Work::Variates);
-        out.push(Entry {
-            bench,
-            metric: "variates_per_frame",
-            value: variates as f64 / frames as f64,
-        });
+        let value = per_frame(Work::Variates);
+        out.push(Entry { bench, metric: "variates_per_frame", value });
     }
     if bench == CAMPUS || bench == MESH {
         // Every frame counted is one transmission, and each draws at most
         // one pair per other observed station.
         let prepared = scenario.prepare().expect("well-formed");
         let observed = prepared.observed_stations(false).expect("untraced").len();
-        let pairs = work_delta(work, Work::PlannerPairs);
+        let pairs = did(Work::PlannerPairs);
         assert!(pairs <= frames * (observed as u64 - 1), "{bench}: {pairs} pairs drawn");
-        let per_tx = |w| work_delta(work, w) as f64 / frames as f64;
-        out.push(Entry {
-            bench,
-            metric: "planner_pairs_per_tx",
-            value: per_tx(Work::PlannerPairs),
-        });
-        out.push(Entry { bench, metric: "receptions_per_tx", value: per_tx(Work::Receptions) });
+        let value = per_frame(Work::PlannerPairs);
+        out.push(Entry { bench, metric: "planner_pairs_per_tx", value });
+        let value = per_frame(Work::Receptions);
+        out.push(Entry { bench, metric: "receptions_per_tx", value });
+    }
+    if bench == MESH {
+        // The route schedule's graph builds (inside the squared-distance
+        // cut) plus the medium's row builds and tick refreshes (observed
+        // pairs only).
+        let value = per_frame(Work::LinkEvaluations);
+        out.push(Entry { bench, metric: "link_evaluations_per_frame", value });
     }
     let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
         .iter()
@@ -432,8 +455,8 @@ fn measure_all() -> (Vec<Entry<'static>>, Vec<String>) {
     scenarios.push((MESH, drifting_mesh_scenario(E2E_DURATION)));
     let mut out = vec![medium_build()];
     out.extend(medium_plan());
+    out.extend(route_refresh_pass());
     out.extend([
-        route_refresh_pass(),
         materialise_campus(),
         saturated_queue(),
         event_churn_recycled(),
@@ -558,7 +581,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 32);
+        assert_eq!(budgets.len(), 34);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

@@ -27,7 +27,8 @@
 //!
 //! Beside the allocation counters sit [`Work`] counters: exact counts of
 //! the simulator's own units of work (planner pairs walked, shadowing
-//! variates computed, receptions planned), bumped with [`count_work`] on
+//! variates computed, receptions planned, link-model pairs evaluated),
+//! bumped with [`count_work`] on
 //! the thread that does the work and read back with [`work_totals`]. They
 //! are the same kind of gate input as an allocation count, and compile to
 //! nothing without the `count` feature.
@@ -60,7 +61,7 @@ thread_local! {
     static CURRENT_PHASE: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
     /// This thread's [`Work`] counts, const-initialised for the same reason.
     static WORK: [std::cell::Cell<u64>; Work::COUNT] =
-        const { [std::cell::Cell::new(0), std::cell::Cell::new(0), std::cell::Cell::new(0)] };
+        const { [const { std::cell::Cell::new(0) }; Work::COUNT] };
 }
 
 /// A [`System`]-backed allocator that counts calls and bytes when the
@@ -245,14 +246,20 @@ pub enum Work {
     /// reaches that the run observes (see `Prepared::observed_stations` in
     /// `wmn_netsim`).
     Receptions = 2,
+    /// Station pairs whose link state was evaluated from their distance
+    /// (`hypot` and `log10`): by the medium for a row entry or a moved
+    /// pair, and by a routing graph's build for each pair inside its
+    /// distance cut.
+    LinkEvaluations = 3,
 }
 
 impl Work {
     /// Number of work counters.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 4;
 
     /// Every counter, in [`work_totals`] order.
-    pub const ALL: [Work; Work::COUNT] = [Work::PlannerPairs, Work::Variates, Work::Receptions];
+    pub const ALL: [Work; Work::COUNT] =
+        [Work::PlannerPairs, Work::Variates, Work::Receptions, Work::LinkEvaluations];
 
     /// Stable snake_case key for reports.
     pub const fn label(self) -> &'static str {
@@ -260,6 +267,7 @@ impl Work {
             Work::PlannerPairs => "planner_pairs",
             Work::Variates => "variates",
             Work::Receptions => "receptions",
+            Work::LinkEvaluations => "link_evaluations",
         }
     }
 }
@@ -399,15 +407,16 @@ mod tests {
         count_work(Work::Variates, 2);
         count_work(Work::PlannerPairs, 1);
         count_work(Work::Receptions, 3);
+        count_work(Work::LinkEvaluations, 4);
         let after = work_totals();
         let delta = |w: Work| after[w as usize] - before[w as usize];
         if counting_enabled() {
-            assert_eq!(Work::ALL.map(delta), [6, 2, 3]);
+            assert_eq!(Work::ALL.map(delta), [6, 2, 3, 4]);
         } else {
             assert_eq!(after, [0; Work::COUNT], "work counters stay zero without `count`");
         }
         let labels: Vec<&str> = Work::ALL.iter().map(|w| w.label()).collect();
-        assert_eq!(labels, ["planner_pairs", "variates", "receptions"]);
+        assert_eq!(labels, ["planner_pairs", "variates", "receptions", "link_evaluations"]);
     }
 
     #[test]

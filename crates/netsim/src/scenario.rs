@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 
 use wmn_mac::{DcfScheme, MacEntity, MacScheme};
-use wmn_phy::{PhyParams, Position};
+use wmn_phy::{Medium, PhyParams, Position};
 use wmn_routing::{ExorMode, ExorScheme};
 use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 use wmn_topology::MotionPlan;
@@ -386,6 +386,17 @@ impl<'s> Prepared<'s> {
     /// the trace records `Decoded` at each.
     pub fn observed_stations(&self, traced: bool) -> Option<&[NodeId]> {
         (!traced).then_some(&self.observed[..])
+    }
+
+    /// The medium a run starts from: the placement, observing the
+    /// [`Prepared::observed_stations`], so that its rows hold and its ticks
+    /// move only the pairs the run can read.
+    pub(crate) fn medium(&self, traced: bool) -> Medium {
+        let Scenario { params, positions, .. } = &*self.scenario;
+        match self.observed_stations(traced) {
+            Some(observed) => Medium::observing(params.clone(), positions.clone(), observed),
+            None => Medium::new(params.clone(), positions.clone()),
+        }
     }
 }
 

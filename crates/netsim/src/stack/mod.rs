@@ -221,7 +221,7 @@ struct Runner<'p> {
     scenario: &'p Scenario,
     medium: Medium,
     net: NetLayer<'p>,
-    core: StationStack<'p>,
+    core: StationStack,
     /// The scenario's mobility tick, `None` for a static plan.
     tick: Option<SimDuration>,
     /// The tick the medium's positions were sampled at; `SimTime::ZERO`
@@ -241,12 +241,11 @@ impl<'p> Runner<'p> {
     /// trace if `traced`; every route the run takes is `prepared`'s.
     fn build(prepared: &'p Prepared<'_>, seed: u64, traced: bool) -> Runner<'p> {
         let scenario = prepared.scenario();
-        let observed = prepared.observed_stations(traced);
-        let core = StationStack::build(scenario, seed, traced, observed);
+        let core = StationStack::build(scenario, seed, traced);
         let net = NetLayer::build(scenario, &prepared.schedule);
         let mut runner = Runner {
             scenario,
-            medium: Medium::new(scenario.params.clone(), scenario.positions.clone()),
+            medium: prepared.medium(traced),
             net,
             core,
             tick: tick_of(&scenario.motion),

@@ -22,7 +22,7 @@
 //! `channel` stream: a pair's shadowing by (transmitter, the transmitter's
 //! frame counter, receiver), a reception's bit errors by (receiver,
 //! transmitter, frame counter). No draw depends on which others were taken,
-//! so a run that plans receptions only at the stations it observes
+//! so a run whose medium observes only some stations
 //! ([`Prepared::observed_stations`](crate::Prepared::observed_stations))
 //! draws, for those stations, exactly what a run that plans every station
 //! draws.
@@ -125,7 +125,7 @@ impl KeyBlock {
 /// The per-station / per-flow engine state and its event handlers (see the
 /// module docs). Building only derives streams and keys: no stream a
 /// handler draws from is advanced by construction.
-pub(crate) struct StationStack<'p> {
+pub(crate) struct StationStack {
     /// The future-event list; its clock is the stack's only clock.
     pub(crate) queue: KeyedEventQueue<Event>,
     pub(crate) macs: MacEngine,
@@ -149,10 +149,6 @@ pub(crate) struct StationStack<'p> {
     /// reception plan.
     pub(crate) air: AirTable,
     ber: BerModel,
-    /// The stations `broadcast` plans receptions at, ascending, or `None`
-    /// for all, borrowed from the run's
-    /// [`Prepared`](crate::Prepared::observed_stations).
-    observed: Option<&'p [NodeId]>,
     /// `broadcast`'s reception order, reused by every transmission.
     order: ReceptionOrder,
     /// Recycler for transport packet bodies: once warm, minting a TCP
@@ -168,7 +164,7 @@ pub(crate) struct StationStack<'p> {
     pub(super) mac_timer_pops: u64,
 }
 
-impl<'p> StationStack<'p> {
+impl StationStack {
     /// Builds the stack for one run of a validated scenario, every RNG
     /// stream and draw key derived from `seed`, and seeds
     /// the queue with every flow's arrival process, sized to exactly that
@@ -181,14 +177,8 @@ impl<'p> StationStack<'p> {
     /// heads of its two reception runs; it is pre-sized at four entries per
     /// station. The air table gets a slot per station for the same reason:
     /// a station has one transmission on the air at a time. A `traced`
-    /// stack records every event; receptions are planned at the `observed`
-    /// stations, or at all for `None`.
-    pub(crate) fn build(
-        scenario: &Scenario,
-        seed: u64,
-        traced: bool,
-        observed: Option<&'p [NodeId]>,
-    ) -> StationStack<'p> {
+    /// stack records every event.
+    pub(crate) fn build(scenario: &Scenario, seed: u64, traced: bool) -> StationStack {
         let dir = &RngDirectory::new(seed);
         let n = scenario.positions.len();
         let mut channel = dir.stream(labels::CHANNEL);
@@ -210,7 +200,6 @@ impl<'p> StationStack<'p> {
             receivers: (0..n).map(|_| Receiver::new()).collect(),
             air: AirTable::with_capacity(n),
             ber: BerModel::new(scenario.params.ber),
-            observed,
             order: ReceptionOrder::default(),
             pool: FramePool::default(),
             #[cfg(test)]
@@ -502,7 +491,7 @@ impl<'p> StationStack<'p> {
         let sent = self.sent[from.index()];
         self.sent[from.index()] += 1;
         let key = self.shadowing.then(from.index() as u64).then(sent);
-        medium.plan_receptions_into(from, key, &mut plans, self.observed);
+        medium.plan_receptions_into(from, key, &mut plans);
         self.air.park(frame, plans, (from, sent))
     }
 
@@ -809,12 +798,11 @@ mod tests {
         //       StartTx → on_busy   [T30]
         let scenario = relay_scenario();
         let prepared = scenario.prepare().expect("well-formed");
-        let mut stack =
-            StationStack::build(&scenario, scenario.seed, false, prepared.observed_stations(false));
+        let mut stack = StationStack::build(&scenario, scenario.seed, false);
         let log = Rc::new(RefCell::new(Vec::new()));
         let script = |i| Box::new(ScriptMac { node: NodeId::new(i), log: Rc::clone(&log) });
         stack.macs = MacEngine::over((0..3).map(|i| script(i) as Box<dyn MacEntity>).collect());
-        let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
+        let medium = prepared.medium(false);
         let net = NetLayer::build(&scenario, &prepared.schedule);
         let w = World { medium: &medium, net: &net };
         let relay = NodeId::new(1);
@@ -851,7 +839,7 @@ mod tests {
         assert_eq!(tokens, expected);
     }
 
-    impl StationStack<'_> {
+    impl StationStack {
         /// The per-event scheduling `broadcast` replaced — 2·F pushes, in
         /// plan order — kept as its oracle.
         fn broadcast_per_event(
@@ -914,9 +902,8 @@ mod tests {
         send: fn(&mut StationStack, NodeId, Arc<Frame>, SimDuration, &Medium),
     ) -> (Vec<Popped>, [EventKey; 2]) {
         let prepared = scenario.prepare().expect("well-formed");
-        let observed = prepared.observed_stations(traced);
-        let mut stack = StationStack::build(scenario, scenario.seed, traced, observed);
-        let medium = Medium::new(scenario.params.clone(), scenario.positions.clone());
+        let mut stack = StationStack::build(scenario, scenario.seed, traced);
+        let medium = prepared.medium(traced);
         let n = scenario.positions.len() as u32;
         let frame = |from| {
             Frame::Ack(AckFrame {
@@ -1013,7 +1000,7 @@ mod tests {
     #[test]
     fn per_entity_keys_count_per_origin() {
         // The flow's start took key 0 of its lane at build time.
-        let mut stack = StationStack::build(&relay_scenario(), 1, false, None);
+        let mut stack = StationStack::build(&relay_scenario(), 1, false);
         let node = |i| Origin::Node(NodeId::new(i));
         let flow = |i| Origin::Flow(FlowId::new(i));
         assert_eq!(stack.key(node(2)), EventKey::new(LANE_NODE, 2, 0));

@@ -36,7 +36,8 @@
 //! receiver ([`wmn_sim::DrawKey`]) — so a pair's power depends on nothing but
 //! that pair's key. The planner can therefore leave a pair out without
 //! moving any other: a pair whose mean is out of reach of carrier sense,
-//! or a station the caller does not observe, is never drawn.
+//! or a station the medium does not observe ([`Medium::observing`]), is
+//! never drawn.
 
 use std::cell::OnceCell;
 
@@ -166,31 +167,41 @@ impl LinkClass {
 
 /// The shared wireless medium: node positions plus the propagation model.
 ///
-/// The deterministic part of the propagation model is cached per station,
-/// one **row** each: the mean received power and the propagation delay from
-/// that station to every station, 16 bytes per entry. Only the planner
-/// builds rows, the first time a station transmits, so construction
-/// evaluates no pair and a run pays only for the stations that transmit
-/// (route refresh builds its graph from [`Medium::positions`], not from
-/// rows). [`Medium::plan_transmission`] is then a walk of the transmitter's
-/// mean-power row that adds one fresh shadowing draw per pair, reading the
-/// delay only for the stations that sense the frame, instead of re-deriving
-/// the geometry and path loss on every transmission.
+/// A medium **observes** a set of stations ([`Medium::observing`]; every
+/// station for [`Medium::new`]): only they transmit and only they are
+/// planned receptions. An untraced run observes the stations some flow's
+/// path names; a traced run, every station.
+///
+/// The deterministic part of the propagation model is cached per observed
+/// station, one **row** each: the mean received power and the propagation
+/// delay from that station to every observed station, indexed by the
+/// receiver's slot (its rank among the observed), 16 bytes per entry. Only
+/// the planner builds rows, the first time a station transmits, so
+/// construction evaluates no pair and a run pays only for the stations that
+/// transmit (route refresh builds its graph from [`Medium::positions`], not
+/// from rows). [`Medium::plan_transmission`] is then a walk of the
+/// transmitter's mean-power row that adds one fresh shadowing draw per pair,
+/// reading the delay only for the stations that sense the frame, instead of
+/// re-deriving the geometry and path loss on every transmission.
 ///
 /// Both values are functions of the pair's distance alone, and `hypot` is
-/// sign-symmetric, so entry `to` of row `from` and entry `from` of row `to`
-/// always hold the same bits. A new row therefore copies each entry whose
-/// mirror sits in an existing row and evaluates only the rest: a pass that
-/// reads every row evaluates each of the n(n+1)/2 unordered pairs once.
+/// sign-symmetric, so entry `b` of row `a` and entry `a` of row `b` always
+/// hold the same bits. A new row therefore copies each entry whose mirror
+/// sits in an existing row and evaluates only the rest: a pass that reads
+/// every row evaluates each of the m(m+1)/2 unordered pairs of the m
+/// observed stations once.
 ///
 /// Stations may move mid-run: [`Medium::update_node_positions`] takes one
 /// mobility tick's worth of moves and re-evaluates, **once**, every
 /// unordered pair with a moved endpoint that an existing row holds, writing
 /// it into each existing row in place (rows are refreshed, not dropped, so
-/// a transmitter keeps its row across ticks). The same function evaluates
-/// the pair for a row build and for a refresh, so after any sequence of
-/// moves every row is bit-identical to the one a fresh `Medium::new` over
-/// the current placement would build.
+/// a transmitter keeps its row across ticks). No row holds an unobserved
+/// station, so its move costs only its position write. The same function
+/// evaluates the pair for a row build and for a refresh, so after any
+/// sequence of moves every row is bit-identical to the one a fresh medium
+/// over the current placement would build — and to the entries at the
+/// observed slots of the row `Medium::new` would build. Each evaluation is
+/// counted as [`Work::LinkEvaluations`].
 ///
 /// The row cache sits behind `&self` (the planner takes `&self`), so
 /// `Medium` is `Send` but not `Sync`: one run's `Runner` owns it.
@@ -214,23 +225,21 @@ impl LinkClass {
 pub struct Medium {
     params: PhyParams,
     positions: Vec<Position>,
-    /// Station `i`'s row, built on first read (see the type docs).
-    rows: Vec<OnceCell<Row>>,
+    /// The observed stations, ascending: slot `k` is station `observed[k]`.
+    observed: Box<[NodeId]>,
+    /// Slot `k`'s row, built on first read (see the type docs).
+    rows: Box<[OnceCell<Row>]>,
     /// Scratch for [`Medium::update_node_positions`]: which stations the
     /// batch in progress moves. All `false` between calls.
     moved: Vec<bool>,
     /// `|σ| · max_standard_normal()`: no draw lifts a pair's power more
     /// than this above its mean.
     reach_db: f64,
-    /// How many pairs `evaluate` has been asked for, so the tests can pin
-    /// the mirror rule's cost.
-    #[cfg(test)]
-    evaluations: std::cell::Cell<usize>,
 }
 
-/// One station's link state to every station, indexed by the receiver's id.
-/// The station's own entry is the zero-distance pair, never read by the
-/// planner.
+/// One observed station's link state to every observed station, indexed by
+/// the receiver's slot. The station's own entry is the zero-distance pair,
+/// never read by the planner.
 #[derive(Debug)]
 struct Row {
     /// Mean received power in dBm (transmit power minus mean path loss).
@@ -240,31 +249,55 @@ struct Row {
 }
 
 impl Row {
-    fn set(&mut self, to: usize, (mean, delay): (f64, SimDuration)) {
-        self.mean_rx_dbm[to] = mean;
-        self.delay[to] = delay;
+    fn set(&mut self, slot: usize, (mean, delay): (f64, SimDuration)) {
+        self.mean_rx_dbm[slot] = mean;
+        self.delay[slot] = delay;
     }
 }
 
 impl Medium {
-    /// Creates a medium over the given station placement. No pair is
-    /// evaluated here: each station's row is built the first time it is
-    /// read (see the type docs), so construction costs O(n).
+    /// Creates a medium over the given station placement that observes
+    /// every station. No pair is evaluated here: each station's row is
+    /// built the first time it is read (see the type docs), so construction
+    /// costs O(n).
     pub fn new(params: PhyParams, positions: Vec<Position>) -> Self {
-        let n = positions.len();
+        let every = (0..positions.len() as u32).map(NodeId::new).collect();
+        Medium::over(params, positions, every)
+    }
+
+    /// Creates a medium over the given station placement that observes only
+    /// the `observed` stations: rows hold one entry per observed station,
+    /// and only observed stations may transmit. Plans from an observed
+    /// transmitter are exactly [`Medium::new`]'s plans to the observed
+    /// stations, since each pair's draw is keyed to that pair alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observed` is strictly ascending and every station in
+    /// it is in range.
+    pub fn observing(params: PhyParams, positions: Vec<Position>, observed: &[NodeId]) -> Self {
+        assert!(
+            observed.windows(2).all(|w| w[0] < w[1])
+                && observed.iter().all(|station| station.index() < positions.len()),
+            "observed stations must be ascending, distinct and in range"
+        );
+        Medium::over(params, positions, observed.into())
+    }
+
+    fn over(params: PhyParams, positions: Vec<Position>, observed: Box<[NodeId]>) -> Self {
         Medium {
             reach_db: params.link.sigma_db.abs() * max_standard_normal(),
             params,
+            moved: vec![false; positions.len()],
             positions,
-            rows: (0..n).map(|_| OnceCell::new()).collect(),
-            moved: vec![false; n],
-            #[cfg(test)]
-            evaluations: std::cell::Cell::new(0),
+            rows: observed.iter().map(|_| OnceCell::new()).collect(),
+            observed,
         }
     }
 
     /// Moves one station: the one-element case of
-    /// [`Medium::update_node_positions`] (at most `n` pair evaluations).
+    /// [`Medium::update_node_positions`] (at most one pair evaluation per
+    /// observed station).
     ///
     /// # Panics
     ///
@@ -276,17 +309,18 @@ impl Medium {
     /// Applies one batch of station moves — typically everything a mobility
     /// tick moved — and refreshes exactly the cached entries the batch can
     /// affect. All new positions are written first; then every unordered
-    /// pair with at least one moved endpoint, and with at least one endpoint
-    /// whose row exists, is evaluated **once** and written into each of the
-    /// two rows that exists. A tick that moves all n stations with every row
-    /// built therefore costs n(n+1)/2 evaluations, where n single-station
-    /// updates cost n² (and each touches pairs a later update overwrites).
-    /// Rows are refreshed in place, never dropped; pairs no row holds cost
-    /// nothing until a row that holds them is built.
+    /// pair of observed stations with at least one moved endpoint, and with
+    /// at least one endpoint whose row exists, is evaluated **once** and
+    /// written into each of the two rows that exists. A tick that moves all
+    /// m observed stations with every row built therefore costs m(m+1)/2
+    /// evaluations, where m single-station updates cost m² (and each touches
+    /// pairs a later update overwrites). Rows are refreshed in place, never
+    /// dropped; pairs no row holds cost nothing until a row that holds them
+    /// is built, and a moved unobserved station costs only its position.
     ///
     /// The entries are computed by the same function as a row build, so
-    /// after any sequence of batches every row reads bit-identical to
-    /// `Medium::new` over the current placement — which is also what the
+    /// after any sequence of batches every row reads bit-identical to a
+    /// fresh medium over the current placement — which is also what the
     /// same moves applied one at a time converge to (pinned by this module's
     /// tests). No RNG is touched: link state is the deterministic part of
     /// the model, and per-frame shadowing draws keep their stream positions
@@ -305,73 +339,91 @@ impl Medium {
             self.moved[node.index()] = true;
             self.positions[node.index()] = position;
         }
+        let mut evaluated = 0;
         for &(node, _) in moves {
-            self.refresh_pairs_of(node.index());
+            if let Some(slot) = self.slot(node) {
+                evaluated += self.refresh_pairs_of(slot);
+            }
         }
         for &(node, _) in moves {
             self.moved[node.index()] = false;
         }
+        count_work(Work::LinkEvaluations, evaluated);
     }
 
-    /// Re-evaluates every pair `{node, other}` that an existing row holds
-    /// from the current positions and writes it into both rows, where they
-    /// exist. A pair of two moved stations belongs to the lower id, so a
-    /// batch evaluates it once.
-    fn refresh_pairs_of(&mut self, node: usize) {
-        let position = self.positions[node];
-        let own_row = self.rows[node].get().is_some();
-        for other in 0..self.positions.len() {
-            if self.moved[other] && other < node {
+    /// Re-evaluates every pair of observed stations `{slot, other}` that an
+    /// existing row holds from the current positions and writes it into
+    /// both rows, where they exist; returns how many it evaluated. A pair
+    /// of two moved stations belongs to the lower slot, so a batch
+    /// evaluates it once.
+    fn refresh_pairs_of(&mut self, slot: usize) -> u64 {
+        let position = self.positions[self.observed[slot].index()];
+        let own_row = self.rows[slot].get().is_some();
+        let mut evaluated = 0;
+        for other in 0..self.observed.len() {
+            let station = self.observed[other].index();
+            if self.moved[station] && other < slot {
                 continue;
             }
             if !own_row && self.rows[other].get().is_none() {
                 continue;
             }
-            let pair = self.evaluate(position, self.positions[other]);
+            let pair = self.evaluate(position, self.positions[station]);
+            evaluated += 1;
             if let Some(row) = self.rows[other].get_mut() {
-                row.set(node, pair);
+                row.set(slot, pair);
             }
-            if let Some(row) = self.rows[node].get_mut() {
+            if let Some(row) = self.rows[slot].get_mut() {
                 row.set(other, pair);
             }
         }
+        evaluated
     }
 
     /// The deterministic part of the propagation model for the pair
     /// `{a, b}`: mean received power and propagation delay. This is the
     /// **single** place it is evaluated — row builds and move refreshes
-    /// both come here — and either argument order gives the same bits.
+    /// both come here, and count what they ask for — and either argument
+    /// order gives the same bits.
     fn evaluate(&self, a: Position, b: Position) -> (f64, SimDuration) {
-        #[cfg(test)]
-        self.evaluations.set(self.evaluations.get() + 1);
         let d = a.distance_to(b);
         (self.params.link.mean_rx_dbm(d), self.params.propagation_delay(d))
     }
 
-    /// Station `node`'s row, built on first use.
-    fn row(&self, node: usize) -> &Row {
-        self.rows[node].get_or_init(|| self.build_row(node))
+    /// `node`'s slot, if the medium observes it.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        self.observed.binary_search(&node).ok()
     }
 
-    /// Builds station `node`'s row: each entry is copied from its mirror
-    /// where the other station's row exists, and evaluated otherwise. Out of
+    /// Slot `slot`'s row, built on first use.
+    fn row(&self, slot: usize) -> &Row {
+        self.rows[slot].get_or_init(|| self.build_row(slot))
+    }
+
+    /// Builds slot `slot`'s row: each entry is copied from its mirror where
+    /// the other station's row exists, and evaluated otherwise. Out of
     /// line, so the planner's per-pair loop compiles as if the row were
     /// always there.
     #[cold]
     #[inline(never)]
-    fn build_row(&self, node: usize) -> Row {
-        let n = self.positions.len();
-        let position = self.positions[node];
-        let mut mean_rx_dbm = Vec::with_capacity(n);
-        let mut delay = Vec::with_capacity(n);
-        for (other, cell) in self.rows.iter().enumerate() {
+    fn build_row(&self, slot: usize) -> Row {
+        let m = self.observed.len();
+        let position = self.positions[self.observed[slot].index()];
+        let mut mean_rx_dbm = Vec::with_capacity(m);
+        let mut delay = Vec::with_capacity(m);
+        let mut evaluated = 0;
+        for (cell, station) in self.rows.iter().zip(&*self.observed) {
             let (mean, d) = match cell.get() {
-                Some(row) => (row.mean_rx_dbm[node], row.delay[node]),
-                None => self.evaluate(position, self.positions[other]),
+                Some(row) => (row.mean_rx_dbm[slot], row.delay[slot]),
+                None => {
+                    evaluated += 1;
+                    self.evaluate(position, self.positions[station.index()])
+                }
             };
             mean_rx_dbm.push(mean);
             delay.push(d);
         }
+        count_work(Work::LinkEvaluations, evaluated);
         Row { mean_rx_dbm: mean_rx_dbm.into_boxed_slice(), delay: delay.into_boxed_slice() }
     }
 
@@ -385,7 +437,15 @@ impl Medium {
     /// row exists; builds nothing.
     #[cfg(test)]
     fn cached(&self, from: usize, to: usize) -> Option<(u64, SimDuration)> {
+        let slot = |node: usize| self.observed_slot(NodeId::new(node as u32));
+        let (from, to) = (slot(from), slot(to));
         self.rows[from].get().map(|row| (row.mean_rx_dbm[to].to_bits(), row.delay[to]))
+    }
+
+    /// The slot of a station the test knows is observed.
+    #[cfg(test)]
+    fn observed_slot(&self, node: NodeId) -> usize {
+        self.slot(node).expect("an observed station")
     }
 
     /// Number of stations.
@@ -420,13 +480,21 @@ impl Medium {
     /// row (built on this read if no transmission or earlier read has).
     #[cfg(test)]
     fn mean_rx_dbm(&self, from: NodeId, to: NodeId) -> f64 {
-        self.row(from.index()).mean_rx_dbm[to.index()]
+        self.entry(from, to).0
     }
 
     /// The propagation delay the planner books for the directed pair.
     #[cfg(test)]
     fn delay(&self, from: NodeId, to: NodeId) -> SimDuration {
-        self.row(from.index()).delay[to.index()]
+        self.entry(from, to).1
+    }
+
+    /// Entry `to` of `from`'s row, built on this read if need be; both
+    /// stations must be observed.
+    #[cfg(test)]
+    fn entry(&self, from: NodeId, to: NodeId) -> (f64, SimDuration) {
+        let (row, to) = (self.row(self.observed_slot(from)), self.observed_slot(to));
+        (row.mean_rx_dbm[to], row.delay[to])
     }
 
     /// Distance between two stations in metres, from the current placement:
@@ -459,73 +527,62 @@ impl Medium {
     /// Like [`Medium::plan_transmission`], but writes into a caller-owned
     /// buffer (cleared first) so a loop performs zero allocations per
     /// transmission once the buffer has grown to the neighbourhood size.
-    /// Takes one word from `rng` as the transmission's key and plans every
-    /// station ([`Medium::plan_receptions_into`]).
+    /// Takes one word from `rng` as the transmission's key
+    /// ([`Medium::plan_receptions_into`]).
     pub fn plan_transmission_into(
         &self,
         from: NodeId,
         rng: &mut StreamRng,
         plans: &mut Vec<RxPlan>,
     ) {
-        self.plan_receptions_into(from, DrawKey::new(rng.next_u64()), plans, None);
+        self.plan_receptions_into(from, DrawKey::new(rng.next_u64()), plans);
     }
 
-    /// Plans the transmission `key` names, by `from`, at every station or
-    /// only at the `observed` ones (ascending, `from` allowed), into
-    /// `plans` (cleared first), in station order.
+    /// Plans the transmission `key` names, by `from`, at every observed
+    /// station, into `plans` (cleared first), in station order.
     ///
     /// Pair `to`'s draw is `NormalWords::keyed(key, to)`, so a station
-    /// left out moves no other station's plan: the plans at observed
-    /// stations are exactly the full planner's plans to them. A pair whose
-    /// mean power plus the largest excursion any draw can give stays below
-    /// carrier sense is never sensed, and is skipped before it is drawn.
-    /// Sensing (`≥ cs`) and decoding (`≥ rx`) are decided from the power's
-    /// two-sided bound ([`RxPower::bounds`]); the variate is computed only
-    /// when that bound straddles a threshold the decision needs — on a
-    /// campus, for well under one pair in a hundred. The plan carries the
-    /// power lazily, for the capture rule to bound in turn.
-    pub fn plan_receptions_into(
-        &self,
-        from: NodeId,
-        key: DrawKey,
-        plans: &mut Vec<RxPlan>,
-        observed: Option<&[NodeId]>,
-    ) {
+    /// the medium does not observe moves no other station's plan: the plans
+    /// are exactly the plans an every-station medium makes to the observed
+    /// stations. A pair whose mean power plus the largest excursion any draw
+    /// can give stays below carrier sense is never sensed, and is skipped
+    /// before it is drawn. Sensing (`≥ cs`) and decoding (`≥ rx`) are
+    /// decided from the power's two-sided bound ([`RxPower::bounds`]); the
+    /// variate is computed only when that bound straddles a threshold the
+    /// decision needs — on a campus, for well under one pair in a hundred.
+    /// The plan carries the power lazily, for the capture rule to bound in
+    /// turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the medium does not observe `from`.
+    pub fn plan_receptions_into(&self, from: NodeId, key: DrawKey, plans: &mut Vec<RxPlan>) {
         plans.clear();
         let link = &self.params.link;
         let (sigma, cs, rx) = (link.sigma_db, link.cs_thresh_dbm, link.rx_thresh_dbm);
-        let (row, reach) = (self.row(from.index()), self.reach_db);
+        let own = self.slot(from).expect("only an observed station transmits");
+        let (row, reach) = (self.row(own), self.reach_db);
         let mut drawn = 0;
-        let mut plan = |to: usize| {
-            let mean = row.mean_rx_dbm[to];
-            if to == from.index() || mean + reach < cs {
-                return;
+        for (slot, (&mean, &to)) in row.mean_rx_dbm.iter().zip(&*self.observed).enumerate() {
+            if slot == own || mean + reach < cs {
+                continue;
             }
             drawn += 1;
-            let power = RxPower::drawn(mean, sigma, NormalWords::keyed(key, to as u64));
+            let power = RxPower::drawn(mean, sigma, NormalWords::keyed(key, to.index() as u64));
             let (floor, ceiling) = power.bounds();
             if ceiling < cs {
-                return;
+                continue;
             }
             let decodable = if floor >= cs && (floor >= rx || ceiling < rx) {
                 floor >= rx
             } else {
                 let exact = power.value();
                 if exact < cs {
-                    return;
+                    continue;
                 }
                 exact >= rx
             };
-            plans.push(RxPlan {
-                to: NodeId::new(to as u32),
-                delay: row.delay[to],
-                power,
-                decodable,
-            });
-        };
-        match observed {
-            None => (0..row.mean_rx_dbm.len()).for_each(&mut plan),
-            Some(stations) => stations.iter().for_each(|to| plan(to.index())),
+            plans.push(RxPlan { to, delay: row.delay[slot], power, decodable });
         }
         count_work(Work::PlannerPairs, drawn);
         count_work(Work::Receptions, plans.len() as u64);
@@ -1030,34 +1087,90 @@ mod tests {
         }
     }
 
+    /// This thread's link evaluations so far ([`Work::LinkEvaluations`]).
+    fn evaluations() -> u64 {
+        wmn_alloc::work_totals()[Work::LinkEvaluations as usize]
+    }
+
     proptest! {
-        /// One transmission planned twice, at every station and under a
-        /// random keep mask: the plans at kept stations are bit for bit the
-        /// full planner's, and the masked planner draws no pair it does not
-        /// keep. A 4 m grid of 36 (most stations sense, some cannot decode)
-        /// plus four stations 500–1000 m out, beyond any draw's reach.
+        /// A medium observing a random mask ≡ the every-station medium
+        /// restricted to it, through random move batches interleaved with
+        /// transmissions from observed stations: each plan is bit for bit
+        /// the full planner's plan to the kept stations, every row holds one
+        /// entry per observed station with the per-pair oracle's bits, the
+        /// masked planner draws no pair it does not keep, and a batch that
+        /// moves only unobserved stations evaluates nothing. The placement
+        /// is a 30 m square (most stations sense, some cannot decode) plus
+        /// four stations 500–1000 m out, beyond any draw's reach (≈ 420 m)
+        /// of the square until a batch moves them in; some batches move only
+        /// unobserved stations.
         #[test]
         fn kept_plans_are_the_full_planners_plans_to_kept_stations(
-            seed in any::<u64>(),
-            from in 0u32..40,
-            mask in proptest::collection::vec(any::<bool>(), 40..=40),
+            coords in proptest::collection::vec((0.0f64..30.0, 0.0f64..30.0), 1..24),
+            mask in proptest::collection::vec(any::<bool>(), 28..=28),
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..28, 0.0f64..30.0, 0.0f64..30.0), 0..6),
+                    any::<bool>(),
+                    (0usize..28, any::<u64>()),
+                ),
+                1..6,
+            ),
         ) {
             use crate::params::PhyParams;
-            let grid = (0..36).map(|i| Position::new(f64::from(i % 6) * 4.0, f64::from(i / 6) * 4.0));
+            let params = PhyParams::paper_216();
             let far = [500.0, 600.0, 800.0, 1000.0].map(|x| Position::new(x, 0.0));
-            let medium = Medium::new(PhyParams::paper_216(), grid.chain(far).collect());
-            let observed: Vec<NodeId> = (0..40).filter(|&i| mask[i as usize]).map(NodeId::new).collect();
-            let (key, from) = (DrawKey::new(seed), NodeId::new(from));
-            let (mut kept, mut full) = (Vec::new(), Vec::new());
-            let before = wmn_alloc::work_totals();
-            medium.plan_receptions_into(from, key, &mut kept, Some(&observed));
-            let drawn = wmn_alloc::work_totals()[Work::PlannerPairs as usize]
-                - before[Work::PlannerPairs as usize];
-            medium.plan_receptions_into(from, key, &mut full, None);
-            full.retain(|plan| mask[plan.to.index()]);
-            prop_assert_eq!(plan_bits(&kept), plan_bits(&full));
-            let near = observed.iter().filter(|to| **to != from && to.index() < 36).count();
-            prop_assert!(drawn <= near as u64, "{} pairs drawn, {} kept in reach", drawn, near);
+            let mut positions: Vec<Position> =
+                coords.iter().map(|&(x, y)| Position::new(x, y)).chain(far).collect();
+            let n = positions.len();
+            // Station 0 is always observed: a transmitter has to be.
+            let observes = |node: NodeId| node.index() == 0 || mask[node.index()];
+            let observed: Vec<NodeId> = (0..n as u32).map(NodeId::new).filter(|&i| observes(i)).collect();
+            let mut full = Medium::new(params.clone(), positions.clone());
+            let mut masked = Medium::observing(params.clone(), positions.clone(), &observed);
+            for (batch, only_unobserved, (pick, seed)) in &steps {
+                let mut moves: Vec<(NodeId, Position)> = Vec::new();
+                for &(node, x, y) in batch {
+                    let node = NodeId::new((node % n) as u32);
+                    let kept = !only_unobserved || !observes(node);
+                    if kept && moves.iter().all(|&(m, _)| m != node) {
+                        positions[node.index()] = Position::new(x, y);
+                        moves.push((node, Position::new(x, y)));
+                    }
+                }
+                full.update_node_positions(&moves);
+                let before = evaluations();
+                masked.update_node_positions(&moves);
+                if *only_unobserved {
+                    prop_assert_eq!(evaluations(), before, "unobserved moves evaluate nothing");
+                }
+                let (from, key) = (observed[pick % observed.len()], DrawKey::new(*seed));
+                let (mut kept, mut every) = (Vec::new(), Vec::new());
+                let before = wmn_alloc::work_totals()[Work::PlannerPairs as usize];
+                masked.plan_receptions_into(from, key, &mut kept);
+                let drawn = wmn_alloc::work_totals()[Work::PlannerPairs as usize] - before;
+                full.plan_receptions_into(from, key, &mut every);
+                every.retain(|plan| observes(plan.to));
+                prop_assert_eq!(plan_bits(&kept), plan_bits(&every));
+                let origin = positions[from.index()];
+                let near = observed
+                    .iter()
+                    .filter(|to| **to != from && positions[to.index()].distance_to(origin) < 450.0)
+                    .count();
+                prop_assert!(drawn <= near as u64, "{} pairs drawn, {} kept in reach", drawn, near);
+                for row in masked.rows.iter().filter_map(OnceCell::get) {
+                    prop_assert_eq!(row.mean_rx_dbm.len(), observed.len());
+                }
+                for &a in &observed {
+                    for &b in &observed {
+                        if let Some(entry) = masked.cached(a.index(), b.index()) {
+                            let (_, mean, delay, _) =
+                                link_state(&params, positions[a.index()], positions[b.index()]);
+                            prop_assert_eq!(entry, (mean, delay), "row {} entry {}", a.index(), b.index());
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1232,12 +1345,10 @@ mod tests {
         let grid: Vec<Position> = (0..n)
             .map(|i| Position::new(f64::from(i % 16) * 5.0, f64::from(i / 16) * 5.0))
             .collect();
+        let start = evaluations();
         let medium = Medium::new(PhyParams::paper_216(), grid.clone());
-        assert_eq!(
-            (medium.rows_built(), medium.evaluations.get()),
-            (0, 0),
-            "new evaluates nothing"
-        );
+        let evaluated = || (evaluations() - start) as usize;
+        assert_eq!((medium.rows_built(), evaluated()), (0, 0), "new evaluates nothing");
 
         // Plan from k = 16 distinct stations, each one twice: k rows, and
         // the m-th new row evaluates only the n − m pairs no earlier row
@@ -1250,14 +1361,14 @@ mod tests {
             medium.plan_transmission_into(NodeId::new(from), &mut rng, &mut plans);
         }
         assert_eq!(medium.rows_built(), 16);
-        assert_eq!(medium.evaluations.get(), (0..16).map(|m| n - m).sum::<usize>());
+        assert_eq!(evaluated(), (0..16).map(|m| n - m).sum::<usize>());
 
         // A pass that reads every row evaluates each unordered pair once.
         for from in 0..n {
             medium.mean_rx_dbm(NodeId::new(from as u32), NodeId::new(0));
         }
         assert_eq!(medium.rows_built(), n);
-        assert_eq!(medium.evaluations.get(), n * (n + 1) / 2);
+        assert_eq!(evaluated(), n * (n + 1) / 2);
 
         // A batch moving every station evaluates each unordered pair once
         // when every row exists, and nothing when none does.
@@ -1267,12 +1378,13 @@ mod tests {
             .map(|(i, p)| (NodeId::new(i as u32), Position::new(p.x + 1.0, p.y)))
             .collect();
         let mut built = medium;
-        let before = built.evaluations.get();
+        let before = evaluated();
         built.update_node_positions(&everyone);
-        assert_eq!(built.evaluations.get() - before, n * (n + 1) / 2);
+        assert_eq!(evaluated() - before, n * (n + 1) / 2);
         let mut unread = Medium::new(PhyParams::paper_216(), grid);
+        let before = evaluated();
         unread.update_node_positions(&everyone);
-        assert_eq!((unread.rows_built(), unread.evaluations.get()), (0, 0));
+        assert_eq!((unread.rows_built(), evaluated() - before), (0, 0));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! on forwarding, so we compute delivery probabilities *analytically* from
 //! the shadowing model rather than with probe traffic.
 
+use wmn_alloc::{count_work, Work};
 use wmn_phy::{LinkModel, Medium, Position};
 use wmn_sim::NodeId;
 
@@ -86,11 +87,12 @@ fn validate(delivery: &[Vec<f64>]) -> Result<(), EtxError> {
 }
 
 /// A margin this many σ under the receive threshold makes a link unusable
-/// without evaluating its delivery probability: Φ(−2) ≈ 0.0228, and the
-/// `erf` approximant is within 1.5e-7 of it, so the probability is below
+/// without evaluating its delivery probability: Φ(−1.7) ≈ 0.0446, and the
+/// `erf` approximant is within 7.5e-8 of it, so the probability is below
 /// [`MIN_LINK_PROBABILITY`] whether or not the approximant is monotone
-/// (pinned by `skip_bound_is_below_the_usability_floor`).
-const HOPELESS_MARGIN_SIGMAS: f64 = -2.0;
+/// (pinned by `skip_bound_is_below_the_usability_floor`, which scans the
+/// whole skipped range).
+const HOPELESS_MARGIN_SIGMAS: f64 = -1.7;
 
 /// Relative widening of [`hopeless_radius`], so that the rounding of a
 /// squared distance can never cut a pair the margin test would evaluate.
@@ -98,17 +100,10 @@ const RADIUS_GUARD: f64 = 1e-6;
 
 /// The distance beyond which a pair's mean received power sits more than
 /// [`HOPELESS_MARGIN_SIGMAS`] σ under the receive threshold, widened by
-/// [`RADIUS_GUARD`] (20.35 m for the paper's parameters; infinite — no pair
+/// [`RADIUS_GUARD`] (18.23 m for the paper's parameters; infinite — no pair
 /// is cut — where [`LinkModel::radius_at`] is).
 fn hopeless_radius(model: &LinkModel) -> f64 {
     model.radius_at(model.rx_thresh_dbm, HOPELESS_MARGIN_SIGMAS) * (1.0 + RADIUS_GUARD)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Pairs [`LinkGraph::try_from_placement`] evaluated the link model for
-    /// on this thread (the squared-distance cut skips the rest).
-    static PLACEMENT_EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Link-quality graph with ETX arithmetic and Dijkstra.
@@ -184,15 +179,16 @@ impl LinkGraph {
     /// delivery probabilities with a typed error naming the offending pair.
     ///
     /// A pair farther apart than the radius at which the mean received power
-    /// sits 2 σ under the receive threshold (20.35 m for the paper's
+    /// sits 1.7 σ under the receive threshold (18.23 m for the paper's
     /// parameters) is dropped on its squared distance, before any `hypot`,
-    /// `log10` or `erf`. That is exact: beyond the radius Φ(margin) ≤ 0.0228,
-    /// and the `erf` approximant's error (≤ 1.5e-7) keeps it far below the
-    /// 0.05 usability floor, so the full evaluation would drop the pair too
-    /// (the radius would have to move about 12 % inward to cut a usable
-    /// link). The cut is off when σ, β or the reference distance is not
-    /// positive, or the radius is not finite; a NaN coordinate fails the
-    /// comparison and is still reported for the same first pair.
+    /// `log10` or `erf`. That is exact: beyond the radius Φ(margin) ≤
+    /// 0.0446, and the `erf` approximant's error (≤ 7.5e-8) keeps it below
+    /// the 0.05 usability floor, so the full evaluation would drop the pair
+    /// too (every usable link lies within the floor's radius, 17.86 m). The
+    /// cut is off when σ, β or the reference distance is not positive, or
+    /// the radius is not finite; a NaN coordinate fails the comparison and
+    /// is still reported for the same first pair. Each pair the cut lets
+    /// through is counted as [`Work::LinkEvaluations`].
     ///
     /// A pair's two directions share one delivery probability (a function
     /// of the distance), so its ETX is `1/p²`.
@@ -204,14 +200,14 @@ impl LinkGraph {
     pub fn try_from_placement(model: &LinkModel, positions: &[Position]) -> Result<Self, EtxError> {
         let radius = hopeless_radius(model);
         let far_sq = radius * radius;
-        Self::from_upper_triangle(positions.len(), |a, b| {
+        let mut evaluated = 0;
+        let graph = Self::from_upper_triangle(positions.len(), |a, b| {
             let (pa, pb) = (positions[a], positions[b]);
             let (dx, dy) = (pa.x - pb.x, pa.y - pb.y);
             if dx * dx + dy * dy > far_sq {
                 return Ok(None);
             }
-            #[cfg(test)]
-            PLACEMENT_EVALUATIONS.with(|n| n.set(n.get() + 1));
+            evaluated += 1;
             let mean = model.mean_rx_dbm(pa.distance_to(pb));
             // A NaN margin fails the comparison and takes the exact path
             // below, which then reports it.
@@ -227,7 +223,9 @@ impl LinkGraph {
                 });
             }
             Ok(etx(p, p))
-        })
+        });
+        count_work(Work::LinkEvaluations, evaluated);
+        graph
     }
 
     /// [`LinkGraph::try_from_placement`] over the medium's link model and
@@ -340,7 +338,9 @@ impl LinkGraph {
         // `key[v]`: the same while v is reached but unsettled, infinite
         // otherwise — so extraction is a scan of one flat array. The scan
         // stays linear on purpose: a binary heap was tried at the sizes run
-        // here (196-node meshes, tens of neighbours each) and lost to it.
+        // here (196-node meshes, tens of neighbours each) and lost to it,
+        // and so did a scan of a compact list of the reached-but-unsettled
+        // stations (×1.5–1.6, at a mean frontier of 77 on these meshes).
         let mut best = vec![f64::INFINITY; n];
         let mut key = vec![f64::INFINITY; n];
         // Read only along the found path, where every entry has been set.
@@ -536,28 +536,34 @@ mod tests {
     #[test]
     fn skip_bound_is_below_the_usability_floor() {
         // The margin test may only drop links the exact path would also
-        // call unusable. With margin to spare: Φ(−2) ≈ 0.0228 against a
-        // floor of 0.05 and an approximation error of 1.5e-7.
+        // call unusable: Φ(−1.7) ≈ 0.0446 against a floor of 0.05 and an
+        // approximation error of 7.5e-8, held a tenth of the floor under it.
         let at_bound = wmn_phy::math::normal_cdf(HOPELESS_MARGIN_SIGMAS);
-        assert!(at_bound < MIN_LINK_PROBABILITY / 2.0, "Φ at the skip bound is {at_bound}");
+        assert!(at_bound < 0.9 * MIN_LINK_PROBABILITY, "Φ at the skip bound is {at_bound}");
         // Not relying on the approximant being monotone: sample the whole
         // skipped range down to where it underflows to exactly 0.
         let mut z = HOPELESS_MARGIN_SIGMAS;
         while z > -45.0 {
             let p = wmn_phy::math::normal_cdf(z);
-            assert!(p < MIN_LINK_PROBABILITY / 2.0, "Φ({z}) = {p}");
+            assert!(p < 0.9 * MIN_LINK_PROBABILITY, "Φ({z}) = {p}");
             z -= 0.001;
         }
         assert_eq!(wmn_phy::math::normal_cdf(f64::NEG_INFINITY), 0.0);
     }
 
+    /// This thread's link evaluations so far ([`Work::LinkEvaluations`]).
+    fn evaluations() -> u64 {
+        wmn_alloc::work_totals()[Work::LinkEvaluations as usize]
+    }
+
     #[test]
     fn placement_evaluates_only_the_pairs_inside_the_hopeless_radius() {
         // A 32×32 grid at 2 m: no pair sits within the radius guard of the
-        // 20.35 m radius (the nearest lattice distances are 20.0 and 20.4 m).
+        // 18.23 m radius (the nearest lattice distances are 2·√82 ≈ 18.11
+        // and 2·√85 ≈ 18.44 m).
         let model = LinkModel::paper();
         let radius = hopeless_radius(&model);
-        assert!((radius - 20.35).abs() < 0.01, "radius {radius}");
+        assert!((radius - 18.23).abs() < 0.01, "radius {radius}");
         let positions: Vec<Position> = (0..1024)
             .map(|i| Position::new((i % 32) as f64 * 2.0, (i / 32) as f64 * 2.0))
             .collect();
@@ -567,17 +573,48 @@ mod tests {
         for a in 0..positions.len() {
             for b in a + 1..positions.len() {
                 let mean = model.mean_rx_dbm(positions[a].distance_to(positions[b]));
-                within += usize::from(
+                within += u64::from(
                     model.margin_sigmas(mean, model.rx_thresh_dbm) >= HOPELESS_MARGIN_SIGMAS,
                 );
             }
         }
-        let before = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get);
+        let before = evaluations();
         let g = LinkGraph::from_placement(&model, &positions);
-        let evaluated = PLACEMENT_EVALUATIONS.with(std::cell::Cell::get) - before;
+        let evaluated = evaluations() - before;
         assert_eq!(evaluated, within);
         assert!(4 * evaluated < 1024 * 1023 / 2, "{evaluated} of 523 776 pairs evaluated");
         assert!(g.neighbours(NodeId::new(0)).len() > 8, "the grid's short links are kept");
+    }
+
+    #[test]
+    fn the_cut_keeps_every_link_at_the_floor_radius() {
+        // Pairs 1 mm either side of the radius where the delivery
+        // probability crosses the 0.05 floor (17.86 m), and either side of
+        // the cut by its guard: the cut build equals the uncut dense one,
+        // and the floor-radius pairs are where usable links end.
+        let model = LinkModel::paper();
+        let floor = model.radius_at(model.rx_thresh_dbm, -1.6448536269514722);
+        assert!((floor - 17.86).abs() < 0.01, "floor radius {floor}");
+        assert!(model.delivery(floor - 1e-3) >= MIN_LINK_PROBABILITY);
+        assert!(model.delivery(floor + 1e-3) < MIN_LINK_PROBABILITY);
+        let cut = hopeless_radius(&model);
+        let guard = cut * RADIUS_GUARD;
+        let spans = [floor - 1e-3, floor + 1e-3, cut - guard, cut + guard];
+        // One station at the origin, one out along each of four directions
+        // at each span, so no two far stations are within a span of each
+        // other by accident of the layout.
+        let mut positions = vec![Position::new(0.0, 0.0)];
+        for (k, span) in spans.into_iter().enumerate() {
+            let angle = std::f64::consts::FRAC_PI_2 * k as f64;
+            positions.push(Position::new(span * angle.cos(), span * angle.sin()));
+        }
+        let dense = DenseGraph::from_placement(&model, &positions);
+        let g = LinkGraph::from_placement(&model, &positions);
+        assert_matches_dense(&g, &dense, "floor and cut edges");
+        let origin = NodeId::new(0);
+        assert!(g.link_etx(origin, NodeId::new(1)).is_finite(), "inside the floor radius");
+        let beyond = [2, 3, 4].map(|i| g.link_etx(origin, NodeId::new(i)));
+        assert_eq!(beyond, [f64::INFINITY; 3], "beyond the floor radius");
     }
 
     #[test]

@@ -414,16 +414,17 @@ fn bystanders_are_inert_under_every_scheme() {
     let prepared = scenario.prepare().expect("well-formed");
     let observed = prepared.observed_stations(false).expect("untraced");
     assert_eq!(observed, [0, 1, 2, 3].map(node), "the bystanders are left out");
-    let medium = Medium::new(params, scenario.positions.clone());
-    let drawn = |observed: Option<&[NodeId]>| {
+    let drawn = |medium: Medium, masked: bool| {
         let before = wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize];
         let mut plans = Vec::new();
         for from in 0..4 {
             let key = wmn_sim::DrawKey::new(from);
-            medium.plan_receptions_into(node(from as u32), key, &mut plans, observed);
-            assert!(plans.iter().all(|p| p.to.index() < 4 || observed.is_none()));
+            medium.plan_receptions_into(node(from as u32), key, &mut plans);
+            assert!(plans.iter().all(|p| p.to.index() < 4 || !masked));
         }
         wmn_alloc::work_totals()[wmn_alloc::Work::PlannerPairs as usize] - before
     };
-    assert_eq!((drawn(Some(observed)), drawn(None)), (4 * 3, 4 * 9));
+    let positions = || scenario.positions.clone();
+    let masked = drawn(Medium::observing(params.clone(), positions(), observed), true);
+    assert_eq!((masked, drawn(Medium::new(params, positions()), false)), (4 * 3, 4 * 9));
 }
