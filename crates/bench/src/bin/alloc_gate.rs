@@ -25,7 +25,7 @@
 //! breaches at least one of them. When an intended change moves a reading,
 //! re-measure and keep that margin; do not round a ceiling up.
 //!
-//! Eight rows gate work rather than allocations, through the same file and
+//! Ten rows gate work rather than allocations, through the same file and
 //! the same margin: `wmn_alloc`'s exact [`Work`] counters read the shadowing
 //! variates computed in full per planner pair on the 1024-station medium
 //! and per frame on the dense neighbourhood, so a planner or capture rule
@@ -33,11 +33,12 @@
 //! drawn and receptions planned per transmission on an untraced campus with
 //! fixed routes and on an untraced drifting mesh whose routes refresh, so a
 //! planner that draws or plans stations no route of the run names breaches
-//! those four; and the link-model pairs evaluated per frame on the drifting
-//! mesh and per route-refresh pass on a 256-station grid, so a medium whose
-//! rows hold or move stations the run does not observe, or a routing graph
-//! build that evaluates pairs its distance cut could skip, breaches those
-//! two.
+//! those four; and the link-model pairs evaluated and the stations route
+//! searches settle, per frame on the drifting mesh and per route-refresh
+//! pass on a 256-station grid, so a medium whose rows hold or move
+//! stations the run does not observe, or a route search that evaluates
+//! links its lower bounds could skip or settles stations its heuristic
+//! could leave, breaches those four.
 //!
 //! Nothing here reads a clock: time is measured by `perfbench/` (see its
 //! README), and the root `clippy.toml` holds this crate to that.
@@ -56,7 +57,7 @@ use wmn_mac::{FramePool, IfQueue};
 use wmn_netsim::stack::decode::decode_frame;
 use wmn_netsim::{run, Scenario, Scheme};
 use wmn_phy::{BerModel, Medium, PhyParams, Position};
-use wmn_routing::LinkGraph;
+use wmn_routing::PlacementSearch;
 use wmn_scengen::ScenarioSpec;
 use wmn_sim::{
     labels, EventKey, FlowId, KeyedEventQueue, NodeId, RngDirectory, SimDuration, SimTime,
@@ -243,50 +244,52 @@ fn run_churn_recycled() -> Entry<'static> {
 }
 
 /// Full route-refresh passes, as a run's route schedule pays them once per
-/// refresh instant that finds the stations moved: build a [`LinkGraph`]
-/// from the link model and the stations' positions (no medium row is
-/// built) and rerun min-ETX Dijkstra per flow, on a 16×16 grid. 5 m spacing keeps
-/// every neighbour link above the ETX usability floor so all flows really
-/// route (at 40 m, p ≈ 6e-5 < 0.05 and nothing does). The mover keeps the
-/// link state changing between passes so no snapshot is a cached no-op.
-/// Reads allocations and link-model evaluations per pass: only the pairs
-/// inside the graph's distance cut are evaluated (the 20 m pairs of the
-/// grid lie outside it).
-fn route_refresh_pass() -> [Entry<'static>; 2] {
+/// refresh instant that finds the stations moved: place the stations in
+/// the schedule's [`PlacementSearch`] (no graph is built, no medium row
+/// read) and re-route each flow from its path of the pass before, on a
+/// 16×16 grid. 5 m spacing keeps every neighbour link above the ETX
+/// usability floor so all flows really route (at 40 m, p ≈ 6e-5 < 0.05 and
+/// nothing does). The mover keeps the link state changing between passes
+/// so no placement repeats. Reads allocations, link-model evaluations and
+/// stations settled per pass: the search evaluates a link only when its
+/// lower bound says it could shorten a path, within the old path's ETX,
+/// and its heuristic keeps it near the straight line between a flow's
+/// endpoints.
+fn route_refresh_pass() -> [Entry<'static>; 3] {
     let side = 16;
     let n = side * side;
-    let mut medium = Medium::new(PhyParams::paper_216(), grid_positions(side, 5.0));
-    // Corner-to-corner and edge-to-edge endpoint pairs, one per flow.
-    let endpoints: Vec<(NodeId, NodeId)> =
-        (0..4).map(|f| (NodeId::new((f * side) as u32), NodeId::new((n - 1 - f) as u32))).collect();
-    let mover = NodeId::new((n / 2) as u32);
+    let model = PhyParams::paper_216().link;
+    let mut positions = grid_positions(side, 5.0);
+    // Corner-to-corner and edge-to-edge endpoint pairs, one per flow, each
+    // starting from the direct (unusable) link.
+    let mut paths: Vec<Vec<NodeId>> = (0..4)
+        .map(|f| vec![NodeId::new((f * side) as u32), NodeId::new((n - 1 - f) as u32)])
+        .collect();
+    let mover = n / 2;
     let work = wmn_alloc::work_totals();
     let (paths_found, stats) = wmn_alloc::measure(|| {
+        let mut search = PlacementSearch::new(&model).expect("the paper's model has a cut");
         let mut paths_found = 0u64;
         for i in 0..ROUTE_REFRESH_PASSES {
             // A diagonal walk that stays inside the deployment footprint.
             let step = (i % 128) as f64;
-            medium.update_node_position(mover, Position::new(step * 0.5, step * 0.25));
-            let graph = LinkGraph::try_from_placement(&medium.params().link, medium.positions())
-                .expect("grid link state is finite");
-            for &(src, dst) in &endpoints {
-                if let Some(path) = graph.shortest_path(src, dst) {
+            positions[mover] = Position::new(step * 0.5, step * 0.25);
+            assert!(search.place(&positions), "grid positions are finite");
+            for current in &mut paths {
+                if let Some(path) = search.reroute(current) {
                     paths_found += 1;
-                    black_box(&path);
+                    *current = black_box(path);
                 }
             }
         }
         paths_found
     });
     assert_eq!(paths_found, ROUTE_REFRESH_PASSES * 4, "every flow must route on every pass");
-    let evaluations = work_delta(work, Work::LinkEvaluations) as f64;
+    let per_pass = |w: Work| work_delta(work, w) as f64 / ROUTE_REFRESH_PASSES as f64;
     let bench = "route_refresh_pass_grid256_flows4";
     [
-        Entry {
-            bench,
-            metric: "link_evaluations_per_op",
-            value: evaluations / ROUTE_REFRESH_PASSES as f64,
-        },
+        Entry { bench, metric: "link_evaluations_per_op", value: per_pass(Work::LinkEvaluations) },
+        Entry { bench, metric: "route_settles_per_op", value: per_pass(Work::RouteSettles) },
         allocs_per_op(bench, stats, ROUTE_REFRESH_PASSES),
     ]
 }
@@ -405,11 +408,13 @@ fn end_to_end(bench: &'static str, scenario: &Scenario, out: &mut Vec<Entry<'sta
         out.push(Entry { bench, metric: "receptions_per_tx", value });
     }
     if bench == MESH {
-        // The route schedule's graph builds (inside the squared-distance
-        // cut) plus the medium's row builds and tick refreshes (observed
-        // pairs only).
+        // The route schedule's searches (links whose lower bound admits a
+        // shorter path) plus the medium's row builds and tick refreshes
+        // (observed pairs only), and the stations the searches settle.
         let value = per_frame(Work::LinkEvaluations);
         out.push(Entry { bench, metric: "link_evaluations_per_frame", value });
+        let value = per_frame(Work::RouteSettles);
+        out.push(Entry { bench, metric: "route_settles_per_frame", value });
     }
     let split: Vec<String> = [Phase::TxPath, Phase::Queue, Phase::EventLoop]
         .iter()
@@ -581,7 +586,7 @@ mod tests {
     fn values_at_the_committed_ceilings_pass() {
         let doc = committed();
         let budgets = parse_budget(&doc).expect("committed budget is well-formed");
-        assert_eq!(budgets.len(), 34);
+        assert_eq!(budgets.len(), 36);
         assert_eq!(check(&budgets, &budgets), Vec::<String>::new());
     }
 

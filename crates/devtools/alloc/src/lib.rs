@@ -27,8 +27,8 @@
 //!
 //! Beside the allocation counters sit [`Work`] counters: exact counts of
 //! the simulator's own units of work (planner pairs walked, shadowing
-//! variates computed, receptions planned, link-model pairs evaluated),
-//! bumped with [`count_work`] on
+//! variates computed, receptions planned, link-model pairs evaluated,
+//! stations a route search settled), bumped with [`count_work`] on
 //! the thread that does the work and read back with [`work_totals`]. They
 //! are the same kind of gate input as an allocation count, and compile to
 //! nothing without the `count` feature.
@@ -249,17 +249,26 @@ pub enum Work {
     /// Station pairs whose link state was evaluated from their distance
     /// (`hypot` and `log10`): by the medium for a row entry or a moved
     /// pair, and by a routing graph's build for each pair inside its
-    /// distance cut.
+    /// distance cut, or by a lazy route search for each link it reads
+    /// first.
     LinkEvaluations = 3,
+    /// Stations a min-ETX route search settled (`wmn_routing`'s one search,
+    /// over a link graph or a placement).
+    RouteSettles = 4,
 }
 
 impl Work {
     /// Number of work counters.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 5;
 
     /// Every counter, in [`work_totals`] order.
-    pub const ALL: [Work; Work::COUNT] =
-        [Work::PlannerPairs, Work::Variates, Work::Receptions, Work::LinkEvaluations];
+    pub const ALL: [Work; Work::COUNT] = [
+        Work::PlannerPairs,
+        Work::Variates,
+        Work::Receptions,
+        Work::LinkEvaluations,
+        Work::RouteSettles,
+    ];
 
     /// Stable snake_case key for reports.
     pub const fn label(self) -> &'static str {
@@ -268,6 +277,7 @@ impl Work {
             Work::Variates => "variates",
             Work::Receptions => "receptions",
             Work::LinkEvaluations => "link_evaluations",
+            Work::RouteSettles => "route_settles",
         }
     }
 }
@@ -408,15 +418,19 @@ mod tests {
         count_work(Work::PlannerPairs, 1);
         count_work(Work::Receptions, 3);
         count_work(Work::LinkEvaluations, 4);
+        count_work(Work::RouteSettles, 7);
         let after = work_totals();
         let delta = |w: Work| after[w as usize] - before[w as usize];
         if counting_enabled() {
-            assert_eq!(Work::ALL.map(delta), [6, 2, 3, 4]);
+            assert_eq!(Work::ALL.map(delta), [6, 2, 3, 4, 7]);
         } else {
             assert_eq!(after, [0; Work::COUNT], "work counters stay zero without `count`");
         }
         let labels: Vec<&str> = Work::ALL.iter().map(|w| w.label()).collect();
-        assert_eq!(labels, ["planner_pairs", "variates", "receptions", "link_evaluations"]);
+        assert_eq!(
+            labels,
+            ["planner_pairs", "variates", "receptions", "link_evaluations", "route_settles"]
+        );
     }
 
     #[test]

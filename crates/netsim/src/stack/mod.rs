@@ -48,7 +48,7 @@ use wmn_sim::{FlowId, NodeId, SimDuration, SimTime};
 use crate::scenario::{Prepared, Scenario};
 use crate::trace::{Trace, TraceKind};
 use net_layer::NetLayer;
-use phy_io::{advance_medium_positions, last_tick, tick_of, Reception};
+use phy_io::{advance_medium_positions, last_tick, movers, tick_of, Reception};
 use station::{StationStack, World};
 
 /// TCP-specific per-flow results.
@@ -224,6 +224,8 @@ struct Runner<'p> {
     core: StationStack,
     /// The scenario's mobility tick, `None` for a static plan.
     tick: Option<SimDuration>,
+    /// The moving stations a tick moves: those the medium observes.
+    movers: Vec<NodeId>,
     /// The tick the medium's positions were sampled at; `SimTime::ZERO`
     /// while it holds the placement.
     ticked: SimTime,
@@ -249,6 +251,7 @@ impl<'p> Runner<'p> {
             net,
             core,
             tick: tick_of(&scenario.motion),
+            movers: movers(&scenario.motion, prepared.observed_stations(traced)),
             ticked: SimTime::ZERO,
             due: SimTime::MAX,
             #[cfg(test)]
@@ -313,7 +316,7 @@ impl<'p> Runner<'p> {
     fn move_medium(&mut self, at: SimTime) {
         if at > self.ticked {
             let Scenario { motion, positions, .. } = self.scenario;
-            advance_medium_positions(&mut self.medium, motion, positions, at);
+            advance_medium_positions(&mut self.medium, motion, positions, &self.movers, at);
             self.ticked = at;
         }
     }
@@ -321,12 +324,21 @@ impl<'p> Runner<'p> {
     /// The route refresh at `at`: the network layer applies the route
     /// changes the run's schedule holds for it, and a traced run records
     /// each, at `at`. The routes themselves were computed at build, from
-    /// the same positions the medium holds now (`RouteSchedule::of`).
+    /// the positions of the tick the medium is at now (`RouteSchedule::of`).
     fn refresh_routes(&mut self, at: SimTime) {
+        // The live positions, sampled afresh at the tick the medium is at:
+        // an untraced run's medium moves only the stations it observes.
         #[cfg(test)]
-        let live = self
-            .route_oracle
-            .then(|| self.net.reroute_live(&self.medium.params().link, self.medium.positions()));
+        let live = self.route_oracle.then(|| {
+            let Scenario { motion, positions, params, .. } = self.scenario;
+            let mut live = positions.clone();
+            if self.ticked > SimTime::ZERO {
+                for (node, position) in phy_io::sample_moving(motion, positions, self.ticked) {
+                    live[node.index()] = position;
+                }
+            }
+            self.net.reroute_live(&params.link, &live)
+        });
         let changed = self.net.refresh();
         #[cfg(test)]
         if let Some((live_changed, live_paths)) = live {
@@ -777,13 +789,59 @@ mod tests {
         }
     }
 
+    /// A 7×7 grid at 5 m pitch, full of equal-ETX routes, whose every third
+    /// station drifts at up to 14 m/s on a 10 ms tick, so links tie exactly
+    /// and stop tying as the run goes on; four VoIP flows corner to corner
+    /// and edge to edge, on the min-ETX paths over the placement.
+    fn voip_drift_grid() -> Scenario {
+        const SIDE: u32 = 7;
+        let positions: Vec<Position> = (0..SIDE * SIDE)
+            .map(|i| Position::new(f64::from(i % SIDE) * 5.0, f64::from(i / SIDE) * 5.0))
+            .collect();
+        let paths = (0..SIDE * SIDE)
+            .map(|i| match i % 3 {
+                0 => NodePath::Drift {
+                    vx_mps: f64::from(i % 5) * 5.0 - 10.0,
+                    vy_mps: f64::from(i % 7) * 3.0 - 9.0,
+                },
+                _ => NodePath::Static,
+            })
+            .collect();
+        let params = PhyParams::paper_216();
+        let graph = wmn_routing::LinkGraph::from_placement(&params.link, &positions);
+        let last = SIDE * SIDE - 1;
+        let voip = Workload::Voip(wmn_traffic::VoipModel::paper());
+        let flows = [(0, last), (SIDE - 1, last - SIDE + 1), (SIDE / 2, last - SIDE / 2), (1, 2)]
+            .into_iter()
+            .map(|(src, dst)| FlowSpec {
+                path: graph.shortest_path(NodeId::new(src), NodeId::new(dst)).expect("a grid"),
+                workload: voip.clone(),
+            })
+            .collect();
+        Scenario {
+            name: "drift-grid-7x7".into(),
+            params,
+            positions,
+            flows,
+            duration: SimDuration::from_millis(300),
+            motion: MotionPlan { paths, tick: SimDuration::from_millis(10) },
+            ..drifting_relay_scenario()
+        }
+    }
+
     #[test]
     fn scheduled_routes_are_the_routes_of_the_live_positions() {
         // The schedule oracle: every refresh also re-derives the routes
-        // from the medium's positions as the loop left them, and asserts
-        // that the ones computed at build match. Refreshes between ticks,
-        // across several, and on them.
-        for (layout, base) in [("relay", drifting_relay_scenario()), ("mesh", voip_drift_mesh())] {
+        // from the live positions at the tick the loop left the medium at,
+        // over the eager `LinkGraph`, and asserts that the ones the
+        // schedule's lazy search computed at build match. Refreshes
+        // between ticks, across several, and on them.
+        let layouts = [
+            ("relay", drifting_relay_scenario()),
+            ("mesh", voip_drift_mesh()),
+            ("grid", voip_drift_grid()),
+        ];
+        for (layout, base) in layouts {
             assert_eq!(base.motion.tick, SimDuration::from_millis(10));
             for interval_ms in [7, 15, 25, 50] {
                 let interval = SimDuration::from_millis(interval_ms);

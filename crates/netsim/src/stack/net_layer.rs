@@ -19,10 +19,22 @@
 //! flow whose endpoints have no path keeps its last-known-good route, so a
 //! refresh over an unmoved topology is a behavioural no-op (pinned by the
 //! crate's equivalence tests).
+//!
+//! An instant routes over a [`PlacementSearch`]: no link graph is built;
+//! each flow is re-routed from its current path by a search (A*,
+//! goal-directed) that evaluates a link only when a lower bound on it says
+//! it could shorten a path, within the current path's ETX, and each link
+//! at most once per instant, and returns exactly the path
+//! `LinkGraph::shortest_path` would (`wmn_routing::etx` has the argument;
+//! the cfg(test) route oracle re-derives every refresh over the eager
+//! graph). An instant whose tick is
+//! the last routed instant's runs no search. A link model the search cannot
+//! bound (no finite routing cut, e.g. σ = 0) routes over the eager graph
+//! instead, as before.
 
 use wmn_mac::frame::RouteInfo;
 use wmn_phy::{LinkModel, Position};
-use wmn_routing::{forwarder_list, LinkGraph};
+use wmn_routing::{forwarder_list, LinkGraph, PlacementSearch};
 use wmn_sim::{FlowId, NodeId, SimTime};
 
 use crate::scenario::Scenario;
@@ -87,7 +99,10 @@ impl RouteSchedule {
     /// The refreshes of a validated `scenario`, every
     /// [`Scenario::route_refresh`] up to its end, none without one. Each
     /// routes over the positions of the last mobility tick at or before it
-    /// ([`last_tick`]): the placement before the first.
+    /// ([`last_tick`]): the placement before the first. An instant whose
+    /// tick is the last routed instant's changes nothing (its routes are
+    /// the ones that instant left) and runs no search, so a static
+    /// topology is routed once.
     pub(crate) fn of(scenario: &Scenario) -> RouteSchedule {
         let mut refreshes = Vec::new();
         let Some(interval) = scenario.route_refresh else {
@@ -97,20 +112,34 @@ impl RouteSchedule {
         let (tick, end) = (tick_of(motion), SimTime::ZERO + scenario.duration);
         let mut paths: Vec<Vec<NodeId>> = scenario.flows.iter().map(|f| f.path.clone()).collect();
         let mut positions = origin.clone();
-        let mut sampled = SimTime::ZERO;
+        // The search's bounds are computed only for a schedule with an
+        // instant (a zero-duration run has none); its buffers are dropped
+        // with this function's, before any run.
+        let link = &scenario.params.link;
+        let mut search =
+            if interval <= scenario.duration { PlacementSearch::new(link) } else { None };
+        let mut routed = None;
         let mut at = SimTime::ZERO + interval;
         while at <= end {
             let t = last_tick(tick, at);
-            if t > sampled {
-                for (node, position) in sample_moving(motion, origin, t) {
-                    positions[node.index()] = position;
+            let changes = if routed == Some(t) {
+                Vec::new()
+            } else {
+                routed = Some(t);
+                if t > SimTime::ZERO {
+                    for (node, position) in sample_moving(motion, origin, t) {
+                        positions[node.index()] = position;
+                    }
                 }
-                sampled = t;
-            }
-            let changes = reroute(&scenario.params.link, &positions, &mut paths)
-                .into_iter()
-                .map(|flow| (flow, paths[flow.index()].clone()))
-                .collect();
+                let placed = search.as_mut().is_some_and(|search| search.place(&positions));
+                let changed = match search.as_mut() {
+                    Some(search) if placed => {
+                        reroute(&mut paths, |current| search.reroute(current))
+                    }
+                    _ => reroute_over_graph(link, &positions, &mut paths),
+                };
+                changed.into_iter().map(|flow| (flow, paths[flow.index()].clone())).collect()
+            };
             refreshes.push(Refresh { at, changes });
             at += interval;
         }
@@ -131,24 +160,21 @@ impl RouteSchedule {
     }
 }
 
-/// One routing of the flows over stations at `positions`, the one place a route is
-/// computed: each flow's min-ETX path between the endpoints of `paths`.
-/// Rewrites the paths that changed and returns their flows, ascending.
+/// One routing of the flows, the one place a route is computed: each
+/// flow's min-ETX path between the endpoints of its current path in
+/// `paths`, from `route`, which is handed that path. Rewrites the paths
+/// that changed and returns their flows, ascending.
 ///
 /// A flow whose endpoints have no usable path keeps its last-known-good
 /// route — a transiently partitioned flow should recover when its relay
-/// comes back, not forget how to route entirely. So does every flow when
-/// the graph does not build: `Scenario::validate` admits only finite
-/// positions and a finite link model, so that takes a degenerate model
-/// (σ = 0 with a pair exactly on the receive threshold: 0/0).
-fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) -> Vec<FlowId> {
-    let Ok(graph) = LinkGraph::try_from_placement(link, positions) else {
-        return Vec::new();
-    };
+/// comes back, not forget how to route entirely.
+fn reroute(
+    paths: &mut [Vec<NodeId>],
+    mut route: impl FnMut(&[NodeId]) -> Option<Vec<NodeId>>,
+) -> Vec<FlowId> {
     let mut changed = Vec::new();
     for (i, current) in paths.iter_mut().enumerate() {
-        let (src, dst) = (current[0], *current.last().expect("non-empty path"));
-        match graph.shortest_path(src, dst) {
+        match route(current) {
             Some(path) if path != *current => {
                 *current = path;
                 changed.push(FlowId::new(i as u32));
@@ -157,6 +183,26 @@ fn reroute(link: &LinkModel, positions: &[Position], paths: &mut [Vec<NodeId>]) 
         }
     }
     changed
+}
+
+/// [`reroute`] over the [`LinkGraph`] of stations at `positions`: what the
+/// schedule falls back to for a link model its search cannot bound (see
+/// [`PlacementSearch::new`]), and the schedule oracle's reference. Every
+/// flow keeps its route when the graph does not build: `Scenario::validate`
+/// admits only finite positions and a finite link model, so that takes a
+/// degenerate model (σ = 0 with a pair exactly on the receive threshold:
+/// 0/0).
+fn reroute_over_graph(
+    link: &LinkModel,
+    positions: &[Position],
+    paths: &mut [Vec<NodeId>],
+) -> Vec<FlowId> {
+    match LinkGraph::try_from_placement(link, positions) {
+        Ok(graph) => reroute(paths, |current| {
+            graph.shortest_path(current[0], *current.last().expect("non-empty path"))
+        }),
+        Err(_) => Vec::new(),
+    }
 }
 
 /// The network layer: routing decisions for every flow of a run.
@@ -223,7 +269,7 @@ impl<'p> NetLayer<'p> {
         positions: &[Position],
     ) -> (Vec<FlowId>, Vec<Vec<NodeId>>) {
         let mut paths: Vec<Vec<NodeId>> = self.flows.iter().map(|f| f.path.to_vec()).collect();
-        let changed = reroute(link, positions, &mut paths);
+        let changed = reroute_over_graph(link, positions, &mut paths);
         (changed, paths)
     }
 }
@@ -232,6 +278,7 @@ impl<'p> NetLayer<'p> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use wmn_sim::SimDuration;
 
     /// Stations the property's paths are drawn over: few enough that most
     /// paths revisit one.
@@ -286,6 +333,69 @@ mod tests {
         assert_eq!(routes.route(NodeId::new(3), true), None, "the destination forwards nothing");
         assert_eq!(routes.route(NodeId::new(0), false), None, "nor does the source in reverse");
         assert_eq!(routes.route(NodeId::new(4), true), None, "off the path");
+    }
+
+    /// This thread's settled stations so far.
+    fn settles() -> u64 {
+        wmn_alloc::work_totals()[wmn_alloc::Work::RouteSettles as usize]
+    }
+
+    /// The drifting relay (10 ms tick; static unless `moving`) refreshed
+    /// every `interval_ms` for `duration_ms`, and the stations its
+    /// schedule's searches settle.
+    fn schedule(interval_ms: u64, duration_ms: u64, moving: bool) -> (RouteSchedule, u64) {
+        let mut scenario = crate::layouts::drifting_relay_scenario();
+        scenario.route_refresh = Some(SimDuration::from_millis(interval_ms));
+        scenario.duration = SimDuration::from_millis(duration_ms);
+        if !moving {
+            scenario.motion = wmn_topology::MotionPlan::default();
+        }
+        let before = settles();
+        let schedule = RouteSchedule::of(&scenario);
+        (schedule, settles() - before)
+    }
+
+    #[test]
+    fn an_instant_at_the_last_routed_tick_runs_no_search() {
+        // Refreshing every 5 ms on a 10 ms tick routes the first instant
+        // (over the placement) and then each tick once: every other
+        // instant repeats the last routed one's tick and changes nothing.
+        let (halves, searched) = schedule(5, 400, true);
+        let (whole, searched_whole) = schedule(10, 400, true);
+        let (first, searched_first) = schedule(5, 5, true);
+        assert_eq!(first.refreshes.len(), 1);
+        assert!(searched_first > 0 && searched_whole > 0);
+        assert_eq!(searched, searched_first + searched_whole, "each tick is searched once");
+        assert_eq!(halves.refreshes.len(), 2 * whole.refreshes.len());
+        for refresh in halves.refreshes.iter().skip(2).step_by(2) {
+            assert!(refresh.changes.is_empty(), "{refresh:?} repeats its tick");
+        }
+        assert!(halves.refreshes.iter().any(|refresh| !refresh.changes.is_empty()));
+        // A static topology is routed once, however often it refreshes,
+        // and a schedule with no instant searches nothing.
+        assert_eq!(schedule(5, 400, false).1, searched_first);
+        assert_eq!(schedule(5, 0, true).1, 0);
+    }
+
+    #[test]
+    fn a_model_whose_graph_does_not_build_keeps_every_route() {
+        // σ = 0 has no routing cut, so the schedule routes over the eager
+        // graph; with the relay's two far stations exactly 5 m apart and
+        // the receive threshold at their mean power, that pair's
+        // probability is 0/0, the graph never builds, and every flow keeps
+        // its route while the relay drifts away.
+        let mut scenario = crate::layouts::drifting_relay_scenario();
+        scenario.route_refresh = Some(SimDuration::from_millis(50));
+        let moving = RouteSchedule::of(&scenario);
+        assert!(moving.refreshes.iter().any(|refresh| !refresh.changes.is_empty()));
+        let link = &mut scenario.params.link;
+        link.sigma_db = 0.0;
+        link.rx_thresh_dbm = link.mean_rx_dbm(5.0);
+        assert!(PlacementSearch::new(link).is_none());
+        assert!(LinkGraph::try_from_placement(link, &scenario.positions).is_err());
+        let frozen = RouteSchedule::of(&scenario);
+        assert_eq!(frozen.refreshes.len(), moving.refreshes.len());
+        assert!(frozen.refreshes.iter().all(|refresh| refresh.changes.is_empty()));
     }
 
     proptest! {

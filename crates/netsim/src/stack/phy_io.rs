@@ -171,9 +171,10 @@ pub(crate) fn last_tick(tick: Option<SimDuration>, t: SimTime) -> SimTime {
     tick.map_or(SimTime::ZERO, |tick| SimTime::ZERO + tick * (t - SimTime::ZERO).div_duration(tick))
 }
 
-/// One mobility step: re-sample every moving node's trajectory at `now` and
-/// hand the changed positions to the medium as one batch, so a tick that
-/// moves every node evaluates each station pair at most once (see
+/// One mobility step: re-sample the trajectory of each of `movers` (the
+/// moving stations the medium observes, [`movers`]) at `now` and hand the
+/// changed positions to the medium as one batch, so a tick that moves every
+/// node evaluates each station pair at most once (see
 /// [`Medium::update_node_positions`]).
 ///
 /// A node whose sampled position equals its current one — typically a
@@ -185,27 +186,46 @@ pub(crate) fn advance_medium_positions(
     medium: &mut Medium,
     motion: &MotionPlan,
     origin: &[Position],
+    movers: &[NodeId],
     now: SimTime,
 ) {
-    let moves: Vec<(NodeId, Position)> = sample_moving(motion, origin, now)
+    let moves: Vec<(NodeId, Position)> = movers
+        .iter()
+        .map(|&node| (node, position_at(motion, origin, node, now)))
         .filter(|&(node, pos)| pos != medium.position(node))
         .collect();
     medium.update_node_positions(&moves);
 }
 
+/// The moving stations a mobility tick must move in a medium that observes
+/// `observed` (every station for `None`), ascending. A move of any other
+/// station would cost the medium its position write and change nothing it
+/// reads, so an untraced run samples only these.
+pub(crate) fn movers(motion: &MotionPlan, observed: Option<&[NodeId]>) -> Vec<NodeId> {
+    moving(motion)
+        .filter(|node| observed.map_or(true, |observed| observed.binary_search(node).is_ok()))
+        .collect()
+}
+
 /// Every moving node's position at `now`, from its `t = 0` placement in
-/// `origin`: what a mobility tick at `now` samples.
+/// `origin`: every position a mobility tick at `now` can change.
 pub(crate) fn sample_moving<'a>(
     motion: &'a MotionPlan,
     origin: &'a [Position],
     now: SimTime,
 ) -> impl Iterator<Item = (NodeId, Position)> + 'a {
-    motion
-        .paths
-        .iter()
-        .enumerate()
-        .filter(|(_, path)| !path.is_static())
-        .map(move |(i, path)| (NodeId::new(i as u32), path.position_at(origin[i], now)))
+    moving(motion).map(move |node| (node, position_at(motion, origin, node, now)))
+}
+
+/// The stations `motion` moves, ascending.
+fn moving(motion: &MotionPlan) -> impl Iterator<Item = NodeId> + '_ {
+    let moves = motion.paths.iter().enumerate().filter(|(_, path)| !path.is_static());
+    moves.map(|(i, _)| NodeId::new(i as u32))
+}
+
+/// Where moving station `node` of `motion` stands at `now`.
+fn position_at(motion: &MotionPlan, origin: &[Position], node: NodeId, now: SimTime) -> Position {
+    motion.paths[node.index()].position_at(origin[node.index()], now)
 }
 
 #[cfg(test)]

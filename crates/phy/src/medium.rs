@@ -178,8 +178,8 @@ impl LinkClass {
 /// receiver's slot (its rank among the observed), 16 bytes per entry. Only
 /// the planner builds rows, the first time a station transmits, so
 /// construction evaluates no pair and a run pays only for the stations that
-/// transmit (route refresh builds its graph from [`Medium::positions`], not
-/// from rows). [`Medium::plan_transmission`] is then a walk of the
+/// transmit (route refresh reads no row: a run's routes are computed from
+/// its motion plan before it starts). [`Medium::plan_transmission`] is then a walk of the
 /// transmitter's mean-power row that adds one fresh shadowing draw per pair,
 /// reading the delay only for the stations that sense the frame, instead of
 /// re-deriving the geometry and path loss on every transmission.
@@ -467,11 +467,10 @@ impl Medium {
         &self.params
     }
 
-    /// The *current* placement of every station, in node-id order.
-    ///
-    /// Under mobility this reflects every [`Medium::update_node_positions`]
-    /// batch applied so far — it is the live view routing-refresh passes rebuild
-    /// their link graphs from.
+    /// The placement of every station, in node-id order, as the
+    /// [`Medium::update_node_positions`] batches applied so far left it. A
+    /// run's loop moves only the stations its medium observes, so in an
+    /// untraced run a station outside the mask stays where it was placed.
     pub fn positions(&self) -> &[Position] {
         &self.positions
     }

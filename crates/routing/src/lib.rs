@@ -3,8 +3,9 @@
 //!
 //! * [`etx`] — the ETX link metric of De Couto et al. (the paper's route
 //!   discovery substrate, inherited from ExOR/MORE): analytic per-link
-//!   delivery probabilities from the shadowing model, Dijkstra shortest
-//!   paths on cumulative ETX, and forwarder-list construction (destination
+//!   delivery probabilities from the shadowing model, min-ETX paths
+//!   (Dijkstra over a link graph, or a lazy A* over a placement that
+//!   returns the same paths), and forwarder-list construction (destination
 //!   first, then forwarders by decreasing priority, capped at the paper's
 //!   default of 5).
 //! * [`exor`] — the **preExOR** (sequential per-forwarder ACKs) and
@@ -16,7 +17,7 @@
 pub mod etx;
 pub mod exor;
 
-pub use etx::{forwarder_list, EtxError, LinkGraph};
+pub use etx::{forwarder_list, EtxError, LinkGraph, PlacementSearch};
 pub use exor::{ExorMac, ExorMode, ExorScheme};
 
 /// The paper's default cap on forwarders per path ("we use 5 as the default
