@@ -4,13 +4,14 @@
 //! A [`TrafficMix`] says how many flows of each workload family to run and
 //! how to pick their endpoints; [`TrafficMix::compose`] turns that into
 //! concrete [`FlowSpec`]s against a placement, routing each flow over the
-//! minimum-ETX path (the same metric the paper's experiments use). All
+//! minimum-ETX path (the same metric the paper's experiments use), found by
+//! the lazy search of [`wmn_routing::PlacementSearch`]. All
 //! endpoint draws come from [`StreamRng`] streams derived from the scenario
 //! seed, so composition is deterministic per `(mix, topology, seed)`.
 
 use wmn_netsim::{FlowSpec, Workload};
 use wmn_phy::LinkModel;
-use wmn_routing::LinkGraph;
+use wmn_routing::{LinkGraph, PlacementSearch};
 use wmn_sim::{labels, NodeId, RngDirectory, StreamRng};
 use wmn_topology::Topology;
 use wmn_traffic::{CbrModel, VoipModel, WebModel};
@@ -96,9 +97,13 @@ impl TrafficMix {
     /// interior nodes double as the forwarder candidates for opportunistic
     /// schemes). Deterministic per `(self, topo, seed)`.
     ///
-    /// Builds the placement's [`LinkGraph`] under `model`;
-    /// [`crate::ScenarioSpec::materialise`] skips that build when the
-    /// topology generator already holds the same graph.
+    /// Builds no link graph: each drawn pair is routed by one
+    /// [`PlacementSearch`] over the placement, which evaluates a link only
+    /// where it could shorten a path, keeps what it evaluated for the
+    /// placement (so the eight draws of [`PairPolicy::FarPairs`] share it),
+    /// and returns [`LinkGraph::shortest_path`]'s path bit for bit. A model
+    /// the search cannot bound (σ ≤ 0) or a non-finite coordinate routes
+    /// over the placement's [`LinkGraph`] instead.
     ///
     /// # Errors
     ///
@@ -111,15 +116,24 @@ impl TrafficMix {
         model: &LinkModel,
         seed: u64,
     ) -> Result<Vec<FlowSpec>, String> {
-        self.compose_over(topo, &LinkGraph::from_placement(model, &topo.positions), seed)
+        let mut search = PlacementSearch::new(model);
+        let placed = search.as_mut().is_some_and(|search| search.place(&topo.positions));
+        match search.as_mut() {
+            Some(search) if placed => {
+                self.routed(topo, |src, dst| search.shortest_path(src, dst), seed)
+            }
+            _ => {
+                let graph = LinkGraph::from_placement(model, &topo.positions);
+                self.routed(topo, |src, dst| graph.shortest_path(src, dst), seed)
+            }
+        }
     }
 
-    /// [`TrafficMix::compose`] over a link graph of `topo`'s placement the
-    /// caller already holds.
-    pub(crate) fn compose_over(
+    /// [`TrafficMix::compose`] with its min-ETX paths from `route`.
+    fn routed(
         &self,
         topo: &Topology,
-        graph: &LinkGraph,
+        mut route: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
         seed: u64,
     ) -> Result<Vec<FlowSpec>, String> {
         if !(1..=u32::MAX as usize).contains(&self.flow_count()) {
@@ -136,7 +150,7 @@ impl TrafficMix {
         let mut flows = Vec::with_capacity(self.flow_count());
         for index in 0..self.flow_count() {
             let mut rng = dir.indexed_stream(labels::SCENGEN_MIX_FLOW, index as u32);
-            let path = self.pick_path(graph, n, &mut rng).map_err(|e| {
+            let path = self.pick_path(&mut route, n, &mut rng).map_err(|e| {
                 format!("flow {index} on {:?} ({} policy): {e}", topo.name, self.pairing.name())
             })?;
             flows.push(FlowSpec { path, workload: self.workload(index) });
@@ -159,7 +173,7 @@ impl TrafficMix {
 
     fn pick_path(
         &self,
-        graph: &LinkGraph,
+        route: &mut impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
         n: usize,
         rng: &mut StreamRng,
     ) -> Result<Vec<NodeId>, String> {
@@ -171,7 +185,7 @@ impl TrafficMix {
                     if src == dst {
                         continue;
                     }
-                    if let Some(path) = graph.shortest_path(src, dst) {
+                    if let Some(path) = route(src, dst) {
                         return Ok(path);
                     }
                 }
@@ -184,7 +198,7 @@ impl TrafficMix {
                     if src == gateway {
                         continue;
                     }
-                    if let Some(path) = graph.shortest_path(src, gateway) {
+                    if let Some(path) = route(src, gateway) {
                         return Ok(path);
                     }
                 }
@@ -201,7 +215,7 @@ impl TrafficMix {
                     if src == dst {
                         continue;
                     }
-                    let Some(path) = graph.shortest_path(src, dst) else { continue };
+                    let Some(path) = route(src, dst) else { continue };
                     sampled += 1;
                     if best.as_ref().map_or(true, |b| path.len() > b.len()) {
                         best = Some(path);
@@ -300,6 +314,52 @@ mod tests {
             flows.iter().any(|f| f.path.len() >= 4),
             "far-pairs on a 6-node line should find a 3+-hop route"
         );
+    }
+
+    #[test]
+    fn the_lazy_search_composes_what_the_graph_composes() {
+        // Every policy on a random mesh, a campus and a line, under the
+        // paper's model, one a step from it, and σ = 0, which the search
+        // cannot bound (so compose falls back to the graph).
+        let topologies = [
+            TopologySpec::RandomGeometric { nodes: 40, side_m: 40.0 },
+            TopologySpec::Campus {
+                clusters: 4,
+                nodes_per_cluster: 8,
+                cluster_radius_m: 3.0,
+                side_m: 30.0,
+            },
+            TopologySpec::PerturbedLine { nodes: 9, spacing_m: 5.0, jitter_m: 0.5 },
+        ];
+        let models = [
+            LinkModel::paper(),
+            LinkModel { sigma_db: 3.0, ..LinkModel::paper() },
+            LinkModel { sigma_db: 0.0, ..LinkModel::paper() },
+        ];
+        for pairing in [PairPolicy::Random, PairPolicy::Gateway, PairPolicy::FarPairs] {
+            let mix = TrafficMix { ftp: 3, web: 1, voip: 1, cbr: 1, pairing };
+            for (t, topology) in topologies.iter().enumerate() {
+                let topo = topology.try_generate(t as u64 + 5).unwrap();
+                for model in models {
+                    let graph = LinkGraph::from_placement(&model, &topo.positions);
+                    assert_eq!(
+                        PlacementSearch::new(&model).is_some(),
+                        model.sigma_db > 0.0,
+                        "the search bounds the model exactly when σ > 0"
+                    );
+                    for seed in 0..4 {
+                        let want = mix.routed(&topo, |a, b| graph.shortest_path(a, b), seed);
+                        let got = mix.compose(&topo, &model, seed);
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "{pairing:?} on {topology:?}, σ {}, seed {seed}",
+                            model.sigma_db
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! materialisation is deterministic, so a spec file pins a run exactly.
 
 use wmn_netsim::{Scenario, Scheme};
-use wmn_phy::{LinkModel, PhyParams};
-use wmn_routing::LinkGraph;
+use wmn_phy::PhyParams;
 use wmn_sim::SimDuration;
 
 use crate::json::Value;
@@ -164,13 +163,11 @@ impl ScenarioSpec {
     /// the PHY preset. Deterministic — same spec, same scenario, bit for
     /// bit.
     ///
-    /// One [`LinkGraph`] is built per call. The random-geometric and campus
-    /// generators keep the graph their connectivity check built, and the
-    /// flows are routed over it whenever the scenario's link model is bit for
-    /// bit [`LinkModel::paper`], the one connectivity is judged under — every
-    /// [`PhyPreset`], with or without a `ber` override. Otherwise, and for
-    /// the grid and the perturbed line, the flows get a graph of their own,
-    /// as [`TrafficMix::compose`] builds it.
+    /// No link graph is built: the random-geometric and campus generators
+    /// judge connectivity by a flood fill that evaluates a link only to a
+    /// station not yet reached ([`crate::is_connected`]), and
+    /// [`TrafficMix::compose`] routes each drawn pair with the lazy search,
+    /// whose bound table is computed once per link model.
     ///
     /// # Errors
     ///
@@ -188,13 +185,9 @@ impl ScenarioSpec {
         let duration = millis("duration_ms", self.duration_ms)?;
         let route_refresh =
             self.route_refresh_ms.map(|ms| millis("route_refresh_ms", ms)).transpose()?;
-        let (topo, graph) = self.topology.generate_with_graph(self.seed).map_err(err)?;
+        let topo = self.topology.try_generate(self.seed).map_err(err)?;
         let params = self.phy.params(self.ber);
-        let graph = match graph {
-            Some(graph) if params.link == LinkModel::paper() => graph,
-            _ => LinkGraph::from_placement(&params.link, &topo.positions),
-        };
-        let flows = self.mix.compose_over(&topo, &graph, self.seed).map_err(err)?;
+        let flows = self.mix.compose(&topo, &params.link, self.seed).map_err(err)?;
         self.mobility.check().map_err(err)?;
         let motion = self.mobility.expand(&topo.positions, self.seed);
         let scenario = Scenario {
@@ -422,6 +415,8 @@ mod tests {
 
     #[test]
     fn materialise_routes_over_the_graph_compose_would_build() {
+        // `compose` routes by the lazy search, which `mix`'s tests pin to
+        // the eager graph's paths under every pairing policy.
         let rgg = ScenarioSpec {
             topology: TopologySpec::RandomGeometric { nodes: 20, side_m: 25.0 },
             ..spec()

@@ -14,9 +14,9 @@
 //! route traffic.
 
 use wmn_phy::{LinkModel, Position};
-use wmn_routing::LinkGraph;
+use wmn_routing::PlacementSearch;
 use wmn_sim::labels::{self, Family};
-use wmn_sim::{NodeId, RngDirectory, StreamRng};
+use wmn_sim::{RngDirectory, StreamRng};
 use wmn_topology::Topology;
 
 use crate::json::Value;
@@ -177,41 +177,26 @@ impl TopologySpec {
     /// stochastic family reaches no connected placement within its attempt
     /// budget (density far below the connectivity threshold).
     pub fn try_generate(&self, seed: u64) -> Result<Topology, String> {
-        self.generate_with_graph(seed).map(|(topo, _)| topo)
-    }
-
-    /// [`TopologySpec::try_generate`], plus the connectivity graph of the
-    /// placement it accepted (built over [`LinkModel::paper`]) for the
-    /// families that regenerate until connected; the grid and the perturbed
-    /// line build none.
-    pub(crate) fn generate_with_graph(
-        &self,
-        seed: u64,
-    ) -> Result<(Topology, Option<LinkGraph>), String> {
         self.check().map_err(|msg| format!("invalid topology spec: {msg}"))?;
         let name = format!("{}-s{seed}", self.slug());
         let dir = RngDirectory::new(seed);
-        let (positions, graph) = match *self {
-            TopologySpec::Grid { cols, rows, spacing_m } => {
-                let positions = (0..rows)
-                    .flat_map(|r| {
-                        (0..cols)
-                            .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
-                    })
-                    .collect();
-                (positions, None)
-            }
+        let positions = match *self {
+            TopologySpec::Grid { cols, rows, spacing_m } => (0..rows)
+                .flat_map(|r| {
+                    (0..cols)
+                        .map(move |c| Position::new(c as f64 * spacing_m, r as f64 * spacing_m))
+                })
+                .collect(),
             TopologySpec::PerturbedLine { nodes, spacing_m, jitter_m } => {
                 let mut rng = dir.stream(labels::SCENGEN_LINE);
-                let positions = (0..nodes)
+                (0..nodes)
                     .map(|i| {
                         Position::new(
                             i as f64 * spacing_m + jitter_m * rng.standard_normal(),
                             jitter_m * rng.standard_normal(),
                         )
                     })
-                    .collect();
-                (positions, None)
+                    .collect()
             }
             TopologySpec::RandomGeometric { nodes, side_m } => {
                 connected_placement(dir, labels::SCENGEN_RGG_ATTEMPT, self, |rng| {
@@ -237,7 +222,7 @@ impl TopologySpec {
                 })?
             }
         };
-        Ok((Topology::new(name, positions), graph))
+        Ok(Topology::new(name, positions))
     }
 
     /// Serialises the spec as a JSON object (`kind` plus the family knobs).
@@ -300,19 +285,19 @@ impl TopologySpec {
 }
 
 /// Runs `place` with per-attempt RNG streams until the placement is
-/// radio-connected (see [`is_connected`]), and returns it with the graph
-/// that said so. Deterministic per `(seed, attempts)`.
+/// radio-connected (see [`is_connected`]), and returns it. Deterministic per
+/// `(seed, attempts)`.
 fn connected_placement(
     dir: RngDirectory,
     attempts: Family,
     spec: &TopologySpec,
     mut place: impl FnMut(&mut StreamRng) -> Vec<Position>,
-) -> Result<(Vec<Position>, Option<LinkGraph>), String> {
+) -> Result<Vec<Position>, String> {
+    let mut search = paper_search();
     for attempt in 0..CONNECT_ATTEMPTS {
         let positions = place(&mut dir.indexed_stream(attempts, attempt));
-        let graph = LinkGraph::from_placement(&LinkModel::paper(), &positions);
-        if spans(&graph) {
-            return Ok((positions, Some(graph)));
+        if search.connected(&positions) {
+            return Ok(positions);
         }
     }
     Err(format!(
@@ -327,39 +312,23 @@ fn connected_placement(
 /// property of the placement geometry, so the paper's link model is used
 /// whatever a scenario later sets).
 ///
-/// Builds one [`LinkGraph`]. The generators keep the graph of the placement
-/// they accept, and [`crate::ScenarioSpec::materialise`] routes over it when
-/// the scenario's link model is the paper's.
+/// Builds no link graph: [`PlacementSearch::connected`] flood-fills a grid
+/// of cells one routing-cut radius wide, evaluating a link only to a
+/// station not yet reached, and gives the built graph's verdict.
 pub fn is_connected(positions: &[Position]) -> bool {
-    spans(&LinkGraph::from_placement(&LinkModel::paper(), positions))
+    paper_search().connected(positions)
 }
 
-/// Whether `graph` has at least one station and every station reaches
-/// station 0.
-fn spans(graph: &LinkGraph) -> bool {
-    let n = graph.node_count();
-    if n == 0 {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut reached = 1;
-    while let Some(u) = stack.pop() {
-        for &(v, _) in graph.neighbours(NodeId::new(u as u32)) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                reached += 1;
-                stack.push(v.index());
-            }
-        }
-    }
-    reached == n
+/// A search over [`LinkModel::paper`], the model connectivity is judged
+/// under.
+fn paper_search() -> PlacementSearch {
+    PlacementSearch::new(&LinkModel::paper()).expect("the paper's model has a routing cut")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_sim::NodeId;
 
     #[test]
     fn grid_places_a_lattice() {
@@ -408,6 +377,19 @@ mod tests {
                 "campus seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn a_sparse_placement_is_unconnected_not_a_giant_grid() {
+        // Three stations over a 1e300 m square: the connectivity check's
+        // grid is sized by the stations, not the extent, and no attempt
+        // connects them.
+        let spec = TopologySpec::RandomGeometric { nodes: 3, side_m: 1e300 };
+        let msg = spec.try_generate(1).unwrap_err();
+        assert!(msg.contains("produced no connected placement in 64 attempts"), "{msg}");
+        let far = [Position::new(0.0, 0.0), Position::new(1e300, 0.0), Position::new(0.0, 5.0)];
+        assert!(!is_connected(&far));
+        assert!(is_connected(&far[..1]) && !is_connected(&[]));
     }
 
     #[test]
