@@ -382,8 +382,10 @@ impl<'s> Prepared<'s> {
     /// transmits or arms a timer, and its MAC ignores every frame, since
     /// none names it, not even one queued under a stale route (the contract
     /// on [`MacEntity`]); its draws are keyed to it alone, so leaving out
-    /// its receptions changes no result. A traced run plans every station:
-    /// the trace records `Decoded` at each.
+    /// its receptions changes no result. The run builds a MAC at these
+    /// stations only, and reports the default MAC statistics at the
+    /// others. A traced run plans every station and builds every MAC: the
+    /// trace records `Decoded` at each.
     pub fn observed_stations(&self, traced: bool) -> Option<&[NodeId]> {
         (!traced).then_some(&self.observed[..])
     }

@@ -1,5 +1,7 @@
 //! The MAC layer of the node stack: one [`MacEntity`] state machine per
-//! station, built through the [`MacScheme`] factory trait.
+//! station the run can reach (every station of a traced run, the observed
+//! ones of an untraced run), built through the [`MacScheme`] factory trait,
+//! and a stateless stand-in at every other station.
 //!
 //! The engine is deliberately scheme-agnostic: it never names DCF, ExOR or
 //! RIPPLE. A scenario's [`Scheme`](crate::Scheme) enum (or any other
@@ -8,9 +10,10 @@
 //! dispatch. Adding a MAC scheme therefore touches the crate that owns its
 //! state machine and the scenario enum — never this engine or the stack.
 
-use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats};
+use wmn_mac::frame::{Packet, RouteInfo, RxFrame};
+use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats, TimerToken};
 use wmn_phy::PhyParams;
-use wmn_sim::{labels, NodeId, RngDirectory};
+use wmn_sim::{labels, NodeId, RngDirectory, SimTime};
 
 /// The MAC layer: per-station protocol state machines, plus the engine's
 /// [`ActionSink`]s — one per nesting depth of handler invocations.
@@ -38,27 +41,93 @@ pub(crate) struct MacEngine {
     /// Handler invocations currently open: `sinks[..depth]` are being
     /// filled or drained, `sinks[depth..]` are empty and free.
     depth: usize,
+    /// State machines built by the scheme; the other `macs` are
+    /// [`Unbuilt`].
+    #[cfg(test)]
+    built: usize,
+}
+
+/// The MAC of a station no event of the run can reach: an untraced run's
+/// station outside [`Prepared::observed_stations`](crate::Prepared::observed_stations),
+/// which no flow's path names and the medium plans no reception at. A
+/// zero-sized type, so its box allocates nothing. It reports the
+/// statistics of a MAC that saw no event, [`MacStats::default`], which is
+/// what the scheme's MAC would report there (the "Inert bystanders"
+/// contract on [`MacEntity`]).
+struct Unbuilt;
+
+impl Unbuilt {
+    fn reached(&self) {
+        debug_assert!(false, "an event reached a station outside the run's mask");
+    }
+}
+
+impl MacEntity for Unbuilt {
+    fn on_enqueue(&mut self, _: Packet, _: RouteInfo, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn on_busy(&mut self, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn on_idle(&mut self, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn on_frame_rx(&mut self, _: RxFrame, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn on_tx_end(&mut self, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn on_timer(&mut self, _: TimerToken, _: SimTime, _: &mut ActionSink) {
+        self.reached();
+    }
+    fn stats(&self) -> MacStats {
+        MacStats::default()
+    }
 }
 
 impl MacEngine {
-    /// Builds one MAC per station via the scheme factory. Each node's
-    /// private RNG stream keeps the pre-trait label (`mac/<index>`), so the
-    /// trait dispatch is bit-identical to the old hardwired construction.
+    /// Builds one MAC via the scheme factory at each station of `kept`
+    /// (every station for `None`) and an [`Unbuilt`] stand-in, which
+    /// allocates nothing, at each of the other `node_count` stations. Each
+    /// node's private RNG stream is keyed by its station index
+    /// (`mac/<index>`), so a MAC draws the same whichever others are built.
     pub(crate) fn build(
         scheme: &dyn MacScheme,
         params: &PhyParams,
         node_count: usize,
+        kept: Option<&[NodeId]>,
         dir: &RngDirectory,
     ) -> Self {
-        let macs = (0..node_count as u32)
-            .map(|i| scheme.build_mac(params, NodeId::new(i), dir.indexed_stream(labels::MAC, i)))
-            .collect();
-        MacEngine::over(macs)
+        let build = |node: NodeId| {
+            scheme.build_mac(params, node, dir.indexed_stream(labels::MAC, node.index() as u32))
+        };
+        let macs = match kept {
+            None => (0..node_count as u32).map(|i| build(NodeId::new(i))).collect(),
+            Some(kept) => {
+                let mut macs: Vec<Box<dyn MacEntity>> =
+                    std::iter::repeat_with(|| Box::new(Unbuilt) as _).take(node_count).collect();
+                for &node in kept {
+                    macs[node.index()] = build(node);
+                }
+                macs
+            }
+        };
+        let engine = MacEngine::over(macs);
+        #[cfg(test)]
+        let engine = MacEngine { built: kept.map_or(node_count, <[_]>::len), ..engine };
+        engine
     }
 
     /// The engine over ready-made state machines, in station order.
     pub(crate) fn over(macs: Vec<Box<dyn MacEntity>>) -> Self {
-        MacEngine { macs, sinks: Vec::new(), depth: 0 }
+        MacEngine {
+            #[cfg(test)]
+            built: macs.len(),
+            macs,
+            sinks: Vec::new(),
+            depth: 0,
+        }
     }
 
     /// Opens one handler invocation: lends the station's state machine and
@@ -82,6 +151,12 @@ impl MacEngine {
     pub(crate) fn close(&mut self) {
         debug_assert!(self.sinks[self.depth - 1].is_empty(), "sinks are drained before closing");
         self.depth -= 1;
+    }
+
+    /// State machines the scheme built.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> usize {
+        self.built
     }
 
     /// Sinks ever created: the deepest nesting seen so far.

@@ -243,7 +243,7 @@ impl<'p> Runner<'p> {
     /// trace if `traced`; every route the run takes is `prepared`'s.
     fn build(prepared: &'p Prepared<'_>, seed: u64, traced: bool) -> Runner<'p> {
         let scenario = prepared.scenario();
-        let core = StationStack::build(scenario, seed, traced);
+        let core = StationStack::build(prepared, seed, traced);
         let net = NetLayer::build(scenario, &prepared.schedule);
         let mut runner = Runner {
             scenario,
@@ -374,7 +374,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
     use wmn_mac::frame::{AckFrame, Frame, Packet, RouteInfo, RxFrame};
-    use wmn_mac::{ActionSink, MacAction, MacEntity, MacStats, RateClass};
+    use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats, RateClass};
     use wmn_phy::{PhyParams, Position};
     use wmn_sim::SimTime;
     use wmn_topology::{MotionPlan, NodePath, Waypoint};
@@ -973,5 +973,72 @@ mod tests {
         };
         let err = s.prepare().expect_err("3 paths for 2 stations");
         assert!(matches!(&err, ScenarioError::Motion(msg) if msg.contains("3 paths")), "{err}");
+    }
+
+    /// Every MAC configuration: DCF, AFR, MCExOR, preExOR, RIPPLE-16.
+    const SCHEMES: [Scheme; 5] = [
+        Scheme::Dcf { aggregation: 1 },
+        Scheme::Dcf { aggregation: 16 },
+        Scheme::McExor,
+        Scheme::PreExor,
+        Scheme::Ripple { aggregation: 16 },
+    ];
+
+    /// Layouts with stations outside every route of the run: the frozen
+    /// drifting relay (its spare relay is named by no path) and the
+    /// drifting mesh (23 of 64 stations named at the start, 29 once its
+    /// refreshes re-route), each under `scheme`.
+    fn layouts_with_bystanders(scheme: Scheme) -> [Scenario; 2] {
+        let relay = Scenario {
+            scheme,
+            duration: SimDuration::from_millis(150),
+            ..drifting_relay_scenario()
+        };
+        let mesh = Scenario { scheme, ..drifting_mesh_scenario(SimDuration::from_millis(120)) };
+        for s in [&relay, &mesh] {
+            let observed =
+                s.prepare().expect("well-formed").observed_stations(false).map(<[_]>::len);
+            assert!(observed < Some(s.positions.len()), "{}: a station off every route", s.name);
+        }
+        [relay, mesh]
+    }
+
+    #[test]
+    fn tracing_is_a_pure_observer_with_stations_off_every_route() {
+        // A traced run builds every station's MAC, an untraced run only
+        // the observed stations'; the results agree bit for bit.
+        for scheme in SCHEMES {
+            for s in layouts_with_bystanders(scheme) {
+                let (traced, _) = run_traced(&s);
+                assert_eq!(run(&s), traced, "{} under {}", s.name, scheme.label());
+                assert!(traced.flows.iter().any(|f| f.delivered_bytes > 0), "{}", s.name);
+            }
+        }
+    }
+
+    #[test]
+    fn mac_stats_name_every_station_and_the_default_off_the_mask() {
+        for scheme in SCHEMES {
+            // A MAC that has seen no event counts nothing: what the run
+            // reports where it built none.
+            let dir = wmn_sim::RngDirectory::new(1);
+            let fresh = scheme.build_mac(
+                &PhyParams::paper_216(),
+                NodeId::new(0),
+                dir.indexed_stream(wmn_sim::labels::MAC, 0),
+            );
+            assert_eq!(fresh.stats(), MacStats::default(), "{}", scheme.label());
+            for s in layouts_with_bystanders(scheme) {
+                let prepared = s.prepare().expect("well-formed");
+                let observed = prepared.observed_stations(false).expect("untraced");
+                let stats = prepared.run(s.seed).mac_stats;
+                assert_eq!(stats.len(), s.positions.len(), "{}", s.name);
+                for (i, station) in stats.iter().enumerate() {
+                    let kept = observed.contains(&NodeId::new(i as u32));
+                    assert!(kept || *station == MacStats::default(), "{}: station {i}", s.name);
+                }
+                assert!(stats.iter().any(|station| *station != MacStats::default()), "{}", s.name);
+            }
+        }
     }
 }
