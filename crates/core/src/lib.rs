@@ -49,7 +49,7 @@ pub mod mac;
 pub mod timing;
 
 pub use config::RippleConfig;
-pub use mac::{RippleMac, RippleScheme};
+pub use mac::RippleMac;
 pub use timing::MtxopTiming;
 
 /// The paper's aggregation limit: "we select 16 as the maximum number of

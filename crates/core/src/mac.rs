@@ -30,7 +30,6 @@ use wmn_mac::{
     ActionSink, AggSender, Backoff, Csma, DataState, IfQueue, MacAction, MacEntity, MacStats,
     TimerToken,
 };
-use wmn_phy::PhyParams;
 use wmn_sim::{FlowId, NodeId, SimDuration, SimTime, StreamRng};
 
 use crate::config::RippleConfig;
@@ -359,38 +358,13 @@ impl MacEntity for RippleMac {
     }
 }
 
-/// The RIPPLE forwarding scheme, as a [`MacScheme`](wmn_mac::MacScheme)
-/// factory: `aggregation = 1` is "R1", 16 the full scheme "R16".
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RippleScheme {
-    /// Packets per frame (1 or 16 in the paper).
-    pub aggregation: usize,
-}
-
-impl wmn_mac::MacScheme for RippleScheme {
-    fn label(&self) -> &'static str {
-        if self.aggregation == 1 {
-            "RIPPLE-1"
-        } else {
-            "RIPPLE-16"
-        }
-    }
-
-    fn is_opportunistic(&self) -> bool {
-        true
-    }
-
-    fn build_mac(&self, params: &PhyParams, node: NodeId, rng: StreamRng) -> Box<dyn MacEntity> {
-        Box::new(RippleMac::new(RippleConfig::from_phy(params, self.aggregation), node, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use wmn_mac::frame::{NetHeader, NodeList, Proto};
     use wmn_mac::{DropReason, MacEntityExt};
+    use wmn_phy::PhyParams;
 
     fn cfg(agg: usize) -> RippleConfig {
         RippleConfig::from_phy(&PhyParams::paper_216(), agg)

@@ -272,25 +272,25 @@ fn chain_table(seed: u64, jobs: usize) -> Table {
         shards: None,
     };
     let ftp = [
-        ("DCF", Scheme::Dcf { aggregation: 1 }),
-        ("RIPPLE-1", Scheme::Ripple { aggregation: 1 }),
-        ("AFR", Scheme::Dcf { aggregation: 16 }),
-        ("RIPPLE-16", Scheme::Ripple { aggregation: 16 }),
+        Scheme::Dcf { aggregation: 1 },
+        Scheme::Ripple { aggregation: 1 },
+        Scheme::Dcf { aggregation: 16 },
+        Scheme::Ripple { aggregation: 16 },
     ];
     let mut plan = RunPlan::new();
     let mut push = |scenario: Scenario| {
         let prepared = scenario.into_prepared().expect("the chain is well-formed");
         plan.push(Arc::new(prepared), seed);
     };
-    for (_, scheme) in ftp {
+    for scheme in ftp {
         push(chain(scheme, Workload::Ftp, 400));
     }
     let voip = Workload::Voip(wmn_traffic::VoipModel::paper());
     push(chain(Scheme::Ripple { aggregation: 16 }, voip, 600));
     let results: Vec<RunResult> = Executor::new(jobs).execute(&plan).results;
     let mut table = Table::new("chain", vec!["row", "value"]);
-    for ((label, _), result) in ftp.iter().zip(&results) {
-        table.add_numeric_row(*label, &[result.flows[0].throughput_mbps]);
+    for (scheme, result) in ftp.iter().zip(&results) {
+        table.add_numeric_row(scheme.to_string(), &[result.flows[0].throughput_mbps]);
     }
     let call = results[4].flows[0].voip.expect("a VoIP flow reports VoIP results");
     table.add_numeric_row("voip delay ms", &[call.mean_delay.as_secs_f64() * 1e3]);

@@ -190,32 +190,6 @@ impl MacEntity for DcfMac {
     }
 }
 
-/// The DCF/AFR forwarding scheme, as a [`MacScheme`](crate::MacScheme)
-/// factory: `aggregation = 1` is plain DCF, anything larger is AFR.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DcfScheme {
-    /// Packets per frame (1 or 16 in the paper).
-    pub aggregation: usize,
-}
-
-impl crate::MacScheme for DcfScheme {
-    fn label(&self) -> &'static str {
-        if self.aggregation == 1 {
-            "DCF"
-        } else {
-            "AFR"
-        }
-    }
-
-    fn is_opportunistic(&self) -> bool {
-        false
-    }
-
-    fn build_mac(&self, params: &PhyParams, node: NodeId, rng: StreamRng) -> Box<dyn MacEntity> {
-        Box::new(DcfMac::new(DcfConfig::from_phy(params, self.aggregation), node, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,9 +28,9 @@
 //!   paper's strongest conventional baseline;
 //! * [`overhead`] — Section II's closed-form per-packet delivery-time model
 //!   (the Fig. 2 timeline), with the paper's worked 3-hop example as tests;
-//! * [`scheme`] — the [`MacScheme`] factory trait the simulation runner
-//!   builds node stacks through (implemented here for DCF/AFR, in
-//!   `wmn_routing` for the ExOR variants, and in `ripple` for RIPPLE).
+//! * [`scheme`] — the [`MacScheme`] trait, whose one implementor,
+//!   `wmn_netsim::Scheme`, builds every scheme's MAC (DCF/AFR from here,
+//!   preExOR/MCExOR from `wmn_routing`, RIPPLE from `ripple`).
 
 pub mod backoff;
 pub mod csma;
@@ -46,7 +46,7 @@ pub mod smalllist;
 
 pub use backoff::Backoff;
 pub use csma::{AggSender, Csma, DataState, Fired, Inflight, OwnTx};
-pub use dcf::{DcfConfig, DcfMac, DcfScheme};
+pub use dcf::{DcfConfig, DcfMac};
 pub use frame::{
     AckFrame, AckList, DataFrame, Frame, LinkDst, NetHeader, NodeList, Packet, Proto, RouteInfo,
     RxFrame, Subframe,
@@ -194,13 +194,13 @@ pub struct MacStats {
 /// handles and queued frames whose counts are not atomic (see
 /// [`pool`](crate::pool#one-thread)). That is safe because a MAC is built
 /// by its run — on the executor worker that called `run`, from the
-/// scenario's [`MacScheme`], which is plain data and does travel — driven
-/// there and dropped there; nothing of it is in the `RunResult` that
-/// comes back.
+/// scenario's scheme and a config such as [`DcfConfig`], plain data that
+/// does travel — driven there and dropped there; nothing of it is in the
+/// `RunResult` that comes back.
 ///
 /// ```
 /// fn needs_send<T: Send>() {}
-/// needs_send::<wmn_mac::DcfScheme>();
+/// needs_send::<wmn_mac::DcfConfig>();
 /// ```
 ///
 /// ```compile_fail

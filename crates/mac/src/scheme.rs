@@ -1,31 +1,18 @@
-//! [`MacScheme`]: the factory interface a forwarding scheme exposes to the
-//! simulation runner.
+//! [`MacScheme`]: building one station's MAC from a scheme.
 //!
-//! A *scheme* is what a scenario selects (DCF, AFR, preExOR, MCExOR,
-//! RIPPLE, …); a [`MacEntity`] is the per-node state
-//! machine a scheme instantiates. Before this trait the runner hardwired a
-//! `match` over every known scheme; now it builds the whole node stack
-//! through this interface, so adding a MAC means implementing the trait in
-//! the crate that owns the state machine (`wmn_mac` for DCF/AFR,
-//! `wmn_routing` for the ExOR variants, `ripple` for RIPPLE itself) — no
-//! runner change required. Scenario-level scheme enums stay copyable and
-//! allocation-free by *enum-dispatching* to these implementations.
+//! Its one implementor is `wmn_netsim::Scheme`, which names every scheme
+//! and builds each scheme's [`MacEntity`] directly; a scheme's name and
+//! whether it is opportunistic live there too. The trait stays only because
+//! the benchmark crate (`perfbench/`) imports it to call `build_mac`; it
+//! goes with that import.
 
 use wmn_phy::PhyParams;
 use wmn_sim::{NodeId, StreamRng};
 
 use crate::MacEntity;
 
-/// A forwarding scheme: per-node MAC factory plus the routing-shape
-/// metadata the scenario layer needs before any node exists.
+/// A forwarding scheme, as the factory of its per-station MAC.
 pub trait MacScheme {
-    /// The label the paper's figures use for this scheme.
-    fn label(&self) -> &'static str;
-
-    /// Whether routes must be expressed as opportunistic priority lists
-    /// (forwarder candidates) rather than per-hop next-hop tables.
-    fn is_opportunistic(&self) -> bool;
-
     /// Builds the MAC state machine for one station. `rng` is the node's
     /// private stream (derived as `mac/<index>` by the runner); `params`
     /// carries the PHY timing the MAC derives its protocol constants from.
@@ -35,18 +22,23 @@ pub trait MacScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcf::DcfScheme;
+    use crate::{DcfConfig, DcfMac, MacEntityExt, MacStats};
 
     #[test]
     fn dcf_scheme_builds_entities_and_reports_metadata() {
-        let plain = DcfScheme { aggregation: 1 };
-        assert_eq!(plain.label(), "DCF");
-        assert!(!plain.is_opportunistic());
-        assert_eq!(DcfScheme { aggregation: 16 }.label(), "AFR");
+        // What a DCF scheme builds: a `DcfMac` from the PHY's timing, fresh
+        // and live, reporting the station and aggregation limit it was
+        // built with (1 is plain DCF, 16 is AFR).
         let params = PhyParams::paper_216();
-        let mut mac = plain.build_mac(&params, NodeId::new(0), StreamRng::derive(1, "mac/test"));
-        assert_eq!(mac.stats(), crate::MacStats::default());
-        // The built entity is live: an idle notification is accepted.
-        let _ = crate::MacEntityExt::on_idle_vec(&mut *mac, wmn_sim::SimTime::ZERO);
+        for aggregation in [1, 16] {
+            let cfg = DcfConfig::from_phy(&params, aggregation);
+            assert_eq!(cfg.max_aggregation, aggregation);
+            let built = DcfMac::new(cfg, NodeId::new(3), StreamRng::derive(1, "mac/test"));
+            assert_eq!(built.node(), NodeId::new(3));
+            let mut mac: Box<dyn MacEntity> = Box::new(built);
+            assert_eq!(mac.stats(), MacStats::default());
+            // The built entity is live: an idle notification is accepted.
+            let _ = mac.on_idle_vec(wmn_sim::SimTime::ZERO);
+        }
     }
 }

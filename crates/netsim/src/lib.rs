@@ -3,8 +3,8 @@
 //! This crate is the only place where the passive state machines of the
 //! lower crates meet the event queue. The simulation is one engine body —
 //! the station stack in [`stack`], which owns the per-station and per-flow
-//! layers ([`stack::mac_engine`]: one MAC per station behind the
-//! [`wmn_mac::MacScheme`] factory trait; [`stack::flow_layer`]: transport
+//! layers ([`stack::mac_engine`]: one MAC per station, built by the
+//! scenario's [`Scheme`]; [`stack::flow_layer`]: transport
 //! endpoints and workloads; receivers and [`stack::phy_io`]'s table of
 //! transmissions on the air) together with
 //! the event queue, and interprets every [`wmn_mac::MacAction`] /

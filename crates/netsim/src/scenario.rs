@@ -1,10 +1,14 @@
 //! Scenario description types.
 
 use std::borrow::Cow;
+use std::fmt;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
-use wmn_mac::{DcfScheme, MacEntity, MacScheme};
+use ripple::{RippleConfig, RippleMac};
+use wmn_mac::{DcfConfig, DcfMac, MacEntity, MacScheme};
 use wmn_phy::{Medium, PhyParams, Position};
-use wmn_routing::{ExorMode, ExorScheme};
+use wmn_routing::{ExorConfig, ExorMac, ExorMode};
 use wmn_sim::{NodeId, SimDuration, SimTime, StreamRng};
 use wmn_topology::MotionPlan;
 use wmn_traffic::{CbrModel, VoipModel, WebModel};
@@ -33,45 +37,76 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// The label the paper's figures use for this scheme.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheme::Dcf { aggregation: 1 } => "DCF",
-            Scheme::Dcf { .. } => "AFR",
-            Scheme::PreExor => "preExOR",
-            Scheme::McExor => "MCExOR",
-            Scheme::Ripple { aggregation: 1 } => "RIPPLE-1",
-            Scheme::Ripple { .. } => "RIPPLE-16",
-        }
-    }
-
     /// Whether routes must be expressed as opportunistic priority lists.
     pub fn is_opportunistic(self) -> bool {
         !matches!(self, Scheme::Dcf { .. })
     }
 }
 
-/// Enum dispatch to the concrete scheme factories: the `Scheme` enum stays
-/// a copyable scenario field (no allocation, derivable `PartialEq`), while
-/// the runner builds node stacks purely through the [`MacScheme`] trait —
-/// it never names DCF, ExOR or RIPPLE again. Adding a MAC means adding a
-/// variant here and a factory in the crate that owns the state machine.
+/// A scheme's one name: the paper's label for it, the value of a spec's or
+/// sweep's `scheme` field and a sweep cell's name component. The paper's
+/// six are `DCF`, `AFR` (16 packets), `RIPPLE-1`, `RIPPLE-16`, `preExOR` and
+/// `MCExOR`; any other aggregation `k` is `AFR-k` or `RIPPLE-k`.
+impl fmt::Display for Scheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Scheme::Dcf { aggregation: 1 } => f.write_str("DCF"),
+            Scheme::Dcf { aggregation: 16 } => f.write_str("AFR"),
+            Scheme::Dcf { aggregation } => write!(f, "AFR-{aggregation}"),
+            Scheme::PreExor => f.write_str("preExOR"),
+            Scheme::McExor => f.write_str("MCExOR"),
+            Scheme::Ripple { aggregation } => write!(f, "RIPPLE-{aggregation}"),
+        }
+    }
+}
+
+/// The inverse of [`Display`](fmt::Display): a name parses to the scheme
+/// that displays as exactly that name, at an aggregation of at least 1.
+/// So `AFR-16` (which is `AFR`), `RIPPLE-0` and `RIPPLE-016` are errors.
+impl FromStr for Scheme {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        let k = |prefix: &str| {
+            name.strip_prefix(prefix)?.parse::<NonZeroUsize>().ok().map(NonZeroUsize::get)
+        };
+        let named = [
+            Scheme::Dcf { aggregation: 1 },
+            Scheme::Dcf { aggregation: 16 },
+            Scheme::PreExor,
+            Scheme::McExor,
+        ];
+        named
+            .into_iter()
+            .chain(k("AFR-").map(|aggregation| Scheme::Dcf { aggregation }))
+            .chain(k("RIPPLE-").map(|aggregation| Scheme::Ripple { aggregation }))
+            .find(|scheme| scheme.to_string() == name)
+            .ok_or_else(|| {
+                format!(
+                    "scheme must be \"DCF\", \"AFR\", \"preExOR\", \"MCExOR\", \"AFR-<k>\" or \
+                     \"RIPPLE-<k>\" (k >= 1 without leading zeros; AFR-1 is DCF, AFR-16 is AFR), \
+                     got {name:?}"
+                )
+            })
+    }
+}
+
+/// Builds each scheme's MAC straight from its config. Adding a MAC is one
+/// variant, its arm here and its name in the [`Display`](fmt::Display) impl.
 impl MacScheme for Scheme {
-    fn label(&self) -> &'static str {
-        Scheme::label(*self)
-    }
-
-    fn is_opportunistic(&self) -> bool {
-        Scheme::is_opportunistic(*self)
-    }
-
     fn build_mac(&self, params: &PhyParams, node: NodeId, rng: StreamRng) -> Box<dyn MacEntity> {
         match *self {
-            Scheme::Dcf { aggregation } => DcfScheme { aggregation }.build_mac(params, node, rng),
-            Scheme::PreExor => ExorScheme { mode: ExorMode::PreExor }.build_mac(params, node, rng),
-            Scheme::McExor => ExorScheme { mode: ExorMode::McExor }.build_mac(params, node, rng),
+            Scheme::Dcf { aggregation } => {
+                Box::new(DcfMac::new(DcfConfig::from_phy(params, aggregation), node, rng))
+            }
+            Scheme::PreExor => {
+                Box::new(ExorMac::new(ExorMode::PreExor, ExorConfig::from_phy(params), node, rng))
+            }
+            Scheme::McExor => {
+                Box::new(ExorMac::new(ExorMode::McExor, ExorConfig::from_phy(params), node, rng))
+            }
             Scheme::Ripple { aggregation } => {
-                ripple::RippleScheme { aggregation }.build_mac(params, node, rng)
+                Box::new(RippleMac::new(RippleConfig::from_phy(params, aggregation), node, rng))
             }
         }
     }
@@ -410,12 +445,32 @@ mod tests {
 
     #[test]
     fn scheme_labels_match_figures() {
-        assert_eq!(Scheme::Dcf { aggregation: 1 }.label(), "DCF");
-        assert_eq!(Scheme::Dcf { aggregation: 16 }.label(), "AFR");
-        assert_eq!(Scheme::Ripple { aggregation: 1 }.label(), "RIPPLE-1");
-        assert_eq!(Scheme::Ripple { aggregation: 16 }.label(), "RIPPLE-16");
-        assert_eq!(Scheme::PreExor.label(), "preExOR");
-        assert_eq!(Scheme::McExor.label(), "MCExOR");
+        for (scheme, name) in [
+            (Scheme::Dcf { aggregation: 1 }, "DCF"),
+            (Scheme::Dcf { aggregation: 16 }, "AFR"),
+            (Scheme::Ripple { aggregation: 1 }, "RIPPLE-1"),
+            (Scheme::Ripple { aggregation: 16 }, "RIPPLE-16"),
+            (Scheme::PreExor, "preExOR"),
+            (Scheme::McExor, "MCExOR"),
+            (Scheme::Dcf { aggregation: 8 }, "AFR-8"),
+            (Scheme::Ripple { aggregation: 8 }, "RIPPLE-8"),
+        ] {
+            assert_eq!(scheme.to_string(), name);
+            assert_eq!(name.parse(), Ok(scheme));
+        }
+        for bad in [
+            "AFR-16",
+            "AFR-1",
+            "DCF-1",
+            "RIPPLE-0",
+            "AFR-0",
+            "RIPPLE-016",
+            "RIPPLE-+8",
+            "ripple-8",
+            "",
+        ] {
+            assert!(bad.parse::<Scheme>().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -644,8 +699,11 @@ mod tests {
 
     #[test]
     fn scheme_enum_dispatches_the_mac_scheme_trait() {
-        // The trait view must agree with the inherent metadata for every
-        // variant — the runner only ever sees the trait.
+        use wmn_mac::frame::{NetHeader, NodeList, Packet, Proto, RouteInfo};
+        use wmn_mac::{MacAction, MacEntityExt, MacStats};
+        // Through the trait view, every variant builds a fresh MAC that takes
+        // its scheme's route kind: the paper's six, then aggregations no
+        // figure uses.
         for scheme in [
             Scheme::Dcf { aggregation: 1 },
             Scheme::Dcf { aggregation: 16 },
@@ -653,17 +711,36 @@ mod tests {
             Scheme::Ripple { aggregation: 16 },
             Scheme::PreExor,
             Scheme::McExor,
+            Scheme::Dcf { aggregation: 2 },
+            Scheme::Ripple { aggregation: 2 },
+            Scheme::Dcf { aggregation: 8 },
+            Scheme::Ripple { aggregation: 8 },
         ] {
             let dynamic: &dyn MacScheme = &scheme;
-            assert_eq!(dynamic.label(), scheme.label());
-            assert_eq!(dynamic.is_opportunistic(), scheme.is_opportunistic());
             let mut mac = dynamic.build_mac(
                 &PhyParams::paper_216(),
                 NodeId::new(0),
                 StreamRng::derive(1, "mac/0"),
             );
-            assert_eq!(mac.stats(), wmn_mac::MacStats::default());
-            let _ = wmn_mac::MacEntityExt::on_idle_vec(&mut *mac, wmn_sim::SimTime::ZERO);
+            assert_eq!(mac.stats(), MacStats::default(), "{scheme}");
+            // A next-hop route for DCF/AFR, a forwarder list otherwise.
+            let route = if scheme.is_opportunistic() {
+                let mut list = NodeList::new();
+                list.push(NodeId::new(2));
+                list.push(NodeId::new(1));
+                RouteInfo::Opportunistic { list }
+            } else {
+                RouteInfo::NextHop(NodeId::new(1))
+            };
+            let header = NetHeader {
+                flow: wmn_sim::FlowId::new(0),
+                src: NodeId::new(0),
+                dst: NodeId::new(2),
+                proto: Proto::Udp,
+                wire_bytes: 1000,
+            };
+            let actions = mac.on_enqueue_vec(Packet::new(header, vec![]), route, SimTime::ZERO);
+            assert!(matches!(actions[..], [MacAction::SetTimer { .. }]), "{scheme}: {actions:?}");
         }
     }
 

@@ -1,19 +1,20 @@
 //! The MAC layer of the node stack: one [`MacEntity`] state machine per
 //! station the run can reach (every station of a traced run, the observed
-//! ones of an untraced run), built through the [`MacScheme`] factory trait,
-//! and a stateless stand-in at every other station.
+//! ones of an untraced run), built by the scenario's [`Scheme`], and a
+//! stateless stand-in at every other station.
 //!
-//! The engine is deliberately scheme-agnostic: it never names DCF, ExOR or
-//! RIPPLE. A scenario's [`Scheme`](crate::Scheme) enum (or any other
-//! [`MacScheme`] implementation) decides what gets built; the engine only
-//! owns the per-node entities and hands them to the station stack for event
-//! dispatch. Adding a MAC scheme therefore touches the crate that owns its
-//! state machine and the scenario enum — never this engine or the stack.
+//! The engine never names DCF, ExOR or RIPPLE: [`Scheme`] builds each
+//! station's MAC, and the engine only owns the per-node entities and hands
+//! them to the station stack for event dispatch. Adding a MAC scheme
+//! touches the crate that owns its state machine and `Scheme` — never this
+//! engine or the stack.
 
 use wmn_mac::frame::{Packet, RouteInfo, RxFrame};
 use wmn_mac::{ActionSink, MacAction, MacEntity, MacScheme, MacStats, TimerToken};
 use wmn_phy::PhyParams;
 use wmn_sim::{labels, NodeId, RngDirectory, SimTime};
+
+use crate::Scheme;
 
 /// The MAC layer: per-station protocol state machines, plus the engine's
 /// [`ActionSink`]s — one per nesting depth of handler invocations.
@@ -87,13 +88,13 @@ impl MacEntity for Unbuilt {
 }
 
 impl MacEngine {
-    /// Builds one MAC via the scheme factory at each station of `kept`
+    /// Builds one MAC of `scheme` at each station of `kept`
     /// (every station for `None`) and an [`Unbuilt`] stand-in, which
     /// allocates nothing, at each of the other `node_count` stations. Each
     /// node's private RNG stream is keyed by its station index
     /// (`mac/<index>`), so a MAC draws the same whichever others are built.
     pub(crate) fn build(
-        scheme: &dyn MacScheme,
+        scheme: Scheme,
         params: &PhyParams,
         node_count: usize,
         kept: Option<&[NodeId]>,

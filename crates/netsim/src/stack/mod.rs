@@ -5,9 +5,9 @@
 //!
 //! * [`phy_io`] — the air table of transmissions in flight, with their
 //!   reception plans, and the mobility step over the medium;
-//! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built through
-//!   the [`wmn_mac::MacScheme`] factory trait (enum-dispatched by
-//!   [`Scheme`](crate::Scheme), so the engine never names a concrete MAC);
+//! * [`mac_engine`] — one [`wmn_mac::MacEntity`] per station, built by the
+//!   scenario's [`Scheme`](crate::Scheme), so the engine never names a
+//!   concrete MAC;
 //! * [`net_layer`] — each flow's path and the routing decisions it gives;
 //! * [`flow_layer`] — transport endpoints and workload generators per flow;
 //! * [`decode`] — the clean-decode / corruption seam.
@@ -917,7 +917,7 @@ mod tests {
         for (layout, base) in [("blackout", blackout_scenario()), ("lossy", lossy_scenario())] {
             for scheme in schemes {
                 let scenario = Scenario { scheme, ..base.clone() };
-                let label = format!("{layout}, {}", scheme.label());
+                let label = format!("{layout}, {scheme}");
                 let (result, trace, pops) = traced(&scenario, false);
                 let (oracle, oracle_trace, oracle_pops) = traced(&scenario, true);
                 assert!(result == oracle && trace == oracle_trace, "{label}: runs differ");
@@ -1010,7 +1010,7 @@ mod tests {
         for scheme in SCHEMES {
             for s in layouts_with_bystanders(scheme) {
                 let (traced, _) = run_traced(&s);
-                assert_eq!(run(&s), traced, "{} under {}", s.name, scheme.label());
+                assert_eq!(run(&s), traced, "{} under {scheme}", s.name);
                 assert!(traced.flows.iter().any(|f| f.delivered_bytes > 0), "{}", s.name);
             }
         }
@@ -1027,7 +1027,7 @@ mod tests {
                 NodeId::new(0),
                 dir.indexed_stream(wmn_sim::labels::MAC, 0),
             );
-            assert_eq!(fresh.stats(), MacStats::default(), "{}", scheme.label());
+            assert_eq!(fresh.stats(), MacStats::default(), "{scheme}");
             for s in layouts_with_bystanders(scheme) {
                 let prepared = s.prepare().expect("well-formed");
                 let observed = prepared.observed_stations(false).expect("untraced");

@@ -201,7 +201,7 @@ impl StationStack {
         let n = scenario.positions.len();
         let kept = prepared.observed_stations(traced);
         let mut channel = dir.stream(labels::CHANNEL);
-        let macs = MacEngine::build(&scenario.scheme, &scenario.params, n, kept, dir);
+        let macs = MacEngine::build(scenario.scheme, &scenario.params, n, kept, dir);
         let flows = FlowLayer::build(scenario, dir);
         let seeds = flows.seed_events(scenario, dir);
         let slots = 2 * n + scenario.flows.len();

@@ -410,7 +410,7 @@ fn prop_a_hostile_field_is_rejected_or_runs() {
         for (case, (label, mutate, rule)) in hostile_mutations().into_iter().enumerate() {
             let mut scenario = sound_scenario(case);
             mutate(&mut scenario);
-            announce(format!("{label} under {}", scenario.scheme.label()));
+            announce(format!("{label} under {}", scenario.scheme));
             match scenario.prepare() {
                 Ok(prepared) => {
                     let result = prepared.run(scenario.seed);

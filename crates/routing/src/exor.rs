@@ -415,31 +415,6 @@ impl MacEntity for ExorMac {
     }
 }
 
-/// The preExOR / MCExOR forwarding schemes, as a
-/// [`MacScheme`](wmn_mac::MacScheme) factory.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ExorScheme {
-    /// Which acknowledgement discipline the stations run.
-    pub mode: ExorMode,
-}
-
-impl wmn_mac::MacScheme for ExorScheme {
-    fn label(&self) -> &'static str {
-        match self.mode {
-            ExorMode::PreExor => "preExOR",
-            ExorMode::McExor => "MCExOR",
-        }
-    }
-
-    fn is_opportunistic(&self) -> bool {
-        true
-    }
-
-    fn build_mac(&self, params: &PhyParams, node: NodeId, rng: StreamRng) -> Box<dyn MacEntity> {
-        Box::new(ExorMac::new(self.mode, ExorConfig::from_phy(params), node, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

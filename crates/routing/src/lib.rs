@@ -18,7 +18,7 @@ pub mod etx;
 pub mod exor;
 
 pub use etx::{forwarder_list, EtxError, LinkGraph, PlacementSearch};
-pub use exor::{ExorMac, ExorMode, ExorScheme};
+pub use exor::{ExorConfig, ExorMac, ExorMode};
 
 /// The paper's default cap on forwarders per path ("we use 5 as the default
 /// maximum forwarders since it works well under a wide range of network

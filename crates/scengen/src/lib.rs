@@ -66,6 +66,6 @@ pub use wmn_exec::json;
 
 pub use mix::{PairPolicy, TrafficMix};
 pub use mobility::MobilitySpec;
-pub use spec::{scheme_from_name, scheme_name, PhyPreset, ScenarioSpec};
+pub use spec::{PhyPreset, ScenarioSpec};
 pub use sweep::SweepSpec;
 pub use topo::{is_connected, TopologySpec};

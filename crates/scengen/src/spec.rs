@@ -62,32 +62,6 @@ impl PhyPreset {
     }
 }
 
-/// Serialises a scheme as its figure label (`"DCF"`, `"AFR"`, `"RIPPLE-1"`,
-/// `"RIPPLE-16"`, `"preExOR"`, `"MCExOR"`).
-pub fn scheme_name(scheme: Scheme) -> &'static str {
-    scheme.label()
-}
-
-/// Parses a [`scheme_name`] back into a [`Scheme`].
-///
-/// # Errors
-///
-/// Returns a message listing the valid labels.
-pub fn scheme_from_name(name: &str) -> Result<Scheme, String> {
-    match name {
-        "DCF" => Ok(Scheme::Dcf { aggregation: 1 }),
-        "AFR" => Ok(Scheme::Dcf { aggregation: 16 }),
-        "RIPPLE-1" => Ok(Scheme::Ripple { aggregation: 1 }),
-        "RIPPLE-16" => Ok(Scheme::Ripple { aggregation: 16 }),
-        "preExOR" => Ok(Scheme::PreExor),
-        "MCExOR" => Ok(Scheme::McExor),
-        other => Err(format!(
-            "scheme must be one of \"DCF\", \"AFR\", \"RIPPLE-1\", \"RIPPLE-16\", \"preExOR\", \
-             \"MCExOR\", got {other:?}"
-        )),
-    }
-}
-
 /// A fully-described, reproducible run: topology recipe + traffic mix +
 /// scheme + PHY + duration + seed.
 #[derive(Clone, Debug, PartialEq)]
@@ -214,7 +188,7 @@ impl ScenarioSpec {
             .with("name", self.name.as_str())
             .with("topology", self.topology.to_json())
             .with("mix", self.mix.to_json())
-            .with("scheme", scheme_name(self.scheme))
+            .with("scheme", self.scheme.to_string())
             .with("phy", self.phy.name());
         if let Some(ber) = self.ber {
             doc = doc.with("ber", ber);
@@ -247,7 +221,7 @@ impl ScenarioSpec {
                 value.get("topology").ok_or("scenario: missing \"topology\"")?,
             )?,
             mix: TrafficMix::from_json(value.get("mix").ok_or("scenario: missing \"mix\"")?)?,
-            scheme: scheme_from_name(req_str(value, "scheme", "scenario")?)?,
+            scheme: req_str(value, "scheme", "scenario")?.parse()?,
             phy: PhyPreset::from_name(req_str(value, "phy", "scenario")?)?,
             ber: match value.get("ber") {
                 None | Some(Value::Null) => None,
@@ -527,23 +501,23 @@ mod tests {
     fn decode_errors_name_the_field() {
         let missing = ScenarioSpec::parse("{\"name\": \"x\"}").unwrap_err();
         assert!(missing.contains("topology"), "{missing}");
-        let text = spec().to_json().to_string().replace("RIPPLE-16", "RIPPLE-32");
+        let text = spec().to_json().to_string().replace("RIPPLE-16", "RIPPLE-0");
         let bad_scheme = ScenarioSpec::parse(&text).unwrap_err();
-        assert!(bad_scheme.contains("RIPPLE-32"), "{bad_scheme}");
+        assert!(bad_scheme.contains("RIPPLE-0"), "{bad_scheme}");
         assert!(ScenarioSpec::parse("not json").is_err());
     }
 
     #[test]
     fn scheme_names_round_trip() {
-        for scheme in [
-            Scheme::Dcf { aggregation: 1 },
-            Scheme::Dcf { aggregation: 16 },
-            Scheme::Ripple { aggregation: 1 },
-            Scheme::Ripple { aggregation: 16 },
-            Scheme::PreExor,
-            Scheme::McExor,
-        ] {
-            assert_eq!(scheme_from_name(scheme_name(scheme)).unwrap(), scheme);
+        // Every aggregation names its own scheme, so a spec file pins it:
+        // RIPPLE-8 used to be written as "RIPPLE-16" and read back as 16.
+        let aggregated = (1..=32)
+            .flat_map(|aggregation| [Scheme::Dcf { aggregation }, Scheme::Ripple { aggregation }]);
+        let mut names = std::collections::BTreeSet::new();
+        for scheme in aggregated.chain([Scheme::PreExor, Scheme::McExor]) {
+            let written = ScenarioSpec { scheme, ..spec() }.to_json().to_string();
+            assert_eq!(ScenarioSpec::parse(&written).unwrap().scheme, scheme, "{written}");
+            assert!(names.insert(scheme.to_string()), "{scheme} named twice");
         }
     }
 }

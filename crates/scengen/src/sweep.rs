@@ -13,10 +13,7 @@ use wmn_netsim::{Scenario, Scheme};
 use crate::json::Value;
 use crate::mix::{PairPolicy, TrafficMix};
 use crate::mobility::MobilitySpec;
-use crate::spec::{
-    req_str, req_u64, req_u64_list, req_usize, scheme_from_name, scheme_name, PhyPreset,
-    ScenarioSpec,
-};
+use crate::spec::{req_str, req_u64, req_u64_list, req_usize, PhyPreset, ScenarioSpec};
 use crate::topo::TopologySpec;
 
 /// A grid of scenario axes plus shared run settings.
@@ -159,7 +156,7 @@ impl SweepSpec {
                                 self.name,
                                 topology.slug(),
                                 mix.slug(),
-                                scheme_name(scheme),
+                                scheme,
                             );
                             if mobility != MobilitySpec::Static {
                                 name.push_str(&format!("-m{}", mobility.slug()));
@@ -231,7 +228,7 @@ impl SweepSpec {
             .with("mixes", Value::Arr(self.mixes.iter().map(TrafficMix::to_json).collect()))
             .with(
                 "schemes",
-                Value::Arr(self.schemes.iter().map(|&s| Value::from(scheme_name(s))).collect()),
+                Value::Arr(self.schemes.iter().map(|s| Value::from(s.to_string())).collect()),
             )
             .with("topo_seeds", self.topo_seeds.clone())
             .with("run_seeds", self.run_seeds.clone())
@@ -276,11 +273,7 @@ impl SweepSpec {
             mixes: arr("mixes")?.iter().map(TrafficMix::from_json).collect::<Result<_, _>>()?,
             schemes: arr("schemes")?
                 .iter()
-                .map(|v| {
-                    scheme_from_name(
-                        v.as_str().ok_or("sweep: \"schemes\" entries must be strings")?,
-                    )
-                })
+                .map(|v| v.as_str().ok_or("sweep: \"schemes\" entries must be strings")?.parse())
                 .collect::<Result<_, _>>()?,
             topo_seeds: req_u64_list(value, "topo_seeds", "sweep")?,
             run_seeds: req_u64_list(value, "run_seeds", "sweep")?,
@@ -376,6 +369,15 @@ mod tests {
         sweep.mobilities.push(sweep.mobilities[1]);
         let msg = sweep.expand().unwrap_err();
         assert!(msg.contains("duplicate cell name"), "{msg}");
+    }
+
+    #[test]
+    fn every_aggregation_is_a_cell_of_its_own() {
+        let schemes = vec![Scheme::Ripple { aggregation: 8 }, Scheme::Ripple { aggregation: 16 }];
+        let sweep = SweepSpec { schemes, ..SweepSpec::ci_quick() };
+        let names: BTreeSet<String> = sweep.expand().unwrap().into_iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), sweep.scenario_count());
+        assert!(names.iter().any(|name| name.contains("-RIPPLE-8-")), "{names:?}");
     }
 
     #[test]

@@ -179,13 +179,13 @@ fn random_spec(rng: &mut TestRng, hostile: bool) -> wmn_scengen::ScenarioSpec {
             legs: f.pick(&[1, 3], &[0, 4096, 4097, usize::MAX]),
         },
     };
+    // Any aggregation, not only the paper's 1 and 16: each has its own name.
+    let aggregation = 1 + f.rng.below(20) as usize;
     let schemes = [
-        Scheme::Dcf { aggregation: 1 },
-        Scheme::Dcf { aggregation: 16 },
+        Scheme::Dcf { aggregation },
         Scheme::PreExor,
         Scheme::McExor,
-        Scheme::Ripple { aggregation: 1 },
-        Scheme::Ripple { aggregation: 16 },
+        Scheme::Ripple { aggregation },
     ];
     let pairings = [PairPolicy::Random, PairPolicy::Gateway, PairPolicy::FarPairs];
     ScenarioSpec {

@@ -1,7 +1,8 @@
 //! Workload models for the paper's evaluation:
 //!
 //! * long-lived TCP transfers ("persistently send traffic throughout the
-//!   simulation") — [`FtpModel`];
+//!   simulation") need no model: `wmn_netsim`'s `Workload::Ftp` sends from
+//!   time zero without end;
 //! * short-lived web traffic: ON periods transfer a Pareto-distributed
 //!   amount (mean 80 KB, shape 1.5), OFF periods are exponential with mean
 //!   one second — [`WebModel`];
@@ -36,10 +37,6 @@ fn mean_fits(seconds: f64) -> bool {
 fn interval_fits(seconds: f64) -> bool {
     seconds * 1e9 >= 0.5 && seconds <= SimDuration::LIMIT.as_secs_f64()
 }
-
-/// A long-lived TCP transfer: unlimited data from time zero.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FtpModel;
 
 /// The paper's web-traffic workload (Section IV-D).
 #[derive(Clone, Copy, Debug)]

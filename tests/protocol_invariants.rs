@@ -237,7 +237,7 @@ fn contention_is_identical_across_schemes() {
         (Scheme::PreExor, &opportunistic),
         (Scheme::McExor, &opportunistic),
     ] {
-        let label = scheme.label();
+        let label = scheme.to_string();
         let mut mac = scheme.build_mac(&params, NodeId::new(0), station_0());
         let mut backoffs = Vec::new();
 
@@ -323,7 +323,7 @@ fn a_far_flowless_station_changes_nothing() {
         for traced in [false, true] {
             let go = |s: &Scenario| if traced { run_traced(s).0 } else { run(s) };
             let (expected, mut with_far) = (go(&near), go(&far));
-            let label = format!("{}, traced {traced}", scheme.label());
+            let label = format!("{scheme}, traced {traced}");
             assert_eq!(with_far.mac_stats.pop(), Some(MacStats::default()), "{label}");
             assert!(expected.flows.iter().all(|f| f.delivered_bytes > 0), "{label}: idle run");
             assert_eq!(expected, with_far, "{label}");
@@ -385,7 +385,7 @@ fn bystanders_are_inert_under_every_scheme() {
         ]
     };
     for scheme in SCHEMES {
-        let label = scheme.label();
+        let label = scheme.to_string();
         let rng = RngDirectory::new(1).indexed_stream(labels::MAC, 9);
         let mut mac = scheme.build_mac(&params, bystander, rng);
         let mut now = SimTime::from_micros(10);
